@@ -15,7 +15,7 @@ fn main() {
             xcc_bench::print_scenario_list();
         }
         Some(name) => {
-            if xcc_framework::registry::get(name).is_none() {
+            let Some(entry) = xcc_framework::registry::get(name) else {
                 eprintln!("unknown scenario `{name}`");
                 if let Some(candidate) = xcc_framework::registry::suggest(name) {
                     eprintln!("did you mean `{candidate}`?");
@@ -25,8 +25,8 @@ fn main() {
                     eprintln!("  {:<26} {}", entry.name, entry.title);
                 }
                 std::process::exit(2);
-            }
-            xcc_bench::run_and_print(name);
+            };
+            xcc_bench::run_and_print(entry);
         }
     }
 }

@@ -4,11 +4,16 @@
 //! The fixtures pin the exact `ScenarioOutcome`s of small fig8/fig9/fig11/
 //! fig12-shaped runs so the determinism tests can prove that the pluggable
 //! relayer pipeline's default strategy reproduces the pre-refactor relayer
-//! bit for bit. Regenerate (and carefully review the diff!) with:
+//! bit for bit. Regenerate one set (and carefully review the diff!) with:
 //!
 //! ```text
-//! cargo run --release -p xcc-bench --bin goldens > tests/fixtures/default_strategy_goldens.json
+//! cargo run --release -p xcc-bench --bin goldens -- --set default_strategy \
+//!     > tests/fixtures/default_strategy_goldens.json
 //! ```
+//!
+//! `--set` takes any name of the [`fixture_sets`] table — the file is always
+//! `tests/fixtures/<name>_goldens.json` — and an unknown name exits 2 with
+//! the valid ones, so a typo can never print the wrong set into a redirect.
 //!
 //! In `--check` mode no file is written: every fixture set is regenerated
 //! in-memory and compared against `tests/fixtures/`, and the process exits
@@ -66,12 +71,6 @@ pub fn golden_specs() -> Vec<ExperimentSpec> {
 
 /// The spec set behind the multi-channel golden fixture: small two-channel
 /// runs with the default strategy, pinning the per-channel bookkeeping.
-/// Regenerate with:
-///
-/// ```text
-/// cargo run --release -p xcc-bench --bin goldens -- --multi-channel \
-///     > tests/fixtures/multi_channel_goldens.json
-/// ```
 pub fn multi_channel_golden_specs() -> Vec<ExperimentSpec> {
     vec![
         ExperimentSpec::relayer_throughput()
@@ -97,12 +96,7 @@ pub fn multi_channel_golden_specs() -> Vec<ExperimentSpec> {
 /// The spec set behind the sequence-race golden fixture: the §V straddled-
 /// commit repro under both sequence-tracking arms, pinning the race's cost
 /// (Resync) and the fixed behaviour (MempoolAware, zero broadcast
-/// failures). Regenerate with:
-///
-/// ```text
-/// cargo run --release -p xcc-bench --bin goldens -- --sequence-race \
-///     > tests/fixtures/sequence_race_goldens.json
-/// ```
+/// failures).
 pub fn sequence_race_golden_specs() -> Vec<ExperimentSpec> {
     let repro = ExperimentSpec::relayer_throughput()
         .named("golden/sequence_race/rate=40/rtt=0")
@@ -127,12 +121,7 @@ pub fn sequence_race_golden_specs() -> Vec<ExperimentSpec> {
 /// The shared-process arm pins the per-process throughput cap (the flat
 /// `multi_channel_scaling` curve), the dedicated arm pins the fleet of one
 /// relayer process per channel breaking it by ≥2× — the acceptance bar
-/// `tests/dedicated_fleet.rs` asserts against this fixture. Regenerate with:
-///
-/// ```text
-/// cargo run --release -p xcc-bench --bin goldens -- --dedicated-scaling \
-///     > tests/fixtures/dedicated_scaling_goldens.json
-/// ```
+/// `tests/dedicated_fleet.rs` asserts against this fixture.
 pub fn dedicated_scaling_golden_specs() -> Vec<ExperimentSpec> {
     let base = ExperimentSpec::relayer_throughput()
         .relayers(1)
@@ -149,43 +138,13 @@ pub fn dedicated_scaling_golden_specs() -> Vec<ExperimentSpec> {
     ]
 }
 
-/// The spec set behind one fault-scenario golden fixture: the quick-mode
-/// grid of the registered scenario, each point renamed under the `golden/`
-/// prefix (the sweep already suffixes every point with `/faults=<label>`).
-/// Pulling the grid straight from the registry keeps the fixture in
-/// lockstep with the scenario definition — editing the scenario's grid is a
-/// reviewed fixture regeneration, never a silent drift. Regenerate with:
-///
-/// ```text
-/// cargo run --release -p xcc-bench --bin goldens -- --relayer-crash \
-///     > tests/fixtures/relayer_crash_goldens.json
-/// ```
-///
-/// (and `--chain-halt` / `--client-expiry` for the other two scenarios).
-pub fn fault_scenario_specs(scenario: &str) -> Vec<ExperimentSpec> {
-    registry_scenario_specs(scenario)
-}
-
-/// The spec set behind one topology-scenario golden fixture: the quick-mode
-/// grid of the registered scenario, each point renamed under the `golden/`
-/// prefix (the sweep already suffixes every point with `/topo=<label>`).
-/// The hub fixture pins the measured hub-vs-pair aggregate throughput and
-/// the per-hop latency breakdown. Regenerate with:
-///
-/// ```text
-/// cargo run --release -p xcc-bench --bin goldens -- --hub-spoke \
-///     > tests/fixtures/hub_spoke_scaling_goldens.json
-/// ```
-///
-/// (and `--mesh` for `mesh_contention`).
-pub fn topology_scenario_specs(scenario: &str) -> Vec<ExperimentSpec> {
-    registry_scenario_specs(scenario)
-}
-
-/// The quick-mode grid of a registered scenario, each point renamed under
-/// the `golden/` prefix. Pulling the grid straight from the registry keeps
-/// the fixture in lockstep with the scenario definition — editing the
-/// scenario's grid is a reviewed fixture regeneration, never a silent drift.
+/// The spec set behind a fault- or topology-scenario golden fixture: the
+/// quick-mode grid of the registered scenario, each point renamed under the
+/// `golden/` prefix (the sweep already suffixes every point with
+/// `/faults=<label>` or `/topo=<label>`). Pulling the grid straight from the
+/// registry keeps the fixture in lockstep with the scenario definition —
+/// editing the scenario's grid is a reviewed fixture regeneration, never a
+/// silent drift.
 fn registry_scenario_specs(scenario: &str) -> Vec<ExperimentSpec> {
     let entry = registry::get(scenario).expect("scenario is registered");
     entry
@@ -199,46 +158,30 @@ fn registry_scenario_specs(scenario: &str) -> Vec<ExperimentSpec> {
         .collect()
 }
 
-/// Every fixture set: the `--check` mode walks all of them.
+/// Every fixture set by name: `--set` prints one, `--check` and `--bench`
+/// walk all of them. The registry-backed sets are named after their scenario.
 fn fixture_sets() -> Vec<(&'static str, Vec<ExperimentSpec>)> {
-    vec![
-        (
-            "tests/fixtures/default_strategy_goldens.json",
-            golden_specs(),
-        ),
-        (
-            "tests/fixtures/multi_channel_goldens.json",
-            multi_channel_golden_specs(),
-        ),
-        (
-            "tests/fixtures/sequence_race_goldens.json",
-            sequence_race_golden_specs(),
-        ),
-        (
-            "tests/fixtures/dedicated_scaling_goldens.json",
-            dedicated_scaling_golden_specs(),
-        ),
-        (
-            "tests/fixtures/relayer_crash_goldens.json",
-            fault_scenario_specs("relayer_crash"),
-        ),
-        (
-            "tests/fixtures/chain_halt_goldens.json",
-            fault_scenario_specs("chain_halt"),
-        ),
-        (
-            "tests/fixtures/client_expiry_goldens.json",
-            fault_scenario_specs("client_expiry"),
-        ),
-        (
-            "tests/fixtures/hub_spoke_scaling_goldens.json",
-            topology_scenario_specs("hub_spoke_scaling"),
-        ),
-        (
-            "tests/fixtures/mesh_contention_goldens.json",
-            topology_scenario_specs("mesh_contention"),
-        ),
-    ]
+    let mut sets = vec![
+        ("default_strategy", golden_specs()),
+        ("multi_channel", multi_channel_golden_specs()),
+        ("sequence_race", sequence_race_golden_specs()),
+        ("dedicated_scaling", dedicated_scaling_golden_specs()),
+    ];
+    for scenario in [
+        "relayer_crash",
+        "chain_halt",
+        "client_expiry",
+        "hub_spoke_scaling",
+        "mesh_contention",
+    ] {
+        sets.push((scenario, registry_scenario_specs(scenario)));
+    }
+    sets
+}
+
+/// Where the named set's fixture lives, relative to the workspace root.
+fn fixture_path(set: &str) -> String {
+    format!("tests/fixtures/{set}_goldens.json")
 }
 
 fn regenerate(specs: &[ExperimentSpec]) -> Vec<ScenarioOutcome> {
@@ -249,8 +192,9 @@ fn regenerate(specs: &[ExperimentSpec]) -> Vec<ScenarioOutcome> {
 /// disk. Returns how many fixtures drifted.
 fn check_fixtures() -> usize {
     let mut drifted = 0;
-    for (path, specs) in fixture_sets() {
-        let on_disk = match std::fs::read_to_string(path) {
+    for (set, specs) in fixture_sets() {
+        let path = fixture_path(set);
+        let on_disk = match std::fs::read_to_string(&path) {
             Ok(contents) => contents,
             Err(err) => {
                 eprintln!("DRIFT: cannot read {path}: {err}");
@@ -334,7 +278,8 @@ fn run_bench() -> BenchReport {
     let mut total_secs = 0.0_f64;
     let mut total_completed = 0_u64;
     let mut total_work = WorkProfile::default();
-    for (path, specs) in fixture_sets() {
+    for (set, specs) in fixture_sets() {
+        let path = fixture_path(set);
         let watch = Stopwatch::start();
         let mut work = WorkProfile::default();
         let mut outcomes = Vec::new();
@@ -350,7 +295,7 @@ fn run_bench() -> BenchReport {
         total_work = total_work.merged(&work);
         eprintln!("bench: {path}: {secs:.3}s, {completed} completed transfers");
         sets.push(BenchSet {
-            fixture: path.to_string(),
+            fixture: path,
             outcomes: outcomes.len() as u64,
             completed_transfers: completed,
             wall_clock_secs: round3(secs),
@@ -478,52 +423,48 @@ fn round1(x: f64) -> f64 {
     (x * 10.0).round() / 10.0
 }
 
+/// Exits 2 with `message` when `drifted` is non-zero.
+fn exit_on_drift(drifted: usize, message: &str) {
+    if drifted > 0 {
+        eprintln!("{drifted} {message}");
+        std::process::exit(2);
+    }
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--bench") {
-        if args.iter().any(|a| a == "--compare") {
-            let drifted = compare_bench();
-            if drifted > 0 {
-                eprintln!("{drifted} bench row(s) drifted");
-                std::process::exit(2);
-            }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    // The whole argument list must match one mode exactly: a misspelt flag
+    // is a usage error, never a silent fall-through to another mode.
+    match args.as_slice() {
+        ["--bench"] => bench_fixtures().expect("bench report written"),
+        ["--bench", "--compare"] => {
+            exit_on_drift(compare_bench(), "bench row(s) drifted");
             println!("bench counters match BENCH_golden.json");
-            return;
         }
-        bench_fixtures().expect("bench report written");
-        return;
-    }
-    if args.iter().any(|a| a == "--check") {
-        let drifted = check_fixtures();
-        if drifted > 0 {
-            eprintln!("{drifted} fixture set(s) drifted");
-            std::process::exit(2);
+        ["--check"] => {
+            exit_on_drift(check_fixtures(), "fixture set(s) drifted");
+            println!("all golden fixtures match the code that produces them");
         }
-        println!("all golden fixtures match the code that produces them");
-        return;
+        other => {
+            let sets = fixture_sets();
+            let wanted = match other {
+                ["--set", name] => sets.iter().find(|(set, _)| set == name),
+                _ => None,
+            };
+            let Some((_, specs)) = wanted else {
+                eprintln!("usage: goldens --set <name> | --check | --bench [--compare]");
+                eprintln!("fixture sets:");
+                for (set, _) in &sets {
+                    eprintln!("  {set:<18} {}", fixture_path(set));
+                }
+                std::process::exit(2);
+            };
+            let outcomes = regenerate(specs);
+            println!(
+                "{}",
+                serde_json::to_string_pretty(&outcomes).expect("outcomes serialize")
+            );
+        }
     }
-    let specs = if args.iter().any(|a| a == "--multi-channel") {
-        multi_channel_golden_specs()
-    } else if args.iter().any(|a| a == "--sequence-race") {
-        sequence_race_golden_specs()
-    } else if args.iter().any(|a| a == "--dedicated-scaling") {
-        dedicated_scaling_golden_specs()
-    } else if args.iter().any(|a| a == "--relayer-crash") {
-        fault_scenario_specs("relayer_crash")
-    } else if args.iter().any(|a| a == "--chain-halt") {
-        fault_scenario_specs("chain_halt")
-    } else if args.iter().any(|a| a == "--client-expiry") {
-        fault_scenario_specs("client_expiry")
-    } else if args.iter().any(|a| a == "--hub-spoke") {
-        topology_scenario_specs("hub_spoke_scaling")
-    } else if args.iter().any(|a| a == "--mesh") {
-        topology_scenario_specs("mesh_contention")
-    } else {
-        golden_specs()
-    };
-    let outcomes = regenerate(&specs);
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&outcomes).expect("outcomes serialize")
-    );
 }

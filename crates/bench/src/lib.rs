@@ -1,9 +1,8 @@
 //! Regenerates the paper's tables and figures from the scenario registry.
 //!
-//! Every bench binary is a one-liner over [`run_and_print`]; the `figure`
-//! binary runs any registered scenario by name. Sweep behaviour is
-//! controlled by the environment variables that
-//! [`xcc_framework::sweep`] owns:
+//! The `figure` binary runs any registered scenario by name through
+//! [`run_and_print`]. Sweep behaviour is controlled by the environment
+//! variables that [`xcc_framework::sweep`] owns:
 //!
 //! * `XCC_FULL_SWEEP` — use the paper's full parameter ranges;
 //! * `XCC_SWEEP_THREADS` — worker-pool size (default: all cores);
@@ -15,23 +14,12 @@
 pub mod timing;
 
 use xcc_framework::outcome;
-use xcc_framework::registry;
+use xcc_framework::registry::{self, ScenarioEntry};
 use xcc_framework::sweep::{OutputFormat, SweepMode};
 
-/// Runs the named scenario with environment-configured mode/format and
+/// Runs a registered scenario with environment-configured mode/format and
 /// prints the result to stdout.
-///
-/// # Panics
-///
-/// Panics when `name` is not registered; the registry's names are printed in
-/// the message.
-pub fn run_and_print(name: &str) {
-    let entry = registry::get(name).unwrap_or_else(|| {
-        panic!(
-            "unknown scenario `{name}`; registered scenarios: {}",
-            registry::names().join(", ")
-        )
-    });
+pub fn run_and_print(entry: &ScenarioEntry) {
     let mode = SweepMode::from_env();
     let outcomes = entry.run(mode);
     match OutputFormat::from_env() {

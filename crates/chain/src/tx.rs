@@ -2,7 +2,7 @@
 
 use std::cell::OnceCell;
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::account::{sign, AccountId};
 use crate::coin::Coin;
@@ -31,7 +31,7 @@ use xcc_tendermint::hash::{hash_fields, sha256, Hash};
 /// [`Tx::encode`]/[`Tx::hash`] on that same instance is the one pattern the
 /// cache does not support; no simulator code does this (transactions are
 /// built, signed and then treated as immutable).
-#[derive(Debug)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct Tx {
     /// The messages to execute, in order.
     pub msgs: Vec<Msg>,
@@ -49,7 +49,7 @@ pub struct Tx {
     pub signature: Hash,
     /// Memoized `(encoding, hash)`, excluded from comparison, cloning and
     /// the wire format.
-    // xcc-lint: allow(serde-field-coverage, reason = "in-memory memo of the wire encoding; must never itself appear in the wire encoding")
+    #[serde(skip)]
     encoded: OnceCell<(RawTx, Hash)>,
 }
 
@@ -80,38 +80,6 @@ impl PartialEq for Tx {
             && self.fee == other.fee
             && self.memo == other.memo
             && self.signature == other.signature
-    }
-}
-
-impl Serialize for Tx {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("msgs".to_string(), self.msgs.to_value()),
-            ("signer".to_string(), self.signer.to_value()),
-            ("sequence".to_string(), self.sequence.to_value()),
-            ("gas_limit".to_string(), self.gas_limit.to_value()),
-            ("fee".to_string(), self.fee.to_value()),
-            ("memo".to_string(), self.memo.to_value()),
-            ("signature".to_string(), self.signature.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Tx {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for struct Tx"))?;
-        Ok(Tx {
-            msgs: serde::de_field(m, "msgs")?,
-            signer: serde::de_field(m, "signer")?,
-            sequence: serde::de_field(m, "sequence")?,
-            gas_limit: serde::de_field(m, "gas_limit")?,
-            fee: serde::de_field(m, "fee")?,
-            memo: serde::de_field(m, "memo")?,
-            signature: serde::de_field(m, "signature")?,
-            encoded: OnceCell::new(),
-        })
     }
 }
 

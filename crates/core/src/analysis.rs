@@ -5,7 +5,6 @@
 use serde::{Deserialize, Serialize};
 
 use xcc_relayer::telemetry::TransferStep;
-use xcc_sim::metrics::TimeSeries;
 use xcc_sim::SimTime;
 
 use crate::runner::RunOutput;
@@ -227,18 +226,6 @@ pub fn step_breakdown(run: &RunOutput) -> StepBreakdown {
     }
 }
 
-/// The cumulative completion-percentage curve over time (Figs. 12 and 13).
-pub fn completion_series(run: &RunOutput) -> TimeSeries {
-    let mut times = run.telemetry.times_for_step(TransferStep::AckConfirmation);
-    times.sort();
-    let total = run.submission.requests_made.max(1) as f64;
-    let mut series = TimeSeries::new("completed_pct");
-    for (i, t) in times.iter().enumerate() {
-        series.push(*t, (i + 1) as f64 / total * 100.0);
-    }
-    series
-}
-
 /// End-to-end completion latency: the time from the first transfer broadcast
 /// until every requested transfer completed (Fig. 13's metric). Returns
 /// `None` when not all transfers completed.
@@ -443,10 +430,6 @@ mod tests {
         // With a single 100-packet batch there is only one pull per phase, so
         // the share can legitimately be zero; it must just stay a fraction.
         assert!((0.0..1.0).contains(&steps.data_pull_share()));
-
-        let series = completion_series(&run);
-        assert!(!series.is_empty());
-        assert!(series.last_value().unwrap() <= 100.0 + 1e-9);
 
         assert!(completion_latency(&run).unwrap() > 0.0);
     }

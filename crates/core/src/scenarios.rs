@@ -3,16 +3,10 @@
 //! [`run`] takes an [`ExperimentSpec`], deploys a fresh testnet, executes the
 //! configured workload and returns the unified
 //! [`crate::outcome::ScenarioOutcome`] carrying every metric
-//! the paper reports. The positional-argument functions that earlier
-//! revisions exposed (`relayer_throughput(60, 1, 200, 10, 42)` — which one
-//! is the RTT?) survive as thin `#[deprecated]` wrappers over the builder
-//! API so old call sites keep compiling.
-
-use serde::{Deserialize, Serialize};
+//! the paper reports.
 
 use crate::analysis;
 use crate::outcome::{keys, ScenarioOutcome};
-use crate::report::ExecutionReport;
 use crate::runner::{run_experiment, RunOutput};
 use crate::spec::ExperimentSpec;
 use crate::testnet::SetupError;
@@ -257,254 +251,6 @@ pub fn run(spec: &ExperimentSpec) -> ScenarioOutcome {
     }
 }
 
-/// Builds an [`ExecutionReport`] from any run output.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `scenarios::outcome_from(spec, run).to_report()` — outcomes carry the full metric set"
-)]
-pub fn report_for(name: &str, run: &RunOutput) -> ExecutionReport {
-    let mut report = ExecutionReport::new(name);
-    let breakdown = analysis::completion_breakdown(run);
-    report.set_metric(keys::THROUGHPUT_TFPS, analysis::throughput_tfps(run));
-    report.set_metric(
-        keys::TENDERMINT_THROUGHPUT_TFPS,
-        analysis::tendermint_throughput_tfps(run),
-    );
-    report.set_metric(
-        keys::AVG_BLOCK_INTERVAL_SECS,
-        analysis::average_block_interval_secs(run),
-    );
-    report.set_metric(keys::COMPLETED, breakdown.completed as f64);
-    report.set_metric(keys::PARTIAL, breakdown.partial as f64);
-    report.set_metric(keys::INITIATED, breakdown.initiated as f64);
-    report.set_metric(keys::NOT_COMMITTED, breakdown.not_committed as f64);
-    report.set_metric(keys::REQUESTS_MADE, run.submission.requests_made as f64);
-    report.set_metric(keys::SUBMITTED, run.submission.submitted as f64);
-    report.set_metric(
-        keys::REDUNDANT_PACKET_ERRORS,
-        analysis::redundant_packet_errors(run) as f64,
-    );
-    report.add_note(format!(
-        "{} relayer(s), {} ms RTT, seed {}",
-        run.deployment.relayer_count, run.deployment.network_rtt_ms, run.deployment.seed
-    ));
-    report
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated positional-argument API
-// ---------------------------------------------------------------------------
-
-/// One row of the Tendermint throughput experiments — registered as the
-/// `fig6`, `fig7` and `table1` scenarios in [`crate::registry`]
-/// (`figure fig6` on the CLI).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `ExperimentSpec` + `scenarios::run` and read `ScenarioOutcome` accessors"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TendermintRunResult {
-    /// The configured input rate in requests (transfers) per second.
-    pub input_rate_rps: u64,
-    /// Committed transfer messages per second over the window (Fig. 6).
-    pub throughput_tfps: f64,
-    /// Average block interval in seconds (Fig. 7).
-    pub avg_block_interval_secs: f64,
-    /// Transfers requested from the CLI (Table I "Requests made").
-    pub requests_made: u64,
-    /// Transfers accepted into the mempool (Table I "Submitted").
-    pub submitted: u64,
-    /// Transfers committed on chain (Table I "Committed").
-    pub committed: u64,
-}
-
-/// Runs one point of the registry's `fig6` / `fig7` / `table1` scenarios
-/// (run the full sweeps with `figure fig6` etc., or
-/// [`crate::registry::get`]`("fig6")` programmatically).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `ExperimentSpec::tendermint_throughput().input_rate(..).rtt_ms(..).seed(..)` with `scenarios::run`, or run the registered `fig6`/`fig7`/`table1` scenarios by name"
-)]
-#[allow(deprecated)]
-pub fn tendermint_throughput(input_rate_rps: u64, rtt_ms: u64, seed: u64) -> TendermintRunResult {
-    let outcome = run(&ExperimentSpec::tendermint_throughput()
-        .input_rate(input_rate_rps)
-        .rtt_ms(rtt_ms)
-        .seed(seed));
-    TendermintRunResult {
-        input_rate_rps,
-        throughput_tfps: outcome.tendermint_throughput_tfps(),
-        avg_block_interval_secs: outcome.avg_block_interval_secs(),
-        requests_made: outcome.requests_made(),
-        submitted: outcome.submitted(),
-        committed: outcome.committed(),
-    }
-}
-
-/// One data point of the relayer throughput / completion experiments —
-/// registered as the `fig8`, `fig9`, `fig10` and `fig11` scenarios in
-/// [`crate::registry`] (`figure fig8` on the CLI).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `ExperimentSpec` + `scenarios::run` and read `ScenarioOutcome` accessors"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RelayerRunResult {
-    /// The configured input rate in transfers per second.
-    pub input_rate_rps: u64,
-    /// Number of relayer instances serving the channel.
-    pub relayer_count: usize,
-    /// Emulated round-trip latency in milliseconds.
-    pub rtt_ms: u64,
-    /// Completed transfers per second over the window (Figs. 8/9).
-    pub throughput_tfps: f64,
-    /// Transfer completion breakdown at the end of the window (Figs. 10/11).
-    pub completed: u64,
-    /// Partially completed transfers (transfer + receive only).
-    pub partial: u64,
-    /// Transfers that were only initiated.
-    pub initiated: u64,
-    /// Transfers never committed to the source chain.
-    pub not_committed: u64,
-    /// Occurrences of redundant packet messages (multi-relayer effect).
-    pub redundant_packet_errors: u64,
-}
-
-/// Runs one point of the registry's `fig8`–`fig11` scenarios (run the full
-/// sweeps with `figure fig8` etc., or [`crate::registry::get`]`("fig8")`
-/// programmatically).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `ExperimentSpec::relayer_throughput().input_rate(..).relayers(..).rtt_ms(..).measurement_blocks(..).seed(..)` with `scenarios::run`, or run the registered `fig8`/`fig9`/`fig10`/`fig11` scenarios by name"
-)]
-#[allow(deprecated)]
-pub fn relayer_throughput(
-    input_rate_rps: u64,
-    relayer_count: usize,
-    rtt_ms: u64,
-    measurement_blocks: u64,
-    seed: u64,
-) -> RelayerRunResult {
-    let outcome = run(&ExperimentSpec::relayer_throughput()
-        .input_rate(input_rate_rps)
-        .relayers(relayer_count)
-        .rtt_ms(rtt_ms)
-        .measurement_blocks(measurement_blocks)
-        .seed(seed));
-    RelayerRunResult {
-        input_rate_rps,
-        relayer_count,
-        rtt_ms,
-        throughput_tfps: outcome.throughput_tfps(),
-        completed: outcome.completed(),
-        partial: outcome.partial(),
-        initiated: outcome.initiated(),
-        not_committed: outcome.not_committed(),
-        redundant_packet_errors: outcome.redundant_packet_errors(),
-    }
-}
-
-/// The result of the latency-breakdown experiment and of each point of the
-/// submission-strategy experiment — registered as the `fig12` and `fig13`
-/// scenarios in [`crate::registry`] (`figure fig12` on the CLI).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `ExperimentSpec` + `scenarios::run` and read `ScenarioOutcome` accessors"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LatencyRunResult {
-    /// Number of transfers submitted.
-    pub transfers: u64,
-    /// Number of block windows the submission was spread over.
-    pub submission_blocks: u64,
-    /// Completion latency of the whole batch in seconds.
-    pub completion_latency_secs: f64,
-    /// Duration of the transfer phase (steps 1–4) in seconds.
-    pub transfer_phase_secs: f64,
-    /// Duration of the receive phase (steps 5–9) in seconds.
-    pub recv_phase_secs: f64,
-    /// Duration of the acknowledgement phase (steps 10–13) in seconds.
-    pub ack_phase_secs: f64,
-    /// Time spent in the transfer data-pull step, in seconds.
-    pub transfer_pull_secs: f64,
-    /// Time spent in the receive data-pull step, in seconds.
-    pub recv_pull_secs: f64,
-    /// Fraction of the total time spent in RPC data pulls.
-    pub data_pull_share: f64,
-}
-
-/// Runs one point of the registry's `fig12` / `fig13` scenarios (run the
-/// full sweeps with `figure fig12` etc., or
-/// [`crate::registry::get`]`("fig12")` programmatically).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `ExperimentSpec::latency().transfers(..).submission_blocks(..).rtt_ms(..).seed(..)` with `scenarios::run`, or run the registered `fig12`/`fig13` scenarios by name"
-)]
-#[allow(deprecated)]
-pub fn latency_run(
-    transfers: u64,
-    submission_blocks: u64,
-    rtt_ms: u64,
-    seed: u64,
-) -> LatencyRunResult {
-    let outcome = run(&ExperimentSpec::latency()
-        .transfers(transfers)
-        .submission_blocks(submission_blocks)
-        .rtt_ms(rtt_ms)
-        .seed(seed));
-    LatencyRunResult {
-        transfers,
-        submission_blocks,
-        completion_latency_secs: outcome.completion_latency_secs(),
-        transfer_phase_secs: outcome.transfer_phase_secs(),
-        recv_phase_secs: outcome.recv_phase_secs(),
-        ack_phase_secs: outcome.ack_phase_secs(),
-        transfer_pull_secs: outcome.transfer_pull_secs(),
-        recv_pull_secs: outcome.recv_pull_secs(),
-        data_pull_share: outcome.data_pull_share(),
-    }
-}
-
-/// Result of the WebSocket frame-limit experiment (§V) — registered as the
-/// `websocket_limit` scenario in [`crate::registry`], superseded as a sweep
-/// by `frame_limit_sweep` (`figure websocket_limit` on the CLI).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `ExperimentSpec` + `scenarios::run` and read `ScenarioOutcome` accessors"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct WebSocketLimitResult {
-    /// Transfers requested.
-    pub requested: u64,
-    /// Transfers that completed despite the failure.
-    pub completed: u64,
-    /// Transfers stuck: committed on the source chain but neither relayed nor
-    /// timed out.
-    pub stuck: u64,
-    /// How many blocks failed event collection.
-    pub event_collection_failures: u64,
-}
-
-/// Runs one point of the registry's `websocket_limit` scenario; the
-/// `frame_limit_sweep` scenario sweeps the same limit as a strategy knob
-/// (run either with the `figure` CLI, or via [`crate::registry::get`]).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `ExperimentSpec::websocket_limit().transfers(..).seed(..)` with `scenarios::run`, or run the registered `websocket_limit`/`frame_limit_sweep` scenarios by name"
-)]
-#[allow(deprecated)]
-pub fn websocket_limit_run(transfers: u64, seed: u64) -> WebSocketLimitResult {
-    let outcome = run(&ExperimentSpec::websocket_limit()
-        .transfers(transfers)
-        .seed(seed));
-    WebSocketLimitResult {
-        requested: outcome.requests_made(),
-        completed: outcome.completed(),
-        stuck: outcome.stuck(),
-        event_collection_failures: outcome.event_collection_failures(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,21 +311,5 @@ mod tests {
             split.completion_latency_secs(),
             single.completion_latency_secs()
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_the_spec_api() {
-        let legacy = relayer_throughput(20, 1, 0, 4, 3);
-        let outcome = run(&ExperimentSpec::relayer_throughput()
-            .input_rate(20)
-            .relayers(1)
-            .rtt_ms(0)
-            .measurement_blocks(4)
-            .seed(3));
-        assert_eq!(legacy.throughput_tfps, outcome.throughput_tfps());
-        assert_eq!(legacy.completed, outcome.completed());
-        assert_eq!(legacy.partial, outcome.partial());
-        assert_eq!(legacy.not_committed, outcome.not_committed());
     }
 }

@@ -377,36 +377,6 @@ pub struct EdgeEndpoints {
     pub dst: SharedChain,
 }
 
-/// Creates the clients, connection and a single unordered transfer channel
-/// between two freshly started chains, returning the relay path.
-#[deprecated(
-    note = "construct an EdgeEndpoints topology edge and call try_open_edge_channels instead"
-)]
-pub fn open_channel(chain_a: &SharedChain, chain_b: &SharedChain) -> RelayPath {
-    let edge = EdgeEndpoints {
-        src: chain_a.clone(),
-        dst: chain_b.clone(),
-    };
-    // xcc-lint: allow(panic-in-library, reason = "deprecated compat shim: the fallible edge API is try_open_edge_channels")
-    let mut paths = try_open_edge_channels(&edge, 1).expect("handshake preconditions hold");
-    paths.remove(0)
-}
-
-/// Creates the clients, one connection, and `count` unordered transfer
-/// channels between two freshly started chains, returning one relay path per
-/// channel in channel-index order.
-#[deprecated(
-    note = "construct an EdgeEndpoints topology edge and call try_open_edge_channels instead"
-)]
-pub fn open_channels(chain_a: &SharedChain, chain_b: &SharedChain, count: usize) -> Vec<RelayPath> {
-    let edge = EdgeEndpoints {
-        src: chain_a.clone(),
-        dst: chain_b.clone(),
-    };
-    // xcc-lint: allow(panic-in-library, reason = "deprecated compat shim: the fallible edge API is try_open_edge_channels")
-    try_open_edge_channels(&edge, count).expect("handshake preconditions hold")
-}
-
 /// Fallible pair-based front end of [`try_open_edge_channels`], kept for the
 /// common case of opening channels between two chains without constructing
 /// an [`EdgeEndpoints`] by hand.

@@ -18,7 +18,7 @@
 //! and second-leg channel (global channel indices, edge-major), and the
 //! runner submits the second leg once the first leg's acknowledgement lands.
 
-use serde::{de_field, Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 use xcc_ibc::ids::ChainId;
@@ -26,7 +26,7 @@ use xcc_ibc::ids::ChainId;
 /// One directed relay edge of the topology: packets flow `src → dst` over
 /// `channels` parallel channels (0 = inherit the deployment's
 /// `channel_count`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TopologyEdge {
     /// Name of the chain transfers originate from (must appear in
     /// [`Topology::chains`]).
@@ -50,32 +50,9 @@ impl TopologyEdge {
     }
 }
 
-impl Serialize for TopologyEdge {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("src".to_string(), self.src.to_value()),
-            ("dst".to_string(), self.dst.to_value()),
-            ("channels".to_string(), self.channels.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for TopologyEdge {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| Error::custom("expected object for TopologyEdge"))?;
-        Ok(TopologyEdge {
-            src: de_field(map, "src")?,
-            dst: de_field(map, "dst")?,
-            channels: de_field(map, "channels")?,
-        })
-    }
-}
-
 /// The deployment's chain graph. The default (empty) topology is a sentinel
 /// for the legacy two-chain line; see the module docs.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Topology {
     /// Chain names in index order (index 0 is the primary chain: it anchors
     /// measurement windows and drives the workload submission clock).
@@ -205,60 +182,18 @@ impl Topology {
     }
 }
 
-impl Serialize for Topology {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("chains".to_string(), self.chains.to_value()),
-            ("edges".to_string(), self.edges.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Topology {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| Error::custom("expected object for Topology"))?;
-        Ok(Topology {
-            chains: de_field(map, "chains")?,
-            edges: de_field(map, "edges")?,
-        })
-    }
-}
-
 /// One multi-hop route of the workload: transfers submitted on channel
 /// `first_leg` are forwarded on channel `second_leg` once their
 /// acknowledgement lands on the first leg's source chain. Channel indices
 /// are global (edge-major). Routes whose channels are out of range for the
 /// resolved topology are ignored, so a hop plan survives being swept against
 /// a pair baseline the same way an out-of-range fault does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HopRoute {
     /// Global channel index of the first leg (src → hub).
     pub first_leg: usize,
     /// Global channel index of the second leg (hub → dst).
     pub second_leg: usize,
-}
-
-impl Serialize for HopRoute {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("first_leg".to_string(), self.first_leg.to_value()),
-            ("second_leg".to_string(), self.second_leg.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for HopRoute {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| Error::custom("expected object for HopRoute"))?;
-        Ok(HopRoute {
-            first_leg: de_field(map, "first_leg")?,
-            second_leg: de_field(map, "second_leg")?,
-        })
-    }
 }
 
 /// A validated topology with chain names resolved to indices.

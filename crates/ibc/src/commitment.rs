@@ -10,7 +10,7 @@
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use xcc_tendermint::hash::{hash_fields, Hash};
 use xcc_tendermint::merkle::{MerkleProof, MerkleTree};
@@ -43,12 +43,12 @@ pub type CommitmentRoot = Hash;
 /// [`root`](CommitmentStore::root) or proof, so roots and proofs stay
 /// bit-identical to the uncached construction (pinned by the equivalence
 /// test in `xcc_tendermint::merkle`).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CommitmentStore {
     entries: BTreeMap<String, Hash>,
     /// Memoized Merkle tree over `entries`, excluded from comparison and
     /// the wire format; cleared on every mutation.
-    // xcc-lint: allow(serde-field-coverage, reason = "in-memory memo of the Merkle tree; rebuilt from `entries`, must never itself appear in the wire encoding")
+    #[serde(skip)]
     tree: OnceCell<MerkleTree>,
 }
 
@@ -61,24 +61,6 @@ impl PartialEq for CommitmentStore {
 }
 
 impl Eq for CommitmentStore {}
-
-impl Serialize for CommitmentStore {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![("entries".to_string(), self.entries.to_value())])
-    }
-}
-
-impl Deserialize for CommitmentStore {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for struct CommitmentStore"))?;
-        Ok(CommitmentStore {
-            entries: serde::de_field(m, "entries")?,
-            tree: OnceCell::new(),
-        })
-    }
-}
 
 /// A membership proof for one path in a [`CommitmentStore`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

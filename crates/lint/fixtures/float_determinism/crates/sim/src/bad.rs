@@ -1,6 +1,6 @@
 //! D4 fixture: float arithmetic in simulated code with no baseline budget,
-//! one properly annotated site, one wrong-rule annotation, and one unused
-//! annotation.
+//! one properly annotated site, one wrong-rule annotation, one unused
+//! annotation, and one malformed annotation.
 
 /// Two unsuppressed sites: the signature and the cast line.
 pub fn drift(x: u64) -> f64 {
@@ -21,6 +21,9 @@ pub fn mislabeled(x: f32) -> f32 {
 pub fn integral(x: u64) -> u64 {
     x
 }
+
+// xcc-lint: allow(float-determinism
+pub fn unclosed_annotation() {}
 
 #[cfg(test)]
 mod tests {

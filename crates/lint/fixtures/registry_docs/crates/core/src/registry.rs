@@ -1,12 +1,10 @@
-//! R1 fixture registry: one covered scenario, one with no bench, one
-//! missing from the docs.
+//! R1 fixture registry: one covered scenario, one missing from the docs.
 
 pub struct ScenarioEntry {
     pub name: &'static str,
 }
 
-pub static ENTRIES: [ScenarioEntry; 3] = [
+pub static ENTRIES: [ScenarioEntry; 2] = [
     ScenarioEntry { name: "covered" },
-    ScenarioEntry { name: "benchless" },
     ScenarioEntry { name: "undocumented" },
 ];

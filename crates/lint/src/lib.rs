@@ -26,15 +26,12 @@
 //!   wildcard), and no kind is dead.
 //! * **C2 `lane-bypass`** — outside `crates/rpc`, no direct `RpcResponse`
 //!   construction and no cost-table (`service_time`) access.
-//! * **S1 `serde-field-coverage`** — hand-written `Serialize`/`Deserialize`
-//!   impls name every field of their struct, and every key maps to a live
-//!   field.
 //! * **K1 `dead-knob`** — every pub config field and `SweepGrid` axis is
 //!   read outside its defining file.
 //! * **P1 `panic-in-library`** — `unwrap()`/`expect()`/`panic!` in non-test
 //!   library code is ratcheted by `panic-baseline.txt`.
-//! * **R1 `registry-docs`** — scenario registry ↔ bench targets ↔
-//!   README/PAPER rows stay consistent.
+//! * **R1 `registry-docs`** — scenario registry ↔ README/PAPER rows stay
+//!   consistent.
 //!
 //! Plus a meta-rule, `suppression`, that keeps the escape hatch honest:
 //! suppressions must be well-formed, carry a reason, name a known rule, and

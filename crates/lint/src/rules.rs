@@ -8,10 +8,9 @@
 //! | D4 | `float-determinism` | `f32`/`f64` in sim/chain/tendermint/relayer code is annotated or baselined |
 //! | C1 | `uncosted-rpc` | every `RpcEndpoint` RPC method names a `RequestKind`, and every kind has an explicit costing arm |
 //! | C2 | `lane-bypass` | outside `crates/rpc`, no direct `RpcResponse` construction or cost-table access |
-//! | S1 | `serde-field-coverage` | hand-written `Serialize`/`Deserialize` impls name every struct field, and no stale keys |
 //! | K1 | `dead-knob` | every pub config field / `SweepGrid` axis is read outside its defining file |
 //! | P1 | `panic-in-library` | no new `unwrap()`/`expect()`/`panic!` in non-test library code beyond the baseline |
-//! | R1 | `registry-docs` | scenario ↔ bench-target ↔ README/PAPER-row consistency |
+//! | R1 | `registry-docs` | scenario registry ↔ README/PAPER-row consistency |
 //!
 //! D-rules accept per-site suppressions: `// xcc-lint: allow(<rule>,
 //! reason = "...")` on the offending line or the line above. The reason is
@@ -19,7 +18,7 @@
 //! findings, so the escape hatch cannot rot.
 //!
 //! The token-level rules (D1–D3, D4, C2, P1) work straight off the scrubbed
-//! lines; the structural rules (C1, S1, K1) consume the
+//! lines; the structural rules (C1, K1) consume the
 //! [workspace item graph](crate::items) so they survive reformatting and
 //! follow items when they move.
 
@@ -48,13 +47,11 @@ pub enum RuleId {
     UncostedRpc,
     /// C2: no `RpcResponse` construction or cost-table access outside `crates/rpc`.
     LaneBypass,
-    /// S1: hand-written serde impls cover every field, with no stale keys.
-    SerdeFieldCoverage,
     /// K1: pub config knobs and sweep axes must be read somewhere.
     DeadKnob,
     /// P1: panic sites in library code ratcheted by the baseline.
     PanicInLibrary,
-    /// R1: scenario registry ↔ bench targets ↔ scenario docs.
+    /// R1: scenario registry ↔ scenario docs.
     RegistryDocs,
     /// Meta-rule: `xcc-lint: allow(...)` comments must be well-formed,
     /// carry a reason, name a known rule and still match a finding.
@@ -63,14 +60,13 @@ pub enum RuleId {
 
 impl RuleId {
     /// Every rule, in report order.
-    pub const ALL: [RuleId; 11] = [
+    pub const ALL: [RuleId; 10] = [
         RuleId::HashCollections,
         RuleId::WallClock,
         RuleId::AmbientEntropy,
         RuleId::FloatDeterminism,
         RuleId::UncostedRpc,
         RuleId::LaneBypass,
-        RuleId::SerdeFieldCoverage,
         RuleId::DeadKnob,
         RuleId::PanicInLibrary,
         RuleId::RegistryDocs,
@@ -86,7 +82,6 @@ impl RuleId {
             RuleId::FloatDeterminism => "float-determinism",
             RuleId::UncostedRpc => "uncosted-rpc",
             RuleId::LaneBypass => "lane-bypass",
-            RuleId::SerdeFieldCoverage => "serde-field-coverage",
             RuleId::DeadKnob => "dead-knob",
             RuleId::PanicInLibrary => "panic-in-library",
             RuleId::RegistryDocs => "registry-docs",
@@ -103,7 +98,6 @@ impl RuleId {
             RuleId::FloatDeterminism => "D4",
             RuleId::UncostedRpc => "C1",
             RuleId::LaneBypass => "C2",
-            RuleId::SerdeFieldCoverage => "S1",
             RuleId::DeadKnob => "K1",
             RuleId::PanicInLibrary => "P1",
             RuleId::RegistryDocs => "R1",
@@ -204,9 +198,6 @@ pub fn run(config: &Config) -> io::Result<Outcome> {
     if config.enabled(RuleId::LaneBypass) {
         lane_bypass(&files, &mut findings);
     }
-    if config.enabled(RuleId::SerdeFieldCoverage) {
-        serde_field_coverage(&files, &mut findings);
-    }
     if config.enabled(RuleId::DeadKnob) {
         dead_knob(&files, &mut findings);
     }
@@ -255,8 +246,8 @@ pub fn current_float_counts(root: &Path) -> io::Result<BTreeMap<String, usize>> 
 // File discovery
 // ---------------------------------------------------------------------------
 
-/// Collects the Rust files the rules walk: `crates/*/src` (recursively),
-/// `crates/bench/benches`, and the umbrella `src/`, `tests/`, `examples/`.
+/// Collects the Rust files the rules walk: `crates/*/src` (recursively) and
+/// the umbrella `src/`, `tests/`, `examples/`.
 /// `vendor/` and `target/` are never scanned.
 fn scan_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
     let mut paths: Vec<PathBuf> = Vec::new();
@@ -265,7 +256,6 @@ fn scan_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
         for entry in fs::read_dir(&crates)? {
             let dir = entry?.path();
             collect_rs(&dir.join("src"), &mut paths)?;
-            collect_rs(&dir.join("benches"), &mut paths)?;
         }
     }
     for top in ["src", "tests", "examples"] {
@@ -647,108 +637,6 @@ fn lane_bypass(files: &[SourceFile], findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
-// S1: serde-field-coverage
-// ---------------------------------------------------------------------------
-
-/// Whether a string literal looks like a field key (`snake_case` ident).
-fn is_ident_like(s: &str) -> bool {
-    let mut chars = s.chars();
-    let Some(first) = chars.next() else {
-        return false;
-    };
-    (first.is_ascii_lowercase() || first == '_')
-        && chars.all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
-}
-
-fn serde_field_coverage(files: &[SourceFile], findings: &mut Vec<Finding>) {
-    let s1 = RuleId::SerdeFieldCoverage.name();
-    for (fi, file) in files.iter().enumerate() {
-        for imp in &file.items.impls {
-            let Some(trait_name) = imp.trait_name.as_deref() else {
-                continue;
-            };
-            if trait_name != "Serialize" && trait_name != "Deserialize" {
-                continue;
-            }
-            if file.scrub.is_test_line(imp.line) {
-                continue;
-            }
-            // Locate the struct being (de)serialized: same file first, then
-            // anywhere in the workspace. Enums and remote types have no
-            // named fields to cross-check.
-            let target =
-                file.items
-                    .struct_named(&imp.type_name)
-                    .map(|s| (fi, s))
-                    .or_else(|| {
-                        files.iter().enumerate().find_map(|(oi, of)| {
-                            of.items.struct_named(&imp.type_name).map(|s| (oi, s))
-                        })
-                    });
-            let Some((si, strukt)) = target else {
-                continue;
-            };
-            if strukt.fields.is_empty() {
-                continue;
-            }
-            let struct_file = &files[si];
-
-            // The field keys the impl names: ident-like string literals
-            // within its extent.
-            let keys: Vec<_> = file
-                .scrub
-                .strings
-                .iter()
-                .filter(|lit| lit.line >= imp.line && lit.line <= imp.end_line)
-                .filter(|lit| is_ident_like(&lit.value))
-                .collect();
-
-            for field in &strukt.fields {
-                if keys.iter().any(|k| k.value == field.name) {
-                    continue;
-                }
-                if let Some(supp) = struct_file.scrub.suppression_for(s1, field.line) {
-                    supp.used.set(true);
-                    continue;
-                }
-                findings.push(Finding {
-                    rule: s1,
-                    path: struct_file.rel.clone(),
-                    line: field.line,
-                    col: 0,
-                    message: format!(
-                        "field `{}` of `{}` is never named as a key in the hand-written \
-                         `impl {trait_name}` ({}:{}) — the knob would silently drop out of \
-                         the JSON round-trip",
-                        field.name, imp.type_name, file.rel, imp.line
-                    ),
-                });
-            }
-            for key in &keys {
-                if strukt.fields.iter().any(|f| f.name == key.value) {
-                    continue;
-                }
-                if let Some(supp) = file.scrub.suppression_for(s1, key.line) {
-                    supp.used.set(true);
-                    continue;
-                }
-                findings.push(Finding {
-                    rule: s1,
-                    path: file.rel.clone(),
-                    line: key.line,
-                    col: key.col + 1,
-                    message: format!(
-                        "`impl {trait_name} for {}` names key \"{}\" but the struct has no \
-                         such field — stale key",
-                        imp.type_name, key.value
-                    ),
-                });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // K1: dead-knob
 // ---------------------------------------------------------------------------
 
@@ -790,7 +678,7 @@ fn dead_knob(files: &[SourceFile], findings: &mut Vec<Finding>) {
             }
         }
         // SweepGrid axis methods: each pub axis must be exercised somewhere
-        // (a bench, a test, the env-var front end of another file).
+        // (a test, an example, the registry).
         for imp in &file.items.impls {
             if imp.type_name != "SweepGrid" || imp.trait_name.is_some() {
                 continue;
@@ -928,7 +816,6 @@ fn panic_in_library(root: &Path, files: &[SourceFile], findings: &mut Vec<Findin
 // ---------------------------------------------------------------------------
 
 const REGISTRY_RS: &str = "crates/core/src/registry.rs";
-const BENCH_MANIFEST: &str = "crates/bench/Cargo.toml";
 const DOC_FILES: [&str; 2] = ["README.md", "PAPER.md"];
 
 fn registry_docs(root: &Path, files: &[SourceFile], findings: &mut Vec<Finding>) {
@@ -956,78 +843,6 @@ fn registry_docs(root: &Path, files: &[SourceFile], findings: &mut Vec<Finding>)
             message: "no `name: \"...\"` scenario entries found — did the registry move?".into(),
         });
         return;
-    }
-
-    // Bench targets from the manifest, and the scenario names each
-    // bench source actually references.
-    let manifest = fs::read_to_string(root.join(BENCH_MANIFEST)).unwrap_or_default();
-    let bench_targets = manifest_targets(&manifest, "bench");
-    let bench_files: Vec<&SourceFile> = files
-        .iter()
-        .filter(|f| f.rel.starts_with("crates/bench/benches/"))
-        .collect();
-
-    let mut covered: BTreeSet<&str> = BTreeSet::new();
-    for bench in &bench_files {
-        let stem = bench
-            .rel
-            .trim_start_matches("crates/bench/benches/")
-            .trim_end_matches(".rs");
-        if !bench_targets.iter().any(|(name, _)| name == stem) {
-            findings.push(Finding {
-                rule: r1,
-                path: bench.rel.clone(),
-                line: 0,
-                col: 0,
-                message: format!(
-                    "bench source has no matching [[bench]] target `{stem}` in {BENCH_MANIFEST}"
-                ),
-            });
-        }
-        let mut refs = 0;
-        for lit in &bench.scrub.strings {
-            if let Some(name) = scenarios.keys().find(|n| n.as_str() == lit.value) {
-                covered.insert(name);
-                refs += 1;
-            }
-        }
-        if refs == 0 {
-            findings.push(Finding {
-                rule: r1,
-                path: bench.rel.clone(),
-                line: 0,
-                col: 0,
-                message: "bench target runs no registered scenario (no string literal matches \
-                          a registry name)"
-                    .into(),
-            });
-        }
-    }
-    for (target, line) in &bench_targets {
-        let src = format!("crates/bench/benches/{target}.rs");
-        if !bench_files.iter().any(|f| f.rel == src) {
-            findings.push(Finding {
-                rule: r1,
-                path: BENCH_MANIFEST.into(),
-                line: *line,
-                col: 0,
-                message: format!("[[bench]] target `{target}` has no source file at {src}"),
-            });
-        }
-    }
-    for (name, line) in &scenarios {
-        if !covered.contains(name.as_str()) {
-            findings.push(Finding {
-                rule: r1,
-                path: registry.rel.clone(),
-                line: *line,
-                col: 0,
-                message: format!(
-                    "scenario `{name}` has no bench target under crates/bench/benches/ \
-                     referencing it"
-                ),
-            });
-        }
     }
 
     // Doc rows: every documented scenario is registered, every registered
@@ -1062,30 +877,6 @@ fn registry_docs(root: &Path, files: &[SourceFile], findings: &mut Vec<Finding>)
             });
         }
     }
-}
-
-/// `[[kind]]` target names (with their line numbers) from a Cargo manifest.
-fn manifest_targets(manifest: &str, kind: &str) -> Vec<(String, usize)> {
-    let header = format!("[[{kind}]]");
-    let mut out = Vec::new();
-    let mut in_section = false;
-    for (idx, line) in manifest.lines().enumerate() {
-        let line = line.trim();
-        if line.starts_with('[') {
-            in_section = line == header;
-            continue;
-        }
-        if in_section {
-            if let Some(value) = line.strip_prefix("name") {
-                let name = value.trim_start().trim_start_matches('=').trim();
-                let name = name.trim_matches('"');
-                if !name.is_empty() {
-                    out.push((name.to_string(), idx + 1));
-                }
-            }
-        }
-    }
-    out
 }
 
 /// Markdown table rows whose first column is a single backticked
@@ -1213,29 +1004,7 @@ mod tests {
     }
 
     #[test]
-    fn ident_like_filters_field_keys() {
-        assert!(is_ident_like("relayer_strategy"));
-        assert!(is_ident_like("seed"));
-        assert!(is_ident_like("_priv"));
-        assert!(!is_ident_like("expected object for DeploymentConfig"));
-        assert!(!is_ident_like("Fixed"));
-        assert!(!is_ident_like(""));
-        assert!(!is_ident_like("9lives"));
-    }
-
-    #[test]
-    fn manifest_targets_and_doc_rows() {
-        let manifest = "[package]\nname = \"xcc-bench\"\n\n[[bench]]\nname = \"fig6\"\n\
-                        harness = false\n\n[[bin]]\nname = \"figure\"\n";
-        assert_eq!(
-            manifest_targets(manifest, "bench"),
-            vec![("fig6".into(), 5)]
-        );
-        assert_eq!(
-            manifest_targets(manifest, "bin"),
-            vec![("figure".into(), 9)]
-        );
-
+    fn doc_rows_are_backticked_first_columns() {
         let md = "| Scenario | What |\n|---|---|\n| `fig6` | throughput |\n| plain | no |\n";
         assert_eq!(doc_row_names(md), vec![(3, "fig6".into())]);
     }

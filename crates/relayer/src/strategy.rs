@@ -30,7 +30,7 @@
 //! assert_eq!(strategy.label(), "batched");
 //! ```
 
-use serde::{de_field, de_field_or_default, Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// How a relayer learns about newly committed blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -184,7 +184,11 @@ impl ChannelPolicy {
 /// [`frame_limit`](RelayerStrategy::frame_limit) /
 /// [`packet_clearing`](RelayerStrategy::packet_clearing) knobs turn the §V
 /// deployment limits into sweepable configuration (`frame_limit_sweep`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+///
+/// The channel-policy, deployment-limit and sequence-tracking knobs are
+/// `#[serde(default)]`: strategy JSON written before they existed — the
+/// golden fixtures included — parses to the paper-default behaviour.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct RelayerStrategy {
     /// Block event delivery.
     pub event_source: EventSourceKind,
@@ -195,66 +199,24 @@ pub struct RelayerStrategy {
     /// Work division between relayer instances.
     pub coordination: CoordinationMode,
     /// Channel scheduling across a multi-channel deployment.
+    #[serde(default)]
     pub channel_policy: ChannelPolicy,
     /// Maximum WebSocket frame size in bytes for the event subscription;
     /// `0` means Tendermint's 16 MiB default. Only meaningful with the
     /// [`EventSourceKind::WebSocket`] event source.
+    #[serde(default)]
     pub ws_frame_limit_bytes: u64,
     /// Every how many source blocks the relayer scans chain state for
     /// committed-but-unrelayed packets and clears them (Hermes'
     /// `clear_interval`); `0` disables clearing, as in the paper's
     /// deployment. Clearing is what rescues transfers stranded by an
     /// oversized WebSocket frame.
+    #[serde(default)]
     pub packet_clear_interval: u64,
     /// Account-sequence management across straddled commits (§V's sequence
     /// race). The default reproduces Hermes' lossy committed-state resync.
+    #[serde(default)]
     pub sequence_tracking: SequenceTracking,
-}
-
-// Hand-written serde impls (instead of the derive) so that strategy JSON
-// written before the channel-policy / deployment-limit knobs existed — the
-// golden fixtures included — still parses: missing fields fall back to the
-// paper-default behaviour.
-impl Serialize for RelayerStrategy {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("event_source".into(), self.event_source.to_value()),
-            ("fetcher".into(), self.fetcher.to_value()),
-            ("submission".into(), self.submission.to_value()),
-            ("coordination".into(), self.coordination.to_value()),
-            ("channel_policy".into(), self.channel_policy.to_value()),
-            (
-                "ws_frame_limit_bytes".into(),
-                self.ws_frame_limit_bytes.to_value(),
-            ),
-            (
-                "packet_clear_interval".into(),
-                self.packet_clear_interval.to_value(),
-            ),
-            (
-                "sequence_tracking".into(),
-                self.sequence_tracking.to_value(),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for RelayerStrategy {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| Error::custom("expected object for RelayerStrategy"))?;
-        Ok(RelayerStrategy {
-            event_source: de_field(map, "event_source")?,
-            fetcher: de_field(map, "fetcher")?,
-            submission: de_field(map, "submission")?,
-            coordination: de_field(map, "coordination")?,
-            channel_policy: de_field_or_default(map, "channel_policy")?,
-            ws_frame_limit_bytes: de_field_or_default(map, "ws_frame_limit_bytes")?,
-            packet_clear_interval: de_field_or_default(map, "packet_clear_interval")?,
-            sequence_tracking: de_field_or_default(map, "sequence_tracking")?,
-        })
-    }
 }
 
 impl RelayerStrategy {
@@ -405,6 +367,7 @@ impl RelayerStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     #[test]
     fn default_is_the_paper_pipeline() {

@@ -16,8 +16,6 @@
 //! * deterministic random number streams ([`DetRng`]),
 //! * domain-neutral fault events and timelines for dependability experiments
 //!   ([`FaultKind`], [`FaultTimeline`]),
-//! * metric recorders (counters, histograms, time series) used by the
-//!   analysis pipeline ([`metrics`]),
 //! * deterministic work counters — the xcc-prof profiling layer whose
 //!   totals are exact-match regression signals, unlike wall-clock
 //!   ([`prof`]).
@@ -47,7 +45,6 @@
 
 mod fault;
 mod latency;
-pub mod metrics;
 pub mod prof;
 mod rng;
 mod scheduler;

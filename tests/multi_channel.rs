@@ -2,7 +2,7 @@
 //!
 //! * **Determinism**: small two-channel runs with the default strategy are
 //!   pinned by a golden fixture (regenerate with
-//!   `cargo run --release -p xcc-bench --bin goldens -- --multi-channel`).
+//!   `cargo run --release -p xcc-bench --bin goldens -- --set multi_channel`).
 //! * **Per-channel accounting**: the per-channel completion breakdowns sum
 //!   to the aggregate, channel by channel and category by category.
 //! * **Channel policies**: dedicated relayers eliminate the redundant work

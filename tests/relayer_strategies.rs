@@ -3,7 +3,7 @@
 //! * **Determinism**: the default `RelayerStrategy` must reproduce the
 //!   pre-refactor monolithic relayer's fig8/fig9/fig11/fig12 outcomes bit
 //!   for bit (golden fixtures captured before the refactor; regenerate with
-//!   `cargo run --release -p xcc-bench --bin goldens`).
+//!   `cargo run --release -p xcc-bench --bin goldens -- --set default_strategy`).
 //! * **Accounting invariants**: in two-relayer runs, every receive message
 //!   committed to the destination chain is either the packet's unique
 //!   successful delivery or an on-chain redundant failure, and the
@@ -173,7 +173,7 @@ fn redundant_message_accounting_sums_to_the_packet_totals() {
 
 /// The mempool-aware fix replays its own golden fixture bit for bit — the
 /// counterpart of the default-strategy goldens, captured with the knob on
-/// (regenerate with `goldens --sequence-race`, verify with `goldens
+/// (regenerate with `goldens --set sequence_race`, verify with `goldens
 /// --check`).
 #[test]
 fn sequence_race_outcomes_replay_their_goldens() {
