@@ -8,11 +8,11 @@
 //! Unknown names exit non-zero with the registry listing and, when the name
 //! looks like a typo, a "did you mean" hint.
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         None | Some("--list") | Some("-l") => {
-            xcc_bench::print_scenario_list();
+            xcc_bench::print_scenario_list(std::io::stdout())?;
         }
         Some(name) => {
             let Some(entry) = xcc_framework::registry::get(name) else {
@@ -21,12 +21,11 @@ fn main() {
                     eprintln!("did you mean `{candidate}`?");
                 }
                 eprintln!("registered scenarios:");
-                for entry in xcc_framework::registry::entries() {
-                    eprintln!("  {:<26} {}", entry.name, entry.title);
-                }
+                xcc_bench::print_scenario_list(std::io::stderr())?;
                 std::process::exit(2);
             };
             xcc_bench::run_and_print(entry);
         }
     }
+    Ok(())
 }

@@ -13,6 +13,8 @@
 
 pub mod timing;
 
+use std::io::{self, Write};
+
 use xcc_framework::outcome;
 use xcc_framework::registry::{self, ScenarioEntry};
 use xcc_framework::sweep::{OutputFormat, SweepMode};
@@ -34,9 +36,10 @@ pub fn run_and_print(entry: &ScenarioEntry) {
     }
 }
 
-/// Prints the registry: one `name — title` line per scenario.
-pub fn print_scenario_list() {
+/// Writes the registry to `out`: one `name title` line per scenario.
+pub fn print_scenario_list(mut out: impl Write) -> io::Result<()> {
     for entry in registry::entries() {
-        println!("{:<26} {}", entry.name, entry.title);
+        writeln!(out, "{:<26} {}", entry.name, entry.title)?;
     }
+    Ok(())
 }

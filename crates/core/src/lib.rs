@@ -21,8 +21,8 @@
 //! returns the unified [`outcome::ScenarioOutcome`]. The [`sweep`] module
 //! expands parameter grids (rates × RTTs × relayers × seeds) and executes
 //! them on a worker pool, and [`registry`] names every one of the paper's
-//! tables and figures (`"fig6"` … `"fig13"`, `"table1"`,
-//! `"websocket_limit"`) so any of them can be regenerated by name.
+//! tables and figures (`"fig6"` … `"fig13"`, `"table1"`, §V's
+//! `"frame_limit_sweep"`) so any of them can be regenerated by name.
 //!
 //! # Example
 //!

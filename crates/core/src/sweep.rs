@@ -1,10 +1,8 @@
 //! Declarative parameter sweeps executed on a worker pool.
 //!
-//! A [`SweepGrid`] is a base [`ExperimentSpec`] plus axes (input rates ×
-//! relayer counts × channel counts × RTTs × submission strategies ×
-//! transfer counts × relayer strategies × WebSocket frame limits ×
-//! sequence-tracking modes × batched-pull surcharges × fault plans ×
-//! topologies × seeds).
+//! A [`SweepGrid`] is a base [`ExperimentSpec`] plus the axes set on it (the
+//! axis order is the variant order of the private `Axis` enum, input rate
+//! outermost, seed innermost).
 //! [`SweepGrid::points`] expands the cartesian product into a deterministic,
 //! ordered list of specs; [`run_parallel`] executes any spec list on a
 //! `std::thread::scope` worker pool. Because every run is fully determined
@@ -22,6 +20,7 @@
 //! * `XCC_OUTPUT` — `text` (default), `json` or `csv` figure output
 //!   ([`OutputFormat::from_env`]).
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
@@ -115,56 +114,108 @@ pub fn derived_seeds(base_seed: u64, count: usize) -> Vec<u64> {
         .collect()
 }
 
+/// The sweep axes. The variant order is the axis order, stated here once:
+/// [`SweepGrid::points`] nests the axes outermost-first in it, applies their
+/// values to the spec in it (so the channel policy, frame limit and sequence
+/// tracking land on top of the point's `Strategy`) and appends their tags to
+/// the point name in it. Adding an axis is one variant here and in
+/// [`AxisValue`], one arm in each of its methods, and one setter on
+/// [`SweepGrid`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Axis {
+    InputRate,
+    Relayers,
+    Channels,
+    RttMs,
+    // Before PR 13 the submission-blocks axis looped *outside* the
+    // transfer-count axis but was named after it; no registered grid or test
+    // combines the two, so the one order kept is the name order.
+    Transfers,
+    SubmissionBlocks,
+    Strategy,
+    ChannelPolicy,
+    FrameLimit,
+    SequenceTracking,
+    PullPerItemUs,
+    FaultPlan,
+    Topology,
+    Seed,
+}
+
+/// One value on one sweep axis.
+#[derive(Debug, Clone, PartialEq)]
+enum AxisValue {
+    InputRate(u64),
+    Relayers(usize),
+    Channels(usize),
+    RttMs(u64),
+    Transfers(u64),
+    SubmissionBlocks(u64),
+    Strategy(RelayerStrategy),
+    ChannelPolicy(ChannelPolicy),
+    FrameLimit(u64),
+    SequenceTracking(SequenceTracking),
+    PullPerItemUs(u64),
+    FaultPlan(FaultPlan),
+    Topology(Topology),
+    Seed(u64),
+}
+
+impl AxisValue {
+    /// `spec` with this value set through the matching spec builder.
+    fn apply(&self, spec: ExperimentSpec) -> ExperimentSpec {
+        match self {
+            AxisValue::InputRate(rate) => spec.input_rate(*rate),
+            AxisValue::Relayers(count) => spec.relayers(*count),
+            AxisValue::Channels(count) => spec.channels(*count),
+            AxisValue::RttMs(rtt) => spec.rtt_ms(*rtt),
+            AxisValue::Transfers(total) => spec.transfers(*total),
+            AxisValue::SubmissionBlocks(blocks) => spec.submission_blocks(*blocks),
+            AxisValue::Strategy(strategy) => spec.strategy(*strategy),
+            AxisValue::ChannelPolicy(policy) => spec.channel_policy(*policy),
+            AxisValue::FrameLimit(bytes) => spec.frame_limit(*bytes),
+            AxisValue::SequenceTracking(tracking) => spec.sequence_tracking(*tracking),
+            AxisValue::PullPerItemUs(micros) => spec.batched_pull_per_item_us(*micros),
+            AxisValue::FaultPlan(plan) => spec.fault_plan(plan.clone()),
+            AxisValue::Topology(topology) => spec.topology(topology.clone()),
+            AxisValue::Seed(seed) => spec.seed(*seed),
+        }
+    }
+
+    /// The `/key=value` suffix this value adds to a point's name.
+    fn tag(&self) -> String {
+        match self {
+            AxisValue::InputRate(rate) => format!("/rate={rate}"),
+            AxisValue::Relayers(count) => format!("/relayers={count}"),
+            AxisValue::Channels(count) => format!("/channels={count}"),
+            AxisValue::RttMs(rtt) => format!("/rtt={rtt}"),
+            AxisValue::Transfers(total) => format!("/transfers={total}"),
+            AxisValue::SubmissionBlocks(blocks) => format!("/blocks={blocks}"),
+            AxisValue::Strategy(strategy) => format!("/strategy={}", strategy.label()),
+            AxisValue::ChannelPolicy(policy) => format!("/policy={}", policy.label()),
+            AxisValue::FrameLimit(bytes) => format!("/frame={bytes}"),
+            AxisValue::SequenceTracking(tracking) => format!("/seqtrack={}", tracking.label()),
+            AxisValue::PullPerItemUs(micros) => format!("/pull_item={micros}us"),
+            AxisValue::FaultPlan(plan) => format!("/faults={}", plan.label()),
+            AxisValue::Topology(topology) => format!("/topo={}", topology.label()),
+            AxisValue::Seed(seed) => format!("/seed={seed}"),
+        }
+    }
+}
+
 /// A declarative parameter grid over one base spec.
 ///
-/// Empty axes keep the base spec's value. [`points`](SweepGrid::points)
-/// iterates the cartesian product with input rate as the outermost axis and
-/// seed as the innermost, so outcomes group naturally per configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// An axis that was never set (or was set to an empty list) keeps the base
+/// spec's value. [`points`](SweepGrid::points) iterates the cartesian product
+/// with input rate as the outermost axis and seed as the innermost, whatever
+/// order the setters were called in, so outcomes group naturally per
+/// configuration.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepGrid {
     /// The spec every point starts from.
     pub base: ExperimentSpec,
-    /// Input rates in transfers per second (rate-driven families).
-    pub input_rates: Vec<u64>,
-    /// Relayer counts.
-    pub relayer_counts: Vec<usize>,
-    /// Concurrent channel counts (multi-channel deployments).
-    pub channel_counts: Vec<usize>,
-    /// Network round-trip times in milliseconds.
-    pub rtts_ms: Vec<u64>,
-    /// Submission strategies: block windows the batch is spread over.
-    pub submission_blocks: Vec<u64>,
-    /// Total transfer counts (latency / websocket families).
-    pub transfer_counts: Vec<u64>,
-    /// Relayer pipeline strategies (see [`RelayerStrategy`]).
-    pub strategies: Vec<RelayerStrategy>,
-    /// Channel policies, applied on top of the point's strategy — sweeping
-    /// fleet topology (shared processes vs a dedicated process per channel)
-    /// against the channel-count axis.
-    pub channel_policies: Vec<ChannelPolicy>,
-    /// WebSocket frame limits in bytes (`0` = Tendermint's 16 MiB default),
-    /// applied on top of the point's strategy — the §V deployment limit as
-    /// a sweepable axis.
-    pub frame_limits: Vec<u64>,
-    /// Account-sequence tracking modes, applied on top of the point's
-    /// strategy — the §V sequence race as a sweepable axis (every point of
-    /// the axis also reports `broadcast_failures`, the counter the race is
-    /// measured by).
-    pub sequence_trackings: Vec<SequenceTracking>,
-    /// Batched-pull pagination surcharges in microseconds — the PR 2
-    /// batched-query cost model as a calibration axis.
-    pub batched_pull_per_items: Vec<u64>,
-    /// Fault schedules, one run per plan — comparing a faulty arm against
-    /// [`FaultPlan::none`] in one grid is how the recovery scenarios
-    /// (`relayer_crash`, `chain_halt`, `client_expiry`) are built.
-    pub fault_plans: Vec<FaultPlan>,
-    /// Deployment topologies, one run per graph — comparing a hub-and-spoke
-    /// or mesh arm against [`Topology::pair`] in one grid is how the
-    /// topology scenarios (`hub_spoke_scaling`, `mesh_contention`) are
-    /// built.
-    pub topologies: Vec<Topology>,
-    /// Explicit seeds; empty means "one point with the base seed".
-    pub seeds: Vec<u64>,
+    /// The axes that were set, each non-empty; iterates in axis order.
+    axes: BTreeMap<Axis, Vec<AxisValue>>,
 }
 
 impl SweepGrid {
@@ -172,119 +223,101 @@ impl SweepGrid {
     pub fn new(base: ExperimentSpec) -> Self {
         SweepGrid {
             base,
-            input_rates: Vec::new(),
-            relayer_counts: Vec::new(),
-            channel_counts: Vec::new(),
-            rtts_ms: Vec::new(),
-            submission_blocks: Vec::new(),
-            transfer_counts: Vec::new(),
-            strategies: Vec::new(),
-            channel_policies: Vec::new(),
-            frame_limits: Vec::new(),
-            sequence_trackings: Vec::new(),
-            batched_pull_per_items: Vec::new(),
-            fault_plans: Vec::new(),
-            topologies: Vec::new(),
-            seeds: Vec::new(),
+            axes: BTreeMap::new(),
         }
     }
 
-    /// Sets the input-rate axis.
-    pub fn input_rates(mut self, rates: impl IntoIterator<Item = u64>) -> Self {
-        self.input_rates = rates.into_iter().collect();
+    /// Sets (or replaces) `axis`; an empty list clears it.
+    fn axis<T>(
+        mut self,
+        axis: Axis,
+        values: impl IntoIterator<Item = T>,
+        wrap: fn(T) -> AxisValue,
+    ) -> Self {
+        let values: Vec<AxisValue> = values.into_iter().map(wrap).collect();
+        if values.is_empty() {
+            self.axes.remove(&axis);
+        } else {
+            self.axes.insert(axis, values);
+        }
         self
+    }
+
+    /// Sets the input-rate axis, in transfers per second.
+    pub fn input_rates(self, rates: impl IntoIterator<Item = u64>) -> Self {
+        self.axis(Axis::InputRate, rates, AxisValue::InputRate)
     }
 
     /// Sets the relayer-count axis.
-    pub fn relayer_counts(mut self, counts: impl IntoIterator<Item = usize>) -> Self {
-        self.relayer_counts = counts.into_iter().collect();
-        self
+    pub fn relayer_counts(self, counts: impl IntoIterator<Item = usize>) -> Self {
+        self.axis(Axis::Relayers, counts, AxisValue::Relayers)
     }
 
     /// Sets the channel-count axis (concurrent channels per deployment).
-    pub fn channel_counts(mut self, counts: impl IntoIterator<Item = usize>) -> Self {
-        self.channel_counts = counts.into_iter().collect();
-        self
+    pub fn channel_counts(self, counts: impl IntoIterator<Item = usize>) -> Self {
+        self.axis(Axis::Channels, counts, AxisValue::Channels)
     }
 
-    /// Sets the RTT axis.
-    pub fn rtts_ms(mut self, rtts: impl IntoIterator<Item = u64>) -> Self {
-        self.rtts_ms = rtts.into_iter().collect();
-        self
+    /// Sets the RTT axis, in milliseconds.
+    pub fn rtts_ms(self, rtts: impl IntoIterator<Item = u64>) -> Self {
+        self.axis(Axis::RttMs, rtts, AxisValue::RttMs)
     }
 
-    /// Sets the submission-strategy axis.
-    pub fn submission_blocks(mut self, blocks: impl IntoIterator<Item = u64>) -> Self {
-        self.submission_blocks = blocks.into_iter().collect();
-        self
+    /// Sets the submission-strategy axis: block windows per batch.
+    pub fn submission_blocks(self, blocks: impl IntoIterator<Item = u64>) -> Self {
+        self.axis(Axis::SubmissionBlocks, blocks, AxisValue::SubmissionBlocks)
     }
 
-    /// Sets the transfer-count axis.
-    pub fn transfer_counts(mut self, counts: impl IntoIterator<Item = u64>) -> Self {
-        self.transfer_counts = counts.into_iter().collect();
-        self
+    /// Sets the transfer-count axis (latency / websocket families).
+    pub fn transfer_counts(self, counts: impl IntoIterator<Item = u64>) -> Self {
+        self.axis(Axis::Transfers, counts, AxisValue::Transfers)
     }
 
     /// Sets the relayer-strategy axis.
-    pub fn strategies(mut self, strategies: impl IntoIterator<Item = RelayerStrategy>) -> Self {
-        self.strategies = strategies.into_iter().collect();
-        self
+    pub fn strategies(self, strategies: impl IntoIterator<Item = RelayerStrategy>) -> Self {
+        self.axis(Axis::Strategy, strategies, AxisValue::Strategy)
     }
 
-    /// Sets the channel-policy axis; combines with the strategy axis, the
-    /// policy being applied on top of each point's strategy. Sweeping
-    /// [`ChannelPolicy::Dedicated`] against
-    /// [`channel_counts`](SweepGrid::channel_counts) sweeps fleet topology:
-    /// dedicated points deploy one relayer process per channel.
-    pub fn channel_policies(mut self, policies: impl IntoIterator<Item = ChannelPolicy>) -> Self {
-        self.channel_policies = policies.into_iter().collect();
-        self
+    /// Sets the channel-policy axis. Sweeping [`ChannelPolicy::Dedicated`]
+    /// against [`channel_counts`](SweepGrid::channel_counts) sweeps fleet
+    /// topology: dedicated points deploy one relayer process per channel.
+    pub fn channel_policies(self, policies: impl IntoIterator<Item = ChannelPolicy>) -> Self {
+        self.axis(Axis::ChannelPolicy, policies, AxisValue::ChannelPolicy)
     }
 
-    /// Sets the WebSocket frame-limit axis in bytes (`0` = the 16 MiB
-    /// default); combines with the strategy axis, the limit being applied on
-    /// top of each point's strategy.
-    pub fn frame_limits(mut self, limits: impl IntoIterator<Item = u64>) -> Self {
-        self.frame_limits = limits.into_iter().collect();
-        self
+    /// Sets the WebSocket frame-limit axis in bytes (`0` = Tendermint's
+    /// 16 MiB default) — the §V deployment limit.
+    pub fn frame_limits(self, limits: impl IntoIterator<Item = u64>) -> Self {
+        self.axis(Axis::FrameLimit, limits, AxisValue::FrameLimit)
     }
 
-    /// Sets the account-sequence tracking axis; combines with the strategy
-    /// axis, the tracking mode being applied on top of each point's
-    /// strategy. Every point of the axis reports `broadcast_failures`.
-    pub fn sequence_trackings(
-        mut self,
-        trackings: impl IntoIterator<Item = SequenceTracking>,
-    ) -> Self {
-        self.sequence_trackings = trackings.into_iter().collect();
-        self
+    /// Sets the account-sequence tracking axis — the §V sequence race. Every
+    /// point of the axis reports `broadcast_failures`, the race's counter.
+    pub fn sequence_trackings(self, modes: impl IntoIterator<Item = SequenceTracking>) -> Self {
+        self.axis(Axis::SequenceTracking, modes, AxisValue::SequenceTracking)
     }
 
     /// Sets the batched-pull pagination surcharge axis in microseconds
     /// (`0` models free pagination).
-    pub fn batched_pull_per_items(mut self, micros: impl IntoIterator<Item = u64>) -> Self {
-        self.batched_pull_per_items = micros.into_iter().collect();
-        self
+    pub fn batched_pull_per_items(self, micros: impl IntoIterator<Item = u64>) -> Self {
+        self.axis(Axis::PullPerItemUs, micros, AxisValue::PullPerItemUs)
     }
 
     /// Sets the fault-plan axis. Each plan runs as its own point; include
     /// [`FaultPlan::none`] to keep a fault-free control arm in the grid.
-    pub fn fault_plans(mut self, plans: impl IntoIterator<Item = FaultPlan>) -> Self {
-        self.fault_plans = plans.into_iter().collect();
-        self
+    pub fn fault_plans(self, plans: impl IntoIterator<Item = FaultPlan>) -> Self {
+        self.axis(Axis::FaultPlan, plans, AxisValue::FaultPlan)
     }
 
     /// Sets the topology axis. Each graph runs as its own point; include
     /// [`Topology::pair`] to keep the two-chain baseline arm in the grid.
-    pub fn topologies(mut self, topologies: impl IntoIterator<Item = Topology>) -> Self {
-        self.topologies = topologies.into_iter().collect();
-        self
+    pub fn topologies(self, topologies: impl IntoIterator<Item = Topology>) -> Self {
+        self.axis(Axis::Topology, topologies, AxisValue::Topology)
     }
 
-    /// Sets the seed axis.
-    pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
-        self.seeds = seeds.into_iter().collect();
-        self
+    /// Sets the seed axis; unset means "one point with the base seed".
+    pub fn seeds(self, seeds: impl IntoIterator<Item = u64>) -> Self {
+        self.axis(Axis::Seed, seeds, AxisValue::Seed)
     }
 
     /// Sets the seed axis to `count` seeds derived from the base seed.
@@ -295,23 +328,7 @@ impl SweepGrid {
 
     /// The number of points the grid expands to.
     pub fn len(&self) -> usize {
-        fn axis(len: usize) -> usize {
-            len.max(1)
-        }
-        axis(self.input_rates.len())
-            * axis(self.relayer_counts.len())
-            * axis(self.channel_counts.len())
-            * axis(self.rtts_ms.len())
-            * axis(self.submission_blocks.len())
-            * axis(self.transfer_counts.len())
-            * axis(self.strategies.len())
-            * axis(self.channel_policies.len())
-            * axis(self.frame_limits.len())
-            * axis(self.sequence_trackings.len())
-            * axis(self.batched_pull_per_items.len())
-            * axis(self.fault_plans.len())
-            * axis(self.topologies.len())
-            * axis(self.seeds.len())
+        self.axes.values().map(Vec::len).product()
     }
 
     /// Whether the grid expands to no points (never: it is at least 1).
@@ -323,159 +340,18 @@ impl SweepGrid {
     /// base name with the axis values that produced them, so sweep output is
     /// self-describing.
     pub fn points(&self) -> Vec<ExperimentSpec> {
-        fn axis<T: Copy>(values: &[T]) -> Vec<Option<T>> {
-            if values.is_empty() {
-                vec![None]
-            } else {
-                values.iter().copied().map(Some).collect()
-            }
-        }
-        // Same expansion for non-`Copy` axis values (fault plans own their
-        // event lists): absent axis → one `None` point keeping the base.
-        fn axis_ref<T>(values: &[T]) -> Vec<Option<&T>> {
-            if values.is_empty() {
-                vec![None]
-            } else {
-                values.iter().map(Some).collect()
-            }
-        }
-
-        let mut specs = Vec::with_capacity(self.len());
-        for rate in axis(&self.input_rates) {
-            for relayers in axis(&self.relayer_counts) {
-                for channels in axis(&self.channel_counts) {
-                    for rtt in axis(&self.rtts_ms) {
-                        for blocks in axis(&self.submission_blocks) {
-                            for transfers in axis(&self.transfer_counts) {
-                                for strategy in axis(&self.strategies) {
-                                    for policy in axis(&self.channel_policies) {
-                                        for frame_limit in axis(&self.frame_limits) {
-                                            for tracking in axis(&self.sequence_trackings) {
-                                                for pull_item in axis(&self.batched_pull_per_items)
-                                                {
-                                                    for plan in axis_ref(&self.fault_plans) {
-                                                        for topo in axis_ref(&self.topologies) {
-                                                            for seed in axis(&self.seeds) {
-                                                                let mut spec = self.base.clone();
-                                                                let mut name = spec.name.clone();
-                                                                if let Some(rate) = rate {
-                                                                    spec = spec.input_rate(rate);
-                                                                    name.push_str(&format!(
-                                                                        "/rate={rate}"
-                                                                    ));
-                                                                }
-                                                                if let Some(relayers) = relayers {
-                                                                    spec = spec.relayers(relayers);
-                                                                    name.push_str(&format!(
-                                                                        "/relayers={relayers}"
-                                                                    ));
-                                                                }
-                                                                if let Some(channels) = channels {
-                                                                    spec = spec.channels(channels);
-                                                                    name.push_str(&format!(
-                                                                        "/channels={channels}"
-                                                                    ));
-                                                                }
-                                                                if let Some(rtt) = rtt {
-                                                                    spec = spec.rtt_ms(rtt);
-                                                                    name.push_str(&format!(
-                                                                        "/rtt={rtt}"
-                                                                    ));
-                                                                }
-                                                                if let Some(transfers) = transfers {
-                                                                    spec =
-                                                                        spec.transfers(transfers);
-                                                                    name.push_str(&format!(
-                                                                        "/transfers={transfers}"
-                                                                    ));
-                                                                }
-                                                                if let Some(blocks) = blocks {
-                                                                    spec = spec
-                                                                        .submission_blocks(blocks);
-                                                                    name.push_str(&format!(
-                                                                        "/blocks={blocks}"
-                                                                    ));
-                                                                }
-                                                                if let Some(strategy) = strategy {
-                                                                    spec = spec.strategy(strategy);
-                                                                    name.push_str(&format!(
-                                                                        "/strategy={}",
-                                                                        strategy.label()
-                                                                    ));
-                                                                }
-                                                                if let Some(policy) = policy {
-                                                                    spec =
-                                                                        spec.channel_policy(policy);
-                                                                    name.push_str(&format!(
-                                                                        "/policy={}",
-                                                                        policy.label()
-                                                                    ));
-                                                                }
-                                                                if let Some(frame_limit) =
-                                                                    frame_limit
-                                                                {
-                                                                    spec = spec
-                                                                        .frame_limit(frame_limit);
-                                                                    name.push_str(&format!(
-                                                                        "/frame={frame_limit}"
-                                                                    ));
-                                                                }
-                                                                if let Some(tracking) = tracking {
-                                                                    spec = spec.sequence_tracking(
-                                                                        tracking,
-                                                                    );
-                                                                    name.push_str(&format!(
-                                                                        "/seqtrack={}",
-                                                                        tracking.label()
-                                                                    ));
-                                                                }
-                                                                if let Some(pull_item) = pull_item {
-                                                                    spec = spec
-                                                                        .batched_pull_per_item_us(
-                                                                            pull_item,
-                                                                        );
-                                                                    name.push_str(&format!(
-                                                                        "/pull_item={pull_item}us"
-                                                                    ));
-                                                                }
-                                                                if let Some(plan) = plan {
-                                                                    spec = spec
-                                                                        .fault_plan(plan.clone());
-                                                                    name.push_str(&format!(
-                                                                        "/faults={}",
-                                                                        plan.label()
-                                                                    ));
-                                                                }
-                                                                if let Some(topo) = topo {
-                                                                    spec =
-                                                                        spec.topology(topo.clone());
-                                                                    name.push_str(&format!(
-                                                                        "/topo={}",
-                                                                        topo.label()
-                                                                    ));
-                                                                }
-                                                                if let Some(seed) = seed {
-                                                                    spec = spec.seed(seed);
-                                                                    name.push_str(&format!(
-                                                                        "/seed={seed}"
-                                                                    ));
-                                                                }
-                                                                specs.push(spec.named(name));
-                                                            }
-                                                        }
-                                                    }
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
+        let mut points = vec![self.base.clone()];
+        for axis in self.axes.values() {
+            let mut expanded = Vec::with_capacity(points.len() * axis.len());
+            for point in &points {
+                for value in axis {
+                    let name = format!("{}{}", point.name, value.tag());
+                    expanded.push(value.apply(point.clone()).named(name));
                 }
             }
+            points = expanded;
         }
-        specs
+        points
     }
 
     /// Runs the whole grid on the default worker pool.
@@ -536,9 +412,11 @@ mod tests {
 
     #[test]
     fn grid_expansion_is_the_cartesian_product_in_order() {
+        // Setter call order is irrelevant: rate stays outermost, seed innermost.
         let grid = SweepGrid::new(ExperimentSpec::relayer_throughput().measurement_blocks(4))
-            .input_rates([20, 40])
+            .seeds([9])
             .rtts_ms([0, 200])
+            .input_rates([20, 40])
             .seeds([1, 2]);
         assert_eq!(grid.len(), 8);
         let points = grid.points();
@@ -558,6 +436,8 @@ mod tests {
         let grid = SweepGrid::new(base.clone());
         assert_eq!(grid.len(), 1);
         assert_eq!(grid.points(), vec![base]);
+        // An empty list clears an axis that was set earlier.
+        assert_eq!(grid.clone().seeds([1, 2]).derived_seeds(0), grid);
     }
 
     #[test]

@@ -52,8 +52,8 @@ pub use xcc_rpc::websocket::BlockEventBatch;
 /// delay and return the simulated instant the batch reaches the packet
 /// worker.
 ///
-/// The `websocket_limit` and `frame_limit_sweep` registry scenarios exercise
-/// this stage's failure mode — the configured frame limit comes from
+/// The `frame_limit_sweep` registry scenario exercises this stage's failure
+/// mode — the configured frame limit comes from
 /// [`RelayerStrategy::frame_limit`],
 /// and [`RelayerStrategy::polling_events`]
 /// swaps in the limit-free polling implementation.

@@ -66,7 +66,6 @@ fn registry_lookup_returns_every_figure_name() {
         "fig12",
         "fig13",
         "table1",
-        "websocket_limit",
         "fig8_batched_pulls",
         "fig11_coordinated",
         "fig12_parallel_fetch",
@@ -87,6 +86,7 @@ fn registry_lookup_returns_every_figure_name() {
     assert_eq!(registry::names(), expected);
     for name in expected {
         let entry = registry::get(name).unwrap_or_else(|| panic!("{name} missing from registry"));
+        assert!(!entry.title.is_empty(), "{name} has no title");
         for mode in [SweepMode::Quick, SweepMode::Full] {
             let grid = entry.grid(mode);
             assert!(!grid.points().is_empty(), "{name} expands to no points");
@@ -96,6 +96,7 @@ fn registry_lookup_returns_every_figure_name() {
             }
         }
     }
+    assert!(registry::get("fig99").is_none());
 }
 
 #[test]
