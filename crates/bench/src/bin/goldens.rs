@@ -26,7 +26,7 @@ use xcc_framework::registry;
 use xcc_framework::scenarios;
 use xcc_framework::spec::ExperimentSpec;
 use xcc_framework::{ScenarioOutcome, SweepMode, WorkProfile};
-use xcc_relayer::strategy::{ChannelPolicy, SequenceTracking};
+use xcc_relayer::strategy::{ChannelPolicy, RelayerStrategy, SequenceTracking, SubmissionMode};
 
 /// The spec set behind the golden fixtures: one small point per paper figure
 /// the relayer refactor must preserve (Figs. 8, 9, 11 and 12).
@@ -138,6 +138,65 @@ pub fn dedicated_scaling_golden_specs() -> Vec<ExperimentSpec> {
     ]
 }
 
+/// The spec set behind the strategy-arms golden fixture: one small run per
+/// non-default strategy arm the other sets leave to property tests — the
+/// oracle for refactors of the relayer's stage code. The two fetcher arms
+/// drain a 400-transfer burst (chunked pulls on both paths); every other arm
+/// relays a 5-block stream — 20 rps, except the adaptive arm's 12 rps, which
+/// leaves less than a full transaction pending every other block — all at
+/// 200 ms RTT. The lossy arm's 16 KiB frame limit fails every loaded block's
+/// event collection, so the clear scan does the relaying.
+pub fn strategy_arms_golden_specs() -> Vec<ExperimentSpec> {
+    let burst = |arm: &str, strategy| {
+        ExperimentSpec::latency()
+            .named(format!("golden/strategy_arms/{arm}"))
+            .transfers(400)
+            .submission_blocks(1)
+            .rtt_ms(200)
+            .seed(42)
+            .strategy(strategy)
+    };
+    let default = RelayerStrategy::default();
+    let windowed = RelayerStrategy {
+        submission: SubmissionMode::Windowed { blocks: 2 },
+        ..default
+    };
+    let priority = RelayerStrategy::with_channel_policy(ChannelPolicy::Priority);
+    let lossy = default.frame_limit(16 << 10).packet_clearing(2);
+    // (arm, input rate, relayers, channels, strategy)
+    let streams = [
+        ("windowed", 20, 1, 1, windowed),
+        (
+            "adaptive",
+            12,
+            1,
+            1,
+            RelayerStrategy::adaptive_submission(3),
+        ),
+        ("partitioned", 20, 2, 1, RelayerStrategy::coordinated()),
+        ("leased", 20, 2, 1, RelayerStrategy::leader_lease(2)),
+        ("polling", 20, 1, 1, RelayerStrategy::polling_events()),
+        ("priority", 20, 1, 2, priority),
+        ("lossy", 20, 1, 1, lossy),
+    ];
+    let mut specs = vec![
+        burst("batched", RelayerStrategy::batched_pulls()),
+        burst("parallel", RelayerStrategy::parallel_fetch()),
+    ];
+    specs.extend(streams.map(|(arm, rate, relayers, channels, strategy)| {
+        ExperimentSpec::relayer_throughput()
+            .named(format!("golden/strategy_arms/{arm}"))
+            .relayers(relayers)
+            .channels(channels)
+            .rtt_ms(200)
+            .input_rate(rate)
+            .measurement_blocks(5)
+            .seed(42)
+            .strategy(strategy)
+    }));
+    specs
+}
+
 /// The spec set behind a fault- or topology-scenario golden fixture: the
 /// quick-mode grid of the registered scenario, each point renamed under the
 /// `golden/` prefix (the sweep already suffixes every point with
@@ -176,6 +235,7 @@ fn fixture_sets() -> Vec<(&'static str, Vec<ExperimentSpec>)> {
     ] {
         sets.push((scenario, registry_scenario_specs(scenario)));
     }
+    sets.push(("strategy_arms", strategy_arms_golden_specs()));
     sets
 }
 

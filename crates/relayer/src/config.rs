@@ -43,10 +43,10 @@ pub struct RelayerConfig {
     pub instances: usize,
     /// Pins this process to a single channel index: the process serves that
     /// channel and ignores every other, regardless of the strategy's channel
-    /// scheduler. Set by the testnet builder when
+    /// policy. Set by the testnet builder when
     /// [`ChannelPolicy::Dedicated`](crate::strategy::ChannelPolicy::Dedicated)
     /// expands the deployment into one relayer process per channel; `None`
-    /// (the default) leaves channel routing to the scheduler stage.
+    /// (the default) leaves channel routing to the channel policy.
     pub channel_assignment: Option<usize>,
     /// The identity this process presents to the coordination policy, when
     /// it differs from the process id. A dedicated fleet numbers its
@@ -73,13 +73,6 @@ impl Default for RelayerConfig {
     }
 }
 
-impl RelayerConfig {
-    /// Splits `count` messages into transaction-sized chunks.
-    pub fn chunks_for(&self, count: usize) -> usize {
-        count.div_ceil(self.max_msgs_per_tx)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,15 +84,5 @@ mod tests {
         // The packet-clear interval lives on the strategy; the paper's
         // deployment disables it.
         assert_eq!(cfg.strategy.packet_clear_interval, 0);
-    }
-
-    #[test]
-    fn chunking_rounds_up() {
-        let cfg = RelayerConfig::default();
-        assert_eq!(cfg.chunks_for(0), 0);
-        assert_eq!(cfg.chunks_for(1), 1);
-        assert_eq!(cfg.chunks_for(100), 1);
-        assert_eq!(cfg.chunks_for(101), 2);
-        assert_eq!(cfg.chunks_for(5_000), 50);
     }
 }

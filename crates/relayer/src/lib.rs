@@ -11,16 +11,19 @@
 //! * [`config::RelayerConfig`] — batching limits, accounts and processing
 //!   overheads;
 //! * [`strategy::RelayerStrategy`] — the serde-able description of the
-//!   pipeline: event source, data fetcher, submission policy and
-//!   coordination mode. The default reproduces the paper's Hermes pipeline;
-//!   the other variants open the paper's "what if?" counterfactuals
+//!   pipeline: event source, data fetcher, submission mode, coordination
+//!   mode and channel policy. The default reproduces the paper's Hermes
+//!   pipeline; the other arms open the paper's "what if?" counterfactuals
 //!   (batched/parallel pulls, windowed submission, coordinated instances);
-//! * [`stages`] — the pipeline stage traits ([`stages::EventSource`],
-//!   [`stages::DataFetcher`], [`stages::SubmissionPolicy`],
-//!   [`stages::CoordinationPolicy`]) and their implementations;
-//! * [`relayer::Relayer`] — the thin driver composing the stages for one
-//!   channel, including redundant-packet detection, account-sequence
-//!   management and timeout relaying;
+//! * [`stages`] — what each arm does, as methods on the strategy enums
+//!   ([`strategy::EventSourceKind::collect_events`],
+//!   [`strategy::FetchStrategy::fetch_packet_data`],
+//!   [`strategy::SubmissionMode::should_flush`],
+//!   [`strategy::CoordinationMode::assigned`],
+//!   [`strategy::ChannelPolicy::flush_order`]);
+//! * [`relayer::Relayer`] — the thin driver asking the strategy at each
+//!   decision, for every channel it serves, including redundant-packet
+//!   detection, account-sequence management and timeout relaying;
 //! * [`sequence::SequenceTracker`] — the per-chain account-sequence state
 //!   behind the broadcast path, implementing both arms of
 //!   [`strategy::SequenceTracking`] (the §V sequence race and its

@@ -1,4 +1,4 @@
-//! The relayer instance: a thin driver over pluggable pipeline stages.
+//! The relayer instance: a thin driver over the strategy's pipeline stages.
 //!
 //! The architecture mirrors Fig. 4 of the paper: a supervisor subscribed to
 //! both chains' event streams hands each new block to the packet worker for
@@ -20,19 +20,19 @@
 //! work on one lane pair ([`Relayer::lane_stats`] exposes the accounting).
 //!
 //! Where the paper's Hermes hard-codes each of those decisions, this driver
-//! delegates them to the trait stages of [`crate::stages`], instantiated
-//! from the [`RelayerStrategy`](crate::strategy::RelayerStrategy) in the
-//! relayer's [`RelayerConfig`]:
+//! asks the arm of the [`RelayerStrategy`](crate::strategy::RelayerStrategy)
+//! in the relayer's [`RelayerConfig`], whose behaviour lives in
+//! [`crate::stages`]:
 //!
-//! * the [`EventSource`](crate::stages::EventSource) delivers block events
-//!   (WebSocket push vs RPC polling);
-//! * the [`DataFetcher`](crate::stages::DataFetcher) pulls packet data and
+//! * [`EventSourceKind`](crate::strategy::EventSourceKind) delivers block
+//!   events (WebSocket push vs RPC polling);
+//! * [`FetchStrategy`](crate::strategy::FetchStrategy) pulls packet data and
 //!   proofs (sequential vs batched vs parallel);
-//! * the [`SubmissionPolicy`](crate::stages::SubmissionPolicy) decides when
+//! * [`SubmissionMode`](crate::strategy::SubmissionMode) decides when
 //!   pending packets are relayed (eager vs windowed vs adaptive);
-//! * the [`CoordinationPolicy`](crate::stages::CoordinationPolicy) divides
-//!   work between instances (none vs partition vs leases);
-//! * the [`ChannelScheduler`](crate::stages::ChannelScheduler) divides one
+//! * [`CoordinationMode`](crate::strategy::CoordinationMode) divides work
+//!   between instances (none vs partition vs leases);
+//! * [`ChannelPolicy`](crate::strategy::ChannelPolicy) divides one
 //!   instance's attention between the channels it serves (fair-share vs
 //!   priority vs dedicated-relayer-per-channel).
 //!
@@ -61,53 +61,52 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use xcc_chain::account::AccountId;
 use xcc_chain::msg::Msg;
 use xcc_chain::tx::Tx;
-use xcc_ibc::commitment::CommitmentProof;
 use xcc_ibc::events as ibc_events;
 use xcc_ibc::height::Height;
 use xcc_ibc::ids::{ChainId, ChannelId, ClientId, PortId, Sequence};
 use xcc_ibc::packet::Packet;
 use xcc_rpc::endpoint::{BroadcastError, LaneStats, RpcEndpoint};
+use xcc_rpc::websocket::{BlockEventBatch, WebSocketSubscription};
 use xcc_sim::{prof, SimDuration, SimTime};
 use xcc_tendermint::abci::Event;
 use xcc_tendermint::hash::Hash;
 
 use crate::config::RelayerConfig;
 use crate::sequence::SequenceTracker;
-use crate::stages::Stages;
 use crate::strategy::SequenceTracking;
 use crate::telemetry::{TelemetryLog, TransferStep};
+use ChainRole::{Destination, Source};
 
 /// One block-commit notification waiting in a relayer process's inbox.
 ///
 /// Delivering a notification is O(1); all pipeline work it implies happens
 /// at the process's next [`Relayer::wake`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BlockNotice {
-    /// The source chain committed the block at `height`.
-    Source {
-        /// Committed height.
-        height: u64,
-        /// Commit instant.
-        committed_at: SimTime,
-    },
-    /// The destination chain committed the block at `height`.
-    Dest {
-        /// Committed height.
-        height: u64,
-        /// Commit instant.
-        committed_at: SimTime,
-    },
-}
+///
+/// `(chain, committed height, commit instant)`.
+type BlockNotice = (ChainRole, u64, SimTime);
 
-/// Which side of the relay path a chain plays for this relayer.
+/// Which side of the relay path a chain plays for this relayer — and the
+/// index of that chain's [`ChainEnd`] in the relayer's per-chain state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChainRole {
+enum ChainRole {
     /// The chain transfers originate from.
     Source,
     /// The chain transfers are delivered to.
     Destination,
+}
+
+impl ChainRole {
+    /// The chain at the other end of the path: the one whose state proves
+    /// what a transaction landing on `self` claims.
+    fn other(self) -> ChainRole {
+        match self {
+            Source => Destination,
+            Destination => Source,
+        }
+    }
 }
 
 /// The identifiers of one channel the relayer serves.
@@ -134,14 +133,12 @@ pub struct RelayPath {
 }
 
 impl RelayPath {
-    /// The role `chain` plays on this path, if it is one of the endpoints.
-    pub fn role_of(&self, chain: &ChainId) -> Option<ChainRole> {
-        if chain == &self.src_chain {
-            Some(ChainRole::Source)
-        } else if chain == &self.dst_chain {
-            Some(ChainRole::Destination)
-        } else {
-            None
+    /// The client hosted on the `host` end of this path (tracking the other
+    /// end).
+    fn client_on(&self, host: ChainRole) -> &ClientId {
+        match host {
+            Source => &self.client_on_src,
+            Destination => &self.client_on_dst,
         }
     }
 }
@@ -185,25 +182,83 @@ pub struct RelayerStats {
 /// restart work is O(window).
 pub const RESTART_REPLAY_WINDOW: u64 = 32;
 
+/// Everything the relayer knows about one of its two chains. The
+/// per-direction state is keyed by the chain its transactions land on:
+/// receive transactions on the destination end, acknowledgement and timeout
+/// transactions on the source end.
+struct ChainEnd {
+    /// This process's own RPC connection to the chain's full node.
+    rpc: RpcEndpoint,
+    /// Account-sequence state towards the chain — one tracker per chain,
+    /// shared by every channel this instance serves, so the channels of a
+    /// multi-channel deployment can never race each other on the relayer's
+    /// own account.
+    seq: SequenceTracker,
+    /// The relayer's fee-paying account on the chain.
+    account: AccountId,
+    fee_denom: String,
+    /// The `NewBlock` event subscription to the chain.
+    events: WebSocketSubscription,
+    /// When the packet worker submitting to this chain is next free.
+    worker_free: SimTime,
+    /// Transactions accepted into the chain's mempool but not yet observed
+    /// committed, by transaction hash, with the in-flight markers each
+    /// carries. A transaction that commits **failed** (§V's
+    /// account-sequence race striking at DeliverTx) emits no packet events,
+    /// so watching the per-transaction commit result is the only way to
+    /// learn that its packets never arrived: on observing a failed commit
+    /// the markers are released from `inflight` so the next packet-clear
+    /// scan picks the packets up again. Entries leave the list on *any*
+    /// commit of their hash, keeping it bounded by the mempool.
+    inflight_txs: Vec<(Hash, Vec<(usize, u64)>)>,
+    /// Packets whose transaction towards this chain this relayer has
+    /// broadcast successfully but not yet observed committed — on the
+    /// destination end the receive path's in-flight set, on the source end
+    /// the acknowledgement path's — so the clear scan never re-relays a
+    /// packet that is merely sitting in the chain's mempool (while packets
+    /// whose broadcast was rejected stay eligible for a future clear).
+    inflight: BTreeSet<(usize, u64)>,
+    /// The newest block the chain committed while this process was crashed,
+    /// if any — everything the process needs to rebuild a bounded inbox at
+    /// restart.
+    missed: Option<u64>,
+    /// The highest height of the chain this process has handled, the low
+    /// watermark of the restart replay.
+    last_processed: u64,
+}
+
+impl ChainEnd {
+    fn new(config: &RelayerConfig, account: &AccountId, mut rpc: RpcEndpoint) -> Self {
+        let seq = SequenceTracker::new(
+            config.strategy.sequence_tracking,
+            rpc.account_sequence(SimTime::ZERO, account).value,
+        );
+        let fee_denom = rpc.chain().borrow().app().fee_denom().to_string();
+        ChainEnd {
+            rpc,
+            seq,
+            account: account.clone(),
+            fee_denom,
+            events: config.strategy.subscription(),
+            worker_free: SimTime::ZERO,
+            inflight_txs: Vec::new(),
+            inflight: BTreeSet::new(),
+            missed: None,
+            last_processed: 0,
+        }
+    }
+}
+
 /// A Hermes-like relayer serving one or more channels between two chains.
 pub struct Relayer {
     id: usize,
     config: RelayerConfig,
     paths: Vec<RelayPath>,
-    stages: Stages,
-    src_rpc: RpcEndpoint,
-    dst_rpc: RpcEndpoint,
-    /// Account-sequence state towards the source chain — one tracker per
-    /// chain, shared by every channel this instance serves, so the channels
-    /// of a multi-channel deployment can never race each other on the
-    /// relayer's own account.
-    src_seq: SequenceTracker,
-    /// Account-sequence state towards the destination chain.
-    dst_seq: SequenceTracker,
-    src_fee_denom: String,
-    dst_fee_denom: String,
-    worker_out_free: SimTime,
-    worker_back_free: SimTime,
+    /// Per-chain state, indexed by `ChainRole`.
+    ends: [ChainEnd; 2],
+    /// Pending source blocks since the last receive flush — the submission
+    /// mode's only state (see `SubmissionMode::should_flush`).
+    blocks_held: u64,
     telemetry: TelemetryLog,
     stats: RelayerStats,
     /// Packets collected but not yet relayed: `(channel index, committing
@@ -215,31 +270,6 @@ pub struct Relayer {
     /// keyed by `(channel index, sequence)`, kept for timeout detection —
     /// and, by the clear scan, as the receive path's in-flight set.
     pending_delivery: BTreeMap<(usize, u64), Packet>,
-    /// Packets whose receive transaction this relayer has broadcast
-    /// successfully but not yet observed committed — the receive path's
-    /// in-flight set, so the clear scan never re-relays a packet that is
-    /// merely sitting in the destination chain's mempool (while packets
-    /// whose broadcast was rejected stay eligible for a future clear).
-    pending_recv_inflight: BTreeSet<(usize, u64)>,
-    /// Packets whose acknowledgement this relayer has broadcast successfully
-    /// but not yet observed committed — the acknowledgement path's in-flight
-    /// set, the clear scan's counterpart filter on the return path.
-    pending_ack: BTreeSet<(usize, u64)>,
-    /// Receive transactions accepted into the destination mempool but not
-    /// yet observed committed, by transaction hash, with the in-flight
-    /// markers each carries. A transaction that commits **failed** (§V's
-    /// account-sequence race striking at DeliverTx) emits no packet events,
-    /// so watching the per-transaction commit result is the only way to
-    /// learn that its packets never arrived: on observing a failed commit
-    /// the markers are released from `pending_recv_inflight` so the next
-    /// packet-clear scan picks the packets up again. Entries leave the list
-    /// on *any* commit of their hash, keeping it bounded by the mempool.
-    inflight_recv_txs: Vec<(Hash, Vec<(usize, u64)>)>,
-    /// Acknowledgement transactions accepted into the source mempool but
-    /// not yet observed committed — the return path's counterpart of
-    /// `inflight_recv_txs`, releasing `pending_ack` markers when an
-    /// acknowledgement transaction commits failed.
-    inflight_ack_txs: Vec<(Hash, Vec<(usize, u64)>)>,
     /// Acknowledgements held back by mempool-aware sequence tracking because
     /// the source chain's check state straddled a commit; merged into the
     /// next destination block's acknowledgement batch.
@@ -252,16 +282,6 @@ pub struct Relayer {
     /// into the O(1) missed-height slots instead of the inbox, and wakes are
     /// no-ops until [`restart`](Relayer::restart).
     crashed: bool,
-    /// The newest source-chain block committed while crashed, if any —
-    /// everything the process needs to rebuild a bounded inbox at restart.
-    missed_src: Option<u64>,
-    /// The newest destination-chain block committed while crashed, if any.
-    missed_dst: Option<u64>,
-    /// The highest source-chain height this process has handled, the low
-    /// watermark of the restart replay.
-    last_src_processed: u64,
-    /// The highest destination-chain height this process has handled.
-    last_dst_processed: u64,
 }
 
 impl Relayer {
@@ -278,8 +298,7 @@ impl Relayer {
 
     /// Creates a relayer instance with its own RPC connections to both
     /// chains' full nodes, serving `paths` (one entry per channel, in
-    /// deployment channel order), building the pipeline stages from the
-    /// strategy in `config`.
+    /// deployment channel order), running the strategy in `config`.
     ///
     /// # Panics
     ///
@@ -289,54 +308,27 @@ impl Relayer {
         id: usize,
         config: RelayerConfig,
         paths: Vec<RelayPath>,
-        mut src_rpc: RpcEndpoint,
-        mut dst_rpc: RpcEndpoint,
+        src_rpc: RpcEndpoint,
+        dst_rpc: RpcEndpoint,
     ) -> Self {
         assert!(!paths.is_empty(), "a relayer serves at least one channel");
-        let tracking = config.strategy.sequence_tracking;
-        let src_seq = SequenceTracker::new(
-            tracking,
-            src_rpc
-                .account_sequence(SimTime::ZERO, &config.source_account)
-                .value,
-        );
-        let dst_seq = SequenceTracker::new(
-            tracking,
-            dst_rpc
-                .account_sequence(SimTime::ZERO, &config.destination_account)
-                .value,
-        );
-        let src_fee_denom = src_rpc.chain().borrow().app().fee_denom().to_string();
-        let dst_fee_denom = dst_rpc.chain().borrow().app().fee_denom().to_string();
-        let stages = config.strategy.build();
+        let ends = [
+            ChainEnd::new(&config, &config.source_account, src_rpc),
+            ChainEnd::new(&config, &config.destination_account, dst_rpc),
+        ];
         Relayer {
             id,
             config,
             paths,
-            stages,
-            src_rpc,
-            dst_rpc,
-            src_seq,
-            dst_seq,
-            src_fee_denom,
-            dst_fee_denom,
-            worker_out_free: SimTime::ZERO,
-            worker_back_free: SimTime::ZERO,
+            ends,
+            blocks_held: 0,
             telemetry: TelemetryLog::new(),
             stats: RelayerStats::default(),
             pending_recv: Vec::new(),
             pending_delivery: BTreeMap::new(),
-            pending_recv_inflight: BTreeSet::new(),
-            pending_ack: BTreeSet::new(),
-            inflight_recv_txs: Vec::new(),
-            inflight_ack_txs: Vec::new(),
             deferred_acks: Vec::new(),
             inbox: VecDeque::new(),
             crashed: false,
-            missed_src: None,
-            missed_dst: None,
-            last_src_processed: 0,
-            last_dst_processed: 0,
         }
     }
 
@@ -365,27 +357,13 @@ impl Relayer {
         &self.stats
     }
 
-    /// The pipeline stages this instance runs.
-    pub fn stages(&self) -> &Stages {
-        &self.stages
-    }
-
-    /// The RPC endpoint this relayer uses towards the source chain.
-    pub fn src_rpc(&self) -> &RpcEndpoint {
-        &self.src_rpc
-    }
-
-    /// The RPC endpoint this relayer uses towards the destination chain.
-    pub fn dst_rpc(&self) -> &RpcEndpoint {
-        &self.dst_rpc
-    }
-
     /// Accounting snapshots of this process's two RPC lanes (source-chain
     /// lane, destination-chain lane). Every process owns its lanes, so the
     /// numbers describe exactly the serialization *this* process
     /// experienced.
     pub fn lane_stats(&self) -> (LaneStats, LaneStats) {
-        (self.src_rpc.lane_stats(), self.dst_rpc.lane_stats())
+        let [src, dst] = &self.ends;
+        (src.rpc.lane_stats(), dst.rpc.lane_stats())
     }
 
     /// The channel this process is pinned to, if the deployment dedicated it
@@ -412,7 +390,7 @@ impl Relayer {
     /// within the channel's replica group (`config.coordination_id`), not
     /// its global process id.
     fn assigned(&self, src_height: u64, sequence: Sequence) -> bool {
-        self.stages.coordination.assigned(
+        self.config.strategy.coordination.assigned(
             self.config.coordination_id.unwrap_or(self.id),
             self.config.instances.max(1),
             src_height,
@@ -422,21 +400,23 @@ impl Relayer {
 
     /// Whether this instance serves the channel at `channel` at all: a
     /// pinned channel assignment (dedicated fleets) wins, otherwise the
-    /// strategy's channel scheduler decides.
+    /// strategy's channel policy decides.
     fn serves_channel(&self, channel: usize) -> bool {
         if let Some(assigned) = self.config.channel_assignment {
             return channel == assigned;
         }
-        self.stages
-            .scheduler
+        self.config
+            .strategy
+            .channel_policy
             .serves(self.id, self.config.instances.max(1), channel)
     }
 
     /// The channels this instance flushes for the block at `height`, in
-    /// scheduler order, unserved channels filtered out.
+    /// channel-policy order, unserved channels filtered out.
     fn served_flush_order(&self, height: u64) -> Vec<usize> {
-        self.stages
-            .scheduler
+        self.config
+            .strategy
+            .channel_policy
             .flush_order(height, self.paths.len())
             .into_iter()
             .filter(|ch| self.serves_channel(*ch))
@@ -465,38 +445,34 @@ impl Relayer {
         interval > 0 && height.is_multiple_of(interval)
     }
 
-    /// Enqueues a source-chain block-commit notification. O(1): all pipeline
-    /// work happens at the next [`wake`](Relayer::wake).
+    /// Enqueues a block-commit notification from the chain playing `on`.
     ///
     /// While the process is crashed the notification collapses into the O(1)
     /// missed-height slot instead of the inbox: a long outage can neither
     /// grow the crashed process's memory unboundedly nor be silently
     /// forgotten — [`restart`](Relayer::restart) replays the most recent
     /// [`RESTART_REPLAY_WINDOW`] missed heights from the slot.
-    pub fn notify_source_block(&mut self, height: u64, committed_at: SimTime) {
+    fn notify(&mut self, on: ChainRole, height: u64, committed_at: SimTime) {
         if self.crashed {
-            self.missed_src = Some(self.missed_src.unwrap_or(0).max(height));
+            let missed = &mut self.ends[on as usize].missed;
+            *missed = Some(missed.unwrap_or(0).max(height));
             return;
         }
-        self.inbox.push_back(BlockNotice::Source {
-            height,
-            committed_at,
-        });
+        self.inbox.push_back((on, height, committed_at));
     }
 
-    /// Enqueues a destination-chain block-commit notification. O(1): all
-    /// pipeline work happens at the next [`wake`](Relayer::wake). Crashed
-    /// processes absorb it into the missed-height slot; see
+    /// Enqueues a source-chain block-commit notification. O(1): all pipeline
+    /// work happens at the next [`wake`](Relayer::wake). Crashed processes
+    /// absorb it into a missed-height slot that
+    /// [`restart`](Relayer::restart) replays.
+    pub fn notify_source_block(&mut self, height: u64, committed_at: SimTime) {
+        self.notify(Source, height, committed_at);
+    }
+
+    /// Enqueues a destination-chain block-commit notification; see
     /// [`notify_source_block`](Relayer::notify_source_block).
     pub fn notify_dest_block(&mut self, height: u64, committed_at: SimTime) {
-        if self.crashed {
-            self.missed_dst = Some(self.missed_dst.unwrap_or(0).max(height));
-            return;
-        }
-        self.inbox.push_back(BlockNotice::Dest {
-            height,
-            committed_at,
-        });
+        self.notify(Destination, height, committed_at);
     }
 
     /// Whether this process has block notifications waiting to be processed.
@@ -522,16 +498,10 @@ impl Relayer {
             // harmlessly, like wakes delivered to an empty inbox.
             return None;
         }
-        while let Some(notice) = self.inbox.pop_front() {
-            match notice {
-                BlockNotice::Source {
-                    height,
-                    committed_at,
-                } => self.handle_source_block(height, committed_at),
-                BlockNotice::Dest {
-                    height,
-                    committed_at,
-                } => self.handle_dest_block(height, committed_at),
+        while let Some((on, height, committed_at)) = self.inbox.pop_front() {
+            match on {
+                Source => self.handle_source_block(height, committed_at),
+                Destination => self.handle_dest_block(height, committed_at),
             }
         }
         None
@@ -560,26 +530,27 @@ impl Relayer {
     }
 
     /// Crashes the process at `now`: every piece of in-memory pipeline state
-    /// — pending packet queues, in-flight sets, deferred acknowledgements,
-    /// the inbox and both [`SequenceTracker`] caches — is lost, exactly as
-    /// for a killed OS process. What survives is what lives *outside* the
-    /// process: chain state, and the experiment's measurement tape (the
-    /// telemetry log and stats aggregate the process's lifetime across
-    /// incarnations, the way a scrape target's history outlives one
-    /// process). Until [`restart`](Relayer::restart), notifications collapse
-    /// into the missed-height slots and wakes are no-ops.
+    /// — pending packet queues, the submission window count, in-flight sets,
+    /// deferred acknowledgements, the inbox and both [`SequenceTracker`]
+    /// caches — is lost, exactly as for a killed OS process. What survives is
+    /// what lives *outside* the process: chain state, and the experiment's
+    /// measurement tape (the telemetry log and stats aggregate the process's
+    /// lifetime across incarnations, the way a scrape target's history
+    /// outlives one process). Until [`restart`](Relayer::restart),
+    /// notifications collapse into the missed-height slots and wakes are
+    /// no-ops.
     pub fn crash(&mut self, now: SimTime) {
         self.crashed = true;
         self.pending_recv.clear();
+        self.blocks_held = 0;
         self.pending_delivery.clear();
-        self.pending_recv_inflight.clear();
-        self.pending_ack.clear();
-        self.inflight_recv_txs.clear();
-        self.inflight_ack_txs.clear();
         self.deferred_acks.clear();
         self.inbox.clear();
-        self.missed_src = None;
-        self.missed_dst = None;
+        for end in &mut self.ends {
+            end.inflight.clear();
+            end.inflight_txs.clear();
+            end.missed = None;
+        }
         self.telemetry
             .record_error(now, format!("relayer process {} crashed", self.id));
     }
@@ -599,42 +570,57 @@ impl Relayer {
         }
         self.crashed = false;
         let tracking = self.config.strategy.sequence_tracking;
-        self.src_seq = SequenceTracker::new(
-            tracking,
-            self.src_rpc
-                .account_sequence(now, &self.config.source_account)
-                .value,
-        );
-        self.dst_seq = SequenceTracker::new(
-            tracking,
-            self.dst_rpc
-                .account_sequence(now, &self.config.destination_account)
-                .value,
-        );
-        self.worker_out_free = now;
-        self.worker_back_free = now;
+        for end in &mut self.ends {
+            let committed = end.rpc.account_sequence(now, &end.account).value;
+            end.seq = SequenceTracker::new(tracking, committed);
+            end.worker_free = now;
+        }
         self.telemetry
             .record_error(now, format!("relayer process {} restarted", self.id));
         // Bounded replay: the missed slots carry only the newest height per
         // chain, so the backlog is the window, never the outage length.
-        if let Some(newest) = self.missed_src.take() {
+        for on in [Source, Destination] {
+            let end = &mut self.ends[on as usize];
+            let Some(newest) = end.missed.take() else {
+                continue;
+            };
             let from =
-                (self.last_src_processed + 1).max(newest.saturating_sub(RESTART_REPLAY_WINDOW - 1));
-            for height in from..=newest {
-                self.inbox.push_back(BlockNotice::Source {
-                    height,
-                    committed_at: now,
-                });
-            }
+                (end.last_processed + 1).max(newest.saturating_sub(RESTART_REPLAY_WINDOW - 1));
+            self.inbox
+                .extend((from..=newest).map(|height| (on, height, now)));
         }
-        if let Some(newest) = self.missed_dst.take() {
-            let from =
-                (self.last_dst_processed + 1).max(newest.saturating_sub(RESTART_REPLAY_WINDOW - 1));
-            for height in from..=newest {
-                self.inbox.push_back(BlockNotice::Dest {
-                    height,
-                    committed_at: now,
-                });
+    }
+
+    /// The head of both block handlers: notes the commit of the block at
+    /// `height` on the chain playing `on`, then collects the block's events.
+    /// Returns the instant the events reach the packet worker and the batch
+    /// — `None` when collection failed, which is counted and logged here.
+    fn collect_block(
+        &mut self,
+        on: ChainRole,
+        height: u64,
+        commit_time: SimTime,
+    ) -> (SimTime, Option<BlockEventBatch>) {
+        let delay = self.relayer_delay();
+        let end = &mut self.ends[on as usize];
+        end.last_processed = end.last_processed.max(height);
+        // The commit may have reset the chain's check state under our
+        // in-flight window; a mempool-aware tracker reconciles before the
+        // next broadcast towards that chain.
+        end.seq.note_commit();
+        let (event_time, collected) = self.config.strategy.event_source.collect_events(
+            &mut end.events,
+            &mut end.rpc,
+            height,
+            commit_time,
+            delay,
+        );
+        match collected {
+            Ok(batch) => (event_time, Some(batch)),
+            Err(message) => {
+                self.stats.event_collection_failures += 1;
+                self.telemetry.record_error(event_time, message);
+                (event_time, None)
             }
         }
     }
@@ -646,22 +632,9 @@ impl Relayer {
     /// interval is due — scans chain state for packets whose events were
     /// never delivered.
     fn handle_source_block(&mut self, height: u64, commit_time: SimTime) {
-        self.last_src_processed = self.last_src_processed.max(height);
-        // The commit may have reset the source chain's check state under our
-        // in-flight window; a mempool-aware tracker reconciles before the
-        // next broadcast towards that chain.
-        self.src_seq.note_commit();
-        let delay = self.relayer_delay();
-        let (event_time, collected) =
-            self.stages
-                .src_events
-                .collect(&mut self.src_rpc, height, commit_time, delay);
-        match collected {
-            Ok(batch) => self.process_source_events(height, commit_time, event_time, &batch),
-            Err(message) => {
-                self.stats.event_collection_failures += 1;
-                self.telemetry.record_error(event_time, message);
-            }
+        let (event_time, batch) = self.collect_block(Source, height, commit_time);
+        if let Some(batch) = batch {
+            self.process_source_events(height, commit_time, event_time, &batch);
         }
         if self.clear_due(height) {
             self.clear_unrelayed_recvs(height, event_time);
@@ -673,10 +646,10 @@ impl Relayer {
         height: u64,
         commit_time: SimTime,
         event_time: SimTime,
-        batch: &crate::stages::BlockEventBatch,
+        batch: &BlockEventBatch,
     ) {
         for (hash, code, events) in batch.tx_events.iter() {
-            self.note_committed_tx(ChainRole::Source, hash, *code, event_time);
+            self.note_committed_tx(Source, hash, *code, event_time);
             if *code != 0 {
                 continue;
             }
@@ -731,19 +704,18 @@ impl Relayer {
                             );
                             // The acknowledgement is committed: the packet's
                             // life cycle is over on every in-flight set.
-                            self.pending_ack.remove(&(channel, packet.sequence.value()));
-                            self.pending_recv_inflight
-                                .remove(&(channel, packet.sequence.value()));
-                            self.pending_delivery
-                                .remove(&(channel, packet.sequence.value()));
+                            let marker = (channel, packet.sequence.value());
+                            for end in &mut self.ends {
+                                end.inflight.remove(&marker);
+                            }
+                            self.pending_delivery.remove(&marker);
                         }
                     }
                     ibc_events::TIMEOUT_PACKET => {
                         if let Some(packet) = ibc_events::packet_from_event(event) {
-                            self.pending_delivery
-                                .remove(&(channel, packet.sequence.value()));
-                            self.pending_recv_inflight
-                                .remove(&(channel, packet.sequence.value()));
+                            let marker = (channel, packet.sequence.value());
+                            self.pending_delivery.remove(&marker);
+                            self.ends[Destination as usize].inflight.remove(&marker);
                         }
                     }
                     _ => {}
@@ -754,11 +726,11 @@ impl Relayer {
         if self.pending_recv.is_empty() {
             return;
         }
-        if !self
-            .stages
-            .submission
-            .should_flush(self.pending_recv.len(), self.config.max_msgs_per_tx)
-        {
+        if !self.config.strategy.submission.should_flush(
+            &mut self.blocks_held,
+            self.pending_recv.len(),
+            self.config.max_msgs_per_tx,
+        ) {
             return;
         }
         let pending = std::mem::take(&mut self.pending_recv);
@@ -785,25 +757,20 @@ impl Relayer {
     /// scan — which deliberately skips in-flight packets — could never
     /// rescue them.
     fn note_committed_tx(&mut self, on: ChainRole, hash: &Hash, code: u32, at: SimTime) {
-        let (txs, markers_in_flight) = match on {
-            ChainRole::Source => (&mut self.inflight_ack_txs, &mut self.pending_ack),
-            ChainRole::Destination => {
-                (&mut self.inflight_recv_txs, &mut self.pending_recv_inflight)
-            }
-        };
-        let Some(pos) = txs.iter().position(|(h, _)| h == hash) else {
+        let end = &mut self.ends[on as usize];
+        let Some(pos) = end.inflight_txs.iter().position(|(h, _)| h == hash) else {
             return;
         };
-        let (_, markers) = txs.remove(pos);
+        let (_, markers) = end.inflight_txs.remove(pos);
         if code == 0 {
             return;
         }
         for marker in &markers {
-            markers_in_flight.remove(marker);
+            end.inflight.remove(marker);
         }
         let kind = match on {
-            ChainRole::Source => "acknowledgement",
-            ChainRole::Destination => "receive",
+            Source => "acknowledgement",
+            Destination => "receive",
         };
         self.telemetry.record_error(
             at,
@@ -820,61 +787,44 @@ impl Relayer {
     /// acknowledgement transactions back to the source chain, and submits
     /// timeouts for expired undelivered packets.
     fn handle_dest_block(&mut self, height: u64, commit_time: SimTime) {
-        self.last_dst_processed = self.last_dst_processed.max(height);
-        self.dst_seq.note_commit();
-        let delay = self.relayer_delay();
-        let (event_time, collected) =
-            self.stages
-                .dst_events
-                .collect(&mut self.dst_rpc, height, commit_time, delay);
+        let (event_time, delivered) = self.collect_block(Destination, height, commit_time);
         let mut acked_packets: Vec<(usize, Packet)> = Vec::new();
-        let mut events_delivered = true;
-        match collected {
-            Ok(batch) => {
-                for (hash, code, events) in batch.tx_events.iter() {
-                    self.note_committed_tx(ChainRole::Destination, hash, *code, event_time);
-                    if *code != 0 {
-                        continue;
-                    }
-                    for event in events {
-                        let Some(channel) = self.dst_channel_of(event) else {
-                            continue;
-                        };
-                        if event.kind != ibc_events::WRITE_ACK || !self.serves_channel(channel) {
-                            continue;
-                        }
-                        if let Some(packet) = ibc_events::packet_from_event(event) {
-                            self.telemetry.record_on(
-                                channel as u64,
-                                packet.sequence,
-                                TransferStep::RecvMsgExtraction,
-                                event_time,
-                            );
-                            self.telemetry.record_on(
-                                channel as u64,
-                                packet.sequence,
-                                TransferStep::RecvConfirmation,
-                                event_time,
-                            );
-                            self.pending_delivery
-                                .remove(&(channel, packet.sequence.value()));
-                            self.pending_recv_inflight
-                                .remove(&(channel, packet.sequence.value()));
-                            // The packet was already counted towards
-                            // `packets_left_to_peers` on the source side if it
-                            // belongs to another instance; here the assignment
-                            // only routes the acknowledgement work.
-                            if self.assigned(height, packet.sequence) {
-                                acked_packets.push((channel, packet));
-                            }
-                        }
+        for (hash, code, events) in delivered.iter().flat_map(|b| b.tx_events.iter()) {
+            self.note_committed_tx(Destination, hash, *code, event_time);
+            if *code != 0 {
+                continue;
+            }
+            for event in events {
+                let Some(channel) = self.dst_channel_of(event) else {
+                    continue;
+                };
+                if event.kind != ibc_events::WRITE_ACK || !self.serves_channel(channel) {
+                    continue;
+                }
+                if let Some(packet) = ibc_events::packet_from_event(event) {
+                    self.telemetry.record_on(
+                        channel as u64,
+                        packet.sequence,
+                        TransferStep::RecvMsgExtraction,
+                        event_time,
+                    );
+                    self.telemetry.record_on(
+                        channel as u64,
+                        packet.sequence,
+                        TransferStep::RecvConfirmation,
+                        event_time,
+                    );
+                    let marker = (channel, packet.sequence.value());
+                    self.pending_delivery.remove(&marker);
+                    self.ends[Destination as usize].inflight.remove(&marker);
+                    // The packet was already counted towards
+                    // `packets_left_to_peers` on the source side if it
+                    // belongs to another instance; here the assignment
+                    // only routes the acknowledgement work.
+                    if self.assigned(height, packet.sequence) {
+                        acked_packets.push((channel, packet));
                     }
                 }
-            }
-            Err(message) => {
-                self.stats.event_collection_failures += 1;
-                self.telemetry.record_error(event_time, message);
-                events_delivered = false;
             }
         }
 
@@ -883,7 +833,7 @@ impl Relayer {
         // are relayed for it, exactly like the pre-knob pipeline (§V's
         // "neither relayed nor timed out"). Only the clear scan — which
         // reads chain state, not events — still runs.
-        if events_delivered {
+        if delivered.is_some() {
             // Acknowledgements held back by a straddled source commit ride
             // along with this block's batch (mempool-aware tracking only;
             // the vector is always empty otherwise).
@@ -920,13 +870,14 @@ impl Relayer {
         packets: Vec<(u64, Packet)>,
     ) {
         let path = self.paths[channel].clone();
-        let mut t = event_time.max(self.worker_out_free);
+        let dst = &mut self.ends[Destination as usize];
+        let mut t = event_time.max(dst.worker_free);
 
         // Skip packets the destination has already received (another relayer
         // beat us to them).
         let sequences: Vec<Sequence> = packets.iter().map(|(_, p)| p.sequence).collect();
         let unreceived_resp =
-            self.dst_rpc
+            dst.rpc
                 .unreceived_packets(t, &path.port, &path.dst_channel, &sequences);
         t = unreceived_resp.ready_at;
         let unreceived: BTreeSet<Sequence> = unreceived_resp.value.into_iter().collect();
@@ -944,7 +895,7 @@ impl Relayer {
             );
         }
         if to_relay.is_empty() {
-            self.worker_out_free = t;
+            self.ends[Destination as usize].worker_free = t;
             return;
         }
         self.deliver_recv_batch(channel, t, to_relay);
@@ -965,11 +916,11 @@ impl Relayer {
         // state straddled a commit under our in-flight window, hold the
         // batch — it rejoins the pending queue and flushes after the window
         // drains, instead of burning on a duplicate sequence.
-        let (t_ready, ready) = self.ensure_sequence_ready(ChainRole::Destination, start);
+        let (t_ready, ready) = self.ensure_sequence_ready(Destination, start);
         if !ready {
             self.pending_recv
                 .extend(packets.into_iter().map(|(h, p)| (channel, h, p)));
-            self.worker_out_free = t_ready;
+            self.ends[Destination as usize].worker_free = t_ready;
             return 0;
         }
         let path = self.paths[channel].clone();
@@ -979,106 +930,42 @@ impl Relayer {
         // origin block so every packet's pull is priced against the block
         // that committed it (with eager submission there is exactly one
         // group: the block just handled).
-        let chunk_size = self.config.max_msgs_per_tx;
-        let mut proofs: BTreeMap<u64, CommitmentProof> = BTreeMap::new();
-        let mut group_start = 0usize;
-        while group_start < packets.len() {
-            let group_height = packets[group_start].0;
-            let group_end = packets[group_start..]
-                .iter()
-                .position(|(h, _)| *h != group_height)
-                .map(|offset| group_start + offset)
-                .unwrap_or(packets.len());
-            let group_seqs: Vec<Sequence> = packets[group_start..group_end]
-                .iter()
-                .map(|(_, p)| p.sequence)
-                .collect();
-            let fetch = self.stages.fetcher.fetch_packet_data(
-                &mut self.src_rpc,
+        let mut proofs = BTreeMap::new();
+        for group in packets.chunk_by(|(a, _), (b, _)| a == b) {
+            let group_seqs: Vec<Sequence> = group.iter().map(|(_, p)| p.sequence).collect();
+            let fetch = self.config.strategy.fetcher.fetch_packet_data(
+                &mut self.ends[Source as usize].rpc,
                 t,
-                group_height,
+                group[0].0,
                 &path.port,
                 &path.src_channel,
                 &group_seqs,
-                chunk_size,
+                self.config.max_msgs_per_tx,
             );
             for (seq, at) in &fetch.pull_times {
                 self.telemetry
                     .record_on(channel as u64, *seq, TransferStep::TransferDataPull, *at);
             }
             t = fetch.done_at;
-            proofs.extend(fetch.proofs);
-            group_start = group_end;
+            proofs.extend(fetch.items);
         }
 
-        // Client update for the destination-side client, then build+broadcast.
-        let update_resp = self.src_rpc.client_update_data(t);
-        t = update_resp.ready_at;
-        let Some(update) = update_resp.value else {
-            self.worker_out_free = t;
-            return 0;
-        };
-        let proof_height = Height::at(update.header.height);
-
-        // The client update travels in its own transaction ahead of the
-        // packet batches.
-        let update_tx_msgs = vec![Msg::IbcUpdateClient {
-            client_id: path.client_on_dst.clone(),
-            update: Box::new(update),
-            signer: self.config.destination_account.clone(),
-        }];
-        (t, _) = self.broadcast(ChainRole::Destination, t, update_tx_msgs);
-
-        let mut delivered = 0u64;
-        for chunk in packets.chunks(chunk_size) {
-            t += self.config.build_cost_per_msg * chunk.len() as u64;
-            let mut msgs = Vec::with_capacity(chunk.len());
-            let mut chunk_seqs = Vec::with_capacity(chunk.len());
-            for (_, packet) in chunk {
-                let Some(proof) = proofs.get(&packet.sequence.value()) else {
-                    continue;
-                };
-                chunk_seqs.push(packet.sequence);
-                self.telemetry.record_on(
-                    channel as u64,
-                    packet.sequence,
-                    TransferStep::RecvBuild,
-                    t,
-                );
-                msgs.push(Msg::IbcRecvPacket {
+        let packets: Vec<Packet> = packets.into_iter().map(|(_, p)| p).collect();
+        self.submit_batch(
+            Destination,
+            channel,
+            t,
+            &packets,
+            |packet, proof_height, signer| {
+                let proof = proofs.get(&packet.sequence.value())?;
+                Some(Msg::IbcRecvPacket {
                     packet: packet.clone(),
                     proof_commitment: proof.clone(),
                     proof_height,
-                    signer: self.config.destination_account.clone(),
-                });
-            }
-            if msgs.is_empty() {
-                continue;
-            }
-            let tx_hash;
-            (t, tx_hash) = self.broadcast(ChainRole::Destination, t, msgs);
-            self.stats.recv_txs_submitted += 1;
-            for seq in &chunk_seqs {
-                self.telemetry
-                    .record_on(channel as u64, *seq, TransferStep::RecvBroadcast, t);
-            }
-            if let Some(hash) = tx_hash {
-                // In flight: the clear scan must not re-relay these until
-                // the transaction's commit result is known. A rejected
-                // chunk stays eligible for a future clear.
-                let markers: Vec<(usize, u64)> = chunk_seqs
-                    .iter()
-                    .map(|seq| (channel, seq.value()))
-                    .collect();
-                for marker in &markers {
-                    self.pending_recv_inflight.insert(*marker);
-                }
-                delivered += markers.len() as u64;
-                self.inflight_recv_txs.push((hash, markers));
-            }
-        }
-        self.worker_out_free = t;
-        delivered
+                    signer: signer.clone(),
+                })
+            },
+        )
     }
 
     /// Pulls acknowledgement data, builds and broadcasts `MsgAcknowledgement`
@@ -1093,12 +980,12 @@ impl Relayer {
     ) -> u64 {
         // Mempool-aware sequence tracking: a straddled source commit defers
         // the acknowledgements to the next destination block's batch.
-        let start = event_time.max(self.worker_back_free);
-        let (t_ready, ready) = self.ensure_sequence_ready(ChainRole::Source, start);
+        let start = event_time.max(self.ends[Source as usize].worker_free);
+        let (t_ready, ready) = self.ensure_sequence_ready(Source, start);
         if !ready {
             self.deferred_acks
                 .extend(acked.into_iter().map(|p| (channel, p)));
-            self.worker_back_free = t_ready;
+            self.ends[Source as usize].worker_free = t_ready;
             return 0;
         }
         let path = self.paths[channel].clone();
@@ -1107,9 +994,12 @@ impl Relayer {
         // Skip acknowledgements whose commitments are already cleared on the
         // source chain (another relayer acknowledged them first).
         let sequences: Vec<Sequence> = acked.iter().map(|p| p.sequence).collect();
-        let unacked_resp =
-            self.src_rpc
-                .unacknowledged_packets(t, &path.port, &path.src_channel, &sequences);
+        let unacked_resp = self.ends[Source as usize].rpc.unacknowledged_packets(
+            t,
+            &path.port,
+            &path.src_channel,
+            &sequences,
+        );
         t = unacked_resp.ready_at;
         let unacked: BTreeSet<Sequence> = unacked_resp.value.into_iter().collect();
         let to_relay: Vec<Packet> = acked
@@ -1126,95 +1016,141 @@ impl Relayer {
             );
         }
         if to_relay.is_empty() {
-            self.worker_back_free = t;
+            self.ends[Source as usize].worker_free = t;
             return 0;
         }
 
         // Acknowledgement data pull (the dominant cost in Fig. 12), through
         // the configured fetch strategy.
-        let chunk_size = self.config.max_msgs_per_tx;
         let relay_seqs: Vec<Sequence> = to_relay.iter().map(|p| p.sequence).collect();
-        let fetch = self.stages.fetcher.fetch_ack_data(
-            &mut self.dst_rpc,
+        let fetch = self.config.strategy.fetcher.fetch_ack_data(
+            &mut self.ends[Destination as usize].rpc,
             t,
             dst_height,
             &path.port,
             &path.dst_channel,
             &relay_seqs,
-            chunk_size,
+            self.config.max_msgs_per_tx,
         );
         for (seq, at) in &fetch.pull_times {
             self.telemetry
                 .record_on(channel as u64, *seq, TransferStep::RecvDataPull, *at);
         }
-        t = fetch.done_at;
-        let ack_proofs = fetch.acks;
+        let ack_proofs = fetch.items;
 
-        let update_resp = self.dst_rpc.client_update_data(t);
-        t = update_resp.ready_at;
-        let Some(update) = update_resp.value else {
-            self.worker_back_free = t;
-            return 0;
-        };
-        let proof_height = Height::at(update.header.height);
-        let update_msgs = vec![Msg::IbcUpdateClient {
-            client_id: path.client_on_src.clone(),
-            update: Box::new(update),
-            signer: self.config.source_account.clone(),
-        }];
-        (t, _) = self.broadcast(ChainRole::Source, t, update_msgs);
-
-        let mut acked_submitted = 0u64;
-        for chunk in to_relay.chunks(chunk_size) {
-            t += self.config.build_cost_per_msg * chunk.len() as u64;
-            let mut msgs = Vec::with_capacity(chunk.len());
-            let mut chunk_seqs = Vec::with_capacity(chunk.len());
-            for packet in chunk {
-                let Some((ack, proof)) = ack_proofs.get(&packet.sequence.value()) else {
-                    continue;
-                };
-                chunk_seqs.push(packet.sequence);
-                self.telemetry.record_on(
-                    channel as u64,
-                    packet.sequence,
-                    TransferStep::AckBuild,
-                    t,
-                );
-                msgs.push(Msg::IbcAcknowledgement {
+        self.submit_batch(
+            Source,
+            channel,
+            fetch.done_at,
+            &to_relay,
+            |packet, proof_height, signer| {
+                let (ack, proof) = ack_proofs.get(&packet.sequence.value())?;
+                Some(Msg::IbcAcknowledgement {
                     packet: packet.clone(),
                     acknowledgement: ack.clone(),
                     proof_acked: proof.clone(),
                     proof_height,
-                    signer: self.config.source_account.clone(),
-                });
+                    signer: signer.clone(),
+                })
+            },
+        )
+    }
+
+    /// Brings the client hosted on the `to` end of `channel`'s path up to
+    /// date: pulls the update from the proving end at `at` and broadcasts it
+    /// to `to` in its own transaction, ahead of the messages it lets the
+    /// chain verify. Returns when the broadcast response arrived and the
+    /// height proofs verify at — `None`, with nothing broadcast, when the
+    /// proving chain has no header to offer.
+    fn update_client(
+        &mut self,
+        to: ChainRole,
+        channel: usize,
+        at: SimTime,
+    ) -> (SimTime, Option<Height>) {
+        let update_resp = self.ends[to.other() as usize].rpc.client_update_data(at);
+        let Some(update) = update_resp.value else {
+            return (update_resp.ready_at, None);
+        };
+        let proof_height = Height::at(update.header.height);
+        let msgs = vec![Msg::IbcUpdateClient {
+            client_id: self.paths[channel].client_on(to).clone(),
+            update: Box::new(update),
+            signer: self.ends[to as usize].account.clone(),
+        }];
+        let (t, _) = self.broadcast(to, update_resp.ready_at, msgs);
+        (t, Some(proof_height))
+    }
+
+    /// The shared submit tail of the receive (`to` = destination) and
+    /// acknowledgement (`to` = source) paths: updates the client on `to`,
+    /// then builds and broadcasts `packets` in chunks of at most
+    /// `max_msgs_per_tx` messages, stamping the build and broadcast steps and
+    /// marking every accepted chunk in flight. `make_msg` builds one
+    /// packet's message from `(packet, proof height, signer)`, or `None` for
+    /// a packet whose data pull found nothing. Returns the number of packets
+    /// whose transaction was accepted into `to`'s mempool.
+    fn submit_batch(
+        &mut self,
+        to: ChainRole,
+        channel: usize,
+        start: SimTime,
+        packets: &[Packet],
+        make_msg: impl Fn(&Packet, Height, &AccountId) -> Option<Msg>,
+    ) -> u64 {
+        let (build_step, broadcast_step) = match to {
+            Destination => (TransferStep::RecvBuild, TransferStep::RecvBroadcast),
+            Source => (TransferStep::AckBuild, TransferStep::AckBroadcast),
+        };
+        let (mut t, proof_height) = self.update_client(to, channel, start);
+        let Some(proof_height) = proof_height else {
+            self.ends[to as usize].worker_free = t;
+            return 0;
+        };
+
+        let mut txs = 0u64;
+        let mut accepted = 0u64;
+        // A zero `max_msgs_per_tx` from a hand-written config means 1.
+        for chunk in packets.chunks(self.config.max_msgs_per_tx.max(1)) {
+            t += self.config.build_cost_per_msg * chunk.len() as u64;
+            let mut msgs = Vec::with_capacity(chunk.len());
+            let mut markers = Vec::with_capacity(chunk.len());
+            for packet in chunk {
+                let signer = &self.ends[to as usize].account;
+                let Some(msg) = make_msg(packet, proof_height, signer) else {
+                    continue;
+                };
+                markers.push((channel, packet.sequence.value()));
+                self.telemetry
+                    .record_on(channel as u64, packet.sequence, build_step, t);
+                msgs.push(msg);
             }
             if msgs.is_empty() {
                 continue;
             }
             let tx_hash;
-            (t, tx_hash) = self.broadcast(ChainRole::Source, t, msgs);
-            self.stats.ack_txs_submitted += 1;
-            for seq in &chunk_seqs {
+            (t, tx_hash) = self.broadcast(to, t, msgs);
+            txs += 1;
+            for (_, seq) in &markers {
                 self.telemetry
-                    .record_on(channel as u64, *seq, TransferStep::AckBroadcast, t);
+                    .record_on(channel as u64, Sequence::from(*seq), broadcast_step, t);
             }
             if let Some(hash) = tx_hash {
-                // In flight: the clear scan must not re-acknowledge these
-                // until the transaction's commit result is known. A
-                // rejected chunk stays eligible for a future clear.
-                let markers: Vec<(usize, u64)> = chunk_seqs
-                    .iter()
-                    .map(|seq| (channel, seq.value()))
-                    .collect();
-                for marker in &markers {
-                    self.pending_ack.insert(*marker);
-                }
-                acked_submitted += markers.len() as u64;
-                self.inflight_ack_txs.push((hash, markers));
+                // In flight: the clear scan must not re-relay these until
+                // the transaction's commit result is known. A rejected
+                // chunk stays eligible for a future clear.
+                let end = &mut self.ends[to as usize];
+                end.inflight.extend(&markers);
+                accepted += markers.len() as u64;
+                end.inflight_txs.push((hash, markers));
             }
         }
-        self.worker_back_free = t;
-        acked_submitted
+        match to {
+            Destination => self.stats.recv_txs_submitted += txs,
+            Source => self.stats.ack_txs_submitted += txs,
+        }
+        self.ends[to as usize].worker_free = t;
+        accepted
     }
 
     /// Detects packets of one channel that expired before delivery and
@@ -1241,19 +1177,22 @@ impl Relayer {
         // Mempool-aware sequence tracking: expired packets stay in
         // `pending_delivery` and are re-examined next block, so a straddled
         // source commit simply delays the timeout submission.
-        let start = event_time.max(self.worker_back_free);
-        let (t_ready, ready) = self.ensure_sequence_ready(ChainRole::Source, start);
+        let start = event_time.max(self.ends[Source as usize].worker_free);
+        let (t_ready, ready) = self.ensure_sequence_ready(Source, start);
         if !ready {
-            self.worker_back_free = t_ready;
+            self.ends[Source as usize].worker_free = t_ready;
             return;
         }
         let mut t = t_ready;
         let mut msgs = Vec::new();
         let mut seqs = Vec::new();
-        for packet in expired.iter().take(self.config.max_msgs_per_tx) {
-            let proof_resp =
-                self.dst_rpc
-                    .non_receipt_proof(t, &path.port, &path.dst_channel, packet.sequence);
+        for packet in expired.iter().take(self.config.max_msgs_per_tx.max(1)) {
+            let proof_resp = self.ends[Destination as usize].rpc.non_receipt_proof(
+                t,
+                &path.port,
+                &path.dst_channel,
+                packet.sequence,
+            );
             t = proof_resp.ready_at;
             let Some(proof) = proof_resp.value else {
                 // Already received on the destination: not a timeout.
@@ -1265,32 +1204,23 @@ impl Relayer {
                 packet: packet.clone(),
                 proof_unreceived: proof,
                 proof_height: Height::at(dest_height),
-                signer: self.config.source_account.clone(),
+                signer: self.ends[Source as usize].account.clone(),
             });
             seqs.push(packet.sequence);
         }
         if msgs.is_empty() {
-            self.worker_back_free = t;
+            self.ends[Source as usize].worker_free = t;
             return;
         }
         // The source-side client needs to know about the destination height
         // proving non-receipt.
-        let update_resp = self.dst_rpc.client_update_data(t);
-        t = update_resp.ready_at;
-        if let Some(update) = update_resp.value {
-            let update_msgs = vec![Msg::IbcUpdateClient {
-                client_id: path.client_on_src.clone(),
-                update: Box::new(update),
-                signer: self.config.source_account.clone(),
-            }];
-            (t, _) = self.broadcast(ChainRole::Source, t, update_msgs);
-        }
-        (t, _) = self.broadcast(ChainRole::Source, t, msgs);
+        (t, _) = self.update_client(Source, channel, t);
+        (t, _) = self.broadcast(Source, t, msgs);
         self.stats.timeout_txs_submitted += 1;
         for seq in seqs {
             self.pending_delivery.remove(&(channel, seq.value()));
         }
-        self.worker_back_free = t;
+        self.ends[Source as usize].worker_free = t;
     }
 
     /// The receive half of Hermes' packet-clear scan: for every served
@@ -1306,7 +1236,7 @@ impl Relayer {
             // node, so the scan itself is local; the cross-node queries
             // below pay RPC cost as usual.
             let candidates: Vec<Sequence> = {
-                let chain = self.src_rpc.chain().borrow();
+                let chain = self.ends[Source as usize].rpc.chain().borrow();
                 let ibc = chain.app().ibc();
                 let sent = ibc.sent_sequences(&path.port, &path.src_channel);
                 ibc.unacknowledged_packets(&path.port, &path.src_channel, &sent)
@@ -1320,7 +1250,9 @@ impl Relayer {
             // packets whose receive broadcast was rejected — the genuinely
             // stranded ones — survive this filter.
             .filter(|seq| {
-                !self.pending_recv_inflight.contains(&(channel, seq.value()))
+                !self.ends[Destination as usize]
+                    .inflight
+                    .contains(&(channel, seq.value()))
                     && !self
                         .pending_recv
                         .iter()
@@ -1331,13 +1263,14 @@ impl Relayer {
                 continue;
             }
             // Which of those has the destination not received yet?
-            let t = start.max(self.worker_out_free);
+            let dst = &mut self.ends[Destination as usize];
+            let t = start.max(dst.worker_free);
             let unreceived_resp =
-                self.dst_rpc
+                dst.rpc
                     .unreceived_packets(t, &path.port, &path.dst_channel, &candidates);
             let t = unreceived_resp.ready_at;
             let to_clear: Vec<(u64, Packet)> = {
-                let chain = self.src_rpc.chain().borrow();
+                let chain = self.ends[Source as usize].rpc.chain().borrow();
                 let ibc = chain.app().ibc();
                 unreceived_resp
                     .value
@@ -1347,7 +1280,7 @@ impl Relayer {
                     .collect()
             };
             if to_clear.is_empty() {
-                self.worker_out_free = t;
+                self.ends[Destination as usize].worker_free = t;
                 continue;
             }
             self.telemetry.record_error(
@@ -1375,7 +1308,8 @@ impl Relayer {
         for channel in self.served_flush_order(dst_height) {
             let path = self.paths[channel].clone();
             let candidates: Vec<Packet> = {
-                let chain = self.src_rpc.chain().borrow();
+                let src = &self.ends[Source as usize];
+                let chain = src.rpc.chain().borrow();
                 let ibc = chain.app().ibc();
                 let sent = ibc.sent_sequences(&path.port, &path.src_channel);
                 ibc.unacknowledged_packets(&path.port, &path.src_channel, &sent)
@@ -1387,7 +1321,7 @@ impl Relayer {
                     // straddled source commit is holding in the deferred
                     // queue — clearing them again would enqueue a duplicate
                     // `MsgAcknowledgement`.
-                    .filter(|seq| !self.pending_ack.contains(&(channel, seq.value())))
+                    .filter(|seq| !src.inflight.contains(&(channel, seq.value())))
                     .filter(|seq| {
                         !self
                             .deferred_acks
@@ -1404,19 +1338,22 @@ impl Relayer {
             // acknowledgement; the rest belong to the receive-side clear.
             // Received-status lives on the destination node, so the scan pays
             // for the cross-node query like every other destination lookup.
-            let mut t = start.max(self.worker_back_free);
+            let t = start.max(self.ends[Source as usize].worker_free);
             let candidate_seqs: Vec<Sequence> = candidates.iter().map(|p| p.sequence).collect();
-            let unreceived_resp =
-                self.dst_rpc
-                    .unreceived_packets(t, &path.port, &path.dst_channel, &candidate_seqs);
-            t = unreceived_resp.ready_at;
+            let unreceived_resp = self.ends[Destination as usize].rpc.unreceived_packets(
+                t,
+                &path.port,
+                &path.dst_channel,
+                &candidate_seqs,
+            );
+            let t = unreceived_resp.ready_at;
             let unreceived: BTreeSet<Sequence> = unreceived_resp.value.into_iter().collect();
             let received: Vec<Packet> = candidates
                 .into_iter()
                 .filter(|p| !unreceived.contains(&p.sequence))
                 .collect();
             if received.is_empty() {
-                self.worker_back_free = t;
+                self.ends[Source as usize].worker_free = t;
                 continue;
             }
             self.telemetry.record_error(
@@ -1447,18 +1384,12 @@ impl Relayer {
     /// Under the default [`SequenceTracking::Resync`] this is free and
     /// always ready — the paper pipeline's RPC trace is untouched.
     fn ensure_sequence_ready(&mut self, to: ChainRole, at: SimTime) -> (SimTime, bool) {
-        let (tracker, rpc, account) = match to {
-            ChainRole::Source => (
-                &mut self.src_seq,
-                &mut self.src_rpc,
-                &self.config.source_account,
-            ),
-            ChainRole::Destination => (
-                &mut self.dst_seq,
-                &mut self.dst_rpc,
-                &self.config.destination_account,
-            ),
-        };
+        let ChainEnd {
+            seq: tracker,
+            rpc,
+            account,
+            ..
+        } = &mut self.ends[to as usize];
         if tracker.is_held() {
             // A reconcile already reported the straddle since the last
             // commit; the check state cannot have changed, so hold without
@@ -1496,24 +1427,17 @@ impl Relayer {
     /// mempool-to-commit window must watch the accepted hash, not the
     /// first attempt's.
     fn broadcast(&mut self, to: ChainRole, at: SimTime, msgs: Vec<Msg>) -> (SimTime, Option<Hash>) {
-        let (account, fee_denom) = match to {
-            ChainRole::Source => (
-                self.config.source_account.clone(),
-                self.src_fee_denom.clone(),
-            ),
-            ChainRole::Destination => (
-                self.config.destination_account.clone(),
-                self.dst_fee_denom.clone(),
-            ),
-        };
-        let (tracker, rpc) = match to {
-            ChainRole::Source => (&mut self.src_seq, &mut self.src_rpc),
-            ChainRole::Destination => (&mut self.dst_seq, &mut self.dst_rpc),
-        };
+        let ChainEnd {
+            seq: tracker,
+            rpc,
+            account,
+            fee_denom,
+            ..
+        } = &mut self.ends[to as usize];
         // `msgs` moves into the transaction; the rare retry paths reclaim it
         // from `tx.msgs` instead of paying an up-front clone on every
         // broadcast.
-        let tx = Tx::new(account.clone(), tracker.next(), msgs, &fee_denom);
+        let tx = Tx::new(account.clone(), tracker.next(), msgs, fee_denom);
         let resp = rpc.broadcast_tx_sync(at, &tx);
         let mut ready = resp.ready_at;
         let mut accepted = None;
@@ -1532,10 +1456,10 @@ impl Relayer {
                         // Re-sync the sequence from the chain's *committed*
                         // state and retry once — stale across a straddled
                         // commit, which is exactly the §V race.
-                        let seq_resp = rpc.account_sequence(ready, &account);
+                        let seq_resp = rpc.account_sequence(ready, account);
                         ready = seq_resp.ready_at;
                         let new_seq = seq_resp.value;
-                        let retry_tx = Tx::new(account, new_seq, tx.msgs, &fee_denom);
+                        let retry_tx = Tx::new(account.clone(), new_seq, tx.msgs, fee_denom);
                         let retry = rpc.broadcast_tx_sync(ready, &retry_tx);
                         ready = retry.ready_at;
                         match retry.value {
@@ -1565,10 +1489,11 @@ impl Relayer {
                         // sequence. A straddle leaves the messages
                         // unaccepted for the caller to re-flush — never
                         // burned on a duplicate sequence.
-                        let snap = rpc.account_sequence_unconfirmed(ready, &account);
+                        let snap = rpc.account_sequence_unconfirmed(ready, account);
                         ready = snap.ready_at;
                         if tracker.reconcile(&snap.value) {
-                            let retry_tx = Tx::new(account, tracker.next(), tx.msgs, &fee_denom);
+                            let retry_tx =
+                                Tx::new(account.clone(), tracker.next(), tx.msgs, fee_denom);
                             let retry = rpc.broadcast_tx_sync(ready, &retry_tx);
                             ready = retry.ready_at;
                             match retry.value {
@@ -1599,7 +1524,7 @@ impl std::fmt::Debug for Relayer {
         f.debug_struct("Relayer")
             .field("id", &self.id)
             .field("channels", &self.paths.len())
-            .field("stages", &self.stages)
+            .field("strategy", &self.config.strategy)
             .field("packets_tracked", &self.telemetry.len())
             .field("stats", &self.stats)
             .finish()
@@ -1617,6 +1542,9 @@ mod tests {
     use xcc_sim::{DetRng, LatencyModel};
     use xcc_tendermint::mempool::MempoolConfig;
     use xcc_tendermint::params::{ConsensusParams, ConsensusTimingModel};
+
+    const SRC: usize = ChainRole::Source as usize;
+    const DST: usize = ChainRole::Destination as usize;
 
     fn chain_with_mempool(id: &str, max_txs: usize) -> xcc_chain::chain::SharedChain {
         Chain::with_params(
@@ -1844,7 +1772,7 @@ mod tests {
         let dst = chain_with_mempool("dst-chain", 100);
         let mut relayer = test_relayer(&dst);
         relayer.on_source_block(1, SimTime::from_secs(5));
-        assert_eq!(relayer.last_src_processed, 1);
+        assert_eq!(relayer.ends[SRC].last_processed, 1);
 
         relayer.crash(SimTime::from_secs(6));
         assert!(relayer.is_crashed());
@@ -1859,8 +1787,8 @@ mod tests {
             !relayer.has_pending_notices(),
             "crashed processes keep no inbox"
         );
-        assert_eq!(relayer.missed_src, Some(101));
-        assert_eq!(relayer.missed_dst, Some(3));
+        assert_eq!(relayer.ends[SRC].missed, Some(101));
+        assert_eq!(relayer.ends[DST].missed, Some(3));
         assert_eq!(
             relayer.wake(SimTime::from_secs(500)),
             None,
@@ -1879,13 +1807,14 @@ mod tests {
         let first = relayer.inbox.front().copied().unwrap();
         assert_eq!(
             first,
-            BlockNotice::Source {
-                height: 102 - RESTART_REPLAY_WINDOW,
-                committed_at: SimTime::from_secs(520),
-            }
+            (
+                ChainRole::Source,
+                102 - RESTART_REPLAY_WINDOW,
+                SimTime::from_secs(520),
+            )
         );
-        assert_eq!(relayer.missed_src, None);
-        assert_eq!(relayer.missed_dst, None);
+        assert_eq!(relayer.ends[SRC].missed, None);
+        assert_eq!(relayer.ends[DST].missed, None);
     }
 
     /// A crash loses every piece of in-memory pipeline state; restarting
@@ -1906,16 +1835,22 @@ mod tests {
         };
         relayer.pending_recv.push((0, 1, packet.clone()));
         relayer.pending_delivery.insert((0, 1), packet.clone());
-        relayer.pending_recv_inflight.insert((0, 1));
-        relayer.pending_ack.insert((0, 1));
+        relayer.ends[DST].inflight.insert((0, 1));
+        relayer.ends[SRC].inflight.insert((0, 1));
         relayer.deferred_acks.push((0, packet));
+        // One block into a Windowed/Adaptive submission window.
+        relayer.blocks_held = 1;
         relayer.notify_source_block(1, SimTime::from_secs(5));
 
         relayer.crash(SimTime::from_secs(6));
         assert!(relayer.pending_recv.is_empty());
+        assert_eq!(
+            relayer.blocks_held, 0,
+            "the held window dies with its queue"
+        );
         assert!(relayer.pending_delivery.is_empty());
-        assert!(relayer.pending_recv_inflight.is_empty());
-        assert!(relayer.pending_ack.is_empty());
+        assert!(relayer.ends[DST].inflight.is_empty());
+        assert!(relayer.ends[SRC].inflight.is_empty());
         assert!(relayer.deferred_acks.is_empty());
         assert!(relayer.inbox.is_empty());
 
@@ -1963,37 +1898,39 @@ mod tests {
         let mut relayer = test_relayer(&dst);
         let hash_ok = Hash([1; 32]);
         let hash_bad = Hash([2; 32]);
-        relayer.pending_recv_inflight.insert((0, 1));
-        relayer.pending_recv_inflight.insert((0, 2));
-        relayer.pending_recv_inflight.insert((0, 3));
-        relayer.inflight_recv_txs.push((hash_ok, vec![(0, 1)]));
-        relayer
-            .inflight_recv_txs
+        relayer.ends[DST].inflight.insert((0, 1));
+        relayer.ends[DST].inflight.insert((0, 2));
+        relayer.ends[DST].inflight.insert((0, 3));
+        relayer.ends[DST].inflight_txs.push((hash_ok, vec![(0, 1)]));
+        relayer.ends[DST]
+            .inflight_txs
             .push((hash_bad, vec![(0, 2), (0, 3)]));
 
         // An untracked hash is some other account's transaction: a no-op.
         relayer.note_committed_tx(ChainRole::Destination, &Hash([9; 32]), 5, SimTime::ZERO);
-        assert_eq!(relayer.pending_recv_inflight.len(), 3);
+        assert_eq!(relayer.ends[DST].inflight.len(), 3);
 
         // A successful commit retires the tracked transaction but keeps the
         // markers: the same block's WRITE_ACK events remove those.
         relayer.note_committed_tx(ChainRole::Destination, &hash_ok, 0, SimTime::ZERO);
-        assert!(relayer.pending_recv_inflight.contains(&(0, 1)));
-        assert_eq!(relayer.inflight_recv_txs.len(), 1);
+        assert!(relayer.ends[DST].inflight.contains(&(0, 1)));
+        assert_eq!(relayer.ends[DST].inflight_txs.len(), 1);
 
         // A failed commit releases its markers, so the next clear scan sees
         // the packets as eligible again.
         relayer.note_committed_tx(ChainRole::Destination, &hash_bad, 5, SimTime::from_secs(1));
-        assert!(relayer.pending_recv_inflight.contains(&(0, 1)));
-        assert!(!relayer.pending_recv_inflight.contains(&(0, 2)));
-        assert!(!relayer.pending_recv_inflight.contains(&(0, 3)));
-        assert!(relayer.inflight_recv_txs.is_empty());
+        assert!(relayer.ends[DST].inflight.contains(&(0, 1)));
+        assert!(!relayer.ends[DST].inflight.contains(&(0, 2)));
+        assert!(!relayer.ends[DST].inflight.contains(&(0, 3)));
+        assert!(relayer.ends[DST].inflight_txs.is_empty());
 
         // The acknowledgement path mirrors the receive path.
-        relayer.pending_ack.insert((0, 4));
-        relayer.inflight_ack_txs.push((hash_bad, vec![(0, 4)]));
+        relayer.ends[SRC].inflight.insert((0, 4));
+        relayer.ends[SRC]
+            .inflight_txs
+            .push((hash_bad, vec![(0, 4)]));
         relayer.note_committed_tx(ChainRole::Source, &hash_bad, 5, SimTime::from_secs(2));
-        assert!(relayer.pending_ack.is_empty());
-        assert!(relayer.inflight_ack_txs.is_empty());
+        assert!(relayer.ends[SRC].inflight.is_empty());
+        assert!(relayer.ends[SRC].inflight_txs.is_empty());
     }
 }

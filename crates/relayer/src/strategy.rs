@@ -1,12 +1,13 @@
-//! Declarative relayer strategies: the serde-able configuration behind the
-//! pluggable pipeline stages.
+//! Declarative relayer strategies: the serde-able configuration whose arms
+//! are the relayer's pipeline stages (their behaviour is in
+//! [`crate::stages`]).
 //!
 //! The paper measures one fixed relayer pipeline — Hermes' WebSocket
 //! subscription, sequential chunked RPC data pulls, eager per-block
 //! submission and no coordination between instances — and shows that this
 //! pipeline, not consensus, caps cross-chain throughput (Figs. 8 vs 6) and
 //! dominates completion latency (Fig. 12). A [`RelayerStrategy`] names each
-//! of those four pipeline decisions so the "what if?" counterfactuals become
+//! of those pipeline decisions so the "what if?" counterfactuals become
 //! ordinary experiment configuration:
 //!
 //! | Stage | Paper behaviour | Counterfactuals |
@@ -15,6 +16,7 @@
 //! | [`FetchStrategy`] | sequential chunked pulls | batched, parallel |
 //! | [`SubmissionMode`] | eager per-block | windowed, adaptive |
 //! | [`CoordinationMode`] | none (redundant work) | partition, leases |
+//! | [`ChannelPolicy`] | one channel (fair share) | priority, dedicated |
 //! | [`SequenceTracking`] | committed-state resync (loses straddled windows, §V) | mempool-aware |
 //!
 //! A strategy is plain serde data embedded in the framework's

@@ -262,14 +262,6 @@ impl TelemetryLog {
         &self.errors
     }
 
-    /// Number of errors whose message contains `needle`.
-    pub fn errors_containing(&self, needle: &str) -> usize {
-        self.errors
-            .iter()
-            .filter(|e| e.message.contains(needle))
-            .count()
-    }
-
     /// The time at which `step` completed for `sequence` on channel 0.
     pub fn step_time(&self, sequence: Sequence, step: TransferStep) -> Option<SimTime> {
         self.step_time_on(0, sequence, step)
@@ -318,24 +310,6 @@ impl TelemetryLog {
             .count()
     }
 
-    /// Number of packets on one channel that completed `step`.
-    pub fn count_for_step_on(&self, channel: u64, step: TransferStep) -> usize {
-        self.channels
-            .get(&channel)
-            .map(|chan| {
-                chan.rows
-                    .iter()
-                    .filter(|row| row[step.slot()].is_some())
-                    .count()
-            })
-            .unwrap_or(0)
-    }
-
-    /// The channel indexes with at least one tracked packet.
-    pub fn channels(&self) -> Vec<u64> {
-        self.channels.keys().copied().collect()
-    }
-
     /// Every tracked packet as a `(channel index, sequence)` pair.
     pub fn packets(&self) -> Vec<(u64, Sequence)> {
         self.channels
@@ -368,18 +342,13 @@ impl TelemetryLog {
     }
 
     /// Merges another log into this one (used when aggregating the telemetry
-    /// of several relayer instances); per step, the earliest time wins.
-    pub fn merge(&mut self, other: &TelemetryLog) {
-        self.merge_offset(other, 0);
-    }
-
-    /// Merges another log, shifting every channel index by `channel_offset`.
+    /// of several relayer instances), shifting every channel index by
+    /// `channel_offset`; per step, the earliest time wins.
     ///
     /// Relayer processes number channels locally (their first assigned
     /// channel is 0); when a fleet spans several topology edges the
     /// aggregator re-keys each process's log into the global edge-major
-    /// channel space by passing the edge's channel offset. An offset of 0 is
-    /// exactly [`merge`](TelemetryLog::merge).
+    /// channel space by passing the edge's channel offset.
     pub fn merge_offset(&mut self, other: &TelemetryLog, channel_offset: u64) {
         for (channel, chan) in &other.channels {
             for (seq, row) in chan.tracked() {
@@ -481,7 +450,11 @@ mod tests {
         log.record_error(SimTime::from_secs(2), "account sequence mismatch");
         log.record_error(SimTime::from_secs(3), "packet messages are redundant");
         assert_eq!(log.errors().len(), 3);
-        assert_eq!(log.errors_containing("redundant"), 2);
+        let redundant = log
+            .errors()
+            .iter()
+            .filter(|e| e.message.contains("redundant"));
+        assert_eq!(redundant.count(), 2);
     }
 
     #[test]
@@ -504,7 +477,7 @@ mod tests {
             SimTime::from_secs(7),
         );
         b.record_error(SimTime::from_secs(1), "x");
-        a.merge(&b);
+        a.merge_offset(&b, 0);
         assert_eq!(
             a.step_time(Sequence::from(1), TransferStep::RecvBroadcast),
             Some(SimTime::from_secs(5))
@@ -521,7 +494,6 @@ mod tests {
         log.record_on(1, seq, TransferStep::RecvBroadcast, SimTime::from_secs(2));
         // Same sequence on two channels: two distinct packets.
         assert_eq!(log.len(), 2);
-        assert_eq!(log.channels(), vec![0, 1]);
         assert_eq!(log.packets(), vec![(0, seq), (1, seq)]);
         assert_eq!(
             log.step_time_on(1, seq, TransferStep::RecvBroadcast),
@@ -529,7 +501,6 @@ mod tests {
         );
         // Channel-agnostic views aggregate; `step_time` addresses channel 0.
         assert_eq!(log.count_for_step(TransferStep::RecvBroadcast), 2);
-        assert_eq!(log.count_for_step_on(1, TransferStep::RecvBroadcast), 1);
         assert_eq!(
             log.times_for_step_on(0, TransferStep::RecvBroadcast).len(),
             1

@@ -24,6 +24,7 @@ use ibc_perf_repro::relayer::telemetry::TransferStep;
 
 const GOLDENS: &str = include_str!("fixtures/default_strategy_goldens.json");
 const SEQUENCE_RACE_GOLDENS: &str = include_str!("fixtures/sequence_race_goldens.json");
+const STRATEGY_ARMS_GOLDENS: &str = include_str!("fixtures/strategy_arms_goldens.json");
 
 #[test]
 fn default_strategy_reproduces_pre_refactor_goldens() {
@@ -188,6 +189,25 @@ fn sequence_race_outcomes_replay_their_goldens() {
             "{} diverged from its pinned outcome",
             golden.spec.name
         );
+    }
+}
+
+/// Every non-default fetcher, submission, coordination, event-source and
+/// channel-policy arm, plus the frame-limit failure path, replays the
+/// outcome pinned before the stage objects became enum methods (regenerate
+/// with `goldens --set strategy_arms`).
+#[test]
+fn strategy_arm_outcomes_replay_their_goldens() {
+    let goldens: Vec<ScenarioOutcome> =
+        serde_json::from_str(STRATEGY_ARMS_GOLDENS).expect("strategy-arms fixture parses");
+    assert_eq!(goldens.len(), 9, "one golden per arm");
+    for golden in goldens {
+        assert_ne!(
+            golden.spec.deployment.relayer_strategy,
+            RelayerStrategy::default()
+        );
+        let rerun = scenarios::run(&golden.spec);
+        assert_eq!(rerun.metrics, golden.metrics, "{}", golden.spec.name);
     }
 }
 
