@@ -13,6 +13,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use xcc_tendermint::hash::{hash_fields, Hash};
+use xcc_tendermint::journal::{restore, Journal};
 
 /// A bech32-style account address (simplified to an opaque string).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -71,16 +72,46 @@ pub fn sign(address: &AccountId, sequence: u64, body_digest: &Hash) -> Hash {
 }
 
 /// The set of accounts known to the chain.
+///
+/// Transactional: between [`begin_tx`](AccountKeeper::begin_tx) and
+/// [`commit_tx`](AccountKeeper::commit_tx) /
+/// [`rollback_tx`](AccountKeeper::rollback_tx) every write records the
+/// account it replaced (see [`xcc_tendermint::journal`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AccountKeeper {
     accounts: BTreeMap<AccountId, Account>,
     next_number: u64,
+    /// `(address, account before the write)` per write of the open
+    /// transaction; `None` marks a creation.
+    #[serde(skip)]
+    journal: Journal<(AccountId, Option<Account>)>,
 }
 
 impl AccountKeeper {
     /// Creates an empty keeper.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Opens a transaction.
+    pub fn begin_tx(&mut self) {
+        self.journal.begin();
+    }
+
+    /// Closes the open transaction, keeping its writes.
+    pub fn commit_tx(&mut self) {
+        self.journal.commit();
+    }
+
+    /// Closes the open transaction and reverts its writes.
+    pub fn rollback_tx(&mut self) {
+        for (address, prior) in self.journal.rollback() {
+            if prior.is_none() {
+                // Only a creation finds no account, and only it takes a number.
+                self.next_number -= 1;
+            }
+            restore(&mut self.accounts, address, prior);
+        }
     }
 
     /// Creates an account if it does not exist yet and returns it.
@@ -93,6 +124,7 @@ impl AccountKeeper {
             };
             self.next_number += 1;
             self.accounts.insert(address.clone(), account);
+            self.journal.record(|| (address.clone(), None));
         }
         self.accounts.get(address).expect("just inserted")
     }
@@ -111,6 +143,8 @@ impl AccountKeeper {
     /// transaction.
     pub fn increment_sequence(&mut self, address: &AccountId) {
         if let Some(account) = self.accounts.get_mut(address) {
+            self.journal
+                .record(|| (address.clone(), Some(account.clone())));
             account.sequence += 1;
         }
     }
@@ -159,6 +193,28 @@ mod tests {
         assert_eq!(keeper.sequence(&"user-a".into()), 2);
         assert_eq!(keeper.sequence(&"ghost".into()), 0);
         assert!(keeper.get(&"ghost".into()).is_none());
+    }
+
+    #[test]
+    fn rollback_reverts_creations_and_sequence_bumps_and_commit_keeps_them() {
+        let mut keeper = AccountKeeper::new();
+        keeper.get_or_create(&"user-a".into());
+        let before = keeper.clone();
+
+        keeper.begin_tx();
+        keeper.increment_sequence(&"user-a".into());
+        keeper.get_or_create(&"user-b".into());
+        keeper.increment_sequence(&"user-b".into());
+        keeper.increment_sequence(&"user-a".into());
+        keeper.rollback_tx();
+        assert_eq!(keeper, before);
+        // The account number a rolled-back creation took is free again.
+        assert_eq!(keeper.get_or_create(&"user-c".into()).account_number, 1);
+
+        keeper.begin_tx();
+        keeper.increment_sequence(&"user-a".into());
+        keeper.commit_tx();
+        assert_eq!(keeper.sequence(&"user-a".into()), 1);
     }
 
     #[test]

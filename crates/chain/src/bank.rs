@@ -8,6 +8,7 @@ use crate::account::AccountId;
 use crate::coin::Coin;
 use xcc_ibc::transfer::BankKeeper;
 use xcc_tendermint::hash::{hash_fields, Hash};
+use xcc_tendermint::journal::{restore, Journal};
 
 /// Errors raised by bank operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,16 +57,71 @@ impl std::error::Error for BankError {}
 /// bank.transfer(&"alice".into(), &"bob".into(), &Coin::new("uatom", 40)).unwrap();
 /// assert_eq!(bank.balance(&"bob".into(), "uatom"), 40);
 /// ```
+///
+/// Transactional: between [`begin_tx`](BankModule::begin_tx) and
+/// [`commit_tx`](BankModule::commit_tx) /
+/// [`rollback_tx`](BankModule::rollback_tx) every balance and supply write
+/// records the amount it replaced (see [`xcc_tendermint::journal`]), so a
+/// rollback also removes the zero-balance entries a reverted transfer
+/// created — they are part of [`BankModule::state_hash`].
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BankModule {
     balances: BTreeMap<(AccountId, String), u128>,
     supply: BTreeMap<String, u128>,
+    #[serde(skip)]
+    journal: Journal<BankUndo>,
+}
+
+/// One reverted bank write: the key and the amount it held before.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum BankUndo {
+    Balance((AccountId, String), Option<u128>),
+    Supply(String, Option<u128>),
 }
 
 impl BankModule {
     /// Creates an empty bank.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Opens a transaction.
+    pub fn begin_tx(&mut self) {
+        self.journal.begin();
+    }
+
+    /// Closes the open transaction, keeping its writes.
+    pub fn commit_tx(&mut self) {
+        self.journal.commit();
+    }
+
+    /// Closes the open transaction and reverts its writes.
+    pub fn rollback_tx(&mut self) {
+        for undo in self.journal.rollback() {
+            match undo {
+                BankUndo::Balance(key, prior) => restore(&mut self.balances, key, prior),
+                BankUndo::Supply(denom, prior) => restore(&mut self.supply, denom, prior),
+            }
+        }
+    }
+
+    /// Writes `update(balance)` under `key` (an absent balance reads 0 and
+    /// is created), recording what was there.
+    fn update_balance(&mut self, key: (AccountId, String), update: impl FnOnce(u128) -> u128) {
+        let prior = self.balances.get(&key).copied();
+        self.journal
+            .record(|| BankUndo::Balance(key.clone(), prior));
+        self.balances.insert(key, update(prior.unwrap_or(0)));
+    }
+
+    /// As [`update_balance`](Self::update_balance), for a denomination's
+    /// supply.
+    fn update_supply(&mut self, denom: &str, update: impl FnOnce(u128) -> u128) {
+        let prior = self.supply.get(denom).copied();
+        self.journal
+            .record(|| BankUndo::Supply(denom.to_string(), prior));
+        self.supply
+            .insert(denom.to_string(), update(prior.unwrap_or(0)));
     }
 
     /// The balance an account holds in a denomination.
@@ -92,11 +148,8 @@ impl BankModule {
 
     /// Mints new coins into an account (genesis allocation and IBC vouchers).
     pub fn mint_coins(&mut self, to: &AccountId, coin: &Coin) {
-        *self
-            .balances
-            .entry((to.clone(), coin.denom.clone()))
-            .or_insert(0) += coin.amount;
-        *self.supply.entry(coin.denom.clone()).or_insert(0) += coin.amount;
+        self.update_balance((to.clone(), coin.denom.clone()), |held| held + coin.amount);
+        self.update_supply(&coin.denom, |supply| supply + coin.amount);
     }
 
     /// Burns coins from an account.
@@ -115,9 +168,9 @@ impl BankModule {
                 required: coin.amount,
             });
         }
-        self.balances.insert(key, held - coin.amount);
-        if let Some(supply) = self.supply.get_mut(&coin.denom) {
-            *supply = supply.saturating_sub(coin.amount);
+        self.update_balance(key, |held| held - coin.amount);
+        if self.supply.contains_key(&coin.denom) {
+            self.update_supply(&coin.denom, |supply| supply.saturating_sub(coin.amount));
         }
         Ok(())
     }
@@ -143,11 +196,8 @@ impl BankModule {
                 required: coin.amount,
             });
         }
-        self.balances.insert(from_key, held - coin.amount);
-        *self
-            .balances
-            .entry((to.clone(), coin.denom.clone()))
-            .or_insert(0) += coin.amount;
+        self.update_balance(from_key, |held| held - coin.amount);
+        self.update_balance((to.clone(), coin.denom.clone()), |held| held + coin.amount);
         Ok(())
     }
 
@@ -248,6 +298,39 @@ mod tests {
         bank.mint_coins(&"alice".into(), &Coin::new("uatom", 1));
         let h1 = bank.state_hash();
         assert_ne!(h0, h1);
+    }
+
+    #[test]
+    fn rollback_restores_every_entry_including_the_ones_it_created() {
+        let mut bank = BankModule::new();
+        bank.mint_coins(&"alice".into(), &Coin::new("uatom", 100));
+        let before = bank.clone();
+        let hash_before = bank.state_hash();
+
+        bank.begin_tx();
+        // Creates bob's entry, a voucher denomination and its supply, burns
+        // part of it, and moves funds through a self-transfer.
+        bank.transfer(&"alice".into(), &"bob".into(), &Coin::new("uatom", 40))
+            .unwrap();
+        bank.mint_coins(&"bob".into(), &Coin::new("voucher", 7));
+        bank.burn_coins(&"bob".into(), &Coin::new("voucher", 3))
+            .unwrap();
+        bank.transfer(&"bob".into(), &"bob".into(), &Coin::new("uatom", 5))
+            .unwrap();
+        assert!(bank
+            .transfer(&"carol".into(), &"bob".into(), &Coin::new("uatom", 1))
+            .is_err());
+        assert_ne!(bank.state_hash(), hash_before);
+        bank.rollback_tx();
+        assert_eq!(bank, before);
+        assert_eq!(bank.state_hash(), hash_before);
+        assert_eq!(bank.total_supply("voucher"), 0);
+
+        bank.begin_tx();
+        bank.transfer(&"alice".into(), &"bob".into(), &Coin::new("uatom", 40))
+            .unwrap();
+        bank.commit_tx();
+        assert_eq!(bank.balance(&"bob".into(), "uatom"), 40);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::gas;
 use crate::msg::Msg;
 use xcc_sim::prof;
 use xcc_tendermint::block::RawTx;
-use xcc_tendermint::hash::{hash_fields, sha256, Hash};
+use xcc_tendermint::hash::{hash_fields, Hash};
 
 /// A transaction: one signer, a sequence number, a fee, and a batch of
 /// messages.
@@ -21,16 +21,33 @@ use xcc_tendermint::hash::{hash_fields, sha256, Hash};
 ///
 /// # Encode/hash caching
 ///
-/// The wire encoding (and the hash derived from it) is computed once per
-/// transaction instance and memoized: the broadcast path used to re-encode
-/// the same transaction up to four times (hashing for telemetry, hashing for
-/// submission tracking, encoding for the RPC call). The cache is
-/// deliberately conservative around the all-`pub` fields: cloning a `Tx`
-/// drops the cache, so the `clone → tamper → re-verify` pattern used in
-/// tests can never observe a stale encoding. Mutating a `Tx` *after* calling
-/// [`Tx::encode`]/[`Tx::hash`] on that same instance is the one pattern the
-/// cache does not support; no simulator code does this (transactions are
-/// built, signed and then treated as immutable).
+/// The wire encoding is computed once per transaction instance and
+/// memoized: the broadcast path used to re-encode the same transaction up to
+/// four times (hashing for telemetry, hashing for submission tracking,
+/// encoding for the RPC call). The hash is not kept here at all — it is the
+/// memoized [`RawTx::hash`] of the cached encoding, filled when the encoding
+/// is made, and every [`Tx::encode`] hands out a clone that carries it. So
+/// the payload is hashed once however many of `Tx::hash`, the node's
+/// `submit_tx`, the mempool and the transaction index ask for its
+/// identifier (`tx.hash() == tx.encode().hash()` costs one pass, pinned by
+/// `hash_is_stable_and_needs_one_encoding`); the only other pass over the
+/// bytes is the `0x00`-prefixed Merkle leaf of the block's data hash, which
+/// is a different digest.
+///
+/// The cache is deliberately conservative around the all-`pub` fields:
+/// cloning a `Tx` drops the cache, so the `clone → tamper → re-verify`
+/// pattern used in tests can never observe a stale encoding. Mutating a `Tx`
+/// *after* calling [`Tx::encode`]/[`Tx::hash`] on that same instance is the
+/// one pattern the cache does not support; no simulator code does this
+/// (transactions are built, signed and then treated as immutable).
+///
+/// # Decoding
+///
+/// [`Tx::decode`] is the inverse of [`Tx::encode`] and is counted by the
+/// work profile every time it runs. The chain runs it once per submission —
+/// `CheckTx` parses the transaction and hands the result to `DeliverTx`
+/// through the mempool entry (see `GaiaApp`) — and any other caller pays for,
+/// and is counted for, its own decode.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct Tx {
     /// The messages to execute, in order.
@@ -47,10 +64,10 @@ pub struct Tx {
     pub memo: String,
     /// Simulated signature over the transaction body.
     pub signature: Hash,
-    /// Memoized `(encoding, hash)`, excluded from comparison, cloning and
-    /// the wire format.
+    /// Memoized encoding (which memoizes its own hash), excluded from
+    /// comparison, cloning and the wire format.
     #[serde(skip)]
-    encoded: OnceCell<(RawTx, Hash)>,
+    encoded: OnceCell<RawTx>,
 }
 
 impl Clone for Tx {
@@ -152,25 +169,28 @@ impl Tx {
     /// processing time, WebSocket frame payloads) is unchanged: JSON remains
     /// the modelled wire format and survives at the reporting boundary only.
     pub fn encode(&self) -> RawTx {
-        self.cached().0.clone()
+        self.cached().clone()
     }
 
     /// The wire byte length of [`Tx::encode`]'s result, from the cache.
     pub fn encoded_len(&self) -> usize {
-        self.cached().0.len()
+        self.cached().len()
     }
 
-    /// The memoized `(encoding, hash)` pair, computed on first use. Only
-    /// this cache-miss path counts as encoding work in the xcc-prof
-    /// counters: a cache hit performs none.
-    fn cached(&self) -> &(RawTx, Hash) {
+    /// The memoized encoding, computed on first use. Only this cache-miss
+    /// path counts as encoding work in the xcc-prof counters: a cache hit
+    /// performs none.
+    fn cached(&self) -> &RawTx {
         self.encoded.get_or_init(|| {
             let value = self.to_value();
             let wire_len = serde::json::encoded_len(&value);
             let raw = RawTx::with_wire_len(serde::binary::to_bytes(&value), wire_len);
             prof::bump_tx_encoded(raw.len() as u64);
-            let hash = sha256(raw.as_bytes());
-            (raw, hash)
+            // Every encoded transaction is identified by hash at least once
+            // (submission); filling the memo here means each clone handed out
+            // by `encode` carries it, whichever of the two is asked first.
+            raw.hash();
+            raw
         })
     }
 
@@ -192,10 +212,10 @@ impl Tx {
     /// The transaction hash (identical to the hash of its encoding).
     ///
     /// Served from the encode cache: the first of `hash`/`encode` on an
-    /// instance pays for the encoding, every later call is free. Pinned by
-    /// `hash_is_stable_and_needs_one_encoding`.
+    /// instance pays for the encoding and its one hashing pass, every later
+    /// call is free. Pinned by `hash_is_stable_and_needs_one_encoding`.
     pub fn hash(&self) -> Hash {
-        self.cached().1
+        self.cached().hash()
     }
 
     /// Number of messages in the transaction.
@@ -211,6 +231,7 @@ mod tests {
     use xcc_ibc::ids::{ChannelId, PortId};
     use xcc_ibc::module::TransferParams;
     use xcc_sim::SimTime;
+    use xcc_tendermint::hash::sha256;
 
     fn transfer(amount: u128) -> Msg {
         Msg::IbcTransfer(TransferParams {
@@ -286,19 +307,27 @@ mod tests {
         assert!(!replayed.verify_signature());
     }
 
-    /// Satellite of the xcc-prof PR: `Tx::hash` used to re-encode the whole
-    /// transaction on every call. This pins (a) hash stability — the cached
-    /// hash equals a from-scratch sha256 of a fresh encoding, including on
-    /// clones, which drop the cache — and (b) that repeated hash/encode
-    /// calls cost exactly one encoding in the work counters.
+    /// `Tx::hash` used to re-encode the whole transaction on every call, and
+    /// then to hash the payload a second time beside `RawTx::hash`. This
+    /// pins (a) hash stability — the cached hash equals a from-scratch
+    /// sha256 of a fresh encoding, including on clones, which drop the cache
+    /// — (b) that repeated hash/encode calls cost exactly one encoding in
+    /// the work counters, and (c) that they cost one hashing pass: every
+    /// encoding handed out already carries the digest `Tx::hash` returns.
     #[test]
     fn hash_is_stable_and_needs_one_encoding() {
         let tx = Tx::new("alice".into(), 3, vec![transfer(10), transfer(20)], "uatom");
 
         prof::reset();
+        // Encoding first: the hand-out is already hashed, so the node's
+        // `submit_tx` and a later `tx.hash()` both read the memo.
+        let first = tx.encode();
+        assert_eq!(first.hash_if_computed(), Some(tx.hash()));
         let h1 = tx.hash();
         let h2 = tx.hash();
         let raw = tx.encode();
+        assert_eq!(raw.hash_if_computed(), Some(h1));
+        assert_eq!(tx.hash(), tx.encode().hash());
         assert_eq!(h1, h2);
         assert_eq!(h1, sha256(raw.as_bytes()));
         assert_eq!(tx.encoded_len(), raw.len());

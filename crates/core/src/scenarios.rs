@@ -268,6 +268,19 @@ mod tests {
         assert!(outcome.avg_block_interval_secs() >= 5.0);
     }
 
+    /// `CheckTx` parses each submission and hands the result to `DeliverTx`
+    /// through the mempool entry, so a whole run decodes exactly one
+    /// transaction per `broadcast_tx_sync`, however many of them commit.
+    #[test]
+    fn the_smoke_run_decodes_each_submitted_transaction_once() {
+        let entry = crate::registry::get("smoke").expect("registered");
+        let spec = &entry.grid(crate::sweep::SweepMode::Quick).points()[0];
+        let work = run_raw(spec).work;
+        let broadcasts = work.rpc_calls["broadcast_tx_sync"];
+        assert!(broadcasts > 0);
+        assert_eq!(work.txs_decoded, broadcasts);
+    }
+
     #[test]
     fn small_relayer_run_completes_transfers() {
         let outcome = run(&ExperimentSpec::relayer_throughput()

@@ -198,17 +198,19 @@ mod tests {
     #[derive(Default)]
     struct NullApp;
     impl Application for NullApp {
-        fn check_tx(&mut self, _tx: &RawTx) -> CheckTxResult {
-            CheckTxResult {
+        type Decoded = ();
+        fn check_tx(&mut self, _tx: &RawTx) -> (CheckTxResult, Option<()>) {
+            let accepted = CheckTxResult {
                 code: 0,
                 log: String::new(),
                 gas_wanted: 1,
                 sender: "x".into(),
                 sequence: 0,
-            }
+            };
+            (accepted, None)
         }
         fn begin_block(&mut self, _header: &Header) {}
-        fn deliver_tx(&mut self, _tx: &RawTx) -> DeliverTxResult {
+        fn deliver_tx(&mut self, _tx: &RawTx, _decoded: Option<()>) -> DeliverTxResult {
             DeliverTxResult {
                 code: 0,
                 log: String::new(),

@@ -7,13 +7,13 @@
 //! and non-membership proofs that counterparty chains verify against the
 //! consensus state recorded by their light clients.
 
-use std::cell::OnceCell;
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
 use xcc_tendermint::hash::{hash_fields, Hash};
-use xcc_tendermint::merkle::{MerkleProof, MerkleTree};
+use xcc_tendermint::merkle::{leaf_hash, MerkleProof, MerkleTree};
 
 /// A commitment root: the Merkle root of the IBC store at some height.
 pub type CommitmentRoot = Hash;
@@ -32,24 +32,42 @@ pub type CommitmentRoot = Hash;
 /// let proof = store.prove_membership("commitments/ports/transfer/channels/channel-0/sequences/1").unwrap();
 /// assert!(proof.verify(&root));
 /// ```
+///
 /// # Proof-generation caching
 ///
-/// The Merkle tree over the entries is memoized: building it hashes every
+/// The Merkle tree over the entries is memoized together with the sorted
+/// list of paths it was built over: building it from scratch hashes every
 /// leaf (O(n)), and the relayer's data pulls request one proof per packet
 /// sequence, so the uncached store paid O(n) hashing *per proof* — the
-/// dominant cost of whole-experiment replays. The cache is invalidated by
-/// every mutation ([`set`](CommitmentStore::set) /
-/// [`delete`](CommitmentStore::delete)) and rebuilt lazily on the next
-/// [`root`](CommitmentStore::root) or proof, so roots and proofs stay
-/// bit-identical to the uncached construction (pinned by the equivalence
-/// test in `xcc_tendermint::merkle`).
+/// dominant cost of whole-experiment replays. With the memo a proof is a
+/// binary search for the path's rank plus O(log n) sibling lookups.
+///
+/// Every mutation ([`set`](CommitmentStore::set) /
+/// [`delete`](CommitmentStore::delete)) marks the memo stale by noting the
+/// written path, and the next [`root`](CommitmentStore::root) or proof
+/// rebuilds it. The rebuild keeps the leaf hash of every path that was not
+/// written since the last build, so a block that touches a few hundred of
+/// several thousand commitments hashes those leaves and the inner nodes
+/// only. Tree shape, roots and proofs stay bit-identical to the uncached
+/// construction (pinned by `memoized_tree_invalidates_on_every_mutation`
+/// and the equivalence test in `xcc_tendermint::merkle`).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CommitmentStore {
     entries: BTreeMap<String, Hash>,
-    /// Memoized Merkle tree over `entries`, excluded from comparison and
-    /// the wire format; cleared on every mutation.
+    /// `None` until the first root or proof; excluded from comparison and
+    /// the wire format.
     #[serde(skip)]
-    tree: OnceCell<MerkleTree>,
+    memo: RefCell<Option<TreeMemo>>,
+}
+
+/// The Merkle tree as of the last build, and what has been written since.
+#[derive(Debug, Clone)]
+struct TreeMemo {
+    /// The paths in leaf order: `tree`'s leaf `i` commits to `paths[i]`.
+    paths: Vec<String>,
+    tree: MerkleTree,
+    /// Paths set or deleted since the build; the memo is current when empty.
+    written: BTreeSet<String>,
 }
 
 impl PartialEq for CommitmentStore {
@@ -147,10 +165,11 @@ impl CommitmentStore {
         self.entries.is_empty()
     }
 
-    /// Sets the commitment at `path`.
-    pub fn set(&mut self, path: impl Into<String>, value: Hash) {
-        self.entries.insert(path.into(), value);
-        self.tree.take();
+    /// Sets the commitment at `path`, returning the one it replaces.
+    pub fn set(&mut self, path: impl Into<String>, value: Hash) -> Option<Hash> {
+        let path = path.into();
+        self.note_written(&path);
+        self.entries.insert(path, value)
     }
 
     /// Reads the commitment at `path`.
@@ -167,9 +186,15 @@ impl CommitmentStore {
     pub fn delete(&mut self, path: &str) -> Option<Hash> {
         let removed = self.entries.remove(path);
         if removed.is_some() {
-            self.tree.take();
+            self.note_written(path);
         }
         removed
+    }
+
+    fn note_written(&mut self, path: &str) {
+        if let Some(memo) = self.memo.get_mut() {
+            memo.written.insert(path.to_string());
+        }
     }
 
     /// Iterates over paths with the given prefix.
@@ -190,35 +215,67 @@ impl CommitmentStore {
         if self.entries.is_empty() {
             return hash_fields(&[b"empty-ibc-store"]);
         }
-        self.tree().root()
+        self.with_tree(|memo| memo.tree.root())
     }
 
     /// Produces a membership proof for `path`, if it exists.
     pub fn prove_membership(&self, path: &str) -> Option<CommitmentProof> {
         let value = *self.entries.get(path)?;
-        let below = (std::ops::Bound::Unbounded, std::ops::Bound::Excluded(path));
-        let index = self.entries.range::<str, _>(below).count();
-        let tree = self.tree();
-        let merkle = tree.prove(index)?;
-        Some(CommitmentProof {
-            path: path.to_string(),
-            value,
-            merkle: Some(merkle),
-            root: tree.root(),
+        self.with_tree(|memo| {
+            let index = memo
+                .paths
+                .binary_search_by(|probe| probe.as_str().cmp(path))
+                .ok()?;
+            Some(CommitmentProof {
+                path: path.to_string(),
+                value,
+                merkle: Some(memo.tree.prove(index)?),
+                root: memo.tree.root(),
+            })
         })
     }
 
-    /// The memoized Merkle tree over the current entries, built on first use
-    /// after a mutation.
-    fn tree(&self) -> &MerkleTree {
-        self.tree.get_or_init(|| {
-            let leaves: Vec<Vec<u8>> = self
-                .entries
-                .iter()
-                .map(|(k, v)| leaf_encoding(k, v))
-                .collect();
-            MerkleTree::build(leaves.iter().map(|l| l.as_slice()))
-        })
+    /// Reads the memoized tree, rebuilding it first if anything was written
+    /// since the last build.
+    fn with_tree<R>(&self, read: impl FnOnce(&TreeMemo) -> R) -> R {
+        let mut slot = self.memo.borrow_mut();
+        let memo = match slot.take() {
+            Some(current) if current.written.is_empty() => current,
+            stale => self.build_tree(stale),
+        };
+        let result = read(&memo);
+        *slot = Some(memo);
+        result
+    }
+
+    /// Builds the tree over the current entries, taking from `previous` the
+    /// leaf hash (and the path string) of every entry not written since.
+    fn build_tree(&self, previous: Option<TreeMemo>) -> TreeMemo {
+        let (old_paths, old_tree, written) = match previous {
+            Some(memo) => (memo.paths, memo.tree, memo.written),
+            None => (Vec::new(), MerkleTree::default(), BTreeSet::new()),
+        };
+        let mut old = old_paths.into_iter().enumerate().peekable();
+        let mut paths = Vec::with_capacity(self.entries.len());
+        let mut leaves = Vec::with_capacity(self.entries.len());
+        for (path, value) in &self.entries {
+            // Both lists are sorted: an old path that sorts before this one
+            // has been deleted.
+            while old.next_if(|(_, old_path)| old_path < path).is_some() {}
+            let kept = old
+                .next_if(|(_, old_path)| old_path == path)
+                .filter(|_| !written.contains(path))
+                .and_then(|(index, old_path)| Some((old_path, old_tree.leaf(index)?)));
+            let (path, leaf) =
+                kept.unwrap_or_else(|| (path.clone(), leaf_hash(&leaf_encoding(path, value))));
+            paths.push(path);
+            leaves.push(leaf);
+        }
+        TreeMemo {
+            paths,
+            tree: MerkleTree::from_leaf_hashes(&leaves),
+            written: BTreeSet::new(),
+        }
     }
 
     /// Produces a non-membership proof for `path`, if it is indeed absent.
@@ -353,6 +410,59 @@ mod tests {
         // A clone carries correct state even if taken mid-memo.
         let cloned = cached.clone();
         assert_eq!(cloned.root(), cached.root());
+
+        // The rebuild keeps the leaf hashes of unwritten paths, so every way
+        // a path can change between two builds must reach the new tree: a
+        // rewrite, a delete followed by a different value, a delete of a
+        // fresh insert, inserts before, between and after the kept paths —
+        // and two of them between one pair of builds.
+        type Step = fn(&mut CommitmentStore);
+        let steps: [Step; 6] = [
+            |s| {
+                s.set("commitments/3", sha256(b"again"));
+            },
+            |s| {
+                s.delete("commitments/4");
+                s.set("commitments/4", sha256(b"back, different"));
+            },
+            |s| {
+                s.set("commitments/40", sha256(b"short-lived"));
+                s.delete("commitments/40");
+            },
+            |s| {
+                s.set("acks/0", sha256(b"sorts first"));
+                s.set("commitments/100", sha256(b"sorts between"));
+                s.set("receipts/0", sha256(b"sorts last"));
+            },
+            |s| {
+                s.delete("acks/0");
+                s.set("commitments/100", sha256(b"rewritten"));
+            },
+            |s| {
+                s.delete("commitments/0");
+                s.delete("receipts/0");
+            },
+        ];
+        for step in steps {
+            step(&mut cached);
+            let fresh = reference(&cached);
+            assert_eq!(cached.root(), fresh.root());
+            for path in fresh.entries.keys() {
+                assert_eq!(cached.prove_membership(path), fresh.prove_membership(path));
+            }
+        }
+    }
+
+    #[test]
+    fn a_deserialized_store_builds_its_tree_from_the_entries() {
+        let mut store = CommitmentStore::new();
+        store.set("a", sha256(b"1"));
+        store.set("b", sha256(b"2"));
+        let root = store.root();
+        let decoded: CommitmentStore =
+            serde::Deserialize::from_value(&serde::Serialize::to_value(&store)).unwrap();
+        assert_eq!(decoded.root(), root);
+        assert_eq!(decoded.prove_membership("b"), store.prove_membership("b"));
     }
 
     #[test]

@@ -24,6 +24,7 @@ use xcc_sim::SimTime;
 use xcc_tendermint::abci::Event;
 use xcc_tendermint::block::Header;
 use xcc_tendermint::hash::{hash_fields, Hash};
+use xcc_tendermint::journal::{restore, Journal};
 
 /// The host chain's view of "now", passed into every packet handler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,7 +76,20 @@ pub struct ChannelPacketStats {
 }
 
 /// The IBC module state hosted by one chain.
-#[derive(Debug, Clone)]
+///
+/// # Transactions
+///
+/// Between [`begin_tx`](IbcModule::begin_tx) and
+/// [`commit_tx`](IbcModule::commit_tx) / [`rollback_tx`](IbcModule::rollback_tx)
+/// every write a message handler can make — a commitment-store `set` or
+/// `delete`, a channel end, a sent packet, an acknowledgement, a client
+/// update — records the value it replaced (see [`xcc_tendermint::journal`]),
+/// so the host can revert a transaction whose `k`-th message failed without
+/// having copied the thousands of commitments and packets it never touched.
+/// Client creation, connection handshakes and client expiry are set-up and
+/// fault-injection calls that no message reaches; they write through the same
+/// store path but their own maps and counters are not journaled.
+#[derive(Debug, Clone, PartialEq)]
 pub struct IbcModule {
     chain_id: String,
     clients: BTreeMap<ClientId, ClientRecord>,
@@ -87,6 +101,17 @@ pub struct IbcModule {
     store: CommitmentStore,
     sent_packets: BTreeMap<(PortId, ChannelId, Sequence), Packet>,
     acks: BTreeMap<(PortId, ChannelId, Sequence), Acknowledgement>,
+    journal: Journal<IbcUndo>,
+}
+
+/// One reverted write: the key and what it held before.
+#[derive(Debug, Clone, PartialEq)]
+enum IbcUndo {
+    Store(String, Option<Hash>),
+    Channel((PortId, ChannelId), Option<ChannelEnd>),
+    SentPacket((PortId, ChannelId, Sequence), Option<Packet>),
+    Ack((PortId, ChannelId, Sequence), Option<Acknowledgement>),
+    Client(ClientId, Option<ClientRecord>),
 }
 
 impl IbcModule {
@@ -103,6 +128,39 @@ impl IbcModule {
             store: CommitmentStore::new(),
             sent_packets: BTreeMap::new(),
             acks: BTreeMap::new(),
+            journal: Journal::default(),
+        }
+    }
+
+    /// Opens a transaction.
+    pub fn begin_tx(&mut self) {
+        self.journal.begin();
+    }
+
+    /// Closes the open transaction, keeping its writes.
+    pub fn commit_tx(&mut self) {
+        self.journal.commit();
+    }
+
+    /// Closes the open transaction and reverts its writes, newest first.
+    /// Every key ends up holding exactly what it held at `begin_tx`, so the
+    /// commitment root and every proof are those of the state before the
+    /// transaction (the store drops its tree memo on the first reverted
+    /// entry).
+    pub fn rollback_tx(&mut self) {
+        for undo in self.journal.rollback() {
+            match undo {
+                IbcUndo::Store(path, Some(value)) => {
+                    self.store.set(path, value);
+                }
+                IbcUndo::Store(path, None) => {
+                    self.store.delete(&path);
+                }
+                IbcUndo::Channel(key, prior) => restore(&mut self.channels, key, prior),
+                IbcUndo::SentPacket(key, prior) => restore(&mut self.sent_packets, key, prior),
+                IbcUndo::Ack(key, prior) => restore(&mut self.acks, key, prior),
+                IbcUndo::Client(client_id, prior) => restore(&mut self.clients, client_id, prior),
+            }
         }
     }
 
@@ -131,12 +189,11 @@ impl IbcModule {
         self.client_counter += 1;
         let record = ClientRecord::create(client_id.clone(), initial_header, ibc_root);
         let height = record.latest_height();
-        self.store.set(
+        self.store_set(
             host::client_state_path(&client_id),
             hash_fields(&[b"client-state", initial_header.chain_id.as_bytes()]),
         );
-        self.store
-            .set(host::consensus_state_path(&client_id, height), ibc_root);
+        self.store_set(host::consensus_state_path(&client_id, height), ibc_root);
         self.clients.insert(client_id.clone(), record);
         let event = Event::new("create_client")
             .with_attr("client_id", client_id.as_str())
@@ -160,8 +217,10 @@ impl IbcModule {
             .ok_or_else(|| IbcError::ClientNotFound {
                 client_id: client_id.clone(),
             })?;
+        self.journal
+            .record(|| IbcUndo::Client(client_id.clone(), Some(record.clone())));
         let height = record.update(update)?;
-        self.store.set(
+        self.store_set(
             host::consensus_state_path(client_id, height),
             update.ibc_root,
         );
@@ -408,7 +467,7 @@ impl IbcModule {
         channel_id: &ChannelId,
         counterparty_channel_id: &ChannelId,
     ) -> Result<Vec<Event>, IbcError> {
-        let end = self.channel_mut(port_id, channel_id)?;
+        let mut end = self.require_channel(port_id, channel_id)?.clone();
         if end.state != ChannelState::Init {
             return Err(IbcError::InvalidState {
                 reason: format!(
@@ -419,7 +478,6 @@ impl IbcModule {
         }
         end.state = ChannelState::Open;
         end.counterparty.channel_id = Some(counterparty_channel_id.clone());
-        let end = end.clone();
         self.write_channel(port_id, channel_id, end);
         Ok(vec![Event::new("channel_open_ack")
             .with_attr("port_id", port_id.as_str())
@@ -436,7 +494,7 @@ impl IbcModule {
         port_id: &PortId,
         channel_id: &ChannelId,
     ) -> Result<Vec<Event>, IbcError> {
-        let end = self.channel_mut(port_id, channel_id)?;
+        let mut end = self.require_channel(port_id, channel_id)?.clone();
         if end.state != ChannelState::TryOpen {
             return Err(IbcError::InvalidState {
                 reason: format!(
@@ -446,7 +504,6 @@ impl IbcModule {
             });
         }
         end.state = ChannelState::Open;
-        let end = end.clone();
         self.write_channel(port_id, channel_id, end);
         Ok(vec![Event::new("channel_open_confirm")
             .with_attr("port_id", port_id.as_str())
@@ -474,12 +531,8 @@ impl IbcModule {
         bank: &mut dyn BankKeeper,
         params: &TransferParams,
     ) -> Result<(Packet, Vec<Event>), IbcError> {
-        let channel = self
-            .channel(&params.source_port, &params.source_channel)
-            .ok_or_else(|| IbcError::ChannelNotFound {
-                port_id: params.source_port.clone(),
-                channel_id: params.source_channel.clone(),
-            })?
+        let mut channel = self
+            .require_channel(&params.source_port, &params.source_channel)?
             .clone();
         if !channel.is_open() {
             return Err(IbcError::InvalidState {
@@ -511,22 +564,19 @@ impl IbcModule {
         };
 
         // Store the commitment and bump the send sequence.
-        self.store.set(
+        self.store_set(
             host::packet_commitment_path(&params.source_port, &params.source_channel, sequence),
             packet.commitment(),
         );
-        let end = self.channel_mut(&params.source_port, &params.source_channel)?;
-        end.next_sequence_send = sequence.next();
-        let end = end.clone();
-        self.write_channel(&params.source_port, &params.source_channel, end);
-        self.sent_packets.insert(
-            (
-                params.source_port.clone(),
-                params.source_channel.clone(),
-                sequence,
-            ),
-            packet.clone(),
+        channel.next_sequence_send = sequence.next();
+        self.write_channel(&params.source_port, &params.source_channel, channel);
+        let key = (
+            params.source_port.clone(),
+            params.source_channel.clone(),
+            sequence,
         );
+        let prior = self.sent_packets.insert(key.clone(), packet.clone());
+        self.journal.record(|| IbcUndo::SentPacket(key, prior));
 
         let event = events::send_packet_event(&packet);
         Ok((packet, vec![event]))
@@ -547,12 +597,8 @@ impl IbcModule {
         proof: &CommitmentProof,
         proof_height: Height,
     ) -> Result<(Acknowledgement, Vec<Event>), IbcError> {
-        let channel = self
-            .channel(&packet.destination_port, &packet.destination_channel)
-            .ok_or_else(|| IbcError::ChannelNotFound {
-                port_id: packet.destination_port.clone(),
-                channel_id: packet.destination_channel.clone(),
-            })?
+        let mut channel = self
+            .require_channel(&packet.destination_port, &packet.destination_channel)?
             .clone();
         if !channel.is_open() {
             return Err(IbcError::InvalidState {
@@ -618,26 +664,27 @@ impl IbcModule {
         let ack = transfer::on_recv_packet(bank, packet);
 
         // Record receipt and acknowledgement.
-        self.store.set(receipt_path, hash_fields(&[b"receipt"]));
+        self.store_set(receipt_path, hash_fields(&[b"receipt"]));
         let ack_path = host::packet_acknowledgement_path(
             &packet.destination_port,
             &packet.destination_channel,
             packet.sequence,
         );
-        self.store.set(ack_path, ack.commitment());
-        self.acks.insert(
-            (
-                packet.destination_port.clone(),
-                packet.destination_channel.clone(),
-                packet.sequence,
-            ),
-            ack.clone(),
+        self.store_set(ack_path, ack.commitment());
+        let key = (
+            packet.destination_port.clone(),
+            packet.destination_channel.clone(),
+            packet.sequence,
         );
+        let prior = self.acks.insert(key.clone(), ack.clone());
+        self.journal.record(|| IbcUndo::Ack(key, prior));
         if channel.ordering == Order::Ordered {
-            let end = self.channel_mut(&packet.destination_port, &packet.destination_channel)?;
-            end.next_sequence_recv = end.next_sequence_recv.next();
-            let end = end.clone();
-            self.write_channel(&packet.destination_port, &packet.destination_channel, end);
+            channel.next_sequence_recv = channel.next_sequence_recv.next();
+            self.write_channel(
+                &packet.destination_port,
+                &packet.destination_channel,
+                channel,
+            );
         }
 
         let events = vec![
@@ -663,11 +710,7 @@ impl IbcModule {
         proof_height: Height,
     ) -> Result<Vec<Event>, IbcError> {
         let channel = self
-            .channel(&packet.source_port, &packet.source_channel)
-            .ok_or_else(|| IbcError::ChannelNotFound {
-                port_id: packet.source_port.clone(),
-                channel_id: packet.source_channel.clone(),
-            })?
+            .require_channel(&packet.source_port, &packet.source_channel)?
             .clone();
 
         let commitment_path = host::packet_commitment_path(
@@ -707,7 +750,7 @@ impl IbcModule {
 
         // Application callback (refund on error ack), then clean up.
         transfer::on_acknowledgement(bank, packet, ack)?;
-        self.store.delete(&commitment_path);
+        self.store_delete(&commitment_path);
 
         Ok(vec![events::ack_packet_event(packet)])
     }
@@ -727,11 +770,7 @@ impl IbcModule {
         proof_height: Height,
     ) -> Result<Vec<Event>, IbcError> {
         let channel = self
-            .channel(&packet.source_port, &packet.source_channel)
-            .ok_or_else(|| IbcError::ChannelNotFound {
-                port_id: packet.source_port.clone(),
-                channel_id: packet.source_channel.clone(),
-            })?
+            .require_channel(&packet.source_port, &packet.source_channel)?
             .clone();
 
         let commitment_path = host::packet_commitment_path(
@@ -795,7 +834,7 @@ impl IbcModule {
 
         // Refund and clean up (OnPacketTimeout in Fig. 3 of the paper).
         transfer::refund(bank, packet)?;
-        self.store.delete(&commitment_path);
+        self.store_delete(&commitment_path);
 
         Ok(vec![events::timeout_packet_event(packet)])
     }
@@ -976,21 +1015,33 @@ impl IbcModule {
         }
     }
 
-    fn channel_mut(
-        &mut self,
+    fn require_channel(
+        &self,
         port_id: &PortId,
         channel_id: &ChannelId,
-    ) -> Result<&mut ChannelEnd, IbcError> {
-        self.channels
-            .get_mut(&(port_id.clone(), channel_id.clone()))
+    ) -> Result<&ChannelEnd, IbcError> {
+        self.channel(port_id, channel_id)
             .ok_or_else(|| IbcError::ChannelNotFound {
                 port_id: port_id.clone(),
                 channel_id: channel_id.clone(),
             })
     }
 
+    /// The one path by which handlers write the commitment store.
+    fn store_set(&mut self, path: String, value: Hash) {
+        let prior = self.store.set(path.clone(), value);
+        self.journal.record(|| IbcUndo::Store(path, prior));
+    }
+
+    /// The one path by which handlers delete from the commitment store.
+    fn store_delete(&mut self, path: &str) {
+        let prior = self.store.delete(path);
+        self.journal
+            .record(|| IbcUndo::Store(path.to_string(), prior));
+    }
+
     fn write_connection(&mut self, connection_id: &ConnectionId, end: ConnectionEnd) {
-        self.store.set(
+        self.store_set(
             host::connection_path(connection_id),
             hash_fields(&[
                 b"connection-end",
@@ -1001,8 +1052,11 @@ impl IbcModule {
         self.connections.insert(connection_id.clone(), end);
     }
 
+    /// Replaces a channel end (the map entry and its store commitment). The
+    /// end is always written whole — handlers edit a copy — so the recorded
+    /// prior value is the one before the handler ran.
     fn write_channel(&mut self, port_id: &PortId, channel_id: &ChannelId, end: ChannelEnd) {
-        self.store.set(
+        self.store_set(
             host::channel_path(port_id, channel_id),
             hash_fields(&[
                 b"channel-end",
@@ -1012,8 +1066,9 @@ impl IbcModule {
                 &end.next_sequence_send.value().to_be_bytes(),
             ]),
         );
-        self.channels
-            .insert((port_id.clone(), channel_id.clone()), end);
+        let key = (port_id.clone(), channel_id.clone());
+        let prior = self.channels.insert(key.clone(), end);
+        self.journal.record(|| IbcUndo::Channel(key, prior));
     }
 
     /// Looks up the counterparty commitment root recorded by the client

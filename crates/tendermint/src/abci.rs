@@ -135,15 +135,33 @@ impl DeliverTxResult {
 /// The flow per block is: `begin_block`, `deliver_tx` for every transaction,
 /// `end_block`, `commit`. `check_tx` runs against the mempool outside block
 /// execution.
+///
+/// # The CheckTx → DeliverTx hand-off
+///
+/// Consensus sees transactions as opaque bytes, but the application has to
+/// parse them to check them, and would parse the same bytes again to execute
+/// them a block later. `check_tx` may therefore return its parsed form
+/// beside the verdict; the node keeps it on the mempool entry — and only
+/// there: a rejected transaction leaves nothing behind, a committed block
+/// stores the [`RawTx`] alone — and moves it into `deliver_tx`. An
+/// application with nothing worth keeping sets `Decoded = ()` and returns
+/// `None`.
 pub trait Application {
-    /// Validates a transaction for mempool admission.
-    fn check_tx(&mut self, tx: &RawTx) -> CheckTxResult;
+    /// The application's parsed form of a transaction.
+    type Decoded;
+
+    /// Validates a transaction for mempool admission. The second value is
+    /// the parsed transaction to hand to [`Application::deliver_tx`]; it is
+    /// dropped unless the transaction is admitted.
+    fn check_tx(&mut self, tx: &RawTx) -> (CheckTxResult, Option<Self::Decoded>);
 
     /// Signals the start of a new block.
     fn begin_block(&mut self, header: &Header);
 
-    /// Executes one transaction against the application state.
-    fn deliver_tx(&mut self, tx: &RawTx) -> DeliverTxResult;
+    /// Executes one transaction against the application state. `decoded` is
+    /// what `check_tx` returned for this same `tx`, when the node still has
+    /// it; without it the application parses `tx` itself.
+    fn deliver_tx(&mut self, tx: &RawTx, decoded: Option<Self::Decoded>) -> DeliverTxResult;
 
     /// Signals the end of the block, before the state is committed.
     fn end_block(&mut self, height: u64);

@@ -4,6 +4,8 @@
 //! `Data` field with application-specific transactions, an `Evidence` list
 //! and a `LastCommit` carrying the previous height's pre-commit signatures.
 
+use std::cell::OnceCell;
+
 use serde::{Deserialize, Serialize};
 
 use crate::evidence::Evidence;
@@ -25,6 +27,16 @@ use xcc_sim::SimTime;
 /// block-size limits, event-frame payloads — uses the wire size, so swapping
 /// the host encoding never changes simulated behaviour.
 ///
+/// # Hash memo
+///
+/// [`RawTx::hash`] is one full SHA-256 pass over a payload that reaches
+/// 100 KB for a relayer transaction, and the same transaction is identified
+/// by hash at the RPC boundary, in the mempool, in the transaction index and
+/// in every block-event payload. The digest is therefore computed once, by
+/// the `RawTx` itself from its own immutable bytes (there is no way to supply
+/// one), and memoized; clones carry the memo. It is not state: equality,
+/// `Hash` and the serialized form see only the bytes and the wire length.
+///
 /// # Example
 ///
 /// ```rust
@@ -38,28 +50,57 @@ use xcc_sim::SimTime;
 /// assert_eq!(modelled.len(), 120);
 /// assert_eq!(modelled.as_bytes().len(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RawTx {
     bytes: Vec<u8>,
     wire_len: usize,
+    #[serde(skip)]
+    hash: OnceCell<Hash>,
+}
+
+impl PartialEq for RawTx {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes == other.bytes && self.wire_len == other.wire_len
+    }
+}
+
+impl Eq for RawTx {}
+
+impl std::hash::Hash for RawTx {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.bytes.hash(state);
+        self.wire_len.hash(state);
+    }
 }
 
 impl RawTx {
     /// Wraps raw transaction bytes whose wire size equals their length.
     pub fn new(bytes: Vec<u8>) -> Self {
         let wire_len = bytes.len();
-        RawTx { bytes, wire_len }
+        Self::with_wire_len(bytes, wire_len)
     }
 
     /// Wraps a compact host payload together with the byte size the
     /// transaction occupies on the modelled wire.
     pub fn with_wire_len(bytes: Vec<u8>, wire_len: usize) -> Self {
-        RawTx { bytes, wire_len }
+        RawTx {
+            bytes,
+            wire_len,
+            hash: OnceCell::new(),
+        }
     }
 
-    /// The transaction hash (used as its identifier, as in `tx_search`).
+    /// The transaction hash (used as its identifier, as in `tx_search`):
+    /// SHA-256 of the payload bytes, computed on first use and memoized.
     pub fn hash(&self) -> Hash {
-        sha256(&self.bytes)
+        *self.hash.get_or_init(|| sha256(&self.bytes))
+    }
+
+    /// The memoized hash, if [`RawTx::hash`] has already run on this
+    /// instance or on the one it was cloned from. Lets tests pin that a
+    /// path hashes a payload once.
+    pub fn hash_if_computed(&self) -> Option<Hash> {
+        self.hash.get().copied()
     }
 
     /// Size of the transaction in bytes on the modelled wire.
@@ -317,6 +358,32 @@ mod tests {
         let b = RawTx::new(vec![1, 2, 4]);
         assert_ne!(a.hash(), b.hash());
         assert_eq!(a.hash(), RawTx::new(vec![1, 2, 3]).hash());
+    }
+
+    #[test]
+    fn raw_tx_hash_memo_is_carried_by_clones_and_is_not_state() {
+        let hashed = RawTx::with_wire_len(vec![1, 2, 3], 40);
+        assert_eq!(hashed.hash_if_computed(), None);
+        assert_eq!(hashed.hash(), sha256(&[1, 2, 3]));
+        assert_eq!(hashed.hash_if_computed(), Some(hashed.hash()));
+        assert_eq!(hashed.clone().hash_if_computed(), Some(hashed.hash()));
+
+        // Equality, `Hash` and the wire form ignore whether the memo is set.
+        let fresh = RawTx::with_wire_len(vec![1, 2, 3], 40);
+        assert_eq!(fresh, hashed);
+        let std_hash = |tx: &RawTx| {
+            use std::hash::Hasher as _;
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            std::hash::Hash::hash(tx, &mut h);
+            h.finish()
+        };
+        assert_eq!(std_hash(&fresh), std_hash(&hashed));
+        let value = serde::Serialize::to_value(&hashed);
+        assert_eq!(value, serde::Serialize::to_value(&fresh));
+        let decoded: RawTx = serde::Deserialize::from_value(&value).expect("round-trips");
+        assert_eq!(decoded, hashed);
+        assert_eq!(decoded.hash_if_computed(), None);
+        assert_eq!(decoded.hash(), hashed.hash());
     }
 
     #[test]

@@ -101,6 +101,13 @@ const H0: [u32; 8] = [
 
 /// Incremental SHA-256 hasher.
 ///
+/// Streaming: the hasher owns one 64-byte block buffer and nothing else.
+/// [`update`](Sha256::update) tops up a partially filled block, compresses
+/// every full block straight out of the caller's slice, and keeps only the
+/// trailing `< 64` bytes, so hashing `n` bytes copies at most 63 of them per
+/// call and allocates nothing — a 100 KB relayer transaction costs exactly
+/// its 1,600 compressions. [`finalize`](Sha256::finalize) pads in place.
+///
 /// # Example
 ///
 /// ```rust
@@ -114,7 +121,11 @@ const H0: [u32; 8] = [
 #[derive(Debug, Clone)]
 pub struct Sha256 {
     state: [u32; 8],
-    buffer: Vec<u8>,
+    /// The current, partially filled block: `block[..filled]` is pending
+    /// input.
+    block: [u8; 64],
+    /// Number of pending bytes in `block`, always `< 64` between calls.
+    filled: usize,
     length_bits: u64,
 }
 
@@ -129,38 +140,50 @@ impl Sha256 {
     pub fn new() -> Self {
         Sha256 {
             state: H0,
-            buffer: Vec::with_capacity(64),
+            block: [0u8; 64],
+            filled: 0,
             length_bits: 0,
         }
     }
 
     /// Feeds `data` into the hasher.
-    pub fn update(&mut self, data: &[u8]) {
+    pub fn update(&mut self, mut data: &[u8]) {
         self.length_bits = self.length_bits.wrapping_add((data.len() as u64) * 8);
-        self.buffer.extend_from_slice(data);
-        while self.buffer.len() >= 64 {
-            let block: [u8; 64] = self.buffer[..64].try_into().expect("64-byte block");
-            compress(&mut self.state, &block);
-            self.buffer.drain(..64);
+        if self.filled > 0 {
+            let take = data.len().min(64 - self.filled);
+            self.block[self.filled..self.filled + take].copy_from_slice(&data[..take]);
+            self.filled += take;
+            data = &data[take..];
+            if self.filled < 64 {
+                return;
+            }
+            compress(&mut self.state, &self.block);
+            self.filled = 0;
         }
+        let (blocks, tail) = data.as_chunks::<64>();
+        for block in blocks {
+            compress(&mut self.state, block);
+        }
+        self.block[..tail.len()].copy_from_slice(tail);
+        self.filled = tail.len();
     }
 
     /// Consumes the hasher and returns the digest.
     pub fn finalize(mut self) -> Hash {
-        let len_bits = self.length_bits;
-        self.buffer.push(0x80);
-        while self.buffer.len() % 64 != 56 {
-            self.buffer.push(0);
+        // Padding: 0x80, zeros up to 56 mod 64, then the bit length. When
+        // fewer than 8 bytes remain after the 0x80 the length spills into one
+        // extra all-padding block.
+        self.block[self.filled] = 0x80;
+        self.block[self.filled + 1..].fill(0);
+        if self.filled + 1 > 56 {
+            compress(&mut self.state, &self.block);
+            self.block = [0u8; 64];
         }
-        self.buffer.extend_from_slice(&len_bits.to_be_bytes());
-        let mut state = self.state;
-        for chunk in self.buffer.chunks_exact(64) {
-            let block: [u8; 64] = chunk.try_into().expect("64-byte block");
-            compress(&mut state, &block);
-        }
+        self.block[56..].copy_from_slice(&self.length_bits.to_be_bytes());
+        compress(&mut self.state, &self.block);
         let mut out = [0u8; 32];
-        for (i, word) in state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         Hash(out)
     }
@@ -168,8 +191,8 @@ impl Sha256 {
 
 fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
-    for (i, word) in w.iter_mut().take(16).enumerate() {
-        *word = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
+    for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+        *word = u32::from_be_bytes(*bytes);
     }
     for i in 16..64 {
         let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -267,6 +290,58 @@ mod tests {
             h.update(chunk);
         }
         assert_eq!(h.finalize(), one_shot);
+    }
+
+    /// Lengths around the padding rule's edges: 55 is the longest input whose
+    /// padding fits its own block, 56–63 spill the length into an extra
+    /// block, 64 leaves an empty tail, and 119/120/128 repeat that one block
+    /// later. Digests are those of the pre-streaming implementation.
+    #[test]
+    fn block_boundary_lengths_match_the_buffering_implementation() {
+        let expected = [
+            (
+                55,
+                "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59",
+            ),
+            (
+                56,
+                "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562",
+            ),
+            (
+                63,
+                "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488",
+            ),
+            (
+                64,
+                "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108",
+            ),
+            (
+                65,
+                "4bfd2c8b6f1eec7a2afeb48b934ee4b2694182027e6d0fc075074f2fabb31781",
+            ),
+            (
+                119,
+                "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6",
+            ),
+            (
+                120,
+                "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c",
+            ),
+            (
+                128,
+                "471fb943aa23c511f6f72f8d1652d9c880cfa392ad80503120547703e56a2be5",
+            ),
+        ];
+        for (len, digest) in expected {
+            let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            assert_eq!(sha256(&data).to_hex(), digest, "one-shot, {len} bytes");
+            // Byte-at-a-time exercises every fill level of the block buffer.
+            let mut h = Sha256::new();
+            for byte in &data {
+                h.update(std::slice::from_ref(byte));
+            }
+            assert_eq!(h.finalize().to_hex(), digest, "streamed, {len} bytes");
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! testbed runs on: block structures (header, data, evidence, last commit —
 //! Fig. 1 of the paper), validator sets with quorum accounting, a consensus
 //! timing model calibrated to the latencies the paper cites (§III-C), a
-//! bounded FIFO mempool, an ABCI-style application interface, a full node
+//! bounded FIFO mempool, an ABCI-style application interface (plus the undo
+//! journal applications use to make `DeliverTx` transactional), a full node
 //! that produces and executes blocks, and light-client verification used by
 //! the IBC client layer.
 //!
@@ -26,11 +27,13 @@
 //!
 //! struct NoopApp;
 //! impl Application for NoopApp {
-//!     fn check_tx(&mut self, _tx: &RawTx) -> CheckTxResult {
-//!         CheckTxResult { code: 0, log: String::new(), gas_wanted: 1, sender: "a".into(), sequence: 0 }
+//!     type Decoded = ();
+//!     fn check_tx(&mut self, _tx: &RawTx) -> (CheckTxResult, Option<()>) {
+//!         let accepted = CheckTxResult { code: 0, log: String::new(), gas_wanted: 1, sender: "a".into(), sequence: 0 };
+//!         (accepted, None)
 //!     }
 //!     fn begin_block(&mut self, _header: &Header) {}
-//!     fn deliver_tx(&mut self, _tx: &RawTx) -> DeliverTxResult {
+//!     fn deliver_tx(&mut self, _tx: &RawTx, _decoded: Option<()>) -> DeliverTxResult {
 //!         DeliverTxResult { code: 0, log: String::new(), gas_used: 1, gas_wanted: 1, events: vec![] }
 //!     }
 //!     fn end_block(&mut self, _height: u64) {}
@@ -58,6 +61,7 @@ pub mod abci;
 pub mod block;
 pub mod evidence;
 pub mod hash;
+pub mod journal;
 pub mod light;
 pub mod mempool;
 pub mod merkle;

@@ -34,13 +34,17 @@ impl Default for MempoolConfig {
 }
 
 /// A transaction waiting in the mempool, together with its `CheckTx`
-/// metadata.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PendingTx {
+/// metadata. The transaction is identified by [`RawTx::hash`], which the
+/// `RawTx` memoizes.
+#[derive(Debug, Clone)]
+pub struct PendingTx<D> {
     /// The raw transaction.
     pub tx: RawTx,
-    /// The transaction hash.
-    pub hash: Hash,
+    /// The application's parsed form of `tx`, as returned by `CheckTx`
+    /// (see [`Application`](crate::abci::Application)). It lives exactly as
+    /// long as the entry: dropped with a refused admission, moved out to
+    /// `DeliverTx` when the entry is reaped.
+    pub decoded: Option<D>,
     /// Gas requested by the transaction.
     pub gas_wanted: u64,
     /// The fee-paying account.
@@ -92,10 +96,9 @@ impl std::error::Error for MempoolError {}
 /// use xcc_sim::SimTime;
 ///
 /// let mut pool = Mempool::new(MempoolConfig::default());
-/// let tx = RawTx::new(b"tx".to_vec());
 /// pool.add(PendingTx {
-///     hash: tx.hash(),
-///     tx,
+///     tx: RawTx::new(b"tx".to_vec()),
+///     decoded: None::<()>,
 ///     gas_wanted: 100,
 ///     sender: "alice".into(),
 ///     sequence: 0,
@@ -104,16 +107,16 @@ impl std::error::Error for MempoolError {}
 /// assert_eq!(pool.len(), 1);
 /// ```
 #[derive(Debug, Clone)]
-pub struct Mempool {
+pub struct Mempool<D> {
     config: MempoolConfig,
-    queue: VecDeque<PendingTx>,
+    queue: VecDeque<PendingTx<D>>,
     // xcc-lint: allow(hash-collections, reason = "O(1) duplicate-hash membership; iteration never observes it")
     hashes: HashSet<Hash>,
     total_bytes: usize,
     rejected_full: u64,
 }
 
-impl Mempool {
+impl<D> Mempool<D> {
     /// Creates an empty mempool with the given limits.
     pub fn new(config: MempoolConfig) -> Self {
         Mempool {
@@ -162,8 +165,8 @@ impl Mempool {
     ///
     /// Returns an error when the pool is full, the byte limit would be
     /// exceeded, or the transaction is already pending.
-    pub fn add(&mut self, tx: PendingTx) -> Result<(), MempoolError> {
-        if self.hashes.contains(&tx.hash) {
+    pub fn add(&mut self, tx: PendingTx<D>) -> Result<(), MempoolError> {
+        if self.hashes.contains(&tx.tx.hash()) {
             return Err(MempoolError::AlreadyPending);
         }
         if self.queue.len() >= self.config.max_txs {
@@ -179,70 +182,56 @@ impl Mempool {
             });
         }
         self.total_bytes += tx.tx.len();
-        self.hashes.insert(tx.hash);
+        self.hashes.insert(tx.tx.hash());
         self.queue.push_back(tx);
         Ok(())
     }
 
-    /// Selects transactions for the next block proposal, in FIFO order, up to
-    /// the given gas, byte and count limits (0 for `max_txs` means no count
-    /// limit). The selected transactions stay in the pool until
-    /// [`Mempool::remove_committed`] is called.
-    pub fn reap(&self, max_gas: u64, max_bytes: usize, max_txs: usize) -> Vec<PendingTx> {
-        self.reap_before(max_gas, max_bytes, max_txs, SimTime::MAX)
-    }
-
-    /// Like [`Mempool::reap`], but only considers transactions received at or
-    /// before `not_after`. The simulation driver uses this so a transaction
-    /// broadcast at a later virtual time can never appear in an earlier
-    /// block.
+    /// Takes the transactions of the next block proposal out of the pool: in
+    /// FIFO order, up to the given gas, byte and count limits (0 for
+    /// `max_txs` means no count limit), considering only transactions
+    /// received at or before `not_after` — a transaction broadcast at a later
+    /// virtual time can never appear in an earlier block.
+    ///
+    /// The entries are moved, not copied: the proposer owns the payloads (and
+    /// the decoded forms riding on them) from here on, and everything not
+    /// selected keeps its place in the queue.
     pub fn reap_before(
-        &self,
+        &mut self,
         max_gas: u64,
         max_bytes: usize,
         max_txs: usize,
         not_after: SimTime,
-    ) -> Vec<PendingTx> {
+    ) -> Vec<PendingTx<D>> {
         let mut selected = Vec::new();
+        let mut kept = VecDeque::with_capacity(self.queue.len());
         let mut gas = 0u64;
         let mut bytes = 0usize;
-        for tx in &self.queue {
-            if tx.received_at > not_after {
-                // Not visible to this proposal yet.
+        let mut full = false;
+        for tx in self.queue.drain(..) {
+            // Not visible to this proposal yet: skipped, not a stop.
+            if full || tx.received_at > not_after {
+                kept.push_back(tx);
                 continue;
             }
-            if max_txs != 0 && selected.len() >= max_txs {
-                break;
-            }
-            if gas + tx.gas_wanted > max_gas || bytes + tx.tx.len() > max_bytes {
+            if (max_txs != 0 && selected.len() >= max_txs)
+                || gas + tx.gas_wanted > max_gas
+                || bytes + tx.tx.len() > max_bytes
+            {
                 // FIFO semantics: stop at the first transaction that does not
                 // fit, like Tendermint's proposer.
-                break;
+                full = true;
+                kept.push_back(tx);
+                continue;
             }
             gas += tx.gas_wanted;
             bytes += tx.tx.len();
-            selected.push(tx.clone());
+            self.hashes.remove(&tx.tx.hash());
+            selected.push(tx);
         }
+        self.queue = kept;
+        self.total_bytes -= bytes;
         selected
-    }
-
-    /// Removes transactions that were committed in a block.
-    pub fn remove_committed(&mut self, hashes: &[Hash]) {
-        // xcc-lint: allow(hash-collections, reason = "contains-only probe inside retain; order never observed")
-        let committed: HashSet<&Hash> = hashes.iter().collect();
-        let mut removed_bytes = 0usize;
-        self.queue.retain(|tx| {
-            if committed.contains(&tx.hash) {
-                removed_bytes += tx.tx.len();
-                false
-            } else {
-                true
-            }
-        });
-        for h in hashes {
-            self.hashes.remove(h);
-        }
-        self.total_bytes -= removed_bytes;
     }
 
     /// Number of pending transactions from one sender — the mempool's share
@@ -264,7 +253,7 @@ impl Mempool {
     }
 
     /// Iterates over pending transactions in FIFO order.
-    pub fn iter(&self) -> impl Iterator<Item = &PendingTx> {
+    pub fn iter(&self) -> impl Iterator<Item = &PendingTx<D>> {
         self.queue.iter()
     }
 }
@@ -273,13 +262,12 @@ impl Mempool {
 mod tests {
     use super::*;
 
-    fn tx(id: u8, size: usize, gas: u64, sender: &str) -> PendingTx {
+    fn tx(id: u8, size: usize, gas: u64, sender: &str) -> PendingTx<u8> {
         let mut bytes = vec![id];
         bytes.resize(size.max(1), 0);
-        let raw = RawTx::new(bytes);
         PendingTx {
-            hash: raw.hash(),
-            tx: raw,
+            tx: RawTx::new(bytes),
+            decoded: Some(id),
             gas_wanted: gas,
             sender: sender.to_string(),
             sequence: 0,
@@ -287,38 +275,71 @@ mod tests {
         }
     }
 
-    #[test]
-    fn add_and_reap_fifo_order() {
+    /// `reap_before` with no time cut-off.
+    fn reap(
+        pool: &mut Mempool<u8>,
+        max_gas: u64,
+        max_bytes: usize,
+        max_txs: usize,
+    ) -> Vec<PendingTx<u8>> {
+        pool.reap_before(max_gas, max_bytes, max_txs, SimTime::MAX)
+    }
+
+    fn filled(count: u8, size: usize, gas: u64) -> Mempool<u8> {
         let mut pool = Mempool::new(MempoolConfig::default());
-        for i in 0..5u8 {
-            pool.add(tx(i, 10, 100, "a")).unwrap();
+        for i in 0..count {
+            pool.add(tx(i, size, gas, "a")).unwrap();
         }
-        let reaped = pool.reap(1_000, 1_000, 0);
-        assert_eq!(reaped.len(), 5);
-        assert_eq!(reaped[0].tx.as_bytes()[0], 0);
-        assert_eq!(reaped[4].tx.as_bytes()[0], 4);
-        // Reaping does not remove.
-        assert_eq!(pool.len(), 5);
+        pool
+    }
+
+    #[test]
+    fn reap_takes_entries_out_in_fifo_order_with_their_decoded_forms() {
+        let mut pool = filled(5, 10, 100);
+        let bytes_before = pool.total_bytes();
+        let reaped = reap(&mut pool, 350, 1_000, 0);
+        let ids: Vec<u8> = reaped.iter().map(|p| p.tx.as_bytes()[0]).collect();
+        assert_eq!(ids, [0, 1, 2]);
+        // The decoded form rides on the entry it was admitted with.
+        let decoded: Vec<Option<u8>> = reaped.iter().map(|p| p.decoded).collect();
+        assert_eq!(decoded, [Some(0), Some(1), Some(2)]);
+        // Reaped entries are gone from every piece of bookkeeping; the rest
+        // keep their order.
+        assert_eq!(pool.len(), 2);
+        assert_eq!(pool.total_bytes(), bytes_before - 30);
+        assert!(reaped.iter().all(|p| !pool.contains(&p.tx.hash())));
+        let left: Vec<u8> = pool.iter().map(|p| p.tx.as_bytes()[0]).collect();
+        assert_eq!(left, [3, 4]);
+        // A reaped transaction may be admitted again (it is no duplicate).
+        pool.add(tx(0, 10, 100, "a")).unwrap();
     }
 
     #[test]
     fn reap_respects_gas_limit() {
-        let mut pool = Mempool::new(MempoolConfig::default());
-        for i in 0..10u8 {
-            pool.add(tx(i, 10, 100, "a")).unwrap();
-        }
-        let reaped = pool.reap(350, 100_000, 0);
-        assert_eq!(reaped.len(), 3);
+        assert_eq!(reap(&mut filled(10, 10, 100), 350, 100_000, 0).len(), 3);
     }
 
     #[test]
     fn reap_respects_byte_limit_and_count_limit() {
+        assert_eq!(reap(&mut filled(10, 100, 1), 1_000_000, 250, 0).len(), 2);
+        assert_eq!(
+            reap(&mut filled(10, 100, 1), 1_000_000, 1_000_000, 4).len(),
+            4
+        );
+    }
+
+    #[test]
+    fn reap_skips_later_arrivals_without_stopping_at_them() {
         let mut pool = Mempool::new(MempoolConfig::default());
-        for i in 0..10u8 {
-            pool.add(tx(i, 100, 1, "a")).unwrap();
-        }
-        assert_eq!(pool.reap(1_000_000, 250, 0).len(), 2);
-        assert_eq!(pool.reap(1_000_000, 1_000_000, 4).len(), 4);
+        let mut late = tx(0, 10, 1, "a");
+        late.received_at = SimTime::from_secs(9);
+        pool.add(late).unwrap();
+        pool.add(tx(1, 10, 1, "a")).unwrap();
+        let reaped = pool.reap_before(1_000, 1_000, 0, SimTime::from_secs(5));
+        assert_eq!(reaped.len(), 1);
+        assert_eq!(reaped[0].tx.as_bytes()[0], 1);
+        assert_eq!(pool.len(), 1);
+        assert_eq!(pool.iter().next().unwrap().tx.as_bytes()[0], 0);
     }
 
     #[test]
@@ -352,20 +373,6 @@ mod tests {
             pool.add(tx(2, 20, 1, "a")),
             Err(MempoolError::TooManyBytes { .. })
         ));
-    }
-
-    #[test]
-    fn remove_committed_updates_bookkeeping() {
-        let mut pool = Mempool::new(MempoolConfig::default());
-        let a = tx(1, 10, 1, "a");
-        let b = tx(2, 10, 1, "b");
-        pool.add(a.clone()).unwrap();
-        pool.add(b.clone()).unwrap();
-        pool.remove_committed(&[a.hash]);
-        assert_eq!(pool.len(), 1);
-        assert!(!pool.contains(&a.hash));
-        assert!(pool.contains(&b.hash));
-        assert_eq!(pool.total_bytes(), b.tx.len());
     }
 
     #[test]

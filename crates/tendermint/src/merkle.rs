@@ -6,8 +6,6 @@
 //! unbalanced tree splits at the largest power of two smaller than the number
 //! of leaves.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::hash::{sha256, Hash, Sha256};
@@ -15,7 +13,8 @@ use crate::hash::{sha256, Hash, Sha256};
 const LEAF_PREFIX: u8 = 0x00;
 const INNER_PREFIX: u8 = 0x01;
 
-fn leaf_hash(data: &[u8]) -> Hash {
+/// The hash of one leaf: SHA-256 of `0x00 || data`.
+pub fn leaf_hash(data: &[u8]) -> Hash {
     let mut h = Sha256::new();
     h.update(&[LEAF_PREFIX]);
     h.update(data);
@@ -158,12 +157,22 @@ where
 /// bit-identical to [`simple_root`] / [`prove`] over the same leaves (pinned
 /// by the equivalence test below) — callers that generate many proofs
 /// against one snapshot of the leaves build the tree once and query it.
+///
+/// The nodes sit in one `Vec` in post-order of the RFC 6962 recursion: the
+/// subtree over `m` leaves is `2m - 1` consecutive hashes — its left subtree
+/// (over the first `split_point(m)` leaves), its right subtree, then its own
+/// root — so a proof walks offsets instead of looking ranges up in a map.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MerkleTree {
-    leaves: Vec<Hash>,
-    /// Subtree root per `(lo, hi)` leaf range of the RFC 6962 recursion.
-    subtrees: BTreeMap<(usize, usize), Hash>,
-    root: Hash,
+    len: usize,
+    nodes: Vec<Hash>,
+}
+
+impl Default for MerkleTree {
+    /// The tree over no leaves.
+    fn default() -> Self {
+        Self::from_leaf_hashes(&[])
+    }
 }
 
 impl MerkleTree {
@@ -172,90 +181,106 @@ impl MerkleTree {
     where
         I: IntoIterator<Item = &'a [u8]>,
     {
-        let leaves: Vec<Hash> = leaves.into_iter().map(leaf_hash).collect();
-        let mut subtrees = BTreeMap::new();
-        let root = fill_subtrees(&leaves, 0, leaves.len(), &mut subtrees);
+        let hashed: Vec<Hash> = leaves.into_iter().map(leaf_hash).collect();
+        Self::from_leaf_hashes(&hashed)
+    }
+
+    /// Builds the tree over leaves already hashed with [`leaf_hash`]: only
+    /// the inner nodes are hashed. A caller that rebuilds after changing a
+    /// few leaves keeps the hashes of the others (see [`MerkleTree::leaf`]).
+    pub fn from_leaf_hashes(leaves: &[Hash]) -> Self {
+        let mut nodes = Vec::with_capacity((2 * leaves.len()).max(2) - 1);
+        fill_subtrees(leaves, &mut nodes);
         MerkleTree {
-            leaves,
-            subtrees,
-            root,
+            len: leaves.len(),
+            nodes,
         }
     }
 
     /// Number of leaves.
     pub fn len(&self) -> usize {
-        self.leaves.len()
+        self.len
     }
 
     /// `true` when the tree has no leaves.
     pub fn is_empty(&self) -> bool {
-        self.leaves.is_empty()
+        self.len == 0
     }
 
     /// The Merkle root, equal to [`simple_root`] of the same leaves.
     pub fn root(&self) -> Hash {
-        self.root
+        self.nodes[self.nodes.len() - 1]
+    }
+
+    /// The hash of the leaf at `index`, if in range.
+    pub fn leaf(&self, index: usize) -> Option<Hash> {
+        if index >= self.len {
+            return None;
+        }
+        let (mut offset, mut index, mut leaves) = (0, index, self.len);
+        while leaves > 1 {
+            let k = split_point(leaves);
+            if index < k {
+                leaves = k;
+            } else {
+                offset += 2 * k - 1;
+                index -= k;
+                leaves -= k;
+            }
+        }
+        Some(self.nodes[offset])
     }
 
     /// An inclusion proof for the leaf at `index`, equal to the proof
     /// [`prove`] builds. Returns `None` if `index` is out of range.
     pub fn prove(&self, index: usize) -> Option<MerkleProof> {
-        if index >= self.leaves.len() {
+        if index >= self.len {
             return None;
         }
         let mut siblings = Vec::new();
-        self.collect_siblings(0, self.leaves.len(), index, &mut siblings);
+        self.collect_siblings(0, self.len, index, &mut siblings);
         Some(MerkleProof {
             index,
-            total: self.leaves.len(),
+            total: self.len,
             siblings,
         })
     }
 
-    fn subtree(&self, lo: usize, hi: usize) -> Hash {
-        self.subtrees
-            .get(&(lo, hi))
-            .copied()
-            // Every range the proof recursion visits was filled at build
-            // time; recompute defensively rather than panic if not.
-            .unwrap_or_else(|| root_of(&self.leaves[lo..hi]))
-    }
-
     /// Pushes the sibling hashes for `index` bottom-up, mirroring
-    /// `build_proof`'s recursion with memoized subtree roots.
-    fn collect_siblings(&self, lo: usize, hi: usize, index: usize, siblings: &mut Vec<Hash>) {
-        if hi - lo <= 1 {
+    /// `build_proof`'s recursion over the subtree of `leaves` leaves whose
+    /// nodes start at `offset`.
+    fn collect_siblings(&self, offset: usize, leaves: usize, index: usize, out: &mut Vec<Hash>) {
+        if leaves <= 1 {
             return;
         }
-        let k = split_point(hi - lo);
-        if index < lo + k {
-            self.collect_siblings(lo, lo + k, index, siblings);
-            siblings.push(self.subtree(lo + k, hi));
+        let k = split_point(leaves);
+        // The left subtree's root closes its `2k - 1` nodes; the right
+        // subtree's root is the node just before this subtree's own.
+        let (left_root, right_root) = (offset + 2 * k - 2, offset + 2 * leaves - 3);
+        if index < k {
+            self.collect_siblings(offset, k, index, out);
+            out.push(self.nodes[right_root]);
         } else {
-            self.collect_siblings(lo + k, hi, index, siblings);
-            siblings.push(self.subtree(lo, lo + k));
+            self.collect_siblings(left_root + 1, leaves - k, index - k, out);
+            out.push(self.nodes[left_root]);
         }
     }
 }
 
-/// Computes and memoizes the root of every subtree of `leaves[lo..hi]`.
-fn fill_subtrees(
-    leaves: &[Hash],
-    lo: usize,
-    hi: usize,
-    out: &mut BTreeMap<(usize, usize), Hash>,
-) -> Hash {
-    let h = match hi - lo {
+/// Appends the nodes of the tree over `leaves` in post-order and returns its
+/// root (the last node appended).
+fn fill_subtrees(leaves: &[Hash], out: &mut Vec<Hash>) -> Hash {
+    let h = match leaves.len() {
         0 => sha256(b""),
-        1 => leaves[lo],
+        1 => leaves[0],
         n => {
             let k = split_point(n);
-            let left = fill_subtrees(leaves, lo, lo + k, out);
-            let right = fill_subtrees(leaves, lo + k, hi, out);
+            let left = fill_subtrees(&leaves[..k], out);
+            let right = fill_subtrees(&leaves[k..], out);
             inner_hash(&left, &right)
         }
     };
-    out.insert((lo, hi), h);
+    out.push(h);
     h
 }
 
@@ -345,6 +370,8 @@ mod tests {
             let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
             let tree = MerkleTree::build(refs.iter().copied());
             assert_eq!(tree.len(), n);
+            let hashed: Vec<Hash> = data.iter().map(|leaf| leaf_hash(leaf)).collect();
+            assert_eq!(MerkleTree::from_leaf_hashes(&hashed), tree);
             assert_eq!(
                 tree.root(),
                 simple_root(refs.iter().copied()),
@@ -355,8 +382,10 @@ mod tests {
                 let cached = tree.prove(i).expect("valid index");
                 assert_eq!(cached, reference, "proof mismatch for n={n}, i={i}");
                 assert!(cached.verify(&root, leaf));
+                assert_eq!(tree.leaf(i), Some(hashed[i]));
             }
             assert!(tree.prove(n).is_none());
+            assert!(tree.leaf(n).is_none());
         }
     }
 

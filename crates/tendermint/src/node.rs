@@ -104,7 +104,7 @@ pub struct Node<A: Application> {
     timing: ConsensusTimingModel,
     validators: ValidatorSet,
     app: A,
-    mempool: Mempool,
+    mempool: Mempool<A::Decoded>,
     blocks: Vec<CommittedBlock>,
     // xcc-lint: allow(hash-collections, reason = "hash -> (height, index) point lookups only; never iterated")
     tx_index: HashMap<Hash, (u64, usize)>,
@@ -228,13 +228,15 @@ impl<A: Application> Node<A> {
     }
 
     /// Submits a transaction: runs `CheckTx` and, on success, adds it to the
-    /// mempool.
+    /// mempool together with the application's decoded form of it, which
+    /// `produce_block` hands back to `DeliverTx`. A refused transaction
+    /// leaves nothing behind.
     ///
     /// # Errors
     ///
     /// Fails when `CheckTx` rejects the transaction or the mempool is full.
     pub fn submit_tx(&mut self, tx: RawTx, now: SimTime) -> Result<Hash, SubmitError> {
-        let check = self.app.check_tx(&tx);
+        let (check, decoded) = self.app.check_tx(&tx);
         if !check.is_ok() {
             return Err(SubmitError::CheckTxFailed {
                 code: check.code,
@@ -243,8 +245,8 @@ impl<A: Application> Node<A> {
         }
         let hash = tx.hash();
         self.mempool.add(PendingTx {
-            hash,
             tx,
+            decoded,
             gas_wanted: check.gas_wanted,
             sender: check.sender,
             sequence: check.sequence,
@@ -266,9 +268,12 @@ impl<A: Application> Node<A> {
             self.params.max_block_txs,
             propose_time,
         );
-        let txs: Vec<RawTx> = reaped.iter().map(|p| p.tx.clone()).collect();
-        let tx_hashes: Vec<Hash> = reaped.iter().map(|p| p.hash).collect();
-        let data = Data { txs: txs.clone() };
+        // The reaped entries are owned: the payloads move into the block and
+        // each decoded form moves into its `DeliverTx`, nothing is copied.
+        let (txs, decoded): (Vec<RawTx>, Vec<Option<A::Decoded>>) =
+            reaped.into_iter().map(|p| (p.tx, p.decoded)).unzip();
+        let tx_hashes: Vec<Hash> = txs.iter().map(RawTx::hash).collect();
+        let data = Data { txs };
         let proposer = self.validators.proposer(height, 0).address;
 
         let header = Header {
@@ -298,10 +303,10 @@ impl<A: Application> Node<A> {
 
         // Execute the block against the application.
         self.app.begin_block(&header);
-        let mut results = Vec::with_capacity(txs.len());
+        let mut results = Vec::with_capacity(data.txs.len());
         let mut included_messages = 0u64;
-        for tx in &txs {
-            let result = self.app.deliver_tx(tx);
+        for (tx, decoded) in data.txs.iter().zip(decoded) {
+            let result = self.app.deliver_tx(tx, decoded);
             included_messages += result.events.len() as u64;
             results.push(result);
         }
@@ -331,9 +336,8 @@ impl<A: Application> Node<A> {
                 .collect(),
         };
 
-        // Remove included transactions, then account for rechecking whatever
-        // is left against the new state.
-        self.mempool.remove_committed(&tx_hashes);
+        // Account for rechecking whatever the proposal left in the mempool
+        // against the new state.
         let mempool_remaining = self.mempool.len();
 
         let work = self.timing.consensus_latency(self.validators.len())
@@ -350,12 +354,12 @@ impl<A: Application> Node<A> {
         self.last_app_hash = new_app_hash;
         self.last_commit = Some(commit);
         self.last_block_time = committed_at;
-        let tx_count = txs.len();
+        let tx_count = block.data.txs.len();
         // Precompute the event payload every subscriber will ask for, using
         // the hashes already computed at mempool admission.
         let mut tx_events = Vec::with_capacity(results.len());
         let mut events_payload_bytes = 0usize;
-        for ((hash, tx), result) in tx_hashes.iter().zip(&txs).zip(&results) {
+        for ((hash, tx), result) in tx_hashes.iter().zip(&block.data.txs).zip(&results) {
             events_payload_bytes += result.encoded_size() + 64 + tx.len();
             tx_events.push((*hash, result.code, result.events.clone()));
         }
@@ -429,6 +433,7 @@ fn results_hash(results: &[DeliverTxResult]) -> Hash {
 mod tests {
     use super::*;
     use crate::abci::{CheckTxResult, Event};
+    use std::rc::{Rc, Weak};
 
     /// A minimal counter application for node tests: every transaction is
     /// accepted and emits one event.
@@ -436,33 +441,55 @@ mod tests {
     struct CounterApp {
         delivered: u64,
         committed: u64,
+        /// `(first byte, decoded form received)` per delivered transaction.
+        handed_over: Vec<(u8, Option<u8>)>,
+        /// Every decoded form `check_tx` ever returned; one that is still
+        /// alive is held by the node.
+        issued: Vec<Weak<u8>>,
+    }
+
+    impl CounterApp {
+        fn decoded_forms_held_by_the_node(&self) -> usize {
+            self.issued.iter().filter(|d| d.strong_count() > 0).count()
+        }
     }
 
     impl Application for CounterApp {
-        fn check_tx(&mut self, tx: &RawTx) -> CheckTxResult {
-            if tx.as_bytes().first() == Some(&0xff) {
-                CheckTxResult {
+        /// The transaction's first byte, returned for every transaction
+        /// except accepted odd ones, so both hand-off arms run.
+        type Decoded = Rc<u8>;
+
+        fn check_tx(&mut self, tx: &RawTx) -> (CheckTxResult, Option<Rc<u8>>) {
+            let first = tx.as_bytes().first().copied().unwrap_or(0);
+            let decoded = Rc::new(first);
+            self.issued.push(Rc::downgrade(&decoded));
+            if first == 0xff {
+                let rejected = CheckTxResult {
                     code: 1,
                     log: "rejected by app".into(),
                     gas_wanted: 0,
                     sender: String::new(),
                     sequence: 0,
-                }
-            } else {
-                CheckTxResult {
-                    code: 0,
-                    log: String::new(),
-                    gas_wanted: 1_000,
-                    sender: format!("sender-{}", tx.as_bytes().first().copied().unwrap_or(0)),
-                    sequence: 0,
-                }
+                };
+                // A decoded form returned with a rejection must be dropped.
+                return (rejected, Some(decoded));
             }
+            let accepted = CheckTxResult {
+                code: 0,
+                log: String::new(),
+                gas_wanted: 1_000,
+                sender: format!("sender-{first}"),
+                sequence: 0,
+            };
+            (accepted, (first % 2 == 0).then_some(decoded))
         }
 
         fn begin_block(&mut self, _header: &Header) {}
 
-        fn deliver_tx(&mut self, _tx: &RawTx) -> DeliverTxResult {
+        fn deliver_tx(&mut self, tx: &RawTx, decoded: Option<Rc<u8>>) -> DeliverTxResult {
             self.delivered += 1;
+            self.handed_over
+                .push((tx.as_bytes()[0], decoded.map(|d| *d)));
             DeliverTxResult {
                 code: 0,
                 log: String::new(),
@@ -525,6 +552,28 @@ mod tests {
     }
 
     #[test]
+    fn decoded_forms_reach_deliver_tx_and_raw_submissions_still_deliver() {
+        let mut node = test_node();
+        // 2 and 4 carry a decoded form; 3 is admitted without one.
+        for first in [2u8, 3, 4] {
+            node.submit_tx(RawTx::new(vec![first]), SimTime::ZERO)
+                .unwrap();
+        }
+        assert_eq!(node.app().decoded_forms_held_by_the_node(), 2);
+        let outcome = node.produce_block(SimTime::from_secs(5));
+        assert_eq!(outcome.tx_count, 3);
+        assert_eq!(
+            node.app().handed_over,
+            [(2, Some(2)), (3, None), (4, Some(4))]
+        );
+        assert_eq!(node.mempool_size(), 0);
+        // Moved into `deliver_tx`, not copied: the committed block keeps the
+        // raw transactions only.
+        assert_eq!(node.app().decoded_forms_held_by_the_node(), 0);
+        assert_eq!(node.block_at(1).unwrap().block.data.txs.len(), 3);
+    }
+
+    #[test]
     fn check_tx_rejection_propagates() {
         let mut node = test_node();
         let err = node
@@ -532,18 +581,22 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, SubmitError::CheckTxFailed { code: 1, .. }));
         assert_eq!(node.mempool_size(), 0);
+        assert_eq!(node.app().decoded_forms_held_by_the_node(), 0);
     }
 
     #[test]
     fn duplicate_submission_is_rejected_by_mempool() {
         let mut node = test_node();
-        let tx = RawTx::new(vec![7]);
+        let tx = RawTx::new(vec![8]);
         node.submit_tx(tx.clone(), SimTime::ZERO).unwrap();
         let err = node.submit_tx(tx, SimTime::ZERO).unwrap_err();
         assert!(matches!(
             err,
             SubmitError::Mempool(MempoolError::AlreadyPending)
         ));
+        // The refused copy left nothing behind: one entry, one decoded form.
+        assert_eq!(node.mempool_size(), 1);
+        assert_eq!(node.app().decoded_forms_held_by_the_node(), 1);
     }
 
     #[test]

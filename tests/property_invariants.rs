@@ -13,7 +13,7 @@ use ibc_perf_repro::ibc::transfer::{
     escrow_address, on_recv_packet, refund, send_coins, BankKeeper, FungibleTokenPacketData,
 };
 use ibc_perf_repro::sim::{FifoServer, SimDuration, SimTime};
-use ibc_perf_repro::tendermint::hash::sha256;
+use ibc_perf_repro::tendermint::hash::{sha256, Sha256};
 use ibc_perf_repro::tendermint::merkle::{prove, simple_root};
 
 proptest! {
@@ -28,6 +28,22 @@ proptest! {
         prop_assert_eq!(proved_root, root);
         prop_assert!(proof.verify(&root, &leaves[i]));
         prop_assert!(!proof.verify(&root, b"not-a-leaf-of-this-tree"));
+    }
+
+    /// However the input is cut into `update` calls — empty ones included —
+    /// the streaming hasher's digest is the one-shot digest.
+    #[test]
+    fn sha256_is_independent_of_how_the_input_is_split(data in prop::collection::vec(any::<u8>(), 0..4097), cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..12)) {
+        let mut cuts: Vec<usize> = cuts.iter().map(|cut| cut.index(data.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut hasher = Sha256::new();
+        let mut fed = 0;
+        for cut in cuts {
+            hasher.update(&data[fed..cut]);
+            fed = cut;
+        }
+        hasher.update(&data[fed..]);
+        prop_assert_eq!(hasher.finalize(), sha256(&data));
     }
 
     /// The commitment store root is insensitive to insertion order.
