@@ -10,7 +10,7 @@ use crate::gas;
 use crate::msg::Msg;
 use xcc_sim::prof;
 use xcc_tendermint::block::RawTx;
-use xcc_tendermint::hash::{hash_fields, Hash};
+use xcc_tendermint::hash::{Hash, Sha256};
 
 /// A transaction: one signer, a sequence number, a fee, and a batch of
 /// messages.
@@ -137,18 +137,31 @@ impl Tx {
         }
     }
 
+    /// The digest a signature covers: `hash_fields` over the signer, the
+    /// sequence, the fee as `Coin` displays it (amount, then denom) and, per
+    /// message, its type URL followed by its encoded size. Computed three
+    /// times per transaction (signing, then the ante check at CheckTx and at
+    /// DeliverTx), so each field streams into the hasher in `hash_fields`'
+    /// framing — length as 8 big-endian bytes, then the bytes — instead of
+    /// being assembled on the heap first.
     fn body_digest(signer: &AccountId, sequence: u64, msgs: &[Msg], fee: &Coin) -> Hash {
-        let mut fields: Vec<Vec<u8>> = Vec::with_capacity(msgs.len() + 3);
-        fields.push(signer.as_str().as_bytes().to_vec());
-        fields.push(sequence.to_be_bytes().to_vec());
-        fields.push(fee.to_string().into_bytes());
+        let mut hasher = Sha256::new();
+        let mut field = |parts: &[&[u8]]| {
+            let len: usize = parts.iter().map(|part| part.len()).sum();
+            hasher.update(&(len as u64).to_be_bytes());
+            for part in parts {
+                hasher.update(part);
+            }
+        };
+        field(&[signer.as_str().as_bytes()]);
+        field(&[&sequence.to_be_bytes()]);
+        let mut digits = [0u8; 39];
+        field(&[decimal(fee.amount, &mut digits), fee.denom.as_bytes()]);
         for msg in msgs {
-            let mut bytes = msg.type_url().as_bytes().to_vec();
-            bytes.extend_from_slice(&(msg.encoded_size() as u64).to_be_bytes());
-            fields.push(bytes);
+            let size = (msg.encoded_size() as u64).to_be_bytes();
+            field(&[msg.type_url().as_bytes(), &size]);
         }
-        let refs: Vec<&[u8]> = fields.iter().map(|f| f.as_slice()).collect();
-        hash_fields(&refs)
+        hasher.finalize()
     }
 
     /// Whether the transaction's signature matches its contents and claimed
@@ -160,7 +173,7 @@ impl Tx {
 
     /// Serialises the transaction into opaque bytes for inclusion in a block.
     ///
-    /// The payload is the vendored serde shim's compact binary rendering —
+    /// The payload is the vendored serde shim's compact binary format —
     /// transactions are encoded and decoded millions of times per experiment,
     /// and JSON text on this path used to dominate experiment runtime. The
     /// returned [`RawTx`] still *declares* the exact byte length of the
@@ -168,6 +181,12 @@ impl Tx {
     /// derived from transaction size (mempool and block byte limits, block
     /// processing time, WebSocket frame payloads) is unchanged: JSON remains
     /// the modelled wire format and survives at the reporting boundary only.
+    ///
+    /// Both come out of one walk over the transaction: its derived
+    /// `serialize` feeds a [`serde::binary::Writer`], which appends the
+    /// payload bytes, and a [`serde::json::Len`], which adds up the JSON
+    /// length, side by side. No `serde::Value` tree and no JSON text exist at
+    /// any point.
     pub fn encode(&self) -> RawTx {
         self.cached().clone()
     }
@@ -182,9 +201,15 @@ impl Tx {
     /// performs none.
     fn cached(&self) -> &RawTx {
         self.encoded.get_or_init(|| {
-            let value = self.to_value();
-            let wire_len = serde::json::encoded_len(&value);
-            let raw = RawTx::with_wire_len(serde::binary::to_bytes(&value), wire_len);
+            // One traversal feeds both consumers: the payload bytes and the
+            // length of the JSON text they stand for.
+            let mut sink = (
+                serde::binary::Writer::default(),
+                serde::json::Len::default(),
+            );
+            self.serialize(&mut sink);
+            let (payload, serde::json::Len(wire_len)) = sink;
+            let raw = RawTx::with_wire_len(payload.into_bytes(), wire_len);
             prof::bump_tx_encoded(raw.len() as u64);
             // Every encoded transaction is identified by hash at least once
             // (submission); filling the memo here means each clone handed out
@@ -196,15 +221,22 @@ impl Tx {
 
     /// Decodes a transaction previously produced by [`Tx::encode`].
     ///
+    /// The derived `deserialize` pulls straight from a
+    /// [`serde::binary::Reader`] over the payload, so the fields land in the
+    /// `Tx` without a `serde::Value` tree in between. The reader takes keys in
+    /// the order `encode` wrote them and falls back to a rescan for payloads
+    /// that order them differently, so it accepts exactly the payloads the
+    /// tree-building `serde::binary::from_bytes` + `from_value` pair accepts.
+    ///
     /// # Errors
     ///
-    /// Fails when the bytes are not a valid encoded transaction.
+    /// Fails when the bytes are not a valid encoded transaction: an unknown
+    /// tag, truncation, invalid UTF-8, an oversized varint, containers nested
+    /// more than [`serde::MAX_DEPTH`] deep, trailing bytes, or well-formed
+    /// bytes that are not a `Tx`.
     pub fn decode(raw: &RawTx) -> Result<Self, TxDecodeError> {
         prof::bump_tx_decoded();
-        let value = serde::binary::from_bytes(raw.as_bytes()).map_err(|e| TxDecodeError {
-            reason: e.to_string(),
-        })?;
-        Tx::from_value(&value).map_err(|e| TxDecodeError {
+        serde::binary::read(raw.as_bytes()).map_err(|e| TxDecodeError {
             reason: e.to_string(),
         })
     }
@@ -221,6 +253,20 @@ impl Tx {
     /// Number of messages in the transaction.
     pub fn msg_count(&self) -> usize {
         self.msgs.len()
+    }
+}
+
+/// The decimal digits of `n`, written into the tail of `buf` (a `u128` has at
+/// most 39).
+fn decimal(mut n: u128, buf: &mut [u8; 39]) -> &[u8] {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            return &buf[at..];
+        }
     }
 }
 
@@ -277,6 +323,83 @@ mod tests {
     fn decode_rejects_garbage() {
         let err = Tx::decode(&RawTx::new(b"not json".to_vec())).unwrap_err();
         assert!(err.to_string().contains("failed to decode"));
+
+        // 200,000 nested one-element arrays — 400 KB, smaller than a
+        // relayer transaction — used to overflow the stack; both on their
+        // own and hidden under a key no field of `Tx` reads.
+        let deep = [7u8, 1].repeat(200_000);
+        assert!(Tx::decode(&RawTx::new(deep.clone())).is_err());
+        let tx = Tx::new("alice".into(), 3, vec![transfer(10)], "uatom");
+        let mut entries = tx.to_value().as_map().expect("a map").to_vec();
+        let with_extra = |entries: &[(String, serde::Value)]| {
+            RawTx::new(serde::binary::to_bytes(&serde::Value::Map(
+                entries.to_vec(),
+            )))
+        };
+        entries.push(("extra".into(), serde::Value::Null));
+        assert_eq!(Tx::decode(&with_extra(&entries)).unwrap(), tx);
+        let mut hidden = with_extra(&entries).as_bytes().to_vec();
+        assert_eq!(hidden.pop(), Some(0), "the trailing null of `extra`");
+        hidden.extend(deep);
+        let err = Tx::decode(&RawTx::new(hidden)).unwrap_err();
+        assert!(err.reason.contains("nests deeper"), "{err}");
+    }
+
+    /// The streamed digest against the heap-assembled one it replaced, and
+    /// against a literal captured before the change: every fixture
+    /// transaction's signature covers this digest.
+    #[test]
+    fn body_digest_is_unchanged_by_streaming() {
+        use xcc_tendermint::hash::hash_fields;
+        let reference = |tx: &Tx| {
+            let mut fields = vec![
+                tx.signer.as_str().as_bytes().to_vec(),
+                tx.sequence.to_be_bytes().to_vec(),
+                tx.fee.to_string().into_bytes(),
+            ];
+            for msg in &tx.msgs {
+                let mut bytes = msg.type_url().as_bytes().to_vec();
+                bytes.extend_from_slice(&(msg.encoded_size() as u64).to_be_bytes());
+                fields.push(bytes);
+            }
+            let refs: Vec<&[u8]> = fields.iter().map(|f| f.as_slice()).collect();
+            hash_fields(&refs)
+        };
+        let digest = |tx: &Tx| Tx::body_digest(&tx.signer, tx.sequence, &tx.msgs, &tx.fee);
+
+        let bank = Msg::BankSend {
+            from: "alice".into(),
+            to: "bob".into(),
+            amount: Coin::new("uatom", 7),
+        };
+        let tx = Tx::new(
+            "alice".into(),
+            3,
+            vec![transfer(10), bank, transfer(20)],
+            "uatom",
+        );
+        assert_eq!(
+            digest(&tx).to_hex(),
+            "1076f03db749e1e0ec9958d8c8f941c9365184d31d59e924fa1286094349f71c"
+        );
+        assert_eq!(
+            tx.signature.to_hex(),
+            "f8c25fa4af119ed78eff537fb9e9e87283d1cd454b9c3db686e7ac75733e1d76"
+        );
+        assert_eq!(
+            tx.hash().to_hex(),
+            "947b1dab0e1ba312a939dcd02030b75bbffcb2596eed210ea431d528fd86e86f"
+        );
+        assert_eq!(
+            (tx.encode().len(), tx.encode().as_bytes().len()),
+            (722, 587)
+        );
+
+        let mut odd = Tx::new("".into(), u64::MAX, vec![], "");
+        odd.fee.amount = u128::MAX;
+        for tx in [tx, odd, Tx::new("bob".into(), 0, vec![], "ibc/27394FB0")] {
+            assert_eq!(digest(&tx), reference(&tx));
+        }
     }
 
     #[test]

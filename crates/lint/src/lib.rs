@@ -12,7 +12,7 @@
 //! crates.io is unreachable in this environment) built on a comment- and
 //! string-aware scrubbing scanner ([`lexer::Scrubbed`]) and a shallow
 //! [workspace item graph](items) parsed from the scrubbed token stream.
-//! Ten rules run over `crates/*/src`, `tests/`, and friends:
+//! Eleven rules run over `crates/*/src`, `tests/`, and friends:
 //!
 //! * **D1 `hash-collections`** — no `HashMap`/`HashSet` without a per-site
 //!   justified suppression.
@@ -26,6 +26,10 @@
 //!   wildcard), and no kind is dead.
 //! * **C2 `lane-bypass`** — outside `crates/rpc`, no direct `RpcResponse`
 //!   construction and no cost-table (`service_time`) access.
+//! * **V1 `value-detour`** — the six simulation crates never call
+//!   `to_value`/`from_value`, `serde::binary::{to_bytes, from_bytes}` or
+//!   `serde::json::{encoded_len, parse}`: a transaction streams to bytes and
+//!   back without a `serde::Value` tree.
 //! * **K1 `dead-knob`** — every pub config field and `SweepGrid` axis is
 //!   read outside its defining file.
 //! * **P1 `panic-in-library`** — `unwrap()`/`expect()`/`panic!` in non-test

@@ -8,6 +8,7 @@
 //! | D4 | `float-determinism` | `f32`/`f64` in sim/chain/tendermint/relayer code is annotated or baselined |
 //! | C1 | `uncosted-rpc` | every `RpcEndpoint` RPC method names a `RequestKind`, and every kind has an explicit costing arm |
 //! | C2 | `lane-bypass` | outside `crates/rpc`, no direct `RpcResponse` construction or cost-table access |
+//! | V1 | `value-detour` | simulation code never builds a `serde::Value` tree: no `to_value`/`from_value`, no `Value`-tree binary or JSON-length calls |
 //! | K1 | `dead-knob` | every pub config field / `SweepGrid` axis is read outside its defining file |
 //! | P1 | `panic-in-library` | no new `unwrap()`/`expect()`/`panic!` in non-test library code beyond the baseline |
 //! | R1 | `registry-docs` | scenario registry ↔ README/PAPER-row consistency |
@@ -17,7 +18,7 @@
 //! mandatory, and suppressions that stop matching anything are themselves
 //! findings, so the escape hatch cannot rot.
 //!
-//! The token-level rules (D1–D3, D4, C2, P1) work straight off the scrubbed
+//! The token-level rules (D1–D3, D4, C2, V1, P1) work straight off the scrubbed
 //! lines; the structural rules (C1, K1) consume the
 //! [workspace item graph](crate::items) so they survive reformatting and
 //! follow items when they move.
@@ -47,6 +48,8 @@ pub enum RuleId {
     UncostedRpc,
     /// C2: no `RpcResponse` construction or cost-table access outside `crates/rpc`.
     LaneBypass,
+    /// V1: no `serde::Value` trees on the simulation path.
+    ValueDetour,
     /// K1: pub config knobs and sweep axes must be read somewhere.
     DeadKnob,
     /// P1: panic sites in library code ratcheted by the baseline.
@@ -60,13 +63,14 @@ pub enum RuleId {
 
 impl RuleId {
     /// Every rule, in report order.
-    pub const ALL: [RuleId; 10] = [
+    pub const ALL: [RuleId; 11] = [
         RuleId::HashCollections,
         RuleId::WallClock,
         RuleId::AmbientEntropy,
         RuleId::FloatDeterminism,
         RuleId::UncostedRpc,
         RuleId::LaneBypass,
+        RuleId::ValueDetour,
         RuleId::DeadKnob,
         RuleId::PanicInLibrary,
         RuleId::RegistryDocs,
@@ -82,6 +86,7 @@ impl RuleId {
             RuleId::FloatDeterminism => "float-determinism",
             RuleId::UncostedRpc => "uncosted-rpc",
             RuleId::LaneBypass => "lane-bypass",
+            RuleId::ValueDetour => "value-detour",
             RuleId::DeadKnob => "dead-knob",
             RuleId::PanicInLibrary => "panic-in-library",
             RuleId::RegistryDocs => "registry-docs",
@@ -98,6 +103,7 @@ impl RuleId {
             RuleId::FloatDeterminism => "D4",
             RuleId::UncostedRpc => "C1",
             RuleId::LaneBypass => "C2",
+            RuleId::ValueDetour => "V1",
             RuleId::DeadKnob => "K1",
             RuleId::PanicInLibrary => "P1",
             RuleId::RegistryDocs => "R1",
@@ -197,6 +203,9 @@ pub fn run(config: &Config) -> io::Result<Outcome> {
     }
     if config.enabled(RuleId::LaneBypass) {
         lane_bypass(&files, &mut findings);
+    }
+    if config.enabled(RuleId::ValueDetour) {
+        value_detour(&files, &mut findings);
     }
     if config.enabled(RuleId::DeadKnob) {
         dead_knob(&files, &mut findings);
@@ -632,6 +641,66 @@ fn lane_bypass(files: &[SourceFile], findings: &mut Vec<Finding>) {
                           through an RpcEndpoint lane method"
                     .into(),
             });
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// V1: value-detour
+// ---------------------------------------------------------------------------
+
+/// V1 covers the six crates a simulated transaction passes through. The
+/// framework, bench and lint crates sit at the reporting boundary, where
+/// `serde::Value` trees and JSON text are the point.
+fn in_value_scope(rel: &str) -> bool {
+    ["sim", "tendermint", "chain", "ibc", "rpc", "relayer"]
+        .iter()
+        .any(|krate| rel.starts_with(&format!("crates/{krate}/src/")))
+}
+
+/// The tree-building calls, as `(module, function)`: a function with no
+/// module is banned under any path, the others only as `module::function`
+/// or inside a `module::{..}` import — `tx.encoded_len()` and `str::parse`
+/// are different functions.
+const VALUE_DETOURS: [(&str, &str); 6] = [
+    ("", "to_value"),
+    ("", "from_value"),
+    ("binary", "to_bytes"),
+    ("binary", "from_bytes"),
+    ("json", "encoded_len"),
+    ("json", "parse"),
+];
+
+fn value_detour(files: &[SourceFile], findings: &mut Vec<Finding>) {
+    let v1 = RuleId::ValueDetour.name();
+    for file in files.iter().filter(|f| in_value_scope(&f.rel)) {
+        for (module, function) in VALUE_DETOURS {
+            for (line, col) in word_occurrences(&file.scrub.code, function) {
+                let before = &file.scrub.code[line - 1][..col];
+                let named = module.is_empty()
+                    || before.ends_with(&format!("{module}::"))
+                    || before.contains(&format!("{module}::{{"));
+                if !named || file.scrub.is_test_line(line) {
+                    continue;
+                }
+                if let Some(supp) = file.scrub.suppression_for(v1, line) {
+                    supp.used.set(true);
+                    continue;
+                }
+                let path = [module, function].join("::");
+                findings.push(Finding {
+                    rule: v1,
+                    path: file.rel.clone(),
+                    line,
+                    col: col + 1,
+                    message: format!(
+                        "`{}`: builds or walks a `serde::Value` tree on the simulation path — \
+                         stream through `Serialize::serialize` / `Deserialize::deserialize` \
+                         (`serde::binary::{{write, read, Writer, Reader}}`, `serde::json::Len`)",
+                        path.trim_start_matches("::")
+                    ),
+                });
+            }
         }
     }
 }

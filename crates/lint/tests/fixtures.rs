@@ -259,6 +259,39 @@ fn lane_bypass_fixture_fails() {
     assert_eq!(check_exit_code(&root, "lane-bypass"), 2);
 }
 
+#[test]
+fn value_detour_fixture_fails() {
+    let root = fixture("value_detour");
+    let findings = run_rules(&root, &["value-detour"]);
+    let v1: Vec<_> = findings
+        .iter()
+        .filter(|(r, _)| r == "value-detour")
+        .collect();
+    for call in [
+        "`to_value`",
+        "`from_value`",
+        "`binary::to_bytes`",
+        "`binary::from_bytes`",
+        "`json::encoded_len`",
+        "`json::parse`",
+    ] {
+        assert!(
+            v1.iter().any(|(_, m)| m.contains(call)),
+            "{call} must be flagged: {findings:?}"
+        );
+    }
+    // One finding per banned function (`from_bytes` is caught at its
+    // import); the comment, the string, `tx.encoded_len()`, `str::parse`,
+    // the streaming calls, the suppressed dump, the test module and the
+    // framework crate stay silent.
+    assert_eq!(v1.len(), 6, "{findings:?}");
+    assert!(
+        !findings.iter().any(|(r, _)| r == "suppression"),
+        "the dump's suppression is used: {findings:?}"
+    );
+    assert_eq!(check_exit_code(&root, "value-detour"), 2);
+}
+
 /// Satellite guarantee: findings come out sorted by (path, line, col, rule)
 /// and paths stay workspace-relative even under an absolute `--root`.
 #[test]

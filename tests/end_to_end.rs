@@ -157,3 +157,38 @@ fn tendermint_throughput_saturates_with_input_rate() {
     // At low rates everything requested is committed.
     assert_eq!(low.committed(), low.requests_made());
 }
+
+/// Every transaction either chain committed in the `smoke` run, decoded and
+/// encoded again, gives back the committed payload, wire length and hash:
+/// the typed codec is a bijection on what a real run produces, and agrees
+/// with the `Value`-tree rendering the payload format is defined by.
+#[test]
+fn every_committed_tx_of_the_smoke_run_re_encodes_identically() {
+    use ibc_perf_repro::chain::tx::Tx;
+    use ibc_perf_repro::framework::{registry, sweep::SweepMode};
+    use serde::Serialize;
+
+    let entry = registry::get("smoke").expect("registered");
+    let run = scenarios::run_raw(&entry.grid(SweepMode::Quick).points()[0]);
+    let mut committed = 0;
+    for chain in &run.chains {
+        let chain = chain.borrow();
+        for height in 1..=chain.height() {
+            let Some(block) = chain.block_at(height) else {
+                continue;
+            };
+            for raw in &block.block.data.txs {
+                let tx = Tx::decode(raw).expect("a committed tx decodes");
+                let again = tx.encode();
+                assert_eq!(again.as_bytes(), raw.as_bytes());
+                assert_eq!(again.len(), raw.len());
+                assert_eq!(again.hash(), raw.hash());
+                let tree = tx.to_value();
+                assert_eq!(raw.as_bytes(), serde::binary::to_bytes(&tree).as_slice());
+                assert_eq!(raw.len(), serde::json::encoded_len(&tree));
+                committed += 1;
+            }
+        }
+    }
+    assert!(committed >= 10, "only {committed} transactions committed");
+}

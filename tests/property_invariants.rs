@@ -163,3 +163,293 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The typed transaction codec against the `Value` path it replaced
+// ---------------------------------------------------------------------------
+
+mod codec {
+    use std::fmt::Debug;
+
+    use ibc_perf_repro::chain::msg::Msg;
+    use ibc_perf_repro::chain::tx::Tx;
+    use ibc_perf_repro::framework::config::DeploymentConfig;
+    use ibc_perf_repro::ibc::client::ClientUpdate;
+    use ibc_perf_repro::ibc::commitment::CommitmentStore;
+    use ibc_perf_repro::ibc::height::Height;
+    use ibc_perf_repro::ibc::ids::{ChannelId, ClientId, PortId, Sequence};
+    use ibc_perf_repro::ibc::packet::{Acknowledgement, Packet};
+    use ibc_perf_repro::relayer::strategy::RelayerStrategy;
+    use ibc_perf_repro::sim::SimTime;
+    use ibc_perf_repro::tendermint::block::{BlockId, Header, RawTx, Version};
+    use ibc_perf_repro::tendermint::hash::{sha256, Hash};
+    use ibc_perf_repro::tendermint::validator::{ValidatorAddress, ValidatorSet};
+    use ibc_perf_repro::tendermint::vote::{BlockIdFlag, Commit, CommitSig};
+    use proptest::prelude::*;
+    use serde::{binary, Deserialize, Serialize, Value};
+
+    /// The typed reader and the tree-building path must both fail on `bytes`
+    /// or both give the same `T`.
+    fn assert_same_verdict<T: Deserialize + PartialEq + Debug>(bytes: &[u8]) -> Option<T> {
+        let typed = binary::read::<T>(bytes).ok();
+        let by_value = binary::from_bytes(bytes)
+            .and_then(|tree| T::from_value(&tree))
+            .ok();
+        assert_eq!(typed, by_value, "verdicts differ on {bytes:?}");
+        typed
+    }
+
+    fn assert_same_tx_verdict(bytes: &[u8]) -> Option<Tx> {
+        let verdict = assert_same_verdict::<Tx>(bytes);
+        assert_eq!(Tx::decode(&RawTx::new(bytes.to_vec())).ok(), verdict);
+        verdict
+    }
+
+    fn packet(seq: u64, data: &[u8]) -> Packet {
+        Packet {
+            sequence: Sequence(seq),
+            source_port: PortId::transfer(),
+            source_channel: ChannelId::with_index(0),
+            destination_port: PortId::transfer(),
+            destination_channel: ChannelId::with_index(1),
+            data: data.to_vec(),
+            timeout_height: Height::at(seq / 2),
+            timeout_timestamp: SimTime::from_nanos(seq),
+        }
+    }
+
+    fn update_client(root: Hash, height: u64) -> Msg {
+        let validators = ValidatorSet::with_equal_power(2, 10);
+        let block_id = BlockId {
+            hash: sha256(&height.to_be_bytes()),
+        };
+        let signatures = validators
+            .validators()
+            .iter()
+            .map(|v| CommitSig {
+                flag: BlockIdFlag::Commit,
+                validator: v.address,
+                timestamp: SimTime::from_secs(height),
+                signature: sha256(v.name.as_bytes()),
+            })
+            .collect();
+        let header = Header {
+            version: Version::default(),
+            chain_id: "ibc-1".into(),
+            height,
+            time: SimTime::from_secs(5 * height),
+            last_block_id: block_id,
+            last_commit_hash: root,
+            data_hash: Hash::ZERO,
+            validators_hash: validators.hash(),
+            next_validators_hash: validators.hash(),
+            consensus_hash: root,
+            app_hash: root,
+            last_results_hash: Hash::ZERO,
+            evidence_hash: Hash::ZERO,
+            proposer_address: ValidatorAddress::from_name("val-0"),
+        };
+        Msg::IbcUpdateClient {
+            client_id: ClientId::with_index(0),
+            update: Box::new(ClientUpdate {
+                header,
+                commit: Commit {
+                    height,
+                    round: 0,
+                    block_id,
+                    signatures,
+                },
+                validators,
+                ibc_root: root,
+            }),
+            signer: "relayer-0".into(),
+        }
+    }
+
+    /// A relayer batch as Hermes builds one: an update-client, then a recv
+    /// or an ack per packet, each with the Merkle branch of a store that
+    /// holds every packet of the batch and `padding` more entries.
+    fn relayer_tx(packets: &[(u64, Vec<u8>)], padding: u8, nonce: u64) -> Tx {
+        let mut store = CommitmentStore::new();
+        for i in 0..padding {
+            store.set(format!("acks/{i}"), sha256(&[i]));
+        }
+        for (seq, data) in packets {
+            store.set(
+                format!("commitments/{seq}"),
+                packet(*seq, data).commitment(),
+            );
+        }
+        let mut msgs = vec![update_client(store.root(), nonce % 1_000 + 2)];
+        for (seq, data) in packets {
+            let packet = packet(*seq, data);
+            let proof = store
+                .prove_membership(&format!("commitments/{seq}"))
+                .expect("just committed");
+            msgs.push(if seq % 2 == 0 {
+                Msg::IbcRecvPacket {
+                    packet,
+                    proof_commitment: proof,
+                    proof_height: Height::at(nonce),
+                    signer: "relayer-0".into(),
+                }
+            } else {
+                Msg::IbcAcknowledgement {
+                    packet,
+                    acknowledgement: if seq % 3 == 0 {
+                        Acknowledgement::error("denied")
+                    } else {
+                        Acknowledgement::success()
+                    },
+                    proof_acked: proof,
+                    proof_height: Height::at(nonce),
+                    signer: "relayer-0".into(),
+                }
+            });
+        }
+        Tx::new("relayer-0".into(), nonce, msgs, "uatom")
+    }
+
+    /// Applies `edit` to the `pick`-th map of a copy of `tree` (counting
+    /// outermost first, wrapping around) and returns the copy's bytes.
+    fn with_edited_map(
+        tree: &Value,
+        pick: usize,
+        edit: impl FnOnce(&mut Vec<(String, Value)>),
+    ) -> Vec<u8> {
+        fn nth<'a>(tree: &'a mut Value, n: &mut usize) -> Option<&'a mut Vec<(String, Value)>> {
+            match tree {
+                Value::Map(entries) => {
+                    if *n == 0 {
+                        return Some(entries);
+                    }
+                    *n -= 1;
+                    entries.iter_mut().find_map(|(_, value)| nth(value, n))
+                }
+                Value::Seq(items) => items.iter_mut().find_map(|item| nth(item, n)),
+                _ => None,
+            }
+        }
+        fn count(tree: &Value) -> usize {
+            match tree {
+                Value::Map(entries) => 1 + entries.iter().map(|(_, v)| count(v)).sum::<usize>(),
+                Value::Seq(items) => items.iter().map(count).sum(),
+                _ => 0,
+            }
+        }
+        let mut copy = tree.clone();
+        let mut n = pick % count(tree).max(1);
+        if let Some(entries) = nth(&mut copy, &mut n) {
+            edit(entries);
+        }
+        binary::to_bytes(&copy)
+    }
+
+    /// The key edits a hand-written or older payload can carry, each applied
+    /// to one map somewhere in the tree: reordered, unknown, duplicated (the
+    /// impostor before or after the real entry) and missing keys.
+    fn assert_map_edits_agree<T: Deserialize + Serialize + PartialEq + Debug>(
+        value: &T,
+        pick: usize,
+        at: usize,
+    ) {
+        let tree = value.to_value();
+        let junk = Value::Seq(vec![Value::Str("junk".into()), Value::Null]);
+        let slot = |entries: &Vec<(String, Value)>| at % entries.len().max(1);
+
+        let rotated = with_edited_map(&tree, pick, |entries| {
+            let by = slot(entries);
+            entries.rotate_left(by);
+        });
+        assert_eq!(assert_same_verdict::<T>(&rotated).as_ref(), Some(value));
+        let reversed = with_edited_map(&tree, pick, |entries| entries.reverse());
+        assert_eq!(assert_same_verdict::<T>(&reversed).as_ref(), Some(value));
+
+        let unknown = with_edited_map(&tree, pick, |entries| {
+            let i = at % (entries.len() + 1);
+            entries.insert(i, ("no_such_field".into(), junk.clone()));
+        });
+        assert_same_verdict::<T>(&unknown);
+
+        let shadowed_late = with_edited_map(&tree, pick, |entries| {
+            if let Some((key, _)) = entries.get(slot(entries)).cloned() {
+                entries.push((key, junk.clone()));
+            }
+        });
+        assert_same_verdict::<T>(&shadowed_late);
+        let shadowed_early = with_edited_map(&tree, pick, |entries| {
+            if let Some((key, _)) = entries.get(slot(entries)).cloned() {
+                entries.insert(0, (key, junk.clone()));
+            }
+        });
+        assert_same_verdict::<T>(&shadowed_early);
+
+        let missing = with_edited_map(&tree, pick, |entries| {
+            if !entries.is_empty() {
+                entries.remove(slot(entries));
+            }
+        });
+        assert_same_verdict::<T>(&missing);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10))]
+
+        /// Random relayer batches encode to the bytes and the length the
+        /// tree path gives, and every truncation of the payload is rejected
+        /// by both decoders.
+        #[test]
+        fn relayer_batches_encode_identically_and_reject_every_truncation(
+            packets in prop::collection::vec((1u64..5_000, prop::collection::vec(any::<u8>(), 0..40)), 0..3),
+            padding in 0u8..40,
+            nonce in any::<u64>(),
+        ) {
+            let tx = relayer_tx(&packets, padding, nonce);
+            let raw = tx.encode();
+            let tree = tx.to_value();
+            prop_assert_eq!(raw.as_bytes(), binary::to_bytes(&tree).as_slice());
+            prop_assert_eq!(raw.len(), serde::json::encoded_len(&tree));
+            prop_assert_eq!(raw.len(), serde_json::to_string(&tx).unwrap().len());
+            prop_assert_eq!(assert_same_tx_verdict(raw.as_bytes()), Some(tx));
+            for cut in 0..raw.as_bytes().len() {
+                prop_assert_eq!(assert_same_tx_verdict(&raw.as_bytes()[..cut]), None);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A flipped byte anywhere in a payload — a tag, a length, a key, a
+        /// digit of a hash — gets the same verdict from both decoders, and
+        /// when it still decodes, the same transaction.
+        #[test]
+        fn byte_flips_get_the_same_verdict(
+            packets in prop::collection::vec((1u64..5_000, prop::collection::vec(any::<u8>(), 0..40)), 1..4),
+            padding in 0u8..40,
+            flips in prop::collection::vec((any::<prop::sample::Index>(), 1u16..256), 40..41),
+        ) {
+            let bytes = relayer_tx(&packets, padding, 7).encode().as_bytes().to_vec();
+            for (at, mask) in flips {
+                let mut mutated = bytes.clone();
+                mutated[at.index(bytes.len())] ^= mask as u8;
+                assert_same_tx_verdict(&mutated);
+            }
+        }
+
+        /// Keys reordered, unknown, duplicated or missing in any one map of
+        /// the tree — the transaction's own, a message's, a proof's, a
+        /// header's — resolve the way a lookup in the parsed map does; the
+        /// two config types carry the `#[serde(default)]` fields.
+        #[test]
+        fn edited_maps_get_the_same_verdict(
+            packets in prop::collection::vec((1u64..5_000, prop::collection::vec(any::<u8>(), 0..8)), 1..3),
+            pick in any::<usize>(),
+            at in any::<usize>(),
+        ) {
+            assert_map_edits_agree(&relayer_tx(&packets, 5, 1), pick, at);
+            assert_map_edits_agree(&RelayerStrategy::default().frame_limit(4_096), pick, at);
+            assert_map_edits_agree(&DeploymentConfig::default(), pick, at);
+        }
+    }
+}

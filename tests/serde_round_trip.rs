@@ -3,6 +3,10 @@
 //! unchanged, and its compact JSON must equal the pinned literal. The
 //! literals were captured from the hand-written impls these derives
 //! replaced, so any byte of drift here is a wire-format change.
+//!
+//! Below them, one `wire_round_trip!` line per type a `Tx` can hold: the
+//! transaction codec streams these to bytes and back without a `Value` tree,
+//! and each line holds that path to the tree-building one it replaced.
 
 use ibc_perf_repro::chain::account::AccountId;
 use ibc_perf_repro::chain::coin::Coin;
@@ -11,10 +15,19 @@ use ibc_perf_repro::chain::tx::Tx;
 use ibc_perf_repro::framework::config::{DeploymentConfig, WorkloadConfig};
 use ibc_perf_repro::framework::fault::{FaultChain, FaultEvent, FaultPlan};
 use ibc_perf_repro::framework::topology::{HopRoute, Topology, TopologyEdge};
-use ibc_perf_repro::ibc::commitment::CommitmentStore;
+use ibc_perf_repro::ibc::client::ClientUpdate;
+use ibc_perf_repro::ibc::commitment::{CommitmentProof, CommitmentStore, NonMembershipProof};
+use ibc_perf_repro::ibc::height::Height;
+use ibc_perf_repro::ibc::ids::{ChannelId, ClientId, PortId, Sequence};
+use ibc_perf_repro::ibc::module::TransferParams;
+use ibc_perf_repro::ibc::packet::{Acknowledgement, Packet};
 use ibc_perf_repro::relayer::strategy::{ChannelPolicy, RelayerStrategy};
-use ibc_perf_repro::sim::SimDuration;
-use ibc_perf_repro::tendermint::hash::sha256;
+use ibc_perf_repro::sim::{SimDuration, SimTime};
+use ibc_perf_repro::tendermint::block::{BlockId, Header, Version};
+use ibc_perf_repro::tendermint::hash::{sha256, Hash};
+use ibc_perf_repro::tendermint::validator::{Validator, ValidatorAddress, ValidatorSet};
+use ibc_perf_repro::tendermint::vote::{BlockIdFlag, Commit, CommitSig};
+use serde::Serialize;
 
 /// One `#[test]` per wire type: round trip plus pinned JSON text.
 macro_rules! serde_round_trip {
@@ -90,4 +103,183 @@ serde_round_trip! {
     } => r#"{"source_chain_id":"ibc-0","destination_chain_id":"ibc-1","validators_per_chain":5,"network_rtt_ms":200,"min_block_interval":5000000000,"relayer_count":1,"channel_count":2,"relayer_strategy":{"event_source":"WebSocket","fetcher":"Sequential","submission":"Eager","coordination":"None","channel_policy":"FairShare","ws_frame_limit_bytes":0,"packet_clear_interval":0,"sequence_tracking":"Resync"},"user_accounts":64,"account_balance":1000000000000,"seed":42,"batched_pull_per_item_us":0,"report_broadcast_failures":true,"fault_plan":{"events":[]},"topology":{"chains":["ibc-0","ibc-1"],"edges":[{"src":"ibc-0","dst":"ibc-1","channels":0}]},"profile_work":true}"#;
     tx: Tx = sample_tx() => r#"{"msgs":[{"BankSend":{"from":"alice","to":"bob","amount":{"denom":"uatom","amount":7}}}],"signer":"alice","sequence":3,"gas_limit":105000,"fee":{"denom":"uatom","amount":1050},"memo":"","signature":[192,180,75,238,247,23,158,213,157,37,235,128,135,81,148,124,254,38,46,180,196,229,5,205,203,189,194,18,227,71,140,181]}"#;
     commitment_store: CommitmentStore = sample_store() => r#"{"entries":{"acks/1":[100,163,121,41,251,17,62,24,218,166,38,58,31,177,249,12,81,210,98,85,46,250,90,80,89,111,95,101,59,169,85,248],"commitments/1":[58,110,176,121,15,57,172,135,201,79,56,86,178,221,44,93,17,14,104,17,96,34,97,169,169,35,211,187,35,173,200,183]}}"#;
+}
+
+/// One `#[test]` per type on the transaction wire: the streamed bytes are the
+/// bytes of the `Value` tree, the streamed length is the length of the JSON
+/// text, and the typed read gives the value back.
+macro_rules! wire_round_trip {
+    ($($name:ident: $ty:ty = $value:expr;)*) => {$(
+        #[test]
+        fn $name() {
+            let value: $ty = $value;
+            let bytes = serde::binary::write(&value);
+            assert_eq!(bytes, serde::binary::to_bytes(&value.to_value()));
+            let mut len = serde::json::Len::default();
+            value.serialize(&mut len);
+            assert_eq!(len.0, serde_json::to_string(&value).unwrap().len());
+            assert_eq!(serde::binary::read::<$ty>(&bytes).unwrap(), value);
+        }
+    )*};
+}
+
+fn sample_packet() -> Packet {
+    Packet {
+        sequence: Sequence(300),
+        source_port: PortId::transfer(),
+        source_channel: ChannelId::with_index(0),
+        destination_port: PortId::transfer(),
+        destination_channel: ChannelId::with_index(129),
+        data: b"denom=uatom\namount=1\n\x00\x7f\x80\xff".to_vec(),
+        timeout_height: Height::new(1, 500),
+        timeout_timestamp: SimTime::from_secs(90),
+    }
+}
+
+fn sample_transfer() -> TransferParams {
+    TransferParams {
+        source_port: PortId::transfer(),
+        source_channel: ChannelId::with_index(0),
+        denom: "uatom".into(),
+        amount: u128::MAX,
+        sender: "alice \"a\"".into(),
+        receiver: "bob\n".into(),
+        timeout_height: Height::at(500),
+        timeout_timestamp: SimTime::ZERO,
+    }
+}
+
+/// A real Merkle branch: nine entries make a four-level tree.
+fn sample_proof() -> CommitmentProof {
+    let mut store = CommitmentStore::new();
+    for i in 0..9u8 {
+        store.set(format!("commitments/{i}"), sha256(&[i]));
+    }
+    store.prove_membership("commitments/4").expect("present")
+}
+
+fn sample_absence() -> NonMembershipProof {
+    sample_store()
+        .prove_non_membership("receipts/9")
+        .expect("absent")
+}
+
+fn sample_validators() -> ValidatorSet {
+    ValidatorSet::new(vec![
+        Validator::new("val-0", 10),
+        Validator::new("val-1", 200),
+    ])
+}
+
+fn sample_commit() -> Commit {
+    let signatures = [BlockIdFlag::Commit, BlockIdFlag::Nil, BlockIdFlag::Absent]
+        .into_iter()
+        .zip(0u8..)
+        .map(|(flag, i)| CommitSig {
+            flag,
+            validator: ValidatorAddress::from_name(&format!("val-{i}")),
+            timestamp: SimTime::from_secs(5),
+            signature: sha256(&[i]),
+        })
+        .collect();
+    Commit {
+        height: 7,
+        round: 1,
+        block_id: BlockId {
+            hash: sha256(b"block"),
+        },
+        signatures,
+    }
+}
+
+fn sample_header() -> Header {
+    Header {
+        version: Version::default(),
+        chain_id: "ibc-0".into(),
+        height: 7,
+        time: SimTime::from_secs(35),
+        last_block_id: BlockId {
+            hash: sha256(b"previous"),
+        },
+        last_commit_hash: sha256(b"last-commit"),
+        data_hash: Hash::ZERO,
+        validators_hash: sample_validators().hash(),
+        next_validators_hash: sample_validators().hash(),
+        consensus_hash: sha256(b"consensus"),
+        app_hash: sha256(b"app"),
+        last_results_hash: sha256(b"results"),
+        evidence_hash: Hash([0xff; 32]),
+        proposer_address: ValidatorAddress::from_name("val-0"),
+    }
+}
+
+fn sample_update() -> ClientUpdate {
+    ClientUpdate {
+        header: sample_header(),
+        commit: sample_commit(),
+        validators: sample_validators(),
+        ibc_root: sample_store().root(),
+    }
+}
+
+fn relayer_tx() -> Tx {
+    let msgs = vec![
+        Msg::IbcUpdateClient {
+            client_id: ClientId::with_index(0),
+            update: Box::new(sample_update()),
+            signer: AccountId::new("relayer-0"),
+        },
+        Msg::IbcRecvPacket {
+            packet: sample_packet(),
+            proof_commitment: sample_proof(),
+            proof_height: Height::at(7),
+            signer: AccountId::new("relayer-0"),
+        },
+    ];
+    Tx::new(AccountId::new("relayer-0"), 12, msgs, "uatom")
+}
+
+wire_round_trip! {
+    wire_msg_bank_send: Msg = sample_tx().msgs.remove(0);
+    wire_msg_transfer: Msg = Msg::IbcTransfer(sample_transfer());
+    wire_msg_recv_packet: Msg = relayer_tx().msgs.remove(1);
+    wire_msg_acknowledgement: Msg = Msg::IbcAcknowledgement {
+        packet: sample_packet(),
+        acknowledgement: Acknowledgement::success(),
+        proof_acked: sample_proof(),
+        proof_height: Height::at(8),
+        signer: AccountId::new("relayer-0"),
+    };
+    wire_msg_timeout: Msg = Msg::IbcTimeout {
+        packet: sample_packet(),
+        proof_unreceived: sample_absence(),
+        proof_height: Height::at(9),
+        signer: AccountId::new("relayer-0"),
+    };
+    wire_msg_update_client: Msg = relayer_tx().msgs.remove(0);
+    wire_tx_user: Tx = sample_tx();
+    wire_tx_relayer: Tx = relayer_tx();
+    wire_transfer_params: TransferParams = sample_transfer();
+    wire_packet: Packet = sample_packet();
+    wire_ack_success: Acknowledgement = Acknowledgement::success();
+    wire_ack_error: Acknowledgement = Acknowledgement::error("insufficient funds: \"uatom\"");
+    wire_commitment_proof: CommitmentProof = sample_proof();
+    wire_non_membership_proof: NonMembershipProof = sample_absence();
+    wire_client_update: ClientUpdate = sample_update();
+    wire_header: Header = sample_header();
+    wire_commit: Commit = sample_commit();
+    wire_commit_sig: CommitSig = sample_commit().signatures.remove(1);
+    wire_validator_set: ValidatorSet = sample_validators();
+    wire_validator: Validator = Validator::new("val-0", u64::MAX);
+    wire_block_id: BlockId = BlockId { hash: sha256(b"block") };
+    wire_version: Version = Version::default();
+    wire_height: Height = Height::new(3, u64::MAX);
+    wire_sim_time: SimTime = SimTime::from_secs(86_400);
+    wire_coin: Coin = Coin::new("ibc/27394FB092D2ECCD", u128::MAX);
+    wire_account_id: AccountId = AccountId::new("cosmos1\u{e9}\t");
+    wire_hash: Hash = Hash(std::array::from_fn(|i| (i * 9) as u8));
+    wire_port_id: PortId = PortId::transfer();
+    wire_channel_id: ChannelId = ChannelId::with_index(4_000);
+    wire_client_id: ClientId = ClientId::with_index(0);
+    wire_sequence: Sequence = Sequence(u64::MAX);
 }
