@@ -310,10 +310,13 @@ struct BenchSet {
     work: WorkProfile,
 }
 
-/// The whole-replay totals: every field is the sum over [`BenchSet`] rows.
+/// The whole-replay totals: the sums over [`BenchSet`] rows, plus the
+/// process's peak RSS once every set has run (informational, like the
+/// wall-clock; `null` where `/proc` is absent).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct BenchTotal {
     wall_clock_secs: f64,
+    peak_rss_mb: Option<f64>,
     completed_transfers: u64,
     events_per_sec: f64,
     work: WorkProfile,
@@ -369,6 +372,7 @@ fn run_bench() -> BenchReport {
         sets,
         total: BenchTotal {
             wall_clock_secs: round3(total_secs),
+            peak_rss_mb: peak_rss_mb(),
             completed_transfers: total_completed,
             events_per_sec: round1(rate(total_completed, total_secs)),
             work: total_work,
@@ -464,7 +468,19 @@ fn compare_bench() -> usize {
         "wall-clock (informational): {:.3}s now vs {:.3}s pinned",
         fresh.total.wall_clock_secs, committed.total.wall_clock_secs
     );
+    println!(
+        "peak RSS (informational): {:?} MB now vs {:?} MB pinned",
+        fresh.total.peak_rss_mb, committed.total.peak_rss_mb
+    );
     drifted
+}
+
+/// The process's peak resident set so far (`VmHWM`), in MB.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let hwm = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = hwm.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(round1(kb / 1024.0))
 }
 
 fn rate(events: u64, secs: f64) -> f64 {

@@ -105,11 +105,6 @@ impl GaiaApp {
         &self.bank
     }
 
-    /// Mutable access to the bank module (genesis/test funding).
-    pub fn bank_mut(&mut self) -> &mut BankModule {
-        &mut self.bank
-    }
-
     /// Read access to the IBC module.
     pub fn ibc(&self) -> &IbcModule {
         &self.ibc

@@ -156,13 +156,14 @@ impl Chain {
         self.node.produce_block(propose_time)
     }
 
-    /// The committed block at `height` (1-based).
-    pub fn block_at(&self, height: u64) -> Option<&CommittedBlock> {
+    /// The committed block at `height` (1-based): the block store's own
+    /// handle, which the RPC layer clones into every event batch.
+    pub fn block_at(&self, height: u64) -> Option<&Rc<CommittedBlock>> {
         self.node.block_at(height)
     }
 
     /// The most recently committed block.
-    pub fn latest_block(&self) -> Option<&CommittedBlock> {
+    pub fn latest_block(&self) -> Option<&Rc<CommittedBlock>> {
         self.node.latest_block()
     }
 

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use xcc_relayer::telemetry::TransferStep;
 use xcc_sim::SimTime;
 
-use crate::runner::RunOutput;
+use crate::runner::{outstanding_packets, RunOutput};
 
 /// The completion status of a transfer at the end of the measurement window
 /// (Figs. 10 and 11 of the paper).
@@ -298,17 +298,7 @@ pub fn double_submitted_packets(run: &RunOutput) -> u64 {
 /// are the transfers stranded forever; with timeouts configured they drain
 /// back to zero as refunds land.
 pub fn stranded_packets(run: &RunOutput) -> u64 {
-    run.paths
-        .iter()
-        .zip(&run.path_ends)
-        .map(|(path, &(src, _))| {
-            let chain = run.chains[src].borrow();
-            let ibc = chain.app().ibc();
-            let sent = ibc.sent_sequences(&path.port, &path.src_channel);
-            ibc.unacknowledged_packets(&path.port, &path.src_channel, &sent)
-                .len() as u64
-        })
-        .sum()
+    outstanding_packets(&run.paths, &run.path_ends, &run.chains)
 }
 
 /// Average seconds from transfer broadcast to acknowledgement confirmation

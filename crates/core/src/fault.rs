@@ -9,15 +9,14 @@
 //! deployment knob. Event times are [`SimDuration`] offsets from simulation
 //! start.
 //!
-//! [`FaultPlan::compile`] lowers the plan to the simulation kernel's
-//! domain-neutral [`FaultTimeline`]: relayer ids become process indices,
-//! [`FaultChain::Source`]/[`FaultChain::Destination`] become service indices
-//! 0/1, and path indices become trust subjects. The runner schedules the
-//! compiled timeline up-front, so an empty plan schedules nothing and leaves
-//! every pre-existing event ordering untouched (see docs/DETERMINISM.md).
+//! [`FaultPlan::compile`] orders the events by absolute firing time (ties
+//! keep plan order, mirroring the scheduler's FIFO tie-break). The runner
+//! schedules the compiled list up-front, so an empty plan schedules nothing
+//! and leaves every pre-existing event ordering untouched (see
+//! docs/DETERMINISM.md).
 
 use serde::{Deserialize, Serialize};
-use xcc_sim::{FaultKind, FaultTimeline, SimDuration, SimTime};
+use xcc_sim::{SimDuration, SimTime};
 
 /// Which of the two chains a chain-level fault targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -39,8 +38,8 @@ impl FaultChain {
         }
     }
 
-    /// The simulation-kernel service index this chain compiles to.
-    fn service(&self) -> usize {
+    /// The topology index of the chain: 0 is the source, 1 the destination.
+    pub(crate) fn index(&self) -> usize {
         match self {
             FaultChain::Source => 0,
             FaultChain::Destination => 1,
@@ -144,34 +143,6 @@ impl FaultEvent {
             }
         }
     }
-
-    fn to_kind(self) -> FaultKind {
-        match self {
-            FaultEvent::RelayerCrash { relayer, .. } => {
-                FaultKind::ProcessCrash { process: relayer }
-            }
-            FaultEvent::RelayerRestart { relayer, .. } => {
-                FaultKind::ProcessRestart { process: relayer }
-            }
-            FaultEvent::ChainHalt {
-                chain, duration, ..
-            } => FaultKind::ServiceHalt {
-                service: chain.service(),
-                duration,
-            },
-            FaultEvent::BlockStretch {
-                chain,
-                factor,
-                duration,
-                ..
-            } => FaultKind::ServiceStretch {
-                service: chain.service(),
-                factor,
-                duration,
-            },
-            FaultEvent::ClientExpiry { path, .. } => FaultKind::TrustExpiry { subject: path },
-        }
-    }
 }
 
 /// The fault schedule of one run: a list of [`FaultEvent`]s. The default
@@ -231,15 +202,17 @@ impl FaultPlan {
             .max()
     }
 
-    /// Lowers the plan to the simulation kernel's timeline: offsets become
-    /// absolute [`SimTime`]s, relayers become processes, chains become
-    /// services 0 (source) / 1 (destination), paths become trust subjects.
-    pub fn compile(&self) -> FaultTimeline {
-        FaultTimeline::from_events(
-            self.events
-                .iter()
-                .map(|e| (SimTime::ZERO + e.at(), e.to_kind())),
-        )
+    /// The schedule the runner injects: every event with its absolute
+    /// firing time, stable-sorted by that time so equal-time events keep
+    /// their plan order.
+    pub fn compile(&self) -> Vec<(SimTime, FaultEvent)> {
+        let mut events: Vec<(SimTime, FaultEvent)> = self
+            .events
+            .iter()
+            .map(|e| (SimTime::ZERO + e.at(), *e))
+            .collect();
+        events.sort_by_key(|(at, _)| *at);
+        events
     }
 }
 
@@ -285,29 +258,30 @@ mod tests {
     }
 
     #[test]
-    fn compile_sorts_events_and_maps_chains_to_services() {
-        let timeline = sample_plan().compile();
-        assert_eq!(timeline.len(), 5);
-        let (t0, k0) = timeline.get(0).unwrap();
-        assert_eq!(t0, SimTime::from_secs(16));
-        assert_eq!(k0, xcc_sim::FaultKind::ProcessCrash { process: 0 });
-        let (_, halt) = timeline.get(2).unwrap();
+    fn compile_sorts_events_by_time_keeping_plan_order_on_ties() {
+        let plan = sample_plan();
+        let [restart, crash, halt, stretch, expiry] = plan.events[..] else {
+            panic!("sample plan has five events");
+        };
+        let t = SimTime::from_secs;
         assert_eq!(
-            halt,
-            xcc_sim::FaultKind::ServiceHalt {
-                service: 0,
-                duration: SimDuration::from_secs(30)
-            }
+            plan.compile(),
+            [
+                (t(16), crash),
+                (t(26), restart),
+                (t(40), halt),
+                (t(55), expiry),
+                (t(80), stretch)
+            ]
         );
-        let (t_last, stretch) = timeline.get(4).unwrap();
-        assert_eq!(t_last, SimTime::from_secs(80));
+        // Equal times keep the order the plan lists them in.
+        let late_restart = FaultEvent::RelayerRestart {
+            relayer: 0,
+            at: SimDuration::from_secs(55),
+        };
         assert_eq!(
-            stretch,
-            xcc_sim::FaultKind::ServiceStretch {
-                service: 1,
-                factor: 4,
-                duration: SimDuration::from_secs(20)
-            }
+            FaultPlan::new([late_restart, expiry, crash]).compile(),
+            [(t(16), crash), (t(55), late_restart), (t(55), expiry)]
         );
         assert!(FaultPlan::none().compile().is_empty());
     }

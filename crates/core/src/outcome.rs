@@ -384,13 +384,6 @@ impl ScenarioOutcome {
         self.metric_on(keys::COMPLETED, channel).unwrap_or(0.0) as u64
     }
 
-    /// Completed transfers per second of one channel over the measurement
-    /// window (multi-channel runs only).
-    pub fn throughput_tfps_on(&self, channel: usize) -> f64 {
-        self.metric_on(keys::THROUGHPUT_TFPS, channel)
-            .unwrap_or(0.0)
-    }
-
     // -- emission ------------------------------------------------------------
 
     /// Converts the outcome into an [`ExecutionReport`] named after the spec,

@@ -307,9 +307,8 @@ fn relayed(relayers: usize, rtt_ms: u64, blocks: u64) -> ExperimentSpec {
 }
 
 fn fig6_grid(mode: SweepMode) -> SweepGrid {
-    SweepGrid::new(ExperimentSpec::tendermint_throughput())
+    SweepGrid::new(ExperimentSpec::tendermint_throughput().seed(42))
         .input_rates(tendermint_rates(mode))
-        .seeds(mode.pick((1..=3).collect::<Vec<u64>>(), (0..20).collect()))
 }
 
 fn fig7_grid(mode: SweepMode) -> SweepGrid {
@@ -807,33 +806,12 @@ fn tfps_column<'a>(
 // ---------------------------------------------------------------------------
 
 fn fig6_render(report: &mut ExecutionReport, outcomes: &[ScenarioOutcome]) {
-    type Samples = (u64, Vec<f64>);
-    let sorted = |(rate, group): Group| {
-        let mut samples: Vec<f64> = group
-            .iter()
-            .map(|o| o.tendermint_throughput_tfps())
-            .collect();
-        samples.sort_by(f64::total_cmp);
-        (rate, samples)
-    };
-    let rows: Vec<Samples> = pivot(outcomes, rate_of).into_iter().map(sorted).collect();
-    report.add_note(format!(
-        "Fig. 6 — Tendermint throughput (TFPS) vs input rate, {} seeds per rate",
-        rows[0].1.len()
-    ));
-    let sample = |header: &str, pick: fn(&[f64]) -> f64| {
-        Column::new(header, 10, move |(_, samples): &Samples| {
-            let tfps = pick(samples);
-            (format!("{tfps:.0}"), Some(tfps))
-        })
-    };
-    let columns = [
-        Column::count("rate (rps)", 12, |(rate, _): &Samples| *rate),
-        sample("median", |s| s[s.len() / 2]).metric("median_tfps_at_{}"),
-        sample("min", |s| s[0]),
-        sample("max", |s| s[s.len() - 1]),
-    ];
-    table(report, &rows, |(rate, _)| *rate, &columns);
+    // One run per rate: the seed only feeds RPC latency jitter, which the
+    // constant-RTT model never draws, so repeated seeds were identical runs.
+    report.add_note("Fig. 6 — Tendermint throughput (TFPS) vs input rate, one run per rate");
+    let tfps = Col::float("TFPS", 10, ScenarioOutcome::tendermint_throughput_tfps);
+    let columns = [rate_column(), tfps.metric("median_tfps_at_{}")];
+    table(report, outcomes, rate_of, &columns);
 }
 
 fn fig7_render(report: &mut ExecutionReport, outcomes: &[ScenarioOutcome]) {

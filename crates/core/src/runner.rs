@@ -19,7 +19,7 @@
 //!   pipeline work on its own virtual-time lane (its per-chain RPC
 //!   endpoints and worker watermarks). A `Some(next)` return re-schedules
 //!   the process at `next`.
-//! * `Fault(idx)` — the `idx`-th entry of the deployment's compiled
+//! * `Fault(event)` — one event of the deployment's compiled
 //!   [`FaultPlan`](crate::fault::FaultPlan) fires: a relayer process
 //!   crashes or restarts, a chain halts or stretches its block interval, or
 //!   a light client's trust period lapses. All fault events are scheduled
@@ -58,13 +58,14 @@ use std::collections::BTreeMap;
 
 use xcc_chain::chain::SharedChain;
 use xcc_ibc::events as ibc_events;
-use xcc_relayer::relayer::RelayerStats;
+use xcc_relayer::relayer::{RelayPath, RelayerStats};
 use xcc_relayer::telemetry::{TelemetryLog, TransferStep};
 use xcc_rpc::endpoint::{LaneStats, RpcEndpoint};
-use xcc_sim::{prof, FaultKind, Scheduler, SchedulerBackend, SimDuration, SimTime};
+use xcc_sim::{prof, Scheduler, SchedulerBackend, SimDuration, SimTime};
 use xcc_tendermint::hash::Hash;
 
 use crate::config::{DeploymentConfig, WorkloadConfig};
+use crate::fault::FaultEvent;
 use crate::testnet::{make_rpc, SetupError, Testnet};
 use crate::topology::HopRoute;
 use crate::work::WorkProfile;
@@ -125,9 +126,9 @@ pub struct RunOutput {
     /// Every chain of the topology at the end of the run, in topology order.
     pub chains: Vec<SharedChain>,
     /// The primary relay path (global channel 0).
-    pub path: xcc_relayer::relayer::RelayPath,
+    pub path: RelayPath,
     /// Every relay path used, in global channel order (`paths[0] == path`).
-    pub paths: Vec<xcc_relayer::relayer::RelayPath>,
+    pub paths: Vec<RelayPath>,
     /// Per global path, the `(src, dst)` chain indices of its edge.
     pub path_ends: Vec<(usize, usize)>,
     /// Commit time of the first measurement block (the window start).
@@ -149,8 +150,8 @@ enum Ev {
     Block(usize),
     /// Relayer process `id` drains its inbox and runs its pipeline.
     RelayerWake(usize),
-    /// Entry `idx` of the deployment's compiled fault timeline fires.
-    Fault(usize),
+    /// One event of the deployment's compiled fault plan fires.
+    Fault(FaultEvent),
 }
 
 /// Records receive / acknowledgement confirmations from committed block data
@@ -240,6 +241,28 @@ fn attach_broadcast(
             }
         }
     }
+}
+
+/// Packets committed on their path's source chain whose commitment is still
+/// there: neither acknowledged nor timed out. The runner's per-block drain
+/// check and [`analysis::stranded_packets`](crate::analysis::stranded_packets)
+/// are this one count.
+pub(crate) fn outstanding_packets(
+    paths: &[RelayPath],
+    path_ends: &[(usize, usize)],
+    chains: &[SharedChain],
+) -> u64 {
+    paths
+        .iter()
+        .zip(path_ends)
+        .map(|(path, &(src, _))| {
+            let chain = chains[src].borrow();
+            let ibc = chain.app().ibc();
+            let sent = ibc.sent_sequences(&path.port, &path.src_channel);
+            ibc.unacknowledged_packets(&path.port, &path.src_channel, &sent)
+                .len() as u64
+        })
+        .sum()
 }
 
 /// Runs one experiment: deploys the testnet, drives block production on every
@@ -344,23 +367,19 @@ pub fn run_experiment(
     }
 
     // Schedule every fault event up-front. An empty plan compiles to an
-    // empty timeline and performs zero scheduler calls here, which keeps the
+    // empty list and performs zero scheduler calls here, which keeps the
     // scheduler's insertion-sequence stream — and with it every pre-fault
     // golden fixture — bit-identical (see docs/DETERMINISM.md).
-    let faults = deployment.fault_plan.compile();
-    for idx in 0..faults.len() {
-        if let Some((at, _)) = faults.get(idx) {
-            sched.schedule_at(at, Ev::Fault(idx));
-        }
+    for (at, event) in deployment.fault_plan.compile() {
+        sched.schedule_at(at, Ev::Fault(event));
     }
-    // Per-chain fault state, indexed by fault-service id (the chain's
-    // topology index; 0 = the legacy source chain A, 1 = destination B):
-    // when a halt ends, and the (factor, until) window of a block-interval
-    // stretch.
+    // Per-chain fault state, indexed by the chain's topology index (0 = the
+    // legacy source chain A, 1 = destination B): when a halt ends, and the
+    // (factor, until) window of a block-interval stretch.
     let mut halt_until = vec![SimTime::ZERO; chain_count];
     let mut stretch = vec![(1u64, SimTime::ZERO); chain_count];
-    let block_interval = |stretch: &[(u64, SimTime)], service: usize, t: SimTime| {
-        let (factor, until) = stretch[service];
+    let block_interval = |stretch: &[(u64, SimTime)], chain: usize, t: SimTime| {
+        let (factor, until) = stretch[chain];
         if t < until {
             min_interval * factor
         } else {
@@ -485,18 +504,11 @@ pub fn run_experiment(
                     } else if !workload_config.run_to_completion {
                         true
                     } else {
-                        let outstanding: usize = testnet
-                            .paths
-                            .iter()
-                            .zip(&testnet.path_ends)
-                            .map(|(path, &(src, _))| {
-                                let chain = testnet.chains[src].borrow();
-                                let ibc = chain.app().ibc();
-                                let sent = ibc.sent_sequences(&path.port, &path.src_channel);
-                                ibc.unacknowledged_packets(&path.port, &path.src_channel, &sent)
-                                    .len()
-                            })
-                            .sum();
+                        let outstanding = outstanding_packets(
+                            &testnet.paths,
+                            &testnet.path_ends,
+                            &testnet.chains,
+                        );
                         // Forwarded second legs still sitting in a mid
                         // chain's mempool are not yet `sent`, so the
                         // outstanding count alone would miss them.
@@ -539,57 +551,47 @@ pub fn run_experiment(
                     note_wakes(&mut wakes_due, at, 1);
                 }
             }
-            Ev::Fault(idx) => {
-                let Some((_, kind)) = faults.get(idx) else {
-                    continue;
-                };
-                match kind {
-                    // Out-of-range process / path indices are tolerated so a
-                    // sweep can apply one plan across deployments of
-                    // different sizes: the fault simply has no target.
-                    FaultKind::ProcessCrash { process } => {
-                        if let Some(relayer) = testnet.relayers.get_mut(process) {
-                            relayer.crash(t);
-                        }
-                    }
-                    FaultKind::ProcessRestart { process } => {
-                        if let Some(relayer) = testnet.relayers.get_mut(process) {
-                            relayer.restart(t);
-                            // Rejoin through the ordinary wake protocol so the
-                            // replayed inbox drains on the process's own lane.
-                            sched.schedule_at(t, Ev::RelayerWake(process));
-                            note_wakes(&mut wakes_due, t, 1);
-                        }
-                    }
-                    FaultKind::ServiceHalt { service, duration } => {
-                        if service < halt_until.len() {
-                            halt_until[service] = halt_until[service].max(t + duration);
-                        }
-                    }
-                    FaultKind::ServiceStretch {
-                        service,
-                        factor,
-                        duration,
-                    } => {
-                        if service < stretch.len() {
-                            stretch[service] = (factor.max(1), t + duration);
-                        }
-                    }
-                    FaultKind::TrustExpiry { subject } => {
-                        // The trust period of the client *on the path's
-                        // destination chain* lapses: recv verification for
-                        // this path is stranded until out-of-band recovery
-                        // (not modelled), while source-side ack/timeout
-                        // handling stays live.
-                        if let Some(path) = testnet.paths.get(subject) {
-                            let dst = testnet.path_ends[subject].1;
-                            let _ = testnet.chains[dst]
-                                .borrow_mut()
-                                .app_mut()
-                                .ibc_mut()
-                                .expire_client(&path.client_on_dst);
-                        }
-                    }
+            // Out-of-range relayer / path indices are tolerated so a sweep
+            // can apply one plan across deployments of different sizes: the
+            // fault simply has no target.
+            Ev::Fault(FaultEvent::RelayerCrash { relayer, .. }) => {
+                if let Some(process) = testnet.relayers.get_mut(relayer) {
+                    process.crash(t);
+                }
+            }
+            Ev::Fault(FaultEvent::RelayerRestart { relayer, .. }) => {
+                if let Some(process) = testnet.relayers.get_mut(relayer) {
+                    process.restart(t);
+                    // Rejoin through the ordinary wake protocol so the
+                    // replayed inbox drains on the process's own lane.
+                    sched.schedule_at(t, Ev::RelayerWake(relayer));
+                    note_wakes(&mut wakes_due, t, 1);
+                }
+            }
+            Ev::Fault(FaultEvent::ChainHalt {
+                chain, duration, ..
+            }) => {
+                let c = chain.index();
+                halt_until[c] = halt_until[c].max(t + duration);
+            }
+            Ev::Fault(FaultEvent::BlockStretch {
+                chain,
+                factor,
+                duration,
+                ..
+            }) => stretch[chain.index()] = (factor.max(1), t + duration),
+            Ev::Fault(FaultEvent::ClientExpiry { path, .. }) => {
+                // The trust period of the client *on the path's destination
+                // chain* lapses: recv verification for this path is stranded
+                // until out-of-band recovery (not modelled), while
+                // source-side ack/timeout handling stays live.
+                if let Some(stranded) = testnet.paths.get(path) {
+                    let dst = testnet.path_ends[path].1;
+                    let _ = testnet.chains[dst]
+                        .borrow_mut()
+                        .app_mut()
+                        .ibc_mut()
+                        .expire_client(&stranded.client_on_dst);
                 }
             }
         }

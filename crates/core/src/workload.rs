@@ -55,6 +55,58 @@ pub struct SubmissionStats {
     pub rejected: u64,
 }
 
+/// One `hermes tx ft-transfer` invocation starting at `t`: `batch` one-token
+/// `MsgTransfer`s from `user` over `path` in a single transaction. Counts the
+/// outcome in `stats` and returns the transaction hash, the instant the
+/// broadcast response arrived, and the rejection message if there was one.
+#[allow(clippy::too_many_arguments)]
+fn cli_transfer(
+    rpc: &mut RpcEndpoint,
+    mut t: SimTime,
+    cli_cost_per_tx: SimDuration,
+    user: &AccountId,
+    path: &RelayPath,
+    fee_denom: &str,
+    batch: usize,
+    timeout_height: Height,
+    stats: &mut SubmissionStats,
+) -> (Hash, SimTime, Option<String>) {
+    // The CLI queries the account's committed sequence before signing. A
+    // transaction still waiting in the mempool is invisible to this query,
+    // which is what causes the account-sequence errors the paper describes
+    // (§V) when an account is reused before its previous transaction commits.
+    let seq_resp = rpc.account_sequence(t, user);
+    t = seq_resp.ready_at;
+
+    // Building and signing the transaction costs CLI time.
+    t += cli_cost_per_tx + SimDuration::from_micros(40) * batch as u64;
+
+    let msgs: Vec<Msg> = (0..batch)
+        .map(|_| {
+            Msg::IbcTransfer(TransferParams {
+                source_port: path.port.clone(),
+                source_channel: path.src_channel.clone(),
+                denom: fee_denom.to_string(),
+                amount: 1,
+                sender: user.to_string(),
+                receiver: "user-0".to_string(),
+                timeout_height,
+                timeout_timestamp: SimTime::ZERO,
+            })
+        })
+        .collect();
+    let tx = Tx::new(user.clone(), seq_resp.value, msgs, fee_denom);
+    let resp = rpc.broadcast_tx_sync(t, &tx);
+
+    stats.requests_made += batch as u64;
+    let error = resp.value.err().map(|e| e.to_string());
+    match error {
+        None => stats.submitted += batch as u64,
+        Some(_) => stats.rejected += batch as u64,
+    }
+    (tx.hash(), resp.ready_at, error)
+}
+
 /// The workload generator bound to the relayer CLI / source-chain RPCs.
 ///
 /// In topology deployments a channel's packets originate on that channel's
@@ -85,10 +137,6 @@ pub struct WorkloadConnector {
     windows_submitted: u64,
     records: Vec<SubmissionRecord>,
     stats: SubmissionStats,
-    /// Locally cached account sequences, refreshed through the RPC; keyed by
-    /// `(endpoint index, account)` since the same account name exists on
-    /// every chain.
-    cached_seqs: BTreeMap<(usize, AccountId), u64>,
 }
 
 impl WorkloadConnector {
@@ -171,7 +219,6 @@ impl WorkloadConnector {
             windows_submitted: 0,
             records: Vec::new(),
             stats: SubmissionStats::default(),
-            cached_seqs: BTreeMap::new(),
         }
     }
 
@@ -211,73 +258,31 @@ impl WorkloadConnector {
             to_submit -= batch as u64;
             self.remaining -= batch as u64;
 
-            let user = self.users[self.next_user % self.users.len()].clone();
+            let user = &self.users[self.next_user % self.users.len()];
             self.next_user += 1;
             let channel = self.channel_pattern[self.next_tx % self.channel_pattern.len()];
             self.next_tx += 1;
-            let path = &self.paths[channel];
             let endpoint = self.path_rpc[channel];
-            let fee_denom = self.fee_denoms[endpoint].clone();
-
-            // The CLI queries the account's committed sequence before signing,
-            // exactly like `hermes tx ft-transfer`. A transaction still waiting
-            // in the mempool is invisible to this query, which is what causes
-            // the account-sequence errors the paper describes (§V) when an
-            // account is reused before its previous transaction commits.
-            let seq_resp = self.rpcs[endpoint].account_sequence(t, &user);
-            t = seq_resp.ready_at;
-            let sequence = seq_resp.value;
-            self.cached_seqs.insert((endpoint, user.clone()), sequence);
-
-            // Building and signing the transaction costs CLI time.
-            t += self.config.cli_cost_per_tx + SimDuration::from_micros(40) * batch as u64;
-
-            let msgs: Vec<Msg> = (0..batch)
-                .map(|_| {
-                    Msg::IbcTransfer(TransferParams {
-                        source_port: path.port.clone(),
-                        source_channel: path.src_channel.clone(),
-                        denom: fee_denom.clone(),
-                        amount: 1,
-                        sender: user.to_string(),
-                        receiver: "user-0".to_string(),
-                        timeout_height,
-                        timeout_timestamp: SimTime::ZERO,
-                    })
-                })
-                .collect();
-            let tx = Tx::new(user.clone(), sequence, msgs, &fee_denom);
-            let tx_hash = tx.hash();
-            let resp = self.rpcs[endpoint].broadcast_tx_sync(t, &tx);
-            t = resp.ready_at;
-
-            self.stats.requests_made += batch as u64;
-            match resp.value {
-                Ok(_) => {
-                    self.stats.submitted += batch as u64;
-                    self.cached_seqs
-                        .insert((endpoint, user.clone()), sequence + 1);
-                    self.records.push(SubmissionRecord {
-                        tx_hash,
-                        broadcast_at: t,
-                        transfers: batch,
-                        channel,
-                        accepted: true,
-                        error: None,
-                    });
-                }
-                Err(err) => {
-                    self.stats.rejected += batch as u64;
-                    self.records.push(SubmissionRecord {
-                        tx_hash,
-                        broadcast_at: t,
-                        transfers: batch,
-                        channel,
-                        accepted: false,
-                        error: Some(err.to_string()),
-                    });
-                }
-            }
+            let (tx_hash, done_at, error) = cli_transfer(
+                &mut self.rpcs[endpoint],
+                t,
+                self.config.cli_cost_per_tx,
+                user,
+                &self.paths[channel],
+                &self.fee_denoms[endpoint],
+                batch,
+                timeout_height,
+                &mut self.stats,
+            );
+            t = done_at;
+            self.records.push(SubmissionRecord {
+                tx_hash,
+                broadcast_at: t,
+                transfers: batch,
+                channel,
+                accepted: error.is_none(),
+                error,
+            });
         }
         self.cli_free = t;
     }
@@ -335,8 +340,6 @@ pub struct HopForwarder {
     cli_cost_per_tx: SimDuration,
     cli_free: SimTime,
     records: Vec<ForwardRecord>,
-    triggered_per_route: Vec<u64>,
-    accepted_per_route: Vec<u64>,
     stats: SubmissionStats,
 }
 
@@ -360,7 +363,6 @@ impl HopForwarder {
                 (*chain, denom)
             })
             .collect();
-        let route_count = routes.len();
         HopForwarder {
             routes,
             paths,
@@ -375,8 +377,6 @@ impl HopForwarder {
             cli_cost_per_tx: config.cli_cost_per_tx,
             cli_free: SimTime::ZERO,
             records: Vec::new(),
-            triggered_per_route: vec![0; route_count],
-            accepted_per_route: vec![0; route_count],
             stats: SubmissionStats::default(),
         }
     }
@@ -394,17 +394,6 @@ impl HopForwarder {
     /// Aggregate second-leg submission statistics.
     pub fn stats(&self) -> SubmissionStats {
         self.stats
-    }
-
-    /// First-leg acknowledgements observed for route `route`, i.e. the
-    /// number of second-leg transfers that should eventually exist.
-    pub fn triggered_transfers(&self, route: usize) -> u64 {
-        self.triggered_per_route.get(route).copied().unwrap_or(0)
-    }
-
-    /// Second-leg transfers accepted into a mempool for route `route`.
-    pub fn accepted_transfers(&self, route: usize) -> u64 {
-        self.accepted_per_route.get(route).copied().unwrap_or(0)
     }
 
     /// Reacts to a block committing on chain `chain_idx`: scans the block
@@ -456,11 +445,10 @@ impl HopForwarder {
             if remaining == 0 {
                 continue;
             }
-            self.triggered_per_route[ri] += remaining;
-            let route = self.routes[ri];
-            let second = route.second_leg;
+            let second = self.routes[ri].second_leg;
             let src = self.path_src[second];
-            let Some(fee_denom) = self.fee_denoms.get(&src).cloned() else {
+            let (Some(fee_denom), Some(rpc)) = (self.fee_denoms.get(&src), self.rpcs.get_mut(&src))
+            else {
                 continue;
             };
             while remaining > 0 {
@@ -468,45 +456,20 @@ impl HopForwarder {
                 remaining -= batch as u64;
                 submitted_any = true;
 
-                let user = self.users[self.next_user % self.users.len()].clone();
+                let user = &self.users[self.next_user % self.users.len()];
                 self.next_user += 1;
-                let path = self.paths[second].clone();
-                let Some(rpc) = self.rpcs.get_mut(&src) else {
-                    break;
-                };
-                let seq_resp = rpc.account_sequence(t, &user);
-                t = seq_resp.ready_at;
-                let sequence = seq_resp.value;
-                t += self.cli_cost_per_tx + SimDuration::from_micros(40) * batch as u64;
-
-                let msgs: Vec<Msg> = (0..batch)
-                    .map(|_| {
-                        Msg::IbcTransfer(TransferParams {
-                            source_port: path.port.clone(),
-                            source_channel: path.src_channel.clone(),
-                            denom: fee_denom.clone(),
-                            amount: 1,
-                            sender: user.to_string(),
-                            receiver: "user-0".to_string(),
-                            timeout_height: Height::ZERO,
-                            timeout_timestamp: SimTime::ZERO,
-                        })
-                    })
-                    .collect();
-                let tx = Tx::new(user.clone(), sequence, msgs, &fee_denom);
-                let tx_hash = tx.hash();
-                let resp = rpc.broadcast_tx_sync(t, &tx);
-                t = resp.ready_at;
-
-                self.stats.requests_made += batch as u64;
-                let accepted = resp.value.is_ok();
-                let error = resp.value.err().map(|e| e.to_string());
-                if accepted {
-                    self.stats.submitted += batch as u64;
-                    self.accepted_per_route[ri] += batch as u64;
-                } else {
-                    self.stats.rejected += batch as u64;
-                }
+                let (tx_hash, done_at, error) = cli_transfer(
+                    rpc,
+                    t,
+                    self.cli_cost_per_tx,
+                    user,
+                    &self.paths[second],
+                    fee_denom,
+                    batch,
+                    Height::ZERO,
+                    &mut self.stats,
+                );
+                t = done_at;
                 self.records.push(ForwardRecord {
                     route: ri,
                     tx_hash,
@@ -514,7 +477,7 @@ impl HopForwarder {
                     submitted_at: t,
                     transfers: batch,
                     channel: second,
-                    accepted,
+                    accepted: error.is_none(),
                     error,
                 });
             }

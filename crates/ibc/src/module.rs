@@ -56,25 +56,6 @@ pub struct TransferParams {
     pub timeout_timestamp: SimTime,
 }
 
-/// Per-channel packet bookkeeping totals, as seen by one chain.
-///
-/// With several channels open on one port (the multi-channel deployments of
-/// the `multi_channel_scaling` / `channel_contention` scenarios), each
-/// channel keeps fully independent sequence, commitment and acknowledgement
-/// state; this summary exposes the per-channel counters the analysis layer
-/// aggregates.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChannelPacketStats {
-    /// Packets sent on this channel end.
-    pub sent: u64,
-    /// Sent packets whose commitment is still outstanding (neither
-    /// acknowledged nor timed out).
-    pub outstanding: u64,
-    /// Acknowledgements written on this channel end (the receiving side of
-    /// the packet flow).
-    pub acks_written: u64,
-}
-
 /// The IBC module state hosted by one chain.
 ///
 /// # Transactions
@@ -972,23 +953,6 @@ impl IbcModule {
             (None, None) => a.cmp(b),
         });
         channels
-    }
-
-    /// Per-channel packet bookkeeping totals for one channel end (see
-    /// [`ChannelPacketStats`]).
-    pub fn channel_packet_stats(&self, port: &PortId, channel: &ChannelId) -> ChannelPacketStats {
-        let sent = self.sent_sequences(port, channel);
-        let outstanding = self.unacknowledged_packets(port, channel, &sent).len() as u64;
-        let acks_written = self
-            .acks
-            .keys()
-            .filter(|(p, c, _)| p == port && c == channel)
-            .count() as u64;
-        ChannelPacketStats {
-            sent: sent.len() as u64,
-            outstanding,
-            acks_written,
-        }
     }
 
     // ------------------------------------------------------------------

@@ -68,8 +68,8 @@ use xcc_ibc::events as ibc_events;
 use xcc_ibc::height::Height;
 use xcc_ibc::ids::{ChainId, ChannelId, ClientId, PortId, Sequence};
 use xcc_ibc::packet::Packet;
-use xcc_rpc::endpoint::{BroadcastError, LaneStats, RpcEndpoint};
-use xcc_rpc::websocket::{BlockEventBatch, WebSocketSubscription};
+use xcc_rpc::endpoint::{BlockEventBatch, BroadcastError, LaneStats, RpcEndpoint};
+use xcc_rpc::websocket::WebSocketSubscription;
 use xcc_sim::{prof, SimDuration, SimTime};
 use xcc_tendermint::abci::Event;
 use xcc_tendermint::hash::Hash;
@@ -515,13 +515,6 @@ impl Relayer {
         self.wake(commit_time);
     }
 
-    /// Synchronous convenience wrapper (notify + immediate wake); see
-    /// [`on_source_block`](Relayer::on_source_block).
-    pub fn on_dest_block(&mut self, height: u64, commit_time: SimTime) {
-        self.notify_dest_block(height, commit_time);
-        self.wake(commit_time);
-    }
-
     /// Whether the process is currently crashed (between a
     /// [`crash`](Relayer::crash) and the matching
     /// [`restart`](Relayer::restart)).
@@ -648,9 +641,9 @@ impl Relayer {
         event_time: SimTime,
         batch: &BlockEventBatch,
     ) {
-        for (hash, code, events) in batch.tx_events.iter() {
-            self.note_committed_tx(Source, hash, *code, event_time);
-            if *code != 0 {
+        for (hash, code, events) in batch.txs() {
+            self.note_committed_tx(Source, &hash, code, event_time);
+            if code != 0 {
                 continue;
             }
             for event in events {
@@ -789,9 +782,9 @@ impl Relayer {
     fn handle_dest_block(&mut self, height: u64, commit_time: SimTime) {
         let (event_time, delivered) = self.collect_block(Destination, height, commit_time);
         let mut acked_packets: Vec<(usize, Packet)> = Vec::new();
-        for (hash, code, events) in delivered.iter().flat_map(|b| b.tx_events.iter()) {
-            self.note_committed_tx(Destination, hash, *code, event_time);
-            if *code != 0 {
+        for (hash, code, events) in delivered.iter().flat_map(BlockEventBatch::txs) {
+            self.note_committed_tx(Destination, &hash, code, event_time);
+            if code != 0 {
                 continue;
             }
             for event in events {

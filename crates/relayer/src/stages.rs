@@ -34,8 +34,8 @@ use std::collections::BTreeMap;
 use xcc_ibc::commitment::CommitmentProof;
 use xcc_ibc::ids::{ChannelId, PortId, Sequence};
 use xcc_ibc::packet::Acknowledgement;
-use xcc_rpc::endpoint::RpcEndpoint;
-use xcc_rpc::websocket::{BlockEventBatch, WebSocketSubscription};
+use xcc_rpc::endpoint::{BlockEventBatch, RpcEndpoint};
+use xcc_rpc::websocket::WebSocketSubscription;
 use xcc_sim::{SimDuration, SimTime};
 
 use crate::strategy::{
@@ -99,7 +99,7 @@ impl EventSourceKind {
     /// let (at, batch) = EventSourceKind::WebSocket.collect_events(
     ///     &mut subscription, &mut rpc, 1, commit, SimDuration::from_millis(10));
     /// assert!(at > commit, "delivery adds transport + processing delay");
-    /// assert_eq!(batch.unwrap().height, 1);
+    /// assert_eq!(batch.unwrap().committed.block.header.height, 1);
     /// ```
     pub fn collect_events(
         self,
@@ -119,21 +119,10 @@ impl EventSourceKind {
             }
             EventSourceKind::Polling => {
                 let resp = rpc.block_tx_results(commit_time + relayer_delay, height);
-                let payload_bytes = resp.response_bytes;
-                let tx_events = std::rc::Rc::new(
-                    resp.value
-                        .into_iter()
-                        .map(|view| (view.hash, view.code, view.events))
-                        .collect::<Vec<_>>(),
-                );
-                (
-                    resp.ready_at,
-                    Ok(BlockEventBatch {
-                        height,
-                        tx_events,
-                        payload_bytes,
-                    }),
-                )
+                let result = resp
+                    .value
+                    .ok_or_else(|| format!("block_results: no block at height {height}"));
+                (resp.ready_at, result)
             }
         }
     }
@@ -464,44 +453,76 @@ mod tests {
         }
     }
 
-    #[test]
-    fn frame_limit_knob_configures_the_event_source() {
-        let mut rpc = {
-            use xcc_chain::chain::Chain;
-            use xcc_chain::coin::Coin;
-            use xcc_chain::genesis::GenesisConfig;
-            use xcc_chain::msg::Msg;
-            use xcc_chain::tx::Tx;
-            use xcc_rpc::cost::RpcCostModel;
-            use xcc_sim::{DetRng, LatencyModel};
-            let chain = Chain::new(GenesisConfig::new("chain-a").with_funded_accounts(
-                "user",
-                2,
-                100_000_000,
-            ))
-            .into_shared();
-            {
-                let mut c = chain.borrow_mut();
+    /// An endpoint on a chain whose block 1 holds one bank send that
+    /// succeeds and one that passes `CheckTx` but overdraws at `DeliverTx`.
+    fn rpc_with_a_mixed_block() -> RpcEndpoint {
+        use xcc_chain::chain::Chain;
+        use xcc_chain::coin::Coin;
+        use xcc_chain::genesis::GenesisConfig;
+        use xcc_chain::msg::Msg;
+        use xcc_chain::tx::Tx;
+        use xcc_rpc::cost::RpcCostModel;
+        use xcc_sim::{DetRng, LatencyModel};
+        let chain =
+            Chain::new(GenesisConfig::new("chain-a").with_funded_accounts("user", 2, 100_000_000))
+                .into_shared();
+        {
+            let mut c = chain.borrow_mut();
+            for (user, amount) in [("user-0", 1), ("user-1", 1_000_000_000)] {
                 let tx = Tx::new(
-                    "user-0".into(),
+                    user.into(),
                     0,
                     vec![Msg::BankSend {
-                        from: "user-0".into(),
-                        to: "user-1".into(),
-                        amount: Coin::new("uatom", 1),
+                        from: user.into(),
+                        to: "user-0".into(),
+                        amount: Coin::new("uatom", amount),
                     }],
                     "uatom",
                 );
                 c.submit_tx(&tx, SimTime::ZERO).unwrap();
-                c.produce_block(SimTime::from_secs(5));
             }
-            RpcEndpoint::new(
-                chain,
-                RpcCostModel::default(),
-                LatencyModel::Zero,
-                DetRng::new(1),
-            )
-        };
+            c.produce_block(SimTime::from_secs(5));
+        }
+        RpcEndpoint::new(
+            chain,
+            RpcCostModel::default(),
+            LatencyModel::Zero,
+            DetRng::new(1),
+        )
+    }
+
+    #[test]
+    fn both_event_sources_deliver_the_stored_block_itself() {
+        let mut rpc = rpc_with_a_mixed_block();
+        let mut subscription = RelayerStrategy::default().subscription();
+        let [pushed, polled] = [EventSourceKind::WebSocket, EventSourceKind::Polling].map(|kind| {
+            let commit = SimTime::from_secs(5);
+            kind.collect_events(&mut subscription, &mut rpc, 1, commit, SimDuration::ZERO)
+                .1
+                .unwrap()
+        });
+        let chain = rpc.chain().borrow();
+        let stored = chain.block_at(1).unwrap();
+        assert!(std::rc::Rc::ptr_eq(&pushed.committed, stored));
+        assert!(std::rc::Rc::ptr_eq(&polled.committed, stored));
+
+        let txs: Vec<_> = pushed.txs().collect();
+        assert_eq!(txs, polled.txs().collect::<Vec<_>>());
+        let hashes: Vec<_> = stored.block.data.txs.iter().map(|tx| tx.hash()).collect();
+        assert_eq!(hashes, [txs[0].0, txs[1].0]);
+        assert_eq!((txs[0].1, txs[0].2.len()), (0, 2));
+        assert_eq!((txs[1].1, txs[1].2.len()), (111, 0), "insufficient funds");
+
+        // Pinned from the commit before the block store was shared: the §V
+        // frame size and the `BlockResults` response size of this block.
+        assert_eq!(stored.events_payload_bytes, 1111);
+        assert_eq!(pushed.payload_bytes, 1111);
+        assert_eq!(polled.payload_bytes, 1495);
+    }
+
+    #[test]
+    fn frame_limit_knob_configures_the_event_source() {
+        let mut rpc = rpc_with_a_mixed_block();
         let mut collect = |strategy: RelayerStrategy| {
             let mut subscription = strategy.subscription();
             let (_, result) = strategy.event_source.collect_events(

@@ -13,14 +13,13 @@ use xcc_chain::chain::SharedChain;
 use xcc_chain::tx::Tx;
 use xcc_ibc::client::ClientUpdate;
 use xcc_ibc::commitment::{CommitmentProof, NonMembershipProof};
-use xcc_ibc::events as ibc_events;
 use xcc_ibc::ids::{ChannelId, PortId, Sequence};
 use xcc_ibc::packet::{Acknowledgement, Packet};
 use xcc_sim::prof;
 use xcc_sim::{DetRng, FifoServer, LatencyModel, SimDuration, SimTime};
 use xcc_tendermint::abci::Event;
 use xcc_tendermint::hash::Hash;
-use xcc_tendermint::node::{BlockTxEvents, TxStatus};
+use xcc_tendermint::node::{CommittedBlock, TxStatus};
 
 use crate::cost::{RequestKind, RequestProfile, RpcCostModel};
 
@@ -113,22 +112,27 @@ pub struct LaneStats {
     pub max_backlog: SimDuration,
 }
 
-/// The execution outcome of one committed transaction, as reported by
-/// `tx_search`-style queries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TxResultView {
-    /// The transaction hash.
-    pub hash: Hash,
-    /// Height the transaction was committed at.
-    pub height: u64,
-    /// ABCI result code (0 = success).
-    pub code: u32,
-    /// Execution log (error message on failure).
-    pub log: String,
-    /// Events emitted by the transaction.
-    pub events: Vec<Event>,
-    /// Encoded size of the transaction in bytes.
-    pub tx_bytes: usize,
+/// What one committed block did, as delivered to a relayer — pushed over the
+/// WebSocket subscription ([`RpcEndpoint::block_events`]) or pulled with a
+/// `block_results` query ([`RpcEndpoint::block_tx_results`]). Either way it
+/// is a handle on the block store's own allocation; nothing is copied.
+#[derive(Debug, Clone)]
+pub struct BlockEventBatch {
+    /// The committed block, shared with the node's block store and with
+    /// every other subscriber.
+    pub committed: Rc<CommittedBlock>,
+    /// Encoded size of the payload as this transport carried it.
+    pub payload_bytes: usize,
+}
+
+impl BlockEventBatch {
+    /// Per-transaction `(tx hash, result code, events)` in block order.
+    pub fn txs(&self) -> impl Iterator<Item = (Hash, u32, &[Event])> {
+        let txs = &self.committed.block.data.txs;
+        txs.iter()
+            .zip(&self.committed.results)
+            .map(|(tx, result)| (tx.hash(), result.code, result.events.as_slice()))
+    }
 }
 
 /// A Tendermint RPC endpoint bound to one chain's full node.
@@ -299,55 +303,35 @@ impl RpcEndpoint {
     }
 
     /// The execution results of every transaction committed at `height`
-    /// (the `tx_search tx.height=X` query the analysis tooling uses).
+    /// (the `block_results` / `tx_search tx.height=X` query a polling
+    /// relayer issues), or `None` for a height the chain has not reached.
     pub fn block_tx_results(
         &mut self,
         now: SimTime,
         height: u64,
-    ) -> RpcResponse<Vec<TxResultView>> {
-        let (views, bytes) = self.collect_block_results(height);
+    ) -> RpcResponse<Option<BlockEventBatch>> {
+        let batch = self
+            .chain
+            .borrow()
+            .block_at(height)
+            .map(|block| BlockEventBatch {
+                committed: Rc::clone(block),
+                // 512 + Σ(tx.len() + result.encoded_size()): the commit-time
+                // frame size without a WebSocket frame's 64-byte envelope
+                // per transaction.
+                payload_bytes: 512 + block.events_payload_bytes - 64 * block.results.len(),
+            });
         self.respond(
             now,
             RequestProfile {
                 kind: RequestKind::BlockResults,
-                response_bytes: bytes,
+                response_bytes: batch.as_ref().map_or(256, |b| b.payload_bytes),
                 messages: 0,
                 recv_heavy: false,
                 items: 0,
             },
-            views,
+            batch,
         )
-    }
-
-    fn collect_block_results(&self, height: u64) -> (Vec<TxResultView>, usize) {
-        let chain = self.chain.borrow();
-        let Some(block) = chain.block_at(height) else {
-            return (Vec::new(), 256);
-        };
-        let mut views = Vec::with_capacity(block.results.len());
-        let mut bytes = 512usize;
-        // Hashes come from the commit-time event cache instead of re-hashing
-        // every raw transaction on every poll.
-        for ((tx, result), (hash, _, _)) in block
-            .block
-            .data
-            .txs
-            .iter()
-            .zip(&block.results)
-            .zip(block.tx_events.iter())
-        {
-            let view = TxResultView {
-                hash: *hash,
-                height,
-                code: result.code,
-                log: result.log.clone(),
-                events: result.events.clone(),
-                tx_bytes: tx.len(),
-            };
-            bytes += tx.len() + result.encoded_size();
-            views.push(view);
-        }
-        (views, bytes)
     }
 
     /// The number of IBC messages committed in the block at `height`, used to
@@ -613,36 +597,17 @@ impl RpcEndpoint {
         self.respond(now, RequestProfile::small(RequestKind::ProofQuery), proof)
     }
 
-    /// The events emitted by every transaction at `height`, grouped per
-    /// transaction, along with the total encoded size. This is what the
-    /// WebSocket subscription delivers to the relayer when a new block is
-    /// committed; the frame-size limit is enforced by
-    /// [`crate::websocket::WebSocketSubscription`].
-    pub fn block_events(&self, height: u64) -> (Rc<BlockTxEvents>, usize) {
+    /// The block at `height` as the WebSocket subscription pushes it when
+    /// the block commits, sized at its commit-time frame size (`None` for a
+    /// height the chain has not reached). The frame-size limit is enforced
+    /// by [`crate::websocket::WebSocketSubscription`].
+    pub fn block_events(&self, height: u64) -> Option<BlockEventBatch> {
         let chain = self.chain.borrow();
-        let Some(block) = chain.block_at(height) else {
-            return (Rc::new(Vec::new()), 0);
-        };
-        // Both the tuple list (which includes the event payload *and* the
-        // per-tx hashes) and its encoded size are precomputed once at block
-        // commit; each subscriber shares the same allocation.
-        (Rc::clone(&block.tx_events), block.events_payload_bytes)
-    }
-
-    /// Extracts the IBC packets sent in the block at `height` over the given
-    /// channel end, in event order (used by tests and the analysis pipeline;
-    /// the relayer itself goes through the WebSocket path).
-    pub fn packets_sent_at(&self, height: u64, port: &PortId, channel: &ChannelId) -> Vec<Packet> {
-        let (events, _) = self.block_events(height);
-        events
-            .iter()
-            .filter(|(_, code, _)| *code == 0)
-            .flat_map(|(_, _, events)| events.iter())
-            .filter(|e| {
-                e.kind == ibc_events::SEND_PACKET && ibc_events::is_for_channel(e, port, channel)
-            })
-            .filter_map(ibc_events::packet_from_event)
-            .collect()
+        let block = chain.block_at(height)?;
+        Some(BlockEventBatch {
+            committed: Rc::clone(block),
+            payload_bytes: block.events_payload_bytes,
+        })
     }
 }
 
@@ -869,20 +834,27 @@ mod tests {
             .borrow_mut()
             .produce_block(SimTime::from_secs(5));
         let results = rpc.block_tx_results(SimTime::from_secs(5), 1);
-        assert_eq!(results.value.len(), 1);
-        assert_eq!(results.value[0].hash, hash);
-        assert_eq!(results.value[0].code, 0);
-        assert!(!results.value[0].events.is_empty());
+        let polled = results.value.unwrap();
+        let txs: Vec<_> = polled.txs().collect();
+        assert_eq!(txs.len(), 1);
+        assert_eq!((txs[0].0, txs[0].1), (hash, 0));
+        assert!(!txs[0].2.is_empty());
 
-        let (events, bytes) = rpc.block_events(1);
-        assert_eq!(events.len(), 1);
-        assert!(bytes > 0);
-        // Unknown heights return empty results rather than failing.
-        assert!(rpc
-            .block_tx_results(SimTime::from_secs(5), 99)
-            .value
-            .is_empty());
-        assert_eq!(rpc.block_events(99).0.len(), 0);
+        // The pushed frame is the same block, sized without the response's
+        // fixed part but with the per-transaction envelope.
+        let pushed = rpc.block_events(1).unwrap();
+        assert!(Rc::ptr_eq(&pushed.committed, &polled.committed));
+        assert!(Rc::ptr_eq(
+            &pushed.committed,
+            rpc.chain().borrow().block_at(1).unwrap()
+        ));
+        assert_eq!(polled.payload_bytes, results.response_bytes);
+        assert_eq!(pushed.payload_bytes + 512 - 64, polled.payload_bytes);
+        // Unknown heights answer with no block rather than failing.
+        let unknown = rpc.block_tx_results(SimTime::from_secs(5), 99);
+        assert!(unknown.value.is_none());
+        assert_eq!(unknown.response_bytes, 256);
+        assert!(rpc.block_events(99).is_none());
     }
 
     #[test]

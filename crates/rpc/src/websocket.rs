@@ -6,12 +6,9 @@
 //! "Failed to collect events" and — as §V of the paper documents — the
 //! affected packets are neither relayed nor timed out.
 
-use std::rc::Rc;
-
 use xcc_sim::SimDuration;
-use xcc_tendermint::node::BlockTxEvents;
 
-use crate::endpoint::RpcEndpoint;
+use crate::endpoint::{BlockEventBatch, RpcEndpoint};
 
 /// Tendermint's default maximum WebSocket message size (16 MiB).
 pub const DEFAULT_MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
@@ -48,37 +45,6 @@ impl std::fmt::Display for WsError {
 }
 
 impl std::error::Error for WsError {}
-
-/// The batch of events delivered for one newly committed block.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BlockEventBatch {
-    /// Height of the block.
-    pub height: u64,
-    /// Per-transaction `(tx hash, result code, events)` in block order,
-    /// shared with the block's commit-time cache (and with every other
-    /// subscriber) rather than cloned per delivery.
-    pub tx_events: Rc<BlockTxEvents>,
-    /// Total encoded size of the delivered payload.
-    pub payload_bytes: usize,
-}
-
-impl BlockEventBatch {
-    /// Total number of events across all transactions.
-    pub fn event_count(&self) -> usize {
-        self.tx_events
-            .iter()
-            .map(|(_, _, events)| events.len())
-            .sum()
-    }
-
-    /// Number of transactions whose execution succeeded.
-    pub fn successful_txs(&self) -> usize {
-        self.tx_events
-            .iter()
-            .filter(|(_, code, _)| *code == 0)
-            .count()
-    }
-}
 
 /// A per-relayer WebSocket subscription to one chain's `NewBlock` events.
 #[derive(Debug, Clone)]
@@ -139,23 +105,18 @@ impl WebSocketSubscription {
         rpc: &RpcEndpoint,
         height: u64,
     ) -> Result<BlockEventBatch, WsError> {
-        if height == 0 || height > rpc.chain().borrow().height() {
-            return Err(WsError::UnknownBlock { height });
-        }
-        let (tx_events, payload_bytes) = rpc.block_events(height);
-        if payload_bytes > self.max_frame_bytes {
+        let batch = rpc
+            .block_events(height)
+            .ok_or(WsError::UnknownBlock { height })?;
+        if batch.payload_bytes > self.max_frame_bytes {
             self.failed_blocks += 1;
             return Err(WsError::FrameTooLarge {
-                payload_bytes,
+                payload_bytes: batch.payload_bytes,
                 max_bytes: self.max_frame_bytes,
             });
         }
         self.delivered_blocks += 1;
-        Ok(BlockEventBatch {
-            height,
-            tx_events,
-            payload_bytes,
-        })
+        Ok(batch)
     }
 }
 
@@ -208,10 +169,11 @@ mod tests {
         let rpc = rpc_with_block(3);
         let mut ws = WebSocketSubscription::default();
         let batch = ws.collect_block_events(&rpc, 1).unwrap();
-        assert_eq!(batch.height, 1);
-        assert_eq!(batch.tx_events.len(), 3);
-        assert_eq!(batch.successful_txs(), 3);
-        assert!(batch.event_count() >= 3);
+        assert_eq!(batch.committed.block.header.height, 1);
+        assert_eq!(batch.txs().count(), 3);
+        assert!(batch
+            .txs()
+            .all(|(_, code, events)| code == 0 && !events.is_empty()));
         assert_eq!(ws.delivered_blocks(), 1);
         assert_eq!(ws.failed_blocks(), 0);
     }

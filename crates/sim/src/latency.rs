@@ -95,11 +95,6 @@ impl LatencyModel {
             }
         }
     }
-
-    /// Samples a full round trip (two one-way samples).
-    pub fn sample_rtt(&self, rng: &mut DetRng) -> SimDuration {
-        self.sample_one_way(rng) + self.sample_one_way(rng)
-    }
 }
 
 #[cfg(test)]

@@ -14,8 +14,6 @@
 //!   ([`FifoServer`]),
 //! * network latency models (constant RTT, uniform jitter) ([`LatencyModel`]),
 //! * deterministic random number streams ([`DetRng`]),
-//! * domain-neutral fault events and timelines for dependability experiments
-//!   ([`FaultKind`], [`FaultTimeline`]),
 //! * deterministic work counters — the xcc-prof profiling layer whose
 //!   totals are exact-match regression signals, unlike wall-clock
 //!   ([`prof`]).
@@ -43,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod fault;
 mod latency;
 pub mod prof;
 mod rng;
@@ -51,7 +48,6 @@ mod scheduler;
 mod server;
 mod time;
 
-pub use fault::{FaultKind, FaultTimeline};
 pub use latency::LatencyModel;
 pub use rng::DetRng;
 pub use scheduler::{Scheduler, SchedulerBackend};

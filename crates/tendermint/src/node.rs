@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use crate::abci::{Application, DeliverTxResult, Event};
+use crate::abci::{Application, DeliverTxResult};
 use crate::block::{evidence_hash, Block, BlockId, Data, Header, RawTx, Version};
 use crate::hash::{hash_fields, Hash};
 use crate::mempool::{Mempool, MempoolConfig, MempoolError, PendingTx};
@@ -53,25 +53,18 @@ impl From<MempoolError> for SubmitError {
     }
 }
 
-/// Per-transaction `(hash, result code, events)` tuples of one block — the
-/// payload a block-event subscription delivers, precomputed at commit time.
-pub type BlockTxEvents = Vec<(Hash, u32, Vec<Event>)>;
-
-/// The stored outcome of executing one block.
+/// The stored outcome of executing one block. The block store holds each one
+/// behind an [`Rc`], and every reader of what the block did — the WebSocket
+/// feed, the polling query, the analysis pass — shares that one allocation.
 #[derive(Debug, Clone)]
 pub struct CommittedBlock {
     /// The block itself.
     pub block: Block,
-    /// Per-transaction execution results, in block order.
+    /// Per-transaction execution results, in block order (parallel to
+    /// `block.data.txs`, whose hashes were memoized at mempool admission).
     pub results: Vec<DeliverTxResult>,
     /// When the block was committed (consensus finished).
     pub committed_at: SimTime,
-    /// The block's event payload, computed once at commit. Shared (`Rc`) so
-    /// every relayer process subscribed to the block receives the same
-    /// allocation instead of re-hashing and re-cloning per subscriber —
-    /// before this cache, `block_events` was the hottest allocation site in
-    /// fleet experiments.
-    pub tx_events: Rc<BlockTxEvents>,
     /// Encoded size of the event payload plus raw transactions, as carried
     /// by a WebSocket frame (the §V frame-size accounting).
     pub events_payload_bytes: usize,
@@ -105,7 +98,7 @@ pub struct Node<A: Application> {
     validators: ValidatorSet,
     app: A,
     mempool: Mempool<A::Decoded>,
-    blocks: Vec<CommittedBlock>,
+    blocks: Vec<Rc<CommittedBlock>>,
     // xcc-lint: allow(hash-collections, reason = "hash -> (height, index) point lookups only; never iterated")
     tx_index: HashMap<Hash, (u64, usize)>,
     last_app_hash: Hash,
@@ -190,7 +183,7 @@ impl<A: Application> Node<A> {
     }
 
     /// The committed block at `height`, if any (heights start at 1).
-    pub fn block_at(&self, height: u64) -> Option<&CommittedBlock> {
+    pub fn block_at(&self, height: u64) -> Option<&Rc<CommittedBlock>> {
         if height == 0 {
             return None;
         }
@@ -198,7 +191,7 @@ impl<A: Application> Node<A> {
     }
 
     /// The most recently committed block, if any.
-    pub fn latest_block(&self) -> Option<&CommittedBlock> {
+    pub fn latest_block(&self) -> Option<&Rc<CommittedBlock>> {
         self.blocks.last()
     }
 
@@ -272,7 +265,6 @@ impl<A: Application> Node<A> {
         // each decoded form moves into its `DeliverTx`, nothing is copied.
         let (txs, decoded): (Vec<RawTx>, Vec<Option<A::Decoded>>) =
             reaped.into_iter().map(|p| (p.tx, p.decoded)).unzip();
-        let tx_hashes: Vec<Hash> = txs.iter().map(RawTx::hash).collect();
         let data = Data { txs };
         let proposer = self.validators.proposer(height, 0).address;
 
@@ -346,30 +338,29 @@ impl<A: Application> Node<A> {
                 .block_processing_time(included_messages, block_bytes, mempool_remaining);
         let committed_at = propose_time + work;
 
-        // Index transactions and store the block.
-        for (i, hash) in tx_hashes.iter().enumerate() {
-            self.tx_index.insert(*hash, (height, i));
+        // Index transactions (their hashes were memoized at mempool
+        // admission) and store the block.
+        for (i, tx) in block.data.txs.iter().enumerate() {
+            self.tx_index.insert(tx.hash(), (height, i));
         }
         self.last_results_hash = results_hash(&results);
         self.last_app_hash = new_app_hash;
         self.last_commit = Some(commit);
         self.last_block_time = committed_at;
         let tx_count = block.data.txs.len();
-        // Precompute the event payload every subscriber will ask for, using
-        // the hashes already computed at mempool admission.
-        let mut tx_events = Vec::with_capacity(results.len());
-        let mut events_payload_bytes = 0usize;
-        for ((hash, tx), result) in tx_hashes.iter().zip(&block.data.txs).zip(&results) {
-            events_payload_bytes += result.encoded_size() + 64 + tx.len();
-            tx_events.push((*hash, result.code, result.events.clone()));
-        }
-        self.blocks.push(CommittedBlock {
+        let events_payload_bytes = block
+            .data
+            .txs
+            .iter()
+            .zip(&results)
+            .map(|(tx, result)| result.encoded_size() + 64 + tx.len())
+            .sum();
+        self.blocks.push(Rc::new(CommittedBlock {
             block,
             results,
             committed_at,
-            tx_events: Rc::new(tx_events),
             events_payload_bytes,
-        });
+        }));
 
         BlockOutcome {
             height,
