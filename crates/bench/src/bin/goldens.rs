@@ -25,6 +25,7 @@ use xcc_bench::timing::Stopwatch;
 use xcc_framework::registry;
 use xcc_framework::scenarios;
 use xcc_framework::spec::ExperimentSpec;
+use xcc_framework::work::sha256_backend;
 use xcc_framework::{ScenarioOutcome, SweepMode, WorkProfile};
 use xcc_relayer::strategy::{ChannelPolicy, RelayerStrategy, SequenceTracking, SubmissionMode};
 
@@ -312,11 +313,15 @@ struct BenchSet {
 
 /// The whole-replay totals: the sums over [`BenchSet`] rows, plus the
 /// process's peak RSS once every set has run (informational, like the
-/// wall-clock; `null` where `/proc` is absent).
+/// wall-clock; `null` where `/proc` is absent) and the SHA-256 backend the
+/// host selected, which is what a reader needs to compare two hosts'
+/// wall-clock rows (informational too; empty in a file older than the field).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct BenchTotal {
     wall_clock_secs: f64,
     peak_rss_mb: Option<f64>,
+    #[serde(default)]
+    sha256_backend: String,
     completed_transfers: u64,
     events_per_sec: f64,
     work: WorkProfile,
@@ -373,6 +378,7 @@ fn run_bench() -> BenchReport {
         total: BenchTotal {
             wall_clock_secs: round3(total_secs),
             peak_rss_mb: peak_rss_mb(),
+            sha256_backend: sha256_backend().to_string(),
             completed_transfers: total_completed,
             events_per_sec: round1(rate(total_completed, total_secs)),
             work: total_work,
@@ -471,6 +477,10 @@ fn compare_bench() -> usize {
     println!(
         "peak RSS (informational): {:?} MB now vs {:?} MB pinned",
         fresh.total.peak_rss_mb, committed.total.peak_rss_mb
+    );
+    println!(
+        "SHA-256 backend (informational): {:?} now vs {:?} pinned",
+        fresh.total.sha256_backend, committed.total.sha256_backend
     );
     drifted
 }

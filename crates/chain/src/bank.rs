@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use crate::account::AccountId;
 use crate::coin::Coin;
 use xcc_ibc::transfer::BankKeeper;
-use xcc_tendermint::hash::{hash_fields, Hash};
+use xcc_tendermint::hash::{FieldHasher, Hash};
 use xcc_tendermint::journal::{restore, Journal};
 
 /// Errors raised by bank operations.
@@ -203,16 +203,16 @@ impl BankModule {
 
     /// A digest of the bank state, folded into the application hash.
     pub fn state_hash(&self) -> Hash {
-        let mut fields: Vec<Vec<u8>> = Vec::with_capacity(self.balances.len());
+        let mut hasher = FieldHasher::new();
         for ((addr, denom), amount) in &self.balances {
-            let mut bytes = addr.as_str().as_bytes().to_vec();
-            bytes.push(0);
-            bytes.extend_from_slice(denom.as_bytes());
-            bytes.extend_from_slice(&amount.to_be_bytes());
-            fields.push(bytes);
+            hasher.field_parts(&[
+                addr.as_str().as_bytes(),
+                &[0],
+                denom.as_bytes(),
+                &amount.to_be_bytes(),
+            ]);
         }
-        let refs: Vec<&[u8]> = fields.iter().map(|f| f.as_slice()).collect();
-        hash_fields(&refs)
+        hasher.finish()
     }
 }
 
@@ -342,5 +342,21 @@ mod tests {
         BankKeeper::burn(&mut bank, "bob", "uatom", 20).unwrap();
         assert_eq!(bank.balance(&"alice".into(), "uatom"), 30);
         assert_eq!(bank.balance(&"bob".into(), "uatom"), 0);
+    }
+
+    /// Pinned at the commit before `state_hash` streamed its fields: one
+    /// field per balance, `address 0x00 denom amount`, in key order.
+    #[test]
+    fn state_hash_is_pinned() {
+        let mut bank = BankModule::new();
+        bank.mint_coins(&"alice".into(), &Coin::new("uatom", 1_000));
+        bank.mint_coins(
+            &"bob".into(),
+            &Coin::new("ibc/transfer/channel-0/samoleans", 300),
+        );
+        assert_eq!(
+            bank.state_hash().to_hex(),
+            "1fade1df7691f796d00ce662f4dfc2a723d6156bc281a1403349eca888d9da8e"
+        );
     }
 }

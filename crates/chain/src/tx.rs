@@ -10,7 +10,7 @@ use crate::gas;
 use crate::msg::Msg;
 use xcc_sim::prof;
 use xcc_tendermint::block::RawTx;
-use xcc_tendermint::hash::{Hash, Sha256};
+use xcc_tendermint::hash::{FieldHasher, Hash};
 
 /// A transaction: one signer, a sequence number, a fee, and a batch of
 /// messages.
@@ -141,27 +141,19 @@ impl Tx {
     /// sequence, the fee as `Coin` displays it (amount, then denom) and, per
     /// message, its type URL followed by its encoded size. Computed three
     /// times per transaction (signing, then the ante check at CheckTx and at
-    /// DeliverTx), so each field streams into the hasher in `hash_fields`'
-    /// framing — length as 8 big-endian bytes, then the bytes — instead of
+    /// DeliverTx), so each field streams into a [`FieldHasher`] instead of
     /// being assembled on the heap first.
     fn body_digest(signer: &AccountId, sequence: u64, msgs: &[Msg], fee: &Coin) -> Hash {
-        let mut hasher = Sha256::new();
-        let mut field = |parts: &[&[u8]]| {
-            let len: usize = parts.iter().map(|part| part.len()).sum();
-            hasher.update(&(len as u64).to_be_bytes());
-            for part in parts {
-                hasher.update(part);
-            }
-        };
-        field(&[signer.as_str().as_bytes()]);
-        field(&[&sequence.to_be_bytes()]);
+        let mut hasher = FieldHasher::new();
+        hasher.field(signer.as_str().as_bytes());
+        hasher.field(&sequence.to_be_bytes());
         let mut digits = [0u8; 39];
-        field(&[decimal(fee.amount, &mut digits), fee.denom.as_bytes()]);
+        hasher.field_parts(&[decimal(fee.amount, &mut digits), fee.denom.as_bytes()]);
         for msg in msgs {
             let size = (msg.encoded_size() as u64).to_be_bytes();
-            field(&[msg.type_url().as_bytes(), &size]);
+            hasher.field_parts(&[msg.type_url().as_bytes(), &size]);
         }
-        hasher.finalize()
+        hasher.finish()
     }
 
     /// Whether the transaction's signature matches its contents and claimed

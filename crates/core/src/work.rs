@@ -16,6 +16,13 @@ use serde::{Deserialize, Serialize};
 use xcc_rpc::cost::RequestKind;
 use xcc_sim::prof::WorkCounters;
 
+/// Which SHA-256 backend this host's CPU selected (`"sha-ni"` or
+/// `"portable"`). Not a work counter — those are host-independent — but what
+/// `goldens --bench` records beside the wall-clock it reports with them:
+/// hashing is the largest single host cost of a run, and the two backends
+/// differ about twofold.
+pub use xcc_tendermint::hash::backend as sha256_backend;
+
 /// RPC-call counts that landed in overflow slots beyond the kinds named by
 /// [`RequestKind::ALL`] are reported under this key. A non-zero value means a
 /// new request kind exists that [`RequestKind::index`] does not map yet.

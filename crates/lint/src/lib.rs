@@ -12,7 +12,7 @@
 //! crates.io is unreachable in this environment) built on a comment- and
 //! string-aware scrubbing scanner ([`lexer::Scrubbed`]) and a shallow
 //! [workspace item graph](items) parsed from the scrubbed token stream.
-//! Eleven rules run over `crates/*/src`, `tests/`, and friends:
+//! Twelve rules run over `crates/*/src`, `tests/`, and friends:
 //!
 //! * **D1 `hash-collections`** — no `HashMap`/`HashSet` without a per-site
 //!   justified suppression.
@@ -30,6 +30,10 @@
 //!   `to_value`/`from_value`, `serde::binary::{to_bytes, from_bytes}` or
 //!   `serde::json::{encoded_len, parse}`: a transaction streams to bytes and
 //!   back without a `serde::Value` tree.
+//! * **U1 `unsafe-code`** — the `unsafe` keyword appears in non-test code of
+//!   `crates/` and `src/` exactly once, under a `// SAFETY:` comment, in the
+//!   SHA-256 kernel's dispatch file; every other crate root keeps
+//!   `#![forbid(unsafe_code)]`.
 //! * **K1 `dead-knob`** — every pub config field and `SweepGrid` axis is
 //!   read outside its defining file.
 //! * **P1 `panic-in-library`** — `unwrap()`/`expect()`/`panic!` in non-test

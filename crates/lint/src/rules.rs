@@ -9,6 +9,7 @@
 //! | C1 | `uncosted-rpc` | every `RpcEndpoint` RPC method names a `RequestKind`, and every kind has an explicit costing arm |
 //! | C2 | `lane-bypass` | outside `crates/rpc`, no direct `RpcResponse` construction or cost-table access |
 //! | V1 | `value-detour` | simulation code never builds a `serde::Value` tree: no `to_value`/`from_value`, no `Value`-tree binary or JSON-length calls |
+//! | U1 | `unsafe-code` | the `unsafe` keyword appears once, under a `// SAFETY:` comment, in the SHA-256 kernel's dispatch file; every other crate root forbids it |
 //! | K1 | `dead-knob` | every pub config field / `SweepGrid` axis is read outside its defining file |
 //! | P1 | `panic-in-library` | no new `unwrap()`/`expect()`/`panic!` in non-test library code beyond the baseline |
 //! | R1 | `registry-docs` | scenario registry ↔ README/PAPER-row consistency |
@@ -18,7 +19,7 @@
 //! mandatory, and suppressions that stop matching anything are themselves
 //! findings, so the escape hatch cannot rot.
 //!
-//! The token-level rules (D1–D3, D4, C2, V1, P1) work straight off the scrubbed
+//! The token-level rules (D1–D3, D4, C2, V1, U1, P1) work straight off the scrubbed
 //! lines; the structural rules (C1, K1) consume the
 //! [workspace item graph](crate::items) so they survive reformatting and
 //! follow items when they move.
@@ -50,6 +51,8 @@ pub enum RuleId {
     LaneBypass,
     /// V1: no `serde::Value` trees on the simulation path.
     ValueDetour,
+    /// U1: one `unsafe` block, in the SHA-256 kernel's dispatch file.
+    UnsafeCode,
     /// K1: pub config knobs and sweep axes must be read somewhere.
     DeadKnob,
     /// P1: panic sites in library code ratcheted by the baseline.
@@ -63,7 +66,7 @@ pub enum RuleId {
 
 impl RuleId {
     /// Every rule, in report order.
-    pub const ALL: [RuleId; 11] = [
+    pub const ALL: [RuleId; 12] = [
         RuleId::HashCollections,
         RuleId::WallClock,
         RuleId::AmbientEntropy,
@@ -71,6 +74,7 @@ impl RuleId {
         RuleId::UncostedRpc,
         RuleId::LaneBypass,
         RuleId::ValueDetour,
+        RuleId::UnsafeCode,
         RuleId::DeadKnob,
         RuleId::PanicInLibrary,
         RuleId::RegistryDocs,
@@ -87,6 +91,7 @@ impl RuleId {
             RuleId::UncostedRpc => "uncosted-rpc",
             RuleId::LaneBypass => "lane-bypass",
             RuleId::ValueDetour => "value-detour",
+            RuleId::UnsafeCode => "unsafe-code",
             RuleId::DeadKnob => "dead-knob",
             RuleId::PanicInLibrary => "panic-in-library",
             RuleId::RegistryDocs => "registry-docs",
@@ -104,6 +109,7 @@ impl RuleId {
             RuleId::UncostedRpc => "C1",
             RuleId::LaneBypass => "C2",
             RuleId::ValueDetour => "V1",
+            RuleId::UnsafeCode => "U1",
             RuleId::DeadKnob => "K1",
             RuleId::PanicInLibrary => "P1",
             RuleId::RegistryDocs => "R1",
@@ -206,6 +212,9 @@ pub fn run(config: &Config) -> io::Result<Outcome> {
     }
     if config.enabled(RuleId::ValueDetour) {
         value_detour(&files, &mut findings);
+    }
+    if config.enabled(RuleId::UnsafeCode) {
+        unsafe_code(&files, &mut findings);
     }
     if config.enabled(RuleId::DeadKnob) {
         dead_knob(&files, &mut findings);
@@ -700,6 +709,113 @@ fn value_detour(files: &[SourceFile], findings: &mut Vec<Finding>) {
                         path.trim_start_matches("::")
                     ),
                 });
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// U1: unsafe-code
+// ---------------------------------------------------------------------------
+
+/// The one file that may say `unsafe`: the SHA-256 kernel module, whose
+/// dispatcher calls a `#[target_feature]` function after CPUID detection.
+const UNSAFE_DISPATCH_RS: &str = "crates/tendermint/src/sha_ni.rs";
+
+/// The crate whose root says `deny` instead of `forbid`, so that the dispatch
+/// file's one `#[allow(unsafe_code)]` compiles.
+const UNSAFE_DENY_ROOT: &str = "crates/tendermint/src/lib.rs";
+
+/// U1 covers the code that ships: `crates/*/src` and the umbrella `src/`.
+fn in_unsafe_scope(rel: &str) -> bool {
+    rel.starts_with("src/") || (rel.starts_with("crates/") && rel.contains("/src/"))
+}
+
+fn is_crate_root(rel: &str) -> bool {
+    let parts: Vec<&str> = rel.split('/').collect();
+    matches!(
+        parts.as_slice(),
+        ["src", "lib.rs" | "main.rs"] | ["crates", _, "src", "lib.rs" | "main.rs"]
+    )
+}
+
+/// Whether the comment block directly above 1-based `line` — past any
+/// attribute lines — has a line opening with `// SAFETY:`.
+fn has_safety_comment(scrub: &Scrubbed, line: usize) -> bool {
+    let code = |l: usize| scrub.code[l - 1].trim();
+    let mut above = line - 1;
+    while above >= 1 && code(above).starts_with("#[") {
+        above -= 1;
+    }
+    // A comment-only line scrubs to blank code.
+    while above >= 1 && code(above).is_empty() {
+        match scrub.comments.iter().find(|(at, _)| *at == above) {
+            Some((_, text)) if text.starts_with("// SAFETY:") => return true,
+            Some(_) => above -= 1,
+            None => return false,
+        }
+    }
+    false
+}
+
+fn unsafe_code(files: &[SourceFile], findings: &mut Vec<Finding>) {
+    let u1 = RuleId::UnsafeCode.name();
+    let mut finding = |file: &SourceFile, line: usize, col: usize, message: String| {
+        findings.push(Finding {
+            rule: u1,
+            path: file.rel.clone(),
+            line,
+            col,
+            message,
+        });
+    };
+    for file in files.iter().filter(|f| in_unsafe_scope(&f.rel)) {
+        let sites: Vec<(usize, usize)> = word_occurrences(&file.scrub.code, "unsafe")
+            .into_iter()
+            .filter(|(line, _)| !file.scrub.is_test_line(*line))
+            .collect();
+        for (nth, &(line, col)) in sites.iter().enumerate() {
+            if file.rel != UNSAFE_DISPATCH_RS {
+                finding(
+                    file,
+                    line,
+                    col + 1,
+                    format!(
+                        "`unsafe` outside {UNSAFE_DISPATCH_RS}: the workspace's one unsafe block \
+                         is the SHA-256 kernel dispatch; write this in safe Rust"
+                    ),
+                );
+                continue;
+            }
+            if nth > 0 {
+                finding(
+                    file,
+                    line,
+                    col + 1,
+                    "a second `unsafe` in the kernel dispatch file: the call into the \
+                     `#[target_feature]` kernel is the only one allowed"
+                        .into(),
+                );
+            }
+            if !has_safety_comment(&file.scrub, line) {
+                finding(
+                    file,
+                    line,
+                    col + 1,
+                    "`unsafe` without a `// SAFETY:` comment on the line above naming the \
+                     detected CPU features"
+                        .into(),
+                );
+            }
+        }
+        if is_crate_root(&file.rel) {
+            let wanted = if file.rel == UNSAFE_DENY_ROOT {
+                "#![deny(unsafe_code)]"
+            } else {
+                "#![forbid(unsafe_code)]"
+            };
+            if !file.scrub.code.iter().any(|code| code.trim() == wanted) {
+                finding(file, 0, 0, format!("crate root does not carry `{wanted}`"));
             }
         }
     }

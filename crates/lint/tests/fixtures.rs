@@ -292,6 +292,50 @@ fn value_detour_fixture_fails() {
     assert_eq!(check_exit_code(&root, "value-detour"), 2);
 }
 
+#[test]
+fn unsafe_code_fixture_fails() {
+    let root = fixture("unsafe_code");
+    let outcome = rules::run(&Config {
+        root: root.clone(),
+        rules: vec![RuleId::UnsafeCode, RuleId::Suppression],
+    })
+    .expect("scan succeeds");
+    let found: Vec<(&str, usize, &str)> = outcome
+        .findings
+        .iter()
+        .map(|f| (f.path.as_str(), f.line, f.message.as_str()))
+        .collect();
+    let has = |path: &str, line: usize, needle: &str| {
+        found
+            .iter()
+            .any(|(p, l, m)| *p == path && *l == line && m.contains(needle))
+    };
+    // A crate that stopped forbidding it, and the block that followed — its
+    // `// SAFETY:` comment does not make it the dispatch file.
+    assert!(
+        has("crates/sim/src/lib.rs", 0, "`#![forbid(unsafe_code)]`"),
+        "{found:?}"
+    );
+    assert!(
+        has(
+            "crates/sim/src/lib.rs",
+            9,
+            "outside crates/tendermint/src/sha_ni.rs"
+        ),
+        "{found:?}"
+    );
+    // In the dispatch file the first block (multi-line SAFETY comment, then
+    // the `allow` attribute) is the allowed one; the second is one too many
+    // and has no comment.
+    let dispatch = "crates/tendermint/src/sha_ni.rs";
+    assert!(has(dispatch, 19, "a second `unsafe`"), "{found:?}");
+    assert!(has(dispatch, 19, "without a `// SAFETY:`"), "{found:?}");
+    // Nothing else: the clean root's comment, string, `unsafe_code` token and
+    // test module, the tendermint root's `deny`, and the first dispatch block.
+    assert_eq!(found.len(), 4, "{found:?}");
+    assert_eq!(check_exit_code(&root, "unsafe-code"), 2);
+}
+
 /// Satellite guarantee: findings come out sorted by (path, line, col, rule)
 /// and paths stay workspace-relative even under an absolute `--root`.
 #[test]

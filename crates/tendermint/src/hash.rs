@@ -3,6 +3,17 @@
 //! The workspace deliberately avoids external cryptography crates; this is a
 //! from-scratch FIPS 180-4 SHA-256 implementation used for transaction
 //! hashes, Merkle roots, block identifiers and IBC packet commitments.
+//!
+//! It has three layers. [`Sha256`] is the one streaming wrapper: buffering,
+//! padding and the length counter. Under it, `compress_blocks` takes every
+//! run of whole 64-byte blocks and hands it to one of two backends: the
+//! SHA-extensions kernel in the sibling `sha_ni` module when CPUID reports
+//! the instructions, otherwise the portable `compress` loop below — which is
+//! also the reference the tests hold the kernel to, bit for bit. Nothing
+//! selects a backend but the CPU; [`backend`] only reports which one runs,
+//! so that a wall-clock number can say which circuit produced it. Both
+//! compute the same function of the same bytes, so no digest, and therefore
+//! nothing simulated, depends on the host.
 
 use std::fmt;
 
@@ -35,17 +46,12 @@ impl Hash {
 
     /// Lower-case hexadecimal rendering of the digest.
     pub fn to_hex(&self) -> String {
-        let mut s = String::with_capacity(64);
-        for b in self.0 {
-            s.push(char::from_digit((b >> 4) as u32, 16).expect("nibble < 16"));
-            s.push(char::from_digit((b & 0xf) as u32, 16).expect("nibble < 16"));
-        }
-        s
+        hex(&self.0)
     }
 
     /// A short 8-character prefix of the hex rendering, for logs.
     pub fn short(&self) -> String {
-        self.to_hex()[..8].to_string()
+        hex(&self.0[..4])
     }
 
     /// `true` if this is the all-zero sentinel.
@@ -56,8 +62,19 @@ impl Hash {
     /// The first eight bytes of the digest interpreted as a big-endian `u64`,
     /// handy for deterministic pseudo-random decisions derived from hashes.
     pub fn to_u64(&self) -> u64 {
-        u64::from_be_bytes(self.0[..8].try_into().expect("slice of length 8"))
+        let [b0, b1, b2, b3, b4, b5, b6, b7, ..] = self.0;
+        u64::from_be_bytes([b0, b1, b2, b3, b4, b5, b6, b7])
     }
+}
+
+fn hex(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut s = String::with_capacity(2 * bytes.len());
+    for b in bytes {
+        s.push(DIGITS[(b >> 4) as usize] as char);
+        s.push(DIGITS[(b & 0xf) as usize] as char);
+    }
+    s
 }
 
 impl fmt::Debug for Hash {
@@ -84,7 +101,7 @@ impl AsRef<[u8]> for Hash {
     }
 }
 
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -127,7 +144,13 @@ pub struct Sha256 {
     /// Number of pending bytes in `block`, always `< 64` between calls.
     filled: usize,
     length_bits: u64,
+    /// What compresses whole blocks: [`compress_blocks`], except in the
+    /// tests that run the wrapper's vectors over one named backend.
+    kernel: Kernel,
 }
+
+/// A block backend: folds every block of the slice into the state, in order.
+type Kernel = fn(&mut [u32; 8], &[[u8; 64]]);
 
 impl Default for Sha256 {
     fn default() -> Self {
@@ -138,11 +161,16 @@ impl Default for Sha256 {
 impl Sha256 {
     /// Creates a fresh hasher.
     pub fn new() -> Self {
+        Self::with_kernel(compress_blocks)
+    }
+
+    fn with_kernel(kernel: Kernel) -> Self {
         Sha256 {
             state: H0,
             block: [0u8; 64],
             filled: 0,
             length_bits: 0,
+            kernel,
         }
     }
 
@@ -157,12 +185,12 @@ impl Sha256 {
             if self.filled < 64 {
                 return;
             }
-            compress(&mut self.state, &self.block);
+            (self.kernel)(&mut self.state, std::slice::from_ref(&self.block));
             self.filled = 0;
         }
         let (blocks, tail) = data.as_chunks::<64>();
-        for block in blocks {
-            compress(&mut self.state, block);
+        if !blocks.is_empty() {
+            (self.kernel)(&mut self.state, blocks);
         }
         self.block[..tail.len()].copy_from_slice(tail);
         self.filled = tail.len();
@@ -176,16 +204,43 @@ impl Sha256 {
         self.block[self.filled] = 0x80;
         self.block[self.filled + 1..].fill(0);
         if self.filled + 1 > 56 {
-            compress(&mut self.state, &self.block);
+            (self.kernel)(&mut self.state, std::slice::from_ref(&self.block));
             self.block = [0u8; 64];
         }
         self.block[56..].copy_from_slice(&self.length_bits.to_be_bytes());
-        compress(&mut self.state, &self.block);
+        (self.kernel)(&mut self.state, std::slice::from_ref(&self.block));
         let mut out = [0u8; 32];
         for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
             bytes.copy_from_slice(&word.to_be_bytes());
         }
         Hash(out)
+    }
+}
+
+/// The one way into a block backend: the SHA-extensions kernel where the CPU
+/// has it, the portable loop everywhere else.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::sha_ni::compress_blocks(state, blocks) {
+        return;
+    }
+    portable_blocks(state, blocks);
+}
+
+/// Which backend this host's CPU selects: `"sha-ni"` or `"portable"`. It
+/// reports and cannot choose; benchmarks print it beside wall-clock numbers,
+/// which differ about twofold between the two.
+pub fn backend() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if crate::sha_ni::detected() {
+        return "sha-ni";
+    }
+    "portable"
+}
+
+fn portable_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    for block in blocks {
+        compress(state, block);
     }
 }
 
@@ -242,54 +297,174 @@ pub fn sha256(data: &[u8]) -> Hash {
     hasher.finalize()
 }
 
-/// Hashes the concatenation of several byte slices, with a one-byte length
-/// domain separator between fields to avoid ambiguity.
-pub fn hash_fields(fields: &[&[u8]]) -> Hash {
-    let mut hasher = Sha256::new();
-    for field in fields {
-        hasher.update(&(field.len() as u64).to_be_bytes());
-        hasher.update(field);
+/// Hashes a sequence of byte-string fields unambiguously: each field goes in
+/// as its length (8 big-endian bytes) followed by its bytes, so no two
+/// different field lists hash the same concatenation.
+///
+/// Streaming: a field's bytes go straight into the hasher, so a caller with
+/// one field per account or per transaction result needs no `Vec` of them.
+///
+/// # Example
+///
+/// ```rust
+/// use xcc_tendermint::hash::{hash_fields, FieldHasher};
+///
+/// let mut hasher = FieldHasher::new();
+/// hasher.field(b"ab");
+/// hasher.field_parts(&[b"c", b"d"]);
+/// assert_eq!(hasher.finish(), hash_fields(&[b"ab", b"cd"]));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct FieldHasher(Sha256);
+
+impl FieldHasher {
+    /// A hasher over no fields yet.
+    pub fn new() -> Self {
+        Self::default()
     }
-    hasher.finalize()
+
+    /// Appends one field.
+    pub fn field(&mut self, bytes: &[u8]) {
+        self.field_parts(&[bytes]);
+    }
+
+    /// Appends one field given in pieces: the concatenation of `parts` is
+    /// framed as a single field, without being assembled first.
+    pub fn field_parts(&mut self, parts: &[&[u8]]) {
+        let len: usize = parts.iter().map(|part| part.len()).sum();
+        self.0.update(&(len as u64).to_be_bytes());
+        for part in parts {
+            self.0.update(part);
+        }
+    }
+
+    /// The digest of the fields appended so far.
+    pub fn finish(self) -> Hash {
+        self.0.finalize()
+    }
+}
+
+/// [`FieldHasher`] over a list of fields already in hand.
+pub fn hash_fields(fields: &[&[u8]]) -> Hash {
+    let mut hasher = FieldHasher::new();
+    for field in fields {
+        hasher.field(field);
+    }
+    hasher.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    #[cfg(target_arch = "x86_64")]
+    fn sha_ni_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        assert!(crate::sha_ni::compress_blocks(state, blocks));
+    }
+
+    /// The dispatcher, the portable loop and — where this CPU has it — the
+    /// SHA-extensions kernel: every vector below runs through the streaming
+    /// wrapper once per entry.
+    fn backends() -> Vec<(&'static str, Kernel)> {
+        let mut all: Vec<(&'static str, Kernel)> =
+            vec![("dispatch", compress_blocks), ("portable", portable_blocks)];
+        #[cfg(target_arch = "x86_64")]
+        if crate::sha_ni::detected() {
+            all.push(("sha-ni", sha_ni_blocks));
+        }
+        all
+    }
+
+    /// Asserts `digest` for `data` on every backend, fed in one `update` and
+    /// in chunks of `chunk` bytes.
+    fn assert_digest(data: &[u8], chunk: usize, digest: &str) {
+        for (name, kernel) in backends() {
+            let mut one_shot = Sha256::with_kernel(kernel);
+            one_shot.update(data);
+            assert_eq!(one_shot.finalize().to_hex(), digest, "{name}, one-shot");
+            let mut streamed = Sha256::with_kernel(kernel);
+            for piece in data.chunks(chunk) {
+                streamed.update(piece);
+            }
+            assert_eq!(
+                streamed.finalize().to_hex(),
+                digest,
+                "{name}, chunks of {chunk}"
+            );
+        }
+    }
+
+    #[test]
+    fn backend_names_what_the_dispatcher_runs() {
+        let has_kernel = backends().iter().any(|(name, _)| *name == "sha-ni");
+        assert_eq!(backend(), if has_kernel { "sha-ni" } else { "portable" });
+    }
+
+    /// The kernel is the portable loop, bit for bit: random starting states
+    /// (not only `H0`) and random runs of blocks, including the empty run.
+    #[test]
+    fn sha_ni_kernel_matches_the_portable_loop() {
+        #[cfg(target_arch = "x86_64")]
+        if crate::sha_ni::detected() {
+            let mut rng = xcc_sim::DetRng::new(0x5ba2);
+            for _ in 0..200 {
+                for run in [0, 1, 2, 3, 17] {
+                    let state: [u32; 8] = std::array::from_fn(|_| rng.next_u64() as u32);
+                    let blocks: Vec<[u8; 64]> = (0..run)
+                        .map(|_| std::array::from_fn(|_| rng.next_u64() as u8))
+                        .collect();
+                    let (mut kernel, mut portable) = (state, state);
+                    sha_ni_blocks(&mut kernel, &blocks);
+                    portable_blocks(&mut portable, &blocks);
+                    assert_eq!(kernel, portable, "{run} block(s) from {state:08x?}");
+                }
+            }
+            return;
+        }
+        println!("note: this CPU reports no SHA extensions; only the portable loop was tested");
+    }
+
     #[test]
     fn nist_vector_empty() {
-        assert_eq!(
-            sha256(b"").to_hex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        assert_digest(
+            b"",
+            1,
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         );
     }
 
     #[test]
     fn nist_vector_abc() {
-        assert_eq!(
-            sha256(b"abc").to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        assert_digest(
+            b"abc",
+            1,
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
         );
     }
 
     #[test]
     fn nist_vector_448_bits() {
-        assert_eq!(
-            sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        assert_digest(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            17,
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+        );
+    }
+
+    #[test]
+    fn nist_vector_896_bits() {
+        assert_digest(
+            b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
+              ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+            17,
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
         );
     }
 
     #[test]
     fn long_input_matches_incremental() {
         let data = vec![0xabu8; 1_000];
-        let one_shot = sha256(&data);
-        let mut h = Sha256::new();
-        for chunk in data.chunks(17) {
-            h.update(chunk);
-        }
-        assert_eq!(h.finalize(), one_shot);
+        assert_digest(&data, 17, &sha256(&data).to_hex());
     }
 
     /// Lengths around the padding rule's edges: 55 is the longest input whose
@@ -334,22 +509,18 @@ mod tests {
         ];
         for (len, digest) in expected {
             let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
-            assert_eq!(sha256(&data).to_hex(), digest, "one-shot, {len} bytes");
             // Byte-at-a-time exercises every fill level of the block buffer.
-            let mut h = Sha256::new();
-            for byte in &data {
-                h.update(std::slice::from_ref(byte));
-            }
-            assert_eq!(h.finalize().to_hex(), digest, "streamed, {len} bytes");
+            assert_digest(&data, 1, digest);
         }
     }
 
     #[test]
     fn million_a_vector() {
         let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            sha256(&data).to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        assert_digest(
+            &data,
+            4_099,
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
     }
 
@@ -361,14 +532,34 @@ mod tests {
         assert_ne!(a, b);
     }
 
+    /// The framing is part of every signature and application hash: the
+    /// literal is `sha256sum` over `00×7 02 "ab" 00×7 01 "c"`, and a field
+    /// given in parts is the same field.
+    #[test]
+    fn hash_fields_framing_is_pinned() {
+        let pinned = "601d5476e2ccfe2c87a2bba7a322659734a05749d5b5aa781f513e4912db0d5f";
+        assert_eq!(hash_fields(&[b"ab", b"c"]).to_hex(), pinned);
+        let mut hasher = FieldHasher::new();
+        hasher.field_parts(&[b"a", b"", b"b"]);
+        hasher.field(b"c");
+        assert_eq!(hasher.finish().to_hex(), pinned);
+        assert_eq!(FieldHasher::new().finish(), sha256(b""));
+    }
+
     #[test]
     fn hash_type_helpers() {
         let h = sha256(b"abc");
-        assert_eq!(h.short().len(), 8);
+        assert_eq!(
+            h.to_hex(),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        );
+        assert_eq!(h.short(), "ba7816bf");
+        assert_eq!(h.to_u64(), 13_436_514_500_253_700_074);
+        assert_eq!(h.to_u64(), 0xba78_16bf_8f01_cfea);
         assert!(!h.is_zero());
         assert!(Hash::ZERO.is_zero());
+        assert_eq!(Hash::ZERO.short(), "00000000");
         assert_eq!(format!("{h}"), h.to_hex());
-        assert_eq!(format!("{h:?}"), format!("Hash({})", h.short()));
-        assert_eq!(h.to_u64(), u64::from_be_bytes(h.0[..8].try_into().unwrap()));
+        assert_eq!(format!("{h:?}"), "Hash(ba7816bf)");
     }
 }

@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use crate::abci::{Application, DeliverTxResult};
 use crate::block::{evidence_hash, Block, BlockId, Data, Header, RawTx, Version};
-use crate::hash::{hash_fields, Hash};
+use crate::hash::{FieldHasher, Hash};
 use crate::mempool::{Mempool, MempoolConfig, MempoolError, PendingTx};
 use crate::params::{ConsensusParams, ConsensusTimingModel};
 use crate::validator::ValidatorSet;
@@ -408,22 +408,18 @@ pub enum TxStatus {
 }
 
 fn results_hash(results: &[DeliverTxResult]) -> Hash {
-    let encoded: Vec<Vec<u8>> = results
-        .iter()
-        .map(|r| {
-            let mut bytes = r.code.to_be_bytes().to_vec();
-            bytes.extend_from_slice(&r.gas_used.to_be_bytes());
-            bytes
-        })
-        .collect();
-    let refs: Vec<&[u8]> = encoded.iter().map(|e| e.as_slice()).collect();
-    hash_fields(&refs)
+    let mut hasher = FieldHasher::new();
+    for result in results {
+        hasher.field_parts(&[&result.code.to_be_bytes(), &result.gas_used.to_be_bytes()]);
+    }
+    hasher.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::abci::{CheckTxResult, Event};
+    use crate::hash::{hash_fields, sha256};
     use std::rc::{Rc, Weak};
 
     /// A minimal counter application for node tests: every transaction is
@@ -641,5 +637,23 @@ mod tests {
         assert_eq!(b2.tx_count, 2);
         let b3 = node.produce_block(SimTime::from_secs(15));
         assert_eq!(b3.tx_count, 1);
+    }
+
+    /// Pinned at the commit before `results_hash` streamed its fields: the
+    /// digest covers each result's code and gas used, nothing else.
+    #[test]
+    fn results_hash_is_pinned() {
+        let result = |code, gas_used| DeliverTxResult {
+            code,
+            log: "ignored".into(),
+            gas_used,
+            gas_wanted: 9,
+            events: vec![],
+        };
+        assert_eq!(
+            results_hash(&[result(0, 61_234), result(32, 7)]).to_hex(),
+            "57ec61f237da0f6d610255320e879caeaa842950e0db11aa6eeb8ac68737fe23"
+        );
+        assert_eq!(results_hash(&[]), sha256(b""));
     }
 }
