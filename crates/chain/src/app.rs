@@ -394,8 +394,9 @@ impl Application for GaiaApp {
     }
 }
 
-/// Convenience constructor for a funded test/benchmark application.
-pub fn funded_app(chain_id: &str, users: usize, balance: u128) -> GaiaApp {
+/// A funded application for the unit tests below.
+#[cfg(test)]
+fn funded_app(chain_id: &str, users: usize, balance: u128) -> GaiaApp {
     let genesis = GenesisConfig::new(chain_id)
         .with_account("relayer", balance)
         .with_funded_accounts("user", users, balance);

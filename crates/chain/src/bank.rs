@@ -132,15 +132,6 @@ impl BankModule {
             .unwrap_or(&0)
     }
 
-    /// All balances of an account, in denomination order.
-    pub fn balances_of(&self, address: &AccountId) -> Vec<Coin> {
-        self.balances
-            .iter()
-            .filter(|((a, _), amount)| a == address && **amount > 0)
-            .map(|((_, denom), amount)| Coin::new(denom.clone(), *amount))
-            .collect()
-    }
-
     /// Total minted supply of a denomination.
     pub fn total_supply(&self, denom: &str) -> u128 {
         *self.supply.get(denom).unwrap_or(&0)
@@ -278,17 +269,6 @@ mod tests {
         assert!(bank
             .burn_coins(&"alice".into(), &Coin::new("uatom", 1))
             .is_err());
-    }
-
-    #[test]
-    fn balances_of_lists_only_positive_amounts() {
-        let mut bank = BankModule::new();
-        let alice: AccountId = "alice".into();
-        bank.mint_coins(&alice, &Coin::new("uatom", 5));
-        bank.mint_coins(&alice, &Coin::new("transfer/channel-0/stake", 7));
-        bank.burn_coins(&alice, &Coin::new("uatom", 5)).unwrap();
-        let coins = bank.balances_of(&alice);
-        assert_eq!(coins, vec![Coin::new("transfer/channel-0/stake", 7)]);
     }
 
     #[test]

@@ -48,12 +48,6 @@ impl GenesisConfig {
         self
     }
 
-    /// Sets the fee denomination.
-    pub fn with_fee_denom(mut self, denom: impl Into<String>) -> Self {
-        self.fee_denom = denom.into();
-        self
-    }
-
     /// Adds a single funded account.
     pub fn with_account(mut self, address: impl Into<String>, amount: u128) -> Self {
         let denom = self.fee_denom.clone();
@@ -83,11 +77,13 @@ mod tests {
 
     #[test]
     fn builder_accumulates_accounts() {
-        let genesis = GenesisConfig::new("chain-a")
-            .with_fee_denom("stake")
-            .with_validators(7)
-            .with_account("relayer", 500)
-            .with_funded_accounts("user", 3, 100);
+        let genesis = GenesisConfig {
+            fee_denom: "stake".into(),
+            ..GenesisConfig::new("chain-a")
+        }
+        .with_validators(7)
+        .with_account("relayer", 500)
+        .with_funded_accounts("user", 3, 100);
         assert_eq!(genesis.chain_id, "chain-a");
         assert_eq!(genesis.fee_denom, "stake");
         assert_eq!(genesis.validator_count, 7);

@@ -298,12 +298,6 @@ impl ScenarioOutcome {
         self.count(keys::STRANDED_PACKETS)
     }
 
-    /// Seconds from the first fault to the first completion after it, when
-    /// the run recorded one.
-    pub fn first_completion_after_fault_secs(&self) -> Option<f64> {
-        self.metric(keys::FIRST_COMPLETION_AFTER_FAULT_SECS)
-    }
-
     /// Seconds from the last relayer restart to the first receive
     /// confirmation after it, when the run recorded one.
     pub fn recovery_secs(&self) -> Option<f64> {
@@ -343,12 +337,6 @@ impl ScenarioOutcome {
     /// Fraction of the total time spent in RPC data pulls.
     pub fn data_pull_share(&self) -> f64 {
         self.float(keys::DATA_PULL_SHARE)
-    }
-
-    /// Whether the run failed during setup (topology resolution or IBC
-    /// handshakes) and carries no measurement data.
-    pub fn setup_failed(&self) -> bool {
-        self.count(keys::SETUP_FAILED) != 0
     }
 
     /// Second-leg transfers the hop forwarder submitted (0 for hop-free

@@ -70,17 +70,6 @@ impl ExecutionReport {
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("report serialisation cannot fail")
     }
-
-    /// Serialises the metrics as a two-column CSV table (`metric,value`),
-    /// prefixed by a `name` row, for spreadsheet-friendly consumption.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("metric,value\n");
-        out.push_str(&format!("name,{}\n", self.name.replace(',', ";")));
-        for (key, value) in &self.metrics {
-            out.push_str(&format!("{key},{value}\n"));
-        }
-        out
-    }
 }
 
 impl fmt::Display for ExecutionReport {
@@ -113,14 +102,6 @@ mod tests {
         assert_eq!(parsed, report);
         assert_eq!(parsed.metric("x"), Some(1.5));
         assert_eq!(parsed.metric("missing"), None);
-    }
-
-    #[test]
-    fn csv_lists_metrics_in_key_order() {
-        let mut report = ExecutionReport::new("csv-test");
-        report.set_metric("b", 2.0);
-        report.set_metric("a", 1.5);
-        assert_eq!(report.to_csv(), "metric,value\nname,csv-test\na,1.5\nb,2\n");
     }
 
     #[test]

@@ -113,38 +113,6 @@ pub struct FleetSlot {
     pub group_size: usize,
 }
 
-/// Expands a deployment into its relayer-process fleet, in process-id order.
-///
-/// Resolves the deployment's topology and delegates to [`fleet_plan_for`];
-/// a deployment whose topology fails to resolve gets the legacy-pair plan
-/// (the error itself surfaces from [`Testnet::try_build`]).
-pub fn fleet_plan(deployment: &DeploymentConfig) -> Vec<FleetSlot> {
-    let resolved = deployment
-        .topology
-        .resolve(
-            &deployment.source_chain_id,
-            &deployment.destination_chain_id,
-            deployment.channel_count,
-        )
-        .unwrap_or_else(|_| {
-            crate::topology::Topology::default()
-                .resolve(
-                    &deployment.source_chain_id,
-                    &deployment.destination_chain_id,
-                    deployment.channel_count,
-                )
-                .unwrap_or(ResolvedTopology {
-                    chains: vec![ChainId::with_index(0), ChainId::with_index(1)],
-                    edges: vec![crate::topology::ResolvedEdge {
-                        src: 0,
-                        dst: 1,
-                        channels: deployment.channel_count.max(1),
-                    }],
-                })
-        });
-    fleet_plan_for(&resolved, deployment)
-}
-
 /// Expands a resolved topology into its relayer-process fleet, edge-major.
 ///
 /// Per edge, `Dedicated` builds `channels × relayer_count` processes:
@@ -377,23 +345,6 @@ pub struct EdgeEndpoints {
     pub dst: SharedChain,
 }
 
-/// Fallible pair-based front end of [`try_open_edge_channels`], kept for the
-/// common case of opening channels between two chains without constructing
-/// an [`EdgeEndpoints`] by hand.
-pub fn try_open_channels(
-    chain_a: &SharedChain,
-    chain_b: &SharedChain,
-    count: usize,
-) -> Result<Vec<RelayPath>, SetupError> {
-    try_open_edge_channels(
-        &EdgeEndpoints {
-            src: chain_a.clone(),
-            dst: chain_b.clone(),
-        },
-        count,
-    )
-}
-
 /// Creates the clients, one connection, and `count` unordered transfer
 /// channels over one topology edge, returning one relay path per channel in
 /// channel-index order. Each path carries the edge's `(src, dst)` chain
@@ -492,6 +443,26 @@ mod tests {
     use super::*;
     use crate::topology::Topology;
 
+    fn fleet_plan(deployment: &DeploymentConfig) -> Vec<FleetSlot> {
+        let (src, dst) = (
+            &deployment.source_chain_id,
+            &deployment.destination_chain_id,
+        );
+        let resolved = deployment
+            .topology
+            .resolve(src, dst, deployment.channel_count);
+        fleet_plan_for(&resolved.unwrap(), deployment)
+    }
+
+    fn try_open_channels(
+        src: &SharedChain,
+        dst: &SharedChain,
+        count: usize,
+    ) -> Result<Vec<RelayPath>, SetupError> {
+        let (src, dst) = (src.clone(), dst.clone());
+        try_open_edge_channels(&EdgeEndpoints { src, dst }, count)
+    }
+
     #[test]
     fn build_opens_the_channel_on_both_ends() {
         let deployment = DeploymentConfig {
@@ -562,7 +533,6 @@ mod tests {
             assert_eq!(path.client_on_dst, testnet.paths[0].client_on_dst);
             assert_eq!(path.client_on_src, testnet.paths[0].client_on_src);
         }
-        assert_eq!(a.app().ibc().channels_on_port(&testnet.path.port).len(), 3);
         // Every relayer serves every channel.
         assert_eq!(testnet.relayers[0].paths().len(), 3);
     }

@@ -261,12 +261,6 @@ impl ResolvedTopology {
         })
     }
 
-    /// Total number of channels across all edges (the size of the global
-    /// channel index space).
-    pub fn total_channels(&self) -> usize {
-        self.edges.iter().map(|e| e.channels).sum()
-    }
-
     /// The global channel index of the first channel of edge `edge`
     /// (edge-major numbering).
     pub fn channel_offset(&self, edge: usize) -> usize {
@@ -380,7 +374,6 @@ mod tests {
         for (i, edge) in resolved.edges[3..].iter().enumerate() {
             assert_eq!((edge.src, edge.dst), (0, i + 1));
         }
-        assert_eq!(resolved.total_channels(), 6);
         assert_eq!(resolved.channel_offset(3), 3);
         // The matching hop plan pairs each inbound channel with the next
         // spoke's outbound channel.
@@ -410,7 +403,6 @@ mod tests {
         assert_eq!(topo.label(), "mesh-3");
         let resolved = topo.resolve("ibc-0", "ibc-1", 2).unwrap();
         assert_eq!(resolved.edges.len(), 6);
-        assert_eq!(resolved.total_channels(), 12);
         assert_eq!((resolved.edges[0].src, resolved.edges[0].dst), (0, 1));
         assert_eq!((resolved.edges[5].src, resolved.edges[5].dst), (2, 1));
     }

@@ -168,11 +168,6 @@ impl ClientRecord {
         Ok(height)
     }
 
-    /// Freezes the client (misbehaviour handling).
-    pub fn freeze(&mut self) {
-        self.client_state.frozen = true;
-    }
-
     /// Marks the client's trust period as lapsed (`ClientExpiry` fault).
     /// Irreversible within a run; see [`ClientState::expired`].
     pub fn expire(&mut self) {
@@ -287,7 +282,7 @@ mod tests {
             .update(&update_for(&node, 2, sha256(b"root-2")))
             .is_err());
 
-        client.freeze();
+        client.client_state.frozen = true;
         assert!(matches!(
             client.update(&update_for(&node, 2, sha256(b"root-2"))),
             Err(IbcError::ClientUpdateFailed { .. })

@@ -7,8 +7,8 @@
 //! and non-membership proofs that counterparty chains verify against the
 //! consensus state recorded by their light clients.
 
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -35,43 +35,61 @@ pub type CommitmentRoot = Hash;
 ///
 /// # Proof-generation caching
 ///
-/// The Merkle tree over the entries is memoized together with the sorted
-/// list of paths it was built over: building it from scratch hashes every
-/// leaf (O(n)), and the relayer's data pulls request one proof per packet
-/// sequence, so the uncached store paid O(n) hashing *per proof* — the
-/// dominant cost of whole-experiment replays. With the memo a proof is a
-/// binary search for the path's rank plus O(log n) sibling lookups.
+/// The store is one map and one tree. Each path's record carries, next to
+/// the committed value, the hash of its `(path, value)` leaf and its rank in
+/// path order; the Merkle tree over those leaves is kept until the next
+/// write. Building it from scratch would hash every leaf (O(n)), and the
+/// relayer's data pulls request one proof per packet sequence, so an
+/// uncached store pays O(n) hashing *per proof* — once the dominant cost of
+/// whole-experiment replays. With the tree kept, a proof is one map lookup
+/// for the record's rank plus O(log n) sibling reads.
 ///
 /// Every mutation ([`set`](CommitmentStore::set) /
-/// [`delete`](CommitmentStore::delete)) marks the memo stale by noting the
-/// written path, and the next [`root`](CommitmentStore::root) or proof
-/// rebuilds it. The rebuild keeps the leaf hash of every path that was not
-/// written since the last build, so a block that touches a few hundred of
-/// several thousand commitments hashes those leaves and the inner nodes
-/// only. Tree shape, roots and proofs stay bit-identical to the uncached
-/// construction (pinned by `memoized_tree_invalidates_on_every_mutation`
-/// and the equivalence test in `xcc_tendermint::merkle`).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// [`delete`](CommitmentStore::delete)) drops the tree, and the next
+/// [`root`](CommitmentStore::root) or proof rebuilds it in one pass over the
+/// map: stamp each record's rank, take its leaf hash or compute it if the
+/// value was set since the last build, hash the inner nodes. A block that
+/// touches a few hundred of several thousand commitments therefore hashes
+/// those leaves and the inner nodes only, and a path overwritten many times
+/// between two builds is hashed once.
+///
+/// Invariant: a record's rank is meaningful only while the tree is built —
+/// a write leaves every other record's rank stale, and nothing reads a rank
+/// except through the tree that the same pass built. Tree shape, roots and
+/// proofs are bit-identical to the uncached construction (pinned by
+/// `memoized_tree_invalidates_on_every_mutation`, the differential proptest
+/// in `tests/property_invariants.rs`, and the equivalence test in
+/// `xcc_tendermint::merkle`).
+#[derive(Debug, Clone, Default)]
 pub struct CommitmentStore {
-    entries: BTreeMap<String, Hash>,
-    /// `None` until the first root or proof; excluded from comparison and
-    /// the wire format.
-    #[serde(skip)]
-    memo: RefCell<Option<TreeMemo>>,
+    entries: BTreeMap<String, Entry>,
+    /// The tree over `entries` in path order; `None` from any write until
+    /// the next root or proof.
+    tree: RefCell<Option<MerkleTree>>,
 }
 
-/// The Merkle tree as of the last build, and what has been written since.
+/// What the store holds for one path.
 #[derive(Debug, Clone)]
-struct TreeMemo {
-    /// The paths in leaf order: `tree`'s leaf `i` commits to `paths[i]`.
-    paths: Vec<String>,
-    tree: MerkleTree,
-    /// Paths set or deleted since the build; the memo is current when empty.
-    written: BTreeSet<String>,
+struct Entry {
+    value: Hash,
+    /// The leaf hash of `(path, value)`, filled by the first build after
+    /// `value` was set.
+    leaf: Cell<Option<Hash>>,
+    /// Position in path order as of the last build; stale whenever the
+    /// store's `tree` is `None`.
+    rank: Cell<usize>,
+}
+
+impl PartialEq for Entry {
+    /// Compares the committed value only: the leaf hash and the rank are
+    /// evaluation details, not state.
+    fn eq(&self, other: &Self) -> bool {
+        self.value == other.value
+    }
 }
 
 impl PartialEq for CommitmentStore {
-    /// Compares the committed entries only: whether the Merkle tree memo is
+    /// Compares the committed entries only: whether the Merkle tree is
     /// built is an evaluation detail, not state.
     fn eq(&self, other: &Self) -> bool {
         self.entries == other.entries
@@ -167,14 +185,18 @@ impl CommitmentStore {
 
     /// Sets the commitment at `path`, returning the one it replaces.
     pub fn set(&mut self, path: impl Into<String>, value: Hash) -> Option<Hash> {
-        let path = path.into();
-        self.note_written(&path);
-        self.entries.insert(path, value)
+        *self.tree.get_mut() = None;
+        let entry = Entry {
+            value,
+            leaf: Cell::new(None),
+            rank: Cell::new(0),
+        };
+        self.entries.insert(path.into(), entry).map(|old| old.value)
     }
 
     /// Reads the commitment at `path`.
     pub fn get(&self, path: &str) -> Option<&Hash> {
-        self.entries.get(path)
+        self.entries.get(path).map(|entry| &entry.value)
     }
 
     /// Whether the store has a commitment at `path`.
@@ -184,27 +206,9 @@ impl CommitmentStore {
 
     /// Deletes the commitment at `path`, returning it if present.
     pub fn delete(&mut self, path: &str) -> Option<Hash> {
-        let removed = self.entries.remove(path);
-        if removed.is_some() {
-            self.note_written(path);
-        }
-        removed
-    }
-
-    fn note_written(&mut self, path: &str) {
-        if let Some(memo) = self.memo.get_mut() {
-            memo.written.insert(path.to_string());
-        }
-    }
-
-    /// Iterates over paths with the given prefix.
-    pub fn iter_prefix<'a>(
-        &'a self,
-        prefix: &'a str,
-    ) -> impl Iterator<Item = (&'a String, &'a Hash)> + 'a {
-        self.entries
-            .range(prefix.to_string()..)
-            .take_while(move |(k, _)| k.starts_with(prefix))
+        let removed = self.entries.remove(path)?;
+        *self.tree.get_mut() = None;
+        Some(removed.value)
     }
 
     /// The Merkle root over all `(path, value)` leaves in path order.
@@ -215,67 +219,40 @@ impl CommitmentStore {
         if self.entries.is_empty() {
             return hash_fields(&[b"empty-ibc-store"]);
         }
-        self.with_tree(|memo| memo.tree.root())
+        self.with_tree(|tree| tree.root())
     }
 
     /// Produces a membership proof for `path`, if it exists.
     pub fn prove_membership(&self, path: &str) -> Option<CommitmentProof> {
-        let value = *self.entries.get(path)?;
-        self.with_tree(|memo| {
-            let index = memo
-                .paths
-                .binary_search_by(|probe| probe.as_str().cmp(path))
-                .ok()?;
+        let entry = self.entries.get(path)?;
+        self.with_tree(|tree| {
             Some(CommitmentProof {
                 path: path.to_string(),
-                value,
-                merkle: Some(memo.tree.prove(index)?),
-                root: memo.tree.root(),
+                value: entry.value,
+                merkle: Some(tree.prove(entry.rank.get())?),
+                root: tree.root(),
             })
         })
     }
 
-    /// Reads the memoized tree, rebuilding it first if anything was written
-    /// since the last build.
-    fn with_tree<R>(&self, read: impl FnOnce(&TreeMemo) -> R) -> R {
-        let mut slot = self.memo.borrow_mut();
-        let memo = match slot.take() {
-            Some(current) if current.written.is_empty() => current,
-            stale => self.build_tree(stale),
-        };
-        let result = read(&memo);
-        *slot = Some(memo);
-        result
-    }
-
-    /// Builds the tree over the current entries, taking from `previous` the
-    /// leaf hash (and the path string) of every entry not written since.
-    fn build_tree(&self, previous: Option<TreeMemo>) -> TreeMemo {
-        let (old_paths, old_tree, written) = match previous {
-            Some(memo) => (memo.paths, memo.tree, memo.written),
-            None => (Vec::new(), MerkleTree::default(), BTreeSet::new()),
-        };
-        let mut old = old_paths.into_iter().enumerate().peekable();
-        let mut paths = Vec::with_capacity(self.entries.len());
-        let mut leaves = Vec::with_capacity(self.entries.len());
-        for (path, value) in &self.entries {
-            // Both lists are sorted: an old path that sorts before this one
-            // has been deleted.
-            while old.next_if(|(_, old_path)| old_path < path).is_some() {}
-            let kept = old
-                .next_if(|(_, old_path)| old_path == path)
-                .filter(|_| !written.contains(path))
-                .and_then(|(index, old_path)| Some((old_path, old_tree.leaf(index)?)));
-            let (path, leaf) =
-                kept.unwrap_or_else(|| (path.clone(), leaf_hash(&leaf_encoding(path, value))));
-            paths.push(path);
-            leaves.push(leaf);
-        }
-        TreeMemo {
-            paths,
-            tree: MerkleTree::from_leaf_hashes(&leaves),
-            written: BTreeSet::new(),
-        }
+    /// Reads the tree, building it first if anything was written since the
+    /// last build: one pass that stamps every entry's rank and hashes the
+    /// leaves whose value is new.
+    fn with_tree<R>(&self, read: impl FnOnce(&MerkleTree) -> R) -> R {
+        let mut slot = self.tree.borrow_mut();
+        let tree = slot.get_or_insert_with(|| {
+            let leaves: Vec<Hash> = (self.entries.iter().enumerate())
+                .map(|(rank, (path, entry))| {
+                    entry.rank.set(rank);
+                    let leaf = (entry.leaf.get())
+                        .unwrap_or_else(|| leaf_hash(&leaf_encoding(path, &entry.value)));
+                    entry.leaf.set(Some(leaf));
+                    leaf
+                })
+                .collect();
+            MerkleTree::from_leaf_hashes(&leaves)
+        });
+        read(tree)
     }
 
     /// Produces a non-membership proof for `path`, if it is indeed absent.
@@ -359,17 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_iteration() {
-        let mut s = CommitmentStore::new();
-        s.set("acks/1", sha256(b"a"));
-        s.set("acks/2", sha256(b"b"));
-        s.set("commitments/1", sha256(b"c"));
-        let acks: Vec<&String> = s.iter_prefix("acks/").map(|(k, _)| k).collect();
-        assert_eq!(acks.len(), 2);
-        assert!(acks.iter().all(|k| k.starts_with("acks/")));
-    }
-
-    #[test]
     fn memoized_tree_invalidates_on_every_mutation() {
         let mut cached = CommitmentStore::new();
         for i in 0..13 {
@@ -383,7 +349,7 @@ mod tests {
         let reference = |s: &CommitmentStore| {
             let mut fresh = CommitmentStore::new();
             for (k, v) in s.entries.iter() {
-                fresh.set(k.clone(), *v);
+                fresh.set(k.clone(), v.value);
             }
             fresh
         };
@@ -454,15 +420,49 @@ mod tests {
     }
 
     #[test]
-    fn a_deserialized_store_builds_its_tree_from_the_entries() {
-        let mut store = CommitmentStore::new();
-        store.set("a", sha256(b"1"));
-        store.set("b", sha256(b"2"));
-        let root = store.root();
-        let decoded: CommitmentStore =
-            serde::Deserialize::from_value(&serde::Serialize::to_value(&store)).unwrap();
-        assert_eq!(decoded.root(), root);
-        assert_eq!(decoded.prove_membership("b"), store.prove_membership("b"));
+    fn a_proof_asked_first_after_a_write_uses_fresh_ranks() {
+        // No `root()` between the write and the proof: a rank left over from
+        // the previous build would select the wrong leaf.
+        let filled = || {
+            let mut s = CommitmentStore::new();
+            for i in 0..13 {
+                s.set(format!("p/{i:02}"), sha256(format!("v{i}").as_bytes()));
+            }
+            s
+        };
+        type Write = fn(&mut CommitmentStore);
+        let writes: [Write; 4] = [
+            |s| {
+                s.set("p/00a", sha256(b"new, shifts every later rank"));
+            },
+            |s| {
+                s.set("p/06", sha256(b"overwritten"));
+            },
+            |s| {
+                s.delete("p/03");
+            },
+            |s| {
+                s.delete("p/05");
+                s.set("p/05", sha256(b"back"));
+            },
+        ];
+        for write in writes {
+            let mut fresh = filled();
+            write(&mut fresh);
+            for path in fresh.entries.keys() {
+                let mut built = filled();
+                built.root();
+                write(&mut built);
+                // A clone taken between the write and the next read carries
+                // the stale ranks too, and must rebuild like the original.
+                let cloned = built.clone();
+                let expected = fresh.prove_membership(path);
+                assert_eq!(built.prove_membership(path), expected);
+                assert_eq!(cloned.prove_membership(path), expected);
+                assert_eq!(cloned.root(), fresh.root());
+                assert!(expected.unwrap().verify(&fresh.root()));
+            }
+        }
     }
 
     #[test]

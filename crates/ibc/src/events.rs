@@ -11,6 +11,7 @@ use crate::ids::{ChannelId, PortId, Sequence};
 use crate::packet::{Acknowledgement, Packet};
 use xcc_sim::SimTime;
 use xcc_tendermint::abci::Event;
+use xcc_tendermint::hash::hex;
 
 /// Event type emitted when a packet is sent.
 pub const SEND_PACKET: &str = "send_packet";
@@ -37,17 +38,6 @@ fn packet_attrs(event: Event, packet: &Packet) -> Event {
         )
 }
 
-fn encode_data(data: &[u8]) -> String {
-    // Hex keeps the attribute printable while staying proportional in size to
-    // the real payload, which matters for the WebSocket frame accounting.
-    let mut s = String::with_capacity(data.len() * 2);
-    for b in data {
-        s.push(char::from_digit((b >> 4) as u32, 16).expect("nibble"));
-        s.push(char::from_digit((b & 0xf) as u32, 16).expect("nibble"));
-    }
-    s
-}
-
 fn decode_data(s: &str) -> Option<Vec<u8>> {
     if !s.len().is_multiple_of(2) {
         return None;
@@ -63,15 +53,16 @@ fn decode_data(s: &str) -> Option<Vec<u8>> {
 }
 
 /// Builds the `send_packet` event for a freshly sent packet.
+///
+/// Hex keeps the data attribute printable while staying proportional in size
+/// to the real payload, which matters for the WebSocket frame accounting.
 pub fn send_packet_event(packet: &Packet) -> Event {
-    packet_attrs(Event::new(SEND_PACKET), packet)
-        .with_attr("packet_data_hex", encode_data(&packet.data))
+    packet_attrs(Event::new(SEND_PACKET), packet).with_attr("packet_data_hex", hex(&packet.data))
 }
 
 /// Builds the `recv_packet` event for a received packet.
 pub fn recv_packet_event(packet: &Packet) -> Event {
-    packet_attrs(Event::new(RECV_PACKET), packet)
-        .with_attr("packet_data_hex", encode_data(&packet.data))
+    packet_attrs(Event::new(RECV_PACKET), packet).with_attr("packet_data_hex", hex(&packet.data))
 }
 
 /// Builds the `write_acknowledgement` event.
@@ -81,7 +72,7 @@ pub fn write_ack_event(packet: &Packet, ack: &Acknowledgement) -> Event {
         Acknowledgement::Error { error } => format!("error:{error}"),
     };
     packet_attrs(Event::new(WRITE_ACK), packet)
-        .with_attr("packet_data_hex", encode_data(&packet.data))
+        .with_attr("packet_data_hex", hex(&packet.data))
         .with_attr("packet_ack", ack_text)
 }
 
@@ -124,21 +115,6 @@ pub fn packet_from_event(event: &Event) -> Option<Packet> {
             event.attr("packet_timeout_timestamp")?.parse().ok()?,
         ),
     })
-}
-
-/// Extracts the acknowledgement from a `write_acknowledgement` event.
-pub fn ack_from_event(event: &Event) -> Option<Acknowledgement> {
-    if event.kind != WRITE_ACK {
-        return None;
-    }
-    let text = event.attr("packet_ack")?;
-    if text == "success" {
-        Some(Acknowledgement::success())
-    } else {
-        Some(Acknowledgement::error(
-            text.strip_prefix("error:").unwrap_or(text),
-        ))
-    }
 }
 
 /// Helper for filtering a transaction's events down to the ones a relayer for
@@ -188,20 +164,16 @@ mod tests {
         let packet = sample_packet();
         let event = write_ack_event(&packet, &Acknowledgement::success());
         assert_eq!(packet_from_event(&event).unwrap(), packet);
-        assert!(ack_from_event(&event).unwrap().is_success());
+        assert_eq!(event.attr("packet_ack"), Some("success"));
 
         let err_event = write_ack_event(&packet, &Acknowledgement::error("denied"));
-        match ack_from_event(&err_event).unwrap() {
-            Acknowledgement::Error { error } => assert_eq!(error, "denied"),
-            _ => panic!("expected error ack"),
-        }
+        assert_eq!(err_event.attr("packet_ack"), Some("error:denied"));
     }
 
     #[test]
     fn non_packet_events_do_not_parse() {
         let event = Event::new("transfer").with_attr("amount", "10uatom");
         assert!(packet_from_event(&event).is_none());
-        assert!(ack_from_event(&event).is_none());
     }
 
     #[test]
@@ -229,7 +201,8 @@ mod tests {
     #[test]
     fn hex_data_encoding_roundtrips_arbitrary_bytes() {
         let data: Vec<u8> = (0..=255u8).collect();
-        assert_eq!(decode_data(&encode_data(&data)).unwrap(), data);
+        assert_eq!(hex(&[0x00, 0x9f, 0xa0, 0xff]), "009fa0ff");
+        assert_eq!(decode_data(&hex(&data)).unwrap(), data);
         assert!(decode_data("abc").is_none());
         assert!(decode_data("zz").is_none());
     }

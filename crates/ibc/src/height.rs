@@ -51,14 +51,6 @@ impl Height {
         self.revision == 0 && self.height == 0
     }
 
-    /// The next consecutive height in the same revision.
-    pub fn increment(&self) -> Height {
-        Height {
-            revision: self.revision,
-            height: self.height + 1,
-        }
-    }
-
     /// Adds `n` blocks within the same revision.
     pub fn add(&self, n: u64) -> Height {
         Height {
@@ -93,7 +85,6 @@ mod tests {
 
     #[test]
     fn arithmetic_helpers() {
-        assert_eq!(Height::at(5).increment(), Height::at(6));
         assert_eq!(Height::at(5).add(10), Height::at(15));
     }
 

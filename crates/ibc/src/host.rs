@@ -51,21 +51,6 @@ pub fn packet_acknowledgement_path(
     format!("acks/ports/{port_id}/channels/{channel_id}/sequences/{sequence}")
 }
 
-/// Path of the next send sequence for a channel end.
-pub fn next_sequence_send_path(port_id: &PortId, channel_id: &ChannelId) -> String {
-    format!("nextSequenceSend/ports/{port_id}/channels/{channel_id}")
-}
-
-/// Path of the next receive sequence for a channel end.
-pub fn next_sequence_recv_path(port_id: &PortId, channel_id: &ChannelId) -> String {
-    format!("nextSequenceRecv/ports/{port_id}/channels/{channel_id}")
-}
-
-/// Path of the next acknowledgement sequence for a channel end.
-pub fn next_sequence_ack_path(port_id: &PortId, channel_id: &ChannelId) -> String {
-    format!("nextSequenceAck/ports/{port_id}/channels/{channel_id}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,9 +68,6 @@ mod tests {
             packet_commitment_path(&port, &chan, seq),
             packet_receipt_path(&port, &chan, seq),
             packet_acknowledgement_path(&port, &chan, seq),
-            next_sequence_send_path(&port, &chan),
-            next_sequence_recv_path(&port, &chan),
-            next_sequence_ack_path(&port, &chan),
         ];
         let mut sorted = paths.clone();
         sorted.sort();

@@ -126,8 +126,8 @@ impl IbcModule {
     /// Closes the open transaction and reverts its writes, newest first.
     /// Every key ends up holding exactly what it held at `begin_tx`, so the
     /// commitment root and every proof are those of the state before the
-    /// transaction (the store drops its tree memo on the first reverted
-    /// entry).
+    /// transaction (each reverted store entry is an ordinary `set`/`delete`,
+    /// so the store drops its tree and the next read rebuilds it).
     pub fn rollback_tx(&mut self) {
         for undo in self.journal.rollback() {
             match undo {
@@ -520,6 +520,14 @@ impl IbcModule {
                 reason: format!("channel {} is not open", params.source_channel),
             });
         }
+        let Some(destination_channel) = channel.counterparty.channel_id.clone() else {
+            return Err(IbcError::InvalidState {
+                reason: format!(
+                    "open channel {} has no counterparty channel id",
+                    params.source_channel
+                ),
+            });
+        };
         let data = FungibleTokenPacketData {
             denom: params.denom.clone(),
             amount: params.amount,
@@ -534,11 +542,7 @@ impl IbcModule {
             source_port: params.source_port.clone(),
             source_channel: params.source_channel.clone(),
             destination_port: channel.counterparty.port_id.clone(),
-            destination_channel: channel
-                .counterparty
-                .channel_id
-                .clone()
-                .expect("open channel has a counterparty channel id"),
+            destination_channel,
             data: data.to_bytes(),
             timeout_height: params.timeout_height,
             timeout_timestamp: params.timeout_timestamp,
@@ -933,26 +937,6 @@ impl IbcModule {
             .filter(|(p, c, _)| p == port && c == channel)
             .map(|(_, _, s)| *s)
             .collect()
-    }
-
-    /// All channel ends bound to `port`, in channel-index order (canonical
-    /// `channel-N` identifiers sort numerically, so this matches the
-    /// testnet's relay-path order even past `channel-9`; non-canonical
-    /// identifiers sort lexicographically after them).
-    pub fn channels_on_port(&self, port: &PortId) -> Vec<ChannelId> {
-        let mut channels: Vec<ChannelId> = self
-            .channels
-            .keys()
-            .filter(|(p, _)| p == port)
-            .map(|(_, c)| c.clone())
-            .collect();
-        channels.sort_by(|a, b| match (a.index(), b.index()) {
-            (Some(x), Some(y)) => x.cmp(&y),
-            (Some(_), None) => std::cmp::Ordering::Less,
-            (None, Some(_)) => std::cmp::Ordering::Greater,
-            (None, None) => a.cmp(b),
-        });
-        channels
     }
 
     // ------------------------------------------------------------------
@@ -1540,6 +1524,18 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, IbcError::ChannelNotFound { .. }));
+
+        // An open end that never learned its counterparty's channel id is a
+        // typed error, raised before any coin moves.
+        let (mut a, _b, chan_a, _) = connected_pair();
+        let end = a.channels.get_mut(&(PortId::transfer(), chan_a.clone()));
+        end.unwrap().counterparty.channel_id = None;
+        bank.set("alice", "uatom", 5);
+        let err = a
+            .send_transfer(&ctx(1), &mut bank, &transfer_params(&chan_a, 1, 10))
+            .unwrap_err();
+        assert!(matches!(err, IbcError::InvalidState { .. }));
+        assert_eq!(bank.get("alice", "uatom"), 5);
     }
 
     #[test]

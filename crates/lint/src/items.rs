@@ -288,11 +288,12 @@ fn crate_and_module(rel: &str) -> (String, String) {
     (crate_name, module)
 }
 
-/// Whether the identifier ending right before `pos` (skipping whitespace and
-/// a closing `)` from `pub(crate)`) is `pub`.
+/// Whether the identifier ending right before `pos` (skipping whitespace, the
+/// `const` of a `pub const fn` and a closing `)` from `pub(crate)`) is `pub`.
 fn preceded_by_pub(text: &str, pos: usize) -> bool {
     let bytes = text.as_bytes();
-    let mut end = pos;
+    let head = text[..pos].trim_end();
+    let mut end = head.strip_suffix("const").unwrap_or(head).len();
     while end > 0 && bytes[end - 1].is_ascii_whitespace() {
         end -= 1;
     }
@@ -813,11 +814,20 @@ mod tests {
 
     #[test]
     fn free_fns_exclude_methods() {
-        let f = items("pub fn free() -> u64 { 1 }\nimpl X {\n    pub fn method(&self) {}\n}\n");
+        let f = items(
+            "pub fn free() -> u64 { 1 }\nimpl X {\n    pub fn method(&self) {}\n}\n\
+             pub(crate) const fn fixed() -> u64 { 2 }\nconst fn hidden() -> u64 { 3 }\n",
+        );
         let free: Vec<&str> = f.free_fns.iter().map(|x| x.name.as_str()).collect();
-        assert_eq!(free, ["free"]);
-        let all: Vec<&str> = f.all_fns().map(|x| x.name.as_str()).collect();
-        assert_eq!(all, ["free", "method"]);
+        assert_eq!(free, ["free", "fixed", "hidden"]);
+        let all: Vec<(&str, bool)> = f.all_fns().map(|x| (x.name.as_str(), x.is_pub)).collect();
+        let expected = [
+            ("free", true),
+            ("fixed", true),
+            ("hidden", false),
+            ("method", true),
+        ];
+        assert_eq!(all, expected);
     }
 
     #[test]

@@ -34,8 +34,11 @@
 //!   `crates/` and `src/` exactly once, under a `// SAFETY:` comment, in the
 //!   SHA-256 kernel's dispatch file; every other crate root keeps
 //!   `#![forbid(unsafe_code)]`.
-//! * **K1 `dead-knob`** — every pub config field and `SweepGrid` axis is
-//!   read outside its defining file.
+//! * **K1 `dead-knob`** — every pub config field is read outside its
+//!   defining file, and every non-test `pub fn` of the seven simulation
+//!   crates (`SweepGrid`'s axes among them) is named somewhere besides its
+//!   own file's unit tests: another scanned file, its own non-test lines,
+//!   `benchmark/src` or a rustdoc example.
 //! * **P1 `panic-in-library`** — `unwrap()`/`expect()`/`panic!` in non-test
 //!   library code is ratcheted by `panic-baseline.txt`.
 //! * **R1 `registry-docs`** — scenario registry ↔ README/PAPER rows stay

@@ -10,7 +10,7 @@
 //! | C2 | `lane-bypass` | outside `crates/rpc`, no direct `RpcResponse` construction or cost-table access |
 //! | V1 | `value-detour` | simulation code never builds a `serde::Value` tree: no `to_value`/`from_value`, no `Value`-tree binary or JSON-length calls |
 //! | U1 | `unsafe-code` | the `unsafe` keyword appears once, under a `// SAFETY:` comment, in the SHA-256 kernel's dispatch file; every other crate root forbids it |
-//! | K1 | `dead-knob` | every pub config field / `SweepGrid` axis is read outside its defining file |
+//! | K1 | `dead-knob` | every pub config field is read outside its defining file, and every non-test `pub fn` of the seven simulation crates has a caller besides its own file's unit tests |
 //! | P1 | `panic-in-library` | no new `unwrap()`/`expect()`/`panic!` in non-test library code beyond the baseline |
 //! | R1 | `registry-docs` | scenario registry ↔ README/PAPER-row consistency |
 //!
@@ -53,7 +53,7 @@ pub enum RuleId {
     ValueDetour,
     /// U1: one `unsafe` block, in the SHA-256 kernel's dispatch file.
     UnsafeCode,
-    /// K1: pub config knobs and sweep axes must be read somewhere.
+    /// K1: pub config knobs must be read and pub functions called somewhere.
     DeadKnob,
     /// P1: panic sites in library code ratcheted by the baseline.
     PanicInLibrary,
@@ -217,7 +217,7 @@ pub fn run(config: &Config) -> io::Result<Outcome> {
         unsafe_code(&files, &mut findings);
     }
     if config.enabled(RuleId::DeadKnob) {
-        dead_knob(&files, &mut findings);
+        dead_knob(&config.root, &files, &mut findings)?;
     }
     if config.enabled(RuleId::PanicInLibrary) {
         panic_in_library(&config.root, &files, &mut findings);
@@ -828,14 +828,58 @@ fn unsafe_code(files: &[SourceFile], findings: &mut Vec<Finding>) {
 /// The config types whose pub fields are experiment knobs.
 const KNOB_TYPES: [&str; 3] = ["DeploymentConfig", "RelayerStrategy", "WorkloadConfig"];
 
-fn dead_knob(files: &[SourceFile], findings: &mut Vec<Finding>) {
+/// The crates whose non-test `pub fn`s must have a caller.
+const SURFACE_CRATES: [&str; 7] = [
+    "sim",
+    "tendermint",
+    "chain",
+    "ibc",
+    "rpc",
+    "relayer",
+    "core",
+];
+
+fn words(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|word| !word.is_empty())
+}
+
+/// Every word of `benchmark/src/*.rs` and of the fenced examples in doc
+/// comments: callers the rules never lint, read as plain text.
+fn unlinted_callers(root: &Path, files: &[SourceFile]) -> io::Result<BTreeSet<String>> {
+    let mut paths = Vec::new();
+    collect_rs(&root.join("benchmark/src"), &mut paths)?;
+    let mut texts = Vec::new();
+    for path in paths {
+        texts.push(fs::read_to_string(path)?);
+    }
+    for file in files {
+        let mut fenced = false;
+        for (_, comment) in &file.scrub.comments {
+            let Some(doc) = (comment.strip_prefix("///")).or_else(|| comment.strip_prefix("//!"))
+            else {
+                continue;
+            };
+            if doc.trim_start().starts_with("```") {
+                fenced = !fenced;
+            } else if fenced {
+                texts.push(doc.to_string());
+            }
+        }
+    }
+    let callers = texts.iter().flat_map(|text| words(text));
+    Ok(callers.map(str::to_string).collect())
+}
+
+fn dead_knob(root: &Path, files: &[SourceFile], findings: &mut Vec<Finding>) -> io::Result<()> {
     let k1 = RuleId::DeadKnob.name();
+    let code_words: Vec<BTreeSet<&str>> = (files.iter())
+        .map(|f| f.scrub.code.iter().flat_map(|line| words(line)).collect())
+        .collect();
     let read_outside = |fi: usize, word: &str| {
-        files
-            .iter()
-            .enumerate()
-            .any(|(oi, of)| oi != fi && !word_occurrences(&of.scrub.code, word).is_empty())
+        (code_words.iter().enumerate()).any(|(oi, seen)| oi != fi && seen.contains(word))
     };
+    let unlinted = unlinted_callers(root, files)?;
     for (fi, file) in files.iter().enumerate() {
         for strukt in &file.items.structs {
             if !KNOB_TYPES.contains(&strukt.name.as_str()) {
@@ -862,37 +906,44 @@ fn dead_knob(files: &[SourceFile], findings: &mut Vec<Finding>) {
                 });
             }
         }
-        // SweepGrid axis methods: each pub axis must be exercised somewhere
-        // (a test, an example, the registry).
-        for imp in &file.items.impls {
-            if imp.type_name != "SweepGrid" || imp.trait_name.is_some() {
+        // Every pub function of the simulation crates (`SweepGrid`'s axes
+        // among them) needs a caller that is not one of its own file's unit
+        // tests. Trait-impl methods carry no `pub` and stay out of scope.
+        if !SURFACE_CRATES.contains(&file.items.crate_name.as_str()) {
+            continue;
+        }
+        for func in file.items.all_fns() {
+            if !func.is_pub || file.scrub.is_test_line(func.line) {
                 continue;
             }
-            for method in imp.methods.iter().filter(|m| m.is_pub) {
-                if file.scrub.is_test_line(method.line) {
-                    continue;
-                }
-                if read_outside(fi, &method.name) {
-                    continue;
-                }
-                if let Some(supp) = file.scrub.suppression_for(k1, method.line) {
-                    supp.used.set(true);
-                    continue;
-                }
-                findings.push(Finding {
-                    rule: k1,
-                    path: file.rel.clone(),
-                    line: method.line,
-                    col: 0,
-                    message: format!(
-                        "SweepGrid axis `{}` is never called outside its defining file — a \
-                         sweep axis nothing drives is dead config surface",
-                        method.name
-                    ),
+            // In its own file a use is a non-test line that names the
+            // function other than to declare it.
+            let used_here =
+                (word_occurrences(&file.scrub.code, &func.name).iter()).any(|&(line, col)| {
+                    !file.scrub.is_test_line(line)
+                        && !file.scrub.code[line - 1][..col].trim_end().ends_with("fn")
                 });
+            if used_here || read_outside(fi, &func.name) || unlinted.contains(&func.name) {
+                continue;
             }
+            if let Some(supp) = file.scrub.suppression_for(k1, func.line) {
+                supp.used.set(true);
+                continue;
+            }
+            findings.push(Finding {
+                rule: k1,
+                path: file.rel.clone(),
+                line: func.line,
+                col: 0,
+                message: format!(
+                    "pub fn `{}` is called by nothing but its own file's unit tests — public \
+                     surface no scenario, test, example or benchmark reaches is dead code",
+                    func.name
+                ),
+            });
         }
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------

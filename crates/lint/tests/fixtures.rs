@@ -184,8 +184,15 @@ fn dead_knob_fixture_fails() {
     let findings = run_rules(&root, &["dead-knob"]);
     let has = |needle: &str| findings.iter().any(|(_, m)| m.contains(needle));
     assert!(has("`DeploymentConfig.orphan_knob`"), "{findings:?}");
-    assert!(has("axis `orphan_axis`"), "{findings:?}");
-    // Alive, suppressed, non-pub, and non-knob-type names stay silent.
+    // A function called by nothing, by its own unit tests only, or named
+    // only in prose and strings is dead surface.
+    for dead in ["orphan_axis", "orphan_fn", "orphan_method", "prose_only_fn"] {
+        assert!(has(&format!("pub fn `{dead}`")), "{dead}: {findings:?}");
+    }
+    // Alive, suppressed, non-pub, and non-knob-type names stay silent; so do
+    // functions called from the file's own code, an integration test, the
+    // unlinted benchmark or a rustdoc example, test-only helpers, and crates
+    // outside the simulation seven.
     for quiet in [
         "used_knob",
         "parked_knob",
@@ -193,6 +200,15 @@ fn dead_knob_fixture_fails() {
         "unread_scratch",
         "used_axis",
         "expand",
+        "drive",
+        "used_here",
+        "caller",
+        "bench_probe",
+        "doc_example_fn",
+        "parked_fn",
+        "private_helper",
+        "test_fixture",
+        "unscoped_fn",
     ] {
         assert!(!has(quiet), "`{quiet}` must not be flagged: {findings:?}");
     }

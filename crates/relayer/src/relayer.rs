@@ -475,11 +475,6 @@ impl Relayer {
         self.notify(Destination, height, committed_at);
     }
 
-    /// Whether this process has block notifications waiting to be processed.
-    pub fn has_pending_notices(&self) -> bool {
-        !self.inbox.is_empty()
-    }
-
     /// Runs this relayer process: drains the inbox in FIFO order, performing
     /// the pipeline work each block notification implies on this process's
     /// own virtual-time lane (its per-chain RPC endpoints and worker
@@ -505,21 +500,6 @@ impl Relayer {
             }
         }
         None
-    }
-
-    /// Synchronous convenience wrapper (notify + immediate wake) for tests
-    /// and hand-driven setups. The experiment runner instead notifies every
-    /// process and schedules per-process `RelayerWake` events.
-    pub fn on_source_block(&mut self, height: u64, commit_time: SimTime) {
-        self.notify_source_block(height, commit_time);
-        self.wake(commit_time);
-    }
-
-    /// Whether the process is currently crashed (between a
-    /// [`crash`](Relayer::crash) and the matching
-    /// [`restart`](Relayer::restart)).
-    pub fn is_crashed(&self) -> bool {
-        self.crashed
     }
 
     /// Crashes the process at `now`: every piece of in-memory pipeline state
@@ -1617,22 +1597,18 @@ mod tests {
     fn wake_drains_the_inbox_and_spurious_wakes_are_noops() {
         let dst = chain_with_mempool("dst-chain", 100);
         let mut relayer = test_relayer(&dst);
-        assert!(!relayer.has_pending_notices());
+        assert!(relayer.inbox.is_empty());
         assert_eq!(relayer.wake(SimTime::ZERO), None, "empty wake is a no-op");
 
         relayer.notify_source_block(1, SimTime::from_secs(5));
         relayer.notify_dest_block(1, SimTime::from_secs(5));
-        assert!(relayer.has_pending_notices());
+        assert!(!relayer.inbox.is_empty());
         assert_eq!(
             relayer.wake(SimTime::from_secs(5)),
             None,
             "no time-driven obligations: everything waits on a future commit"
         );
-        assert!(!relayer.has_pending_notices(), "wake drained the inbox");
-
-        // The synchronous wrapper is notify + immediate wake.
-        relayer.on_source_block(2, SimTime::from_secs(10));
-        assert!(!relayer.has_pending_notices());
+        assert!(relayer.inbox.is_empty(), "wake drained the inbox");
     }
 
     /// A pinned channel assignment routes every channel decision, and the
@@ -1764,11 +1740,12 @@ mod tests {
     fn crashed_process_bounds_notices_and_replays_a_window_on_restart() {
         let dst = chain_with_mempool("dst-chain", 100);
         let mut relayer = test_relayer(&dst);
-        relayer.on_source_block(1, SimTime::from_secs(5));
+        relayer.notify_source_block(1, SimTime::from_secs(5));
+        relayer.wake(SimTime::from_secs(5));
         assert_eq!(relayer.ends[SRC].last_processed, 1);
 
         relayer.crash(SimTime::from_secs(6));
-        assert!(relayer.is_crashed());
+        assert!(relayer.crashed);
         // A long outage: 100 source and 3 destination commits arrive.
         for height in 2..=101 {
             relayer.notify_source_block(height, SimTime::from_secs(5 * height));
@@ -1776,10 +1753,7 @@ mod tests {
         for height in 1..=3 {
             relayer.notify_dest_block(height, SimTime::from_secs(5 * height));
         }
-        assert!(
-            !relayer.has_pending_notices(),
-            "crashed processes keep no inbox"
-        );
+        assert!(relayer.inbox.is_empty(), "crashed processes keep no inbox");
         assert_eq!(relayer.ends[SRC].missed, Some(101));
         assert_eq!(relayer.ends[DST].missed, Some(3));
         assert_eq!(
@@ -1789,7 +1763,7 @@ mod tests {
         );
 
         relayer.restart(SimTime::from_secs(520));
-        assert!(!relayer.is_crashed());
+        assert!(!relayer.crashed);
         // Source replay is capped to the newest RESTART_REPLAY_WINDOW
         // heights; the short destination gap replays in full.
         assert_eq!(

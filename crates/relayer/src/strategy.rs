@@ -312,16 +312,6 @@ impl RelayerStrategy {
         self
     }
 
-    /// The paper pipeline with mempool-aware sequence tracking: straddled
-    /// destination commits delay a flush instead of losing it (see the
-    /// `sequence_race` registry scenario).
-    pub fn mempool_sequences() -> Self {
-        RelayerStrategy {
-            sequence_tracking: SequenceTracking::MempoolAware,
-            ..RelayerStrategy::default()
-        }
-    }
-
     /// A short label for sweep-point names and report rows: the non-default
     /// stage choices joined by `+`, or `"default"`.
     pub fn label(&self) -> String {
@@ -449,7 +439,7 @@ mod tests {
             RelayerStrategy::default()
                 .frame_limit(4 << 20)
                 .packet_clearing(3),
-            RelayerStrategy::mempool_sequences(),
+            RelayerStrategy::default().sequence_tracking(SequenceTracking::MempoolAware),
         ] {
             let back = RelayerStrategy::from_value(&s.to_value()).unwrap();
             assert_eq!(back, s);
@@ -477,7 +467,7 @@ mod tests {
 
     #[test]
     fn sequence_tracking_knob_builds_and_labels() {
-        let s = RelayerStrategy::mempool_sequences();
+        let s = RelayerStrategy::default().sequence_tracking(SequenceTracking::MempoolAware);
         assert_eq!(s.sequence_tracking, SequenceTracking::MempoolAware);
         assert_eq!(s.label(), "mempool-seq");
         assert_eq!(

@@ -85,14 +85,6 @@ pub struct UnconfirmedSequence {
     pub pending: u64,
 }
 
-impl UnconfirmedSequence {
-    /// The sequence the account's next *new* transaction will need once the
-    /// mempool drains: the committed sequence plus the unconfirmed window.
-    pub fn unconfirmed(&self) -> u64 {
-        self.committed + self.pending
-    }
-}
-
 /// A snapshot of one RPC lane's accounting: every relayer process owns one
 /// endpoint (lane) per chain, each with its own single-server FIFO queue, so
 /// serialization is per-process — a second process's queries never queue
@@ -786,7 +778,6 @@ mod tests {
         assert_eq!(pending.committed, 0);
         assert_eq!(pending.expected, 2);
         assert_eq!(pending.pending, 2);
-        assert_eq!(pending.unconfirmed(), 2);
 
         // A block that commits only the first transaction (the second arrived
         // after the propose instant) resets the check state below the
@@ -820,7 +811,6 @@ mod tests {
             after.expected, 2,
             "the commit reset the check state below the unconfirmed window"
         );
-        assert_eq!(after.unconfirmed(), 3);
     }
 
     #[test]

@@ -84,40 +84,6 @@ impl DetRng {
         );
         self.inner.gen_range(lo..hi)
     }
-
-    /// Returns `true` with probability `p` (clamped to `[0, 1]`).
-    pub fn chance(&mut self, p: f64) -> bool {
-        let p = p.clamp(0.0, 1.0);
-        if p <= 0.0 {
-            false
-        } else if p >= 1.0 {
-            true
-        } else {
-            self.inner.gen_bool(p)
-        }
-    }
-
-    /// A multiplicative noise factor in `[1 - spread, 1 + spread]`, used to
-    /// add bounded run-to-run variance to service times (the paper reports
-    /// per-rate distributions over 20 executions).
-    pub fn noise_factor(&mut self, spread: f64) -> f64 {
-        if spread <= 0.0 {
-            1.0
-        } else {
-            self.uniform_f64(1.0 - spread, 1.0 + spread)
-        }
-    }
-
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        if items.len() < 2 {
-            return;
-        }
-        for i in (1..items.len()).rev() {
-            let j = self.next_u64_below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
 }
 
 impl RngCore for DetRng {
@@ -181,34 +147,5 @@ mod tests {
     #[should_panic(expected = "bound must be positive")]
     fn zero_bound_panics() {
         DetRng::new(0).next_u64_below(0);
-    }
-
-    #[test]
-    fn chance_extremes() {
-        let mut r = DetRng::new(8);
-        assert!(!r.chance(0.0));
-        assert!(r.chance(1.0));
-        assert!(!r.chance(-3.0));
-        assert!(r.chance(4.0));
-    }
-
-    #[test]
-    fn noise_factor_bounds() {
-        let mut r = DetRng::new(17);
-        for _ in 0..500 {
-            let f = r.noise_factor(0.1);
-            assert!((0.9..=1.1).contains(&f));
-        }
-        assert_eq!(r.noise_factor(0.0), 1.0);
-    }
-
-    #[test]
-    fn shuffle_preserves_elements() {
-        let mut r = DetRng::new(3);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
     }
 }

@@ -86,11 +86,6 @@ impl FifoServer {
         self.busy_until.saturating_since(now)
     }
 
-    /// Whether the server would be idle at `now`.
-    pub fn is_idle_at(&self, now: SimTime) -> bool {
-        self.busy_until <= now
-    }
-
     /// Total number of jobs submitted so far.
     pub fn jobs_served(&self) -> u64 {
         self.jobs_served
@@ -106,28 +101,9 @@ impl FifoServer {
         self.total_wait
     }
 
-    /// Mean queueing delay per job, or zero when nothing was submitted.
-    pub fn mean_wait(&self) -> SimDuration {
-        if self.jobs_served == 0 {
-            SimDuration::ZERO
-        } else {
-            self.total_wait / self.jobs_served
-        }
-    }
-
     /// The largest observed sojourn time (wait plus service) of any job.
     pub fn max_backlog(&self) -> SimDuration {
         self.max_backlog
-    }
-
-    /// Fraction of the interval `[SimTime::ZERO, horizon]` the server spent
-    /// busy. Returns `0.0` for a zero-length horizon.
-    // xcc-lint: allow(float-determinism, reason = "reporting-only ratio; read by renderers, never fed back into simulated state")
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon == SimTime::ZERO {
-            return 0.0;
-        }
-        (self.busy_time.as_secs_f64() / horizon.as_secs_f64()).min(1.0)
     }
 
     /// Resets all statistics and makes the server idle again.
@@ -149,7 +125,7 @@ mod tests {
         let mut s = FifoServer::new("rpc");
         let done = s.submit(SimTime::from_secs(10), SimDuration::from_secs(2));
         assert_eq!(done, SimTime::from_secs(12));
-        assert_eq!(s.mean_wait(), SimDuration::ZERO);
+        assert_eq!(s.total_wait(), SimDuration::ZERO);
     }
 
     #[test]
@@ -164,7 +140,6 @@ mod tests {
         assert_eq!(c, SimTime::from_secs(3));
         assert_eq!(s.jobs_served(), 3);
         assert_eq!(s.total_wait(), SimDuration::from_secs(3)); // 0 + 1 + 2
-        assert_eq!(s.mean_wait(), SimDuration::from_secs(1));
     }
 
     #[test]
@@ -174,18 +149,7 @@ mod tests {
         // Arrives after the server went idle again.
         let done = s.submit(SimTime::from_secs(5), SimDuration::from_secs(1));
         assert_eq!(done, SimTime::from_secs(6));
-        assert!(s.is_idle_at(SimTime::from_secs(7)));
-    }
-
-    #[test]
-    fn utilization_is_bounded() {
-        let mut s = FifoServer::new("rpc");
-        s.submit(SimTime::ZERO, SimDuration::from_secs(5));
-        assert!((s.utilization(SimTime::from_secs(10)) - 0.5).abs() < 1e-9);
-        assert_eq!(s.utilization(SimTime::ZERO), 0.0);
-        // Overloaded server never reports more than 100%.
-        s.submit(SimTime::ZERO, SimDuration::from_secs(100));
-        assert_eq!(s.utilization(SimTime::from_secs(10)), 1.0);
+        assert_eq!(s.backlog_at(SimTime::from_secs(7)), SimDuration::ZERO);
     }
 
     #[test]
@@ -206,6 +170,6 @@ mod tests {
         s.submit(SimTime::ZERO, SimDuration::from_secs(10));
         s.reset();
         assert_eq!(s.jobs_served(), 0);
-        assert!(s.is_idle_at(SimTime::ZERO));
+        assert_eq!(s.busy_until(), SimTime::ZERO);
     }
 }

@@ -79,13 +79,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Checked difference between two instants.
-    ///
-    /// Returns `None` when `earlier` is later than `self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
     /// The later of two instants.
     pub fn max(self, other: SimTime) -> SimTime {
         if self >= other {
@@ -132,19 +125,6 @@ impl SimDuration {
         SimDuration(secs * 1_000_000_000)
     }
 
-    /// Creates a duration from fractional seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secs` is negative or not finite.
-    pub fn from_secs_f64(secs: f64) -> Self {
-        assert!(
-            secs.is_finite() && secs >= 0.0,
-            "duration seconds must be finite and non-negative, got {secs}"
-        );
-        SimDuration((secs * 1e9).round() as u64)
-    }
-
     /// Whole nanoseconds in this duration.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -153,11 +133,6 @@ impl SimDuration {
     /// Whole milliseconds in this duration (truncating).
     pub const fn as_millis(self) -> u64 {
         self.0 / 1_000_000
-    }
-
-    /// Whole seconds in this duration (truncating).
-    pub const fn as_secs(self) -> u64 {
-        self.0 / 1_000_000_000
     }
 
     /// Seconds as a floating point value.
@@ -173,19 +148,6 @@ impl SimDuration {
     /// Saturating subtraction of two durations.
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Multiplies the duration by a non-negative floating point factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or not finite.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "duration factor must be finite and non-negative, got {factor}"
-        );
-        SimDuration((self.0 as f64 * factor).round() as u64)
     }
 
     /// The larger of two durations.
@@ -331,14 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn checked_since_detects_ordering() {
-        let a = SimTime::from_secs(3);
-        let b = SimTime::from_secs(8);
-        assert_eq!(b.checked_since(a), Some(SimDuration::from_secs(5)));
-        assert_eq!(a.checked_since(b), None);
-    }
-
-    #[test]
     fn duration_arithmetic() {
         let d = SimDuration::from_millis(200) * 3;
         assert_eq!(d.as_millis(), 600);
@@ -347,26 +301,6 @@ mod tests {
             d.saturating_sub(SimDuration::from_secs(10)),
             SimDuration::ZERO
         );
-    }
-
-    #[test]
-    fn duration_from_secs_f64_rounds() {
-        let d = SimDuration::from_secs_f64(0.2);
-        assert_eq!(d.as_millis(), 200);
-        let d = SimDuration::from_secs_f64(2.9);
-        assert_eq!(d.as_millis(), 2900);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and non-negative")]
-    fn duration_from_negative_secs_panics() {
-        let _ = SimDuration::from_secs_f64(-1.0);
-    }
-
-    #[test]
-    fn duration_mul_f64() {
-        let d = SimDuration::from_secs(10).mul_f64(0.5);
-        assert_eq!(d.as_secs(), 5);
     }
 
     #[test]

@@ -36,53 +36,11 @@ pub enum Evidence {
 }
 
 impl Evidence {
-    /// The validator the evidence accuses.
-    pub fn offender(&self) -> ValidatorAddress {
-        match self {
-            Evidence::DuplicateVote { vote_a, .. } => vote_a.validator,
-            Evidence::LightClientAttack { validator, .. } => *validator,
-        }
-    }
-
     /// The height at which the misbehaviour occurred.
     pub fn height(&self) -> u64 {
         match self {
             Evidence::DuplicateVote { vote_a, .. } => vote_a.height,
             Evidence::LightClientAttack { height, .. } => *height,
-        }
-    }
-
-    /// Checks the internal consistency of the evidence.
-    ///
-    /// Duplicate-vote evidence is valid only if both votes come from the same
-    /// validator, at the same height and round, for *different* blocks, with
-    /// signatures that verify.
-    pub fn is_valid(&self) -> bool {
-        match self {
-            Evidence::DuplicateVote { vote_a, vote_b } => {
-                vote_a.validator == vote_b.validator
-                    && vote_a.height == vote_b.height
-                    && vote_a.round == vote_b.round
-                    && vote_a.block_id != vote_b.block_id
-                    && vote_a.signature()
-                        == crate::vote::sign_vote(
-                            &vote_a.validator,
-                            vote_a.height,
-                            vote_a.round,
-                            vote_a.block_id.as_ref(),
-                        )
-                    && vote_b.signature()
-                        == crate::vote::sign_vote(
-                            &vote_b.validator,
-                            vote_b.height,
-                            vote_b.round,
-                            vote_b.block_id.as_ref(),
-                        )
-            }
-            Evidence::LightClientAttack {
-                conflicting_header_hash,
-                ..
-            } => !conflicting_header_hash.is_zero(),
         }
     }
 
@@ -138,48 +96,12 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_vote_evidence_is_valid_for_conflicting_votes() {
+    fn duplicate_vote_evidence_reports_its_height() {
         let ev = Evidence::DuplicateVote {
             vote_a: vote("val-0", 10, 1),
             vote_b: vote("val-0", 10, 2),
         };
-        assert!(ev.is_valid());
         assert_eq!(ev.height(), 10);
-        assert_eq!(ev.offender(), ValidatorAddress::from_name("val-0"));
-    }
-
-    #[test]
-    fn duplicate_vote_same_block_is_invalid() {
-        let ev = Evidence::DuplicateVote {
-            vote_a: vote("val-0", 10, 1),
-            vote_b: vote("val-0", 10, 1),
-        };
-        assert!(!ev.is_valid());
-    }
-
-    #[test]
-    fn duplicate_vote_different_validators_is_invalid() {
-        let ev = Evidence::DuplicateVote {
-            vote_a: vote("val-0", 10, 1),
-            vote_b: vote("val-1", 10, 2),
-        };
-        assert!(!ev.is_valid());
-    }
-
-    #[test]
-    fn light_client_attack_requires_nonzero_header() {
-        let good = Evidence::LightClientAttack {
-            validator: ValidatorAddress::from_name("val-2"),
-            height: 4,
-            conflicting_header_hash: sha256(b"fork"),
-        };
-        let bad = Evidence::LightClientAttack {
-            validator: ValidatorAddress::from_name("val-2"),
-            height: 4,
-            conflicting_header_hash: Hash::ZERO,
-        };
-        assert!(good.is_valid());
-        assert!(!bad.is_valid());
     }
 
     #[test]

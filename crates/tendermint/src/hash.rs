@@ -58,16 +58,10 @@ impl Hash {
     pub fn is_zero(&self) -> bool {
         self.0 == [0u8; 32]
     }
-
-    /// The first eight bytes of the digest interpreted as a big-endian `u64`,
-    /// handy for deterministic pseudo-random decisions derived from hashes.
-    pub fn to_u64(&self) -> u64 {
-        let [b0, b1, b2, b3, b4, b5, b6, b7, ..] = self.0;
-        u64::from_be_bytes([b0, b1, b2, b3, b4, b5, b6, b7])
-    }
 }
 
-fn hex(bytes: &[u8]) -> String {
+/// Lower-case hexadecimal rendering of `bytes`.
+pub fn hex(bytes: &[u8]) -> String {
     const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(2 * bytes.len());
     for b in bytes {
@@ -554,8 +548,6 @@ mod tests {
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
         );
         assert_eq!(h.short(), "ba7816bf");
-        assert_eq!(h.to_u64(), 13_436_514_500_253_700_074);
-        assert_eq!(h.to_u64(), 0xba78_16bf_8f01_cfea);
         assert!(!h.is_zero());
         assert!(Hash::ZERO.is_zero());
         assert_eq!(Hash::ZERO.short(), "00000000");

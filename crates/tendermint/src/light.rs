@@ -198,11 +198,6 @@ impl LightClient {
         self.trusted.keys().next_back().copied().unwrap_or(0)
     }
 
-    /// The trusted state at an exact height, if present.
-    pub fn trusted_at(&self, height: u64) -> Option<&TrustedState> {
-        self.trusted.get(&height)
-    }
-
     /// Number of trusted consensus states held.
     pub fn len(&self) -> usize {
         self.trusted.len()
@@ -392,7 +387,7 @@ mod tests {
             .unwrap();
         assert_eq!(client.latest_height(), 3);
         assert_eq!(client.len(), 3);
-        assert_eq!(client.trusted_at(2).unwrap().header_hash, h2.hash());
+        assert_eq!(client.trusted[&2].header_hash, h2.hash());
 
         // Replaying an old header must fail.
         assert!(matches!(

@@ -7,7 +7,7 @@
 //! rates in Table I of the paper.
 
 // xcc-lint: allow(hash-collections, reason = "HashSet used for membership checks only; never iterated")
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
@@ -242,16 +242,6 @@ impl<D> Mempool<D> {
         self.queue.iter().filter(|tx| tx.sender == sender).count()
     }
 
-    /// Pending transaction counts per sender, useful for diagnosing
-    /// account-sequence congestion.
-    pub fn pending_by_sender(&self) -> BTreeMap<String, usize> {
-        let mut by_sender = BTreeMap::new();
-        for tx in &self.queue {
-            *by_sender.entry(tx.sender.clone()).or_insert(0) += 1;
-        }
-        by_sender
-    }
-
     /// Iterates over pending transactions in FIFO order.
     pub fn iter(&self) -> impl Iterator<Item = &PendingTx<D>> {
         self.queue.iter()
@@ -376,14 +366,11 @@ mod tests {
     }
 
     #[test]
-    fn pending_by_sender_counts() {
+    fn pending_from_counts_one_sender() {
         let mut pool = Mempool::new(MempoolConfig::default());
         pool.add(tx(1, 10, 1, "alice")).unwrap();
         pool.add(tx(2, 10, 1, "alice")).unwrap();
         pool.add(tx(3, 10, 1, "bob")).unwrap();
-        let by_sender = pool.pending_by_sender();
-        assert_eq!(by_sender["alice"], 2);
-        assert_eq!(by_sender["bob"], 1);
         assert_eq!(pool.pending_from("alice"), 2);
         assert_eq!(pool.pending_from("bob"), 1);
         assert_eq!(pool.pending_from("carol"), 0);

@@ -168,13 +168,6 @@ pub struct MerkleTree {
     nodes: Vec<Hash>,
 }
 
-impl Default for MerkleTree {
-    /// The tree over no leaves.
-    fn default() -> Self {
-        Self::from_leaf_hashes(&[])
-    }
-}
-
 impl MerkleTree {
     /// Builds the tree, memoizing every subtree root.
     pub fn build<'a, I>(leaves: I) -> Self
@@ -187,7 +180,7 @@ impl MerkleTree {
 
     /// Builds the tree over leaves already hashed with [`leaf_hash`]: only
     /// the inner nodes are hashed. A caller that rebuilds after changing a
-    /// few leaves keeps the hashes of the others (see [`MerkleTree::leaf`]).
+    /// few leaves keeps the hashes of the others itself.
     pub fn from_leaf_hashes(leaves: &[Hash]) -> Self {
         let mut nodes = Vec::with_capacity((2 * leaves.len()).max(2) - 1);
         fill_subtrees(leaves, &mut nodes);
@@ -210,25 +203,6 @@ impl MerkleTree {
     /// The Merkle root, equal to [`simple_root`] of the same leaves.
     pub fn root(&self) -> Hash {
         self.nodes[self.nodes.len() - 1]
-    }
-
-    /// The hash of the leaf at `index`, if in range.
-    pub fn leaf(&self, index: usize) -> Option<Hash> {
-        if index >= self.len {
-            return None;
-        }
-        let (mut offset, mut index, mut leaves) = (0, index, self.len);
-        while leaves > 1 {
-            let k = split_point(leaves);
-            if index < k {
-                leaves = k;
-            } else {
-                offset += 2 * k - 1;
-                index -= k;
-                leaves -= k;
-            }
-        }
-        Some(self.nodes[offset])
     }
 
     /// An inclusion proof for the leaf at `index`, equal to the proof
@@ -382,10 +356,8 @@ mod tests {
                 let cached = tree.prove(i).expect("valid index");
                 assert_eq!(cached, reference, "proof mismatch for n={n}, i={i}");
                 assert!(cached.verify(&root, leaf));
-                assert_eq!(tree.leaf(i), Some(hashed[i]));
             }
             assert!(tree.prove(n).is_none());
-            assert!(tree.leaf(n).is_none());
         }
     }
 

@@ -134,12 +134,6 @@ impl ValidatorSet {
         self.total_power() * 2 / 3 + 1
     }
 
-    /// The maximum voting power Byzantine validators may hold while the
-    /// protocol still guarantees safety (strictly less than 1/3).
-    pub fn fault_tolerance(&self) -> u64 {
-        (self.total_power() - 1) / 3
-    }
-
     /// The proposer for a given height and round (weighted round-robin,
     /// simplified to deterministic rotation).
     pub fn proposer(&self, height: u64, round: u32) -> &Validator {
@@ -169,7 +163,6 @@ mod tests {
         let set = ValidatorSet::with_equal_power(4, 25);
         assert_eq!(set.total_power(), 100);
         assert_eq!(set.quorum_threshold(), 67);
-        assert_eq!(set.fault_tolerance(), 33);
     }
 
     #[test]
@@ -177,7 +170,6 @@ mod tests {
         // The paper's testnet: 5 validators. 4 of 5 is a quorum, 3 is not.
         let set = ValidatorSet::with_equal_power(5, 1);
         assert_eq!(set.quorum_threshold(), 4);
-        assert_eq!(set.fault_tolerance(), 1);
     }
 
     #[test]

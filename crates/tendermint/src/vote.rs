@@ -153,14 +153,6 @@ impl Commit {
         let refs: Vec<&[u8]> = fields.iter().map(|f| f.as_slice()).collect();
         hash_fields(&refs)
     }
-
-    /// Number of signatures that committed to the block.
-    pub fn committed_count(&self) -> usize {
-        self.signatures
-            .iter()
-            .filter(|s| s.flag == BlockIdFlag::Commit)
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -231,7 +223,5 @@ mod tests {
             BlockIdFlag::Absent,
         ]);
         assert_ne!(all.hash(), three.hash());
-        assert_eq!(all.committed_count(), 4);
-        assert_eq!(three.committed_count(), 3);
     }
 }

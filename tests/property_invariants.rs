@@ -1,5 +1,7 @@
 //! Property-based tests on core data structures and protocol invariants.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use ibc_perf_repro::chain::account::AccountKeeper;
@@ -13,7 +15,7 @@ use ibc_perf_repro::ibc::transfer::{
     escrow_address, on_recv_packet, refund, send_coins, BankKeeper, FungibleTokenPacketData,
 };
 use ibc_perf_repro::sim::{FifoServer, SimDuration, SimTime};
-use ibc_perf_repro::tendermint::hash::{sha256, Sha256};
+use ibc_perf_repro::tendermint::hash::{sha256, Hash, Sha256};
 use ibc_perf_repro::tendermint::merkle::{prove, simple_root};
 
 proptest! {
@@ -49,9 +51,13 @@ proptest! {
         prop_assert_eq!(hasher.finalize(), sha256(&data));
     }
 
-    /// The commitment store root is insensitive to insertion order.
+    /// The commitment store root is insensitive to insertion order, and under
+    /// any interleaving of writes and reads the store answers like the free
+    /// functions over the sorted `path 0x00 value` encodings. A write step
+    /// checks its return value only, so runs of writes reach a read with no
+    /// tree build between them.
     #[test]
-    fn commitment_root_is_order_independent(entries in prop::collection::btree_map("[a-z]{1,12}", prop::collection::vec(any::<u8>(), 1..16), 1..20)) {
+    fn commitment_root_is_order_independent(entries in prop::collection::btree_map("[a-z]{1,12}", prop::collection::vec(any::<u8>(), 1..16), 1..20), steps in prop::collection::vec((0u8..5, "[a-c]{1,2}", any::<u8>()), 0..60)) {
         let mut forward = CommitmentStore::new();
         let mut backward = CommitmentStore::new();
         for (key, value) in entries.iter() {
@@ -61,6 +67,40 @@ proptest! {
             backward.set(key.clone(), sha256(value));
         }
         prop_assert_eq!(forward.root(), backward.root());
+
+        let mut store = forward;
+        let mut model: BTreeMap<String, Hash> = entries.iter().map(|(key, value)| (key.clone(), sha256(value))).collect();
+        let encodings = |model: &BTreeMap<String, Hash>| -> Vec<Vec<u8>> {
+            model.iter().map(|(path, value)| [path.as_bytes(), &[0], value.as_bytes()].concat()).collect()
+        };
+        for (kind, key, byte) in steps {
+            // Deletes and proofs aim at the step's own key when it is present
+            // and otherwise, two times in three, at the path whose rank the
+            // byte picks; the rest stay absent.
+            let target = match model.keys().nth(byte as usize % model.len().max(1)) {
+                Some(present) if !model.contains_key(&key) && byte % 3 != 0 => present.clone(),
+                _ => key.clone(),
+            };
+            match kind {
+                0 | 1 => prop_assert_eq!(store.set(key.clone(), sha256(&[byte])), model.insert(key, sha256(&[byte]))),
+                2 => prop_assert_eq!(store.delete(&target), model.remove(&target)),
+                3 if model.is_empty() => prop_assert_eq!(store.root(), CommitmentStore::new().root()),
+                3 => prop_assert_eq!(store.root(), simple_root(encodings(&model).iter().map(|e| e.as_slice()))),
+                _ => {
+                    let Some(rank) = model.keys().position(|path| *path == target) else {
+                        prop_assert!(store.prove_membership(&target).is_none());
+                        continue;
+                    };
+                    let (root, merkle) = prove(encodings(&model).iter().map(|e| e.as_slice()), rank).expect("rank in range");
+                    let proof = store.prove_membership(&target).expect("path is present");
+                    prop_assert_eq!((&proof.path, proof.value, proof.root), (&target, model[&target], root));
+                    prop_assert!(proof.verify(&root));
+                    prop_assert_eq!(proof.encoded_size(), target.len() + 96 + 32 * merkle.siblings.len());
+                    let branch = format!("\"merkle\":{}", serde_json::to_string(&merkle).unwrap());
+                    prop_assert!(serde_json::to_string(&proof).unwrap().contains(&branch));
+                }
+            }
+        }
     }
 
     /// Bank transfers never create or destroy supply, whatever sequence of

@@ -59,8 +59,6 @@ fn sample_store() -> CommitmentStore {
     let mut store = CommitmentStore::new();
     store.set("acks/1", sha256(b"ack"));
     store.set("commitments/1", sha256(b"data"));
-    // Populate the Merkle memo: it must never reach the wire.
-    store.root();
     store
 }
 
@@ -102,7 +100,6 @@ serde_round_trip! {
         ..DeploymentConfig::default()
     } => r#"{"source_chain_id":"ibc-0","destination_chain_id":"ibc-1","validators_per_chain":5,"network_rtt_ms":200,"min_block_interval":5000000000,"relayer_count":1,"channel_count":2,"relayer_strategy":{"event_source":"WebSocket","fetcher":"Sequential","submission":"Eager","coordination":"None","channel_policy":"FairShare","ws_frame_limit_bytes":0,"packet_clear_interval":0,"sequence_tracking":"Resync"},"user_accounts":64,"account_balance":1000000000000,"seed":42,"batched_pull_per_item_us":0,"report_broadcast_failures":true,"fault_plan":{"events":[]},"topology":{"chains":["ibc-0","ibc-1"],"edges":[{"src":"ibc-0","dst":"ibc-1","channels":0}]},"profile_work":true}"#;
     tx: Tx = sample_tx() => r#"{"msgs":[{"BankSend":{"from":"alice","to":"bob","amount":{"denom":"uatom","amount":7}}}],"signer":"alice","sequence":3,"gas_limit":105000,"fee":{"denom":"uatom","amount":1050},"memo":"","signature":[192,180,75,238,247,23,158,213,157,37,235,128,135,81,148,124,254,38,46,180,196,229,5,205,203,189,194,18,227,71,140,181]}"#;
-    commitment_store: CommitmentStore = sample_store() => r#"{"entries":{"acks/1":[100,163,121,41,251,17,62,24,218,166,38,58,31,177,249,12,81,210,98,85,46,250,90,80,89,111,95,101,59,169,85,248],"commitments/1":[58,110,176,121,15,57,172,135,201,79,56,86,178,221,44,93,17,14,104,17,96,34,97,169,169,35,211,187,35,173,200,183]}}"#;
 }
 
 /// One `#[test]` per type on the transaction wire: the streamed bytes are the
