@@ -7,21 +7,25 @@
 //! one-transaction-per-account-per-block workload limitation both derive from
 //! this mechanism, so it is modelled faithfully here.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use xcc_tendermint::hash::{hash_fields, Hash};
 use xcc_tendermint::journal::{restore, Journal};
 
-/// A bech32-style account address (simplified to an opaque string).
+/// A bech32-style account address (simplified to an opaque string). The
+/// text is shared: a clone is a reference-count bump, so map keys, account
+/// records and journal entries can name an account without copying it.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct AccountId(String);
+pub struct AccountId(Arc<str>);
 
 impl AccountId {
     /// Wraps an address string.
-    pub fn new(addr: impl Into<String>) -> Self {
+    pub fn new(addr: impl Into<Arc<str>>) -> Self {
         AccountId(addr.into())
     }
 
@@ -37,15 +41,22 @@ impl fmt::Display for AccountId {
     }
 }
 
+/// An account-keyed map can be searched by the address text alone.
+impl Borrow<str> for AccountId {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
 impl From<&str> for AccountId {
     fn from(s: &str) -> Self {
-        AccountId(s.to_string())
+        AccountId(s.into())
     }
 }
 
 impl From<String> for AccountId {
     fn from(s: String) -> Self {
-        AccountId(s)
+        AccountId(s.into())
     }
 }
 
@@ -116,17 +127,16 @@ impl AccountKeeper {
 
     /// Creates an account if it does not exist yet and returns it.
     pub fn get_or_create(&mut self, address: &AccountId) -> &Account {
-        if !self.accounts.contains_key(address) {
-            let account = Account {
-                address: address.clone(),
-                account_number: self.next_number,
-                sequence: 0,
-            };
-            self.next_number += 1;
-            self.accounts.insert(address.clone(), account);
+        self.accounts.entry(address.clone()).or_insert_with(|| {
             self.journal.record(|| (address.clone(), None));
-        }
-        self.accounts.get(address).expect("just inserted")
+            let account_number = self.next_number;
+            self.next_number += 1;
+            Account {
+                address: address.clone(),
+                account_number,
+                sequence: 0,
+            }
+        })
     }
 
     /// Looks up an account.

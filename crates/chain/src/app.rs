@@ -3,13 +3,14 @@
 
 use crate::account::{AccountId, AccountKeeper};
 use crate::ante::{self, AnteError};
-use crate::bank::{BankError, BankModule};
+use crate::bank::BankModule;
 use crate::gas;
 use crate::genesis::GenesisConfig;
 use crate::msg::Msg;
 use crate::tx::Tx;
 use xcc_ibc::height::Height;
 use xcc_ibc::module::{HostContext, IbcModule};
+use xcc_ibc::transfer::BankKeeper;
 use xcc_sim::SimTime;
 use xcc_tendermint::abci::{Application, CheckTxResult, DeliverTxResult, Event};
 use xcc_tendermint::block::{Header, RawTx};
@@ -235,12 +236,13 @@ impl GaiaApp {
     }
 
     /// Charges the transaction fee to the fee collector.
-    fn pay_fee(&mut self, tx: &Tx) -> Result<(), BankError> {
+    fn pay_fee(&mut self, tx: &Tx) -> Result<(), String> {
         if tx.fee.amount == 0 {
             return Ok(());
         }
+        let payer = tx.signer.as_str();
         self.bank
-            .transfer(&tx.signer, &AccountId::new(FEE_COLLECTOR), &tx.fee)
+            .send(payer, FEE_COLLECTOR, &tx.fee.denom, tx.fee.amount)
     }
 
     fn ante_failure(err: &AnteError, gas_wanted: u64) -> DeliverTxResult {
@@ -334,11 +336,11 @@ impl Application for GaiaApp {
             self.commit_tx();
             return Self::ante_failure(&err, gas_wanted);
         }
-        if let Err(e) = self.pay_fee(&decoded) {
+        if let Err(log) = self.pay_fee(&decoded) {
             self.rollback_tx();
             return DeliverTxResult {
                 code: ante::CODE_INSUFFICIENT_FUNDS,
-                log: e.to_string(),
+                log,
                 gas_used: gas::TX_BASE_GAS,
                 gas_wanted,
                 events: vec![],

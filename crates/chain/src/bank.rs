@@ -1,6 +1,7 @@
 //! The bank module: balances, transfers, minting and burning.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -64,10 +65,16 @@ impl std::error::Error for BankError {}
 /// records the amount it replaced (see [`xcc_tendermint::journal`]), so a
 /// rollback also removes the zero-balance entries a reverted transfer
 /// created — they are part of [`BankModule::state_hash`].
+///
+/// Account and denomination names are shared strings, and balances are kept
+/// per account so that one is found by the borrowed `(&str, &str)` the IBC
+/// module supplies: reading builds no key, and a write to an existing entry
+/// journals clones of the keys the maps already hold.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BankModule {
-    balances: BTreeMap<(AccountId, String), u128>,
-    supply: BTreeMap<String, u128>,
+    /// Never holds an empty inner map, so equal balances are equal maps.
+    balances: BTreeMap<AccountId, BTreeMap<Arc<str>, u128>>,
+    supply: BTreeMap<Arc<str>, u128>,
     #[serde(skip)]
     journal: Journal<BankUndo>,
 }
@@ -75,8 +82,8 @@ pub struct BankModule {
 /// One reverted bank write: the key and the amount it held before.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum BankUndo {
-    Balance((AccountId, String), Option<u128>),
-    Supply(String, Option<u128>),
+    Balance(AccountId, Arc<str>, Option<u128>),
+    Supply(Arc<str>, Option<u128>),
 }
 
 impl BankModule {
@@ -99,37 +106,75 @@ impl BankModule {
     pub fn rollback_tx(&mut self) {
         for undo in self.journal.rollback() {
             match undo {
-                BankUndo::Balance(key, prior) => restore(&mut self.balances, key, prior),
+                BankUndo::Balance(address, denom, prior) => {
+                    let account = self.balances.entry(address.clone()).or_default();
+                    restore(account, denom, prior);
+                    if account.is_empty() {
+                        self.balances.remove(&address);
+                    }
+                }
                 BankUndo::Supply(denom, prior) => restore(&mut self.supply, denom, prior),
             }
         }
     }
 
-    /// Writes `update(balance)` under `key` (an absent balance reads 0 and
-    /// is created), recording what was there.
-    fn update_balance(&mut self, key: (AccountId, String), update: impl FnOnce(u128) -> u128) {
-        let prior = self.balances.get(&key).copied();
+    /// Writes `update(balance)` for `(address, denom)` (an absent balance
+    /// reads 0 and is created), recording what was there.
+    fn update_balance(&mut self, address: &str, denom: &str, update: impl FnOnce(u128) -> u128) {
+        let (address, entry) = match self.balances.get_key_value(address) {
+            Some((address, account)) => (address.clone(), account.get_key_value(denom)),
+            None => (address.into(), None),
+        };
+        let (denom, prior) = match entry {
+            Some((denom, amount)) => (denom.clone(), Some(*amount)),
+            None => (denom.into(), None),
+        };
         self.journal
-            .record(|| BankUndo::Balance(key.clone(), prior));
-        self.balances.insert(key, update(prior.unwrap_or(0)));
+            .record(|| BankUndo::Balance(address.clone(), denom.clone(), prior));
+        let amount = update(prior.unwrap_or(0));
+        self.balances
+            .entry(address)
+            .or_default()
+            .insert(denom, amount);
     }
 
     /// As [`update_balance`](Self::update_balance), for a denomination's
     /// supply.
     fn update_supply(&mut self, denom: &str, update: impl FnOnce(u128) -> u128) {
-        let prior = self.supply.get(denom).copied();
-        self.journal
-            .record(|| BankUndo::Supply(denom.to_string(), prior));
-        self.supply
-            .insert(denom.to_string(), update(prior.unwrap_or(0)));
+        let (key, prior) = match self.supply.get_key_value(denom) {
+            Some((key, supply)) => (key.clone(), Some(*supply)),
+            None => (denom.into(), None),
+        };
+        self.journal.record(|| BankUndo::Supply(key.clone(), prior));
+        self.supply.insert(key, update(prior.unwrap_or(0)));
+    }
+
+    fn held(&self, address: &str, denom: &str) -> u128 {
+        let amount = self
+            .balances
+            .get(address)
+            .and_then(|account| account.get(denom));
+        amount.copied().unwrap_or(0)
+    }
+
+    /// Takes `amount` of `denom` out of `from`'s balance.
+    fn debit(&mut self, from: &str, denom: &str, amount: u128) -> Result<(), BankError> {
+        let held = self.held(from, denom);
+        if held < amount {
+            return Err(BankError::InsufficientFunds {
+                address: from.into(),
+                denom: denom.to_string(),
+                held,
+                required: amount,
+            });
+        }
+        self.update_balance(from, denom, |held| held - amount);
+        Ok(())
     }
 
     /// The balance an account holds in a denomination.
     pub fn balance(&self, address: &AccountId, denom: &str) -> u128 {
-        *self
-            .balances
-            .get(&(address.clone(), denom.to_string()))
-            .unwrap_or(&0)
+        self.held(address.as_str(), denom)
     }
 
     /// Total minted supply of a denomination.
@@ -139,31 +184,7 @@ impl BankModule {
 
     /// Mints new coins into an account (genesis allocation and IBC vouchers).
     pub fn mint_coins(&mut self, to: &AccountId, coin: &Coin) {
-        self.update_balance((to.clone(), coin.denom.clone()), |held| held + coin.amount);
-        self.update_supply(&coin.denom, |supply| supply + coin.amount);
-    }
-
-    /// Burns coins from an account.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the account's balance is insufficient.
-    pub fn burn_coins(&mut self, from: &AccountId, coin: &Coin) -> Result<(), BankError> {
-        let key = (from.clone(), coin.denom.clone());
-        let held = *self.balances.get(&key).unwrap_or(&0);
-        if held < coin.amount {
-            return Err(BankError::InsufficientFunds {
-                address: from.clone(),
-                denom: coin.denom.clone(),
-                held,
-                required: coin.amount,
-            });
-        }
-        self.update_balance(key, |held| held - coin.amount);
-        if self.supply.contains_key(&coin.denom) {
-            self.update_supply(&coin.denom, |supply| supply.saturating_sub(coin.amount));
-        }
-        Ok(())
+        self.mint(to.as_str(), &coin.denom, coin.amount);
     }
 
     /// Transfers coins between two accounts.
@@ -177,31 +198,23 @@ impl BankModule {
         to: &AccountId,
         coin: &Coin,
     ) -> Result<(), BankError> {
-        let from_key = (from.clone(), coin.denom.clone());
-        let held = *self.balances.get(&from_key).unwrap_or(&0);
-        if held < coin.amount {
-            return Err(BankError::InsufficientFunds {
-                address: from.clone(),
-                denom: coin.denom.clone(),
-                held,
-                required: coin.amount,
-            });
-        }
-        self.update_balance(from_key, |held| held - coin.amount);
-        self.update_balance((to.clone(), coin.denom.clone()), |held| held + coin.amount);
+        self.debit(from.as_str(), &coin.denom, coin.amount)?;
+        self.update_balance(to.as_str(), &coin.denom, |held| held + coin.amount);
         Ok(())
     }
 
     /// A digest of the bank state, folded into the application hash.
     pub fn state_hash(&self) -> Hash {
         let mut hasher = FieldHasher::new();
-        for ((addr, denom), amount) in &self.balances {
-            hasher.field_parts(&[
-                addr.as_str().as_bytes(),
-                &[0],
-                denom.as_bytes(),
-                &amount.to_be_bytes(),
-            ]);
+        for (addr, account) in &self.balances {
+            for (denom, amount) in account {
+                hasher.field_parts(&[
+                    addr.as_str().as_bytes(),
+                    &[0],
+                    denom.as_bytes(),
+                    &amount.to_be_bytes(),
+                ]);
+            }
         }
         hasher.finish()
     }
@@ -209,21 +222,22 @@ impl BankModule {
 
 impl BankKeeper for BankModule {
     fn send(&mut self, from: &str, to: &str, denom: &str, amount: u128) -> Result<(), String> {
-        self.transfer(
-            &AccountId::from(from),
-            &AccountId::from(to),
-            &Coin::new(denom, amount),
-        )
-        .map_err(|e| e.to_string())
+        self.debit(from, denom, amount).map_err(|e| e.to_string())?;
+        self.update_balance(to, denom, |held| held + amount);
+        Ok(())
     }
 
     fn mint(&mut self, to: &str, denom: &str, amount: u128) {
-        self.mint_coins(&AccountId::from(to), &Coin::new(denom, amount));
+        self.update_balance(to, denom, |held| held + amount);
+        self.update_supply(denom, |supply| supply + amount);
     }
 
     fn burn(&mut self, from: &str, denom: &str, amount: u128) -> Result<(), String> {
-        self.burn_coins(&AccountId::from(from), &Coin::new(denom, amount))
-            .map_err(|e| e.to_string())
+        self.debit(from, denom, amount).map_err(|e| e.to_string())?;
+        if self.supply.contains_key(denom) {
+            self.update_supply(denom, |supply| supply.saturating_sub(amount));
+        }
+        Ok(())
     }
 }
 
@@ -246,7 +260,7 @@ mod tests {
         // Transfers do not change supply.
         assert_eq!(bank.total_supply("uatom"), 1_000);
 
-        bank.burn_coins(&bob, &Coin::new("uatom", 100)).unwrap();
+        bank.burn("bob", "uatom", 100).unwrap();
         assert_eq!(bank.balance(&bob, "uatom"), 200);
         assert_eq!(bank.total_supply("uatom"), 900);
     }
@@ -266,9 +280,7 @@ mod tests {
             }
         ));
         assert!(err.to_string().contains("insufficient funds"));
-        assert!(bank
-            .burn_coins(&"alice".into(), &Coin::new("uatom", 1))
-            .is_err());
+        assert!(bank.burn("alice", "uatom", 1).is_err());
     }
 
     #[test]
@@ -293,8 +305,7 @@ mod tests {
         bank.transfer(&"alice".into(), &"bob".into(), &Coin::new("uatom", 40))
             .unwrap();
         bank.mint_coins(&"bob".into(), &Coin::new("voucher", 7));
-        bank.burn_coins(&"bob".into(), &Coin::new("voucher", 3))
-            .unwrap();
+        bank.burn("bob", "voucher", 3).unwrap();
         bank.transfer(&"bob".into(), &"bob".into(), &Coin::new("uatom", 5))
             .unwrap();
         assert!(bank
@@ -322,6 +333,26 @@ mod tests {
         BankKeeper::burn(&mut bank, "bob", "uatom", 20).unwrap();
         assert_eq!(bank.balance(&"alice".into(), "uatom"), 30);
         assert_eq!(bank.balance(&"bob".into(), "uatom"), 0);
+    }
+
+    /// Pinned at the commit before the keys held shared strings (PR 21):
+    /// three accounts and two denominations, written out of key order, hash
+    /// in `(address, denom)` text order — a key type that compared any
+    /// other way (by pointer, by length first) would move this digest and
+    /// with it every application hash.
+    #[test]
+    fn state_hash_iterates_balances_in_address_then_denom_order() {
+        let mut bank = BankModule::new();
+        bank.mint_coins(&"carol".into(), &Coin::new("uatom", 5));
+        bank.mint_coins(&"alice".into(), &Coin::new("uatom", 1_000));
+        bank.mint_coins(&"bob".into(), &Coin::new("transfer/channel-0/uatom", 300));
+        bank.mint_coins(&"alice".into(), &Coin::new("transfer/channel-0/uatom", 7));
+        bank.transfer(&"alice".into(), &"bob".into(), &Coin::new("uatom", 40))
+            .unwrap();
+        assert_eq!(
+            bank.state_hash().to_hex(),
+            "5470702e663777b555db24560d8400376cf30c7ef61a1ea24cde265434f9f77d"
+        );
     }
 
     /// Pinned at the commit before `state_hash` streamed its fields: one

@@ -49,10 +49,10 @@ impl GenesisConfig {
     }
 
     /// Adds a single funded account.
-    pub fn with_account(mut self, address: impl Into<String>, amount: u128) -> Self {
+    pub fn with_account(mut self, address: impl Into<AccountId>, amount: u128) -> Self {
         let denom = self.fee_denom.clone();
         self.accounts
-            .push((AccountId::new(address), vec![Coin::new(denom, amount)]));
+            .push((address.into(), vec![Coin::new(denom, amount)]));
         self
     }
 

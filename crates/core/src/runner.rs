@@ -197,17 +197,14 @@ fn backfill_confirmations(
                         };
                         on_chain && ibc_events::is_for_channel(event, &p.port, end)
                     });
-                    let (Some(channel), Some(packet)) =
-                        (channel, ibc_events::packet_from_event(event))
+                    let (Some(channel), Some(sequence)) =
+                        (channel, ibc_events::packet_sequence(event))
                     else {
                         continue;
                     };
                     let channel = channel as u64;
-                    if telemetry
-                        .step_time_on(channel, packet.sequence, step)
-                        .is_none()
-                    {
-                        telemetry.record_on(channel, packet.sequence, step, record.committed_at);
+                    if telemetry.step_time_on(channel, sequence, step).is_none() {
+                        telemetry.record_on(channel, sequence, step, record.committed_at);
                     }
                 }
             }
@@ -231,10 +228,10 @@ fn attach_broadcast(
     };
     for event in &result.events {
         if event.kind == ibc_events::SEND_PACKET {
-            if let Some(packet) = ibc_events::packet_from_event(event) {
+            if let Some(sequence) = ibc_events::packet_sequence(event) {
                 telemetry.record_on(
                     channel as u64,
-                    packet.sequence,
+                    sequence,
                     TransferStep::TransferBroadcast,
                     broadcast_at,
                 );

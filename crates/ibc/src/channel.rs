@@ -1,5 +1,7 @@
 //! ICS-04 channel semantics: channel ends, ordering and handshake states.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{ChannelId, ConnectionId, PortId, Sequence};
@@ -64,8 +66,9 @@ pub struct ChannelEnd {
     pub counterparty: ChannelCounterparty,
     /// The connection this channel runs over.
     pub connection_id: ConnectionId,
-    /// Application version string (ICS-20 uses `ics20-1`).
-    pub version: String,
+    /// Application version string (ICS-20 uses `ics20-1`), shared like the
+    /// identifiers so that a handler's edit-a-copy of the end copies no text.
+    pub version: Arc<str>,
     /// Next sequence number to assign to an outgoing packet.
     pub next_sequence_send: Sequence,
     /// Next sequence expected on an ordered channel's receive path.
@@ -87,7 +90,7 @@ impl ChannelEnd {
             ordering,
             counterparty,
             connection_id,
-            version: "ics20-1".to_string(),
+            version: "ics20-1".into(),
             next_sequence_send: Sequence::FIRST,
             next_sequence_recv: Sequence::FIRST,
             next_sequence_ack: Sequence::FIRST,
@@ -117,7 +120,7 @@ mod tests {
         );
         assert!(!end.is_open());
         assert_eq!(end.next_sequence_send, Sequence::FIRST);
-        assert_eq!(end.version, "ics20-1");
+        assert_eq!(&*end.version, "ics20-1");
     }
 
     #[test]

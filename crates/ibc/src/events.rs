@@ -24,7 +24,13 @@ pub const ACK_PACKET: &str = "acknowledge_packet";
 /// Event type emitted when a packet times out.
 pub const TIMEOUT_PACKET: &str = "timeout_packet";
 
-fn packet_attrs(event: Event, packet: &Packet) -> Event {
+/// An event of `kind` carrying the seven attributes every packet event
+/// has, with room for `extra` more, so the attribute list is sized once.
+fn packet_event(kind: &'static str, packet: &Packet, extra: usize) -> Event {
+    let event = Event {
+        kind,
+        attributes: Vec::with_capacity(7 + extra),
+    };
     event
         .with_attr("packet_sequence", packet.sequence.to_string())
         .with_attr("packet_src_port", packet.source_port.as_str())
@@ -57,12 +63,12 @@ fn decode_data(s: &str) -> Option<Vec<u8>> {
 /// Hex keeps the data attribute printable while staying proportional in size
 /// to the real payload, which matters for the WebSocket frame accounting.
 pub fn send_packet_event(packet: &Packet) -> Event {
-    packet_attrs(Event::new(SEND_PACKET), packet).with_attr("packet_data_hex", hex(&packet.data))
+    packet_event(SEND_PACKET, packet, 1).with_attr("packet_data_hex", hex(&packet.data))
 }
 
 /// Builds the `recv_packet` event for a received packet.
 pub fn recv_packet_event(packet: &Packet) -> Event {
-    packet_attrs(Event::new(RECV_PACKET), packet).with_attr("packet_data_hex", hex(&packet.data))
+    packet_event(RECV_PACKET, packet, 1).with_attr("packet_data_hex", hex(&packet.data))
 }
 
 /// Builds the `write_acknowledgement` event.
@@ -71,19 +77,19 @@ pub fn write_ack_event(packet: &Packet, ack: &Acknowledgement) -> Event {
         Acknowledgement::Success { .. } => "success".to_string(),
         Acknowledgement::Error { error } => format!("error:{error}"),
     };
-    packet_attrs(Event::new(WRITE_ACK), packet)
+    packet_event(WRITE_ACK, packet, 2)
         .with_attr("packet_data_hex", hex(&packet.data))
         .with_attr("packet_ack", ack_text)
 }
 
 /// Builds the `acknowledge_packet` event.
 pub fn ack_packet_event(packet: &Packet) -> Event {
-    packet_attrs(Event::new(ACK_PACKET), packet)
+    packet_event(ACK_PACKET, packet, 0)
 }
 
 /// Builds the `timeout_packet` event.
 pub fn timeout_packet_event(packet: &Packet) -> Event {
-    packet_attrs(Event::new(TIMEOUT_PACKET), packet)
+    packet_event(TIMEOUT_PACKET, packet, 0)
 }
 
 /// Reconstructs a [`Packet`] from a packet-carrying event (`send_packet`,
@@ -95,16 +101,11 @@ pub fn timeout_packet_event(packet: &Packet) -> Event {
 /// `data` is empty for those kinds. This is exactly the "message extraction"
 /// step of the relayer pipeline.
 pub fn packet_from_event(event: &Event) -> Option<Packet> {
-    if !matches!(
-        event.kind.as_str(),
-        SEND_PACKET | RECV_PACKET | WRITE_ACK | ACK_PACKET | TIMEOUT_PACKET
-    ) {
-        return None;
-    }
+    let sequence = packet_sequence(event)?;
     let timeout = event.attr("packet_timeout_height")?;
     let (revision, height) = timeout.split_once('-')?;
     Some(Packet {
-        sequence: Sequence::from(event.attr("packet_sequence")?.parse::<u64>().ok()?),
+        sequence,
         source_port: event.attr("packet_src_port")?.parse().ok()?,
         source_channel: event.attr("packet_src_channel")?.parse().ok()?,
         destination_port: event.attr("packet_dst_port")?.parse().ok()?,
@@ -117,10 +118,25 @@ pub fn packet_from_event(event: &Event) -> Option<Packet> {
     })
 }
 
+/// The sequence of the packet a packet-carrying event is about — all that
+/// telemetry needs of it, without rebuilding the [`Packet`].
+///
+/// Returns `None` for events of other types or without the attribute.
+pub fn packet_sequence(event: &Event) -> Option<Sequence> {
+    if !matches!(
+        event.kind,
+        SEND_PACKET | RECV_PACKET | WRITE_ACK | ACK_PACKET | TIMEOUT_PACKET
+    ) {
+        return None;
+    }
+    let sequence = event.attr("packet_sequence")?.parse::<u64>().ok()?;
+    Some(Sequence::from(sequence))
+}
+
 /// Helper for filtering a transaction's events down to the ones a relayer for
 /// a given source channel cares about.
 pub fn is_for_channel(event: &Event, port: &PortId, channel: &ChannelId) -> bool {
-    match event.kind.as_str() {
+    match event.kind {
         SEND_PACKET | ACK_PACKET | TIMEOUT_PACKET => {
             event.attr("packet_src_port") == Some(port.as_str())
                 && event.attr("packet_src_channel") == Some(channel.as_str())
@@ -174,6 +190,56 @@ mod tests {
     fn non_packet_events_do_not_parse() {
         let event = Event::new("transfer").with_attr("amount", "10uatom");
         assert!(packet_from_event(&event).is_none());
+    }
+
+    fn the_five_packet_events() -> [Event; 5] {
+        let packet = sample_packet();
+        [
+            send_packet_event(&packet),
+            recv_packet_event(&packet),
+            write_ack_event(&packet, &Acknowledgement::success()),
+            ack_packet_event(&packet),
+            timeout_packet_event(&packet),
+        ]
+    }
+
+    #[test]
+    fn packet_sequence_reads_what_packet_from_event_reads() {
+        for event in the_five_packet_events() {
+            assert_eq!(
+                packet_sequence(&event),
+                packet_from_event(&event).map(|p| p.sequence),
+                "{}",
+                event.kind
+            );
+            assert_eq!(packet_sequence(&event), Some(Sequence::from(12)));
+        }
+        let other = Event::new("transfer").with_attr("packet_sequence", "12");
+        assert_eq!(packet_sequence(&other), None);
+    }
+
+    /// Captured at the commit before `kind` and the keys became `&'static
+    /// str` (PR 21). The WebSocket frame limit and the `BlockResults`
+    /// response size are sums of these, so they are part of the simulated
+    /// result, not of the representation.
+    #[test]
+    fn encoded_sizes_are_pinned() {
+        let events = the_five_packet_events();
+        assert_eq!(
+            events.each_ref().map(Event::encoded_size),
+            [348, 348, 383, 270, 266]
+        );
+        let [send, ..] = events;
+        let message =
+            Event::new("message").with_attr("action", "/ibc.applications.transfer.v1.MsgTransfer");
+        let result = xcc_tendermint::abci::DeliverTxResult {
+            code: 0,
+            log: String::new(),
+            gas_used: 96_000,
+            gas_wanted: 120_000,
+            events: vec![message, send],
+        };
+        assert_eq!(result.encoded_size(), 490);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! channels, ports and packet sequences.
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -16,8 +17,12 @@ fn valid_identifier(s: &str) -> bool {
 macro_rules! identifier {
     ($(#[$doc:meta])* $name:ident, $prefix:expr) => {
         $(#[$doc])*
+        ///
+        /// The text is shared: a clone is a reference-count bump, so packets,
+        /// channel ends, map keys and journal records can name a channel
+        /// without copying its name.
         #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-        pub struct $name(String);
+        pub struct $name(Arc<str>);
 
         impl $name {
             /// Wraps a raw identifier string.
@@ -25,7 +30,7 @@ macro_rules! identifier {
             /// # Panics
             ///
             /// Panics if the string is not a valid ICS-24 identifier.
-            pub fn new(id: impl Into<String>) -> Self {
+            pub fn new(id: impl Into<Arc<str>>) -> Self {
                 let id = id.into();
                 assert!(valid_identifier(&id), concat!(stringify!($name), " must be a valid ICS-24 identifier, got {:?}"), id);
                 $name(id)
@@ -33,7 +38,7 @@ macro_rules! identifier {
 
             /// The canonical counter-based identifier, e.g. `channel-0`.
             pub fn with_index(index: u64) -> Self {
-                $name(format!("{}-{}", $prefix, index))
+                $name(format!("{}-{}", $prefix, index).into())
             }
 
             /// The identifier as a string slice.
@@ -61,7 +66,7 @@ macro_rules! identifier {
 
             fn from_str(s: &str) -> Result<Self, Self::Err> {
                 if valid_identifier(s) {
-                    Ok($name(s.to_string()))
+                    Ok($name(s.into()))
                 } else {
                     Err(InvalidIdentifier { value: s.to_string() })
                 }
@@ -123,7 +128,7 @@ identifier!(
 impl PortId {
     /// The well-known port of the ICS-20 fungible token transfer module.
     pub fn transfer() -> Self {
-        PortId("transfer".to_string())
+        PortId("transfer".into())
     }
 }
 

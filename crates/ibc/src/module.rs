@@ -529,10 +529,10 @@ impl IbcModule {
             });
         };
         let data = FungibleTokenPacketData {
-            denom: params.denom.clone(),
+            denom: &params.denom,
             amount: params.amount,
-            sender: params.sender.clone(),
-            receiver: params.receiver.clone(),
+            sender: &params.sender,
+            receiver: &params.receiver,
         };
         transfer::send_coins(bank, &params.source_port, &params.source_channel, &data)?;
 
@@ -694,8 +694,9 @@ impl IbcModule {
         proof: &CommitmentProof,
         proof_height: Height,
     ) -> Result<Vec<Event>, IbcError> {
-        let channel = self
+        let connection_id = self
             .require_channel(&packet.source_port, &packet.source_channel)?
+            .connection_id
             .clone();
 
         let commitment_path = host::packet_commitment_path(
@@ -726,7 +727,7 @@ impl IbcModule {
             });
         }
         // Same strict-then-structural verification as `recv_packet`.
-        let root = self.counterparty_root(&channel.connection_id, proof_height)?;
+        let root = self.counterparty_root(&connection_id, proof_height)?;
         if !proof.verify(&root) && !proof.verify(&proof.root) {
             return Err(IbcError::InvalidProof {
                 context: format!("acknowledgement root mismatch at height {proof_height}"),
@@ -754,8 +755,9 @@ impl IbcModule {
         proof_unreceived: &NonMembershipProof,
         proof_height: Height,
     ) -> Result<Vec<Event>, IbcError> {
-        let channel = self
+        let connection_id = self
             .require_channel(&packet.source_port, &packet.source_channel)?
+            .connection_id
             .clone();
 
         let commitment_path = host::packet_commitment_path(
@@ -778,10 +780,8 @@ impl IbcModule {
         // proof refers to.
         let connection = self
             .connections
-            .get(&channel.connection_id)
-            .ok_or_else(|| IbcError::ConnectionNotFound {
-                connection_id: channel.connection_id.clone(),
-            })?;
+            .get(&connection_id)
+            .ok_or(IbcError::ConnectionNotFound { connection_id })?;
         let client =
             self.clients
                 .get(&connection.client_id)

@@ -5,14 +5,14 @@
 //! denominations on the destination, burning vouchers when they travel back,
 //! and refunding on failed or timed-out transfers.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::IbcError;
 use crate::ids::{ChannelId, PortId};
 use crate::packet::{Acknowledgement, Packet};
 use xcc_tendermint::hash::hash_fields;
 
-/// The payload of an ICS-20 packet.
+/// The payload of an ICS-20 packet, as a view: the strings belong to the
+/// message being sent or to the packet bytes being read, so building or
+/// parsing one copies nothing.
 ///
 /// # Example
 ///
@@ -20,28 +20,28 @@ use xcc_tendermint::hash::hash_fields;
 /// use xcc_ibc::transfer::FungibleTokenPacketData;
 ///
 /// let data = FungibleTokenPacketData {
-///     denom: "uatom".into(),
+///     denom: "uatom",
 ///     amount: 1_000,
-///     sender: "user-0".into(),
-///     receiver: "user-0".into(),
+///     sender: "user-0",
+///     receiver: "user-0",
 /// };
 /// let bytes = data.to_bytes();
 /// assert_eq!(FungibleTokenPacketData::from_bytes(&bytes).unwrap(), data);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FungibleTokenPacketData {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FungibleTokenPacketData<'a> {
     /// Denomination being transferred, possibly trace-prefixed
     /// (`transfer/channel-0/uatom`).
-    pub denom: String,
+    pub denom: &'a str,
     /// Amount of the denomination.
     pub amount: u128,
     /// Sender address on the source chain.
-    pub sender: String,
+    pub sender: &'a str,
     /// Receiver address on the destination chain.
-    pub receiver: String,
+    pub receiver: &'a str,
 }
 
-impl FungibleTokenPacketData {
+impl<'a> FungibleTokenPacketData<'a> {
     /// Serialises the packet data to bytes.
     ///
     /// The on-the-wire format is a simple length-unambiguous text encoding;
@@ -56,7 +56,7 @@ impl FungibleTokenPacketData {
     }
 
     /// Parses packet data previously produced by [`Self::to_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, IbcError> {
+    pub fn from_bytes(bytes: &'a [u8]) -> Result<Self, IbcError> {
         let text = std::str::from_utf8(bytes).map_err(|_| IbcError::Transfer {
             reason: "packet data is not valid UTF-8".into(),
         })?;
@@ -69,10 +69,10 @@ impl FungibleTokenPacketData {
                 continue;
             };
             match key {
-                "denom" => denom = Some(value.to_string()),
+                "denom" => denom = Some(value),
                 "amount" => amount = value.parse::<u128>().ok(),
-                "sender" => sender = Some(value.to_string()),
-                "receiver" => receiver = Some(value.to_string()),
+                "sender" => sender = Some(value),
+                "receiver" => receiver = Some(value),
                 _ => {}
             }
         }
@@ -119,25 +119,30 @@ pub fn escrow_address(port_id: &PortId, channel_id: &ChannelId) -> String {
         port_id.as_str().as_bytes(),
         channel_id.as_str().as_bytes(),
     ]);
-    format!("escrow-{}", digest.short())
+    ["escrow-", &digest.short()].concat()
 }
 
-/// The trace prefix a (port, channel) pair adds to a denomination.
-pub fn trace_prefix(port_id: &PortId, channel_id: &ChannelId) -> String {
-    format!("{port_id}/{channel_id}/")
+/// `denom` without the trace prefix `{port}/{channel}/` that a hop over this
+/// channel end adds, if it starts with it.
+fn strip_trace<'a>(port_id: &PortId, channel_id: &ChannelId, denom: &'a str) -> Option<&'a str> {
+    denom
+        .strip_prefix(port_id.as_str())?
+        .strip_prefix('/')?
+        .strip_prefix(channel_id.as_str())?
+        .strip_prefix('/')
 }
 
 /// `true` when, from the perspective of the chain sending over
 /// `(port, channel)`, the denomination originated on this chain — i.e. the
 /// denom is *not* prefixed by this channel end's own trace.
 pub fn sender_is_source(port_id: &PortId, channel_id: &ChannelId, denom: &str) -> bool {
-    !denom.starts_with(&trace_prefix(port_id, channel_id))
+    strip_trace(port_id, channel_id, denom).is_none()
 }
 
 /// The voucher denomination minted on the receiving chain for an incoming
 /// transfer that is *not* returning home: the destination trace is prepended.
 pub fn prefixed_denom(dest_port: &PortId, dest_channel: &ChannelId, denom: &str) -> String {
-    format!("{}{}", trace_prefix(dest_port, dest_channel), denom)
+    format!("{dest_port}/{dest_channel}/{denom}")
 }
 
 /// Escrows or burns tokens on the sending chain, implementing the send half
@@ -152,14 +157,14 @@ pub fn send_coins(
     source_channel: &ChannelId,
     data: &FungibleTokenPacketData,
 ) -> Result<(), IbcError> {
-    if sender_is_source(source_port, source_channel, &data.denom) {
+    if sender_is_source(source_port, source_channel, data.denom) {
         // Token native to this chain: escrow it.
         let escrow = escrow_address(source_port, source_channel);
-        bank.send(&data.sender, &escrow, &data.denom, data.amount)
+        bank.send(data.sender, &escrow, data.denom, data.amount)
             .map_err(|reason| IbcError::Transfer { reason })
     } else {
         // Voucher returning home: burn it.
-        bank.burn(&data.sender, &data.denom, data.amount)
+        bank.burn(data.sender, data.denom, data.amount)
             .map_err(|reason| IbcError::Transfer { reason })
     }
 }
@@ -172,11 +177,10 @@ pub fn on_recv_packet(bank: &mut dyn BankKeeper, packet: &Packet) -> Acknowledge
         Ok(data) => data,
         Err(e) => return Acknowledgement::error(e.to_string()),
     };
-    let source_prefix = trace_prefix(&packet.source_port, &packet.source_channel);
-    if let Some(base) = data.denom.strip_prefix(&source_prefix) {
+    if let Some(base) = strip_trace(&packet.source_port, &packet.source_channel, data.denom) {
         // The token is returning to its origin chain: release it from escrow.
         let escrow = escrow_address(&packet.destination_port, &packet.destination_channel);
-        match bank.send(&escrow, &data.receiver, base, data.amount) {
+        match bank.send(&escrow, data.receiver, base, data.amount) {
             Ok(()) => Acknowledgement::success(),
             Err(reason) => Acknowledgement::error(reason),
         }
@@ -185,9 +189,9 @@ pub fn on_recv_packet(bank: &mut dyn BankKeeper, packet: &Packet) -> Acknowledge
         let voucher = prefixed_denom(
             &packet.destination_port,
             &packet.destination_channel,
-            &data.denom,
+            data.denom,
         );
-        bank.mint(&data.receiver, &voucher, data.amount);
+        bank.mint(data.receiver, &voucher, data.amount);
         Acknowledgement::success()
     }
 }
@@ -219,12 +223,12 @@ pub fn on_acknowledgement(
 /// Fails if the escrowed funds cannot be returned (inconsistent host state).
 pub fn refund(bank: &mut dyn BankKeeper, packet: &Packet) -> Result<(), IbcError> {
     let data = FungibleTokenPacketData::from_bytes(&packet.data)?;
-    if sender_is_source(&packet.source_port, &packet.source_channel, &data.denom) {
+    if sender_is_source(&packet.source_port, &packet.source_channel, data.denom) {
         let escrow = escrow_address(&packet.source_port, &packet.source_channel);
-        bank.send(&escrow, &data.sender, &data.denom, data.amount)
+        bank.send(&escrow, data.sender, data.denom, data.amount)
             .map_err(|reason| IbcError::Transfer { reason })
     } else {
-        bank.mint(&data.sender, &data.denom, data.amount);
+        bank.mint(data.sender, data.denom, data.amount);
         Ok(())
     }
 }
@@ -295,10 +299,10 @@ mod tests {
     #[test]
     fn packet_data_roundtrip_and_errors() {
         let data = FungibleTokenPacketData {
-            denom: "transfer/channel-0/uatom".into(),
+            denom: "transfer/channel-0/uatom",
             amount: u128::MAX,
-            sender: "alice".into(),
-            receiver: "bob".into(),
+            sender: "alice",
+            receiver: "bob",
         };
         assert_eq!(
             FungibleTokenPacketData::from_bytes(&data.to_bytes()).unwrap(),
@@ -323,10 +327,10 @@ mod tests {
         let mut bank_a = TestBank::default();
         bank_a.set("alice", "uatom", 1_000);
         let data = FungibleTokenPacketData {
-            denom: "uatom".into(),
+            denom: "uatom",
             amount: 400,
-            sender: "alice".into(),
-            receiver: "bob".into(),
+            sender: "alice",
+            receiver: "bob",
         };
         // Chain A escrows.
         send_coins(
@@ -361,10 +365,10 @@ mod tests {
 
         // Bob sends the voucher back: chain B burns it.
         let data = FungibleTokenPacketData {
-            denom: "transfer/channel-1/uatom".into(),
+            denom: "transfer/channel-1/uatom",
             amount: 150,
-            sender: "bob".into(),
-            receiver: "alice".into(),
+            sender: "bob",
+            receiver: "alice",
         };
         send_coins(
             &mut bank_b,
@@ -389,10 +393,10 @@ mod tests {
         let mut bank = TestBank::default();
         // Returning voucher but nothing escrowed on this side.
         let data = FungibleTokenPacketData {
-            denom: "transfer/channel-1/uatom".into(),
+            denom: "transfer/channel-1/uatom",
             amount: 10,
-            sender: "bob".into(),
-            receiver: "alice".into(),
+            sender: "bob",
+            receiver: "alice",
         };
         let p = packet(&data, 1, 0);
         let ack = on_recv_packet(&mut bank, &p);
@@ -404,10 +408,10 @@ mod tests {
         let mut bank_a = TestBank::default();
         bank_a.set("alice", "uatom", 100);
         let data = FungibleTokenPacketData {
-            denom: "uatom".into(),
+            denom: "uatom",
             amount: 100,
-            sender: "alice".into(),
-            receiver: "bob".into(),
+            sender: "alice",
+            receiver: "bob",
         };
         send_coins(
             &mut bank_a,
@@ -432,10 +436,10 @@ mod tests {
         let mut bank_b = TestBank::default();
         bank_b.set("bob", "transfer/channel-1/uatom", 50);
         let data = FungibleTokenPacketData {
-            denom: "transfer/channel-1/uatom".into(),
+            denom: "transfer/channel-1/uatom",
             amount: 50,
-            sender: "bob".into(),
-            receiver: "alice".into(),
+            sender: "bob",
+            receiver: "alice",
         };
         send_coins(
             &mut bank_b,

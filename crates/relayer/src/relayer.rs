@@ -630,7 +630,7 @@ impl Relayer {
                 let Some(channel) = self.src_channel_of(event) else {
                     continue;
                 };
-                match event.kind.as_str() {
+                match event.kind {
                     ibc_events::SEND_PACKET => {
                         if let Some(packet) = ibc_events::packet_from_event(event) {
                             if !self.serves_channel(channel) {

@@ -10,10 +10,11 @@ use crate::block::{Header, RawTx};
 use crate::hash::Hash;
 
 /// A key/value attribute attached to an [`Event`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventAttribute {
-    /// Attribute key, e.g. `packet_src_channel`.
-    pub key: String,
+    /// Attribute key, e.g. `packet_src_channel`. Keys are a fixed schema
+    /// written in the emitting module's source, never data.
+    pub key: &'static str,
     /// Attribute value.
     pub value: String,
 }
@@ -33,27 +34,28 @@ pub struct EventAttribute {
 ///     .with_attr("packet_src_channel", "channel-0");
 /// assert_eq!(ev.attr("packet_sequence"), Some("1"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
-    /// The event type, e.g. `send_packet`.
-    pub kind: String,
+    /// The event type, e.g. `send_packet` — like the attribute keys, part of
+    /// a static schema: naming it costs no allocation and no copy.
+    pub kind: &'static str,
     /// Event attributes.
     pub attributes: Vec<EventAttribute>,
 }
 
 impl Event {
     /// Creates an event with no attributes.
-    pub fn new(kind: impl Into<String>) -> Self {
+    pub fn new(kind: &'static str) -> Self {
         Event {
-            kind: kind.into(),
+            kind,
             attributes: Vec::new(),
         }
     }
 
     /// Builder-style attribute addition.
-    pub fn with_attr(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
+    pub fn with_attr(mut self, key: &'static str, value: impl Into<String>) -> Self {
         self.attributes.push(EventAttribute {
-            key: key.into(),
+            key,
             value: value.into(),
         });
         self
@@ -103,7 +105,7 @@ impl CheckTxResult {
 }
 
 /// Result of `DeliverTx`: the outcome of executing one transaction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeliverTxResult {
     /// Zero for success, non-zero application error code otherwise.
     pub code: u32,

@@ -49,7 +49,7 @@ fn main() {
             let block = chain.block_at(height).unwrap();
             print!("A h{height} ({} txs):", block.results.len());
             for result in &block.results {
-                let kinds: Vec<&str> = result.events.iter().map(|e| e.kind.as_str()).collect();
+                let kinds: Vec<&str> = result.events.iter().map(|e| e.kind).collect();
                 print!(
                     " [code {} log '{}' events {:?}]",
                     result.code,

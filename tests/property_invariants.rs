@@ -132,10 +132,10 @@ proptest! {
         bank_a.mint_coins(&"alice".into(), &Coin::new("uatom", amount));
 
         let data = FungibleTokenPacketData {
-            denom: "uatom".into(),
+            denom: "uatom",
             amount,
-            sender: "alice".into(),
-            receiver: "bob".into(),
+            sender: "alice",
+            receiver: "bob",
         };
         send_coins(&mut bank_a, &port, &chan_a, &data).unwrap();
         let escrow = escrow_address(&port, &chan_a);

@@ -18,7 +18,7 @@ use ibc_perf_repro::framework::topology::{HopRoute, Topology, TopologyEdge};
 use ibc_perf_repro::ibc::client::ClientUpdate;
 use ibc_perf_repro::ibc::commitment::{CommitmentProof, CommitmentStore, NonMembershipProof};
 use ibc_perf_repro::ibc::height::Height;
-use ibc_perf_repro::ibc::ids::{ChannelId, ClientId, PortId, Sequence};
+use ibc_perf_repro::ibc::ids::{ChainId, ChannelId, ClientId, ConnectionId, PortId, Sequence};
 use ibc_perf_repro::ibc::module::TransferParams;
 use ibc_perf_repro::ibc::packet::{Acknowledgement, Packet};
 use ibc_perf_repro::relayer::strategy::{ChannelPolicy, RelayerStrategy};
@@ -99,6 +99,14 @@ serde_round_trip! {
         profile_work: true,
         ..DeploymentConfig::default()
     } => r#"{"source_chain_id":"ibc-0","destination_chain_id":"ibc-1","validators_per_chain":5,"network_rtt_ms":200,"min_block_interval":5000000000,"relayer_count":1,"channel_count":2,"relayer_strategy":{"event_source":"WebSocket","fetcher":"Sequential","submission":"Eager","coordination":"None","channel_policy":"FairShare","ws_frame_limit_bytes":0,"packet_clear_interval":0,"sequence_tracking":"Resync"},"user_accounts":64,"account_balance":1000000000000,"seed":42,"batched_pull_per_item_us":0,"report_broadcast_failures":true,"fault_plan":{"events":[]},"topology":{"chains":["ibc-0","ibc-1"],"edges":[{"src":"ibc-0","dst":"ibc-1","channels":0}]},"profile_work":true}"#;
+    // The identifier newtypes and `AccountId` are bare strings on the wire,
+    // whatever holds their text in memory.
+    port_id: PortId = PortId::transfer() => r#""transfer""#;
+    channel_id: ChannelId = ChannelId::with_index(0) => r#""channel-0""#;
+    client_id: ClientId = ClientId::with_index(7) => r#""07-tendermint-7""#;
+    connection_id: ConnectionId = ConnectionId::with_index(12) => r#""connection-12""#;
+    chain_id: ChainId = ChainId::new("ibc-0") => r#""ibc-0""#;
+    account_id: AccountId = AccountId::new("cosmos1\u{e9}\t") => "\"cosmos1\u{e9}\\t\"";
     tx: Tx = sample_tx() => r#"{"msgs":[{"BankSend":{"from":"alice","to":"bob","amount":{"denom":"uatom","amount":7}}}],"signer":"alice","sequence":3,"gas_limit":105000,"fee":{"denom":"uatom","amount":1050},"memo":"","signature":[192,180,75,238,247,23,158,213,157,37,235,128,135,81,148,124,254,38,46,180,196,229,5,205,203,189,194,18,227,71,140,181]}"#;
 }
 
@@ -278,5 +286,30 @@ wire_round_trip! {
     wire_port_id: PortId = PortId::transfer();
     wire_channel_id: ChannelId = ChannelId::with_index(4_000);
     wire_client_id: ClientId = ClientId::with_index(0);
+    wire_connection_id: ConnectionId = ConnectionId::with_index(12);
+    wire_chain_id: ChainId = ChainId::new("ibc-0");
     wire_sequence: Sequence = Sequence(u64::MAX);
+}
+
+/// The streamed bytes of each shared-string newtype, captured at the commit
+/// before they held an `Arc<str>` (PR 21): a string tag, the length, the text.
+/// `wire_round_trip!` above holds the streamed path to the tree path; this
+/// holds both to the bytes every committed transaction hash was made from.
+#[test]
+fn identifier_wire_bytes_are_pinned() {
+    fn bytes(value: impl Serialize) -> Vec<u8> {
+        serde::binary::write(&value)
+    }
+    assert_eq!(bytes(PortId::transfer()), b"\x06\x08transfer");
+    assert_eq!(bytes(ChannelId::with_index(4_000)), b"\x06\x0cchannel-4000");
+    assert_eq!(bytes(ClientId::with_index(0)), b"\x06\x0f07-tendermint-0");
+    assert_eq!(
+        bytes(ConnectionId::with_index(12)),
+        b"\x06\x0dconnection-12"
+    );
+    assert_eq!(bytes(ChainId::new("ibc-0")), b"\x06\x05ibc-0");
+    assert_eq!(
+        bytes(AccountId::new("cosmos1\u{e9}\t")),
+        b"\x06\x0acosmos1\xc3\xa9\t"
+    );
 }
