@@ -63,14 +63,7 @@ impl Chain {
         let validators = ValidatorSet::with_equal_power(genesis.validator_count, 10);
         let app = GaiaApp::from_genesis(&genesis);
         Chain {
-            node: Node::new(
-                genesis.chain_id.clone(),
-                validators,
-                params,
-                timing,
-                mempool,
-                app,
-            ),
+            node: Node::new(genesis.chain_id, validators, params, timing, mempool, app),
         }
     }
 

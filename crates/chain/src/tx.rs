@@ -417,7 +417,7 @@ mod tests {
         forged.signer = "mallory".into();
         assert!(!forged.verify_signature());
 
-        let mut replayed = tx.clone();
+        let mut replayed = tx;
         replayed.sequence = 2;
         assert!(!replayed.verify_signature());
     }
@@ -455,6 +455,9 @@ mod tests {
         let cloned = tx.clone();
         assert_eq!(cloned.hash(), h1);
         assert_eq!(cloned.encode(), raw);
+        assert_eq!(prof::snapshot().txs_encoded, 2);
+        // The original still reads its own memo.
+        assert_eq!(tx.hash(), h1);
         assert_eq!(prof::snapshot().txs_encoded, 2);
     }
 

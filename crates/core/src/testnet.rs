@@ -247,7 +247,6 @@ impl Testnet {
                 instances: slot.group_size.max(1),
                 channel_assignment: slot.channel,
                 coordination_id: Some(slot.coordination_id),
-                ..RelayerConfig::default()
             };
             let src_rpc = make_rpc(
                 &chains[edge.src],

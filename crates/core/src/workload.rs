@@ -565,7 +565,7 @@ mod tests {
             channel_weights: vec![2, 1],
             ..WorkloadConfig::default()
         };
-        let mut workload = WorkloadConnector::with_paths(config, testnet.paths.clone(), rpc, 8);
+        let mut workload = WorkloadConnector::with_paths(config, testnet.paths, rpc, 8);
         workload.submit_window(SimTime::from_secs(5), 1);
         // Six transactions, pattern [0, 0, 1] → channels 0,0,1,0,0,1.
         let channels: Vec<usize> = workload.records().iter().map(|r| r.channel).collect();

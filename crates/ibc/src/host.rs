@@ -69,7 +69,7 @@ mod tests {
             packet_receipt_path(&port, &chan, seq),
             packet_acknowledgement_path(&port, &chan, seq),
         ];
-        let mut sorted = paths.clone();
+        let mut sorted = paths;
         sorted.sort();
         assert!(
             sorted.windows(2).all(|pair| pair[0] != pair[1]),

@@ -89,9 +89,8 @@ fn wall_clock_fixture_fails() {
 /// `crates/sim/src/bad.rs` still fails.
 #[test]
 fn wall_clock_exemption_covers_only_the_bench_timing_shim() {
-    let root = fixture("wall_clock");
     let outcome = rules::run(&Config {
-        root: root.clone(),
+        root: fixture("wall_clock"),
         rules: vec![RuleId::WallClock, RuleId::Suppression],
     })
     .expect("scan succeeds");

@@ -1,36 +1,40 @@
-//! Relayer configuration.
-
-use serde::{Deserialize, Serialize};
+//! Relayer configuration: the six values a deployment sets per process, and
+//! the four pipeline constants no deployment varies (one becomes a field when
+//! two scenarios need different values of it). The testnet builder makes a
+//! [`RelayerConfig`]; it is not a serde type, because an `ExperimentSpec`
+//! carries a [`RelayerStrategy`], never a `RelayerConfig`.
 
 use xcc_chain::account::AccountId;
 use xcc_sim::SimDuration;
 
 use crate::strategy::RelayerStrategy;
 
+/// Maximum number of messages batched into one transaction: Hermes' cap, and
+/// the value the paper's deployment ran.
+pub const MAX_MSGS_PER_TX: usize = 100;
+
+/// CPU time to build (encode, sign, assemble proofs into) one message.
+pub const BUILD_COST_PER_MSG: SimDuration = SimDuration::from_micros(1_500);
+
+/// Fixed processing overhead when handling one block's event batch.
+pub const EVENT_PROCESSING_OVERHEAD: SimDuration = SimDuration::from_millis(10);
+
+/// Extra processing stagger applied per replica index within the process's
+/// coordination group (`coordination_id`, falling back to the process id),
+/// modelling the slightly different event arrival and scheduling of
+/// independent relayer processes competing for the same work.
+pub const PER_INSTANCE_STAGGER: SimDuration = SimDuration::from_millis(35);
+
 /// Configuration of one Hermes-like relayer instance.
 ///
-/// Defaults follow the paper's deployment: at most 100 messages per
-/// transaction, the relayer co-located with the full nodes it queries, and no
-/// packet-clear interval.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Defaults follow the paper's deployment: one instance, the relayer
+/// co-located with the full nodes it queries, and no packet-clear interval.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RelayerConfig {
-    /// Maximum number of messages batched into one transaction (Hermes caps
-    /// this at 100).
-    pub max_msgs_per_tx: usize,
     /// The relayer's fee-paying account on the source chain.
     pub source_account: AccountId,
     /// The relayer's fee-paying account on the destination chain.
     pub destination_account: AccountId,
-    /// CPU time to build (encode, sign, assemble proofs into) one message.
-    pub build_cost_per_msg: SimDuration,
-    /// Fixed processing overhead when handling one block's event batch.
-    pub event_processing_overhead: SimDuration,
-    /// Extra processing stagger applied per replica index within the
-    /// process's coordination group (`coordination_id`, falling back to the
-    /// process id), modelling the slightly different event arrival and
-    /// scheduling of independent relayer processes competing for the same
-    /// work.
-    pub per_instance_stagger: SimDuration,
     /// The pipeline strategy this instance runs (event source, data fetcher,
     /// submission policy, coordination, channel policy, and the
     /// frame-limit / packet-clear-interval deployment knobs). The default
@@ -59,30 +63,12 @@ pub struct RelayerConfig {
 impl Default for RelayerConfig {
     fn default() -> Self {
         RelayerConfig {
-            max_msgs_per_tx: 100,
             source_account: AccountId::new("relayer"),
             destination_account: AccountId::new("relayer"),
-            build_cost_per_msg: SimDuration::from_micros(1_500),
-            event_processing_overhead: SimDuration::from_millis(10),
-            per_instance_stagger: SimDuration::from_millis(35),
             strategy: RelayerStrategy::default(),
             instances: 1,
             channel_assignment: None,
             coordination_id: None,
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn defaults_match_hermes_limits() {
-        let cfg = RelayerConfig::default();
-        assert_eq!(cfg.max_msgs_per_tx, 100);
-        // The packet-clear interval lives on the strategy; the paper's
-        // deployment disables it.
-        assert_eq!(cfg.strategy.packet_clear_interval, 0);
     }
 }

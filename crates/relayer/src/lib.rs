@@ -8,8 +8,9 @@
 //!
 //! Structure (mirroring Fig. 4 of the paper):
 //!
-//! * [`config::RelayerConfig`] — batching limits, accounts and processing
-//!   overheads;
+//! * [`config::RelayerConfig`] — what a deployment sets per process
+//!   (accounts, strategy, fleet position), beside the pipeline constants
+//!   nothing varies ([`config::MAX_MSGS_PER_TX`] and three processing costs);
 //! * [`strategy::RelayerStrategy`] — the serde-able description of the
 //!   pipeline: event source, data fetcher, submission mode, coordination
 //!   mode and channel policy. The default reproduces the paper's Hermes
@@ -23,7 +24,9 @@
 //!   [`strategy::ChannelPolicy::flush_order`]);
 //! * [`relayer::Relayer`] — the thin driver asking the strategy at each
 //!   decision, for every channel it serves, including redundant-packet
-//!   detection, account-sequence management and timeout relaying;
+//!   detection, account-sequence management and timeout relaying. The relay
+//!   queue and the timeout watch share one handle on a packet, and from the
+//!   queue to the message everything is a move;
 //! * [`sequence::SequenceTracker`] — the per-chain account-sequence state
 //!   behind the broadcast path, implementing both arms of
 //!   [`strategy::SequenceTracking`] (the §V sequence race and its

@@ -60,6 +60,7 @@
 //! under the relayer's in-flight transactions.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::rc::Rc;
 
 use xcc_chain::account::AccountId;
 use xcc_chain::msg::Msg;
@@ -74,7 +75,10 @@ use xcc_sim::{prof, SimDuration, SimTime};
 use xcc_tendermint::abci::Event;
 use xcc_tendermint::hash::Hash;
 
-use crate::config::RelayerConfig;
+use crate::config::{
+    RelayerConfig, BUILD_COST_PER_MSG, EVENT_PROCESSING_OVERHEAD, MAX_MSGS_PER_TX,
+    PER_INSTANCE_STAGGER,
+};
 use crate::sequence::SequenceTracker;
 use crate::strategy::SequenceTracking;
 use crate::telemetry::{TelemetryLog, TransferStep};
@@ -261,15 +265,15 @@ pub struct Relayer {
     blocks_held: u64,
     telemetry: TelemetryLog,
     stats: RelayerStats,
-    /// Packets collected but not yet relayed: `(channel index, committing
-    /// source height, packet)` in arrival order (the submission policy may
+    /// Packets collected but not yet relayed: `(channel index, (committing
+    /// source height, packet))` in arrival order (the submission policy may
     /// hold them across source blocks; data pulls are priced against the
-    /// committing block).
-    pending_recv: Vec<(usize, u64, Packet)>,
+    /// committing block). The packet is one allocation shared with
+    /// `pending_delivery`.
+    pending_recv: Vec<(usize, (u64, Rc<Packet>))>,
     /// Packets this relayer has seen sent but not yet observed as received,
-    /// keyed by `(channel index, sequence)`, kept for timeout detection —
-    /// and, by the clear scan, as the receive path's in-flight set.
-    pending_delivery: BTreeMap<(usize, u64), Packet>,
+    /// keyed by `(channel index, sequence)`, kept for timeout detection.
+    pending_delivery: BTreeMap<(usize, u64), Rc<Packet>>,
     /// Acknowledgements held back by mempool-aware sequence tracking because
     /// the source chain's check state straddled a commit; merged into the
     /// next destination block's acknowledgement batch.
@@ -285,17 +289,6 @@ pub struct Relayer {
 }
 
 impl Relayer {
-    /// Creates a relayer serving a single channel — the paper's deployment.
-    pub fn new(
-        id: usize,
-        config: RelayerConfig,
-        path: RelayPath,
-        src_rpc: RpcEndpoint,
-        dst_rpc: RpcEndpoint,
-    ) -> Self {
-        Self::with_paths(id, config, vec![path], src_rpc, dst_rpc)
-    }
-
     /// Creates a relayer instance with its own RPC connections to both
     /// chains' full nodes, serving `paths` (one entry per channel, in
     /// deployment channel order), running the strategy in `config`.
@@ -335,11 +328,6 @@ impl Relayer {
     /// This relayer's index (0-based).
     pub fn id(&self) -> usize {
         self.id
-    }
-
-    /// The primary relay path (channel 0).
-    pub fn path(&self) -> &RelayPath {
-        &self.paths[0]
     }
 
     /// Every relay path served, in deployment channel order.
@@ -382,7 +370,7 @@ impl Relayer {
     /// delivery.
     fn relayer_delay(&self) -> SimDuration {
         let replica = self.config.coordination_id.unwrap_or(self.id);
-        self.config.event_processing_overhead + self.config.per_instance_stagger * replica as u64
+        EVENT_PROCESSING_OVERHEAD + PER_INSTANCE_STAGGER * replica as u64
     }
 
     /// Whether this instance relays `sequence` under the coordination
@@ -650,34 +638,36 @@ impl Relayer {
                                 event_time,
                             );
                             if self.assigned(height, packet.sequence) {
+                                // One allocation: timeout watch + relay queue.
+                                let packet = Rc::new(packet);
                                 self.pending_delivery
-                                    .insert((channel, packet.sequence.value()), packet.clone());
-                                self.pending_recv.push((channel, height, packet));
+                                    .insert((channel, packet.sequence.value()), Rc::clone(&packet));
+                                self.pending_recv.push((channel, (height, packet)));
                             } else {
                                 self.stats.packets_left_to_peers += 1;
                             }
                         }
                     }
                     ibc_events::ACK_PACKET => {
-                        if let Some(packet) = ibc_events::packet_from_event(event) {
+                        if let Some(sequence) = ibc_events::packet_sequence(event) {
                             if !self.serves_channel(channel) {
                                 continue;
                             }
                             self.telemetry.record_on(
                                 channel as u64,
-                                packet.sequence,
+                                sequence,
                                 TransferStep::AckMsgExtraction,
                                 commit_time,
                             );
                             self.telemetry.record_on(
                                 channel as u64,
-                                packet.sequence,
+                                sequence,
                                 TransferStep::AckConfirmation,
                                 commit_time,
                             );
                             // The acknowledgement is committed: the packet's
                             // life cycle is over on every in-flight set.
-                            let marker = (channel, packet.sequence.value());
+                            let marker = (channel, sequence.value());
                             for end in &mut self.ends {
                                 end.inflight.remove(&marker);
                             }
@@ -685,8 +675,8 @@ impl Relayer {
                         }
                     }
                     ibc_events::TIMEOUT_PACKET => {
-                        if let Some(packet) = ibc_events::packet_from_event(event) {
-                            let marker = (channel, packet.sequence.value());
+                        if let Some(sequence) = ibc_events::packet_sequence(event) {
+                            let marker = (channel, sequence.value());
                             self.pending_delivery.remove(&marker);
                             self.ends[Destination as usize].inflight.remove(&marker);
                         }
@@ -702,21 +692,16 @@ impl Relayer {
         if !self.config.strategy.submission.should_flush(
             &mut self.blocks_held,
             self.pending_recv.len(),
-            self.config.max_msgs_per_tx,
+            MAX_MSGS_PER_TX,
         ) {
             return;
         }
-        let pending = std::mem::take(&mut self.pending_recv);
+        let mut pending = std::mem::take(&mut self.pending_recv);
         for channel in self.served_flush_order(height) {
-            let batch: Vec<(u64, Packet)> = pending
-                .iter()
-                .filter(|(ch, _, _)| *ch == channel)
-                .map(|(_, h, p)| (*h, p.clone()))
-                .collect();
-            if batch.is_empty() {
-                continue;
+            let batch = take_channel(&mut pending, channel);
+            if !batch.is_empty() {
+                self.relay_recv_batch(channel, event_time, batch);
             }
-            self.relay_recv_batch(channel, event_time, batch);
         }
     }
 
@@ -818,11 +803,7 @@ impl Relayer {
             let dest_height = height;
             let dest_time = commit_time;
             for channel in self.served_flush_order(height) {
-                let batch: Vec<Packet> = acked_packets
-                    .iter()
-                    .filter(|(ch, _)| *ch == channel)
-                    .map(|(_, p)| p.clone())
-                    .collect();
+                let batch = take_channel(&mut acked_packets, channel);
                 if !batch.is_empty() {
                     self.relay_ack_batch(channel, dest_height, event_time, batch);
                 }
@@ -840,7 +821,7 @@ impl Relayer {
         &mut self,
         channel: usize,
         event_time: SimTime,
-        packets: Vec<(u64, Packet)>,
+        mut packets: Vec<(u64, Rc<Packet>)>,
     ) {
         let path = self.paths[channel].clone();
         let dst = &mut self.ends[Destination as usize];
@@ -854,12 +835,9 @@ impl Relayer {
                 .unreceived_packets(t, &path.port, &path.dst_channel, &sequences);
         t = unreceived_resp.ready_at;
         let unreceived: BTreeSet<Sequence> = unreceived_resp.value.into_iter().collect();
-        let to_relay: Vec<(u64, Packet)> = packets
-            .iter()
-            .filter(|(_, p)| unreceived.contains(&p.sequence))
-            .cloned()
-            .collect();
-        let skipped = packets.len() - to_relay.len();
+        let queued = packets.len();
+        packets.retain(|(_, p)| unreceived.contains(&p.sequence));
+        let skipped = queued - packets.len();
         if skipped > 0 {
             self.stats.packets_skipped_already_relayed += skipped as u64;
             self.telemetry.record_error(
@@ -867,11 +845,11 @@ impl Relayer {
                 format!("skipping {skipped} packets: packet messages are redundant"),
             );
         }
-        if to_relay.is_empty() {
+        if packets.is_empty() {
             self.ends[Destination as usize].worker_free = t;
             return;
         }
-        self.deliver_recv_batch(channel, t, to_relay);
+        self.deliver_recv_batch(channel, t, packets);
     }
 
     /// The shared delivery tail of the receive path: pulls packet data and
@@ -883,7 +861,7 @@ impl Relayer {
         &mut self,
         channel: usize,
         start: SimTime,
-        packets: Vec<(u64, Packet)>,
+        packets: Vec<(u64, Rc<Packet>)>,
     ) -> u64 {
         // Mempool-aware sequence tracking: when the destination's check
         // state straddled a commit under our in-flight window, hold the
@@ -892,7 +870,7 @@ impl Relayer {
         let (t_ready, ready) = self.ensure_sequence_ready(Destination, start);
         if !ready {
             self.pending_recv
-                .extend(packets.into_iter().map(|(h, p)| (channel, h, p)));
+                .extend(packets.into_iter().map(|held| (channel, held)));
             self.ends[Destination as usize].worker_free = t_ready;
             return 0;
         }
@@ -913,7 +891,7 @@ impl Relayer {
                 &path.port,
                 &path.src_channel,
                 &group_seqs,
-                self.config.max_msgs_per_tx,
+                MAX_MSGS_PER_TX,
             );
             for (seq, at) in &fetch.pull_times {
                 self.telemetry
@@ -923,17 +901,21 @@ impl Relayer {
             proofs.extend(fetch.items);
         }
 
-        let packets: Vec<Packet> = packets.into_iter().map(|(_, p)| p).collect();
+        // The one copy a relayed packet costs: the message owns its packet,
+        // and the timeout watch still holds the other handle.
+        let packets = packets
+            .into_iter()
+            .map(|(_, p)| Rc::unwrap_or_clone(p))
+            .collect();
         self.submit_batch(
             Destination,
             channel,
             t,
-            &packets,
+            packets,
             |packet, proof_height, signer| {
-                let proof = proofs.get(&packet.sequence.value())?;
                 Some(Msg::IbcRecvPacket {
-                    packet: packet.clone(),
-                    proof_commitment: proof.clone(),
+                    proof_commitment: proofs.remove(&packet.sequence.value())?,
+                    packet,
                     proof_height,
                     signer: signer.clone(),
                 })
@@ -949,7 +931,7 @@ impl Relayer {
         channel: usize,
         dst_height: u64,
         event_time: SimTime,
-        acked: Vec<Packet>,
+        mut acked: Vec<Packet>,
     ) -> u64 {
         // Mempool-aware sequence tracking: a straddled source commit defers
         // the acknowledgements to the next destination block's batch.
@@ -975,12 +957,9 @@ impl Relayer {
         );
         t = unacked_resp.ready_at;
         let unacked: BTreeSet<Sequence> = unacked_resp.value.into_iter().collect();
-        let to_relay: Vec<Packet> = acked
-            .iter()
-            .filter(|p| unacked.contains(&p.sequence))
-            .cloned()
-            .collect();
-        let skipped = acked.len() - to_relay.len();
+        let held = acked.len();
+        acked.retain(|p| unacked.contains(&p.sequence));
+        let skipped = held - acked.len();
         if skipped > 0 {
             self.stats.packets_skipped_already_relayed += skipped as u64;
             self.telemetry.record_error(
@@ -988,14 +967,14 @@ impl Relayer {
                 format!("skipping {skipped} acknowledgements: packet messages are redundant"),
             );
         }
-        if to_relay.is_empty() {
+        if acked.is_empty() {
             self.ends[Source as usize].worker_free = t;
             return 0;
         }
 
         // Acknowledgement data pull (the dominant cost in Fig. 12), through
         // the configured fetch strategy.
-        let relay_seqs: Vec<Sequence> = to_relay.iter().map(|p| p.sequence).collect();
+        let relay_seqs: Vec<Sequence> = acked.iter().map(|p| p.sequence).collect();
         let fetch = self.config.strategy.fetcher.fetch_ack_data(
             &mut self.ends[Destination as usize].rpc,
             t,
@@ -1003,25 +982,25 @@ impl Relayer {
             &path.port,
             &path.dst_channel,
             &relay_seqs,
-            self.config.max_msgs_per_tx,
+            MAX_MSGS_PER_TX,
         );
         for (seq, at) in &fetch.pull_times {
             self.telemetry
                 .record_on(channel as u64, *seq, TransferStep::RecvDataPull, *at);
         }
-        let ack_proofs = fetch.items;
+        let mut ack_proofs = fetch.items;
 
         self.submit_batch(
             Source,
             channel,
             fetch.done_at,
-            &to_relay,
+            acked,
             |packet, proof_height, signer| {
-                let (ack, proof) = ack_proofs.get(&packet.sequence.value())?;
+                let (acknowledgement, proof_acked) = ack_proofs.remove(&packet.sequence.value())?;
                 Some(Msg::IbcAcknowledgement {
-                    packet: packet.clone(),
-                    acknowledgement: ack.clone(),
-                    proof_acked: proof.clone(),
+                    packet,
+                    acknowledgement,
+                    proof_acked,
                     proof_height,
                     signer: signer.clone(),
                 })
@@ -1058,18 +1037,19 @@ impl Relayer {
     /// The shared submit tail of the receive (`to` = destination) and
     /// acknowledgement (`to` = source) paths: updates the client on `to`,
     /// then builds and broadcasts `packets` in chunks of at most
-    /// `max_msgs_per_tx` messages, stamping the build and broadcast steps and
-    /// marking every accepted chunk in flight. `make_msg` builds one
-    /// packet's message from `(packet, proof height, signer)`, or `None` for
-    /// a packet whose data pull found nothing. Returns the number of packets
-    /// whose transaction was accepted into `to`'s mempool.
+    /// [`MAX_MSGS_PER_TX`] messages, stamping the build and broadcast steps
+    /// and marking every accepted chunk in flight. `make_msg` moves one
+    /// packet into its message, given `(packet, proof height, signer)`, or
+    /// answers `None` for a packet whose data pull found nothing. Returns
+    /// the number of packets whose transaction was accepted into `to`'s
+    /// mempool.
     fn submit_batch(
         &mut self,
         to: ChainRole,
         channel: usize,
         start: SimTime,
-        packets: &[Packet],
-        make_msg: impl Fn(&Packet, Height, &AccountId) -> Option<Msg>,
+        packets: Vec<Packet>,
+        mut make_msg: impl FnMut(Packet, Height, &AccountId) -> Option<Msg>,
     ) -> u64 {
         let (build_step, broadcast_step) = match to {
             Destination => (TransferStep::RecvBuild, TransferStep::RecvBroadcast),
@@ -1083,19 +1063,21 @@ impl Relayer {
 
         let mut txs = 0u64;
         let mut accepted = 0u64;
-        // A zero `max_msgs_per_tx` from a hand-written config means 1.
-        for chunk in packets.chunks(self.config.max_msgs_per_tx.max(1)) {
-            t += self.config.build_cost_per_msg * chunk.len() as u64;
-            let mut msgs = Vec::with_capacity(chunk.len());
-            let mut markers = Vec::with_capacity(chunk.len());
-            for packet in chunk {
+        let mut packets = packets.into_iter();
+        while packets.len() > 0 {
+            let chunk_len = packets.len().min(MAX_MSGS_PER_TX);
+            t += BUILD_COST_PER_MSG * chunk_len as u64;
+            let mut msgs = Vec::with_capacity(chunk_len);
+            let mut markers = Vec::with_capacity(chunk_len);
+            for packet in packets.by_ref().take(chunk_len) {
+                let sequence = packet.sequence;
                 let signer = &self.ends[to as usize].account;
                 let Some(msg) = make_msg(packet, proof_height, signer) else {
                     continue;
                 };
-                markers.push((channel, packet.sequence.value()));
+                markers.push((channel, sequence.value()));
                 self.telemetry
-                    .record_on(channel as u64, packet.sequence, build_step, t);
+                    .record_on(channel as u64, sequence, build_step, t);
                 msgs.push(msg);
             }
             if msgs.is_empty() {
@@ -1136,13 +1118,13 @@ impl Relayer {
         event_time: SimTime,
     ) {
         let path = self.paths[channel].clone();
-        let expired: Vec<Packet> = self
+        let expired: Vec<Rc<Packet>> = self
             .pending_delivery
             .iter()
             .filter(|((ch, _), p)| {
                 *ch == channel && p.has_timed_out(Height::at(dest_height), dest_time)
             })
-            .map(|(_, p)| p.clone())
+            .map(|(_, p)| Rc::clone(p))
             .collect();
         if expired.is_empty() {
             return;
@@ -1159,7 +1141,7 @@ impl Relayer {
         let mut t = t_ready;
         let mut msgs = Vec::new();
         let mut seqs = Vec::new();
-        for packet in expired.iter().take(self.config.max_msgs_per_tx.max(1)) {
+        for packet in expired.iter().take(MAX_MSGS_PER_TX) {
             let proof_resp = self.ends[Destination as usize].rpc.non_receipt_proof(
                 t,
                 &path.port,
@@ -1174,7 +1156,7 @@ impl Relayer {
                 continue;
             };
             msgs.push(Msg::IbcTimeout {
-                packet: packet.clone(),
+                packet: Packet::clone(packet),
                 proof_unreceived: proof,
                 proof_height: Height::at(dest_height),
                 signer: self.ends[Source as usize].account.clone(),
@@ -1229,7 +1211,7 @@ impl Relayer {
                     && !self
                         .pending_recv
                         .iter()
-                        .any(|(ch, _, p)| *ch == channel && p.sequence == *seq)
+                        .any(|(ch, (_, p))| *ch == channel && p.sequence == *seq)
             })
             .collect();
             if candidates.is_empty() {
@@ -1242,14 +1224,14 @@ impl Relayer {
                 dst.rpc
                     .unreceived_packets(t, &path.port, &path.dst_channel, &candidates);
             let t = unreceived_resp.ready_at;
-            let to_clear: Vec<(u64, Packet)> = {
+            let to_clear: Vec<(u64, Rc<Packet>)> = {
                 let chain = self.ends[Source as usize].rpc.chain().borrow();
                 let ibc = chain.app().ibc();
                 unreceived_resp
                     .value
                     .iter()
                     .filter_map(|seq| ibc.sent_packet(&path.port, &path.src_channel, *seq))
-                    .map(|p| (src_height, p.clone()))
+                    .map(|p| (src_height, Rc::new(p.clone())))
                     .collect()
             };
             if to_clear.is_empty() {
@@ -1266,7 +1248,7 @@ impl Relayer {
             );
             for (_, packet) in &to_clear {
                 self.pending_delivery
-                    .insert((channel, packet.sequence.value()), packet.clone());
+                    .insert((channel, packet.sequence.value()), Rc::clone(packet));
             }
             // Count only what actually entered the destination mempool.
             self.stats.packets_cleared += self.deliver_recv_batch(channel, t, to_clear);
@@ -1492,6 +1474,15 @@ impl Relayer {
     }
 }
 
+/// Moves one channel's entries out of a taken queue, in arrival order; the
+/// other channels' entries stay queued, in theirs.
+fn take_channel<T>(queue: &mut Vec<(usize, T)>, channel: usize) -> Vec<T> {
+    queue
+        .extract_if(.., |(ch, _)| *ch == channel)
+        .map(|(_, entry)| entry)
+        .collect()
+}
+
 impl std::fmt::Debug for Relayer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Relayer")
@@ -1543,26 +1534,37 @@ mod tests {
         )
     }
 
+    fn path(channel: u64) -> RelayPath {
+        RelayPath {
+            src_chain: ChainId::new("src-chain"),
+            dst_chain: ChainId::new("dst-chain"),
+            port: xcc_ibc::ids::PortId::transfer(),
+            src_channel: ChannelId::with_index(channel),
+            dst_channel: ChannelId::with_index(channel),
+            client_on_dst: ClientId::with_index(0),
+            client_on_src: ClientId::with_index(0),
+        }
+    }
+
     fn test_relayer(dst: &xcc_chain::chain::SharedChain) -> Relayer {
         let src = chain_with_mempool("src-chain", 5_000);
         // The broadcast path never touches channel state, so a nominal path
         // is enough to construct the driver.
-        let path = RelayPath {
-            src_chain: ChainId::new("src-chain"),
-            dst_chain: ChainId::new("dst-chain"),
-            port: xcc_ibc::ids::PortId::transfer(),
-            src_channel: ChannelId::with_index(0),
-            dst_channel: ChannelId::with_index(0),
-            client_on_dst: ClientId::with_index(0),
-            client_on_src: ClientId::with_index(0),
-        };
-        Relayer::new(
-            0,
-            RelayerConfig::default(),
-            path,
-            rpc_for(&src, 1),
-            rpc_for(dst, 2),
-        )
+        let (src_rpc, dst_rpc) = (rpc_for(&src, 1), rpc_for(dst, 2));
+        Relayer::with_paths(0, RelayerConfig::default(), vec![path(0)], src_rpc, dst_rpc)
+    }
+
+    fn packet(sequence: u64) -> Packet {
+        Packet {
+            sequence: Sequence::from(sequence),
+            source_port: xcc_ibc::ids::PortId::transfer(),
+            source_channel: ChannelId::with_index(0),
+            destination_port: xcc_ibc::ids::PortId::transfer(),
+            destination_channel: ChannelId::with_index(0),
+            data: Vec::new(),
+            timeout_height: Height::at(0),
+            timeout_timestamp: SimTime::ZERO,
+        }
     }
 
     fn bank_msg(amount: u128) -> Msg {
@@ -1618,15 +1620,6 @@ mod tests {
     fn channel_assignment_and_coordination_id_route_the_fleet() {
         let dst = chain_with_mempool("dst-chain", 100);
         let src = chain_with_mempool("src-chain", 100);
-        let path = |i: u64| RelayPath {
-            src_chain: ChainId::new("src-chain"),
-            dst_chain: ChainId::new("dst-chain"),
-            port: xcc_ibc::ids::PortId::transfer(),
-            src_channel: ChannelId::with_index(i),
-            dst_channel: ChannelId::with_index(i),
-            client_on_dst: ClientId::with_index(0),
-            client_on_src: ClientId::with_index(0),
-        };
         // Process 3 of a dedicated fleet: pinned to channel 1, replica 1 of
         // a 2-replica group coordinated by sequence partitioning.
         let config = RelayerConfig {
@@ -1790,21 +1783,12 @@ mod tests {
     fn crash_wipes_pipeline_state_and_restart_is_idempotent() {
         let dst = chain_with_mempool("dst-chain", 100);
         let mut relayer = test_relayer(&dst);
-        let packet = Packet {
-            sequence: Sequence::from(1),
-            source_port: xcc_ibc::ids::PortId::transfer(),
-            source_channel: ChannelId::with_index(0),
-            destination_port: xcc_ibc::ids::PortId::transfer(),
-            destination_channel: ChannelId::with_index(0),
-            data: Vec::new(),
-            timeout_height: Height::at(0),
-            timeout_timestamp: SimTime::ZERO,
-        };
-        relayer.pending_recv.push((0, 1, packet.clone()));
-        relayer.pending_delivery.insert((0, 1), packet.clone());
+        let packet = Rc::new(packet(1));
+        relayer.pending_recv.push((0, (1, Rc::clone(&packet))));
+        relayer.pending_delivery.insert((0, 1), Rc::clone(&packet));
         relayer.ends[DST].inflight.insert((0, 1));
         relayer.ends[SRC].inflight.insert((0, 1));
-        relayer.deferred_acks.push((0, packet));
+        relayer.deferred_acks.push((0, Packet::clone(&packet)));
         // One block into a Windowed/Adaptive submission window.
         relayer.blocks_held = 1;
         relayer.notify_source_block(1, SimTime::from_secs(5));
@@ -1826,6 +1810,32 @@ mod tests {
         let lanes_before = relayer.lane_stats();
         relayer.restart(SimTime::from_secs(8));
         assert_eq!(relayer.lane_stats(), lanes_before);
+    }
+
+    /// The per-channel regroup moves: each channel, in flush order, gets its
+    /// own entries in arrival order, each packet with the height that
+    /// committed it and as the handle that went in (nothing is copied), and a
+    /// channel the flush order leaves out stays queued.
+    #[test]
+    fn regrouping_a_queue_by_channel_moves_the_handles_in_arrival_order() {
+        let [p1, p2, p3, p4] = [1, 2, 3, 4].map(|seq| Rc::new(packet(seq)));
+        let handle = |h: u64, p: &Rc<Packet>| (h, Rc::clone(p));
+        let mut queue = vec![
+            (1, handle(7, &p1)),
+            (0, handle(7, &p2)),
+            (2, handle(8, &p4)),
+            (1, handle(8, &p3)),
+        ];
+        let [first, second] = [1, 0].map(|channel| take_channel(&mut queue, channel));
+        let ids = |batch: &[(u64, Rc<Packet>)]| -> Vec<_> {
+            batch.iter().map(|(h, p)| (*h, Rc::as_ptr(p))).collect()
+        };
+        assert_eq!(ids(&first), [(7, Rc::as_ptr(&p1)), (8, Rc::as_ptr(&p3))]);
+        assert_eq!(ids(&second), [(7, Rc::as_ptr(&p2))]);
+        assert_eq!(Rc::strong_count(&p1), 2, "this handle and the batch's");
+        assert_eq!(queue.len(), 1);
+        let (channel, left) = queue.remove(0);
+        assert_eq!((channel, ids(&[left])), (2, vec![(8, Rc::as_ptr(&p4))]));
     }
 
     /// The cold-cache resync: a restarted process re-reads its account

@@ -207,7 +207,7 @@ impl FetchStrategy {
             let found = pull.value.into_iter();
             (
                 pull.ready_at,
-                found.map(|(packet, proof)| (packet.sequence.value(), proof)),
+                found.map(|(seq, proof)| (seq.value(), proof)),
             )
         })
     }
@@ -262,7 +262,7 @@ impl FetchStrategy {
         let mut done_at = start;
         let mut items = BTreeMap::new();
         let mut pull_times = Vec::with_capacity(sequences.len());
-        // A zero `max_msgs_per_tx` from a hand-written config means 1.
+        // `chunks` panics on a zero size: a zero `chunk_size` means 1.
         for chunk in sequences.chunks(chunk_len.max(1)) {
             let (ready_at, found) = pull(issue_at, chunk);
             items.extend(found);
@@ -292,7 +292,8 @@ impl SubmissionMode {
     ///
     /// `blocks_held` is the caller's count of pending source blocks since
     /// the last flush — the only mutable state of the stage. A zero
-    /// `max_msgs_per_tx` from a hand-written config behaves as one.
+    /// `max_msgs_per_tx` behaves as one (the relayer passes
+    /// [`MAX_MSGS_PER_TX`](crate::config::MAX_MSGS_PER_TX)).
     ///
     /// The `fig13_adaptive_submission` registry scenario exercises the
     /// non-default policy, built from

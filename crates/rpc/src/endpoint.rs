@@ -14,7 +14,7 @@ use xcc_chain::tx::Tx;
 use xcc_ibc::client::ClientUpdate;
 use xcc_ibc::commitment::{CommitmentProof, NonMembershipProof};
 use xcc_ibc::ids::{ChannelId, PortId, Sequence};
-use xcc_ibc::packet::{Acknowledgement, Packet};
+use xcc_ibc::packet::Acknowledgement;
 use xcc_sim::prof;
 use xcc_sim::{DetRng, FifoServer, LatencyModel, SimDuration, SimTime};
 use xcc_tendermint::abci::Event;
@@ -164,11 +164,6 @@ impl RpcEndpoint {
     /// Cumulative time the RPC server spent busy.
     pub fn busy_time(&self) -> SimDuration {
         self.queue.busy_time()
-    }
-
-    /// The queueing backlog a request arriving at `now` would face.
-    pub fn backlog_at(&self, now: SimTime) -> SimDuration {
-        self.queue.backlog_at(now)
     }
 
     /// A snapshot of this lane's accounting (queries served, busy time,
@@ -326,18 +321,38 @@ impl RpcEndpoint {
         )
     }
 
-    /// The number of IBC messages committed in the block at `height`, used to
-    /// price data-pull queries against that block.
-    fn block_ibc_messages(&self, height: u64) -> usize {
-        let chain = self.chain.borrow();
-        chain
+    /// The one body of the four data pulls below: a `kind` query for `items`
+    /// sequences (`0` when the kind is not priced per item), priced against
+    /// the IBC messages committed in the block at `height`, answering with
+    /// `collected` — what a `collect_*` found and its response size.
+    fn pull<T>(
+        &mut self,
+        now: SimTime,
+        height: u64,
+        kind: RequestKind,
+        recv_heavy: bool,
+        items: usize,
+        collected: (Vec<T>, usize),
+    ) -> RpcResponse<Vec<T>> {
+        let messages = self
+            .chain
+            .borrow()
             .block_at(height)
-            .map(|b| b.results.iter().map(|r| r.events.len()).sum())
-            .unwrap_or(0)
+            .map_or(0, |b| b.results.iter().map(|r| r.events.len()).sum());
+        let (out, response_bytes) = collected;
+        let profile = RequestProfile {
+            kind,
+            response_bytes,
+            messages,
+            recv_heavy,
+            items,
+        };
+        self.respond(now, profile, out)
     }
 
-    /// The relayer's packet data pull: reconstructs the packets and
-    /// commitment proofs for `sequences` sent over `(port, channel)`,
+    /// The relayer's packet data pull: the commitment proof of each of
+    /// `sequences` sent over `(port, channel)` — the relayer already holds
+    /// the packets, but the response is sized as packets plus proofs —
     /// querying against the block at `height` (whose size drives the cost).
     pub fn pull_packet_data(
         &mut self,
@@ -346,20 +361,9 @@ impl RpcEndpoint {
         port: &PortId,
         channel: &ChannelId,
         sequences: &[Sequence],
-    ) -> RpcResponse<Vec<(Packet, CommitmentProof)>> {
-        let (out, bytes) = self.collect_packet_data(port, channel, sequences);
-        let block_msgs = self.block_ibc_messages(height);
-        self.respond(
-            now,
-            RequestProfile {
-                kind: RequestKind::PacketDataPull,
-                response_bytes: bytes,
-                messages: block_msgs,
-                recv_heavy: false,
-                items: 0,
-            },
-            out,
-        )
+    ) -> RpcResponse<Vec<(Sequence, CommitmentProof)>> {
+        let found = self.collect_packet_data(port, channel, sequences);
+        self.pull(now, height, RequestKind::PacketDataPull, false, 0, found)
     }
 
     fn collect_packet_data(
@@ -367,7 +371,7 @@ impl RpcEndpoint {
         port: &PortId,
         channel: &ChannelId,
         sequences: &[Sequence],
-    ) -> (Vec<(Packet, CommitmentProof)>, usize) {
+    ) -> (Vec<(Sequence, CommitmentProof)>, usize) {
         let mut out = Vec::with_capacity(sequences.len());
         let mut bytes = 1024usize;
         let chain = self.chain.borrow();
@@ -378,7 +382,7 @@ impl RpcEndpoint {
                 ibc.prove_packet_commitment(port, channel, *seq),
             ) {
                 bytes += packet.encoded_size() + proof.encoded_size();
-                out.push((packet.clone(), proof));
+                out.push((*seq, proof));
             }
         }
         (out, bytes)
@@ -395,20 +399,10 @@ impl RpcEndpoint {
         port: &PortId,
         channel: &ChannelId,
         sequences: &[Sequence],
-    ) -> RpcResponse<Vec<(Packet, CommitmentProof)>> {
-        let (out, bytes) = self.collect_packet_data(port, channel, sequences);
-        let block_msgs = self.block_ibc_messages(height);
-        self.respond(
-            now,
-            RequestProfile {
-                kind: RequestKind::BatchedDataPull,
-                response_bytes: bytes,
-                messages: block_msgs,
-                recv_heavy: false,
-                items: sequences.len(),
-            },
-            out,
-        )
+    ) -> RpcResponse<Vec<(Sequence, CommitmentProof)>> {
+        let found = self.collect_packet_data(port, channel, sequences);
+        let kind = RequestKind::BatchedDataPull;
+        self.pull(now, height, kind, false, sequences.len(), found)
     }
 
     /// The relayer's acknowledgement data pull on the destination chain:
@@ -422,19 +416,8 @@ impl RpcEndpoint {
         channel: &ChannelId,
         sequences: &[Sequence],
     ) -> RpcResponse<Vec<(Sequence, Acknowledgement, CommitmentProof)>> {
-        let (out, bytes) = self.collect_ack_data(port, channel, sequences);
-        let block_msgs = self.block_ibc_messages(height);
-        self.respond(
-            now,
-            RequestProfile {
-                kind: RequestKind::PacketDataPull,
-                response_bytes: bytes,
-                messages: block_msgs,
-                recv_heavy: true,
-                items: 0,
-            },
-            out,
-        )
+        let found = self.collect_ack_data(port, channel, sequences);
+        self.pull(now, height, RequestKind::PacketDataPull, true, 0, found)
     }
 
     /// A batched variant of [`pull_ack_data`](RpcEndpoint::pull_ack_data):
@@ -448,19 +431,9 @@ impl RpcEndpoint {
         channel: &ChannelId,
         sequences: &[Sequence],
     ) -> RpcResponse<Vec<(Sequence, Acknowledgement, CommitmentProof)>> {
-        let (out, bytes) = self.collect_ack_data(port, channel, sequences);
-        let block_msgs = self.block_ibc_messages(height);
-        self.respond(
-            now,
-            RequestProfile {
-                kind: RequestKind::BatchedDataPull,
-                response_bytes: bytes,
-                messages: block_msgs,
-                recv_heavy: true,
-                items: sequences.len(),
-            },
-            out,
-        )
+        let found = self.collect_ack_data(port, channel, sequences);
+        let kind = RequestKind::BatchedDataPull;
+        self.pull(now, height, kind, true, sequences.len(), found)
     }
 
     fn collect_ack_data(
@@ -490,17 +463,14 @@ impl RpcEndpoint {
     pub fn client_update_data(&mut self, now: SimTime) -> RpcResponse<Option<ClientUpdate>> {
         let update = {
             let chain = self.chain.borrow();
-            chain.latest_block().map(|latest| {
-                let height = latest.block.header.height;
-                ClientUpdate {
+            chain.latest_block().and_then(|latest| {
+                let commit = chain.commit_for(latest.block.header.height)?.clone();
+                Some(ClientUpdate {
                     header: latest.block.header.clone(),
-                    commit: chain
-                        .commit_for(height)
-                        .cloned()
-                        .expect("latest block has a commit"),
+                    commit,
                     validators: chain.validators().clone(),
                     ibc_root: chain.app().ibc().commitment_root(),
-                }
+                })
             })
         };
         self.respond(
@@ -862,6 +832,166 @@ mod tests {
             rpc.tx_status(SimTime::from_secs(5), &hash).value,
             TxStatus::Committed
         );
+    }
+
+    /// Two chains joined by one transfer channel: `user-0` sent three
+    /// packets from `chain-a` (block 2) and `chain-b` received them (block
+    /// 2), so both directions have something to pull.
+    fn relayed_pair() -> (SharedChain, SharedChain) {
+        use xcc_ibc::channel::Order;
+        use xcc_ibc::height::Height;
+        use xcc_ibc::module::TransferParams;
+
+        let chain = |id: &str| {
+            let genesis = GenesisConfig::new(id)
+                .with_account("relayer", 100_000_000)
+                .with_funded_accounts("user", 1, 100_000_000);
+            let chain = Chain::new(genesis).into_shared();
+            chain.borrow_mut().produce_block(SimTime::from_secs(5));
+            chain
+        };
+        let (a, b) = (chain("chain-a"), chain("chain-b"));
+        let port = PortId::transfer();
+        let channel = ChannelId::with_index(0);
+        {
+            let header = |c: &SharedChain| c.borrow().block_at(1).unwrap().block.header.clone();
+            let root = |c: &SharedChain| c.borrow().app().ibc().commitment_root();
+            let (header_a, header_b, root_a, root_b) = (header(&a), header(&b), root(&a), root(&b));
+            let (mut a, mut b) = (a.borrow_mut(), b.borrow_mut());
+            let (ibc_a, ibc_b) = (a.app_mut().ibc_mut(), b.app_mut().ibc_mut());
+            let (client_a, _) = ibc_a.create_client(&header_b, root_b);
+            let (client_b, _) = ibc_b.create_client(&header_a, root_a);
+            let (conn_a, _) = ibc_a.conn_open_init(&client_a, &client_b).unwrap();
+            let (conn_b, _) = ibc_b.conn_open_try(&client_b, &client_a, &conn_a).unwrap();
+            ibc_a.conn_open_ack(&conn_a, &conn_b).unwrap();
+            ibc_b.conn_open_confirm(&conn_b).unwrap();
+            let (chan_a, _) = ibc_a
+                .chan_open_init(&port, &conn_a, &port, Order::Unordered)
+                .unwrap();
+            let (chan_b, _) = ibc_b
+                .chan_open_try(&port, &conn_b, &port, &chan_a, Order::Unordered)
+                .unwrap();
+            ibc_a.chan_open_ack(&port, &chan_a, &chan_b).unwrap();
+            ibc_b.chan_open_confirm(&port, &chan_b).unwrap();
+            assert_eq!((&chan_a, &chan_b), (&channel, &channel));
+        }
+
+        let transfer = |amount| {
+            Msg::IbcTransfer(TransferParams {
+                source_port: port.clone(),
+                source_channel: channel.clone(),
+                denom: "uatom".into(),
+                amount,
+                sender: "user-0".into(),
+                receiver: "user-0".into(),
+                timeout_height: Height::at(1_000),
+                timeout_timestamp: SimTime::ZERO,
+            })
+        };
+        let sends = Tx::new(
+            "user-0".into(),
+            0,
+            vec![transfer(1), transfer(20), transfer(300)],
+            "uatom",
+        );
+        a.borrow_mut().submit_tx(&sends, SimTime::ZERO).unwrap();
+        a.borrow_mut().produce_block(SimTime::from_secs(10));
+
+        // What a relayer does, without one: update the client, then deliver
+        // the three packets with their proofs.
+        let update = lane(&a).client_update_data(SimTime::ZERO).value.unwrap();
+        let proof_height = Height::at(update.header.height);
+        let recvs = {
+            let chain = a.borrow();
+            let ibc = chain.app().ibc();
+            (1..=3)
+                .map(|seq| Msg::IbcRecvPacket {
+                    packet: ibc
+                        .sent_packet(&port, &channel, seq.into())
+                        .unwrap()
+                        .clone(),
+                    proof_commitment: ibc
+                        .prove_packet_commitment(&port, &channel, seq.into())
+                        .unwrap(),
+                    proof_height,
+                    signer: "relayer".into(),
+                })
+                .collect()
+        };
+        let update = Msg::IbcUpdateClient {
+            client_id: xcc_ibc::ids::ClientId::with_index(0),
+            update: Box::new(update),
+            signer: "relayer".into(),
+        };
+        for (seq, msgs) in [(0, vec![update]), (1, recvs)] {
+            let tx = Tx::new("relayer".into(), seq, msgs, "uatom");
+            b.borrow_mut().submit_tx(&tx, SimTime::ZERO).unwrap();
+        }
+        b.borrow_mut().produce_block(SimTime::from_secs(10));
+        let delivered = Rc::clone(b.borrow().block_at(2).unwrap());
+        assert!(delivered.results.iter().all(|r| r.code == 0));
+        (a, b)
+    }
+
+    fn lane(chain: &SharedChain) -> RpcEndpoint {
+        RpcEndpoint::new(
+            chain.clone(),
+            RpcCostModel::default(),
+            LatencyModel::constant_rtt_ms(200),
+            DetRng::new(7),
+        )
+    }
+
+    /// The data pulls answer with proofs (and acknowledgements) only, but
+    /// are still *sized* as the packets plus the proofs: `response_bytes`
+    /// and `ready_at` below are the numbers read at the commit before the
+    /// pulls stopped shipping packets.
+    #[test]
+    fn data_pulls_answer_with_proofs_and_keep_their_size_and_service_time() {
+        let (a, b) = relayed_pair();
+        let (port, channel) = (PortId::transfer(), ChannelId::with_index(0));
+        // Sequence 4 was never sent: it is skipped, not an error.
+        let seqs: Vec<Sequence> = (1..=4).map(Sequence::from).collect();
+        let now = SimTime::from_secs(10);
+
+        let plain = lane(&a).pull_packet_data(now, 2, &port, &channel, &seqs);
+        let batched = lane(&a).pull_packet_data_batched(now, 2, &port, &channel, &seqs);
+        assert_eq!(plain.value, batched.value);
+        {
+            let chain = a.borrow();
+            let ibc = chain.app().ibc();
+            let expected: Vec<_> = seqs[..3]
+                .iter()
+                .map(|seq| {
+                    let proof = ibc.prove_packet_commitment(&port, &channel, *seq);
+                    (*seq, proof.unwrap())
+                })
+                .collect();
+            assert_eq!(plain.value, expected);
+        }
+        assert_eq!((plain.response_bytes, batched.response_bytes), (2218, 2218));
+        assert_eq!(plain.ready_at, SimTime::from_nanos(10_209_434_000));
+        assert_eq!(batched.ready_at, SimTime::from_nanos(10_209_914_000));
+
+        let plain = lane(&b).pull_ack_data(now, 2, &port, &channel, &seqs);
+        let batched = lane(&b).pull_ack_data_batched(now, 2, &port, &channel, &seqs);
+        assert_eq!(plain.value, batched.value);
+        {
+            let chain = b.borrow();
+            let ibc = chain.app().ibc();
+            let expected: Vec<_> = seqs[..3]
+                .iter()
+                .map(|seq| {
+                    let ack = ibc.packet_acknowledgement(&port, &channel, *seq);
+                    let proof = ibc.prove_packet_acknowledgement(&port, &channel, *seq);
+                    (*seq, ack.unwrap().clone(), proof.unwrap())
+                })
+                .collect();
+            assert_eq!(plain.value, expected);
+        }
+        assert_eq!((plain.response_bytes, batched.response_bytes), (1897, 1897));
+        assert_eq!(plain.ready_at, SimTime::from_nanos(10_214_953_000));
+        assert_eq!(batched.ready_at, SimTime::from_nanos(10_215_433_000));
     }
 
     #[test]

@@ -20,8 +20,7 @@ use rand::{Rng, RngCore, SeedableRng};
 /// assert_eq!(a.next_u64(), b.next_u64());
 ///
 /// let mut child = a.fork("relayer-0");
-/// let x = child.uniform_f64(0.0, 1.0);
-/// assert!((0.0..1.0).contains(&x));
+/// assert!(child.next_u64_below(10) < 10);
 /// ```
 #[derive(Debug, Clone)]
 pub struct DetRng {
@@ -70,19 +69,6 @@ impl DetRng {
     pub fn next_u64_below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be positive");
         self.inner.gen_range(0..bound)
-    }
-
-    /// A uniformly distributed floating point value in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or either bound is not finite.
-    pub fn uniform_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(
-            lo.is_finite() && hi.is_finite() && lo < hi,
-            "invalid range [{lo}, {hi})"
-        );
-        self.inner.gen_range(lo..hi)
     }
 }
 

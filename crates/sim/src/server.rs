@@ -80,12 +80,6 @@ impl FifoServer {
         self.busy_until
     }
 
-    /// How long a job arriving at `now` would have to wait before service
-    /// starts.
-    pub fn backlog_at(&self, now: SimTime) -> SimDuration {
-        self.busy_until.saturating_since(now)
-    }
-
     /// Total number of jobs submitted so far.
     pub fn jobs_served(&self) -> u64 {
         self.jobs_served
@@ -149,18 +143,17 @@ mod tests {
         // Arrives after the server went idle again.
         let done = s.submit(SimTime::from_secs(5), SimDuration::from_secs(1));
         assert_eq!(done, SimTime::from_secs(6));
-        assert_eq!(s.backlog_at(SimTime::from_secs(7)), SimDuration::ZERO);
+        assert_eq!(s.total_wait(), SimDuration::ZERO);
     }
 
     #[test]
     fn backlog_reporting() {
         let mut s = FifoServer::new("rpc");
         s.submit(SimTime::ZERO, SimDuration::from_secs(10));
-        assert_eq!(
-            s.backlog_at(SimTime::from_secs(4)),
-            SimDuration::from_secs(6)
-        );
-        assert_eq!(s.backlog_at(SimTime::from_secs(20)), SimDuration::ZERO);
+        // Arriving at 4 s behind a job that ends at 10 s: 6 s of waiting
+        // plus 1 s of service, still under the first job's own 10 s.
+        s.submit(SimTime::from_secs(4), SimDuration::from_secs(1));
+        assert_eq!(s.total_wait(), SimDuration::from_secs(6));
         assert_eq!(s.max_backlog(), SimDuration::from_secs(10));
     }
 

@@ -73,12 +73,6 @@ impl SimTime {
         self.0 / 1_000_000
     }
 
-    /// Duration elapsed since `earlier`, or [`SimDuration::ZERO`] if `earlier`
-    /// is in the future.
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
     /// The later of two instants.
     pub fn max(self, other: SimTime) -> SimTime {
         if self >= other {

@@ -527,7 +527,7 @@ mod tests {
     fn submitted_txs_are_included_and_indexed() {
         let mut node = test_node();
         let tx = RawTx::new(vec![1, 2, 3]);
-        let hash = node.submit_tx(tx.clone(), SimTime::ZERO).unwrap();
+        let hash = node.submit_tx(tx, SimTime::ZERO).unwrap();
         assert_eq!(node.tx_status(&hash), TxStatus::Pending);
         let outcome = node.produce_block(SimTime::from_secs(5));
         assert_eq!(outcome.tx_count, 1);

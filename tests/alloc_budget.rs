@@ -92,10 +92,11 @@ fn relayed() -> ExperimentSpec {
 /// transfer on `chain_only()`; the ceiling is 45% of that, rounded down.
 /// This commit measures 30.5.
 const CHAIN_ONLY_CEILING: f64 = 40.0;
-/// The parent commit (PR 21) measured 220.8 allocations per submitted
-/// transfer on `relayed()`; 60% of that is 132, and the ceiling is the
-/// tighter 120 the change was specified with. This commit measures 96.1.
-const RELAYED_CEILING: f64 = 120.0;
+/// PR 21 measured 220.8 allocations per submitted transfer on `relayed()`
+/// and PR 22, the parent commit, measured 96.1 — the ceiling sits just under
+/// that, so it fails there. This commit, where a relayed packet has one
+/// owner instead of eight copies, measures 86.7.
+const RELAYED_CEILING: f64 = 95.0;
 
 /// Runs `spec` once to warm up, then twice counted; the two counts must be
 /// equal. Returns allocations per `transfers(outcome)`.

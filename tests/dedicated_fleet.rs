@@ -108,7 +108,7 @@ fn dedicated_with_one_channel_equals_the_single_relayer_baseline() {
         .input_rate(30)
         .measurement_blocks(4)
         .seed(11);
-    let baseline = scenarios::run(&base.clone());
+    let baseline = scenarios::run(&base);
     let dedicated = scenarios::run(&base.channel_policy(ChannelPolicy::Dedicated));
     assert_eq!(
         baseline.metrics, dedicated.metrics,

@@ -164,7 +164,7 @@ fn dedicated_relayers_eliminate_cross_instance_redundancy() {
         .rtt_ms(200)
         .measurement_blocks(5)
         .seed(3);
-    let fair = scenarios::run(&base.clone());
+    let fair = scenarios::run(&base);
     // `relayer_count` is the per-channel replica count for a dedicated
     // fleet, so the fair deployment's two shared processes compare against
     // one dedicated process per channel — the same total fleet size.
@@ -209,7 +209,7 @@ fn packet_clearing_rescues_transfers_stranded_by_the_frame_limit() {
         .transfers(2_000)
         .frame_limit(64 << 10)
         .seed(42);
-    let stranded = scenarios::run(&base.clone());
+    let stranded = scenarios::run(&base);
     assert!(stranded.event_collection_failures() > 0);
     assert!(
         stranded.stuck() > stranded.requests_made() / 2,

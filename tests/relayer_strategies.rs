@@ -252,7 +252,7 @@ fn straddled_commits_lose_windows_under_resync_and_none_under_mempool_aware() {
     // Under Resync, the race is visible at every level: failed broadcast
     // attempts, transactions burned on chain, and a sequence-mismatch error
     // in the telemetry log.
-    let resync = scenarios::run_raw(&base.clone());
+    let resync = scenarios::run_raw(&base);
     let resync_failures: u64 = resync
         .relayer_stats
         .iter()
@@ -300,7 +300,7 @@ fn straddled_commits_lose_windows_under_resync_and_none_under_mempool_aware() {
 
     // Holding a straddled batch delays it one block; it must never cost
     // completed transfers.
-    let resync_outcome = scenarios::outcome_from(&base.clone(), &resync);
+    let resync_outcome = scenarios::outcome_from(&base, &resync);
     let mempool_outcome = scenarios::outcome_from(
         &base.sequence_tracking(SequenceTracking::MempoolAware),
         &mempool,
@@ -357,7 +357,7 @@ fn held_acknowledgements_are_not_duplicated_by_the_clear_scan() {
 #[test]
 fn coordinated_relayers_eliminate_redundant_work() {
     let base = two_relayer_spec();
-    let default = scenarios::run(&base.clone());
+    let default = scenarios::run(&base);
     let coordinated = scenarios::run(&base.clone().strategy(RelayerStrategy::coordinated()));
     let leased = scenarios::run(&base.strategy(RelayerStrategy::leader_lease(2)));
 
@@ -387,8 +387,8 @@ fn batched_and_parallel_fetchers_beat_sequential_pulls() {
         .rtt_ms(200)
         .measurement_blocks(6)
         .seed(42);
-    let sequential = scenarios::run(&base.clone());
-    let batched = scenarios::run(&base.clone().strategy(RelayerStrategy::batched_pulls()));
+    let sequential = scenarios::run(&base);
+    let batched = scenarios::run(&base.strategy(RelayerStrategy::batched_pulls()));
     assert!(
         batched.completed() > sequential.completed(),
         "batched pulls must complete more transfers (batched {} vs sequential {})",
@@ -404,7 +404,7 @@ fn batched_and_parallel_fetchers_beat_sequential_pulls() {
         .submission_blocks(1)
         .rtt_ms(200)
         .seed(42);
-    let sequential_latency = scenarios::run(&latency_base.clone());
+    let sequential_latency = scenarios::run(&latency_base);
     let parallel_latency =
         scenarios::run(&latency_base.strategy(RelayerStrategy::parallel_fetch()));
     assert!(

@@ -177,7 +177,7 @@ fn derived_seeds_give_points_independent_streams() {
     let seeds: Vec<u64> = grid.points().iter().map(|p| p.deployment.seed).collect();
     assert_eq!(seeds.len(), 3);
     assert_eq!(seeds, sweep::derived_seeds(42, 3));
-    let mut unique = seeds.clone();
+    let mut unique = seeds;
     unique.sort_unstable();
     unique.dedup();
     assert_eq!(unique.len(), 3, "derived seeds must be distinct");
