@@ -255,9 +255,7 @@ pub(crate) fn outstanding_packets(
         .map(|(path, &(src, _))| {
             let chain = chains[src].borrow();
             let ibc = chain.app().ibc();
-            let sent = ibc.sent_sequences(&path.port, &path.src_channel);
-            ibc.unacknowledged_packets(&path.port, &path.src_channel, &sent)
-                .len() as u64
+            ibc.outstanding_commitment_count(&path.port, &path.src_channel) as u64
         })
         .sum()
 }

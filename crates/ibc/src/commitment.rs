@@ -9,6 +9,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use serde::{Deserialize, Serialize};
 
@@ -204,6 +205,16 @@ impl CommitmentStore {
         self.entries.contains_key(path)
     }
 
+    /// The committed paths that start with `prefix`, in path order
+    /// (lexicographic: `…/10` sorts before `…/2`). Costs one seek plus the
+    /// matches, and leaves the tree alone.
+    pub fn paths_under<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a str> {
+        self.entries
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .map(|(path, _)| path.as_str())
+            .take_while(move |path| path.starts_with(prefix))
+    }
+
     /// Deletes the commitment at `path`, returning it if present.
     pub fn delete(&mut self, path: &str) -> Option<Hash> {
         let removed = self.entries.remove(path)?;
@@ -336,6 +347,28 @@ mod tests {
     }
 
     #[test]
+    fn paths_under_walks_exactly_the_prefix_in_path_order() {
+        let mut s = CommitmentStore::new();
+        assert_eq!(s.paths_under("a/").count(), 0, "empty store");
+        for path in ["a/1", "a/10", "a/2", "ab/1", "b/1"] {
+            s.set(path, sha256(path.as_bytes()));
+        }
+        let under = |prefix| s.paths_under(prefix).collect::<Vec<_>>();
+        // Lexicographic, not numeric; `ab/…` is not under `a/`.
+        assert_eq!(under("a/"), ["a/1", "a/10", "a/2"]);
+        // A prefix shared by two families walks both.
+        assert_eq!(under("a"), ["a/1", "a/10", "a/2", "ab/1"]);
+        // A prefix equal to a full key matches it and its extensions.
+        assert_eq!(under("a/1"), ["a/1", "a/10"]);
+        assert_eq!(under("b/1"), ["b/1"]);
+        // Before the first key, between two keys, past the last key.
+        assert_eq!(under("Z"), [""; 0]);
+        assert_eq!(under("aa"), [""; 0]);
+        assert_eq!(under("c"), [""; 0]);
+        assert_eq!(under("").len(), s.len());
+    }
+
+    #[test]
     fn memoized_tree_invalidates_on_every_mutation() {
         let mut cached = CommitmentStore::new();
         for i in 0..13 {
@@ -372,6 +405,14 @@ mod tests {
             .prove_membership("commitments/12")
             .unwrap()
             .verify(&cached.root()));
+
+        // A prefix walk is a read: the tree built by the reads above is
+        // still there afterwards, and the root comes from it unchanged.
+        let root = cached.root();
+        assert!(cached.tree.borrow().is_some());
+        assert_eq!(cached.paths_under("commitments/1").count(), 4);
+        assert!(cached.tree.borrow().is_some(), "a walk dropped the tree");
+        assert_eq!(cached.root(), root);
 
         // A clone carries correct state even if taken mid-memo.
         let cloned = cached.clone();

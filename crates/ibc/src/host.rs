@@ -5,6 +5,8 @@
 //! (the IBC module) and by the verifying side (the counterparty checking a
 //! proof), so the two can never disagree on a key.
 
+use std::fmt::Write as _;
+
 use crate::height::Height;
 use crate::ids::{ChannelId, ClientId, ConnectionId, PortId, Sequence};
 
@@ -28,13 +30,29 @@ pub fn channel_path(port_id: &PortId, channel_id: &ChannelId) -> String {
     format!("channelEnds/ports/{port_id}/channels/{channel_id}")
 }
 
+/// The prefix every packet commitment of one channel end is stored under.
+/// The trailing `/sequences/` is what keeps `channel-1` from matching
+/// `channel-10`.
+pub fn packet_commitment_prefix(port_id: &PortId, channel_id: &ChannelId) -> String {
+    format!("commitments/ports/{port_id}/channels/{channel_id}/sequences/")
+}
+
 /// Path of a packet commitment.
 pub fn packet_commitment_path(
     port_id: &PortId,
     channel_id: &ChannelId,
     sequence: Sequence,
 ) -> String {
-    format!("commitments/ports/{port_id}/channels/{channel_id}/sequences/{sequence}")
+    let mut path = packet_commitment_prefix(port_id, channel_id);
+    // Writing to a `String` cannot fail.
+    let _ = write!(path, "{sequence}");
+    path
+}
+
+/// The sequence a packet-commitment path under `prefix` was written for;
+/// `None` when `path` is not under `prefix` or its suffix is not a sequence.
+pub fn sequence_under(prefix: &str, path: &str) -> Option<Sequence> {
+    path.strip_prefix(prefix)?.parse().ok().map(Sequence)
 }
 
 /// Path of a packet receipt (unordered channels).
@@ -75,6 +93,52 @@ mod tests {
             sorted.windows(2).all(|pair| pair[0] != pair[1]),
             "store paths must be pairwise distinct: {sorted:?}"
         );
+    }
+
+    #[test]
+    fn a_commitment_path_is_its_prefix_plus_a_sequence_that_parses_back() {
+        let port = PortId::transfer();
+        for index in [0, 1, 10] {
+            let chan = ChannelId::with_index(index);
+            let prefix = packet_commitment_prefix(&port, &chan);
+            for seq in [1, 9, 10, 99, 100, u64::MAX] {
+                let path = packet_commitment_path(&port, &chan, Sequence::from(seq));
+                assert!(path.starts_with(&prefix), "{path} is not under {prefix}");
+                assert_eq!(sequence_under(&prefix, &path), Some(Sequence::from(seq)));
+            }
+        }
+    }
+
+    #[test]
+    fn a_channels_prefix_matches_no_other_channel_and_no_other_family() {
+        let port = PortId::transfer();
+        let one = ChannelId::with_index(1);
+        let ten = ChannelId::with_index(10);
+        let prefix = packet_commitment_prefix(&port, &one);
+        // Without the trailing separator `channel-1` would be a prefix of
+        // `channel-10`'s paths.
+        assert_eq!(
+            prefix,
+            "commitments/ports/transfer/channels/channel-1/sequences/"
+        );
+        let seq = Sequence::from(7);
+        for foreign in [
+            packet_commitment_path(&port, &ten, seq),
+            packet_receipt_path(&port, &one, seq),
+            packet_acknowledgement_path(&port, &one, seq),
+            channel_path(&port, &one),
+        ] {
+            assert!(!foreign.starts_with(&prefix), "{foreign}");
+            assert_eq!(sequence_under(&prefix, &foreign), None);
+        }
+    }
+
+    #[test]
+    fn a_suffix_that_is_not_a_sequence_is_skipped_not_unwrapped() {
+        let prefix = packet_commitment_prefix(&PortId::transfer(), &ChannelId::with_index(0));
+        for suffix in ["", "x", "7/extra", "-1", "18446744073709551616"] {
+            assert_eq!(sequence_under(&prefix, &format!("{prefix}{suffix}")), None);
+        }
     }
 
     #[test]

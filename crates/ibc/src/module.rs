@@ -932,11 +932,32 @@ impl IbcModule {
 
     /// All sequences ever sent on a channel end.
     pub fn sent_sequences(&self, port: &PortId, channel: &ChannelId) -> Vec<Sequence> {
+        let key = |seq| (port.clone(), channel.clone(), Sequence(seq));
         self.sent_packets
-            .keys()
-            .filter(|(p, c, _)| p == port && c == channel)
-            .map(|(_, _, s)| *s)
+            .range(key(0)..=key(u64::MAX))
+            .map(|((_, _, s), _)| *s)
             .collect()
+    }
+
+    /// The sequences sent on a channel end whose commitment is still in the
+    /// store — neither acknowledged nor timed out — in ascending order. A
+    /// walk of the store's own commitment prefix, so it costs what is
+    /// outstanding, not what was ever sent.
+    pub fn outstanding_commitments(&self, port: &PortId, channel: &ChannelId) -> Vec<Sequence> {
+        let prefix = host::packet_commitment_prefix(port, channel);
+        let mut sequences: Vec<Sequence> = (self.store.paths_under(&prefix))
+            .filter_map(|path| host::sequence_under(&prefix, path))
+            .collect();
+        // Store order is lexicographic: `…/10` comes before `…/2`.
+        sequences.sort_unstable();
+        sequences
+    }
+
+    /// The length of [`outstanding_commitments`](Self::outstanding_commitments)
+    /// without building it.
+    pub fn outstanding_commitment_count(&self, port: &PortId, channel: &ChannelId) -> usize {
+        let prefix = host::packet_commitment_prefix(port, channel);
+        self.store.paths_under(&prefix).count()
     }
 
     // ------------------------------------------------------------------

@@ -1193,8 +1193,7 @@ impl Relayer {
             let candidates: Vec<Sequence> = {
                 let chain = self.ends[Source as usize].rpc.chain().borrow();
                 let ibc = chain.app().ibc();
-                let sent = ibc.sent_sequences(&path.port, &path.src_channel);
-                ibc.unacknowledged_packets(&path.port, &path.src_channel, &sent)
+                ibc.outstanding_commitments(&path.port, &path.src_channel)
             }
             .into_iter()
             .inspect(|_| prof::bump_clear_scan_visit())
@@ -1262,12 +1261,11 @@ impl Relayer {
     fn clear_unrelayed_acks(&mut self, dst_height: u64, start: SimTime) {
         for channel in self.served_flush_order(dst_height) {
             let path = self.paths[channel].clone();
-            let candidates: Vec<Packet> = {
+            let candidates: Vec<Sequence> = {
                 let src = &self.ends[Source as usize];
                 let chain = src.rpc.chain().borrow();
                 let ibc = chain.app().ibc();
-                let sent = ibc.sent_sequences(&path.port, &path.src_channel);
-                ibc.unacknowledged_packets(&path.port, &path.src_channel, &sent)
+                ibc.outstanding_commitments(&path.port, &path.src_channel)
                     .into_iter()
                     .inspect(|_| prof::bump_clear_scan_visit())
                     .filter(|seq| self.assigned(dst_height, *seq))
@@ -1283,7 +1281,6 @@ impl Relayer {
                             .iter()
                             .any(|(ch, p)| *ch == channel && p.sequence == *seq)
                     })
-                    .filter_map(|seq| ibc.sent_packet(&path.port, &path.src_channel, seq).cloned())
                     .collect()
             };
             if candidates.is_empty() {
@@ -1294,19 +1291,22 @@ impl Relayer {
             // Received-status lives on the destination node, so the scan pays
             // for the cross-node query like every other destination lookup.
             let t = start.max(self.ends[Source as usize].worker_free);
-            let candidate_seqs: Vec<Sequence> = candidates.iter().map(|p| p.sequence).collect();
             let unreceived_resp = self.ends[Destination as usize].rpc.unreceived_packets(
                 t,
                 &path.port,
                 &path.dst_channel,
-                &candidate_seqs,
+                &candidates,
             );
             let t = unreceived_resp.ready_at;
             let unreceived: BTreeSet<Sequence> = unreceived_resp.value.into_iter().collect();
-            let received: Vec<Packet> = candidates
-                .into_iter()
-                .filter(|p| !unreceived.contains(&p.sequence))
-                .collect();
+            let received: Vec<Packet> = {
+                let chain = self.ends[Source as usize].rpc.chain().borrow();
+                let ibc = chain.app().ibc();
+                (candidates.into_iter())
+                    .filter(|seq| !unreceived.contains(seq))
+                    .filter_map(|seq| ibc.sent_packet(&path.port, &path.src_channel, seq).cloned())
+                    .collect()
+            };
             if received.is_empty() {
                 self.ends[Source as usize].worker_free = t;
                 continue;

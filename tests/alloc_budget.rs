@@ -22,6 +22,7 @@ use std::cell::Cell;
 use ibc_perf_repro::framework::outcome::ScenarioOutcome;
 use ibc_perf_repro::framework::scenarios;
 use ibc_perf_repro::framework::spec::ExperimentSpec;
+use ibc_perf_repro::relayer::strategy::SequenceTracking;
 
 thread_local! {
     /// `alloc` + `alloc_zeroed` + `realloc` calls made by this thread.
@@ -88,6 +89,20 @@ fn relayed() -> ExperimentSpec {
         .seed(42)
 }
 
+/// The benchmark's `lossy_clear`: a 3,600-transfer burst under a 256 KiB
+/// frame limit, run until the source chain holds no commitment. Event
+/// collection fails, both halves of the clear scan do the relaying, and the
+/// runner asks after every source block whether anything is left.
+fn drained() -> ExperimentSpec {
+    ExperimentSpec::latency()
+        .transfers(3_600)
+        .rtt_ms(200)
+        .sequence_tracking(SequenceTracking::MempoolAware)
+        .frame_limit(256 * 1024)
+        .packet_clearing(4)
+        .seed(42)
+}
+
 /// The parent commit (PR 21) measured 89.9 allocations per committed
 /// transfer on `chain_only()`; the ceiling is 45% of that, rounded down.
 /// This commit measures 30.5.
@@ -97,6 +112,13 @@ const CHAIN_ONLY_CEILING: f64 = 40.0;
 /// that, so it fails there. This commit, where a relayed packet has one
 /// owner instead of eight copies, measures 86.7.
 const RELAYED_CEILING: f64 = 95.0;
+/// PR 23, the parent commit, measured 197.3 allocations per submitted
+/// transfer on `drained()` (710,347 per run): the drain check and the two
+/// scans formatted and looked up the path of every packet ever sent, once per
+/// source block and once per scan. This commit walks the store's commitment
+/// prefix instead and measures 122.9 (442,442 per run); the ceiling fails on
+/// the parent.
+const DRAINED_CEILING: f64 = 128.0;
 
 /// Runs `spec` once to warm up, then twice counted; the two counts must be
 /// equal. Returns allocations per `transfers(outcome)`.
@@ -124,6 +146,15 @@ fn a_transfer_stays_within_its_allocation_budget() {
     println!(
         "relayed: {relayed:.1} allocations per transfer submitted (ceiling {RELAYED_CEILING})"
     );
+    let drained = allocations_per_transfer(&drained(), |outcome| {
+        assert!(outcome.packets_cleared() > 0, "no clear scan ran");
+        assert_eq!(outcome.stranded_packets(), 0, "not drained");
+        outcome.submitted()
+    });
+    println!(
+        "drained: {drained:.1} allocations per transfer submitted (ceiling {DRAINED_CEILING})"
+    );
     assert!(chain_only <= CHAIN_ONLY_CEILING, "{chain_only}");
     assert!(relayed <= RELAYED_CEILING, "{relayed}");
+    assert!(drained <= DRAINED_CEILING, "{drained}");
 }

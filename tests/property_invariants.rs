@@ -496,3 +496,214 @@ mod codec {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The commitment-prefix walk against the scan over history it replaced
+// ---------------------------------------------------------------------------
+
+mod outstanding {
+    use ibc_perf_repro::chain::bank::BankModule;
+    use ibc_perf_repro::chain::chain::Chain;
+    use ibc_perf_repro::chain::coin::Coin;
+    use ibc_perf_repro::chain::genesis::GenesisConfig;
+    use ibc_perf_repro::ibc::channel::Order;
+    use ibc_perf_repro::ibc::commitment::{CommitmentRoot, NonMembershipProof};
+    use ibc_perf_repro::ibc::height::Height;
+    use ibc_perf_repro::ibc::host;
+    use ibc_perf_repro::ibc::ids::{ChannelId, PortId, Sequence};
+    use ibc_perf_repro::ibc::module::{HostContext, IbcModule, TransferParams};
+    use ibc_perf_repro::sim::SimTime;
+    use proptest::prelude::*;
+
+    /// Two connected modules with eleven open transfer channels, so that the
+    /// source end has both `channel-1` and `channel-10` — one id a string
+    /// prefix of the other.
+    struct Pair {
+        a: IbcModule,
+        b: IbcModule,
+        bank_a: BankModule,
+        bank_b: BankModule,
+        /// B's root as A's client of it recorded it: what a non-receipt proof
+        /// is checked against.
+        root_b_on_a: CommitmentRoot,
+    }
+
+    const CHANNELS: [u64; 2] = [1, 10];
+
+    fn ctx() -> HostContext {
+        HostContext {
+            height: Height::at(2),
+            time: SimTime::from_secs(10),
+        }
+    }
+
+    impl Pair {
+        fn new() -> Self {
+            let header = |chain_id: &str| {
+                let mut chain = Chain::new(GenesisConfig::new(chain_id));
+                chain.produce_block(SimTime::from_secs(5));
+                chain.block_at(1).unwrap().block.header.clone()
+            };
+            let mut a = IbcModule::new("chain-a");
+            let mut b = IbcModule::new("chain-b");
+            let root_b_on_a = b.commitment_root();
+            let (client_on_a, _) = a.create_client(&header("chain-b"), root_b_on_a);
+            let (client_on_b, _) = b.create_client(&header("chain-a"), a.commitment_root());
+            let (conn_a, _) = a.conn_open_init(&client_on_a, &client_on_b).unwrap();
+            let (conn_b, _) = b
+                .conn_open_try(&client_on_b, &client_on_a, &conn_a)
+                .unwrap();
+            a.conn_open_ack(&conn_a, &conn_b).unwrap();
+            b.conn_open_confirm(&conn_b).unwrap();
+            let port = PortId::transfer();
+            for _ in 0..=CHANNELS[1] {
+                let (chan_a, _) = a
+                    .chan_open_init(&port, &conn_a, &port, Order::Unordered)
+                    .unwrap();
+                let (chan_b, _) = b
+                    .chan_open_try(&port, &conn_b, &port, &chan_a, Order::Unordered)
+                    .unwrap();
+                a.chan_open_ack(&port, &chan_a, &chan_b).unwrap();
+                b.chan_open_confirm(&port, &chan_b).unwrap();
+            }
+            let mut bank_a = BankModule::new();
+            bank_a.mint_coins(&"alice".into(), &Coin::new("uatom", 1_000_000));
+            Pair {
+                a,
+                b,
+                bank_a,
+                bank_b: BankModule::new(),
+                root_b_on_a,
+            }
+        }
+
+        fn send(&mut self, channel: &ChannelId) {
+            let params = TransferParams {
+                source_port: PortId::transfer(),
+                source_channel: channel.clone(),
+                denom: "uatom".into(),
+                amount: 1,
+                sender: "alice".into(),
+                receiver: "bob".into(),
+                timeout_height: Height::at(5),
+                timeout_timestamp: SimTime::ZERO,
+            };
+            (self.a.send_transfer(&ctx(), &mut self.bank_a, &params)).unwrap();
+        }
+
+        /// Receives `seq` on B; a second receive is refused and changes
+        /// nothing.
+        fn recv(&mut self, channel: &ChannelId, seq: Sequence) {
+            let port = PortId::transfer();
+            let packet = self.a.sent_packet(&port, channel, seq).unwrap().clone();
+            let proof = self.a.prove_packet_commitment(&port, channel, seq).unwrap();
+            let _ = (self.b).recv_packet(&ctx(), &mut self.bank_b, &packet, &proof, Height::at(1));
+        }
+
+        fn acknowledge(&mut self, channel: &ChannelId, seq: Sequence) {
+            self.recv(channel, seq);
+            let port = PortId::transfer();
+            let packet = self.a.sent_packet(&port, channel, seq).unwrap().clone();
+            let ack = (self.b.packet_acknowledgement(&port, channel, seq))
+                .unwrap()
+                .clone();
+            let proof = (self.b.prove_packet_acknowledgement(&port, channel, seq)).unwrap();
+            (self.a)
+                .acknowledge_packet(
+                    &ctx(),
+                    &mut self.bank_a,
+                    &packet,
+                    &ack,
+                    &proof,
+                    Height::at(1),
+                )
+                .unwrap();
+        }
+
+        fn timeout(&mut self, channel: &ChannelId, seq: Sequence) {
+            let port = PortId::transfer();
+            let packet = self.a.sent_packet(&port, channel, seq).unwrap().clone();
+            let proof = NonMembershipProof {
+                path: host::packet_receipt_path(&port, channel, seq),
+                root: self.root_b_on_a,
+            };
+            (self.a)
+                .timeout_packet(&ctx(), &mut self.bank_a, &packet, &proof, Height::at(9))
+                .unwrap();
+        }
+
+        /// The new query and its count agree with the scan over everything
+        /// ever sent, on both channels.
+        fn assert_agrees_with_the_scan(&self) {
+            let port = PortId::transfer();
+            for index in CHANNELS {
+                let channel = ChannelId::with_index(index);
+                let sent = self.a.sent_sequences(&port, &channel);
+                let scanned = self.a.unacknowledged_packets(&port, &channel, &sent);
+                let walked = self.a.outstanding_commitments(&port, &channel);
+                prop_assert_eq!(&walked, &scanned);
+                let count = self.a.outstanding_commitment_count(&port, &channel);
+                prop_assert_eq!(count, scanned.len());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Random send / recv / acknowledge / timeout / rolled-back steps over
+        /// `channel-1` and `channel-10`, with sequences crossing 9 → 10 on
+        /// one and 99 → 100 on the other: after every step the prefix walk
+        /// (sorted ascending) is the old scan's answer.
+        #[test]
+        fn outstanding_commitments_equal_the_scan_over_everything_sent(
+            steps in prop::collection::vec((0u8..5, any::<bool>(), any::<prop::sample::Index>()), 1..80),
+            drained in any::<bool>(),
+        ) {
+            let mut pair = Pair::new();
+            pair.assert_agrees_with_the_scan();
+            // Park each channel just below a digit boundary; on half the
+            // cases with nothing outstanding, so the empty answer is covered.
+            for (index, warm_up) in CHANNELS.into_iter().zip([8u64, 98]) {
+                let channel = ChannelId::with_index(index);
+                for seq in 1..=warm_up {
+                    pair.send(&channel);
+                    if drained || seq % 3 == 0 {
+                        pair.acknowledge(&channel, Sequence::from(seq));
+                    }
+                }
+            }
+            pair.assert_agrees_with_the_scan();
+
+            let port = PortId::transfer();
+            for (op, on_ten, pick) in steps {
+                let channel = ChannelId::with_index(CHANNELS[usize::from(on_ten)]);
+                let outstanding = pair.a.outstanding_commitments(&port, &channel);
+                let picked = (!outstanding.is_empty()).then(|| outstanding[pick.index(outstanding.len())]);
+                match (op, picked) {
+                    (0, _) | (_, None) => pair.send(&channel),
+                    (1, Some(seq)) => pair.recv(&channel, seq),
+                    (2, Some(seq)) => pair.acknowledge(&channel, seq),
+                    (3, Some(seq)) => {
+                        if pair.b.has_receipt(&port, &channel, seq) {
+                            pair.acknowledge(&channel, seq);
+                        } else {
+                            pair.timeout(&channel, seq);
+                        }
+                    }
+                    // A failed transaction: a send and an acknowledgement
+                    // that the journal takes back.
+                    (_, Some(seq)) => {
+                        pair.recv(&channel, seq);
+                        pair.a.begin_tx();
+                        pair.send(&channel);
+                        pair.acknowledge(&channel, seq);
+                        pair.a.rollback_tx();
+                        prop_assert_eq!(pair.a.outstanding_commitments(&port, &channel), outstanding);
+                    }
+                }
+                pair.assert_agrees_with_the_scan();
+            }
+        }
+    }
+}
