@@ -11,9 +11,7 @@ use crate::tx::Tx;
 use xcc_sim::SimTime;
 use xcc_tendermint::block::RawTx;
 use xcc_tendermint::hash::Hash;
-use xcc_tendermint::mempool::MempoolConfig;
 use xcc_tendermint::node::{BlockOutcome, CommittedBlock, Node, SubmitError, TxStatus};
-use xcc_tendermint::params::{ConsensusParams, ConsensusTimingModel};
 use xcc_tendermint::validator::ValidatorSet;
 use xcc_tendermint::vote::Commit;
 
@@ -42,28 +40,14 @@ pub struct Chain {
 }
 
 impl Chain {
-    /// Creates a chain with default consensus parameters and timing.
+    /// Creates a chain at `genesis`: its validators, funded accounts and
+    /// minimum block interval.
     pub fn new(genesis: GenesisConfig) -> Self {
-        Self::with_params(
-            genesis,
-            ConsensusParams::default(),
-            ConsensusTimingModel::default(),
-            MempoolConfig::default(),
-        )
-    }
-
-    /// Creates a chain with explicit consensus parameters, timing model and
-    /// mempool limits.
-    pub fn with_params(
-        genesis: GenesisConfig,
-        params: ConsensusParams,
-        timing: ConsensusTimingModel,
-        mempool: MempoolConfig,
-    ) -> Self {
         let validators = ValidatorSet::with_equal_power(genesis.validator_count, 10);
         let app = GaiaApp::from_genesis(&genesis);
+        let interval = genesis.min_block_interval;
         Chain {
-            node: Node::new(genesis.chain_id, validators, params, timing, mempool, app),
+            node: Node::new(genesis.chain_id, validators, interval, app),
         }
     }
 
@@ -96,16 +80,6 @@ impl Chain {
     /// The validator set.
     pub fn validators(&self) -> &ValidatorSet {
         self.node.validators()
-    }
-
-    /// The consensus parameters.
-    pub fn params(&self) -> &ConsensusParams {
-        self.node.params()
-    }
-
-    /// The consensus timing model.
-    pub fn timing(&self) -> &ConsensusTimingModel {
-        self.node.timing()
     }
 
     /// Number of transactions waiting in the mempool.
@@ -268,12 +242,25 @@ mod tests {
     fn accessors_expose_consensus_configuration() {
         let chain = funded_chain();
         assert_eq!(chain.validators().len(), 5);
-        assert_eq!(
-            chain.params().min_block_interval,
-            xcc_sim::SimDuration::from_secs(5)
-        );
-        assert!(chain.timing().consensus_latency(5).as_millis() < 100);
         assert!(chain.latest_block().is_none());
         assert!(chain.commit_for(0).is_none());
+    }
+
+    /// Read at the commit before the consensus parameters became constants:
+    /// the genesis' minimum block interval and the model's limits reach the
+    /// header (`ConsensusHash`) and through it the block id, as before.
+    #[test]
+    fn block_one_header_hash_is_pinned() {
+        let mut chain = funded_chain();
+        chain.produce_block(SimTime::from_secs(5));
+        let header = &chain.block_at(1).unwrap().block.header;
+        assert_eq!(
+            header.hash().to_hex(),
+            "084826ff8684bd170eb97a3b6fb68db071947e99d1d6b79fe467986df953df65"
+        );
+        assert_eq!(
+            header.consensus_hash.to_hex(),
+            "414bbd4be332b3074c8546581c9a634ef01cd013bbaf1e4dd39fefc80b904199"
+        );
     }
 }

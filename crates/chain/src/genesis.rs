@@ -2,11 +2,14 @@
 
 use serde::{Deserialize, Serialize};
 
+use xcc_sim::SimDuration;
+
 use crate::account::AccountId;
 use crate::coin::Coin;
 
 /// The initial state of a chain: identifier, staking denomination, funded
-/// accounts and validator count.
+/// accounts, validator count and the one consensus parameter a deployment
+/// sets (every other is a constant of `xcc_tendermint::params`).
 ///
 /// # Example
 ///
@@ -28,17 +31,21 @@ pub struct GenesisConfig {
     pub accounts: Vec<(AccountId, Vec<Coin>)>,
     /// Number of consensus validators (the paper's testnets use 5).
     pub validator_count: usize,
+    /// Minimum interval between two consecutive blocks, recorded in every
+    /// header's consensus hash (the paper configures 5 seconds).
+    pub min_block_interval: SimDuration,
 }
 
 impl GenesisConfig {
-    /// Creates a genesis with no accounts, five validators and `uatom` as the
-    /// native denomination.
+    /// Creates a genesis with no accounts, five validators, a five-second
+    /// minimum block interval and `uatom` as the native denomination.
     pub fn new(chain_id: impl Into<String>) -> Self {
         GenesisConfig {
             chain_id: chain_id.into(),
             fee_denom: "uatom".to_string(),
             accounts: Vec::new(),
             validator_count: 5,
+            min_block_interval: SimDuration::from_secs(5),
         }
     }
 
@@ -97,6 +104,7 @@ mod tests {
     fn defaults_match_paper_testnet() {
         let genesis = GenesisConfig::new("gaia-sim");
         assert_eq!(genesis.validator_count, 5);
+        assert_eq!(genesis.min_block_interval, SimDuration::from_secs(5));
         assert_eq!(genesis.fee_denom, "uatom");
         assert!(genesis.accounts.is_empty());
     }

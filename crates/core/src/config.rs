@@ -8,6 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 use xcc_relayer::strategy::RelayerStrategy;
+use xcc_rpc::cost::BATCHED_PULL_PER_ITEM;
 use xcc_sim::SimDuration;
 
 use crate::fault::FaultPlan;
@@ -49,7 +50,7 @@ pub struct DeploymentConfig {
     /// Seed for all randomness in the experiment.
     pub seed: u64,
     /// Per-item pagination surcharge of a batched data pull, in microseconds
-    /// — the `RpcCostModel::batched_pull_per_item` calibration knob as
+    /// — the cost table's one calibration knob ([`BATCHED_PULL_PER_ITEM`]) as
     /// deployment configuration, so the PR 2 batched-pull surcharge sweeps
     /// like every other cost parameter
     /// ([`SweepGrid::batched_pull_per_items`](crate::sweep::SweepGrid::batched_pull_per_items)).
@@ -117,7 +118,7 @@ impl Default for DeploymentConfig {
 /// The cost model's calibrated batched-pull pagination surcharge in
 /// microseconds — the value deployments use unless the
 /// `batched_pull_per_item_us` knob overrides it.
-pub const DEFAULT_BATCHED_PULL_PER_ITEM_US: u64 = 120;
+pub const DEFAULT_BATCHED_PULL_PER_ITEM_US: u64 = BATCHED_PULL_PER_ITEM.as_nanos() / 1_000;
 
 /// Pre-multi-channel JSON has no `channel_count`: the paper's single channel.
 fn default_channel_count() -> usize {

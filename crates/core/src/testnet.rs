@@ -22,11 +22,8 @@ use xcc_ibc::ids::{ChainId, PortId};
 use xcc_relayer::config::RelayerConfig;
 use xcc_relayer::relayer::{RelayPath, Relayer};
 use xcc_relayer::strategy::ChannelPolicy;
-use xcc_rpc::cost::RpcCostModel;
 use xcc_rpc::endpoint::RpcEndpoint;
-use xcc_sim::{DetRng, LatencyModel, SimTime};
-use xcc_tendermint::mempool::MempoolConfig;
-use xcc_tendermint::params::{ConsensusParams, ConsensusTimingModel};
+use xcc_sim::{DetRng, LatencyModel, SimDuration, SimTime};
 
 use crate::config::DeploymentConfig;
 use crate::topology::{ResolvedTopology, TopologyError};
@@ -74,15 +71,9 @@ pub fn make_rpc(
     rng: &DetRng,
     label: &str,
 ) -> RpcEndpoint {
-    let cost = RpcCostModel {
-        batched_pull_per_item: xcc_sim::SimDuration::from_micros(
-            deployment.batched_pull_per_item_us,
-        ),
-        ..RpcCostModel::default()
-    };
     RpcEndpoint::new(
         chain.clone(),
-        cost,
+        SimDuration::from_micros(deployment.batched_pull_per_item_us),
         LatencyModel::constant_rtt_ms(deployment.network_rtt_ms),
         rng.fork(label),
     )
@@ -191,27 +182,24 @@ impl Testnet {
         let rng = DetRng::new(deployment.seed);
         let fleet = fleet_plan_for(&resolved, deployment);
 
-        let params = ConsensusParams {
-            min_block_interval: deployment.min_block_interval,
-            ..ConsensusParams::default()
-        };
         let mut chains = Vec::with_capacity(resolved.chains.len());
         for chain_id in &resolved.chains {
-            let mut genesis = GenesisConfig::new(chain_id.as_str())
-                .with_validators(deployment.validators_per_chain)
-                .with_funded_accounts("user", deployment.user_accounts, deployment.account_balance);
+            let mut genesis = GenesisConfig {
+                min_block_interval: deployment.min_block_interval,
+                ..GenesisConfig::new(chain_id.as_str())
+            }
+            .with_validators(deployment.validators_per_chain)
+            .with_funded_accounts(
+                "user",
+                deployment.user_accounts,
+                deployment.account_balance,
+            );
             // Every relayer account is funded on every chain, so a process
             // can pay fees on whichever edge it serves.
             for r in 0..fleet.len().max(1) {
                 genesis = genesis.with_account(format!("relayer-{r}"), deployment.account_balance);
             }
-            let chain = Chain::with_params(
-                genesis,
-                params.clone(),
-                ConsensusTimingModel::default(),
-                MempoolConfig::default(),
-            )
-            .into_shared();
+            let chain = Chain::new(genesis).into_shared();
             // Each chain commits its genesis block so that light clients can
             // be bootstrapped from a real header.
             chain.borrow_mut().produce_block(SimTime::ZERO);
@@ -241,12 +229,11 @@ impl Testnet {
             let offset = resolved.channel_offset(slot.edge);
             let edge_paths: Vec<RelayPath> = paths[offset..offset + edge.channels].to_vec();
             let config = RelayerConfig {
-                source_account: format!("relayer-{r}").into(),
-                destination_account: format!("relayer-{r}").into(),
+                account: format!("relayer-{r}").into(),
                 strategy: deployment.relayer_strategy,
                 instances: slot.group_size.max(1),
                 channel_assignment: slot.channel,
-                coordination_id: Some(slot.coordination_id),
+                coordination_id: slot.coordination_id,
             };
             let src_rpc = make_rpc(
                 &chains[edge.src],
@@ -538,15 +525,7 @@ mod tests {
 
     #[test]
     fn setup_without_genesis_block_reports_which_chain() {
-        let fresh = |id: &str| {
-            Chain::with_params(
-                GenesisConfig::new(id).with_validators(1),
-                ConsensusParams::default(),
-                ConsensusTimingModel::default(),
-                MempoolConfig::default(),
-            )
-            .into_shared()
-        };
+        let fresh = |id: &str| Chain::new(GenesisConfig::new(id).with_validators(1)).into_shared();
         let a = fresh("chain-a");
         let b = fresh("chain-b");
         // Neither chain has produced a block: the source chain is reported.

@@ -183,12 +183,11 @@ impl ClientRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xcc_sim::SimDuration;
     use xcc_tendermint::abci::{Application, CheckTxResult, DeliverTxResult};
     use xcc_tendermint::block::RawTx;
     use xcc_tendermint::hash::sha256;
-    use xcc_tendermint::mempool::MempoolConfig;
     use xcc_tendermint::node::Node;
-    use xcc_tendermint::params::{ConsensusParams, ConsensusTimingModel};
 
     #[derive(Default)]
     struct NullApp;
@@ -224,9 +223,7 @@ mod tests {
         let mut node = Node::new(
             "chain-a",
             ValidatorSet::with_equal_power(5, 10),
-            ConsensusParams::default(),
-            ConsensusTimingModel::default(),
-            MempoolConfig::default(),
+            SimDuration::from_secs(5),
             NullApp,
         );
         for i in 0..blocks {

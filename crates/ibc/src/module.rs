@@ -1144,7 +1144,7 @@ mod tests {
             consensus_hash: Hash::ZERO,
             app_hash: Hash::ZERO,
             last_results_hash: Hash::ZERO,
-            evidence_hash: xcc_tendermint::block::evidence_hash(&[]),
+            evidence_hash: xcc_tendermint::block::evidence_hash(),
             proposer_address: ValidatorAddress::from_name("val-0"),
         }
     }

@@ -11,8 +11,8 @@ pub fn hand_built(height: u64) -> ResponseEnvelope {
 }
 
 /// Re-prices a request outside the lane scheduler.
-pub fn reprice(cost: &RpcCostModel, kind: &RequestKind) -> SimDuration {
-    cost.service_time(kind)
+pub fn reprice(profile: &RequestProfile) -> SimDuration {
+    cost::service_time(profile, BATCHED_PULL_PER_ITEM)
 }
 
 // xcc-lint: allow(lane-bypass, reason = "fixture shim: canned response for a chain that never answers")

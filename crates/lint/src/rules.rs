@@ -539,7 +539,7 @@ fn uncosted_rpc(files: &[SourceFile], findings: &mut Vec<Finding>) {
                 col: 0,
                 message: format!(
                     "RequestKind::{} has no explicit costing arm in \
-                     RpcCostModel::service_time — a request of this kind would ship free",
+                     cost::service_time — a request of this kind would ship free",
                     variant.name
                 ),
             });

@@ -9,7 +9,7 @@
 //! Structure (mirroring Fig. 4 of the paper):
 //!
 //! * [`config::RelayerConfig`] — what a deployment sets per process
-//!   (accounts, strategy, fleet position), beside the pipeline constants
+//!   (account, strategy, fleet position), beside the pipeline constants
 //!   nothing varies ([`config::MAX_MSGS_PER_TX`] and three processing costs);
 //! * [`strategy::RelayerStrategy`] — the serde-able description of the
 //!   pipeline: event source, data fetcher, submission mode, coordination

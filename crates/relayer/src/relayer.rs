@@ -232,7 +232,8 @@ struct ChainEnd {
 }
 
 impl ChainEnd {
-    fn new(config: &RelayerConfig, account: &AccountId, mut rpc: RpcEndpoint) -> Self {
+    fn new(config: &RelayerConfig, mut rpc: RpcEndpoint) -> Self {
+        let account = &config.account;
         let seq = SequenceTracker::new(
             config.strategy.sequence_tracking,
             rpc.account_sequence(SimTime::ZERO, account).value,
@@ -306,8 +307,8 @@ impl Relayer {
     ) -> Self {
         assert!(!paths.is_empty(), "a relayer serves at least one channel");
         let ends = [
-            ChainEnd::new(&config, &config.source_account, src_rpc),
-            ChainEnd::new(&config, &config.destination_account, dst_rpc),
+            ChainEnd::new(&config, src_rpc),
+            ChainEnd::new(&config, dst_rpc),
         ];
         Relayer {
             id,
@@ -369,8 +370,7 @@ impl Relayer {
     /// deployment would — fleet position across channels never skews event
     /// delivery.
     fn relayer_delay(&self) -> SimDuration {
-        let replica = self.config.coordination_id.unwrap_or(self.id);
-        EVENT_PROCESSING_OVERHEAD + PER_INSTANCE_STAGGER * replica as u64
+        EVENT_PROCESSING_OVERHEAD + PER_INSTANCE_STAGGER * self.config.coordination_id as u64
     }
 
     /// Whether this instance relays `sequence` under the coordination
@@ -379,24 +379,20 @@ impl Relayer {
     /// its global process id.
     fn assigned(&self, src_height: u64, sequence: Sequence) -> bool {
         self.config.strategy.coordination.assigned(
-            self.config.coordination_id.unwrap_or(self.id),
+            self.config.coordination_id,
             self.config.instances.max(1),
             src_height,
             sequence,
         )
     }
 
-    /// Whether this instance serves the channel at `channel` at all: a
-    /// pinned channel assignment (dedicated fleets) wins, otherwise the
-    /// strategy's channel policy decides.
+    /// Whether this instance serves the channel at `channel` at all: every
+    /// channel of its paths, unless the deployment pinned it to one
+    /// (dedicated fleets).
     fn serves_channel(&self, channel: usize) -> bool {
-        if let Some(assigned) = self.config.channel_assignment {
-            return channel == assigned;
-        }
         self.config
-            .strategy
-            .channel_policy
-            .serves(self.id, self.config.instances.max(1), channel)
+            .channel_assignment
+            .is_none_or(|assigned| assigned == channel)
     }
 
     /// The channels this instance flushes for the block at `height`, in
@@ -1502,25 +1498,18 @@ mod tests {
     use xcc_chain::coin::Coin;
     use xcc_chain::genesis::GenesisConfig;
     use xcc_ibc::ids::{ChannelId, ClientId};
-    use xcc_rpc::cost::RpcCostModel;
+    use xcc_rpc::cost::BATCHED_PULL_PER_ITEM;
     use xcc_sim::{DetRng, LatencyModel};
-    use xcc_tendermint::mempool::MempoolConfig;
-    use xcc_tendermint::params::{ConsensusParams, ConsensusTimingModel};
+    use xcc_tendermint::mempool::MAX_TXS;
 
     const SRC: usize = ChainRole::Source as usize;
     const DST: usize = ChainRole::Destination as usize;
 
-    fn chain_with_mempool(id: &str, max_txs: usize) -> xcc_chain::chain::SharedChain {
-        Chain::with_params(
+    fn chain(id: &str) -> xcc_chain::chain::SharedChain {
+        Chain::new(
             GenesisConfig::new(id)
                 .with_account("relayer", 1_000_000_000)
                 .with_funded_accounts("user", 2, 1_000_000_000),
-            ConsensusParams::default(),
-            ConsensusTimingModel::default(),
-            MempoolConfig {
-                max_txs,
-                ..MempoolConfig::default()
-            },
         )
         .into_shared()
     }
@@ -1528,7 +1517,7 @@ mod tests {
     fn rpc_for(chain: &xcc_chain::chain::SharedChain, seed: u64) -> RpcEndpoint {
         RpcEndpoint::new(
             chain.clone(),
-            RpcCostModel::default(),
+            BATCHED_PULL_PER_ITEM,
             LatencyModel::Zero,
             DetRng::new(seed),
         )
@@ -1547,7 +1536,7 @@ mod tests {
     }
 
     fn test_relayer(dst: &xcc_chain::chain::SharedChain) -> Relayer {
-        let src = chain_with_mempool("src-chain", 5_000);
+        let src = chain("src-chain");
         // The broadcast path never touches channel state, so a nominal path
         // is enough to construct the driver.
         let (src_rpc, dst_rpc) = (rpc_for(&src, 1), rpc_for(dst, 2));
@@ -1575,21 +1564,25 @@ mod tests {
         }
     }
 
-    fn user_tx(chain: &xcc_chain::chain::SharedChain, seq: u64) {
-        let tx = xcc_chain::tx::Tx::new(
-            "user-1".into(),
-            seq,
-            vec![Msg::BankSend {
-                from: "user-1".into(),
-                to: "user-0".into(),
-                amount: Coin::new("uatom", 1),
-            }],
-            "uatom",
-        );
-        chain
-            .borrow_mut()
-            .submit_tx(&tx, SimTime::ZERO)
-            .expect("filler tx enters the mempool");
+    /// Fills the chain's mempool to [`MAX_TXS`] with a user's bank sends.
+    fn fill_mempool(chain: &xcc_chain::chain::SharedChain) {
+        for seq in 0..MAX_TXS as u64 {
+            let tx = xcc_chain::tx::Tx::new(
+                "user-1".into(),
+                seq,
+                vec![Msg::BankSend {
+                    from: "user-1".into(),
+                    to: "user-0".into(),
+                    amount: Coin::new("uatom", 1),
+                }],
+                "uatom",
+            );
+            chain
+                .borrow_mut()
+                .submit_tx(&tx, SimTime::ZERO)
+                .expect("filler tx enters the mempool");
+        }
+        assert_eq!(chain.borrow().mempool_size(), MAX_TXS);
     }
 
     /// Pins the wake protocol the runner's event loop is built on: block
@@ -1597,7 +1590,7 @@ mod tests {
     /// order, and spurious wakes (empty inbox) are harmless no-ops.
     #[test]
     fn wake_drains_the_inbox_and_spurious_wakes_are_noops() {
-        let dst = chain_with_mempool("dst-chain", 100);
+        let dst = chain("dst-chain");
         let mut relayer = test_relayer(&dst);
         assert!(relayer.inbox.is_empty());
         assert_eq!(relayer.wake(SimTime::ZERO), None, "empty wake is a no-op");
@@ -1618,15 +1611,15 @@ mod tests {
     /// the global process id for work division.
     #[test]
     fn channel_assignment_and_coordination_id_route_the_fleet() {
-        let dst = chain_with_mempool("dst-chain", 100);
-        let src = chain_with_mempool("src-chain", 100);
+        let dst = chain("dst-chain");
+        let src = chain("src-chain");
         // Process 3 of a dedicated fleet: pinned to channel 1, replica 1 of
         // a 2-replica group coordinated by sequence partitioning.
         let config = RelayerConfig {
             strategy: crate::strategy::RelayerStrategy::coordinated(),
             instances: 2,
             channel_assignment: Some(1),
-            coordination_id: Some(1),
+            coordination_id: 1,
             ..RelayerConfig::default()
         };
         let relayer = Relayer::with_paths(
@@ -1652,10 +1645,10 @@ mod tests {
     /// it counts failed attempts, not logical submissions.
     #[test]
     fn both_failed_attempts_of_one_submission_count_twice() {
-        // A destination whose mempool holds exactly one transaction, already
-        // occupied by a user's filler tx, and whose committed relayer
-        // sequence has moved past the relayer's local view.
-        let dst = chain_with_mempool("dst-chain", 1);
+        // A destination whose mempool is full of a user's filler txs, and
+        // whose committed relayer sequence has moved past the relayer's local
+        // view.
+        let dst = chain("dst-chain");
         let mut relayer = test_relayer(&dst);
         {
             // Desync: someone (a prior relayer run) commits a tx from the
@@ -1666,7 +1659,7 @@ mod tests {
                 .unwrap();
             dst.borrow_mut().produce_block(SimTime::from_secs(5));
         }
-        user_tx(&dst, 0); // fills the 1-slot mempool
+        fill_mempool(&dst);
 
         // Initial attempt: sequence mismatch (local 0, committed 1).
         // Retry after resync: CheckTx passes at sequence 1, but the mempool
@@ -1686,7 +1679,7 @@ mod tests {
     /// broadcast repeats the mismatch with the stale value forever.
     #[test]
     fn failed_retry_persists_the_resynced_sequence() {
-        let dst = chain_with_mempool("dst-chain", 1);
+        let dst = chain("dst-chain");
         let mut relayer = test_relayer(&dst);
         {
             let external = xcc_chain::tx::Tx::new("relayer".into(), 0, vec![bank_msg(7)], "uatom");
@@ -1695,7 +1688,7 @@ mod tests {
                 .unwrap();
             dst.borrow_mut().produce_block(SimTime::from_secs(5));
         }
-        user_tx(&dst, 0);
+        fill_mempool(&dst);
         let (_, accepted) = relayer.broadcast(
             ChainRole::Destination,
             SimTime::from_secs(6),
@@ -1704,10 +1697,10 @@ mod tests {
         assert!(accepted.is_none());
         assert_eq!(relayer.stats().broadcast_failures, 2);
 
-        // Drain the mempool; the next broadcast must reuse the persisted
-        // sequence (1) and succeed first try — no third failure.
+        // Make room in the mempool; the next broadcast must reuse the
+        // persisted sequence (1) and succeed first try — no third failure.
         dst.borrow_mut().produce_block(SimTime::from_secs(10));
-        assert_eq!(dst.borrow().mempool_size(), 0);
+        assert!(dst.borrow().mempool_size() < MAX_TXS);
         let (_, accepted) = relayer.broadcast(
             ChainRole::Destination,
             SimTime::from_secs(11),
@@ -1731,7 +1724,7 @@ mod tests {
     /// heights per chain through the normal inbox.
     #[test]
     fn crashed_process_bounds_notices_and_replays_a_window_on_restart() {
-        let dst = chain_with_mempool("dst-chain", 100);
+        let dst = chain("dst-chain");
         let mut relayer = test_relayer(&dst);
         relayer.notify_source_block(1, SimTime::from_secs(5));
         relayer.wake(SimTime::from_secs(5));
@@ -1781,7 +1774,7 @@ mod tests {
     /// while not crashed is a no-op.
     #[test]
     fn crash_wipes_pipeline_state_and_restart_is_idempotent() {
-        let dst = chain_with_mempool("dst-chain", 100);
+        let dst = chain("dst-chain");
         let mut relayer = test_relayer(&dst);
         let packet = Rc::new(packet(1));
         relayer.pending_recv.push((0, (1, Rc::clone(&packet))));
@@ -1843,7 +1836,7 @@ mod tests {
     /// previous incarnation never causes a mismatch after restart.
     #[test]
     fn restart_reseeds_sequence_trackers_from_committed_state() {
-        let dst = chain_with_mempool("dst-chain", 100);
+        let dst = chain("dst-chain");
         let mut relayer = test_relayer(&dst);
         // The previous incarnation's tx commits while we are down.
         let external = xcc_chain::tx::Tx::new("relayer".into(), 0, vec![bank_msg(7)], "uatom");
@@ -1871,7 +1864,7 @@ mod tests {
     /// the stranded packets.
     #[test]
     fn failed_tx_commit_releases_inflight_markers_to_the_clear_scan() {
-        let dst = chain_with_mempool("dst-chain", 100);
+        let dst = chain("dst-chain");
         let mut relayer = test_relayer(&dst);
         let hash_ok = Hash([1; 32]);
         let hash_bad = Hash([2; 32]);

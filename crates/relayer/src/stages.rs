@@ -11,8 +11,8 @@
 //! 3. [`SubmissionMode::should_flush`] decides when pending packets are
 //!    relayed;
 //! 4. [`CoordinationMode::assigned`] divides work between relayer instances;
-//! 5. [`ChannelPolicy::serves`] / [`ChannelPolicy::flush_order`] divide one
-//!    instance's attention between channels.
+//! 5. [`ChannelPolicy::flush_order`] orders one instance's attention between
+//!    channels.
 //!
 //! Every stage works in simulated time: the methods take the instant an
 //! operation starts and return the instant its results are in hand, with all
@@ -81,7 +81,7 @@ impl EventSourceKind {
     /// use xcc_chain::chain::Chain;
     /// use xcc_chain::genesis::GenesisConfig;
     /// use xcc_relayer::strategy::{EventSourceKind, RelayerStrategy};
-    /// use xcc_rpc::cost::RpcCostModel;
+    /// use xcc_rpc::cost::BATCHED_PULL_PER_ITEM;
     /// use xcc_rpc::endpoint::RpcEndpoint;
     /// use xcc_sim::{DetRng, LatencyModel, SimDuration, SimTime};
     ///
@@ -89,7 +89,7 @@ impl EventSourceKind {
     /// chain.borrow_mut().produce_block(SimTime::from_secs(5));
     /// let mut rpc = RpcEndpoint::new(
     ///     chain,
-    ///     RpcCostModel::default(),
+    ///     BATCHED_PULL_PER_ITEM,
     ///     LatencyModel::Zero,
     ///     DetRng::new(1),
     /// );
@@ -159,7 +159,7 @@ pub struct Fetched<T> {
 /// use xcc_chain::genesis::GenesisConfig;
 /// use xcc_ibc::ids::{ChannelId, PortId, Sequence};
 /// use xcc_relayer::strategy::FetchStrategy;
-/// use xcc_rpc::cost::RpcCostModel;
+/// use xcc_rpc::cost::BATCHED_PULL_PER_ITEM;
 /// use xcc_rpc::endpoint::RpcEndpoint;
 /// use xcc_sim::{DetRng, LatencyModel, SimTime};
 ///
@@ -168,7 +168,7 @@ pub struct Fetched<T> {
 ///     chain.borrow_mut().produce_block(SimTime::from_secs(5));
 ///     RpcEndpoint::new(
 ///         chain,
-///         RpcCostModel::default(),
+///         BATCHED_PULL_PER_ITEM,
 ///         LatencyModel::constant_rtt_ms(200),
 ///         DetRng::new(1),
 ///     )
@@ -380,10 +380,12 @@ impl CoordinationMode {
 // Channel scheduler
 // ---------------------------------------------------------------------------
 
-/// Divides a relayer instance's attention between the channels of a
-/// multi-channel deployment: which channels this instance serves at all, and
-/// in which order their pending batches are flushed on the shared packet
-/// worker.
+/// Orders a relayer instance's attention between the channels of a
+/// multi-channel deployment: in which order their pending batches are
+/// flushed on the shared packet worker. Which channels an instance serves at
+/// all is the deployment's decision, not the policy's: the testnet builder
+/// expands [`ChannelPolicy::Dedicated`] into one process pinned to each
+/// channel (`RelayerConfig::channel_assignment`).
 ///
 /// The `multi_channel_scaling` and `channel_contention` registry scenarios
 /// exercise the non-default policies (see
@@ -394,22 +396,13 @@ impl CoordinationMode {
 ///
 /// // Fair share rotates the flush order with the block height...
 /// assert_eq!(ChannelPolicy::FairShare.flush_order(10, 3), vec![1, 2, 0]);
-/// // ...while a dedicated deployment pins channel 2 to instance 0 of 2.
-/// assert!(ChannelPolicy::Dedicated.serves(0, 2, 2));
-/// assert!(!ChannelPolicy::Dedicated.serves(1, 2, 2));
+/// // ...while priority always starts from the first channel.
+/// assert_eq!(ChannelPolicy::Priority.flush_order(10, 3), vec![0, 1, 2]);
 /// ```
 impl ChannelPolicy {
-    /// Whether instance `relayer_id` of `relayer_count` serves the channel
-    /// at `channel_index` at all.
-    pub fn serves(self, relayer_id: usize, relayer_count: usize, channel_index: usize) -> bool {
-        self != ChannelPolicy::Dedicated
-            || relayer_count <= 1
-            || channel_index % relayer_count == relayer_id
-    }
-
     /// The order in which this instance flushes the deployment's
-    /// `channel_count` channels for the block at `height` (unserved channels
-    /// are filtered by the caller via [`serves`](ChannelPolicy::serves)).
+    /// `channel_count` channels for the block at `height` (channels the
+    /// process is not pinned to are filtered by the caller).
     pub fn flush_order(self, height: u64, channel_count: usize) -> Vec<usize> {
         let n = channel_count.max(1);
         let start = match self {
@@ -430,24 +423,14 @@ mod tests {
         assert_eq!(fair.flush_order(0, 3), vec![0, 1, 2]);
         assert_eq!(fair.flush_order(1, 3), vec![1, 2, 0]);
         assert_eq!(fair.flush_order(5, 3), vec![2, 0, 1]);
-        assert!(fair.serves(1, 2, 0));
 
         let priority = ChannelPolicy::Priority;
         for height in [0u64, 3, 17] {
             assert_eq!(priority.flush_order(height, 3), vec![0, 1, 2]);
         }
-        assert!(priority.serves(1, 2, 0));
 
         let dedicated = ChannelPolicy::Dedicated;
-        // Exactly one of N instances owns each channel.
-        for channel in 0..4usize {
-            let owners = (0..2)
-                .filter(|id| dedicated.serves(*id, 2, channel))
-                .count();
-            assert_eq!(owners, 1);
-        }
-        // Single-instance deployments serve everything.
-        assert!(dedicated.serves(0, 1, 3));
+        assert_eq!(dedicated.flush_order(17, 3), vec![0, 1, 2]);
         // Single-channel deployments reduce every policy to the same plan.
         for scheduler in [fair, priority, dedicated] {
             assert_eq!(scheduler.flush_order(9, 1), vec![0]);
@@ -462,7 +445,7 @@ mod tests {
         use xcc_chain::genesis::GenesisConfig;
         use xcc_chain::msg::Msg;
         use xcc_chain::tx::Tx;
-        use xcc_rpc::cost::RpcCostModel;
+        use xcc_rpc::cost::BATCHED_PULL_PER_ITEM;
         use xcc_sim::{DetRng, LatencyModel};
         let chain =
             Chain::new(GenesisConfig::new("chain-a").with_funded_accounts("user", 2, 100_000_000))
@@ -486,7 +469,7 @@ mod tests {
         }
         RpcEndpoint::new(
             chain,
-            RpcCostModel::default(),
+            BATCHED_PULL_PER_ITEM,
             LatencyModel::Zero,
             DetRng::new(1),
         )

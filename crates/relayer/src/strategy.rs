@@ -159,9 +159,9 @@ pub enum ChannelPolicy {
     /// A dedicated relayer process per channel: the deployment expands into
     /// one relayer process for every channel (times `relayer_count`
     /// redundant replicas per channel), each pinned to its channel with its
-    /// own RPC lanes — real fleet topology, not a rotation order. Hand-built
-    /// relayers without an explicit channel assignment fall back to the
-    /// modular `channel_index % relayer_count` mapping.
+    /// own RPC lanes — real fleet topology, not a rotation order. A relayer
+    /// built without a channel assignment serves every channel in fixed
+    /// order, like `Priority`.
     Dedicated,
 }
 

@@ -95,49 +95,42 @@ impl RequestKind {
     }
 }
 
-/// Service-time parameters of the simulated RPC server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RpcCostModel {
-    /// Fixed cost of accepting and dispatching any request.
-    pub base: SimDuration,
-    /// Cost per kilobyte of response payload.
-    pub per_response_kilobyte: SimDuration,
-    /// Additional cost of a packet-data pull per IBC *message committed in
-    /// the queried block* when the messages are transfers. This is the
-    /// super-linear term that makes large submission batches so expensive
-    /// (Figs. 12 and 13).
-    pub data_pull_per_block_msg_transfer: SimDuration,
-    /// As above, for receive messages (larger responses: packets plus proofs
-    /// plus acknowledgements).
-    pub data_pull_per_block_msg_recv: SimDuration,
-    /// Cost of running `CheckTx` during `broadcast_tx_sync`, per message in
-    /// the submitted transaction.
-    pub broadcast_per_msg: SimDuration,
-    /// Per-requested-item surcharge of a batched data pull: result assembly
-    /// and pagination for every packet the single query returns. Batching
-    /// amortizes the block scan but is not free.
-    pub batched_pull_per_item: SimDuration,
-    /// Per-pending-transaction cost of an unconfirmed-aware account query:
-    /// the node walks its mempool to count the account's in-flight window,
-    /// so the scan grows with the mempool backlog.
-    pub unconfirmed_query_per_pending_tx: SimDuration,
-}
+// The cost table (docs/ARCHITECTURE.md, "The model's constants", names what
+// calibrates each value). A value becomes a `DeploymentConfig` field only when
+// two scenarios need different values of it, as `BATCHED_PULL_PER_ITEM` is.
 
-impl Default for RpcCostModel {
-    fn default() -> Self {
-        RpcCostModel {
-            base: SimDuration::from_millis(5),
-            per_response_kilobyte: SimDuration::from_micros(900),
-            // Calibrated so that 50 pulls over a 5,000-message block cost
-            // ≈110 s (transfer) and ≈207 s (recv), the Fig. 12 breakdown.
-            data_pull_per_block_msg_transfer: SimDuration::from_micros(439),
-            data_pull_per_block_msg_recv: SimDuration::from_micros(823),
-            broadcast_per_msg: SimDuration::from_micros(30),
-            batched_pull_per_item: SimDuration::from_micros(120),
-            unconfirmed_query_per_pending_tx: SimDuration::from_micros(4),
-        }
-    }
-}
+/// Fixed cost of accepting and dispatching any request.
+const BASE: SimDuration = SimDuration::from_millis(5);
+
+/// Cost per kilobyte of response payload.
+const PER_RESPONSE_KILOBYTE: SimDuration = SimDuration::from_micros(900);
+
+/// Additional cost of a packet-data pull per IBC *message committed in the
+/// queried block* when the messages are transfers: the super-linear term that
+/// makes large submission batches so expensive (Figs. 12 and 13). Calibrated
+/// so that 50 pulls over a 5,000-message block cost ≈110 s (transfer) and
+/// ≈207 s (recv), the Fig. 12 breakdown.
+const DATA_PULL_PER_BLOCK_MSG_TRANSFER: SimDuration = SimDuration::from_micros(439);
+
+/// As above, for receive messages (larger responses: packets plus proofs plus
+/// acknowledgements).
+const DATA_PULL_PER_BLOCK_MSG_RECV: SimDuration = SimDuration::from_micros(823);
+
+/// Cost of running `CheckTx` during `broadcast_tx_sync`, per message in the
+/// submitted transaction.
+const BROADCAST_PER_MSG: SimDuration = SimDuration::from_micros(30);
+
+/// Per-pending-transaction cost of an unconfirmed-aware account query: the
+/// node walks its mempool to count the account's in-flight window, so the
+/// scan grows with the mempool backlog.
+const UNCONFIRMED_QUERY_PER_PENDING_TX: SimDuration = SimDuration::from_micros(4);
+
+/// The calibrated per-requested-item surcharge of a batched data pull: result
+/// assembly and pagination for every packet the single query returns.
+/// Batching amortizes the block scan but is not free. The one cost a
+/// deployment sets (`DeploymentConfig::batched_pull_per_item_us`, whose
+/// default this is), so [`service_time`] takes it as an argument.
+pub const BATCHED_PULL_PER_ITEM: SimDuration = SimDuration::from_micros(120);
 
 /// Context describing the request being priced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -169,81 +162,104 @@ impl RequestProfile {
     }
 }
 
-impl RpcCostModel {
-    /// The server-side service time of a request.
-    pub fn service_time(&self, profile: &RequestProfile) -> SimDuration {
-        let size_cost = self.per_response_kilobyte * (profile.response_bytes as u64 / 1024);
-        let kind_cost = match profile.kind {
-            RequestKind::BroadcastTxSync => self.broadcast_per_msg * profile.messages as u64,
-            RequestKind::PacketDataPull => {
-                let per_msg = if profile.recv_heavy {
-                    self.data_pull_per_block_msg_recv
-                } else {
-                    self.data_pull_per_block_msg_transfer
-                };
-                per_msg * profile.messages as u64
-            }
-            RequestKind::BatchedDataPull => {
-                // One block scan for the whole batch plus a per-item
-                // pagination surcharge, instead of one scan per chunk.
-                let per_msg = if profile.recv_heavy {
-                    self.data_pull_per_block_msg_recv
-                } else {
-                    self.data_pull_per_block_msg_transfer
-                };
-                per_msg * profile.messages as u64
-                    + self.batched_pull_per_item * profile.items as u64
-            }
-            RequestKind::UnconfirmedAccountQuery => {
-                // The mempool scan: `items` carries the pending-tx count the
-                // node walked to answer the query.
-                self.unconfirmed_query_per_pending_tx * profile.items as u64
-            }
-            RequestKind::BlockResults => {
-                // Whole-block queries pay the size cost twice: encoding and
-                // pagination overhead (the paper's 331,706-line responses).
-                size_cost
-            }
-            // Metadata lookups answered from indexed state: no per-message
-            // work beyond the base fee and response-size cost. Each variant
-            // is priced explicitly so the `uncosted-rpc` lint can prove no
-            // RequestKind ships without a costing decision.
-            RequestKind::Status
-            | RequestKind::AccountQuery
-            | RequestKind::ProofQuery
-            | RequestKind::ClientUpdateData
-            | RequestKind::UnreceivedQuery => SimDuration::ZERO,
-        };
-        self.base + size_cost + kind_cost
-    }
+/// The server-side service time of a request, with `batched_pull_per_item`
+/// as the batched pull's per-item surcharge ([`BATCHED_PULL_PER_ITEM`] unless
+/// the deployment overrides it).
+pub fn service_time(profile: &RequestProfile, batched_pull_per_item: SimDuration) -> SimDuration {
+    let size_cost = PER_RESPONSE_KILOBYTE * (profile.response_bytes as u64 / 1024);
+    let data_pull_per_msg = if profile.recv_heavy {
+        DATA_PULL_PER_BLOCK_MSG_RECV
+    } else {
+        DATA_PULL_PER_BLOCK_MSG_TRANSFER
+    };
+    let kind_cost = match profile.kind {
+        RequestKind::BroadcastTxSync => BROADCAST_PER_MSG * profile.messages as u64,
+        RequestKind::PacketDataPull => data_pull_per_msg * profile.messages as u64,
+        RequestKind::BatchedDataPull => {
+            // One block scan for the whole batch plus a per-item pagination
+            // surcharge, instead of one scan per chunk.
+            data_pull_per_msg * profile.messages as u64
+                + batched_pull_per_item * profile.items as u64
+        }
+        RequestKind::UnconfirmedAccountQuery => {
+            // The mempool scan: `items` carries the pending-tx count the node
+            // walked to answer the query.
+            UNCONFIRMED_QUERY_PER_PENDING_TX * profile.items as u64
+        }
+        RequestKind::BlockResults => {
+            // Whole-block queries pay the size cost twice: encoding and
+            // pagination overhead (the paper's 331,706-line responses).
+            size_cost
+        }
+        // Metadata lookups answered from indexed state: no per-message work
+        // beyond the base fee and response-size cost. Each variant is priced
+        // explicitly so the `uncosted-rpc` lint can prove no RequestKind
+        // ships without a costing decision.
+        RequestKind::Status
+        | RequestKind::AccountQuery
+        | RequestKind::ProofQuery
+        | RequestKind::ClientUpdateData
+        | RequestKind::UnreceivedQuery => SimDuration::ZERO,
+    };
+    BASE + size_cost + kind_cost
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A request priced at the calibrated batched-pull surcharge.
+    fn priced(kind: RequestKind, response_bytes: usize, messages: usize, recv_heavy: bool) -> f64 {
+        let profile = RequestProfile {
+            kind,
+            response_bytes,
+            messages,
+            recv_heavy,
+            items: 0,
+        };
+        service_time(&profile, BATCHED_PULL_PER_ITEM).as_secs_f64()
+    }
+
+    /// One row per `RequestKind` at `response_bytes 70_000, messages 5_000,
+    /// items 100`, read at the commit before the cost table became constants:
+    /// a mistyped constant fails here, not only in a golden.
+    #[test]
+    fn service_times_are_pinned_per_kind() {
+        let nanos = |kind, recv_heavy| {
+            let profile = RequestProfile {
+                kind,
+                response_bytes: 70_000,
+                messages: 5_000,
+                recv_heavy,
+                items: 100,
+            };
+            service_time(&profile, BATCHED_PULL_PER_ITEM).as_nanos()
+        };
+        let table: [(RequestKind, u64, u64); 10] = [
+            (RequestKind::BroadcastTxSync, 216_200_000, 216_200_000),
+            (RequestKind::Status, 66_200_000, 66_200_000),
+            (RequestKind::AccountQuery, 66_200_000, 66_200_000),
+            (RequestKind::UnconfirmedAccountQuery, 66_600_000, 66_600_000),
+            (RequestKind::PacketDataPull, 2_261_200_000, 4_181_200_000),
+            (RequestKind::BatchedDataPull, 2_273_200_000, 4_193_200_000),
+            (RequestKind::ProofQuery, 66_200_000, 66_200_000),
+            (RequestKind::ClientUpdateData, 66_200_000, 66_200_000),
+            (RequestKind::BlockResults, 127_400_000, 127_400_000),
+            (RequestKind::UnreceivedQuery, 66_200_000, 66_200_000),
+        ];
+        for (kind, transfer, recv_heavy) in table {
+            assert_eq!(nanos(kind, false), transfer, "{kind:?}");
+            assert_eq!(nanos(kind, true), recv_heavy, "{kind:?} recv-heavy");
+        }
+    }
+
     #[test]
     fn default_model_reproduces_paper_block_query_costs() {
-        let model = RpcCostModel::default();
         // A single data pull over a block holding 2,000 transfer messages
         // (the paper's 20 × 100 example) should take roughly 2.9 s…
-        let transfer_pull = model.service_time(&RequestProfile {
-            kind: RequestKind::PacketDataPull,
-            response_bytes: 1_200_000,
-            messages: 2_000,
-            recv_heavy: false,
-            items: 0,
-        });
+        let t = priced(RequestKind::PacketDataPull, 1_200_000, 2_000, false);
         // …and the recv-heavy equivalent roughly 5.7 s.
-        let recv_pull = model.service_time(&RequestProfile {
-            kind: RequestKind::PacketDataPull,
-            response_bytes: 2_400_000,
-            messages: 2_000,
-            recv_heavy: true,
-            items: 0,
-        });
-        let t = transfer_pull.as_secs_f64();
-        let r = recv_pull.as_secs_f64();
+        let r = priced(RequestKind::PacketDataPull, 2_400_000, 2_000, true);
         assert!((1.5..4.5).contains(&t), "transfer pull {t}s");
         assert!((3.5..8.0).contains(&r), "recv pull {r}s");
         assert!(r > t * 1.5, "recv pulls must be substantially slower");
@@ -253,33 +269,8 @@ mod tests {
     fn fig12_scale_data_pull_costs() {
         // 50 pulls over a 5,000-message block: ≈110 s for transfers and
         // ≈207 s for receives (±20%).
-        let model = RpcCostModel::default();
-        let transfer_total: f64 = (0..50)
-            .map(|_| {
-                model
-                    .service_time(&RequestProfile {
-                        kind: RequestKind::PacketDataPull,
-                        response_bytes: 70_000,
-                        messages: 5_000,
-                        recv_heavy: false,
-                        items: 0,
-                    })
-                    .as_secs_f64()
-            })
-            .sum();
-        let recv_total: f64 = (0..50)
-            .map(|_| {
-                model
-                    .service_time(&RequestProfile {
-                        kind: RequestKind::PacketDataPull,
-                        response_bytes: 140_000,
-                        messages: 5_000,
-                        recv_heavy: true,
-                        items: 0,
-                    })
-                    .as_secs_f64()
-            })
-            .sum();
+        let transfer_total = 50.0 * priced(RequestKind::PacketDataPull, 70_000, 5_000, false);
+        let recv_total = 50.0 * priced(RequestKind::PacketDataPull, 140_000, 5_000, true);
         assert!(
             (88.0..132.0).contains(&transfer_total),
             "transfer pulls total {transfer_total}s"
@@ -292,106 +283,71 @@ mod tests {
 
     #[test]
     fn batched_pull_amortizes_the_block_scan() {
-        let model = RpcCostModel::default();
         // Fig. 12 shape: 5,000 packets pulled out of a 5,000-message block.
         // Sequentially that is 50 chunked pulls, each paying the block scan…
-        let sequential: f64 = (0..50)
-            .map(|_| {
-                model
-                    .service_time(&RequestProfile {
-                        kind: RequestKind::PacketDataPull,
-                        response_bytes: 70_000,
-                        messages: 5_000,
-                        recv_heavy: false,
-                        items: 0,
-                    })
-                    .as_secs_f64()
-            })
-            .sum();
+        let sequential = 50.0 * priced(RequestKind::PacketDataPull, 70_000, 5_000, false);
         // …while one batched query pays it once plus a per-item surcharge.
-        let batched = model
-            .service_time(&RequestProfile {
-                kind: RequestKind::BatchedDataPull,
-                response_bytes: 3_500_000,
-                messages: 5_000,
-                recv_heavy: false,
-                items: 5_000,
-            })
-            .as_secs_f64();
+        let batched_profile = |items| RequestProfile {
+            kind: RequestKind::BatchedDataPull,
+            response_bytes: 3_500_000,
+            messages: 5_000,
+            recv_heavy: false,
+            items,
+        };
+        let batched = service_time(&batched_profile(5_000), BATCHED_PULL_PER_ITEM).as_secs_f64();
         assert!(
             batched * 10.0 < sequential,
             "batched {batched}s vs sequential {sequential}s"
         );
-        // The surcharge keeps batching from being free.
-        let unbatched_single = model
-            .service_time(&RequestProfile {
-                kind: RequestKind::PacketDataPull,
-                response_bytes: 3_500_000,
-                messages: 5_000,
-                recv_heavy: false,
-                items: 0,
-            })
-            .as_secs_f64();
+        // The surcharge keeps batching from being free…
+        let unbatched_single = priced(RequestKind::PacketDataPull, 3_500_000, 5_000, false);
         assert!(batched > unbatched_single);
+        // …and a deployment's own surcharge replaces the calibrated one.
+        let free = service_time(&batched_profile(5_000), SimDuration::ZERO).as_secs_f64();
+        assert_eq!(free, unbatched_single);
     }
 
     #[test]
     fn service_time_is_monotone_in_size_and_messages() {
-        let model = RpcCostModel::default();
-        let small = model.service_time(&RequestProfile::small(RequestKind::Status));
-        let big = model.service_time(&RequestProfile {
-            kind: RequestKind::BlockResults,
-            response_bytes: 10_000_000,
-            messages: 0,
-            recv_heavy: false,
-            items: 0,
-        });
+        let small = priced(RequestKind::Status, 512, 0, false);
+        let big = priced(RequestKind::BlockResults, 10_000_000, 0, false);
         assert!(big > small);
 
-        let few = model.service_time(&RequestProfile {
-            kind: RequestKind::BroadcastTxSync,
-            response_bytes: 1_000,
-            messages: 10,
-            recv_heavy: false,
-            items: 0,
-        });
-        let many = model.service_time(&RequestProfile {
-            kind: RequestKind::BroadcastTxSync,
-            response_bytes: 1_000,
-            messages: 100,
-            recv_heavy: false,
-            items: 0,
-        });
+        let few = priced(RequestKind::BroadcastTxSync, 1_000, 10, false);
+        let many = priced(RequestKind::BroadcastTxSync, 1_000, 100, false);
         assert!(many > few);
     }
 
     #[test]
     fn small_queries_cost_little() {
-        let model = RpcCostModel::default();
-        let status = model.service_time(&RequestProfile::small(RequestKind::Status));
+        let status = service_time(
+            &RequestProfile::small(RequestKind::Status),
+            BATCHED_PULL_PER_ITEM,
+        );
         assert!(status < SimDuration::from_millis(20));
     }
 
     #[test]
     fn unconfirmed_query_scales_with_the_mempool_scan() {
-        let model = RpcCostModel::default();
-        let profile = |items| RequestProfile {
-            kind: RequestKind::UnconfirmedAccountQuery,
-            response_bytes: 512,
-            messages: 0,
-            recv_heavy: false,
-            items,
+        let cost = |items| {
+            let profile = RequestProfile {
+                kind: RequestKind::UnconfirmedAccountQuery,
+                response_bytes: 512,
+                messages: 0,
+                recv_heavy: false,
+                items,
+            };
+            service_time(&profile, BATCHED_PULL_PER_ITEM)
         };
-        let empty = model.service_time(&profile(0));
-        let busy = model.service_time(&profile(5_000));
+        let account = RequestProfile::small(RequestKind::AccountQuery);
         assert_eq!(
-            empty,
-            model.service_time(&RequestProfile::small(RequestKind::AccountQuery)),
+            cost(0),
+            service_time(&account, BATCHED_PULL_PER_ITEM),
             "an empty mempool costs no more than a plain account query"
         );
         assert_eq!(
-            busy - empty,
-            model.unconfirmed_query_per_pending_tx * 5_000,
+            cost(5_000) - cost(0),
+            UNCONFIRMED_QUERY_PER_PENDING_TX * 5_000,
             "the mempool walk is linear in the backlog"
         );
     }

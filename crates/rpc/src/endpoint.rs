@@ -21,7 +21,7 @@ use xcc_tendermint::abci::Event;
 use xcc_tendermint::hash::Hash;
 use xcc_tendermint::node::{CommittedBlock, TxStatus};
 
-use crate::cost::{RequestKind, RequestProfile, RpcCostModel};
+use crate::cost::{service_time, RequestKind, RequestProfile};
 
 /// A response from the RPC endpoint: the value plus when it arrives at the
 /// caller.
@@ -132,20 +132,28 @@ impl BlockEventBatch {
 pub struct RpcEndpoint {
     chain: SharedChain,
     queue: FifoServer,
-    cost: RpcCostModel,
+    /// The batched data pull's per-item surcharge
+    /// ([`BATCHED_PULL_PER_ITEM`](crate::cost::BATCHED_PULL_PER_ITEM) unless
+    /// the deployment sets its own).
+    batched_pull_per_item: SimDuration,
     latency: LatencyModel,
     rng: DetRng,
 }
 
 impl RpcEndpoint {
-    /// Creates an endpoint for `chain` with the given cost and latency
-    /// models.
-    pub fn new(chain: SharedChain, cost: RpcCostModel, latency: LatencyModel, rng: DetRng) -> Self {
+    /// Creates an endpoint for `chain` with the given batched-pull surcharge
+    /// and latency model.
+    pub fn new(
+        chain: SharedChain,
+        batched_pull_per_item: SimDuration,
+        latency: LatencyModel,
+        rng: DetRng,
+    ) -> Self {
         let name = format!("rpc-{}", chain.borrow().id());
         RpcEndpoint {
             chain,
             queue: FifoServer::new(name),
-            cost,
+            batched_pull_per_item,
             latency,
             rng,
         }
@@ -154,16 +162,6 @@ impl RpcEndpoint {
     /// The chain this endpoint serves.
     pub fn chain(&self) -> &SharedChain {
         &self.chain
-    }
-
-    /// Total number of queries served so far.
-    pub fn queries_served(&self) -> u64 {
-        self.queue.jobs_served()
-    }
-
-    /// Cumulative time the RPC server spent busy.
-    pub fn busy_time(&self) -> SimDuration {
-        self.queue.busy_time()
     }
 
     /// A snapshot of this lane's accounting (queries served, busy time,
@@ -180,7 +178,7 @@ impl RpcEndpoint {
 
     fn respond<T>(&mut self, now: SimTime, profile: RequestProfile, value: T) -> RpcResponse<T> {
         prof::bump_rpc_call(profile.kind.index());
-        let service = self.cost.service_time(&profile);
+        let service = service_time(&profile, self.batched_pull_per_item);
         let request_arrives = now + self.latency.sample_one_way(&mut self.rng);
         let served_at = self.queue.submit(request_arrives, service);
         let ready_at = served_at + self.latency.sample_one_way(&mut self.rng);
@@ -391,7 +389,7 @@ impl RpcEndpoint {
     /// A batched variant of [`pull_packet_data`](RpcEndpoint::pull_packet_data)
     /// covering an arbitrary number of sequences in one query: the block scan
     /// is paid once for the whole batch, with a per-item pagination surcharge
-    /// (see [`RpcCostModel::batched_pull_per_item`]).
+    /// (see [`BATCHED_PULL_PER_ITEM`](crate::cost::BATCHED_PULL_PER_ITEM)).
     pub fn pull_packet_data_batched(
         &mut self,
         now: SimTime,
@@ -576,6 +574,7 @@ impl RpcEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::BATCHED_PULL_PER_ITEM;
     use xcc_chain::chain::Chain;
     use xcc_chain::coin::Coin;
     use xcc_chain::genesis::GenesisConfig;
@@ -587,7 +586,7 @@ mod tests {
                 .into_shared();
         RpcEndpoint::new(
             chain,
-            RpcCostModel::default(),
+            BATCHED_PULL_PER_ITEM,
             LatencyModel::constant_rtt_ms(latency_ms),
             DetRng::new(7),
         )
@@ -644,14 +643,12 @@ mod tests {
         let first = rpc.block_tx_results(SimTime::from_secs(5), 1);
         let second = rpc.block_tx_results(SimTime::from_secs(5), 1);
         assert!(second.ready_at > first.ready_at);
-        assert_eq!(rpc.queries_served(), 2);
-        assert!(rpc.busy_time() > SimDuration::ZERO);
-        // The lane snapshot mirrors the live accessors and records that the
-        // second query waited behind the first on this lane's queue.
+        // The lane snapshot counts both and records that the second query
+        // waited behind the first on this lane's queue.
         let lane = rpc.lane_stats();
         assert_eq!(lane.name, "rpc-chain-a");
         assert_eq!(lane.queries_served, 2);
-        assert_eq!(lane.busy_time, rpc.busy_time());
+        assert!(lane.busy_time > SimDuration::ZERO);
         assert!(lane.total_wait > SimDuration::ZERO);
         assert!(lane.max_backlog >= lane.total_wait);
     }
@@ -668,7 +665,7 @@ mod tests {
         let lane_of = |seed| {
             RpcEndpoint::new(
                 chain.clone(),
-                RpcCostModel::default(),
+                BATCHED_PULL_PER_ITEM,
                 LatencyModel::Zero,
                 DetRng::new(seed),
             )
@@ -936,7 +933,7 @@ mod tests {
     fn lane(chain: &SharedChain) -> RpcEndpoint {
         RpcEndpoint::new(
             chain.clone(),
-            RpcCostModel::default(),
+            BATCHED_PULL_PER_ITEM,
             LatencyModel::constant_rtt_ms(200),
             DetRng::new(7),
         )

@@ -5,8 +5,10 @@
 //! Tendermint serves queries sequentially and the packet-data queries return
 //! very large responses. This crate models that subsystem:
 //!
-//! * [`cost::RpcCostModel`] — response-size- and content-aware service times,
-//!   calibrated to the block-query measurements reported in §V of the paper;
+//! * [`cost::service_time`] — response-size- and content-aware service times
+//!   from one table of constants calibrated to the block-query measurements
+//!   reported in §V of the paper, with the batched pull's per-item surcharge
+//!   ([`cost::BATCHED_PULL_PER_ITEM`]) the one value a deployment sets;
 //! * [`endpoint::RpcEndpoint`] — a single-server FIFO query queue bound to a
 //!   simulated chain, exposing the queries the relayer and the analysis
 //!   tooling need (`broadcast_tx_sync`, `tx_search`, packet/ack pulls with
@@ -20,12 +22,12 @@
 //! ```rust
 //! use xcc_chain::chain::Chain;
 //! use xcc_chain::genesis::GenesisConfig;
-//! use xcc_rpc::cost::RpcCostModel;
+//! use xcc_rpc::cost::BATCHED_PULL_PER_ITEM;
 //! use xcc_rpc::endpoint::RpcEndpoint;
 //! use xcc_sim::{DetRng, LatencyModel, SimTime};
 //!
 //! let chain = Chain::new(GenesisConfig::new("chain-a")).into_shared();
-//! let mut rpc = RpcEndpoint::new(chain, RpcCostModel::default(), LatencyModel::Zero, DetRng::new(1));
+//! let mut rpc = RpcEndpoint::new(chain, BATCHED_PULL_PER_ITEM, LatencyModel::Zero, DetRng::new(1));
 //! let status = rpc.status(SimTime::ZERO);
 //! assert_eq!(status.value.0, "chain-a");
 //! ```

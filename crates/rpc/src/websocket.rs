@@ -123,7 +123,7 @@ impl WebSocketSubscription {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::RpcCostModel;
+    use crate::cost::BATCHED_PULL_PER_ITEM;
     use xcc_chain::chain::Chain;
     use xcc_chain::coin::Coin;
     use xcc_chain::genesis::GenesisConfig;
@@ -140,7 +140,7 @@ mod tests {
         .into_shared();
         let rpc = RpcEndpoint::new(
             chain.clone(),
-            RpcCostModel::default(),
+            BATCHED_PULL_PER_ITEM,
             LatencyModel::Zero,
             DetRng::new(3),
         );

@@ -74,12 +74,6 @@ impl FifoServer {
         completion
     }
 
-    /// The instant at which the server becomes idle given everything
-    /// submitted so far.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
-
     /// Total number of jobs submitted so far.
     pub fn jobs_served(&self) -> u64 {
         self.jobs_served
@@ -98,15 +92,6 @@ impl FifoServer {
     /// The largest observed sojourn time (wait plus service) of any job.
     pub fn max_backlog(&self) -> SimDuration {
         self.max_backlog
-    }
-
-    /// Resets all statistics and makes the server idle again.
-    pub fn reset(&mut self) {
-        self.busy_until = SimTime::ZERO;
-        self.busy_time = SimDuration::ZERO;
-        self.jobs_served = 0;
-        self.total_wait = SimDuration::ZERO;
-        self.max_backlog = SimDuration::ZERO;
     }
 }
 
@@ -155,14 +140,5 @@ mod tests {
         s.submit(SimTime::from_secs(4), SimDuration::from_secs(1));
         assert_eq!(s.total_wait(), SimDuration::from_secs(6));
         assert_eq!(s.max_backlog(), SimDuration::from_secs(10));
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut s = FifoServer::new("rpc");
-        s.submit(SimTime::ZERO, SimDuration::from_secs(10));
-        s.reset();
-        assert_eq!(s.jobs_served(), 0);
-        assert_eq!(s.busy_until(), SimTime::ZERO);
     }
 }

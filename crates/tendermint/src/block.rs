@@ -1,14 +1,16 @@
-//! Blocks: header, transaction data, evidence and last commit.
+//! Blocks: header, transaction data and last commit.
 //!
 //! The structure follows Fig. 1 of the paper: a block has a `Header`, a
-//! `Data` field with application-specific transactions, an `Evidence` list
-//! and a `LastCommit` carrying the previous height's pre-commit signatures.
+//! `Data` field with application-specific transactions and a `LastCommit`
+//! carrying the previous height's pre-commit signatures. Fig. 1's `Evidence`
+//! list is always empty in the paper's fault-free testnets, so the model
+//! keeps only its trace in the header: the `EvidenceHash` of an empty list
+//! ([`evidence_hash`]).
 
 use std::cell::OnceCell;
 
 use serde::{Deserialize, Serialize};
 
-use crate::evidence::Evidence;
 use crate::hash::{hash_fields, sha256, Hash};
 use crate::merkle::simple_root;
 use crate::validator::ValidatorAddress;
@@ -174,7 +176,8 @@ pub struct Header {
     pub app_hash: Hash,
     /// Root of the previous block's transaction execution results.
     pub last_results_hash: Hash,
-    /// Hash of the evidence included in this block.
+    /// Hash of the evidence included in this block (always none: see
+    /// [`evidence_hash`]).
     pub evidence_hash: Hash,
     /// Address of the block proposer.
     pub proposer_address: ValidatorAddress,
@@ -233,8 +236,6 @@ pub struct Block {
     pub header: Header,
     /// Transactions.
     pub data: Data,
-    /// Evidence of validator misbehaviour (usually empty).
-    pub evidence: Vec<Evidence>,
     /// Pre-commits for the previous block (`None` only at height 1).
     pub last_commit: Option<Commit>,
 }
@@ -268,17 +269,11 @@ impl Block {
         HEADER_OVERHEAD + commit_size + self.data.byte_size()
     }
 
-    /// Basic structural validation: the data hash and evidence hash in the
-    /// header must match the block contents.
+    /// Basic structural validation: the data hash in the header must match
+    /// the block contents.
     pub fn validate_basic(&self) -> Result<(), BlockValidationError> {
         if self.header.data_hash != self.data.hash() {
             return Err(BlockValidationError::DataHashMismatch {
-                height: self.header.height,
-            });
-        }
-        let evidence_hash = evidence_hash(&self.evidence);
-        if self.header.evidence_hash != evidence_hash {
-            return Err(BlockValidationError::EvidenceHashMismatch {
                 height: self.header.height,
             });
         }
@@ -289,10 +284,10 @@ impl Block {
     }
 }
 
-/// Hash of an evidence list.
-pub fn evidence_hash(evidence: &[Evidence]) -> Hash {
-    let encoded: Vec<Vec<u8>> = evidence.iter().map(Evidence::canonical_bytes).collect();
-    simple_root(encoded.iter().map(|e| e.as_slice()))
+/// A header's `EvidenceHash`: the Merkle root of an empty evidence list, since
+/// no block of the model carries evidence.
+pub fn evidence_hash() -> Hash {
+    simple_root(std::iter::empty())
 }
 
 /// Errors detected by [`Block::validate_basic`].
@@ -300,11 +295,6 @@ pub fn evidence_hash(evidence: &[Evidence]) -> Hash {
 pub enum BlockValidationError {
     /// The header's `DataHash` does not match the transactions.
     DataHashMismatch {
-        /// Height of the offending block.
-        height: u64,
-    },
-    /// The header's `EvidenceHash` does not match the evidence list.
-    EvidenceHashMismatch {
         /// Height of the offending block.
         height: u64,
     },
@@ -317,9 +307,6 @@ impl std::fmt::Display for BlockValidationError {
         match self {
             BlockValidationError::DataHashMismatch { height } => {
                 write!(f, "data hash mismatch in block at height {height}")
-            }
-            BlockValidationError::EvidenceHashMismatch { height } => {
-                write!(f, "evidence hash mismatch in block at height {height}")
             }
             BlockValidationError::ZeroHeight => write!(f, "block height must be positive"),
         }
@@ -347,7 +334,7 @@ mod tests {
             consensus_hash: Hash::ZERO,
             app_hash: Hash::ZERO,
             last_results_hash: Hash::ZERO,
-            evidence_hash: evidence_hash(&[]),
+            evidence_hash: evidence_hash(),
             proposer_address: ValidatorAddress::from_name("val-0"),
         }
     }
@@ -409,7 +396,6 @@ mod tests {
         let block = Block {
             header: sample_header(3, &data),
             data,
-            evidence: vec![],
             last_commit: None,
         };
         assert!(block.validate_basic().is_ok());
@@ -428,7 +414,6 @@ mod tests {
             data: Data {
                 txs: vec![RawTx::new(vec![99])],
             },
-            evidence: vec![],
             last_commit: None,
         };
         assert!(matches!(
@@ -443,7 +428,6 @@ mod tests {
         let block = Block {
             header: sample_header(0, &data),
             data,
-            evidence: vec![],
             last_commit: None,
         };
         assert_eq!(
@@ -457,7 +441,6 @@ mod tests {
         let empty = Block {
             header: sample_header(1, &Data::default()),
             data: Data::default(),
-            evidence: vec![],
             last_commit: None,
         };
         let data = Data {
@@ -466,7 +449,6 @@ mod tests {
         let full = Block {
             header: sample_header(1, &data),
             data,
-            evidence: vec![],
             last_commit: None,
         };
         assert!(full.byte_size() >= empty.byte_size() + 1000);

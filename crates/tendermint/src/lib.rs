@@ -1,13 +1,14 @@
 //! Tendermint-like BFT blockchain substrate.
 //!
 //! This crate provides the consensus-layer building blocks the paper's
-//! testbed runs on: block structures (header, data, evidence, last commit —
-//! Fig. 1 of the paper), validator sets with quorum accounting, a consensus
-//! timing model calibrated to the latencies the paper cites (§III-C), a
-//! bounded FIFO mempool, an ABCI-style application interface (plus the undo
-//! journal applications use to make `DeliverTx` transactional), a full node
-//! that produces and executes blocks, and light-client verification used by
-//! the IBC client layer.
+//! testbed runs on: block structures (header, data, last commit — Fig. 1 of
+//! the paper; its evidence list is always empty here), validator sets with
+//! quorum accounting, consensus limits and a timing model calibrated to the
+//! latencies the paper cites (§III-C), all constants, a bounded FIFO mempool
+//! (Tendermint's 5,000-transaction limit), an ABCI-style application
+//! interface (plus the undo journal applications use to make `DeliverTx`
+//! transactional), a full node that produces and executes blocks, and
+//! light-client verification used by the IBC client layer.
 //!
 //! Everything here is a *pure state machine*: nodes never sleep or spawn
 //! threads. The experiment driver advances them in virtual time, which is
@@ -19,11 +20,9 @@
 //! use xcc_tendermint::abci::{Application, CheckTxResult, DeliverTxResult};
 //! use xcc_tendermint::block::{Header, RawTx};
 //! use xcc_tendermint::hash::Hash;
-//! use xcc_tendermint::mempool::MempoolConfig;
 //! use xcc_tendermint::node::Node;
-//! use xcc_tendermint::params::{ConsensusParams, ConsensusTimingModel};
 //! use xcc_tendermint::validator::ValidatorSet;
-//! use xcc_sim::SimTime;
+//! use xcc_sim::{SimDuration, SimTime};
 //!
 //! struct NoopApp;
 //! impl Application for NoopApp {
@@ -43,9 +42,7 @@
 //! let mut node = Node::new(
 //!     "demo-chain",
 //!     ValidatorSet::with_equal_power(5, 10),
-//!     ConsensusParams::default(),
-//!     ConsensusTimingModel::default(),
-//!     MempoolConfig::default(),
+//!     SimDuration::from_secs(5),
 //!     NoopApp,
 //! );
 //! node.submit_tx(RawTx::new(b"hello".to_vec()), SimTime::ZERO).unwrap();
@@ -62,7 +59,6 @@
 
 pub mod abci;
 pub mod block;
-pub mod evidence;
 pub mod hash;
 pub mod journal;
 pub mod light;

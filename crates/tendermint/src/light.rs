@@ -247,9 +247,8 @@ mod tests {
     use super::*;
     use crate::abci::{CheckTxResult, DeliverTxResult};
     use crate::block::RawTx;
-    use crate::mempool::MempoolConfig;
     use crate::node::Node;
-    use crate::params::{ConsensusParams, ConsensusTimingModel};
+    use xcc_sim::SimDuration;
 
     /// No-op application for producing real blocks in light-client tests.
     #[derive(Debug, Default)]
@@ -287,9 +286,7 @@ mod tests {
         let mut node = Node::new(
             "chain-a",
             ValidatorSet::with_equal_power(5, 10),
-            ConsensusParams::default(),
-            ConsensusTimingModel::default(),
-            MempoolConfig::default(),
+            SimDuration::from_secs(5),
             NullApp,
         );
         for i in 0..n {

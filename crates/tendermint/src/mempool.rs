@@ -9,29 +9,16 @@
 // xcc-lint: allow(hash-collections, reason = "HashSet used for membership checks only; never iterated")
 use std::collections::{HashSet, VecDeque};
 
-use serde::{Deserialize, Serialize};
-
 use crate::block::RawTx;
 use crate::hash::Hash;
 use xcc_sim::SimTime;
 
-/// Configuration limits for the mempool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MempoolConfig {
-    /// Maximum number of transactions held at once (Tendermint default 5000).
-    pub max_txs: usize,
-    /// Maximum total bytes held at once.
-    pub max_total_bytes: usize,
-}
+/// Maximum number of transactions held at once: Tendermint's default 5,000,
+/// the limit behind Table I's submission drop-off.
+pub const MAX_TXS: usize = 5_000;
 
-impl Default for MempoolConfig {
-    fn default() -> Self {
-        MempoolConfig {
-            max_txs: 5_000,
-            max_total_bytes: 1024 * 1024 * 1024,
-        }
-    }
-}
+/// Maximum total (modelled wire) bytes held at once.
+pub const MAX_TOTAL_BYTES: usize = 1024 * 1024 * 1024;
 
 /// A transaction waiting in the mempool, together with its `CheckTx`
 /// metadata. The transaction is identified by [`RawTx::hash`], which the
@@ -58,14 +45,14 @@ pub struct PendingTx<D> {
 /// Why a transaction was refused admission.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MempoolError {
-    /// The mempool already holds `max_txs` transactions.
+    /// The mempool already holds [`MAX_TXS`] transactions.
     Full {
-        /// The configured limit that was hit.
+        /// The limit that was hit.
         max_txs: usize,
     },
-    /// Admitting the transaction would exceed the byte limit.
+    /// Admitting the transaction would exceed [`MAX_TOTAL_BYTES`].
     TooManyBytes {
-        /// The configured byte limit.
+        /// The byte limit.
         max_total_bytes: usize,
     },
     /// The identical transaction is already pending.
@@ -92,10 +79,10 @@ impl std::error::Error for MempoolError {}
 ///
 /// ```rust
 /// use xcc_tendermint::block::RawTx;
-/// use xcc_tendermint::mempool::{Mempool, MempoolConfig, PendingTx};
+/// use xcc_tendermint::mempool::{Mempool, PendingTx};
 /// use xcc_sim::SimTime;
 ///
-/// let mut pool = Mempool::new(MempoolConfig::default());
+/// let mut pool = Mempool::new();
 /// pool.add(PendingTx {
 ///     tx: RawTx::new(b"tx".to_vec()),
 ///     decoded: None::<()>,
@@ -108,7 +95,6 @@ impl std::error::Error for MempoolError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct Mempool<D> {
-    config: MempoolConfig,
     queue: VecDeque<PendingTx<D>>,
     // xcc-lint: allow(hash-collections, reason = "O(1) duplicate-hash membership; iteration never observes it")
     hashes: HashSet<Hash>,
@@ -116,22 +102,22 @@ pub struct Mempool<D> {
     rejected_full: u64,
 }
 
+impl<D> Default for Mempool<D> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<D> Mempool<D> {
-    /// Creates an empty mempool with the given limits.
-    pub fn new(config: MempoolConfig) -> Self {
+    /// Creates an empty mempool.
+    pub fn new() -> Self {
         Mempool {
-            config,
             queue: VecDeque::new(),
             // xcc-lint: allow(hash-collections, reason = "membership-only set, see field declaration")
             hashes: HashSet::new(),
             total_bytes: 0,
             rejected_full: 0,
         }
-    }
-
-    /// The configured limits.
-    pub fn config(&self) -> &MempoolConfig {
-        &self.config
     }
 
     /// Number of pending transactions.
@@ -169,16 +155,14 @@ impl<D> Mempool<D> {
         if self.hashes.contains(&tx.tx.hash()) {
             return Err(MempoolError::AlreadyPending);
         }
-        if self.queue.len() >= self.config.max_txs {
+        if self.queue.len() >= MAX_TXS {
             self.rejected_full += 1;
-            return Err(MempoolError::Full {
-                max_txs: self.config.max_txs,
-            });
+            return Err(MempoolError::Full { max_txs: MAX_TXS });
         }
-        if self.total_bytes + tx.tx.len() > self.config.max_total_bytes {
+        if self.total_bytes + tx.tx.len() > MAX_TOTAL_BYTES {
             self.rejected_full += 1;
             return Err(MempoolError::TooManyBytes {
-                max_total_bytes: self.config.max_total_bytes,
+                max_total_bytes: MAX_TOTAL_BYTES,
             });
         }
         self.total_bytes += tx.tx.len();
@@ -188,10 +172,10 @@ impl<D> Mempool<D> {
     }
 
     /// Takes the transactions of the next block proposal out of the pool: in
-    /// FIFO order, up to the given gas, byte and count limits (0 for
-    /// `max_txs` means no count limit), considering only transactions
-    /// received at or before `not_after` — a transaction broadcast at a later
-    /// virtual time can never appear in an earlier block.
+    /// FIFO order, up to the given gas and byte limits, considering only
+    /// transactions received at or before `not_after` — a transaction
+    /// broadcast at a later virtual time can never appear in an earlier
+    /// block.
     ///
     /// The entries are moved, not copied: the proposer owns the payloads (and
     /// the decoded forms riding on them) from here on, and everything not
@@ -200,7 +184,6 @@ impl<D> Mempool<D> {
         &mut self,
         max_gas: u64,
         max_bytes: usize,
-        max_txs: usize,
         not_after: SimTime,
     ) -> Vec<PendingTx<D>> {
         let mut selected = Vec::new();
@@ -214,10 +197,7 @@ impl<D> Mempool<D> {
                 kept.push_back(tx);
                 continue;
             }
-            if (max_txs != 0 && selected.len() >= max_txs)
-                || gas + tx.gas_wanted > max_gas
-                || bytes + tx.tx.len() > max_bytes
-            {
+            if gas + tx.gas_wanted > max_gas || bytes + tx.tx.len() > max_bytes {
                 // FIFO semantics: stop at the first transaction that does not
                 // fit, like Tendermint's proposer.
                 full = true;
@@ -266,17 +246,12 @@ mod tests {
     }
 
     /// `reap_before` with no time cut-off.
-    fn reap(
-        pool: &mut Mempool<u8>,
-        max_gas: u64,
-        max_bytes: usize,
-        max_txs: usize,
-    ) -> Vec<PendingTx<u8>> {
-        pool.reap_before(max_gas, max_bytes, max_txs, SimTime::MAX)
+    fn reap(pool: &mut Mempool<u8>, max_gas: u64, max_bytes: usize) -> Vec<PendingTx<u8>> {
+        pool.reap_before(max_gas, max_bytes, SimTime::MAX)
     }
 
     fn filled(count: u8, size: usize, gas: u64) -> Mempool<u8> {
-        let mut pool = Mempool::new(MempoolConfig::default());
+        let mut pool = Mempool::new();
         for i in 0..count {
             pool.add(tx(i, size, gas, "a")).unwrap();
         }
@@ -287,7 +262,7 @@ mod tests {
     fn reap_takes_entries_out_in_fifo_order_with_their_decoded_forms() {
         let mut pool = filled(5, 10, 100);
         let bytes_before = pool.total_bytes();
-        let reaped = reap(&mut pool, 350, 1_000, 0);
+        let reaped = reap(&mut pool, 350, 1_000);
         let ids: Vec<u8> = reaped.iter().map(|p| p.tx.as_bytes()[0]).collect();
         assert_eq!(ids, [0, 1, 2]);
         // The decoded form rides on the entry it was admitted with.
@@ -306,26 +281,22 @@ mod tests {
 
     #[test]
     fn reap_respects_gas_limit() {
-        assert_eq!(reap(&mut filled(10, 10, 100), 350, 100_000, 0).len(), 3);
+        assert_eq!(reap(&mut filled(10, 10, 100), 350, 100_000).len(), 3);
     }
 
     #[test]
-    fn reap_respects_byte_limit_and_count_limit() {
-        assert_eq!(reap(&mut filled(10, 100, 1), 1_000_000, 250, 0).len(), 2);
-        assert_eq!(
-            reap(&mut filled(10, 100, 1), 1_000_000, 1_000_000, 4).len(),
-            4
-        );
+    fn reap_respects_byte_limit() {
+        assert_eq!(reap(&mut filled(10, 100, 1), 1_000_000, 250).len(), 2);
     }
 
     #[test]
     fn reap_skips_later_arrivals_without_stopping_at_them() {
-        let mut pool = Mempool::new(MempoolConfig::default());
+        let mut pool = Mempool::new();
         let mut late = tx(0, 10, 1, "a");
         late.received_at = SimTime::from_secs(9);
         pool.add(late).unwrap();
         pool.add(tx(1, 10, 1, "a")).unwrap();
-        let reaped = pool.reap_before(1_000, 1_000, 0, SimTime::from_secs(5));
+        let reaped = pool.reap_before(1_000, 1_000, SimTime::from_secs(5));
         assert_eq!(reaped.len(), 1);
         assert_eq!(reaped[0].tx.as_bytes()[0], 1);
         assert_eq!(pool.len(), 1);
@@ -334,7 +305,7 @@ mod tests {
 
     #[test]
     fn duplicate_txs_are_rejected() {
-        let mut pool = Mempool::new(MempoolConfig::default());
+        let mut pool = Mempool::new();
         let t = tx(1, 10, 1, "a");
         pool.add(t.clone()).unwrap();
         assert_eq!(pool.add(t), Err(MempoolError::AlreadyPending));
@@ -342,32 +313,38 @@ mod tests {
 
     #[test]
     fn capacity_limits_are_enforced() {
-        let mut pool = Mempool::new(MempoolConfig {
-            max_txs: 2,
-            max_total_bytes: 1_000,
-        });
-        pool.add(tx(1, 10, 1, "a")).unwrap();
-        pool.add(tx(2, 10, 1, "a")).unwrap();
-        assert!(matches!(
-            pool.add(tx(3, 10, 1, "a")),
-            Err(MempoolError::Full { .. })
-        ));
+        let entry = |bytes: Vec<u8>, wire_len| PendingTx {
+            tx: RawTx::with_wire_len(bytes, wire_len),
+            ..tx(0, 1, 1, "a")
+        };
+        let mut pool = Mempool::new();
+        for i in 0..MAX_TXS as u32 {
+            pool.add(entry(i.to_be_bytes().to_vec(), 10)).unwrap();
+        }
+        assert_eq!(pool.len(), MAX_TXS);
+        assert_eq!(
+            pool.add(entry(b"one too many".to_vec(), 10)),
+            Err(MempoolError::Full { max_txs: MAX_TXS })
+        );
         assert_eq!(pool.rejected_full(), 1);
 
-        let mut pool = Mempool::new(MempoolConfig {
-            max_txs: 100,
-            max_total_bytes: 25,
-        });
-        pool.add(tx(1, 20, 1, "a")).unwrap();
-        assert!(matches!(
-            pool.add(tx(2, 20, 1, "a")),
-            Err(MempoolError::TooManyBytes { .. })
-        ));
+        // One entry whose modelled wire size crosses the byte limit.
+        let mut pool = Mempool::new();
+        pool.add(entry(b"small".to_vec(), 10)).unwrap();
+        assert_eq!(
+            pool.add(entry(b"huge".to_vec(), MAX_TOTAL_BYTES - 9)),
+            Err(MempoolError::TooManyBytes {
+                max_total_bytes: MAX_TOTAL_BYTES
+            })
+        );
+        pool.add(entry(b"fits".to_vec(), MAX_TOTAL_BYTES - 10))
+            .unwrap();
+        assert_eq!(pool.total_bytes(), MAX_TOTAL_BYTES);
     }
 
     #[test]
     fn pending_from_counts_one_sender() {
-        let mut pool = Mempool::new(MempoolConfig::default());
+        let mut pool = Mempool::new();
         pool.add(tx(1, 10, 1, "alice")).unwrap();
         pool.add(tx(2, 10, 1, "alice")).unwrap();
         pool.add(tx(3, 10, 1, "bob")).unwrap();

@@ -14,8 +14,10 @@ use std::rc::Rc;
 use crate::abci::{Application, DeliverTxResult};
 use crate::block::{evidence_hash, Block, BlockId, Data, Header, RawTx, Version};
 use crate::hash::{FieldHasher, Hash};
-use crate::mempool::{Mempool, MempoolConfig, MempoolError, PendingTx};
-use crate::params::{ConsensusParams, ConsensusTimingModel};
+use crate::mempool::{Mempool, MempoolError, PendingTx};
+use crate::params::{
+    block_processing_time, consensus_hash, consensus_latency, MAX_BLOCK_BYTES, MAX_BLOCK_GAS,
+};
 use crate::validator::ValidatorSet;
 use crate::vote::{Commit, CommitSig};
 use xcc_sim::{SimDuration, SimTime};
@@ -93,8 +95,9 @@ pub struct BlockOutcome {
 /// A Tendermint full node wrapping an ABCI application.
 pub struct Node<A: Application> {
     chain_id: String,
-    params: ConsensusParams,
-    timing: ConsensusTimingModel,
+    /// The header's `ConsensusHash`, computed once from the genesis' minimum
+    /// block interval.
+    consensus_hash: Hash,
     validators: ValidatorSet,
     app: A,
     mempool: Mempool<A::Decoded>,
@@ -108,22 +111,20 @@ pub struct Node<A: Application> {
 }
 
 impl<A: Application> Node<A> {
-    /// Creates a node at genesis (height 0, no blocks yet).
+    /// Creates a node at genesis (height 0, no blocks yet) whose consensus
+    /// parameters carry `min_block_interval`.
     pub fn new(
         chain_id: impl Into<String>,
         validators: ValidatorSet,
-        params: ConsensusParams,
-        timing: ConsensusTimingModel,
-        mempool_config: MempoolConfig,
+        min_block_interval: SimDuration,
         app: A,
     ) -> Self {
         Node {
             chain_id: chain_id.into(),
-            params,
-            timing,
+            consensus_hash: consensus_hash(min_block_interval),
             validators,
             app,
-            mempool: Mempool::new(mempool_config),
+            mempool: Mempool::new(),
             blocks: Vec::new(),
             // xcc-lint: allow(hash-collections, reason = "point-lookup index, see field declaration")
             tx_index: HashMap::new(),
@@ -147,16 +148,6 @@ impl<A: Application> Node<A> {
     /// The validator set.
     pub fn validators(&self) -> &ValidatorSet {
         &self.validators
-    }
-
-    /// The consensus parameters.
-    pub fn params(&self) -> &ConsensusParams {
-        &self.params
-    }
-
-    /// The consensus timing model.
-    pub fn timing(&self) -> &ConsensusTimingModel {
-        &self.timing
     }
 
     /// Immutable access to the application.
@@ -255,12 +246,9 @@ impl<A: Application> Node<A> {
     /// for consensus latency and block processing per the timing model.
     pub fn produce_block(&mut self, propose_time: SimTime) -> BlockOutcome {
         let height = self.height() + 1;
-        let reaped = self.mempool.reap_before(
-            self.params.max_block_gas,
-            self.params.max_block_bytes,
-            self.params.max_block_txs,
-            propose_time,
-        );
+        let reaped = self
+            .mempool
+            .reap_before(MAX_BLOCK_GAS, MAX_BLOCK_BYTES, propose_time);
         // The reaped entries are owned: the payloads move into the block and
         // each decoded form moves into its `DeliverTx`, nothing is copied.
         let (txs, decoded): (Vec<RawTx>, Vec<Option<A::Decoded>>) =
@@ -286,10 +274,10 @@ impl<A: Application> Node<A> {
             data_hash: data.hash(),
             validators_hash: self.validators.hash(),
             next_validators_hash: self.validators.hash(),
-            consensus_hash: self.params.hash(),
+            consensus_hash: self.consensus_hash,
             app_hash: self.last_app_hash,
             last_results_hash: self.last_results_hash,
-            evidence_hash: evidence_hash(&[]),
+            evidence_hash: evidence_hash(),
             proposer_address: proposer,
         };
 
@@ -308,7 +296,6 @@ impl<A: Application> Node<A> {
         let block = Block {
             header: header.clone(),
             data,
-            evidence: vec![],
             last_commit: self.last_commit.clone(),
         };
         debug_assert!(block.validate_basic().is_ok());
@@ -332,10 +319,8 @@ impl<A: Application> Node<A> {
         // against the new state.
         let mempool_remaining = self.mempool.len();
 
-        let work = self.timing.consensus_latency(self.validators.len())
-            + self
-                .timing
-                .block_processing_time(included_messages, block_bytes, mempool_remaining);
+        let work = consensus_latency(self.validators.len())
+            + block_processing_time(included_messages, block_bytes, mempool_remaining);
         let committed_at = propose_time + work;
 
         // Index transactions (their hashes were memoized at mempool
@@ -433,6 +418,9 @@ mod tests {
         /// Every decoded form `check_tx` ever returned; one that is still
         /// alive is held by the node.
         issued: Vec<Weak<u8>>,
+        /// When set, every transaction wants two fifths of a block's gas
+        /// (otherwise 1,000).
+        heavy_txs: bool,
     }
 
     impl CounterApp {
@@ -464,7 +452,11 @@ mod tests {
             let accepted = CheckTxResult {
                 code: 0,
                 log: String::new(),
-                gas_wanted: 1_000,
+                gas_wanted: if self.heavy_txs {
+                    MAX_BLOCK_GAS * 2 / 5
+                } else {
+                    1_000
+                },
                 sender: format!("sender-{first}"),
                 sequence: 0,
             };
@@ -498,9 +490,7 @@ mod tests {
         Node::new(
             "test-chain",
             ValidatorSet::with_equal_power(5, 10),
-            ConsensusParams::default(),
-            ConsensusTimingModel::default(),
-            MempoolConfig::default(),
+            SimDuration::from_secs(5),
             CounterApp::default(),
         )
     }
@@ -591,7 +581,7 @@ mod tests {
         let mut node = test_node();
         let outcome = node.produce_block(SimTime::from_secs(5));
         assert!(outcome.committed_at > SimTime::from_secs(5));
-        assert!(outcome.work >= node.timing().consensus_latency(5));
+        assert!(outcome.work >= consensus_latency(5));
     }
 
     #[test]
@@ -616,17 +606,9 @@ mod tests {
 
     #[test]
     fn gas_limit_defers_excess_txs_to_next_block() {
-        let mut node = Node::new(
-            "test-chain",
-            ValidatorSet::with_equal_power(5, 10),
-            ConsensusParams {
-                max_block_gas: 2_500, // fits 2 txs of 1,000 gas
-                ..ConsensusParams::default()
-            },
-            ConsensusTimingModel::default(),
-            MempoolConfig::default(),
-            CounterApp::default(),
-        );
+        // Each transaction wants two fifths of the block gas: 2 fit a block.
+        let mut node = test_node();
+        node.app_mut().heavy_txs = true;
         for i in 0..5u8 {
             node.submit_tx(RawTx::new(vec![i]), SimTime::ZERO).unwrap();
         }

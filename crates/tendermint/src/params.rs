@@ -1,124 +1,74 @@
-//! Consensus parameters and the consensus timing model.
-
-use serde::{Deserialize, Serialize};
+//! Consensus parameters and the consensus timing model: constants, not
+//! configuration. The one consensus value a deployment sets is the minimum
+//! block interval, which the genesis carries (as Tendermint's does) and which
+//! reaches a block only through [`consensus_hash`].
 
 use crate::hash::{hash_fields, Hash};
 use xcc_sim::SimDuration;
 
-/// Consensus parameters governing block production.
-///
-/// The defaults mirror the paper's experiment settings: a minimum interval of
-/// five seconds between consecutive blocks and generous size limits that fit
-/// roughly fifty 100-message transfer transactions per block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ConsensusParams {
-    /// Minimum interval between the creation of two consecutive blocks.
-    pub min_block_interval: SimDuration,
-    /// Maximum total size of transactions in a block, in bytes.
-    pub max_block_bytes: usize,
-    /// Maximum total gas wanted by the transactions in a block.
-    pub max_block_gas: u64,
-    /// Maximum number of transactions per block (0 disables the limit).
-    pub max_block_txs: usize,
+/// Maximum total size of transactions in a block, in bytes: ~22 MB, the
+/// Tendermint default order of magnitude.
+pub const MAX_BLOCK_BYTES: usize = 22 * 1024 * 1024;
+
+/// Maximum total gas wanted by the transactions in a block. Fits ~50 transfer
+/// transactions of 100 messages (3.67M gas each), matching the ~5,000
+/// transfers/block ceiling observed in Fig. 6.
+pub const MAX_BLOCK_GAS: u64 = 190_000_000;
+
+/// Hash of the consensus parameters, recorded in every block header: the
+/// minimum block interval, the block byte and gas limits, and a per-block
+/// transaction cap of 0 (none), in the byte layout headers have always
+/// hashed.
+pub fn consensus_hash(min_block_interval: SimDuration) -> Hash {
+    hash_fields(&[
+        b"consensus-params",
+        &min_block_interval.as_nanos().to_be_bytes(),
+        &(MAX_BLOCK_BYTES as u64).to_be_bytes(),
+        &MAX_BLOCK_GAS.to_be_bytes(),
+        &0u64.to_be_bytes(),
+    ])
 }
 
-impl Default for ConsensusParams {
-    fn default() -> Self {
-        ConsensusParams {
-            min_block_interval: SimDuration::from_secs(5),
-            // ~22 MB, the Tendermint default order of magnitude.
-            max_block_bytes: 22 * 1024 * 1024,
-            // Fits ~50 transfer transactions of 100 messages (3.67M gas each),
-            // matching the ~5,000 transfers/block ceiling observed in Fig. 6.
-            max_block_gas: 190_000_000,
-            max_block_txs: 0,
-        }
-    }
+// How long consensus and block processing take. The paper argues (§III-C)
+// that consensus latency is a second-order effect: roughly 25 ms per block
+// for 5 validators and 110 ms for 128 validators, i.e. about 1% of a complete
+// cross-chain transfer. Block *processing* time, however, grows with the
+// number of included transactions and with the backlog of pending mempool
+// transactions that must be rechecked after every commit, and is what
+// stretches the block interval at high input rates (Fig. 7).
+
+/// Fixed per-round consensus cost independent of the validator count
+/// (calibrated with `PER_VALIDATOR` so 5 validators => ~25 ms, 128 validators
+/// => ~110 ms).
+const ROUND_BASE: SimDuration = SimDuration::from_micros(21_500);
+
+/// Additional consensus cost per validator (vote gossip and verification).
+const PER_VALIDATOR: SimDuration = SimDuration::from_micros(690);
+
+/// Execution cost per included transaction message.
+const PER_TX_MESSAGE: SimDuration = SimDuration::from_micros(150);
+
+/// Cost to recheck one pending mempool transaction after a commit.
+const PER_PENDING_RECHECK: SimDuration = SimDuration::from_micros(800);
+
+/// Proposal dissemination cost per kilobyte of block data.
+const PER_BLOCK_KILOBYTE: SimDuration = SimDuration::from_micros(6);
+
+/// Latency of one consensus round for the given validator count.
+pub fn consensus_latency(validators: usize) -> SimDuration {
+    ROUND_BASE + PER_VALIDATOR * validators as u64
 }
 
-impl ConsensusParams {
-    /// Hash of the parameters, recorded in block headers.
-    pub fn hash(&self) -> Hash {
-        hash_fields(&[
-            b"consensus-params",
-            &self.min_block_interval.as_nanos().to_be_bytes(),
-            &(self.max_block_bytes as u64).to_be_bytes(),
-            &self.max_block_gas.to_be_bytes(),
-            &(self.max_block_txs as u64).to_be_bytes(),
-        ])
-    }
-}
-
-/// Models how long consensus and block processing take.
-///
-/// The paper argues (§III-C) that consensus latency is a second-order effect:
-/// roughly 25 ms per block for 5 validators and 110 ms for 128 validators,
-/// i.e. about 1% of a complete cross-chain transfer. Block *processing* time,
-/// however, grows with the number of included transactions and with the
-/// backlog of pending mempool transactions that must be rechecked after every
-/// commit, and is what stretches the block interval at high input rates
-/// (Fig. 7).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ConsensusTimingModel {
-    /// Fixed per-round consensus cost independent of the validator count.
-    pub round_base: SimDuration,
-    /// Additional consensus cost per validator (vote gossip and verification).
-    pub per_validator: SimDuration,
-    /// Execution cost per included transaction message.
-    pub per_tx_message: SimDuration,
-    /// Cost to recheck one pending mempool transaction after a commit.
-    pub per_pending_recheck: SimDuration,
-    /// Proposal dissemination cost per kilobyte of block data.
-    pub per_block_kilobyte: SimDuration,
-}
-
-impl Default for ConsensusTimingModel {
-    fn default() -> Self {
-        ConsensusTimingModel {
-            // Calibrated so 5 validators => ~25 ms, 128 validators => ~110 ms.
-            round_base: SimDuration::from_micros(21_500),
-            per_validator: SimDuration::from_micros(690),
-            per_tx_message: SimDuration::from_micros(150),
-            per_pending_recheck: SimDuration::from_micros(800),
-            per_block_kilobyte: SimDuration::from_micros(6),
-        }
-    }
-}
-
-impl ConsensusTimingModel {
-    /// Latency of one consensus round for the given validator count.
-    pub fn consensus_latency(&self, validator_count: usize) -> SimDuration {
-        self.round_base + self.per_validator * validator_count as u64
-    }
-
-    /// Time spent executing and committing a block with the given contents,
-    /// plus rechecking the remaining mempool backlog.
-    pub fn block_processing_time(
-        &self,
-        included_messages: u64,
-        block_bytes: usize,
-        pending_after: usize,
-    ) -> SimDuration {
-        self.per_tx_message * included_messages
-            + self.per_block_kilobyte * (block_bytes as u64 / 1024)
-            + self.per_pending_recheck * pending_after as u64
-    }
-
-    /// Total time between two consecutive block commits: the minimum interval
-    /// stretched by consensus latency and block processing when they exceed
-    /// the configured floor.
-    pub fn block_interval(
-        &self,
-        params: &ConsensusParams,
-        validator_count: usize,
-        included_messages: u64,
-        block_bytes: usize,
-        pending_after: usize,
-    ) -> SimDuration {
-        let work = self.consensus_latency(validator_count)
-            + self.block_processing_time(included_messages, block_bytes, pending_after);
-        params.min_block_interval.max(work)
-    }
+/// Time spent executing and committing a block with the given contents, plus
+/// rechecking the remaining mempool backlog.
+pub fn block_processing_time(
+    included_messages: u64,
+    block_bytes: usize,
+    pending_after: usize,
+) -> SimDuration {
+    PER_TX_MESSAGE * included_messages
+        + PER_BLOCK_KILOBYTE * (block_bytes as u64 / 1024)
+        + PER_PENDING_RECHECK * pending_after as u64
 }
 
 #[cfg(test)]
@@ -126,57 +76,48 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_params_match_paper_setup() {
-        let p = ConsensusParams::default();
-        assert_eq!(p.min_block_interval, SimDuration::from_secs(5));
+    fn block_gas_fits_fifty_full_transfer_transactions() {
         // At least 50 transactions of 3.67M gas fit in a block.
-        assert!(p.max_block_gas >= 50 * 3_669_161);
+        const { assert!(MAX_BLOCK_GAS >= 50 * 3_669_161) };
     }
 
+    /// Read at the commit before the parameters became constants, as
+    /// `ConsensusParams::default().hash()`: every header's `ConsensusHash`.
     #[test]
-    fn params_hash_changes_with_fields() {
-        let a = ConsensusParams::default();
-        let mut b = a.clone();
-        b.max_block_gas += 1;
-        assert_ne!(a.hash(), b.hash());
+    fn consensus_hash_is_pinned() {
+        assert_eq!(
+            consensus_hash(SimDuration::from_secs(5)).to_hex(),
+            "414bbd4be332b3074c8546581c9a634ef01cd013bbaf1e4dd39fefc80b904199"
+        );
+        assert_ne!(
+            consensus_hash(SimDuration::from_secs(5)),
+            consensus_hash(SimDuration::from_secs(6))
+        );
     }
 
     #[test]
     fn consensus_latency_matches_reference_points() {
-        let m = ConsensusTimingModel::default();
-        let five = m.consensus_latency(5).as_millis();
-        let many = m.consensus_latency(128).as_millis();
+        let five = consensus_latency(5).as_millis();
+        let many = consensus_latency(128).as_millis();
         assert!((20..=30).contains(&five), "5 validators: {five}ms");
         assert!((100..=120).contains(&many), "128 validators: {many}ms");
     }
 
     #[test]
-    fn empty_block_with_empty_mempool_hits_floor_interval() {
-        let m = ConsensusTimingModel::default();
-        let p = ConsensusParams::default();
-        let interval = m.block_interval(&p, 5, 0, 0, 0);
-        assert_eq!(interval, SimDuration::from_secs(5));
-    }
-
-    #[test]
-    fn large_backlog_stretches_the_interval() {
-        let m = ConsensusTimingModel::default();
-        let p = ConsensusParams::default();
+    fn large_backlog_stretches_past_the_block_interval() {
         // 5,000 included messages in a ~5 MB block with 20,000 pending txs to
-        // recheck must stretch beyond the 5 s floor (Fig. 7 behaviour).
-        let interval = m.block_interval(&p, 5, 5_000, 5 * 1024 * 1024, 20_000);
-        assert!(interval > SimDuration::from_secs(5));
+        // recheck take longer than the 5 s floor (Fig. 7 behaviour).
+        let work = |pending| consensus_latency(5) + block_processing_time(5_000, 5 << 20, pending);
+        assert!(work(20_000) > SimDuration::from_secs(5));
         // And the stretch is monotone in the backlog.
-        let worse = m.block_interval(&p, 5, 5_000, 5 * 1024 * 1024, 60_000);
-        assert!(worse > interval);
+        assert!(work(60_000) > work(20_000));
     }
 
     #[test]
     fn processing_time_is_monotone_in_all_inputs() {
-        let m = ConsensusTimingModel::default();
-        let base = m.block_processing_time(100, 10_000, 10);
-        assert!(m.block_processing_time(200, 10_000, 10) > base);
-        assert!(m.block_processing_time(100, 2_000_000, 10) > base);
-        assert!(m.block_processing_time(100, 10_000, 1_000) > base);
+        let base = block_processing_time(100, 10_000, 10);
+        assert!(block_processing_time(200, 10_000, 10) > base);
+        assert!(block_processing_time(100, 2_000_000, 10) > base);
+        assert!(block_processing_time(100, 10_000, 1_000) > base);
     }
 }

@@ -1,4 +1,4 @@
-//! Votes, commit signatures and commits.
+//! Commit signatures and commits.
 //!
 //! Signatures are simulated: a validator's signature over a block is a keyed
 //! digest that anyone can recompute and verify. This preserves the structure
@@ -13,15 +13,6 @@ use crate::hash::{hash_fields, Hash};
 use crate::validator::ValidatorAddress;
 use xcc_sim::SimTime;
 
-/// The two voting stages of a Tendermint round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum VoteType {
-    /// First stage: pre-vote.
-    Prevote,
-    /// Second stage: pre-commit.
-    Precommit,
-}
-
 /// Whether a validator's commit signature is for the committed block, for a
 /// different block, or absent — mirroring Tendermint's `BlockIDFlag`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -32,35 +23,6 @@ pub enum BlockIdFlag {
     Nil,
     /// The validator did not cast a vote.
     Absent,
-}
-
-/// A single vote cast by a validator during consensus.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Vote {
-    /// The voting stage.
-    pub vote_type: VoteType,
-    /// Block height the vote applies to.
-    pub height: u64,
-    /// Consensus round within the height.
-    pub round: u32,
-    /// The block voted for, or `None` for a nil vote.
-    pub block_id: Option<BlockId>,
-    /// The voter.
-    pub validator: ValidatorAddress,
-    /// When the vote was cast.
-    pub timestamp: SimTime,
-}
-
-impl Vote {
-    /// The simulated signature over this vote.
-    pub fn signature(&self) -> Hash {
-        sign_vote(
-            &self.validator,
-            self.height,
-            self.round,
-            self.block_id.as_ref(),
-        )
-    }
 }
 
 /// Computes the simulated signature a validator produces for a vote.
@@ -168,20 +130,10 @@ mod tests {
     #[test]
     fn vote_signature_is_deterministic_and_binding() {
         let val = ValidatorAddress::from_name("val-0");
-        let v1 = Vote {
-            vote_type: VoteType::Precommit,
-            height: 5,
-            round: 0,
-            block_id: Some(block_id(1)),
-            validator: val,
-            timestamp: SimTime::from_secs(1),
-        };
-        let mut v2 = v1.clone();
-        assert_eq!(v1.signature(), v2.signature());
-        v2.block_id = Some(block_id(2));
-        assert_ne!(v1.signature(), v2.signature());
-        v2.block_id = None;
-        assert_ne!(v1.signature(), v2.signature());
+        let sign = |block: Option<&BlockId>| sign_vote(&val, 5, 0, block);
+        assert_eq!(sign(Some(&block_id(1))), sign(Some(&block_id(1))));
+        assert_ne!(sign(Some(&block_id(1))), sign(Some(&block_id(2))));
+        assert_ne!(sign(Some(&block_id(1))), sign(None));
     }
 
     #[test]

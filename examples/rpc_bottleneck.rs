@@ -3,27 +3,27 @@
 //!
 //! Run with: `cargo run --release --example rpc_bottleneck`
 
-use xcc_rpc::cost::{RequestKind, RequestProfile, RpcCostModel};
+use xcc_rpc::cost::{service_time, RequestKind, RequestProfile, BATCHED_PULL_PER_ITEM};
 
 fn main() {
-    let model = RpcCostModel::default();
+    let priced = |profile| service_time(&profile, BATCHED_PULL_PER_ITEM);
     println!("service time of one packet-data pull vs. IBC messages in the queried block:");
     for msgs in [100usize, 500, 1_000, 2_000, 5_000] {
-        let transfer = model.service_time(&RequestProfile {
+        let transfer = priced(RequestProfile {
             kind: RequestKind::PacketDataPull,
             response_bytes: msgs * 600,
             messages: msgs,
             recv_heavy: false,
             items: 0,
         });
-        let recv = model.service_time(&RequestProfile {
+        let recv = priced(RequestProfile {
             kind: RequestKind::PacketDataPull,
             response_bytes: msgs * 1_200,
             messages: msgs,
             recv_heavy: true,
             items: 0,
         });
-        let batched = model.service_time(&RequestProfile {
+        let batched = priced(RequestProfile {
             kind: RequestKind::BatchedDataPull,
             response_bytes: msgs * 600,
             messages: msgs,
