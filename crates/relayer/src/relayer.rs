@@ -59,7 +59,7 @@
 //! tracker holds a batch whenever the chain's check state straddled a commit
 //! under the relayer's in-flight transactions.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use xcc_chain::account::AccountId;
@@ -206,22 +206,15 @@ struct ChainEnd {
     /// When the packet worker submitting to this chain is next free.
     worker_free: SimTime,
     /// Transactions accepted into the chain's mempool but not yet observed
-    /// committed, by transaction hash, with the in-flight markers each
-    /// carries. A transaction that commits **failed** (§V's
-    /// account-sequence race striking at DeliverTx) emits no packet events,
-    /// so watching the per-transaction commit result is the only way to
-    /// learn that its packets never arrived: on observing a failed commit
-    /// the markers are released from `inflight` so the next packet-clear
-    /// scan picks the packets up again. Entries leave the list on *any*
-    /// commit of their hash, keeping it bounded by the mempool.
+    /// committed, by transaction hash, with the `(channel, sequence)` keys
+    /// of the packets each carries. A transaction that commits **failed**
+    /// (§V's account-sequence race striking at DeliverTx) emits no packet
+    /// events, so watching the per-transaction commit result is the only
+    /// way to learn that its packets never arrived: on observing a failed
+    /// commit their in-flight stages towards this chain are released so the
+    /// next packet-clear scan picks the packets up again. Entries leave the
+    /// list on *any* commit of their hash, keeping it bounded by the mempool.
     inflight_txs: Vec<(Hash, Vec<(usize, u64)>)>,
-    /// Packets whose transaction towards this chain this relayer has
-    /// broadcast successfully but not yet observed committed — on the
-    /// destination end the receive path's in-flight set, on the source end
-    /// the acknowledgement path's — so the clear scan never re-relays a
-    /// packet that is merely sitting in the chain's mempool (while packets
-    /// whose broadcast was rejected stay eligible for a future clear).
-    inflight: BTreeSet<(usize, u64)>,
     /// The newest block the chain committed while this process was crashed,
     /// if any — everything the process needs to rebuild a bounded inbox at
     /// restart.
@@ -247,10 +240,49 @@ impl ChainEnd {
             events: config.strategy.subscription(),
             worker_free: SimTime::ZERO,
             inflight_txs: Vec::new(),
-            inflight: BTreeSet::new(),
             missed: None,
             last_processed: 0,
         }
+    }
+}
+
+/// Where one packet stands towards the chain its next message lands on.
+enum Stage {
+    /// Queued for the next flush towards that chain, with the height of the
+    /// block that committed it (data pulls are priced against that block).
+    /// A flush takes a channel's packets in `stamp` (arrival) order, so a
+    /// clear-scan rescue held back by a straddled commit queues behind
+    /// newer packets, not by sequence.
+    Held {
+        stamp: u64,
+        height: u64,
+        packet: Rc<Packet>,
+    },
+    /// Broadcast and accepted into that chain's mempool, not yet observed
+    /// committed: the clear scan must not relay it again.
+    InFlight,
+}
+
+/// Everything one relayer process knows about one packet.
+#[derive(Default)]
+struct Tracked {
+    /// The packet while it may still time out: set when its send event is
+    /// seen (or the clear scan rescues it) and cleared by its receipt,
+    /// acknowledgement or timeout. Shares its allocation with a queued
+    /// receive.
+    watch: Option<Rc<Packet>>,
+    /// One stage per target chain, indexed by `ChainRole`: the receive
+    /// towards the destination, the acknowledgement towards the source.
+    /// Two slots, not one lifecycle: an acknowledgement can be in flight
+    /// while the receive still is (when a destination block's events are
+    /// lost and the acknowledgement clear scan relays it).
+    stage: [Option<Stage>; 2],
+}
+
+impl Tracked {
+    /// Forgets the in-flight transaction towards `to`; a held stage stays.
+    fn release(&mut self, to: ChainRole) {
+        self.stage[to as usize].take_if(|stage| matches!(stage, Stage::InFlight));
     }
 }
 
@@ -266,19 +298,12 @@ pub struct Relayer {
     blocks_held: u64,
     telemetry: TelemetryLog,
     stats: RelayerStats,
-    /// Packets collected but not yet relayed: `(channel index, (committing
-    /// source height, packet))` in arrival order (the submission policy may
-    /// hold them across source blocks; data pulls are priced against the
-    /// committing block). The packet is one allocation shared with
-    /// `pending_delivery`.
-    pending_recv: Vec<(usize, (u64, Rc<Packet>))>,
-    /// Packets this relayer has seen sent but not yet observed as received,
-    /// keyed by `(channel index, sequence)`, kept for timeout detection.
-    pending_delivery: BTreeMap<(usize, u64), Rc<Packet>>,
-    /// Acknowledgements held back by mempool-aware sequence tracking because
-    /// the source chain's check state straddled a commit; merged into the
-    /// next destination block's acknowledgement batch.
-    deferred_acks: Vec<(usize, Packet)>,
+    /// One record per packet in this process's hands, keyed by `(channel
+    /// index, sequence)`: its timeout watch and its stage towards each
+    /// chain. Records left empty are pruned once per wake.
+    packets: BTreeMap<(usize, u64), Tracked>,
+    /// The arrival stamp last given to a held packet.
+    stamp: u64,
     /// Block-commit notifications not yet processed: the runner (or the
     /// synchronous `on_*_block` wrappers) drains this in FIFO order at the
     /// next [`wake`](Relayer::wake).
@@ -318,9 +343,8 @@ impl Relayer {
             blocks_held: 0,
             telemetry: TelemetryLog::new(),
             stats: RelayerStats::default(),
-            pending_recv: Vec::new(),
-            pending_delivery: BTreeMap::new(),
-            deferred_acks: Vec::new(),
+            packets: BTreeMap::new(),
+            stamp: 0,
             inbox: VecDeque::new(),
             crashed: false,
         }
@@ -466,7 +490,7 @@ impl Relayer {
     ///
     /// Returns the instant at which the process next needs a wake *without*
     /// a block notification, or `None` when every obligation is tied to a
-    /// future block commit (the common case: held batches and deferred
+    /// future block commit (the common case: held receives and
     /// acknowledgements can only make progress after the next commit, which
     /// arrives as its own notification). The runner schedules a
     /// `RelayerWake` event for a `Some` return. Wakes are idempotent: waking
@@ -483,13 +507,16 @@ impl Relayer {
                 Destination => self.handle_dest_block(height, committed_at),
             }
         }
+        // Prune the records of packets that left this process's hands.
+        self.packets
+            .retain(|_, r| r.watch.is_some() || !matches!(r.stage, [None, None]));
         None
     }
 
     /// Crashes the process at `now`: every piece of in-memory pipeline state
-    /// — pending packet queues, the submission window count, in-flight sets,
-    /// deferred acknowledgements, the inbox and both [`SequenceTracker`]
-    /// caches — is lost, exactly as for a killed OS process. What survives is
+    /// — the packet table, the submission window count, the in-flight
+    /// transactions, the inbox and both [`SequenceTracker`] caches — is
+    /// lost, exactly as for a killed OS process. What survives is
     /// what lives *outside* the process: chain state, and the experiment's
     /// measurement tape (the telemetry log and stats aggregate the process's
     /// lifetime across incarnations, the way a scrape target's history
@@ -498,13 +525,10 @@ impl Relayer {
     /// no-ops.
     pub fn crash(&mut self, now: SimTime) {
         self.crashed = true;
-        self.pending_recv.clear();
+        self.packets.clear();
         self.blocks_held = 0;
-        self.pending_delivery.clear();
-        self.deferred_acks.clear();
         self.inbox.clear();
         for end in &mut self.ends {
-            end.inflight.clear();
             end.inflight_txs.clear();
             end.missed = None;
         }
@@ -594,7 +618,7 @@ impl Relayer {
             self.process_source_events(height, commit_time, event_time, &batch);
         }
         if self.clear_due(height) {
-            self.clear_unrelayed_recvs(height, event_time);
+            self.clear_unrelayed(Destination, height, event_time);
         }
     }
 
@@ -634,11 +658,12 @@ impl Relayer {
                                 event_time,
                             );
                             if self.assigned(height, packet.sequence) {
-                                // One allocation: timeout watch + relay queue.
+                                // One allocation: timeout watch + held receive.
                                 let packet = Rc::new(packet);
-                                self.pending_delivery
-                                    .insert((channel, packet.sequence.value()), Rc::clone(&packet));
-                                self.pending_recv.push((channel, (height, packet)));
+                                let key = (channel, packet.sequence.value());
+                                self.packets.entry(key).or_default().watch =
+                                    Some(Rc::clone(&packet));
+                                self.hold(Destination, channel, [(height, packet)]);
                             } else {
                                 self.stats.packets_left_to_peers += 1;
                             }
@@ -662,19 +687,13 @@ impl Relayer {
                                 commit_time,
                             );
                             // The acknowledgement is committed: the packet's
-                            // life cycle is over on every in-flight set.
-                            let marker = (channel, sequence.value());
-                            for end in &mut self.ends {
-                                end.inflight.remove(&marker);
-                            }
-                            self.pending_delivery.remove(&marker);
+                            // life cycle is over towards both chains.
+                            self.retire(channel, sequence, &[Source, Destination]);
                         }
                     }
                     ibc_events::TIMEOUT_PACKET => {
                         if let Some(sequence) = ibc_events::packet_sequence(event) {
-                            let marker = (channel, sequence.value());
-                            self.pending_delivery.remove(&marker);
-                            self.ends[Destination as usize].inflight.remove(&marker);
+                            self.retire(channel, sequence, &[Destination]);
                         }
                     }
                     _ => {}
@@ -682,21 +701,78 @@ impl Relayer {
             }
         }
 
-        if self.pending_recv.is_empty() {
+        let held = (self.packets.values())
+            .filter(|record| matches!(record.stage[Destination as usize], Some(Stage::Held { .. })))
+            .count();
+        if held == 0
+            || !self.config.strategy.submission.should_flush(
+                &mut self.blocks_held,
+                held,
+                MAX_MSGS_PER_TX,
+            )
+        {
             return;
         }
-        if !self.config.strategy.submission.should_flush(
-            &mut self.blocks_held,
-            self.pending_recv.len(),
-            MAX_MSGS_PER_TX,
-        ) {
-            return;
-        }
-        let mut pending = std::mem::take(&mut self.pending_recv);
         for channel in self.served_flush_order(height) {
-            let batch = take_channel(&mut pending, channel);
-            if !batch.is_empty() {
-                self.relay_recv_batch(channel, event_time, batch);
+            let mut batch = self.take_held(Destination, channel);
+            if batch.is_empty() {
+                continue;
+            }
+            let start = event_time.max(self.ends[Destination as usize].worker_free);
+            if let Some(t) = self.drop_relayed(Destination, channel, start, &mut batch) {
+                self.deliver_recv_batch(channel, t, batch);
+            }
+        }
+    }
+
+    /// Queues `batch` on `channel` for the next flush towards `to`, behind
+    /// everything already queued there.
+    fn hold(
+        &mut self,
+        to: ChainRole,
+        channel: usize,
+        batch: impl IntoIterator<Item = (u64, Rc<Packet>)>,
+    ) {
+        for (height, packet) in batch {
+            self.stamp += 1;
+            let stamp = self.stamp;
+            let record = self.packets.entry((channel, packet.sequence.value()));
+            record.or_default().stage[to as usize] = Some(Stage::Held {
+                stamp,
+                height,
+                packet,
+            });
+        }
+    }
+
+    /// Moves `channel`'s packets held towards `to` out of the table, in
+    /// arrival order, each with the height that committed it.
+    fn take_held(&mut self, to: ChainRole, channel: usize) -> Vec<(u64, Rc<Packet>)> {
+        let mut held: Vec<_> = (self.packets.range_mut((channel, 0)..=(channel, u64::MAX)))
+            .filter_map(|(_, record)| {
+                match record.stage[to as usize].take_if(|s| matches!(s, Stage::Held { .. })) {
+                    Some(Stage::Held {
+                        stamp,
+                        height,
+                        packet,
+                    }) => Some((stamp, height, packet)),
+                    _ => None,
+                }
+            })
+            .collect();
+        held.sort_unstable_by_key(|(stamp, ..)| *stamp);
+        held.into_iter()
+            .map(|(_, height, packet)| (height, packet))
+            .collect()
+    }
+
+    /// Ends the packet's timeout watch and releases its in-flight
+    /// transactions towards `on`; held stages stay.
+    fn retire(&mut self, channel: usize, sequence: Sequence, on: &[ChainRole]) {
+        if let Some(record) = self.packets.get_mut(&(channel, sequence.value())) {
+            record.watch = None;
+            for &to in on {
+                record.release(to);
             }
         }
     }
@@ -705,11 +781,11 @@ impl Relayer {
     /// committed transaction: a tracked transaction leaves the list as soon
     /// as its hash commits, and a **failed** commit (code != 0 — §V's
     /// account-sequence race striking at DeliverTx rather than CheckTx)
-    /// additionally releases the packet markers it carried. A failed
-    /// transaction emits no packet events, so without this release its
-    /// packets would stay marked "in flight" forever and the packet-clear
-    /// scan — which deliberately skips in-flight packets — could never
-    /// rescue them.
+    /// additionally releases the in-flight stages of the packets it carried.
+    /// A failed transaction emits no packet events, so without this release
+    /// its packets would stay "in flight" forever and the packet-clear scan
+    /// — which deliberately skips in-flight packets — could never rescue
+    /// them.
     fn note_committed_tx(&mut self, on: ChainRole, hash: &Hash, code: u32, at: SimTime) {
         let end = &mut self.ends[on as usize];
         let Some(pos) = end.inflight_txs.iter().position(|(h, _)| h == hash) else {
@@ -720,7 +796,9 @@ impl Relayer {
             return;
         }
         for marker in &markers {
-            end.inflight.remove(marker);
+            if let Some(record) = self.packets.get_mut(marker) {
+                record.release(on);
+            }
         }
         let kind = match on {
             Source => "acknowledgement",
@@ -742,7 +820,6 @@ impl Relayer {
     /// timeouts for expired undelivered packets.
     fn handle_dest_block(&mut self, height: u64, commit_time: SimTime) {
         let (event_time, delivered) = self.collect_block(Destination, height, commit_time);
-        let mut acked_packets: Vec<(usize, Packet)> = Vec::new();
         for (hash, code, events) in delivered.iter().flat_map(BlockEventBatch::txs) {
             self.note_committed_tx(Destination, &hash, code, event_time);
             if code != 0 {
@@ -768,15 +845,13 @@ impl Relayer {
                         TransferStep::RecvConfirmation,
                         event_time,
                     );
-                    let marker = (channel, packet.sequence.value());
-                    self.pending_delivery.remove(&marker);
-                    self.ends[Destination as usize].inflight.remove(&marker);
+                    self.retire(channel, packet.sequence, &[Destination]);
                     // The packet was already counted towards
                     // `packets_left_to_peers` on the source side if it
                     // belongs to another instance; here the assignment
                     // only routes the acknowledgement work.
                     if self.assigned(height, packet.sequence) {
-                        acked_packets.push((channel, packet));
+                        self.hold(Source, channel, [(height, Rc::new(packet))]);
                     }
                 }
             }
@@ -788,64 +863,64 @@ impl Relayer {
         // "neither relayed nor timed out"). Only the clear scan — which
         // reads chain state, not events — still runs.
         if delivered.is_some() {
-            // Acknowledgements held back by a straddled source commit ride
-            // along with this block's batch (mempool-aware tracking only;
-            // the vector is always empty otherwise).
-            if !self.deferred_acks.is_empty() {
-                let mut held = std::mem::take(&mut self.deferred_acks);
-                held.append(&mut acked_packets);
-                acked_packets = held;
-            }
-            let dest_height = height;
-            let dest_time = commit_time;
+            // Acknowledgements held back by a straddled source commit
+            // (mempool-aware tracking only) arrived earlier, so they lead
+            // their channel's batch.
             for channel in self.served_flush_order(height) {
-                let batch = take_channel(&mut acked_packets, channel);
+                let batch = self.take_held(Source, channel);
                 if !batch.is_empty() {
-                    self.relay_ack_batch(channel, dest_height, event_time, batch);
+                    self.relay_ack_batch(channel, height, event_time, batch);
                 }
-                self.relay_timeouts(channel, dest_height, dest_time, event_time);
+                self.relay_timeouts(channel, height, commit_time, event_time);
             }
         }
         if self.clear_due(height) {
-            self.clear_unrelayed_acks(height, event_time);
+            self.clear_unrelayed(Source, height, event_time);
         }
     }
 
-    /// Filters out packets the destination already received, then pulls
-    /// data, builds and broadcasts `MsgRecvPacket` batches for one channel.
-    fn relay_recv_batch(
+    /// Drops from `batch` the packets another relayer already relayed
+    /// towards `to` — received on the destination, or acknowledged on the
+    /// source — asking `to`'s node at `at`. Returns when the answer arrived,
+    /// or `None`, with `to`'s worker free from then, when nothing is left.
+    fn drop_relayed(
         &mut self,
+        to: ChainRole,
         channel: usize,
-        event_time: SimTime,
-        mut packets: Vec<(u64, Rc<Packet>)>,
-    ) {
-        let path = self.paths[channel].clone();
-        let dst = &mut self.ends[Destination as usize];
-        let mut t = event_time.max(dst.worker_free);
-
-        // Skip packets the destination has already received (another relayer
-        // beat us to them).
-        let sequences: Vec<Sequence> = packets.iter().map(|(_, p)| p.sequence).collect();
-        let unreceived_resp =
-            dst.rpc
-                .unreceived_packets(t, &path.port, &path.dst_channel, &sequences);
-        t = unreceived_resp.ready_at;
-        let unreceived: BTreeSet<Sequence> = unreceived_resp.value.into_iter().collect();
-        let queued = packets.len();
-        packets.retain(|(_, p)| unreceived.contains(&p.sequence));
-        let skipped = queued - packets.len();
+        at: SimTime,
+        batch: &mut Vec<(u64, Rc<Packet>)>,
+    ) -> Option<SimTime> {
+        let path = &self.paths[channel];
+        let sequences: Vec<Sequence> = batch.iter().map(|(_, p)| p.sequence).collect();
+        let rpc = &mut self.ends[to as usize].rpc;
+        let (resp, what) = match to {
+            Destination => (
+                rpc.unreceived_packets(at, &path.port, &path.dst_channel, &sequences),
+                "packets",
+            ),
+            Source => (
+                rpc.unacknowledged_packets(at, &path.port, &path.src_channel, &sequences),
+                "acknowledgements",
+            ),
+        };
+        let t = resp.ready_at;
+        // Both queries answer an order-preserving filter of `sequences`.
+        let mut pending = resp.value.into_iter().peekable();
+        let queued = batch.len();
+        batch.retain(|(_, p)| pending.next_if_eq(&p.sequence).is_some());
+        let skipped = queued - batch.len();
         if skipped > 0 {
             self.stats.packets_skipped_already_relayed += skipped as u64;
             self.telemetry.record_error(
                 t,
-                format!("skipping {skipped} packets: packet messages are redundant"),
+                format!("skipping {skipped} {what}: packet messages are redundant"),
             );
         }
-        if packets.is_empty() {
-            self.ends[Destination as usize].worker_free = t;
-            return;
+        if batch.is_empty() {
+            self.ends[to as usize].worker_free = t;
+            return None;
         }
-        self.deliver_recv_batch(channel, t, packets);
+        Some(t)
     }
 
     /// The shared delivery tail of the receive path: pulls packet data and
@@ -861,12 +936,11 @@ impl Relayer {
     ) -> u64 {
         // Mempool-aware sequence tracking: when the destination's check
         // state straddled a commit under our in-flight window, hold the
-        // batch — it rejoins the pending queue and flushes after the window
-        // drains, instead of burning on a duplicate sequence.
+        // batch — it is held again and flushes after the window drains,
+        // instead of burning on a duplicate sequence.
         let (t_ready, ready) = self.ensure_sequence_ready(Destination, start);
         if !ready {
-            self.pending_recv
-                .extend(packets.into_iter().map(|held| (channel, held)));
+            self.hold(Destination, channel, packets);
             self.ends[Destination as usize].worker_free = t_ready;
             return 0;
         }
@@ -897,12 +971,6 @@ impl Relayer {
             proofs.extend(fetch.items);
         }
 
-        // The one copy a relayed packet costs: the message owns its packet,
-        // and the timeout watch still holds the other handle.
-        let packets = packets
-            .into_iter()
-            .map(|(_, p)| Rc::unwrap_or_clone(p))
-            .collect();
         self.submit_batch(
             Destination,
             channel,
@@ -927,50 +995,25 @@ impl Relayer {
         channel: usize,
         dst_height: u64,
         event_time: SimTime,
-        mut acked: Vec<Packet>,
+        mut acked: Vec<(u64, Rc<Packet>)>,
     ) -> u64 {
-        // Mempool-aware sequence tracking: a straddled source commit defers
-        // the acknowledgements to the next destination block's batch.
+        // Mempool-aware sequence tracking: a straddled source commit holds
+        // the acknowledgements for the next destination block's batch.
         let start = event_time.max(self.ends[Source as usize].worker_free);
         let (t_ready, ready) = self.ensure_sequence_ready(Source, start);
         if !ready {
-            self.deferred_acks
-                .extend(acked.into_iter().map(|p| (channel, p)));
+            self.hold(Source, channel, acked);
             self.ends[Source as usize].worker_free = t_ready;
             return 0;
         }
-        let path = self.paths[channel].clone();
-        let mut t = t_ready;
-
-        // Skip acknowledgements whose commitments are already cleared on the
-        // source chain (another relayer acknowledged them first).
-        let sequences: Vec<Sequence> = acked.iter().map(|p| p.sequence).collect();
-        let unacked_resp = self.ends[Source as usize].rpc.unacknowledged_packets(
-            t,
-            &path.port,
-            &path.src_channel,
-            &sequences,
-        );
-        t = unacked_resp.ready_at;
-        let unacked: BTreeSet<Sequence> = unacked_resp.value.into_iter().collect();
-        let held = acked.len();
-        acked.retain(|p| unacked.contains(&p.sequence));
-        let skipped = held - acked.len();
-        if skipped > 0 {
-            self.stats.packets_skipped_already_relayed += skipped as u64;
-            self.telemetry.record_error(
-                t,
-                format!("skipping {skipped} acknowledgements: packet messages are redundant"),
-            );
-        }
-        if acked.is_empty() {
-            self.ends[Source as usize].worker_free = t;
+        let Some(t) = self.drop_relayed(Source, channel, t_ready, &mut acked) else {
             return 0;
-        }
+        };
+        let path = self.paths[channel].clone();
 
         // Acknowledgement data pull (the dominant cost in Fig. 12), through
         // the configured fetch strategy.
-        let relay_seqs: Vec<Sequence> = acked.iter().map(|p| p.sequence).collect();
+        let relay_seqs: Vec<Sequence> = acked.iter().map(|(_, p)| p.sequence).collect();
         let fetch = self.config.strategy.fetcher.fetch_ack_data(
             &mut self.ends[Destination as usize].rpc,
             t,
@@ -1044,7 +1087,7 @@ impl Relayer {
         to: ChainRole,
         channel: usize,
         start: SimTime,
-        packets: Vec<Packet>,
+        packets: Vec<(u64, Rc<Packet>)>,
         mut make_msg: impl FnMut(Packet, Height, &AccountId) -> Option<Msg>,
     ) -> u64 {
         let (build_step, broadcast_step) = match to {
@@ -1065,7 +1108,11 @@ impl Relayer {
             t += BUILD_COST_PER_MSG * chunk_len as u64;
             let mut msgs = Vec::with_capacity(chunk_len);
             let mut markers = Vec::with_capacity(chunk_len);
-            for packet in packets.by_ref().take(chunk_len) {
+            for (_, packet) in packets.by_ref().take(chunk_len) {
+                // The one copy a relayed packet costs: the message owns its
+                // packet, and a receive's timeout watch still holds the
+                // other handle.
+                let packet = Rc::unwrap_or_clone(packet);
                 let sequence = packet.sequence;
                 let signer = &self.ends[to as usize].account;
                 let Some(msg) = make_msg(packet, proof_height, signer) else {
@@ -1090,10 +1137,12 @@ impl Relayer {
                 // In flight: the clear scan must not re-relay these until
                 // the transaction's commit result is known. A rejected
                 // chunk stays eligible for a future clear.
-                let end = &mut self.ends[to as usize];
-                end.inflight.extend(&markers);
+                for marker in &markers {
+                    self.packets.entry(*marker).or_default().stage[to as usize] =
+                        Some(Stage::InFlight);
+                }
                 accepted += markers.len() as u64;
-                end.inflight_txs.push((hash, markers));
+                self.ends[to as usize].inflight_txs.push((hash, markers));
             }
         }
         match to {
@@ -1114,20 +1163,17 @@ impl Relayer {
         event_time: SimTime,
     ) {
         let path = self.paths[channel].clone();
-        let expired: Vec<Rc<Packet>> = self
-            .pending_delivery
-            .iter()
-            .filter(|((ch, _), p)| {
-                *ch == channel && p.has_timed_out(Height::at(dest_height), dest_time)
-            })
-            .map(|(_, p)| Rc::clone(p))
+        let expired: Vec<Rc<Packet>> = (self.packets.range((channel, 0)..=(channel, u64::MAX)))
+            .filter_map(|(_, record)| record.watch.as_ref())
+            .filter(|p| p.has_timed_out(Height::at(dest_height), dest_time))
+            .map(Rc::clone)
             .collect();
         if expired.is_empty() {
             return;
         }
-        // Mempool-aware sequence tracking: expired packets stay in
-        // `pending_delivery` and are re-examined next block, so a straddled
-        // source commit simply delays the timeout submission.
+        // Mempool-aware sequence tracking: expired packets stay watched and
+        // are re-examined next block, so a straddled source commit simply
+        // delays the timeout submission.
         let start = event_time.max(self.ends[Source as usize].worker_free);
         let (t_ready, ready) = self.ensure_sequence_ready(Source, start);
         if !ready {
@@ -1147,8 +1193,7 @@ impl Relayer {
             t = proof_resp.ready_at;
             let Some(proof) = proof_resp.value else {
                 // Already received on the destination: not a timeout.
-                self.pending_delivery
-                    .remove(&(channel, packet.sequence.value()));
+                self.retire(channel, packet.sequence, &[]);
                 continue;
             };
             msgs.push(Msg::IbcTimeout {
@@ -1166,26 +1211,33 @@ impl Relayer {
         // The source-side client needs to know about the destination height
         // proving non-receipt.
         (t, _) = self.update_client(Source, channel, t);
-        (t, _) = self.broadcast(Source, t, msgs);
+        let accepted;
+        (t, accepted) = self.broadcast(Source, t, msgs);
         self.stats.timeout_txs_submitted += 1;
-        for seq in seqs {
-            self.pending_delivery.remove(&(channel, seq.value()));
+        // A rejected broadcast (full mempool, sequence mismatch) leaves its
+        // packets watched, so the next destination block retries them.
+        if accepted.is_some() {
+            for seq in seqs {
+                self.retire(channel, seq, &[]);
+            }
         }
         self.ends[Source as usize].worker_free = t;
     }
 
-    /// The receive half of Hermes' packet-clear scan: for every served
-    /// channel, finds packets that are committed on the source chain, still
-    /// outstanding, assigned to this instance and unknown to the pending
-    /// queue — i.e. packets whose send events were never delivered (§V) —
-    /// and relays them from chain state.
-    fn clear_unrelayed_recvs(&mut self, src_height: u64, start: SimTime) {
-        for channel in self.served_flush_order(src_height) {
+    /// Hermes' packet-clear scan towards `to`, run with the block at
+    /// `height` of the other chain: for every served channel, finds packets
+    /// that are committed on the source chain, still outstanding, assigned
+    /// to this instance and neither held nor in flight towards `to`, and
+    /// relays them from chain state — receives for those the destination
+    /// has not received (their send events were never delivered, §V),
+    /// acknowledgements for those it has (their write-ack events were lost).
+    fn clear_unrelayed(&mut self, to: ChainRole, height: u64, start: SimTime) {
+        for channel in self.served_flush_order(height) {
             let path = self.paths[channel].clone();
             // Chain-state scan: still-committed (unacknowledged, not timed
             // out) packets on the source end. The relayer co-hosts a full
-            // node, so the scan itself is local; the cross-node queries
-            // below pay RPC cost as usual.
+            // node, so the scan itself is local; the cross-node query below
+            // pays RPC cost as usual.
             let candidates: Vec<Sequence> = {
                 let chain = self.ends[Source as usize].rpc.chain().borrow();
                 let ibc = chain.app().ibc();
@@ -1193,130 +1245,69 @@ impl Relayer {
             }
             .into_iter()
             .inspect(|_| prof::bump_clear_scan_visit())
-            .filter(|seq| self.assigned(src_height, *seq))
-            // Skip packets already in this instance's hands: queued for a
-            // later flush, or successfully broadcast and awaiting
-            // commitment. Packets whose send events were never observed and
-            // packets whose receive broadcast was rejected — the genuinely
-            // stranded ones — survive this filter.
+            .filter(|seq| self.assigned(height, *seq))
+            // Skip packets already in this instance's hands: held for a
+            // later flush (clearing a held acknowledgement again would
+            // duplicate its `MsgAcknowledgement`), or broadcast and awaiting
+            // commitment. Packets whose events were never observed and
+            // packets whose broadcast was rejected — the genuinely stranded
+            // ones — survive this filter.
             .filter(|seq| {
-                !self.ends[Destination as usize]
-                    .inflight
-                    .contains(&(channel, seq.value()))
-                    && !self
-                        .pending_recv
-                        .iter()
-                        .any(|(ch, (_, p))| *ch == channel && p.sequence == *seq)
+                let record = self.packets.get(&(channel, seq.value()));
+                record.is_none_or(|record| record.stage[to as usize].is_none())
             })
             .collect();
             if candidates.is_empty() {
                 continue;
             }
-            // Which of those has the destination not received yet?
-            let dst = &mut self.ends[Destination as usize];
-            let t = start.max(dst.worker_free);
-            let unreceived_resp =
-                dst.rpc
-                    .unreceived_packets(t, &path.port, &path.dst_channel, &candidates);
-            let t = unreceived_resp.ready_at;
-            let to_clear: Vec<(u64, Rc<Packet>)> = {
-                let chain = self.ends[Source as usize].rpc.chain().borrow();
-                let ibc = chain.app().ibc();
-                unreceived_resp
-                    .value
-                    .iter()
-                    .filter_map(|seq| ibc.sent_packet(&path.port, &path.src_channel, *seq))
-                    .map(|p| (src_height, Rc::new(p.clone())))
-                    .collect()
-            };
-            if to_clear.is_empty() {
-                self.ends[Destination as usize].worker_free = t;
-                continue;
-            }
-            self.telemetry.record_error(
-                t,
-                format!(
-                    "clearing {} pending packets on {}",
-                    to_clear.len(),
-                    path.src_channel
-                ),
-            );
-            for (_, packet) in &to_clear {
-                self.pending_delivery
-                    .insert((channel, packet.sequence.value()), Rc::clone(packet));
-            }
-            // Count only what actually entered the destination mempool.
-            self.stats.packets_cleared += self.deliver_recv_batch(channel, t, to_clear);
-        }
-    }
-
-    /// The acknowledgement half of the packet-clear scan: packets received
-    /// on the destination whose acknowledgements never made it back (e.g.
-    /// because the write-ack events were lost to the frame limit) are
-    /// re-acknowledged from chain state.
-    fn clear_unrelayed_acks(&mut self, dst_height: u64, start: SimTime) {
-        for channel in self.served_flush_order(dst_height) {
-            let path = self.paths[channel].clone();
-            let candidates: Vec<Sequence> = {
-                let src = &self.ends[Source as usize];
-                let chain = src.rpc.chain().borrow();
-                let ibc = chain.app().ibc();
-                ibc.outstanding_commitments(&path.port, &path.src_channel)
-                    .into_iter()
-                    .inspect(|_| prof::bump_clear_scan_visit())
-                    .filter(|seq| self.assigned(dst_height, *seq))
-                    // Skip acknowledgements this instance has already
-                    // broadcast and is waiting to see committed, and those a
-                    // straddled source commit is holding in the deferred
-                    // queue — clearing them again would enqueue a duplicate
-                    // `MsgAcknowledgement`.
-                    .filter(|seq| !src.inflight.contains(&(channel, seq.value())))
-                    .filter(|seq| {
-                        !self
-                            .deferred_acks
-                            .iter()
-                            .any(|(ch, p)| *ch == channel && p.sequence == *seq)
-                    })
-                    .collect()
-            };
-            if candidates.is_empty() {
-                continue;
-            }
-            // Only packets the destination has already received can carry an
-            // acknowledgement; the rest belong to the receive-side clear.
-            // Received-status lives on the destination node, so the scan pays
-            // for the cross-node query like every other destination lookup.
-            let t = start.max(self.ends[Source as usize].worker_free);
-            let unreceived_resp = self.ends[Destination as usize].rpc.unreceived_packets(
+            // Received-status lives on the destination node, so both
+            // directions pay for the cross-node query.
+            let t = start.max(self.ends[to as usize].worker_free);
+            let resp = self.ends[Destination as usize].rpc.unreceived_packets(
                 t,
                 &path.port,
                 &path.dst_channel,
                 &candidates,
             );
-            let t = unreceived_resp.ready_at;
-            let unreceived: BTreeSet<Sequence> = unreceived_resp.value.into_iter().collect();
-            let received: Vec<Packet> = {
+            let t = resp.ready_at;
+            // An order-preserving filter of `candidates`.
+            let mut unreceived = resp.value.into_iter().peekable();
+            let batch: Vec<(u64, Rc<Packet>)> = {
                 let chain = self.ends[Source as usize].rpc.chain().borrow();
                 let ibc = chain.app().ibc();
                 (candidates.into_iter())
-                    .filter(|seq| !unreceived.contains(seq))
-                    .filter_map(|seq| ibc.sent_packet(&path.port, &path.src_channel, seq).cloned())
+                    .filter(|seq| unreceived.next_if_eq(seq).is_some() == (to == Destination))
+                    .filter_map(|seq| {
+                        let record = self.packets.get(&(channel, seq.value()));
+                        (record.and_then(|record| record.watch.clone())).or_else(|| {
+                            let sent = ibc.sent_packet(&path.port, &path.src_channel, seq);
+                            sent.cloned().map(Rc::new)
+                        })
+                    })
+                    .map(|packet| (height, packet))
                     .collect()
             };
-            if received.is_empty() {
-                self.ends[Source as usize].worker_free = t;
+            if batch.is_empty() {
+                self.ends[to as usize].worker_free = t;
                 continue;
             }
-            self.telemetry.record_error(
-                t,
-                format!(
-                    "clearing {} pending acknowledgements on {}",
-                    received.len(),
-                    path.dst_channel
-                ),
-            );
-            // Count only what actually entered the source mempool.
-            self.stats.packets_cleared += self.relay_ack_batch(channel, dst_height, t, received);
+            let (what, end) = match to {
+                Destination => ("packets", &path.src_channel),
+                Source => ("acknowledgements", &path.dst_channel),
+            };
+            let message = format!("clearing {} pending {what} on {end}", batch.len());
+            self.telemetry.record_error(t, message);
+            // Count only what actually entered `to`'s mempool.
+            self.stats.packets_cleared += match to {
+                Destination => {
+                    for (_, packet) in &batch {
+                        let record = self.packets.entry((channel, packet.sequence.value()));
+                        record.or_default().watch = Some(Rc::clone(packet));
+                    }
+                    self.deliver_recv_batch(channel, t, batch)
+                }
+                Source => self.relay_ack_batch(channel, height, t, batch),
+            };
         }
     }
 
@@ -1470,15 +1461,6 @@ impl Relayer {
     }
 }
 
-/// Moves one channel's entries out of a taken queue, in arrival order; the
-/// other channels' entries stay queued, in theirs.
-fn take_channel<T>(queue: &mut Vec<(usize, T)>, channel: usize) -> Vec<T> {
-    queue
-        .extract_if(.., |(ch, _)| *ch == channel)
-        .map(|(_, entry)| entry)
-        .collect()
-}
-
 impl std::fmt::Debug for Relayer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Relayer")
@@ -1494,13 +1476,18 @@ impl std::fmt::Debug for Relayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xcc_chain::chain::Chain;
+    use xcc_chain::chain::{Chain, SharedChain};
     use xcc_chain::coin::Coin;
     use xcc_chain::genesis::GenesisConfig;
+    use xcc_ibc::channel::Order;
     use xcc_ibc::ids::{ChannelId, ClientId};
+    use xcc_ibc::module::TransferParams;
     use xcc_rpc::cost::BATCHED_PULL_PER_ITEM;
+    use xcc_rpc::endpoint::UnconfirmedSequence;
     use xcc_sim::{DetRng, LatencyModel};
     use xcc_tendermint::mempool::MAX_TXS;
+
+    use crate::strategy::RelayerStrategy;
 
     const SRC: usize = ChainRole::Source as usize;
     const DST: usize = ChainRole::Destination as usize;
@@ -1536,11 +1523,15 @@ mod tests {
     }
 
     fn test_relayer(dst: &xcc_chain::chain::SharedChain) -> Relayer {
-        let src = chain("src-chain");
         // The broadcast path never touches channel state, so a nominal path
         // is enough to construct the driver.
-        let (src_rpc, dst_rpc) = (rpc_for(&src, 1), rpc_for(dst, 2));
-        Relayer::with_paths(0, RelayerConfig::default(), vec![path(0)], src_rpc, dst_rpc)
+        relayer_on(&chain("src-chain"), dst, RelayerConfig::default())
+    }
+
+    /// A relayer serving `channel-0` from `src` to `dst`.
+    fn relayer_on(src: &SharedChain, dst: &SharedChain, config: RelayerConfig) -> Relayer {
+        let (src_rpc, dst_rpc) = (rpc_for(src, 1), rpc_for(dst, 2));
+        Relayer::with_paths(0, config, vec![path(0)], src_rpc, dst_rpc)
     }
 
     fn packet(sequence: u64) -> Packet {
@@ -1583,6 +1574,118 @@ mod tests {
                 .expect("filler tx enters the mempool");
         }
         assert_eq!(chain.borrow().mempool_size(), MAX_TXS);
+    }
+
+    /// Two chains joined by one open transfer channel (`channel-0` and
+    /// client 0 on both ends), each with block 1 committed, after `user-0`
+    /// sent one packet per entry of `timeouts` (the destination height it
+    /// times out at) from the source in block 2.
+    fn linked_chains(timeouts: &[u64]) -> (SharedChain, SharedChain) {
+        let (src, dst) = (chain("src-chain"), chain("dst-chain"));
+        for chain in [&src, &dst] {
+            chain.borrow_mut().produce_block(SimTime::from_secs(5));
+        }
+        let port = PortId::transfer();
+        {
+            let header = |c: &SharedChain| c.borrow().block_at(1).unwrap().block.header.clone();
+            let root = |c: &SharedChain| c.borrow().app().ibc().commitment_root();
+            let (header_s, header_d, root_s, root_d) =
+                (header(&src), header(&dst), root(&src), root(&dst));
+            let (mut s, mut d) = (src.borrow_mut(), dst.borrow_mut());
+            let (ibc_s, ibc_d) = (s.app_mut().ibc_mut(), d.app_mut().ibc_mut());
+            let (client_s, _) = ibc_s.create_client(&header_d, root_d);
+            let (client_d, _) = ibc_d.create_client(&header_s, root_s);
+            let (conn_s, _) = ibc_s.conn_open_init(&client_s, &client_d).unwrap();
+            let (conn_d, _) = ibc_d.conn_open_try(&client_d, &client_s, &conn_s).unwrap();
+            ibc_s.conn_open_ack(&conn_s, &conn_d).unwrap();
+            ibc_d.conn_open_confirm(&conn_d).unwrap();
+            let (chan_s, _) = ibc_s
+                .chan_open_init(&port, &conn_s, &port, Order::Unordered)
+                .unwrap();
+            let (chan_d, _) = ibc_d
+                .chan_open_try(&port, &conn_d, &port, &chan_s, Order::Unordered)
+                .unwrap();
+            ibc_s.chan_open_ack(&port, &chan_s, &chan_d).unwrap();
+            ibc_d.chan_open_confirm(&port, &chan_d).unwrap();
+        }
+        let sends = (timeouts.iter())
+            .map(|timeout| {
+                Msg::IbcTransfer(TransferParams {
+                    source_port: port.clone(),
+                    source_channel: ChannelId::with_index(0),
+                    denom: "uatom".into(),
+                    amount: 1,
+                    sender: "user-0".into(),
+                    receiver: "user-0".into(),
+                    timeout_height: Height::at(*timeout),
+                    timeout_timestamp: SimTime::ZERO,
+                })
+            })
+            .collect();
+        let tx = xcc_chain::tx::Tx::new("user-0".into(), 0, sends, "uatom");
+        src.borrow_mut()
+            .submit_tx(&tx, SimTime::from_secs(5))
+            .unwrap();
+        src.borrow_mut().produce_block(SimTime::from_secs(10));
+        (src, dst)
+    }
+
+    /// The packet `src` sent on `channel-0` with sequence `seq`.
+    fn sent(src: &SharedChain, seq: u64) -> Packet {
+        let chain = src.borrow();
+        let ibc = chain.app().ibc();
+        let sent = ibc.sent_packet(&PortId::transfer(), &ChannelId::with_index(0), seq.into());
+        sent.unwrap().clone()
+    }
+
+    /// Delivers packets `seqs` of [`linked_chains`] the way another relayer
+    /// would (a client update, then the receives with their proofs, signed
+    /// by `user-0` at account sequence `nonce`) in a destination block
+    /// committed at `at`.
+    fn deliver(src: &SharedChain, dst: &SharedChain, nonce: u64, seqs: &[u64], at: SimTime) {
+        let update = rpc_for(src, 9).client_update_data(at).value.unwrap();
+        let proof_height = Height::at(update.header.height);
+        let mut msgs = vec![Msg::IbcUpdateClient {
+            client_id: ClientId::with_index(0),
+            update: Box::new(update),
+            signer: "user-0".into(),
+        }];
+        for &seq in seqs {
+            let chain = src.borrow();
+            let (port, channel) = (PortId::transfer(), ChannelId::with_index(0));
+            let proof = chain
+                .app()
+                .ibc()
+                .prove_packet_commitment(&port, &channel, seq.into());
+            msgs.push(Msg::IbcRecvPacket {
+                packet: sent(src, seq),
+                proof_commitment: proof.unwrap(),
+                proof_height,
+                signer: "user-0".into(),
+            });
+        }
+        let tx = xcc_chain::tx::Tx::new("user-0".into(), nonce, msgs, "uatom");
+        dst.borrow_mut().submit_tx(&tx, SimTime::ZERO).unwrap();
+        dst.borrow_mut().produce_block(at);
+        let block = Rc::clone(dst.borrow().latest_block().unwrap());
+        assert!(block.results.iter().all(|r| r.is_ok()), "delivered");
+    }
+
+    /// Commits `chain`'s whole mempool, one block per second from `at`, and
+    /// returns every message of the transactions that succeeded.
+    fn commit_all(chain: &SharedChain, mut at: SimTime) -> Vec<Msg> {
+        let mut msgs = Vec::new();
+        while chain.borrow().mempool_size() > 0 {
+            at += SimDuration::from_secs(1);
+            chain.borrow_mut().produce_block(at);
+            let block = Rc::clone(chain.borrow().latest_block().unwrap());
+            for (raw, result) in block.block.data.txs.iter().zip(&block.results) {
+                if result.is_ok() {
+                    msgs.extend(xcc_chain::tx::Tx::decode(raw).unwrap().msgs);
+                }
+            }
+        }
+        msgs
     }
 
     /// Pins the wake protocol the runner's event loop is built on: block
@@ -1777,25 +1880,24 @@ mod tests {
         let dst = chain("dst-chain");
         let mut relayer = test_relayer(&dst);
         let packet = Rc::new(packet(1));
-        relayer.pending_recv.push((0, (1, Rc::clone(&packet))));
-        relayer.pending_delivery.insert((0, 1), Rc::clone(&packet));
-        relayer.ends[DST].inflight.insert((0, 1));
-        relayer.ends[SRC].inflight.insert((0, 1));
-        relayer.deferred_acks.push((0, Packet::clone(&packet)));
+        relayer.packets.entry((0, 1)).or_default().watch = Some(Rc::clone(&packet));
+        relayer.hold(Destination, 0, [(1, Rc::clone(&packet))]);
+        relayer.hold(Source, 0, [(1, packet)]);
+        relayer.packets.entry((0, 2)).or_default().stage = [Some(Stage::InFlight), None];
+        relayer.ends[SRC]
+            .inflight_txs
+            .push((Hash([1; 32]), vec![(0, 2)]));
         // One block into a Windowed/Adaptive submission window.
         relayer.blocks_held = 1;
         relayer.notify_source_block(1, SimTime::from_secs(5));
 
         relayer.crash(SimTime::from_secs(6));
-        assert!(relayer.pending_recv.is_empty());
+        assert!(relayer.packets.is_empty(), "one table holds every packet");
         assert_eq!(
             relayer.blocks_held, 0,
             "the held window dies with its queue"
         );
-        assert!(relayer.pending_delivery.is_empty());
-        assert!(relayer.ends[DST].inflight.is_empty());
-        assert!(relayer.ends[SRC].inflight.is_empty());
-        assert!(relayer.deferred_acks.is_empty());
+        assert!(relayer.ends[SRC].inflight_txs.is_empty());
         assert!(relayer.inbox.is_empty());
 
         // Restart on a healthy process changes nothing.
@@ -1805,30 +1907,37 @@ mod tests {
         assert_eq!(relayer.lane_stats(), lanes_before);
     }
 
-    /// The per-channel regroup moves: each channel, in flush order, gets its
-    /// own entries in arrival order, each packet with the height that
-    /// committed it and as the handle that went in (nothing is copied), and a
-    /// channel the flush order leaves out stays queued.
+    /// A flush takes one channel's packets held towards one chain: in
+    /// arrival order, each with the height that committed it and as the
+    /// handle that went in (nothing is copied), leaving other channels and
+    /// the other direction held. Arrival, not sequence: a lower sequence
+    /// held after a higher one (a clear-scan rescue that a straddled commit
+    /// held behind newer packets) flushes after it.
     #[test]
-    fn regrouping_a_queue_by_channel_moves_the_handles_in_arrival_order() {
-        let [p1, p2, p3, p4] = [1, 2, 3, 4].map(|seq| Rc::new(packet(seq)));
-        let handle = |h: u64, p: &Rc<Packet>| (h, Rc::clone(p));
-        let mut queue = vec![
-            (1, handle(7, &p1)),
-            (0, handle(7, &p2)),
-            (2, handle(8, &p4)),
-            (1, handle(8, &p3)),
-        ];
-        let [first, second] = [1, 0].map(|channel| take_channel(&mut queue, channel));
-        let ids = |batch: &[(u64, Rc<Packet>)]| -> Vec<_> {
+    fn taking_a_channels_held_packets_moves_the_handles_in_arrival_order() {
+        let dst = chain("dst-chain");
+        let mut relayer = test_relayer(&dst);
+        let [p1, p2, p3, p4, p5] = [1, 2, 3, 4, 5].map(|seq| Rc::new(packet(seq)));
+        let handle = |h: u64, p: &Rc<Packet>| [(h, Rc::clone(p))];
+        relayer.hold(Destination, 1, handle(7, &p3));
+        relayer.hold(Destination, 0, handle(7, &p2));
+        relayer.hold(Destination, 2, handle(8, &p4));
+        relayer.hold(Destination, 1, handle(8, &p1));
+        relayer.hold(Source, 1, handle(9, &p5));
+        let ids = |batch: Vec<(u64, Rc<Packet>)>| -> Vec<_> {
             batch.iter().map(|(h, p)| (*h, Rc::as_ptr(p))).collect()
         };
-        assert_eq!(ids(&first), [(7, Rc::as_ptr(&p1)), (8, Rc::as_ptr(&p3))]);
-        assert_eq!(ids(&second), [(7, Rc::as_ptr(&p2))]);
+        let first = relayer.take_held(Destination, 1);
         assert_eq!(Rc::strong_count(&p1), 2, "this handle and the batch's");
-        assert_eq!(queue.len(), 1);
-        let (channel, left) = queue.remove(0);
-        assert_eq!((channel, ids(&[left])), (2, vec![(8, Rc::as_ptr(&p4))]));
+        assert_eq!(ids(first), [(7, Rc::as_ptr(&p3)), (8, Rc::as_ptr(&p1))]);
+        assert!(
+            relayer.take_held(Destination, 1).is_empty(),
+            "taken is gone"
+        );
+        let second = relayer.take_held(Destination, 0);
+        assert_eq!(ids(second), [(7, Rc::as_ptr(&p2))]);
+        let left = [(Destination, 2), (Source, 1)].map(|(to, ch)| ids(relayer.take_held(to, ch)));
+        assert_eq!(left, [[(8, Rc::as_ptr(&p4))], [(9, Rc::as_ptr(&p5))]]);
     }
 
     /// The cold-cache resync: a restarted process re-reads its account
@@ -1868,39 +1977,163 @@ mod tests {
         let mut relayer = test_relayer(&dst);
         let hash_ok = Hash([1; 32]);
         let hash_bad = Hash([2; 32]);
-        relayer.ends[DST].inflight.insert((0, 1));
-        relayer.ends[DST].inflight.insert((0, 2));
-        relayer.ends[DST].inflight.insert((0, 3));
+        let in_flight = |relayer: &Relayer, to: ChainRole, seq: u64| {
+            let record = relayer.packets.get(&(0, seq));
+            matches!(
+                record.map(|r| &r.stage[to as usize]),
+                Some(Some(Stage::InFlight))
+            )
+        };
+        for seq in 1..=3 {
+            relayer.packets.entry((0, seq)).or_default().stage[DST] = Some(Stage::InFlight);
+        }
         relayer.ends[DST].inflight_txs.push((hash_ok, vec![(0, 1)]));
         relayer.ends[DST]
             .inflight_txs
             .push((hash_bad, vec![(0, 2), (0, 3)]));
 
         // An untracked hash is some other account's transaction: a no-op.
-        relayer.note_committed_tx(ChainRole::Destination, &Hash([9; 32]), 5, SimTime::ZERO);
-        assert_eq!(relayer.ends[DST].inflight.len(), 3);
+        relayer.note_committed_tx(Destination, &Hash([9; 32]), 5, SimTime::ZERO);
+        assert!((1..=3).all(|seq| in_flight(&relayer, Destination, seq)));
 
         // A successful commit retires the tracked transaction but keeps the
-        // markers: the same block's WRITE_ACK events remove those.
-        relayer.note_committed_tx(ChainRole::Destination, &hash_ok, 0, SimTime::ZERO);
-        assert!(relayer.ends[DST].inflight.contains(&(0, 1)));
+        // stages: the same block's WRITE_ACK events release those.
+        relayer.note_committed_tx(Destination, &hash_ok, 0, SimTime::ZERO);
+        assert!(in_flight(&relayer, Destination, 1));
         assert_eq!(relayer.ends[DST].inflight_txs.len(), 1);
 
-        // A failed commit releases its markers, so the next clear scan sees
-        // the packets as eligible again.
-        relayer.note_committed_tx(ChainRole::Destination, &hash_bad, 5, SimTime::from_secs(1));
-        assert!(relayer.ends[DST].inflight.contains(&(0, 1)));
-        assert!(!relayer.ends[DST].inflight.contains(&(0, 2)));
-        assert!(!relayer.ends[DST].inflight.contains(&(0, 3)));
+        // A failed commit releases its packets, so the next clear scan sees
+        // them as eligible again.
+        relayer.note_committed_tx(Destination, &hash_bad, 5, SimTime::from_secs(1));
+        assert!(in_flight(&relayer, Destination, 1));
+        assert!(!in_flight(&relayer, Destination, 2));
+        assert!(!in_flight(&relayer, Destination, 3));
         assert!(relayer.ends[DST].inflight_txs.is_empty());
 
-        // The acknowledgement path mirrors the receive path.
-        relayer.ends[SRC].inflight.insert((0, 4));
+        // The acknowledgement path mirrors the receive path, and releases
+        // only its own side.
+        relayer.packets.entry((0, 1)).or_default().stage[SRC] = Some(Stage::InFlight);
         relayer.ends[SRC]
             .inflight_txs
-            .push((hash_bad, vec![(0, 4)]));
-        relayer.note_committed_tx(ChainRole::Source, &hash_bad, 5, SimTime::from_secs(2));
-        assert!(relayer.ends[SRC].inflight.is_empty());
+            .push((hash_bad, vec![(0, 1)]));
+        relayer.note_committed_tx(Source, &hash_bad, 5, SimTime::from_secs(2));
+        assert!(!in_flight(&relayer, Source, 1));
+        assert!(
+            in_flight(&relayer, Destination, 1),
+            "the receive stays in flight"
+        );
         assert!(relayer.ends[SRC].inflight_txs.is_empty());
+    }
+
+    /// A `MsgTimeout` broadcast the source rejects (here: a full mempool)
+    /// leaves its packet watched, so the next destination block retries it
+    /// rather than leaving a packet that never times out.
+    #[test]
+    fn a_rejected_timeout_broadcast_keeps_its_packet_watched_for_a_retry() {
+        let (src, dst) = linked_chains(&[2]);
+        let mut relayer = relayer_on(&src, &dst, RelayerConfig::default());
+        // Watched as its send event would have left it.
+        relayer.packets.entry((0, 1)).or_default().watch = Some(Rc::new(sent(&src, 1)));
+
+        // Destination block 2 expires the packet while the source mempool
+        // is full: the client update and the timeout are both rejected.
+        fill_mempool(&src);
+        dst.borrow_mut().produce_block(SimTime::from_secs(10));
+        relayer.notify_dest_block(2, SimTime::from_secs(10));
+        relayer.wake(SimTime::from_secs(10));
+        assert_eq!(relayer.stats().timeout_txs_submitted, 1);
+        let failures = relayer.stats().broadcast_failures;
+        assert!(failures >= 2, "{failures} failed attempts");
+        assert!(relayer.packets[&(0, 1)].watch.is_some(), "still watched");
+
+        // With room in the mempool, destination block 3 retries, and the
+        // timeout commits.
+        src.borrow_mut().produce_block(SimTime::from_secs(15));
+        assert!(src.borrow().mempool_size() < MAX_TXS);
+        dst.borrow_mut().produce_block(SimTime::from_secs(15));
+        relayer.notify_dest_block(3, SimTime::from_secs(15));
+        relayer.wake(SimTime::from_secs(15));
+        assert_eq!(relayer.stats().timeout_txs_submitted, 2);
+        assert_eq!(relayer.stats().broadcast_failures, failures);
+        assert!(
+            !relayer.packets.contains_key(&(0, 1)),
+            "an accepted timeout unwatches"
+        );
+        let committed = commit_all(&src, SimTime::from_secs(100));
+        assert!(committed
+            .iter()
+            .any(|m| matches!(m, Msg::IbcTimeout { .. })));
+        let chain = src.borrow();
+        let outstanding = (chain.app().ibc())
+            .outstanding_commitments(&PortId::transfer(), &ChannelId::with_index(0));
+        assert!(outstanding.is_empty(), "the packet timed out on the source");
+    }
+
+    /// An acknowledgement held back by a straddled source commit
+    /// (mempool-aware tracking) waits in its record and nowhere else:
+    /// `relay_ack_batch` broadcasts nothing, the clear scan skips it, and
+    /// the next destination block relays it ahead of that block's own
+    /// acknowledgements — arrival order, even though its sequence is higher.
+    #[test]
+    fn a_held_acknowledgement_leads_the_next_destination_blocks_batch() {
+        let (src, dst) = linked_chains(&[1_000; 3]);
+        let strategy = RelayerStrategy::default().sequence_tracking(SequenceTracking::MempoolAware);
+        let config = RelayerConfig {
+            strategy,
+            ..RelayerConfig::default()
+        };
+        let mut relayer = relayer_on(&src, &dst, config);
+        // Destination block 2 receives packet 3 only.
+        deliver(&src, &dst, 0, &[3], SimTime::from_secs(10));
+
+        // A transaction of ours straddles a source commit: the check state
+        // reset to 0 under our next sequence, 1.
+        let tracker = &mut relayer.ends[SRC].seq;
+        tracker.advance();
+        tracker.note_commit();
+        let straddle = UnconfirmedSequence {
+            committed: 0,
+            expected: 0,
+            pending: 1,
+        };
+        assert!(!tracker.reconcile(&straddle));
+
+        let lanes = relayer.lane_stats();
+        let batch = vec![(2, Rc::new(sent(&src, 3)))];
+        assert_eq!(
+            relayer.relay_ack_batch(0, 2, SimTime::from_secs(11), batch),
+            0
+        );
+        assert_eq!(
+            relayer.lane_stats(),
+            lanes,
+            "nothing asked, nothing broadcast"
+        );
+        let stage = &relayer.packets[&(0, 3)].stage;
+        assert!(matches!(stage, [Some(Stage::Held { .. }), None]));
+
+        // Packet 3 is outstanding on the source and received on the
+        // destination: without its held stage the scan would clear it.
+        relayer.clear_unrelayed(Source, 2, SimTime::from_secs(11));
+        assert_eq!(relayer.stats().packets_cleared, 0);
+        let errors = relayer.telemetry().errors();
+        assert!(errors.iter().all(|e| !e.message.contains("clearing")));
+
+        // The straddling transaction leaves the mempool and the next source
+        // commit clears the verdict; destination block 3 receives 1 and 2.
+        relayer.ends[SRC].seq.resync(0);
+        relayer.ends[SRC].seq.note_commit();
+        src.borrow_mut().produce_block(SimTime::from_secs(15));
+        deliver(&src, &dst, 1, &[1, 2], SimTime::from_secs(20));
+        relayer.notify_dest_block(3, SimTime::from_secs(20));
+        relayer.wake(SimTime::from_secs(20));
+        assert_eq!(relayer.stats().ack_txs_submitted, 1);
+        let acked: Vec<u64> = (commit_all(&src, SimTime::from_secs(100)).iter())
+            .filter_map(|msg| match msg {
+                Msg::IbcAcknowledgement { packet, .. } => Some(packet.sequence.value()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(acked, [3, 1, 2], "the held acknowledgement leads");
     }
 }

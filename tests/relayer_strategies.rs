@@ -327,12 +327,29 @@ fn straddled_commits_lose_windows_under_resync_and_none_under_mempool_aware() {
 /// `MsgAcknowledgement` and burn a transaction on-chain). No committed
 /// transaction may fail on either chain, and every transfer still
 /// acknowledges exactly once.
+///
+/// The spec is chosen to hold acknowledgements: a probe counting the holds
+/// read 3 held acknowledgement batches (100 each) beside 7 held receive
+/// batches. `sequence_race_spec` with clearing holds 3 receive batches and
+/// no acknowledgement.
 #[test]
 fn held_acknowledgements_are_not_duplicated_by_the_clear_scan() {
     let run = scenarios::run_raw(
-        &sequence_race_spec()
+        &ExperimentSpec::relayer_throughput()
+            .input_rate(80)
+            .relayers(1)
+            .rtt_ms(200)
+            .measurement_blocks(10)
+            .seed(42)
             .packet_clearing(2)
             .sequence_tracking(SequenceTracking::MempoolAware),
+    );
+    let errors = run.telemetry.errors();
+    assert!(
+        errors
+            .iter()
+            .any(|e| e.message.starts_with("holding batch")),
+        "the spec must straddle commits, or nothing is held"
     );
     let failures: u64 = run.relayer_stats.iter().map(|s| s.broadcast_failures).sum();
     assert_eq!(failures, 0);
