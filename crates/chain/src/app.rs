@@ -143,8 +143,8 @@ impl GaiaApp {
                     .transfer(from, to, amount)
                     .map_err(|e| e.to_string())?;
                 Ok(vec![Event::new("transfer")
-                    .with_attr("sender", from.as_str())
-                    .with_attr("recipient", to.as_str())
+                    .with_attr("sender", from.to_string())
+                    .with_attr("recipient", to.to_string())
                     .with_attr("amount", amount.to_string())])
             }
             Msg::IbcTransfer(params) => {

@@ -180,8 +180,10 @@ impl ClientRecord {
     }
 }
 
+/// Real headers and commits from a node with no application, for the tests
+/// here and the `update_client` event pins in `events.rs`.
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use xcc_sim::SimDuration;
     use xcc_tendermint::abci::{Application, CheckTxResult, DeliverTxResult};
@@ -190,7 +192,7 @@ mod tests {
     use xcc_tendermint::node::Node;
 
     #[derive(Default)]
-    struct NullApp;
+    pub(crate) struct NullApp;
     impl Application for NullApp {
         type Decoded = ();
         fn check_tx(&mut self, _tx: &RawTx) -> (CheckTxResult, Option<()>) {
@@ -219,7 +221,7 @@ mod tests {
         }
     }
 
-    fn source_chain(blocks: u64) -> Node<NullApp> {
+    pub(crate) fn source_chain(blocks: u64) -> Node<NullApp> {
         let mut node = Node::new(
             "chain-a",
             ValidatorSet::with_equal_power(5, 10),
@@ -232,7 +234,11 @@ mod tests {
         node
     }
 
-    fn update_for(node: &Node<NullApp>, height: u64, root: CommitmentRoot) -> ClientUpdate {
+    pub(crate) fn update_for(
+        node: &Node<NullApp>,
+        height: u64,
+        root: CommitmentRoot,
+    ) -> ClientUpdate {
         ClientUpdate {
             header: node.block_at(height).unwrap().block.header.clone(),
             commit: node.commit_for(height).unwrap().clone(),

@@ -1,17 +1,19 @@
-//! IBC ABCI events and their parsing.
+//! IBC ABCI events: building them and reading them back.
 //!
 //! Relayers never see chain state directly: they learn about pending packets
 //! by scanning the ABCI events emitted during transaction execution
 //! (`send_packet`, `recv_packet`, `write_acknowledgement`, …) and then pull
-//! the packet data back out of those events. The emitters and parsers here
-//! are the two halves of that contract.
+//! the packet data back out of those events. The emitters and readers here
+//! are the two halves of that contract; the attributes between them are
+//! typed values ([`AttrValue`]), so neither half formats or parses text.
+
+use std::sync::Arc;
 
 use crate::height::Height;
 use crate::ids::{ChannelId, PortId, Sequence};
 use crate::packet::{Acknowledgement, Packet};
 use xcc_sim::SimTime;
-use xcc_tendermint::abci::Event;
-use xcc_tendermint::hash::hex;
+use xcc_tendermint::abci::{AttrValue, Event};
 
 /// Event type emitted when a packet is sent.
 pub const SEND_PACKET: &str = "send_packet";
@@ -26,60 +28,51 @@ pub const TIMEOUT_PACKET: &str = "timeout_packet";
 
 /// An event of `kind` carrying the seven attributes every packet event
 /// has, with room for `extra` more, so the attribute list is sized once.
+///
+/// The attributes are the packet's own values — numbers, the height pair and
+/// its identifiers' shared text — so building one formats nothing.
 fn packet_event(kind: &'static str, packet: &Packet, extra: usize) -> Event {
     let event = Event {
         kind,
         attributes: Vec::with_capacity(7 + extra),
     };
     event
-        .with_attr("packet_sequence", packet.sequence.to_string())
-        .with_attr("packet_src_port", packet.source_port.as_str())
-        .with_attr("packet_src_channel", packet.source_channel.as_str())
-        .with_attr("packet_dst_port", packet.destination_port.as_str())
-        .with_attr("packet_dst_channel", packet.destination_channel.as_str())
-        .with_attr("packet_timeout_height", packet.timeout_height.to_string())
+        .with_attr("packet_sequence", packet.sequence.value())
+        .with_attr("packet_src_port", packet.source_port.shared())
+        .with_attr("packet_src_channel", packet.source_channel.shared())
+        .with_attr("packet_dst_port", packet.destination_port.shared())
+        .with_attr("packet_dst_channel", packet.destination_channel.shared())
+        .with_attr("packet_timeout_height", packet.timeout_height)
         .with_attr(
             "packet_timeout_timestamp",
-            packet.timeout_timestamp.as_nanos().to_string(),
+            packet.timeout_timestamp.as_nanos(),
         )
 }
 
-fn decode_data(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    let mut out = Vec::with_capacity(s.len() / 2);
-    let bytes = s.as_bytes();
-    for pair in bytes.chunks(2) {
-        let hi = (pair[0] as char).to_digit(16)?;
-        let lo = (pair[1] as char).to_digit(16)?;
-        out.push((hi * 16 + lo) as u8);
-    }
-    Some(out)
+/// The packet's data, kept as bytes and shown as hex: printable, and
+/// proportional in size to the real payload, which matters for the WebSocket
+/// frame accounting.
+fn with_data(event: Event, packet: &Packet) -> Event {
+    event.with_attr("packet_data_hex", AttrValue::Hex(packet.data.clone()))
 }
 
 /// Builds the `send_packet` event for a freshly sent packet.
-///
-/// Hex keeps the data attribute printable while staying proportional in size
-/// to the real payload, which matters for the WebSocket frame accounting.
 pub fn send_packet_event(packet: &Packet) -> Event {
-    packet_event(SEND_PACKET, packet, 1).with_attr("packet_data_hex", hex(&packet.data))
+    with_data(packet_event(SEND_PACKET, packet, 1), packet)
 }
 
 /// Builds the `recv_packet` event for a received packet.
 pub fn recv_packet_event(packet: &Packet) -> Event {
-    packet_event(RECV_PACKET, packet, 1).with_attr("packet_data_hex", hex(&packet.data))
+    with_data(packet_event(RECV_PACKET, packet, 1), packet)
 }
 
 /// Builds the `write_acknowledgement` event.
 pub fn write_ack_event(packet: &Packet, ack: &Acknowledgement) -> Event {
     let ack_text = match ack {
-        Acknowledgement::Success { .. } => "success".to_string(),
-        Acknowledgement::Error { error } => format!("error:{error}"),
+        Acknowledgement::Success { .. } => AttrValue::Static("success"),
+        Acknowledgement::Error { error } => AttrValue::Text(format!("error:{error}")),
     };
-    packet_event(WRITE_ACK, packet, 2)
-        .with_attr("packet_data_hex", hex(&packet.data))
-        .with_attr("packet_ack", ack_text)
+    with_data(packet_event(WRITE_ACK, packet, 2), packet).with_attr("packet_ack", ack_text)
 }
 
 /// Builds the `acknowledge_packet` event.
@@ -92,29 +85,56 @@ pub fn timeout_packet_event(packet: &Packet) -> Event {
     packet_event(TIMEOUT_PACKET, packet, 0)
 }
 
+/// The shared text of identifier attribute `key`.
+fn shared<'a>(event: &'a Event, key: &str) -> Option<&'a Arc<str>> {
+    match event.attr(key)? {
+        AttrValue::Shared(text) => Some(text),
+        _ => None,
+    }
+}
+
+/// Identifier attribute `key`, validated as parsing it would be but not
+/// copied.
+fn identifier<T: TryFrom<Arc<str>>>(event: &Event, key: &str) -> Option<T> {
+    T::try_from(Arc::clone(shared(event, key)?)).ok()
+}
+
+/// Number attribute `key`.
+fn number(event: &Event, key: &str) -> Option<u64> {
+    match event.attr(key)? {
+        AttrValue::Number(n) => Some(*n),
+        _ => None,
+    }
+}
+
 /// Reconstructs a [`Packet`] from a packet-carrying event (`send_packet`,
 /// `recv_packet`, `write_acknowledgement`, `acknowledge_packet` or
 /// `timeout_packet`).
 ///
-/// Returns `None` for events of other types or with missing attributes.
-/// Acknowledge/timeout events carry no payload, so the reconstructed packet's
-/// `data` is empty for those kinds. This is exactly the "message extraction"
-/// step of the relayer pipeline.
+/// Returns `None` for events of other types, or with an attribute missing or
+/// of another shape than the emitters above give it. Acknowledge/timeout
+/// events carry no payload, so the reconstructed packet's `data` is empty for
+/// those kinds. This is exactly the "message extraction" step of the relayer
+/// pipeline: it reads values back, parsing and copying no text.
 pub fn packet_from_event(event: &Event) -> Option<Packet> {
     let sequence = packet_sequence(event)?;
-    let timeout = event.attr("packet_timeout_height")?;
-    let (revision, height) = timeout.split_once('-')?;
+    let &AttrValue::Height { revision, height } = event.attr("packet_timeout_height")? else {
+        return None;
+    };
+    let data = match event.attr("packet_data_hex") {
+        None => Vec::new(),
+        Some(AttrValue::Hex(bytes)) => bytes.clone(),
+        Some(_) => return None,
+    };
     Some(Packet {
         sequence,
-        source_port: event.attr("packet_src_port")?.parse().ok()?,
-        source_channel: event.attr("packet_src_channel")?.parse().ok()?,
-        destination_port: event.attr("packet_dst_port")?.parse().ok()?,
-        destination_channel: event.attr("packet_dst_channel")?.parse().ok()?,
-        data: decode_data(event.attr("packet_data_hex").unwrap_or(""))?,
-        timeout_height: Height::new(revision.parse().ok()?, height.parse().ok()?),
-        timeout_timestamp: SimTime::from_nanos(
-            event.attr("packet_timeout_timestamp")?.parse().ok()?,
-        ),
+        source_port: identifier(event, "packet_src_port")?,
+        source_channel: identifier(event, "packet_src_channel")?,
+        destination_port: identifier(event, "packet_dst_port")?,
+        destination_channel: identifier(event, "packet_dst_channel")?,
+        data,
+        timeout_height: Height::new(revision, height),
+        timeout_timestamp: SimTime::from_nanos(number(event, "packet_timeout_timestamp")?),
     })
 }
 
@@ -129,21 +149,19 @@ pub fn packet_sequence(event: &Event) -> Option<Sequence> {
     ) {
         return None;
     }
-    let sequence = event.attr("packet_sequence")?.parse::<u64>().ok()?;
-    Some(Sequence::from(sequence))
+    number(event, "packet_sequence").map(Sequence::from)
 }
 
 /// Helper for filtering a transaction's events down to the ones a relayer for
 /// a given source channel cares about.
 pub fn is_for_channel(event: &Event, port: &PortId, channel: &ChannelId) -> bool {
+    let is = |key, id: &str| shared(event, key).is_some_and(|text| **text == *id);
     match event.kind {
         SEND_PACKET | ACK_PACKET | TIMEOUT_PACKET => {
-            event.attr("packet_src_port") == Some(port.as_str())
-                && event.attr("packet_src_channel") == Some(channel.as_str())
+            is("packet_src_port", port.as_str()) && is("packet_src_channel", channel.as_str())
         }
         RECV_PACKET | WRITE_ACK => {
-            event.attr("packet_dst_port") == Some(port.as_str())
-                && event.attr("packet_dst_channel") == Some(channel.as_str())
+            is("packet_dst_port", port.as_str()) && is("packet_dst_channel", channel.as_str())
         }
         _ => false,
     }
@@ -180,16 +198,54 @@ mod tests {
         let packet = sample_packet();
         let event = write_ack_event(&packet, &Acknowledgement::success());
         assert_eq!(packet_from_event(&event).unwrap(), packet);
-        assert_eq!(event.attr("packet_ack"), Some("success"));
+        assert_eq!(
+            event.attr("packet_ack"),
+            Some(&AttrValue::Static("success"))
+        );
 
         let err_event = write_ack_event(&packet, &Acknowledgement::error("denied"));
-        assert_eq!(err_event.attr("packet_ack"), Some("error:denied"));
+        let error = AttrValue::Text("error:denied".to_string());
+        assert_eq!(err_event.attr("packet_ack"), Some(&error));
     }
 
     #[test]
     fn non_packet_events_do_not_parse() {
         let event = Event::new("transfer").with_attr("amount", "10uatom");
         assert!(packet_from_event(&event).is_none());
+    }
+
+    /// One typed path: an attribute of another shape than the emitters give
+    /// it is missing, not parsed, and a shared identifier is validated as
+    /// parsing it was.
+    #[test]
+    fn attributes_of_another_shape_do_not_parse() {
+        let packet = sample_packet();
+        let with = |key: &str, value: AttrValue| {
+            let mut event = send_packet_event(&packet);
+            let slot = event.attributes.iter_mut().find(|a| a.key == key).unwrap();
+            slot.value = value;
+            event
+        };
+        let text = |s: &str| AttrValue::Text(s.to_string());
+        for event in [
+            with("packet_sequence", text("12")),
+            with("packet_src_channel", text("channel-0")),
+            with("packet_dst_port", AttrValue::Static("transfer")),
+            with("packet_dst_channel", AttrValue::Shared("Channel 5".into())),
+            with("packet_timeout_height", text("0-500")),
+            with("packet_timeout_timestamp", text("1000000000000")),
+            with("packet_data_hex", text("7b22")),
+        ] {
+            assert_eq!(packet_from_event(&event), None, "{:?}", event.attributes);
+        }
+        let sequence = with("packet_sequence", text("12"));
+        assert_eq!(packet_sequence(&sequence), None);
+        let channel = with("packet_src_channel", text("channel-0"));
+        assert!(!is_for_channel(
+            &channel,
+            &PortId::transfer(),
+            &ChannelId::with_index(0)
+        ));
     }
 
     fn the_five_packet_events() -> [Event; 5] {
@@ -214,7 +270,7 @@ mod tests {
             );
             assert_eq!(packet_sequence(&event), Some(Sequence::from(12)));
         }
-        let other = Event::new("transfer").with_attr("packet_sequence", "12");
+        let other = Event::new("transfer").with_attr("packet_sequence", 12u64);
         assert_eq!(packet_sequence(&other), None);
     }
 
@@ -240,6 +296,113 @@ mod tests {
             events: vec![message, send],
         };
         assert_eq!(result.encoded_size(), 490);
+
+        // Captured at the commit before attribute values stopped being
+        // strings: every number at a digit boundary, both ends of the data's
+        // range, an error acknowledgement and the `update_client` event.
+        let send_size =
+            |change: fn(&mut Packet)| send_packet_event(&sample_with(change)).encoded_size();
+        let sizes = [
+            send_size(|p| p.sequence = Sequence::from(9)),
+            send_size(|p| p.sequence = Sequence::from(10)),
+            send_size(|p| p.sequence = Sequence::from(u64::MAX)),
+            send_size(|p| p.timeout_timestamp = SimTime::from_nanos(0)),
+            send_size(|p| p.timeout_timestamp = SimTime::from_nanos(u64::MAX)),
+            send_size(|p| p.timeout_height = Height::new(1, 0)),
+            send_size(|p| p.timeout_height = Height::new(0, 10)),
+            send_size(|p| p.data = Vec::new()),
+            send_size(|p| p.data = vec![0x00, 0xff]),
+        ];
+        assert_eq!(sizes, [347, 348, 366, 336, 355, 346, 347, 286, 290]);
+        let error = write_ack_event(&sample_packet(), &Acknowledgement::error("denied"));
+        assert_eq!(error.encoded_size(), 388);
+        assert_eq!(update_client_event().encoded_size(), 89);
+    }
+
+    /// The sample packet with one field changed.
+    fn sample_with(change: impl FnOnce(&mut Packet)) -> Packet {
+        let mut packet = sample_packet();
+        change(&mut packet);
+        packet
+    }
+
+    /// What a verified header at height 10 makes a client emit: the one
+    /// event every relayed block carries.
+    fn update_client_event() -> Event {
+        use crate::client::tests::{source_chain, update_for};
+        use xcc_tendermint::hash::sha256;
+        let node = source_chain(10);
+        let mut module = crate::module::IbcModule::new("chain-b");
+        let genesis = &node.block_at(1).unwrap().block.header;
+        let (client, _) = module.create_client(genesis, sha256(b"root-1"));
+        let update = update_for(&node, 10, sha256(b"root-10"));
+        let mut events = module.update_client(&client, &update).unwrap();
+        assert_eq!(events.len(), 1);
+        events.pop().unwrap()
+    }
+
+    /// Every attribute's text, as the strings the events held when this was
+    /// captured; rendering an attribute must give exactly these.
+    #[test]
+    fn attribute_texts_are_pinned() {
+        fn texts(event: &Event) -> Vec<(&'static str, String)> {
+            (event.attributes.iter())
+                .map(|a| (a.key, a.value.to_string()))
+                .collect()
+        }
+        let pairs = |pairs: &[(&'static str, &str)]| -> Vec<(&'static str, String)> {
+            (pairs.iter())
+                .map(|&(key, text)| (key, text.to_string()))
+                .collect()
+        };
+        let common = |sequence, height, timestamp| {
+            [
+                ("packet_sequence", sequence),
+                ("packet_src_port", "transfer"),
+                ("packet_src_channel", "channel-0"),
+                ("packet_dst_port", "transfer"),
+                ("packet_dst_channel", "channel-5"),
+                ("packet_timeout_height", height),
+                ("packet_timeout_timestamp", timestamp),
+            ]
+        };
+        let sample = common("12", "0-500", "1000000000000");
+        let data = (
+            "packet_data_hex",
+            "7b2264656e6f6d223a227561746f6d222c22616d6f756e74223a223130227d",
+        );
+        let [send, recv, write_ack, ack, timeout] = the_five_packet_events();
+        assert_eq!(texts(&send), pairs(&[&sample[..], &[data]].concat()));
+        assert_eq!(texts(&recv), pairs(&[&sample[..], &[data]].concat()));
+        let success = [data, ("packet_ack", "success")];
+        assert_eq!(texts(&write_ack), pairs(&[&sample[..], &success].concat()));
+        assert_eq!(texts(&ack), pairs(&sample));
+        assert_eq!(texts(&timeout), pairs(&sample));
+
+        let error = write_ack_event(&sample_packet(), &Acknowledgement::error("denied"));
+        let failure = [data, ("packet_ack", "error:denied")];
+        assert_eq!(texts(&error), pairs(&[&sample[..], &failure].concat()));
+
+        let edge = sample_with(|p| {
+            p.sequence = Sequence::from(u64::MAX);
+            p.timeout_height = Height::new(1, 0);
+            p.timeout_timestamp = SimTime::from_nanos(0);
+            p.data = vec![0x00, 0xff];
+        });
+        let edge_texts = common("18446744073709551615", "1-0", "0");
+        let edge_data = [("packet_data_hex", "00ff")];
+        assert_eq!(
+            texts(&send_packet_event(&edge)),
+            pairs(&[&edge_texts[..], &edge_data].concat())
+        );
+
+        assert_eq!(
+            texts(&update_client_event()),
+            pairs(&[
+                ("client_id", "07-tendermint-0"),
+                ("consensus_height", "0-10")
+            ])
+        );
     }
 
     #[test]
@@ -248,7 +411,7 @@ mod tests {
         let event = ack_packet_event(&packet);
         assert_eq!(event.kind, ACK_PACKET);
         assert!(event.attr("packet_data_hex").is_none());
-        assert_eq!(event.attr("packet_sequence"), Some("12"));
+        assert_eq!(event.attr("packet_sequence"), Some(&AttrValue::Number(12)));
     }
 
     #[test]
@@ -262,14 +425,5 @@ mod tests {
         assert!(!is_for_channel(&send, &PortId::transfer(), &dst_chan));
         assert!(is_for_channel(&recv, &PortId::transfer(), &dst_chan));
         assert!(!is_for_channel(&recv, &PortId::transfer(), &src_chan));
-    }
-
-    #[test]
-    fn hex_data_encoding_roundtrips_arbitrary_bytes() {
-        let data: Vec<u8> = (0..=255u8).collect();
-        assert_eq!(hex(&[0x00, 0x9f, 0xa0, 0xff]), "009fa0ff");
-        assert_eq!(decode_data(&hex(&data)).unwrap(), data);
-        assert!(decode_data("abc").is_none());
-        assert!(decode_data("zz").is_none());
     }
 }

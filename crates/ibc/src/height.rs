@@ -3,6 +3,7 @@
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
+use xcc_tendermint::abci::AttrValue;
 
 /// A block height qualified by a revision number, as used by IBC clients to
 /// survive chain upgrades.
@@ -66,6 +67,16 @@ impl fmt::Display for Height {
     }
 }
 
+/// An event attribute holding the pair, shown as `Display` shows it.
+impl From<Height> for AttrValue {
+    fn from(h: Height) -> Self {
+        AttrValue::Height {
+            revision: h.revision,
+            height: h.height,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,5 +102,6 @@ mod tests {
     #[test]
     fn display_format() {
         assert_eq!(Height::new(2, 30).to_string(), "2-30");
+        assert_eq!(AttrValue::from(Height::new(2, 30)).to_string(), "2-30");
     }
 }

@@ -46,6 +46,12 @@ macro_rules! identifier {
                 &self.0
             }
 
+            /// The identifier's shared text: what an event attribute holds,
+            /// for a reference-count bump instead of a copy.
+            pub fn shared(&self) -> Arc<str> {
+                Arc::clone(&self.0)
+            }
+
             /// The counter of a canonical `prefix-N` identifier, if this is
             /// one (e.g. `channel-3` → `Some(3)`).
             pub fn index(&self) -> Option<u64> {
@@ -61,15 +67,25 @@ macro_rules! identifier {
             }
         }
 
+        /// Validates shared text as [`FromStr`](std::str::FromStr) does,
+        /// and keeps it without copying it.
+        impl TryFrom<Arc<str>> for $name {
+            type Error = InvalidIdentifier;
+
+            fn try_from(id: Arc<str>) -> Result<Self, Self::Error> {
+                if valid_identifier(&id) {
+                    Ok($name(id))
+                } else {
+                    Err(InvalidIdentifier { value: id.to_string() })
+                }
+            }
+        }
+
         impl std::str::FromStr for $name {
             type Err = InvalidIdentifier;
 
             fn from_str(s: &str) -> Result<Self, Self::Err> {
-                if valid_identifier(s) {
-                    Ok($name(s.into()))
-                } else {
-                    Err(InvalidIdentifier { value: s.to_string() })
-                }
+                Self::try_from(Arc::<str>::from(s))
             }
         }
     };
@@ -187,6 +203,21 @@ mod tests {
         assert!(ChannelId::from_str("UPPER").is_err());
         let err = PortId::from_str("!").unwrap_err();
         assert!(err.to_string().contains("invalid ICS-24 identifier"));
+    }
+
+    #[test]
+    fn shared_text_round_trips_without_a_copy() {
+        let channel = ChannelId::with_index(3);
+        let text = channel.shared();
+        let back = ChannelId::try_from(Arc::clone(&text)).unwrap();
+        assert_eq!(back, channel);
+        assert!(Arc::ptr_eq(&back.0, &channel.0));
+        for bad in ["C", "has space", "UPPER", ""] {
+            assert_eq!(
+                ChannelId::try_from(Arc::<str>::from(bad)),
+                ChannelId::from_str(bad)
+            );
+        }
     }
 
     #[test]

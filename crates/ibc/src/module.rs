@@ -177,8 +177,8 @@ impl IbcModule {
         self.store_set(host::consensus_state_path(&client_id, height), ibc_root);
         self.clients.insert(client_id.clone(), record);
         let event = Event::new("create_client")
-            .with_attr("client_id", client_id.as_str())
-            .with_attr("consensus_height", height.to_string());
+            .with_attr("client_id", client_id.shared())
+            .with_attr("consensus_height", height);
         (client_id, vec![event])
     }
 
@@ -206,8 +206,8 @@ impl IbcModule {
             update.ibc_root,
         );
         Ok(vec![Event::new("update_client")
-            .with_attr("client_id", client_id.as_str())
-            .with_attr("consensus_height", height.to_string())])
+            .with_attr("client_id", client_id.shared())
+            .with_attr("consensus_height", height)])
     }
 
     /// Marks a hosted client's trust period as lapsed (the `ClientExpiry`
@@ -266,8 +266,8 @@ impl IbcModule {
         );
         self.write_connection(&connection_id, end);
         let event = Event::new("connection_open_init")
-            .with_attr("connection_id", connection_id.as_str())
-            .with_attr("client_id", client_id.as_str());
+            .with_attr("connection_id", connection_id.shared())
+            .with_attr("client_id", client_id.shared());
         Ok((connection_id, vec![event]))
     }
 
@@ -295,10 +295,10 @@ impl IbcModule {
         );
         self.write_connection(&connection_id, end);
         let event = Event::new("connection_open_try")
-            .with_attr("connection_id", connection_id.as_str())
+            .with_attr("connection_id", connection_id.shared())
             .with_attr(
                 "counterparty_connection_id",
-                counterparty_connection_id.as_str(),
+                counterparty_connection_id.shared(),
             );
         Ok((connection_id, vec![event]))
     }
@@ -331,7 +331,7 @@ impl IbcModule {
         let end = end.clone();
         self.write_connection(connection_id, end);
         Ok(vec![
-            Event::new("connection_open_ack").with_attr("connection_id", connection_id.as_str())
+            Event::new("connection_open_ack").with_attr("connection_id", connection_id.shared())
         ])
     }
 
@@ -361,7 +361,7 @@ impl IbcModule {
         let end = end.clone();
         self.write_connection(connection_id, end);
         Ok(vec![Event::new("connection_open_confirm")
-            .with_attr("connection_id", connection_id.as_str())])
+            .with_attr("connection_id", connection_id.shared())])
     }
 
     /// Read access to a connection end.
@@ -399,9 +399,9 @@ impl IbcModule {
         );
         self.write_channel(port_id, &channel_id, end);
         let event = Event::new("channel_open_init")
-            .with_attr("port_id", port_id.as_str())
-            .with_attr("channel_id", channel_id.as_str())
-            .with_attr("connection_id", connection_id.as_str());
+            .with_attr("port_id", port_id.shared())
+            .with_attr("channel_id", channel_id.shared())
+            .with_attr("connection_id", connection_id.shared());
         Ok((channel_id, vec![event]))
     }
 
@@ -432,8 +432,8 @@ impl IbcModule {
         );
         self.write_channel(port_id, &channel_id, end);
         let event = Event::new("channel_open_try")
-            .with_attr("port_id", port_id.as_str())
-            .with_attr("channel_id", channel_id.as_str());
+            .with_attr("port_id", port_id.shared())
+            .with_attr("channel_id", channel_id.shared());
         Ok((channel_id, vec![event]))
     }
 
@@ -461,8 +461,8 @@ impl IbcModule {
         end.counterparty.channel_id = Some(counterparty_channel_id.clone());
         self.write_channel(port_id, channel_id, end);
         Ok(vec![Event::new("channel_open_ack")
-            .with_attr("port_id", port_id.as_str())
-            .with_attr("channel_id", channel_id.as_str())])
+            .with_attr("port_id", port_id.shared())
+            .with_attr("channel_id", channel_id.shared())])
     }
 
     /// Completes the handshake on the responding chain (`ChanOpenConfirm`).
@@ -487,8 +487,8 @@ impl IbcModule {
         end.state = ChannelState::Open;
         self.write_channel(port_id, channel_id, end);
         Ok(vec![Event::new("channel_open_confirm")
-            .with_attr("port_id", port_id.as_str())
-            .with_attr("channel_id", channel_id.as_str())])
+            .with_attr("port_id", port_id.shared())
+            .with_attr("channel_id", channel_id.shared())])
     }
 
     /// Read access to a channel end.

@@ -4,10 +4,100 @@
 //! validation and execution to the application through this interface, just
 //! like the real ABCI described in §II-A of the paper.
 
+use std::fmt;
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::block::{Header, RawTx};
 use crate::hash::Hash;
+
+/// The value of an [`EventAttribute`]: the value itself, in one of the
+/// shapes the workspace emits, rendered as text only when something asks.
+///
+/// An event's size is a simulated quantity (the §V WebSocket frame limit and
+/// the `BlockResults` response size), so each shape knows the length of its
+/// text ([`AttrValue::text_len`]) and `Display` prints exactly that text.
+/// Emitting a packet event therefore formats nothing, and reading one back
+/// parses nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AttrValue {
+    /// Text built for this attribute.
+    Text(String),
+    /// Text fixed in the emitting module's source, e.g. a type URL.
+    Static(&'static str),
+    /// A shared identifier, e.g. a channel id: a clone is a reference-count
+    /// bump.
+    Shared(Arc<str>),
+    /// An unsigned integer, shown in decimal.
+    Number(u64),
+    /// A revision-qualified height, shown as `revision-height`.
+    Height {
+        /// The revision number.
+        revision: u64,
+        /// The height within the revision.
+        height: u64,
+    },
+    /// Raw bytes, shown as lower-case hex: printable, and twice the payload
+    /// in size.
+    Hex(Vec<u8>),
+}
+
+/// Decimal digits of `n`.
+fn digits(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |log| log as usize + 1)
+}
+
+impl AttrValue {
+    /// Length in bytes of the value's text, without rendering it.
+    pub fn text_len(&self) -> usize {
+        match self {
+            AttrValue::Text(text) => text.len(),
+            AttrValue::Static(text) => text.len(),
+            AttrValue::Shared(text) => text.len(),
+            AttrValue::Number(n) => digits(*n),
+            AttrValue::Height { revision, height } => digits(*revision) + 1 + digits(*height),
+            AttrValue::Hex(bytes) => 2 * bytes.len(),
+        }
+    }
+}
+
+impl fmt::Display for AttrValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AttrValue::Text(text) => f.write_str(text),
+            AttrValue::Static(text) => f.write_str(text),
+            AttrValue::Shared(text) => f.write_str(text),
+            AttrValue::Number(n) => write!(f, "{n}"),
+            AttrValue::Height { revision, height } => write!(f, "{revision}-{height}"),
+            AttrValue::Hex(bytes) => bytes.iter().try_for_each(|b| write!(f, "{b:02x}")),
+        }
+    }
+}
+
+impl From<String> for AttrValue {
+    fn from(text: String) -> Self {
+        AttrValue::Text(text)
+    }
+}
+
+impl From<&'static str> for AttrValue {
+    fn from(text: &'static str) -> Self {
+        AttrValue::Static(text)
+    }
+}
+
+impl From<Arc<str>> for AttrValue {
+    fn from(text: Arc<str>) -> Self {
+        AttrValue::Shared(text)
+    }
+}
+
+impl From<u64> for AttrValue {
+    fn from(n: u64) -> Self {
+        AttrValue::Number(n)
+    }
+}
 
 /// A key/value attribute attached to an [`Event`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -16,7 +106,7 @@ pub struct EventAttribute {
     /// written in the emitting module's source, never data.
     pub key: &'static str,
     /// Attribute value.
-    pub value: String,
+    pub value: AttrValue,
 }
 
 /// An ABCI event emitted during transaction execution.
@@ -27,12 +117,13 @@ pub struct EventAttribute {
 /// # Example
 ///
 /// ```rust
-/// use xcc_tendermint::abci::Event;
+/// use xcc_tendermint::abci::{AttrValue, Event};
 ///
 /// let ev = Event::new("send_packet")
-///     .with_attr("packet_sequence", "1")
+///     .with_attr("packet_sequence", 1u64)
 ///     .with_attr("packet_src_channel", "channel-0");
-/// assert_eq!(ev.attr("packet_sequence"), Some("1"));
+/// assert_eq!(ev.attr("packet_sequence"), Some(&AttrValue::Number(1)));
+/// assert_eq!(ev.attr("packet_src_channel").unwrap().to_string(), "channel-0");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
@@ -53,7 +144,7 @@ impl Event {
     }
 
     /// Builder-style attribute addition.
-    pub fn with_attr(mut self, key: &'static str, value: impl Into<String>) -> Self {
+    pub fn with_attr(mut self, key: &'static str, value: impl Into<AttrValue>) -> Self {
         self.attributes.push(EventAttribute {
             key,
             value: value.into(),
@@ -62,11 +153,11 @@ impl Event {
     }
 
     /// Looks up the first attribute with the given key.
-    pub fn attr(&self, key: &str) -> Option<&str> {
+    pub fn attr(&self, key: &str) -> Option<&AttrValue> {
         self.attributes
             .iter()
             .find(|a| a.key == key)
-            .map(|a| a.value.as_str())
+            .map(|a| &a.value)
     }
 
     /// Approximate encoded size of the event in bytes, used for the
@@ -76,7 +167,7 @@ impl Event {
             + self
                 .attributes
                 .iter()
-                .map(|a| a.key.len() + a.value.len() + 8)
+                .map(|a| a.key.len() + a.value.text_len() + 8)
                 .sum::<usize>()
             + 16
     }
@@ -179,11 +270,49 @@ mod tests {
     #[test]
     fn event_builder_and_lookup() {
         let ev = Event::new("recv_packet")
-            .with_attr("packet_sequence", "42")
+            .with_attr("packet_sequence", 42u64)
             .with_attr("packet_dst_channel", "channel-1");
-        assert_eq!(ev.attr("packet_sequence"), Some("42"));
+        assert_eq!(ev.attr("packet_sequence"), Some(&AttrValue::Number(42)));
         assert_eq!(ev.attr("missing"), None);
         assert!(ev.encoded_size() > "recv_packet".len());
+    }
+
+    /// Every shape's `text_len` is the length of what `Display` prints, at
+    /// the digit boundaries of each number.
+    #[test]
+    fn text_len_is_the_length_of_the_rendered_text() {
+        let mut values = vec![
+            AttrValue::Text("error:denied".to_string()),
+            AttrValue::Text(String::new()),
+            AttrValue::Static("/ibc.core.channel.v1.MsgRecvPacket"),
+            AttrValue::Shared("channel-10".into()),
+            AttrValue::Hex(Vec::new()),
+            AttrValue::Hex(vec![0x00, 0x0f, 0xf0, 0xff]),
+        ];
+        for n in [0, 1, 9, 10, 99, 100, u64::MAX / 10, u64::MAX] {
+            values.push(AttrValue::Number(n));
+            values.push(AttrValue::Height {
+                revision: n,
+                height: u64::MAX - n,
+            });
+        }
+        for value in values {
+            assert_eq!(value.text_len(), value.to_string().len(), "{value:?}");
+        }
+        assert_eq!(
+            AttrValue::Number(u64::MAX).to_string(),
+            "18446744073709551615"
+        );
+        let height = AttrValue::Height {
+            revision: 1,
+            height: 0,
+        };
+        assert_eq!(height.to_string(), "1-0");
+        let every_byte: Vec<u8> = (0..=255).collect();
+        assert_eq!(
+            AttrValue::Hex(every_byte.clone()).to_string(),
+            crate::hash::hex(&every_byte)
+        );
     }
 
     #[test]

@@ -540,6 +540,14 @@ mod tests {
         assert_eq!(FieldHasher::new().finish(), sha256(b""));
     }
 
+    /// Moved here from the event tests when packet data stopped being
+    /// stored as hex text: the digit order, the case and the nibble edges.
+    #[test]
+    fn hex_is_pinned() {
+        assert_eq!(hex(&[0x00, 0x9f, 0xa0, 0xff]), "009fa0ff");
+        assert_eq!(hex(&[]), "");
+    }
+
     #[test]
     fn hash_type_helpers() {
         let h = sha256(b"abc");

@@ -1,11 +1,13 @@
 //! Heap allocations per transfer, as a ratcheted work counter.
 //!
 //! The allocator was 45% of a `chain_only` run before identifiers, accounts
-//! and denominations became shared strings and the event schema static (see
-//! PERFORMANCE.md, "The fifth profile"). This binary keeps the count that
-//! change was judged by: a counting `#[global_allocator]` over `System`, one
-//! small chain-only run and one small relayed run, and a ceiling per
-//! transfer next to the value the parent commit measured on the same spec.
+//! and denominations became shared strings and the event schema static, and
+//! formatting packet-event attributes as text was still a quarter of a
+//! chain-only transfer's allocations until they became values (see
+//! PERFORMANCE.md, "The fifth profile" and "The seventh profile"). This binary keeps the count those changes were judged by: a
+//! counting `#[global_allocator]` over `System`, a small chain-only run, a
+//! small relayed run and a drained burst, and a ceiling per transfer that
+//! the representation before fails.
 //!
 //! It is an integration-test binary of its own because a global allocator
 //! is per binary, and it holds the workspace's only other `unsafe` — the
@@ -103,22 +105,21 @@ fn drained() -> ExperimentSpec {
         .seed(42)
 }
 
-/// The parent commit (PR 21) measured 89.9 allocations per committed
-/// transfer on `chain_only()`; the ceiling is 45% of that, rounded down.
-/// This commit measures 30.5.
-const CHAIN_ONLY_CEILING: f64 = 40.0;
-/// PR 21 measured 220.8 allocations per submitted transfer on `relayed()`
-/// and PR 22, the parent commit, measured 96.1 — the ceiling sits just under
-/// that, so it fails there. This commit, where a relayed packet has one
-/// owner instead of eight copies, measures 86.7.
-const RELAYED_CEILING: f64 = 95.0;
-/// PR 23, the parent commit, measured 197.3 allocations per submitted
-/// transfer on `drained()` (710,347 per run): the drain check and the two
-/// scans formatted and looked up the path of every packet ever sent, once per
-/// source block and once per scan. This commit walks the store's commitment
-/// prefix instead and measures 122.9 (442,442 per run); the ceiling fails on
-/// the parent.
-const DRAINED_CEILING: f64 = 128.0;
+/// Allocations per committed transfer on `chain_only()`: 89.9 before
+/// identifiers and the event schema were shared, 30.5 while packet events
+/// still held their attribute values as formatted text, and 22.5 now that
+/// they hold the values. The ceiling fails on the text representation.
+const CHAIN_ONLY_CEILING: f64 = 26.0;
+/// Per submitted transfer on `relayed()`: 220.8 before shared names, 96.1
+/// with a relayed packet copied eight times, 86.8 with one owner, and 62.1
+/// now that emitting a packet event formats nothing and reading it back
+/// parses nothing. The ceiling fails on each of the earlier three.
+const RELAYED_CEILING: f64 = 68.0;
+/// Per submitted transfer on `drained()`: 197.3 while the drain check and the
+/// two clear scans formatted and looked up the path of every packet ever
+/// sent, 122.1 once they walked the store's commitment prefix, and 90.0 with
+/// packet events as values. The ceiling fails on both earlier ones.
+const DRAINED_CEILING: f64 = 98.0;
 
 /// Runs `spec` once to warm up, then twice counted; the two counts must be
 /// equal. Returns allocations per `transfers(outcome)`.

@@ -707,3 +707,99 @@ mod outstanding {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Packet events read back as the packets they were built from
+// ---------------------------------------------------------------------------
+
+mod packet_events {
+    use ibc_perf_repro::ibc::events::{
+        ack_packet_event, is_for_channel, packet_from_event, packet_sequence, recv_packet_event,
+        send_packet_event, timeout_packet_event, write_ack_event,
+    };
+    use ibc_perf_repro::ibc::height::Height;
+    use ibc_perf_repro::ibc::ids::{ChannelId, PortId, Sequence};
+    use ibc_perf_repro::ibc::packet::{Acknowledgement, Packet};
+    use ibc_perf_repro::sim::SimTime;
+    use ibc_perf_repro::tendermint::abci::Event;
+    use proptest::prelude::*;
+
+    /// `raw` cut down to one of 64 magnitudes, so that every digit count
+    /// from 1 to 20 turns up, not only the 19- and 20-digit values a uniform
+    /// `u64` almost always has.
+    fn spread(raw: u64, shift: u8) -> u64 {
+        raw >> (shift % 64)
+    }
+
+    /// `is_for_channel` as it read the attributes when they were text: the
+    /// rendered port and channel on the side the event's kind names.
+    fn matched_as_text(event: &Event, port: &PortId, channel: &ChannelId) -> bool {
+        let text = |key| event.attr(key).map(ToString::to_string);
+        let (port_key, channel_key) = match event.kind {
+            "send_packet" | "acknowledge_packet" | "timeout_packet" => {
+                ("packet_src_port", "packet_src_channel")
+            }
+            "recv_packet" | "write_acknowledgement" => ("packet_dst_port", "packet_dst_channel"),
+            _ => return false,
+        };
+        text(port_key).as_deref() == Some(port.as_str())
+            && text(channel_key).as_deref() == Some(channel.as_str())
+    }
+
+    proptest! {
+        /// Each of the five packet events gives its packet back — with empty
+        /// data for the two that carry none — `packet_sequence` reads the
+        /// same sequence, and `is_for_channel` picks the source or the
+        /// destination end exactly as it did over the attributes' text.
+        #[test]
+        fn packet_events_give_their_packet_back(
+            raw in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+            shifts in (0u8..64, 0u8..64, 0u8..64, 0u8..64),
+            channels in (any::<u64>(), any::<u64>(), 0u8..64, 0u8..64),
+            ports in ("[a-z]{2,10}", "[a-z]{2,10}"),
+            data in prop::collection::vec(any::<u8>(), 0..48),
+            failed in any::<bool>(),
+        ) {
+            let packet = Packet {
+                sequence: Sequence::from(spread(raw.0, shifts.0)),
+                source_port: PortId::new(ports.0),
+                source_channel: ChannelId::with_index(spread(channels.0, channels.2)),
+                destination_port: PortId::new(ports.1),
+                destination_channel: ChannelId::with_index(spread(channels.1, channels.3)),
+                data,
+                timeout_height: Height::new(spread(raw.1, shifts.1), spread(raw.2, shifts.2)),
+                timeout_timestamp: SimTime::from_nanos(spread(raw.3, shifts.3)),
+            };
+            let ack = if failed {
+                Acknowledgement::error("insufficient funds")
+            } else {
+                Acknowledgement::success()
+            };
+            let without_data = Packet { data: Vec::new(), ..packet.clone() };
+            let events = [
+                (send_packet_event(&packet), &packet),
+                (recv_packet_event(&packet), &packet),
+                (write_ack_event(&packet, &ack), &packet),
+                (ack_packet_event(&packet), &without_data),
+                (timeout_packet_event(&packet), &without_data),
+            ];
+            let ends = [
+                (&packet.source_port, &packet.source_channel),
+                (&packet.destination_port, &packet.destination_channel),
+                (&packet.source_port, &packet.destination_channel),
+                (&packet.destination_port, &packet.source_channel),
+            ];
+            for (event, expected) in &events {
+                prop_assert_eq!(packet_from_event(event).as_ref(), Some(*expected), "{}", event.kind);
+                prop_assert_eq!(packet_sequence(event), Some(packet.sequence));
+                for (port, channel) in ends {
+                    prop_assert_eq!(
+                        is_for_channel(event, port, channel),
+                        matched_as_text(event, port, channel),
+                        "{} on {}/{}", event.kind, port, channel
+                    );
+                }
+            }
+        }
+    }
+}
