@@ -138,6 +138,9 @@ pub mod keys {
     /// Packets visited by the periodic clear scan. Profiling runs only; see
     /// [`WORK_EVENTS_SCHEDULED`].
     pub const WORK_CLEAR_SCAN_VISITS: &str = "work_clear_scan_visits";
+    /// Merkle inner nodes hashed. Profiling runs only; see
+    /// [`WORK_EVENTS_SCHEDULED`].
+    pub const WORK_MERKLE_INNER_HASHES: &str = "work_merkle_inner_hashes";
 
     /// The per-request-kind variant of [`WORK_RPC_CALLS`], e.g.
     /// `work_rpc_calls[status]` (profiling runs only).

@@ -190,6 +190,10 @@ pub fn outcome_from(spec: &ExperimentSpec, run: &RunOutput) -> ScenarioOutcome {
         outcome.set(keys::WORK_TELEMETRY_RECORDS, work.telemetry_records as f64);
         outcome.set(keys::WORK_RELAYER_WAKES, work.relayer_wakes as f64);
         outcome.set(keys::WORK_CLEAR_SCAN_VISITS, work.clear_scan_visits as f64);
+        outcome.set(
+            keys::WORK_MERKLE_INNER_HASHES,
+            work.merkle_inner_hashes as f64,
+        );
     }
 
     // Multi-channel runs additionally emit the completion metrics once per

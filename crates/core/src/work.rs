@@ -57,6 +57,9 @@ pub struct WorkProfile {
     pub relayer_wakes: u64,
     /// Packet-clear scan visits (per packet considered by a clear pass).
     pub clear_scan_visits: u64,
+    /// Merkle inner nodes hashed: commitment-store tree builds, block data
+    /// roots, proofs and proof checks.
+    pub merkle_inner_hashes: u64,
 }
 
 impl WorkProfile {
@@ -85,6 +88,7 @@ impl WorkProfile {
             telemetry_records: counters.telemetry_records,
             relayer_wakes: counters.relayer_wakes,
             clear_scan_visits: counters.clear_scan_visits,
+            merkle_inner_hashes: counters.merkle_inner_hashes,
         }
     }
 
@@ -110,6 +114,7 @@ impl WorkProfile {
             telemetry_records: self.telemetry_records + other.telemetry_records,
             relayer_wakes: self.relayer_wakes + other.relayer_wakes,
             clear_scan_visits: self.clear_scan_visits + other.clear_scan_visits,
+            merkle_inner_hashes: self.merkle_inner_hashes + other.merkle_inner_hashes,
         }
     }
 }

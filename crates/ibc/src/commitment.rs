@@ -14,7 +14,7 @@ use std::ops::Bound;
 use serde::{Deserialize, Serialize};
 
 use xcc_tendermint::hash::{hash_fields, Hash};
-use xcc_tendermint::merkle::{leaf_hash, MerkleProof, MerkleTree};
+use xcc_tendermint::merkle::{leaf_hash, MerkleProof, MerkleTree, FRESH};
 
 /// A commitment root: the Merkle root of the IBC store at some height.
 pub type CommitmentRoot = Hash;
@@ -37,61 +37,72 @@ pub type CommitmentRoot = Hash;
 /// # Proof-generation caching
 ///
 /// The store is one map and one tree. Each path's record carries, next to
-/// the committed value, the hash of its `(path, value)` leaf and its rank in
-/// path order; the Merkle tree over those leaves is kept until the next
-/// write. Building it from scratch would hash every leaf (O(n)), and the
-/// relayer's data pulls request one proof per packet sequence, so an
-/// uncached store pays O(n) hashing *per proof* — once the dominant cost of
-/// whole-experiment replays. With the tree kept, a proof is one map lookup
-/// for the record's rank plus O(log n) sibling reads.
+/// the committed value, its rank in path order in the last tree built, and
+/// that tree is kept across writes. Building it from scratch would hash
+/// every leaf (O(n)), and the relayer's data pulls request one proof per
+/// packet sequence, so an uncached store pays O(n) hashing *per proof* —
+/// once the dominant cost of whole-experiment replays. With the tree kept,
+/// a proof is one map lookup for the record's rank plus O(log n) sibling
+/// reads.
 ///
-/// Every mutation ([`set`](CommitmentStore::set) /
-/// [`delete`](CommitmentStore::delete)) drops the tree, and the next
-/// [`root`](CommitmentStore::root) or proof rebuilds it in one pass over the
-/// map: stamp each record's rank, take its leaf hash or compute it if the
-/// value was set since the last build, hash the inner nodes. A block that
-/// touches a few hundred of several thousand commitments therefore hashes
-/// those leaves and the inner nodes only, and a path overwritten many times
-/// between two builds is hashed once.
+/// A mutation ([`set`](CommitmentStore::set) /
+/// [`delete`](CommitmentStore::delete)) only marks the tree stale (and a
+/// set path's record [`FRESH`]). The next [`root`](CommitmentStore::root) or
+/// proof rebuilds it from the last one in one pass over the map: stamp each
+/// record's new rank, hash the leaves of the fresh records, and let
+/// [`MerkleTree::rebuild`] copy every perfect subtree whose leaves the
+/// writes left alone. A block that touches a few hundred of several
+/// thousand commitments therefore hashes those leaves and the inner nodes
+/// above them, and a path overwritten many times between two builds is
+/// hashed once. The tree's leaf level is the only copy of a leaf hash.
 ///
-/// Invariant: a record's rank is meaningful only while the tree is built —
-/// a write leaves every other record's rank stale, and nothing reads a rank
-/// except through the tree that the same pass built. Tree shape, roots and
-/// proofs are bit-identical to the uncached construction (pinned by
-/// `memoized_tree_invalidates_on_every_mutation`, the differential proptest
-/// in `tests/property_invariants.rs`, and the equivalence test in
+/// Invariant: a record's rank is either [`FRESH`] or its leaf's index in
+/// `tree`, and nothing reads a rank except the build and, once built, a
+/// proof against that tree. Tree shape, roots and proofs are bit-identical
+/// to the uncached construction (pinned by
+/// `roots_of_a_chain_only_history_are_pinned`,
+/// `memoized_tree_invalidates_on_every_mutation`, the differential proptests
+/// in `tests/property_invariants.rs`, and the rebuild test in
 /// `xcc_tendermint::merkle`).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CommitmentStore {
     entries: BTreeMap<String, Entry>,
-    /// The tree over `entries` in path order; `None` from any write until
-    /// the next root or proof.
-    tree: RefCell<Option<MerkleTree>>,
+    /// The last tree built, over `entries` in path order unless `stale`.
+    tree: RefCell<MerkleTree>,
+    /// Whether anything was written since `tree` was built.
+    stale: Cell<bool>,
 }
 
 /// What the store holds for one path.
 #[derive(Debug, Clone)]
 struct Entry {
     value: Hash,
-    /// The leaf hash of `(path, value)`, filled by the first build after
-    /// `value` was set.
-    leaf: Cell<Option<Hash>>,
-    /// Position in path order as of the last build; stale whenever the
-    /// store's `tree` is `None`.
+    /// The index of this path's leaf in the store's tree, or [`FRESH`] when
+    /// `value` was set after the tree was built.
     rank: Cell<usize>,
 }
 
 impl PartialEq for Entry {
-    /// Compares the committed value only: the leaf hash and the rank are
-    /// evaluation details, not state.
+    /// Compares the committed value only: the rank is an evaluation
+    /// detail, not state.
     fn eq(&self, other: &Self) -> bool {
         self.value == other.value
     }
 }
 
+impl Default for CommitmentStore {
+    fn default() -> Self {
+        CommitmentStore {
+            entries: BTreeMap::new(),
+            tree: RefCell::new(MerkleTree::build([])),
+            stale: Cell::new(false),
+        }
+    }
+}
+
 impl PartialEq for CommitmentStore {
-    /// Compares the committed entries only: whether the Merkle tree is
-    /// built is an evaluation detail, not state.
+    /// Compares the committed entries only: how current the Merkle tree is
+    /// is an evaluation detail, not state.
     fn eq(&self, other: &Self) -> bool {
         self.entries == other.entries
     }
@@ -186,11 +197,10 @@ impl CommitmentStore {
 
     /// Sets the commitment at `path`, returning the one it replaces.
     pub fn set(&mut self, path: impl Into<String>, value: Hash) -> Option<Hash> {
-        *self.tree.get_mut() = None;
+        self.stale.set(true);
         let entry = Entry {
             value,
-            leaf: Cell::new(None),
-            rank: Cell::new(0),
+            rank: Cell::new(FRESH),
         };
         self.entries.insert(path.into(), entry).map(|old| old.value)
     }
@@ -218,7 +228,7 @@ impl CommitmentStore {
     /// Deletes the commitment at `path`, returning it if present.
     pub fn delete(&mut self, path: &str) -> Option<Hash> {
         let removed = self.entries.remove(path)?;
-        *self.tree.get_mut() = None;
+        self.stale.set(true);
         Some(removed.value)
     }
 
@@ -246,24 +256,24 @@ impl CommitmentStore {
         })
     }
 
-    /// Reads the tree, building it first if anything was written since the
-    /// last build: one pass that stamps every entry's rank and hashes the
-    /// leaves whose value is new.
+    /// Reads the tree, rebuilding it first if anything was written since the
+    /// last build: one pass that stamps every entry's rank, noting its old
+    /// one, and hashes the leaves whose value is new.
     fn with_tree<R>(&self, read: impl FnOnce(&MerkleTree) -> R) -> R {
-        let mut slot = self.tree.borrow_mut();
-        let tree = slot.get_or_insert_with(|| {
-            let leaves: Vec<Hash> = (self.entries.iter().enumerate())
-                .map(|(rank, (path, entry))| {
-                    entry.rank.set(rank);
-                    let leaf = (entry.leaf.get())
-                        .unwrap_or_else(|| leaf_hash(&leaf_encoding(path, &entry.value)));
-                    entry.leaf.set(Some(leaf));
-                    leaf
-                })
-                .collect();
-            MerkleTree::from_leaf_hashes(&leaves)
-        });
-        read(tree)
+        let mut tree = self.tree.borrow_mut();
+        if self.stale.replace(false) {
+            let mut old_ranks = Vec::with_capacity(self.entries.len());
+            let mut fresh = Vec::new();
+            for (rank, (path, entry)) in self.entries.iter().enumerate() {
+                let old = entry.rank.replace(rank);
+                if old == FRESH {
+                    fresh.push(leaf_hash(&leaf_encoding(path, &entry.value)));
+                }
+                old_ranks.push(old);
+            }
+            *tree = tree.rebuild(&old_ranks, &fresh);
+        }
+        read(&tree)
     }
 
     /// Produces a non-membership proof for `path`, if it is indeed absent.
@@ -281,7 +291,7 @@ impl CommitmentStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xcc_tendermint::hash::sha256;
+    use xcc_tendermint::hash::{sha256, Sha256};
 
     #[test]
     fn set_get_delete_roundtrip() {
@@ -407,22 +417,22 @@ mod tests {
             .verify(&cached.root()));
 
         // A prefix walk is a read: the tree built by the reads above is
-        // still there afterwards, and the root comes from it unchanged.
+        // still current afterwards, and the root comes from it unchanged.
         let root = cached.root();
-        assert!(cached.tree.borrow().is_some());
+        assert!(!cached.stale.get());
         assert_eq!(cached.paths_under("commitments/1").count(), 4);
-        assert!(cached.tree.borrow().is_some(), "a walk dropped the tree");
+        assert!(!cached.stale.get(), "a walk marked the tree stale");
         assert_eq!(cached.root(), root);
 
         // A clone carries correct state even if taken mid-memo.
         let cloned = cached.clone();
         assert_eq!(cloned.root(), cached.root());
 
-        // The rebuild keeps the leaf hashes of unwritten paths, so every way
-        // a path can change between two builds must reach the new tree: a
-        // rewrite, a delete followed by a different value, a delete of a
-        // fresh insert, inserts before, between and after the kept paths —
-        // and two of them between one pair of builds.
+        // The rebuild copies the subtrees of unwritten paths from the last
+        // tree, so every way a path can change between two builds must reach
+        // the new tree: a rewrite, a delete followed by a different value, a
+        // delete of a fresh insert, inserts before, between and after the
+        // kept paths — and two of them between one pair of builds.
         type Step = fn(&mut CommitmentStore);
         let steps: [Step; 6] = [
             |s| {
@@ -504,6 +514,45 @@ mod tests {
                 assert!(expected.unwrap().verify(&fresh.root()));
             }
         }
+    }
+
+    /// A `chain_only`-shaped history: 3,000 packet commitments sent in
+    /// blocks of 100, each send advancing the channel end, and every third
+    /// block also acknowledging most of an older block (its commitments
+    /// deleted, receipts and acknowledgements written). The root after every
+    /// block is folded into one digest, read before the store kept its tree
+    /// across writes.
+    #[test]
+    fn roots_of_a_chain_only_history_are_pinned() {
+        let channel = "ports/transfer/channels/channel-0";
+        let mut s = CommitmentStore::new();
+        let mut roots = Sha256::new();
+        for block in 0..30u64 {
+            for seq in block * 100 + 1..=block * 100 + 100 {
+                let commitment = format!("commitments/{channel}/sequences/{seq}");
+                s.set(commitment, sha256(&seq.to_le_bytes()));
+                s.set(format!("channelEnds/{channel}"), sha256(&seq.to_be_bytes()));
+            }
+            if block % 3 == 2 {
+                for seq in (block - 2) * 100 + 1..=(block - 1) * 100 {
+                    if seq % 7 == 0 {
+                        continue;
+                    }
+                    s.delete(&format!("commitments/{channel}/sequences/{seq}"));
+                    s.set(format!("receipts/{channel}/sequences/{seq}"), sha256(b"ok"));
+                    s.set(
+                        format!("acks/{channel}/sequences/{seq}"),
+                        sha256(&[seq as u8]),
+                    );
+                }
+            }
+            roots.update(s.root().as_bytes());
+        }
+        assert_eq!(s.len(), 3_857);
+        assert_eq!(
+            roots.finalize().to_hex(),
+            "67fd15e8002a444c3907980f1a632bb00006773d8e1ba8cb4e8798a6f99fd8ba"
+        );
     }
 
     #[test]

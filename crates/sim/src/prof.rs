@@ -4,8 +4,8 @@
 //! useless as an exact regression signal on shared CI runners. The counters
 //! in this module measure *work performed* instead — events scheduled and
 //! popped, RPC calls served per request kind, transactions encoded and
-//! decoded, bytes serialized, telemetry records written, relayer wakes and
-//! clear-scan visits. Because every run of the simulator is single-threaded
+//! decoded, bytes serialized, telemetry records written, relayer wakes,
+//! clear-scan visits and Merkle inner nodes hashed. Because every run of the simulator is single-threaded
 //! and fully deterministic (PRs 5–9), these counters are bit-stable across
 //! machines: the same spec and seed always produce the same counter vector,
 //! so `goldens --bench --compare` can enforce them with exact equality while
@@ -61,6 +61,8 @@ pub struct WorkCounters {
     pub relayer_wakes: u64,
     /// Packets visited by the periodic clear scan.
     pub clear_scan_visits: u64,
+    /// Merkle inner nodes hashed (tree builds, proofs and their checks).
+    pub merkle_inner_hashes: u64,
 }
 
 impl WorkCounters {
@@ -85,6 +87,7 @@ impl WorkCounters {
             telemetry_records: self.telemetry_records + other.telemetry_records,
             relayer_wakes: self.relayer_wakes + other.relayer_wakes,
             clear_scan_visits: self.clear_scan_visits + other.clear_scan_visits,
+            merkle_inner_hashes: self.merkle_inner_hashes + other.merkle_inner_hashes,
         }
     }
 }
@@ -99,6 +102,7 @@ struct CounterCells {
     telemetry_records: Cell<u64>,
     relayer_wakes: Cell<u64>,
     clear_scan_visits: Cell<u64>,
+    merkle_inner_hashes: Cell<u64>,
 }
 
 impl CounterCells {
@@ -113,6 +117,7 @@ impl CounterCells {
             telemetry_records: Cell::new(0),
             relayer_wakes: Cell::new(0),
             clear_scan_visits: Cell::new(0),
+            merkle_inner_hashes: Cell::new(0),
         }
     }
 }
@@ -138,6 +143,7 @@ pub fn reset() {
         c.telemetry_records.set(0);
         c.relayer_wakes.set(0);
         c.clear_scan_visits.set(0);
+        c.merkle_inner_hashes.set(0);
     });
 }
 
@@ -158,6 +164,7 @@ pub fn snapshot() -> WorkCounters {
             telemetry_records: c.telemetry_records.get(),
             relayer_wakes: c.relayer_wakes.get(),
             clear_scan_visits: c.clear_scan_visits.get(),
+            merkle_inner_hashes: c.merkle_inner_hashes.get(),
         }
     })
 }
@@ -230,6 +237,12 @@ pub fn bump_clear_scan_visit() {
     bump(|c| &c.clear_scan_visits);
 }
 
+/// Counts one Merkle inner node hashed.
+#[inline]
+pub fn bump_merkle_inner_hash() {
+    bump(|c| &c.merkle_inner_hashes);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,6 +261,7 @@ mod tests {
         bump_telemetry_record();
         bump_relayer_wake();
         bump_clear_scan_visit();
+        bump_merkle_inner_hash();
 
         let snap = snapshot();
         assert_eq!(snap.events_scheduled, 2);
@@ -261,6 +275,7 @@ mod tests {
         assert_eq!(snap.telemetry_records, 1);
         assert_eq!(snap.relayer_wakes, 1);
         assert_eq!(snap.clear_scan_visits, 1);
+        assert_eq!(snap.merkle_inner_hashes, 1);
 
         reset();
         assert_eq!(snapshot(), WorkCounters::default());

@@ -8,6 +8,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use xcc_sim::prof;
+
 use crate::hash::{sha256, Hash, Sha256};
 
 const LEAF_PREFIX: u8 = 0x00;
@@ -22,6 +24,7 @@ pub fn leaf_hash(data: &[u8]) -> Hash {
 }
 
 fn inner_hash(left: &Hash, right: &Hash) -> Hash {
+    prof::bump_merkle_inner_hash();
     let mut h = Sha256::new();
     h.update(&[INNER_PREFIX]);
     h.update(left.as_bytes());
@@ -162,11 +165,22 @@ where
 /// subtree over `m` leaves is `2m - 1` consecutive hashes — its left subtree
 /// (over the first `split_point(m)` leaves), its right subtree, then its own
 /// root — so a proof walks offsets instead of looking ranges up in a map.
+///
+/// A tree that changes a little between builds is rebuilt from the last one
+/// ([`MerkleTree::rebuild`]): a perfect subtree — `2^j` leaves starting at a
+/// multiple of `2^j` — is the same nodes wherever its leaves sit in a tree,
+/// so one whose leaves were a perfect subtree of the old tree too is copied
+/// as the slice of `2^(j+1) - 1` hashes it was there, and only the nodes
+/// above and beside the changed leaves are hashed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MerkleTree {
     len: usize,
     nodes: Vec<Hash>,
 }
+
+/// Marks a leaf in [`MerkleTree::rebuild`]'s rank list whose hash is not in
+/// the old tree.
+pub const FRESH: usize = usize::MAX;
 
 impl MerkleTree {
     /// Builds the tree, memoizing every subtree root.
@@ -179,15 +193,30 @@ impl MerkleTree {
     }
 
     /// Builds the tree over leaves already hashed with [`leaf_hash`]: only
-    /// the inner nodes are hashed. A caller that rebuilds after changing a
-    /// few leaves keeps the hashes of the others itself.
-    pub fn from_leaf_hashes(leaves: &[Hash]) -> Self {
-        let mut nodes = Vec::with_capacity((2 * leaves.len()).max(2) - 1);
-        fill_subtrees(leaves, &mut nodes);
-        MerkleTree {
-            len: leaves.len(),
-            nodes,
+    /// the inner nodes are hashed.
+    fn from_leaf_hashes(leaves: &[Hash]) -> Self {
+        Builder {
+            old: None,
+            ranks: &[],
+            fresh: leaves,
         }
+        .finish(leaves.len())
+    }
+
+    /// The tree over a new leaf list given against this one: new leaf `r`
+    /// is this tree's leaf `ranks[r]`, or, where `ranks[r]` is [`FRESH`],
+    /// the next hash of `fresh`. Old ranks must rise along `ranks`.
+    ///
+    /// Equal node for node to the tree built from scratch. A perfect subtree
+    /// over unchanged leaves that are consecutive here and start at a
+    /// perfect node of this tree is copied from it and hashes nothing.
+    pub fn rebuild(&self, ranks: &[usize], fresh: &[Hash]) -> Self {
+        Builder {
+            old: Some(self),
+            ranks,
+            fresh,
+        }
+        .finish(ranks.len())
     }
 
     /// Number of leaves.
@@ -241,21 +270,71 @@ impl MerkleTree {
     }
 }
 
-/// Appends the nodes of the tree over `leaves` in post-order and returns its
-/// root (the last node appended).
-fn fill_subtrees(leaves: &[Hash], out: &mut Vec<Hash>) -> Hash {
-    let h = match leaves.len() {
-        0 => sha256(b""),
-        1 => leaves[0],
-        n => {
-            let k = split_point(n);
-            let left = fill_subtrees(&leaves[..k], out);
-            let right = fill_subtrees(&leaves[k..], out);
-            inner_hash(&left, &right)
+/// The one tree builder: over fresh leaf hashes only, or over a new leaf
+/// list given against an old tree (see [`MerkleTree::rebuild`]).
+struct Builder<'a> {
+    old: Option<&'a MerkleTree>,
+    /// Each new leaf's rank in `old`, or [`FRESH`]; empty without `old`.
+    ranks: &'a [usize],
+    /// The hashes of the fresh leaves not yet placed, in leaf order.
+    fresh: &'a [Hash],
+}
+
+impl<'a> Builder<'a> {
+    fn finish(mut self, len: usize) -> MerkleTree {
+        let mut nodes = Vec::with_capacity((2 * len).max(2) - 1);
+        self.fill(0, len, &mut nodes);
+        debug_assert!(self.fresh.is_empty(), "more fresh hashes than fresh leaves");
+        MerkleTree { len, nodes }
+    }
+
+    /// Appends the nodes of the subtree over new leaves `[start, start + n)`
+    /// in post-order and returns its root (the last node appended).
+    fn fill(&mut self, start: usize, n: usize, out: &mut Vec<Hash>) -> Hash {
+        if let Some(nodes) = self.unchanged(start, n) {
+            out.extend_from_slice(nodes);
+            return nodes[nodes.len() - 1];
         }
-    };
-    out.push(h);
-    h
+        let h = match n {
+            0 => sha256(b""),
+            1 => {
+                let leaf = self.fresh[0];
+                self.fresh = &self.fresh[1..];
+                leaf
+            }
+            n => {
+                let k = split_point(n);
+                let left = self.fill(start, k, out);
+                let right = self.fill(start + k, n - k, out);
+                inner_hash(&left, &right)
+            }
+        };
+        out.push(h);
+        h
+    }
+
+    /// The old tree's nodes for new leaves `[start, start + n)`, if they are
+    /// one of its perfect subtrees: `n` a power of two and the leaves
+    /// unchanged, at consecutive old ranks from a multiple `o` of `n` with
+    /// `o + n` leaves in the old tree — exactly when it has a node over
+    /// `[o, o + n)`. The `2o - popcount(o)` perfect nodes inside `[0, o)`
+    /// precede that subtree in post-order, and its `2n - 1` nodes follow.
+    fn unchanged(&self, start: usize, n: usize) -> Option<&'a [Hash]> {
+        if !n.is_power_of_two() {
+            return None;
+        }
+        let old = self.old?;
+        let o = self.ranks[start];
+        if o == FRESH || !o.is_multiple_of(n) || o + n > old.len {
+            return None;
+        }
+        let leaves = &self.ranks[start..start + n];
+        if !leaves.iter().zip(o..).all(|(&rank, want)| rank == want) {
+            return None;
+        }
+        let first = 2 * o - o.count_ones() as usize;
+        Some(&old.nodes[first..first + 2 * n - 1])
+    }
 }
 
 fn build_proof(leaves: &[Hash], index: usize, siblings: &mut Vec<Hash>) -> Hash {
@@ -359,6 +438,83 @@ mod tests {
             }
             assert!(tree.prove(n).is_none());
         }
+    }
+
+    fn hashed(tag: &str, n: usize) -> Vec<Hash> {
+        (0..n)
+            .map(|i| leaf_hash(format!("{tag}-{i}").as_bytes()))
+            .collect()
+    }
+
+    /// Rebuilds `tree`, the tree over `old`, into the tree over `old[..at]`,
+    /// `inserted` fresh leaves and `old[at + deleted..]`, and checks it
+    /// against that tree built from scratch, node for node.
+    fn assert_splice(tree: &MerkleTree, old: &[Hash], at: usize, deleted: usize, inserted: usize) {
+        let fresh = hashed("fresh", inserted);
+        let ranks: Vec<usize> = (0..at)
+            .chain(std::iter::repeat_n(FRESH, inserted))
+            .chain(at + deleted..old.len())
+            .collect();
+        let leaves: Vec<Hash> = (old[..at].iter())
+            .chain(&fresh)
+            .chain(&old[at + deleted..])
+            .copied()
+            .collect();
+        assert_eq!(
+            tree.rebuild(&ranks, &fresh),
+            MerkleTree::from_leaf_hashes(&leaves),
+            "{} leaves, at {at}: -{deleted} +{inserted}",
+            old.len()
+        );
+    }
+
+    #[test]
+    fn a_rebuild_equals_the_tree_built_from_scratch() {
+        let pool = hashed("old", 40);
+        for n_old in 0..=40 {
+            let old = &pool[..n_old];
+            let tree = MerkleTree::from_leaf_hashes(old);
+            for n_new in 0..=40 {
+                // A run inserted, or a run deleted, at every position; the
+                // empty and the power-of-two sizes on either side are in the
+                // ranges.
+                for at in 0..=n_old.min(n_new) {
+                    let deleted = n_old.saturating_sub(n_new);
+                    assert_splice(&tree, old, at, deleted, n_new + deleted - n_old);
+                }
+            }
+            for at in 0..n_old {
+                assert_splice(&tree, old, at, 1, 1);
+            }
+        }
+    }
+
+    #[test]
+    fn a_rebuild_hashes_only_what_it_cannot_copy() {
+        let old = hashed("old", 32);
+        let tree = MerkleTree::from_leaf_hashes(&old);
+        let fresh = hashed("fresh", 1);
+        let inner_hashes = |ranks: Vec<usize>, fresh: &[Hash]| {
+            prof::reset();
+            tree.rebuild(&ranks, fresh);
+            prof::snapshot().merkle_inner_hashes
+        };
+        prof::reset();
+        MerkleTree::from_leaf_hashes(&old);
+        assert_eq!(prof::snapshot().merkle_inner_hashes, 31);
+        // Nothing changed: the whole tree is one perfect subtree.
+        assert_eq!(inner_hashes((0..32).collect(), &[]), 0);
+        // An appended leaf: only the new root above the old one.
+        assert_eq!(inner_hashes((0..32).chain([FRESH]).collect(), &fresh), 1);
+        // A rewritten leaf: its five ancestors.
+        let rewrite = (0..32).map(|r| if r == 7 { FRESH } else { r }).collect();
+        assert_eq!(inner_hashes(rewrite, &fresh), 5);
+        // A leaf inserted in front moves every other one off the alignment
+        // its old subtrees had: all 32 inner nodes are hashed again.
+        assert_eq!(
+            inner_hashes([FRESH].into_iter().chain(0..32).collect(), &fresh),
+            32
+        );
     }
 
     #[test]
