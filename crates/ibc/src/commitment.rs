@@ -14,7 +14,7 @@ use std::ops::Bound;
 use serde::{Deserialize, Serialize};
 
 use xcc_tendermint::hash::{hash_fields, Hash};
-use xcc_tendermint::merkle::{leaf_hash, MerkleProof, MerkleTree, FRESH};
+use xcc_tendermint::merkle::{leaf_hash_parts, MerkleProof, MerkleTree, VerifiedPath, FRESH};
 
 /// A commitment root: the Merkle root of the IBC store at some height.
 pub type CommitmentRoot = Hash;
@@ -26,12 +26,13 @@ pub type CommitmentRoot = Hash;
 /// ```rust
 /// use xcc_ibc::commitment::CommitmentStore;
 /// use xcc_tendermint::hash::sha256;
+/// use xcc_tendermint::merkle::VerifiedPath;
 ///
 /// let mut store = CommitmentStore::new();
 /// store.set("commitments/ports/transfer/channels/channel-0/sequences/1", sha256(b"data"));
 /// let root = store.root();
 /// let proof = store.prove_membership("commitments/ports/transfer/channels/channel-0/sequences/1").unwrap();
-/// assert!(proof.verify(&root));
+/// assert!(proof.verify(&root, &mut VerifiedPath::default()));
 /// ```
 ///
 /// # Proof-generation caching
@@ -118,36 +119,28 @@ pub struct CommitmentProof {
     /// The committed value at that path.
     pub value: Hash,
     /// The Merkle inclusion proof of the `(path, value)` leaf.
-    merkle: Option<MerkleProof>,
+    merkle: MerkleProof,
     /// The root this proof was generated against.
     pub root: CommitmentRoot,
 }
 
 impl CommitmentProof {
     /// Verifies the proof against an externally trusted root (typically the
-    /// consensus state stored by a light client).
-    pub fn verify(&self, trusted_root: &CommitmentRoot) -> bool {
-        if trusted_root != &self.root {
-            return false;
-        }
-        match &self.merkle {
-            Some(merkle) => merkle.verify(trusted_root, &leaf_encoding(&self.path, &self.value)),
-            // A proof that lost its Merkle branch (e.g. after serialization
-            // over the simulated wire) degrades to root equality plus the
-            // committed value; the value itself is still checked by handlers.
-            None => true,
-        }
+    /// consensus state stored by a light client). `verified` remembers the
+    /// last branch accepted through it (see [`MerkleProof::verify`]), so the
+    /// proofs of one batch, all under one root, hash only what they do not
+    /// share; a lone proof passes `&mut VerifiedPath::default()`.
+    pub fn verify(&self, trusted_root: &CommitmentRoot, verified: &mut VerifiedPath) -> bool {
+        trusted_root == &self.root
+            && self
+                .merkle
+                .verify(trusted_root, leaf(&self.path, &self.value), verified)
     }
 
     /// Approximate encoded size of the proof in bytes, used by the RPC
     /// response-size cost model.
     pub fn encoded_size(&self) -> usize {
-        let branch = self
-            .merkle
-            .as_ref()
-            .map(|m| m.siblings.len() * 32)
-            .unwrap_or(0);
-        self.path.len() + 32 + 32 + branch + 32
+        self.path.len() + 32 + 32 + self.merkle.siblings.len() * 32 + 32
     }
 }
 
@@ -171,12 +164,10 @@ impl NonMembershipProof {
     }
 }
 
-fn leaf_encoding(path: &str, value: &Hash) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(path.len() + 33);
-    bytes.extend_from_slice(path.as_bytes());
-    bytes.push(0);
-    bytes.extend_from_slice(value.as_bytes());
-    bytes
+/// The leaf hash of `path ‖ 0x00 ‖ value`, the three parts streamed into
+/// the hasher.
+fn leaf(path: &str, value: &Hash) -> Hash {
+    leaf_hash_parts(&[path.as_bytes(), &[0], value.as_bytes()])
 }
 
 impl CommitmentStore {
@@ -250,7 +241,7 @@ impl CommitmentStore {
             Some(CommitmentProof {
                 path: path.to_string(),
                 value: entry.value,
-                merkle: Some(tree.prove(entry.rank.get())?),
+                merkle: tree.prove(entry.rank.get())?,
                 root: tree.root(),
             })
         })
@@ -267,7 +258,7 @@ impl CommitmentStore {
             for (rank, (path, entry)) in self.entries.iter().enumerate() {
                 let old = entry.rank.replace(rank);
                 if old == FRESH {
-                    fresh.push(leaf_hash(&leaf_encoding(path, &entry.value)));
+                    fresh.push(leaf(path, &entry.value));
                 }
                 old_ranks.push(old);
             }
@@ -292,6 +283,11 @@ impl CommitmentStore {
 mod tests {
     use super::*;
     use xcc_tendermint::hash::{sha256, Sha256};
+
+    /// `proof`'s verdict under `root`, with nothing remembered.
+    fn verifies(proof: &CommitmentProof, root: &CommitmentRoot) -> bool {
+        proof.verify(root, &mut VerifiedPath::default())
+    }
 
     #[test]
     fn set_get_delete_roundtrip() {
@@ -330,12 +326,12 @@ mod tests {
         }
         let root = s.root();
         let proof = s.prove_membership("commitments/7").unwrap();
-        assert!(proof.verify(&root));
+        assert!(verifies(&proof, &root));
         assert_eq!(proof.value, sha256(b"v7"));
 
         // Stale root (state changed after proof generation) fails.
         s.set("commitments/99", sha256(b"new"));
-        assert!(!proof.verify(&s.root()));
+        assert!(!verifies(&proof, &s.root()));
     }
 
     #[test]
@@ -411,10 +407,8 @@ mod tests {
             cached.prove_membership("commitments/12"),
             reference(&cached).prove_membership("commitments/12")
         );
-        assert!(cached
-            .prove_membership("commitments/12")
-            .unwrap()
-            .verify(&cached.root()));
+        let proof = cached.prove_membership("commitments/12").unwrap();
+        assert!(verifies(&proof, &cached.root()));
 
         // A prefix walk is a read: the tree built by the reads above is
         // still current afterwards, and the root comes from it unchanged.
@@ -511,7 +505,7 @@ mod tests {
                 assert_eq!(built.prove_membership(path), expected);
                 assert_eq!(cloned.prove_membership(path), expected);
                 assert_eq!(cloned.root(), fresh.root());
-                assert!(expected.unwrap().verify(&fresh.root()));
+                assert!(verifies(&expected.unwrap(), &fresh.root()));
             }
         }
     }
@@ -553,6 +547,30 @@ mod tests {
             roots.finalize().to_hex(),
             "67fd15e8002a444c3907980f1a632bb00006773d8e1ba8cb4e8798a6f99fd8ba"
         );
+    }
+
+    /// A proof whose Merkle branch is `null` used to deserialize and then
+    /// pass on root equality alone. The branch is mandatory: such a proof
+    /// is refused by the decoder, over the `Value` tree and over the bytes a
+    /// transaction carries, while the proof with its branch reads back.
+    #[test]
+    fn a_proof_without_its_merkle_branch_does_not_deserialize() {
+        use serde::{Deserialize, Serialize, Value};
+
+        let mut s = CommitmentStore::new();
+        for i in 0..5u8 {
+            s.set(format!("p/{i}"), sha256(&[i]));
+        }
+        let proof = s.prove_membership("p/3").unwrap();
+        let tree = proof.to_value();
+        assert_eq!(CommitmentProof::from_value(&tree).unwrap(), proof);
+        let mut entries = tree.as_map().expect("a struct is a map").to_vec();
+        let branch = entries.iter_mut().find(|(key, _)| key == "merkle");
+        branch.expect("a `merkle` entry").1 = Value::Null;
+        let stripped = Value::Map(entries);
+        assert!(CommitmentProof::from_value(&stripped).is_err());
+        let bytes = serde::binary::to_bytes(&stripped);
+        assert!(serde::binary::read::<CommitmentProof>(&bytes).is_err());
     }
 
     #[test]

@@ -25,6 +25,7 @@ use xcc_tendermint::abci::Event;
 use xcc_tendermint::block::Header;
 use xcc_tendermint::hash::{hash_fields, Hash};
 use xcc_tendermint::journal::{restore, Journal};
+use xcc_tendermint::merkle::VerifiedPath;
 
 /// The host chain's view of "now", passed into every packet handler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,7 +71,16 @@ pub struct TransferParams {
 /// Client creation, connection handshakes and client expiry are set-up and
 /// fault-injection calls that no message reaches; they write through the same
 /// store path but their own maps and counters are not journaled.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// # Proofs
+///
+/// The counterparty proofs that `recv_packet` and `acknowledge_packet` check
+/// go through one [`VerifiedPath`], the branch of the last proof accepted:
+/// a relayer batch proves up to 100 nearby leaves under one root, so each
+/// proof after the first is hashed only below the node where it joins the
+/// branch before it. The memo caches a pure function of the proofs, so it is
+/// not journaled, and it is not state: equality leaves it out.
+#[derive(Debug, Clone)]
 pub struct IbcModule {
     chain_id: String,
     clients: BTreeMap<ClientId, ClientRecord>,
@@ -83,6 +93,38 @@ pub struct IbcModule {
     sent_packets: BTreeMap<(PortId, ChannelId, Sequence), Packet>,
     acks: BTreeMap<(PortId, ChannelId, Sequence), Acknowledgement>,
     journal: Journal<IbcUndo>,
+    verified: VerifiedPath,
+}
+
+impl PartialEq for IbcModule {
+    /// Compares state only: the proof memo is an evaluation detail.
+    fn eq(&self, other: &Self) -> bool {
+        let IbcModule {
+            chain_id,
+            clients,
+            client_counter,
+            connections,
+            connection_counter,
+            channels,
+            channel_counter,
+            store,
+            sent_packets,
+            acks,
+            journal,
+            verified: _,
+        } = self;
+        chain_id == &other.chain_id
+            && clients == &other.clients
+            && client_counter == &other.client_counter
+            && connections == &other.connections
+            && connection_counter == &other.connection_counter
+            && channels == &other.channels
+            && channel_counter == &other.channel_counter
+            && store == &other.store
+            && sent_packets == &other.sent_packets
+            && acks == &other.acks
+            && journal == &other.journal
+    }
 }
 
 /// One reverted write: the key and what it held before.
@@ -110,6 +152,7 @@ impl IbcModule {
             sent_packets: BTreeMap::new(),
             acks: BTreeMap::new(),
             journal: Journal::default(),
+            verified: VerifiedPath::default(),
         }
     }
 
@@ -629,7 +672,8 @@ impl IbcModule {
         // against its own root. This keeps proof *structure* and client
         // updates mandatory without modelling per-height historical stores.
         let root = self.counterparty_root(&channel.connection_id, proof_height)?;
-        if !proof.verify(&root) && !proof.verify(&proof.root) {
+        let verified = &mut self.verified;
+        if !proof.verify(&root, verified) && !proof.verify(&proof.root, verified) {
             return Err(IbcError::InvalidProof {
                 context: format!("packet commitment root mismatch at height {proof_height}"),
             });
@@ -728,7 +772,8 @@ impl IbcModule {
         }
         // Same strict-then-structural verification as `recv_packet`.
         let root = self.counterparty_root(&connection_id, proof_height)?;
-        if !proof.verify(&root) && !proof.verify(&proof.root) {
+        let verified = &mut self.verified;
+        if !proof.verify(&root, verified) && !proof.verify(&proof.root, verified) {
             return Err(IbcError::InvalidProof {
                 context: format!("acknowledgement root mismatch at height {proof_height}"),
             });

@@ -32,11 +32,12 @@ use serde::{Deserialize, Serialize};
 ///     "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 /// );
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Hash(pub [u8; 32]);
 
 impl Hash {
-    /// The all-zero digest, used as a sentinel for "no hash".
+    /// The all-zero digest, used as a sentinel for "no hash"; also the
+    /// `Default`.
     pub const ZERO: Hash = Hash([0u8; 32]);
 
     /// Returns the raw bytes of the digest.

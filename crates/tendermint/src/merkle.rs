@@ -17,9 +17,17 @@ const INNER_PREFIX: u8 = 0x01;
 
 /// The hash of one leaf: SHA-256 of `0x00 || data`.
 pub fn leaf_hash(data: &[u8]) -> Hash {
+    leaf_hash_parts(&[data])
+}
+
+/// [`leaf_hash`] of the concatenation of `parts`, streamed into the hasher
+/// without building it.
+pub fn leaf_hash_parts(parts: &[&[u8]]) -> Hash {
     let mut h = Sha256::new();
     h.update(&[LEAF_PREFIX]);
-    h.update(data);
+    for part in parts {
+        h.update(part);
+    }
     h.finalize()
 }
 
@@ -89,43 +97,150 @@ pub struct MerkleProof {
 }
 
 impl MerkleProof {
-    /// Verifies that `leaf_data` at `self.index` is included in the tree with
-    /// the given `root`.
-    pub fn verify(&self, root: &Hash, leaf_data: &[u8]) -> bool {
+    /// Verifies that the leaf hashing to `leaf` (see [`leaf_hash`]) sits at
+    /// `self.index` of a `self.total`-leaf tree with the given `root`.
+    ///
+    /// `path` holds the last proof accepted through it; a caller with one
+    /// proof to check passes `&mut VerifiedPath::default()`. Under the same
+    /// `(root, total)` this proof is hashed bottom-up only as far as the node
+    /// where its path leaves the remembered one. If that node's value, its
+    /// sibling and every sibling above equal the values remembered there —
+    /// which were hashed up to this very root — the rest of the hashing would
+    /// repeat the remembered path, and the proof is accepted; otherwise it
+    /// is hashed to the root. Either way the verdict is the full
+    /// recomputation's, and an accepted proof becomes the remembered one.
+    pub fn verify(&self, root: &Hash, leaf: Hash, path: &mut VerifiedPath) -> bool {
         if self.index >= self.total {
             return false;
         }
-        let computed = self.compute_root(leaf_hash(leaf_data), self.index, self.total, 0);
-        match computed {
-            Some((h, used)) if used == self.siblings.len() => &h == root,
-            _ => false,
+        let (turns, depth) = turns(self.index, self.total);
+        if self.siblings.len() != depth {
+            return false;
         }
-    }
-
-    /// Recomputes the root from the leaf, consuming siblings bottom-up.
-    fn compute_root(
-        &self,
-        leaf: Hash,
-        index: usize,
-        total: usize,
-        used: usize,
-    ) -> Option<(Hash, usize)> {
-        match total {
-            0 => None,
-            1 => Some((leaf, used)),
-            _ => {
-                let k = split_point(total);
-                if index < k {
-                    let (left, used) = self.compute_root(leaf, index, k, used)?;
-                    let right = *self.siblings.get(used)?;
-                    Some((inner_hash(&left, &right), used + 1))
-                } else {
-                    let (right, used) = self.compute_root(leaf, index - k, total - k, used)?;
-                    let left = *self.siblings.get(used)?;
-                    Some((inner_hash(&left, &right), used + 1))
-                }
+        let mut nodes = std::mem::take(&mut path.scratch);
+        nodes.clear();
+        nodes.push(leaf);
+        if let Some(join) = path.join(root, self.total, turns, depth) {
+            self.hash_up(&mut nodes, turns, join.level);
+            if path.agrees(join, &nodes[join.level], &self.siblings) {
+                // Its own nodes up to the join, the remembered ones above.
+                nodes.extend_from_slice(&path.nodes[join.remembered + 1..]);
+                path.remember(turns, nodes, &self.siblings);
+                return true;
             }
         }
+        self.hash_up(&mut nodes, turns, depth);
+        let accepted = nodes.pop().as_ref() == Some(root);
+        if accepted {
+            (path.root, path.total) = (*root, self.total);
+            path.remember(turns, nodes, &self.siblings);
+        } else {
+            path.scratch = nodes;
+        }
+        accepted
+    }
+
+    /// Extends `nodes`, this proof's path bottom-up from its leaf, up to
+    /// `level`: `nodes[u]` is the node hashed with `siblings[u]`.
+    fn hash_up(&self, nodes: &mut Vec<Hash>, turns: u64, level: usize) {
+        let depth = self.siblings.len();
+        for u in nodes.len() - 1..level {
+            let (node, sibling) = (&nodes[u], &self.siblings[u]);
+            // Level `u` from the bottom is step `depth - 1 - u` from the root.
+            let parent = if turns >> (depth - 1 - u) & 1 == 1 {
+                inner_hash(sibling, node)
+            } else {
+                inner_hash(node, sibling)
+            };
+            nodes.push(parent);
+        }
+    }
+}
+
+/// The turns from the root down to leaf `index` of a `total`-leaf tree —
+/// bit `t` set where step `t` goes right — and the number of steps: at most
+/// 64, the depth of a tree of `usize::MAX` leaves.
+fn turns(mut index: usize, mut total: usize) -> (u64, usize) {
+    let (mut turns, mut depth) = (0u64, 0);
+    while total > 1 {
+        let k = split_point(total);
+        if index < k {
+            total = k;
+        } else {
+            turns |= 1 << depth;
+            index -= k;
+            total -= k;
+        }
+        depth += 1;
+    }
+    (turns, depth)
+}
+
+/// The path of the last proof [`MerkleProof::verify`] accepted through it.
+///
+/// A cache of that pure function, keyed by the root and leaf count the path
+/// was hashed up to, holding the value of every node on the path and of
+/// every sibling beside it. Its buffers are reused, so once they have grown
+/// to a tree's depth a proof allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct VerifiedPath {
+    root: Hash,
+    /// Leaf count of the remembered proof's tree; 0 while nothing is
+    /// remembered.
+    total: usize,
+    turns: u64,
+    /// Bottom-up like the proof's siblings: `nodes[u]` is the node hashed
+    /// with `siblings[u]`, so `nodes[0]` is the leaf.
+    nodes: Vec<Hash>,
+    siblings: Vec<Hash>,
+    /// Room for the nodes of the proof being checked.
+    scratch: Vec<Hash>,
+}
+
+/// The node where a proof's path leaves the remembered one: its level
+/// bottom-up on the proof's path, where the remembered path has its sibling
+/// at `remembered`.
+#[derive(Debug, Clone, Copy)]
+struct Join {
+    level: usize,
+    remembered: usize,
+}
+
+impl VerifiedPath {
+    /// Where the path of `turns` in a `total`-leaf tree under `root` leaves
+    /// the remembered path, if one is remembered under that key and proves
+    /// another leaf.
+    fn join(&self, root: &Hash, total: usize, turns: u64, depth: usize) -> Option<Join> {
+        let differ = turns ^ self.turns;
+        if self.total != total || &self.root != root || differ == 0 {
+            return None;
+        }
+        // Two paths share every step down to their leaves' lowest common
+        // ancestor, which lies above both leaves, and turn apart there.
+        let shared = differ.trailing_zeros() as usize;
+        Some(Join {
+            level: depth - 1 - shared,
+            remembered: self.siblings.len() - 1 - shared,
+        })
+    }
+
+    /// Whether a proof with `siblings`, whose path hashed to `node` at
+    /// `join.level`, meets nothing above that node but remembered values: the
+    /// node is the remembered sibling there, its sibling the remembered node,
+    /// and the siblings above are the remembered siblings.
+    fn agrees(&self, join: Join, node: &Hash, siblings: &[Hash]) -> bool {
+        let (level, remembered) = (join.level, join.remembered);
+        node == &self.siblings[remembered]
+            && siblings[level] == self.nodes[remembered]
+            && siblings[level + 1..] == self.siblings[remembered + 1..]
+    }
+
+    /// Remembers the path of an accepted proof under the current key.
+    fn remember(&mut self, turns: u64, nodes: Vec<Hash>, siblings: &[Hash]) {
+        self.turns = turns;
+        self.scratch = std::mem::replace(&mut self.nodes, nodes);
+        self.siblings.clear();
+        self.siblings.extend_from_slice(siblings);
     }
 }
 
@@ -366,6 +481,11 @@ mod tests {
         (0..n).map(|i| format!("leaf-{i}").into_bytes()).collect()
     }
 
+    /// `proof`'s verdict on `data` under `root`, with nothing remembered.
+    fn verifies(proof: &MerkleProof, root: &Hash, data: &[u8]) -> bool {
+        proof.verify(root, leaf_hash(data), &mut VerifiedPath::default())
+    }
+
     #[test]
     fn empty_root_is_empty_hash() {
         assert_eq!(simple_root(std::iter::empty()), sha256(b""));
@@ -392,10 +512,19 @@ mod tests {
             let data = leaves(n);
             let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
             let expected_root = simple_root(refs.iter().copied());
+            // One remembered path across the sweep, as a batch shares one.
+            let mut path = VerifiedPath::default();
             for (i, leaf) in data.iter().enumerate() {
                 let (root, proof) = prove(refs.iter().copied(), i).expect("valid index");
                 assert_eq!(root, expected_root, "root mismatch for n={n}");
-                assert!(proof.verify(&root, leaf), "proof failed for n={n}, i={i}");
+                assert!(
+                    verifies(&proof, &root, leaf),
+                    "proof failed for n={n}, i={i}"
+                );
+                assert!(
+                    proof.verify(&root, leaf_hash(leaf), &mut path),
+                    "n={n}, i={i}"
+                );
             }
         }
     }
@@ -405,8 +534,8 @@ mod tests {
         let data = leaves(8);
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
         let (root, proof) = prove(refs.iter().copied(), 3).unwrap();
-        assert!(!proof.verify(&root, b"tampered"));
-        assert!(!proof.verify(&sha256(b"other root"), &data[3]));
+        assert!(!verifies(&proof, &root, b"tampered"));
+        assert!(!verifies(&proof, &sha256(b"other root"), &data[3]));
     }
 
     #[test]
@@ -434,7 +563,7 @@ mod tests {
                 let (root, reference) = prove(refs.iter().copied(), i).expect("valid index");
                 let cached = tree.prove(i).expect("valid index");
                 assert_eq!(cached, reference, "proof mismatch for n={n}, i={i}");
-                assert!(cached.verify(&root, leaf));
+                assert!(verifies(&cached, &root, leaf));
             }
             assert!(tree.prove(n).is_none());
         }
@@ -523,6 +652,56 @@ mod tests {
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
         let (root, mut proof) = prove(refs.iter().copied(), 1).unwrap();
         proof.index = 10;
-        assert!(!proof.verify(&root, &data[1]));
+        assert!(!verifies(&proof, &root, &data[1]));
+    }
+
+    /// A batch proves consecutive leaves: 100 of a 4,096-leaf tree, verified
+    /// in order through one remembered path. The first is hashed to the root
+    /// (12 inner nodes); each later one only below the node where its path
+    /// leaves its predecessor's. Leaves `j - 1` and `j` part at the node
+    /// `trailing_zeros(j) + 1` levels up, so leaf `j` hashes
+    /// `trailing_zeros(j)` nodes — 0 for every odd leaf, whose sibling leaf
+    /// was just proven — and a verdict that hashed to the root instead
+    /// would count 1,200.
+    #[test]
+    fn consecutive_proofs_hash_only_below_where_they_part() {
+        let tree = MerkleTree::from_leaf_hashes(&hashed("leaf", 4_096));
+        let (root, first) = (tree.root(), 1_000);
+        let proofs: Vec<MerkleProof> = (first..first + 100)
+            .map(|i| tree.prove(i).expect("in range"))
+            .collect();
+        let leaf = |i: usize| leaf_hash(format!("leaf-{i}").as_bytes());
+        let mut path = VerifiedPath::default();
+        prof::reset();
+        for proof in &proofs {
+            assert!(proof.verify(&root, leaf(proof.index), &mut path));
+        }
+        let below: u32 = (first + 1..first + 100).map(|j| j.trailing_zeros()).sum();
+        assert_eq!(below, 100);
+        assert_eq!(prof::snapshot().merkle_inner_hashes, 12 + u64::from(below));
+
+        // The same batch with nothing remembered hashes every path whole.
+        prof::reset();
+        for proof in &proofs {
+            assert!(verifies(
+                proof,
+                &root,
+                format!("leaf-{}", proof.index).as_bytes()
+            ));
+        }
+        assert_eq!(prof::snapshot().merkle_inner_hashes, 1_200);
+
+        // A proof with a forged top sibling is hashed to the root and
+        // rejected, and the path remembered is still leaf 1,099's: leaf
+        // 1,000 parts from it 11 levels up (bit 10 is the highest in which
+        // the two indices differ), so it hashes the 10 nodes below that.
+        let mut forged = proofs[1].clone();
+        *forged.siblings.last_mut().expect("12 siblings") = sha256(b"forged");
+        prof::reset();
+        assert!(!forged.verify(&root, leaf(forged.index), &mut path));
+        assert_eq!(prof::snapshot().merkle_inner_hashes, 12);
+        prof::reset();
+        assert!(proofs[0].verify(&root, leaf(first), &mut path));
+        assert_eq!(prof::snapshot().merkle_inner_hashes, 10);
     }
 }

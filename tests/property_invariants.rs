@@ -16,7 +16,7 @@ use ibc_perf_repro::ibc::transfer::{
 };
 use ibc_perf_repro::sim::{FifoServer, SimDuration, SimTime};
 use ibc_perf_repro::tendermint::hash::{sha256, Hash, Sha256};
-use ibc_perf_repro::tendermint::merkle::{prove, simple_root};
+use ibc_perf_repro::tendermint::merkle::{leaf_hash, prove, simple_root, VerifiedPath};
 
 proptest! {
     /// Merkle proofs generated for any leaf of any tree verify against the
@@ -28,8 +28,9 @@ proptest! {
         let root = simple_root(refs.iter().copied());
         let (proved_root, proof) = prove(refs.iter().copied(), i).expect("index in range");
         prop_assert_eq!(proved_root, root);
-        prop_assert!(proof.verify(&root, &leaves[i]));
-        prop_assert!(!proof.verify(&root, b"not-a-leaf-of-this-tree"));
+        let verifies = |leaf: &[u8]| proof.verify(&root, leaf_hash(leaf), &mut VerifiedPath::default());
+        prop_assert!(verifies(&leaves[i]));
+        prop_assert!(!verifies(b"not-a-leaf-of-this-tree"));
     }
 
     /// However the input is cut into `update` calls — empty ones included,
@@ -94,7 +95,7 @@ proptest! {
                     let (root, merkle) = prove(encodings(&model).iter().map(|e| e.as_slice()), rank).expect("rank in range");
                     let proof = store.prove_membership(&target).expect("path is present");
                     prop_assert_eq!((&proof.path, proof.value, proof.root), (&target, model[&target], root));
-                    prop_assert!(proof.verify(&root));
+                    prop_assert!(proof.verify(&root, &mut VerifiedPath::default()));
                     prop_assert_eq!(proof.encoded_size(), target.len() + 96 + 32 * merkle.siblings.len());
                     let branch = format!("\"merkle\":{}", serde_json::to_string(&merkle).unwrap());
                     prop_assert!(serde_json::to_string(&proof).unwrap().contains(&branch));
@@ -318,6 +319,127 @@ mod commitment_history {
                 for path in model.keys().step_by((model.len() / 8).max(1)) {
                     prop_assert_eq!(store.prove_membership(path), fresh.prove_membership(path));
                 }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Proofs checked through one remembered path against the recursive check
+// ---------------------------------------------------------------------------
+
+mod verified_path {
+    use ibc_perf_repro::tendermint::hash::{sha256, Hash};
+    use ibc_perf_repro::tendermint::merkle::{leaf_hash, MerkleProof, MerkleTree, VerifiedPath};
+    use proptest::prelude::*;
+
+    /// The recursive verification `MerkleProof::verify` replaced: recompute
+    /// the root from the leaf, consuming siblings bottom-up, with nothing
+    /// remembered between calls.
+    fn oracle(proof: &MerkleProof, root: &Hash, leaf: Hash) -> bool {
+        fn inner(left: &Hash, right: &Hash) -> Hash {
+            sha256(&[&[1u8][..], left.as_bytes(), right.as_bytes()].concat())
+        }
+        fn split_point(n: usize) -> usize {
+            let mut k = 1;
+            while k * 2 < n {
+                k *= 2;
+            }
+            k
+        }
+        fn compute_root(
+            siblings: &[Hash],
+            leaf: Hash,
+            index: usize,
+            total: usize,
+            used: usize,
+        ) -> Option<(Hash, usize)> {
+            match total {
+                0 => None,
+                1 => Some((leaf, used)),
+                _ => {
+                    let k = split_point(total);
+                    if index < k {
+                        let (left, used) = compute_root(siblings, leaf, index, k, used)?;
+                        Some((inner(&left, siblings.get(used)?), used + 1))
+                    } else {
+                        let (right, used) =
+                            compute_root(siblings, leaf, index - k, total - k, used)?;
+                        Some((inner(siblings.get(used)?, &right), used + 1))
+                    }
+                }
+            }
+        }
+        if proof.index >= proof.total {
+            return false;
+        }
+        match compute_root(&proof.siblings, leaf, proof.index, proof.total, 0) {
+            Some((computed, used)) => used == proof.siblings.len() && &computed == root,
+            None => false,
+        }
+    }
+
+    fn leaf(tag: u8, i: usize) -> Vec<u8> {
+        format!("{tag}/{i}").into_bytes()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Two random trees that share all leaves but one, and a sequence of
+        /// proofs drawn from either — in index order, reversed, or as drawn
+        /// with repeats — each proof possibly tampered with: a sibling
+        /// flipped at any level, a wrong leaf, a wrong index or total, a
+        /// sibling missing or extra, or the other tree's root. Checked in
+        /// turn through one `VerifiedPath`, so roots alternate on it, every
+        /// verdict is the recursive check's.
+        #[test]
+        fn a_remembered_path_never_changes_a_verdict(
+            sizes in (1usize..300, 1usize..300),
+            changed in any::<prop::sample::Index>(),
+            draws in prop::collection::vec((any::<bool>(), any::<prop::sample::Index>(), 0u8..16, any::<prop::sample::Index>()), 1..80),
+            order in 0u8..3,
+        ) {
+            let changed = changed.index(sizes.0.min(sizes.1));
+            let leaves_of = |size: usize, tag: u8| -> Vec<Vec<u8>> {
+                (0..size).map(|i| if tag == 1 && i == changed { leaf(1, i) } else { leaf(0, i) }).collect()
+            };
+            let leaves = [leaves_of(sizes.0, 0), leaves_of(sizes.1, 1)];
+            let trees = leaves.clone().map(|leaves| MerkleTree::build(leaves.iter().map(|l| l.as_slice())));
+            let mut draws: Vec<(usize, usize, u8, prop::sample::Index)> = draws
+                .into_iter()
+                .map(|(second, index, tamper, at)| {
+                    let tree = usize::from(second);
+                    (tree, index.index(trees[tree].len()), tamper, at)
+                })
+                .collect();
+            match order {
+                0 => draws.sort_by_key(|&(tree, index, ..)| (index, tree)),
+                1 => draws.sort_by_key(|&(tree, index, ..)| std::cmp::Reverse((index, tree))),
+                _ => {}
+            }
+            let mut path = VerifiedPath::default();
+            for (tree, index, tamper, at) in draws {
+                let mut proof = trees[tree].prove(index).expect("index in range");
+                let mut root = trees[tree].root();
+                let mut data = leaves[tree][index].clone();
+                let depth = proof.siblings.len();
+                match tamper {
+                    0 if depth > 0 => proof.siblings[at.index(depth)].0[at.index(32)] ^= 1,
+                    1 => data = b"not this leaf".to_vec(),
+                    2 => proof.index = (index + 1 + at.index(3)) % (proof.total + 1),
+                    3 => proof.total += 1,
+                    4 => proof.total -= 1,
+                    5 if depth > 0 => {
+                        proof.siblings.remove(at.index(depth));
+                    }
+                    6 => proof.siblings.insert(at.index(depth + 1), sha256(b"extra")),
+                    7 => root = trees[1 - tree].root(),
+                    // Untampered: the remembered path only changes on these.
+                    _ => {}
+                }
+                let verdict = proof.verify(&root, leaf_hash(&data), &mut path);
+                prop_assert_eq!(verdict, oracle(&proof, &root, leaf_hash(&data)), "tree {} leaf {} tamper {}", tree, index, tamper);
             }
         }
     }
@@ -609,6 +731,160 @@ mod codec {
             assert_map_edits_agree(&relayer_tx(&packets, 5, 1), pick, at);
             assert_map_edits_agree(&RelayerStrategy::default().frame_limit(4_096), pick, at);
             assert_map_edits_agree(&DeploymentConfig::default(), pick, at);
+        }
+    }
+
+    /// Every map key of `tree`, each once.
+    fn keys_of(tree: &Value, out: &mut Vec<String>) {
+        match tree {
+            Value::Map(entries) => {
+                for (key, value) in entries {
+                    if !out.contains(key) {
+                        out.push(key.clone());
+                    }
+                    keys_of(value, out);
+                }
+            }
+            Value::Seq(items) => items.iter().for_each(|item| keys_of(item, out)),
+            _ => {}
+        }
+    }
+
+    /// Where `key` is written in `bytes` (its one-byte length, then its
+    /// text), at any depth.
+    fn key_positions(bytes: &[u8], key: &str) -> Vec<usize> {
+        let mut written = vec![key.len() as u8];
+        written.extend_from_slice(key.as_bytes());
+        (0..bytes.len())
+            .filter(|&at| bytes[at..].starts_with(&written))
+            .collect()
+    }
+
+    /// A relayer batch whose packets and signers name channels and
+    /// accounts picked from `names`: a few picks repeat names across the
+    /// messages, many picks spell out a distinct one in each.
+    fn named_batch(names: &[(u8, u8, u8)]) -> Tx {
+        let mut store = CommitmentStore::new();
+        let packets: Vec<Packet> = (names.iter().zip(1u64..))
+            .map(|(&(src, dst, _), seq)| Packet {
+                source_channel: ChannelId::with_index(src.into()),
+                destination_channel: ChannelId::with_index(dst.into()),
+                ..packet(seq, &[src, dst])
+            })
+            .collect();
+        for packet in &packets {
+            store.set(
+                format!("commitments/{}", packet.sequence),
+                packet.commitment(),
+            );
+        }
+        let msgs = (packets.into_iter().zip(names))
+            .map(|(packet, &(.., signer))| Msg::IbcRecvPacket {
+                proof_commitment: store
+                    .prove_membership(&format!("commitments/{}", packet.sequence))
+                    .expect("just committed"),
+                packet,
+                proof_height: Height::at(3),
+                signer: format!("relayer-{signer}").as_str().into(),
+            })
+            .collect();
+        Tx::new("relayer-0".into(), 1, msgs, "uatom")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// Packet data longer than the 1,024 bytes a `Vec` reserves from a
+        /// length read off the wire, so a payload is read in more than one
+        /// run: the same bytes, the same transaction back, and every cut
+        /// across it rejected by both decoders.
+        #[test]
+        fn packet_data_across_reserve_runs_reads_back(
+            data in prop::collection::vec(any::<u8>(), 1_000..2_200),
+            seq in 1u64..5_000,
+        ) {
+            let tx = relayer_tx(&[(seq, data)], 3, 9);
+            let raw = tx.encode();
+            prop_assert_eq!(raw.as_bytes(), binary::to_bytes(&tx.to_value()).as_slice());
+            prop_assert_eq!(assert_same_tx_verdict(raw.as_bytes()), Some(tx));
+            for cut in 0..raw.as_bytes().len() {
+                prop_assert_eq!(assert_same_tx_verdict(&raw.as_bytes()[..cut]), None);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A key anywhere in a transaction turned into invalid UTF-8 — of its
+        /// own length, one byte longer or one shorter, and still starting
+        /// like the name — is refused by both decoders, whether or not a
+        /// field asked for that key by name.
+        #[test]
+        fn keys_edited_into_invalid_utf8_are_refused(
+            packets in prop::collection::vec((1u64..5_000, prop::collection::vec(any::<u8>(), 0..8)), 1..3),
+            pick in any::<prop::sample::Index>(),
+            at in any::<prop::sample::Index>(),
+        ) {
+            let tx = relayer_tx(&packets, 5, 1);
+            let bytes = tx.encode().as_bytes().to_vec();
+            let mut keys = Vec::new();
+            keys_of(&tx.to_value(), &mut keys);
+            let key = &keys[pick.index(keys.len())];
+            let positions = key_positions(&bytes, key);
+            prop_assert!(!positions.is_empty(), "{} is written somewhere", key);
+            let start = positions[at.index(positions.len())];
+            let (len, text) = (key.len(), start + 1..start + 1 + key.len());
+            let mut garbled = key.as_bytes().to_vec();
+            garbled[at.index(len)] = 0xff;
+            let mut longer = key.as_bytes().to_vec();
+            longer.push(0xc3);
+            let mut shorter = key.as_bytes()[..len - 1].to_vec();
+            if let Some(last) = shorter.last_mut() {
+                *last = 0x80;
+            }
+            for edit in [garbled, longer, shorter] {
+                let mut edited = bytes[..start].to_vec();
+                edited.push(edit.len() as u8);
+                edited.extend_from_slice(&edit);
+                edited.extend_from_slice(&bytes[text.end..]);
+                prop_assert_eq!(assert_same_tx_verdict(&edited), None, "{} → {:?}", key, edit);
+            }
+        }
+
+        /// Batches whose messages repeat a few channel and signer names, or
+        /// name a different one each: every name reads back as written, the
+        /// decoded names are one allocation per distinct text, and key
+        /// edits still resolve as a map lookup does.
+        #[test]
+        fn repeated_and_distinct_names_read_back(
+            names in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..12),
+            few in any::<bool>(),
+            pick in any::<usize>(),
+            at in any::<usize>(),
+        ) {
+            let names: Vec<(u8, u8, u8)> = if few {
+                names.into_iter().map(|(a, b, c)| (a % 2, b % 3, c % 2)).collect()
+            } else {
+                names
+            };
+            let tx = named_batch(&names);
+            let decoded = assert_same_tx_verdict(tx.encode().as_bytes()).expect("decodes");
+            prop_assert_eq!(&decoded, &tx);
+            let channels: Vec<&ChannelId> = decoded
+                .msgs
+                .iter()
+                .flat_map(|msg| match msg {
+                    Msg::IbcRecvPacket { packet, .. } => [&packet.source_channel, &packet.destination_channel],
+                    other => panic!("not a receive: {other:?}"),
+                })
+                .collect();
+            for a in &channels {
+                for b in &channels {
+                    prop_assert_eq!(std::sync::Arc::ptr_eq(&a.shared(), &b.shared()), a == b, "{} / {}", a, b);
+                }
+            }
+            assert_map_edits_agree(&tx, pick, at);
         }
     }
 }
