@@ -27,7 +27,7 @@ use xcc_framework::scenarios;
 use xcc_framework::spec::ExperimentSpec;
 use xcc_framework::work::sha256_backend;
 use xcc_framework::{ScenarioOutcome, SweepMode, WorkProfile};
-use xcc_relayer::strategy::{ChannelPolicy, RelayerStrategy, SequenceTracking, SubmissionMode};
+use xcc_relayer::strategy::{ChannelPolicy, RelayerStrategy, SequenceTracking};
 
 /// The spec set behind the golden fixtures: one small point per paper figure
 /// the relayer refactor must preserve (Figs. 8, 9, 11 and 12).
@@ -157,16 +157,12 @@ pub fn strategy_arms_golden_specs() -> Vec<ExperimentSpec> {
             .seed(42)
             .strategy(strategy)
     };
-    let default = RelayerStrategy::default();
-    let windowed = RelayerStrategy {
-        submission: SubmissionMode::Windowed { blocks: 2 },
-        ..default
-    };
     let priority = RelayerStrategy::with_channel_policy(ChannelPolicy::Priority);
-    let lossy = default.frame_limit(16 << 10).packet_clearing(2);
+    let lossy = RelayerStrategy::default()
+        .frame_limit(16 << 10)
+        .packet_clearing(2);
     // (arm, input rate, relayers, channels, strategy)
     let streams = [
-        ("windowed", 20, 1, 1, windowed),
         (
             "adaptive",
             12,
@@ -175,8 +171,6 @@ pub fn strategy_arms_golden_specs() -> Vec<ExperimentSpec> {
             RelayerStrategy::adaptive_submission(3),
         ),
         ("partitioned", 20, 2, 1, RelayerStrategy::coordinated()),
-        ("leased", 20, 2, 1, RelayerStrategy::leader_lease(2)),
-        ("polling", 20, 1, 1, RelayerStrategy::polling_events()),
         ("priority", 20, 1, 2, priority),
         ("lossy", 20, 1, 1, lossy),
     ];

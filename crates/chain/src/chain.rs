@@ -11,7 +11,7 @@ use crate::tx::Tx;
 use xcc_sim::SimTime;
 use xcc_tendermint::block::RawTx;
 use xcc_tendermint::hash::Hash;
-use xcc_tendermint::node::{BlockOutcome, CommittedBlock, Node, SubmitError, TxStatus};
+use xcc_tendermint::node::{BlockOutcome, CommittedBlock, Node, SubmitError};
 use xcc_tendermint::validator::ValidatorSet;
 use xcc_tendermint::vote::Commit;
 
@@ -146,11 +146,6 @@ impl Chain {
     ) -> Option<(u64, usize, &xcc_tendermint::abci::DeliverTxResult)> {
         self.node.find_tx(hash)
     }
-
-    /// Whether a transaction is committed, pending or unknown.
-    pub fn tx_status(&self, hash: &Hash) -> TxStatus {
-        self.node.tx_status(hash)
-    }
 }
 
 #[cfg(test)]
@@ -187,13 +182,13 @@ mod tests {
         let hash = chain
             .submit_tx(&send_tx("user-0", 0), SimTime::ZERO)
             .unwrap();
-        assert_eq!(chain.tx_status(&hash), TxStatus::Pending);
+        assert!(chain.find_tx(&hash).is_none());
         assert_eq!(chain.mempool_size(), 1);
 
         let outcome = chain.produce_block(SimTime::from_secs(5));
         assert_eq!(outcome.tx_count, 1);
         assert_eq!(chain.height(), 1);
-        assert_eq!(chain.tx_status(&hash), TxStatus::Committed);
+        assert_eq!(chain.mempool_size(), 0);
         let (_, _, result) = chain.find_tx(&hash).unwrap();
         assert!(result.is_ok());
         assert_eq!(chain.app().account_sequence(&AccountId::new("user-0")), 1);

@@ -183,11 +183,6 @@ impl Tx {
         self.cached().clone()
     }
 
-    /// The wire byte length of [`Tx::encode`]'s result, from the cache.
-    pub fn encoded_len(&self) -> usize {
-        self.cached().len()
-    }
-
     /// The memoized encoding, computed on first use. Only this cache-miss
     /// path counts as encoding work in the xcc-prof counters: a cache hit
     /// performs none.
@@ -445,7 +440,6 @@ mod tests {
         assert_eq!(tx.hash(), tx.encode().hash());
         assert_eq!(h1, h2);
         assert_eq!(h1, sha256(raw.as_bytes()));
-        assert_eq!(tx.encoded_len(), raw.len());
         let snap = prof::snapshot();
         assert_eq!(snap.txs_encoded, 1, "hash + hash + encode = one encoding");
         assert_eq!(snap.bytes_serialized, raw.len() as u64);

@@ -8,11 +8,11 @@
 use serde::{Deserialize, Serialize};
 
 use xcc_relayer::strategy::RelayerStrategy;
-use xcc_rpc::cost::BATCHED_PULL_PER_ITEM;
 use xcc_sim::SimDuration;
 
 use crate::fault::FaultPlan;
 use crate::topology::{HopRoute, Topology};
+use crate::workload::TRANSFERS_PER_TX;
 
 /// Parameters of the deployed testnet (the Setup module's input).
 ///
@@ -25,8 +25,6 @@ pub struct DeploymentConfig {
     pub source_chain_id: String,
     /// Identifier of the destination chain.
     pub destination_chain_id: String,
-    /// Number of validators per chain (the paper uses 5).
-    pub validators_per_chain: usize,
     /// Emulated round-trip network latency in milliseconds (0 or 200 in the
     /// paper).
     pub network_rtt_ms: u64,
@@ -45,19 +43,8 @@ pub struct DeploymentConfig {
     pub relayer_strategy: RelayerStrategy,
     /// Number of funded user accounts available to the workload generator.
     pub user_accounts: usize,
-    /// Initial balance of every funded account (fee denomination).
-    pub account_balance: u128,
     /// Seed for all randomness in the experiment.
     pub seed: u64,
-    /// Per-item pagination surcharge of a batched data pull, in microseconds
-    /// — the cost table's one calibration knob ([`BATCHED_PULL_PER_ITEM`]) as
-    /// deployment configuration, so the PR 2 batched-pull surcharge sweeps
-    /// like every other cost parameter
-    /// ([`SweepGrid::batched_pull_per_items`](crate::sweep::SweepGrid::batched_pull_per_items)).
-    /// The default (120 µs) is the cost model's calibrated value; `0` models
-    /// free pagination.
-    #[serde(default = "default_batched_pull_per_item_us")]
-    pub batched_pull_per_item_us: u64,
     /// When true, scenario outcomes additionally report the relayers'
     /// `broadcast_failures` counter as a metric. Off by default so the
     /// metric maps of runs that never asked for it — the pre-knob golden
@@ -82,14 +69,6 @@ pub struct DeploymentConfig {
     /// bit-identically to the old pair path.
     #[serde(default)]
     pub topology: Topology,
-    /// When true, scenario outcomes additionally report the run's
-    /// deterministic work counters (`work_*` metrics — see
-    /// [`crate::work::WorkProfile`] and docs/PERFORMANCE.md). Off by
-    /// default, and — unlike every unconditional field above — the key is
-    /// only *serialized* when set, so specs that never asked for profiling
-    /// (every committed golden fixture) keep their JSON bytes unchanged.
-    #[serde(default, skip_serializing_if = "std::ops::Not::not")]
-    pub profile_work: bool,
 }
 
 impl Default for DeploymentConfig {
@@ -97,38 +76,23 @@ impl Default for DeploymentConfig {
         DeploymentConfig {
             source_chain_id: "ibc-0".to_string(),
             destination_chain_id: "ibc-1".to_string(),
-            validators_per_chain: 5,
             network_rtt_ms: 200,
             min_block_interval: SimDuration::from_secs(5),
             relayer_count: 1,
             channel_count: 1,
             relayer_strategy: RelayerStrategy::default(),
             user_accounts: 64,
-            account_balance: 1_000_000_000_000,
             seed: 42,
-            batched_pull_per_item_us: DEFAULT_BATCHED_PULL_PER_ITEM_US,
             report_broadcast_failures: false,
             fault_plan: FaultPlan::default(),
             topology: Topology::default(),
-            profile_work: false,
         }
     }
 }
 
-/// The cost model's calibrated batched-pull pagination surcharge in
-/// microseconds — the value deployments use unless the
-/// `batched_pull_per_item_us` knob overrides it.
-pub const DEFAULT_BATCHED_PULL_PER_ITEM_US: u64 = BATCHED_PULL_PER_ITEM.as_nanos() / 1_000;
-
 /// Pre-multi-channel JSON has no `channel_count`: the paper's single channel.
 fn default_channel_count() -> usize {
     1
-}
-
-/// Pre-calibration JSON has no surcharge: the calibrated value. An explicit
-/// `0` (free pagination) is a different thing and stays `0`.
-fn default_batched_pull_per_item_us() -> u64 {
-    DEFAULT_BATCHED_PULL_PER_ITEM_US
 }
 
 /// Parameters of the benchmark workload (the Benchmark module's input).
@@ -136,9 +100,6 @@ fn default_batched_pull_per_item_us() -> u64 {
 pub struct WorkloadConfig {
     /// Total number of cross-chain transfers to request.
     pub total_transfers: u64,
-    /// Number of transfer messages batched per transaction (the paper uses
-    /// 100, the Hermes maximum).
-    pub transfers_per_tx: usize,
     /// Number of consecutive block windows the submission is spread over
     /// (Fig. 13 varies this from 1 to 64).
     pub submission_blocks: u64,
@@ -148,9 +109,6 @@ pub struct WorkloadConfig {
     /// Packet timeout expressed in destination-chain blocks (0 disables the
     /// height timeout).
     pub timeout_blocks: u64,
-    /// CPU time the submitting CLI spends building and signing one
-    /// transaction.
-    pub cli_cost_per_tx: SimDuration,
     /// If true, keep producing blocks after the measurement window until all
     /// in-flight transfers either complete or time out (used by the latency
     /// experiments).
@@ -178,11 +136,9 @@ impl Default for WorkloadConfig {
     fn default() -> Self {
         WorkloadConfig {
             total_transfers: 5_000,
-            transfers_per_tx: 100,
             submission_blocks: 1,
             measurement_blocks: 50,
             timeout_blocks: 0,
-            cli_cost_per_tx: SimDuration::from_millis(12),
             run_to_completion: true,
             completion_grace_blocks: 400,
             channel_weights: Vec::new(),
@@ -213,7 +169,7 @@ impl WorkloadConfig {
     /// Transactions submitted per block window.
     pub fn txs_per_window(&self) -> u64 {
         self.transfers_per_window()
-            .div_ceil(self.transfers_per_tx as u64)
+            .div_ceil(TRANSFERS_PER_TX as u64)
     }
 
     /// The nominal input rate in requests (transfers) per second assuming
@@ -258,12 +214,9 @@ mod tests {
     #[test]
     fn defaults_match_paper_settings() {
         let d = DeploymentConfig::default();
-        assert_eq!(d.validators_per_chain, 5);
         assert_eq!(d.network_rtt_ms, 200);
         assert_eq!(d.min_block_interval, SimDuration::from_secs(5));
         assert_eq!(d.relayer_strategy, RelayerStrategy::default());
-        let w = WorkloadConfig::default();
-        assert_eq!(w.transfers_per_tx, 100);
     }
 
     #[test]
@@ -323,36 +276,15 @@ mod tests {
     }
 
     #[test]
-    fn pre_calibration_json_defaults_the_new_knobs() {
-        // Deployment JSON written before the batched-pull calibration /
-        // broadcast-failure reporting knobs existed (the golden fixtures)
-        // must parse to the calibrated surcharge and no extra metrics.
+    fn pre_knob_json_defaults_broadcast_failure_reporting_off() {
+        // Deployment JSON written before the broadcast-failure reporting
+        // knob existed (the golden fixtures) must parse to no extra metrics.
         let json = serde_json::to_string(&DeploymentConfig::default()).unwrap();
-        let legacy = json
-            .replace(
-                &format!(",\"batched_pull_per_item_us\":{DEFAULT_BATCHED_PULL_PER_ITEM_US}"),
-                "",
-            )
-            .replace(",\"report_broadcast_failures\":false", "");
-        assert!(!legacy.contains("batched_pull_per_item_us"));
+        let legacy = json.replace(",\"report_broadcast_failures\":false", "");
         assert!(!legacy.contains("report_broadcast_failures"));
         let parsed: DeploymentConfig = serde_json::from_str(&legacy).unwrap();
         assert_eq!(parsed, DeploymentConfig::default());
-        assert_eq!(
-            parsed.batched_pull_per_item_us,
-            DEFAULT_BATCHED_PULL_PER_ITEM_US
-        );
         assert!(!parsed.report_broadcast_failures);
-
-        // An explicit zero surcharge (free pagination) survives the round
-        // trip — it is distinct from "field missing".
-        let free = DeploymentConfig {
-            batched_pull_per_item_us: 0,
-            ..DeploymentConfig::default()
-        };
-        let back: DeploymentConfig =
-            serde_json::from_str(&serde_json::to_string(&free).unwrap()).unwrap();
-        assert_eq!(back.batched_pull_per_item_us, 0);
     }
 
     #[test]
@@ -448,7 +380,6 @@ mod tests {
     fn window_computations_round_up() {
         let w = WorkloadConfig {
             total_transfers: 250,
-            transfers_per_tx: 100,
             submission_blocks: 2,
             ..WorkloadConfig::default()
         };

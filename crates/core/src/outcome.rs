@@ -106,48 +106,6 @@ pub mod keys {
     /// broadcast). Hop-plan runs only; see [`FORWARDED`].
     pub const FORWARD_LAG_SECS: &str = "forward_lag_secs";
 
-    /// Events the run inserted into the simulation scheduler. Emitted (with
-    /// every `work_*` key below) only when the deployment's `profile_work`
-    /// knob asks for the xcc-prof counters, so non-profiling runs — every
-    /// golden fixture — keep their metric maps unchanged. The counts are
-    /// deterministic work measures, safe to exact-match; see
-    /// docs/PERFORMANCE.md.
-    pub const WORK_EVENTS_SCHEDULED: &str = "work_events_scheduled";
-    /// Events the run popped from the simulation scheduler. Profiling runs
-    /// only; see [`WORK_EVENTS_SCHEDULED`].
-    pub const WORK_EVENTS_POPPED: &str = "work_events_popped";
-    /// Total RPC calls served across every request kind (the per-kind
-    /// counts are emitted via [`on_rpc_kind`]). Profiling runs only; see
-    /// [`WORK_EVENTS_SCHEDULED`].
-    pub const WORK_RPC_CALLS: &str = "work_rpc_calls";
-    /// Transactions encoded to wire bytes (encode-cache misses only).
-    /// Profiling runs only; see [`WORK_EVENTS_SCHEDULED`].
-    pub const WORK_TXS_ENCODED: &str = "work_txs_encoded";
-    /// Transactions decoded from wire bytes. Profiling runs only; see
-    /// [`WORK_EVENTS_SCHEDULED`].
-    pub const WORK_TXS_DECODED: &str = "work_txs_decoded";
-    /// Wire bytes produced by transaction encoding. Profiling runs only;
-    /// see [`WORK_EVENTS_SCHEDULED`].
-    pub const WORK_BYTES_SERIALIZED: &str = "work_bytes_serialized";
-    /// Telemetry step/error records written across all relayers. Profiling
-    /// runs only; see [`WORK_EVENTS_SCHEDULED`].
-    pub const WORK_TELEMETRY_RECORDS: &str = "work_telemetry_records";
-    /// Relayer wake events the driver processed. Profiling runs only; see
-    /// [`WORK_EVENTS_SCHEDULED`].
-    pub const WORK_RELAYER_WAKES: &str = "work_relayer_wakes";
-    /// Packets visited by the periodic clear scan. Profiling runs only; see
-    /// [`WORK_EVENTS_SCHEDULED`].
-    pub const WORK_CLEAR_SCAN_VISITS: &str = "work_clear_scan_visits";
-    /// Merkle inner nodes hashed. Profiling runs only; see
-    /// [`WORK_EVENTS_SCHEDULED`].
-    pub const WORK_MERKLE_INNER_HASHES: &str = "work_merkle_inner_hashes";
-
-    /// The per-request-kind variant of [`WORK_RPC_CALLS`], e.g.
-    /// `work_rpc_calls[status]` (profiling runs only).
-    pub fn on_rpc_kind(kind: &str) -> String {
-        format!("{WORK_RPC_CALLS}[{kind}]")
-    }
-
     /// The per-channel variant of a metric key, e.g. `completed[channel-2]`.
     ///
     /// Multi-channel runs (`channel_count > 1`) emit the completion metrics

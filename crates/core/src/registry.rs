@@ -226,12 +226,6 @@ static ENTRIES: &[ScenarioEntry] = &[
         render: dedicated_scaling_render,
     },
     ScenarioEntry {
-        name: "batched_pull_calibration",
-        title: "Batched-pull pagination surcharge calibration sweep",
-        grid: batched_pull_calibration_grid,
-        render: batched_pull_calibration_render,
-    },
-    ScenarioEntry {
         name: "relayer_crash",
         title: "Relayer crash/restart: recovery via packet clearing",
         grid: relayer_crash_grid,
@@ -472,18 +466,6 @@ fn dedicated_scaling_grid(mode: SweepMode) -> SweepGrid {
     SweepGrid::new(relayed(1, 0, mode.pick(6, 15)).input_rate(mode.pick(120, 200)))
         .channel_counts(mode.pick(vec![1, 2, 4], vec![1, 2, 4, 8]))
         .channel_policies([ChannelPolicy::FairShare, ChannelPolicy::Dedicated])
-}
-
-/// The PR 4 calibration axis as a scenario: how sensitive is the batched
-/// fetcher's advantage (one block scan per flush instead of one per chunk)
-/// to the per-item pagination surcharge? Sweeps
-/// `DeploymentConfig::batched_pull_per_item_us` over the Fig. 12 run with
-/// `RelayerStrategy::batched_pulls`, from free pagination through 8× the
-/// calibrated 120 µs.
-fn batched_pull_calibration_grid(mode: SweepMode) -> SweepGrid {
-    with_strategy(fig12_grid(mode), RelayerStrategy::batched_pulls()).batched_pull_per_items(
-        mode.pick(vec![0, 120, 480, 960], vec![0, 30, 60, 120, 240, 480, 960]),
-    )
 }
 
 /// The §V account-sequence race as a strategy comparison: a sustained load
@@ -1070,33 +1052,6 @@ fn dedicated_scaling_render(report: &mut ExecutionReport, outcomes: &[ScenarioOu
     table(report, &rows, |group| group.0, &columns);
 }
 
-/// `batched_pull_calibration`: one row per pagination surcharge with the
-/// batch's completion latency and data-pull share.
-fn batched_pull_calibration_render(report: &mut ExecutionReport, outcomes: &[ScenarioOutcome]) {
-    report.add_note(format!(
-        "{} — {} transfers in one window under \
-         batched data pulls: the per-item pagination surcharge swept around the \
-         calibrated 120 µs (0 = free pagination)",
-        report.name, outcomes[0].spec.workload.total_transfers
-    ));
-    let surcharge = |o: &ScenarioOutcome| o.spec.deployment.batched_pull_per_item_us;
-    let latency = Col::float(
-        "completion latency (s)",
-        22,
-        ScenarioOutcome::completion_latency_secs,
-    );
-    let share = Col::new("data-pull share", 15, |o| {
-        let share = o.data_pull_share();
-        (format!("{:.0}%", share * 100.0), Some(share))
-    });
-    let columns = [
-        Col::count("surcharge (µs)", 16, surcharge),
-        latency.metric("latency_secs_at_{}us"),
-        share.metric("data_pull_share_at_{}us"),
-    ];
-    table(report, outcomes, surcharge, &columns);
-}
-
 /// `sequence_race`: one row per sequence-tracking arm, showing what the §V
 /// race costs and that mempool-aware tracking eliminates it.
 fn sequence_race_render(report: &mut ExecutionReport, outcomes: &[ScenarioOutcome]) {
@@ -1416,33 +1371,6 @@ mod tests {
         assert!(report.metric("tfps_shared_channels_2").unwrap() > 0.0);
         assert!(report.metric("tfps_dedicated_channels_2").unwrap() > 0.0);
         assert!(report.metric("scaling_at_channels_2").is_some());
-    }
-
-    #[test]
-    fn batched_pull_calibration_render_orders_surcharges() {
-        let entry = get("batched_pull_calibration").unwrap();
-        let grid = SweepGrid::new(
-            ExperimentSpec::latency()
-                .named("batched_pull_calibration")
-                .transfers(300)
-                .submission_blocks(1)
-                .rtt_ms(0)
-                .strategy(RelayerStrategy::batched_pulls())
-                .seed(42),
-        )
-        .batched_pull_per_items([0, 960]);
-        let outcomes = run_parallel(&grid.points(), 2);
-        assert_eq!(outcomes.len(), 2);
-        let report = entry.render(&outcomes);
-        assert_eq!(report.rows.len(), 3); // header + 2 surcharges
-        let free = report.metric("latency_secs_at_0us").unwrap();
-        let steep = report.metric("latency_secs_at_960us").unwrap();
-        assert!(free > 0.0);
-        assert!(
-            steep >= free,
-            "a steeper pagination surcharge cannot complete faster \
-             ({steep} vs {free})"
-        );
     }
 
     #[test]

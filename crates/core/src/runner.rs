@@ -336,7 +336,6 @@ pub fn run_experiment(
         });
     }
     let mut forwarder = HopForwarder::new(
-        workload_config,
         active_routes,
         testnet.paths.clone(),
         path_src.clone(),

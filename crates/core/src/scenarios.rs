@@ -173,29 +173,6 @@ pub fn outcome_from(spec: &ExperimentSpec, run: &RunOutput) -> ScenarioOutcome {
         }
     }
 
-    // Profiling runs surface the deterministic work counters so sweeps and
-    // the bench harness can regress on exact work, not wall-clock. Runs that
-    // never asked — every golden fixture — keep their metric maps unchanged.
-    if run.deployment.profile_work {
-        let work = &run.work;
-        outcome.set(keys::WORK_EVENTS_SCHEDULED, work.events_scheduled as f64);
-        outcome.set(keys::WORK_EVENTS_POPPED, work.events_popped as f64);
-        outcome.set(keys::WORK_RPC_CALLS, work.total_rpc_calls() as f64);
-        for (kind, count) in &work.rpc_calls {
-            outcome.set(&keys::on_rpc_kind(kind), *count as f64);
-        }
-        outcome.set(keys::WORK_TXS_ENCODED, work.txs_encoded as f64);
-        outcome.set(keys::WORK_TXS_DECODED, work.txs_decoded as f64);
-        outcome.set(keys::WORK_BYTES_SERIALIZED, work.bytes_serialized as f64);
-        outcome.set(keys::WORK_TELEMETRY_RECORDS, work.telemetry_records as f64);
-        outcome.set(keys::WORK_RELAYER_WAKES, work.relayer_wakes as f64);
-        outcome.set(keys::WORK_CLEAR_SCAN_VISITS, work.clear_scan_visits as f64);
-        outcome.set(
-            keys::WORK_MERKLE_INNER_HASHES,
-            work.merkle_inner_hashes as f64,
-        );
-    }
-
     // Multi-channel runs additionally emit the completion metrics once per
     // channel; single-channel runs emit only the aggregates so that the
     // paper scenarios' metric maps (and the golden fixtures) are unchanged.

@@ -319,16 +319,9 @@ impl ExperimentSpec {
         self
     }
 
-    /// Sets the RPC cost model's batched-pull pagination surcharge in
-    /// microseconds (`0` models free pagination) — the PR 2 batched-pull
-    /// cost as a sweepable calibration knob.
-    pub fn batched_pull_per_item_us(mut self, micros: u64) -> Self {
-        self.deployment.batched_pull_per_item_us = micros;
-        self
-    }
-
-    /// Sets the relayer pipeline strategy (event source, data fetcher,
-    /// submission policy, coordination) every instance runs.
+    /// Sets the relayer pipeline strategy (data fetcher, submission policy,
+    /// coordination, channel policy and the deployment-limit knobs) every
+    /// instance runs.
     ///
     /// ```rust
     /// use xcc_framework::spec::ExperimentSpec;
@@ -438,11 +431,6 @@ impl ExperimentSpec {
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("spec serialisation cannot fail")
     }
-
-    /// Parses a spec from JSON text.
-    pub fn from_json(text: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(text)
-    }
 }
 
 #[cfg(test)]
@@ -520,7 +508,7 @@ mod tests {
             1
         );
         // The knobs survive a JSON round trip.
-        let back = ExperimentSpec::from_json(&spec.to_json()).unwrap();
+        let back: ExperimentSpec = serde_json::from_str(&spec.to_json()).unwrap();
         assert_eq!(back, spec);
     }
 
@@ -531,7 +519,7 @@ mod tests {
             .seed(9)
             .named("ws-test");
         let json = spec.to_json();
-        let back = ExperimentSpec::from_json(&json).unwrap();
+        let back: ExperimentSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(back, spec);
         assert_eq!(back.to_json(), json);
     }

@@ -124,19 +124,13 @@ pub fn derived_seeds(base_seed: u64, count: usize) -> Vec<u64> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Axis {
     InputRate,
-    Relayers,
     Channels,
     RttMs,
-    // Before PR 13 the submission-blocks axis looped *outside* the
-    // transfer-count axis but was named after it; no registered grid or test
-    // combines the two, so the one order kept is the name order.
-    Transfers,
     SubmissionBlocks,
     Strategy,
     ChannelPolicy,
     FrameLimit,
     SequenceTracking,
-    PullPerItemUs,
     FaultPlan,
     Topology,
     Seed,
@@ -146,16 +140,13 @@ enum Axis {
 #[derive(Debug, Clone, PartialEq)]
 enum AxisValue {
     InputRate(u64),
-    Relayers(usize),
     Channels(usize),
     RttMs(u64),
-    Transfers(u64),
     SubmissionBlocks(u64),
     Strategy(RelayerStrategy),
     ChannelPolicy(ChannelPolicy),
     FrameLimit(u64),
     SequenceTracking(SequenceTracking),
-    PullPerItemUs(u64),
     FaultPlan(FaultPlan),
     Topology(Topology),
     Seed(u64),
@@ -166,16 +157,13 @@ impl AxisValue {
     fn apply(&self, spec: ExperimentSpec) -> ExperimentSpec {
         match self {
             AxisValue::InputRate(rate) => spec.input_rate(*rate),
-            AxisValue::Relayers(count) => spec.relayers(*count),
             AxisValue::Channels(count) => spec.channels(*count),
             AxisValue::RttMs(rtt) => spec.rtt_ms(*rtt),
-            AxisValue::Transfers(total) => spec.transfers(*total),
             AxisValue::SubmissionBlocks(blocks) => spec.submission_blocks(*blocks),
             AxisValue::Strategy(strategy) => spec.strategy(*strategy),
             AxisValue::ChannelPolicy(policy) => spec.channel_policy(*policy),
             AxisValue::FrameLimit(bytes) => spec.frame_limit(*bytes),
             AxisValue::SequenceTracking(tracking) => spec.sequence_tracking(*tracking),
-            AxisValue::PullPerItemUs(micros) => spec.batched_pull_per_item_us(*micros),
             AxisValue::FaultPlan(plan) => spec.fault_plan(plan.clone()),
             AxisValue::Topology(topology) => spec.topology(topology.clone()),
             AxisValue::Seed(seed) => spec.seed(*seed),
@@ -186,16 +174,13 @@ impl AxisValue {
     fn tag(&self) -> String {
         match self {
             AxisValue::InputRate(rate) => format!("/rate={rate}"),
-            AxisValue::Relayers(count) => format!("/relayers={count}"),
             AxisValue::Channels(count) => format!("/channels={count}"),
             AxisValue::RttMs(rtt) => format!("/rtt={rtt}"),
-            AxisValue::Transfers(total) => format!("/transfers={total}"),
             AxisValue::SubmissionBlocks(blocks) => format!("/blocks={blocks}"),
             AxisValue::Strategy(strategy) => format!("/strategy={}", strategy.label()),
             AxisValue::ChannelPolicy(policy) => format!("/policy={}", policy.label()),
             AxisValue::FrameLimit(bytes) => format!("/frame={bytes}"),
             AxisValue::SequenceTracking(tracking) => format!("/seqtrack={}", tracking.label()),
-            AxisValue::PullPerItemUs(micros) => format!("/pull_item={micros}us"),
             AxisValue::FaultPlan(plan) => format!("/faults={}", plan.label()),
             AxisValue::Topology(topology) => format!("/topo={}", topology.label()),
             AxisValue::Seed(seed) => format!("/seed={seed}"),
@@ -248,11 +233,6 @@ impl SweepGrid {
         self.axis(Axis::InputRate, rates, AxisValue::InputRate)
     }
 
-    /// Sets the relayer-count axis.
-    pub fn relayer_counts(self, counts: impl IntoIterator<Item = usize>) -> Self {
-        self.axis(Axis::Relayers, counts, AxisValue::Relayers)
-    }
-
     /// Sets the channel-count axis (concurrent channels per deployment).
     pub fn channel_counts(self, counts: impl IntoIterator<Item = usize>) -> Self {
         self.axis(Axis::Channels, counts, AxisValue::Channels)
@@ -266,11 +246,6 @@ impl SweepGrid {
     /// Sets the submission-strategy axis: block windows per batch.
     pub fn submission_blocks(self, blocks: impl IntoIterator<Item = u64>) -> Self {
         self.axis(Axis::SubmissionBlocks, blocks, AxisValue::SubmissionBlocks)
-    }
-
-    /// Sets the transfer-count axis (latency / websocket families).
-    pub fn transfer_counts(self, counts: impl IntoIterator<Item = u64>) -> Self {
-        self.axis(Axis::Transfers, counts, AxisValue::Transfers)
     }
 
     /// Sets the relayer-strategy axis.
@@ -295,12 +270,6 @@ impl SweepGrid {
     /// point of the axis reports `broadcast_failures`, the race's counter.
     pub fn sequence_trackings(self, modes: impl IntoIterator<Item = SequenceTracking>) -> Self {
         self.axis(Axis::SequenceTracking, modes, AxisValue::SequenceTracking)
-    }
-
-    /// Sets the batched-pull pagination surcharge axis in microseconds
-    /// (`0` models free pagination).
-    pub fn batched_pull_per_items(self, micros: impl IntoIterator<Item = u64>) -> Self {
-        self.axis(Axis::PullPerItemUs, micros, AxisValue::PullPerItemUs)
     }
 
     /// Sets the fault-plan axis. Each plan runs as its own point; include
@@ -473,29 +442,21 @@ mod tests {
     }
 
     #[test]
-    fn sequence_tracking_and_pull_surcharge_axes_expand_like_any_other() {
+    fn sequence_tracking_axis_expands_like_any_other() {
         let grid = SweepGrid::new(
             ExperimentSpec::relayer_throughput()
                 .input_rate(20)
                 .measurement_blocks(3),
         )
-        .sequence_trackings([SequenceTracking::Resync, SequenceTracking::MempoolAware])
-        .batched_pull_per_items([0, 240]);
-        assert_eq!(grid.len(), 4);
+        .sequence_trackings([SequenceTracking::Resync, SequenceTracking::MempoolAware]);
+        assert_eq!(grid.len(), 2);
         let points = grid.points();
+        assert_eq!(points[0].name, "relayer_throughput/seqtrack=resync");
+        assert_eq!(points[1].name, "relayer_throughput/seqtrack=mempool");
         assert_eq!(
-            points[0].name,
-            "relayer_throughput/seqtrack=resync/pull_item=0us"
-        );
-        assert_eq!(
-            points[3].name,
-            "relayer_throughput/seqtrack=mempool/pull_item=240us"
-        );
-        assert_eq!(
-            points[3].deployment.relayer_strategy.sequence_tracking,
+            points[1].deployment.relayer_strategy.sequence_tracking,
             SequenceTracking::MempoolAware
         );
-        assert_eq!(points[3].deployment.batched_pull_per_item_us, 240);
         // Every point of the tracking axis reports the race's counter.
         assert!(points
             .iter()

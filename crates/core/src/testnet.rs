@@ -23,10 +23,17 @@ use xcc_relayer::config::RelayerConfig;
 use xcc_relayer::relayer::{RelayPath, Relayer};
 use xcc_relayer::strategy::ChannelPolicy;
 use xcc_rpc::endpoint::RpcEndpoint;
-use xcc_sim::{DetRng, LatencyModel, SimDuration, SimTime};
+use xcc_sim::{DetRng, LatencyModel, SimTime};
 
 use crate::config::DeploymentConfig;
 use crate::topology::{ResolvedTopology, TopologyError};
+
+/// Validators per chain: the paper's testnet runs 5.
+pub const VALIDATORS_PER_CHAIN: usize = 5;
+
+/// Genesis balance of every funded user and relayer account, in the fee
+/// denomination: enough that no run ever runs an account dry.
+pub const ACCOUNT_BALANCE: u128 = 1_000_000_000_000;
 
 /// A fully deployed cross-chain testnet: the topology's chains, one open
 /// client/connection/channel stack per edge, and the relayer fleet staffing
@@ -63,8 +70,7 @@ pub struct Testnet {
     pub rng: DetRng,
 }
 
-/// Builds an RPC endpoint for a chain using the deployment's latency model
-/// and cost-calibration knobs.
+/// Builds an RPC endpoint for a chain using the deployment's latency model.
 pub fn make_rpc(
     chain: &SharedChain,
     deployment: &DeploymentConfig,
@@ -73,7 +79,6 @@ pub fn make_rpc(
 ) -> RpcEndpoint {
     RpcEndpoint::new(
         chain.clone(),
-        SimDuration::from_micros(deployment.batched_pull_per_item_us),
         LatencyModel::constant_rtt_ms(deployment.network_rtt_ms),
         rng.fork(label),
     )
@@ -188,16 +193,12 @@ impl Testnet {
                 min_block_interval: deployment.min_block_interval,
                 ..GenesisConfig::new(chain_id.as_str())
             }
-            .with_validators(deployment.validators_per_chain)
-            .with_funded_accounts(
-                "user",
-                deployment.user_accounts,
-                deployment.account_balance,
-            );
+            .with_validators(VALIDATORS_PER_CHAIN)
+            .with_funded_accounts("user", deployment.user_accounts, ACCOUNT_BALANCE);
             // Every relayer account is funded on every chain, so a process
             // can pay fees on whichever edge it serves.
             for r in 0..fleet.len().max(1) {
-                genesis = genesis.with_account(format!("relayer-{r}"), deployment.account_balance);
+                genesis = genesis.with_account(format!("relayer-{r}"), ACCOUNT_BALANCE);
             }
             let chain = Chain::new(genesis).into_shared();
             // Each chain commits its genesis block so that light clients can

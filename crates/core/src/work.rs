@@ -126,12 +126,12 @@ mod tests {
     #[test]
     fn naming_follows_request_kind_slots() {
         let mut counters = WorkCounters::default();
-        counters.rpc_calls[RequestKind::Status.index()] = 7;
+        counters.rpc_calls[RequestKind::AccountQuery.index()] = 7;
         counters.rpc_calls[RequestKind::BroadcastTxSync.index()] = 3;
         // An unmapped overflow slot surfaces as "other" instead of vanishing.
         counters.rpc_calls[xcc_sim::prof::RPC_KIND_SLOTS - 1] = 2;
         let profile = WorkProfile::from_counters(&counters);
-        assert_eq!(profile.rpc_calls.get("status"), Some(&7));
+        assert_eq!(profile.rpc_calls.get("account_query"), Some(&7));
         assert_eq!(profile.rpc_calls.get("broadcast_tx_sync"), Some(&3));
         assert_eq!(profile.rpc_calls.get(RPC_OTHER_KEY), Some(&2));
         assert_eq!(profile.rpc_calls.get("proof_query"), None);
@@ -144,16 +144,16 @@ mod tests {
             events_scheduled: 10,
             ..WorkProfile::default()
         };
-        a.rpc_calls.insert("status".to_string(), 4);
+        a.rpc_calls.insert("account_query".to_string(), 4);
         let mut b = WorkProfile {
             events_scheduled: 5,
             ..WorkProfile::default()
         };
-        b.rpc_calls.insert("status".to_string(), 1);
+        b.rpc_calls.insert("account_query".to_string(), 1);
         b.rpc_calls.insert("proof_query".to_string(), 9);
         let m = a.merged(&b);
         assert_eq!(m.events_scheduled, 15);
-        assert_eq!(m.rpc_calls.get("status"), Some(&5));
+        assert_eq!(m.rpc_calls.get("account_query"), Some(&5));
         assert_eq!(m.rpc_calls.get("proof_query"), Some(&9));
     }
 
@@ -164,7 +164,7 @@ mod tests {
             bytes_serialized: 9_999,
             ..WorkProfile::default()
         };
-        p.rpc_calls.insert("status".to_string(), 4);
+        p.rpc_calls.insert("account_query".to_string(), 4);
         let json = serde_json::to_string(&p).unwrap();
         let back: WorkProfile = serde_json::from_str(&json).unwrap();
         assert_eq!(back, p);

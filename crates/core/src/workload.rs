@@ -26,6 +26,14 @@ use crate::topology::HopRoute;
 use xcc_ibc::events as ibc_events;
 use xcc_relayer::relayer::RelayPath;
 
+/// Transfer messages the CLI batches into one transaction: the paper's 100,
+/// the Hermes maximum.
+pub const TRANSFERS_PER_TX: usize = 100;
+
+/// CPU time the submitting CLI spends building and signing one transaction,
+/// before the per-message cost.
+const CLI_COST_PER_TX: SimDuration = SimDuration::from_millis(12);
+
 /// The record of one submitted (or attempted) transfer transaction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubmissionRecord {
@@ -63,7 +71,6 @@ pub struct SubmissionStats {
 fn cli_transfer(
     rpc: &mut RpcEndpoint,
     mut t: SimTime,
-    cli_cost_per_tx: SimDuration,
     user: &AccountId,
     path: &RelayPath,
     fee_denom: &str,
@@ -79,7 +86,7 @@ fn cli_transfer(
     t = seq_resp.ready_at;
 
     // Building and signing the transaction costs CLI time.
-    t += cli_cost_per_tx + SimDuration::from_micros(40) * batch as u64;
+    t += CLI_COST_PER_TX + SimDuration::from_micros(40) * batch as u64;
 
     let msgs: Vec<Msg> = (0..batch)
         .map(|_| {
@@ -254,7 +261,7 @@ impl WorkloadConnector {
 
         let mut t = self.cli_free.max(window_start);
         while to_submit > 0 {
-            let batch = (self.config.transfers_per_tx as u64).min(to_submit) as usize;
+            let batch = (TRANSFERS_PER_TX as u64).min(to_submit) as usize;
             to_submit -= batch as u64;
             self.remaining -= batch as u64;
 
@@ -266,7 +273,6 @@ impl WorkloadConnector {
             let (tx_hash, done_at, error) = cli_transfer(
                 &mut self.rpcs[endpoint],
                 t,
-                self.config.cli_cost_per_tx,
                 user,
                 &self.paths[channel],
                 &self.fee_denoms[endpoint],
@@ -336,8 +342,6 @@ pub struct HopForwarder {
     fee_denoms: BTreeMap<usize, String>,
     users: Vec<AccountId>,
     next_user: usize,
-    transfers_per_tx: usize,
-    cli_cost_per_tx: SimDuration,
     cli_free: SimTime,
     records: Vec<ForwardRecord>,
     stats: SubmissionStats,
@@ -349,7 +353,6 @@ impl HopForwarder {
     /// second-leg source chain (keyed by chain index). An empty route list
     /// produces an inert forwarder that performs no work at all.
     pub fn new(
-        config: &WorkloadConfig,
         routes: Vec<HopRoute>,
         paths: Vec<RelayPath>,
         path_src: Vec<usize>,
@@ -373,8 +376,6 @@ impl HopForwarder {
                 .map(|i| AccountId::new(format!("user-{i}")))
                 .collect(),
             next_user: 0,
-            transfers_per_tx: config.transfers_per_tx,
-            cli_cost_per_tx: config.cli_cost_per_tx,
             cli_free: SimTime::ZERO,
             records: Vec::new(),
             stats: SubmissionStats::default(),
@@ -452,7 +453,7 @@ impl HopForwarder {
                 continue;
             };
             while remaining > 0 {
-                let batch = (self.transfers_per_tx as u64).min(remaining) as usize;
+                let batch = (TRANSFERS_PER_TX as u64).min(remaining) as usize;
                 remaining -= batch as u64;
                 submitted_any = true;
 
@@ -461,7 +462,6 @@ impl HopForwarder {
                 let (tx_hash, done_at, error) = cli_transfer(
                     rpc,
                     t,
-                    self.cli_cost_per_tx,
                     user,
                     &self.paths[second],
                     fee_denom,

@@ -275,9 +275,8 @@ mod tests {
     }
 
     /// Captured at the commit before `kind` and the keys became `&'static
-    /// str` (PR 21). The WebSocket frame limit and the `BlockResults`
-    /// response size are sums of these, so they are part of the simulated
-    /// result, not of the representation.
+    /// str` (PR 21). The WebSocket frame size is a sum of these, so they are
+    /// part of the simulated result, not of the representation.
     #[test]
     fn encoded_sizes_are_pinned() {
         let events = the_five_packet_events();

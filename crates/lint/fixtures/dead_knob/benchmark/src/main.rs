@@ -1,5 +1,5 @@
-//! K1 fixture: the benchmark package is not linted, but a name it uses is
-//! a caller.
+//! K1 fixture: the benchmark package is not linted, but a name it uses
+//! stays alive.
 
 fn main() {
     println!("{}", bench_probe());

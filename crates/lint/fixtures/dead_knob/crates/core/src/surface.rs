@@ -11,7 +11,7 @@ pub fn used_here() -> u64 {
     2
 }
 
-/// Called from `tests/drive.rs`: alive.
+/// Called only from `tests/drive.rs`: a test is not a caller, so dead.
 pub fn caller() -> u64 {
     used_here()
 }

@@ -1,4 +1,4 @@
-//! K1 fixture: an integration test is a caller.
+//! K1 fixture: an integration test is not a caller.
 
 #[test]
 fn drives() {

@@ -36,8 +36,9 @@
 //!   `#![forbid(unsafe_code)]`.
 //! * **K1 `dead-knob`** — every pub config field is read outside its
 //!   defining file, and every non-test `pub fn` of the seven simulation
-//!   crates (`SweepGrid`'s axes among them) is named somewhere besides its
-//!   own file's unit tests: another scanned file, its own non-test lines,
+//!   crates (`SweepGrid`'s axes among them) is named somewhere other than a
+//!   test: another scanned file's non-test lines (`tests/` and
+//!   `#[cfg(test)]` code never count), its own non-test lines,
 //!   `benchmark/src` or a rustdoc example.
 //! * **P1 `panic-in-library`** — `unwrap()`/`expect()`/`panic!` in non-test
 //!   library code is ratcheted by `panic-baseline.txt`.

@@ -34,8 +34,8 @@ pub struct RelayerConfig {
     /// The relayer's fee-paying account, the same on both chains (the
     /// testnet funds every `relayer-<id>` account on every chain).
     pub account: AccountId,
-    /// The pipeline strategy this instance runs (event source, data fetcher,
-    /// submission policy, coordination, channel policy, and the
+    /// The pipeline strategy this instance runs (data fetcher, submission
+    /// policy, coordination, channel policy, sequence tracking, and the
     /// frame-limit / packet-clear-interval deployment knobs). The default
     /// reproduces the paper's Hermes pipeline.
     pub strategy: RelayerStrategy,

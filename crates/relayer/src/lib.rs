@@ -12,13 +12,12 @@
 //!   (account, strategy, fleet position), beside the pipeline constants
 //!   nothing varies ([`config::MAX_MSGS_PER_TX`] and three processing costs);
 //! * [`strategy::RelayerStrategy`] — the serde-able description of the
-//!   pipeline: event source, data fetcher, submission mode, coordination
-//!   mode and channel policy. The default reproduces the paper's Hermes
+//!   pipeline: data fetcher, submission mode, coordination mode, channel
+//!   policy and sequence tracking. The default reproduces the paper's Hermes
 //!   pipeline; the other arms open the paper's "what if?" counterfactuals
-//!   (batched/parallel pulls, windowed submission, coordinated instances);
+//!   (batched/parallel pulls, adaptive submission, coordinated instances);
 //! * [`stages`] — what each arm does, as methods on the strategy enums
-//!   ([`strategy::EventSourceKind::collect_events`],
-//!   [`strategy::FetchStrategy::fetch_packet_data`],
+//!   ([`strategy::FetchStrategy::fetch_packet_data`],
 //!   [`strategy::SubmissionMode::should_flush`],
 //!   [`strategy::CoordinationMode::assigned`],
 //!   [`strategy::ChannelPolicy::flush_order`]);

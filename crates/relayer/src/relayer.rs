@@ -24,14 +24,12 @@
 //! in the relayer's [`RelayerConfig`], whose behaviour lives in
 //! [`crate::stages`]:
 //!
-//! * [`EventSourceKind`](crate::strategy::EventSourceKind) delivers block
-//!   events (WebSocket push vs RPC polling);
 //! * [`FetchStrategy`](crate::strategy::FetchStrategy) pulls packet data and
 //!   proofs (sequential vs batched vs parallel);
 //! * [`SubmissionMode`](crate::strategy::SubmissionMode) decides when
-//!   pending packets are relayed (eager vs windowed vs adaptive);
+//!   pending packets are relayed (eager vs adaptive);
 //! * [`CoordinationMode`](crate::strategy::CoordinationMode) divides work
-//!   between instances (none vs partition vs leases);
+//!   between instances (none vs sequence partition);
 //! * [`ChannelPolicy`](crate::strategy::ChannelPolicy) divides one
 //!   instance's attention between the channels it serves (fair-share vs
 //!   priority vs dedicated-relayer-per-channel).
@@ -401,11 +399,10 @@ impl Relayer {
     /// policy. A dedicated-fleet process coordinates under its replica id
     /// within the channel's replica group (`config.coordination_id`), not
     /// its global process id.
-    fn assigned(&self, src_height: u64, sequence: Sequence) -> bool {
+    fn assigned(&self, sequence: Sequence) -> bool {
         self.config.strategy.coordination.assigned(
             self.config.coordination_id,
             self.config.instances.max(1),
-            src_height,
             sequence,
         )
     }
@@ -573,9 +570,12 @@ impl Relayer {
     }
 
     /// The head of both block handlers: notes the commit of the block at
-    /// `height` on the chain playing `on`, then collects the block's events.
-    /// Returns the instant the events reach the packet worker and the batch
-    /// — `None` when collection failed, which is counted and logged here.
+    /// `height` on the chain playing `on`, then collects the block's events
+    /// over the WebSocket subscription, which is free of RPC-queue cost.
+    /// Returns the instant the events reach the packet worker (the push's
+    /// transport delay plus [`Relayer::relayer_delay`]) and the batch —
+    /// `None` when collection failed (Hermes' "Failed to collect events" on
+    /// an oversized frame), which is counted and logged here.
     fn collect_block(
         &mut self,
         on: ChainRole,
@@ -589,18 +589,12 @@ impl Relayer {
         // in-flight window; a mempool-aware tracker reconciles before the
         // next broadcast towards that chain.
         end.seq.note_commit();
-        let (event_time, collected) = self.config.strategy.event_source.collect_events(
-            &mut end.events,
-            &mut end.rpc,
-            height,
-            commit_time,
-            delay,
-        );
-        match collected {
+        let event_time = commit_time + end.events.delivery_overhead() + delay;
+        match end.events.collect_block_events(&end.rpc, height) {
             Ok(batch) => (event_time, Some(batch)),
-            Err(message) => {
+            Err(err) => {
                 self.stats.event_collection_failures += 1;
-                self.telemetry.record_error(event_time, message);
+                self.telemetry.record_error(event_time, err.to_string());
                 (event_time, None)
             }
         }
@@ -657,7 +651,7 @@ impl Relayer {
                                 TransferStep::TransferConfirmation,
                                 event_time,
                             );
-                            if self.assigned(height, packet.sequence) {
+                            if self.assigned(packet.sequence) {
                                 // One allocation: timeout watch + held receive.
                                 let packet = Rc::new(packet);
                                 let key = (channel, packet.sequence.value());
@@ -850,7 +844,7 @@ impl Relayer {
                     // `packets_left_to_peers` on the source side if it
                     // belongs to another instance; here the assignment
                     // only routes the acknowledgement work.
-                    if self.assigned(height, packet.sequence) {
+                    if self.assigned(packet.sequence) {
                         self.hold(Source, channel, [(height, Rc::new(packet))]);
                     }
                 }
@@ -1245,7 +1239,7 @@ impl Relayer {
             }
             .into_iter()
             .inspect(|_| prof::bump_clear_scan_visit())
-            .filter(|seq| self.assigned(height, *seq))
+            .filter(|seq| self.assigned(*seq))
             // Skip packets already in this instance's hands: held for a
             // later flush (clearing a held acknowledgement again would
             // duplicate its `MsgAcknowledgement`), or broadcast and awaiting
@@ -1467,7 +1461,7 @@ impl std::fmt::Debug for Relayer {
             .field("id", &self.id)
             .field("channels", &self.paths.len())
             .field("strategy", &self.config.strategy)
-            .field("packets_tracked", &self.telemetry.len())
+            .field("packets_tracked", &self.packets.len())
             .field("stats", &self.stats)
             .finish()
     }
@@ -1482,7 +1476,6 @@ mod tests {
     use xcc_ibc::channel::Order;
     use xcc_ibc::ids::{ChannelId, ClientId};
     use xcc_ibc::module::TransferParams;
-    use xcc_rpc::cost::BATCHED_PULL_PER_ITEM;
     use xcc_rpc::endpoint::UnconfirmedSequence;
     use xcc_sim::{DetRng, LatencyModel};
     use xcc_tendermint::mempool::MAX_TXS;
@@ -1502,12 +1495,7 @@ mod tests {
     }
 
     fn rpc_for(chain: &xcc_chain::chain::SharedChain, seed: u64) -> RpcEndpoint {
-        RpcEndpoint::new(
-            chain.clone(),
-            BATCHED_PULL_PER_ITEM,
-            LatencyModel::Zero,
-            DetRng::new(seed),
-        )
+        RpcEndpoint::new(chain.clone(), LatencyModel::Zero, DetRng::new(seed))
     }
 
     fn path(channel: u64) -> RelayPath {
@@ -1738,8 +1726,8 @@ mod tests {
         assert!(!relayer.serves_channel(2));
         // Sequence partitioning over 2 replicas under coordination id 1:
         // odd sequences belong to this process, even ones to replica 0.
-        assert!(relayer.assigned(10, Sequence::from(7)));
-        assert!(!relayer.assigned(10, Sequence::from(8)));
+        assert!(relayer.assigned(Sequence::from(7)));
+        assert!(!relayer.assigned(Sequence::from(8)));
     }
 
     /// Pins the `broadcast_failures` counting semantics documented on
@@ -1887,7 +1875,7 @@ mod tests {
         relayer.ends[SRC]
             .inflight_txs
             .push((Hash([1; 32]), vec![(0, 2)]));
-        // One block into a Windowed/Adaptive submission window.
+        // One block into an adaptive submission window.
         relayer.blocks_held = 1;
         relayer.notify_source_block(1, SimTime::from_secs(5));
 
@@ -2135,5 +2123,23 @@ mod tests {
             })
             .collect();
         assert_eq!(acked, [3, 1, 2], "the held acknowledgement leads");
+    }
+
+    #[test]
+    fn debug_counts_the_live_packet_table_not_the_telemetry_log() {
+        let dst = chain("dst-chain");
+        let mut relayer = test_relayer(&dst);
+        relayer.packets.entry((0, 1)).or_default().watch = Some(Rc::new(packet(1)));
+        // Two retired packets the log still remembers.
+        for seq in 2..=3 {
+            relayer.telemetry.record(
+                Sequence::from(seq),
+                TransferStep::AckConfirmation,
+                SimTime::from_secs(seq),
+            );
+        }
+        assert_eq!(relayer.telemetry.packets().len(), 2);
+        let shown = format!("{relayer:?}");
+        assert!(shown.contains("packets_tracked: 1,"), "{shown}");
     }
 }

@@ -1,17 +1,17 @@
 //! The relayer pipeline stages: the behaviour of each arm of a
 //! [`RelayerStrategy`], as methods on the strategy enums themselves.
 //!
-//! [`Relayer`](crate::relayer::Relayer) is a thin driver over five decisions,
-//! mirroring the paper's Fig. 4 decomposition of Hermes:
+//! [`Relayer`](crate::relayer::Relayer) is a thin driver over four decisions,
+//! mirroring the paper's Fig. 4 decomposition of Hermes, after each committed
+//! block's events arrive over the WebSocket subscription
+//! [`RelayerStrategy::subscription`] describes:
 //!
-//! 1. [`EventSourceKind::collect_events`] delivers each committed block's
-//!    events;
-//! 2. [`FetchStrategy::fetch_packet_data`] / [`FetchStrategy::fetch_ack_data`]
+//! 1. [`FetchStrategy::fetch_packet_data`] / [`FetchStrategy::fetch_ack_data`]
 //!    pull packet data and proofs back out of a chain;
-//! 3. [`SubmissionMode::should_flush`] decides when pending packets are
+//! 2. [`SubmissionMode::should_flush`] decides when pending packets are
 //!    relayed;
-//! 4. [`CoordinationMode::assigned`] divides work between relayer instances;
-//! 5. [`ChannelPolicy::flush_order`] orders one instance's attention between
+//! 3. [`CoordinationMode::assigned`] divides work between relayer instances;
+//! 4. [`ChannelPolicy::flush_order`] orders one instance's attention between
 //!    channels.
 //!
 //! Every stage works in simulated time: the methods take the instant an
@@ -25,8 +25,8 @@
 //! // Ask the partitioned-coordination strategy who relays packet #7 of a
 //! // two-relayer deployment.
 //! let coordination = RelayerStrategy::coordinated().coordination;
-//! assert!(!coordination.assigned(0, 2, 10, Sequence::from(7)));
-//! assert!(coordination.assigned(1, 2, 10, Sequence::from(7)));
+//! assert!(!coordination.assigned(0, 2, Sequence::from(7)));
+//! assert!(coordination.assigned(1, 2, Sequence::from(7)));
 //! ```
 
 use std::collections::BTreeMap;
@@ -34,96 +34,44 @@ use std::collections::BTreeMap;
 use xcc_ibc::commitment::CommitmentProof;
 use xcc_ibc::ids::{ChannelId, PortId, Sequence};
 use xcc_ibc::packet::Acknowledgement;
-use xcc_rpc::endpoint::{BlockEventBatch, RpcEndpoint};
+use xcc_rpc::endpoint::RpcEndpoint;
 use xcc_rpc::websocket::WebSocketSubscription;
-use xcc_sim::{SimDuration, SimTime};
+use xcc_sim::SimTime;
 
 use crate::strategy::{
-    ChannelPolicy, CoordinationMode, EventSourceKind, FetchStrategy, RelayerStrategy,
-    SubmissionMode,
+    ChannelPolicy, CoordinationMode, FetchStrategy, RelayerStrategy, SubmissionMode,
 };
 
 // ---------------------------------------------------------------------------
-// Event source
+// Event subscription
 // ---------------------------------------------------------------------------
 
 impl RelayerStrategy {
     /// The WebSocket subscription this strategy's frame-limit knob
     /// describes (`0` is Tendermint's 16 MiB default). A relayer holds one
-    /// per chain; [`EventSourceKind::Polling`] never reads it.
-    pub fn subscription(&self) -> WebSocketSubscription {
-        match self.ws_frame_limit_bytes {
-            0 => WebSocketSubscription::default(),
-            limit => WebSocketSubscription::new(limit as usize),
-        }
-    }
-}
-
-impl EventSourceKind {
-    /// Collects the events of the block at `height`, committed at
-    /// `commit_time`. Returns the delivery instant together with the batch,
-    /// or with the transport error message (e.g. Hermes' "Failed to collect
-    /// events" on an oversized WebSocket frame).
-    ///
-    /// `relayer_delay` is the relayer-side processing overhead (event
-    /// handling plus the per-instance stagger); each arm adds its own
-    /// transport delay: the WebSocket push is free of RPC-queue cost, while
-    /// polling defers event handling by the response time of a queued
-    /// `block_results` query.
-    ///
-    /// The `frame_limit_sweep` registry scenario exercises this stage's
-    /// failure mode — the configured frame limit comes from
-    /// [`RelayerStrategy::frame_limit`], and
-    /// [`RelayerStrategy::polling_events`] swaps in the limit-free polling
-    /// arm.
+    /// per chain; the `frame_limit_sweep` registry scenario exercises its
+    /// §V failure mode, Hermes' "Failed to collect events" on an oversized
+    /// frame.
     ///
     /// ```rust
     /// use xcc_chain::chain::Chain;
     /// use xcc_chain::genesis::GenesisConfig;
-    /// use xcc_relayer::strategy::{EventSourceKind, RelayerStrategy};
-    /// use xcc_rpc::cost::BATCHED_PULL_PER_ITEM;
+    /// use xcc_relayer::strategy::RelayerStrategy;
     /// use xcc_rpc::endpoint::RpcEndpoint;
-    /// use xcc_sim::{DetRng, LatencyModel, SimDuration, SimTime};
+    /// use xcc_sim::{DetRng, LatencyModel, SimTime};
     ///
     /// let chain = Chain::new(GenesisConfig::new("chain-a")).into_shared();
     /// chain.borrow_mut().produce_block(SimTime::from_secs(5));
-    /// let mut rpc = RpcEndpoint::new(
-    ///     chain,
-    ///     BATCHED_PULL_PER_ITEM,
-    ///     LatencyModel::Zero,
-    ///     DetRng::new(1),
-    /// );
+    /// let rpc = RpcEndpoint::new(chain, LatencyModel::Zero, DetRng::new(1));
     ///
     /// let mut subscription = RelayerStrategy::default().subscription();
-    /// let commit = SimTime::from_secs(5);
-    /// let (at, batch) = EventSourceKind::WebSocket.collect_events(
-    ///     &mut subscription, &mut rpc, 1, commit, SimDuration::from_millis(10));
-    /// assert!(at > commit, "delivery adds transport + processing delay");
-    /// assert_eq!(batch.unwrap().committed.block.header.height, 1);
+    /// let batch = subscription.collect_block_events(&rpc, 1).unwrap();
+    /// assert_eq!(batch.committed.block.header.height, 1);
     /// ```
-    pub fn collect_events(
-        self,
-        subscription: &mut WebSocketSubscription,
-        rpc: &mut RpcEndpoint,
-        height: u64,
-        commit_time: SimTime,
-        relayer_delay: SimDuration,
-    ) -> (SimTime, Result<BlockEventBatch, String>) {
-        match self {
-            EventSourceKind::WebSocket => {
-                let at = commit_time + subscription.delivery_overhead() + relayer_delay;
-                let result = subscription
-                    .collect_block_events(rpc, height)
-                    .map_err(|e| e.to_string());
-                (at, result)
-            }
-            EventSourceKind::Polling => {
-                let resp = rpc.block_tx_results(commit_time + relayer_delay, height);
-                let result = resp
-                    .value
-                    .ok_or_else(|| format!("block_results: no block at height {height}"));
-                (resp.ready_at, result)
-            }
+    pub fn subscription(&self) -> WebSocketSubscription {
+        match self.ws_frame_limit_bytes {
+            0 => WebSocketSubscription::default(),
+            limit => WebSocketSubscription::new(limit as usize),
         }
     }
 }
@@ -159,19 +107,13 @@ pub struct Fetched<T> {
 /// use xcc_chain::genesis::GenesisConfig;
 /// use xcc_ibc::ids::{ChannelId, PortId, Sequence};
 /// use xcc_relayer::strategy::FetchStrategy;
-/// use xcc_rpc::cost::BATCHED_PULL_PER_ITEM;
 /// use xcc_rpc::endpoint::RpcEndpoint;
 /// use xcc_sim::{DetRng, LatencyModel, SimTime};
 ///
 /// let make_rpc = || {
 ///     let chain = Chain::new(GenesisConfig::new("chain-a")).into_shared();
 ///     chain.borrow_mut().produce_block(SimTime::from_secs(5));
-///     RpcEndpoint::new(
-///         chain,
-///         BATCHED_PULL_PER_ITEM,
-///         LatencyModel::constant_rtt_ms(200),
-///         DetRng::new(1),
-///     )
+///     RpcEndpoint::new(chain, LatencyModel::constant_rtt_ms(200), DetRng::new(1))
 /// };
 /// let seqs: Vec<Sequence> = (1..=250).map(Sequence::from).collect();
 /// let (port, channel) = (PortId::transfer(), ChannelId::with_index(0));
@@ -302,8 +244,8 @@ impl SubmissionMode {
     /// ```rust
     /// use xcc_relayer::strategy::SubmissionMode;
     ///
-    /// // A two-block window holds the first block's packets for one more block.
-    /// let policy = SubmissionMode::Windowed { blocks: 2 };
+    /// // A two-block window holds a part-filled batch for one more block.
+    /// let policy = SubmissionMode::Adaptive { max_window_blocks: 2 };
     /// let mut blocks_held = 0;
     /// assert!(!policy.should_flush(&mut blocks_held, 40, 100));
     /// assert!(policy.should_flush(&mut blocks_held, 80, 100));
@@ -314,17 +256,14 @@ impl SubmissionMode {
         pending_msgs: usize,
         max_msgs_per_tx: usize,
     ) -> bool {
-        let (window, full_tx) = match self {
-            SubmissionMode::Eager => return true,
-            SubmissionMode::Windowed { blocks } => (blocks, false),
-            SubmissionMode::Adaptive { max_window_blocks } => {
-                (max_window_blocks, pending_msgs >= max_msgs_per_tx.max(1))
-            }
+        let SubmissionMode::Adaptive { max_window_blocks } = self else {
+            return true;
         };
+        let full_tx = pending_msgs >= max_msgs_per_tx.max(1);
         *blocks_held += 1;
         // At least one block is held by now, so a zero window from a
         // hand-written strategy needs no clamp: it flushes like a window of 1.
-        let flush = full_tx || *blocks_held >= window;
+        let flush = full_tx || *blocks_held >= max_window_blocks;
         if flush {
             *blocks_held = 0;
         }
@@ -338,15 +277,13 @@ impl SubmissionMode {
 
 impl CoordinationMode {
     /// Whether instance `relayer_id` of `relayer_count` is responsible for
-    /// relaying `sequence`, observed at source block `src_height`. Without
-    /// coordination that is every instance, and with more than one the
-    /// duplicates are rejected on chain or skipped after the
-    /// unreceived-packet query (Figs. 9 and 11); the other arms pick exactly
-    /// one (a zero `lease_blocks` from a hand-written strategy is one block).
+    /// relaying `sequence`. Without coordination that is every instance, and
+    /// with more than one the duplicates are rejected on chain or skipped
+    /// after the unreceived-packet query (Figs. 9 and 11); partitioning picks
+    /// exactly one.
     ///
     /// The `fig11_coordinated` registry scenario exercises the non-default
-    /// policies, built from [`RelayerStrategy::coordinated`] and
-    /// [`RelayerStrategy::leader_lease`].
+    /// policy, built from [`RelayerStrategy::coordinated`].
     ///
     /// ```rust
     /// use xcc_ibc::ids::Sequence;
@@ -355,24 +292,17 @@ impl CoordinationMode {
     /// // Exactly one of three instances owns each sequence.
     /// let policy = CoordinationMode::SequencePartition;
     /// let owners: Vec<usize> = (0..3)
-    ///     .filter(|id| policy.assigned(*id, 3, 7, Sequence::from(11)))
+    ///     .filter(|id| policy.assigned(*id, 3, Sequence::from(11)))
     ///     .collect();
     /// assert_eq!(owners, vec![2]);
     /// ```
-    pub fn assigned(
-        self,
-        relayer_id: usize,
-        relayer_count: usize,
-        src_height: u64,
-        sequence: Sequence,
-    ) -> bool {
-        let slot = match self {
-            CoordinationMode::None => return true,
-            _ if relayer_count <= 1 => return true,
-            CoordinationMode::SequencePartition => sequence.value(),
-            CoordinationMode::LeaderLease { lease_blocks } => src_height / lease_blocks.max(1),
-        };
-        slot % relayer_count as u64 == relayer_id as u64
+    pub fn assigned(self, relayer_id: usize, relayer_count: usize, sequence: Sequence) -> bool {
+        match self {
+            CoordinationMode::None => true,
+            CoordinationMode::SequencePartition => {
+                relayer_count <= 1 || sequence.value() % relayer_count as u64 == relayer_id as u64
+            }
+        }
     }
 }
 
@@ -445,7 +375,6 @@ mod tests {
         use xcc_chain::genesis::GenesisConfig;
         use xcc_chain::msg::Msg;
         use xcc_chain::tx::Tx;
-        use xcc_rpc::cost::BATCHED_PULL_PER_ITEM;
         use xcc_sim::{DetRng, LatencyModel};
         let chain =
             Chain::new(GenesisConfig::new("chain-a").with_funded_accounts("user", 2, 100_000_000))
@@ -467,56 +396,38 @@ mod tests {
             }
             c.produce_block(SimTime::from_secs(5));
         }
-        RpcEndpoint::new(
-            chain,
-            BATCHED_PULL_PER_ITEM,
-            LatencyModel::Zero,
-            DetRng::new(1),
-        )
+        RpcEndpoint::new(chain, LatencyModel::Zero, DetRng::new(1))
     }
 
     #[test]
-    fn both_event_sources_deliver_the_stored_block_itself() {
-        let mut rpc = rpc_with_a_mixed_block();
+    fn the_subscription_delivers_the_stored_block_itself() {
+        let rpc = rpc_with_a_mixed_block();
         let mut subscription = RelayerStrategy::default().subscription();
-        let [pushed, polled] = [EventSourceKind::WebSocket, EventSourceKind::Polling].map(|kind| {
-            let commit = SimTime::from_secs(5);
-            kind.collect_events(&mut subscription, &mut rpc, 1, commit, SimDuration::ZERO)
-                .1
-                .unwrap()
-        });
+        let pushed = subscription.collect_block_events(&rpc, 1).unwrap();
         let chain = rpc.chain().borrow();
         let stored = chain.block_at(1).unwrap();
         assert!(std::rc::Rc::ptr_eq(&pushed.committed, stored));
-        assert!(std::rc::Rc::ptr_eq(&polled.committed, stored));
 
         let txs: Vec<_> = pushed.txs().collect();
-        assert_eq!(txs, polled.txs().collect::<Vec<_>>());
         let hashes: Vec<_> = stored.block.data.txs.iter().map(|tx| tx.hash()).collect();
         assert_eq!(hashes, [txs[0].0, txs[1].0]);
         assert_eq!((txs[0].1, txs[0].2.len()), (0, 2));
         assert_eq!((txs[1].1, txs[1].2.len()), (111, 0), "insufficient funds");
 
         // Pinned from the commit before the block store was shared: the §V
-        // frame size and the `BlockResults` response size of this block.
+        // frame size of this block.
         assert_eq!(stored.events_payload_bytes, 1111);
         assert_eq!(pushed.payload_bytes, 1111);
-        assert_eq!(polled.payload_bytes, 1495);
     }
 
     #[test]
-    fn frame_limit_knob_configures_the_event_source() {
-        let mut rpc = rpc_with_a_mixed_block();
-        let mut collect = |strategy: RelayerStrategy| {
-            let mut subscription = strategy.subscription();
-            let (_, result) = strategy.event_source.collect_events(
-                &mut subscription,
-                &mut rpc,
-                1,
-                SimTime::from_secs(5),
-                SimDuration::ZERO,
-            );
-            result
+    fn frame_limit_knob_configures_the_subscription() {
+        let rpc = rpc_with_a_mixed_block();
+        let collect = |strategy: RelayerStrategy| {
+            strategy
+                .subscription()
+                .collect_block_events(&rpc, 1)
+                .map_err(|e| e.to_string())
         };
         // A one-byte limit must fail collection where the default succeeds.
         let tiny = collect(RelayerStrategy::default().frame_limit(1));
@@ -530,23 +441,11 @@ mod tests {
     }
 
     #[test]
-    fn eager_always_flushes_and_windowed_counts_blocks() {
+    fn eager_always_flushes() {
         let mut held = 0;
         let eager = SubmissionMode::Eager;
         assert!(eager.should_flush(&mut held, 1, 100));
         assert!(eager.should_flush(&mut held, 0, 100));
-
-        let windowed = SubmissionMode::Windowed { blocks: 3 };
-        assert!(!windowed.should_flush(&mut held, 10, 100));
-        assert!(!windowed.should_flush(&mut held, 20, 100));
-        assert!(windowed.should_flush(&mut held, 30, 100));
-        // The counter restarts after a flush.
-        assert!(!windowed.should_flush(&mut held, 10, 100));
-
-        // A zero window from outside is a one-block window.
-        let zero = parsed::<SubmissionMode>(r#"{"Windowed":{"blocks":0}}"#);
-        let mut held = 0;
-        assert!(zero.should_flush(&mut held, 10, 100));
         assert_eq!(held, 0);
     }
 
@@ -577,36 +476,21 @@ mod tests {
     }
 
     #[test]
-    fn partition_and_lease_assign_exactly_one_instance() {
+    fn partition_assigns_exactly_one_instance() {
         let partition = CoordinationMode::SequencePartition;
-        let lease = CoordinationMode::LeaderLease { lease_blocks: 4 };
-        // A zero lease from outside rotates every block instead of dividing
-        // by zero.
-        let zero_lease: CoordinationMode = parsed(r#"{"LeaderLease":{"lease_blocks":0}}"#);
-        for height in [1u64, 7, 9] {
-            for seq in 1u64..=20 {
-                let seq = Sequence::from(seq);
-                for policy in [partition, lease, zero_lease] {
-                    let owners = (0..3)
-                        .filter(|id| policy.assigned(*id, 3, height, seq))
-                        .count();
-                    assert_eq!(owners, 1);
-                }
-            }
+        for seq in 1u64..=20 {
+            let seq = Sequence::from(seq);
+            let owners = (0..3).filter(|id| partition.assigned(*id, 3, seq)).count();
+            assert_eq!(owners, 1);
         }
         // Single-instance deployments always own everything.
-        assert!(partition.assigned(0, 1, 1, Sequence::from(9)));
-        assert!(lease.assigned(0, 1, 1, Sequence::from(9)));
-        // Leases rotate with height.
-        assert!(lease.assigned(0, 2, 0, Sequence::from(1)));
-        assert!(lease.assigned(1, 2, 4, Sequence::from(1)));
-        assert!(zero_lease.assigned(1, 2, 1, Sequence::from(1)));
+        assert!(partition.assigned(0, 1, Sequence::from(9)));
     }
 
     #[test]
     fn no_coordination_assigns_everyone() {
         let none = CoordinationMode::None;
-        assert!(none.assigned(0, 2, 1, Sequence::from(1)));
-        assert!(none.assigned(1, 2, 1, Sequence::from(1)));
+        assert!(none.assigned(0, 2, Sequence::from(1)));
+        assert!(none.assigned(1, 2, Sequence::from(1)));
     }
 }

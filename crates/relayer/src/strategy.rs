@@ -8,16 +8,20 @@
 //! pipeline, not consensus, caps cross-chain throughput (Figs. 8 vs 6) and
 //! dominates completion latency (Fig. 12). A [`RelayerStrategy`] names each
 //! of those pipeline decisions so the "what if?" counterfactuals become
-//! ordinary experiment configuration:
+//! ordinary experiment configuration; every arm is run by a registered
+//! scenario:
 //!
 //! | Stage | Paper behaviour | Counterfactuals |
 //! |---|---|---|
-//! | [`EventSourceKind`] | WebSocket push (16 MiB frames) | RPC polling |
 //! | [`FetchStrategy`] | sequential chunked pulls | batched, parallel |
-//! | [`SubmissionMode`] | eager per-block | windowed, adaptive |
-//! | [`CoordinationMode`] | none (redundant work) | partition, leases |
+//! | [`SubmissionMode`] | eager per-block | adaptive |
+//! | [`CoordinationMode`] | none (redundant work) | sequence partition |
 //! | [`ChannelPolicy`] | one channel (fair share) | priority, dedicated |
 //! | [`SequenceTracking`] | committed-state resync (loses straddled windows, §V) | mempool-aware |
+//!
+//! Block events always arrive over the WebSocket subscription; its §V frame
+//! limit and Hermes' packet-clear interval are the strategy's two
+//! deployment-limit knobs.
 //!
 //! A strategy is plain serde data embedded in the framework's
 //! `DeploymentConfig`, so it round-trips through JSON, sweeps like any other
@@ -33,18 +37,6 @@
 //! ```
 
 use serde::{Deserialize, Serialize};
-
-/// How a relayer learns about newly committed blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum EventSourceKind {
-    /// Tendermint's WebSocket `NewBlock` subscription, subject to the 16 MiB
-    /// frame limit the paper's §V deployment challenge runs into.
-    #[default]
-    WebSocket,
-    /// Poll each block's transaction results over the RPC endpoint instead:
-    /// immune to the frame limit, but every block pays a queued RPC query.
-    Polling,
-}
 
 /// How the relayer pulls packet data and proofs back out of a chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -69,13 +61,6 @@ pub enum SubmissionMode {
     /// Relay every block's packets immediately (the paper's behaviour).
     #[default]
     Eager,
-    /// Hold packets for a fixed window of source blocks and relay them as
-    /// one larger batch — the relayer-side generalization of the Fig. 13
-    /// submission strategies.
-    Windowed {
-        /// How many pending source blocks to accumulate before relaying.
-        blocks: u64,
-    },
     /// Relay as soon as a full transaction's worth of packets is pending, or
     /// when the window expires — batching under load, eager when idle.
     Adaptive {
@@ -94,12 +79,6 @@ pub enum CoordinationMode {
     /// Static partitioning: the instance whose index equals
     /// `sequence % instance_count` relays a packet, everyone else ignores it.
     SequencePartition,
-    /// Rotating leadership: for each lease of source blocks exactly one
-    /// instance relays, so a slow leader is replaced at the next lease.
-    LeaderLease {
-        /// Length of one leadership lease in source blocks.
-        lease_blocks: u64,
-    },
 }
 
 /// How the relayer keeps its account sequences in step with each chain —
@@ -192,8 +171,6 @@ impl ChannelPolicy {
 /// golden fixtures included — parses to the paper-default behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct RelayerStrategy {
-    /// Block event delivery.
-    pub event_source: EventSourceKind,
     /// Packet data / proof retrieval.
     pub fetcher: FetchStrategy,
     /// Receive-path submission batching.
@@ -204,8 +181,7 @@ pub struct RelayerStrategy {
     #[serde(default)]
     pub channel_policy: ChannelPolicy,
     /// Maximum WebSocket frame size in bytes for the event subscription;
-    /// `0` means Tendermint's 16 MiB default. Only meaningful with the
-    /// [`EventSourceKind::WebSocket`] event source.
+    /// `0` means Tendermint's 16 MiB default.
     #[serde(default)]
     pub ws_frame_limit_bytes: u64,
     /// Every how many source blocks the relayer scans chain state for
@@ -222,8 +198,8 @@ pub struct RelayerStrategy {
 }
 
 impl RelayerStrategy {
-    /// The paper's pipeline: WebSocket events, sequential pulls, eager
-    /// submission, no coordination. Identical to `Default::default()`.
+    /// The paper's pipeline: sequential pulls, eager submission, no
+    /// coordination. Identical to `Default::default()`.
     pub fn paper_default() -> Self {
         RelayerStrategy::default()
     }
@@ -252,31 +228,12 @@ impl RelayerStrategy {
         }
     }
 
-    /// The paper pipeline with rotating per-lease leadership.
-    pub fn leader_lease(lease_blocks: u64) -> Self {
-        RelayerStrategy {
-            coordination: CoordinationMode::LeaderLease {
-                lease_blocks: lease_blocks.max(1),
-            },
-            ..RelayerStrategy::default()
-        }
-    }
-
     /// The paper pipeline with backlog-adaptive submission batching.
     pub fn adaptive_submission(max_window_blocks: u64) -> Self {
         RelayerStrategy {
             submission: SubmissionMode::Adaptive {
                 max_window_blocks: max_window_blocks.max(1),
             },
-            ..RelayerStrategy::default()
-        }
-    }
-
-    /// The paper pipeline with RPC polling instead of the WebSocket
-    /// subscription (no 16 MiB frame limit).
-    pub fn polling_events() -> Self {
-        RelayerStrategy {
-            event_source: EventSourceKind::Polling,
             ..RelayerStrategy::default()
         }
     }
@@ -316,9 +273,6 @@ impl RelayerStrategy {
     /// stage choices joined by `+`, or `"default"`.
     pub fn label(&self) -> String {
         let mut parts: Vec<String> = Vec::new();
-        if self.event_source == EventSourceKind::Polling {
-            parts.push("polling".to_string());
-        }
         match self.fetcher {
             FetchStrategy::Sequential => {}
             FetchStrategy::Batched => parts.push("batched".to_string()),
@@ -326,13 +280,11 @@ impl RelayerStrategy {
         }
         match self.submission {
             SubmissionMode::Eager => {}
-            SubmissionMode::Windowed { .. } => parts.push("windowed".to_string()),
             SubmissionMode::Adaptive { .. } => parts.push("adaptive".to_string()),
         }
         match self.coordination {
             CoordinationMode::None => {}
             CoordinationMode::SequencePartition => parts.push("partitioned".to_string()),
-            CoordinationMode::LeaderLease { .. } => parts.push("leased".to_string()),
         }
         match self.channel_policy {
             ChannelPolicy::FairShare => {}
@@ -365,7 +317,6 @@ mod tests {
     fn default_is_the_paper_pipeline() {
         let s = RelayerStrategy::default();
         assert_eq!(s, RelayerStrategy::paper_default());
-        assert_eq!(s.event_source, EventSourceKind::WebSocket);
         assert_eq!(s.fetcher, FetchStrategy::Sequential);
         assert_eq!(s.submission, SubmissionMode::Eager);
         assert_eq!(s.coordination, CoordinationMode::None);
@@ -387,31 +338,24 @@ mod tests {
             CoordinationMode::SequencePartition
         );
         assert_eq!(
-            RelayerStrategy::leader_lease(0).coordination,
-            CoordinationMode::LeaderLease { lease_blocks: 1 }
-        );
-        assert_eq!(
             RelayerStrategy::adaptive_submission(4).submission,
             SubmissionMode::Adaptive {
                 max_window_blocks: 4
             }
-        );
-        assert_eq!(
-            RelayerStrategy::polling_events().event_source,
-            EventSourceKind::Polling
         );
     }
 
     #[test]
     fn labels_compose_non_default_stages() {
         let s = RelayerStrategy {
-            event_source: EventSourceKind::Polling,
             fetcher: FetchStrategy::Batched,
-            submission: SubmissionMode::Windowed { blocks: 2 },
+            submission: SubmissionMode::Adaptive {
+                max_window_blocks: 2,
+            },
             coordination: CoordinationMode::SequencePartition,
             ..RelayerStrategy::default()
         };
-        assert_eq!(s.label(), "polling+batched+windowed+partitioned");
+        assert_eq!(s.label(), "batched+adaptive+partitioned");
         assert_eq!(
             RelayerStrategy::with_channel_policy(ChannelPolicy::Dedicated).label(),
             "dedicated"
@@ -432,9 +376,7 @@ mod tests {
             RelayerStrategy::batched_pulls(),
             RelayerStrategy::parallel_fetch(),
             RelayerStrategy::coordinated(),
-            RelayerStrategy::leader_lease(8),
             RelayerStrategy::adaptive_submission(4),
-            RelayerStrategy::polling_events(),
             RelayerStrategy::with_channel_policy(ChannelPolicy::Priority),
             RelayerStrategy::default()
                 .frame_limit(4 << 20)
@@ -450,7 +392,8 @@ mod tests {
     fn pre_knob_strategy_json_still_parses_with_default_knobs() {
         // Strategy JSON written before the channel-policy / frame-limit /
         // clear-interval fields existed (the golden fixtures) must parse to
-        // the paper-default knobs.
+        // the paper-default knobs; its `event_source` key, which no strategy
+        // has any more, is ignored.
         let legacy = Value::Map(vec![
             ("event_source".into(), Value::Str("WebSocket".into())),
             ("fetcher".into(), Value::Str("Sequential".into())),

@@ -173,14 +173,6 @@ impl ChannelLog {
             .filter(|(_, row)| row.iter().any(Option::is_some))
             .map(move |(i, row)| (base + i as u64, row))
     }
-
-    /// Number of packets with at least one recorded step.
-    fn tracked_len(&self) -> usize {
-        self.rows
-            .iter()
-            .filter(|row| row.iter().any(Option::is_some))
-            .count()
-    }
 }
 
 /// The per-packet step log of one relayer instance.
@@ -188,10 +180,9 @@ impl ChannelLog {
 /// Packets are keyed by `(channel index, sequence)`: packet sequences are
 /// scoped to one channel end, so in multi-channel deployments two distinct
 /// packets legitimately share a sequence number and only the pair is unique.
-/// The sequence-only methods ([`record`](TelemetryLog::record),
-/// [`step_time`](TelemetryLog::step_time)) address channel 0 — the primary
+/// [`record`](TelemetryLog::record) addresses channel 0 — the primary
 /// channel, and the only one in every single-channel experiment — while the
-/// `*_on` variants take an explicit channel index.
+/// `*_on` methods take an explicit channel index.
 ///
 /// Internally each channel stores its packets as dense rows indexed by
 /// sequence offset (see `ChannelLog`); lookups and records are O(1) in the
@@ -262,11 +253,6 @@ impl TelemetryLog {
         &self.errors
     }
 
-    /// The time at which `step` completed for `sequence` on channel 0.
-    pub fn step_time(&self, sequence: Sequence, step: TransferStep) -> Option<SimTime> {
-        self.step_time_on(0, sequence, step)
-    }
-
     /// The time at which `step` completed for `sequence` on the channel at
     /// index `channel`, if recorded.
     pub fn step_time_on(
@@ -286,16 +272,6 @@ impl TelemetryLog {
     pub fn times_for_step(&self, step: TransferStep) -> Vec<SimTime> {
         self.channels
             .values()
-            .flat_map(|chan| chan.rows.iter())
-            .filter_map(|row| row[step.slot()])
-            .collect()
-    }
-
-    /// All completion times recorded for `step` on one channel.
-    pub fn times_for_step_on(&self, channel: u64, step: TransferStep) -> Vec<SimTime> {
-        self.channels
-            .get(&channel)
-            .into_iter()
             .flat_map(|chan| chan.rows.iter())
             .filter_map(|row| row[step.slot()])
             .collect()
@@ -329,16 +305,6 @@ impl TelemetryLog {
             .values()
             .flat_map(|chan| chan.tracked().map(|(seq, _)| Sequence::from(seq)))
             .collect()
-    }
-
-    /// Number of packets tracked across every channel.
-    pub fn len(&self) -> usize {
-        self.channels.values().map(ChannelLog::tracked_len).sum()
-    }
-
-    /// `true` when no packets were tracked.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Merges another log into this one (used when aggregating the telemetry
@@ -388,7 +354,7 @@ mod tests {
         log.record(seq, TransferStep::RecvBroadcast, SimTime::from_secs(10));
         log.record(seq, TransferStep::RecvBroadcast, SimTime::from_secs(30));
         assert_eq!(
-            log.step_time(seq, TransferStep::RecvBroadcast),
+            log.step_time_on(0, seq, TransferStep::RecvBroadcast),
             Some(SimTime::from_secs(10))
         );
     }
@@ -412,10 +378,8 @@ mod tests {
         assert_eq!(log.count_for_step(TransferStep::AckConfirmation), 1);
         assert_eq!(log.times_for_step(TransferStep::TransferBroadcast).len(), 5);
         assert_eq!(log.sequences().len(), 5);
-        assert_eq!(log.len(), 5);
-        assert!(!log.is_empty());
         assert_eq!(
-            log.step_time(Sequence::from(9), TransferStep::RecvBuild),
+            log.step_time_on(0, Sequence::from(9), TransferStep::RecvBuild),
             None
         );
     }
@@ -428,17 +392,17 @@ mod tests {
         // Growing downwards and leaving gaps must not invent packets.
         log.record(Sequence::from(2), step, SimTime::from_secs(2));
         log.record(Sequence::from(6), step, SimTime::from_secs(3));
-        assert_eq!(log.len(), 3);
+        assert_eq!(log.packets().len(), 3);
         assert_eq!(
             log.sequences(),
             vec![Sequence::from(2), Sequence::from(6), Sequence::from(10)]
         );
         assert_eq!(log.count_for_step(step), 3);
-        assert_eq!(log.step_time(Sequence::from(5), step), None);
-        assert_eq!(log.step_time(Sequence::from(1), step), None);
-        assert_eq!(log.step_time(Sequence::from(11), step), None);
+        assert_eq!(log.step_time_on(0, Sequence::from(5), step), None);
+        assert_eq!(log.step_time_on(0, Sequence::from(1), step), None);
+        assert_eq!(log.step_time_on(0, Sequence::from(11), step), None);
         assert_eq!(
-            log.step_time(Sequence::from(6), step),
+            log.step_time_on(0, Sequence::from(6), step),
             Some(SimTime::from_secs(3))
         );
     }
@@ -479,10 +443,10 @@ mod tests {
         b.record_error(SimTime::from_secs(1), "x");
         a.merge_offset(&b, 0);
         assert_eq!(
-            a.step_time(Sequence::from(1), TransferStep::RecvBroadcast),
+            a.step_time_on(0, Sequence::from(1), TransferStep::RecvBroadcast),
             Some(SimTime::from_secs(5))
         );
-        assert_eq!(a.len(), 2);
+        assert_eq!(a.packets().len(), 2);
         assert_eq!(a.errors().len(), 1);
     }
 
@@ -493,20 +457,16 @@ mod tests {
         log.record_on(0, seq, TransferStep::RecvBroadcast, SimTime::from_secs(1));
         log.record_on(1, seq, TransferStep::RecvBroadcast, SimTime::from_secs(2));
         // Same sequence on two channels: two distinct packets.
-        assert_eq!(log.len(), 2);
         assert_eq!(log.packets(), vec![(0, seq), (1, seq)]);
         assert_eq!(
             log.step_time_on(1, seq, TransferStep::RecvBroadcast),
             Some(SimTime::from_secs(2))
         );
-        // Channel-agnostic views aggregate; `step_time` addresses channel 0.
+        // Channel-agnostic views aggregate.
         assert_eq!(log.count_for_step(TransferStep::RecvBroadcast), 2);
+        assert_eq!(log.times_for_step(TransferStep::RecvBroadcast).len(), 2);
         assert_eq!(
-            log.times_for_step_on(0, TransferStep::RecvBroadcast).len(),
-            1
-        );
-        assert_eq!(
-            log.step_time(seq, TransferStep::RecvBroadcast),
+            log.step_time_on(0, seq, TransferStep::RecvBroadcast),
             Some(SimTime::from_secs(1))
         );
     }

@@ -18,8 +18,6 @@ use xcc_sim::SimDuration;
 pub enum RequestKind {
     /// `broadcast_tx_sync`: submit a transaction and run `CheckTx`.
     BroadcastTxSync,
-    /// `status` / small metadata queries.
-    Status,
     /// `abci_query` for an account (sequence / balance lookups).
     AccountQuery,
     /// Mempool-aware account-sequence query: the committed sequence plus the
@@ -37,43 +35,38 @@ pub enum RequestKind {
     ProofQuery,
     /// Header/commit/validator-set query used to build client updates.
     ClientUpdateData,
-    /// `block_results`-style query for a whole block (analysis tooling).
-    BlockResults,
     /// Unreceived-packet / unreceived-ack filter queries.
     UnreceivedQuery,
 }
 
 impl RequestKind {
     /// Every request kind, in declaration order. The position of a kind in
-    /// this table is its stable xcc-prof counter slot (see
-    /// [`RequestKind::index`]); new kinds must be appended, not inserted.
-    pub const ALL: [RequestKind; 10] = [
+    /// this table is its xcc-prof counter slot within a run (see
+    /// [`RequestKind::index`]); outputs key counts by
+    /// [`name`](RequestKind::name), so the slots may be renumbered.
+    pub const ALL: [RequestKind; 8] = [
         RequestKind::BroadcastTxSync,
-        RequestKind::Status,
         RequestKind::AccountQuery,
         RequestKind::UnconfirmedAccountQuery,
         RequestKind::PacketDataPull,
         RequestKind::BatchedDataPull,
         RequestKind::ProofQuery,
         RequestKind::ClientUpdateData,
-        RequestKind::BlockResults,
         RequestKind::UnreceivedQuery,
     ];
 
-    /// The kind's stable position in [`RequestKind::ALL`], used as its
-    /// work-counter slot in `xcc_sim::prof`.
+    /// The kind's position in [`RequestKind::ALL`], used as its work-counter
+    /// slot in `xcc_sim::prof`.
     pub fn index(self) -> usize {
         match self {
             RequestKind::BroadcastTxSync => 0,
-            RequestKind::Status => 1,
-            RequestKind::AccountQuery => 2,
-            RequestKind::UnconfirmedAccountQuery => 3,
-            RequestKind::PacketDataPull => 4,
-            RequestKind::BatchedDataPull => 5,
-            RequestKind::ProofQuery => 6,
-            RequestKind::ClientUpdateData => 7,
-            RequestKind::BlockResults => 8,
-            RequestKind::UnreceivedQuery => 9,
+            RequestKind::AccountQuery => 1,
+            RequestKind::UnconfirmedAccountQuery => 2,
+            RequestKind::PacketDataPull => 3,
+            RequestKind::BatchedDataPull => 4,
+            RequestKind::ProofQuery => 5,
+            RequestKind::ClientUpdateData => 6,
+            RequestKind::UnreceivedQuery => 7,
         }
     }
 
@@ -82,14 +75,12 @@ impl RequestKind {
     pub fn name(self) -> &'static str {
         match self {
             RequestKind::BroadcastTxSync => "broadcast_tx_sync",
-            RequestKind::Status => "status",
             RequestKind::AccountQuery => "account_query",
             RequestKind::UnconfirmedAccountQuery => "unconfirmed_account_query",
             RequestKind::PacketDataPull => "packet_data_pull",
             RequestKind::BatchedDataPull => "batched_data_pull",
             RequestKind::ProofQuery => "proof_query",
             RequestKind::ClientUpdateData => "client_update_data",
-            RequestKind::BlockResults => "block_results",
             RequestKind::UnreceivedQuery => "unreceived_query",
         }
     }
@@ -97,7 +88,7 @@ impl RequestKind {
 
 // The cost table (docs/ARCHITECTURE.md, "The model's constants", names what
 // calibrates each value). A value becomes a `DeploymentConfig` field only when
-// two scenarios need different values of it, as `BATCHED_PULL_PER_ITEM` is.
+// two scenarios need different values of it.
 
 /// Fixed cost of accepting and dispatching any request.
 const BASE: SimDuration = SimDuration::from_millis(5);
@@ -127,9 +118,7 @@ const UNCONFIRMED_QUERY_PER_PENDING_TX: SimDuration = SimDuration::from_micros(4
 
 /// The calibrated per-requested-item surcharge of a batched data pull: result
 /// assembly and pagination for every packet the single query returns.
-/// Batching amortizes the block scan but is not free. The one cost a
-/// deployment sets (`DeploymentConfig::batched_pull_per_item_us`, whose
-/// default this is), so [`service_time`] takes it as an argument.
+/// Batching amortizes the block scan but is not free.
 pub const BATCHED_PULL_PER_ITEM: SimDuration = SimDuration::from_micros(120);
 
 /// Context describing the request being priced.
@@ -150,7 +139,7 @@ pub struct RequestProfile {
 }
 
 impl RequestProfile {
-    /// A small fixed-size request (status, account query…).
+    /// A small fixed-size request (account query, proof query…).
     pub fn small(kind: RequestKind) -> Self {
         RequestProfile {
             kind,
@@ -162,10 +151,8 @@ impl RequestProfile {
     }
 }
 
-/// The server-side service time of a request, with `batched_pull_per_item`
-/// as the batched pull's per-item surcharge ([`BATCHED_PULL_PER_ITEM`] unless
-/// the deployment overrides it).
-pub fn service_time(profile: &RequestProfile, batched_pull_per_item: SimDuration) -> SimDuration {
+/// The server-side service time of a request.
+pub fn service_time(profile: &RequestProfile) -> SimDuration {
     let size_cost = PER_RESPONSE_KILOBYTE * (profile.response_bytes as u64 / 1024);
     let data_pull_per_msg = if profile.recv_heavy {
         DATA_PULL_PER_BLOCK_MSG_RECV
@@ -179,24 +166,18 @@ pub fn service_time(profile: &RequestProfile, batched_pull_per_item: SimDuration
             // One block scan for the whole batch plus a per-item pagination
             // surcharge, instead of one scan per chunk.
             data_pull_per_msg * profile.messages as u64
-                + batched_pull_per_item * profile.items as u64
+                + BATCHED_PULL_PER_ITEM * profile.items as u64
         }
         RequestKind::UnconfirmedAccountQuery => {
             // The mempool scan: `items` carries the pending-tx count the node
             // walked to answer the query.
             UNCONFIRMED_QUERY_PER_PENDING_TX * profile.items as u64
         }
-        RequestKind::BlockResults => {
-            // Whole-block queries pay the size cost twice: encoding and
-            // pagination overhead (the paper's 331,706-line responses).
-            size_cost
-        }
         // Metadata lookups answered from indexed state: no per-message work
         // beyond the base fee and response-size cost. Each variant is priced
         // explicitly so the `uncosted-rpc` lint can prove no RequestKind
         // ships without a costing decision.
-        RequestKind::Status
-        | RequestKind::AccountQuery
+        RequestKind::AccountQuery
         | RequestKind::ProofQuery
         | RequestKind::ClientUpdateData
         | RequestKind::UnreceivedQuery => SimDuration::ZERO,
@@ -208,7 +189,7 @@ pub fn service_time(profile: &RequestProfile, batched_pull_per_item: SimDuration
 mod tests {
     use super::*;
 
-    /// A request priced at the calibrated batched-pull surcharge.
+    /// A request's service time in seconds.
     fn priced(kind: RequestKind, response_bytes: usize, messages: usize, recv_heavy: bool) -> f64 {
         let profile = RequestProfile {
             kind,
@@ -217,7 +198,7 @@ mod tests {
             recv_heavy,
             items: 0,
         };
-        service_time(&profile, BATCHED_PULL_PER_ITEM).as_secs_f64()
+        service_time(&profile).as_secs_f64()
     }
 
     /// One row per `RequestKind` at `response_bytes 70_000, messages 5_000,
@@ -233,18 +214,16 @@ mod tests {
                 recv_heavy,
                 items: 100,
             };
-            service_time(&profile, BATCHED_PULL_PER_ITEM).as_nanos()
+            service_time(&profile).as_nanos()
         };
-        let table: [(RequestKind, u64, u64); 10] = [
+        let table: [(RequestKind, u64, u64); 8] = [
             (RequestKind::BroadcastTxSync, 216_200_000, 216_200_000),
-            (RequestKind::Status, 66_200_000, 66_200_000),
             (RequestKind::AccountQuery, 66_200_000, 66_200_000),
             (RequestKind::UnconfirmedAccountQuery, 66_600_000, 66_600_000),
             (RequestKind::PacketDataPull, 2_261_200_000, 4_181_200_000),
             (RequestKind::BatchedDataPull, 2_273_200_000, 4_193_200_000),
             (RequestKind::ProofQuery, 66_200_000, 66_200_000),
             (RequestKind::ClientUpdateData, 66_200_000, 66_200_000),
-            (RequestKind::BlockResults, 127_400_000, 127_400_000),
             (RequestKind::UnreceivedQuery, 66_200_000, 66_200_000),
         ];
         for (kind, transfer, recv_heavy) in table {
@@ -294,23 +273,27 @@ mod tests {
             recv_heavy: false,
             items,
         };
-        let batched = service_time(&batched_profile(5_000), BATCHED_PULL_PER_ITEM).as_secs_f64();
+        let batched = service_time(&batched_profile(5_000)).as_secs_f64();
         assert!(
             batched * 10.0 < sequential,
             "batched {batched}s vs sequential {sequential}s"
         );
-        // The surcharge keeps batching from being free…
-        let unbatched_single = priced(RequestKind::PacketDataPull, 3_500_000, 5_000, false);
-        assert!(batched > unbatched_single);
-        // …and a deployment's own surcharge replaces the calibrated one.
-        let free = service_time(&batched_profile(5_000), SimDuration::ZERO).as_secs_f64();
-        assert_eq!(free, unbatched_single);
+        // The surcharge keeps batching from being free: it is exactly the
+        // per-item term on top of one unbatched pull of the same response.
+        let unbatched_single = service_time(&RequestProfile {
+            kind: RequestKind::PacketDataPull,
+            ..batched_profile(5_000)
+        });
+        assert_eq!(
+            service_time(&batched_profile(5_000)) - unbatched_single,
+            BATCHED_PULL_PER_ITEM * 5_000
+        );
     }
 
     #[test]
     fn service_time_is_monotone_in_size_and_messages() {
-        let small = priced(RequestKind::Status, 512, 0, false);
-        let big = priced(RequestKind::BlockResults, 10_000_000, 0, false);
+        let small = priced(RequestKind::AccountQuery, 512, 0, false);
+        let big = priced(RequestKind::AccountQuery, 10_000_000, 0, false);
         assert!(big > small);
 
         let few = priced(RequestKind::BroadcastTxSync, 1_000, 10, false);
@@ -320,11 +303,8 @@ mod tests {
 
     #[test]
     fn small_queries_cost_little() {
-        let status = service_time(
-            &RequestProfile::small(RequestKind::Status),
-            BATCHED_PULL_PER_ITEM,
-        );
-        assert!(status < SimDuration::from_millis(20));
+        let account = service_time(&RequestProfile::small(RequestKind::AccountQuery));
+        assert!(account < SimDuration::from_millis(20));
     }
 
     #[test]
@@ -337,12 +317,12 @@ mod tests {
                 recv_heavy: false,
                 items,
             };
-            service_time(&profile, BATCHED_PULL_PER_ITEM)
+            service_time(&profile)
         };
         let account = RequestProfile::small(RequestKind::AccountQuery);
         assert_eq!(
             cost(0),
-            service_time(&account, BATCHED_PULL_PER_ITEM),
+            service_time(&account),
             "an empty mempool costs no more than a plain account query"
         );
         assert_eq!(

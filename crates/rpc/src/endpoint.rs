@@ -19,7 +19,7 @@ use xcc_sim::prof;
 use xcc_sim::{DetRng, FifoServer, LatencyModel, SimDuration, SimTime};
 use xcc_tendermint::abci::Event;
 use xcc_tendermint::hash::Hash;
-use xcc_tendermint::node::{CommittedBlock, TxStatus};
+use xcc_tendermint::node::CommittedBlock;
 
 use crate::cost::{service_time, RequestKind, RequestProfile};
 
@@ -104,16 +104,15 @@ pub struct LaneStats {
     pub max_backlog: SimDuration,
 }
 
-/// What one committed block did, as delivered to a relayer — pushed over the
-/// WebSocket subscription ([`RpcEndpoint::block_events`]) or pulled with a
-/// `block_results` query ([`RpcEndpoint::block_tx_results`]). Either way it
-/// is a handle on the block store's own allocation; nothing is copied.
+/// What one committed block did, as pushed to a relayer over the WebSocket
+/// subscription ([`RpcEndpoint::block_events`]): a handle on the block
+/// store's own allocation; nothing is copied.
 #[derive(Debug, Clone)]
 pub struct BlockEventBatch {
     /// The committed block, shared with the node's block store and with
     /// every other subscriber.
     pub committed: Rc<CommittedBlock>,
-    /// Encoded size of the payload as this transport carried it.
+    /// Encoded size of the WebSocket frame that carried it.
     pub payload_bytes: usize,
 }
 
@@ -132,28 +131,17 @@ impl BlockEventBatch {
 pub struct RpcEndpoint {
     chain: SharedChain,
     queue: FifoServer,
-    /// The batched data pull's per-item surcharge
-    /// ([`BATCHED_PULL_PER_ITEM`](crate::cost::BATCHED_PULL_PER_ITEM) unless
-    /// the deployment sets its own).
-    batched_pull_per_item: SimDuration,
     latency: LatencyModel,
     rng: DetRng,
 }
 
 impl RpcEndpoint {
-    /// Creates an endpoint for `chain` with the given batched-pull surcharge
-    /// and latency model.
-    pub fn new(
-        chain: SharedChain,
-        batched_pull_per_item: SimDuration,
-        latency: LatencyModel,
-        rng: DetRng,
-    ) -> Self {
+    /// Creates an endpoint for `chain` with the given latency model.
+    pub fn new(chain: SharedChain, latency: LatencyModel, rng: DetRng) -> Self {
         let name = format!("rpc-{}", chain.borrow().id());
         RpcEndpoint {
             chain,
             queue: FifoServer::new(name),
-            batched_pull_per_item,
             latency,
             rng,
         }
@@ -178,7 +166,7 @@ impl RpcEndpoint {
 
     fn respond<T>(&mut self, now: SimTime, profile: RequestProfile, value: T) -> RpcResponse<T> {
         prof::bump_rpc_call(profile.kind.index());
-        let service = service_time(&profile, self.batched_pull_per_item);
+        let service = service_time(&profile);
         let request_arrives = now + self.latency.sample_one_way(&mut self.rng);
         let served_at = self.queue.submit(request_arrives, service);
         let ready_at = served_at + self.latency.sample_one_way(&mut self.rng);
@@ -187,19 +175,6 @@ impl RpcEndpoint {
             ready_at,
             response_bytes: profile.response_bytes,
         }
-    }
-
-    /// `status`: the chain id and latest committed height.
-    pub fn status(&mut self, now: SimTime) -> RpcResponse<(String, u64)> {
-        let (id, height) = {
-            let chain = self.chain.borrow();
-            (chain.id().to_string(), chain.height())
-        };
-        self.respond(
-            now,
-            RequestProfile::small(RequestKind::Status),
-            (id, height),
-        )
     }
 
     /// Account sequence query, used by clients to sign their next
@@ -278,44 +253,6 @@ impl RpcEndpoint {
                 items: 0,
             },
             value,
-        )
-    }
-
-    /// Whether a transaction is committed, pending or unknown.
-    pub fn tx_status(&mut self, now: SimTime, hash: &Hash) -> RpcResponse<TxStatus> {
-        let status = self.chain.borrow().tx_status(hash);
-        self.respond(now, RequestProfile::small(RequestKind::Status), status)
-    }
-
-    /// The execution results of every transaction committed at `height`
-    /// (the `block_results` / `tx_search tx.height=X` query a polling
-    /// relayer issues), or `None` for a height the chain has not reached.
-    pub fn block_tx_results(
-        &mut self,
-        now: SimTime,
-        height: u64,
-    ) -> RpcResponse<Option<BlockEventBatch>> {
-        let batch = self
-            .chain
-            .borrow()
-            .block_at(height)
-            .map(|block| BlockEventBatch {
-                committed: Rc::clone(block),
-                // 512 + Σ(tx.len() + result.encoded_size()): the commit-time
-                // frame size without a WebSocket frame's 64-byte envelope
-                // per transaction.
-                payload_bytes: 512 + block.events_payload_bytes - 64 * block.results.len(),
-            });
-        self.respond(
-            now,
-            RequestProfile {
-                kind: RequestKind::BlockResults,
-                response_bytes: batch.as_ref().map_or(256, |b| b.payload_bytes),
-                messages: 0,
-                recv_heavy: false,
-                items: 0,
-            },
-            batch,
         )
     }
 
@@ -574,7 +511,6 @@ impl RpcEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::BATCHED_PULL_PER_ITEM;
     use xcc_chain::chain::Chain;
     use xcc_chain::coin::Coin;
     use xcc_chain::genesis::GenesisConfig;
@@ -586,7 +522,6 @@ mod tests {
                 .into_shared();
         RpcEndpoint::new(
             chain,
-            BATCHED_PULL_PER_ITEM,
             LatencyModel::constant_rtt_ms(latency_ms),
             DetRng::new(7),
         )
@@ -603,14 +538,6 @@ mod tests {
             }],
             "uatom",
         )
-    }
-
-    #[test]
-    fn status_reports_chain_and_height() {
-        let mut rpc = endpoint(0);
-        let res = rpc.status(SimTime::ZERO);
-        assert_eq!(res.value, ("chain-a".to_string(), 0));
-        assert!(res.ready_at > SimTime::ZERO, "service time is never zero");
     }
 
     #[test]
@@ -636,12 +563,11 @@ mod tests {
     #[test]
     fn queries_are_served_sequentially() {
         let mut rpc = endpoint(0);
-        // Two expensive queries issued at the same instant: the second waits.
-        rpc.chain()
-            .borrow_mut()
-            .produce_block(SimTime::from_secs(5));
-        let first = rpc.block_tx_results(SimTime::from_secs(5), 1);
-        let second = rpc.block_tx_results(SimTime::from_secs(5), 1);
+        // Two queries issued at the same instant: the second waits.
+        let user = "user-0".into();
+        let first = rpc.account_sequence(SimTime::ZERO, &user);
+        let second = rpc.account_sequence(SimTime::ZERO, &user);
+        assert!(first.ready_at > SimTime::ZERO, "service time is never zero");
         assert!(second.ready_at > first.ready_at);
         // The lane snapshot counts both and records that the second query
         // waited behind the first on this lane's queue.
@@ -656,24 +582,17 @@ mod tests {
     #[test]
     fn separate_lanes_do_not_queue_behind_each_other() {
         // Two endpoints on the same chain model two relayer processes'
-        // independent RPC connections: the same two expensive queries issued
-        // at the same instant each get an idle server.
+        // independent RPC connections: the same two queries issued at the
+        // same instant each get an idle server.
         let chain =
             Chain::new(GenesisConfig::new("chain-a").with_funded_accounts("user", 3, 100_000_000))
                 .into_shared();
-        chain.borrow_mut().produce_block(SimTime::from_secs(5));
-        let lane_of = |seed| {
-            RpcEndpoint::new(
-                chain.clone(),
-                BATCHED_PULL_PER_ITEM,
-                LatencyModel::Zero,
-                DetRng::new(seed),
-            )
-        };
+        let lane_of = |seed| RpcEndpoint::new(chain.clone(), LatencyModel::Zero, DetRng::new(seed));
         let mut a = lane_of(1);
         let mut b = lane_of(2);
-        let shared_first = a.block_tx_results(SimTime::from_secs(5), 1);
-        let own_lane = b.block_tx_results(SimTime::from_secs(5), 1);
+        let user = "user-0".into();
+        let shared_first = a.account_sequence(SimTime::ZERO, &user);
+        let own_lane = b.account_sequence(SimTime::ZERO, &user);
         assert_eq!(
             own_lane.ready_at, shared_first.ready_at,
             "a process with its own lane pays no queueing behind its peer"
@@ -687,8 +606,9 @@ mod tests {
         let mut lan = endpoint(0);
         let mut wan = endpoint(200);
         let t0 = SimTime::ZERO;
-        let lan_ready = lan.status(t0).ready_at;
-        let wan_ready = wan.status(t0).ready_at;
+        let user = "user-0".into();
+        let lan_ready = lan.account_sequence(t0, &user).ready_at;
+        let wan_ready = wan.account_sequence(t0, &user).ready_at;
         let diff = (wan_ready - t0).as_millis() as i64 - (lan_ready - t0).as_millis() as i64;
         assert!(
             (195..=205).contains(&diff),
@@ -781,7 +701,7 @@ mod tests {
     }
 
     #[test]
-    fn block_tx_results_and_events_reflect_committed_txs() {
+    fn block_events_reflect_committed_txs() {
         let mut rpc = endpoint(0);
         let hash = rpc
             .broadcast_tx_sync(SimTime::ZERO, &bank_tx(0))
@@ -790,45 +710,18 @@ mod tests {
         rpc.chain()
             .borrow_mut()
             .produce_block(SimTime::from_secs(5));
-        let results = rpc.block_tx_results(SimTime::from_secs(5), 1);
-        let polled = results.value.unwrap();
-        let txs: Vec<_> = polled.txs().collect();
+        let pushed = rpc.block_events(1).unwrap();
+        let txs: Vec<_> = pushed.txs().collect();
         assert_eq!(txs.len(), 1);
         assert_eq!((txs[0].0, txs[0].1), (hash, 0));
         assert!(!txs[0].2.is_empty());
-
-        // The pushed frame is the same block, sized without the response's
-        // fixed part but with the per-transaction envelope.
-        let pushed = rpc.block_events(1).unwrap();
-        assert!(Rc::ptr_eq(&pushed.committed, &polled.committed));
+        // The pushed frame is the block store's own allocation.
         assert!(Rc::ptr_eq(
             &pushed.committed,
             rpc.chain().borrow().block_at(1).unwrap()
         ));
-        assert_eq!(polled.payload_bytes, results.response_bytes);
-        assert_eq!(pushed.payload_bytes + 512 - 64, polled.payload_bytes);
         // Unknown heights answer with no block rather than failing.
-        let unknown = rpc.block_tx_results(SimTime::from_secs(5), 99);
-        assert!(unknown.value.is_none());
-        assert_eq!(unknown.response_bytes, 256);
         assert!(rpc.block_events(99).is_none());
-    }
-
-    #[test]
-    fn tx_status_follows_lifecycle() {
-        let mut rpc = endpoint(0);
-        let tx = bank_tx(0);
-        let hash = tx.hash();
-        assert_eq!(rpc.tx_status(SimTime::ZERO, &hash).value, TxStatus::Unknown);
-        rpc.broadcast_tx_sync(SimTime::ZERO, &tx).value.unwrap();
-        assert_eq!(rpc.tx_status(SimTime::ZERO, &hash).value, TxStatus::Pending);
-        rpc.chain()
-            .borrow_mut()
-            .produce_block(SimTime::from_secs(5));
-        assert_eq!(
-            rpc.tx_status(SimTime::from_secs(5), &hash).value,
-            TxStatus::Committed
-        );
     }
 
     /// Two chains joined by one transfer channel: `user-0` sent three
@@ -933,7 +826,6 @@ mod tests {
     fn lane(chain: &SharedChain) -> RpcEndpoint {
         RpcEndpoint::new(
             chain.clone(),
-            BATCHED_PULL_PER_ITEM,
             LatencyModel::constant_rtt_ms(200),
             DetRng::new(7),
         )

@@ -7,11 +7,10 @@
 //!
 //! * [`cost::service_time`] — response-size- and content-aware service times
 //!   from one table of constants calibrated to the block-query measurements
-//!   reported in §V of the paper, with the batched pull's per-item surcharge
-//!   ([`cost::BATCHED_PULL_PER_ITEM`]) the one value a deployment sets;
+//!   reported in §V of the paper;
 //! * [`endpoint::RpcEndpoint`] — a single-server FIFO query queue bound to a
-//!   simulated chain, exposing the queries the relayer and the analysis
-//!   tooling need (`broadcast_tx_sync`, `tx_search`, packet/ack pulls with
+//!   simulated chain, exposing the queries the workload CLI and the relayer
+//!   issue (`broadcast_tx_sync`, account sequences, packet/ack pulls with
 //!   proofs, client update data, unreceived filters);
 //! * [`websocket::WebSocketSubscription`] — the per-relayer event
 //!   subscription with Tendermint's 16 MiB frame limit and its
@@ -22,14 +21,14 @@
 //! ```rust
 //! use xcc_chain::chain::Chain;
 //! use xcc_chain::genesis::GenesisConfig;
-//! use xcc_rpc::cost::BATCHED_PULL_PER_ITEM;
 //! use xcc_rpc::endpoint::RpcEndpoint;
 //! use xcc_sim::{DetRng, LatencyModel, SimTime};
 //!
 //! let chain = Chain::new(GenesisConfig::new("chain-a")).into_shared();
-//! let mut rpc = RpcEndpoint::new(chain, BATCHED_PULL_PER_ITEM, LatencyModel::Zero, DetRng::new(1));
-//! let status = rpc.status(SimTime::ZERO);
-//! assert_eq!(status.value.0, "chain-a");
+//! let mut rpc = RpcEndpoint::new(chain, LatencyModel::Zero, DetRng::new(1));
+//! let sequence = rpc.account_sequence(SimTime::ZERO, &"user-0".into());
+//! assert_eq!(sequence.value, 0);
+//! assert!(sequence.ready_at > SimTime::ZERO, "queries take service time");
 //! ```
 
 #![forbid(unsafe_code)]

@@ -123,7 +123,6 @@ impl WebSocketSubscription {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::BATCHED_PULL_PER_ITEM;
     use xcc_chain::chain::Chain;
     use xcc_chain::coin::Coin;
     use xcc_chain::genesis::GenesisConfig;
@@ -138,12 +137,7 @@ mod tests {
             100_000_000,
         ))
         .into_shared();
-        let rpc = RpcEndpoint::new(
-            chain.clone(),
-            BATCHED_PULL_PER_ITEM,
-            LatencyModel::Zero,
-            DetRng::new(3),
-        );
+        let rpc = RpcEndpoint::new(chain.clone(), LatencyModel::Zero, DetRng::new(3));
         {
             let mut c = chain.borrow_mut();
             for i in 0..txs {

@@ -58,7 +58,7 @@ impl LatencyModel {
 
     /// A uniformly jittered model centred on `rtt_ms / 2` one-way with
     /// ±`jitter_ms` of jitter.
-    // xcc-lint: allow(dead-knob, reason = "parked by ROADMAP 1(d): the seeded source of variance a min/max-bar issue would revive")
+    // xcc-lint: allow(dead-knob, reason = "parked by ROADMAP item 7(iii): the seeded source of variance a min/max-bar issue would revive")
     pub fn jittered_rtt_ms(rtt_ms: u64, jitter_ms: u64) -> Self {
         let centre = rtt_ms / 2;
         LatencyModel::Uniform {
@@ -77,7 +77,7 @@ impl LatencyModel {
     }
 
     /// The nominal round-trip time of the model.
-    // xcc-lint: allow(dead-knob, reason = "parked by ROADMAP 1(d) with the jittered model it describes")
+    // xcc-lint: allow(dead-knob, reason = "parked by ROADMAP item 7(iii) with the jittered model it describes")
     pub fn rtt_nominal(&self) -> SimDuration {
         self.one_way_nominal() * 2
     }

@@ -15,9 +15,9 @@ use crate::hash::Hash;
 /// The value of an [`EventAttribute`]: the value itself, in one of the
 /// shapes the workspace emits, rendered as text only when something asks.
 ///
-/// An event's size is a simulated quantity (the §V WebSocket frame limit and
-/// the `BlockResults` response size), so each shape knows the length of its
-/// text ([`AttrValue::text_len`]) and `Display` prints exactly that text.
+/// An event's size is a simulated quantity (the §V WebSocket frame limit),
+/// so each shape knows the length of its text ([`AttrValue::text_len`]) and
+/// `Display` prints exactly that text.
 /// Emitting a packet event therefore formats nothing, and reading one back
 /// parses nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -140,11 +140,6 @@ impl<D> Mempool<D> {
         self.rejected_full
     }
 
-    /// Whether a transaction with this hash is pending.
-    pub fn contains(&self, hash: &Hash) -> bool {
-        self.hashes.contains(hash)
-    }
-
     /// Adds a checked transaction to the pool.
     ///
     /// # Errors
@@ -272,7 +267,7 @@ mod tests {
         // keep their order.
         assert_eq!(pool.len(), 2);
         assert_eq!(pool.total_bytes(), bytes_before - 30);
-        assert!(reaped.iter().all(|p| !pool.contains(&p.tx.hash())));
+        assert!(reaped.iter().all(|p| !pool.hashes.contains(&p.tx.hash())));
         let left: Vec<u8> = pool.iter().map(|p| p.tx.as_bytes()[0]).collect();
         assert_eq!(left, [3, 4]);
         // A reaped transaction may be admitted again (it is no duplicate).

@@ -57,7 +57,7 @@ impl From<MempoolError> for SubmitError {
 
 /// The stored outcome of executing one block. The block store holds each one
 /// behind an [`Rc`], and every reader of what the block did — the WebSocket
-/// feed, the polling query, the analysis pass — shares that one allocation.
+/// feed, the hop forwarder, the analysis pass — shares that one allocation.
 #[derive(Debug, Clone)]
 pub struct CommittedBlock {
     /// The block itself.
@@ -198,17 +198,6 @@ impl<A: Application> Node<A> {
         let (height, index) = *self.tx_index.get(hash)?;
         let block = self.block_at(height)?;
         block.results.get(index).map(|r| (height, index, r))
-    }
-
-    /// Whether a transaction is known, either committed or pending.
-    pub fn tx_status(&self, hash: &Hash) -> TxStatus {
-        if self.tx_index.contains_key(hash) {
-            TxStatus::Committed
-        } else if self.mempool.contains(hash) {
-            TxStatus::Pending
-        } else {
-            TxStatus::Unknown
-        }
     }
 
     /// Submits a transaction: runs `CheckTx` and, on success, adds it to the
@@ -381,17 +370,6 @@ impl<A: Application> std::fmt::Debug for Node<A> {
     }
 }
 
-/// Whether a transaction is committed, pending, or unknown to the node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxStatus {
-    /// The transaction is in a committed block.
-    Committed,
-    /// The transaction is waiting in the mempool.
-    Pending,
-    /// The node has never seen the transaction.
-    Unknown,
-}
-
 fn results_hash(results: &[DeliverTxResult]) -> Hash {
     let mut hasher = FieldHasher::new();
     for result in results {
@@ -518,10 +496,10 @@ mod tests {
         let mut node = test_node();
         let tx = RawTx::new(vec![1, 2, 3]);
         let hash = node.submit_tx(tx, SimTime::ZERO).unwrap();
-        assert_eq!(node.tx_status(&hash), TxStatus::Pending);
+        assert!(node.find_tx(&hash).is_none());
+        assert_eq!(node.mempool_size(), 1);
         let outcome = node.produce_block(SimTime::from_secs(5));
         assert_eq!(outcome.tx_count, 1);
-        assert_eq!(node.tx_status(&hash), TxStatus::Committed);
         let (height, index, result) = node.find_tx(&hash).unwrap();
         assert_eq!((height, index), (1, 0));
         assert!(result.is_ok());
@@ -595,12 +573,8 @@ mod tests {
     }
 
     #[test]
-    fn unknown_tx_status() {
+    fn unknown_txs_are_not_found() {
         let node = test_node();
-        assert_eq!(
-            node.tx_status(&RawTx::new(vec![9]).hash()),
-            TxStatus::Unknown
-        );
         assert!(node.find_tx(&RawTx::new(vec![9]).hash()).is_none());
     }
 

@@ -3,10 +3,10 @@
 //!
 //! Run with: `cargo run --release --example rpc_bottleneck`
 
-use xcc_rpc::cost::{service_time, RequestKind, RequestProfile, BATCHED_PULL_PER_ITEM};
+use xcc_rpc::cost::{service_time, RequestKind, RequestProfile};
 
 fn main() {
-    let priced = |profile| service_time(&profile, BATCHED_PULL_PER_ITEM);
+    let priced = |profile| service_time(&profile);
     println!("service time of one packet-data pull vs. IBC messages in the queried block:");
     for msgs in [100usize, 500, 1_000, 2_000, 5_000] {
         let transfer = priced(RequestProfile {

@@ -25,7 +25,6 @@ fn main() {
         RelayerStrategy::batched_pulls(),
         RelayerStrategy::parallel_fetch(),
         RelayerStrategy::coordinated(),
-        RelayerStrategy::leader_lease(4),
         RelayerStrategy::adaptive_submission(2),
     ] {
         let outcome = scenarios::run(&base.clone().strategy(strategy));

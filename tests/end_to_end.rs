@@ -64,7 +64,7 @@ fn every_lifecycle_step_is_ordered_for_every_packet() {
         let mut previous = None;
         let mut present = 0;
         for step in TransferStep::ALL {
-            let Some(time) = run.telemetry.step_time(seq, step) else {
+            let Some(time) = run.telemetry.step_time_on(0, seq, step) else {
                 continue;
             };
             present += 1;
@@ -82,9 +82,9 @@ fn every_lifecycle_step_is_ordered_for_every_packet() {
     }
     // And the majority of the batch runs through all 13 steps.
     assert!(
-        fully_completed * 2 >= run.telemetry.len(),
+        fully_completed * 2 >= run.telemetry.packets().len(),
         "only {fully_completed} of {} packets completed all steps",
-        run.telemetry.len()
+        run.telemetry.packets().len()
     );
 }
 

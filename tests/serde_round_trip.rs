@@ -84,21 +84,19 @@ serde_round_trip! {
     ]) => r#"{"events":[{"RelayerCrash":{"relayer":0,"at":16000000000}},{"ChainHalt":{"chain":"destination","from":40000000000,"duration":30000000000}},{"ClientExpiry":{"path":1,"at":55000000000}}]}"#;
     relayer_strategy: RelayerStrategy = RelayerStrategy::with_channel_policy(ChannelPolicy::Dedicated)
         .frame_limit(262_144)
-        .packet_clearing(4) => r#"{"event_source":"WebSocket","fetcher":"Sequential","submission":"Eager","coordination":"None","channel_policy":"Dedicated","ws_frame_limit_bytes":262144,"packet_clear_interval":4,"sequence_tracking":"Resync"}"#;
+        .packet_clearing(4) => r#"{"fetcher":"Sequential","submission":"Eager","coordination":"None","channel_policy":"Dedicated","ws_frame_limit_bytes":262144,"packet_clear_interval":4,"sequence_tracking":"Resync"}"#;
     workload_config: WorkloadConfig = WorkloadConfig {
         channel_weights: vec![2, 1],
         hop_plan: Topology::hub_and_spoke_routes(1),
         ..WorkloadConfig::default()
-    } => r#"{"total_transfers":5000,"transfers_per_tx":100,"submission_blocks":1,"measurement_blocks":50,"timeout_blocks":0,"cli_cost_per_tx":12000000,"run_to_completion":true,"completion_grace_blocks":400,"channel_weights":[2,1],"hop_plan":[{"first_leg":0,"second_leg":1}]}"#;
-    deployment_config: DeploymentConfig = DeploymentConfig::default() => r#"{"source_chain_id":"ibc-0","destination_chain_id":"ibc-1","validators_per_chain":5,"network_rtt_ms":200,"min_block_interval":5000000000,"relayer_count":1,"channel_count":1,"relayer_strategy":{"event_source":"WebSocket","fetcher":"Sequential","submission":"Eager","coordination":"None","channel_policy":"FairShare","ws_frame_limit_bytes":0,"packet_clear_interval":0,"sequence_tracking":"Resync"},"user_accounts":64,"account_balance":1000000000000,"seed":42,"batched_pull_per_item_us":120,"report_broadcast_failures":false,"fault_plan":{"events":[]},"topology":{"chains":[],"edges":[]}}"#;
-    deployment_config_profiled: DeploymentConfig = DeploymentConfig {
+    } => r#"{"total_transfers":5000,"submission_blocks":1,"measurement_blocks":50,"timeout_blocks":0,"run_to_completion":true,"completion_grace_blocks":400,"channel_weights":[2,1],"hop_plan":[{"first_leg":0,"second_leg":1}]}"#;
+    deployment_config: DeploymentConfig = DeploymentConfig::default() => r#"{"source_chain_id":"ibc-0","destination_chain_id":"ibc-1","network_rtt_ms":200,"min_block_interval":5000000000,"relayer_count":1,"channel_count":1,"relayer_strategy":{"fetcher":"Sequential","submission":"Eager","coordination":"None","channel_policy":"FairShare","ws_frame_limit_bytes":0,"packet_clear_interval":0,"sequence_tracking":"Resync"},"user_accounts":64,"seed":42,"report_broadcast_failures":false,"fault_plan":{"events":[]},"topology":{"chains":[],"edges":[]}}"#;
+    deployment_config_customised: DeploymentConfig = DeploymentConfig {
         channel_count: 2,
-        batched_pull_per_item_us: 0,
         report_broadcast_failures: true,
         topology: Topology::line(2),
-        profile_work: true,
         ..DeploymentConfig::default()
-    } => r#"{"source_chain_id":"ibc-0","destination_chain_id":"ibc-1","validators_per_chain":5,"network_rtt_ms":200,"min_block_interval":5000000000,"relayer_count":1,"channel_count":2,"relayer_strategy":{"event_source":"WebSocket","fetcher":"Sequential","submission":"Eager","coordination":"None","channel_policy":"FairShare","ws_frame_limit_bytes":0,"packet_clear_interval":0,"sequence_tracking":"Resync"},"user_accounts":64,"account_balance":1000000000000,"seed":42,"batched_pull_per_item_us":0,"report_broadcast_failures":true,"fault_plan":{"events":[]},"topology":{"chains":["ibc-0","ibc-1"],"edges":[{"src":"ibc-0","dst":"ibc-1","channels":0}]},"profile_work":true}"#;
+    } => r#"{"source_chain_id":"ibc-0","destination_chain_id":"ibc-1","network_rtt_ms":200,"min_block_interval":5000000000,"relayer_count":1,"channel_count":2,"relayer_strategy":{"fetcher":"Sequential","submission":"Eager","coordination":"None","channel_policy":"FairShare","ws_frame_limit_bytes":0,"packet_clear_interval":0,"sequence_tracking":"Resync"},"user_accounts":64,"seed":42,"report_broadcast_failures":true,"fault_plan":{"events":[]},"topology":{"chains":["ibc-0","ibc-1"],"edges":[{"src":"ibc-0","dst":"ibc-1","channels":0}]}}"#;
     // The identifier newtypes and `AccountId` are bare strings on the wire,
     // whatever holds their text in memory.
     port_id: PortId = PortId::transfer() => r#""transfer""#;

@@ -5,6 +5,10 @@ use ibc_perf_repro::framework::registry;
 use ibc_perf_repro::framework::spec::{ExperimentSpec, ScenarioKind};
 use ibc_perf_repro::framework::sweep::{self, SweepGrid, SweepMode};
 use ibc_perf_repro::framework::ScenarioOutcome;
+use ibc_perf_repro::relayer::strategy::{
+    ChannelPolicy, CoordinationMode, FetchStrategy, RelayerStrategy, SequenceTracking,
+    SubmissionMode,
+};
 
 #[test]
 fn every_spec_family_round_trips_through_serde_identically() {
@@ -29,7 +33,7 @@ fn every_spec_family_round_trips_through_serde_identically() {
     ];
     for spec in specs {
         let json = spec.to_json();
-        let parsed = ExperimentSpec::from_json(&json).unwrap();
+        let parsed: ExperimentSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(parsed, spec);
         // JSON → spec → JSON is byte-identical.
         assert_eq!(parsed.to_json(), json);
@@ -75,7 +79,6 @@ fn registry_lookup_returns_every_figure_name() {
         "channel_contention",
         "sequence_race",
         "dedicated_scaling",
-        "batched_pull_calibration",
         "relayer_crash",
         "chain_halt",
         "client_expiry",
@@ -92,7 +95,8 @@ fn registry_lookup_returns_every_figure_name() {
             assert!(!grid.points().is_empty(), "{name} expands to no points");
             // Every point is a well-formed, serializable spec.
             for point in grid.points() {
-                assert_eq!(ExperimentSpec::from_json(&point.to_json()).unwrap(), point);
+                let back: ExperimentSpec = serde_json::from_str(&point.to_json()).unwrap();
+                assert_eq!(back, point);
             }
         }
     }
@@ -116,6 +120,80 @@ fn registry_grids_cover_all_scenario_kinds() {
             "no registered scenario covers {kind:?}"
         );
     }
+}
+
+/// Asserts that the registered scenarios run every arm of one strategy enum:
+/// `slot` numbers the arms `0..N` through an exhaustive match, so a new arm
+/// does not compile until it is given a slot (and a name in `names`), and
+/// this then fails until some registered scenario's grid runs it.
+fn assert_every_arm_runs<T, const N: usize>(
+    strategies: &[RelayerStrategy],
+    arm: fn(&RelayerStrategy) -> T,
+    slot: fn(T) -> usize,
+    names: [&str; N],
+) {
+    let mut run = [false; N];
+    for strategy in strategies {
+        run[slot(arm(strategy))] = true;
+    }
+    let unrun: Vec<&str> = (0..N).filter(|i| !run[*i]).map(|i| names[i]).collect();
+    assert!(unrun.is_empty(), "no registered scenario runs {unrun:?}");
+}
+
+#[test]
+fn every_strategy_arm_is_run_by_a_registered_scenario() {
+    let strategies: Vec<RelayerStrategy> = registry::entries()
+        .iter()
+        .flat_map(|entry| entry.grid(SweepMode::Quick).points())
+        .map(|point| point.deployment.relayer_strategy)
+        .collect();
+    assert_every_arm_runs(
+        &strategies,
+        |s| s.fetcher,
+        |arm| match arm {
+            FetchStrategy::Sequential => 0,
+            FetchStrategy::Batched => 1,
+            FetchStrategy::Parallel => 2,
+        },
+        ["Sequential", "Batched", "Parallel"],
+    );
+    assert_every_arm_runs(
+        &strategies,
+        |s| s.submission,
+        |arm| match arm {
+            SubmissionMode::Eager => 0,
+            SubmissionMode::Adaptive { .. } => 1,
+        },
+        ["Eager", "Adaptive"],
+    );
+    assert_every_arm_runs(
+        &strategies,
+        |s| s.coordination,
+        |arm| match arm {
+            CoordinationMode::None => 0,
+            CoordinationMode::SequencePartition => 1,
+        },
+        ["None", "SequencePartition"],
+    );
+    assert_every_arm_runs(
+        &strategies,
+        |s| s.channel_policy,
+        |arm| match arm {
+            ChannelPolicy::FairShare => 0,
+            ChannelPolicy::Priority => 1,
+            ChannelPolicy::Dedicated => 2,
+        },
+        ["FairShare", "Priority", "Dedicated"],
+    );
+    assert_every_arm_runs(
+        &strategies,
+        |s| s.sequence_tracking,
+        |arm| match arm {
+            SequenceTracking::Resync => 0,
+            SequenceTracking::MempoolAware => 1,
+        },
+        ["Resync", "MempoolAware"],
+    );
 }
 
 #[test]
@@ -143,32 +221,6 @@ fn parallel_sweep_is_byte_identical_to_sequential() {
 
     // And the sweep did real work: outcomes carry live metrics.
     assert!(sequential.iter().all(|o| o.requests_made() > 0));
-}
-
-#[test]
-fn relayer_and_transfer_axes_expand_the_grid() {
-    // The fleet-size and workload-size axes: every combination becomes a
-    // point, and the axis values land on the right spec fields.
-    let grid = SweepGrid::new(
-        ExperimentSpec::latency()
-            .transfers(100)
-            .submission_blocks(1)
-            .seed(42),
-    )
-    .relayer_counts([1, 2, 4])
-    .transfer_counts([100, 1_000]);
-    let specs = grid.points();
-    assert_eq!(specs.len(), 6);
-
-    let mut fleet_sizes: Vec<usize> = specs.iter().map(|p| p.deployment.relayer_count).collect();
-    fleet_sizes.sort_unstable();
-    fleet_sizes.dedup();
-    assert_eq!(fleet_sizes, [1, 2, 4]);
-
-    let mut transfers: Vec<u64> = specs.iter().map(|p| p.workload.total_transfers).collect();
-    transfers.sort_unstable();
-    transfers.dedup();
-    assert_eq!(transfers, [100, 1_000]);
 }
 
 #[test]

@@ -161,9 +161,18 @@ proptest! {
         // packets the first leg acknowledged, and both legs acknowledge
         // the same count — no transfer completes without both legs.
         let acks_on = |channel: usize| {
+            let channel = channel as u64;
             run.telemetry
-                .times_for_step_on(channel as u64, TransferStep::AckConfirmation)
-                .len() as u64
+                .packets()
+                .into_iter()
+                .filter(|&(c, seq)| {
+                    c == channel
+                        && run
+                            .telemetry
+                            .step_time_on(c, seq, TransferStep::AckConfirmation)
+                            .is_some()
+                })
+                .count() as u64
         };
         for (ri, route) in routes.iter().enumerate() {
             let first_acks = acks_on(route.first_leg);
