@@ -30,9 +30,9 @@ use xcc_tendermint::hash::{FieldHasher, Hash};
 /// the payload is hashed once however many of `Tx::hash`, the node's
 /// `submit_tx`, the mempool and the transaction index ask for its
 /// identifier (`tx.hash() == tx.encode().hash()` costs one pass, pinned by
-/// `hash_is_stable_and_needs_one_encoding`); the only other pass over the
-/// bytes is the `0x00`-prefixed Merkle leaf of the block's data hash, which
-/// is a different digest.
+/// `hash_is_stable_and_needs_one_encoding`). It is the only pass over the
+/// bytes: the block's data hash is a Merkle root over these ids, not over
+/// the payloads.
 ///
 /// The cache is deliberately conservative around the all-`pub` fields:
 /// cloning a `Tx` drops the cache, so the `clone → tamper → re-verify`
@@ -197,7 +197,7 @@ impl Tx {
             self.serialize(&mut sink);
             let (payload, serde::json::Len(wire_len)) = sink;
             let raw = RawTx::with_wire_len(payload.into_bytes(), wire_len);
-            prof::bump_tx_encoded(raw.len() as u64);
+            prof::bump_tx_encoded(raw.len() as u64, raw.as_bytes().len() as u64);
             // Every encoded transaction is identified by hash at least once
             // (submission); filling the memo here means each clone handed out
             // by `encode` carries it, whichever of the two is asked first.
@@ -334,7 +334,10 @@ mod tests {
 
     /// The streamed digest against the heap-assembled one it replaced, and
     /// against a literal captured before the change: every fixture
-    /// transaction's signature covers this digest.
+    /// transaction's signature covers this digest. The signature never sees
+    /// the payload, so it kept its value when byte arrays became runs; the tx
+    /// hash and the payload length are those of the runs (the modelled JSON
+    /// length, 722, did not move).
     #[test]
     fn body_digest_is_unchanged_by_streaming() {
         use xcc_tendermint::hash::hash_fields;
@@ -375,11 +378,11 @@ mod tests {
         );
         assert_eq!(
             tx.hash().to_hex(),
-            "947b1dab0e1ba312a939dcd02030b75bbffcb2596eed210ea431d528fd86e86f"
+            "82b3e1838b4f79beceb3a58ab177d3bbee57cf44dcf56025be3b6741674fb8c2"
         );
         assert_eq!(
             (tx.encode().len(), tx.encode().as_bytes().len()),
-            (722, 587)
+            (722, 536)
         );
 
         let mut odd = Tx::new("".into(), u64::MAX, vec![], "");
@@ -443,6 +446,7 @@ mod tests {
         let snap = prof::snapshot();
         assert_eq!(snap.txs_encoded, 1, "hash + hash + encode = one encoding");
         assert_eq!(snap.bytes_serialized, raw.len() as u64);
+        assert_eq!(snap.payload_bytes, raw.as_bytes().len() as u64);
 
         // A clone re-encodes from its own contents and lands on the same
         // bytes and hash.

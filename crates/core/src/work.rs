@@ -49,8 +49,13 @@ pub struct WorkProfile {
     pub txs_encoded: u64,
     /// Transactions decoded from their wire form.
     pub txs_decoded: u64,
-    /// Bytes produced by wire encoding (currently tx encodes).
+    /// Modelled wire bytes of the transactions encoded: the length of each
+    /// one's compact JSON rendering ([`RawTx::len`](xcc_tendermint::block::RawTx::len)),
+    /// which is what the simulation sizes blocks, mempools and frames by.
     pub bytes_serialized: u64,
+    /// Host bytes of the transactions encoded: the length of each one's
+    /// binary payload, counted at the same cache miss as `txs_encoded`.
+    pub payload_bytes: u64,
     /// Telemetry step/error records written across all relayers.
     pub telemetry_records: u64,
     /// Relayer wake events processed by the experiment driver.
@@ -85,6 +90,7 @@ impl WorkProfile {
             txs_encoded: counters.txs_encoded,
             txs_decoded: counters.txs_decoded,
             bytes_serialized: counters.bytes_serialized,
+            payload_bytes: counters.payload_bytes,
             telemetry_records: counters.telemetry_records,
             relayer_wakes: counters.relayer_wakes,
             clear_scan_visits: counters.clear_scan_visits,
@@ -111,6 +117,7 @@ impl WorkProfile {
             txs_encoded: self.txs_encoded + other.txs_encoded,
             txs_decoded: self.txs_decoded + other.txs_decoded,
             bytes_serialized: self.bytes_serialized + other.bytes_serialized,
+            payload_bytes: self.payload_bytes + other.payload_bytes,
             telemetry_records: self.telemetry_records + other.telemetry_records,
             relayer_wakes: self.relayer_wakes + other.relayer_wakes,
             clear_scan_visits: self.clear_scan_visits + other.clear_scan_visits,

@@ -4,7 +4,7 @@
 //! useless as an exact regression signal on shared CI runners. The counters
 //! in this module measure *work performed* instead — events scheduled and
 //! popped, RPC calls served per request kind, transactions encoded and
-//! decoded, bytes serialized, telemetry records written, relayer wakes,
+//! decoded, modelled and host bytes serialized, telemetry records written, relayer wakes,
 //! clear-scan visits and Merkle inner nodes hashed. Because every run of the simulator is single-threaded
 //! and fully deterministic (PRs 5–9), these counters are bit-stable across
 //! machines: the same spec and seed always produce the same counter vector,
@@ -53,8 +53,11 @@ pub struct WorkCounters {
     pub txs_encoded: u64,
     /// Transactions decoded from wire bytes.
     pub txs_decoded: u64,
-    /// Total wire bytes produced by transaction encoding.
+    /// Total modelled wire bytes (JSON length) of the transactions encoded.
     pub bytes_serialized: u64,
+    /// Total host payload bytes (binary encoding) of the transactions
+    /// encoded.
+    pub payload_bytes: u64,
     /// Telemetry step records written (earliest-wins duplicates included).
     pub telemetry_records: u64,
     /// Relayer wake events processed by the runner.
@@ -84,6 +87,7 @@ impl WorkCounters {
             txs_encoded: self.txs_encoded + other.txs_encoded,
             txs_decoded: self.txs_decoded + other.txs_decoded,
             bytes_serialized: self.bytes_serialized + other.bytes_serialized,
+            payload_bytes: self.payload_bytes + other.payload_bytes,
             telemetry_records: self.telemetry_records + other.telemetry_records,
             relayer_wakes: self.relayer_wakes + other.relayer_wakes,
             clear_scan_visits: self.clear_scan_visits + other.clear_scan_visits,
@@ -99,6 +103,7 @@ struct CounterCells {
     txs_encoded: Cell<u64>,
     txs_decoded: Cell<u64>,
     bytes_serialized: Cell<u64>,
+    payload_bytes: Cell<u64>,
     telemetry_records: Cell<u64>,
     relayer_wakes: Cell<u64>,
     clear_scan_visits: Cell<u64>,
@@ -114,6 +119,7 @@ impl CounterCells {
             txs_encoded: Cell::new(0),
             txs_decoded: Cell::new(0),
             bytes_serialized: Cell::new(0),
+            payload_bytes: Cell::new(0),
             telemetry_records: Cell::new(0),
             relayer_wakes: Cell::new(0),
             clear_scan_visits: Cell::new(0),
@@ -140,6 +146,7 @@ pub fn reset() {
         c.txs_encoded.set(0);
         c.txs_decoded.set(0);
         c.bytes_serialized.set(0);
+        c.payload_bytes.set(0);
         c.telemetry_records.set(0);
         c.relayer_wakes.set(0);
         c.clear_scan_visits.set(0);
@@ -161,6 +168,7 @@ pub fn snapshot() -> WorkCounters {
             txs_encoded: c.txs_encoded.get(),
             txs_decoded: c.txs_decoded.get(),
             bytes_serialized: c.bytes_serialized.get(),
+            payload_bytes: c.payload_bytes.get(),
             telemetry_records: c.telemetry_records.get(),
             relayer_wakes: c.relayer_wakes.get(),
             clear_scan_visits: c.clear_scan_visits.get(),
@@ -202,14 +210,15 @@ pub fn bump_rpc_call(kind_index: usize) {
     });
 }
 
-/// Counts one transaction encoded, contributing `wire_bytes` to the
-/// serialized-bytes total.
+/// Counts one transaction encoded, contributing its modelled `wire_bytes`
+/// to the serialized-bytes total and its host `payload_bytes` to theirs.
 #[inline]
-pub fn bump_tx_encoded(wire_bytes: u64) {
+pub fn bump_tx_encoded(wire_bytes: u64, payload_bytes: u64) {
     COUNTERS.with(|c| {
         c.txs_encoded.set(c.txs_encoded.get() + 1);
         c.bytes_serialized
             .set(c.bytes_serialized.get() + wire_bytes);
+        c.payload_bytes.set(c.payload_bytes.get() + payload_bytes);
     });
 }
 
@@ -256,7 +265,7 @@ mod tests {
         bump_rpc_call(0);
         bump_rpc_call(3);
         bump_rpc_call(3);
-        bump_tx_encoded(128);
+        bump_tx_encoded(128, 40);
         bump_tx_decoded();
         bump_telemetry_record();
         bump_relayer_wake();
@@ -271,6 +280,7 @@ mod tests {
         assert_eq!(snap.total_rpc_calls(), 3);
         assert_eq!(snap.txs_encoded, 1);
         assert_eq!(snap.bytes_serialized, 128);
+        assert_eq!(snap.payload_bytes, 40);
         assert_eq!(snap.txs_decoded, 1);
         assert_eq!(snap.telemetry_records, 1);
         assert_eq!(snap.relayer_wakes, 1);
@@ -301,6 +311,7 @@ mod tests {
         let mut b = WorkCounters {
             events_scheduled: 10,
             bytes_serialized: 7,
+            payload_bytes: 3,
             ..WorkCounters::default()
         };
         b.rpc_calls[1] = 3;
@@ -308,6 +319,7 @@ mod tests {
         assert_eq!(m.events_scheduled, 11);
         assert_eq!(m.txs_encoded, 2);
         assert_eq!(m.bytes_serialized, 7);
+        assert_eq!(m.payload_bytes, 3);
         assert_eq!(m.rpc_calls[1], 8);
     }
 }

@@ -165,7 +165,7 @@ pub struct Header {
     pub last_block_id: BlockId,
     /// Hash of the previous block's commit.
     pub last_commit_hash: Hash,
-    /// Merkle root of the transactions in the `Data` field.
+    /// Merkle root over the ids of the transactions in the `Data` field.
     pub data_hash: Hash,
     /// Hash of the validator set that produced this block.
     pub validators_hash: Hash,
@@ -219,9 +219,14 @@ pub struct Data {
 }
 
 impl Data {
-    /// Merkle root of the transactions.
+    /// Merkle root over the transactions' ids ([`RawTx::hash`]), as
+    /// CometBFT's `Txs.Hash()` is. Each id is a digest of its whole payload,
+    /// so the root still covers every payload byte, and the ids are the
+    /// memos mempool admission already filled: a commit hashes 32 bytes per
+    /// transaction here, not its payload a second time.
     pub fn hash(&self) -> Hash {
-        simple_root(self.txs.iter().map(|t| t.as_bytes()))
+        let ids: Vec<Hash> = self.txs.iter().map(RawTx::hash).collect();
+        simple_root(ids.iter().map(|id| &id.as_bytes()[..]))
     }
 
     /// Total size of all transactions in bytes.
@@ -421,6 +426,48 @@ mod tests {
             tampered.validate_basic(),
             Err(BlockValidationError::DataHashMismatch { height: 3 })
         ));
+    }
+
+    /// The data hash is a root over tx ids, not payloads, and still changes
+    /// with any payload byte: a flipped byte changes that tx's id.
+    #[test]
+    fn data_hash_is_a_root_over_tx_ids_and_covers_every_payload_byte() {
+        let data = Data {
+            txs: vec![
+                RawTx::new(vec![1, 2, 3]),
+                RawTx::with_wire_len(vec![0xff; 100], 250),
+                RawTx::new(Vec::new()),
+            ],
+        };
+        let ids: Vec<Hash> = data.txs.iter().map(RawTx::hash).collect();
+        assert_eq!(
+            data.hash(),
+            simple_root(ids.iter().map(|id| &id.as_bytes()[..]))
+        );
+        assert_ne!(
+            data.hash(),
+            simple_root(data.txs.iter().map(RawTx::as_bytes)),
+            "not the root over payloads"
+        );
+        assert_eq!(Data::default().hash(), simple_root(std::iter::empty()));
+
+        let block = Block {
+            header: sample_header(4, &data),
+            data,
+            last_commit: None,
+        };
+        assert!(block.validate_basic().is_ok());
+        for (tx, at) in [(0, 1), (1, 99)] {
+            let mut tampered = block.clone();
+            let raw = &tampered.data.txs[tx];
+            let mut bytes = raw.as_bytes().to_vec();
+            bytes[at] ^= 0x01;
+            tampered.data.txs[tx] = RawTx::with_wire_len(bytes, raw.len());
+            assert_eq!(
+                tampered.validate_basic(),
+                Err(BlockValidationError::DataHashMismatch { height: 4 })
+            );
+        }
     }
 
     #[test]

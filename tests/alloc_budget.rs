@@ -15,11 +15,17 @@
 //! scans `crates/*/src` and `src/`; `tests/` is outside its scope, and this
 //! file is the one place allowed to use that.
 //!
-//! One `#[test]` only: the counter is a thread-local, so the harness's other
-//! threads cannot leak in, and a single test keeps it that way.
+//! The counter is a thread-local, so each test counts its own thread only
+//! and the harness's other threads cannot leak in. The second test holds the
+//! binary reader to refusing a hostile byte-run length before it allocates
+//! for it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::fmt::Debug;
+
+use proptest::prelude::*;
+use serde::{binary, Deserialize};
 
 use ibc_perf_repro::framework::outcome::ScenarioOutcome;
 use ibc_perf_repro::framework::scenarios;
@@ -163,4 +169,75 @@ fn a_transfer_stays_within_its_allocation_budget() {
     assert!(chain_only <= CHAIN_ONLY_CEILING, "{chain_only}");
     assert!(relayed <= RELAYED_CEILING, "{relayed}");
     assert!(drained <= DRAINED_CEILING, "{drained}");
+}
+
+/// Run lengths around a hash's 32 bytes, around the 1,024 bytes a `Vec`
+/// reserves from a length read off the wire, and past both.
+const RUN_LENGTHS: [usize; 9] = [0, 1, 31, 32, 33, 1_023, 1_024, 1_025, 3_000];
+
+/// The typed reader's verdict on `bytes`, checked equal to the tree path's,
+/// `T::from_value(&binary::from_bytes(bytes)?)`.
+fn same_verdict<T: Deserialize + PartialEq + Debug>(bytes: &[u8]) -> Option<T> {
+    let typed = binary::read::<T>(bytes).ok();
+    let by_value = binary::from_bytes(bytes).and_then(|v| T::from_value(&v));
+    assert_eq!(typed, by_value.ok(), "on a run of {} bytes", bytes.len());
+    typed
+}
+
+fn varint(mut n: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    while n >= 0x80 {
+        out.push((n as u8) | 0x80);
+        n >>= 7;
+    }
+    out.push(n as u8);
+    out
+}
+
+/// Whether `Vec<u8>`, `[u8; 32]` and the tree path each refuse `bytes`, and
+/// the allocations the three reads made.
+fn refusals(bytes: &[u8]) -> (u64, [bool; 3]) {
+    counted(|| {
+        [
+            binary::read::<Vec<u8>>(bytes).is_err(),
+            binary::read::<[u8; 32]>(bytes).is_err(),
+            binary::from_bytes(bytes).is_err(),
+        ]
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A byte run reads back whole through `Vec<u8>`, through `[u8; 32]`
+    /// only when it is 32 bytes long, and a cut anywhere in it is refused by
+    /// both paths. A length header past the input (`u64::MAX`, or one more
+    /// than the bytes that follow) is refused with no more allocations than
+    /// a run cut before its length makes: the error messages, nothing sized
+    /// by the header.
+    #[test]
+    fn hostile_byte_runs_are_refused_alike_and_before_allocating(
+        pick in any::<prop::sample::Index>(),
+        seed in any::<u8>(),
+    ) {
+        let len = RUN_LENGTHS[pick.index(RUN_LENGTHS.len())];
+        let data: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(31) ^ seed).collect();
+        let run = binary::write(&data);
+        prop_assert_eq!(same_verdict::<Vec<u8>>(&run), Some(data.clone()));
+        prop_assert_eq!(same_verdict::<Vec<u64>>(&run).map(|v| v.len()), Some(len));
+        prop_assert_eq!(same_verdict::<[u8; 32]>(&run).is_some(), len == 32);
+        for cut in 0..run.len() {
+            prop_assert_eq!(same_verdict::<Vec<u8>>(&run[..cut]), None);
+            prop_assert_eq!(same_verdict::<[u8; 32]>(&run[..cut]), None);
+        }
+
+        let tag = run[0];
+        let (baseline, refused) = refusals(&[tag]);
+        prop_assert_eq!(refused, [true; 3]);
+        let body = &run[1 + varint(len as u64).len()..];
+        for claimed in [u64::MAX, len as u64 + 1] {
+            let hostile = [&[tag][..], &varint(claimed), body].concat();
+            prop_assert_eq!(refusals(&hostile), (baseline, [true; 3]));
+        }
+    }
 }

@@ -676,9 +676,9 @@ mod codec {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(10))]
 
-        /// Random relayer batches encode to the bytes and the length the
-        /// tree path gives, and every truncation of the payload is rejected
-        /// by both decoders.
+        /// Random relayer batches encode to bytes that read back as their
+        /// tree and to the length the tree path gives, and every truncation
+        /// of the payload is rejected by both decoders.
         #[test]
         fn relayer_batches_encode_identically_and_reject_every_truncation(
             packets in prop::collection::vec((1u64..5_000, prop::collection::vec(any::<u8>(), 0..40)), 0..3),
@@ -688,7 +688,7 @@ mod codec {
             let tx = relayer_tx(&packets, padding, nonce);
             let raw = tx.encode();
             let tree = tx.to_value();
-            prop_assert_eq!(raw.as_bytes(), binary::to_bytes(&tree).as_slice());
+            prop_assert_eq!(binary::from_bytes(raw.as_bytes()).unwrap(), tree);
             prop_assert_eq!(raw.len(), serde::json::encoded_len(&tree));
             prop_assert_eq!(raw.len(), serde_json::to_string(&tx).unwrap().len());
             prop_assert_eq!(assert_same_tx_verdict(raw.as_bytes()), Some(tx));
@@ -795,9 +795,10 @@ mod codec {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
         /// Packet data longer than the 1,024 bytes a `Vec` reserves from a
-        /// length read off the wire, so a payload is read in more than one
-        /// run: the same bytes, the same transaction back, and every cut
-        /// across it rejected by both decoders.
+        /// length read off the wire, so a payload is copied out of its byte
+        /// run in more than one piece: bytes that read back as the tree, the
+        /// same transaction back, and every cut across it rejected by both
+        /// decoders.
         #[test]
         fn packet_data_across_reserve_runs_reads_back(
             data in prop::collection::vec(any::<u8>(), 1_000..2_200),
@@ -805,7 +806,7 @@ mod codec {
         ) {
             let tx = relayer_tx(&[(seq, data)], 3, 9);
             let raw = tx.encode();
-            prop_assert_eq!(raw.as_bytes(), binary::to_bytes(&tx.to_value()).as_slice());
+            prop_assert_eq!(binary::from_bytes(raw.as_bytes()).unwrap(), tx.to_value());
             prop_assert_eq!(assert_same_tx_verdict(raw.as_bytes()), Some(tx));
             for cut in 0..raw.as_bytes().len() {
                 prop_assert_eq!(assert_same_tx_verdict(&raw.as_bytes()[..cut]), None);

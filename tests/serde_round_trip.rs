@@ -6,7 +6,9 @@
 //!
 //! Below them, one `wire_round_trip!` line per type a `Tx` can hold: the
 //! transaction codec streams these to bytes and back without a `Value` tree,
-//! and each line holds that path to the tree-building one it replaced.
+//! and each line holds that path to the tree-building one it replaced, tree
+//! for tree. The bytes themselves are pinned by literals at the end of the
+//! file, not by the tree path, whose `Value` has no byte runs.
 
 use ibc_perf_repro::chain::account::AccountId;
 use ibc_perf_repro::chain::coin::Coin;
@@ -108,20 +110,25 @@ serde_round_trip! {
     tx: Tx = sample_tx() => r#"{"msgs":[{"BankSend":{"from":"alice","to":"bob","amount":{"denom":"uatom","amount":7}}}],"signer":"alice","sequence":3,"gas_limit":105000,"fee":{"denom":"uatom","amount":1050},"memo":"","signature":[192,180,75,238,247,23,158,213,157,37,235,128,135,81,148,124,254,38,46,180,196,229,5,205,203,189,194,18,227,71,140,181]}"#;
 }
 
-/// One `#[test]` per type on the transaction wire: the streamed bytes are the
-/// bytes of the `Value` tree, the streamed length is the length of the JSON
-/// text, and the typed read gives the value back.
+/// One circular `#[test]` per type on the transaction wire: the streamed
+/// bytes read back as the value by the typed reader and as its `Value` tree
+/// by the tree reader, the tree's own bytes (byte arrays spelt as integers)
+/// read back as the value too, and the streamed length is the length of the
+/// JSON text.
 macro_rules! wire_round_trip {
     ($($name:ident: $ty:ty = $value:expr;)*) => {$(
         #[test]
         fn $name() {
             let value: $ty = $value;
             let bytes = serde::binary::write(&value);
-            assert_eq!(bytes, serde::binary::to_bytes(&value.to_value()));
+            assert_eq!(serde::binary::read::<$ty>(&bytes).unwrap(), value);
+            let tree = value.to_value();
+            assert_eq!(serde::binary::from_bytes(&bytes).unwrap(), tree);
+            let spelt = serde::binary::to_bytes(&tree);
+            assert_eq!(serde::binary::read::<$ty>(&spelt).unwrap(), value);
             let mut len = serde::json::Len::default();
             value.serialize(&mut len);
             assert_eq!(len.0, serde_json::to_string(&value).unwrap().len());
-            assert_eq!(serde::binary::read::<$ty>(&bytes).unwrap(), value);
         }
     )*};
 }
@@ -292,7 +299,8 @@ wire_round_trip! {
 /// The streamed bytes of each shared-string newtype, captured at the commit
 /// before they held an `Arc<str>` (PR 21): a string tag, the length, the text.
 /// `wire_round_trip!` above holds the streamed path to the tree path; this
-/// holds both to the bytes every committed transaction hash was made from.
+/// holds the streamed path to the bytes every committed transaction hash is
+/// made from.
 #[test]
 fn identifier_wire_bytes_are_pinned() {
     fn bytes(value: impl Serialize) -> Vec<u8> {
@@ -310,4 +318,22 @@ fn identifier_wire_bytes_are_pinned() {
         bytes(AccountId::new("cosmos1\u{e9}\t")),
         b"\x06\x0acosmos1\xc3\xa9\t"
     );
+}
+
+/// A byte array is one run: tag 9, the length as a varint, the raw bytes.
+/// These literals fix the format every transaction hash is made from; the
+/// tree path spells the same arrays as integers and cannot.
+#[test]
+fn byte_run_wire_bytes_are_pinned() {
+    let hash = Hash(std::array::from_fn(|i| (i * 9) as u8));
+    let mut expected = b"\x09\x20".to_vec();
+    expected.extend(b"\x00\x09\x12\x1b\x24\x2d\x36\x3f\x48\x51\x5a\x63\x6c\x75\x7e\x87");
+    expected.extend(b"\x90\x99\xa2\xab\xb4\xbd\xc6\xcf\xd8\xe1\xea\xf3\xfc\x05\x0e\x17");
+    assert_eq!(serde::binary::write(&hash), expected);
+    assert_eq!(serde::binary::write(&Vec::<u8>::new()), b"\x09\x00");
+    let data: Vec<u8> = (0..1_025u32).map(|i| (i % 251) as u8).collect();
+    let bytes = serde::binary::write(&data);
+    assert_eq!(bytes.len(), 3 + 1_025);
+    assert_eq!(bytes[..3], *b"\x09\x81\x08");
+    assert_eq!(bytes[3..], data[..]);
 }
