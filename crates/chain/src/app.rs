@@ -147,13 +147,10 @@ impl GaiaApp {
                     .with_attr("recipient", to.to_string())
                     .with_attr("amount", amount.to_string())])
             }
-            Msg::IbcTransfer(params) => {
-                let (_packet, events) = self
-                    .ibc
-                    .send_transfer(&ctx, &mut self.bank, params)
-                    .map_err(|e| e.to_string())?;
-                Ok(events)
-            }
+            Msg::IbcTransfer(params) => self
+                .ibc
+                .send_transfer(&ctx, &mut self.bank, params)
+                .map_err(|e| e.to_string()),
             Msg::IbcRecvPacket {
                 packet,
                 proof_commitment,
@@ -618,7 +615,7 @@ mod rollback_tests {
     use xcc_ibc::channel::Order;
     use xcc_ibc::client::ClientUpdate;
     use xcc_ibc::commitment::CommitmentProof;
-    use xcc_ibc::ids::{ChannelId, ClientId, PortId, Sequence};
+    use xcc_ibc::ids::{ChannelId, ClientId, ConnectionId, PortId, Sequence};
     use xcc_ibc::module::TransferParams;
     use xcc_ibc::packet::Packet;
 
@@ -653,6 +650,16 @@ mod rollback_tests {
         tx: &Tx,
         proven: &dyn Fn(&GaiaApp) -> CommitmentProof,
     ) -> u32 {
+        deliver_and_keep_both(app, tx, proven).0
+    }
+
+    /// [`deliver_both_ways`], returning the result code and the journaled and
+    /// oracle copies after their `commit`.
+    fn deliver_and_keep_both(
+        app: &GaiaApp,
+        tx: &Tx,
+        proven: &dyn Fn(&GaiaApp) -> CommitmentProof,
+    ) -> (u32, GaiaApp, GaiaApp) {
         let mut journaled = app.clone();
         let mut oracle = app.clone();
         // Build the tree memo first, so the rollback has a memo to invalidate.
@@ -674,7 +681,7 @@ mod rollback_tests {
             assert_eq!(journaled.ibc, app.ibc);
             assert_eq!(proven(&journaled), proven(app));
         }
-        code
+        (code, journaled, oracle)
     }
 
     /// Two chains joined by one transfer channel, with four packets sent from A:
@@ -943,6 +950,75 @@ mod rollback_tests {
         let acks = vec![update_client(&pair.b), pair.ack(0), pair.ack(1)];
         let code = deliver_both_ways(a, &relayer_tx(&pair.a, acks), &pair.proven_on_a());
         assert_eq!(code, 0);
+    }
+
+    /// What channel end `channel` of chain A's `app` says about its sends:
+    /// the next sequence to send, every sequence sent, and the packet under
+    /// each sequence from 0 to one past the next.
+    fn sends_on(
+        app: &GaiaApp,
+        channel: &ChannelId,
+    ) -> (Sequence, Vec<Sequence>, Vec<Option<Packet>>) {
+        let (ibc, port) = (app.ibc(), PortId::transfer());
+        let next = ibc
+            .channel(&port, channel)
+            .expect("open")
+            .next_sequence_send;
+        let packets = (0..=next.value() + 1)
+            .map(|seq| ibc.sent_packet(&port, channel, Sequence(seq)).cloned())
+            .collect();
+        (next, ibc.sent_sequences(&port, channel), packets)
+    }
+
+    /// Sends over two channel ends in one transaction, which the journaled
+    /// `DeliverTx` records as sequence bumps and log appends and writes each
+    /// end's store leaf for once, at commit. A later failing message must
+    /// leave both ends as they were; without it, both ends must hold what the
+    /// oracle's message-by-message writes left. The leaves are compared
+    /// entry by entry with the rest of the store (`ibc` equality), then
+    /// through the root and `commit()`.
+    #[test]
+    fn sends_over_two_channels_roll_back_and_commit_like_the_snapshot() {
+        let mut pair = Pair::new();
+        let port = PortId::transfer();
+        let connection = ConnectionId::with_index(0);
+        let (ibc_a, ibc_b) = (pair.a.app_mut().ibc_mut(), pair.b.app_mut().ibc_mut());
+        let (second, _) = ibc_a
+            .chan_open_init(&port, &connection, &port, Order::Unordered)
+            .unwrap();
+        let (second_b, _) = ibc_b
+            .chan_open_try(&port, &connection, &port, &second, Order::Unordered)
+            .unwrap();
+        ibc_a.chan_open_ack(&port, &second, &second_b).unwrap();
+        ibc_b.chan_open_confirm(&port, &second_b).unwrap();
+        let channels = [pair.chan_a.clone(), second];
+
+        let app = pair.a.app();
+        let before: Vec<_> = channels.iter().map(|c| sends_on(app, c)).collect();
+        let sends: Vec<Msg> = (0..3)
+            .flat_map(|i| channels.iter().map(move |c| transfer(c, "relayer", 10 + i)))
+            .collect();
+        let mut failing = sends.clone();
+        failing.push(Msg::BankSend {
+            from: "relayer".into(),
+            to: "user-0".into(),
+            amount: Coin::new("uatom", u128::MAX),
+        });
+        for (msgs, expected) in [(failing, CODE_MSG_FAILED), (sends, 0)] {
+            let tx = relayer_tx(&pair.a, msgs);
+            let (code, journaled, oracle) = deliver_and_keep_both(app, &tx, &pair.proven_on_a());
+            assert_eq!(code, expected);
+            for (channel, before) in channels.iter().zip(&before) {
+                let after = sends_on(&journaled, channel);
+                assert_eq!(after, sends_on(&oracle, channel));
+                if code == 0 {
+                    assert_eq!(after.0.value(), before.0.value() + 3);
+                    assert_eq!(after.1.len(), before.1.len() + 3);
+                } else {
+                    assert_eq!(&after, before);
+                }
+            }
+        }
     }
 
     proptest! {

@@ -180,7 +180,7 @@ mod tests {
     fn encoded_sizes_are_positive_and_scale_with_content() {
         let small = transfer_msg();
         let large = Msg::IbcTransfer(TransferParams {
-            denom: "transfer/channel-0/".repeat(10) + "uatom",
+            denom: ("transfer/channel-0/".repeat(10) + "uatom").into(),
             ..match transfer_msg() {
                 Msg::IbcTransfer(p) => p,
                 _ => unreachable!(),

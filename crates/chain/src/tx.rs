@@ -289,6 +289,32 @@ mod tests {
         assert_eq!(tx.hash(), sha256(raw.as_bytes()));
     }
 
+    /// A decoded 100-transfer transaction holds one copy of each text its
+    /// messages repeat, as the CLI built it: `CheckTx` allocates a
+    /// denomination and two addresses per transaction, not per message.
+    #[test]
+    fn decoded_transfers_share_their_texts() {
+        let msgs: Vec<Msg> = (0..100).map(|i| transfer(i as u128 + 1)).collect();
+        let decoded = Tx::decode(&Tx::new("alice".into(), 7, msgs, "uatom").encode()).unwrap();
+        let params: Vec<&TransferParams> = (decoded.msgs.iter())
+            .map(|msg| match msg {
+                Msg::IbcTransfer(params) => params,
+                other => panic!("not a transfer: {other:?}"),
+            })
+            .collect();
+        assert_eq!(params.len(), 100);
+        let first = params[0];
+        for p in &params[1..] {
+            assert!(std::sync::Arc::ptr_eq(&p.sender, &first.sender));
+            assert!(std::sync::Arc::ptr_eq(&p.receiver, &first.receiver));
+            assert!(std::sync::Arc::ptr_eq(&p.denom, &first.denom));
+        }
+        assert_eq!(
+            (&*first.sender, &*first.receiver, &*first.denom),
+            ("alice", "bob", "uatom")
+        );
+    }
+
     #[test]
     fn wire_length_models_the_json_rendering_exactly() {
         let msgs: Vec<Msg> = (0..100).map(|i| transfer(i as u128 + 1)).collect();

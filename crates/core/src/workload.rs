@@ -11,6 +11,7 @@
 //! skewed load for the `channel_contention` scenario.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use xcc_chain::account::AccountId;
 use xcc_chain::msg::Msg;
@@ -88,15 +89,19 @@ fn cli_transfer(
     // Building and signing the transaction costs CLI time.
     t += CLI_COST_PER_TX + SimDuration::from_micros(40) * batch as u64;
 
+    // One copy of each text per transaction, shared by its messages.
+    let denom: Arc<str> = fee_denom.into();
+    let sender: Arc<str> = user.as_str().into();
+    let receiver: Arc<str> = "user-0".into();
     let msgs: Vec<Msg> = (0..batch)
         .map(|_| {
             Msg::IbcTransfer(TransferParams {
                 source_port: path.port.clone(),
                 source_channel: path.src_channel.clone(),
-                denom: fee_denom.to_string(),
+                denom: Arc::clone(&denom),
                 amount: 1,
-                sender: user.to_string(),
-                receiver: "user-0".to_string(),
+                sender: Arc::clone(&sender),
+                receiver: Arc::clone(&receiver),
                 timeout_height,
                 timeout_timestamp: SimTime::ZERO,
             })

@@ -5,7 +5,8 @@
 //! handlers. Handlers return the ABCI events the host must emit, which is how
 //! relayers observe protocol progress.
 
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -37,6 +38,9 @@ pub struct HostContext {
 }
 
 /// Parameters of an ICS-20 transfer request (the content of `MsgTransfer`).
+///
+/// The three texts are shared: a decoded 100-message transaction holds one
+/// copy of each distinct denomination and address, not one per message.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TransferParams {
     /// Port to send from (normally `transfer`).
@@ -44,20 +48,45 @@ pub struct TransferParams {
     /// Channel to send over.
     pub source_channel: ChannelId,
     /// Denomination to send.
-    pub denom: String,
+    pub denom: Arc<str>,
     /// Amount to send.
     pub amount: u128,
     /// Sender account on the host chain.
-    pub sender: String,
+    pub sender: Arc<str>,
     /// Receiver account on the counterparty chain.
-    pub receiver: String,
+    pub receiver: Arc<str>,
     /// Destination-chain height after which the transfer times out.
     pub timeout_height: Height,
     /// Destination-chain timestamp after which the transfer times out.
     pub timeout_timestamp: SimTime,
 }
 
+/// Everything this chain keeps about one of its channel ends.
+#[derive(Debug, Clone, PartialEq)]
+struct ChannelRecord {
+    end: ChannelEnd,
+    /// The end's ICS-20 escrow account, hashed once when the end is opened.
+    escrow: String,
+    /// Every packet sent on this end: `sent[i]` has sequence `i + 1`, so the
+    /// log is as long as `end.next_sequence_send - 1`.
+    sent: Vec<Packet>,
+    /// The acknowledgement written for each packet received on this end.
+    acks: BTreeMap<Sequence, Acknowledgement>,
+}
+
 /// The IBC module state hosted by one chain.
+///
+/// # Channel ends
+///
+/// Each channel end is one record: the [`ChannelEnd`], its escrow account,
+/// the log of packets it sent and the acknowledgements it wrote. A
+/// `MsgTransfer` bumps the end's `next_sequence_send` in place and appends
+/// its packet to the log. The end's commitment-store leaf, which hashes the
+/// send sequence, is written once per transaction, at
+/// [`commit_tx`](IbcModule::commit_tx), however many transfers the
+/// transaction made (with no transaction open it is written at once). The
+/// store therefore holds the same leaves at every transaction boundary as
+/// when each transfer rewrote it.
 ///
 /// # Transactions
 ///
@@ -65,9 +94,10 @@ pub struct TransferParams {
 /// [`commit_tx`](IbcModule::commit_tx) / [`rollback_tx`](IbcModule::rollback_tx)
 /// every write a message handler can make — a commitment-store `set` or
 /// `delete`, a channel end, a sent packet, an acknowledgement, a client
-/// update — records the value it replaced (see [`xcc_tendermint::journal`]),
+/// update — records how to undo itself (see [`xcc_tendermint::journal`]),
 /// so the host can revert a transaction whose `k`-th message failed without
 /// having copied the thousands of commitments and packets it never touched.
+/// A send records only its sequence: undoing it pops the log.
 /// Client creation, connection handshakes and client expiry are set-up and
 /// fault-injection calls that no message reaches; they write through the same
 /// store path but their own maps and counters are not journaled.
@@ -87,11 +117,12 @@ pub struct IbcModule {
     client_counter: u64,
     connections: BTreeMap<ConnectionId, ConnectionEnd>,
     connection_counter: u64,
-    channels: BTreeMap<(PortId, ChannelId), ChannelEnd>,
+    channels: BTreeMap<(PortId, ChannelId), ChannelRecord>,
     channel_counter: u64,
     store: CommitmentStore,
-    sent_packets: BTreeMap<(PortId, ChannelId, Sequence), Packet>,
-    acks: BTreeMap<(PortId, ChannelId, Sequence), Acknowledgement>,
+    /// The channel ends whose store leaf the open transaction has yet to
+    /// write.
+    unwritten_ends: Vec<(PortId, ChannelId)>,
     journal: Journal<IbcUndo>,
     verified: VerifiedPath,
 }
@@ -108,8 +139,7 @@ impl PartialEq for IbcModule {
             channels,
             channel_counter,
             store,
-            sent_packets,
-            acks,
+            unwritten_ends,
             journal,
             verified: _,
         } = self;
@@ -121,19 +151,26 @@ impl PartialEq for IbcModule {
             && channels == &other.channels
             && channel_counter == &other.channel_counter
             && store == &other.store
-            && sent_packets == &other.sent_packets
-            && acks == &other.acks
+            && unwritten_ends == &other.unwritten_ends
             && journal == &other.journal
     }
 }
 
-/// One reverted write: the key and what it held before.
+/// How to revert one write.
 #[derive(Debug, Clone, PartialEq)]
 enum IbcUndo {
+    /// A store path and what it held before.
     Store(String, Option<Hash>),
+    /// A handshake step: the channel end before it, `None` when the step
+    /// created the channel.
     Channel((PortId, ChannelId), Option<ChannelEnd>),
-    SentPacket((PortId, ChannelId, Sequence), Option<Packet>),
-    Ack((PortId, ChannelId, Sequence), Option<Acknowledgement>),
+    /// A send of this sequence: pop it off the log and make it the next
+    /// sequence to send again.
+    Sent((PortId, ChannelId), Sequence),
+    /// An ordered receive that moved `next_sequence_recv` off this value.
+    Received((PortId, ChannelId), Sequence),
+    /// An acknowledgement slot and what it held before.
+    Ack((PortId, ChannelId), Sequence, Option<Acknowledgement>),
     Client(ClientId, Option<ClientRecord>),
 }
 
@@ -149,8 +186,7 @@ impl IbcModule {
             channels: BTreeMap::new(),
             channel_counter: 0,
             store: CommitmentStore::new(),
-            sent_packets: BTreeMap::new(),
-            acks: BTreeMap::new(),
+            unwritten_ends: Vec::new(),
             journal: Journal::default(),
             verified: VerifiedPath::default(),
         }
@@ -161,18 +197,28 @@ impl IbcModule {
         self.journal.begin();
     }
 
-    /// Closes the open transaction, keeping its writes.
+    /// Closes the open transaction, keeping its writes, and writes the store
+    /// leaf of every channel end it sent on.
     pub fn commit_tx(&mut self) {
         self.journal.commit();
+        for key in std::mem::take(&mut self.unwritten_ends) {
+            self.write_end_leaf(&key);
+        }
     }
 
     /// Closes the open transaction and reverts its writes, newest first.
     /// Every key ends up holding exactly what it held at `begin_tx`, so the
     /// commitment root and every proof are those of the state before the
     /// transaction (each reverted store entry is an ordinary `set`/`delete`,
-    /// so the store drops its tree and the next read rebuilds it).
+    /// so the store drops its tree and the next read rebuilds it). The
+    /// channel-end leaves the transaction would have written at commit are
+    /// never written.
     pub fn rollback_tx(&mut self) {
+        self.unwritten_ends.clear();
+        let channels = &mut self.channels;
         for undo in self.journal.rollback() {
+            // An entry naming a channel end was made while the end existed,
+            // and entries are undone newest first, so it still exists.
             match undo {
                 IbcUndo::Store(path, Some(value)) => {
                     self.store.set(path, value);
@@ -180,9 +226,30 @@ impl IbcModule {
                 IbcUndo::Store(path, None) => {
                     self.store.delete(&path);
                 }
-                IbcUndo::Channel(key, prior) => restore(&mut self.channels, key, prior),
-                IbcUndo::SentPacket(key, prior) => restore(&mut self.sent_packets, key, prior),
-                IbcUndo::Ack(key, prior) => restore(&mut self.acks, key, prior),
+                IbcUndo::Channel(key, None) => {
+                    channels.remove(&key);
+                }
+                IbcUndo::Channel(key, Some(end)) => {
+                    if let Some(record) = channels.get_mut(&key) {
+                        record.end = end;
+                    }
+                }
+                IbcUndo::Sent(key, sequence) => {
+                    if let Some(record) = channels.get_mut(&key) {
+                        record.sent.pop();
+                        record.end.next_sequence_send = sequence;
+                    }
+                }
+                IbcUndo::Received(key, sequence) => {
+                    if let Some(record) = channels.get_mut(&key) {
+                        record.end.next_sequence_recv = sequence;
+                    }
+                }
+                IbcUndo::Ack(key, sequence, prior) => {
+                    if let Some(record) = channels.get_mut(&key) {
+                        restore(&mut record.acks, sequence, prior);
+                    }
+                }
                 IbcUndo::Client(client_id, prior) => restore(&mut self.clients, client_id, prior),
             }
         }
@@ -491,7 +558,7 @@ impl IbcModule {
         channel_id: &ChannelId,
         counterparty_channel_id: &ChannelId,
     ) -> Result<Vec<Event>, IbcError> {
-        let mut end = self.require_channel(port_id, channel_id)?.clone();
+        let mut end = self.require_channel(port_id, channel_id)?.end.clone();
         if end.state != ChannelState::Init {
             return Err(IbcError::InvalidState {
                 reason: format!(
@@ -518,7 +585,7 @@ impl IbcModule {
         port_id: &PortId,
         channel_id: &ChannelId,
     ) -> Result<Vec<Event>, IbcError> {
-        let mut end = self.require_channel(port_id, channel_id)?.clone();
+        let mut end = self.require_channel(port_id, channel_id)?.end.clone();
         if end.state != ChannelState::TryOpen {
             return Err(IbcError::InvalidState {
                 reason: format!(
@@ -536,14 +603,16 @@ impl IbcModule {
 
     /// Read access to a channel end.
     pub fn channel(&self, port_id: &PortId, channel_id: &ChannelId) -> Option<&ChannelEnd> {
-        self.channels.get(&(port_id.clone(), channel_id.clone()))
+        Some(&self.record(port_id, channel_id)?.end)
     }
 
     // ------------------------------------------------------------------
     // ICS-04 + ICS-20: packet life cycle
     // ------------------------------------------------------------------
 
-    /// Handles `MsgTransfer`: escrows/burns the funds and sends the packet.
+    /// Handles `MsgTransfer`: escrows/burns the funds and sends the packet,
+    /// which goes on the channel end's send log. Returns the `send_packet`
+    /// event, which carries the packet.
     ///
     /// # Errors
     ///
@@ -554,16 +623,18 @@ impl IbcModule {
         _ctx: &HostContext,
         bank: &mut dyn BankKeeper,
         params: &TransferParams,
-    ) -> Result<(Packet, Vec<Event>), IbcError> {
-        let mut channel = self
-            .require_channel(&params.source_port, &params.source_channel)?
-            .clone();
-        if !channel.is_open() {
+    ) -> Result<Vec<Event>, IbcError> {
+        let key = (params.source_port.clone(), params.source_channel.clone());
+        let record = self
+            .channels
+            .get_mut(&key)
+            .ok_or_else(|| channel_not_found(&key.0, &key.1))?;
+        if !record.end.is_open() {
             return Err(IbcError::InvalidState {
                 reason: format!("channel {} is not open", params.source_channel),
             });
         }
-        let Some(destination_channel) = channel.counterparty.channel_id.clone() else {
+        let Some(destination_channel) = record.end.counterparty.channel_id.clone() else {
             return Err(IbcError::InvalidState {
                 reason: format!(
                     "open channel {} has no counterparty channel id",
@@ -577,37 +648,37 @@ impl IbcModule {
             sender: &params.sender,
             receiver: &params.receiver,
         };
-        transfer::send_coins(bank, &params.source_port, &params.source_channel, &data)?;
+        transfer::send_coins(bank, &key.0, &key.1, &record.escrow, &data)?;
 
-        let sequence = channel.next_sequence_send;
+        let sequence = record.end.next_sequence_send;
         let packet = Packet {
             sequence,
-            source_port: params.source_port.clone(),
-            source_channel: params.source_channel.clone(),
-            destination_port: channel.counterparty.port_id.clone(),
+            source_port: key.0.clone(),
+            source_channel: key.1.clone(),
+            destination_port: record.end.counterparty.port_id.clone(),
             destination_channel,
             data: data.to_bytes(),
             timeout_height: params.timeout_height,
             timeout_timestamp: params.timeout_timestamp,
         };
-
-        // Store the commitment and bump the send sequence.
-        self.store_set(
-            host::packet_commitment_path(&params.source_port, &params.source_channel, sequence),
-            packet.commitment(),
-        );
-        channel.next_sequence_send = sequence.next();
-        self.write_channel(&params.source_port, &params.source_channel, channel);
-        let key = (
-            params.source_port.clone(),
-            params.source_channel.clone(),
-            sequence,
-        );
-        let prior = self.sent_packets.insert(key.clone(), packet.clone());
-        self.journal.record(|| IbcUndo::SentPacket(key, prior));
-
+        let commitment = packet.commitment();
         let event = events::send_packet_event(&packet);
-        Ok((packet, vec![event]))
+        record.end.next_sequence_send = sequence.next();
+        record.sent.push(packet);
+
+        self.store_set(
+            host::packet_commitment_path(&key.0, &key.1, sequence),
+            commitment,
+        );
+        // The end's leaf covers `next_sequence_send`: the transaction writes
+        // it once, at `commit_tx`.
+        if !self.journal.is_open() {
+            self.write_end_leaf(&key);
+        } else if !self.unwritten_ends.contains(&key) {
+            self.unwritten_ends.push(key.clone());
+        }
+        self.journal.record(|| IbcUndo::Sent(key, sequence));
+        Ok(vec![event])
     }
 
     /// Handles `MsgRecvPacket` on the destination chain.
@@ -625,9 +696,15 @@ impl IbcModule {
         proof: &CommitmentProof,
         proof_height: Height,
     ) -> Result<(Acknowledgement, Vec<Event>), IbcError> {
-        let mut channel = self
-            .require_channel(&packet.destination_port, &packet.destination_channel)?
-            .clone();
+        let key = (
+            packet.destination_port.clone(),
+            packet.destination_channel.clone(),
+        );
+        let record = self
+            .channels
+            .get(&key)
+            .ok_or_else(|| channel_not_found(&key.0, &key.1))?;
+        let channel = &record.end;
         if !channel.is_open() {
             return Err(IbcError::InvalidState {
                 reason: format!("channel {} is not open", packet.destination_channel),
@@ -643,11 +720,7 @@ impl IbcModule {
         }
 
         // Redundancy check (unordered channel: packet receipt).
-        let receipt_path = host::packet_receipt_path(
-            &packet.destination_port,
-            &packet.destination_channel,
-            packet.sequence,
-        );
+        let receipt_path = host::packet_receipt_path(&key.0, &key.1, packet.sequence);
         if self.store.contains(&receipt_path) {
             return Err(IbcError::PacketAlreadyReceived {
                 sequence: packet.sequence,
@@ -680,7 +753,8 @@ impl IbcModule {
         }
 
         // Ordered channels additionally enforce in-order delivery.
-        if channel.ordering == Order::Ordered && packet.sequence != channel.next_sequence_recv {
+        let ordered = channel.ordering == Order::Ordered;
+        if ordered && packet.sequence != channel.next_sequence_recv {
             return Err(IbcError::InvalidState {
                 reason: format!(
                     "ordered channel expects sequence {}, got {}",
@@ -690,31 +764,25 @@ impl IbcModule {
         }
 
         // Hand the packet to the ICS-20 application.
-        let ack = transfer::on_recv_packet(bank, packet);
+        let ack = transfer::on_recv_packet(bank, packet, &record.escrow);
 
         // Record receipt and acknowledgement.
         self.store_set(receipt_path, hash_fields(&[b"receipt"]));
-        let ack_path = host::packet_acknowledgement_path(
-            &packet.destination_port,
-            &packet.destination_channel,
-            packet.sequence,
-        );
+        let ack_path = host::packet_acknowledgement_path(&key.0, &key.1, packet.sequence);
         self.store_set(ack_path, ack.commitment());
-        let key = (
-            packet.destination_port.clone(),
-            packet.destination_channel.clone(),
-            packet.sequence,
-        );
-        let prior = self.acks.insert(key.clone(), ack.clone());
-        self.journal.record(|| IbcUndo::Ack(key, prior));
-        if channel.ordering == Order::Ordered {
-            channel.next_sequence_recv = channel.next_sequence_recv.next();
-            self.write_channel(
-                &packet.destination_port,
-                &packet.destination_channel,
-                channel,
-            );
+        let record = self
+            .channels
+            .get_mut(&key)
+            .ok_or_else(|| channel_not_found(&key.0, &key.1))?;
+        let prior = record.acks.insert(packet.sequence, ack.clone());
+        if ordered {
+            let received = record.end.next_sequence_recv;
+            record.end.next_sequence_recv = received.next();
+            self.journal
+                .record(|| IbcUndo::Received(key.clone(), received));
         }
+        self.journal
+            .record(|| IbcUndo::Ack(key, packet.sequence, prior));
 
         let events = vec![
             events::recv_packet_event(packet),
@@ -738,16 +806,13 @@ impl IbcModule {
         proof: &CommitmentProof,
         proof_height: Height,
     ) -> Result<Vec<Event>, IbcError> {
-        let connection_id = self
-            .require_channel(&packet.source_port, &packet.source_channel)?
-            .connection_id
-            .clone();
+        let key = (packet.source_port.clone(), packet.source_channel.clone());
+        let record = self
+            .channels
+            .get(&key)
+            .ok_or_else(|| channel_not_found(&key.0, &key.1))?;
 
-        let commitment_path = host::packet_commitment_path(
-            &packet.source_port,
-            &packet.source_channel,
-            packet.sequence,
-        );
+        let commitment_path = host::packet_commitment_path(&key.0, &key.1, packet.sequence);
         let stored = self.store.get(&commitment_path).copied().ok_or(
             IbcError::PacketAlreadyAcknowledged {
                 sequence: packet.sequence,
@@ -771,7 +836,7 @@ impl IbcModule {
             });
         }
         // Same strict-then-structural verification as `recv_packet`.
-        let root = self.counterparty_root(&connection_id, proof_height)?;
+        let root = self.counterparty_root(&record.end.connection_id, proof_height)?;
         let verified = &mut self.verified;
         if !proof.verify(&root, verified) && !proof.verify(&proof.root, verified) {
             return Err(IbcError::InvalidProof {
@@ -780,7 +845,7 @@ impl IbcModule {
         }
 
         // Application callback (refund on error ack), then clean up.
-        transfer::on_acknowledgement(bank, packet, ack)?;
+        transfer::on_acknowledgement(bank, packet, ack, &record.escrow)?;
         self.store_delete(&commitment_path);
 
         Ok(vec![events::ack_packet_event(packet)])
@@ -800,10 +865,7 @@ impl IbcModule {
         proof_unreceived: &NonMembershipProof,
         proof_height: Height,
     ) -> Result<Vec<Event>, IbcError> {
-        let connection_id = self
-            .require_channel(&packet.source_port, &packet.source_channel)?
-            .connection_id
-            .clone();
+        let record = self.require_channel(&packet.source_port, &packet.source_channel)?;
 
         let commitment_path = host::packet_commitment_path(
             &packet.source_port,
@@ -823,10 +885,13 @@ impl IbcModule {
 
         // The packet must have expired relative to the counterparty state the
         // proof refers to.
-        let connection = self
-            .connections
-            .get(&connection_id)
-            .ok_or(IbcError::ConnectionNotFound { connection_id })?;
+        let connection_id = &record.end.connection_id;
+        let connection =
+            self.connections
+                .get(connection_id)
+                .ok_or_else(|| IbcError::ConnectionNotFound {
+                    connection_id: connection_id.clone(),
+                })?;
         let client =
             self.clients
                 .get(&connection.client_id)
@@ -863,7 +928,7 @@ impl IbcModule {
         }
 
         // Refund and clean up (OnPacketTimeout in Fig. 3 of the paper).
-        transfer::refund(bank, packet)?;
+        transfer::refund(bank, packet, &record.escrow)?;
         self.store_delete(&commitment_path);
 
         Ok(vec![events::timeout_packet_event(packet)])
@@ -903,7 +968,7 @@ impl IbcModule {
         channel: &ChannelId,
         seq: Sequence,
     ) -> Option<&Acknowledgement> {
-        self.acks.get(&(port.clone(), channel.clone(), seq))
+        self.record(port, channel)?.acks.get(&seq)
     }
 
     /// A membership proof of an acknowledgement commitment.
@@ -972,16 +1037,16 @@ impl IbcModule {
         channel: &ChannelId,
         seq: Sequence,
     ) -> Option<&Packet> {
-        self.sent_packets.get(&(port.clone(), channel.clone(), seq))
+        let index = usize::try_from(seq.value().checked_sub(1)?).ok()?;
+        self.record(port, channel)?.sent.get(index)
     }
 
     /// All sequences ever sent on a channel end.
     pub fn sent_sequences(&self, port: &PortId, channel: &ChannelId) -> Vec<Sequence> {
-        let key = |seq| (port.clone(), channel.clone(), Sequence(seq));
-        self.sent_packets
-            .range(key(0)..=key(u64::MAX))
-            .map(|((_, _, s), _)| *s)
-            .collect()
+        let Some(record) = self.record(port, channel) else {
+            return Vec::new();
+        };
+        record.sent.iter().map(|packet| packet.sequence).collect()
     }
 
     /// The sequences sent on a channel end whose commitment is still in the
@@ -1029,16 +1094,17 @@ impl IbcModule {
         }
     }
 
+    fn record(&self, port_id: &PortId, channel_id: &ChannelId) -> Option<&ChannelRecord> {
+        self.channels.get(&(port_id.clone(), channel_id.clone()))
+    }
+
     fn require_channel(
         &self,
         port_id: &PortId,
         channel_id: &ChannelId,
-    ) -> Result<&ChannelEnd, IbcError> {
-        self.channel(port_id, channel_id)
-            .ok_or_else(|| IbcError::ChannelNotFound {
-                port_id: port_id.clone(),
-                channel_id: channel_id.clone(),
-            })
+    ) -> Result<&ChannelRecord, IbcError> {
+        self.record(port_id, channel_id)
+            .ok_or_else(|| channel_not_found(port_id, channel_id))
     }
 
     /// The one path by which handlers write the commitment store.
@@ -1066,23 +1132,44 @@ impl IbcModule {
         self.connections.insert(connection_id.clone(), end);
     }
 
-    /// Replaces a channel end (the map entry and its store commitment). The
-    /// end is always written whole — handlers edit a copy — so the recorded
-    /// prior value is the one before the handler ran.
+    /// Writes a handshake step's channel end: the record's end and its store
+    /// leaf. The step that opens the end creates the record, which is when its
+    /// escrow account is hashed. Handshake handlers edit a copy of the end, so
+    /// the recorded prior value is the one before the step.
     fn write_channel(&mut self, port_id: &PortId, channel_id: &ChannelId, end: ChannelEnd) {
         self.store_set(
             host::channel_path(port_id, channel_id),
-            hash_fields(&[
-                b"channel-end",
-                port_id.as_str().as_bytes(),
-                channel_id.as_str().as_bytes(),
-                &[end.state as u8],
-                &end.next_sequence_send.value().to_be_bytes(),
-            ]),
+            end_leaf(port_id, channel_id, &end),
         );
         let key = (port_id.clone(), channel_id.clone());
-        let prior = self.channels.insert(key.clone(), end);
+        let prior = match self.channels.entry(key.clone()) {
+            btree_map::Entry::Occupied(mut slot) => {
+                Some(std::mem::replace(&mut slot.get_mut().end, end))
+            }
+            btree_map::Entry::Vacant(slot) => {
+                slot.insert(ChannelRecord {
+                    end,
+                    escrow: transfer::escrow_address(port_id, channel_id),
+                    sent: Vec::new(),
+                    acks: BTreeMap::new(),
+                });
+                None
+            }
+        };
         self.journal.record(|| IbcUndo::Channel(key, prior));
+    }
+
+    /// Writes channel end `key`'s store leaf as the record now holds it,
+    /// unjournaled: it is called only with no transaction open, when the
+    /// sends it covers have no transaction to revert them.
+    fn write_end_leaf(&mut self, key: &(PortId, ChannelId)) {
+        if let Some(record) = self.channels.get(key) {
+            let (port_id, channel_id) = key;
+            self.store.set(
+                host::channel_path(port_id, channel_id),
+                end_leaf(port_id, channel_id, &record.end),
+            );
+        }
     }
 
     /// Looks up the counterparty commitment root recorded by the client
@@ -1125,6 +1212,26 @@ impl IbcModule {
                 client_id: connection.client_id.clone(),
                 height: proof_height,
             })
+    }
+}
+
+/// A channel end's store leaf: its identifiers, state and next send
+/// sequence.
+fn end_leaf(port_id: &PortId, channel_id: &ChannelId, end: &ChannelEnd) -> Hash {
+    hash_fields(&[
+        b"channel-end",
+        port_id.as_str().as_bytes(),
+        channel_id.as_str().as_bytes(),
+        &[end.state as u8],
+        &end.next_sequence_send.value().to_be_bytes(),
+    ])
+}
+
+/// What a handler reports for a channel end this chain does not have.
+fn channel_not_found(port_id: &PortId, channel_id: &ChannelId) -> IbcError {
+    IbcError::ChannelNotFound {
+        port_id: port_id.clone(),
+        channel_id: channel_id.clone(),
     }
 }
 
@@ -1250,6 +1357,13 @@ mod tests {
         }
     }
 
+    /// `MsgTransfer` on `a`: the packet sent, as its `send_packet` event
+    /// carries it.
+    fn send(a: &mut IbcModule, bank: &mut TestBank, params: &TransferParams) -> Packet {
+        let events = a.send_transfer(&ctx(2), bank, params).unwrap();
+        events::packet_from_event(&events[0]).expect("a send_packet event")
+    }
+
     fn transfer_params(chan: &ChannelId, amount: u128, timeout_height: u64) -> TransferParams {
         TransferParams {
             source_port: PortId::transfer(),
@@ -1289,10 +1403,15 @@ mod tests {
         bank_a.set("alice", "uatom", 1_000);
 
         // 1. MsgTransfer on A.
-        let (packet, events) = a
+        let events = a
             .send_transfer(&ctx(2), &mut bank_a, &transfer_params(&chan_a, 250, 1_000))
             .unwrap();
         assert_eq!(events[0].kind, events::SEND_PACKET);
+        let packet = events::packet_from_event(&events[0]).unwrap();
+        assert_eq!(
+            a.sent_packet(&port, &chan_a, packet.sequence),
+            Some(&packet)
+        );
         assert_eq!(packet.destination_channel, chan_b);
         assert!(a
             .packet_commitment(&port, &chan_a, packet.sequence)
@@ -1344,9 +1463,7 @@ mod tests {
         let mut bank_b = TestBank::default();
         bank_a.set("alice", "uatom", 100);
 
-        let (packet, _) = a
-            .send_transfer(&ctx(2), &mut bank_a, &transfer_params(&chan_a, 10, 1_000))
-            .unwrap();
+        let packet = send(&mut a, &mut bank_a, &transfer_params(&chan_a, 10, 1_000));
         sync_root(&mut b, &a, 3);
         let proof = a
             .prove_packet_commitment(&port, &chan_a, packet.sequence)
@@ -1370,9 +1487,7 @@ mod tests {
         let mut bank_b = TestBank::default();
         bank_a.set("alice", "uatom", 100);
 
-        let (packet, _) = a
-            .send_transfer(&ctx(2), &mut bank_a, &transfer_params(&chan_a, 10, 1_000))
-            .unwrap();
+        let packet = send(&mut a, &mut bank_a, &transfer_params(&chan_a, 10, 1_000));
         sync_root(&mut b, &a, 3);
         let proof = a
             .prove_packet_commitment(&port, &chan_a, packet.sequence)
@@ -1415,9 +1530,7 @@ mod tests {
         bank_a.set("alice", "uatom", 100);
 
         // Times out at destination height 3.
-        let (packet, _) = a
-            .send_transfer(&ctx(2), &mut bank_a, &transfer_params(&chan_a, 10, 3))
-            .unwrap();
+        let packet = send(&mut a, &mut bank_a, &transfer_params(&chan_a, 10, 3));
         sync_root(&mut b, &a, 3);
         let proof = a
             .prove_packet_commitment(&port, &chan_a, packet.sequence)
@@ -1435,9 +1548,7 @@ mod tests {
         let mut bank_a = TestBank::default();
         bank_a.set("alice", "uatom", 100);
 
-        let (packet, _) = a
-            .send_transfer(&ctx(2), &mut bank_a, &transfer_params(&chan_a, 40, 4))
-            .unwrap();
+        let packet = send(&mut a, &mut bank_a, &transfer_params(&chan_a, 40, 4));
         assert_eq!(bank_a.get("alice", "uatom"), 60);
 
         // Not yet expired at the counterparty: timeout rejected.
@@ -1473,13 +1584,9 @@ mod tests {
         let mut bank_b = TestBank::default();
         bank_a.set("alice", "uatom", 100);
 
-        let (packet, _) = a
-            .send_transfer(&ctx(2), &mut bank_a, &transfer_params(&chan_a, 10, 1_000))
-            .unwrap();
+        let packet = send(&mut a, &mut bank_a, &transfer_params(&chan_a, 10, 1_000));
         // Proof generated for the wrong sequence/path.
-        let (packet2, _) = a
-            .send_transfer(&ctx(2), &mut bank_a, &transfer_params(&chan_a, 10, 1_000))
-            .unwrap();
+        let packet2 = send(&mut a, &mut bank_a, &transfer_params(&chan_a, 10, 1_000));
         sync_root(&mut b, &a, 3);
         let wrong_proof = a
             .prove_packet_commitment(&port, &chan_a, packet2.sequence)
@@ -1497,9 +1604,7 @@ mod tests {
         bank_a.set("alice", "uatom", 1_000);
         let mut seqs = Vec::new();
         for _ in 0..5 {
-            let (packet, _) = a
-                .send_transfer(&ctx(2), &mut bank_a, &transfer_params(&chan_a, 10, 1_000))
-                .unwrap();
+            let packet = send(&mut a, &mut bank_a, &transfer_params(&chan_a, 10, 1_000));
             seqs.push(packet.sequence.value());
         }
         assert_eq!(seqs, vec![1, 2, 3, 4, 5]);
@@ -1512,15 +1617,78 @@ mod tests {
     }
 
     #[test]
+    fn sent_packet_is_none_outside_the_log() {
+        let (mut a, _b, chan_a, _) = connected_pair();
+        let port = PortId::transfer();
+        let mut bank_a = TestBank::default();
+        bank_a.set("alice", "uatom", 100);
+        let packet = send(&mut a, &mut bank_a, &transfer_params(&chan_a, 10, 1_000));
+        assert_eq!(a.sent_packet(&port, &chan_a, Sequence(1)), Some(&packet));
+        assert_eq!(a.sent_packet(&port, &chan_a, Sequence(0)), None);
+        assert_eq!(a.sent_packet(&port, &chan_a, Sequence(2)), None);
+        assert_eq!(a.sent_packet(&port, &chan_a, Sequence(u64::MAX)), None);
+        let unknown = ChannelId::with_index(7);
+        assert_eq!(a.sent_packet(&port, &unknown, Sequence(1)), None);
+        assert!(a.sent_sequences(&port, &unknown).is_empty());
+        assert_eq!(a.packet_acknowledgement(&port, &unknown, Sequence(1)), None);
+    }
+
+    /// Inside a transaction the channel-end leaf keeps its value from before
+    /// it until `commit_tx` writes it once; a rollback never writes it, and
+    /// pops the log. Either way the store ends up as the same sends made with
+    /// no transaction open leave it.
+    #[test]
+    fn the_channel_end_leaf_is_written_at_commit() {
+        let (mut a, _b, chan_a, _) = connected_pair();
+        let port = PortId::transfer();
+        let path = host::channel_path(&port, &chan_a);
+        let mut bank_a = TestBank::default();
+        bank_a.set("alice", "uatom", 100);
+        let leaf = |a: &IbcModule| a.store.get(&path).copied();
+        let opened = leaf(&a);
+        let mut direct = a.clone();
+        let mut direct_bank = TestBank::default();
+        direct_bank.set("alice", "uatom", 100);
+
+        a.begin_tx();
+        for _ in 0..3 {
+            send(&mut a, &mut bank_a, &transfer_params(&chan_a, 10, 1_000));
+        }
+        assert_eq!(leaf(&a), opened, "not written before the commit");
+        a.rollback_tx();
+        assert_eq!(leaf(&a), opened);
+        assert!(a.sent_sequences(&port, &chan_a).is_empty());
+        assert_eq!(
+            a.channel(&port, &chan_a).unwrap().next_sequence_send,
+            Sequence(1)
+        );
+
+        a.begin_tx();
+        for _ in 0..3 {
+            send(&mut a, &mut bank_a, &transfer_params(&chan_a, 10, 1_000));
+            send(
+                &mut direct,
+                &mut direct_bank,
+                &transfer_params(&chan_a, 10, 1_000),
+            );
+        }
+        a.commit_tx();
+        let end = a.channel(&port, &chan_a).unwrap();
+        assert_eq!(end.next_sequence_send, Sequence(4));
+        assert_eq!(leaf(&a), Some(end_leaf(&port, &chan_a, end)));
+        assert_ne!(leaf(&a), opened);
+        assert_eq!(a, direct);
+        assert_eq!(a.commitment_root(), direct.commitment_root());
+    }
+
+    #[test]
     fn unreceived_packet_queries() {
         let (mut a, mut b, chan_a, chan_b) = connected_pair();
         let port = PortId::transfer();
         let mut bank_a = TestBank::default();
         let mut bank_b = TestBank::default();
         bank_a.set("alice", "uatom", 100);
-        let (packet, _) = a
-            .send_transfer(&ctx(2), &mut bank_a, &transfer_params(&chan_a, 10, 1_000))
-            .unwrap();
+        let packet = send(&mut a, &mut bank_a, &transfer_params(&chan_a, 10, 1_000));
         assert_eq!(
             b.unreceived_packets(&port, &chan_b, &[packet.sequence]),
             vec![packet.sequence]
@@ -1545,9 +1713,7 @@ mod tests {
         bank_a.set("alice", "uatom", 100);
 
         // Packet sent before the fault; B learned A's root at height 3.
-        let (packet, _) = a
-            .send_transfer(&ctx(2), &mut bank_a, &transfer_params(&chan_a, 10, 6))
-            .unwrap();
+        let packet = send(&mut a, &mut bank_a, &transfer_params(&chan_a, 10, 6));
         sync_root(&mut b, &a, 3);
 
         // Trust period lapses on B's client tracking A.
@@ -1594,8 +1760,8 @@ mod tests {
         // An open end that never learned its counterparty's channel id is a
         // typed error, raised before any coin moves.
         let (mut a, _b, chan_a, _) = connected_pair();
-        let end = a.channels.get_mut(&(PortId::transfer(), chan_a.clone()));
-        end.unwrap().counterparty.channel_id = None;
+        let record = a.channels.get_mut(&(PortId::transfer(), chan_a.clone()));
+        record.unwrap().end.counterparty.channel_id = None;
         bank.set("alice", "uatom", 5);
         let err = a
             .send_transfer(&ctx(1), &mut bank, &transfer_params(&chan_a, 1, 10))

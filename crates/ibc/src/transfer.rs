@@ -112,7 +112,9 @@ pub trait BankKeeper {
     fn burn(&mut self, from: &str, denom: &str, amount: u128) -> Result<(), String>;
 }
 
-/// The escrow account that holds tokens sent over a channel.
+/// The escrow account that holds tokens sent over a channel. The IBC module
+/// hashes it once per channel end, when the end is opened, and hands it to
+/// the functions below.
 pub fn escrow_address(port_id: &PortId, channel_id: &ChannelId) -> String {
     let digest = hash_fields(&[
         b"ics20-escrow",
@@ -146,7 +148,7 @@ pub fn prefixed_denom(dest_port: &PortId, dest_channel: &ChannelId, denom: &str)
 }
 
 /// Escrows or burns tokens on the sending chain, implementing the send half
-/// of ICS-20.
+/// of ICS-20. `escrow` is the source channel end's escrow account.
 ///
 /// # Errors
 ///
@@ -155,12 +157,12 @@ pub fn send_coins(
     bank: &mut dyn BankKeeper,
     source_port: &PortId,
     source_channel: &ChannelId,
+    escrow: &str,
     data: &FungibleTokenPacketData,
 ) -> Result<(), IbcError> {
     if sender_is_source(source_port, source_channel, data.denom) {
         // Token native to this chain: escrow it.
-        let escrow = escrow_address(source_port, source_channel);
-        bank.send(data.sender, &escrow, data.denom, data.amount)
+        bank.send(data.sender, escrow, data.denom, data.amount)
             .map_err(|reason| IbcError::Transfer { reason })
     } else {
         // Voucher returning home: burn it.
@@ -172,15 +174,15 @@ pub fn send_coins(
 /// Processes an incoming ICS-20 packet on the receiving chain, returning the
 /// acknowledgement to write. Never fails at the IBC layer: application errors
 /// are reported through an error acknowledgement, as the spec requires.
-pub fn on_recv_packet(bank: &mut dyn BankKeeper, packet: &Packet) -> Acknowledgement {
+/// `escrow` is the destination channel end's escrow account.
+pub fn on_recv_packet(bank: &mut dyn BankKeeper, packet: &Packet, escrow: &str) -> Acknowledgement {
     let data = match FungibleTokenPacketData::from_bytes(&packet.data) {
         Ok(data) => data,
         Err(e) => return Acknowledgement::error(e.to_string()),
     };
     if let Some(base) = strip_trace(&packet.source_port, &packet.source_channel, data.denom) {
         // The token is returning to its origin chain: release it from escrow.
-        let escrow = escrow_address(&packet.destination_port, &packet.destination_channel);
-        match bank.send(&escrow, data.receiver, base, data.amount) {
+        match bank.send(escrow, data.receiver, base, data.amount) {
             Ok(()) => Acknowledgement::success(),
             Err(reason) => Acknowledgement::error(reason),
         }
@@ -198,7 +200,8 @@ pub fn on_recv_packet(bank: &mut dyn BankKeeper, packet: &Packet) -> Acknowledge
 
 /// Handles the acknowledgement of a previously sent packet on the sending
 /// chain: a success acknowledgement completes the transfer, an error
-/// acknowledgement refunds the sender.
+/// acknowledgement refunds the sender. `escrow` is the source channel end's
+/// escrow account.
 ///
 /// # Errors
 ///
@@ -208,24 +211,25 @@ pub fn on_acknowledgement(
     bank: &mut dyn BankKeeper,
     packet: &Packet,
     ack: &Acknowledgement,
+    escrow: &str,
 ) -> Result<(), IbcError> {
     if ack.is_success() {
         Ok(())
     } else {
-        refund(bank, packet)
+        refund(bank, packet, escrow)
     }
 }
 
-/// Refunds the sender of a packet that timed out or was rejected.
+/// Refunds the sender of a packet that timed out or was rejected. `escrow`
+/// is the source channel end's escrow account.
 ///
 /// # Errors
 ///
 /// Fails if the escrowed funds cannot be returned (inconsistent host state).
-pub fn refund(bank: &mut dyn BankKeeper, packet: &Packet) -> Result<(), IbcError> {
+pub fn refund(bank: &mut dyn BankKeeper, packet: &Packet, escrow: &str) -> Result<(), IbcError> {
     let data = FungibleTokenPacketData::from_bytes(&packet.data)?;
     if sender_is_source(&packet.source_port, &packet.source_channel, data.denom) {
-        let escrow = escrow_address(&packet.source_port, &packet.source_channel);
-        bank.send(&escrow, data.sender, data.denom, data.amount)
+        bank.send(escrow, data.sender, data.denom, data.amount)
             .map_err(|reason| IbcError::Transfer { reason })
     } else {
         bank.mint(data.sender, data.denom, data.amount);
@@ -283,6 +287,11 @@ mod tests {
         }
     }
 
+    /// The escrow account of this chain's `channel-{index}` transfer end.
+    fn escrow(index: u64) -> String {
+        escrow_address(&PortId::transfer(), &ChannelId::with_index(index))
+    }
+
     fn packet(data: &FungibleTokenPacketData, src_chan: u64, dst_chan: u64) -> Packet {
         Packet {
             sequence: Sequence::FIRST,
@@ -337,17 +346,17 @@ mod tests {
             &mut bank_a,
             &PortId::transfer(),
             &ChannelId::with_index(0),
+            &escrow(0),
             &data,
         )
         .unwrap();
-        let escrow = escrow_address(&PortId::transfer(), &ChannelId::with_index(0));
         assert_eq!(bank_a.get("alice", "uatom"), 600);
-        assert_eq!(bank_a.get(&escrow, "uatom"), 400);
+        assert_eq!(bank_a.get(&escrow(0), "uatom"), 400);
 
         // Chain B mints a voucher with the destination trace.
         let mut bank_b = TestBank::default();
         let p = packet(&data, 0, 1);
-        let ack = on_recv_packet(&mut bank_b, &p);
+        let ack = on_recv_packet(&mut bank_b, &p, &escrow(1));
         assert!(ack.is_success());
         assert_eq!(bank_b.get("bob", "transfer/channel-1/uatom"), 400);
     }
@@ -357,7 +366,7 @@ mod tests {
         // Setup: chain A has 400 uatom escrowed for channel-0 (from a previous
         // transfer), and chain B holds the corresponding voucher.
         let mut bank_a = TestBank::default();
-        let escrow_a = escrow_address(&PortId::transfer(), &ChannelId::with_index(0));
+        let escrow_a = escrow(0);
         bank_a.set(&escrow_a, "uatom", 400);
 
         let mut bank_b = TestBank::default();
@@ -374,6 +383,7 @@ mod tests {
             &mut bank_b,
             &PortId::transfer(),
             &ChannelId::with_index(1),
+            &escrow(1),
             &data,
         )
         .unwrap();
@@ -382,7 +392,7 @@ mod tests {
         // Chain A receives: denom is prefixed with the packet's source trace
         // (transfer/channel-1), so it strips it and releases escrow.
         let p = packet(&data, 1, 0);
-        let ack = on_recv_packet(&mut bank_a, &p);
+        let ack = on_recv_packet(&mut bank_a, &p, &escrow(0));
         assert!(ack.is_success(), "ack: {ack:?}");
         assert_eq!(bank_a.get("alice", "uatom"), 150);
         assert_eq!(bank_a.get(&escrow_a, "uatom"), 250);
@@ -399,7 +409,7 @@ mod tests {
             receiver: "alice",
         };
         let p = packet(&data, 1, 0);
-        let ack = on_recv_packet(&mut bank, &p);
+        let ack = on_recv_packet(&mut bank, &p, &escrow(0));
         assert!(!ack.is_success());
     }
 
@@ -417,17 +427,24 @@ mod tests {
             &mut bank_a,
             &PortId::transfer(),
             &ChannelId::with_index(0),
+            &escrow(0),
             &data,
         )
         .unwrap();
         assert_eq!(bank_a.get("alice", "uatom"), 0);
 
         let p = packet(&data, 0, 1);
-        on_acknowledgement(&mut bank_a, &p, &Acknowledgement::error("rejected")).unwrap();
+        on_acknowledgement(
+            &mut bank_a,
+            &p,
+            &Acknowledgement::error("rejected"),
+            &escrow(0),
+        )
+        .unwrap();
         assert_eq!(bank_a.get("alice", "uatom"), 100);
 
         // A success ack does not move funds again.
-        on_acknowledgement(&mut bank_a, &p, &Acknowledgement::success()).unwrap();
+        on_acknowledgement(&mut bank_a, &p, &Acknowledgement::success(), &escrow(0)).unwrap();
         assert_eq!(bank_a.get("alice", "uatom"), 100);
     }
 
@@ -445,12 +462,13 @@ mod tests {
             &mut bank_b,
             &PortId::transfer(),
             &ChannelId::with_index(1),
+            &escrow(1),
             &data,
         )
         .unwrap();
         assert_eq!(bank_b.get("bob", "transfer/channel-1/uatom"), 0);
         let p = packet(&data, 1, 0);
-        refund(&mut bank_b, &p).unwrap();
+        refund(&mut bank_b, &p, &escrow(1)).unwrap();
         assert_eq!(bank_b.get("bob", "transfer/channel-1/uatom"), 50);
     }
 

@@ -61,6 +61,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use xcc_chain::account::AccountId;
+use xcc_chain::ante;
 use xcc_chain::msg::Msg;
 use xcc_chain::tx::Tx;
 use xcc_ibc::events as ibc_events;
@@ -1382,8 +1383,10 @@ impl Relayer {
                 accepted = Some(tx.hash());
                 tracker.advance();
             }
-            Err(BroadcastError::CheckTxFailed { log, .. })
-                if log.contains("account sequence mismatch") =>
+            // A stale sequence is known by the ante handler's code, which
+            // rewording its message cannot change.
+            Err(BroadcastError::CheckTxFailed { code, log })
+                if code == ante::CODE_SEQUENCE_MISMATCH =>
             {
                 self.stats.broadcast_failures += 1;
                 self.telemetry.record_error(ready, log);

@@ -64,6 +64,11 @@ impl<U> Journal<U> {
         self.open = true;
     }
 
+    /// Whether a transaction is open.
+    pub fn is_open(&self) -> bool {
+        self.open
+    }
+
     /// Keeps `undo()` if a transaction is open; otherwise does not call it.
     pub fn record(&mut self, undo: impl FnOnce() -> U) {
         if self.open {

@@ -114,23 +114,26 @@ fn drained() -> ExperimentSpec {
 /// Allocations per committed transfer on `chain_only()`: 89.9 before
 /// identifiers and the event schema were shared, 30.5 while packet events
 /// still held their attribute values as formatted text, 22.5 with the
-/// values, and 19.5 now that decoding a transaction allocates each of its
-/// shared names once, not once per message. The ceiling fails on each of
-/// the earlier ones.
-const CHAIN_ONLY_CEILING: f64 = 21.0;
+/// values, 19.5 once decoding a transaction allocated each of its shared
+/// names once, not once per message, and 8.4 now that a transfer's texts
+/// are shared too and a send appends its packet to its channel end's log
+/// (no packet copy, no escrow address and no channel-end leaf per message).
+/// The ceiling fails on each of the earlier ones.
+const CHAIN_ONLY_CEILING: f64 = 10.0;
 /// Per submitted transfer on `relayed()`: 220.8 before shared names, 96.1
 /// with a relayed packet copied eight times, 86.8 with one owner, 62.1 once
 /// emitting a packet event formatted nothing and reading it back parsed
-/// nothing, and 49.9 now that a decoded batch allocates each name once and a
-/// store leaf is hashed without being assembled first. The ceiling fails on
-/// each of the earlier four.
-const RELAYED_CEILING: f64 = 56.0;
+/// nothing, 49.9 once a decoded batch allocated each name once and a store
+/// leaf was hashed without being assembled first, and 38.7 with one record
+/// per channel end. The ceiling fails on each of the earlier five.
+const RELAYED_CEILING: f64 = 44.0;
 /// Per submitted transfer on `drained()`: 197.3 while the drain check and the
 /// two clear scans formatted and looked up the path of every packet ever
 /// sent, 122.1 once they walked the store's commitment prefix, 90.0 with
-/// packet events as values, and 73.1 with shared names in decoded batches.
-/// The ceiling fails on each of the earlier three.
-const DRAINED_CEILING: f64 = 82.0;
+/// packet events as values, 73.1 with shared names in decoded batches, and
+/// 62.0 with one record per channel end. The ceiling fails on each of the
+/// earlier four.
+const DRAINED_CEILING: f64 = 70.0;
 
 /// Runs `spec` once to warm up, then twice counted; the two counts must be
 /// equal. Returns allocations per `transfers(outcome)`.

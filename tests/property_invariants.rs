@@ -138,8 +138,8 @@ proptest! {
             sender: "alice",
             receiver: "bob",
         };
-        send_coins(&mut bank_a, &port, &chan_a, &data).unwrap();
         let escrow = escrow_address(&port, &chan_a);
+        send_coins(&mut bank_a, &port, &chan_a, &escrow, &data).unwrap();
         prop_assert_eq!(bank_a.balance(&"alice".into(), "uatom"), 0);
         prop_assert_eq!(bank_a.balance(&escrow.as_str().into(), "uatom"), amount);
 
@@ -154,7 +154,7 @@ proptest! {
             timeout_timestamp: SimTime::ZERO,
         };
         // Either the packet is delivered (vouchers minted on B)…
-        let ack = on_recv_packet(&mut bank_b, &packet);
+        let ack = on_recv_packet(&mut bank_b, &packet, &escrow_address(&port, &chan_b));
         prop_assert!(ack.is_success());
         let voucher = format!("transfer/{chan_b}/uatom");
         prop_assert_eq!(BankKeeper::send(&mut bank_b, "bob", "carol", &voucher, amount), Ok(()));
@@ -162,8 +162,8 @@ proptest! {
         // refund restores the sender in full.
         let mut bank_a2 = BankModule::new();
         bank_a2.mint_coins(&"alice".into(), &Coin::new("uatom", amount));
-        send_coins(&mut bank_a2, &port, &chan_a, &data).unwrap();
-        refund(&mut bank_a2, &packet).unwrap();
+        send_coins(&mut bank_a2, &port, &chan_a, &escrow, &data).unwrap();
+        refund(&mut bank_a2, &packet, &escrow).unwrap();
         prop_assert_eq!(bank_a2.balance(&"alice".into(), "uatom"), amount);
     }
 
