@@ -1,12 +1,10 @@
-//! Gas metering and the per-message gas costs observed in the paper.
+//! The per-message gas costs observed in the paper.
 //!
 //! The paper reports that a 100-message transaction consumes on average
 //! 3,669,161 gas for transfers, 7,238,699 gas for receives and 3,107,462 gas
 //! for acknowledgements (§IV-A). The constants here decompose those totals
 //! into a fixed per-transaction overhead plus a per-message cost so that
 //! differently sized batches are charged consistently.
-
-use serde::{Deserialize, Serialize};
 
 /// Fixed gas overhead per transaction (signature verification, ante handler).
 pub const TX_BASE_GAS: u64 = 80_000;
@@ -33,84 +31,6 @@ pub const MSG_BANK_SEND_GAS: u64 = 25_000;
 /// The gas price the paper configures in Hermes: 0.01 tokens per unit of gas.
 // xcc-lint: allow(float-determinism, reason = "paper-fixed constant; every fee passes through fee_for_gas, which ceils to an integer")
 pub const GAS_PRICE: f64 = 0.01;
-
-/// Errors produced by the gas meter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OutOfGas {
-    /// The configured limit.
-    pub limit: u64,
-    /// The amount that was attempted.
-    pub attempted: u64,
-}
-
-impl std::fmt::Display for OutOfGas {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "out of gas: limit {}, attempted {}",
-            self.limit, self.attempted
-        )
-    }
-}
-
-impl std::error::Error for OutOfGas {}
-
-/// A per-transaction gas meter.
-///
-/// # Example
-///
-/// ```rust
-/// use xcc_chain::gas::GasMeter;
-///
-/// let mut meter = GasMeter::new(100_000);
-/// meter.consume(80_000).unwrap();
-/// assert_eq!(meter.remaining(), 20_000);
-/// assert!(meter.consume(50_000).is_err());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GasMeter {
-    limit: u64,
-    consumed: u64,
-}
-
-impl GasMeter {
-    /// Creates a meter with the given limit.
-    pub fn new(limit: u64) -> Self {
-        GasMeter { limit, consumed: 0 }
-    }
-
-    /// Consumes `amount` gas.
-    ///
-    /// # Errors
-    ///
-    /// Fails without consuming anything when the limit would be exceeded.
-    pub fn consume(&mut self, amount: u64) -> Result<(), OutOfGas> {
-        let attempted = self.consumed.saturating_add(amount);
-        if attempted > self.limit {
-            return Err(OutOfGas {
-                limit: self.limit,
-                attempted,
-            });
-        }
-        self.consumed = attempted;
-        Ok(())
-    }
-
-    /// Gas consumed so far.
-    pub fn consumed(&self) -> u64 {
-        self.consumed
-    }
-
-    /// Gas still available.
-    pub fn remaining(&self) -> u64 {
-        self.limit - self.consumed
-    }
-
-    /// The configured limit.
-    pub fn limit(&self) -> u64 {
-        self.limit
-    }
-}
 
 /// The fee (in the fee denomination) for a transaction consuming `gas` units
 /// at the paper's configured gas price.
@@ -139,36 +59,8 @@ mod tests {
     }
 
     #[test]
-    fn gas_meter_enforces_limit_without_partial_consumption() {
-        let mut m = GasMeter::new(1_000);
-        m.consume(400).unwrap();
-        let err = m.consume(700).unwrap_err();
-        assert_eq!(
-            err,
-            OutOfGas {
-                limit: 1_000,
-                attempted: 1_100
-            }
-        );
-        // Failed consumption leaves the meter untouched.
-        assert_eq!(m.consumed(), 400);
-        assert_eq!(m.remaining(), 600);
-        assert_eq!(m.limit(), 1_000);
-    }
-
-    #[test]
     fn fee_follows_configured_gas_price() {
         assert_eq!(fee_for_gas(3_669_161), 36_692);
         assert_eq!(fee_for_gas(0), 0);
-    }
-
-    #[test]
-    fn out_of_gas_display() {
-        assert!(OutOfGas {
-            limit: 5,
-            attempted: 9
-        }
-        .to_string()
-        .contains("out of gas"));
     }
 }

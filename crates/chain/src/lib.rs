@@ -3,7 +3,7 @@
 //! This crate provides the host blockchain the paper's experiments run on:
 //! accounts with replay-protecting sequence numbers, an ante handler that
 //! reproduces the "account sequence mismatch" behaviour, a bank module, gas
-//! metering calibrated to the per-message costs the paper reports, a
+//! costs calibrated to the per-message costs the paper reports, a
 //! transaction format with 100-message batching, and a complete ABCI
 //! application embedding the IBC module from `xcc-ibc`.
 //!

@@ -43,7 +43,8 @@ pub struct DeploymentConfig {
     pub relayer_strategy: RelayerStrategy,
     /// Number of funded user accounts available to the workload generator.
     pub user_accounts: usize,
-    /// Seed for all randomness in the experiment.
+    /// The experiment seed. No run draws from it: it stays in every spec
+    /// (and so in every fixture's spec JSON) for a model that will.
     pub seed: u64,
     /// When true, scenario outcomes additionally report the relayers'
     /// `broadcast_failures` counter as a metric. Off by default so the

@@ -76,11 +76,6 @@ pub fn entries() -> &'static [ScenarioEntry] {
     ENTRIES
 }
 
-/// The names of every registered scenario, in paper order.
-pub fn names() -> Vec<&'static str> {
-    ENTRIES.iter().map(|e| e.name).collect()
-}
-
 /// Looks a scenario up by name.
 pub fn get(name: &str) -> Option<&'static ScenarioEntry> {
     ENTRIES.iter().find(|e| e.name == name)
@@ -788,8 +783,8 @@ fn tfps_column<'a>(
 // ---------------------------------------------------------------------------
 
 fn fig6_render(report: &mut ExecutionReport, outcomes: &[ScenarioOutcome]) {
-    // One run per rate: the seed only feeds RPC latency jitter, which the
-    // constant-RTT model never draws, so repeated seeds were identical runs.
+    // One run per rate: no model draws a random number, so a run at another
+    // seed would repeat this one.
     report.add_note("Fig. 6 — Tendermint throughput (TFPS) vs input rate, one run per rate");
     let tfps = Col::float("TFPS", 10, ScenarioOutcome::tendermint_throughput_tfps);
     let columns = [rate_column(), tfps.metric("median_tfps_at_{}")];

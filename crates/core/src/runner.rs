@@ -61,12 +61,12 @@ use xcc_ibc::events as ibc_events;
 use xcc_relayer::relayer::{RelayPath, RelayerStats};
 use xcc_relayer::telemetry::{TelemetryLog, TransferStep};
 use xcc_rpc::endpoint::{LaneStats, RpcEndpoint};
-use xcc_sim::{prof, Scheduler, SchedulerBackend, SimDuration, SimTime};
+use xcc_sim::{prof, Scheduler, SimDuration, SimTime};
 use xcc_tendermint::hash::Hash;
 
 use crate::config::{DeploymentConfig, WorkloadConfig};
 use crate::fault::FaultEvent;
-use crate::testnet::{make_rpc, SetupError, Testnet};
+use crate::testnet::{rpc_endpoint, SetupError, Testnet};
 use crate::topology::HopRoute;
 use crate::work::WorkProfile;
 use crate::workload::{
@@ -290,14 +290,7 @@ pub fn run_experiment(
     }
     let workload_rpcs: Vec<RpcEndpoint> = rpc_chains
         .iter()
-        .map(|&c| {
-            let label = if c == 0 {
-                "workload-cli".to_string()
-            } else {
-                format!("workload-cli-{c}")
-            };
-            make_rpc(&testnet.chains[c], deployment, &testnet.rng, &label)
-        })
+        .map(|&c| rpc_endpoint(&testnet.chains[c], deployment))
         .collect();
     let path_rpc: Vec<usize> = path_src
         .iter()
@@ -326,14 +319,9 @@ pub fn run_experiment(
     let mut forwarder_rpcs: BTreeMap<usize, RpcEndpoint> = BTreeMap::new();
     for route in &active_routes {
         let src = path_src[route.second_leg];
-        forwarder_rpcs.entry(src).or_insert_with(|| {
-            make_rpc(
-                &testnet.chains[src],
-                deployment,
-                &testnet.rng,
-                &format!("forwarder-cli-{src}"),
-            )
-        });
+        forwarder_rpcs
+            .entry(src)
+            .or_insert_with(|| rpc_endpoint(&testnet.chains[src], deployment));
     }
     let mut forwarder = HopForwarder::new(
         active_routes,
@@ -344,15 +332,7 @@ pub fn run_experiment(
     );
 
     let min_interval = deployment.min_block_interval;
-    // Both backends pop the exact same `(time, seq)` FIFO sequence
-    // (equivalence-tested in xcc-sim and by the scheduler property tests),
-    // so the choice is pure host-side cost. The xcc-prof counters showed the
-    // runner's queue is tiny — a few hundred events per run, dwarfed by the
-    // work inside each handler — and on that shape the measured golden
-    // replay is faster on the heap than on the hierarchical wheel (whose
-    // cascade bookkeeping only pays off at much higher event rates), so the
-    // heap stays the default. See docs/PERFORMANCE.md.
-    let mut sched: Scheduler<Ev> = Scheduler::with_backend(SchedulerBackend::Heap);
+    let mut sched: Scheduler<Ev> = Scheduler::new();
     // Every chain committed block 1 during setup at t = 0; their block
     // streams start in topology order (chain 0 first, like the old
     // `BlockA` / `BlockB` insertion sequence).

@@ -397,7 +397,7 @@ impl ExperimentSpec {
         self
     }
 
-    /// Sets the experiment seed (all randomness derives from it).
+    /// Sets the experiment seed, which no run draws from today.
     pub fn seed(mut self, seed: u64) -> Self {
         self.deployment.seed = seed;
         self

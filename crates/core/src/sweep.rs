@@ -2,13 +2,13 @@
 //!
 //! A [`SweepGrid`] is a base [`ExperimentSpec`] plus the axes set on it (the
 //! axis order is the variant order of the private `Axis` enum, input rate
-//! outermost, seed innermost).
+//! outermost, topology innermost).
 //! [`SweepGrid::points`] expands the cartesian product into a deterministic,
 //! ordered list of specs; [`run_parallel`] executes any spec list on a
 //! `std::thread::scope` worker pool. Because every run is fully determined
-//! by its spec (all randomness flows from the seed), a parallel sweep
-//! produces outcomes identical to a sequential one — the engine asserts
-//! nothing less, and `tests/spec_api.rs` verifies it byte-for-byte.
+//! by its spec (no model draws a random number), a parallel sweep produces
+//! outcomes identical to a sequential one — the engine asserts nothing
+//! less, and `tests/spec_api.rs` verifies it byte-for-byte.
 //!
 //! This module is also the single home of the sweep-related environment
 //! variables that the bench binaries used to parse individually:
@@ -97,23 +97,6 @@ pub fn worker_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Deterministically derives the seed for sweep point `index` from a base
-/// seed (splitmix64 of the pair), so grids without an explicit seed axis
-/// still give every point an independent, reproducible random stream.
-pub fn derive_seed(base_seed: u64, index: u64) -> u64 {
-    let mut z = base_seed ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// `count` seeds derived from `base_seed` via [`derive_seed`].
-pub fn derived_seeds(base_seed: u64, count: usize) -> Vec<u64> {
-    (0..count as u64)
-        .map(|i| derive_seed(base_seed, i))
-        .collect()
-}
-
 /// The sweep axes. The variant order is the axis order, stated here once:
 /// [`SweepGrid::points`] nests the axes outermost-first in it, applies their
 /// values to the spec in it (so the channel policy, frame limit and sequence
@@ -133,7 +116,6 @@ enum Axis {
     SequenceTracking,
     FaultPlan,
     Topology,
-    Seed,
 }
 
 /// One value on one sweep axis.
@@ -149,7 +131,6 @@ enum AxisValue {
     SequenceTracking(SequenceTracking),
     FaultPlan(FaultPlan),
     Topology(Topology),
-    Seed(u64),
 }
 
 impl AxisValue {
@@ -166,7 +147,6 @@ impl AxisValue {
             AxisValue::SequenceTracking(tracking) => spec.sequence_tracking(*tracking),
             AxisValue::FaultPlan(plan) => spec.fault_plan(plan.clone()),
             AxisValue::Topology(topology) => spec.topology(topology.clone()),
-            AxisValue::Seed(seed) => spec.seed(*seed),
         }
     }
 
@@ -183,7 +163,6 @@ impl AxisValue {
             AxisValue::SequenceTracking(tracking) => format!("/seqtrack={}", tracking.label()),
             AxisValue::FaultPlan(plan) => format!("/faults={}", plan.label()),
             AxisValue::Topology(topology) => format!("/topo={}", topology.label()),
-            AxisValue::Seed(seed) => format!("/seed={seed}"),
         }
     }
 }
@@ -192,9 +171,9 @@ impl AxisValue {
 ///
 /// An axis that was never set (or was set to an empty list) keeps the base
 /// spec's value. [`points`](SweepGrid::points) iterates the cartesian product
-/// with input rate as the outermost axis and seed as the innermost, whatever
-/// order the setters were called in, so outcomes group naturally per
-/// configuration.
+/// with input rate as the outermost axis and topology as the innermost,
+/// whatever order the setters were called in, so outcomes group naturally
+/// per configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepGrid {
     /// The spec every point starts from.
@@ -284,17 +263,6 @@ impl SweepGrid {
         self.axis(Axis::Topology, topologies, AxisValue::Topology)
     }
 
-    /// Sets the seed axis; unset means "one point with the base seed".
-    pub fn seeds(self, seeds: impl IntoIterator<Item = u64>) -> Self {
-        self.axis(Axis::Seed, seeds, AxisValue::Seed)
-    }
-
-    /// Sets the seed axis to `count` seeds derived from the base seed.
-    pub fn derived_seeds(self, count: usize) -> Self {
-        let base_seed = self.base.deployment.seed;
-        self.seeds(derived_seeds(base_seed, count))
-    }
-
     /// The number of points the grid expands to.
     pub fn len(&self) -> usize {
         self.axes.values().map(Vec::len).product()
@@ -381,20 +349,22 @@ mod tests {
 
     #[test]
     fn grid_expansion_is_the_cartesian_product_in_order() {
-        // Setter call order is irrelevant: rate stays outermost, seed innermost.
-        let grid = SweepGrid::new(ExperimentSpec::relayer_throughput().measurement_blocks(4))
-            .seeds([9])
+        // Setter call order is irrelevant: rate stays outermost, topology
+        // innermost, and a repeated setter replaces the axis.
+        let base = ExperimentSpec::relayer_throughput().measurement_blocks(4);
+        let grid = SweepGrid::new(base.named("g"))
+            .topologies([Topology::line(3)])
             .rtts_ms([0, 200])
             .input_rates([20, 40])
-            .seeds([1, 2]);
+            .topologies([Topology::pair(), Topology::hub_and_spoke(3)]);
         assert_eq!(grid.len(), 8);
         let points = grid.points();
         assert_eq!(points.len(), 8);
-        assert_eq!(points[0].name, "relayer_throughput/rate=20/rtt=0/seed=1");
-        assert_eq!(points[1].name, "relayer_throughput/rate=20/rtt=0/seed=2");
-        assert_eq!(points[2].name, "relayer_throughput/rate=20/rtt=200/seed=1");
-        assert_eq!(points[7].name, "relayer_throughput/rate=40/rtt=200/seed=2");
-        assert_eq!(points[7].deployment.seed, 2);
+        assert_eq!(points[0].name, "g/rate=20/rtt=0/topo=pair");
+        assert_eq!(points[1].name, "g/rate=20/rtt=0/topo=hub-3");
+        assert_eq!(points[2].name, "g/rate=20/rtt=200/topo=pair");
+        assert_eq!(points[7].name, "g/rate=40/rtt=200/topo=hub-3");
+        assert_eq!(points[7].deployment.topology, Topology::hub_and_spoke(3));
         assert_eq!(points[7].deployment.network_rtt_ms, 200);
         assert_eq!(points[7].workload.transfers_per_window(), 200);
     }
@@ -406,7 +376,7 @@ mod tests {
         assert_eq!(grid.len(), 1);
         assert_eq!(grid.points(), vec![base]);
         // An empty list clears an axis that was set earlier.
-        assert_eq!(grid.clone().seeds([1, 2]).derived_seeds(0), grid);
+        assert_eq!(grid.clone().rtts_ms([0, 200]).rtts_ms([]), grid);
     }
 
     #[test]
@@ -493,17 +463,17 @@ mod tests {
                 .measurement_blocks(3),
         )
         .fault_plans([FaultPlan::none(), crash_plan.clone()])
-        .seeds([1, 2]);
+        .rtts_ms([0, 200]);
         assert_eq!(grid.len(), 4);
         let points = grid.points();
-        assert_eq!(points[0].name, "relayer_throughput/faults=none/seed=1");
+        assert_eq!(points[0].name, "relayer_throughput/rtt=0/faults=none");
         assert_eq!(
             points[3].name,
-            "relayer_throughput/faults=crash0@16s+restart0@26s/seed=2"
+            "relayer_throughput/rtt=200/faults=crash0@16s+restart0@26s"
         );
         assert!(points[0].deployment.fault_plan.is_empty());
         assert_eq!(points[3].deployment.fault_plan, crash_plan);
-        assert_eq!(points[3].deployment.seed, 2);
+        assert_eq!(points[3].deployment.network_rtt_ms, 200);
     }
 
     #[test]
@@ -514,26 +484,14 @@ mod tests {
                 .measurement_blocks(3),
         )
         .topologies([Topology::pair(), Topology::hub_and_spoke(3)])
-        .seeds([1, 2]);
+        .rtts_ms([0, 200]);
         assert_eq!(grid.len(), 4);
         let points = grid.points();
-        assert_eq!(points[0].name, "relayer_throughput/topo=pair/seed=1");
-        assert_eq!(points[3].name, "relayer_throughput/topo=hub-3/seed=2");
+        assert_eq!(points[0].name, "relayer_throughput/rtt=0/topo=pair");
+        assert_eq!(points[3].name, "relayer_throughput/rtt=200/topo=hub-3");
         assert!(points[0].deployment.topology.is_legacy_pair());
         assert_eq!(points[3].deployment.topology, Topology::hub_and_spoke(3));
-        assert_eq!(points[3].deployment.seed, 2);
-    }
-
-    #[test]
-    fn derived_seeds_are_stable_and_distinct() {
-        let a = derived_seeds(42, 8);
-        let b = derived_seeds(42, 8);
-        assert_eq!(a, b);
-        let mut unique = a.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), 8);
-        assert_ne!(derived_seeds(43, 8), a);
+        assert_eq!(points[3].deployment.network_rtt_ms, 200);
     }
 
     #[test]
@@ -544,7 +502,7 @@ mod tests {
                 .rtt_ms(0),
         )
         .input_rates([10, 20])
-        .seeds([1, 2]);
+        .channel_counts([1, 2]);
         let specs = grid.points();
         let sequential = run_sequential(&specs);
         let parallel = run_parallel(&specs, 4);

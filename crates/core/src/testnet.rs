@@ -23,7 +23,7 @@ use xcc_relayer::config::RelayerConfig;
 use xcc_relayer::relayer::{RelayPath, Relayer};
 use xcc_relayer::strategy::ChannelPolicy;
 use xcc_rpc::endpoint::RpcEndpoint;
-use xcc_sim::{DetRng, LatencyModel, SimTime};
+use xcc_sim::{DetRng, SimDuration, SimTime};
 
 use crate::config::DeploymentConfig;
 use crate::topology::{ResolvedTopology, TopologyError};
@@ -66,22 +66,27 @@ pub struct Testnet {
     pub path_ends: Vec<(usize, usize)>,
     /// The deployment configuration used.
     pub deployment: DeploymentConfig,
-    /// The experiment's root random stream.
+    /// The zero-sized random stream no model draws from; kept because the
+    /// repository benchmark (`benchmark/src/trace.rs`) names it.
     pub rng: DetRng,
 }
 
-/// Builds an RPC endpoint for a chain using the deployment's latency model.
+/// An RPC endpoint on `chain`, half the deployment's round trip away in
+/// whole milliseconds (so a 0 ms RTT adds no delay at all).
+pub fn rpc_endpoint(chain: &SharedChain, deployment: &DeploymentConfig) -> RpcEndpoint {
+    let one_way = SimDuration::from_millis(deployment.network_rtt_ms / 2);
+    RpcEndpoint::new(chain.clone(), one_way)
+}
+
+/// [`rpc_endpoint`] under the signature the repository benchmark
+/// (`benchmark/src/{trace,layers}.rs`) calls; `rng` and `label` are ignored.
 pub fn make_rpc(
     chain: &SharedChain,
     deployment: &DeploymentConfig,
-    rng: &DetRng,
-    label: &str,
+    _rng: &DetRng,
+    _label: &str,
 ) -> RpcEndpoint {
-    RpcEndpoint::new(
-        chain.clone(),
-        LatencyModel::constant_rtt_ms(deployment.network_rtt_ms),
-        rng.fork(label),
-    )
+    rpc_endpoint(chain, deployment)
 }
 
 /// The relayer-process topology a deployment expands to: one entry per
@@ -184,7 +189,6 @@ impl Testnet {
                 deployment.channel_count,
             )
             .map_err(|source| SetupError::Topology { source })?;
-        let rng = DetRng::new(deployment.seed);
         let fleet = fleet_plan_for(&resolved, deployment);
 
         let mut chains = Vec::with_capacity(resolved.chains.len());
@@ -236,18 +240,8 @@ impl Testnet {
                 channel_assignment: slot.channel,
                 coordination_id: slot.coordination_id,
             };
-            let src_rpc = make_rpc(
-                &chains[edge.src],
-                deployment,
-                &rng,
-                &format!("relayer-{r}-src"),
-            );
-            let dst_rpc = make_rpc(
-                &chains[edge.dst],
-                deployment,
-                &rng,
-                &format!("relayer-{r}-dst"),
-            );
+            let src_rpc = rpc_endpoint(&chains[edge.src], deployment);
+            let dst_rpc = rpc_endpoint(&chains[edge.dst], deployment);
             relayers.push(Relayer::with_paths(r, config, edge_paths, src_rpc, dst_rpc));
             relayer_chains.push((edge.src, edge.dst));
             relayer_channel_offset.push(offset);
@@ -264,7 +258,7 @@ impl Testnet {
             paths,
             path_ends,
             deployment: deployment.clone(),
-            rng,
+            rng: DetRng,
         })
     }
 }

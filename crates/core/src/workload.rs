@@ -497,7 +497,7 @@ impl HopForwarder {
 mod tests {
     use super::*;
     use crate::config::DeploymentConfig;
-    use crate::testnet::{make_rpc, Testnet};
+    use crate::testnet::{rpc_endpoint, Testnet};
 
     fn small_testnet(users: usize) -> (Testnet, RpcEndpoint) {
         let deployment = DeploymentConfig {
@@ -507,7 +507,7 @@ mod tests {
             ..DeploymentConfig::default()
         };
         let testnet = Testnet::build(&deployment);
-        let rpc = make_rpc(&testnet.chain_a, &deployment, &testnet.rng, "workload");
+        let rpc = rpc_endpoint(&testnet.chain_a, &deployment);
         (testnet, rpc)
     }
 
@@ -563,7 +563,7 @@ mod tests {
             ..DeploymentConfig::default()
         };
         let testnet = Testnet::build(&deployment);
-        let rpc = make_rpc(&testnet.chain_a, &deployment, &testnet.rng, "workload");
+        let rpc = rpc_endpoint(&testnet.chain_a, &deployment);
         let config = WorkloadConfig {
             total_transfers: 600,
             submission_blocks: 1,

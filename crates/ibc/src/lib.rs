@@ -14,11 +14,12 @@
 //! # Example
 //!
 //! ```rust
+//! use xcc_ibc::ids::ClientId;
 //! use xcc_ibc::module::IbcModule;
 //!
 //! let module = IbcModule::new("chain-a");
 //! assert_eq!(module.chain_id(), "chain-a");
-//! assert_eq!(module.client_count(), 0);
+//! assert!(module.client(&ClientId::with_index(0)).is_none());
 //! ```
 
 #![forbid(unsafe_code)]

@@ -344,11 +344,6 @@ impl IbcModule {
         self.clients.get(client_id)
     }
 
-    /// Number of hosted clients.
-    pub fn client_count(&self) -> usize {
-        self.clients.len()
-    }
-
     // ------------------------------------------------------------------
     // ICS-03: connections
     // ------------------------------------------------------------------
@@ -1391,7 +1386,8 @@ mod tests {
             .connection(&ConnectionId::with_index(0))
             .unwrap()
             .is_open());
-        assert_eq!(a.client_count(), 1);
+        assert!(a.client(&ClientId::with_index(0)).is_some());
+        assert!(a.client(&ClientId::with_index(1)).is_none());
     }
 
     #[test]

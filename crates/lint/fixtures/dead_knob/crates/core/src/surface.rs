@@ -21,7 +21,7 @@ pub fn bench_probe() -> u64 {
     3
 }
 
-/// Named only in its own rustdoc example: alive.
+/// Named only in its own rustdoc example, which is a test: dead.
 ///
 /// ```rust
 /// assert_eq!(doc_example_fn(), 4);

@@ -195,8 +195,8 @@ pub fn run(config: &Config) -> io::Result<Outcome> {
             &files,
             RuleId::AmbientEntropy,
             &["thread_rng", "OsRng", "from_entropy", "getrandom"],
-            "ambient entropy source; all randomness must derive from the ExperimentSpec seed \
-             via xcc_sim::DetRng",
+            "ambient entropy source; a random stream must be seeded from the ExperimentSpec \
+             seed",
             &[],
             &mut findings,
         );
@@ -844,31 +844,17 @@ fn words(text: &str) -> impl Iterator<Item = &str> {
         .filter(|word| !word.is_empty())
 }
 
-/// Every word of `benchmark/src/*.rs` and of the fenced examples in doc
-/// comments: callers the rules never lint, read as plain text.
-fn unlinted_callers(root: &Path, files: &[SourceFile]) -> io::Result<BTreeSet<String>> {
+/// Every word of `benchmark/src/*.rs`: callers the rules never lint, read
+/// as plain text. A rustdoc example is not a caller — it is a test.
+fn unlinted_callers(root: &Path) -> io::Result<BTreeSet<String>> {
     let mut paths = Vec::new();
     collect_rs(&root.join("benchmark/src"), &mut paths)?;
-    let mut texts = Vec::new();
+    let mut callers = BTreeSet::new();
     for path in paths {
-        texts.push(fs::read_to_string(path)?);
+        let text = fs::read_to_string(path)?;
+        callers.extend(words(&text).map(str::to_string));
     }
-    for file in files {
-        let mut fenced = false;
-        for (_, comment) in &file.scrub.comments {
-            let Some(doc) = (comment.strip_prefix("///")).or_else(|| comment.strip_prefix("//!"))
-            else {
-                continue;
-            };
-            if doc.trim_start().starts_with("```") {
-                fenced = !fenced;
-            } else if fenced {
-                texts.push(doc.to_string());
-            }
-        }
-    }
-    let callers = texts.iter().flat_map(|text| words(text));
-    Ok(callers.map(str::to_string).collect())
+    Ok(callers)
 }
 
 fn dead_knob(root: &Path, files: &[SourceFile], findings: &mut Vec<Finding>) -> io::Result<()> {
@@ -886,7 +872,7 @@ fn dead_knob(root: &Path, files: &[SourceFile], findings: &mut Vec<Finding>) -> 
     let read_outside = |fi: usize, word: &str| {
         (code_words.iter().enumerate()).any(|(oi, seen)| oi != fi && seen.contains(word))
     };
-    let unlinted = unlinted_callers(root, files)?;
+    let unlinted = unlinted_callers(root)?;
     for (fi, file) in files.iter().enumerate() {
         for strukt in &file.items.structs {
             if !KNOB_TYPES.contains(&strukt.name.as_str()) {

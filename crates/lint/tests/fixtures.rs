@@ -183,22 +183,22 @@ fn dead_knob_fixture_fails() {
     let findings = run_rules(&root, &["dead-knob"]);
     let has = |needle: &str| findings.iter().any(|(_, m)| m.contains(needle));
     assert!(has("`DeploymentConfig.orphan_knob`"), "{findings:?}");
-    // A function called by nothing, by tests only (its own file's unit tests
-    // or an integration test), or named only in prose and strings is dead
-    // surface.
+    // A function called by nothing, by tests only (its own file's unit tests,
+    // an integration test or a rustdoc example), or named only in prose and
+    // strings is dead surface.
     for dead in [
         "orphan_axis",
         "orphan_fn",
         "orphan_method",
         "caller",
+        "doc_example_fn",
         "prose_only_fn",
     ] {
         assert!(has(&format!("pub fn `{dead}`")), "{dead}: {findings:?}");
     }
     // Alive, suppressed, non-pub, and non-knob-type names stay silent; so do
-    // functions called from the file's own code, an example, the unlinted
-    // benchmark or a rustdoc example, test-only helpers, and crates outside
-    // the simulation seven.
+    // functions called from the file's own code, an example or the unlinted
+    // benchmark, test-only helpers, and crates outside the simulation seven.
     for quiet in [
         "used_knob",
         "parked_knob",
@@ -209,7 +209,6 @@ fn dead_knob_fixture_fails() {
         "drive",
         "used_here",
         "bench_probe",
-        "doc_example_fn",
         "parked_fn",
         "private_helper",
         "test_fixture",

@@ -1480,7 +1480,6 @@ mod tests {
     use xcc_ibc::ids::{ChannelId, ClientId};
     use xcc_ibc::module::TransferParams;
     use xcc_rpc::endpoint::UnconfirmedSequence;
-    use xcc_sim::{DetRng, LatencyModel};
     use xcc_tendermint::mempool::MAX_TXS;
 
     use crate::strategy::RelayerStrategy;
@@ -1497,8 +1496,8 @@ mod tests {
         .into_shared()
     }
 
-    fn rpc_for(chain: &xcc_chain::chain::SharedChain, seed: u64) -> RpcEndpoint {
-        RpcEndpoint::new(chain.clone(), LatencyModel::Zero, DetRng::new(seed))
+    fn rpc_for(chain: &xcc_chain::chain::SharedChain) -> RpcEndpoint {
+        RpcEndpoint::new(chain.clone(), SimDuration::ZERO)
     }
 
     fn path(channel: u64) -> RelayPath {
@@ -1521,7 +1520,7 @@ mod tests {
 
     /// A relayer serving `channel-0` from `src` to `dst`.
     fn relayer_on(src: &SharedChain, dst: &SharedChain, config: RelayerConfig) -> Relayer {
-        let (src_rpc, dst_rpc) = (rpc_for(src, 1), rpc_for(dst, 2));
+        let (src_rpc, dst_rpc) = (rpc_for(src), rpc_for(dst));
         Relayer::with_paths(0, config, vec![path(0)], src_rpc, dst_rpc)
     }
 
@@ -1634,7 +1633,7 @@ mod tests {
     /// by `user-0` at account sequence `nonce`) in a destination block
     /// committed at `at`.
     fn deliver(src: &SharedChain, dst: &SharedChain, nonce: u64, seqs: &[u64], at: SimTime) {
-        let update = rpc_for(src, 9).client_update_data(at).value.unwrap();
+        let update = rpc_for(src).client_update_data(at).value.unwrap();
         let proof_height = Height::at(update.header.height);
         let mut msgs = vec![Msg::IbcUpdateClient {
             client_id: ClientId::with_index(0),
@@ -1720,8 +1719,8 @@ mod tests {
             3,
             config,
             vec![path(0), path(1), path(2)],
-            rpc_for(&src, 1),
-            rpc_for(&dst, 2),
+            rpc_for(&src),
+            rpc_for(&dst),
         );
         assert_eq!(relayer.channel_assignment(), Some(1));
         assert!(!relayer.serves_channel(0));

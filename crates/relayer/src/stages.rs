@@ -58,11 +58,11 @@ impl RelayerStrategy {
     /// use xcc_chain::genesis::GenesisConfig;
     /// use xcc_relayer::strategy::RelayerStrategy;
     /// use xcc_rpc::endpoint::RpcEndpoint;
-    /// use xcc_sim::{DetRng, LatencyModel, SimTime};
+    /// use xcc_sim::{SimDuration, SimTime};
     ///
     /// let chain = Chain::new(GenesisConfig::new("chain-a")).into_shared();
     /// chain.borrow_mut().produce_block(SimTime::from_secs(5));
-    /// let rpc = RpcEndpoint::new(chain, LatencyModel::Zero, DetRng::new(1));
+    /// let rpc = RpcEndpoint::new(chain, SimDuration::ZERO);
     ///
     /// let mut subscription = RelayerStrategy::default().subscription();
     /// let batch = subscription.collect_block_events(&rpc, 1).unwrap();
@@ -108,12 +108,13 @@ pub struct Fetched<T> {
 /// use xcc_ibc::ids::{ChannelId, PortId, Sequence};
 /// use xcc_relayer::strategy::FetchStrategy;
 /// use xcc_rpc::endpoint::RpcEndpoint;
-/// use xcc_sim::{DetRng, LatencyModel, SimTime};
+/// use xcc_sim::{SimDuration, SimTime};
 ///
+/// // 200 ms round trip: 100 ms each way.
 /// let make_rpc = || {
 ///     let chain = Chain::new(GenesisConfig::new("chain-a")).into_shared();
 ///     chain.borrow_mut().produce_block(SimTime::from_secs(5));
-///     RpcEndpoint::new(chain, LatencyModel::constant_rtt_ms(200), DetRng::new(1))
+///     RpcEndpoint::new(chain, SimDuration::from_millis(100))
 /// };
 /// let seqs: Vec<Sequence> = (1..=250).map(Sequence::from).collect();
 /// let (port, channel) = (PortId::transfer(), ChannelId::with_index(0));
@@ -375,7 +376,7 @@ mod tests {
         use xcc_chain::genesis::GenesisConfig;
         use xcc_chain::msg::Msg;
         use xcc_chain::tx::Tx;
-        use xcc_sim::{DetRng, LatencyModel};
+        use xcc_sim::SimDuration;
         let chain =
             Chain::new(GenesisConfig::new("chain-a").with_funded_accounts("user", 2, 100_000_000))
                 .into_shared();
@@ -396,7 +397,7 @@ mod tests {
             }
             c.produce_block(SimTime::from_secs(5));
         }
-        RpcEndpoint::new(chain, LatencyModel::Zero, DetRng::new(1))
+        RpcEndpoint::new(chain, SimDuration::ZERO)
     }
 
     #[test]

@@ -297,16 +297,6 @@ impl TelemetryLog {
             .collect()
     }
 
-    /// Sequences tracked by this log, one entry per packet. In multi-channel
-    /// deployments the same sequence value can appear once per channel; use
-    /// [`packets`](TelemetryLog::packets) when the channel matters.
-    pub fn sequences(&self) -> Vec<Sequence> {
-        self.channels
-            .values()
-            .flat_map(|chan| chan.tracked().map(|(seq, _)| Sequence::from(seq)))
-            .collect()
-    }
-
     /// Merges another log into this one (used when aggregating the telemetry
     /// of several relayer instances), shifting every channel index by
     /// `channel_offset`; per step, the earliest time wins.
@@ -377,7 +367,7 @@ mod tests {
         assert_eq!(log.count_for_step(TransferStep::TransferBroadcast), 5);
         assert_eq!(log.count_for_step(TransferStep::AckConfirmation), 1);
         assert_eq!(log.times_for_step(TransferStep::TransferBroadcast).len(), 5);
-        assert_eq!(log.sequences().len(), 5);
+        assert_eq!(log.packets().len(), 5);
         assert_eq!(
             log.step_time_on(0, Sequence::from(9), TransferStep::RecvBuild),
             None
@@ -392,10 +382,9 @@ mod tests {
         // Growing downwards and leaving gaps must not invent packets.
         log.record(Sequence::from(2), step, SimTime::from_secs(2));
         log.record(Sequence::from(6), step, SimTime::from_secs(3));
-        assert_eq!(log.packets().len(), 3);
         assert_eq!(
-            log.sequences(),
-            vec![Sequence::from(2), Sequence::from(6), Sequence::from(10)]
+            log.packets(),
+            [2, 6, 10].map(|seq| (0, Sequence::from(seq)))
         );
         assert_eq!(log.count_for_step(step), 3);
         assert_eq!(log.step_time_on(0, Sequence::from(5), step), None);

@@ -16,7 +16,7 @@ use xcc_ibc::commitment::{CommitmentProof, NonMembershipProof};
 use xcc_ibc::ids::{ChannelId, PortId, Sequence};
 use xcc_ibc::packet::Acknowledgement;
 use xcc_sim::prof;
-use xcc_sim::{DetRng, FifoServer, LatencyModel, SimDuration, SimTime};
+use xcc_sim::{FifoServer, SimDuration, SimTime};
 use xcc_tendermint::abci::Event;
 use xcc_tendermint::hash::Hash;
 use xcc_tendermint::node::CommittedBlock;
@@ -131,19 +131,18 @@ impl BlockEventBatch {
 pub struct RpcEndpoint {
     chain: SharedChain,
     queue: FifoServer,
-    latency: LatencyModel,
-    rng: DetRng,
+    one_way: SimDuration,
 }
 
 impl RpcEndpoint {
-    /// Creates an endpoint for `chain` with the given latency model.
-    pub fn new(chain: SharedChain, latency: LatencyModel, rng: DetRng) -> Self {
+    /// Creates an endpoint for `chain`, `one_way` of network delay away from
+    /// its callers in each direction.
+    pub fn new(chain: SharedChain, one_way: SimDuration) -> Self {
         let name = format!("rpc-{}", chain.borrow().id());
         RpcEndpoint {
             chain,
             queue: FifoServer::new(name),
-            latency,
-            rng,
+            one_way,
         }
     }
 
@@ -167,9 +166,9 @@ impl RpcEndpoint {
     fn respond<T>(&mut self, now: SimTime, profile: RequestProfile, value: T) -> RpcResponse<T> {
         prof::bump_rpc_call(profile.kind.index());
         let service = service_time(&profile);
-        let request_arrives = now + self.latency.sample_one_way(&mut self.rng);
+        let request_arrives = now + self.one_way;
         let served_at = self.queue.submit(request_arrives, service);
-        let ready_at = served_at + self.latency.sample_one_way(&mut self.rng);
+        let ready_at = served_at + self.one_way;
         RpcResponse {
             value,
             ready_at,
@@ -230,7 +229,7 @@ impl RpcEndpoint {
         let raw = tx.encode();
         // The transaction reaches the node one network hop after the caller
         // sends it; blocks proposed before that instant cannot include it.
-        let arrival = now + self.latency.sample_one_way(&mut self.rng);
+        let arrival = now + self.one_way;
         let result = {
             let mut chain = self.chain.borrow_mut();
             chain.submit_raw_tx(raw, arrival)
@@ -516,15 +515,11 @@ mod tests {
     use xcc_chain::genesis::GenesisConfig;
     use xcc_chain::msg::Msg;
 
-    fn endpoint(latency_ms: u64) -> RpcEndpoint {
+    fn endpoint(rtt_ms: u64) -> RpcEndpoint {
         let chain =
             Chain::new(GenesisConfig::new("chain-a").with_funded_accounts("user", 3, 100_000_000))
                 .into_shared();
-        RpcEndpoint::new(
-            chain,
-            LatencyModel::constant_rtt_ms(latency_ms),
-            DetRng::new(7),
-        )
+        RpcEndpoint::new(chain, SimDuration::from_millis(rtt_ms / 2))
     }
 
     fn bank_tx(seq: u64) -> Tx {
@@ -587,9 +582,9 @@ mod tests {
         let chain =
             Chain::new(GenesisConfig::new("chain-a").with_funded_accounts("user", 3, 100_000_000))
                 .into_shared();
-        let lane_of = |seed| RpcEndpoint::new(chain.clone(), LatencyModel::Zero, DetRng::new(seed));
-        let mut a = lane_of(1);
-        let mut b = lane_of(2);
+        let lane_of = || RpcEndpoint::new(chain.clone(), SimDuration::ZERO);
+        let mut a = lane_of();
+        let mut b = lane_of();
         let user = "user-0".into();
         let shared_first = a.account_sequence(SimTime::ZERO, &user);
         let own_lane = b.account_sequence(SimTime::ZERO, &user);
@@ -824,11 +819,7 @@ mod tests {
     }
 
     fn lane(chain: &SharedChain) -> RpcEndpoint {
-        RpcEndpoint::new(
-            chain.clone(),
-            LatencyModel::constant_rtt_ms(200),
-            DetRng::new(7),
-        )
+        RpcEndpoint::new(chain.clone(), SimDuration::from_millis(100))
     }
 
     /// The data pulls answer with proofs (and acknowledgements) only, but

@@ -22,10 +22,10 @@
 //! use xcc_chain::chain::Chain;
 //! use xcc_chain::genesis::GenesisConfig;
 //! use xcc_rpc::endpoint::RpcEndpoint;
-//! use xcc_sim::{DetRng, LatencyModel, SimTime};
+//! use xcc_sim::{SimDuration, SimTime};
 //!
 //! let chain = Chain::new(GenesisConfig::new("chain-a")).into_shared();
-//! let mut rpc = RpcEndpoint::new(chain, LatencyModel::Zero, DetRng::new(1));
+//! let mut rpc = RpcEndpoint::new(chain, SimDuration::ZERO);
 //! let sequence = rpc.account_sequence(SimTime::ZERO, &"user-0".into());
 //! assert_eq!(sequence.value, 0);
 //! assert!(sequence.ready_at > SimTime::ZERO, "queries take service time");

@@ -128,7 +128,7 @@ mod tests {
     use xcc_chain::genesis::GenesisConfig;
     use xcc_chain::msg::Msg;
     use xcc_chain::tx::Tx;
-    use xcc_sim::{DetRng, LatencyModel, SimTime};
+    use xcc_sim::{SimDuration, SimTime};
 
     fn rpc_with_block(txs: usize) -> RpcEndpoint {
         let chain = Chain::new(GenesisConfig::new("chain-a").with_funded_accounts(
@@ -137,7 +137,7 @@ mod tests {
             100_000_000,
         ))
         .into_shared();
-        let rpc = RpcEndpoint::new(chain.clone(), LatencyModel::Zero, DetRng::new(3));
+        let rpc = RpcEndpoint::new(chain.clone(), SimDuration::ZERO);
         {
             let mut c = chain.borrow_mut();
             for i in 0..txs {

@@ -12,8 +12,7 @@
 //! * a single-server FIFO queue used to model the *sequential* Tendermint RPC
 //!   endpoint that the paper identifies as the main bottleneck
 //!   ([`FifoServer`]),
-//! * network latency models (constant RTT, uniform jitter) ([`LatencyModel`]),
-//! * deterministic random number streams ([`DetRng`]),
+//! * [`DetRng`], the zero-sized name of a random stream no model draws from,
 //! * deterministic work counters — the xcc-prof profiling layer whose
 //!   totals are exact-match regression signals, unlike wall-clock
 //!   ([`prof`]).
@@ -35,20 +34,18 @@
 //! assert_eq!(t1.as_secs_f64(), 1.0);
 //! let (_, e2) = sched.pop().unwrap();
 //! assert_eq!(e2, Ev::Pong);
-//! assert!(sched.is_empty());
+//! assert!(sched.pop().is_none());
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod latency;
 pub mod prof;
 mod rng;
 mod scheduler;
 mod server;
 mod time;
 
-pub use latency::LatencyModel;
 pub use rng::DetRng;
 pub use scheduler::{Scheduler, SchedulerBackend};
 pub use server::FifoServer;

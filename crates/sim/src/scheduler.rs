@@ -4,7 +4,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::prof;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// A pending event in the scheduler's queue.
 struct Scheduled<E> {
@@ -38,39 +38,29 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// Which queue implementation backs a [`Scheduler`].
+/// The queue a [`Scheduler`] runs on: a binary min-heap, the only one.
 ///
-/// Both backends honour the exact same `(time, seq)` FIFO contract; they
-/// are equivalence-tested against each other (see the unit tests here and
-/// the property test in `tests/property_invariants.rs`). The wheel trades
-/// the heap's `O(log n)` comparisons per operation for near-constant slot
-/// arithmetic, which is what the experiment runner selects for replay.
+/// Kept, with [`Scheduler::with_backend`], only because the repository
+/// benchmark (`benchmark/src/trace.rs`) names them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerBackend {
-    /// A binary min-heap ordered by `(time, seq)` — the reference backend.
+    /// A binary min-heap ordered by `(time, seq)`.
     #[default]
     Heap,
-    /// A hierarchical timing wheel with a sorted front buffer.
-    Wheel,
-}
-
-enum Backend<E> {
-    Heap(BinaryHeap<Scheduled<E>>),
-    Wheel(Wheel<E>),
 }
 
 /// A deterministic discrete-event scheduler.
 ///
 /// Events are popped in non-decreasing time order; events scheduled for the
 /// same instant are delivered in insertion order, which makes simulation runs
-/// bit-for-bit reproducible for a given seed and workload.
+/// bit-for-bit reproducible for a given spec.
 ///
 /// # FIFO tie-breaking is a contract, not an accident
 ///
 /// Every event carries a monotonically increasing sequence number assigned
-/// at `schedule_*` time, and the queue orders by `(time, seq)`. Two
-/// guarantees follow, and the experiment runner's event loop
-/// (`xcc_framework::runner`) depends on both:
+/// at [`schedule_at`](Scheduler::schedule_at) time, and the binary heap
+/// orders by `(time, seq)`. Two guarantees follow, and the experiment
+/// runner's event loop (`xcc_framework::runner`) depends on both:
 ///
 /// 1. **Insertion order at equal timestamps.** When a block commit notifies
 ///    every relayer process, the runner schedules one `RelayerWake` per
@@ -85,30 +75,28 @@ enum Backend<E> {
 ///
 /// Both properties are pinned by unit tests
 /// (`simultaneous_events_pop_in_insertion_order`,
-/// `fifo_order_survives_interleaved_scheduling_and_pops`) and hold for both
-/// queue backends ([`SchedulerBackend`]); a property test drives the heap
-/// and the timing wheel through identical random schedule/pop interleavings
-/// and asserts identical pop sequences.
+/// `fifo_order_survives_interleaved_scheduling_and_pops`), and a property
+/// test in `tests/property_invariants.rs` holds random same-instant bursts
+/// interleaved with pops to FIFO order.
 ///
-/// The scheduler also tracks the current simulation time: popping an event
-/// advances the clock to that event's timestamp.
+/// The scheduler also keeps the current simulation time: popping an event
+/// advances the clock to that event's timestamp, and an event scheduled
+/// before it is delivered at it.
 ///
 /// # Example
 ///
 /// ```rust
-/// use xcc_sim::{Scheduler, SimDuration};
+/// use xcc_sim::{Scheduler, SimTime};
 ///
 /// let mut sched = Scheduler::new();
-/// sched.schedule_in(SimDuration::from_secs(2), "second");
-/// sched.schedule_in(SimDuration::from_secs(1), "first");
-/// assert_eq!(sched.pop().unwrap().1, "first");
-/// assert_eq!(sched.now().as_secs_f64(), 1.0);
+/// sched.schedule_at(SimTime::from_secs(2), "second");
+/// sched.schedule_at(SimTime::from_secs(1), "first");
+/// assert_eq!(sched.pop(), Some((SimTime::from_secs(1), "first")));
 /// ```
 pub struct Scheduler<E> {
-    backend: Backend<E>,
+    queue: BinaryHeap<Scheduled<E>>,
     now: SimTime,
     next_seq: u64,
-    popped: u64,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -118,56 +106,18 @@ impl<E> Default for Scheduler<E> {
 }
 
 impl<E> Scheduler<E> {
-    /// Creates an empty heap-backed scheduler with the clock at
-    /// [`SimTime::ZERO`].
+    /// Creates an empty scheduler with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
-        Self::with_backend(SchedulerBackend::Heap)
-    }
-
-    /// Creates an empty scheduler on the chosen queue backend with the clock
-    /// at [`SimTime::ZERO`].
-    pub fn with_backend(backend: SchedulerBackend) -> Self {
-        let backend = match backend {
-            SchedulerBackend::Heap => Backend::Heap(BinaryHeap::new()),
-            SchedulerBackend::Wheel => Backend::Wheel(Wheel::new()),
-        };
         Scheduler {
-            backend,
+            queue: BinaryHeap::new(),
             now: SimTime::ZERO,
             next_seq: 0,
-            popped: 0,
         }
     }
 
-    /// The queue backend this scheduler runs on.
-    pub fn backend(&self) -> SchedulerBackend {
-        match &self.backend {
-            Backend::Heap(_) => SchedulerBackend::Heap,
-            Backend::Wheel(_) => SchedulerBackend::Wheel,
-        }
-    }
-
-    /// The current simulation time (the timestamp of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of events waiting in the queue.
-    pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(q) => q.len(),
-            Backend::Wheel(w) => w.len,
-        }
-    }
-
-    /// `true` when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total number of events delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.popped
+    /// [`Scheduler::new`] under the name the repository benchmark calls.
+    pub fn with_backend(_backend: SchedulerBackend) -> Self {
+        Self::new()
     }
 
     /// Schedules `payload` for delivery at the absolute instant `time`.
@@ -179,258 +129,26 @@ impl<E> Scheduler<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         prof::bump_event_scheduled();
-        let ev = Scheduled { time, seq, payload };
-        match &mut self.backend {
-            Backend::Heap(q) => q.push(ev),
-            Backend::Wheel(w) => w.insert(ev),
-        }
-    }
-
-    /// Schedules `payload` for delivery `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: SimDuration, payload: E) {
-        self.schedule_at(self.now + delay, payload);
+        self.queue.push(Scheduled { time, seq, payload });
     }
 
     /// Removes and returns the next event, advancing the clock to its
     /// timestamp. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let ev = match &mut self.backend {
-            Backend::Heap(q) => q.pop()?,
-            Backend::Wheel(w) => w.pop()?,
-        };
+        let ev = self.queue.pop()?;
         debug_assert!(ev.time >= self.now, "scheduler time went backwards");
         self.now = ev.time;
-        self.popped += 1;
         prof::bump_event_popped();
         Some((ev.time, ev.payload))
-    }
-
-    /// Returns the timestamp of the next pending event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Heap(q) => q.peek().map(|e| e.time),
-            Backend::Wheel(w) => w.peek_time(),
-        }
-    }
-
-    /// Drops every pending event, leaving the clock untouched.
-    pub fn clear(&mut self) {
-        match &mut self.backend {
-            Backend::Heap(q) => q.clear(),
-            Backend::Wheel(w) => w.clear(),
-        }
     }
 }
 
 impl<E> std::fmt::Debug for Scheduler<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scheduler")
-            .field("backend", &self.backend())
             .field("now", &self.now)
-            .field("pending", &self.len())
-            .field("delivered", &self.popped)
+            .field("pending", &self.queue.len())
             .finish()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Hierarchical timing wheel backend
-// ---------------------------------------------------------------------------
-
-/// Slot width exponent of the finest level: `2^20` ns ≈ 1.05 ms per slot.
-const GRANULARITY_BITS: u32 = 20;
-/// Slots per level (`2^SLOT_BITS`), one occupancy bit each.
-const SLOT_BITS: u32 = 6;
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Levels. The top level's rotation spans `2^(20 + 6·8) = 2^68` ns, which
-/// exceeds `u64::MAX`, so every representable `SimTime` fits and no
-/// overflow list is needed.
-const LEVELS: usize = 8;
-
-const fn level_shift(level: usize) -> u32 {
-    GRANULARITY_BITS + SLOT_BITS * level as u32
-}
-
-/// A hierarchical timing wheel with an exact, sorted front.
-///
-/// The wheel proper is an approximation structure: each level buckets events
-/// into `SLOTS` slots of geometrically growing width, so ordering inside a
-/// slot is unknown. Exactness comes from the `ready` buffer — a tiny binary
-/// heap holding every event whose time falls inside the *current* finest
-/// slot (one `cursor` slot, ~1 ms of simulated time). All deliveries pop
-/// from `ready`, so the global `(time, seq)` order is preserved bit-for-bit;
-/// the wheel levels only ever hand whole slots down (cascade) or into
-/// `ready` (drain), never deliver directly.
-///
-/// Invariants:
-///
-/// * every queued event's time is `>= cursor << GRANULARITY_BITS`;
-/// * every event with `time >> GRANULARITY_BITS == cursor` is in `ready`;
-/// * an event stored at level `l` shares its level-`l+1` parent slot with
-///   the cursor, so its slot index never wraps past the cursor's and slot
-///   occupancy scans are plain left-to-right bit scans.
-struct Wheel<E> {
-    /// `slots[level][index]` holds events awaiting cascade, unordered.
-    slots: Vec<Vec<Vec<Scheduled<E>>>>,
-    /// One occupancy bit per slot, per level.
-    occupied: [u64; LEVELS],
-    /// Exactly the events inside the current finest slot, exactly ordered.
-    ready: BinaryHeap<Scheduled<E>>,
-    /// Absolute index (`time >> GRANULARITY_BITS`) of the current finest
-    /// slot. Monotone; only advances when `ready` drains.
-    cursor: u64,
-    len: usize,
-}
-
-impl<E> Wheel<E> {
-    fn new() -> Self {
-        Wheel {
-            slots: (0..LEVELS)
-                .map(|_| (0..SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
-            occupied: [0; LEVELS],
-            ready: BinaryHeap::new(),
-            cursor: 0,
-            len: 0,
-        }
-    }
-
-    fn insert(&mut self, ev: Scheduled<E>) {
-        self.len += 1;
-        self.place(ev);
-    }
-
-    /// Files an event into `ready` or the finest level whose rotation
-    /// contains both the event and the cursor.
-    fn place(&mut self, ev: Scheduled<E>) {
-        let t = ev.time.as_nanos();
-        if t >> GRANULARITY_BITS <= self.cursor {
-            // Inside (or before — impossible for new events, the scheduler
-            // clamps to `now`) the current slot: delivered straight from the
-            // exact front buffer.
-            self.ready.push(ev);
-            return;
-        }
-        let cursor_ns = self.cursor << GRANULARITY_BITS;
-        for level in 0..LEVELS {
-            // Same parent slot as the cursor one level up ⇒ this level's
-            // rotation covers the event without index ambiguity.
-            let parent_shift = level_shift(level) + SLOT_BITS;
-            if parent_shift >= u64::BITS || (t >> parent_shift) == (cursor_ns >> parent_shift) {
-                let idx = (t >> level_shift(level)) as usize & (SLOTS - 1);
-                self.slots[level][idx].push(ev);
-                self.occupied[level] |= 1 << idx;
-                return;
-            }
-        }
-        unreachable!("the top level's rotation spans all of u64");
-    }
-
-    fn pop(&mut self) -> Option<Scheduled<E>> {
-        loop {
-            if let Some(ev) = self.ready.pop() {
-                self.len -= 1;
-                return Some(ev);
-            }
-            if self.len == 0 {
-                return None;
-            }
-            // `ready` is dry but slots are not: advance the cursor to the
-            // earliest occupied slot and drain (level 0) or cascade
-            // (level > 0) it. Cascading strictly demotes events — relative
-            // to the new cursor their level-(l-1) parent check now passes —
-            // so this loop terminates.
-            let Some((level, start_ns)) = self.earliest_occupied() else {
-                // Unreachable while the len invariant holds (len > 0 means
-                // some slot is occupied); degrade to "empty" rather than
-                // panicking inside the simulation kernel.
-                self.len = 0;
-                return None;
-            };
-            let idx = (start_ns >> level_shift(level)) as usize & (SLOTS - 1);
-            self.occupied[level] &= !(1 << idx);
-            let drained = std::mem::take(&mut self.slots[level][idx]);
-            self.cursor = start_ns >> GRANULARITY_BITS;
-            for ev in drained {
-                self.place(ev);
-            }
-        }
-    }
-
-    /// Occupancy bits of `level` strictly after the cursor's slot index.
-    ///
-    /// Occupied slots at a level sit strictly after the cursor's index
-    /// within the same rotation (see the struct invariants), so masking off
-    /// everything at or before that index leaves the candidates in
-    /// left-to-right order.
-    fn occupied_ahead(&self, level: usize) -> u64 {
-        let cursor_ns = self.cursor << GRANULARITY_BITS;
-        let cur_idx = (cursor_ns >> level_shift(level)) as u32 & (SLOTS as u32 - 1);
-        // Bits 0..=cur_idx, written to stay in range when cur_idx is 63.
-        let at_or_before = u64::MAX >> (u64::BITS - 1 - cur_idx);
-        self.occupied[level] & !at_or_before
-    }
-
-    /// The earliest occupied slot over all levels, as `(level, slot start in
-    /// ns)`. Slot spans start at their lower bound, so the slot with the
-    /// minimal start can be drained first without reordering risk.
-    fn earliest_occupied(&self) -> Option<(usize, u64)> {
-        let cursor_ns = self.cursor << GRANULARITY_BITS;
-        let mut best: Option<(usize, u64)> = None;
-        for level in 0..LEVELS {
-            let ahead = self.occupied_ahead(level);
-            if ahead == 0 {
-                continue;
-            }
-            let shift = level_shift(level);
-            let idx = ahead.trailing_zeros() as u64;
-            let rotation_shift = shift + SLOT_BITS;
-            let base = if rotation_shift >= u64::BITS {
-                0
-            } else {
-                (cursor_ns >> rotation_shift) << rotation_shift
-            };
-            let start = base + (idx << shift);
-            if best.is_none_or(|(_, s)| start < s) {
-                best = Some((level, start));
-            }
-        }
-        best
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        if let Some(ev) = self.ready.peek() {
-            return Some(ev.time);
-        }
-        // The wheel levels are unordered inside a slot, but slots later than
-        // the earliest-starting occupied slot of each level cannot contain
-        // earlier events, so the global minimum is the min over each level's
-        // first occupied slot.
-        let mut best: Option<SimTime> = None;
-        for level in 0..LEVELS {
-            let ahead = self.occupied_ahead(level);
-            if ahead == 0 {
-                continue;
-            }
-            let idx = ahead.trailing_zeros() as usize;
-            for ev in &self.slots[level][idx] {
-                if best.is_none_or(|b| ev.time < b) {
-                    best = Some(ev.time);
-                }
-            }
-        }
-        best
-    }
-
-    fn clear(&mut self) {
-        for level in &mut self.slots {
-            for slot in level {
-                slot.clear();
-            }
-        }
-        self.occupied = [0; LEVELS];
-        self.ready.clear();
-        self.len = 0;
     }
 }
 
@@ -438,14 +156,17 @@ impl<E> Wheel<E> {
 mod tests {
     use super::*;
 
+    fn drain<E>(s: &mut Scheduler<E>) -> Vec<E> {
+        std::iter::from_fn(|| s.pop().map(|(_, e)| e)).collect()
+    }
+
     #[test]
     fn events_pop_in_time_order() {
         let mut s = Scheduler::new();
         s.schedule_at(SimTime::from_secs(3), 3u32);
         s.schedule_at(SimTime::from_secs(1), 1u32);
         s.schedule_at(SimTime::from_secs(2), 2u32);
-        let order: Vec<u32> = std::iter::from_fn(|| s.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![1, 2, 3]);
+        assert_eq!(drain(&mut s), vec![1, 2, 3]);
     }
 
     #[test]
@@ -455,8 +176,7 @@ mod tests {
         for i in 0..100u32 {
             s.schedule_at(t, i);
         }
-        let order: Vec<u32> = std::iter::from_fn(|| s.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
+        assert_eq!(drain(&mut s), (0..100).collect::<Vec<_>>());
     }
 
     /// Pins the second half of the FIFO contract the experiment runner
@@ -467,80 +187,40 @@ mod tests {
     /// re-scheduling itself at the current time.
     #[test]
     fn fifo_order_survives_interleaved_scheduling_and_pops() {
-        for backend in [SchedulerBackend::Heap, SchedulerBackend::Wheel] {
-            let mut s = Scheduler::with_backend(backend);
-            let t = SimTime::from_secs(1);
-            s.schedule_at(t, "block-b");
-            s.schedule_at(t, "wake-0");
-            s.schedule_at(t, "wake-1");
-            // The runner pops block-b, sees wakes pending at the same
-            // instant, and re-schedules it: the requeued event must sort
-            // after both wakes (and after anything a wake schedules at the
-            // same instant).
-            assert_eq!(s.pop().unwrap().1, "block-b");
-            s.schedule_at(t, "block-b-requeued");
-            assert_eq!(s.pop().unwrap().1, "wake-0");
-            s.schedule_at(t, "scheduled-by-wake-0");
-            assert_eq!(s.pop().unwrap().1, "wake-1");
-            assert_eq!(s.pop().unwrap().1, "block-b-requeued");
-            assert_eq!(s.pop().unwrap().1, "scheduled-by-wake-0");
-            assert!(s.is_empty());
-        }
+        let mut s = Scheduler::new();
+        let t = SimTime::from_secs(1);
+        s.schedule_at(t, "block-b");
+        s.schedule_at(t, "wake-0");
+        s.schedule_at(t, "wake-1");
+        // The runner pops block-b, sees wakes pending at the same
+        // instant, and re-schedules it: the requeued event must sort
+        // after both wakes (and after anything a wake schedules at the
+        // same instant).
+        assert_eq!(s.pop().unwrap().1, "block-b");
+        s.schedule_at(t, "block-b-requeued");
+        assert_eq!(s.pop().unwrap().1, "wake-0");
+        s.schedule_at(t, "scheduled-by-wake-0");
+        assert_eq!(s.pop().unwrap().1, "wake-1");
+        assert_eq!(drain(&mut s), ["block-b-requeued", "scheduled-by-wake-0"]);
     }
 
     #[test]
     fn clock_advances_on_pop() {
         let mut s = Scheduler::new();
-        s.schedule_in(SimDuration::from_secs(5), ());
-        assert_eq!(s.now(), SimTime::ZERO);
-        s.pop().unwrap();
-        assert_eq!(s.now(), SimTime::from_secs(5));
+        s.schedule_at(SimTime::from_secs(5), "a");
+        assert_eq!(s.pop(), Some((SimTime::from_secs(5), "a")));
+        assert_eq!(s.now, SimTime::from_secs(5));
     }
 
     #[test]
     fn past_events_are_clamped_to_now() {
-        for backend in [SchedulerBackend::Heap, SchedulerBackend::Wheel] {
-            let mut s = Scheduler::with_backend(backend);
-            s.schedule_at(SimTime::from_secs(10), "later");
-            s.pop().unwrap();
-            // Scheduling before `now` must not rewind the clock.
-            s.schedule_at(SimTime::from_secs(1), "past");
-            let (t, e) = s.pop().unwrap();
-            assert_eq!(e, "past");
-            assert_eq!(t, SimTime::from_secs(10));
-        }
-    }
-
-    #[test]
-    fn peek_does_not_advance() {
-        for backend in [SchedulerBackend::Heap, SchedulerBackend::Wheel] {
-            let mut s = Scheduler::with_backend(backend);
-            s.schedule_at(SimTime::from_secs(2), ());
-            assert_eq!(s.peek_time(), Some(SimTime::from_secs(2)));
-            assert_eq!(s.now(), SimTime::ZERO);
-        }
-    }
-
-    #[test]
-    fn delivered_counts_pops() {
         let mut s = Scheduler::new();
-        for i in 0..10u64 {
-            s.schedule_at(SimTime::from_secs(i), i);
-        }
-        while s.pop().is_some() {}
-        assert_eq!(s.delivered(), 10);
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn clear_empties_queue() {
-        for backend in [SchedulerBackend::Heap, SchedulerBackend::Wheel] {
-            let mut s = Scheduler::with_backend(backend);
-            s.schedule_in(SimDuration::from_secs(1), ());
-            s.clear();
-            assert!(s.is_empty());
-            assert_eq!(s.pop(), None);
-        }
+        s.schedule_at(SimTime::from_secs(10), "later");
+        assert_eq!(s.pop(), Some((SimTime::from_secs(10), "later")));
+        // Scheduling before the clock must not rewind it.
+        s.schedule_at(SimTime::from_secs(1), "past");
+        assert_eq!(s.pop(), Some((SimTime::from_secs(10), "past")));
+        assert_eq!(s.pop(), None);
     }
 
     #[test]
@@ -553,46 +233,5 @@ mod tests {
         let snap = prof::snapshot();
         assert_eq!(snap.events_scheduled, 2);
         assert_eq!(snap.events_popped, 1);
-    }
-
-    /// Drives both backends through the same mixed workload — spanning slot
-    /// boundaries, whole levels and far-future cascades — and demands
-    /// identical pop sequences. The randomized version with interleaved
-    /// pops lives in `tests/property_invariants.rs`.
-    #[test]
-    fn wheel_matches_heap_across_level_boundaries() {
-        let times: Vec<u64> = vec![
-            0,
-            1,
-            999,
-            1 << 20,
-            (1 << 20) + 1,
-            (1 << 26) - 1,
-            1 << 26,
-            (1 << 26) + (1 << 20),
-            1 << 32,
-            (1 << 32) + 5,
-            1 << 40,
-            (1 << 40) + (1 << 26),
-            1 << 50,
-            u64::MAX / 2,
-            3,
-            1,
-        ];
-        let mut heap = Scheduler::with_backend(SchedulerBackend::Heap);
-        let mut wheel = Scheduler::with_backend(SchedulerBackend::Wheel);
-        for (i, &t) in times.iter().enumerate() {
-            heap.schedule_at(SimTime::from_nanos(t), i);
-            wheel.schedule_at(SimTime::from_nanos(t), i);
-        }
-        loop {
-            let a = heap.pop();
-            let b = wheel.pop();
-            assert_eq!(a, b);
-            assert_eq!(heap.now(), wheel.now());
-            if a.is_none() {
-                break;
-            }
-        }
     }
 }

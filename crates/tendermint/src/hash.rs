@@ -401,12 +401,20 @@ mod tests {
     fn sha_ni_kernel_matches_the_portable_loop() {
         #[cfg(target_arch = "x86_64")]
         if crate::sha_ni::detected() {
-            let mut rng = xcc_sim::DetRng::new(0x5ba2);
+            // splitmix64: a seeded, dependency-free stream of test inputs.
+            let mut z: u64 = 0x5ba2;
+            let mut next = || {
+                z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut x = z;
+                x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                x ^ (x >> 31)
+            };
             for _ in 0..200 {
                 for run in [0, 1, 2, 3, 17] {
-                    let state: [u32; 8] = std::array::from_fn(|_| rng.next_u64() as u32);
+                    let state: [u32; 8] = std::array::from_fn(|_| next() as u32);
                     let blocks: Vec<[u8; 64]> = (0..run)
-                        .map(|_| std::array::from_fn(|_| rng.next_u64() as u8))
+                        .map(|_| std::array::from_fn(|_| next() as u8))
                         .collect();
                     let (mut kernel, mut portable) = (state, state);
                     sha_ni_blocks(&mut kernel, &blocks);

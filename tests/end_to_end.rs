@@ -2,9 +2,13 @@
 //! driven through the public API of the umbrella crate.
 
 use ibc_perf_repro::framework::analysis;
+use ibc_perf_repro::framework::fault::{FaultEvent, FaultPlan};
 use ibc_perf_repro::framework::scenarios;
 use ibc_perf_repro::framework::spec::ExperimentSpec;
+use ibc_perf_repro::framework::topology::Topology;
+use ibc_perf_repro::relayer::strategy::SequenceTracking;
 use ibc_perf_repro::relayer::telemetry::TransferStep;
+use ibc_perf_repro::sim::SimDuration;
 
 fn small_latency_spec(transfers: u64, submission_blocks: u64, rtt_ms: u64) -> ExperimentSpec {
     ExperimentSpec::latency()
@@ -60,11 +64,11 @@ fn transfers_complete_end_to_end_and_preserve_token_supply() {
 fn every_lifecycle_step_is_ordered_for_every_packet() {
     let run = scenarios::run_raw(&small_latency_spec(120, 2, 0));
     let mut fully_completed = 0usize;
-    for seq in run.telemetry.sequences() {
+    for (channel, seq) in run.telemetry.packets() {
         let mut previous = None;
         let mut present = 0;
         for step in TransferStep::ALL {
-            let Some(time) = run.telemetry.step_time_on(0, seq, step) else {
+            let Some(time) = run.telemetry.step_time_on(channel, seq, step) else {
                 continue;
             };
             present += 1;
@@ -120,13 +124,70 @@ fn deterministic_runs_for_equal_seeds() {
     let a = scenarios::run(&spec);
     let b = scenarios::run(&spec);
     assert_eq!(a, b);
-    let c = scenarios::run(&spec.seed(10));
-    // A different seed may legitimately produce the same aggregate numbers,
-    // but the run must at least be well-formed.
     assert_eq!(
-        c.completed() + c.partial() + c.initiated() + c.not_committed(),
+        a.completed() + a.partial() + a.initiated() + a.not_committed(),
         40 * 5 * 6
     );
+}
+
+/// No model draws a random number, so the seed changes nothing but the
+/// spec's own `seed` field: every metric and every work counter is the same
+/// at two seeds. A model that starts drawing must change this on purpose.
+#[test]
+fn a_different_seed_changes_no_outcome() {
+    let crash = FaultPlan::new([
+        FaultEvent::RelayerCrash {
+            relayer: 0,
+            at: SimDuration::from_secs(16),
+        },
+        FaultEvent::RelayerRestart {
+            relayer: 0,
+            at: SimDuration::from_secs(26),
+        },
+    ]);
+    let specs = [
+        ExperimentSpec::relayer_throughput()
+            .input_rate(20)
+            .relayers(2)
+            .rtt_ms(200)
+            .measurement_blocks(4),
+        ExperimentSpec::latency()
+            .transfers(1_000)
+            .rtt_ms(200)
+            .sequence_tracking(SequenceTracking::MempoolAware)
+            .frame_limit(64 << 10)
+            .packet_clearing(3),
+        ExperimentSpec::tendermint_throughput()
+            .input_rate(100)
+            .measurement_blocks(4),
+        ExperimentSpec::latency()
+            .transfers(40)
+            .submission_blocks(2)
+            .measurement_blocks(10)
+            .packet_clearing(2)
+            .fault_plan(crash),
+        ExperimentSpec::latency()
+            .transfers(60)
+            .measurement_blocks(4)
+            .channel_weights([1, 1, 0, 0])
+            .hop_plan(Topology::hub_and_spoke_routes(2))
+            .topology(Topology::hub_and_spoke(2)),
+    ];
+    for spec in specs {
+        let runs = [1, 987_654_321].map(|seed| {
+            let spec = spec.clone().seed(seed);
+            let run = scenarios::run_raw(&spec);
+            (scenarios::outcome_from(&spec, &run), run.work)
+        });
+        let [(first, first_work), (second, second_work)] = runs;
+        assert!(first.requests_made() > 0, "{}", spec.name);
+        assert!(first_work.events_popped > 0, "{}", spec.name);
+        assert_eq!(first.metrics, second.metrics, "{}", spec.name);
+        assert_eq!(first_work, second_work, "{}", spec.name);
+        if spec.deployment.relayer_strategy.ws_frame_limit_bytes > 0 {
+            assert!(first.packets_cleared() > 0, "the lossy drain must clear");
+        }
+    }
 }
 
 #[test]

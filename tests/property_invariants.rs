@@ -14,9 +14,36 @@ use ibc_perf_repro::ibc::packet::Packet;
 use ibc_perf_repro::ibc::transfer::{
     escrow_address, on_recv_packet, refund, send_coins, BankKeeper, FungibleTokenPacketData,
 };
-use ibc_perf_repro::sim::{FifoServer, SimDuration, SimTime};
+use ibc_perf_repro::sim::{FifoServer, Scheduler, SimDuration, SimTime};
 use ibc_perf_repro::tendermint::hash::{sha256, Hash, Sha256};
 use ibc_perf_repro::tendermint::merkle::{leaf_hash, prove, simple_root, VerifiedPath};
+
+/// Drives a scheduler through generated steps and returns every pop. Each
+/// step `(offset_us, pops, reschedule)` schedules one event `offset_us` after
+/// the clock, then pops up to `pops % 4` events; with `reschedule`, every pop
+/// plants a fresh event at the instant just popped (schedule-during-pop, the
+/// case the `(time, seq)` FIFO contract exists for). Ids are insertion order.
+fn drive_scheduler(steps: &[(u64, u8, bool)]) -> Vec<(SimTime, u32)> {
+    let mut sched: Scheduler<u32> = Scheduler::new();
+    let mut now = SimTime::ZERO;
+    let mut next_id = 0u32;
+    let mut out = Vec::new();
+    for &(offset_us, pops, reschedule) in steps {
+        sched.schedule_at(now + SimDuration::from_micros(offset_us), next_id);
+        next_id += 1;
+        for _ in 0..pops % 4 {
+            let Some((t, id)) = sched.pop() else { break };
+            now = t;
+            out.push((t, id));
+            if reschedule {
+                sched.schedule_at(t, next_id);
+                next_id += 1;
+            }
+        }
+    }
+    out.extend(std::iter::from_fn(|| sched.pop()));
+    out
+}
 
 proptest! {
     /// Merkle proofs generated for any leaf of any tree verify against the
@@ -187,6 +214,20 @@ proptest! {
             total_service += service;
         }
         prop_assert_eq!(server.busy_time(), total_service);
+    }
+
+    /// Same-instant bursts: every event lands on one of a handful of
+    /// instants, so FIFO tie-breaking decides nearly every pop. Time never
+    /// goes backwards, and events at one instant come out in insertion order.
+    #[test]
+    fn same_instant_bursts_preserve_fifo_order(steps in prop::collection::vec((0u64..4, any::<u8>(), any::<bool>()), 1..60)) {
+        let popped = drive_scheduler(&steps);
+        for window in popped.windows(2) {
+            prop_assert!(window[0].0 <= window[1].0, "time went backwards: {:?}", window);
+            if window[0].0 == window[1].0 {
+                prop_assert!(window[0].1 < window[1].1, "FIFO violated: {:?}", window);
+            }
+        }
     }
 
     /// Account sequences increase monotonically no matter the interleaving of

@@ -86,7 +86,8 @@ fn registry_lookup_returns_every_figure_name() {
         "mesh_contention",
         "smoke",
     ];
-    assert_eq!(registry::names(), expected);
+    let names: Vec<&str> = registry::entries().iter().map(|e| e.name).collect();
+    assert_eq!(names, expected);
     for name in expected {
         let entry = registry::get(name).unwrap_or_else(|| panic!("{name} missing from registry"));
         assert!(!entry.title.is_empty(), "{name} has no title");
@@ -198,17 +199,26 @@ fn every_strategy_arm_is_run_by_a_registered_scenario() {
 
 #[test]
 fn parallel_sweep_is_byte_identical_to_sequential() {
-    // A multi-point grid crossing rates × RTTs × seeds, small enough for CI.
-    let grid = SweepGrid::new(
-        ExperimentSpec::relayer_throughput()
-            .measurement_blocks(4)
-            .seed(42),
-    )
-    .input_rates([10, 20])
-    .rtts_ms([0, 200])
-    .seeds([1, 2]);
-    let specs = grid.points();
+    // A multi-point grid crossing relayer counts × rates × RTTs, small
+    // enough for CI; every point is a different run.
+    let specs: Vec<ExperimentSpec> = [1, 2]
+        .into_iter()
+        .flat_map(|relayers| {
+            let base = ExperimentSpec::relayer_throughput()
+                .measurement_blocks(4)
+                .relayers(relayers)
+                .seed(42);
+            let name = format!("{}/relayers={relayers}", base.name);
+            let grid = SweepGrid::new(base.named(name))
+                .input_rates([10, 20])
+                .rtts_ms([0, 200]);
+            grid.points()
+        })
+        .collect();
     assert_eq!(specs.len(), 8);
+    for (i, spec) in specs.iter().enumerate() {
+        assert!(!specs[..i].contains(spec), "{} repeats a point", spec.name);
+    }
 
     let sequential = sweep::run_sequential(&specs);
     let parallel = sweep::run_parallel(&specs, 4);
@@ -221,16 +231,4 @@ fn parallel_sweep_is_byte_identical_to_sequential() {
 
     // And the sweep did real work: outcomes carry live metrics.
     assert!(sequential.iter().all(|o| o.requests_made() > 0));
-}
-
-#[test]
-fn derived_seeds_give_points_independent_streams() {
-    let grid = SweepGrid::new(ExperimentSpec::tendermint_throughput().seed(42)).derived_seeds(3);
-    let seeds: Vec<u64> = grid.points().iter().map(|p| p.deployment.seed).collect();
-    assert_eq!(seeds.len(), 3);
-    assert_eq!(seeds, sweep::derived_seeds(42, 3));
-    let mut unique = seeds;
-    unique.sort_unstable();
-    unique.dedup();
-    assert_eq!(unique.len(), 3, "derived seeds must be distinct");
 }
