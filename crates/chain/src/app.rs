@@ -612,7 +612,6 @@ mod rollback_tests {
     use super::*;
     use crate::chain::Chain;
     use crate::coin::Coin;
-    use xcc_ibc::channel::Order;
     use xcc_ibc::client::ClientUpdate;
     use xcc_ibc::commitment::CommitmentProof;
     use xcc_ibc::ids::{ChannelId, ClientId, ConnectionId, PortId, Sequence};
@@ -761,12 +760,8 @@ mod rollback_tests {
             ibc_a.conn_open_ack(&conn_a, &conn_b).unwrap();
             ibc_b.conn_open_confirm(&conn_b).unwrap();
             let port = PortId::transfer();
-            let (chan_a, _) = ibc_a
-                .chan_open_init(&port, &conn_a, &port, Order::Unordered)
-                .unwrap();
-            let (chan_b, _) = ibc_b
-                .chan_open_try(&port, &conn_b, &port, &chan_a, Order::Unordered)
-                .unwrap();
+            let (chan_a, _) = ibc_a.chan_open_init(&port, &conn_a, &port).unwrap();
+            let (chan_b, _) = ibc_b.chan_open_try(&port, &conn_b, &port, &chan_a).unwrap();
             ibc_a.chan_open_ack(&port, &chan_a, &chan_b).unwrap();
             ibc_b.chan_open_confirm(&port, &chan_b).unwrap();
 
@@ -983,11 +978,9 @@ mod rollback_tests {
         let port = PortId::transfer();
         let connection = ConnectionId::with_index(0);
         let (ibc_a, ibc_b) = (pair.a.app_mut().ibc_mut(), pair.b.app_mut().ibc_mut());
-        let (second, _) = ibc_a
-            .chan_open_init(&port, &connection, &port, Order::Unordered)
-            .unwrap();
+        let (second, _) = ibc_a.chan_open_init(&port, &connection, &port).unwrap();
         let (second_b, _) = ibc_b
-            .chan_open_try(&port, &connection, &port, &second, Order::Unordered)
+            .chan_open_try(&port, &connection, &port, &second)
             .unwrap();
         ibc_a.chan_open_ack(&port, &second, &second_b).unwrap();
         ibc_b.chan_open_confirm(&port, &second_b).unwrap();

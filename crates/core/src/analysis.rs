@@ -338,10 +338,10 @@ pub fn forward_lag_secs(run: &RunOutput, route: usize) -> Option<f64> {
     let mut total = 0.0f64;
     let mut count = 0u64;
     for record in &run.forwards {
-        if record.route != route || !record.accepted {
+        if record.route != route || !record.submission.accepted {
             continue;
         }
-        total += (record.submitted_at - record.triggered_at).as_secs_f64();
+        total += (record.submission.broadcast_at - record.triggered_at).as_secs_f64();
         count += 1;
     }
     if count == 0 {

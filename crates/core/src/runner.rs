@@ -17,8 +17,8 @@
 //! * `RelayerWake(id)` — process `id` drains its inbox via
 //!   [`Relayer::wake`](xcc_relayer::relayer::Relayer::wake), performing its
 //!   pipeline work on its own virtual-time lane (its per-chain RPC
-//!   endpoints and worker watermarks). A `Some(next)` return re-schedules
-//!   the process at `next`.
+//!   endpoints and worker watermarks). Every wake follows a block
+//!   notification; a process never asks for one of its own.
 //! * `Fault(event)` — one event of the deployment's compiled
 //!   [`FaultPlan`](crate::fault::FaultPlan) fires: a relayer process
 //!   crashes or restarts, a chain halts or stretches its block interval, or
@@ -279,9 +279,7 @@ pub fn run_experiment(
     let path_src: Vec<usize> = testnet.path_ends.iter().map(|&(src, _)| src).collect();
 
     // One workload endpoint per distinct packet-source chain, in
-    // first-appearance (global channel) order. The primary chain keeps the
-    // historical `workload-cli` RPC label so its forked random stream — and
-    // with it every two-chain golden fixture — is unchanged.
+    // first-appearance (global channel) order.
     let mut rpc_chains: Vec<usize> = Vec::new();
     for &src in &path_src {
         if !rpc_chains.contains(&src) {
@@ -519,11 +517,7 @@ pub fn run_experiment(
                     *pending = pending.saturating_sub(1);
                 }
                 wakes_due.retain(|(at, pending)| *at > t || *pending > 0);
-                if let Some(next) = testnet.relayers[id].wake(t) {
-                    let at = next.max(t);
-                    sched.schedule_at(at, Ev::RelayerWake(id));
-                    note_wakes(&mut wakes_due, at, 1);
-                }
+                testnet.relayers[id].wake(t);
             }
             // Out-of-range relayer / path indices are tolerated so a sweep
             // can apply one plan across deployments of different sizes: the
@@ -586,7 +580,8 @@ pub fn run_experiment(
         relayer_stats.push(*relayer.stats());
         rpc_lanes.push(relayer.lane_stats());
     }
-    for record in workload.records() {
+    let forwards = forwarder.records().iter().map(|f| &f.submission);
+    for record in workload.records().iter().chain(forwards) {
         if !record.accepted {
             continue;
         }
@@ -597,19 +592,6 @@ pub fn run_experiment(
             &record.tx_hash,
             record.channel,
             record.broadcast_at,
-        );
-    }
-    for record in forwarder.records() {
-        if !record.accepted {
-            continue;
-        }
-        let src = path_src[record.channel];
-        attach_broadcast(
-            &mut telemetry,
-            &testnet.chains[src],
-            &record.tx_hash,
-            record.channel,
-            record.submitted_at,
         );
     }
 
@@ -631,7 +613,7 @@ pub fn run_experiment(
         submission: workload.stats(),
         submission_records: workload.records().to_vec(),
         forwards: forwarder.records().to_vec(),
-        forward_stats: forwarder.stats(),
+        forward_stats: SubmissionStats::of(forwarder.records().iter().map(|f| &f.submission)),
         hop_routes: forwarder.routes().to_vec(),
         relayer_stats,
         rpc_lanes,
@@ -729,7 +711,7 @@ mod tests {
         assert!(run
             .forwards
             .iter()
-            .all(|f| f.submitted_at >= f.triggered_at));
+            .all(|f| f.submission.broadcast_at >= f.triggered_at));
         assert_eq!(
             run.telemetry.count_for_step(TransferStep::AckConfirmation),
             200

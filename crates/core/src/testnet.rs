@@ -16,7 +16,6 @@ use std::str::FromStr;
 
 use xcc_chain::chain::{Chain, SharedChain};
 use xcc_chain::genesis::GenesisConfig;
-use xcc_ibc::channel::Order;
 use xcc_ibc::error::IbcError;
 use xcc_ibc::ids::{ChainId, PortId};
 use xcc_relayer::config::RelayerConfig;
@@ -395,10 +394,10 @@ pub fn try_open_edge_channels(
     let mut paths = Vec::with_capacity(count.max(1));
     for _ in 0..count.max(1) {
         let (chan_a, _) = ibc_a
-            .chan_open_init(&port, &conn_a, &port, Order::Unordered)
+            .chan_open_init(&port, &conn_a, &port)
             .map_err(step("chan_open_init"))?;
         let (chan_b, _) = ibc_b
-            .chan_open_try(&port, &conn_b, &port, &chan_a, Order::Unordered)
+            .chan_open_try(&port, &conn_b, &port, &chan_a)
             .map_err(step("chan_open_try"))?;
         ibc_a
             .chan_open_ack(&port, &chan_a, &chan_b)

@@ -64,21 +64,38 @@ pub struct SubmissionStats {
     pub rejected: u64,
 }
 
+impl SubmissionStats {
+    /// The totals of a submission log.
+    pub(crate) fn of<'a>(records: impl IntoIterator<Item = &'a SubmissionRecord>) -> Self {
+        let mut stats = SubmissionStats::default();
+        for record in records {
+            let transfers = record.transfers as u64;
+            stats.requests_made += transfers;
+            if record.accepted {
+                stats.submitted += transfers;
+            } else {
+                stats.rejected += transfers;
+            }
+        }
+        stats
+    }
+}
+
 /// One `hermes tx ft-transfer` invocation starting at `t`: `batch` one-token
-/// `MsgTransfer`s from `user` over `path` in a single transaction. Counts the
-/// outcome in `stats` and returns the transaction hash, the instant the
-/// broadcast response arrived, and the rejection message if there was one.
+/// `MsgTransfer`s from `user` over `path` (global channel index `channel`)
+/// in a single transaction. The record's `broadcast_at` is the instant the
+/// broadcast response arrived.
 #[allow(clippy::too_many_arguments)]
 fn cli_transfer(
     rpc: &mut RpcEndpoint,
     mut t: SimTime,
     user: &AccountId,
     path: &RelayPath,
+    channel: usize,
     fee_denom: &str,
     batch: usize,
     timeout_height: Height,
-    stats: &mut SubmissionStats,
-) -> (Hash, SimTime, Option<String>) {
+) -> SubmissionRecord {
     // The CLI queries the account's committed sequence before signing. A
     // transaction still waiting in the mempool is invisible to this query,
     // which is what causes the account-sequence errors the paper describes
@@ -109,14 +126,15 @@ fn cli_transfer(
         .collect();
     let tx = Tx::new(user.clone(), seq_resp.value, msgs, fee_denom);
     let resp = rpc.broadcast_tx_sync(t, &tx);
-
-    stats.requests_made += batch as u64;
     let error = resp.value.err().map(|e| e.to_string());
-    match error {
-        None => stats.submitted += batch as u64,
-        Some(_) => stats.rejected += batch as u64,
+    SubmissionRecord {
+        tx_hash: tx.hash(),
+        broadcast_at: resp.ready_at,
+        transfers: batch,
+        channel,
+        accepted: error.is_none(),
+        error,
     }
-    (tx.hash(), resp.ready_at, error)
 }
 
 /// The workload generator bound to the relayer CLI / source-chain RPCs.
@@ -148,22 +166,9 @@ pub struct WorkloadConnector {
     remaining: u64,
     windows_submitted: u64,
     records: Vec<SubmissionRecord>,
-    stats: SubmissionStats,
 }
 
 impl WorkloadConnector {
-    /// Creates a workload connector for a single-channel deployment (the
-    /// paper's testbed), submitting through `rpc` (a full node of the source
-    /// chain).
-    pub fn new(
-        config: WorkloadConfig,
-        path: RelayPath,
-        rpc: RpcEndpoint,
-        user_count: usize,
-    ) -> Self {
-        Self::with_paths(config, vec![path], rpc, user_count)
-    }
-
     /// Creates a workload connector targeting `paths` (one per open
     /// channel, in channel order) according to the config's channel pattern.
     ///
@@ -230,7 +235,6 @@ impl WorkloadConnector {
             cli_free: SimTime::ZERO,
             windows_submitted: 0,
             records: Vec::new(),
-            stats: SubmissionStats::default(),
         }
     }
 
@@ -239,9 +243,9 @@ impl WorkloadConnector {
         self.windows_submitted >= self.config.submission_blocks || self.remaining == 0
     }
 
-    /// Aggregate statistics so far.
+    /// Aggregate statistics so far: the totals of [`records`](Self::records).
     pub fn stats(&self) -> SubmissionStats {
-        self.stats
+        SubmissionStats::of(&self.records)
     }
 
     /// The per-transaction submission log.
@@ -275,25 +279,18 @@ impl WorkloadConnector {
             let channel = self.channel_pattern[self.next_tx % self.channel_pattern.len()];
             self.next_tx += 1;
             let endpoint = self.path_rpc[channel];
-            let (tx_hash, done_at, error) = cli_transfer(
+            let record = cli_transfer(
                 &mut self.rpcs[endpoint],
                 t,
                 user,
                 &self.paths[channel],
+                channel,
                 &self.fee_denoms[endpoint],
                 batch,
                 timeout_height,
-                &mut self.stats,
             );
-            t = done_at;
-            self.records.push(SubmissionRecord {
-                tx_hash,
-                broadcast_at: t,
-                transfers: batch,
-                channel,
-                accepted: error.is_none(),
-                error,
-            });
+            t = record.broadcast_at;
+            self.records.push(record);
         }
         self.cli_free = t;
     }
@@ -305,20 +302,11 @@ impl WorkloadConnector {
 pub struct ForwardRecord {
     /// Index of the hop route (into the run's active route list).
     pub route: usize,
-    /// Hash of the second-leg transaction.
-    pub tx_hash: Hash,
     /// Commit time of the first-leg acknowledgement that triggered it.
     pub triggered_at: SimTime,
-    /// When the forwarder CLI broadcast the second-leg transaction.
-    pub submitted_at: SimTime,
-    /// Number of transfer messages inside.
-    pub transfers: usize,
-    /// Global channel index of the second-leg path.
-    pub channel: usize,
-    /// Whether `broadcast_tx_sync` accepted it into the mempool.
-    pub accepted: bool,
-    /// The error message when the broadcast was rejected.
-    pub error: Option<String>,
+    /// The second-leg transaction, on the second-leg path's global channel
+    /// index.
+    pub submission: SubmissionRecord,
 }
 
 /// The multi-hop forwarder: chains a second IBC transfer leg onto every
@@ -349,7 +337,6 @@ pub struct HopForwarder {
     next_user: usize,
     cli_free: SimTime,
     records: Vec<ForwardRecord>,
-    stats: SubmissionStats,
 }
 
 impl HopForwarder {
@@ -383,7 +370,6 @@ impl HopForwarder {
             next_user: 0,
             cli_free: SimTime::ZERO,
             records: Vec::new(),
-            stats: SubmissionStats::default(),
         }
     }
 
@@ -395,11 +381,6 @@ impl HopForwarder {
     /// The per-transaction forward log.
     pub fn records(&self) -> &[ForwardRecord] {
         &self.records
-    }
-
-    /// Aggregate second-leg submission statistics.
-    pub fn stats(&self) -> SubmissionStats {
-        self.stats
     }
 
     /// Reacts to a block committing on chain `chain_idx`: scans the block
@@ -464,26 +445,21 @@ impl HopForwarder {
 
                 let user = &self.users[self.next_user % self.users.len()];
                 self.next_user += 1;
-                let (tx_hash, done_at, error) = cli_transfer(
+                let submission = cli_transfer(
                     rpc,
                     t,
                     user,
                     &self.paths[second],
+                    second,
                     fee_denom,
                     batch,
                     Height::ZERO,
-                    &mut self.stats,
                 );
-                t = done_at;
+                t = submission.broadcast_at;
                 self.records.push(ForwardRecord {
                     route: ri,
-                    tx_hash,
                     triggered_at: committed_at,
-                    submitted_at: t,
-                    transfers: batch,
-                    channel: second,
-                    accepted: error.is_none(),
-                    error,
+                    submission,
                 });
             }
         }
@@ -519,7 +495,8 @@ mod tests {
             submission_blocks: 1,
             ..WorkloadConfig::default()
         };
-        let mut workload = WorkloadConnector::new(config, testnet.path.clone(), rpc, 8);
+        let mut workload =
+            WorkloadConnector::with_paths(config, vec![testnet.path.clone()], rpc, 8);
         workload.submit_window(SimTime::from_secs(5), 1);
         assert!(workload.finished_submitting());
         let stats = workload.stats();
@@ -542,7 +519,8 @@ mod tests {
         };
         // Only one user for two transactions in the same window: the second
         // broadcast reuses the committed sequence and is rejected.
-        let mut workload = WorkloadConnector::new(config, testnet.path.clone(), rpc, 1);
+        let mut workload =
+            WorkloadConnector::with_paths(config, vec![testnet.path.clone()], rpc, 1);
         workload.submit_window(SimTime::from_secs(5), 1);
         let stats = workload.stats();
         assert_eq!(stats.requests_made, 200);
@@ -586,7 +564,8 @@ mod tests {
             submission_blocks: 4,
             ..WorkloadConfig::default()
         };
-        let mut workload = WorkloadConnector::new(config, testnet.path.clone(), rpc, 4);
+        let mut workload =
+            WorkloadConnector::with_paths(config, vec![testnet.path.clone()], rpc, 4);
         for w in 0..4 {
             assert!(!workload.finished_submitting());
             workload.submit_window(SimTime::from_secs(5 * (w + 1)), 1);

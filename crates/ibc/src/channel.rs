@@ -1,22 +1,14 @@
-//! ICS-04 channel semantics: channel ends, ordering and handshake states.
+//! ICS-04 channel semantics: channel ends and handshake states.
+//!
+//! Every channel is *unordered*, as in the paper's testbed and in common
+//! ICS-20 deployments: packets may be delivered in any order, and a receipt
+//! per sequence records delivery.
 
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{ChannelId, ConnectionId, PortId, Sequence};
-
-/// The delivery ordering guarantee of a channel.
-///
-/// The paper's experiments use an *unordered* channel between the two Gaia
-/// chains, which is also the common production configuration for ICS-20.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Order {
-    /// Packets may be delivered in any order; receipts track delivery.
-    Unordered,
-    /// Packets must be delivered in the exact order they were sent.
-    Ordered,
-}
 
 /// The lifecycle state of a channel end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -45,12 +37,11 @@ pub struct ChannelCounterparty {
 /// # Example
 ///
 /// ```rust
-/// use xcc_ibc::channel::{ChannelCounterparty, ChannelEnd, ChannelState, Order};
+/// use xcc_ibc::channel::{ChannelCounterparty, ChannelEnd, ChannelState};
 /// use xcc_ibc::ids::{ConnectionId, PortId};
 ///
 /// let end = ChannelEnd::new(
 ///     ChannelState::Open,
-///     Order::Unordered,
 ///     ChannelCounterparty { port_id: PortId::transfer(), channel_id: None },
 ///     ConnectionId::with_index(0),
 /// );
@@ -60,8 +51,6 @@ pub struct ChannelCounterparty {
 pub struct ChannelEnd {
     /// Current handshake state.
     pub state: ChannelState,
-    /// Delivery ordering guarantee.
-    pub ordering: Order,
     /// Counterparty port/channel.
     pub counterparty: ChannelCounterparty,
     /// The connection this channel runs over.
@@ -71,29 +60,21 @@ pub struct ChannelEnd {
     pub version: Arc<str>,
     /// Next sequence number to assign to an outgoing packet.
     pub next_sequence_send: Sequence,
-    /// Next sequence expected on an ordered channel's receive path.
-    pub next_sequence_recv: Sequence,
-    /// Next sequence expected on an ordered channel's acknowledgement path.
-    pub next_sequence_ack: Sequence,
 }
 
 impl ChannelEnd {
-    /// Creates a channel end with sequences initialised to 1.
+    /// Creates a channel end whose first packet gets sequence 1.
     pub fn new(
         state: ChannelState,
-        ordering: Order,
         counterparty: ChannelCounterparty,
         connection_id: ConnectionId,
     ) -> Self {
         ChannelEnd {
             state,
-            ordering,
             counterparty,
             connection_id,
             version: "ics20-1".into(),
             next_sequence_send: Sequence::FIRST,
-            next_sequence_recv: Sequence::FIRST,
-            next_sequence_ack: Sequence::FIRST,
         }
     }
 
@@ -111,7 +92,6 @@ mod tests {
     fn new_channel_end_defaults() {
         let end = ChannelEnd::new(
             ChannelState::Init,
-            Order::Unordered,
             ChannelCounterparty {
                 port_id: PortId::transfer(),
                 channel_id: None,
@@ -127,7 +107,6 @@ mod tests {
     fn open_channel_reports_open() {
         let mut end = ChannelEnd::new(
             ChannelState::Init,
-            Order::Ordered,
             ChannelCounterparty {
                 port_id: PortId::transfer(),
                 channel_id: Some(ChannelId::with_index(4)),
@@ -136,6 +115,5 @@ mod tests {
         );
         end.state = ChannelState::Open;
         assert!(end.is_open());
-        assert_eq!(end.ordering, Order::Ordered);
     }
 }

@@ -1,5 +1,6 @@
-//! ICS-02 client semantics: client states, consensus states and updates via
-//! the embedded Tendermint light client.
+//! ICS-02 client semantics: client states, consensus states and updates
+//! verified by the Tendermint light-client check
+//! ([`xcc_tendermint::light::verify_commit`]).
 
 use std::collections::BTreeMap;
 
@@ -12,7 +13,7 @@ use crate::ids::ClientId;
 use xcc_sim::SimTime;
 use xcc_tendermint::block::Header;
 use xcc_tendermint::hash::Hash;
-use xcc_tendermint::light::LightClient;
+use xcc_tendermint::light::{verify_commit, VerificationError};
 use xcc_tendermint::validator::ValidatorSet;
 use xcc_tendermint::vote::Commit;
 
@@ -23,11 +24,9 @@ pub struct ClientState {
     pub chain_id: String,
     /// The latest height the client has verified.
     pub latest_height: Height,
-    /// Whether the client has been frozen due to misbehaviour.
-    pub frozen: bool,
     /// Whether the client's trust period has lapsed (`ClientExpiry` fault).
     ///
-    /// Unlike freezing, expiry cannot be repaired by in-band messages: real
+    /// Expiry cannot be repaired by in-band messages: real
     /// IBC requires a governance-style client substitution, which the
     /// simulation does not model, so an expired client strands its channel
     /// for the remainder of the run.
@@ -40,7 +39,6 @@ impl ClientState {
         ClientState {
             chain_id: chain_id.into(),
             latest_height,
-            frozen: false,
             expired: false,
         }
     }
@@ -76,7 +74,8 @@ pub struct ClientUpdate {
     pub ibc_root: CommitmentRoot,
 }
 
-/// A hosted light client: client state plus verified consensus states.
+/// A hosted light client: client state plus verified consensus states, one
+/// per trusted header.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClientRecord {
     /// The client's identifier on the host chain.
@@ -85,15 +84,11 @@ pub struct ClientRecord {
     pub client_state: ClientState,
     /// Verified consensus states by height.
     pub consensus_states: BTreeMap<Height, ConsensusState>,
-    /// The embedded header-verification state machine.
-    pub light_client: LightClient,
 }
 
 impl ClientRecord {
     /// Creates a client from an initial trusted header (`MsgCreateClient`).
     pub fn create(client_id: ClientId, initial_header: &Header, ibc_root: CommitmentRoot) -> Self {
-        let mut light_client = LightClient::new(initial_header.chain_id.clone());
-        light_client.trust_initial(initial_header);
         let height = Height::at(initial_header.height);
         let mut consensus_states = BTreeMap::new();
         consensus_states.insert(
@@ -108,7 +103,6 @@ impl ClientRecord {
             client_id,
             client_state: ClientState::new(initial_header.chain_id.clone(), height),
             consensus_states,
-            light_client,
         }
     }
 
@@ -135,25 +129,29 @@ impl ClientRecord {
     ///
     /// # Errors
     ///
-    /// Fails if the client is frozen or expired, or light-client verification
-    /// rejects the header.
+    /// Fails if the client is expired, the header does not extend the
+    /// latest verified height, or light-client verification rejects it.
     pub fn update(&mut self, update: &ClientUpdate) -> Result<Height, IbcError> {
-        if self.client_state.frozen {
-            return Err(IbcError::ClientUpdateFailed {
-                reason: format!("client {} is frozen", self.client_id),
-            });
-        }
         if self.client_state.expired {
             return Err(IbcError::ClientExpired {
                 client_id: self.client_id.clone(),
             });
         }
-        self.light_client
-            .update(&update.header, &update.commit, &update.validators)
-            .map_err(|e| IbcError::ClientUpdateFailed {
-                reason: e.to_string(),
-            })?;
-        let height = Height::at(update.header.height);
+        let state = &self.client_state;
+        let trusted = state.latest_height.height;
+        let header = &update.header;
+        let verified = if header.height <= trusted {
+            Err(VerificationError::NonMonotonicHeight {
+                trusted,
+                submitted: header.height,
+            })
+        } else {
+            verify_commit(&state.chain_id, header, &update.commit, &update.validators)
+        };
+        verified.map_err(|e| IbcError::ClientUpdateFailed {
+            reason: e.to_string(),
+        })?;
+        let height = Height::at(header.height);
         self.consensus_states.insert(
             height,
             ConsensusState {
@@ -162,9 +160,7 @@ impl ClientRecord {
                 next_validators_hash: update.header.next_validators_hash,
             },
         );
-        if height > self.client_state.latest_height {
-            self.client_state.latest_height = height;
-        }
+        self.client_state.latest_height = height;
         Ok(height)
     }
 
@@ -270,26 +266,38 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn update_rejects_replay_and_frozen_clients() {
-        let node = source_chain(2);
+    fn update_rejects_a_replayed_header() {
+        let node = source_chain(3);
         let mut client = ClientRecord::create(
             ClientId::with_index(0),
             &node.block_at(1).unwrap().block.header,
             sha256(b"root-1"),
         );
-        client
-            .update(&update_for(&node, 2, sha256(b"root-2")))
-            .unwrap();
-        // Replaying height 2 fails (non-monotonic).
-        assert!(client
-            .update(&update_for(&node, 2, sha256(b"root-2")))
-            .is_err());
-
-        client.client_state.frozen = true;
-        assert!(matches!(
-            client.update(&update_for(&node, 2, sha256(b"root-2"))),
-            Err(IbcError::ClientUpdateFailed { .. })
-        ));
+        // A header at or below the latest verified height fails and changes
+        // nothing. The text rides in DeliverTx logs, so block-event frame
+        // sizes pin it.
+        for (latest, replayed, text) in [
+            (
+                2,
+                2,
+                "client update failed: header height 2 does not extend trusted height 2",
+            ),
+            (
+                3,
+                2,
+                "client update failed: header height 2 does not extend trusted height 3",
+            ),
+        ] {
+            client
+                .update(&update_for(&node, latest, sha256(b"root")))
+                .unwrap();
+            let err = client
+                .update(&update_for(&node, replayed, sha256(b"root")))
+                .unwrap_err();
+            assert_eq!(err.to_string(), text);
+            assert_eq!(client.latest_height(), Height::at(latest));
+            assert_eq!(client.consensus_states.len() as u64, latest);
+        }
     }
 
     #[test]

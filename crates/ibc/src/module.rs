@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::channel::{ChannelCounterparty, ChannelEnd, ChannelState, Order};
+use crate::channel::{ChannelCounterparty, ChannelEnd, ChannelState};
 use crate::client::{ClientRecord, ClientUpdate};
 use crate::commitment::{CommitmentProof, CommitmentRoot, CommitmentStore, NonMembershipProof};
 use crate::connection::{ConnectionCounterparty, ConnectionEnd, ConnectionState};
@@ -167,8 +167,6 @@ enum IbcUndo {
     /// A send of this sequence: pop it off the log and make it the next
     /// sequence to send again.
     Sent((PortId, ChannelId), Sequence),
-    /// An ordered receive that moved `next_sequence_recv` off this value.
-    Received((PortId, ChannelId), Sequence),
     /// An acknowledgement slot and what it held before.
     Ack((PortId, ChannelId), Sequence, Option<Acknowledgement>),
     Client(ClientId, Option<ClientRecord>),
@@ -238,11 +236,6 @@ impl IbcModule {
                     if let Some(record) = channels.get_mut(&key) {
                         record.sent.pop();
                         record.end.next_sequence_send = sequence;
-                    }
-                }
-                IbcUndo::Received(key, sequence) => {
-                    if let Some(record) = channels.get_mut(&key) {
-                        record.end.next_sequence_recv = sequence;
                     }
                 }
                 IbcUndo::Ack(key, sequence, prior) => {
@@ -488,14 +481,12 @@ impl IbcModule {
         port_id: &PortId,
         connection_id: &ConnectionId,
         counterparty_port_id: &PortId,
-        ordering: Order,
     ) -> Result<(ChannelId, Vec<Event>), IbcError> {
         self.require_connection(connection_id)?;
         let channel_id = ChannelId::with_index(self.channel_counter);
         self.channel_counter += 1;
         let end = ChannelEnd::new(
             ChannelState::Init,
-            ordering,
             ChannelCounterparty {
                 port_id: counterparty_port_id.clone(),
                 channel_id: None,
@@ -521,14 +512,12 @@ impl IbcModule {
         connection_id: &ConnectionId,
         counterparty_port_id: &PortId,
         counterparty_channel_id: &ChannelId,
-        ordering: Order,
     ) -> Result<(ChannelId, Vec<Event>), IbcError> {
         self.require_connection(connection_id)?;
         let channel_id = ChannelId::with_index(self.channel_counter);
         self.channel_counter += 1;
         let end = ChannelEnd::new(
             ChannelState::TryOpen,
-            ordering,
             ChannelCounterparty {
                 port_id: counterparty_port_id.clone(),
                 channel_id: Some(counterparty_channel_id.clone()),
@@ -747,17 +736,6 @@ impl IbcModule {
             });
         }
 
-        // Ordered channels additionally enforce in-order delivery.
-        let ordered = channel.ordering == Order::Ordered;
-        if ordered && packet.sequence != channel.next_sequence_recv {
-            return Err(IbcError::InvalidState {
-                reason: format!(
-                    "ordered channel expects sequence {}, got {}",
-                    channel.next_sequence_recv, packet.sequence
-                ),
-            });
-        }
-
         // Hand the packet to the ICS-20 application.
         let ack = transfer::on_recv_packet(bank, packet, &record.escrow);
 
@@ -770,12 +748,6 @@ impl IbcModule {
             .get_mut(&key)
             .ok_or_else(|| channel_not_found(&key.0, &key.1))?;
         let prior = record.acks.insert(packet.sequence, ack.clone());
-        if ordered {
-            let received = record.end.next_sequence_recv;
-            record.end.next_sequence_recv = received.next();
-            self.journal
-                .record(|| IbcUndo::Received(key.clone(), received));
-        }
         self.journal
             .record(|| IbcUndo::Ack(key, packet.sequence, prior));
 
@@ -1313,12 +1285,8 @@ mod tests {
         b.conn_open_confirm(&conn_b).unwrap();
 
         let port = PortId::transfer();
-        let (chan_a, _) = a
-            .chan_open_init(&port, &conn_a, &port, Order::Unordered)
-            .unwrap();
-        let (chan_b, _) = b
-            .chan_open_try(&port, &conn_b, &port, &chan_a, Order::Unordered)
-            .unwrap();
+        let (chan_a, _) = a.chan_open_init(&port, &conn_a, &port).unwrap();
+        let (chan_b, _) = b.chan_open_try(&port, &conn_b, &port, &chan_a).unwrap();
         a.chan_open_ack(&port, &chan_a, &chan_b).unwrap();
         b.chan_open_confirm(&port, &chan_b).unwrap();
 
@@ -1777,7 +1745,7 @@ mod tests {
         assert!(matches!(err, IbcError::InvalidState { .. }));
         // Unknown connection for a new channel.
         let err = a
-            .chan_open_init(&port, &ConnectionId::with_index(7), &port, Order::Unordered)
+            .chan_open_init(&port, &ConnectionId::with_index(7), &port)
             .unwrap_err();
         assert!(matches!(err, IbcError::ConnectionNotFound { .. }));
     }

@@ -486,13 +486,13 @@ impl Relayer {
     /// own virtual-time lane (its per-chain RPC endpoints and worker
     /// watermarks — nothing here touches another process's state).
     ///
-    /// Returns the instant at which the process next needs a wake *without*
-    /// a block notification, or `None` when every obligation is tied to a
-    /// future block commit (the common case: held receives and
-    /// acknowledgements can only make progress after the next commit, which
-    /// arrives as its own notification). The runner schedules a
-    /// `RelayerWake` event for a `Some` return. Wakes are idempotent: waking
-    /// with an empty inbox is a no-op, so spurious wakes are harmless.
+    /// Returns `None` on every path: every obligation is tied to a future
+    /// block commit (held receives and acknowledgements can only make
+    /// progress after the next commit, which arrives as its own
+    /// notification), so a process never needs a wake of its own. The
+    /// `Option` stays because the repository benchmark's traced event loop
+    /// (`benchmark/src/trace.rs`) matches on it. Wakes are idempotent:
+    /// waking with an empty inbox is a no-op, so spurious wakes are harmless.
     pub fn wake(&mut self, _now: SimTime) -> Option<SimTime> {
         if self.crashed {
             // A crashed process does no work; pending wakes fall through
@@ -1476,7 +1476,6 @@ mod tests {
     use xcc_chain::chain::{Chain, SharedChain};
     use xcc_chain::coin::Coin;
     use xcc_chain::genesis::GenesisConfig;
-    use xcc_ibc::channel::Order;
     use xcc_ibc::ids::{ChannelId, ClientId};
     use xcc_ibc::module::TransferParams;
     use xcc_rpc::endpoint::UnconfirmedSequence;
@@ -1589,12 +1588,8 @@ mod tests {
             let (conn_d, _) = ibc_d.conn_open_try(&client_d, &client_s, &conn_s).unwrap();
             ibc_s.conn_open_ack(&conn_s, &conn_d).unwrap();
             ibc_d.conn_open_confirm(&conn_d).unwrap();
-            let (chan_s, _) = ibc_s
-                .chan_open_init(&port, &conn_s, &port, Order::Unordered)
-                .unwrap();
-            let (chan_d, _) = ibc_d
-                .chan_open_try(&port, &conn_d, &port, &chan_s, Order::Unordered)
-                .unwrap();
+            let (chan_s, _) = ibc_s.chan_open_init(&port, &conn_s, &port).unwrap();
+            let (chan_d, _) = ibc_d.chan_open_try(&port, &conn_d, &port, &chan_s).unwrap();
             ibc_s.chan_open_ack(&port, &chan_s, &chan_d).unwrap();
             ibc_d.chan_open_confirm(&port, &chan_d).unwrap();
         }

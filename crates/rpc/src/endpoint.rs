@@ -1,7 +1,8 @@
 //! The simulated Tendermint RPC endpoint served by a full node.
 //!
-//! All queries go through a single-server FIFO queue ([`FifoServer`]): the
-//! endpoint serves them one at a time, which is the root cause of the
+//! The endpoint serves its queries one at a time, first come first served: a
+//! query arriving at `t` with service time `s` is answered at
+//! `max(t, busy_until) + s`. That single server is the root cause of the
 //! data-pull bottleneck the paper measures. Every method returns an
 //! [`RpcResponse`] carrying both the result and the simulated time at which
 //! the caller receives it (queueing + service + network round trip).
@@ -16,7 +17,7 @@ use xcc_ibc::commitment::{CommitmentProof, NonMembershipProof};
 use xcc_ibc::ids::{ChannelId, PortId, Sequence};
 use xcc_ibc::packet::Acknowledgement;
 use xcc_sim::prof;
-use xcc_sim::{FifoServer, SimDuration, SimTime};
+use xcc_sim::{SimDuration, SimTime};
 use xcc_tendermint::abci::Event;
 use xcc_tendermint::hash::Hash;
 use xcc_tendermint::node::CommittedBlock;
@@ -130,7 +131,9 @@ impl BlockEventBatch {
 #[derive(Debug)]
 pub struct RpcEndpoint {
     chain: SharedChain,
-    queue: FifoServer,
+    lane: LaneStats,
+    /// When the server finishes the last query it has accepted.
+    busy_until: SimTime,
     one_way: SimDuration,
 }
 
@@ -141,7 +144,14 @@ impl RpcEndpoint {
         let name = format!("rpc-{}", chain.borrow().id());
         RpcEndpoint {
             chain,
-            queue: FifoServer::new(name),
+            lane: LaneStats {
+                name,
+                queries_served: 0,
+                busy_time: SimDuration::ZERO,
+                total_wait: SimDuration::ZERO,
+                max_backlog: SimDuration::ZERO,
+            },
+            busy_until: SimTime::ZERO,
             one_way,
         }
     }
@@ -154,21 +164,21 @@ impl RpcEndpoint {
     /// A snapshot of this lane's accounting (queries served, busy time,
     /// cumulative wait, worst backlog).
     pub fn lane_stats(&self) -> LaneStats {
-        LaneStats {
-            name: self.queue.name().to_string(),
-            queries_served: self.queue.jobs_served(),
-            busy_time: self.queue.busy_time(),
-            total_wait: self.queue.total_wait(),
-            max_backlog: self.queue.max_backlog(),
-        }
+        self.lane.clone()
     }
 
     fn respond<T>(&mut self, now: SimTime, profile: RequestProfile, value: T) -> RpcResponse<T> {
         prof::bump_rpc_call(profile.kind.index());
         let service = service_time(&profile);
-        let request_arrives = now + self.one_way;
-        let served_at = self.queue.submit(request_arrives, service);
-        let ready_at = served_at + self.one_way;
+        let arrives = now + self.one_way;
+        let start = self.busy_until.max(arrives);
+        self.busy_until = start + service;
+        let lane = &mut self.lane;
+        lane.queries_served += 1;
+        lane.busy_time += service;
+        lane.total_wait += start - arrives;
+        lane.max_backlog = lane.max_backlog.max(self.busy_until - arrives);
+        let ready_at = self.busy_until + self.one_way;
         RpcResponse {
             value,
             ready_at,
@@ -555,23 +565,53 @@ mod tests {
         }
     }
 
+    /// The service time of one account-sequence query.
+    fn query_service() -> SimDuration {
+        service_time(&RequestProfile::small(RequestKind::AccountQuery))
+    }
+
+    #[test]
+    fn an_idle_lane_serves_at_once() {
+        let mut rpc = endpoint(0);
+        let at = SimTime::from_secs(10);
+        let done = rpc.account_sequence(at, &"user-0".into());
+        assert_eq!(done.ready_at, at + query_service());
+        let lane = rpc.lane_stats();
+        assert_eq!(lane.total_wait, SimDuration::ZERO);
+        assert_eq!(lane.busy_time, query_service());
+    }
+
     #[test]
     fn queries_are_served_sequentially() {
+        // Three queries issued at the same instant: each waits for the one
+        // before it.
         let mut rpc = endpoint(0);
-        // Two queries issued at the same instant: the second waits.
+        let s = query_service();
         let user = "user-0".into();
-        let first = rpc.account_sequence(SimTime::ZERO, &user);
-        let second = rpc.account_sequence(SimTime::ZERO, &user);
-        assert!(first.ready_at > SimTime::ZERO, "service time is never zero");
-        assert!(second.ready_at > first.ready_at);
-        // The lane snapshot counts both and records that the second query
-        // waited behind the first on this lane's queue.
+        let done: Vec<SimTime> = (0..3)
+            .map(|_| rpc.account_sequence(SimTime::ZERO, &user).ready_at)
+            .collect();
+        assert_eq!(
+            done,
+            vec![
+                SimTime::ZERO + s,
+                SimTime::ZERO + s * 2,
+                SimTime::ZERO + s * 3
+            ]
+        );
         let lane = rpc.lane_stats();
         assert_eq!(lane.name, "rpc-chain-a");
-        assert_eq!(lane.queries_served, 2);
-        assert!(lane.busy_time > SimDuration::ZERO);
-        assert!(lane.total_wait > SimDuration::ZERO);
-        assert!(lane.max_backlog >= lane.total_wait);
+        assert_eq!(lane.queries_served, 3);
+        assert_eq!(lane.busy_time, s * 3);
+        assert_eq!(lane.total_wait, s * 3, "0 + s + 2s");
+        assert_eq!(lane.max_backlog, s * 3, "the largest sojourn");
+        // A query after the lane went idle waits nothing, and its shorter
+        // sojourn leaves the largest one standing.
+        let at = SimTime::from_secs(5);
+        assert_eq!(rpc.account_sequence(at, &user).ready_at, at + s);
+        let lane = rpc.lane_stats();
+        assert_eq!(lane.total_wait, s * 3);
+        assert_eq!(lane.max_backlog, s * 3);
     }
 
     #[test]
@@ -723,7 +763,6 @@ mod tests {
     /// packets from `chain-a` (block 2) and `chain-b` received them (block
     /// 2), so both directions have something to pull.
     fn relayed_pair() -> (SharedChain, SharedChain) {
-        use xcc_ibc::channel::Order;
         use xcc_ibc::height::Height;
         use xcc_ibc::module::TransferParams;
 
@@ -750,12 +789,8 @@ mod tests {
             let (conn_b, _) = ibc_b.conn_open_try(&client_b, &client_a, &conn_a).unwrap();
             ibc_a.conn_open_ack(&conn_a, &conn_b).unwrap();
             ibc_b.conn_open_confirm(&conn_b).unwrap();
-            let (chan_a, _) = ibc_a
-                .chan_open_init(&port, &conn_a, &port, Order::Unordered)
-                .unwrap();
-            let (chan_b, _) = ibc_b
-                .chan_open_try(&port, &conn_b, &port, &chan_a, Order::Unordered)
-                .unwrap();
+            let (chan_a, _) = ibc_a.chan_open_init(&port, &conn_a, &port).unwrap();
+            let (chan_b, _) = ibc_b.chan_open_try(&port, &conn_b, &port, &chan_a).unwrap();
             ibc_a.chan_open_ack(&port, &chan_a, &chan_b).unwrap();
             ibc_b.chan_open_confirm(&port, &chan_b).unwrap();
             assert_eq!((&chan_a, &chan_b), (&channel, &channel));

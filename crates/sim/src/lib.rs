@@ -9,9 +9,6 @@
 //!   [`SimDuration`]),
 //! * a deterministic event scheduler generic over the event payload
 //!   ([`Scheduler`]),
-//! * a single-server FIFO queue used to model the *sequential* Tendermint RPC
-//!   endpoint that the paper identifies as the main bottleneck
-//!   ([`FifoServer`]),
 //! * [`DetRng`], the zero-sized name of a random stream no model draws from,
 //! * deterministic work counters — the xcc-prof profiling layer whose
 //!   totals are exact-match regression signals, unlike wall-clock
@@ -43,10 +40,8 @@
 pub mod prof;
 mod rng;
 mod scheduler;
-mod server;
 mod time;
 
 pub use rng::DetRng;
 pub use scheduler::{Scheduler, SchedulerBackend};
-pub use server::FifoServer;
 pub use time::{SimDuration, SimTime};

@@ -1,50 +1,13 @@
 //! Light-client verification primitives.
 //!
 //! IBC clients (ICS-02/07) track the counterparty chain's consensus through a
-//! light client: a store of trusted headers that can verify new headers using
-//! the validator set's commit signatures. This module implements the
-//! verification core used by `xcc-ibc`.
-
-use std::collections::BTreeMap;
-
-use serde::{Deserialize, Serialize};
+//! light client that verifies each new header against the validator set's
+//! commit signatures. This module is that check, [`verify_commit`]; the
+//! heights a client trusts live in `xcc-ibc`'s client record.
 
 use crate::block::Header;
-use crate::hash::Hash;
 use crate::validator::ValidatorSet;
 use crate::vote::{sign_vote, BlockIdFlag, Commit};
-use xcc_sim::SimTime;
-
-/// A header (and associated state roots) the light client trusts.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TrustedState {
-    /// Height of the trusted header.
-    pub height: u64,
-    /// Hash of the trusted header.
-    pub header_hash: Hash,
-    /// Hash of the validator set at this height.
-    pub validators_hash: Hash,
-    /// Hash of the validator set for the next height.
-    pub next_validators_hash: Hash,
-    /// Application state root committed by this header.
-    pub app_hash: Hash,
-    /// Header timestamp.
-    pub time: SimTime,
-}
-
-impl TrustedState {
-    /// Extracts a trusted state from a header.
-    pub fn from_header(header: &Header) -> Self {
-        TrustedState {
-            height: header.height,
-            header_hash: header.hash(),
-            validators_hash: header.validators_hash,
-            next_validators_hash: header.next_validators_hash,
-            app_hash: header.app_hash,
-            time: header.time,
-        }
-    }
-}
 
 /// Errors raised during header verification.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -163,92 +126,14 @@ pub fn verify_commit(
     Ok(())
 }
 
-/// A light client tracking a counterparty chain.
-///
-/// # Example
-///
-/// ```rust
-/// use xcc_tendermint::light::LightClient;
-///
-/// let client = LightClient::new("chain-b");
-/// assert_eq!(client.latest_height(), 0);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LightClient {
-    chain_id: String,
-    trusted: BTreeMap<u64, TrustedState>,
-}
-
-impl LightClient {
-    /// Creates a client for `chain_id` with no trusted state yet.
-    pub fn new(chain_id: impl Into<String>) -> Self {
-        LightClient {
-            chain_id: chain_id.into(),
-            trusted: BTreeMap::new(),
-        }
-    }
-
-    /// The chain this client tracks.
-    pub fn chain_id(&self) -> &str {
-        &self.chain_id
-    }
-
-    /// The highest trusted height, or 0 when nothing is trusted yet.
-    pub fn latest_height(&self) -> u64 {
-        self.trusted.keys().next_back().copied().unwrap_or(0)
-    }
-
-    /// Number of trusted consensus states held.
-    pub fn len(&self) -> usize {
-        self.trusted.len()
-    }
-
-    /// `true` when no state is trusted yet.
-    pub fn is_empty(&self) -> bool {
-        self.trusted.is_empty()
-    }
-
-    /// Installs an initial trusted header without verification (the trusted
-    /// bootstrap of a light client).
-    pub fn trust_initial(&mut self, header: &Header) {
-        self.trusted
-            .insert(header.height, TrustedState::from_header(header));
-    }
-
-    /// Verifies `header` against `commit` and `validators` and, on success,
-    /// records it as trusted.
-    ///
-    /// # Errors
-    ///
-    /// Fails if verification fails or the header does not extend the latest
-    /// trusted height.
-    pub fn update(
-        &mut self,
-        header: &Header,
-        commit: &Commit,
-        validators: &ValidatorSet,
-    ) -> Result<(), VerificationError> {
-        let latest = self.latest_height();
-        if !self.trusted.is_empty() && header.height <= latest {
-            return Err(VerificationError::NonMonotonicHeight {
-                trusted: latest,
-                submitted: header.height,
-            });
-        }
-        verify_commit(&self.chain_id, header, commit, validators)?;
-        self.trusted
-            .insert(header.height, TrustedState::from_header(header));
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::abci::{CheckTxResult, DeliverTxResult};
     use crate::block::RawTx;
+    use crate::hash::Hash;
     use crate::node::Node;
-    use xcc_sim::SimDuration;
+    use xcc_sim::{SimDuration, SimTime};
 
     /// No-op application for producing real blocks in light-client tests.
     #[derive(Debug, Default)]
@@ -362,34 +247,5 @@ mod tests {
             verify_commit("chain-a", header, &commit, node.validators()),
             Err(VerificationError::InvalidSignature)
         );
-    }
-
-    #[test]
-    fn light_client_updates_monotonically() {
-        let node = node_with_blocks(3);
-        let mut client = LightClient::new("chain-a");
-        assert!(client.is_empty());
-
-        let h1 = &node.block_at(1).unwrap().block.header;
-        client.trust_initial(h1);
-        assert_eq!(client.latest_height(), 1);
-
-        let h2 = &node.block_at(2).unwrap().block.header;
-        client
-            .update(h2, node.commit_for(2).unwrap(), node.validators())
-            .unwrap();
-        let h3 = &node.block_at(3).unwrap().block.header;
-        client
-            .update(h3, node.commit_for(3).unwrap(), node.validators())
-            .unwrap();
-        assert_eq!(client.latest_height(), 3);
-        assert_eq!(client.len(), 3);
-        assert_eq!(client.trusted[&2].header_hash, h2.hash());
-
-        // Replaying an old header must fail.
-        assert!(matches!(
-            client.update(h2, node.commit_for(2).unwrap(), node.validators()),
-            Err(VerificationError::NonMonotonicHeight { .. })
-        ));
     }
 }

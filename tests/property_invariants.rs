@@ -6,7 +6,11 @@ use proptest::prelude::*;
 
 use ibc_perf_repro::chain::account::AccountKeeper;
 use ibc_perf_repro::chain::bank::BankModule;
+use ibc_perf_repro::chain::chain::Chain;
 use ibc_perf_repro::chain::coin::Coin;
+use ibc_perf_repro::chain::genesis::GenesisConfig;
+use ibc_perf_repro::chain::msg::Msg;
+use ibc_perf_repro::chain::tx::Tx;
 use ibc_perf_repro::ibc::commitment::CommitmentStore;
 use ibc_perf_repro::ibc::height::Height;
 use ibc_perf_repro::ibc::ids::{ChannelId, PortId, Sequence};
@@ -14,7 +18,9 @@ use ibc_perf_repro::ibc::packet::Packet;
 use ibc_perf_repro::ibc::transfer::{
     escrow_address, on_recv_packet, refund, send_coins, BankKeeper, FungibleTokenPacketData,
 };
-use ibc_perf_repro::sim::{FifoServer, Scheduler, SimDuration, SimTime};
+use ibc_perf_repro::rpc::cost::{service_time, RequestKind, RequestProfile};
+use ibc_perf_repro::rpc::endpoint::RpcEndpoint;
+use ibc_perf_repro::sim::{Scheduler, SimDuration, SimTime};
 use ibc_perf_repro::tendermint::hash::{sha256, Hash, Sha256};
 use ibc_perf_repro::tendermint::merkle::{leaf_hash, prove, simple_root, VerifiedPath};
 
@@ -194,26 +200,50 @@ proptest! {
         prop_assert_eq!(bank_a2.balance(&"alice".into(), "uatom"), amount);
     }
 
-    /// The FIFO server never finishes a job before it arrived, never before a
-    /// previously submitted job, and its busy time equals the sum of service
-    /// times.
+    /// An RPC lane — the endpoint's single FIFO server — never answers a
+    /// query before it arrived plus its service time, never before a query
+    /// sent ahead of it, and its busy time equals the sum of service times.
+    /// Broadcasts of `n` bank sends vary the service time; a rejected
+    /// broadcast is served like an accepted one.
     #[test]
-    fn fifo_server_is_causal_and_work_conserving(jobs in prop::collection::vec((0u64..10_000, 1u64..5_000), 1..50)) {
-        let mut server = FifoServer::new("prop");
-        let mut arrivals: Vec<(u64, u64)> = jobs;
+    fn fifo_server_is_causal_and_work_conserving(jobs in prop::collection::vec((0u64..10_000, 1usize..20), 1..30)) {
+        let chain = Chain::new(GenesisConfig::new("chain-a").with_funded_accounts("user", 2, 1_000_000))
+            .into_shared();
+        let one_way = SimDuration::from_millis(50);
+        let mut rpc = RpcEndpoint::new(chain, one_way);
+        let mut arrivals: Vec<(u64, usize)> = jobs;
         arrivals.sort_by_key(|(at, _)| *at);
         let mut previous_completion = SimTime::ZERO;
         let mut total_service = SimDuration::ZERO;
-        for (at, service_ms) in arrivals {
-            let arrival = SimTime::from_nanos(at * 1_000_000);
-            let service = SimDuration::from_millis(service_ms);
-            let completion = server.submit(arrival, service);
-            prop_assert!(completion >= arrival + service);
+        let mut largest_service = SimDuration::ZERO;
+        for (at, sends) in &arrivals {
+            let sent = SimTime::from_nanos(at * 1_000_000);
+            let msgs = (0..*sends)
+                .map(|_| Msg::BankSend {
+                    from: "user-0".into(),
+                    to: "user-1".into(),
+                    amount: Coin::new("uatom", 1),
+                })
+                .collect();
+            let service = service_time(&RequestProfile {
+                kind: RequestKind::BroadcastTxSync,
+                response_bytes: 256,
+                messages: *sends,
+                recv_heavy: false,
+                items: 0,
+            });
+            let tx = Tx::new("user-0".into(), 0, msgs, "uatom");
+            let completion = rpc.broadcast_tx_sync(sent, &tx).ready_at;
+            prop_assert!(completion >= sent + one_way + service + one_way);
             prop_assert!(completion >= previous_completion);
             previous_completion = completion;
             total_service += service;
+            largest_service = largest_service.max(service);
         }
-        prop_assert_eq!(server.busy_time(), total_service);
+        let lane = rpc.lane_stats();
+        prop_assert_eq!(lane.queries_served, arrivals.len() as u64);
+        prop_assert_eq!(lane.busy_time, total_service);
+        prop_assert!(lane.max_backlog >= largest_service);
     }
 
     /// Same-instant bursts: every event lands on one of a handful of
@@ -940,7 +970,6 @@ mod outstanding {
     use ibc_perf_repro::chain::chain::Chain;
     use ibc_perf_repro::chain::coin::Coin;
     use ibc_perf_repro::chain::genesis::GenesisConfig;
-    use ibc_perf_repro::ibc::channel::Order;
     use ibc_perf_repro::ibc::commitment::{CommitmentRoot, NonMembershipProof};
     use ibc_perf_repro::ibc::height::Height;
     use ibc_perf_repro::ibc::host;
@@ -991,12 +1020,8 @@ mod outstanding {
             b.conn_open_confirm(&conn_b).unwrap();
             let port = PortId::transfer();
             for _ in 0..=CHANNELS[1] {
-                let (chan_a, _) = a
-                    .chan_open_init(&port, &conn_a, &port, Order::Unordered)
-                    .unwrap();
-                let (chan_b, _) = b
-                    .chan_open_try(&port, &conn_b, &port, &chan_a, Order::Unordered)
-                    .unwrap();
+                let (chan_a, _) = a.chan_open_init(&port, &conn_a, &port).unwrap();
+                let (chan_b, _) = b.chan_open_try(&port, &conn_b, &port, &chan_a).unwrap();
                 a.chan_open_ack(&port, &chan_a, &chan_b).unwrap();
                 b.chan_open_confirm(&port, &chan_b).unwrap();
             }

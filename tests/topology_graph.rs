@@ -143,11 +143,11 @@ proptest! {
         // Causality: a second-leg broadcast never precedes the first-leg
         // ack commit that triggered it, and every broadcast was accepted.
         for record in &run.forwards {
-            prop_assert!(record.accepted, "rejected forward: {:?}", record.error);
+            prop_assert!(record.submission.accepted, "rejected forward: {:?}", record.submission.error);
             prop_assert!(
-                record.submitted_at >= record.triggered_at,
+                record.submission.broadcast_at >= record.triggered_at,
                 "second leg broadcast at {:?} before its trigger at {:?}",
-                record.submitted_at,
+                record.submission.broadcast_at,
                 record.triggered_at
             );
         }
@@ -179,8 +179,8 @@ proptest! {
             let forwarded: u64 = run
                 .forwards
                 .iter()
-                .filter(|r| r.route == ri && r.accepted)
-                .map(|r| r.transfers as u64)
+                .filter(|r| r.route == ri && r.submission.accepted)
+                .map(|r| r.submission.transfers as u64)
                 .sum();
             prop_assert_eq!(
                 forwarded,
