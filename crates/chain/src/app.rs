@@ -142,10 +142,14 @@ impl GaiaApp {
                 self.bank
                     .transfer(from, to, amount)
                     .map_err(|e| e.to_string())?;
-                Ok(vec![Event::new("transfer")
-                    .with_attr("sender", from.to_string())
-                    .with_attr("recipient", to.to_string())
-                    .with_attr("amount", amount.to_string())])
+                Ok(vec![Event::new(
+                    "transfer",
+                    [
+                        ("sender", from.to_string().into()),
+                        ("recipient", to.to_string().into()),
+                        ("amount", amount.to_string().into()),
+                    ],
+                )])
             }
             Msg::IbcTransfer(params) => self
                 .ibc
@@ -350,7 +354,7 @@ impl Application for GaiaApp {
             gas_used += msg.gas_cost();
             match self.execute_msg(msg) {
                 Ok(mut msg_events) => {
-                    events.push(Event::new("message").with_attr("action", msg.type_url()));
+                    events.push(Event::new("message", [("action", msg.type_url().into())]));
                     events.append(&mut msg_events);
                 }
                 Err(log) => {
@@ -368,6 +372,8 @@ impl Application for GaiaApp {
             }
         }
         self.commit_tx();
+        // The committed block keeps the events to the end of the run.
+        events.shrink_to_fit();
 
         DeliverTxResult {
             code: 0,

@@ -4,16 +4,23 @@
 //! by scanning the ABCI events emitted during transaction execution
 //! (`send_packet`, `recv_packet`, `write_acknowledgement`, …) and then pull
 //! the packet data back out of those events. The emitters and readers here
-//! are the two halves of that contract; the attributes between them are
-//! typed values ([`AttrValue`]), so neither half formats or parses text.
+//! are the two halves of that contract.
+//!
+//! A packet event holds its packet, not a copy of its fields: the [`Packet`]
+//! is the event's shared [`EventRecord`], an [`Rc`] that the channel end's
+//! send log (for `send_packet`) or the other event of the same receipt (for
+//! `recv_packet` and `write_acknowledgement`) holds too. Its eight
+//! attributes — seven without the data, for `acknowledge_packet` and
+//! `timeout_packet` — are rendered only when something asks for them, and
+//! sized without rendering; the readers take the packet's fields as they
+//! are, so neither half formats or parses text.
 
-use std::sync::Arc;
+use std::any::Any;
+use std::rc::Rc;
 
-use crate::height::Height;
 use crate::ids::{ChannelId, PortId, Sequence};
 use crate::packet::{Acknowledgement, Packet};
-use xcc_sim::SimTime;
-use xcc_tendermint::abci::{AttrValue, Event};
+use xcc_tendermint::abci::{encoded_attr_size, AttrValue, Event, EventAttribute, EventRecord};
 
 /// Event type emitted when a packet is sent.
 pub const SEND_PACKET: &str = "send_packet";
@@ -26,142 +33,159 @@ pub const ACK_PACKET: &str = "acknowledge_packet";
 /// Event type emitted when a packet times out.
 pub const TIMEOUT_PACKET: &str = "timeout_packet";
 
-/// An event of `kind` carrying the seven attributes every packet event
-/// has, with room for `extra` more, so the attribute list is sized once.
-///
-/// The attributes are the packet's own values — numbers, the height pair and
-/// its identifiers' shared text — so building one formats nothing.
-fn packet_event(kind: &'static str, packet: &Packet, extra: usize) -> Event {
-    let event = Event {
-        kind,
-        attributes: Vec::with_capacity(7 + extra),
-    };
-    event
-        .with_attr("packet_sequence", packet.sequence.value())
-        .with_attr("packet_src_port", packet.source_port.shared())
-        .with_attr("packet_src_channel", packet.source_channel.shared())
-        .with_attr("packet_dst_port", packet.destination_port.shared())
-        .with_attr("packet_dst_channel", packet.destination_channel.shared())
-        .with_attr("packet_timeout_height", packet.timeout_height)
-        .with_attr(
+/// Whether an event of `kind` shows its packet's data. Acknowledge and
+/// timeout events carry no payload.
+fn shows_data(kind: &str) -> bool {
+    matches!(kind, SEND_PACKET | RECV_PACKET | WRITE_ACK)
+}
+
+/// A packet event's attributes, in the order the events have always listed
+/// them: the seven every packet event has, then the data as hex —
+/// printable, and proportional in size to the real payload, which matters
+/// for the WebSocket frame accounting.
+impl EventRecord for Packet {
+    fn attributes(&self, kind: &'static str) -> Vec<EventAttribute> {
+        let mut attributes = Vec::with_capacity(8);
+        let mut push = |key, value| attributes.push(EventAttribute { key, value });
+        push("packet_sequence", self.sequence.value().into());
+        push("packet_src_port", self.source_port.shared().into());
+        push("packet_src_channel", self.source_channel.shared().into());
+        push("packet_dst_port", self.destination_port.shared().into());
+        push(
+            "packet_dst_channel",
+            self.destination_channel.shared().into(),
+        );
+        push("packet_timeout_height", self.timeout_height.into());
+        push(
             "packet_timeout_timestamp",
-            packet.timeout_timestamp.as_nanos(),
-        )
+            self.timeout_timestamp.as_nanos().into(),
+        );
+        if shows_data(kind) {
+            push("packet_data_hex", AttrValue::Hex(self.data.clone()));
+        }
+        attributes
+    }
+
+    fn encoded_size(&self, kind: &'static str) -> usize {
+        let number = |key, n: u64| encoded_attr_size(key, AttrValue::Number(n).text_len());
+        let data = if shows_data(kind) {
+            encoded_attr_size("packet_data_hex", 2 * self.data.len())
+        } else {
+            0
+        };
+        number("packet_sequence", self.sequence.value())
+            + encoded_attr_size("packet_src_port", self.source_port.as_str().len())
+            + encoded_attr_size("packet_src_channel", self.source_channel.as_str().len())
+            + encoded_attr_size("packet_dst_port", self.destination_port.as_str().len())
+            + encoded_attr_size(
+                "packet_dst_channel",
+                self.destination_channel.as_str().len(),
+            )
+            + encoded_attr_size(
+                "packet_timeout_height",
+                AttrValue::from(self.timeout_height).text_len(),
+            )
+            + number(
+                "packet_timeout_timestamp",
+                self.timeout_timestamp.as_nanos(),
+            )
+            + data
+    }
 }
 
-/// The packet's data, kept as bytes and shown as hex: printable, and
-/// proportional in size to the real payload, which matters for the WebSocket
-/// frame accounting.
-fn with_data(event: Event, packet: &Packet) -> Event {
-    event.with_attr("packet_data_hex", AttrValue::Hex(packet.data.clone()))
+/// Builds the `send_packet` event for a freshly sent packet, sharing the
+/// handle the channel end's send log holds.
+pub fn send_packet_event(packet: &Rc<Packet>) -> Event {
+    Event::new(SEND_PACKET, []).with_record(packet.clone())
 }
 
-/// Builds the `send_packet` event for a freshly sent packet.
-pub fn send_packet_event(packet: &Packet) -> Event {
-    with_data(packet_event(SEND_PACKET, packet, 1), packet)
-}
-
-/// Builds the `recv_packet` event for a received packet.
-pub fn recv_packet_event(packet: &Packet) -> Event {
-    with_data(packet_event(RECV_PACKET, packet, 1), packet)
+/// Builds the `recv_packet` event for a received packet, sharing `packet`
+/// with the receipt's `write_acknowledgement` event.
+pub fn recv_packet_event(packet: &Rc<Packet>) -> Event {
+    Event::new(RECV_PACKET, []).with_record(packet.clone())
 }
 
 /// Builds the `write_acknowledgement` event.
-pub fn write_ack_event(packet: &Packet, ack: &Acknowledgement) -> Event {
+pub fn write_ack_event(packet: &Rc<Packet>, ack: &Acknowledgement) -> Event {
     let ack_text = match ack {
         Acknowledgement::Success { .. } => AttrValue::Static("success"),
         Acknowledgement::Error { error } => AttrValue::Text(format!("error:{error}")),
     };
-    with_data(packet_event(WRITE_ACK, packet, 2), packet).with_attr("packet_ack", ack_text)
+    Event::new(WRITE_ACK, [("packet_ack", ack_text)]).with_record(packet.clone())
+}
+
+/// The packet without its data: what an acknowledge or timeout event holds,
+/// since it shows no payload.
+fn without_data(packet: &Packet) -> Rc<Packet> {
+    Rc::new(Packet {
+        sequence: packet.sequence,
+        source_port: packet.source_port.clone(),
+        source_channel: packet.source_channel.clone(),
+        destination_port: packet.destination_port.clone(),
+        destination_channel: packet.destination_channel.clone(),
+        data: Vec::new(),
+        timeout_height: packet.timeout_height,
+        timeout_timestamp: packet.timeout_timestamp,
+    })
 }
 
 /// Builds the `acknowledge_packet` event.
 pub fn ack_packet_event(packet: &Packet) -> Event {
-    packet_event(ACK_PACKET, packet, 0)
+    Event::new(ACK_PACKET, []).with_record(without_data(packet))
 }
 
 /// Builds the `timeout_packet` event.
 pub fn timeout_packet_event(packet: &Packet) -> Event {
-    packet_event(TIMEOUT_PACKET, packet, 0)
+    Event::new(TIMEOUT_PACKET, []).with_record(without_data(packet))
 }
 
-/// The shared text of identifier attribute `key`.
-fn shared<'a>(event: &'a Event, key: &str) -> Option<&'a Arc<str>> {
-    match event.attr(key)? {
-        AttrValue::Shared(text) => Some(text),
-        _ => None,
-    }
-}
-
-/// Identifier attribute `key`, validated as parsing it would be but not
-/// copied.
-fn identifier<T: TryFrom<Arc<str>>>(event: &Event, key: &str) -> Option<T> {
-    T::try_from(Arc::clone(shared(event, key)?)).ok()
-}
-
-/// Number attribute `key`.
-fn number(event: &Event, key: &str) -> Option<u64> {
-    match event.attr(key)? {
-        AttrValue::Number(n) => Some(*n),
-        _ => None,
-    }
-}
-
-/// Reconstructs a [`Packet`] from a packet-carrying event (`send_packet`,
-/// `recv_packet`, `write_acknowledgement`, `acknowledge_packet` or
-/// `timeout_packet`).
-///
-/// Returns `None` for events of other types, or with an attribute missing or
-/// of another shape than the emitters above give it. Acknowledge/timeout
-/// events carry no payload, so the reconstructed packet's `data` is empty for
-/// those kinds. This is exactly the "message extraction" step of the relayer
-/// pipeline: it reads values back, parsing and copying no text.
-pub fn packet_from_event(event: &Event) -> Option<Packet> {
-    let sequence = packet_sequence(event)?;
-    let &AttrValue::Height { revision, height } = event.attr("packet_timeout_height")? else {
-        return None;
-    };
-    let data = match event.attr("packet_data_hex") {
-        None => Vec::new(),
-        Some(AttrValue::Hex(bytes)) => bytes.clone(),
-        Some(_) => return None,
-    };
-    Some(Packet {
-        sequence,
-        source_port: identifier(event, "packet_src_port")?,
-        source_channel: identifier(event, "packet_src_channel")?,
-        destination_port: identifier(event, "packet_dst_port")?,
-        destination_channel: identifier(event, "packet_dst_channel")?,
-        data,
-        timeout_height: Height::new(revision, height),
-        timeout_timestamp: SimTime::from_nanos(number(event, "packet_timeout_timestamp")?),
-    })
-}
-
-/// The sequence of the packet a packet-carrying event is about — all that
-/// telemetry needs of it, without rebuilding the [`Packet`].
-///
-/// Returns `None` for events of other types or without the attribute.
-pub fn packet_sequence(event: &Event) -> Option<Sequence> {
+/// The packet a packet-carrying event holds: `None` for events of other
+/// kinds, and for an event of a packet kind that holds no [`Packet`] — one
+/// whose attributes were listed by hand, say.
+fn packet_of(event: &Event) -> Option<&Packet> {
     if !matches!(
         event.kind,
         SEND_PACKET | RECV_PACKET | WRITE_ACK | ACK_PACKET | TIMEOUT_PACKET
     ) {
         return None;
     }
-    number(event, "packet_sequence").map(Sequence::from)
+    let record: &dyn Any = event.record()?;
+    record.downcast_ref()
+}
+
+/// Reconstructs a [`Packet`] from a packet-carrying event (`send_packet`,
+/// `recv_packet`, `write_acknowledgement`, `acknowledge_packet` or
+/// `timeout_packet`).
+///
+/// Returns `None` for events of other types, or for an event that holds no
+/// packet. Acknowledge/timeout events carry no payload, so the reconstructed
+/// packet's `data` is empty for those kinds. This is exactly the "message
+/// extraction" step of the relayer pipeline: a copy of the packet the event
+/// holds, parsing no text.
+pub fn packet_from_event(event: &Event) -> Option<Packet> {
+    packet_of(event).cloned()
+}
+
+/// The sequence of the packet a packet-carrying event is about — all that
+/// telemetry needs of it, without copying the [`Packet`].
+///
+/// Returns `None` for events of other types or that hold no packet.
+pub fn packet_sequence(event: &Event) -> Option<Sequence> {
+    packet_of(event).map(|packet| packet.sequence)
 }
 
 /// Helper for filtering a transaction's events down to the ones a relayer for
 /// a given source channel cares about.
 pub fn is_for_channel(event: &Event, port: &PortId, channel: &ChannelId) -> bool {
-    let is = |key, id: &str| shared(event, key).is_some_and(|text| **text == *id);
+    let Some(packet) = packet_of(event) else {
+        return false;
+    };
     match event.kind {
         SEND_PACKET | ACK_PACKET | TIMEOUT_PACKET => {
-            is("packet_src_port", port.as_str()) && is("packet_src_channel", channel.as_str())
+            packet.source_port == *port && packet.source_channel == *channel
         }
         RECV_PACKET | WRITE_ACK => {
-            is("packet_dst_port", port.as_str()) && is("packet_dst_channel", channel.as_str())
+            packet.destination_port == *port && packet.destination_channel == *channel
         }
         _ => false,
     }
@@ -170,9 +194,11 @@ pub fn is_for_channel(event: &Event, port: &PortId, channel: &ChannelId) -> bool
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::height::Height;
+    use xcc_sim::SimTime;
 
-    fn sample_packet() -> Packet {
-        Packet {
+    fn sample_packet() -> Rc<Packet> {
+        Rc::new(Packet {
             sequence: Sequence::from(12),
             source_port: PortId::transfer(),
             source_channel: ChannelId::with_index(0),
@@ -181,7 +207,7 @@ mod tests {
             data: b"{\"denom\":\"uatom\",\"amount\":\"10\"}".to_vec(),
             timeout_height: Height::new(0, 500),
             timeout_timestamp: SimTime::from_secs(1_000),
-        }
+        })
     }
 
     #[test]
@@ -190,62 +216,95 @@ mod tests {
         let event = send_packet_event(&packet);
         assert_eq!(event.kind, SEND_PACKET);
         let parsed = packet_from_event(&event).unwrap();
-        assert_eq!(parsed, packet);
+        assert_eq!(parsed, *packet);
     }
 
     #[test]
     fn write_ack_event_roundtrips_packet_and_ack() {
         let packet = sample_packet();
         let event = write_ack_event(&packet, &Acknowledgement::success());
-        assert_eq!(packet_from_event(&event).unwrap(), packet);
-        assert_eq!(
-            event.attr("packet_ack"),
-            Some(&AttrValue::Static("success"))
-        );
+        assert_eq!(packet_from_event(&event).unwrap(), *packet);
+        assert_eq!(event.attr("packet_ack"), Some(AttrValue::Static("success")));
 
         let err_event = write_ack_event(&packet, &Acknowledgement::error("denied"));
         let error = AttrValue::Text("error:denied".to_string());
-        assert_eq!(err_event.attr("packet_ack"), Some(&error));
+        assert_eq!(err_event.attr("packet_ack"), Some(error));
     }
 
     #[test]
     fn non_packet_events_do_not_parse() {
-        let event = Event::new("transfer").with_attr("amount", "10uatom");
+        let event = Event::new("transfer", [("amount", "10uatom".into())]);
         assert!(packet_from_event(&event).is_none());
     }
 
-    /// One typed path: an attribute of another shape than the emitters give
-    /// it is missing, not parsed, and a shared identifier is validated as
-    /// parsing it was.
+    /// One typed path: the readers take a packet event's fields from the
+    /// packet it holds. An event of a packet kind whose attributes are
+    /// listed by hand — even with exactly the values and shapes a genuine
+    /// one renders — holds no packet, and all three readers refuse it.
     #[test]
-    fn attributes_of_another_shape_do_not_parse() {
+    fn hand_listed_packet_events_do_not_parse() {
         let packet = sample_packet();
-        let with = |key: &str, value: AttrValue| {
-            let mut event = send_packet_event(&packet);
-            let slot = event.attributes.iter_mut().find(|a| a.key == key).unwrap();
-            slot.value = value;
-            event
+        let listed = |kind| {
+            let rendered = write_ack_event(&packet, &Acknowledgement::success()).attributes();
+            let rendered = <[EventAttribute; 9]>::try_from(rendered).unwrap();
+            Event::new(kind, rendered.map(|a| (a.key, a.value)))
         };
-        let text = |s: &str| AttrValue::Text(s.to_string());
-        for event in [
-            with("packet_sequence", text("12")),
-            with("packet_src_channel", text("channel-0")),
-            with("packet_dst_port", AttrValue::Static("transfer")),
-            with("packet_dst_channel", AttrValue::Shared("Channel 5".into())),
-            with("packet_timeout_height", text("0-500")),
-            with("packet_timeout_timestamp", text("1000000000000")),
-            with("packet_data_hex", text("7b22")),
+        for kind in [
+            SEND_PACKET,
+            RECV_PACKET,
+            WRITE_ACK,
+            ACK_PACKET,
+            TIMEOUT_PACKET,
         ] {
-            assert_eq!(packet_from_event(&event), None, "{:?}", event.attributes);
+            let event = listed(kind);
+            assert_eq!(event.attr("packet_sequence"), Some(AttrValue::Number(12)));
+            assert_eq!(packet_from_event(&event), None, "{kind}");
+            assert_eq!(packet_sequence(&event), None, "{kind}");
+            for channel in [&packet.source_channel, &packet.destination_channel] {
+                assert!(
+                    !is_for_channel(&event, &PortId::transfer(), channel),
+                    "{kind}"
+                );
+            }
         }
-        let sequence = with("packet_sequence", text("12"));
-        assert_eq!(packet_sequence(&sequence), None);
-        let channel = with("packet_src_channel", text("channel-0"));
-        assert!(!is_for_channel(
-            &channel,
-            &PortId::transfer(),
-            &ChannelId::with_index(0)
-        ));
+    }
+
+    /// The packet a transfer sends is one allocation: the channel end's send
+    /// log and the `send_packet` event hold the same handle, and so do the
+    /// `recv_packet` and `write_acknowledgement` events of its receipt.
+    #[test]
+    fn a_sent_packet_is_held_once() {
+        use crate::module::tests::{connected_pair, ctx, sync_root, transfer_params, TestBank};
+        let (mut a, mut b, chan_a, _) = connected_pair();
+        let mut bank_a = TestBank::default();
+        bank_a.set("alice", "uatom", 1_000);
+        let params = transfer_params(&chan_a, 250, 1_000);
+        let sent = a.send_transfer(&ctx(2), &mut bank_a, &params).unwrap();
+        let held = packet_of(&sent[0]).unwrap();
+        let logged = a.sent_packet(&PortId::transfer(), &chan_a, held.sequence);
+        assert!(std::ptr::eq(logged.unwrap(), held));
+
+        sync_root(&mut b, &a, 3);
+        let proof = a
+            .prove_packet_commitment(&PortId::transfer(), &chan_a, held.sequence)
+            .unwrap();
+        let (_, received) = b
+            .recv_packet(
+                &ctx(3),
+                &mut TestBank::default(),
+                held,
+                &proof,
+                Height::at(3),
+            )
+            .unwrap();
+        let [recv, write_ack] = &received[..] else {
+            panic!("a receipt emits two events");
+        };
+        assert_eq!([recv.kind, write_ack.kind], [RECV_PACKET, WRITE_ACK]);
+        let [recv, write_ack] = [recv, write_ack].map(|event| packet_of(event).unwrap());
+        assert!(std::ptr::eq(recv, write_ack));
+        assert!(!std::ptr::eq(recv, held));
+        assert_eq!(recv, held);
     }
 
     fn the_five_packet_events() -> [Event; 5] {
@@ -259,6 +318,34 @@ mod tests {
         ]
     }
 
+    /// A packet event's size is the size of the attributes it renders,
+    /// computed without rendering them, at every number's digit boundary.
+    #[test]
+    fn a_packet_is_sized_as_it_renders() {
+        let edges = [
+            sample_packet(),
+            sample_with(|p| p.sequence = Sequence::from(u64::MAX)),
+            sample_with(|p| p.timeout_height = Height::new(10, 0)),
+            sample_with(|p| p.timeout_timestamp = SimTime::from_nanos(9)),
+            sample_with(|p| p.data = Vec::new()),
+        ];
+        for packet in &edges {
+            let events = [
+                send_packet_event(packet),
+                recv_packet_event(packet),
+                write_ack_event(packet, &Acknowledgement::error("denied")),
+                ack_packet_event(packet),
+                timeout_packet_event(packet),
+            ];
+            for event in events {
+                let rendered = event.attributes();
+                let attributes: usize = rendered.iter().map(EventAttribute::encoded_size).sum();
+                let expected = event.kind.len() + attributes + 16;
+                assert_eq!(event.encoded_size(), expected, "{}", event.kind);
+            }
+        }
+    }
+
     #[test]
     fn packet_sequence_reads_what_packet_from_event_reads() {
         for event in the_five_packet_events() {
@@ -270,7 +357,7 @@ mod tests {
             );
             assert_eq!(packet_sequence(&event), Some(Sequence::from(12)));
         }
-        let other = Event::new("transfer").with_attr("packet_sequence", 12u64);
+        let other = Event::new("transfer", [("packet_sequence", 12u64.into())]);
         assert_eq!(packet_sequence(&other), None);
     }
 
@@ -285,8 +372,10 @@ mod tests {
             [348, 348, 383, 270, 266]
         );
         let [send, ..] = events;
-        let message =
-            Event::new("message").with_attr("action", "/ibc.applications.transfer.v1.MsgTransfer");
+        let message = Event::new(
+            "message",
+            [("action", "/ibc.applications.transfer.v1.MsgTransfer".into())],
+        );
         let result = xcc_tendermint::abci::DeliverTxResult {
             code: 0,
             log: String::new(),
@@ -319,9 +408,9 @@ mod tests {
     }
 
     /// The sample packet with one field changed.
-    fn sample_with(change: impl FnOnce(&mut Packet)) -> Packet {
+    fn sample_with(change: impl FnOnce(&mut Packet)) -> Rc<Packet> {
         let mut packet = sample_packet();
-        change(&mut packet);
+        change(Rc::make_mut(&mut packet));
         packet
     }
 
@@ -345,7 +434,7 @@ mod tests {
     #[test]
     fn attribute_texts_are_pinned() {
         fn texts(event: &Event) -> Vec<(&'static str, String)> {
-            (event.attributes.iter())
+            (event.attributes().iter())
                 .map(|a| (a.key, a.value.to_string()))
                 .collect()
         }
@@ -410,7 +499,7 @@ mod tests {
         let event = ack_packet_event(&packet);
         assert_eq!(event.kind, ACK_PACKET);
         assert!(event.attr("packet_data_hex").is_none());
-        assert_eq!(event.attr("packet_sequence"), Some(&AttrValue::Number(12)));
+        assert_eq!(event.attr("packet_sequence"), Some(AttrValue::Number(12)));
     }
 
     #[test]

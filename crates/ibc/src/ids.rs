@@ -67,25 +67,15 @@ macro_rules! identifier {
             }
         }
 
-        /// Validates shared text as [`FromStr`](std::str::FromStr) does,
-        /// and keeps it without copying it.
-        impl TryFrom<Arc<str>> for $name {
-            type Error = InvalidIdentifier;
-
-            fn try_from(id: Arc<str>) -> Result<Self, Self::Error> {
-                if valid_identifier(&id) {
-                    Ok($name(id))
-                } else {
-                    Err(InvalidIdentifier { value: id.to_string() })
-                }
-            }
-        }
-
         impl std::str::FromStr for $name {
             type Err = InvalidIdentifier;
 
             fn from_str(s: &str) -> Result<Self, Self::Err> {
-                Self::try_from(Arc::<str>::from(s))
+                if valid_identifier(s) {
+                    Ok($name(s.into()))
+                } else {
+                    Err(InvalidIdentifier { value: s.to_string() })
+                }
             }
         }
     };
@@ -206,18 +196,9 @@ mod tests {
     }
 
     #[test]
-    fn shared_text_round_trips_without_a_copy() {
+    fn shared_text_is_not_a_copy() {
         let channel = ChannelId::with_index(3);
-        let text = channel.shared();
-        let back = ChannelId::try_from(Arc::clone(&text)).unwrap();
-        assert_eq!(back, channel);
-        assert!(Arc::ptr_eq(&back.0, &channel.0));
-        for bad in ["C", "has space", "UPPER", ""] {
-            assert_eq!(
-                ChannelId::try_from(Arc::<str>::from(bad)),
-                ChannelId::from_str(bad)
-            );
-        }
+        assert!(Arc::ptr_eq(&channel.shared(), &channel.0));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! relayers observe protocol progress.
 
 use std::collections::{btree_map, BTreeMap};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -68,8 +69,9 @@ struct ChannelRecord {
     /// The end's ICS-20 escrow account, hashed once when the end is opened.
     escrow: String,
     /// Every packet sent on this end: `sent[i]` has sequence `i + 1`, so the
-    /// log is as long as `end.next_sequence_send - 1`.
-    sent: Vec<Packet>,
+    /// log is as long as `end.next_sequence_send - 1`. Each entry is the
+    /// handle its `send_packet` event holds too.
+    sent: Vec<Rc<Packet>>,
     /// The acknowledgement written for each packet received on this end.
     acks: BTreeMap<Sequence, Acknowledgement>,
 }
@@ -279,9 +281,13 @@ impl IbcModule {
         );
         self.store_set(host::consensus_state_path(&client_id, height), ibc_root);
         self.clients.insert(client_id.clone(), record);
-        let event = Event::new("create_client")
-            .with_attr("client_id", client_id.shared())
-            .with_attr("consensus_height", height);
+        let event = Event::new(
+            "create_client",
+            [
+                ("client_id", client_id.shared().into()),
+                ("consensus_height", height.into()),
+            ],
+        );
         (client_id, vec![event])
     }
 
@@ -308,9 +314,13 @@ impl IbcModule {
             host::consensus_state_path(client_id, height),
             update.ibc_root,
         );
-        Ok(vec![Event::new("update_client")
-            .with_attr("client_id", client_id.shared())
-            .with_attr("consensus_height", height)])
+        Ok(vec![Event::new(
+            "update_client",
+            [
+                ("client_id", client_id.shared().into()),
+                ("consensus_height", height.into()),
+            ],
+        )])
     }
 
     /// Marks a hosted client's trust period as lapsed (the `ClientExpiry`
@@ -363,9 +373,13 @@ impl IbcModule {
             },
         );
         self.write_connection(&connection_id, end);
-        let event = Event::new("connection_open_init")
-            .with_attr("connection_id", connection_id.shared())
-            .with_attr("client_id", client_id.shared());
+        let event = Event::new(
+            "connection_open_init",
+            [
+                ("connection_id", connection_id.shared().into()),
+                ("client_id", client_id.shared().into()),
+            ],
+        );
         Ok((connection_id, vec![event]))
     }
 
@@ -392,12 +406,16 @@ impl IbcModule {
             },
         );
         self.write_connection(&connection_id, end);
-        let event = Event::new("connection_open_try")
-            .with_attr("connection_id", connection_id.shared())
-            .with_attr(
-                "counterparty_connection_id",
-                counterparty_connection_id.shared(),
-            );
+        let event = Event::new(
+            "connection_open_try",
+            [
+                ("connection_id", connection_id.shared().into()),
+                (
+                    "counterparty_connection_id",
+                    counterparty_connection_id.shared().into(),
+                ),
+            ],
+        );
         Ok((connection_id, vec![event]))
     }
 
@@ -428,9 +446,10 @@ impl IbcModule {
         end.counterparty.connection_id = Some(counterparty_connection_id.clone());
         let end = end.clone();
         self.write_connection(connection_id, end);
-        Ok(vec![
-            Event::new("connection_open_ack").with_attr("connection_id", connection_id.shared())
-        ])
+        Ok(vec![Event::new(
+            "connection_open_ack",
+            [("connection_id", connection_id.shared().into())],
+        )])
     }
 
     /// Completes the handshake on the responding chain (`ConnOpenConfirm`).
@@ -458,8 +477,10 @@ impl IbcModule {
         end.state = ConnectionState::Open;
         let end = end.clone();
         self.write_connection(connection_id, end);
-        Ok(vec![Event::new("connection_open_confirm")
-            .with_attr("connection_id", connection_id.shared())])
+        Ok(vec![Event::new(
+            "connection_open_confirm",
+            [("connection_id", connection_id.shared().into())],
+        )])
     }
 
     /// Read access to a connection end.
@@ -494,10 +515,14 @@ impl IbcModule {
             connection_id.clone(),
         );
         self.write_channel(port_id, &channel_id, end);
-        let event = Event::new("channel_open_init")
-            .with_attr("port_id", port_id.shared())
-            .with_attr("channel_id", channel_id.shared())
-            .with_attr("connection_id", connection_id.shared());
+        let event = Event::new(
+            "channel_open_init",
+            [
+                ("port_id", port_id.shared().into()),
+                ("channel_id", channel_id.shared().into()),
+                ("connection_id", connection_id.shared().into()),
+            ],
+        );
         Ok((channel_id, vec![event]))
     }
 
@@ -525,9 +550,13 @@ impl IbcModule {
             connection_id.clone(),
         );
         self.write_channel(port_id, &channel_id, end);
-        let event = Event::new("channel_open_try")
-            .with_attr("port_id", port_id.shared())
-            .with_attr("channel_id", channel_id.shared());
+        let event = Event::new(
+            "channel_open_try",
+            [
+                ("port_id", port_id.shared().into()),
+                ("channel_id", channel_id.shared().into()),
+            ],
+        );
         Ok((channel_id, vec![event]))
     }
 
@@ -554,9 +583,13 @@ impl IbcModule {
         end.state = ChannelState::Open;
         end.counterparty.channel_id = Some(counterparty_channel_id.clone());
         self.write_channel(port_id, channel_id, end);
-        Ok(vec![Event::new("channel_open_ack")
-            .with_attr("port_id", port_id.shared())
-            .with_attr("channel_id", channel_id.shared())])
+        Ok(vec![Event::new(
+            "channel_open_ack",
+            [
+                ("port_id", port_id.shared().into()),
+                ("channel_id", channel_id.shared().into()),
+            ],
+        )])
     }
 
     /// Completes the handshake on the responding chain (`ChanOpenConfirm`).
@@ -580,9 +613,13 @@ impl IbcModule {
         }
         end.state = ChannelState::Open;
         self.write_channel(port_id, channel_id, end);
-        Ok(vec![Event::new("channel_open_confirm")
-            .with_attr("port_id", port_id.shared())
-            .with_attr("channel_id", channel_id.shared())])
+        Ok(vec![Event::new(
+            "channel_open_confirm",
+            [
+                ("port_id", port_id.shared().into()),
+                ("channel_id", channel_id.shared().into()),
+            ],
+        )])
     }
 
     /// Read access to a channel end.
@@ -596,7 +633,7 @@ impl IbcModule {
 
     /// Handles `MsgTransfer`: escrows/burns the funds and sends the packet,
     /// which goes on the channel end's send log. Returns the `send_packet`
-    /// event, which carries the packet.
+    /// event, which holds the same [`Rc`] as the log.
     ///
     /// # Errors
     ///
@@ -635,7 +672,7 @@ impl IbcModule {
         transfer::send_coins(bank, &key.0, &key.1, &record.escrow, &data)?;
 
         let sequence = record.end.next_sequence_send;
-        let packet = Packet {
+        let packet = Rc::new(Packet {
             sequence,
             source_port: key.0.clone(),
             source_channel: key.1.clone(),
@@ -644,7 +681,7 @@ impl IbcModule {
             data: data.to_bytes(),
             timeout_height: params.timeout_height,
             timeout_timestamp: params.timeout_timestamp,
-        };
+        });
         let commitment = packet.commitment();
         let event = events::send_packet_event(&packet);
         record.end.next_sequence_send = sequence.next();
@@ -751,9 +788,10 @@ impl IbcModule {
         self.journal
             .record(|| IbcUndo::Ack(key, packet.sequence, prior));
 
+        let received = Rc::new(packet.clone());
         let events = vec![
-            events::recv_packet_event(packet),
-            events::write_ack_event(packet, &ack),
+            events::recv_packet_event(&received),
+            events::write_ack_event(&received, &ack),
         ];
         Ok((ack, events))
     }
@@ -1005,7 +1043,7 @@ impl IbcModule {
         seq: Sequence,
     ) -> Option<&Packet> {
         let index = usize::try_from(seq.value().checked_sub(1)?).ok()?;
-        self.record(port, channel)?.sent.get(index)
+        self.record(port, channel)?.sent.get(index).map(Rc::as_ref)
     }
 
     /// All sequences ever sent on a channel end.
@@ -1203,17 +1241,17 @@ fn channel_not_found(port_id: &PortId, channel_id: &ChannelId) -> IbcError {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::collections::BTreeMap;
 
     #[derive(Debug, Default)]
-    struct TestBank {
+    pub(crate) struct TestBank {
         balances: BTreeMap<(String, String), u128>,
     }
 
     impl TestBank {
-        fn set(&mut self, who: &str, denom: &str, amount: u128) {
+        pub(crate) fn set(&mut self, who: &str, denom: &str, amount: u128) {
             self.balances.insert((who.into(), denom.into()), amount);
         }
         fn get(&self, who: &str, denom: &str) -> u128 {
@@ -1270,7 +1308,7 @@ mod tests {
 
     /// Builds two connected IBC modules (a <-> b) with an open transfer
     /// channel, without going through the relayer.
-    fn connected_pair() -> (IbcModule, IbcModule, ChannelId, ChannelId) {
+    pub(crate) fn connected_pair() -> (IbcModule, IbcModule, ChannelId, ChannelId) {
         let mut a = IbcModule::new("chain-a");
         let mut b = IbcModule::new("chain-b");
 
@@ -1297,7 +1335,7 @@ mod tests {
     /// the way a relayer's `MsgUpdateClient` would, but bypassing header
     /// verification: these unit tests exercise the packet handlers, not the
     /// light client (covered in `client.rs`).
-    fn sync_root(target: &mut IbcModule, source: &IbcModule, height: u64) {
+    pub(crate) fn sync_root(target: &mut IbcModule, source: &IbcModule, height: u64) {
         let client_id = ClientId::with_index(0);
         let record = target.clients.get_mut(&client_id).unwrap();
         record.consensus_states.insert(
@@ -1313,7 +1351,7 @@ mod tests {
         }
     }
 
-    fn ctx(height: u64) -> HostContext {
+    pub(crate) fn ctx(height: u64) -> HostContext {
         HostContext {
             height: Height::at(height),
             time: SimTime::from_secs(height * 5),
@@ -1327,7 +1365,11 @@ mod tests {
         events::packet_from_event(&events[0]).expect("a send_packet event")
     }
 
-    fn transfer_params(chan: &ChannelId, amount: u128, timeout_height: u64) -> TransferParams {
+    pub(crate) fn transfer_params(
+        chan: &ChannelId,
+        amount: u128,
+        timeout_height: u64,
+    ) -> TransferParams {
         TransferParams {
             source_port: PortId::transfer(),
             source_channel: chan.clone(),

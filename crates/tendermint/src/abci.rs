@@ -3,8 +3,21 @@
 //! Tendermint treats transactions as opaque bytes and delegates their
 //! validation and execution to the application through this interface, just
 //! like the real ABCI described in §II-A of the paper.
+//!
+//! # Events
+//!
+//! A committed block keeps the [`Event`]s of its transactions to the end of
+//! a run, because relayers learn about packets only from them. An event
+//! therefore holds as little as it can: a static kind, the attributes built
+//! for it alone in an exactly sized slice, and optionally a shared
+//! [`EventRecord`] — a packet the emitting module keeps anyway — whose
+//! attributes follow a fixed schema and are rendered only when something
+//! asks ([`Event::attributes`], [`Event::attr`]). [`Event::encoded_size`],
+//! the §V frame accounting, is computed without rendering anything.
 
+use std::any::Any;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -18,8 +31,7 @@ use crate::hash::Hash;
 /// An event's size is a simulated quantity (the §V WebSocket frame limit),
 /// so each shape knows the length of its text ([`AttrValue::text_len`]) and
 /// `Display` prints exactly that text.
-/// Emitting a packet event therefore formats nothing, and reading one back
-/// parses nothing.
+/// Building an attribute therefore formats nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AttrValue {
     /// Text built for this attribute.
@@ -109,65 +121,132 @@ pub struct EventAttribute {
     pub value: AttrValue,
 }
 
+impl EventAttribute {
+    /// What the attribute adds to [`Event::encoded_size`]: its key, its
+    /// value's text and 8 bytes of framing.
+    pub fn encoded_size(&self) -> usize {
+        encoded_attr_size(self.key, self.value.text_len())
+    }
+}
+
+/// What one attribute adds to [`Event::encoded_size`], given its key and
+/// the length of its value's text — for an [`EventRecord`] that sizes its
+/// attributes without building them.
+pub fn encoded_attr_size(key: &str, text_len: usize) -> usize {
+    key.len() + text_len + 8
+}
+
+/// Attributes an event shows from a record the emitting module keeps
+/// anyway — a sent packet — shared behind an [`Rc`] instead of copied into
+/// the event.
+///
+/// The attributes follow a fixed schema per event kind, so the record
+/// renders them when something asks ([`Event::attributes`], [`Event::attr`])
+/// and sizes them without rendering ([`Event::encoded_size`]). A reader that
+/// knows the record's type gets it back through [`Event::record`] and
+/// `&dyn Any`.
+pub trait EventRecord: Any + fmt::Debug {
+    /// The attributes an event of `kind` shows of the record, in order.
+    fn attributes(&self, kind: &'static str) -> Vec<EventAttribute>;
+
+    /// [`encoded_attr_size`] summed over [`EventRecord::attributes`], without
+    /// building them.
+    fn encoded_size(&self, kind: &'static str) -> usize;
+}
+
 /// An ABCI event emitted during transaction execution.
 ///
 /// Relayers discover pending IBC packets by scanning these events (e.g.
-/// `send_packet`, `write_acknowledgement`).
+/// `send_packet`, `write_acknowledgement`). An event's attributes are those
+/// of its shared [`EventRecord`], if it has one, followed by the ones listed
+/// for it alone.
 ///
 /// # Example
 ///
 /// ```rust
 /// use xcc_tendermint::abci::{AttrValue, Event};
 ///
-/// let ev = Event::new("send_packet")
-///     .with_attr("packet_sequence", 1u64)
-///     .with_attr("packet_src_channel", "channel-0");
-/// assert_eq!(ev.attr("packet_sequence"), Some(&AttrValue::Number(1)));
-/// assert_eq!(ev.attr("packet_src_channel").unwrap().to_string(), "channel-0");
+/// let ev = Event::new(
+///     "update_client",
+///     [
+///         ("client_id", "07-tendermint-0".into()),
+///         ("revision", 1u64.into()),
+///     ],
+/// );
+/// assert_eq!(ev.attr("revision"), Some(AttrValue::Number(1)));
+/// assert_eq!(ev.attr("client_id").unwrap().to_string(), "07-tendermint-0");
+/// assert_eq!(ev.encoded_size(), "update_client".len() + (9 + 15 + 8) + (8 + 1 + 8) + 16);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Event {
     /// The event type, e.g. `send_packet` — like the attribute keys, part of
     /// a static schema: naming it costs no allocation and no copy.
     pub kind: &'static str,
-    /// Event attributes.
-    pub attributes: Vec<EventAttribute>,
+    /// The attributes built for this event alone, sized exactly.
+    listed: Box<[EventAttribute]>,
+    /// The shared record whose attributes come first.
+    record: Option<Rc<dyn EventRecord>>,
 }
 
 impl Event {
-    /// Creates an event with no attributes.
-    pub fn new(kind: &'static str) -> Self {
+    /// Creates an event with exactly the listed attributes (none for `[]`).
+    pub fn new<const N: usize>(
+        kind: &'static str,
+        attributes: [(&'static str, AttrValue); N],
+    ) -> Self {
+        let listed = attributes
+            .into_iter()
+            .map(|(key, value)| EventAttribute { key, value })
+            .collect();
         Event {
             kind,
-            attributes: Vec::new(),
+            listed,
+            record: None,
         }
     }
 
-    /// Builder-style attribute addition.
-    pub fn with_attr(mut self, key: &'static str, value: impl Into<AttrValue>) -> Self {
-        self.attributes.push(EventAttribute {
-            key,
-            value: value.into(),
-        });
+    /// The event with `record`'s attributes shown before its listed ones.
+    pub fn with_record(mut self, record: Rc<dyn EventRecord>) -> Self {
+        self.record = Some(record);
         self
     }
 
-    /// Looks up the first attribute with the given key.
-    pub fn attr(&self, key: &str) -> Option<&AttrValue> {
-        self.attributes
-            .iter()
+    /// The shared record the event shows, if it has one.
+    pub fn record(&self) -> Option<&dyn EventRecord> {
+        self.record.as_deref()
+    }
+
+    /// Every attribute, rendered: the record's, then the listed ones.
+    pub fn attributes(&self) -> Vec<EventAttribute> {
+        let mut attributes = self
+            .record
+            .as_ref()
+            .map_or_else(Vec::new, |record| record.attributes(self.kind));
+        attributes.extend_from_slice(&self.listed);
+        attributes
+    }
+
+    /// The value of the first attribute with the given key.
+    pub fn attr(&self, key: &str) -> Option<AttrValue> {
+        self.attributes()
+            .into_iter()
             .find(|a| a.key == key)
-            .map(|a| &a.value)
+            .map(|a| a.value)
     }
 
     /// Approximate encoded size of the event in bytes, used for the
     /// WebSocket frame-size accounting of §V.
     pub fn encoded_size(&self) -> usize {
+        let record = self
+            .record
+            .as_ref()
+            .map_or(0, |record| record.encoded_size(self.kind));
         self.kind.len()
+            + record
             + self
-                .attributes
+                .listed
                 .iter()
-                .map(|a| a.key.len() + a.value.text_len() + 8)
+                .map(EventAttribute::encoded_size)
                 .sum::<usize>()
             + 16
     }
@@ -196,7 +275,7 @@ impl CheckTxResult {
 }
 
 /// Result of `DeliverTx`: the outcome of executing one transaction.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct DeliverTxResult {
     /// Zero for success, non-zero application error code otherwise.
     pub code: u32,
@@ -269,10 +348,14 @@ mod tests {
 
     #[test]
     fn event_builder_and_lookup() {
-        let ev = Event::new("recv_packet")
-            .with_attr("packet_sequence", 42u64)
-            .with_attr("packet_dst_channel", "channel-1");
-        assert_eq!(ev.attr("packet_sequence"), Some(&AttrValue::Number(42)));
+        let ev = Event::new(
+            "recv_packet",
+            [
+                ("packet_sequence", 42u64.into()),
+                ("packet_dst_channel", "channel-1".into()),
+            ],
+        );
+        assert_eq!(ev.attr("packet_sequence"), Some(AttrValue::Number(42)));
         assert_eq!(ev.attr("missing"), None);
         assert!(ev.encoded_size() > "recv_packet".len());
     }
@@ -339,7 +422,7 @@ mod tests {
             log: String::new(),
             gas_used: 5,
             gas_wanted: 10,
-            events: vec![Event::new("x")],
+            events: vec![Event::new("x", [])],
         };
         assert!(d.is_ok());
         assert!(d.encoded_size() > 0);

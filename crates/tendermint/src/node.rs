@@ -452,7 +452,7 @@ mod tests {
                 log: String::new(),
                 gas_used: 900,
                 gas_wanted: 1_000,
-                events: vec![Event::new("counted")],
+                events: vec![Event::new("counted", [])],
             }
         }
 

@@ -4,10 +4,17 @@
 //! and denominations became shared strings and the event schema static, and
 //! formatting packet-event attributes as text was still a quarter of a
 //! chain-only transfer's allocations until they became values (see
-//! PERFORMANCE.md, "The fifth profile" and "The seventh profile"). This binary keeps the count those changes were judged by: a
-//! counting `#[global_allocator]` over `System`, a small chain-only run, a
-//! small relayed run and a drained burst, and a ceiling per transfer that
-//! the representation before fails.
+//! PERFORMANCE.md, "The fifth profile" and "The seventh profile"). This
+//! binary keeps the count those changes were judged by: a counting
+//! `#[global_allocator]` over `System`, a small chain-only run, a small
+//! relayed run and a drained burst, and a ceiling per transfer that the
+//! representation before fails.
+//!
+//! The same allocator also counts live bytes, for a second ratchet: the
+//! heap a finished run still holds per transfer. A committed block keeps its
+//! events to the end of a run, and they were 31–42% of each benchmark
+//! workload's heap peak while every packet event held its own attribute
+//! list and data copy (PERFORMANCE.md, "Memory: each packet once").
 //!
 //! It is an integration-test binary of its own because a global allocator
 //! is per binary, and it holds the workspace's only other `unsafe` — the
@@ -15,8 +22,8 @@
 //! scans `crates/*/src` and `src/`; `tests/` is outside its scope, and this
 //! file is the one place allowed to use that.
 //!
-//! The counter is a thread-local, so each test counts its own thread only
-//! and the harness's other threads cannot leak in. The second test holds the
+//! The counters are thread-locals, so each test counts its own thread only
+//! and the harness's other threads cannot leak in. The last test holds the
 //! binary reader to refusing a hostile byte-run length before it allocates
 //! for it.
 
@@ -37,6 +44,9 @@ thread_local! {
     /// `const`-initialised and without a destructor, so the allocator can
     /// touch it at any point of a thread's life without allocating.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus the bytes it freed, counting a
+    /// `realloc` as the difference of its two sizes. Same construction.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -45,26 +55,39 @@ fn count() {
     ALLOCATIONS.with(|n| n.set(n.get() + 1));
 }
 
+fn grow(bytes: usize) {
+    LIVE_BYTES.with(|n| n.set(n.get() + bytes as i64));
+}
+
+fn shrink(bytes: usize) {
+    LIVE_BYTES.with(|n| n.set(n.get() - bytes as i64));
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the only addition is a thread-local
-// integer increment, which neither allocates nor unwinds.
+// upholds the `GlobalAlloc` contract; the only additions are thread-local
+// integer updates, which neither allocate nor unwind.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
+        grow(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count();
+        grow(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
+        shrink(layout.size());
+        grow(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -77,6 +100,14 @@ fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCATIONS.with(Cell::get);
     let value = f();
     (ALLOCATIONS.with(Cell::get) - before, value)
+}
+
+/// Heap bytes this thread allocated while `f` ran and had not freed when it
+/// returned — what `f`'s value holds — and the value.
+fn held<T>(f: impl FnOnce() -> T) -> (i64, T) {
+    let before = LIVE_BYTES.with(Cell::get);
+    let value = f();
+    (LIVE_BYTES.with(Cell::get) - before, value)
 }
 
 /// 50 rps × 4 blocks with no relayer: 1,000 committed transfers.
@@ -117,23 +148,26 @@ fn drained() -> ExperimentSpec {
 /// values, 19.5 once decoding a transaction allocated each of its shared
 /// names once, not once per message, and 8.4 now that a transfer's texts
 /// are shared too and a send appends its packet to its channel end's log
-/// (no packet copy, no escrow address and no channel-end leaf per message).
-/// The ceiling fails on each of the earlier ones.
-const CHAIN_ONLY_CEILING: f64 = 10.0;
+/// (no packet copy, no escrow address and no channel-end leaf per message),
+/// and 7.5 now that the `send_packet` event shares the logged packet and the
+/// `message` event's one attribute is its own exact allocation. The ceiling
+/// fails on each of the earlier ones.
+const CHAIN_ONLY_CEILING: f64 = 8.0;
 /// Per submitted transfer on `relayed()`: 220.8 before shared names, 96.1
 /// with a relayed packet copied eight times, 86.8 with one owner, 62.1 once
 /// emitting a packet event formatted nothing and reading it back parsed
 /// nothing, 49.9 once a decoded batch allocated each name once and a store
-/// leaf was hashed without being assembled first, and 38.7 with one record
-/// per channel end. The ceiling fails on each of the earlier five.
-const RELAYED_CEILING: f64 = 44.0;
+/// leaf was hashed without being assembled first, 38.7 with one record per
+/// channel end, and 37.2 with packet events sharing their packet. The
+/// ceiling fails on each of the earlier six.
+const RELAYED_CEILING: f64 = 38.0;
 /// Per submitted transfer on `drained()`: 197.3 while the drain check and the
 /// two clear scans formatted and looked up the path of every packet ever
 /// sent, 122.1 once they walked the store's commitment prefix, 90.0 with
-/// packet events as values, 73.1 with shared names in decoded batches, and
-/// 62.0 with one record per channel end. The ceiling fails on each of the
-/// earlier four.
-const DRAINED_CEILING: f64 = 70.0;
+/// packet events as values, 73.1 with shared names in decoded batches, 62.0
+/// with one record per channel end, and 60.0 with packet events sharing
+/// their packet. The ceiling fails on each of the earlier five.
+const DRAINED_CEILING: f64 = 61.0;
 
 /// Runs `spec` once to warm up, then twice counted; the two counts must be
 /// equal. Returns allocations per `transfers(outcome)`.
@@ -172,6 +206,54 @@ fn a_transfer_stays_within_its_allocation_budget() {
     assert!(chain_only <= CHAIN_ONLY_CEILING, "{chain_only}");
     assert!(relayed <= RELAYED_CEILING, "{relayed}");
     assert!(drained <= DRAINED_CEILING, "{drained}");
+}
+
+/// Heap bytes still held per committed transfer when `chain_only()`'s
+/// `try_run_raw` returns — its chains with every committed block and block
+/// event, the send logs, the stores and the telemetry: 1,628 while each
+/// packet event held its own attribute list and a copy of the packet's
+/// data, and 1,065 now that it holds the packet the send log holds and
+/// every listed attribute list is sized exactly. The ceiling fails on the
+/// earlier one.
+const CHAIN_ONLY_HELD_CEILING: f64 = 1_200.0;
+/// Per submitted transfer on `relayed()`: 4,512 before packet events shared
+/// their packet, 3,311 after. The ceiling fails on the earlier one.
+const RELAYED_HELD_CEILING: f64 = 3_700.0;
+/// Per submitted transfer on `drained()`: 5,839 before packet events shared
+/// their packet, 4,024 after. The ceiling fails on the earlier one.
+const DRAINED_HELD_CEILING: f64 = 4_500.0;
+
+/// Runs `spec` once to warm up, then twice measured; the two must hold
+/// equal byte counts. Returns the bytes `try_run_raw`'s output holds per
+/// `transfers(outcome)`.
+fn held_bytes_per_transfer(
+    spec: &ExperimentSpec,
+    transfers: impl Fn(&ScenarioOutcome) -> u64,
+) -> f64 {
+    scenarios::try_run_raw(spec).expect("setup");
+    let (first, run) = held(|| scenarios::try_run_raw(spec).expect("setup"));
+    let (second, _) = held(|| scenarios::try_run_raw(spec).expect("setup"));
+    assert_eq!(first, second, "held bytes are a deterministic work counter");
+    let transfers = transfers(&scenarios::outcome_from(spec, &run));
+    assert!(transfers > 0);
+    first as f64 / transfers as f64
+}
+
+#[test]
+fn a_finished_run_holds_within_its_byte_budget() {
+    let chain_only = held_bytes_per_transfer(&chain_only(), ScenarioOutcome::committed);
+    println!("chain-only: {chain_only:.0} bytes held per transfer committed (ceiling {CHAIN_ONLY_HELD_CEILING})");
+    let relayed = held_bytes_per_transfer(&relayed(), ScenarioOutcome::submitted);
+    println!(
+        "relayed: {relayed:.0} bytes held per transfer submitted (ceiling {RELAYED_HELD_CEILING})"
+    );
+    let drained = held_bytes_per_transfer(&drained(), ScenarioOutcome::submitted);
+    println!(
+        "drained: {drained:.0} bytes held per transfer submitted (ceiling {DRAINED_HELD_CEILING})"
+    );
+    assert!(chain_only <= CHAIN_ONLY_HELD_CEILING, "{chain_only}");
+    assert!(relayed <= RELAYED_HELD_CEILING, "{relayed}");
+    assert!(drained <= DRAINED_HELD_CEILING, "{drained}");
 }
 
 /// Run lengths around a hash's 32 bytes, around the 1,024 bytes a `Vec`

@@ -1172,6 +1172,8 @@ mod outstanding {
 // ---------------------------------------------------------------------------
 
 mod packet_events {
+    use std::rc::Rc;
+
     use ibc_perf_repro::ibc::events::{
         ack_packet_event, is_for_channel, packet_from_event, packet_sequence, recv_packet_event,
         send_packet_event, timeout_packet_event, write_ack_event,
@@ -1193,7 +1195,7 @@ mod packet_events {
     /// `is_for_channel` as it read the attributes when they were text: the
     /// rendered port and channel on the side the event's kind names.
     fn matched_as_text(event: &Event, port: &PortId, channel: &ChannelId) -> bool {
-        let text = |key| event.attr(key).map(ToString::to_string);
+        let text = |key| event.attr(key).as_ref().map(ToString::to_string);
         let (port_key, channel_key) = match event.kind {
             "send_packet" | "acknowledge_packet" | "timeout_packet" => {
                 ("packet_src_port", "packet_src_channel")
@@ -1235,10 +1237,11 @@ mod packet_events {
                 Acknowledgement::success()
             };
             let without_data = Packet { data: Vec::new(), ..packet.clone() };
+            let shared = Rc::new(packet.clone());
             let events = [
-                (send_packet_event(&packet), &packet),
-                (recv_packet_event(&packet), &packet),
-                (write_ack_event(&packet, &ack), &packet),
+                (send_packet_event(&shared), &packet),
+                (recv_packet_event(&shared), &packet),
+                (write_ack_event(&shared, &ack), &packet),
                 (ack_packet_event(&packet), &without_data),
                 (timeout_packet_event(&packet), &without_data),
             ];
