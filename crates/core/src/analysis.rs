@@ -86,8 +86,7 @@ pub fn committed_transfers_on(run: &RunOutput, channel: usize) -> u64 {
 /// source chain) no later than `cutoff`.
 pub fn completed_within(run: &RunOutput, cutoff: SimTime) -> u64 {
     run.telemetry
-        .times_for_step(TransferStep::AckConfirmation)
-        .into_iter()
+        .step_times(TransferStep::AckConfirmation)
         .filter(|t| *t <= cutoff)
         .count() as u64
 }
@@ -199,8 +198,8 @@ pub fn completion_breakdown_on(run: &RunOutput, channel: usize) -> CompletionBre
 
 /// The per-phase latency breakdown of Fig. 12.
 pub fn step_breakdown(run: &RunOutput) -> StepBreakdown {
-    let earliest = |step: TransferStep| run.telemetry.times_for_step(step).into_iter().min();
-    let latest = |step: TransferStep| run.telemetry.times_for_step(step).into_iter().max();
+    let earliest = |step: TransferStep| run.telemetry.step_times(step).min();
+    let latest = |step: TransferStep| run.telemetry.step_times(step).max();
 
     let start = earliest(TransferStep::TransferBroadcast).unwrap_or(SimTime::ZERO);
     let end = latest(TransferStep::AckConfirmation).unwrap_or(start);
@@ -236,13 +235,11 @@ pub fn completion_latency(run: &RunOutput) -> Option<f64> {
     }
     let start = run
         .telemetry
-        .times_for_step(TransferStep::TransferBroadcast)
-        .into_iter()
+        .step_times(TransferStep::TransferBroadcast)
         .min()?;
     let end = run
         .telemetry
-        .times_for_step(TransferStep::AckConfirmation)
-        .into_iter()
+        .step_times(TransferStep::AckConfirmation)
         .max()?;
     Some((end - start).as_secs_f64())
 }
@@ -374,8 +371,7 @@ pub fn recovery_secs(run: &RunOutput) -> Option<f64> {
 /// The earliest telemetry time for `step` at or after `cutoff`.
 fn first_step_at_or_after(run: &RunOutput, step: TransferStep, cutoff: SimTime) -> Option<SimTime> {
     run.telemetry
-        .times_for_step(step)
-        .into_iter()
+        .step_times(step)
         .filter(|t| *t >= cutoff)
         .min()
 }

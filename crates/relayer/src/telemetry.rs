@@ -108,7 +108,7 @@ impl TransferStep {
 
 /// A logged relayer error (redundant packets, failed event collection,
 /// sequence mismatches…), mirroring Hermes' log lines.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelayerError {
     /// When the error occurred.
     pub at: SimTime,
@@ -116,62 +116,115 @@ pub struct RelayerError {
     pub message: String,
 }
 
-/// Number of storage slots per packet, one per [`TransferStep`].
+/// Number of step columns per channel, one per [`TransferStep`].
 const STEP_SLOTS: usize = TransferStep::ALL.len();
 
-/// The recorded step times of one packet, indexed by `TransferStep::slot`.
-type PacketSteps = [Option<SimTime>; STEP_SLOTS];
+/// The cell value of a step that was not recorded for a packet. No step can
+/// complete at `SimTime::MAX` (`record_on` debug-asserts it), and a recorded
+/// time always wins the `min` against it.
+const UNRECORDED: SimTime = SimTime::MAX;
 
-/// One channel's packet rows, stored densely by sequence offset.
+/// One channel's step times, one column per step, indexed by sequence offset.
 ///
 /// Packet sequences on a channel are consecutive counters handed out by the
-/// chain, so a per-sequence `Vec` row indexed by `sequence - base` replaces
-/// the former per-packet `BTreeMap` without losing sparseness where it
-/// matters: `base` tracks the smallest sequence seen, and the occasional gap
-/// costs one empty 13-slot row instead of a tree node per step.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// chain, so `columns[step.slot()][sequence - base]` addresses a packet's
+/// step without a tree node. A column grows only when its step is recorded,
+/// up to the highest sequence recorded for it, so a log that records one
+/// step holds one 8-byte cell per packet rather than a 13-slot row; a gap
+/// or a packet that skipped the step costs one [`UNRECORDED`] cell. `base`
+/// is the smallest sequence recorded on the channel, shared by every column.
+#[derive(Debug, Clone)]
 struct ChannelLog {
-    /// Sequence value addressed by `rows[0]`.
+    /// Sequence value addressed by index 0 of every column.
     base: u64,
-    rows: Vec<PacketSteps>,
+    columns: [Vec<SimTime>; STEP_SLOTS],
 }
 
 impl ChannelLog {
-    const EMPTY_ROW: PacketSteps = [None; STEP_SLOTS];
+    /// A log whose first record or merge will be at `base`; a channel's log
+    /// is created only for one, so no stored log is empty.
+    fn starting_at(base: u64) -> Self {
+        ChannelLog {
+            base,
+            columns: Default::default(),
+        }
+    }
 
-    /// The row for `seq`, growing the dense storage in either direction.
-    fn row_mut(&mut self, seq: u64) -> &mut PacketSteps {
-        if self.rows.is_empty() {
-            self.base = seq;
-            self.rows.push(Self::EMPTY_ROW);
-        } else if seq < self.base {
+    /// Makes index 0 address `seq` if it lies below `base`, shifting every
+    /// recorded column up by the difference.
+    fn lower_base(&mut self, seq: u64) {
+        if seq < self.base {
             let missing = (self.base - seq) as usize;
-            self.rows
-                .splice(0..0, std::iter::repeat_n(Self::EMPTY_ROW, missing));
+            for column in self.columns.iter_mut().filter(|c| !c.is_empty()) {
+                column.splice(0..0, std::iter::repeat_n(UNRECORDED, missing));
+            }
             self.base = seq;
         }
+    }
+
+    /// Records `time` for `seq` in column `slot`; the earliest time wins.
+    fn record(&mut self, seq: u64, slot: usize, time: SimTime) {
+        self.lower_base(seq);
+        let column = &mut self.columns[slot];
         let idx = (seq - self.base) as usize;
-        if idx >= self.rows.len() {
-            self.rows.resize(idx + 1, Self::EMPTY_ROW);
+        if idx >= column.len() {
+            column.resize(idx + 1, UNRECORDED);
         }
-        &mut self.rows[idx]
+        column[idx] = column[idx].min(time);
     }
 
-    /// The row for `seq`, if within the stored range.
-    fn row(&self, seq: u64) -> Option<&PacketSteps> {
+    /// The time recorded for `seq` in column `slot`.
+    fn get(&self, seq: u64, slot: usize) -> Option<SimTime> {
         let idx = seq.checked_sub(self.base)?;
-        self.rows.get(idx as usize)
+        let time = *self.columns[slot].get(usize::try_from(idx).ok()?)?;
+        (time != UNRECORDED).then_some(time)
     }
 
-    /// `(sequence, row)` for every packet with at least one recorded step,
-    /// in ascending sequence order (gap filler rows are skipped).
-    fn tracked(&self) -> impl Iterator<Item = (u64, &PacketSteps)> {
-        let base = self.base;
-        self.rows
+    /// The recorded times of column `slot`, in ascending sequence order.
+    fn times(&self, slot: usize) -> impl Iterator<Item = SimTime> + '_ {
+        self.columns[slot]
             .iter()
+            .copied()
+            .filter(|time| *time != UNRECORDED)
+    }
+
+    /// Every sequence with at least one recorded step, ascending: the union
+    /// of the columns, taken one column at a time.
+    fn sequences(&self) -> impl Iterator<Item = u64> + '_ {
+        let mut tracked: Vec<bool> = Vec::new();
+        for column in &self.columns {
+            if tracked.len() < column.len() {
+                tracked.resize(column.len(), false);
+            }
+            for (row, time) in tracked.iter_mut().zip(column) {
+                *row |= *time != UNRECORDED;
+            }
+        }
+        tracked
+            .into_iter()
             .enumerate()
-            .filter(|(_, row)| row.iter().any(Option::is_some))
-            .map(move |(i, row)| (base + i as u64, row))
+            .filter(|(_, row)| *row)
+            .map(|(idx, _)| self.base + idx as u64)
+    }
+
+    /// Merges `other` column by column; per cell, the earliest time wins.
+    /// Each target column is sized once, exactly, from the source.
+    fn merge(&mut self, other: &ChannelLog) {
+        self.lower_base(other.base);
+        let offset = (other.base - self.base) as usize;
+        for (column, source) in self.columns.iter_mut().zip(&other.columns) {
+            if source.is_empty() {
+                continue;
+            }
+            let end = offset + source.len();
+            if end > column.len() {
+                column.reserve_exact(end - column.len());
+                column.resize(end, UNRECORDED);
+            }
+            for (cell, time) in column[offset..end].iter_mut().zip(source) {
+                *cell = (*cell).min(*time);
+            }
+        }
     }
 }
 
@@ -184,11 +237,11 @@ impl ChannelLog {
 /// channel, and the only one in every single-channel experiment — while the
 /// `*_on` methods take an explicit channel index.
 ///
-/// Internally each channel stores its packets as dense rows indexed by
-/// sequence offset (see `ChannelLog`); lookups and records are O(1) in the
-/// packet count where the former triple-`BTreeMap` keying paid a tree walk
-/// per step.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// Internally each channel stores one column of times per step, indexed by
+/// sequence offset (see `ChannelLog`): a record or a lookup is O(1) in the
+/// packet count, and the log holds a cell only for a step some packet of
+/// the channel recorded.
+#[derive(Debug, Clone, Default)]
 pub struct TelemetryLog {
     channels: BTreeMap<u64, ChannelLog>,
     errors: Vec<RelayerError>,
@@ -207,7 +260,8 @@ impl TelemetryLog {
     }
 
     /// Records that `step` completed for packet `sequence` of the channel at
-    /// index `channel` at `time`; the earliest recorded time wins.
+    /// index `channel` at `time`; the earliest recorded time wins. `time`
+    /// must not be `SimTime::MAX`, which the log reserves for "not recorded".
     pub fn record_on(
         &mut self,
         channel: u64,
@@ -215,29 +269,13 @@ impl TelemetryLog {
         step: TransferStep,
         time: SimTime,
     ) {
+        debug_assert!(time != UNRECORDED, "SimTime::MAX marks an unrecorded step");
         prof::bump_telemetry_record();
-        self.record_inner(channel, sequence, step, time);
-    }
-
-    /// The record path shared with [`merge_offset`](TelemetryLog::merge_offset),
-    /// which re-files already-counted records and must not bump the xcc-prof
-    /// counter again.
-    fn record_inner(
-        &mut self,
-        channel: u64,
-        sequence: Sequence,
-        step: TransferStep,
-        time: SimTime,
-    ) {
-        let cell = &mut self
-            .channels
+        let sequence = sequence.value();
+        self.channels
             .entry(channel)
-            .or_default()
-            .row_mut(sequence.value())[step.slot()];
-        match cell {
-            Some(existing) if *existing <= time => {}
-            _ => *cell = Some(time),
-        }
+            .or_insert_with(|| ChannelLog::starting_at(sequence))
+            .record(sequence, step.slot(), time);
     }
 
     /// Records an error line.
@@ -262,44 +300,39 @@ impl TelemetryLog {
         step: TransferStep,
     ) -> Option<SimTime> {
         self.channels
-            .get(&channel)
-            .and_then(|chan| chan.row(sequence.value()))
-            .and_then(|row| row[step.slot()])
+            .get(&channel)?
+            .get(sequence.value(), step.slot())
     }
 
-    /// All completion times recorded for `step` across every channel, one
+    /// Every completion time recorded for `step` across every channel, one
     /// per packet, in (channel, sequence) order.
-    pub fn times_for_step(&self, step: TransferStep) -> Vec<SimTime> {
+    pub fn step_times(&self, step: TransferStep) -> impl Iterator<Item = SimTime> + '_ {
         self.channels
             .values()
-            .flat_map(|chan| chan.rows.iter())
-            .filter_map(|row| row[step.slot()])
-            .collect()
+            .flat_map(move |chan| chan.times(step.slot()))
     }
 
     /// Number of packets (across every channel) that completed `step`.
     pub fn count_for_step(&self, step: TransferStep) -> usize {
-        self.channels
-            .values()
-            .flat_map(|chan| chan.rows.iter())
-            .filter(|row| row[step.slot()].is_some())
-            .count()
+        self.step_times(step).count()
     }
 
-    /// Every tracked packet as a `(channel index, sequence)` pair.
+    /// Every tracked packet as a `(channel index, sequence)` pair, in
+    /// (channel, sequence) order.
     pub fn packets(&self) -> Vec<(u64, Sequence)> {
         self.channels
             .iter()
             .flat_map(|(channel, chan)| {
-                chan.tracked()
-                    .map(move |(seq, _)| (*channel, Sequence::from(seq)))
+                chan.sequences()
+                    .map(move |seq| (*channel, Sequence::from(seq)))
             })
             .collect()
     }
 
     /// Merges another log into this one (used when aggregating the telemetry
     /// of several relayer instances), shifting every channel index by
-    /// `channel_offset`; per step, the earliest time wins.
+    /// `channel_offset`; per step, the earliest time wins. The records were
+    /// counted when `other` took them, so merging counts none.
     ///
     /// Relayer processes number channels locally (their first assigned
     /// channel is 0); when a fleet spans several topology edges the
@@ -307,18 +340,10 @@ impl TelemetryLog {
     /// channel space by passing the edge's channel offset.
     pub fn merge_offset(&mut self, other: &TelemetryLog, channel_offset: u64) {
         for (channel, chan) in &other.channels {
-            for (seq, row) in chan.tracked() {
-                for (slot, time) in row.iter().enumerate() {
-                    if let Some(time) = *time {
-                        self.record_inner(
-                            channel + channel_offset,
-                            Sequence::from(seq),
-                            TransferStep::ALL[slot],
-                            time,
-                        );
-                    }
-                }
-            }
+            self.channels
+                .entry(channel + channel_offset)
+                .or_insert_with(|| ChannelLog::starting_at(chan.base))
+                .merge(chan);
         }
         self.errors.extend(other.errors.iter().cloned());
     }
@@ -366,7 +391,7 @@ mod tests {
         );
         assert_eq!(log.count_for_step(TransferStep::TransferBroadcast), 5);
         assert_eq!(log.count_for_step(TransferStep::AckConfirmation), 1);
-        assert_eq!(log.times_for_step(TransferStep::TransferBroadcast).len(), 5);
+        assert_eq!(log.step_times(TransferStep::TransferBroadcast).count(), 5);
         assert_eq!(log.packets().len(), 5);
         assert_eq!(
             log.step_time_on(0, Sequence::from(9), TransferStep::RecvBuild),
@@ -375,7 +400,7 @@ mod tests {
     }
 
     #[test]
-    fn dense_rows_grow_both_ways_without_phantom_packets() {
+    fn columns_grow_both_ways_without_phantom_packets() {
         let mut log = TelemetryLog::new();
         let step = TransferStep::RecvBroadcast;
         log.record(Sequence::from(10), step, SimTime::from_secs(1));
@@ -453,7 +478,7 @@ mod tests {
         );
         // Channel-agnostic views aggregate.
         assert_eq!(log.count_for_step(TransferStep::RecvBroadcast), 2);
-        assert_eq!(log.times_for_step(TransferStep::RecvBroadcast).len(), 2);
+        assert_eq!(log.step_times(TransferStep::RecvBroadcast).count(), 2);
         assert_eq!(
             log.step_time_on(0, seq, TransferStep::RecvBroadcast),
             Some(SimTime::from_secs(1))

@@ -14,7 +14,11 @@
 //! heap a finished run still holds per transfer. A committed block keeps its
 //! events to the end of a run, and they were 31–42% of each benchmark
 //! workload's heap peak while every packet event held its own attribute
-//! list and data copy (PERFORMANCE.md, "Memory: each packet once").
+//! list and data copy (PERFORMANCE.md, "Memory: each packet once"). The
+//! merged telemetry is kept to the end too, and its 13-slot row per packet
+//! was 30% of a finished `chain_only` run, which records one step per
+//! packet (PERFORMANCE.md, "Memory: telemetry holds what it recorded"); a
+//! third test holds a log of one channel to 8 bytes per recorded step.
 //!
 //! It is an integration-test binary of its own because a global allocator
 //! is per binary, and it holds the workspace's only other `unsafe` — the
@@ -37,7 +41,10 @@ use serde::{binary, Deserialize};
 use ibc_perf_repro::framework::outcome::ScenarioOutcome;
 use ibc_perf_repro::framework::scenarios;
 use ibc_perf_repro::framework::spec::ExperimentSpec;
+use ibc_perf_repro::ibc::ids::Sequence;
 use ibc_perf_repro::relayer::strategy::SequenceTracking;
+use ibc_perf_repro::relayer::telemetry::{TelemetryLog, TransferStep};
+use ibc_perf_repro::sim::SimTime;
 
 thread_local! {
     /// `alloc` + `alloc_zeroed` + `realloc` calls made by this thread.
@@ -212,16 +219,19 @@ fn a_transfer_stays_within_its_allocation_budget() {
 /// `try_run_raw` returns — its chains with every committed block and block
 /// event, the send logs, the stores and the telemetry: 1,628 while each
 /// packet event held its own attribute list and a copy of the packet's
-/// data, and 1,065 now that it holds the packet the send log holds and
-/// every listed attribute list is sized exactly. The ceiling fails on the
-/// earlier one.
-const CHAIN_ONLY_HELD_CEILING: f64 = 1_200.0;
+/// data, 1,065 once it held the packet the send log holds and every listed
+/// attribute list was sized exactly, and 864 now that the telemetry holds
+/// one 8-byte cell per recorded step, not a 13-slot row per packet (this run
+/// records one step). The ceiling fails on the earlier ones.
+const CHAIN_ONLY_HELD_CEILING: f64 = 970.0;
 /// Per submitted transfer on `relayed()`: 4,512 before packet events shared
-/// their packet, 3,311 after. The ceiling fails on the earlier one.
-const RELAYED_HELD_CEILING: f64 = 3_700.0;
+/// their packet, 3,311 after, 3,054 with telemetry columns. The ceiling
+/// keeps 12% above the last and fails on the first; the telemetry test
+/// below is the one the row-per-packet log fails.
+const RELAYED_HELD_CEILING: f64 = 3_420.0;
 /// Per submitted transfer on `drained()`: 5,839 before packet events shared
-/// their packet, 4,024 after. The ceiling fails on the earlier one.
-const DRAINED_HELD_CEILING: f64 = 4_500.0;
+/// their packet, 4,024 after, 3,880 with telemetry columns. Same margin.
+const DRAINED_HELD_CEILING: f64 = 4_350.0;
 
 /// Runs `spec` once to warm up, then twice measured; the two must hold
 /// equal byte counts. Returns the bytes `try_run_raw`'s output holds per
@@ -254,6 +264,46 @@ fn a_finished_run_holds_within_its_byte_budget() {
     assert!(chain_only <= CHAIN_ONLY_HELD_CEILING, "{chain_only}");
     assert!(relayed <= RELAYED_HELD_CEILING, "{relayed}");
     assert!(drained <= DRAINED_HELD_CEILING, "{drained}");
+}
+
+/// Packets in the telemetry-only check.
+const LOGGED_PACKETS: u64 = 1_000;
+/// Heap bytes a `TelemetryLog` may hold per packet and recorded step: one
+/// 8-byte cell, and room for a column's unused growth and the channel's map
+/// node. The row-per-packet log held 213 bytes per packet however many steps
+/// it recorded, so it fails both the one-step and the 13-step ceiling.
+const TELEMETRY_STEP_CEILING: f64 = 16.0;
+
+/// Heap bytes a log of `LOGGED_PACKETS` packets on one channel holds per
+/// packet when each records `steps`.
+fn telemetry_bytes_per_packet(steps: &[TransferStep]) -> f64 {
+    let (bytes, log) = held(|| {
+        let mut log = TelemetryLog::new();
+        for sequence in 1..=LOGGED_PACKETS {
+            for &step in steps {
+                log.record_on(
+                    0,
+                    Sequence::from(sequence),
+                    step,
+                    SimTime::from_nanos(sequence),
+                );
+            }
+        }
+        log
+    });
+    assert_eq!(log.packets().len() as u64, LOGGED_PACKETS);
+    bytes as f64 / LOGGED_PACKETS as f64
+}
+
+#[test]
+fn telemetry_holds_only_the_steps_it_recorded() {
+    let one = telemetry_bytes_per_packet(&[TransferStep::TransferBroadcast]);
+    let all = telemetry_bytes_per_packet(&TransferStep::ALL);
+    let all_ceiling = TELEMETRY_STEP_CEILING * TransferStep::ALL.len() as f64;
+    println!("telemetry, 1 of 13 steps: {one:.1} bytes held per transfer logged (ceiling {TELEMETRY_STEP_CEILING})");
+    println!("telemetry, 13 of 13 steps: {all:.1} bytes held per transfer logged (ceiling {all_ceiling})");
+    assert!(one <= TELEMETRY_STEP_CEILING, "{one}");
+    assert!(all <= all_ceiling, "{all}");
 }
 
 /// Run lengths around a hash's 32 bytes, around the 1,024 bytes a `Vec`

@@ -1265,3 +1265,126 @@ mod packet_events {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The telemetry column store against one map of (channel, sequence, step)
+// ---------------------------------------------------------------------------
+
+mod telemetry {
+    use std::collections::BTreeMap;
+
+    use ibc_perf_repro::ibc::ids::Sequence;
+    use ibc_perf_repro::relayer::telemetry::{RelayerError, TelemetryLog, TransferStep};
+    use ibc_perf_repro::sim::SimTime;
+    use proptest::prelude::*;
+
+    /// Every cell the log should hold: the earliest time per key.
+    type Reference = BTreeMap<(u64, u64, usize), SimTime>;
+
+    /// `record_on(channel, sequence(code), ALL[step], time)`, or an error
+    /// line when `step` is 13.
+    type Record = (u64, u64, usize, u64);
+
+    const CHANNELS: u64 = 3;
+    const MAX_OFFSET: u64 = 2;
+    const MAX_SEQUENCE: u64 = 45;
+
+    /// Sequences 0–5, 20–25 and 40–45: records in random order climb, fall
+    /// below the smallest sequence seen and leave gaps.
+    fn sequence(code: u64) -> u64 {
+        [0, 20, 40][(code / 6) as usize] + code % 6
+    }
+
+    /// Times as few as the cells, so cells repeat at earlier and later times.
+    fn record() -> impl Strategy<Value = Record> {
+        (
+            0..CHANNELS,
+            0u64..18,
+            0..TransferStep::ALL.len() + 1,
+            1u64..40,
+        )
+    }
+
+    fn apply(
+        log: &mut TelemetryLog,
+        reference: &mut Reference,
+        errors: &mut Vec<RelayerError>,
+        records: &[Record],
+    ) {
+        for &(channel, code, step, time) in records {
+            let sequence = sequence(code);
+            let time = SimTime::from_nanos(time);
+            let Some(&transfer_step) = TransferStep::ALL.get(step) else {
+                let message = format!("error {channel}/{sequence}");
+                log.record_error(time, message.clone());
+                errors.push(RelayerError { at: time, message });
+                continue;
+            };
+            log.record_on(channel, Sequence::from(sequence), transfer_step, time);
+            let cell = reference.entry((channel, sequence, step)).or_insert(time);
+            *cell = (*cell).min(time);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Records and merges at channel offsets answer every read — a cell,
+        /// the packet list, a step's times in (channel, sequence) order, its
+        /// count and the error lines — as the map does, over every key.
+        #[test]
+        fn the_column_store_answers_like_one_map_of_cells(
+            own in prop::collection::vec(record(), 0..80),
+            merged in prop::collection::vec(
+                (prop::collection::vec(record(), 0..60), 0..MAX_OFFSET + 1, prop::collection::vec(record(), 0..20)),
+                0..3,
+            ),
+        ) {
+            let mut log = TelemetryLog::new();
+            let mut reference = Reference::new();
+            let mut errors = Vec::new();
+            apply(&mut log, &mut reference, &mut errors, &own);
+            for (other_records, offset, after) in &merged {
+                let mut other = TelemetryLog::new();
+                let mut other_reference = Reference::new();
+                let mut other_errors = Vec::new();
+                apply(&mut other, &mut other_reference, &mut other_errors, other_records);
+                log.merge_offset(&other, *offset);
+                for ((channel, sequence, step), time) in other_reference {
+                    let cell = reference.entry((channel + offset, sequence, step)).or_insert(time);
+                    *cell = (*cell).min(time);
+                }
+                errors.extend(other_errors);
+                apply(&mut log, &mut reference, &mut errors, after);
+            }
+
+            for channel in 0..CHANNELS + MAX_OFFSET + 1 {
+                for sequence in 0..=MAX_SEQUENCE + 1 {
+                    for (slot, step) in TransferStep::ALL.into_iter().enumerate() {
+                        prop_assert_eq!(
+                            log.step_time_on(channel, Sequence::from(sequence), step),
+                            reference.get(&(channel, sequence, slot)).copied(),
+                            "channel {} sequence {} step {}", channel, sequence, slot + 1
+                        );
+                    }
+                }
+            }
+            let mut packets: Vec<(u64, Sequence)> = reference
+                .keys()
+                .map(|&(channel, sequence, _)| (channel, Sequence::from(sequence)))
+                .collect();
+            packets.dedup();
+            prop_assert_eq!(log.packets(), packets);
+            for (slot, step) in TransferStep::ALL.into_iter().enumerate() {
+                let times: Vec<SimTime> = reference
+                    .iter()
+                    .filter(|((_, _, s), _)| *s == slot)
+                    .map(|(_, time)| *time)
+                    .collect();
+                prop_assert_eq!(log.count_for_step(step), times.len());
+                prop_assert_eq!(log.step_times(step).collect::<Vec<_>>(), times);
+            }
+            prop_assert_eq!(log.errors(), &errors[..]);
+        }
+    }
+}

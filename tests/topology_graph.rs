@@ -194,10 +194,7 @@ proptest! {
         }
 
         // Every leg of every transfer completed: two acks per transfer.
-        let total_acks = run
-            .telemetry
-            .times_for_step(TransferStep::AckConfirmation)
-            .len() as u64;
+        let total_acks = run.telemetry.count_for_step(TransferStep::AckConfirmation) as u64;
         prop_assert_eq!(total_acks, 2 * transfers);
     }
 }
