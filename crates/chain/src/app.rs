@@ -1,6 +1,8 @@
 //! The Gaia-like ABCI application: accounts, bank, gas and the embedded IBC
 //! module, wired into the Tendermint node via the [`Application`] trait.
 
+use std::rc::Rc;
+
 use crate::account::{AccountId, AccountKeeper};
 use crate::ante::{self, AnteError};
 use crate::bank::BankModule;
@@ -12,7 +14,10 @@ use xcc_ibc::height::Height;
 use xcc_ibc::module::{HostContext, IbcModule};
 use xcc_ibc::transfer::BankKeeper;
 use xcc_sim::SimTime;
-use xcc_tendermint::abci::{Application, CheckTxResult, DeliverTxResult, Event};
+use xcc_tendermint::abci::{
+    encoded_attr_size, Application, AttrValue, CheckTxResult, DeliverTxResult, Event,
+    EventAttribute, EventRecord,
+};
 use xcc_tendermint::block::{Header, RawTx};
 use xcc_tendermint::hash::{hash_fields, Hash};
 
@@ -23,6 +28,26 @@ pub const FEE_COLLECTOR: &str = "fee-collector";
 pub const CODE_MSG_FAILED: u32 = 111;
 /// ABCI error code for an undecodable transaction.
 pub const CODE_DECODE_FAILED: u32 = 2;
+
+/// The one attribute of a `message` event: the executed message's type URL,
+/// as `action`. The app keeps one record per type URL and every `message`
+/// event of that type shares it, so a committed block holds a handle per
+/// message instead of an attribute list of its own.
+#[derive(Debug)]
+struct MessageAction(&'static str);
+
+impl EventRecord for MessageAction {
+    fn attributes(&self, _kind: &'static str) -> Vec<EventAttribute> {
+        vec![EventAttribute {
+            key: "action",
+            value: AttrValue::Static(self.0),
+        }]
+    }
+
+    fn encoded_size(&self, _kind: &'static str) -> usize {
+        encoded_attr_size("action", self.0.len())
+    }
+}
 
 /// The Gaia-like blockchain application.
 ///
@@ -42,6 +67,8 @@ pub struct GaiaApp {
     ibc: IbcModule,
     height: u64,
     block_time: SimTime,
+    /// The shared `message` event records, one per type URL executed so far.
+    message_actions: Vec<Rc<MessageAction>>,
 }
 
 impl GaiaApp {
@@ -65,6 +92,7 @@ impl GaiaApp {
             ibc: IbcModule::new(genesis.chain_id.clone()),
             height: 0,
             block_time: SimTime::ZERO,
+            message_actions: Vec::new(),
         }
     }
 
@@ -132,6 +160,20 @@ impl GaiaApp {
     /// straddled commit (§V's account-sequence race).
     pub fn check_account_sequence(&self, address: &AccountId) -> u64 {
         self.check_accounts.sequence(address)
+    }
+
+    /// The `message` event of a message of type `url`, holding the app's
+    /// one record of that action.
+    fn message_event(&mut self, url: &'static str) -> Event {
+        let action = match self.message_actions.iter().find(|action| action.0 == url) {
+            Some(action) => Rc::clone(action),
+            None => {
+                let action = Rc::new(MessageAction(url));
+                self.message_actions.push(Rc::clone(&action));
+                action
+            }
+        };
+        Event::new("message", []).with_record(action)
     }
 
     /// Executes one message against the application state.
@@ -354,7 +396,7 @@ impl Application for GaiaApp {
             gas_used += msg.gas_cost();
             match self.execute_msg(msg) {
                 Ok(mut msg_events) => {
-                    events.push(Event::new("message", [("action", msg.type_url().into())]));
+                    events.push(self.message_event(msg.type_url()));
                     events.append(&mut msg_events);
                 }
                 Err(log) => {
@@ -498,6 +540,43 @@ mod tests {
             fee
         );
         assert_eq!(app.account_sequence(&"user-0".into()), 1);
+    }
+
+    /// A `message` event holds the app's one record of its action and
+    /// shows, and sizes, exactly what a listed `action` attribute shows.
+    #[test]
+    fn message_events_share_one_action_record_per_type_url() {
+        let mut app = funded_app("chain-a", 1, 1_000_000);
+        let urls = [
+            "/cosmos.bank.v1beta1.MsgSend",
+            "/ibc.applications.transfer.v1.MsgTransfer",
+            "/ibc.core.channel.v1.MsgRecvPacket",
+            "/ibc.core.channel.v1.MsgAcknowledgement",
+            "/ibc.core.channel.v1.MsgTimeout",
+            "/ibc.core.client.v1.MsgUpdateClient",
+        ];
+        for url in urls {
+            let listed = Event::new("message", [("action", AttrValue::Static(url))]);
+            let shared = app.message_event(url);
+            assert_eq!(shared.kind, listed.kind);
+            assert_eq!(shared.attributes(), listed.attributes(), "{url}");
+            assert_eq!(shared.attr("action"), Some(AttrValue::Static(url)));
+            assert_eq!(shared.encoded_size(), listed.encoded_size(), "{url}");
+            let again = app.message_event(url);
+            assert!(Rc::ptr_eq(
+                shared.record().unwrap(),
+                again.record().unwrap()
+            ));
+        }
+        assert_eq!(app.message_actions.len(), urls.len());
+
+        app.begin_block(&header_at(&app, 1, 5));
+        let res = app.deliver_tx(&bank_send_tx(&app, "user-0", "relayer", 500, 0), None);
+        let sent = &res.events[0];
+        assert_eq!(sent.attr("action"), Some(AttrValue::Static(urls[0])));
+        let kept = app.message_event(urls[0]);
+        assert!(Rc::ptr_eq(sent.record().unwrap(), kept.record().unwrap()));
+        assert_eq!(app.message_actions.len(), urls.len());
     }
 
     #[test]
@@ -786,7 +865,7 @@ mod rollback_tests {
             let packets: Vec<Packet> = (1..=USERS as u64)
                 .map(|seq| {
                     let sent = a.app().ibc().sent_packet(&port, &chan_a, Sequence(seq));
-                    sent.expect("sent in block 2").clone()
+                    Packet::clone(sent.expect("sent in block 2"))
                 })
                 .collect();
 
@@ -966,7 +1045,11 @@ mod rollback_tests {
             .expect("open")
             .next_sequence_send;
         let packets = (0..=next.value() + 1)
-            .map(|seq| ibc.sent_packet(&port, channel, Sequence(seq)).cloned())
+            .map(|seq| {
+                ibc.sent_packet(&port, channel, Sequence(seq))
+                    .map(Rc::as_ref)
+                    .cloned()
+            })
             .collect();
         (next, ibc.sent_sequences(&port, channel), packets)
     }

@@ -67,7 +67,10 @@ pub type CommitmentRoot = Hash;
 /// `xcc_tendermint::merkle`).
 #[derive(Debug, Clone)]
 pub struct CommitmentStore {
-    entries: BTreeMap<String, Entry>,
+    /// Each path's record, keyed by the path. A key is kept as long as its
+    /// commitment, so it is a `Box<str>`: exactly the path's bytes, with no
+    /// spare capacity and no capacity field.
+    entries: BTreeMap<Box<str>, Entry>,
     /// The last tree built, over `entries` in path order unless `stale`.
     tree: RefCell<MerkleTree>,
     /// Whether anything was written since `tree` was built.
@@ -186,8 +189,10 @@ impl CommitmentStore {
         self.entries.is_empty()
     }
 
-    /// Sets the commitment at `path`, returning the one it replaces.
-    pub fn set(&mut self, path: impl Into<String>, value: Hash) -> Option<Hash> {
+    /// Sets the commitment at `path`, returning the one it replaces. A
+    /// `String` whose capacity is its length — every [`crate::host`] path —
+    /// becomes the key without a copy or a reallocation.
+    pub fn set(&mut self, path: impl Into<Box<str>>, value: Hash) -> Option<Hash> {
         self.stale.set(true);
         let entry = Entry {
             value,
@@ -212,7 +217,7 @@ impl CommitmentStore {
     pub fn paths_under<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a str> {
         self.entries
             .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
-            .map(|(path, _)| path.as_str())
+            .map(|(path, _)| &**path)
             .take_while(move |path| path.starts_with(prefix))
     }
 

@@ -139,31 +139,40 @@ pub fn timeout_packet_event(packet: &Packet) -> Event {
     Event::new(TIMEOUT_PACKET, []).with_record(without_data(packet))
 }
 
-/// The packet a packet-carrying event holds: `None` for events of other
-/// kinds, and for an event of a packet kind that holds no [`Packet`] — one
-/// whose attributes were listed by hand, say.
-fn packet_of(event: &Event) -> Option<&Packet> {
+/// The record of an event of a packet kind: `None` for events of other
+/// kinds.
+fn packet_record(event: &Event) -> Option<&Rc<dyn EventRecord>> {
     if !matches!(
         event.kind,
         SEND_PACKET | RECV_PACKET | WRITE_ACK | ACK_PACKET | TIMEOUT_PACKET
     ) {
         return None;
     }
-    let record: &dyn Any = event.record()?;
+    event.record()
+}
+
+/// The packet a packet-carrying event holds: `None` for events of other
+/// kinds, and for an event of a packet kind that holds no [`Packet`] — one
+/// whose attributes were listed by hand, say.
+fn packet_of(event: &Event) -> Option<&Packet> {
+    let record: &dyn Any = &**packet_record(event)?;
     record.downcast_ref()
 }
 
-/// Reconstructs a [`Packet`] from a packet-carrying event (`send_packet`,
-/// `recv_packet`, `write_acknowledgement`, `acknowledge_packet` or
-/// `timeout_packet`).
+/// The [`Packet`] a packet-carrying event (`send_packet`, `recv_packet`,
+/// `write_acknowledgement`, `acknowledge_packet` or `timeout_packet`)
+/// holds.
 ///
 /// Returns `None` for events of other types, or for an event that holds no
-/// packet. Acknowledge/timeout events carry no payload, so the reconstructed
-/// packet's `data` is empty for those kinds. This is exactly the "message
-/// extraction" step of the relayer pipeline: a copy of the packet the event
-/// holds, parsing no text.
-pub fn packet_from_event(event: &Event) -> Option<Packet> {
-    packet_of(event).cloned()
+/// packet. Acknowledge/timeout events carry no payload, so the packet's
+/// `data` is empty for those kinds. This is exactly the "message
+/// extraction" step of the relayer pipeline: the event's handle — the
+/// allocation the emitting chain's send log (for `send_packet`) or receipt
+/// (for `recv_packet` and `write_acknowledgement`) holds — parsing no text
+/// and copying nothing.
+pub fn packet_from_event(event: &Event) -> Option<Rc<Packet>> {
+    let record: Rc<dyn Any> = packet_record(event)?.clone();
+    record.downcast().ok()
 }
 
 /// The sequence of the packet a packet-carrying event is about — all that
@@ -216,14 +225,14 @@ mod tests {
         let event = send_packet_event(&packet);
         assert_eq!(event.kind, SEND_PACKET);
         let parsed = packet_from_event(&event).unwrap();
-        assert_eq!(parsed, *packet);
+        assert!(Rc::ptr_eq(&parsed, &packet));
     }
 
     #[test]
     fn write_ack_event_roundtrips_packet_and_ack() {
         let packet = sample_packet();
         let event = write_ack_event(&packet, &Acknowledgement::success());
-        assert_eq!(packet_from_event(&event).unwrap(), *packet);
+        assert!(Rc::ptr_eq(&packet_from_event(&event).unwrap(), &packet));
         assert_eq!(event.attr("packet_ack"), Some(AttrValue::Static("success")));
 
         let err_event = write_ack_event(&packet, &Acknowledgement::error("denied"));
@@ -272,6 +281,7 @@ mod tests {
     /// The packet a transfer sends is one allocation: the channel end's send
     /// log and the `send_packet` event hold the same handle, and so do the
     /// `recv_packet` and `write_acknowledgement` events of its receipt.
+    /// `packet_from_event` hands out that handle, not a copy.
     #[test]
     fn a_sent_packet_is_held_once() {
         use crate::module::tests::{connected_pair, ctx, sync_root, transfer_params, TestBank};
@@ -282,7 +292,9 @@ mod tests {
         let sent = a.send_transfer(&ctx(2), &mut bank_a, &params).unwrap();
         let held = packet_of(&sent[0]).unwrap();
         let logged = a.sent_packet(&PortId::transfer(), &chan_a, held.sequence);
-        assert!(std::ptr::eq(logged.unwrap(), held));
+        assert!(std::ptr::eq(&**logged.unwrap(), held));
+        let extracted = packet_from_event(&sent[0]).unwrap();
+        assert!(Rc::ptr_eq(&extracted, logged.unwrap()));
 
         sync_root(&mut b, &a, 3);
         let proof = a

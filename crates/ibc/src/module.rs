@@ -1034,16 +1034,17 @@ impl IbcModule {
             .collect()
     }
 
-    /// The packet originally sent with the given sequence, if this chain sent
-    /// it.
+    /// The send log's handle of the packet originally sent with the given
+    /// sequence, if this chain sent it: the allocation its `send_packet`
+    /// event holds too.
     pub fn sent_packet(
         &self,
         port: &PortId,
         channel: &ChannelId,
         seq: Sequence,
-    ) -> Option<&Packet> {
+    ) -> Option<&Rc<Packet>> {
         let index = usize::try_from(seq.value().checked_sub(1)?).ok()?;
-        self.record(port, channel)?.sent.get(index).map(Rc::as_ref)
+        self.record(port, channel)?.sent.get(index)
     }
 
     /// All sequences ever sent on a channel end.
@@ -1360,7 +1361,7 @@ pub(crate) mod tests {
 
     /// `MsgTransfer` on `a`: the packet sent, as its `send_packet` event
     /// carries it.
-    fn send(a: &mut IbcModule, bank: &mut TestBank, params: &TransferParams) -> Packet {
+    fn send(a: &mut IbcModule, bank: &mut TestBank, params: &TransferParams) -> Rc<Packet> {
         let events = a.send_transfer(&ctx(2), bank, params).unwrap();
         events::packet_from_event(&events[0]).expect("a send_packet event")
     }

@@ -268,7 +268,7 @@ struct Tracked {
     /// The packet while it may still time out: set when its send event is
     /// seen (or the clear scan rescues it) and cleared by its receipt,
     /// acknowledgement or timeout. Shares its allocation with a queued
-    /// receive.
+    /// receive and with the source chain's send log.
     watch: Option<Rc<Packet>>,
     /// One stage per target chain, indexed by `ChainRole`: the receive
     /// towards the destination, the acknowledgement towards the source.
@@ -653,8 +653,8 @@ impl Relayer {
                                 event_time,
                             );
                             if self.assigned(packet.sequence) {
-                                // One allocation: timeout watch + held receive.
-                                let packet = Rc::new(packet);
+                                // The send log's allocation: timeout watch +
+                                // held receive.
                                 let key = (channel, packet.sequence.value());
                                 self.packets.entry(key).or_default().watch =
                                     Some(Rc::clone(&packet));
@@ -846,7 +846,7 @@ impl Relayer {
                     // belongs to another instance; here the assignment
                     // only routes the acknowledgement work.
                     if self.assigned(packet.sequence) {
-                        self.hold(Source, channel, [(height, Rc::new(packet))]);
+                        self.hold(Source, channel, [(height, packet)]);
                     }
                 }
             }
@@ -1105,8 +1105,9 @@ impl Relayer {
             let mut markers = Vec::with_capacity(chunk_len);
             for (_, packet) in packets.by_ref().take(chunk_len) {
                 // The one copy a relayed packet costs: the message owns its
-                // packet, and a receive's timeout watch still holds the
-                // other handle.
+                // packet, while the chain that emitted it (the send log, or
+                // the receipt for an acknowledgement) and a receive's
+                // timeout watch hold the shared handle.
                 let packet = Rc::unwrap_or_clone(packet);
                 let sequence = packet.sequence;
                 let signer = &self.ends[to as usize].account;
@@ -1275,8 +1276,7 @@ impl Relayer {
                     .filter_map(|seq| {
                         let record = self.packets.get(&(channel, seq.value()));
                         (record.and_then(|record| record.watch.clone())).or_else(|| {
-                            let sent = ibc.sent_packet(&path.port, &path.src_channel, seq);
-                            sent.cloned().map(Rc::new)
+                            ibc.sent_packet(&path.port, &path.src_channel, seq).cloned()
                         })
                     })
                     .map(|packet| (height, packet))
@@ -1615,12 +1615,13 @@ mod tests {
         (src, dst)
     }
 
-    /// The packet `src` sent on `channel-0` with sequence `seq`.
-    fn sent(src: &SharedChain, seq: u64) -> Packet {
+    /// The send log's handle of the packet `src` sent on `channel-0` with
+    /// sequence `seq`.
+    fn sent(src: &SharedChain, seq: u64) -> Rc<Packet> {
         let chain = src.borrow();
         let ibc = chain.app().ibc();
         let sent = ibc.sent_packet(&PortId::transfer(), &ChannelId::with_index(0), seq.into());
-        sent.unwrap().clone()
+        Rc::clone(sent.unwrap())
     }
 
     /// Delivers packets `seqs` of [`linked_chains`] the way another relayer
@@ -1643,7 +1644,7 @@ mod tests {
                 .ibc()
                 .prove_packet_commitment(&port, &channel, seq.into());
             msgs.push(Msg::IbcRecvPacket {
-                packet: sent(src, seq),
+                packet: Packet::clone(&sent(src, seq)),
                 proof_commitment: proof.unwrap(),
                 proof_height,
                 signer: "user-0".into(),
@@ -2010,6 +2011,40 @@ mod tests {
         assert!(relayer.ends[SRC].inflight_txs.is_empty());
     }
 
+    /// A packet the relayer learns of is the source chain's allocation, not
+    /// a copy: from a `send_packet` event, its timeout watch and held
+    /// receive share the handle the send log holds; rescued by the clear
+    /// scan, its watch does.
+    #[test]
+    fn held_and_rescued_packets_share_the_send_logs_allocation() {
+        let (src, dst) = linked_chains(&[1_000; 2]);
+        let config = RelayerConfig {
+            strategy: RelayerStrategy::adaptive_submission(10),
+            ..RelayerConfig::default()
+        };
+        let mut relayer = relayer_on(&src, &dst, config);
+        relayer.notify_source_block(2, SimTime::from_secs(10));
+        relayer.wake(SimTime::from_secs(10));
+        for seq in 1..=2 {
+            let record = &relayer.packets[&(0, seq)];
+            let Some(Stage::Held { packet, .. }) = &record.stage[DST] else {
+                panic!("packet {seq} is held for a later flush");
+            };
+            let logged = sent(&src, seq);
+            assert!(Rc::ptr_eq(packet, &logged), "held receive {seq}");
+            assert!(Rc::ptr_eq(record.watch.as_ref().unwrap(), &logged));
+        }
+
+        // A second relayer that never saw block 2's events.
+        let mut rescuer = relayer_on(&src, &dst, RelayerConfig::default());
+        rescuer.clear_unrelayed(Destination, 2, SimTime::from_secs(10));
+        assert_eq!(rescuer.stats().packets_cleared, 2);
+        for seq in 1..=2 {
+            let watch = rescuer.packets[&(0, seq)].watch.as_ref().unwrap();
+            assert!(Rc::ptr_eq(watch, &sent(&src, seq)), "rescued {seq}");
+        }
+    }
+
     /// A `MsgTimeout` broadcast the source rejects (here: a full mempool)
     /// leaves its packet watched, so the next destination block retries it
     /// rather than leaving a packet that never times out.
@@ -2018,7 +2053,7 @@ mod tests {
         let (src, dst) = linked_chains(&[2]);
         let mut relayer = relayer_on(&src, &dst, RelayerConfig::default());
         // Watched as its send event would have left it.
-        relayer.packets.entry((0, 1)).or_default().watch = Some(Rc::new(sent(&src, 1)));
+        relayer.packets.entry((0, 1)).or_default().watch = Some(sent(&src, 1));
 
         // Destination block 2 expires the packet while the source mempool
         // is full: the client update and the timeout are both rejected.
@@ -2084,7 +2119,7 @@ mod tests {
         assert!(!tracker.reconcile(&straddle));
 
         let lanes = relayer.lane_stats();
-        let batch = vec![(2, Rc::new(sent(&src, 3)))];
+        let batch = vec![(2, sent(&src, 3))];
         assert_eq!(
             relayer.relay_ack_batch(0, 2, SimTime::from_secs(11), batch),
             0

@@ -524,6 +524,7 @@ mod tests {
     use xcc_chain::coin::Coin;
     use xcc_chain::genesis::GenesisConfig;
     use xcc_chain::msg::Msg;
+    use xcc_ibc::packet::Packet;
 
     fn endpoint(rtt_ms: u64) -> RpcEndpoint {
         let chain =
@@ -826,10 +827,7 @@ mod tests {
             let ibc = chain.app().ibc();
             (1..=3)
                 .map(|seq| Msg::IbcRecvPacket {
-                    packet: ibc
-                        .sent_packet(&port, &channel, seq.into())
-                        .unwrap()
-                        .clone(),
+                    packet: Packet::clone(ibc.sent_packet(&port, &channel, seq.into()).unwrap()),
                     proof_commitment: ibc
                         .prove_packet_commitment(&port, &channel, seq.into())
                         .unwrap(),

@@ -10,10 +10,11 @@
 //! a run, because relayers learn about packets only from them. An event
 //! therefore holds as little as it can: a static kind, the attributes built
 //! for it alone in an exactly sized slice, and optionally a shared
-//! [`EventRecord`] — a packet the emitting module keeps anyway — whose
-//! attributes follow a fixed schema and are rendered only when something
-//! asks ([`Event::attributes`], [`Event::attr`]). [`Event::encoded_size`],
-//! the §V frame accounting, is computed without rendering anything.
+//! [`EventRecord`] — a packet the emitting module keeps anyway, or a
+//! `message` event's action, one per message type — whose attributes follow
+//! a fixed schema and are rendered only when something asks
+//! ([`Event::attributes`], [`Event::attr`]). [`Event::encoded_size`], the §V
+//! frame accounting, is computed without rendering anything.
 
 use std::any::Any;
 use std::fmt;
@@ -136,15 +137,17 @@ pub fn encoded_attr_size(key: &str, text_len: usize) -> usize {
     key.len() + text_len + 8
 }
 
-/// Attributes an event shows from a record the emitting module keeps
-/// anyway — a sent packet — shared behind an [`Rc`] instead of copied into
-/// the event.
+/// Attributes an event shows from a record shared behind an [`Rc`] instead
+/// of copied into the event: one the emitting module keeps anyway — a sent
+/// packet — or one the application keeps per message type — the `message`
+/// event's `action`.
 ///
 /// The attributes follow a fixed schema per event kind, so the record
 /// renders them when something asks ([`Event::attributes`], [`Event::attr`])
 /// and sizes them without rendering ([`Event::encoded_size`]). A reader that
-/// knows the record's type gets it back through [`Event::record`] and
-/// `&dyn Any`.
+/// knows the record's type gets it back through [`Event::record`], as a
+/// reference through `&dyn Any` or as a handle of its own through
+/// `Rc<dyn Any>`.
 pub trait EventRecord: Any + fmt::Debug {
     /// The attributes an event of `kind` shows of the record, in order.
     fn attributes(&self, kind: &'static str) -> Vec<EventAttribute>;
@@ -211,9 +214,9 @@ impl Event {
         self
     }
 
-    /// The shared record the event shows, if it has one.
-    pub fn record(&self) -> Option<&dyn EventRecord> {
-        self.record.as_deref()
+    /// The handle of the shared record the event shows, if it has one.
+    pub fn record(&self) -> Option<&Rc<dyn EventRecord>> {
+        self.record.as_ref()
     }
 
     /// Every attribute, rendered: the record's, then the listed ones.
@@ -358,6 +361,13 @@ mod tests {
         assert_eq!(ev.attr("packet_sequence"), Some(AttrValue::Number(42)));
         assert_eq!(ev.attr("missing"), None);
         assert!(ev.encoded_size() > "recv_packet".len());
+    }
+
+    /// A committed block keeps one `Event` slot per event to the end of a
+    /// run: a static kind, a boxed slice and an optional shared record.
+    #[test]
+    fn an_event_slot_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<Event>(), 48);
     }
 
     /// Every shape's `text_len` is the length of what `Display` prints, at

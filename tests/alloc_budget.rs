@@ -18,7 +18,11 @@
 //! merged telemetry is kept to the end too, and its 13-slot row per packet
 //! was 30% of a finished `chain_only` run, which records one step per
 //! packet (PERFORMANCE.md, "Memory: telemetry holds what it recorded"); a
-//! third test holds a log of one channel to 8 bytes per recorded step.
+//! third test holds a log of one channel to 8 bytes per recorded step. A
+//! fourth ratchets the heap's highest point during a run, which is what
+//! `peak_rss_mb` reads and what a transient freed before the run returns
+//! moves without moving the held bytes (PERFORMANCE.md, "Memory: each
+//! packet and message held once").
 //!
 //! It is an integration-test binary of its own because a global allocator
 //! is per binary, and it holds the workspace's only other `unsafe` — the
@@ -39,6 +43,7 @@ use proptest::prelude::*;
 use serde::{binary, Deserialize};
 
 use ibc_perf_repro::framework::outcome::ScenarioOutcome;
+use ibc_perf_repro::framework::runner::RunOutput;
 use ibc_perf_repro::framework::scenarios;
 use ibc_perf_repro::framework::spec::ExperimentSpec;
 use ibc_perf_repro::ibc::ids::Sequence;
@@ -54,6 +59,9 @@ thread_local! {
     /// Bytes this thread allocated minus the bytes it freed, counting a
     /// `realloc` as the difference of its two sizes. Same construction.
     static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    /// The highest `LIVE_BYTES` has been since [`peak`] last reset it. Same
+    /// construction.
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -63,7 +71,11 @@ fn count() {
 }
 
 fn grow(bytes: usize) {
-    LIVE_BYTES.with(|n| n.set(n.get() + bytes as i64));
+    let live = LIVE_BYTES.with(|n| {
+        n.set(n.get() + bytes as i64);
+        n.get()
+    });
+    PEAK_BYTES.with(|peak| peak.set(peak.get().max(live)));
 }
 
 fn shrink(bytes: usize) {
@@ -117,6 +129,15 @@ fn held<T>(f: impl FnOnce() -> T) -> (i64, T) {
     (LIVE_BYTES.with(Cell::get) - before, value)
 }
 
+/// The most heap bytes this thread held at once while `f` ran, above what
+/// it held when `f` started, and `f`'s value.
+fn peak<T>(f: impl FnOnce() -> T) -> (i64, T) {
+    let before = LIVE_BYTES.with(Cell::get);
+    PEAK_BYTES.with(|peak| peak.set(before));
+    let value = f();
+    (PEAK_BYTES.with(Cell::get) - before, value)
+}
+
 /// 50 rps × 4 blocks with no relayer: 1,000 committed transfers.
 fn chain_only() -> ExperimentSpec {
     ExperimentSpec::tendermint_throughput()
@@ -156,25 +177,30 @@ fn drained() -> ExperimentSpec {
 /// names once, not once per message, and 8.4 now that a transfer's texts
 /// are shared too and a send appends its packet to its channel end's log
 /// (no packet copy, no escrow address and no channel-end leaf per message),
-/// and 7.5 now that the `send_packet` event shares the logged packet and the
-/// `message` event's one attribute is its own exact allocation. The ceiling
-/// fails on each of the earlier ones.
-const CHAIN_ONLY_CEILING: f64 = 8.0;
+/// 7.5 once the `send_packet` event shared the logged packet and the
+/// `message` event's one attribute was its own exact allocation, 7.4 with
+/// telemetry columns, and 6.4 now that the `message` event holds the app's
+/// one record of its action and a store key is written once at its exact
+/// length. The ceiling fails on each of the earlier ones.
+const CHAIN_ONLY_CEILING: f64 = 7.0;
 /// Per submitted transfer on `relayed()`: 220.8 before shared names, 96.1
 /// with a relayed packet copied eight times, 86.8 with one owner, 62.1 once
 /// emitting a packet event formatted nothing and reading it back parsed
 /// nothing, 49.9 once a decoded batch allocated each name once and a store
 /// leaf was hashed without being assembled first, 38.7 with one record per
-/// channel end, and 37.2 with packet events sharing their packet. The
-/// ceiling fails on each of the earlier six.
-const RELAYED_CEILING: f64 = 38.0;
+/// channel end, 37.2 with packet events sharing their packet, 37.3 with
+/// telemetry columns, and 32.9 now that the relayer shares the chain's
+/// packet instead of copying it out of each event and the send log. The
+/// ceiling fails on each of the earlier eight.
+const RELAYED_CEILING: f64 = 36.0;
 /// Per submitted transfer on `drained()`: 197.3 while the drain check and the
 /// two clear scans formatted and looked up the path of every packet ever
 /// sent, 122.1 once they walked the store's commitment prefix, 90.0 with
 /// packet events as values, 73.1 with shared names in decoded batches, 62.0
-/// with one record per channel end, and 60.0 with packet events sharing
-/// their packet. The ceiling fails on each of the earlier five.
-const DRAINED_CEILING: f64 = 61.0;
+/// with one record per channel end, 60.0 with packet events sharing their
+/// packet, and 55.0 with the relayer sharing it too. The ceiling fails on
+/// each of the earlier six.
+const DRAINED_CEILING: f64 = 58.0;
 
 /// Runs `spec` once to warm up, then twice counted; the two counts must be
 /// equal. Returns allocations per `transfers(outcome)`.
@@ -220,33 +246,47 @@ fn a_transfer_stays_within_its_allocation_budget() {
 /// event, the send logs, the stores and the telemetry: 1,628 while each
 /// packet event held its own attribute list and a copy of the packet's
 /// data, 1,065 once it held the packet the send log holds and every listed
-/// attribute list was sized exactly, and 864 now that the telemetry holds
-/// one 8-byte cell per recorded step, not a 13-slot row per packet (this run
-/// records one step). The ceiling fails on the earlier ones.
-const CHAIN_ONLY_HELD_CEILING: f64 = 970.0;
+/// attribute list was sized exactly, 864 once the telemetry held one 8-byte
+/// cell per recorded step, not a 13-slot row per packet (this run records
+/// one step), and 802 now that a `message` event holds a handle to its
+/// action, not a 48-byte attribute of its own, and a store key is a
+/// `Box<str>`. The ceiling keeps 12% above the last and fails on the first
+/// two.
+const CHAIN_ONLY_HELD_CEILING: f64 = 900.0;
 /// Per submitted transfer on `relayed()`: 4,512 before packet events shared
-/// their packet, 3,311 after, 3,054 with telemetry columns. The ceiling
-/// keeps 12% above the last and fails on the first; the telemetry test
-/// below is the one the row-per-packet log fails.
-const RELAYED_HELD_CEILING: f64 = 3_420.0;
+/// their packet, 3,311 after, 3,054 with telemetry columns, 2,943 with
+/// shared `message` records and `Box<str>` store keys. Same margin; the
+/// telemetry test below is the one the row-per-packet log fails.
+const RELAYED_HELD_CEILING: f64 = 3_300.0;
 /// Per submitted transfer on `drained()`: 5,839 before packet events shared
-/// their packet, 4,024 after, 3,880 with telemetry columns. Same margin.
-const DRAINED_HELD_CEILING: f64 = 4_350.0;
+/// their packet, 4,024 after, 3,880 with telemetry columns, 3,708 with
+/// shared `message` records and `Box<str>` store keys. Same margin.
+const DRAINED_HELD_CEILING: f64 = 4_150.0;
 
-/// Runs `spec` once to warm up, then twice measured; the two must hold
-/// equal byte counts. Returns the bytes `try_run_raw`'s output holds per
+/// Runs `spec` once to warm up, then twice through `measure` (`held` or
+/// `peak`); the two must read equal byte counts. Returns the bytes per
 /// `transfers(outcome)`.
+fn bytes_per_transfer(
+    spec: &ExperimentSpec,
+    measure: fn(&dyn Fn() -> RunOutput) -> (i64, RunOutput),
+    transfers: impl Fn(&ScenarioOutcome) -> u64,
+) -> f64 {
+    let run = || scenarios::try_run_raw(spec).expect("setup");
+    run();
+    let (first, output) = measure(&run);
+    let (second, _) = measure(&run);
+    assert_eq!(first, second, "heap bytes are a deterministic work counter");
+    let transfers = transfers(&scenarios::outcome_from(spec, &output));
+    assert!(transfers > 0);
+    first as f64 / transfers as f64
+}
+
+/// The bytes `try_run_raw`'s output holds per `transfers(outcome)`.
 fn held_bytes_per_transfer(
     spec: &ExperimentSpec,
     transfers: impl Fn(&ScenarioOutcome) -> u64,
 ) -> f64 {
-    scenarios::try_run_raw(spec).expect("setup");
-    let (first, run) = held(|| scenarios::try_run_raw(spec).expect("setup"));
-    let (second, _) = held(|| scenarios::try_run_raw(spec).expect("setup"));
-    assert_eq!(first, second, "held bytes are a deterministic work counter");
-    let transfers = transfers(&scenarios::outcome_from(spec, &run));
-    assert!(transfers > 0);
-    first as f64 / transfers as f64
+    bytes_per_transfer(spec, |run| held(run), transfers)
 }
 
 #[test]
@@ -264,6 +304,42 @@ fn a_finished_run_holds_within_its_byte_budget() {
     assert!(chain_only <= CHAIN_ONLY_HELD_CEILING, "{chain_only}");
     assert!(relayed <= RELAYED_HELD_CEILING, "{relayed}");
     assert!(drained <= DRAINED_HELD_CEILING, "{drained}");
+}
+
+/// Heap bytes per committed transfer at the highest point of
+/// `chain_only()`: 915 while each `message` event held its own attribute
+/// and store keys were `String`s, 853 now. The ceiling keeps 12% above the
+/// last.
+const CHAIN_ONLY_PEAK_CEILING: f64 = 955.0;
+/// Per submitted transfer on `relayed()`: 3,483 while the relayer copied
+/// each packet out of its event or the send log and each `message` event
+/// held its own attribute, 3,278 now. Same margin.
+const RELAYED_PEAK_CEILING: f64 = 3_670.0;
+/// Per submitted transfer on `drained()`: 5,051 before the relayer shared
+/// the chain's packets, 4,730 now. Same margin.
+const DRAINED_PEAK_CEILING: f64 = 5_300.0;
+
+/// Heap bytes per transfer at the highest point of a run, above what was
+/// held when it started: what `peak_rss_mb` reads, and what the held-bytes
+/// check cannot see — transients freed before the run returns.
+#[test]
+fn a_run_peaks_within_its_byte_budget() {
+    let per_transfer = |spec: &ExperimentSpec, transfers: fn(&ScenarioOutcome) -> u64| {
+        bytes_per_transfer(spec, |run| peak(run), transfers)
+    };
+    let chain_only = per_transfer(&chain_only(), ScenarioOutcome::committed);
+    println!("chain-only: {chain_only:.0} peak bytes per transfer committed (ceiling {CHAIN_ONLY_PEAK_CEILING})");
+    let relayed = per_transfer(&relayed(), ScenarioOutcome::submitted);
+    println!(
+        "relayed: {relayed:.0} peak bytes per transfer submitted (ceiling {RELAYED_PEAK_CEILING})"
+    );
+    let drained = per_transfer(&drained(), ScenarioOutcome::submitted);
+    println!(
+        "drained: {drained:.0} peak bytes per transfer submitted (ceiling {DRAINED_PEAK_CEILING})"
+    );
+    assert!(chain_only <= CHAIN_ONLY_PEAK_CEILING, "{chain_only}");
+    assert!(relayed <= RELAYED_PEAK_CEILING, "{relayed}");
+    assert!(drained <= DRAINED_PEAK_CEILING, "{drained}");
 }
 
 /// Packets in the telemetry-only check.

@@ -1252,7 +1252,7 @@ mod packet_events {
                 (&packet.destination_port, &packet.source_channel),
             ];
             for (event, expected) in &events {
-                prop_assert_eq!(packet_from_event(event).as_ref(), Some(*expected), "{}", event.kind);
+                prop_assert_eq!(packet_from_event(event).as_deref(), Some(*expected), "{}", event.kind);
                 prop_assert_eq!(packet_sequence(event), Some(packet.sequence));
                 for (port, channel) in ends {
                     prop_assert_eq!(
