@@ -9,12 +9,15 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 
 use xcc_tendermint::hash::{hash_fields, Hash};
 use xcc_tendermint::merkle::{leaf_hash_parts, MerkleProof, MerkleTree, VerifiedPath, FRESH};
+
+use crate::host::{AsStorePath, Section, StorePath};
+use crate::ids::Sequence;
 
 /// A commitment root: the Merkle root of the IBC store at some height.
 pub type CommitmentRoot = Hash;
@@ -35,6 +38,16 @@ pub type CommitmentRoot = Hash;
 /// assert!(proof.verify(&root, &mut VerifiedPath::default()));
 /// ```
 ///
+/// # Keys
+///
+/// The map is keyed by [`StorePath`]s, in the byte order of their
+/// spellings. The IBC module writes packet commitments, receipts and
+/// acknowledgements as a channel end's shared section plus a sequence, so
+/// those keys hold no text; every other path, and any text passed to
+/// [`set`](CommitmentStore::set) or a lookup, is read as a section of its
+/// own. Both kinds are one map, one order and one tree: a root or proof does
+/// not depend on how a path was written.
+///
 /// # Proof-generation caching
 ///
 /// The store is one map and one tree. Each path's record carries, next to
@@ -48,7 +61,7 @@ pub type CommitmentRoot = Hash;
 ///
 /// A mutation ([`set`](CommitmentStore::set) /
 /// [`delete`](CommitmentStore::delete)) only marks the tree stale (and a
-/// set path's record [`FRESH`]). The next [`root`](CommitmentStore::root) or
+/// set path's record fresh). The next [`root`](CommitmentStore::root) or
 /// proof rebuilds it from the last one in one pass over the map: stamp each
 /// record's new rank, hash the leaves of the fresh records, and let
 /// [`MerkleTree::rebuild`] copy every perfect subtree whose leaves the
@@ -57,7 +70,7 @@ pub type CommitmentRoot = Hash;
 /// above them, and a path overwritten many times between two builds is
 /// hashed once. The tree's leaf level is the only copy of a leaf hash.
 ///
-/// Invariant: a record's rank is either [`FRESH`] or its leaf's index in
+/// Invariant: a record's rank is either fresh or its leaf's index in
 /// `tree`, and nothing reads a rank except the build and, once built, a
 /// proof against that tree. Tree shape, roots and proofs are bit-identical
 /// to the uncached construction (pinned by
@@ -67,10 +80,8 @@ pub type CommitmentRoot = Hash;
 /// `xcc_tendermint::merkle`).
 #[derive(Debug, Clone)]
 pub struct CommitmentStore {
-    /// Each path's record, keyed by the path. A key is kept as long as its
-    /// commitment, so it is a `Box<str>`: exactly the path's bytes, with no
-    /// spare capacity and no capacity field.
-    entries: BTreeMap<Box<str>, Entry>,
+    /// Each path's record, keyed by the path.
+    entries: BTreeMap<StorePath, Entry>,
     /// The last tree built, over `entries` in path order unless `stale`.
     tree: RefCell<MerkleTree>,
     /// Whether anything was written since `tree` was built.
@@ -81,10 +92,16 @@ pub struct CommitmentStore {
 #[derive(Debug, Clone)]
 struct Entry {
     value: Hash,
-    /// The index of this path's leaf in the store's tree, or [`FRESH`] when
-    /// `value` was set after the tree was built.
-    rank: Cell<usize>,
+    /// The index of this path's leaf in the store's tree, or [`FRESH_RANK`]
+    /// when `value` was set after the tree was built. Four bytes, so that a
+    /// map slot (key, value and rank) is 52 bytes, not 56: a store would
+    /// need 2^32 paths, hundreds of gigabytes, to outgrow it.
+    rank: Cell<u32>,
 }
+
+/// A record's rank before the tree it is in is built: [`FRESH`] in four
+/// bytes.
+const FRESH_RANK: u32 = u32::MAX;
 
 impl PartialEq for Entry {
     /// Compares the committed value only: the rank is an evaluation
@@ -135,9 +152,11 @@ impl CommitmentProof {
     /// share; a lone proof passes `&mut VerifiedPath::default()`.
     pub fn verify(&self, trusted_root: &CommitmentRoot, verified: &mut VerifiedPath) -> bool {
         trusted_root == &self.root
-            && self
-                .merkle
-                .verify(trusted_root, leaf(&self.path, &self.value), verified)
+            && self.merkle.verify(
+                trusted_root,
+                leaf_hash_parts(&[self.path.as_bytes(), &[0], self.value.as_bytes()]),
+                verified,
+            )
     }
 
     /// Approximate encoded size of the proof in bytes, used by the RPC
@@ -167,12 +186,6 @@ impl NonMembershipProof {
     }
 }
 
-/// The leaf hash of `path ‖ 0x00 ‖ value`, the three parts streamed into
-/// the hasher.
-fn leaf(path: &str, value: &Hash) -> Hash {
-    leaf_hash_parts(&[path.as_bytes(), &[0], value.as_bytes()])
-}
-
 impl CommitmentStore {
     /// Creates an empty store.
     pub fn new() -> Self {
@@ -190,40 +203,48 @@ impl CommitmentStore {
     }
 
     /// Sets the commitment at `path`, returning the one it replaces. A
-    /// `String` whose capacity is its length — every [`crate::host`] path —
-    /// becomes the key without a copy or a reallocation.
-    pub fn set(&mut self, path: impl Into<Box<str>>, value: Hash) -> Option<Hash> {
+    /// `String` whose capacity is its length — every [`crate::host`] text
+    /// path — becomes its key's section without a copy or a reallocation.
+    pub fn set(&mut self, path: impl Into<StorePath>, value: Hash) -> Option<Hash> {
         self.stale.set(true);
         let entry = Entry {
             value,
-            rank: Cell::new(FRESH),
+            rank: Cell::new(FRESH_RANK),
         };
         self.entries.insert(path.into(), entry).map(|old| old.value)
     }
 
     /// Reads the commitment at `path`.
-    pub fn get(&self, path: &str) -> Option<&Hash> {
-        self.entries.get(path).map(|entry| &entry.value)
+    pub fn get(&self, path: &(impl AsStorePath + ?Sized)) -> Option<&Hash> {
+        let entry = self.entries.get(&*path.as_store_path())?;
+        Some(&entry.value)
     }
 
     /// Whether the store has a commitment at `path`.
-    pub fn contains(&self, path: &str) -> bool {
-        self.entries.contains_key(path)
+    pub fn contains(&self, path: &(impl AsStorePath + ?Sized)) -> bool {
+        self.entries.contains_key(&*path.as_store_path())
     }
 
-    /// The committed paths that start with `prefix`, in path order
-    /// (lexicographic: `…/10` sorts before `…/2`). Costs one seek plus the
-    /// matches, and leaves the tree alone.
-    pub fn paths_under<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a str> {
-        self.entries
-            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
-            .map(|(path, _)| &**path)
-            .take_while(move |path| path.starts_with(prefix))
+    /// The sequences of `section`'s paths in the store, in path order
+    /// (`…/10` sorts before `…/2`): one seek to the section's least path
+    /// (sequence 0, whose digits sort before any other's), then the paths
+    /// spelt under its text, of which those written as text are skipped (so
+    /// `…/007` or `…/+5` is never read as a sequence). No path is spelt or
+    /// parsed, and the tree is left alone.
+    pub fn sequences_in<'a>(
+        &'a self,
+        section: &'a Rc<Section>,
+    ) -> impl Iterator<Item = Sequence> + 'a {
+        let least = StorePath::sequenced(section, Sequence(0));
+        (self.entries.range(least..))
+            .map(|(path, _)| path)
+            .take_while(move |path| path.is_under(section))
+            .filter_map(move |path| path.sequence_in(section))
     }
 
     /// Deletes the commitment at `path`, returning it if present.
-    pub fn delete(&mut self, path: &str) -> Option<Hash> {
-        let removed = self.entries.remove(path)?;
+    pub fn delete(&mut self, path: &(impl AsStorePath + ?Sized)) -> Option<Hash> {
+        let removed = self.entries.remove(&*path.as_store_path())?;
         self.stale.set(true);
         Some(removed.value)
     }
@@ -240,13 +261,13 @@ impl CommitmentStore {
     }
 
     /// Produces a membership proof for `path`, if it exists.
-    pub fn prove_membership(&self, path: &str) -> Option<CommitmentProof> {
-        let entry = self.entries.get(path)?;
+    pub fn prove_membership(&self, path: &(impl AsStorePath + ?Sized)) -> Option<CommitmentProof> {
+        let (path, entry) = self.entries.get_key_value(&*path.as_store_path())?;
         self.with_tree(|tree| {
             Some(CommitmentProof {
-                path: path.to_string(),
+                path: path.spell(),
                 value: entry.value,
-                merkle: tree.prove(entry.rank.get())?,
+                merkle: tree.prove(entry.rank.get() as usize)?,
                 root: tree.root(),
             })
         })
@@ -261,11 +282,13 @@ impl CommitmentStore {
             let mut old_ranks = Vec::with_capacity(self.entries.len());
             let mut fresh = Vec::new();
             for (rank, (path, entry)) in self.entries.iter().enumerate() {
-                let old = entry.rank.replace(rank);
-                if old == FRESH {
-                    fresh.push(leaf(path, &entry.value));
+                let old = entry.rank.replace(rank as u32);
+                if old == FRESH_RANK {
+                    fresh.push(path.leaf(&entry.value));
+                    old_ranks.push(FRESH);
+                } else {
+                    old_ranks.push(old as usize);
                 }
-                old_ranks.push(old);
             }
             *tree = tree.rebuild(&old_ranks, &fresh);
         }
@@ -273,12 +296,16 @@ impl CommitmentStore {
     }
 
     /// Produces a non-membership proof for `path`, if it is indeed absent.
-    pub fn prove_non_membership(&self, path: &str) -> Option<NonMembershipProof> {
-        if self.entries.contains_key(path) {
+    pub fn prove_non_membership(
+        &self,
+        path: &(impl AsStorePath + ?Sized),
+    ) -> Option<NonMembershipProof> {
+        let path = path.as_store_path();
+        if self.entries.contains_key(&*path) {
             return None;
         }
         Some(NonMembershipProof {
-            path: path.to_string(),
+            path: path.spell(),
             root: self.root(),
         })
     }
@@ -357,26 +384,43 @@ mod tests {
         assert!(!proof.verify(&s.root()));
     }
 
+    /// A section's walk yields its own sequences in path order, and nothing
+    /// of a neighbouring channel or family, of the section's own text, or of
+    /// a path written as text under it — canonical or not.
     #[test]
-    fn paths_under_walks_exactly_the_prefix_in_path_order() {
+    fn sequences_in_walks_exactly_the_section_in_path_order() {
+        use crate::host::ChannelPaths;
+        use crate::ids::{ChannelId, PortId};
+
+        let port = PortId::transfer();
+        let one = ChannelPaths::new(&port, &ChannelId::with_index(1));
+        let ten = ChannelPaths::new(&port, &ChannelId::with_index(10));
         let mut s = CommitmentStore::new();
-        assert_eq!(s.paths_under("a/").count(), 0, "empty store");
-        for path in ["a/1", "a/10", "a/2", "ab/1", "b/1"] {
-            s.set(path, sha256(path.as_bytes()));
+        let walk = |s: &CommitmentStore, paths: &ChannelPaths| {
+            s.sequences_in(paths.commitments())
+                .map(Sequence::value)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(walk(&s, &one), [0; 0], "empty store");
+        for seq in [1, 2, 9, 10, 11, 100] {
+            s.set(one.commitment(Sequence(seq)), sha256(&[1]));
+            s.set(ten.commitment(Sequence(seq)), sha256(&[10]));
+            s.set(one.receipt(Sequence(seq)), sha256(&[2]));
         }
-        let under = |prefix| s.paths_under(prefix).collect::<Vec<_>>();
-        // Lexicographic, not numeric; `ab/…` is not under `a/`.
-        assert_eq!(under("a/"), ["a/1", "a/10", "a/2"]);
-        // A prefix shared by two families walks both.
-        assert_eq!(under("a"), ["a/1", "a/10", "a/2", "ab/1"]);
-        // A prefix equal to a full key matches it and its extensions.
-        assert_eq!(under("a/1"), ["a/1", "a/10"]);
-        assert_eq!(under("b/1"), ["b/1"]);
-        // Before the first key, between two keys, past the last key.
-        assert_eq!(under("Z"), [""; 0]);
-        assert_eq!(under("aa"), [""; 0]);
-        assert_eq!(under("c"), [""; 0]);
-        assert_eq!(under("").len(), s.len());
+        let under = "commitments/ports/transfer/channels/channel-1/sequences/";
+        for text in ["", "007", "+5", "0", "3", "5/x", "x"] {
+            s.set(format!("{under}{text}"), sha256(text.as_bytes()));
+        }
+        s.set(one.end().clone(), sha256(b"end"));
+        assert_eq!(walk(&s, &one), [1, 10, 100, 11, 2, 9]);
+        assert_eq!(walk(&s, &ten), [1, 10, 100, 11, 2, 9]);
+        // A section spelt alike but built apart walks the same paths.
+        let again = ChannelPaths::new(&port, &ChannelId::with_index(1));
+        assert_eq!(walk(&s, &again), [1, 10, 100, 11, 2, 9]);
+        // Text that spells a typed path is that path.
+        assert_eq!(s.get(&format!("{under}10")), Some(&sha256(&[1])));
+        assert_eq!(s.delete(&format!("{under}10")), Some(sha256(&[1])));
+        assert_eq!(walk(&s, &one), [1, 100, 11, 2, 9]);
     }
 
     #[test]
@@ -415,12 +459,12 @@ mod tests {
         let proof = cached.prove_membership("commitments/12").unwrap();
         assert!(verifies(&proof, &cached.root()));
 
-        // A prefix walk is a read: the tree built by the reads above is
-        // still current afterwards, and the root comes from it unchanged.
+        // A lookup is a read: the tree built by the reads above is still
+        // current afterwards, and the root comes from it unchanged.
         let root = cached.root();
         assert!(!cached.stale.get());
-        assert_eq!(cached.paths_under("commitments/1").count(), 4);
-        assert!(!cached.stale.get(), "a walk marked the tree stale");
+        assert!(cached.contains("commitments/1"));
+        assert!(!cached.stale.get(), "a lookup marked the tree stale");
         assert_eq!(cached.root(), root);
 
         // A clone carries correct state even if taken mid-memo.

@@ -1,16 +1,33 @@
-//! ICS-24 host path construction.
+//! ICS-24 host paths, and the typed path the commitment store keys by.
 //!
 //! Every provable IBC state item lives at a well-known path in the host's
 //! commitment store. The constructors here are used both by the writing side
 //! (the IBC module) and by the verifying side (the counterparty checking a
 //! proof), so the two can never disagree on a key.
 //!
-//! A store keeps its keys to the end of a run, so each constructor writes
-//! its path into a `String` of exactly the path's length: `format!` would
-//! reserve an estimate (twice the literal text) instead, and the key would
-//! carry the difference.
+//! The store does not key by the path's text. A [`StorePath`] is a shared
+//! [`Section`] plus a sequence: every packet commitment, receipt and
+//! acknowledgement of one channel end shares the section its
+//! [`ChannelPaths`] created once
+//! (`commitments/ports/{port}/channels/{channel}/sequences/` and likewise
+//! `receipts/…` and `acks/…`), so such a key holds no text of its own. Any
+//! other path — a channel or connection end, a client or consensus state, or
+//! text handed to the store — is a section of its own. A path orders and
+//! compares as its spelling does, and is spelt only where bytes are needed:
+//! its leaf hash, a proof's `path`, and the checks of a counterparty's
+//! proof path ([`is_sequence_path`]), none of which builds the text.
+//!
+//! The text builders write each path into a `String` of exactly the path's
+//! length: `format!` would reserve an estimate (twice the literal text)
+//! instead, and a key made from it would carry the difference.
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::fmt::Write as _;
+use std::rc::Rc;
+
+use xcc_tendermint::hash::Hash;
+use xcc_tendermint::merkle::leaf_hash_parts;
 
 use crate::height::Height;
 use crate::ids::{ChannelId, ClientId, ConnectionId, PortId, Sequence};
@@ -47,6 +64,298 @@ fn exact<'a>(pieces: impl IntoIterator<Item = Piece<'a>, IntoIter: Clone>) -> St
         }
     }
     path
+}
+
+/// A number's decimal digits, written on the stack.
+struct Digits {
+    bytes: [u8; 20],
+    start: usize,
+}
+
+impl Digits {
+    /// No digits: the tail of a path that ends with its section.
+    const NONE: Digits = Digits {
+        bytes: [0; 20],
+        start: 20,
+    };
+
+    /// `n` in decimal (`u64::MAX` has 20 digits).
+    fn of(mut n: u64) -> Digits {
+        let mut digits = Digits::NONE;
+        loop {
+            digits.start -= 1;
+            digits.bytes[digits.start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                return digits;
+            }
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.bytes[self.start..]
+    }
+}
+
+/// The byte order of `a` and `b` spelt in decimal, which is not their
+/// numeric order: `10` sorts before `9`. Equal lengths compare as numbers;
+/// otherwise the longer one's leading digits decide, and the shorter number
+/// sorts first when it is those digits.
+fn cmp_decimal(a: u64, b: u64) -> Ordering {
+    let len = |n: u64| n.checked_ilog10().map_or(1, |log| log + 1);
+    let (len_a, len_b) = (len(a), len(b));
+    match len_a.cmp(&len_b) {
+        Ordering::Equal => a.cmp(&b),
+        Ordering::Less => a.cmp(&(b / 10u64.pow(len_b - len_a))).then(Ordering::Less),
+        Ordering::Greater => (a / 10u64.pow(len_a - len_b))
+            .cmp(&b)
+            .then(Ordering::Greater),
+    }
+}
+
+/// The text a [`StorePath`] starts with, shared by every path built on it.
+#[derive(Debug, PartialEq)]
+pub struct Section {
+    text: Box<str>,
+    /// Whether the paths of this section continue with a sequence in
+    /// decimal; otherwise the text is the whole path.
+    sequenced: bool,
+}
+
+/// A commitment-store key: a handle to a [`Section`], and the sequence that
+/// follows its text when the section is sequenced. A clone shares the
+/// section; the key itself owns no allocation and is as wide as a
+/// `Box<str>`.
+///
+/// Equality and order are those of the spelling, byte by byte, whichever
+/// sections two paths were built on. Two paths of one section compare their
+/// sequences as decimal text, without spelling them.
+#[derive(Debug, Clone)]
+pub struct StorePath {
+    section: Rc<Section>,
+    /// Unread (and 0) unless the section is sequenced.
+    sequence: u64,
+}
+
+impl StorePath {
+    /// The path of `sequence` in `section`.
+    pub(crate) fn sequenced(section: &Rc<Section>, sequence: Sequence) -> StorePath {
+        StorePath {
+            section: Rc::clone(section),
+            sequence: sequence.value(),
+        }
+    }
+
+    /// The digits after the section's text.
+    fn digits(&self) -> Digits {
+        if self.section.sequenced {
+            Digits::of(self.sequence)
+        } else {
+            Digits::NONE
+        }
+    }
+
+    /// The path as text, in a `String` of exactly its length.
+    pub fn spell(&self) -> String {
+        let digits = self.digits();
+        let digits = std::str::from_utf8(digits.as_bytes()).unwrap_or_default();
+        let mut path = String::with_capacity(self.section.text.len() + digits.len());
+        path.push_str(&self.section.text);
+        path.push_str(digits);
+        path
+    }
+
+    /// The Merkle leaf hash of `spelling ‖ 0x00 ‖ value`, streamed into the
+    /// hasher piece by piece.
+    pub fn leaf(&self, value: &Hash) -> Hash {
+        let digits = self.digits();
+        leaf_hash_parts(&[
+            self.section.text.as_bytes(),
+            digits.as_bytes(),
+            &[0],
+            value.as_bytes(),
+        ])
+    }
+
+    /// Whether this path's spelling starts with `section`'s text.
+    pub(crate) fn is_under(&self, section: &Rc<Section>) -> bool {
+        let (text, prefix) = (&*self.section.text, &*section.text);
+        Rc::ptr_eq(&self.section, section)
+            || text.starts_with(prefix)
+            || prefix
+                .strip_prefix(text)
+                .is_some_and(|rest| self.digits().as_bytes().starts_with(rest.as_bytes()))
+    }
+
+    /// This path's sequence, when its section is spelt like `section`, which
+    /// is sequenced. A path given as text is a section of its own, whose text
+    /// is the whole path: spelt like `section` only if it is `section`'s bare
+    /// text, which sorts before all of `section`'s sequences.
+    pub(crate) fn sequence_in(&self, section: &Rc<Section>) -> Option<Sequence> {
+        let same = Rc::ptr_eq(&self.section, section) || self.section.text == section.text;
+        same.then_some(Sequence(self.sequence))
+    }
+}
+
+impl From<String> for StorePath {
+    /// The path spelt `path`, as a section of its own.
+    fn from(path: String) -> StorePath {
+        StorePath {
+            section: Rc::new(Section {
+                text: path.into_boxed_str(),
+                sequenced: false,
+            }),
+            sequence: 0,
+        }
+    }
+}
+
+impl From<&str> for StorePath {
+    fn from(path: &str) -> StorePath {
+        StorePath::from(path.to_owned())
+    }
+}
+
+impl Ord for StorePath {
+    fn cmp(&self, other: &StorePath) -> Ordering {
+        if Rc::ptr_eq(&self.section, &other.section) {
+            return if self.section.sequenced {
+                cmp_decimal(self.sequence, other.sequence)
+            } else {
+                Ordering::Equal
+            };
+        }
+        let (a, b) = (self.section.text.as_bytes(), other.section.text.as_bytes());
+        let common = a.len().min(b.len());
+        match a[..common].cmp(&b[..common]) {
+            Ordering::Equal => {}
+            unequal => return unequal,
+        }
+        // One text starts the other: the rest of each spelling decides.
+        let (digits_a, digits_b) = (self.digits(), other.digits());
+        let rest_a = a[common..].iter().chain(digits_a.as_bytes());
+        rest_a.cmp(b[common..].iter().chain(digits_b.as_bytes()))
+    }
+}
+
+impl PartialOrd for StorePath {
+    fn partial_cmp(&self, other: &StorePath) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for StorePath {
+    fn eq(&self, other: &StorePath) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for StorePath {}
+
+/// What the commitment store can be asked about: a [`StorePath`], or text,
+/// which is read as a path of its own section.
+pub trait AsStorePath {
+    /// The path, borrowed when it already is one.
+    fn as_store_path(&self) -> Cow<'_, StorePath>;
+}
+
+impl AsStorePath for StorePath {
+    fn as_store_path(&self) -> Cow<'_, StorePath> {
+        Cow::Borrowed(self)
+    }
+}
+
+impl AsStorePath for str {
+    fn as_store_path(&self) -> Cow<'_, StorePath> {
+        Cow::Owned(StorePath::from(self))
+    }
+}
+
+impl AsStorePath for String {
+    fn as_store_path(&self) -> Cow<'_, StorePath> {
+        Cow::Owned(StorePath::from(self.as_str()))
+    }
+}
+
+impl<T: AsStorePath + ?Sized> AsStorePath for &T {
+    fn as_store_path(&self) -> Cow<'_, StorePath> {
+        (**self).as_store_path()
+    }
+}
+
+/// One channel end's paths: its end's own, and the sections its packet
+/// commitments, receipts and acknowledgements share.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChannelPaths {
+    end: StorePath,
+    commitments: Rc<Section>,
+    receipts: Rc<Section>,
+    acks: Rc<Section>,
+}
+
+impl ChannelPaths {
+    /// Spells the channel end's path and its three sections, once.
+    pub fn new(port_id: &PortId, channel_id: &ChannelId) -> ChannelPaths {
+        let section = |family| {
+            Rc::new(Section {
+                text: sequence_path(family, port_id, channel_id, None).into_boxed_str(),
+                sequenced: true,
+            })
+        };
+        ChannelPaths {
+            end: StorePath::from(channel_path(port_id, channel_id)),
+            commitments: section(Family::Commitments),
+            receipts: section(Family::Receipts),
+            acks: section(Family::Acks),
+        }
+    }
+
+    /// The path of the channel end.
+    pub fn end(&self) -> &StorePath {
+        &self.end
+    }
+
+    /// The section every packet commitment of this end is a sequence of.
+    pub fn commitments(&self) -> &Rc<Section> {
+        &self.commitments
+    }
+
+    /// Path of the commitment of the packet sent with `sequence`.
+    pub fn commitment(&self, sequence: Sequence) -> StorePath {
+        StorePath::sequenced(&self.commitments, sequence)
+    }
+
+    /// Path of the receipt of the packet received with `sequence`.
+    pub fn receipt(&self, sequence: Sequence) -> StorePath {
+        StorePath::sequenced(&self.receipts, sequence)
+    }
+
+    /// Path of the acknowledgement written for the packet received with
+    /// `sequence`.
+    pub fn ack(&self, sequence: Sequence) -> StorePath {
+        StorePath::sequenced(&self.acks, sequence)
+    }
+}
+
+/// The item a channel end keeps per packet sequence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Family {
+    /// The packet commitment, on the sending end.
+    Commitments,
+    /// The receipt, on the receiving end.
+    Receipts,
+    /// The acknowledgement commitment, on the receiving end.
+    Acks,
+}
+
+impl Family {
+    fn as_str(self) -> &'static str {
+        match self {
+            Family::Commitments => "commitments",
+            Family::Receipts => "receipts",
+            Family::Acks => "acks",
+        }
+    }
 }
 
 /// Path of a client's client state.
@@ -87,15 +396,17 @@ pub fn channel_path(port_id: &PortId, channel_id: &ChannelId) -> String {
 }
 
 /// The path of one channel end's item under `family`, ending in
-/// `/sequences/` and then `sequence`, if any.
+/// `/sequences/` and then `sequence`, if any. The trailing `/sequences/` is
+/// what keeps `channel-10`'s paths from starting with `channel-1`'s
+/// section.
 fn sequence_path(
-    family: &str,
+    family: Family,
     port_id: &PortId,
     channel_id: &ChannelId,
     sequence: Option<Sequence>,
 ) -> String {
     let head = [
-        Text(family),
+        Text(family.as_str()),
         Text("/ports/"),
         Text(port_id.as_str()),
         Text("/channels/"),
@@ -105,46 +416,53 @@ fn sequence_path(
     exact(head.into_iter().chain(sequence.map(|s| Number(s.value()))))
 }
 
-/// The prefix every packet commitment of one channel end is stored under.
-/// The trailing `/sequences/` is what keeps `channel-1` from matching
-/// `channel-10`.
-pub fn packet_commitment_prefix(port_id: &PortId, channel_id: &ChannelId) -> String {
-    sequence_path("commitments", port_id, channel_id, None)
+/// Whether `path` spells the path of `family`'s item for `sequence` on a
+/// channel end, compared piece by piece without building it.
+pub fn is_sequence_path(
+    path: &str,
+    family: Family,
+    port_id: &PortId,
+    channel_id: &ChannelId,
+    sequence: Sequence,
+) -> bool {
+    let digits = Digits::of(sequence.value());
+    let pieces = [
+        family.as_str().as_bytes(),
+        b"/ports/",
+        port_id.as_str().as_bytes(),
+        b"/channels/",
+        channel_id.as_str().as_bytes(),
+        b"/sequences/",
+        digits.as_bytes(),
+    ];
+    let rest = pieces
+        .into_iter()
+        .try_fold(path.as_bytes(), |rest, piece| rest.strip_prefix(piece));
+    rest.is_some_and(<[u8]>::is_empty)
 }
 
-/// Path of a packet commitment: [`packet_commitment_prefix`] followed by
-/// the sequence.
+/// Path of a packet commitment.
 pub fn packet_commitment_path(
     port_id: &PortId,
     channel_id: &ChannelId,
     sequence: Sequence,
 ) -> String {
-    sequence_path("commitments", port_id, channel_id, Some(sequence))
-}
-
-/// The sequence a packet-commitment path under `prefix` was written for;
-/// `None` when `path` is not under `prefix` or its suffix is not a sequence.
-pub fn sequence_under(prefix: &str, path: &str) -> Option<Sequence> {
-    path.strip_prefix(prefix)?.parse().ok().map(Sequence)
+    sequence_path(Family::Commitments, port_id, channel_id, Some(sequence))
 }
 
 /// Path of a packet receipt (unordered channels).
 pub fn packet_receipt_path(port_id: &PortId, channel_id: &ChannelId, sequence: Sequence) -> String {
-    sequence_path("receipts", port_id, channel_id, Some(sequence))
-}
-
-/// Path of a packet acknowledgement commitment.
-pub fn packet_acknowledgement_path(
-    port_id: &PortId,
-    channel_id: &ChannelId,
-    sequence: Sequence,
-) -> String {
-    sequence_path("acks", port_id, channel_id, Some(sequence))
+    sequence_path(Family::Receipts, port_id, channel_id, Some(sequence))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The text path of `family`'s item for `seq`.
+    fn spelt(family: Family, port: &PortId, chan: &ChannelId, seq: Sequence) -> String {
+        sequence_path(family, port, chan, Some(seq))
+    }
 
     #[test]
     fn paths_are_namespaced_and_distinct() {
@@ -158,7 +476,7 @@ mod tests {
             channel_path(&port, &chan),
             packet_commitment_path(&port, &chan, seq),
             packet_receipt_path(&port, &chan, seq),
-            packet_acknowledgement_path(&port, &chan, seq),
+            spelt(Family::Acks, &port, &chan, seq),
         ];
         let mut sorted = paths;
         sorted.sort();
@@ -168,65 +486,24 @@ mod tests {
         );
     }
 
-    #[test]
-    fn a_commitment_path_is_its_prefix_plus_a_sequence_that_parses_back() {
-        let port = PortId::transfer();
-        for index in [0, 1, 10] {
-            let chan = ChannelId::with_index(index);
-            let prefix = packet_commitment_prefix(&port, &chan);
-            for seq in [1, 9, 10, 99, 100, u64::MAX] {
-                let path = packet_commitment_path(&port, &chan, Sequence::from(seq));
-                assert!(path.starts_with(&prefix), "{path} is not under {prefix}");
-                assert_eq!(sequence_under(&prefix, &path), Some(Sequence::from(seq)));
-            }
-        }
-    }
-
-    #[test]
-    fn a_channels_prefix_matches_no_other_channel_and_no_other_family() {
-        let port = PortId::transfer();
-        let one = ChannelId::with_index(1);
-        let ten = ChannelId::with_index(10);
-        let prefix = packet_commitment_prefix(&port, &one);
-        // Without the trailing separator `channel-1` would be a prefix of
-        // `channel-10`'s paths.
-        assert_eq!(
-            prefix,
-            "commitments/ports/transfer/channels/channel-1/sequences/"
-        );
-        let seq = Sequence::from(7);
-        for foreign in [
-            packet_commitment_path(&port, &ten, seq),
-            packet_receipt_path(&port, &one, seq),
-            packet_acknowledgement_path(&port, &one, seq),
-            channel_path(&port, &one),
-        ] {
-            assert!(!foreign.starts_with(&prefix), "{foreign}");
-            assert_eq!(sequence_under(&prefix, &foreign), None);
-        }
-    }
-
-    #[test]
-    fn a_suffix_that_is_not_a_sequence_is_skipped_not_unwrapped() {
-        let prefix = packet_commitment_prefix(&PortId::transfer(), &ChannelId::with_index(0));
-        for suffix in ["", "x", "7/extra", "-1", "18446744073709551616"] {
-            assert_eq!(sequence_under(&prefix, &format!("{prefix}{suffix}")), None);
-        }
-    }
-
     /// Every constructor writes the bytes `format!` wrote before it, and
     /// fills its storage exactly, at the digit boundaries of the numbers it
-    /// writes.
+    /// writes; a channel end's typed paths spell the same bytes.
     #[test]
     fn paths_are_allocated_at_their_exact_length() {
         let port = PortId::transfer();
         for index in [0, 9, 10] {
             let chan = ChannelId::with_index(index);
             let client = ClientId::with_index(index);
-            for n in [1, 9, 10, 99, 100, u64::MAX] {
+            let typed = ChannelPaths::new(&port, &chan);
+            for n in [0, 1, 9, 10, 99, 100, u64::MAX] {
                 let seq = Sequence::from(n);
                 let height = Height::new(n, u64::MAX - n);
                 let connection = ConnectionId::with_index(index);
+                let commitment =
+                    format!("commitments/ports/{port}/channels/{chan}/sequences/{seq}");
+                let receipt = format!("receipts/ports/{port}/channels/{chan}/sequences/{seq}");
+                let ack = format!("acks/ports/{port}/channels/{chan}/sequences/{seq}");
                 let paths = [
                     (
                         client_state_path(&client),
@@ -244,22 +521,15 @@ mod tests {
                         channel_path(&port, &chan),
                         format!("channelEnds/ports/{port}/channels/{chan}"),
                     ),
-                    (
-                        packet_commitment_prefix(&port, &chan),
-                        format!("commitments/ports/{port}/channels/{chan}/sequences/"),
-                    ),
+                    (typed.end().spell(), channel_path(&port, &chan)),
                     (
                         packet_commitment_path(&port, &chan, seq),
-                        format!("commitments/ports/{port}/channels/{chan}/sequences/{seq}"),
+                        commitment.clone(),
                     ),
-                    (
-                        packet_receipt_path(&port, &chan, seq),
-                        format!("receipts/ports/{port}/channels/{chan}/sequences/{seq}"),
-                    ),
-                    (
-                        packet_acknowledgement_path(&port, &chan, seq),
-                        format!("acks/ports/{port}/channels/{chan}/sequences/{seq}"),
-                    ),
+                    (typed.commitment(seq).spell(), commitment),
+                    (packet_receipt_path(&port, &chan, seq), receipt.clone()),
+                    (typed.receipt(seq).spell(), receipt),
+                    (typed.ack(seq).spell(), ack),
                 ];
                 for (path, formatted) in paths {
                     assert_eq!(path, formatted);
@@ -279,13 +549,37 @@ mod tests {
             ),
             "commitments/ports/transfer/channels/channel-0/sequences/1"
         );
+        let acks = ChannelPaths::new(&PortId::transfer(), &ChannelId::with_index(3));
         assert_eq!(
-            packet_acknowledgement_path(
-                &PortId::transfer(),
-                &ChannelId::with_index(3),
-                Sequence::from(7)
-            ),
+            acks.ack(Sequence::from(7)).spell(),
             "acks/ports/transfer/channels/channel-3/sequences/7"
         );
+    }
+
+    /// The piecewise check accepts exactly the path's spelling: not another
+    /// family, channel or sequence, not a prefix or an extension of it, and
+    /// not a non-canonical spelling of its sequence.
+    #[test]
+    fn a_sequence_path_is_recognised_only_as_spelt() {
+        let port = PortId::transfer();
+        let one = ChannelId::with_index(1);
+        let seq = Sequence::from(7);
+        let is = |path: &str| is_sequence_path(path, Family::Commitments, &port, &one, seq);
+        assert!(is(&packet_commitment_path(&port, &one, seq)));
+        let prefix = "commitments/ports/transfer/channels/channel-1/sequences/";
+        for other in [
+            packet_commitment_path(&port, &ChannelId::with_index(10), seq),
+            packet_commitment_path(&port, &one, Sequence::from(70)),
+            packet_receipt_path(&port, &one, seq),
+            spelt(Family::Acks, &port, &one, seq),
+            channel_path(&port, &one),
+            prefix.to_owned(),
+            format!("{prefix}07"),
+            format!("{prefix}+7"),
+            format!("{prefix}7/"),
+            String::new(),
+        ] {
+            assert!(!is(&other), "{other}");
+        }
     }
 }

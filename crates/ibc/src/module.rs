@@ -18,7 +18,7 @@ use crate::connection::{ConnectionCounterparty, ConnectionEnd, ConnectionState};
 use crate::error::IbcError;
 use crate::events;
 use crate::height::Height;
-use crate::host;
+use crate::host::{self, ChannelPaths, Family, StorePath};
 use crate::ids::{ChannelId, ClientId, ConnectionId, PortId, Sequence};
 use crate::packet::{Acknowledgement, Packet};
 use crate::transfer::{self, BankKeeper, FungibleTokenPacketData};
@@ -68,6 +68,9 @@ struct ChannelRecord {
     end: ChannelEnd,
     /// The end's ICS-20 escrow account, hashed once when the end is opened.
     escrow: String,
+    /// The end's store path and the sections its packets' paths share,
+    /// spelt once when the end is opened.
+    paths: ChannelPaths,
     /// Every packet sent on this end: `sent[i]` has sequence `i + 1`, so the
     /// log is as long as `end.next_sequence_send - 1`. Each entry is the
     /// handle its `send_packet` event holds too.
@@ -162,7 +165,7 @@ impl PartialEq for IbcModule {
 #[derive(Debug, Clone, PartialEq)]
 enum IbcUndo {
     /// A store path and what it held before.
-    Store(String, Option<Hash>),
+    Store(StorePath, Option<Hash>),
     /// A handshake step: the channel end before it, `None` when the step
     /// created the channel.
     Channel((PortId, ChannelId), Option<ChannelEnd>),
@@ -276,10 +279,13 @@ impl IbcModule {
         let record = ClientRecord::create(client_id.clone(), initial_header, ibc_root);
         let height = record.latest_height();
         self.store_set(
-            host::client_state_path(&client_id),
+            host::client_state_path(&client_id).into(),
             hash_fields(&[b"client-state", initial_header.chain_id.as_bytes()]),
         );
-        self.store_set(host::consensus_state_path(&client_id, height), ibc_root);
+        self.store_set(
+            host::consensus_state_path(&client_id, height).into(),
+            ibc_root,
+        );
         self.clients.insert(client_id.clone(), record);
         let event = Event::new(
             "create_client",
@@ -311,7 +317,7 @@ impl IbcModule {
             .record(|| IbcUndo::Client(client_id.clone(), Some(record.clone())));
         let height = record.update(update)?;
         self.store_set(
-            host::consensus_state_path(client_id, height),
+            host::consensus_state_path(client_id, height).into(),
             update.ibc_root,
         );
         Ok(vec![Event::new(
@@ -687,10 +693,8 @@ impl IbcModule {
         record.end.next_sequence_send = sequence.next();
         record.sent.push(packet);
 
-        self.store_set(
-            host::packet_commitment_path(&key.0, &key.1, sequence),
-            commitment,
-        );
+        let path = record.paths.commitment(sequence);
+        self.store_set(path, commitment);
         // The end's leaf covers `next_sequence_send`: the transaction writes
         // it once, at `commit_tx`.
         if !self.journal.is_open() {
@@ -741,7 +745,7 @@ impl IbcModule {
         }
 
         // Redundancy check (unordered channel: packet receipt).
-        let receipt_path = host::packet_receipt_path(&key.0, &key.1, packet.sequence);
+        let receipt_path = record.paths.receipt(packet.sequence);
         if self.store.contains(&receipt_path) {
             return Err(IbcError::PacketAlreadyReceived {
                 sequence: packet.sequence,
@@ -749,12 +753,14 @@ impl IbcModule {
         }
 
         // Verify the commitment proof against the counterparty's root.
-        let expected_path = host::packet_commitment_path(
+        let expected_path = host::is_sequence_path(
+            &proof.path,
+            Family::Commitments,
             &packet.source_port,
             &packet.source_channel,
             packet.sequence,
         );
-        if proof.path != expected_path || proof.value != packet.commitment() {
+        if !expected_path || proof.value != packet.commitment() {
             return Err(IbcError::InvalidProof {
                 context: format!("packet commitment for sequence {}", packet.sequence),
             });
@@ -777,8 +783,8 @@ impl IbcModule {
         let ack = transfer::on_recv_packet(bank, packet, &record.escrow);
 
         // Record receipt and acknowledgement.
+        let ack_path = record.paths.ack(packet.sequence);
         self.store_set(receipt_path, hash_fields(&[b"receipt"]));
-        let ack_path = host::packet_acknowledgement_path(&key.0, &key.1, packet.sequence);
         self.store_set(ack_path, ack.commitment());
         let record = self
             .channels
@@ -817,7 +823,7 @@ impl IbcModule {
             .get(&key)
             .ok_or_else(|| channel_not_found(&key.0, &key.1))?;
 
-        let commitment_path = host::packet_commitment_path(&key.0, &key.1, packet.sequence);
+        let commitment_path = record.paths.commitment(packet.sequence);
         let stored = self.store.get(&commitment_path).copied().ok_or(
             IbcError::PacketAlreadyAcknowledged {
                 sequence: packet.sequence,
@@ -830,12 +836,14 @@ impl IbcModule {
         }
 
         // Verify the acknowledgement proof against the counterparty root.
-        let expected_path = host::packet_acknowledgement_path(
+        let expected_path = host::is_sequence_path(
+            &proof.path,
+            Family::Acks,
             &packet.destination_port,
             &packet.destination_channel,
             packet.sequence,
         );
-        if proof.path != expected_path || proof.value != ack.commitment() {
+        if !expected_path || proof.value != ack.commitment() {
             return Err(IbcError::InvalidProof {
                 context: format!("acknowledgement for sequence {}", packet.sequence),
             });
@@ -872,11 +880,7 @@ impl IbcModule {
     ) -> Result<Vec<Event>, IbcError> {
         let record = self.require_channel(&packet.source_port, &packet.source_channel)?;
 
-        let commitment_path = host::packet_commitment_path(
-            &packet.source_port,
-            &packet.source_channel,
-            packet.sequence,
-        );
+        let commitment_path = record.paths.commitment(packet.sequence);
         let stored = self.store.get(&commitment_path).copied().ok_or(
             IbcError::PacketCommitmentNotFound {
                 sequence: packet.sequence,
@@ -921,12 +925,14 @@ impl IbcModule {
                 context: format!("non-receipt proof for sequence {}", packet.sequence),
             });
         }
-        let expected_receipt_path = host::packet_receipt_path(
+        let expected_receipt_path = host::is_sequence_path(
+            &proof_unreceived.path,
+            Family::Receipts,
             &packet.destination_port,
             &packet.destination_channel,
             packet.sequence,
         );
-        if proof_unreceived.path != expected_receipt_path {
+        if !expected_receipt_path {
             return Err(IbcError::InvalidProof {
                 context: "non-receipt proof path mismatch".to_string(),
             });
@@ -950,9 +956,8 @@ impl IbcModule {
         channel: &ChannelId,
         seq: Sequence,
     ) -> Option<Hash> {
-        self.store
-            .get(&host::packet_commitment_path(port, channel, seq))
-            .copied()
+        let path = self.record(port, channel)?.paths.commitment(seq);
+        self.store.get(&path).copied()
     }
 
     /// A membership proof of a packet commitment.
@@ -962,8 +967,8 @@ impl IbcModule {
         channel: &ChannelId,
         seq: Sequence,
     ) -> Option<CommitmentProof> {
-        self.store
-            .prove_membership(&host::packet_commitment_path(port, channel, seq))
+        let path = self.record(port, channel)?.paths.commitment(seq);
+        self.store.prove_membership(&path)
     }
 
     /// The acknowledgement written for a received packet, if any.
@@ -983,8 +988,8 @@ impl IbcModule {
         channel: &ChannelId,
         seq: Sequence,
     ) -> Option<CommitmentProof> {
-        self.store
-            .prove_membership(&host::packet_acknowledgement_path(port, channel, seq))
+        let path = self.record(port, channel)?.paths.ack(seq);
+        self.store.prove_membership(&path)
     }
 
     /// A non-membership proof that a packet has not been received.
@@ -1000,8 +1005,8 @@ impl IbcModule {
 
     /// Whether a receipt exists for the given packet (i.e. it was received).
     pub fn has_receipt(&self, port: &PortId, channel: &ChannelId, seq: Sequence) -> bool {
-        self.store
-            .contains(&host::packet_receipt_path(port, channel, seq))
+        (self.record(port, channel))
+            .is_some_and(|record| self.store.contains(&record.paths.receipt(seq)))
     }
 
     /// Filters `sequences` down to those not yet received on this chain
@@ -1057,14 +1062,15 @@ impl IbcModule {
 
     /// The sequences sent on a channel end whose commitment is still in the
     /// store — neither acknowledged nor timed out — in ascending order. A
-    /// walk of the store's own commitment prefix, so it costs what is
-    /// outstanding, not what was ever sent.
+    /// walk of the store's range of the end's commitment section, so it
+    /// costs what is outstanding, not what was ever sent.
     pub fn outstanding_commitments(&self, port: &PortId, channel: &ChannelId) -> Vec<Sequence> {
-        let prefix = host::packet_commitment_prefix(port, channel);
-        let mut sequences: Vec<Sequence> = (self.store.paths_under(&prefix))
-            .filter_map(|path| host::sequence_under(&prefix, path))
-            .collect();
-        // Store order is lexicographic: `…/10` comes before `…/2`.
+        let Some(record) = self.record(port, channel) else {
+            return Vec::new();
+        };
+        let mut sequences: Vec<Sequence> =
+            (self.store.sequences_in(record.paths.commitments())).collect();
+        // Store order is that of the spelling: `…/10` comes before `…/2`.
         sequences.sort_unstable();
         sequences
     }
@@ -1072,8 +1078,9 @@ impl IbcModule {
     /// The length of [`outstanding_commitments`](Self::outstanding_commitments)
     /// without building it.
     pub fn outstanding_commitment_count(&self, port: &PortId, channel: &ChannelId) -> usize {
-        let prefix = host::packet_commitment_prefix(port, channel);
-        self.store.paths_under(&prefix).count()
+        self.record(port, channel).map_or(0, |record| {
+            (self.store.sequences_in(record.paths.commitments())).count()
+        })
     }
 
     // ------------------------------------------------------------------
@@ -1113,22 +1120,22 @@ impl IbcModule {
             .ok_or_else(|| channel_not_found(port_id, channel_id))
     }
 
-    /// The one path by which handlers write the commitment store.
-    fn store_set(&mut self, path: String, value: Hash) {
+    /// The one path by which handlers write the commitment store. The
+    /// journal keeps a clone of the key, which shares its section.
+    fn store_set(&mut self, path: StorePath, value: Hash) {
         let prior = self.store.set(path.clone(), value);
         self.journal.record(|| IbcUndo::Store(path, prior));
     }
 
     /// The one path by which handlers delete from the commitment store.
-    fn store_delete(&mut self, path: &str) {
+    fn store_delete(&mut self, path: &StorePath) {
         let prior = self.store.delete(path);
-        self.journal
-            .record(|| IbcUndo::Store(path.to_string(), prior));
+        self.journal.record(|| IbcUndo::Store(path.clone(), prior));
     }
 
     fn write_connection(&mut self, connection_id: &ConnectionId, end: ConnectionEnd) {
         self.store_set(
-            host::connection_path(connection_id),
+            host::connection_path(connection_id).into(),
             hash_fields(&[
                 b"connection-end",
                 connection_id.as_str().as_bytes(),
@@ -1140,28 +1147,30 @@ impl IbcModule {
 
     /// Writes a handshake step's channel end: the record's end and its store
     /// leaf. The step that opens the end creates the record, which is when its
-    /// escrow account is hashed. Handshake handlers edit a copy of the end, so
-    /// the recorded prior value is the one before the step.
+    /// escrow account is hashed and its paths spelt. Handshake handlers edit a
+    /// copy of the end, so the recorded prior value is the one before the
+    /// step.
     fn write_channel(&mut self, port_id: &PortId, channel_id: &ChannelId, end: ChannelEnd) {
-        self.store_set(
-            host::channel_path(port_id, channel_id),
-            end_leaf(port_id, channel_id, &end),
-        );
+        let leaf = end_leaf(port_id, channel_id, &end);
         let key = (port_id.clone(), channel_id.clone());
-        let prior = match self.channels.entry(key.clone()) {
+        let (prior, path) = match self.channels.entry(key.clone()) {
             btree_map::Entry::Occupied(mut slot) => {
-                Some(std::mem::replace(&mut slot.get_mut().end, end))
+                let record = slot.get_mut();
+                let prior = std::mem::replace(&mut record.end, end);
+                (Some(prior), record.paths.end().clone())
             }
             btree_map::Entry::Vacant(slot) => {
-                slot.insert(ChannelRecord {
+                let record = slot.insert(ChannelRecord {
                     end,
                     escrow: transfer::escrow_address(port_id, channel_id),
+                    paths: ChannelPaths::new(port_id, channel_id),
                     sent: Vec::new(),
                     acks: BTreeMap::new(),
                 });
-                None
+                (None, record.paths.end().clone())
             }
         };
+        self.store_set(path, leaf);
         self.journal.record(|| IbcUndo::Channel(key, prior));
     }
 
@@ -1172,7 +1181,7 @@ impl IbcModule {
         if let Some(record) = self.channels.get(key) {
             let (port_id, channel_id) = key;
             self.store.set(
-                host::channel_path(port_id, channel_id),
+                record.paths.end().clone(),
                 end_leaf(port_id, channel_id, &record.end),
             );
         }
@@ -1621,6 +1630,29 @@ pub(crate) mod tests {
             a.unacknowledged_packets(&port, &chan_a, &[1.into(), 2.into(), 9.into()]),
             vec![Sequence::from(1), Sequence::from(2)]
         );
+    }
+
+    /// Text written under a channel end's commitment section is not one of
+    /// its commitments, however it reads: a sequence with a sign or leading
+    /// zeros, the section's own text, or more path after a sequence. A parse
+    /// of the suffix reported `007` as 7 and `+5` as 5.
+    #[test]
+    fn text_under_a_commitment_section_is_not_outstanding() {
+        let (mut a, _b, chan_a, _) = connected_pair();
+        let port = PortId::transfer();
+        let mut bank_a = TestBank::default();
+        bank_a.set("alice", "uatom", 100);
+        for _ in 0..3 {
+            send(&mut a, &mut bank_a, &transfer_params(&chan_a, 10, 1_000));
+        }
+        let under = format!("commitments/ports/{port}/channels/{chan_a}/sequences/");
+        for text in ["007", "+5", "05", "0", "", "2/x"] {
+            a.store
+                .set(format!("{under}{text}"), hash_fields(&[b"forged"]));
+        }
+        let sent = [1, 2, 3].map(Sequence);
+        assert_eq!(a.outstanding_commitments(&port, &chan_a), sent);
+        assert_eq!(a.outstanding_commitment_count(&port, &chan_a), 3);
     }
 
     #[test]

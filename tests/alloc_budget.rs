@@ -179,28 +179,33 @@ fn drained() -> ExperimentSpec {
 /// (no packet copy, no escrow address and no channel-end leaf per message),
 /// 7.5 once the `send_packet` event shared the logged packet and the
 /// `message` event's one attribute was its own exact allocation, 7.4 with
-/// telemetry columns, and 6.4 now that the `message` event holds the app's
-/// one record of its action and a store key is written once at its exact
-/// length. The ceiling fails on each of the earlier ones.
-const CHAIN_ONLY_CEILING: f64 = 7.0;
+/// telemetry columns, 6.4 once the `message` event held the app's one
+/// record of its action and a store key was written once at its exact
+/// length, and 4.4 now that a commitment's key is its channel end's shared
+/// section plus a sequence, with no text of its own for the store or the
+/// journal. The ceiling fails on each of the earlier ones.
+const CHAIN_ONLY_CEILING: f64 = 5.0;
 /// Per submitted transfer on `relayed()`: 220.8 before shared names, 96.1
 /// with a relayed packet copied eight times, 86.8 with one owner, 62.1 once
 /// emitting a packet event formatted nothing and reading it back parsed
 /// nothing, 49.9 once a decoded batch allocated each name once and a store
 /// leaf was hashed without being assembled first, 38.7 with one record per
 /// channel end, 37.2 with packet events sharing their packet, 37.3 with
-/// telemetry columns, and 32.9 now that the relayer shares the chain's
-/// packet instead of copying it out of each event and the send log. The
-/// ceiling fails on each of the earlier eight.
-const RELAYED_CEILING: f64 = 36.0;
+/// telemetry columns, 32.9 once the relayer shared the chain's packet
+/// instead of copying it out of each event and the send log, and 24.4 now
+/// that commitments, receipts and acknowledgements are keyed by section and
+/// sequence, not by formatted paths. The ceiling fails on each of the
+/// earlier nine.
+const RELAYED_CEILING: f64 = 27.0;
 /// Per submitted transfer on `drained()`: 197.3 while the drain check and the
 /// two clear scans formatted and looked up the path of every packet ever
 /// sent, 122.1 once they walked the store's commitment prefix, 90.0 with
 /// packet events as values, 73.1 with shared names in decoded batches, 62.0
 /// with one record per channel end, 60.0 with packet events sharing their
-/// packet, and 55.0 with the relayer sharing it too. The ceiling fails on
-/// each of the earlier six.
-const DRAINED_CEILING: f64 = 58.0;
+/// packet, 55.0 with the relayer sharing it too, and 36.5 with store keys
+/// that are a section and a sequence. The ceiling fails on each of the
+/// earlier seven.
+const DRAINED_CEILING: f64 = 41.0;
 
 /// Runs `spec` once to warm up, then twice counted; the two counts must be
 /// equal. Returns allocations per `transfers(outcome)`.
@@ -248,20 +253,23 @@ fn a_transfer_stays_within_its_allocation_budget() {
 /// data, 1,065 once it held the packet the send log holds and every listed
 /// attribute list was sized exactly, 864 once the telemetry held one 8-byte
 /// cell per recorded step, not a 13-slot row per packet (this run records
-/// one step), and 802 now that a `message` event holds a handle to its
-/// action, not a 48-byte attribute of its own, and a store key is a
-/// `Box<str>`. The ceiling keeps 12% above the last and fails on the first
-/// two.
-const CHAIN_ONLY_HELD_CEILING: f64 = 900.0;
+/// one step), 802 once a `message` event held a handle to its action, not
+/// a 48-byte attribute of its own, and a store key was a `Box<str>`, and 737
+/// now that a commitment's key is its channel end's shared section plus a
+/// sequence and a store record's rank is four bytes. The ceiling keeps 12%
+/// above the last and fails on the first three.
+const CHAIN_ONLY_HELD_CEILING: f64 = 825.0;
 /// Per submitted transfer on `relayed()`: 4,512 before packet events shared
 /// their packet, 3,311 after, 3,054 with telemetry columns, 2,943 with
-/// shared `message` records and `Box<str>` store keys. Same margin; the
-/// telemetry test below is the one the row-per-packet log fails.
-const RELAYED_HELD_CEILING: f64 = 3_300.0;
+/// shared `message` records and `Box<str>` store keys, 2,838 with section
+/// and sequence store keys. Same margin; the telemetry test below is the
+/// one the row-per-packet log fails.
+const RELAYED_HELD_CEILING: f64 = 3_180.0;
 /// Per submitted transfer on `drained()`: 5,839 before packet events shared
 /// their packet, 4,024 after, 3,880 with telemetry columns, 3,708 with
-/// shared `message` records and `Box<str>` store keys. Same margin.
-const DRAINED_HELD_CEILING: f64 = 4_150.0;
+/// shared `message` records and `Box<str>` store keys, 3,585 with section
+/// and sequence store keys. Same margin.
+const DRAINED_HELD_CEILING: f64 = 4_015.0;
 
 /// Runs `spec` once to warm up, then twice through `measure` (`held` or
 /// `peak`); the two must read equal byte counts. Returns the bytes per
@@ -308,16 +316,19 @@ fn a_finished_run_holds_within_its_byte_budget() {
 
 /// Heap bytes per committed transfer at the highest point of
 /// `chain_only()`: 915 while each `message` event held its own attribute
-/// and store keys were `String`s, 853 now. The ceiling keeps 12% above the
+/// and store keys were `String`s, 853 while they were `Box<str>`s, 789 now
+/// that they are a section and a sequence. The ceiling keeps 12% above the
 /// last.
-const CHAIN_ONLY_PEAK_CEILING: f64 = 955.0;
+const CHAIN_ONLY_PEAK_CEILING: f64 = 885.0;
 /// Per submitted transfer on `relayed()`: 3,483 while the relayer copied
 /// each packet out of its event or the send log and each `message` event
-/// held its own attribute, 3,278 now. Same margin.
-const RELAYED_PEAK_CEILING: f64 = 3_670.0;
+/// held its own attribute, 3,278 with `Box<str>` store keys, 3,174 now.
+/// Same margin.
+const RELAYED_PEAK_CEILING: f64 = 3_555.0;
 /// Per submitted transfer on `drained()`: 5,051 before the relayer shared
-/// the chain's packets, 4,730 now. Same margin.
-const DRAINED_PEAK_CEILING: f64 = 5_300.0;
+/// the chain's packets, 4,730 with `Box<str>` store keys, 4,542 now. Same
+/// margin.
+const DRAINED_PEAK_CEILING: f64 = 5_090.0;
 
 /// Heap bytes per transfer at the highest point of a run, above what was
 /// held when it started: what `peak_rss_mb` reads, and what the held-bytes

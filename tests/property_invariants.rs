@@ -517,6 +517,140 @@ mod verified_path {
 }
 
 // ---------------------------------------------------------------------------
+// Typed store paths against the text they spell
+// ---------------------------------------------------------------------------
+
+mod store_paths {
+    use ibc_perf_repro::ibc::commitment::CommitmentStore;
+    use ibc_perf_repro::ibc::host::{ChannelPaths, StorePath};
+    use ibc_perf_repro::ibc::ids::{ChannelId, PortId, Sequence};
+    use ibc_perf_repro::tendermint::hash::sha256;
+    use ibc_perf_repro::tendermint::merkle::leaf_hash_parts;
+    use proptest::prelude::*;
+
+    /// Ports and channels whose ids start one another's.
+    const PORTS: [&str; 3] = ["transfer", "transfer-x", "transfer.x"];
+    const CHANNELS: [u64; 3] = [1, 10, 0];
+    const FAMILIES: [&str; 3] = ["commitments", "receipts", "acks"];
+    /// Text handed to the store: under a section but not canonical, the
+    /// section itself, and paths of no section.
+    const TEXTS: [&str; 9] = [
+        "commitments/ports/transfer/channels/channel-1/sequences/007",
+        "commitments/ports/transfer/channels/channel-1/sequences/+5",
+        "commitments/ports/transfer/channels/channel-1/sequences/0",
+        "commitments/ports/transfer/channels/channel-1/sequences/",
+        "commitments/ports/transfer/channels/channel-1",
+        "channelEnds/ports/transfer/channels/channel-1/x",
+        "a/b/1",
+        "a",
+        "",
+    ];
+
+    /// Every digit boundary up to `u64::MAX`, and its neighbours.
+    fn boundaries() -> Vec<u64> {
+        let mut numbers = vec![0, u64::MAX - 1, u64::MAX];
+        for power in (0..20).map(|k| 10u64.pow(k)) {
+            numbers.extend([power - 1, power, power + 1]);
+        }
+        numbers
+    }
+
+    /// The key two random words pick, and the text it must spell, written
+    /// here with `format!`, not by the code under test. `shape` picks the
+    /// port, channel and family (the three sequence families, or the channel
+    /// end itself) and the kind: two in three keys are typed, from one of
+    /// `ends`' two separately built `ChannelPaths` of that end; one in six
+    /// is the same spelling handed over as text; one in six is from `TEXTS`.
+    /// `number` picks the sequence: a digit boundary or a neighbour of one
+    /// three times in four, any `u64` otherwise.
+    fn draw(shape: u64, number: u64, ends: &[[[ChannelPaths; 2]; 3]; 3]) -> (StorePath, String) {
+        let mut bits = shape;
+        let mut pick = |n: usize| {
+            let picked = bits % n as u64;
+            bits /= n as u64;
+            picked as usize
+        };
+        let sequence = if pick(4) == 0 {
+            number
+        } else {
+            let boundaries = boundaries();
+            boundaries[number as usize % boundaries.len()]
+        };
+        let (port, channel, family) = (pick(3), pick(3), pick(4));
+        let (port_id, channel_id) = (PORTS[port], CHANNELS[channel]);
+        let text = match FAMILIES.get(family) {
+            Some(family) => format!(
+                "{family}/ports/{port_id}/channels/channel-{channel_id}/sequences/{sequence}"
+            ),
+            None => format!("channelEnds/ports/{port_id}/channels/channel-{channel_id}"),
+        };
+        match pick(6) {
+            0..=3 => {
+                let paths = &ends[port][channel][pick(2)];
+                let seq = Sequence::from(sequence);
+                let path = match family {
+                    0 => paths.commitment(seq),
+                    1 => paths.receipt(seq),
+                    2 => paths.ack(seq),
+                    _ => paths.end().clone(),
+                };
+                (path, text)
+            }
+            4 => (StorePath::from(text.as_str()), text),
+            _ => {
+                let text = TEXTS[pick(TEXTS.len())];
+                (StorePath::from(text), text.to_owned())
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Typed keys and text keys mixed: each spells its text, text read
+        /// as a key spells itself back and equals the typed key it spells,
+        /// every pair orders as its two spellings' bytes, the typed leaf
+        /// hash is the text's, and a store of typed keys and one of their
+        /// text have one root.
+        #[test]
+        fn a_typed_path_orders_spells_and_hashes_as_its_text(
+            words in prop::collection::vec((any::<u64>(), any::<u64>()), 1..24),
+        ) {
+            let end = |port: &str, channel: u64| {
+                ChannelPaths::new(&PortId::new(port), &ChannelId::with_index(channel))
+            };
+            let ends = PORTS.map(|port| CHANNELS.map(|channel| [end(port, channel), end(port, channel)]));
+            let keys: Vec<(StorePath, String)> = (words.iter())
+                .map(|&(shape, number)| draw(shape, number, &ends))
+                .collect();
+            let mut typed = CommitmentStore::new();
+            let mut texts = CommitmentStore::new();
+            for (path, text) in &keys {
+                prop_assert_eq!(&path.spell(), text);
+                let parsed = StorePath::from(text.as_str());
+                prop_assert_eq!(&parsed.spell(), text);
+                prop_assert_eq!(&parsed, path);
+                let value = sha256(text.as_bytes());
+                prop_assert_eq!(
+                    path.leaf(&value),
+                    leaf_hash_parts(&[text.as_bytes(), &[0], value.as_bytes()])
+                );
+                typed.set(path.clone(), value);
+                texts.set(text.as_str(), value);
+            }
+            for (a, text_a) in &keys {
+                for (b, text_b) in &keys {
+                    prop_assert_eq!(a.cmp(b), text_a.as_bytes().cmp(text_b.as_bytes()), "{} vs {}", text_a, text_b);
+                    prop_assert_eq!(a == b, text_a == text_b);
+                }
+            }
+            prop_assert_eq!(typed.len(), texts.len());
+            prop_assert_eq!(typed.root(), texts.root());
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The typed transaction codec against the `Value` path it replaced
 // ---------------------------------------------------------------------------
 
