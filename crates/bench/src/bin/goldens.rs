@@ -193,7 +193,8 @@ pub fn strategy_arms_golden_specs() -> Vec<ExperimentSpec> {
 }
 
 /// The spec set behind a fault- or topology-scenario golden fixture: the
-/// quick-mode grid of the registered scenario, each point renamed under the
+/// registered scenario's grid (no axis of these five is longer than three
+/// values, so quick mode runs all of it), each point renamed under the
 /// `golden/` prefix (the sweep already suffixes every point with
 /// `/faults=<label>` or `/topo=<label>`). Pulling the grid straight from the
 /// registry keeps the fixture in lockstep with the scenario definition —

@@ -2,9 +2,10 @@
 //! name.
 //!
 //! The registry is a table. Each [`ScenarioEntry`] states its name once and
-//! pairs a parameter grid (quick and full ranges) with a renderer that
-//! formats the sweep's outcomes the way the paper's table or figure presents
-//! them; [`ScenarioEntry::grid`] stamps the name on every point and
+//! pairs one parameter grid with a renderer that formats the sweep's
+//! outcomes the way the paper's table or figure presents them;
+//! [`ScenarioEntry::grid`] stamps the name on every point (quick mode runs
+//! the grid [`thinned`](SweepGrid::thinned), never a smaller workload) and
 //! [`ScenarioEntry::render`] on the report. A row-per-outcome renderer is a
 //! list of `Column`s handed to `table`, which derives the header row, the
 //! data rows and the report metrics from the same definitions. The `figure`
@@ -37,17 +38,21 @@ pub struct ScenarioEntry {
     pub name: &'static str,
     /// One-line description shown by `--list`.
     pub title: &'static str,
-    grid: fn(SweepMode) -> SweepGrid,
+    grid: fn() -> SweepGrid,
     render: fn(&mut ExecutionReport, &[ScenarioOutcome]),
 }
 
 impl ScenarioEntry {
-    /// The parameter grid this scenario sweeps in `mode`; every point's name
-    /// starts with the scenario's.
+    /// The parameter grid this scenario sweeps in `mode`: every point in full
+    /// mode, the [`thinned`](SweepGrid::thinned) subset of them in quick
+    /// mode. Every point's name starts with the scenario's.
     pub fn grid(&self, mode: SweepMode) -> SweepGrid {
-        let mut grid = (self.grid)(mode);
+        let mut grid = (self.grid)();
         grid.base.name = self.name.to_string();
-        grid
+        match mode {
+            SweepMode::Quick => grid.thinned(),
+            SweepMode::Full => grid,
+        }
     }
 
     /// Runs the sweep on the default worker pool and returns raw outcomes.
@@ -121,7 +126,7 @@ static ENTRIES: &[ScenarioEntry] = &[
     ScenarioEntry {
         name: "fig7",
         title: "Average block interval vs input rate",
-        grid: fig7_grid,
+        grid: fig6_grid,
         render: fig7_render,
     },
     ScenarioEntry {
@@ -259,31 +264,8 @@ static ENTRIES: &[ScenarioEntry] = &[
 ];
 
 // ---------------------------------------------------------------------------
-// Grids (the paper's parameter ranges; quick mode keeps CI fast)
+// Grids (the paper's parameter ranges; quick mode thins them, see `grid`)
 // ---------------------------------------------------------------------------
-
-fn tendermint_rates(mode: SweepMode) -> Vec<u64> {
-    mode.pick(
-        vec![250, 500, 1_000, 2_000, 3_000, 5_000, 9_000, 13_000],
-        vec![
-            250, 500, 750, 1_000, 2_000, 3_000, 4_000, 5_000, 6_000, 7_000, 8_000, 9_000, 10_000,
-            11_000, 12_000, 13_000,
-        ],
-    )
-}
-
-fn relayer_rates(mode: SweepMode) -> Vec<u64> {
-    mode.pick(
-        vec![20, 60, 100, 140, 200, 300],
-        vec![
-            20, 40, 60, 80, 100, 120, 140, 160, 180, 200, 220, 240, 260, 280, 300,
-        ],
-    )
-}
-
-fn relayer_blocks(mode: SweepMode) -> u64 {
-    mode.pick(15, 50)
-}
 
 /// The base every relayer-throughput grid starts from: `relayers` instances
 /// at `rtt_ms`, measured over `blocks` source blocks, seed 42.
@@ -295,73 +277,60 @@ fn relayed(relayers: usize, rtt_ms: u64, blocks: u64) -> ExperimentSpec {
         .seed(42)
 }
 
-fn fig6_grid(mode: SweepMode) -> SweepGrid {
-    SweepGrid::new(ExperimentSpec::tendermint_throughput().seed(42))
-        .input_rates(tendermint_rates(mode))
+/// Figs. 8–11's sweep: `relayers` instances at `rtt_ms` over 20–300 rps in
+/// 20 rps steps, each point measured over the paper's 50 source blocks.
+fn relayed_rates(relayers: usize, rtt_ms: u64) -> SweepGrid {
+    SweepGrid::new(relayed(relayers, rtt_ms, 50)).input_rates((20..=300).step_by(20))
 }
 
-fn fig7_grid(mode: SweepMode) -> SweepGrid {
-    SweepGrid::new(ExperimentSpec::tendermint_throughput().seed(42)).input_rates(mode.pick(
-        vec![250, 1_000, 3_000, 6_000, 9_000, 13_000],
-        tendermint_rates(SweepMode::Full),
-    ))
+/// Figs. 6 and 7: one chain-only sweep, two views of its outcomes.
+fn fig6_grid() -> SweepGrid {
+    SweepGrid::new(ExperimentSpec::tendermint_throughput().seed(42)).input_rates([
+        250, 500, 750, 1_000, 2_000, 3_000, 4_000, 5_000, 6_000, 7_000, 8_000, 9_000, 10_000,
+        11_000, 12_000, 13_000,
+    ])
 }
 
-fn fig8_grid(mode: SweepMode) -> SweepGrid {
-    SweepGrid::new(relayed(1, 0, relayer_blocks(mode)))
-        .input_rates(relayer_rates(mode))
-        .rtts_ms([0, 200])
+fn fig8_grid() -> SweepGrid {
+    relayed_rates(1, 0).rtts_ms([0, 200])
 }
 
-/// The quick range Figs. 9–11 share; their full range is Fig. 8's.
-fn figs9_to_11_rates(mode: SweepMode) -> Vec<u64> {
-    mode.pick(
-        vec![20, 60, 100, 160, 240, 300],
-        relayer_rates(SweepMode::Full),
-    )
+fn fig9_grid() -> SweepGrid {
+    relayed_rates(2, 0).rtts_ms([0, 200])
 }
 
-fn fig9_grid(mode: SweepMode) -> SweepGrid {
-    SweepGrid::new(relayed(2, 0, relayer_blocks(mode)))
-        .input_rates(figs9_to_11_rates(mode))
-        .rtts_ms([0, 200])
+fn fig10_grid() -> SweepGrid {
+    relayed_rates(1, 200)
 }
 
-fn fig10_grid(mode: SweepMode) -> SweepGrid {
-    SweepGrid::new(relayed(1, 200, relayer_blocks(mode))).input_rates(figs9_to_11_rates(mode))
+fn fig11_grid() -> SweepGrid {
+    relayed_rates(2, 200)
 }
 
-fn fig11_grid(mode: SweepMode) -> SweepGrid {
-    SweepGrid::new(relayed(2, 200, relayer_blocks(mode))).input_rates(figs9_to_11_rates(mode))
-}
-
-fn fig12_grid(mode: SweepMode) -> SweepGrid {
+fn fig12_grid() -> SweepGrid {
     SweepGrid::new(
         ExperimentSpec::latency()
-            .transfers(mode.pick(1_000, 5_000))
+            .transfers(5_000)
             .submission_blocks(1)
             .rtt_ms(200)
             .seed(42),
     )
 }
 
-fn fig13_grid(mode: SweepMode) -> SweepGrid {
+fn fig13_grid() -> SweepGrid {
     SweepGrid::new(
         ExperimentSpec::latency()
-            .transfers(mode.pick(1_500, 5_000))
+            .transfers(5_000)
             .rtt_ms(200)
             .seed(42),
     )
-    .submission_blocks(mode.pick(vec![1, 2, 4, 8, 16, 32], vec![1, 2, 4, 8, 16, 32, 64]))
+    .submission_blocks([1, 2, 4, 8, 16, 32, 64])
 }
 
-fn table1_grid(mode: SweepMode) -> SweepGrid {
-    SweepGrid::new(ExperimentSpec::tendermint_throughput().seed(42)).input_rates(mode.pick(
-        vec![250, 1_000, 3_000, 10_000, 12_000, 14_000],
-        vec![
-            250, 1_000, 3_000, 6_000, 9_000, 10_000, 11_000, 12_000, 13_000, 14_000,
-        ],
-    ))
+fn table1_grid() -> SweepGrid {
+    SweepGrid::new(ExperimentSpec::tendermint_throughput().seed(42)).input_rates([
+        250, 1_000, 3_000, 6_000, 9_000, 10_000, 11_000, 12_000, 13_000, 14_000,
+    ])
 }
 
 // -- strategy counterfactuals: a paper grid plus the one strategy it flips --
@@ -375,61 +344,56 @@ fn with_strategy(mut grid: SweepGrid, strategy: RelayerStrategy) -> SweepGrid {
 
 /// Fig. 8's one-relayer sweep with the data pulls batched into one query per
 /// flush — probing how much of the ~90 TFPS cap is the chunked block scans.
-fn fig8_batched_grid(mode: SweepMode) -> SweepGrid {
-    with_strategy(fig8_grid(mode), RelayerStrategy::batched_pulls())
+fn fig8_batched_grid() -> SweepGrid {
+    with_strategy(fig8_grid(), RelayerStrategy::batched_pulls())
 }
 
 /// Fig. 11's two-relayer completion sweep with sequence-partitioned
 /// instances — the redundant-message losses of Figs. 9/11 should vanish.
 /// (A one-value strategy axis, so its points carry a `/strategy=` tag.)
-fn fig11_coordinated_grid(mode: SweepMode) -> SweepGrid {
-    fig11_grid(mode).strategies([RelayerStrategy::coordinated()])
+fn fig11_coordinated_grid() -> SweepGrid {
+    fig11_grid().strategies([RelayerStrategy::coordinated()])
 }
 
 /// Fig. 12's latency breakdown with the chunked pulls issued concurrently —
 /// probing the sequential-RPC share (~69%) of completion latency.
-fn fig12_parallel_grid(mode: SweepMode) -> SweepGrid {
-    with_strategy(fig12_grid(mode), RelayerStrategy::parallel_fetch())
+fn fig12_parallel_grid() -> SweepGrid {
+    with_strategy(fig12_grid(), RelayerStrategy::parallel_fetch())
 }
 
 /// Fig. 13's submission sweep with the relayer batching adaptively on top —
 /// relayer-side generalization of the client-side submission strategies.
-fn fig13_adaptive_grid(mode: SweepMode) -> SweepGrid {
-    with_strategy(fig13_grid(mode), RelayerStrategy::adaptive_submission(4))
+fn fig13_adaptive_grid() -> SweepGrid {
+    with_strategy(fig13_grid(), RelayerStrategy::adaptive_submission(4))
 }
 
 // -- multi-channel and deployment-limit scenarios (beyond the paper) --------
 
 /// Does the ~90 TFPS single-relayer cap (Fig. 8) scale with channels, or is
-/// it a per-relayer-process limit? One relayer serves 1/2/4 concurrent
+/// it a per-relayer-process limit? One relayer serves 1/2/4/8 concurrent
 /// channels under fair-share scheduling at the same total input rate.
-fn multi_channel_grid(mode: SweepMode) -> SweepGrid {
-    SweepGrid::new(relayed(1, 200, mode.pick(6, 15)))
-        .input_rates(mode.pick(vec![60, 100, 140], vec![20, 60, 100, 140, 200, 300]))
-        .channel_counts(mode.pick(vec![1, 2, 4], vec![1, 2, 4, 8]))
+fn multi_channel_grid() -> SweepGrid {
+    SweepGrid::new(relayed(1, 200, 15))
+        .input_rates([20, 60, 100, 140, 200, 300])
+        .channel_counts([1, 2, 4, 8])
 }
 
 /// The §V deployment limits as sweep axes: the WebSocket frame limit (`0` =
 /// the 16 MiB default) crossed with packet clearing on/off, over one
 /// oversized submission window. Clearing is the knob that rescues the 81.8%
 /// of transfers the paper reports stuck; the paper's own experiment is the
-/// full-mode `16MiB*` / `off` row (100,000 transfers in one window).
-fn frame_limit_grid(mode: SweepMode) -> SweepGrid {
+/// `16MiB*` / `off` row (100,000 transfers in one window).
+fn frame_limit_grid() -> SweepGrid {
     SweepGrid::new(
         ExperimentSpec::websocket_limit()
-            .transfers(mode.pick(6_000, 100_000))
+            .transfers(100_000)
             .seed(42),
     )
     .strategies([
         RelayerStrategy::default(),
         RelayerStrategy::default().packet_clearing(4),
     ])
-    // Quick mode's 6,000-transfer window encodes to ~4 MiB of events: the
-    // 1–2 MiB limits trip, the 16 MiB default and above pass.
-    .frame_limits(mode.pick(
-        vec![1 << 20, 2 << 20, 0, 64 << 20],
-        vec![1 << 20, 4 << 20, 8 << 20, 0, 64 << 20, 256 << 20],
-    ))
+    .frame_limits([1 << 20, 4 << 20, 8 << 20, 0, 64 << 20, 256 << 20])
 }
 
 /// Three channels under a skewed 4:1:1 load, one `relayer_count` worth of
@@ -438,12 +402,12 @@ fn frame_limit_grid(mode: SweepMode) -> SweepGrid {
 /// worker, while `Dedicated` expands into a real fleet of three processes —
 /// one per channel, each with its own RPC lanes — so the busy channel no
 /// longer queues behind (or ahead of) the idle ones.
-fn channel_contention_grid(mode: SweepMode) -> SweepGrid {
+fn channel_contention_grid() -> SweepGrid {
     SweepGrid::new(
-        relayed(1, 200, mode.pick(6, 15))
+        relayed(1, 200, 15)
             .channels(3)
             .channel_weights([4, 1, 1])
-            .input_rate(mode.pick(60, 120)),
+            .input_rate(120),
     )
     .strategies([
         RelayerStrategy::default(),
@@ -457,9 +421,9 @@ fn channel_contention_grid(mode: SweepMode) -> SweepGrid {
 /// process serving N channels on one RPC lane pair (flat, as in
 /// `multi_channel_scaling`); the dedicated arm deploys one relayer process
 /// per channel, each with its own lanes, and scales with the channel count.
-fn dedicated_scaling_grid(mode: SweepMode) -> SweepGrid {
-    SweepGrid::new(relayed(1, 0, mode.pick(6, 15)).input_rate(mode.pick(120, 200)))
-        .channel_counts(mode.pick(vec![1, 2, 4], vec![1, 2, 4, 8]))
+fn dedicated_scaling_grid() -> SweepGrid {
+    SweepGrid::new(relayed(1, 0, 15).input_rate(200))
+        .channel_counts([1, 2, 4, 8])
         .channel_policies([ChannelPolicy::FairShare, ChannelPolicy::Dedicated])
 }
 
@@ -469,12 +433,15 @@ fn dedicated_scaling_grid(mode: SweepMode) -> SweepGrid {
 /// straddle burns a submission window on a duplicate sequence; under
 /// `MempoolAware` the relayer holds the batch one block instead, driving
 /// `broadcast_failures` to zero.
-fn sequence_race_grid(mode: SweepMode) -> SweepGrid {
-    SweepGrid::new(relayed(1, 200, mode.pick(6, 15)).input_rate(mode.pick(60, 100)))
+fn sequence_race_grid() -> SweepGrid {
+    SweepGrid::new(relayed(1, 200, 15).input_rate(100))
         .sequence_trackings([SequenceTracking::Resync, SequenceTracking::MempoolAware])
 }
 
 // -- fault-injection scenarios (dependability beyond the paper's testbed) ---
+//
+// These and the two topology scenarios are the golden sets `goldens --check`
+// pulls from the registry, so their sizes are the fixtures' sizes.
 
 /// One relayer crashing mid-run against the no-fault control arm, on a
 /// fixed-batch run measured to full completion: relayer 0 dies at 16 s
@@ -485,10 +452,10 @@ fn sequence_race_grid(mode: SweepMode) -> SweepGrid {
 /// stranded, so every transfer still completes, `double_submitted` and
 /// `stranded_packets` stay 0, and `recovery_secs` stays within one clear
 /// interval plus a block.
-fn relayer_crash_grid(mode: SweepMode) -> SweepGrid {
+fn relayer_crash_grid() -> SweepGrid {
     SweepGrid::new(
         ExperimentSpec::latency()
-            .transfers(mode.pick(240, 1_000))
+            .transfers(240)
             .submission_blocks(4)
             // Far enough past the drain point that the completion cutoff
             // (measurement_end) covers the whole batch in both arms.
@@ -516,11 +483,11 @@ fn relayer_crash_grid(mode: SweepMode) -> SweepGrid {
 /// same outage — a 4× block stretch over the same window — against the
 /// no-fault control arm. Both push the average block interval up and the
 /// measured TFPS down without losing a single transfer.
-fn chain_halt_grid(mode: SweepMode) -> SweepGrid {
+fn chain_halt_grid() -> SweepGrid {
     let chain = FaultChain::Source;
     let from = SimDuration::from_secs(15);
     let duration = SimDuration::from_secs(20);
-    SweepGrid::new(relayed(1, 0, mode.pick(8, 15)).input_rate(mode.pick(20, 60))).fault_plans([
+    SweepGrid::new(relayed(1, 0, 8).input_rate(20)).fault_plans([
         FaultPlan::none(),
         FaultPlan::new([FaultEvent::ChainHalt {
             chain,
@@ -540,13 +507,8 @@ fn chain_halt_grid(mode: SweepMode) -> SweepGrid {
 /// arm: every recv/ack proof fails from 15 s on, so transfers initiated after
 /// that strand on the source chain. The timeout window (6 source blocks) is
 /// the only rescue still open — as for a real trust-period expiry.
-fn client_expiry_grid(mode: SweepMode) -> SweepGrid {
-    SweepGrid::new(
-        relayed(1, 200, mode.pick(8, 15))
-            .input_rate(mode.pick(20, 60))
-            .timeout_blocks(6),
-    )
-    .fault_plans([
+fn client_expiry_grid() -> SweepGrid {
+    SweepGrid::new(relayed(1, 200, 8).input_rate(20).timeout_blocks(6)).fault_plans([
         FaultPlan::none(),
         FaultPlan::new([FaultEvent::ClientExpiry {
             path: 0,
@@ -561,9 +523,9 @@ fn client_expiry_grid(mode: SweepMode) -> SweepGrid {
 /// window and measured to full completion, so the stranding counter is a real
 /// invariant (everything must drain) and the aggregate-throughput comparison
 /// is a drain-rate comparison.
-fn topology_base(mode: SweepMode) -> ExperimentSpec {
+fn topology_base() -> ExperimentSpec {
     ExperimentSpec::latency()
-        .transfers(mode.pick(600, 3_000))
+        .transfers(600)
         .submission_blocks(1)
         .measurement_blocks(12)
         .rtt_ms(0)
@@ -579,9 +541,9 @@ fn topology_base(mode: SweepMode) -> ExperimentSpec {
 /// have, so they deactivate — the legacy deployment, untouched. The batch
 /// saturates the pair arm's single relayer process (~90 TFPS), which the hub
 /// arm splits over three spoke relayers.
-fn hub_spoke_grid(mode: SweepMode) -> SweepGrid {
+fn hub_spoke_grid() -> SweepGrid {
     SweepGrid::new(
-        topology_base(mode)
+        topology_base()
             .channel_weights([1, 1, 1, 0, 0, 0])
             .hop_plan(Topology::hub_and_spoke_routes(3)),
     )
@@ -592,12 +554,12 @@ fn hub_spoke_grid(mode: SweepMode) -> SweepGrid {
 /// process) against the single-pair baseline, the batch spread uniformly
 /// over every channel. No hop plan: the mesh arm measures pure per-edge
 /// contention, not multi-hop routing.
-fn mesh_contention_grid(mode: SweepMode) -> SweepGrid {
-    SweepGrid::new(topology_base(mode)).topologies([Topology::pair(), Topology::full_mesh(3)])
+fn mesh_contention_grid() -> SweepGrid {
+    SweepGrid::new(topology_base()).topologies([Topology::pair(), Topology::full_mesh(3)])
 }
 
 /// One cheap, representative end-to-end run (~seconds): CI's smoke check.
-fn smoke_grid(_mode: SweepMode) -> SweepGrid {
+fn smoke_grid() -> SweepGrid {
     SweepGrid::new(relayed(1, 0, 4).input_rate(20))
 }
 
@@ -1266,10 +1228,19 @@ mod tests {
 
     #[test]
     fn full_grids_are_supersets_of_quick_grids() {
+        // Spec for spec, name included, and in the full grid's order: quick
+        // mode runs fewer points, never a different workload.
         for entry in entries() {
-            let quick = entry.grid(SweepMode::Quick).points().len();
-            let full = entry.grid(SweepMode::Full).points().len();
-            assert!(full >= quick, "{}: full {full} < quick {quick}", entry.name);
+            let full = entry.grid(SweepMode::Full).points();
+            let mut rest = full.iter();
+            for point in entry.grid(SweepMode::Quick).points() {
+                assert!(
+                    rest.any(|f| *f == point),
+                    "{}: quick point {} is no full point, or out of order",
+                    entry.name,
+                    point.name
+                );
+            }
         }
     }
 

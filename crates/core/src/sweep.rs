@@ -13,8 +13,9 @@
 //! This module is also the single home of the sweep-related environment
 //! variables that the bench binaries used to parse individually:
 //!
-//! * `XCC_FULL_SWEEP` — when set, use the paper's full parameter ranges
-//!   ([`SweepMode::from_env`]);
+//! * `XCC_FULL_SWEEP` — when set, run every point of a scenario's grid
+//!   ([`SweepMode::from_env`]); unset, run the [`thinned`](SweepGrid::thinned)
+//!   subset of those same points;
 //! * `XCC_SWEEP_THREADS` — worker-pool size ([`worker_threads`]), defaulting
 //!   to the machine's available parallelism;
 //! * `XCC_OUTPUT` — `text` (default), `json` or `csv` figure output
@@ -34,12 +35,14 @@ use crate::scenarios;
 use crate::spec::ExperimentSpec;
 use crate::topology::Topology;
 
-/// Quick sweeps keep CI fast; full sweeps reproduce the paper's ranges.
+/// How many of a grid's points a sweep runs. Both modes run the same
+/// workload per point: quick mode only runs fewer points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SweepMode {
-    /// Reduced parameter ranges (default).
+    /// The grid [`thinned`](SweepGrid::thinned) to each long axis's ends and
+    /// middle (default).
     Quick,
-    /// The paper's complete parameter ranges (`XCC_FULL_SWEEP`).
+    /// Every point of the grid (`XCC_FULL_SWEEP`).
     Full,
 }
 
@@ -50,14 +53,6 @@ impl SweepMode {
             SweepMode::Full
         } else {
             SweepMode::Quick
-        }
-    }
-
-    /// Picks `full` in full mode, `quick` otherwise.
-    pub fn pick<T>(&self, quick: T, full: T) -> T {
-        match self {
-            SweepMode::Quick => quick,
-            SweepMode::Full => full,
         }
     }
 }
@@ -261,6 +256,24 @@ impl SweepGrid {
     /// [`Topology::pair`] to keep the two-chain baseline arm in the grid.
     pub fn topologies(self, topologies: impl IntoIterator<Item = Topology>) -> Self {
         self.axis(Axis::Topology, topologies, AxisValue::Topology)
+    }
+
+    /// The grid with every axis of more than three values cut to its first,
+    /// middle (`values[n / 2]`) and last value; shorter axes and the base spec
+    /// stay. Every point of the result is a point of `self`, in the same
+    /// order, so quick mode runs a subset of the full grid's workloads.
+    pub fn thinned(mut self) -> Self {
+        for values in self.axes.values_mut() {
+            let n = values.len();
+            if n > 3 {
+                *values = vec![
+                    values[0].clone(),
+                    values[n / 2].clone(),
+                    values[n - 1].clone(),
+                ];
+            }
+        }
+        self
     }
 
     /// The number of points the grid expands to.
@@ -511,8 +524,31 @@ mod tests {
     }
 
     #[test]
-    fn mode_pick_selects_by_variant() {
-        assert_eq!(SweepMode::Quick.pick(1, 2), 1);
-        assert_eq!(SweepMode::Full.pick(1, 2), 2);
+    fn thinning_keeps_the_ends_and_middle_of_each_long_axis() {
+        let base = ExperimentSpec::relayer_throughput().measurement_blocks(4);
+        let rates = |indices: &[u64]| SweepGrid::new(base.clone()).input_rates(indices.to_vec());
+        // Axes of 1, 3, 4 and 7 values (each value its index): the two short
+        // axes stay whole, the long ones keep indices {0, n/2, n-1}.
+        for (n, kept) in [
+            (1, &[0][..]),
+            (3, &[0, 1, 2]),
+            (4, &[0, 2, 3]),
+            (7, &[0, 3, 6]),
+        ] {
+            let all: Vec<u64> = (0..n).collect();
+            assert_eq!(rates(&all).thinned(), rates(kept), "{n} values");
+        }
+        // Two long axes thin independently; a short axis and the base stay.
+        let grid = SweepGrid::new(base.clone())
+            .input_rates([10, 20, 30, 40])
+            .channel_counts([1, 2, 3, 4, 5, 6, 7])
+            .rtts_ms([0, 200]);
+        let thinned = grid.clone().thinned();
+        assert_eq!(thinned.base, base);
+        assert_eq!(thinned.len(), 3 * 3 * 2);
+        assert_eq!(
+            thinned,
+            grid.input_rates([10, 30, 40]).channel_counts([1, 4, 7])
+        );
     }
 }
