@@ -310,12 +310,11 @@ struct BenchSet {
 /// process's peak RSS once every set has run (informational, like the
 /// wall-clock; `null` where `/proc` is absent) and the SHA-256 backend the
 /// host selected, which is what a reader needs to compare two hosts'
-/// wall-clock rows (informational too; empty in a file older than the field).
+/// wall-clock rows (informational too).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct BenchTotal {
     wall_clock_secs: f64,
     peak_rss_mb: Option<f64>,
-    #[serde(default)]
     sha256_backend: String,
     completed_transfers: u64,
     events_per_sec: f64,

@@ -15,10 +15,6 @@ use crate::topology::{HopRoute, Topology};
 use crate::workload::TRANSFERS_PER_TX;
 
 /// Parameters of the deployed testnet (the Setup module's input).
-///
-/// Every field added after the first golden fixtures were committed carries
-/// `#[serde(default)]`, so spec JSON written before the field existed still
-/// parses — to the value [`DeploymentConfig::default`] gives it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeploymentConfig {
     /// Identifier of the source chain.
@@ -35,40 +31,23 @@ pub struct DeploymentConfig {
     /// Number of concurrent transfer channels opened between the two chains
     /// (the paper's testbed uses exactly 1). Every relayer serves every
     /// channel unless the strategy's channel policy dedicates instances.
-    #[serde(default = "default_channel_count")]
     pub channel_count: usize,
     /// The pipeline strategy every relayer instance runs; the default is the
     /// paper's Hermes pipeline (see [`RelayerStrategy`]).
-    #[serde(default)]
     pub relayer_strategy: RelayerStrategy,
     /// Number of funded user accounts available to the workload generator.
     pub user_accounts: usize,
     /// The experiment seed. No run draws from it: it stays in every spec
     /// (and so in every fixture's spec JSON) for a model that will.
     pub seed: u64,
-    /// When true, scenario outcomes additionally report the relayers'
-    /// `broadcast_failures` counter as a metric. Off by default so the
-    /// metric maps of runs that never asked for it — the pre-knob golden
-    /// fixtures included — stay unchanged; the
-    /// [`sequence_tracking`](crate::spec::ExperimentSpec::sequence_tracking)
-    /// spec builder switches it on for both arms of the §V sequence-race
-    /// comparison.
-    #[serde(default)]
-    pub report_broadcast_failures: bool,
     /// The deterministic fault schedule injected into the run (relayer
     /// crash/restart, chain halt, block stretch, light-client expiry). The
-    /// default is the empty plan, which schedules nothing — runs and fixtures
-    /// written before fault injection existed are bit-identical to an
-    /// explicit empty plan (see docs/DETERMINISM.md).
-    #[serde(default)]
+    /// default is the empty plan, which schedules nothing.
     pub fault_plan: FaultPlan,
     /// The chain graph the testnet deploys. The default (empty) topology is
-    /// the legacy-pair sentinel: it resolves to
+    /// the pair sentinel: it resolves to
     /// `source_chain_id → destination_chain_id` with `channel_count`
-    /// channels, so spec JSON written before topologies existed (every
-    /// earlier golden fixture) parses to a deployment that behaves
-    /// bit-identically to the old pair path.
-    #[serde(default)]
+    /// channels.
     pub topology: Topology,
 }
 
@@ -84,16 +63,10 @@ impl Default for DeploymentConfig {
             relayer_strategy: RelayerStrategy::default(),
             user_accounts: 64,
             seed: 42,
-            report_broadcast_failures: false,
             fault_plan: FaultPlan::default(),
             topology: Topology::default(),
         }
     }
-}
-
-/// Pre-multi-channel JSON has no `channel_count`: the paper's single channel.
-fn default_channel_count() -> usize {
-    1
 }
 
 /// Parameters of the benchmark workload (the Benchmark module's input).
@@ -121,15 +94,12 @@ pub struct WorkloadConfig {
     /// weighted round-robin over these weights. Empty means uniform
     /// round-robin across every open channel (and is the only sensible value
     /// for single-channel deployments).
-    #[serde(default)]
     pub channel_weights: Vec<u64>,
     /// Multi-hop routes: once a transfer submitted on a route's `first_leg`
     /// channel is acknowledged, the runner forwards it as a fresh transfer on
     /// the `second_leg` channel (src → hub → dst as two chained IBC
-    /// transfers). Empty (the default, and the value every pre-topology JSON
-    /// parses to) disables forwarding; routes whose channels are out of range
-    /// for the deployed topology are ignored.
-    #[serde(default)]
+    /// transfers). Empty (the default) disables forwarding; routes whose
+    /// channels are out of range for the deployed topology are ignored.
     pub hop_plan: Vec<HopRoute>,
 }
 
@@ -221,7 +191,7 @@ mod tests {
     }
 
     #[test]
-    fn deployment_round_trips_and_tolerates_pre_strategy_json() {
+    fn deployment_round_trips() {
         let mut d = DeploymentConfig {
             relayer_strategy: RelayerStrategy::batched_pulls(),
             ..DeploymentConfig::default()
@@ -230,20 +200,27 @@ mod tests {
         let json = serde_json::to_string(&d).unwrap();
         let back: DeploymentConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, d);
+    }
 
-        // Config JSON written before the strategy field existed still parses,
-        // falling back to the paper-default pipeline.
-        let legacy = json
-            .split_once(",\"relayer_strategy\"")
-            .map(|(head, tail)| {
-                let rest = tail.split_once(",\"user_accounts\"").unwrap().1;
-                format!("{head},\"user_accounts\"{rest}")
-            })
-            .unwrap();
-        assert!(!legacy.contains("relayer_strategy"));
-        let parsed: DeploymentConfig = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(parsed.relayer_strategy, RelayerStrategy::default());
-        assert_eq!(parsed.seed, 7);
+    #[test]
+    fn config_json_missing_a_field_does_not_parse() {
+        let json = serde_json::to_string(&DeploymentConfig::default()).unwrap();
+        let short = json.replace(",\"channel_count\":1", "");
+        assert_ne!(short, json);
+        let err = serde_json::from_str::<DeploymentConfig>(&short).unwrap_err();
+        assert!(
+            err.to_string().contains("missing field `channel_count`"),
+            "{err}"
+        );
+
+        let json = serde_json::to_string(&WorkloadConfig::default()).unwrap();
+        let short = json.replace(",\"hop_plan\":[]", "");
+        assert_ne!(short, json);
+        let err = serde_json::from_str::<WorkloadConfig>(&short).unwrap_err();
+        assert!(
+            err.to_string().contains("missing field `hop_plan`"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -258,48 +235,7 @@ mod tests {
     }
 
     #[test]
-    fn pre_multi_channel_json_still_parses() {
-        // Deployment / workload JSON written before `channel_count` /
-        // `channel_weights` existed (the golden fixtures) must parse to the
-        // single-channel uniform defaults.
-        let deployment_json = serde_json::to_string(&DeploymentConfig::default()).unwrap();
-        let legacy = deployment_json.replace(",\"channel_count\":1", "");
-        assert!(!legacy.contains("channel_count"));
-        let parsed: DeploymentConfig = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(parsed.channel_count, 1);
-
-        let workload_json = serde_json::to_string(&WorkloadConfig::default()).unwrap();
-        let legacy = workload_json.replace(",\"channel_weights\":[]", "");
-        assert!(!legacy.contains("channel_weights"));
-        let parsed: WorkloadConfig = serde_json::from_str(&legacy).unwrap();
-        assert!(parsed.channel_weights.is_empty());
-        assert_eq!(parsed, WorkloadConfig::default());
-    }
-
-    #[test]
-    fn pre_knob_json_defaults_broadcast_failure_reporting_off() {
-        // Deployment JSON written before the broadcast-failure reporting
-        // knob existed (the golden fixtures) must parse to no extra metrics.
-        let json = serde_json::to_string(&DeploymentConfig::default()).unwrap();
-        let legacy = json.replace(",\"report_broadcast_failures\":false", "");
-        assert!(!legacy.contains("report_broadcast_failures"));
-        let parsed: DeploymentConfig = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(parsed, DeploymentConfig::default());
-        assert!(!parsed.report_broadcast_failures);
-    }
-
-    #[test]
-    fn pre_fault_json_still_parses_to_the_empty_plan() {
-        // Deployment JSON written before fault injection existed (every
-        // earlier golden fixture) must parse to the empty fault plan, and an
-        // explicit plan must survive a round trip.
-        let json = serde_json::to_string(&DeploymentConfig::default()).unwrap();
-        let legacy = json.replace(",\"fault_plan\":{\"events\":[]}", "");
-        assert!(!legacy.contains("fault_plan"));
-        let parsed: DeploymentConfig = serde_json::from_str(&legacy).unwrap();
-        assert!(parsed.fault_plan.is_empty());
-        assert_eq!(parsed, DeploymentConfig::default());
-
+    fn fault_plan_round_trips() {
         let faulted = DeploymentConfig {
             fault_plan: FaultPlan::new([
                 crate::fault::FaultEvent::RelayerCrash {
@@ -319,25 +255,7 @@ mod tests {
     }
 
     #[test]
-    fn pre_topology_json_still_parses_to_the_pair_sentinel() {
-        // Deployment / workload JSON written before topologies existed
-        // (every earlier golden fixture) must parse to the legacy-pair
-        // sentinel and an empty hop plan.
-        let json = serde_json::to_string(&DeploymentConfig::default()).unwrap();
-        let legacy = json.replace(",\"topology\":{\"chains\":[],\"edges\":[]}", "");
-        assert!(!legacy.contains("topology"));
-        let parsed: DeploymentConfig = serde_json::from_str(&legacy).unwrap();
-        assert!(parsed.topology.is_legacy_pair());
-        assert_eq!(parsed, DeploymentConfig::default());
-
-        let workload_json = serde_json::to_string(&WorkloadConfig::default()).unwrap();
-        let legacy = workload_json.replace(",\"hop_plan\":[]", "");
-        assert!(!legacy.contains("hop_plan"));
-        let parsed: WorkloadConfig = serde_json::from_str(&legacy).unwrap();
-        assert!(parsed.hop_plan.is_empty());
-        assert_eq!(parsed, WorkloadConfig::default());
-
-        // An explicit topology and hop plan survive a round trip.
+    fn topology_and_hop_plan_round_trip() {
         let meshed = DeploymentConfig {
             topology: Topology::hub_and_spoke(3),
             ..DeploymentConfig::default()

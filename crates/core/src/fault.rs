@@ -146,8 +146,7 @@ impl FaultEvent {
 }
 
 /// The fault schedule of one run: a list of [`FaultEvent`]s. The default
-/// (and the value every pre-fault spec JSON parses to) is the empty plan,
-/// which injects nothing and perturbs nothing.
+/// is the empty plan, which injects nothing and perturbs nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// The scheduled fault events, in any order; [`compile`](Self::compile)

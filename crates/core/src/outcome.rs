@@ -37,37 +37,27 @@ pub mod keys {
     pub const REDUNDANT_PACKET_ERRORS: &str = "redundant_packet_errors";
     /// Blocks whose event collection failed (WebSocket limit, §V).
     pub const EVENT_COLLECTION_FAILURES: &str = "event_collection_failures";
-    /// Packets relayed by the packet-clear scan instead of event delivery.
-    /// Emitted only when the strategy's `packet_clear_interval` is non-zero,
-    /// so runs without clearing — the golden fixtures included — keep their
-    /// metric maps unchanged.
+    /// Packets relayed by the packet-clear scan instead of event delivery
+    /// (0 when the strategy's `packet_clear_interval` is 0).
     pub const PACKETS_CLEARED: &str = "packets_cleared";
     /// Failed broadcast attempts across all relayers (§V's account-sequence
-    /// race is the dominant source). Emitted only when the deployment's
-    /// `report_broadcast_failures` knob — switched on by the
-    /// `sequence_tracking` spec builder and the sweep axis — asks for it, or
-    /// when the strategy runs mempool-aware tracking; runs that never asked
-    /// (the golden fixtures included) keep their metric maps unchanged.
+    /// race is the dominant source).
     pub const BROADCAST_FAILURES: &str = "broadcast_failures";
     /// Receive transactions the destination chain committed *and failed* as
     /// redundant — a packet physically submitted twice, the signature of a
-    /// relayer that lost its dedup state across a crash. Emitted (with the
-    /// other fault metrics below) only when the deployment's `fault_plan` is
-    /// non-empty, so fault-free runs — the pre-fault golden fixtures
-    /// included — keep their metric maps unchanged.
+    /// relayer that lost its dedup state across a crash.
     pub const DOUBLE_SUBMITTED: &str = "double_submitted";
     /// Source-chain packets still outstanding (neither acknowledged nor
-    /// timed out) when the run ended. Fault runs only; see
-    /// [`DOUBLE_SUBMITTED`].
+    /// timed out) when the run ended.
     pub const STRANDED_PACKETS: &str = "stranded_packets";
     /// Seconds from the first fault to the first transfer completion at or
-    /// after it. Fault runs only, and omitted when nothing completed after
-    /// the fault; see [`DOUBLE_SUBMITTED`].
+    /// after it. Omitted when the fault plan is empty or nothing completed
+    /// after the fault.
     pub const FIRST_COMPLETION_AFTER_FAULT_SECS: &str = "first_completion_after_fault_secs";
     /// Seconds from the last relayer restart to the first receive
     /// confirmation at or after it — the restarted process's time to resume
-    /// useful delivery. Fault runs only, and omitted when the plan has no
-    /// restart or nothing was received afterwards; see [`DOUBLE_SUBMITTED`].
+    /// useful delivery. Omitted when the plan has no restart or nothing was
+    /// received afterwards.
     pub const RECOVERY_SECS: &str = "recovery_secs";
     /// End-to-end completion latency of the batch in seconds (Fig. 13).
     pub const COMPLETION_LATENCY_SECS: &str = "completion_latency_secs";
@@ -86,38 +76,33 @@ pub mod keys {
 
     /// Set to 1 when the deployment failed to set up (its topology did not
     /// resolve, or an IBC handshake could not complete) and the run produced
-    /// no data. Successful runs never emit the key, so every pre-existing
-    /// metric map is unchanged.
+    /// no data. Successful runs never emit the key.
     pub const SETUP_FAILED: &str = "setup_failed";
-    /// Second-leg transfers the hop forwarder submitted. Emitted (with the
-    /// hop latency keys below) only when the workload's hop plan has active
-    /// routes, so hop-free runs — the golden fixtures included — keep their
-    /// metric maps unchanged.
+    /// Second-leg transfers the hop forwarder submitted (0 when the
+    /// workload's hop plan has no active route).
     pub const FORWARDED: &str = "forwarded";
     /// Average first-leg completion latency in seconds (transfer broadcast →
     /// ack confirmation on the first-leg channel), aggregated over routes and
-    /// additionally emitted per route via [`on_route`]. Hop-plan runs only;
-    /// see [`FORWARDED`].
+    /// additionally emitted per route via [`on_route`]. Omitted when no
+    /// route completed a first leg.
     pub const HOP1_LATENCY_SECS: &str = "hop1_latency_secs";
-    /// Average second-leg completion latency in seconds. Hop-plan runs only;
-    /// see [`FORWARDED`].
+    /// Average second-leg completion latency in seconds, aggregated and per
+    /// route like [`HOP1_LATENCY_SECS`].
     pub const HOP2_LATENCY_SECS: &str = "hop2_latency_secs";
     /// Average forwarder lag in seconds (first-leg ack commit → second-leg
-    /// broadcast). Hop-plan runs only; see [`FORWARDED`].
+    /// broadcast), aggregated and per route like [`HOP1_LATENCY_SECS`].
     pub const FORWARD_LAG_SECS: &str = "forward_lag_secs";
 
     /// The per-channel variant of a metric key, e.g. `completed[channel-2]`.
     ///
-    /// Multi-channel runs (`channel_count > 1`) emit the completion metrics
-    /// once per channel under these keys in addition to the aggregates;
-    /// single-channel runs emit only the aggregates, so the paper scenarios'
-    /// metric maps — including the golden fixtures — are unchanged.
+    /// Every run emits the completion metrics once per channel under these
+    /// keys in addition to the aggregates, its only channel included.
     pub fn on_channel(base: &str, channel: usize) -> String {
         format!("{base}[channel-{channel}]")
     }
 
     /// The per-hop-route variant of a metric key, e.g.
-    /// `hop1_latency_secs[route-0]` (hop-plan runs only).
+    /// `hop1_latency_secs[route-0]`.
     pub fn on_route(base: &str, route: usize) -> String {
         format!("{base}[route-{route}]")
     }
@@ -236,25 +221,22 @@ impl ScenarioOutcome {
         self.count(keys::EVENT_COLLECTION_FAILURES)
     }
 
-    /// Packets relayed by the packet-clear scan (0 when clearing is off).
+    /// Packets relayed by the packet-clear scan.
     pub fn packets_cleared(&self) -> u64 {
         self.count(keys::PACKETS_CLEARED)
     }
 
-    /// Failed broadcast attempts across all relayers (0 when the run did not
-    /// report them — see [`keys::BROADCAST_FAILURES`]).
+    /// Failed broadcast attempts across all relayers.
     pub fn broadcast_failures(&self) -> u64 {
         self.count(keys::BROADCAST_FAILURES)
     }
 
-    /// Packets the destination chain rejected on-chain as redundant (0 for
-    /// fault-free runs, which do not emit the key).
+    /// Packets the destination chain rejected on-chain as redundant.
     pub fn double_submitted(&self) -> u64 {
         self.count(keys::DOUBLE_SUBMITTED)
     }
 
-    /// Packets still outstanding on the source chain at the end of the run
-    /// (0 for fault-free runs, which do not emit the key).
+    /// Packets still outstanding on the source chain at the end of the run.
     pub fn stranded_packets(&self) -> u64 {
         self.count(keys::STRANDED_PACKETS)
     }
@@ -300,19 +282,19 @@ impl ScenarioOutcome {
         self.float(keys::DATA_PULL_SHARE)
     }
 
-    /// Second-leg transfers the hop forwarder submitted (0 for hop-free
-    /// runs, which do not emit the key).
+    /// Second-leg transfers the hop forwarder submitted.
     pub fn forwarded(&self) -> u64 {
         self.count(keys::FORWARDED)
     }
 
-    /// Average first-leg completion latency in seconds (hop-plan runs only).
+    /// Average first-leg completion latency in seconds, when a route
+    /// completed a first leg.
     pub fn hop1_latency_secs(&self) -> Option<f64> {
         self.metric(keys::HOP1_LATENCY_SECS)
     }
 
-    /// Average second-leg completion latency in seconds (hop-plan runs
-    /// only).
+    /// Average second-leg completion latency in seconds, when a route
+    /// completed a second leg.
     pub fn hop2_latency_secs(&self) -> Option<f64> {
         self.metric(keys::HOP2_LATENCY_SECS)
     }
@@ -322,13 +304,13 @@ impl ScenarioOutcome {
         self.spec.deployment.channel_count.max(1)
     }
 
-    /// A per-channel metric (emitted only by multi-channel runs), e.g.
+    /// A per-channel metric, e.g.
     /// `metric_on(keys::COMPLETED, 1)`.
     pub fn metric_on(&self, base: &str, channel: usize) -> Option<f64> {
         self.metric(&keys::on_channel(base, channel))
     }
 
-    /// Fully completed transfers of one channel (multi-channel runs only).
+    /// Fully completed transfers of one channel.
     pub fn completed_on(&self, channel: usize) -> u64 {
         self.metric_on(keys::COMPLETED, channel).unwrap_or(0.0) as u64
     }

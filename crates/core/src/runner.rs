@@ -339,9 +339,9 @@ pub fn run_experiment(
     }
 
     // Schedule every fault event up-front. An empty plan compiles to an
-    // empty list and performs zero scheduler calls here, which keeps the
-    // scheduler's insertion-sequence stream — and with it every pre-fault
-    // golden fixture — bit-identical (see docs/DETERMINISM.md).
+    // empty list and performs zero scheduler calls here, so the fault
+    // subsystem leaves a fault-free run's insertion-sequence stream
+    // untouched (see docs/DETERMINISM.md).
     for (at, event) in deployment.fault_plan.compile() {
         sched.schedule_at(at, Ev::Fault(event));
     }

@@ -5,6 +5,8 @@
 //! [`crate::outcome::ScenarioOutcome`] carrying every metric
 //! the paper reports.
 
+use xcc_relayer::relayer::RelayerStats;
+
 use crate::analysis;
 use crate::outcome::{keys, ScenarioOutcome};
 use crate::runner::{run_experiment, RunOutput};
@@ -30,12 +32,17 @@ pub fn run_raw(spec: &ExperimentSpec) -> RunOutput {
 
 /// Computes the unified outcome of a finished run.
 ///
-/// Every metric is computed for every scenario family — the spec's kind
-/// picks defaults at build time, never the shape of the result.
+/// Every metric is computed for every run — the spec's kind picks defaults
+/// at build time, never the shape of the result. The keys depend only on
+/// the run's channels and hop routes; a value that does not exist (a
+/// recovery clock that never started, a hop latency of a route that
+/// completed nothing) is omitted, never reported as zero.
 pub fn outcome_from(spec: &ExperimentSpec, run: &RunOutput) -> ScenarioOutcome {
     let mut outcome = ScenarioOutcome::new(spec.clone());
     let breakdown = analysis::completion_breakdown(run);
     let steps = analysis::step_breakdown(run);
+    let relayer_total =
+        |count: fn(&RelayerStats) -> u64| run.relayer_stats.iter().map(count).sum::<u64>() as f64;
 
     outcome.set(keys::THROUGHPUT_TFPS, analysis::throughput_tfps(run));
     outcome.set(
@@ -59,10 +66,7 @@ pub fn outcome_from(spec: &ExperimentSpec, run: &RunOutput) -> ScenarioOutcome {
     );
     outcome.set(
         keys::EVENT_COLLECTION_FAILURES,
-        run.relayer_stats
-            .iter()
-            .map(|s| s.event_collection_failures)
-            .sum::<u64>() as f64,
+        relayer_total(|s| s.event_collection_failures),
     );
     outcome.set(
         keys::COMPLETION_LATENCY_SECS,
@@ -74,136 +78,88 @@ pub fn outcome_from(spec: &ExperimentSpec, run: &RunOutput) -> ScenarioOutcome {
     outcome.set(keys::TRANSFER_PULL_SECS, steps.transfer_pull_secs);
     outcome.set(keys::RECV_PULL_SECS, steps.recv_pull_secs);
     outcome.set(keys::DATA_PULL_SHARE, steps.data_pull_share());
-    // Clearing-enabled runs report how many packets the clear scan rescued;
-    // runs without clearing (the paper's deployment, and every golden
-    // fixture) keep their metric maps unchanged.
-    if run.deployment.relayer_strategy.packet_clear_interval > 0 {
-        outcome.set(
-            keys::PACKETS_CLEARED,
-            run.relayer_stats
-                .iter()
-                .map(|s| s.packets_cleared)
-                .sum::<u64>() as f64,
-        );
+    outcome.set(keys::PACKETS_CLEARED, relayer_total(|s| s.packets_cleared));
+    outcome.set(
+        keys::BROADCAST_FAILURES,
+        relayer_total(|s| s.broadcast_failures),
+    );
+    outcome.set(
+        keys::DOUBLE_SUBMITTED,
+        analysis::double_submitted_packets(run) as f64,
+    );
+    outcome.set(
+        keys::STRANDED_PACKETS,
+        analysis::stranded_packets(run) as f64,
+    );
+    // The two recovery clocks are omitted (not zero) when the run never
+    // recovered, so a stranded run is distinguishable from an instant
+    // recovery.
+    if let Some(secs) = analysis::time_to_first_completed_after_fault(run) {
+        outcome.set(keys::FIRST_COMPLETION_AFTER_FAULT_SECS, secs);
     }
-    // Runs that opted into the sequence-tracking comparison (either arm, via
-    // the spec builder / sweep axis) or run mempool-aware tracking report the
-    // relayers' failed broadcast attempts — the counter the §V sequence race
-    // is measured by. Runs that never asked, the golden fixtures included,
-    // keep their metric maps unchanged.
-    if run.deployment.report_broadcast_failures
-        || run.deployment.relayer_strategy.sequence_tracking
-            == xcc_relayer::strategy::SequenceTracking::MempoolAware
-    {
-        outcome.set(
-            keys::BROADCAST_FAILURES,
-            run.relayer_stats
-                .iter()
-                .map(|s| s.broadcast_failures)
-                .sum::<u64>() as f64,
-        );
+    if let Some(secs) = analysis::recovery_secs(run) {
+        outcome.set(keys::RECOVERY_SECS, secs);
     }
 
-    // Fault-injected runs report the recovery metrics; runs with an empty
-    // fault plan — every pre-fault scenario and golden fixture — keep their
-    // metric maps unchanged. The two recovery clocks are omitted (not zero)
-    // when the run never recovered, so a stranded run is distinguishable
-    // from an instant recovery.
-    if !run.deployment.fault_plan.is_empty() {
-        outcome.set(
-            keys::DOUBLE_SUBMITTED,
-            analysis::double_submitted_packets(run) as f64,
-        );
-        outcome.set(
-            keys::STRANDED_PACKETS,
-            analysis::stranded_packets(run) as f64,
-        );
-        if let Some(secs) = analysis::time_to_first_completed_after_fault(run) {
-            outcome.set(keys::FIRST_COMPLETION_AFTER_FAULT_SECS, secs);
+    // The multi-hop decomposition: how many second legs the forwarder
+    // spawned and how long each leg (and the forwarding gap between them)
+    // took, aggregated and per route.
+    outcome.set(keys::FORWARDED, run.forward_stats.submitted as f64);
+    let mut hop1 = Vec::new();
+    let mut hop2 = Vec::new();
+    let mut lag = Vec::new();
+    for (ri, route) in run.hop_routes.iter().enumerate() {
+        if let Some(secs) = analysis::channel_completion_latency(run, route.first_leg) {
+            outcome.set(&keys::on_route(keys::HOP1_LATENCY_SECS, ri), secs);
+            hop1.push(secs);
         }
-        if let Some(secs) = analysis::recovery_secs(run) {
-            outcome.set(keys::RECOVERY_SECS, secs);
+        if let Some(secs) = analysis::channel_completion_latency(run, route.second_leg) {
+            outcome.set(&keys::on_route(keys::HOP2_LATENCY_SECS, ri), secs);
+            hop2.push(secs);
         }
-    }
-
-    // Topology runs (more than the legacy chain pair) always report the
-    // stranded-packet count, fault plan or not: a healthy multi-chain run
-    // must drain to zero and the CI smoke job pins exactly that. Two-chain
-    // fault-free runs — every pre-existing golden fixture — keep their
-    // metric maps unchanged.
-    if run.chains.len() > 2 && run.deployment.fault_plan.is_empty() {
-        outcome.set(
-            keys::STRANDED_PACKETS,
-            analysis::stranded_packets(run) as f64,
-        );
-    }
-
-    // Hop-plan runs surface the multi-hop decomposition: how many second
-    // legs the forwarder spawned and how long each leg (and the forwarding
-    // gap between them) took, aggregated and per route. Hop-free runs keep
-    // their metric maps unchanged.
-    if !run.hop_routes.is_empty() {
-        outcome.set(keys::FORWARDED, run.forward_stats.submitted as f64);
-        let mut hop1 = Vec::new();
-        let mut hop2 = Vec::new();
-        let mut lag = Vec::new();
-        for (ri, route) in run.hop_routes.iter().enumerate() {
-            if let Some(secs) = analysis::channel_completion_latency(run, route.first_leg) {
-                outcome.set(&keys::on_route(keys::HOP1_LATENCY_SECS, ri), secs);
-                hop1.push(secs);
-            }
-            if let Some(secs) = analysis::channel_completion_latency(run, route.second_leg) {
-                outcome.set(&keys::on_route(keys::HOP2_LATENCY_SECS, ri), secs);
-                hop2.push(secs);
-            }
-            if let Some(secs) = analysis::forward_lag_secs(run, ri) {
-                outcome.set(&keys::on_route(keys::FORWARD_LAG_SECS, ri), secs);
-                lag.push(secs);
-            }
-        }
-        let mean = |values: &[f64]| values.iter().sum::<f64>() / values.len() as f64;
-        if !hop1.is_empty() {
-            outcome.set(keys::HOP1_LATENCY_SECS, mean(&hop1));
-        }
-        if !hop2.is_empty() {
-            outcome.set(keys::HOP2_LATENCY_SECS, mean(&hop2));
-        }
-        if !lag.is_empty() {
-            outcome.set(keys::FORWARD_LAG_SECS, mean(&lag));
+        if let Some(secs) = analysis::forward_lag_secs(run, ri) {
+            outcome.set(&keys::on_route(keys::FORWARD_LAG_SECS, ri), secs);
+            lag.push(secs);
         }
     }
+    let mean = |values: &[f64]| values.iter().sum::<f64>() / values.len() as f64;
+    if !hop1.is_empty() {
+        outcome.set(keys::HOP1_LATENCY_SECS, mean(&hop1));
+    }
+    if !hop2.is_empty() {
+        outcome.set(keys::HOP2_LATENCY_SECS, mean(&hop2));
+    }
+    if !lag.is_empty() {
+        outcome.set(keys::FORWARD_LAG_SECS, mean(&lag));
+    }
 
-    // Multi-channel runs additionally emit the completion metrics once per
-    // channel; single-channel runs emit only the aggregates so that the
-    // paper scenarios' metric maps (and the golden fixtures) are unchanged.
-    if run.paths.len() > 1 {
-        let window = (run.measurement_end - run.measurement_start).as_secs_f64();
-        for channel in 0..run.paths.len() {
-            let b = analysis::completion_breakdown_on(run, channel);
-            outcome.set(
-                &keys::on_channel(keys::COMPLETED, channel),
-                b.completed as f64,
-            );
-            outcome.set(&keys::on_channel(keys::PARTIAL, channel), b.partial as f64);
-            outcome.set(
-                &keys::on_channel(keys::INITIATED, channel),
-                b.initiated as f64,
-            );
-            outcome.set(
-                &keys::on_channel(keys::NOT_COMMITTED, channel),
-                b.not_committed as f64,
-            );
-            outcome.set(
-                &keys::on_channel(keys::COMMITTED, channel),
-                analysis::committed_transfers_on(run, channel) as f64,
-            );
-            let tfps = if window > 0.0 {
-                b.completed as f64 / window
-            } else {
-                0.0
-            };
-            outcome.set(&keys::on_channel(keys::THROUGHPUT_TFPS, channel), tfps);
-        }
+    // The completion metrics once per channel, beside the aggregates.
+    let window = (run.measurement_end - run.measurement_start).as_secs_f64();
+    for channel in 0..run.paths.len() {
+        let b = analysis::completion_breakdown_on(run, channel);
+        outcome.set(
+            &keys::on_channel(keys::COMPLETED, channel),
+            b.completed as f64,
+        );
+        outcome.set(&keys::on_channel(keys::PARTIAL, channel), b.partial as f64);
+        outcome.set(
+            &keys::on_channel(keys::INITIATED, channel),
+            b.initiated as f64,
+        );
+        outcome.set(
+            &keys::on_channel(keys::NOT_COMMITTED, channel),
+            b.not_committed as f64,
+        );
+        outcome.set(
+            &keys::on_channel(keys::COMMITTED, channel),
+            analysis::committed_transfers_on(run, channel) as f64,
+        );
+        let tfps = if window > 0.0 {
+            b.completed as f64 / window
+        } else {
+            0.0
+        };
+        outcome.set(&keys::on_channel(keys::THROUGHPUT_TFPS, channel), tfps);
     }
     outcome
 }
@@ -292,6 +248,61 @@ mod tests {
         assert!(outcome.completion_latency_secs() > 0.0);
         assert!(outcome.recv_phase_secs() >= 0.0);
         assert!(outcome.data_pull_share() > 0.0 && outcome.data_pull_share() < 1.0);
+    }
+
+    /// The counts the paper's findings are made of are in every outcome —
+    /// a fault-free two-chain run with one channel and no clearing as much
+    /// as a hub run — and so is each channel's breakdown, the only channel
+    /// included.
+    #[test]
+    fn every_run_reports_every_count_and_every_channel() {
+        use crate::topology::Topology;
+
+        let pair = run(&ExperimentSpec::relayer_throughput()
+            .input_rate(20)
+            .measurement_blocks(3)
+            .rtt_ms(0)
+            .seed(42));
+        let hub = run(&ExperimentSpec::latency()
+            .transfers(120)
+            .measurement_blocks(8)
+            .rtt_ms(0)
+            .channel_weights([1, 1, 0, 0])
+            .topology(Topology::hub_and_spoke(2))
+            .hop_plan(Topology::hub_and_spoke_routes(2))
+            .seed(42));
+        for outcome in [&pair, &hub] {
+            for key in [
+                keys::STRANDED_PACKETS,
+                keys::BROADCAST_FAILURES,
+                keys::DOUBLE_SUBMITTED,
+                keys::PACKETS_CLEARED,
+                keys::FORWARDED,
+            ] {
+                assert!(
+                    outcome.metric(key).is_some(),
+                    "{}: no {key}",
+                    outcome.spec.name
+                );
+            }
+            for base in [
+                keys::COMPLETED,
+                keys::PARTIAL,
+                keys::INITIATED,
+                keys::NOT_COMMITTED,
+                keys::COMMITTED,
+                keys::THROUGHPUT_TFPS,
+            ] {
+                assert!(
+                    outcome.metric_on(base, 0).is_some(),
+                    "{}: no {base}[channel-0]",
+                    outcome.spec.name
+                );
+            }
+        }
+        assert_eq!(pair.metric_on(keys::COMPLETED, 1), None);
+        assert_eq!(pair.completed_on(0), pair.completed());
+        assert!(hub.forwarded() > 0);
     }
 
     #[test]

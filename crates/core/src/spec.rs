@@ -299,9 +299,7 @@ impl ExperimentSpec {
     }
 
     /// Sets the relayers' account-sequence tracking across straddled commits
-    /// (§V's sequence race) and switches on `broadcast_failures` reporting,
-    /// so both arms of a tracking comparison expose the counter the race is
-    /// measured by.
+    /// (§V's sequence race).
     ///
     /// ```rust
     /// use xcc_framework::spec::ExperimentSpec;
@@ -310,12 +308,10 @@ impl ExperimentSpec {
     /// let spec = ExperimentSpec::relayer_throughput()
     ///     .sequence_tracking(SequenceTracking::MempoolAware);
     /// assert_eq!(spec.deployment.relayer_strategy.label(), "mempool-seq");
-    /// assert!(spec.deployment.report_broadcast_failures);
     /// ```
     pub fn sequence_tracking(mut self, tracking: SequenceTracking) -> Self {
         self.deployment.relayer_strategy =
             self.deployment.relayer_strategy.sequence_tracking(tracking);
-        self.deployment.report_broadcast_failures = true;
         self
     }
 

@@ -440,10 +440,10 @@ mod tests {
             points[1].deployment.relayer_strategy.sequence_tracking,
             SequenceTracking::MempoolAware
         );
-        // Every point of the tracking axis reports the race's counter.
-        assert!(points
-            .iter()
-            .all(|p| p.deployment.report_broadcast_failures));
+        assert_eq!(
+            points[0].deployment.relayer_strategy,
+            RelayerStrategy::default()
+        );
         // The tracking mode composes with the strategy axis.
         let composed = SweepGrid::new(ExperimentSpec::relayer_throughput())
             .strategies([RelayerStrategy::batched_pulls()])

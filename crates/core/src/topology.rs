@@ -9,9 +9,7 @@
 //!
 //! The **default** topology is the empty sentinel: no chains, no edges. It
 //! resolves to the legacy two-chain line derived from the deployment's
-//! `source_chain_id`/`destination_chain_id`/`channel_count` knobs, so every
-//! pre-topology spec JSON (where the field is simply missing) parses to a
-//! configuration that behaves bit-identically to the old pair path.
+//! `source_chain_id`/`destination_chain_id`/`channel_count` knobs.
 //!
 //! Multi-hop routing is described separately by [`HopRoute`]s on
 //! [`WorkloadConfig`](crate::config::WorkloadConfig): a route names a first-

@@ -735,9 +735,9 @@ mod tests {
         // arguments (commas, `=`, path strings with `::`) must neither
         // split a field nor swallow the one that follows.
         let f = items(
-            "pub struct Knobs {\n    pub seed: u64,\n    #[serde(default = \"one\")]\n    \
+            "pub struct Knobs {\n    pub seed: u64,\n    #[serde(rename = \"one\")]\n    \
              pub channel_count: usize,\n    /// doc\n    \
-             #[serde(default, skip_serializing_if = \"std::ops::Not::not\")]\n    \
+             #[serde(rename = \"p\", skip_serializing_if = \"std::ops::Not::not\")]\n    \
              pub profile_work: bool,\n    #[serde(skip)]\n    cache: OnceCell<(RawTx, Hash)>,\n}\n",
         );
         let names: Vec<(&str, bool)> = f.structs[0]

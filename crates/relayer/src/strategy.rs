@@ -165,10 +165,6 @@ impl ChannelPolicy {
 /// [`frame_limit`](RelayerStrategy::frame_limit) /
 /// [`packet_clearing`](RelayerStrategy::packet_clearing) knobs turn the §V
 /// deployment limits into sweepable configuration (`frame_limit_sweep`).
-///
-/// The channel-policy, deployment-limit and sequence-tracking knobs are
-/// `#[serde(default)]`: strategy JSON written before they existed — the
-/// golden fixtures included — parses to the paper-default behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct RelayerStrategy {
     /// Packet data / proof retrieval.
@@ -178,22 +174,18 @@ pub struct RelayerStrategy {
     /// Work division between relayer instances.
     pub coordination: CoordinationMode,
     /// Channel scheduling across a multi-channel deployment.
-    #[serde(default)]
     pub channel_policy: ChannelPolicy,
     /// Maximum WebSocket frame size in bytes for the event subscription;
     /// `0` means Tendermint's 16 MiB default.
-    #[serde(default)]
     pub ws_frame_limit_bytes: u64,
     /// Every how many source blocks the relayer scans chain state for
     /// committed-but-unrelayed packets and clears them (Hermes'
     /// `clear_interval`); `0` disables clearing, as in the paper's
     /// deployment. Clearing is what rescues transfers stranded by an
     /// oversized WebSocket frame.
-    #[serde(default)]
     pub packet_clear_interval: u64,
     /// Account-sequence management across straddled commits (§V's sequence
     /// race). The default reproduces Hermes' lossy committed-state resync.
-    #[serde(default)]
     pub sequence_tracking: SequenceTracking,
 }
 
@@ -311,7 +303,6 @@ impl RelayerStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Value;
 
     #[test]
     fn default_is_the_paper_pipeline() {
@@ -386,26 +377,6 @@ mod tests {
             let back = RelayerStrategy::from_value(&s.to_value()).unwrap();
             assert_eq!(back, s);
         }
-    }
-
-    #[test]
-    fn pre_knob_strategy_json_still_parses_with_default_knobs() {
-        // Strategy JSON written before the channel-policy / frame-limit /
-        // clear-interval fields existed (the golden fixtures) must parse to
-        // the paper-default knobs; its `event_source` key, which no strategy
-        // has any more, is ignored.
-        let legacy = Value::Map(vec![
-            ("event_source".into(), Value::Str("WebSocket".into())),
-            ("fetcher".into(), Value::Str("Sequential".into())),
-            ("submission".into(), Value::Str("Eager".into())),
-            ("coordination".into(), Value::Str("None".into())),
-        ]);
-        let parsed = RelayerStrategy::from_value(&legacy).unwrap();
-        assert_eq!(parsed, RelayerStrategy::default());
-        assert_eq!(parsed.channel_policy, ChannelPolicy::FairShare);
-        assert_eq!(parsed.ws_frame_limit_bytes, 0);
-        assert_eq!(parsed.packet_clear_interval, 0);
-        assert_eq!(parsed.sequence_tracking, SequenceTracking::Resync);
     }
 
     #[test]

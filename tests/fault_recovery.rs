@@ -1,11 +1,8 @@
 //! Recovery-property tests for the fault-injection subsystem.
 //!
-//! Three pillars, matching the dependability claims the fault scenarios add
+//! Two pillars, matching the dependability claims the fault scenarios add
 //! on top of the paper's performance testbed:
 //!
-//! * **No-fault equivalence**: attaching an explicitly empty [`FaultPlan`]
-//!   replays every pre-existing golden fixture bit-identically — installing
-//!   the fault subsystem costs nothing when unused.
 //! * **Fixture replay and the recovery bound**: the three fault-scenario
 //!   fixtures replay bit-identically, and the crash arm's time-to-recovery
 //!   obeys the packet-clearing bound of one `packet_clear_interval` plus
@@ -28,52 +25,8 @@ const RELAYER_CRASH_GOLDENS: &str = include_str!("fixtures/relayer_crash_goldens
 const CHAIN_HALT_GOLDENS: &str = include_str!("fixtures/chain_halt_goldens.json");
 const CLIENT_EXPIRY_GOLDENS: &str = include_str!("fixtures/client_expiry_goldens.json");
 
-/// The fixture sets that predate the fault subsystem, all captured with the
-/// default (empty) fault plan.
-const PRE_FAULT_GOLDENS: [(&str, &str); 4] = [
-    (
-        "default_strategy",
-        include_str!("fixtures/default_strategy_goldens.json"),
-    ),
-    (
-        "multi_channel",
-        include_str!("fixtures/multi_channel_goldens.json"),
-    ),
-    (
-        "sequence_race",
-        include_str!("fixtures/sequence_race_goldens.json"),
-    ),
-    (
-        "dedicated_scaling",
-        include_str!("fixtures/dedicated_scaling_goldens.json"),
-    ),
-];
-
 fn parse(fixture: &str) -> Vec<ScenarioOutcome> {
     serde_json::from_str(fixture).expect("golden fixture parses")
-}
-
-/// Every pre-fault golden replays bit-identically when the spec carries an
-/// *explicit* empty fault plan: an empty plan schedules no fault events at
-/// all, so the event loop's trace is untouched — the fault subsystem is
-/// strictly pay-for-what-you-use.
-#[test]
-fn empty_fault_plan_replays_pre_fault_goldens_bit_identically() {
-    for (set, fixture) in PRE_FAULT_GOLDENS {
-        for golden in parse(fixture) {
-            assert!(
-                golden.spec.deployment.fault_plan.is_empty(),
-                "{set}: pre-fault goldens must pin the empty plan"
-            );
-            let spec = golden.spec.clone().fault_plan(FaultPlan::none());
-            let rerun = scenarios::run(&spec);
-            assert_eq!(
-                rerun.metrics, golden.metrics,
-                "{} diverged under an explicit empty fault plan",
-                golden.spec.name
-            );
-        }
-    }
 }
 
 /// The three fault-scenario fixtures replay bit-identically — fault event

@@ -925,8 +925,8 @@ mod codec {
 
         /// Keys reordered, unknown, duplicated or missing in any one map of
         /// the tree — the transaction's own, a message's, a proof's, a
-        /// header's — resolve the way a lookup in the parsed map does; the
-        /// two config types carry the `#[serde(default)]` fields.
+        /// header's — resolve the way a lookup in the parsed map does, and so
+        /// do the maps of the two config types.
         #[test]
         fn edited_maps_get_the_same_verdict(
             packets in prop::collection::vec((1u64..5_000, prop::collection::vec(any::<u8>(), 0..8)), 1..3),
