@@ -210,9 +210,10 @@ impl Tx {
     ///
     /// The derived `deserialize` pulls straight from a
     /// [`serde::binary::Reader`] over the payload, so the fields land in the
-    /// `Tx` without a `serde::Value` tree in between. The reader takes keys in
-    /// the order `encode` wrote them and falls back to a rescan for payloads
-    /// that order them differently, so it accepts exactly the payloads the
+    /// `Tx` without a `serde::Value` tree in between. Each struct is read as
+    /// the record `encode` wrote, exactly its fields by position; a struct
+    /// spelt as a keyed map is looked up by key. Both go through
+    /// `serde::Fields`, so the reader accepts exactly the payloads the
     /// tree-building `serde::binary::from_bytes` + `from_value` pair accepts.
     ///
     /// # Errors
@@ -361,9 +362,10 @@ mod tests {
     /// The streamed digest against the heap-assembled one it replaced, and
     /// against a literal captured before the change: every fixture
     /// transaction's signature covers this digest. The signature never sees
-    /// the payload, so it kept its value when byte arrays became runs; the tx
-    /// hash and the payload length are those of the runs (the modelled JSON
-    /// length, 722, did not move).
+    /// the payload, so it kept its value when byte arrays became runs and
+    /// again when structs became records; the tx hash and the payload length
+    /// are those of the records (536 bytes while structs were keyed maps; the
+    /// modelled JSON length, 722, did not move).
     #[test]
     fn body_digest_is_unchanged_by_streaming() {
         use xcc_tendermint::hash::hash_fields;
@@ -404,11 +406,11 @@ mod tests {
         );
         assert_eq!(
             tx.hash().to_hex(),
-            "82b3e1838b4f79beceb3a58ab177d3bbee57cf44dcf56025be3b6741674fb8c2"
+            "afa6a364e290c85860e469c36720fc70151cac411a65174ccd1819076fc87802"
         );
         assert_eq!(
             (tx.encode().len(), tx.encode().as_bytes().len()),
-            (722, 536)
+            (722, 235)
         );
 
         let mut odd = Tx::new("".into(), u64::MAX, vec![], "");

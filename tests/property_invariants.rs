@@ -24,6 +24,9 @@ use ibc_perf_repro::sim::{Scheduler, SimDuration, SimTime};
 use ibc_perf_repro::tendermint::hash::{sha256, Hash, Sha256};
 use ibc_perf_repro::tendermint::merkle::{leaf_hash, prove, simple_root, VerifiedPath};
 
+#[path = "support/record_tree.rs"]
+mod record_tree;
+
 /// Drives a scheduler through generated steps and returns every pop. Each
 /// step `(offset_us, pops, reschedule)` schedules one event `offset_us` after
 /// the clock, then pops up to `pops % 4` events; with `reschedule`, every pop
@@ -674,6 +677,8 @@ mod codec {
     use proptest::prelude::*;
     use serde::{binary, Deserialize, Serialize, Value};
 
+    use super::record_tree::record_tree;
+
     /// The typed reader and the tree-building path must both fail on `bytes`
     /// or both give the same `T`.
     fn assert_same_verdict<T: Deserialize + PartialEq + Debug>(bytes: &[u8]) -> Option<T> {
@@ -882,8 +887,8 @@ mod codec {
         #![proptest_config(ProptestConfig::with_cases(10))]
 
         /// Random relayer batches encode to bytes that read back as their
-        /// tree and to the length the tree path gives, and every truncation
-        /// of the payload is rejected by both decoders.
+        /// record tree and to the length the keyed tree's JSON has, and
+        /// every truncation of the payload is rejected by both decoders.
         #[test]
         fn relayer_batches_encode_identically_and_reject_every_truncation(
             packets in prop::collection::vec((1u64..5_000, prop::collection::vec(any::<u8>(), 0..40)), 0..3),
@@ -892,9 +897,8 @@ mod codec {
         ) {
             let tx = relayer_tx(&packets, padding, nonce);
             let raw = tx.encode();
-            let tree = tx.to_value();
-            prop_assert_eq!(binary::from_bytes(raw.as_bytes()).unwrap(), tree);
-            prop_assert_eq!(raw.len(), serde::json::encoded_len(&tree));
+            prop_assert_eq!(binary::from_bytes(raw.as_bytes()).unwrap(), record_tree(&tx));
+            prop_assert_eq!(raw.len(), serde::json::encoded_len(&tx.to_value()));
             prop_assert_eq!(raw.len(), serde_json::to_string(&tx).unwrap().len());
             prop_assert_eq!(assert_same_tx_verdict(raw.as_bytes()), Some(tx));
             for cut in 0..raw.as_bytes().len() {
@@ -936,6 +940,118 @@ mod codec {
             assert_map_edits_agree(&relayer_tx(&packets, 5, 1), pick, at);
             assert_map_edits_agree(&RelayerStrategy::default().frame_limit(4_096), pick, at);
             assert_map_edits_agree(&DeploymentConfig::default(), pick, at);
+        }
+    }
+
+    /// The places of the records in `records`, the tree `binary::write`
+    /// gives, outermost first: where `keyed`, the same value's `to_value`,
+    /// has a struct's map, `records` has the array of its fields. A place is
+    /// the child indices from the root.
+    fn record_paths(
+        keyed: &Value,
+        records: &Value,
+        path: &mut Vec<usize>,
+        out: &mut Vec<Vec<usize>>,
+    ) {
+        fn values(entries: &[(String, Value)]) -> impl Iterator<Item = &Value> {
+            entries.iter().map(|(_, v)| v)
+        }
+        let children: Vec<(&Value, &Value)> = match (keyed, records) {
+            (Value::Map(entries), Value::Seq(items)) => {
+                out.push(path.clone());
+                values(entries).zip(items).collect()
+            }
+            (Value::Map(a), Value::Map(b)) => values(a).zip(values(b)).collect(),
+            (Value::Seq(a), Value::Seq(b)) => a.iter().zip(b).collect(),
+            _ => return,
+        };
+        for (i, (k, r)) in children.into_iter().enumerate() {
+            path.push(i);
+            record_paths(k, r, path, out);
+            path.pop();
+        }
+    }
+
+    fn node_at<'a>(tree: &'a mut Value, path: &[usize]) -> &'a mut Value {
+        path.iter().fold(tree, |node, &i| match node {
+            Value::Seq(items) => &mut items[i],
+            Value::Map(entries) => &mut entries[i].1,
+            _ => unreachable!("a place runs through containers"),
+        })
+    }
+
+    /// The arity edits of the `pick`-th record of `value`'s binary tree
+    /// (wrapping around): one value short or one value over is refused by
+    /// both decoders, the keyed map the record stands for reads back as
+    /// the value, and the record's bytes cut at every offset get the same
+    /// verdict from both.
+    fn assert_record_edits_agree<T: Deserialize + Serialize + PartialEq + Debug>(
+        value: &T,
+        pick: usize,
+    ) {
+        let (mut keyed, records) = (value.to_value(), record_tree(value));
+        let mut paths = Vec::new();
+        record_paths(&keyed, &records, &mut Vec::new(), &mut paths);
+        let path = &paths[pick % paths.len()];
+        let keyed = node_at(&mut keyed, path).clone();
+        let edited = |edit: &dyn Fn(Vec<Value>) -> Value| {
+            let mut copy = records.clone();
+            let node = node_at(&mut copy, path);
+            let Value::Seq(items) = node else {
+                unreachable!("a record is an array");
+            };
+            *node = edit(std::mem::take(items));
+            binary::to_bytes(&copy)
+        };
+
+        let short = edited(&|mut items| {
+            items.pop();
+            Value::Seq(items)
+        });
+        let expected = (keyed.as_map().map(<[_]>::len) == Some(0)).then_some(value);
+        assert_eq!(
+            assert_same_verdict::<T>(&short).as_ref(),
+            expected,
+            "short at {path:?}"
+        );
+        let long = edited(&|mut items| {
+            items.push(Value::Null);
+            Value::Seq(items)
+        });
+        assert_eq!(assert_same_verdict::<T>(&long), None, "long at {path:?}");
+        let by_key = edited(&|_| keyed.clone());
+        assert_eq!(assert_same_verdict::<T>(&by_key).as_ref(), Some(value));
+
+        let marker = Value::Str("a record is cut here".into());
+        let marked = edited(&|_| marker.clone());
+        let marker = binary::to_bytes(&marker);
+        let at = (0..marked.len())
+            .find(|&at| marked[at..].starts_with(&marker))
+            .expect("the marker is written");
+        let record = binary::to_bytes(node_at(&mut records.clone(), path));
+        for cut in 0..record.len() {
+            let spliced = [&marked[..at], &record[..cut], &marked[at + marker.len()..]].concat();
+            assert_same_verdict::<T>(&spliced);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// A struct on the wire is a record of exactly its fields: any one
+        /// record of a payload — the transaction's, a message's, a packet's,
+        /// a proof's, a header's, a config's — one value short or one value
+        /// over is refused by both decoders, never read with a value in the
+        /// wrong field; cut at any offset it gets the same verdict from
+        /// both; and the keyed map it stands for reads back.
+        #[test]
+        fn records_of_the_wrong_arity_are_refused(
+            packets in prop::collection::vec((1u64..5_000, prop::collection::vec(any::<u8>(), 0..8)), 1..3),
+            pick in any::<usize>(),
+        ) {
+            assert_record_edits_agree(&relayer_tx(&packets, 5, 1), pick);
+            assert_record_edits_agree(&RelayerStrategy::default().frame_limit(4_096), pick);
+            assert_record_edits_agree(&DeploymentConfig::default(), pick);
         }
     }
 
@@ -1001,9 +1117,9 @@ mod codec {
 
         /// Packet data longer than the 1,024 bytes a `Vec` reserves from a
         /// length read off the wire, so a payload is copied out of its byte
-        /// run in more than one piece: bytes that read back as the tree, the
-        /// same transaction back, and every cut across it rejected by both
-        /// decoders.
+        /// run in more than one piece: bytes that read back as the record
+        /// tree, the same transaction back, and every cut across it rejected
+        /// by both decoders.
         #[test]
         fn packet_data_across_reserve_runs_reads_back(
             data in prop::collection::vec(any::<u8>(), 1_000..2_200),
@@ -1011,7 +1127,7 @@ mod codec {
         ) {
             let tx = relayer_tx(&[(seq, data)], 3, 9);
             let raw = tx.encode();
-            prop_assert_eq!(binary::from_bytes(raw.as_bytes()).unwrap(), tx.to_value());
+            prop_assert_eq!(binary::from_bytes(raw.as_bytes()).unwrap(), record_tree(&tx));
             prop_assert_eq!(assert_same_tx_verdict(raw.as_bytes()), Some(tx));
             for cut in 0..raw.as_bytes().len() {
                 prop_assert_eq!(assert_same_tx_verdict(&raw.as_bytes()[..cut]), None);
@@ -1022,10 +1138,10 @@ mod codec {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// A key anywhere in a transaction turned into invalid UTF-8 — of its
-        /// own length, one byte longer or one shorter, and still starting
-        /// like the name — is refused by both decoders, whether or not a
-        /// field asked for that key by name.
+        /// A variant key anywhere in a transaction (a message's tag, the only
+        /// keys a payload of records still has) turned into invalid UTF-8 —
+        /// of its own length, one byte longer or one shorter, and still
+        /// starting like the tag — is refused by both decoders.
         #[test]
         fn keys_edited_into_invalid_utf8_are_refused(
             packets in prop::collection::vec((1u64..5_000, prop::collection::vec(any::<u8>(), 0..8)), 1..3),
@@ -1035,7 +1151,7 @@ mod codec {
             let tx = relayer_tx(&packets, 5, 1);
             let bytes = tx.encode().as_bytes().to_vec();
             let mut keys = Vec::new();
-            keys_of(&tx.to_value(), &mut keys);
+            keys_of(&record_tree(&tx), &mut keys);
             let key = &keys[pick.index(keys.len())];
             let positions = key_positions(&bytes, key);
             prop_assert!(!positions.is_empty(), "{} is written somewhere", key);

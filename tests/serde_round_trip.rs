@@ -10,6 +10,11 @@
 //! for tree. The bytes themselves are pinned by literals at the end of the
 //! file, not by the tree path, whose `Value` has no byte runs.
 
+#[path = "support/record_tree.rs"]
+mod record_tree;
+
+use record_tree::record_tree;
+
 use ibc_perf_repro::chain::account::AccountId;
 use ibc_perf_repro::chain::coin::Coin;
 use ibc_perf_repro::chain::msg::Msg;
@@ -110,10 +115,10 @@ serde_round_trip! {
 }
 
 /// One circular `#[test]` per type on the transaction wire: the streamed
-/// bytes read back as the value by the typed reader and as its `Value` tree
-/// by the tree reader, the tree's own bytes (byte arrays spelt as integers)
-/// read back as the value too, and the streamed length is the length of the
-/// JSON text.
+/// bytes read back as the value by the typed reader and as its record tree
+/// (each struct the array of its fields) by the tree reader; that tree's
+/// own bytes (byte arrays spelt as integers) and the keyed tree's read back
+/// as the value too; and the streamed length is the length of the JSON text.
 macro_rules! wire_round_trip {
     ($($name:ident: $ty:ty = $value:expr;)*) => {$(
         #[test]
@@ -121,10 +126,12 @@ macro_rules! wire_round_trip {
             let value: $ty = $value;
             let bytes = serde::binary::write(&value);
             assert_eq!(serde::binary::read::<$ty>(&bytes).unwrap(), value);
-            let tree = value.to_value();
-            assert_eq!(serde::binary::from_bytes(&bytes).unwrap(), tree);
-            let spelt = serde::binary::to_bytes(&tree);
+            let records = record_tree(&value);
+            assert_eq!(serde::binary::from_bytes(&bytes).unwrap(), records);
+            let spelt = serde::binary::to_bytes(&records);
             assert_eq!(serde::binary::read::<$ty>(&spelt).unwrap(), value);
+            let keyed = serde::binary::to_bytes(&value.to_value());
+            assert_eq!(serde::binary::read::<$ty>(&keyed).unwrap(), value);
             let mut len = serde::json::Len::default();
             value.serialize(&mut len);
             assert_eq!(len.0, serde_json::to_string(&value).unwrap().len());
@@ -335,4 +342,25 @@ fn byte_run_wire_bytes_are_pinned() {
     assert_eq!(bytes.len(), 3 + 1_025);
     assert_eq!(bytes[..3], *b"\x09\x81\x08");
     assert_eq!(bytes[3..], data[..]);
+}
+
+/// A struct is a record: tag 7, its field count, then its field values in
+/// declared order with no names. A variant keeps its tag as the one key of a
+/// map (tag 8). These literals fix the layout every transaction hash is made
+/// from; the keyed tree `to_value` builds cannot.
+#[test]
+fn record_wire_bytes_are_pinned() {
+    let coin = Coin::new("uatom", 7);
+    assert_eq!(
+        serde::binary::write(&coin),
+        b"\x07\x02\x06\x05uatom\x04\x07"
+    );
+    assert_eq!(
+        serde::binary::write(&Height::new(3, 300)),
+        b"\x07\x02\x04\x03\x04\xac\x02"
+    );
+    let send = sample_tx().msgs.remove(0);
+    let mut expected = b"\x08\x01\x08BankSend\x07\x03".to_vec();
+    expected.extend(b"\x06\x05alice\x06\x03bob\x07\x02\x06\x05uatom\x04\x07");
+    assert_eq!(serde::binary::write(&send), expected);
 }
