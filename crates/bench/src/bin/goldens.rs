@@ -1,10 +1,20 @@
-//! Regenerates — and, with `--check`, verifies — the golden fixtures used by
-//! `tests/relayer_strategies.rs` and `tests/multi_channel.rs`.
+//! Regenerates — and, with `--check`, verifies — the ten golden fixture
+//! sets in `tests/fixtures/`, which five test files replay:
 //!
-//! The fixtures pin the exact `ScenarioOutcome`s of small fig8/fig9/fig11/
-//! fig12-shaped runs so the determinism tests can prove that the pluggable
-//! relayer pipeline's default strategy reproduces the pre-refactor relayer
-//! bit for bit. Regenerate one set (and carefully review the diff!) with:
+//! * `tests/relayer_strategies.rs`: `default_strategy` (small fig8/fig9/
+//!   fig11/fig12-shaped runs: the default strategy reproduces the
+//!   pre-refactor relayer bit for bit), `sequence_race` (§V's straddled
+//!   commit under both sequence-tracking arms) and `strategy_arms` (one run
+//!   per non-default strategy arm, plus the clear-scan path);
+//! * `tests/multi_channel.rs`: `multi_channel`;
+//! * `tests/dedicated_fleet.rs`: `dedicated_scaling`;
+//! * `tests/fault_recovery.rs`: `relayer_crash`, `chain_halt` and
+//!   `client_expiry`;
+//! * `tests/topology_graph.rs`: `hub_spoke_scaling` and `mesh_contention`.
+//!
+//! Each set pins the exact `ScenarioOutcome`s of its specs; the fault and
+//! topology sets take their specs from the registered scenario's grid.
+//! Regenerate one set (and carefully review the diff!) with:
 //!
 //! ```text
 //! cargo run --release -p xcc-bench --bin goldens -- --set default_strategy \

@@ -9,6 +9,7 @@
 //! * `XCC_OUTPUT` — `text` (default), `json` or `csv`.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod timing;
@@ -26,6 +27,10 @@ pub fn run_and_print(entry: &ScenarioEntry) {
     let outcomes = entry.run(mode);
     match OutputFormat::from_env() {
         OutputFormat::Text => print!("{}", entry.render(&outcomes)),
+        #[expect(
+            clippy::expect_used,
+            reason = "serialisation fails only on a bug in the outcome structure itself"
+        )]
         OutputFormat::Json => {
             println!(
                 "{}",

@@ -1,24 +1,31 @@
 //! The bench harness's wall-clock shim — the one place `Instant` is legal.
 //!
-//! The xcc-lint wall-clock rule (D2) bans `Instant`/`SystemTime` everywhere
-//! in the workspace and carries a scoped exemption for exactly this file
-//! (see `WALL_CLOCK_EXEMPT` in `xcc-lint`'s rules, pinned by the rule's
-//! fixture test). The stopwatch measures the *host machine* replaying golden
-//! fixtures, producing the human-facing `wall_clock_secs` numbers in
-//! `BENCH_golden.json`; it never feeds simulated state, which is why the
-//! exemption is sound. The exact-match regression signal is the xcc-prof
-//! work counters, never these timings — see docs/PERFORMANCE.md.
+//! The workspace's `clippy.toml` bans `Instant`/`SystemTime` everywhere
+//! through `disallowed-types`; this file's two uses each carry an
+//! `#[expect(clippy::disallowed_types, ..)]`. The stopwatch measures the
+//! *host machine* replaying golden fixtures, producing the human-facing
+//! `wall_clock_secs` numbers in `BENCH_golden.json`; it never feeds
+//! simulated state, which is why the exception is sound. The exact-match
+//! regression signal is the xcc-prof work counters, never these timings —
+//! see docs/PERFORMANCE.md.
 
 /// A started wall-clock measurement.
 pub struct Stopwatch {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "host time for the informational wall-clock numbers; never feeds simulated state"
+    )]
     started: std::time::Instant,
 }
 
 impl Stopwatch {
     /// Starts timing now.
-    #[allow(clippy::new_without_default)]
     pub fn start() -> Self {
         Stopwatch {
+            #[expect(
+                clippy::disallowed_types,
+                reason = "host time, see the field declaration"
+            )]
             started: std::time::Instant::now(),
         }
     }

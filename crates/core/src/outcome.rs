@@ -339,6 +339,10 @@ impl ScenarioOutcome {
     ///
     /// Panics only if serialization fails, which would indicate a bug in the
     /// outcome structure itself.
+    #[expect(
+        clippy::expect_used,
+        reason = "serialisation fails only on a bug in the outcome structure itself"
+    )]
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("outcome serialisation cannot fail")
     }

@@ -741,7 +741,7 @@ fn tfps_column<'a>(
 }
 
 // ---------------------------------------------------------------------------
-// Renderers (the tables the old bench binaries printed)
+// Renderers (one table per scenario, printed by `figure <name>`)
 // ---------------------------------------------------------------------------
 
 fn fig6_render(report: &mut ExecutionReport, outcomes: &[ScenarioOutcome]) {

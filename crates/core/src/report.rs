@@ -67,6 +67,10 @@ impl ExecutionReport {
     ///
     /// Panics only if serialisation fails, which would indicate a bug in the
     /// report structure itself.
+    #[expect(
+        clippy::expect_used,
+        reason = "serialisation fails only on a bug in the report structure itself"
+    )]
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("report serialisation cannot fail")
     }

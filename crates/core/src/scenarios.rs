@@ -25,8 +25,11 @@ pub fn try_run_raw(spec: &ExperimentSpec) -> Result<RunOutput, SetupError> {
 /// that inspect chains, telemetry or block records directly. Specs whose
 /// deployment can fail to set up (hand-written topologies) should use
 /// [`try_run_raw`].
+#[expect(
+    clippy::expect_used,
+    reason = "convenience front end for tests and examples; the fallible path is try_run_raw"
+)]
 pub fn run_raw(spec: &ExperimentSpec) -> RunOutput {
-    // xcc-lint: allow(panic-in-library, reason = "convenience front end for tests and examples; the fallible path is try_run_raw")
     try_run_raw(spec).expect("experiment setup succeeds for this spec")
 }
 

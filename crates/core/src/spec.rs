@@ -424,6 +424,10 @@ impl ExperimentSpec {
     ///
     /// Panics only if serialization fails, which would indicate a bug in the
     /// spec structure itself.
+    #[expect(
+        clippy::expect_used,
+        reason = "serialisation fails only on a bug in the spec structure itself"
+    )]
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("spec serialisation cannot fail")
     }

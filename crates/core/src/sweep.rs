@@ -11,7 +11,7 @@
 //! less, and `tests/spec_api.rs` verifies it byte-for-byte.
 //!
 //! This module is also the single home of the sweep-related environment
-//! variables that the bench binaries used to parse individually:
+//! variables:
 //!
 //! * `XCC_FULL_SWEEP` — when set, run every point of a scenario's grid
 //!   ([`SweepMode::from_env`]); unset, run the [`thinned`](SweepGrid::thinned)

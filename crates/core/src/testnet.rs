@@ -163,8 +163,11 @@ impl Testnet {
     ///
     /// Infallible front end of [`Testnet::try_build`] for the common case of
     /// a valid (sentinel or preset) topology.
+    #[expect(
+        clippy::expect_used,
+        reason = "convenience front end: sentinel and preset topologies resolve by construction; the fallible API is try_build"
+    )]
     pub fn build(deployment: &DeploymentConfig) -> Self {
-        // xcc-lint: allow(panic-in-library, reason = "convenience front end: sentinel and preset topologies resolve by construction; the fallible API is try_build")
         Self::try_build(deployment).expect("deployment topology is valid")
     }
 

@@ -1,8 +1,8 @@
-//! D4 fixture: float arithmetic in simulated code with no baseline budget,
-//! one properly annotated site, one wrong-rule annotation, one unused
-//! annotation, and one malformed annotation.
+//! D4 fixture: float arithmetic in simulated code, one properly annotated
+//! site, one wrong-rule annotation, one annotation naming a deleted rule,
+//! one unused annotation, and one malformed annotation.
 
-/// Two unsuppressed sites: the signature and the cast line.
+/// Two unannotated sites: the signature and the cast line.
 pub fn drift(x: u64) -> f64 {
     x as f64 * 0.5
 }
@@ -12,10 +12,13 @@ pub fn annotated_ratio(busy: f64, horizon: f64) -> f64 {
     busy / horizon
 }
 
-// xcc-lint: allow(panic-in-library, reason = "wrong rule: does not absorb the float below")
+// xcc-lint: allow(lane-bypass, reason = "wrong rule: does not absorb the float below")
 pub fn mislabeled(x: f32) -> f32 {
     x
 }
+
+// xcc-lint: allow(hash-collections, reason = "the rule moved to clippy; the annotation stayed behind")
+pub fn stale_rule_name() {}
 
 // xcc-lint: allow(float-determinism, reason = "unused: nothing floats on the next line")
 pub fn integral(x: u64) -> u64 {

@@ -534,22 +534,22 @@ mod tests {
 
     #[test]
     fn suppression_parses_rule_and_reason() {
-        let src = "// xcc-lint: allow(hash-collections, reason = \"lookup only\")\nuse std::collections::HashMap;\n";
+        let src = "// xcc-lint: allow(float-determinism, reason = \"report only\")\npub fn ratio() -> f64;\n";
         let s = Scrubbed::scan(src);
         assert_eq!(s.suppressions.len(), 1);
         let supp = &s.suppressions[0];
-        assert_eq!(supp.rule, "hash-collections");
-        assert_eq!(supp.reason.as_deref(), Some("lookup only"));
+        assert_eq!(supp.rule, "float-determinism");
+        assert_eq!(supp.reason.as_deref(), Some("report only"));
         assert!(!supp.malformed);
-        assert!(s.suppression_for("hash-collections", 2).is_some());
-        assert!(s.suppression_for("hash-collections", 3).is_none());
-        assert!(s.suppression_for("wall-clock", 2).is_none());
+        assert!(s.suppression_for("float-determinism", 2).is_some());
+        assert!(s.suppression_for("float-determinism", 3).is_none());
+        assert!(s.suppression_for("lane-bypass", 2).is_none());
     }
 
     #[test]
     fn suppression_reason_may_contain_parens() {
         let s = Scrubbed::scan(
-            "// xcc-lint: allow(hash-collections, reason = \"O(1) lookups (never iterated)\")\n",
+            "// xcc-lint: allow(float-determinism, reason = \"O(1) lookups (never iterated)\")\n",
         );
         assert_eq!(s.suppressions.len(), 1);
         assert_eq!(
@@ -560,9 +560,9 @@ mod tests {
 
     #[test]
     fn suppression_without_reason_and_malformed() {
-        let s = Scrubbed::scan("// xcc-lint: allow(wall-clock)\n// xcc-lint: deny(everything)\n");
+        let s = Scrubbed::scan("// xcc-lint: allow(lane-bypass)\n// xcc-lint: deny(everything)\n");
         assert_eq!(s.suppressions.len(), 2);
-        assert_eq!(s.suppressions[0].rule, "wall-clock");
+        assert_eq!(s.suppressions[0].rule, "lane-bypass");
         assert!(s.suppressions[0].reason.is_none());
         assert!(!s.suppressions[0].malformed);
         assert!(s.suppressions[1].malformed);

@@ -4,23 +4,24 @@
 //! `ExperimentSpec` must produce the same event trace and the same golden
 //! fixtures on every machine, forever. That guarantee is easy to break with
 //! one innocuous line — iterating a `HashMap`, reading `Instant::now()`,
-//! seeding from `thread_rng()` — and such breaks surface only later, as a
+//! leaning on float rounding — and such breaks surface only later, as a
 //! flaky `goldens --check` failure that is miserable to bisect.
 //!
-//! `xcc-lint` moves that class of failure from replay time to lint time. It
-//! is a dependency-free static auditor (no `rustc` internals, no `syn`;
-//! crates.io is unreachable in this environment) built on a comment- and
-//! string-aware scrubbing scanner ([`lexer::Scrubbed`]) and a shallow
-//! [workspace item graph](items) parsed from the scrubbed token stream.
-//! Twelve rules run over `crates/*/src`, `tests/`, and friends:
+//! Clippy catches the type-level bans: the workspace `clippy.toml` lists
+//! `HashMap`, `HashSet`, `Instant`, `SystemTime` and `RandomState` under
+//! `disallowed-types`, and every `crates/*` library root (and this crate's
+//! binary) denies `clippy::unwrap_used`, `clippy::expect_used` and
+//! `clippy::panic`.
 //!
-//! * **D1 `hash-collections`** — no `HashMap`/`HashSet` without a per-site
-//!   justified suppression.
-//! * **D2 `wall-clock`** — no `SystemTime`/`Instant`.
-//! * **D3 `ambient-entropy`** — no `thread_rng`/`OsRng`/`from_entropy`/
-//!   `getrandom`.
-//! * **D4 `float-determinism`** — `f32`/`f64` in sim/chain/tendermint/
-//!   relayer code is annotated or ratcheted by `float-baseline.txt`.
+//! `xcc-lint` checks what no standard tool does. It is a dependency-free
+//! static auditor (no `rustc` internals, no `syn`; the workspace builds
+//! offline) built on a comment- and string-aware scrubbing
+//! scanner ([`lexer::Scrubbed`]) and a shallow [workspace item
+//! graph](items) parsed from the scrubbed token stream. Seven rules run over
+//! `crates/*/src`, `tests/`, and friends:
+//!
+//! * **D4 `float-determinism`** — every `f32`/`f64` in sim/chain/tendermint/
+//!   relayer code carries a reasoned annotation.
 //! * **C1 `uncosted-rpc`** — every `RpcEndpoint` RPC method names a
 //!   `RequestKind`, every kind has an explicit `service_time` arm (no
 //!   wildcard), and no kind is dead.
@@ -40,8 +41,6 @@
 //!   test: another scanned file's non-test lines (`tests/` and
 //!   `#[cfg(test)]` code never count), its own non-test lines,
 //!   `benchmark/src` or a rustdoc example.
-//! * **P1 `panic-in-library`** — `unwrap()`/`expect()`/`panic!` in non-test
-//!   library code is ratcheted by `panic-baseline.txt`.
 //! * **R1 `registry-docs`** — scenario registry ↔ README/PAPER rows stay
 //!   consistent.
 //!
@@ -57,32 +56,12 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-pub mod baseline;
 pub mod items;
 pub mod lexer;
 pub mod report;
 pub mod rules;
 
-use std::fs;
-use std::io;
-use std::path::Path;
-
 pub use report::{to_json, Finding};
 pub use rules::{run, Config, Outcome, RuleId};
-
-/// Recomputes and writes both ratchet baselines (`panic-baseline.txt` and
-/// `float-baseline.txt`) under `root`. Returns the number of grandfathered
-/// (panic, float) sites recorded.
-pub fn regenerate_baseline(root: &Path) -> io::Result<(usize, usize)> {
-    let panics = rules::current_panic_counts(root)?;
-    let floats = rules::current_float_counts(root)?;
-    let panic_total: usize = panics.values().sum();
-    let float_total: usize = floats.values().sum();
-    fs::write(root.join(baseline::BASELINE_REL), baseline::render(&panics))?;
-    fs::write(
-        root.join(baseline::FLOAT_BASELINE_REL),
-        baseline::render_float(&floats),
-    )?;
-    Ok((panic_total, float_total))
-}

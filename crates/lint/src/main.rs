@@ -5,11 +5,12 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xcc_lint::{regenerate_baseline, rules, to_json, Config, RuleId};
+use xcc_lint::{rules, to_json, Config, RuleId};
 
 const USAGE: &str = "\
 xcc-lint: determinism & costing auditor for the workspace
@@ -21,8 +22,7 @@ OPTIONS:
     --check            exit 2 when any finding is reported (CI mode)
     --json             emit findings as JSON instead of text lines
     --github           emit findings as GitHub Actions ::error annotations
-    --baseline         regenerate crates/lint/{panic,float}-baseline.txt and exit
-    --rule <name>      run only this rule (repeatable); names or codes (D1..R1)
+    --rule <name>      run only this rule (repeatable); names or codes (D4..R1)
     --skip-rule <name> run all rules except this one (repeatable)
     --root <path>      workspace root to lint (default: current directory)
     --list-rules       print the rule catalogue and exit
@@ -33,7 +33,6 @@ struct Args {
     check: bool,
     json: bool,
     github: bool,
-    baseline: bool,
     list_rules: bool,
     root: PathBuf,
     only: Vec<RuleId>,
@@ -45,7 +44,6 @@ fn parse_args() -> Result<Args, String> {
         check: false,
         json: false,
         github: false,
-        baseline: false,
         list_rules: false,
         root: PathBuf::from("."),
         only: Vec::new(),
@@ -57,7 +55,6 @@ fn parse_args() -> Result<Args, String> {
             "--check" => args.check = true,
             "--json" => args.json = true,
             "--github" => args.github = true,
-            "--baseline" => args.baseline = true,
             "--list-rules" => args.list_rules = true,
             "--help" | "-h" => return Err(String::new()),
             "--root" => {
@@ -104,24 +101,6 @@ fn main() -> ExitCode {
             println!("{:4} {}", rule.code(), rule.name());
         }
         return ExitCode::SUCCESS;
-    }
-
-    if args.baseline {
-        return match regenerate_baseline(&args.root) {
-            Ok((panics, floats)) => {
-                println!(
-                    "xcc-lint: wrote {} ({panics} grandfathered panic site(s)) and {} \
-                     ({floats} grandfathered float site(s))",
-                    xcc_lint::baseline::BASELINE_REL,
-                    xcc_lint::baseline::FLOAT_BASELINE_REL
-                );
-                ExitCode::SUCCESS
-            }
-            Err(err) => {
-                eprintln!("xcc-lint: baseline regeneration failed: {err}");
-                ExitCode::FAILURE
-            }
-        };
     }
 
     let mut selected: Vec<RuleId> = if args.only.is_empty() {

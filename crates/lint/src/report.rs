@@ -21,7 +21,7 @@
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// The rule that fired (e.g. `hash-collections`).
+    /// The rule that fired (e.g. `float-determinism`).
     pub rule: &'static str,
     /// Workspace-relative path of the offending file.
     pub path: String,
@@ -121,16 +121,16 @@ mod tests {
     #[test]
     fn json_escapes_and_counts() {
         let findings = vec![Finding {
-            rule: "wall-clock",
+            rule: "float-determinism",
             path: "crates/sim/src/time.rs".into(),
             line: 3,
             col: 9,
-            message: "say \"no\" to\nwall clocks".into(),
+            message: "say \"no\" to\nfloats".into(),
         }];
         let json = to_json(&findings, 7);
-        assert!(json.contains("\"rule\": \"wall-clock\""));
+        assert!(json.contains("\"rule\": \"float-determinism\""));
         assert!(json.contains("\"col\": 9"));
-        assert!(json.contains("\\\"no\\\" to\\nwall"));
+        assert!(json.contains("\\\"no\\\" to\\nfloats"));
         assert!(json.contains("\"files_scanned\": 7"));
         assert!(json.contains("\"finding_count\": 1"));
     }
@@ -138,24 +138,24 @@ mod tests {
     #[test]
     fn render_includes_positions_only_when_known() {
         let full = Finding {
-            rule: "panic-in-library",
+            rule: "value-detour",
             path: "a.rs".into(),
             line: 9,
             col: 4,
             message: "m".into(),
         };
-        assert_eq!(full.render(), "a.rs:9:4: [panic-in-library] m");
+        assert_eq!(full.render(), "a.rs:9:4: [value-detour] m");
         let line_only = Finding {
             col: 0,
             ..full.clone()
         };
-        assert_eq!(line_only.render(), "a.rs:9: [panic-in-library] m");
+        assert_eq!(line_only.render(), "a.rs:9: [value-detour] m");
         let file_level = Finding {
             line: 0,
             col: 0,
             ..full
         };
-        assert_eq!(file_level.render(), "a.rs: [panic-in-library] m");
+        assert_eq!(file_level.render(), "a.rs: [value-detour] m");
     }
 
     #[test]

@@ -2,24 +2,26 @@
 //!
 //! | Id | Rule | Contract it guards |
 //! |----|------|--------------------|
-//! | D1 | `hash-collections` | no `HashMap`/`HashSet` — iteration order would break schedule equivalence |
-//! | D2 | `wall-clock` | no `std::time::{SystemTime, Instant}` — all time is `xcc_sim::SimTime` |
-//! | D3 | `ambient-entropy` | no `thread_rng`/OS-seeded RNG — seeds derive from `ExperimentSpec` |
-//! | D4 | `float-determinism` | `f32`/`f64` in sim/chain/tendermint/relayer code is annotated or baselined |
+//! | D4 | `float-determinism` | every `f32`/`f64` in sim/chain/tendermint/relayer code is annotated |
 //! | C1 | `uncosted-rpc` | every `RpcEndpoint` RPC method names a `RequestKind`, and every kind has an explicit costing arm |
 //! | C2 | `lane-bypass` | outside `crates/rpc`, no direct `RpcResponse` construction or cost-table access |
 //! | V1 | `value-detour` | simulation code never builds a `serde::Value` tree: no `to_value`/`from_value`, no `Value`-tree binary or JSON-length calls |
 //! | U1 | `unsafe-code` | the `unsafe` keyword appears once, under a `// SAFETY:` comment, in the SHA-256 kernel's dispatch file; every other crate root forbids it |
 //! | K1 | `dead-knob` | every pub config field is read outside its defining file, and every non-test `pub fn` of the seven simulation crates has a caller that is not a test |
-//! | P1 | `panic-in-library` | no new `unwrap()`/`expect()`/`panic!` in non-test library code beyond the baseline |
 //! | R1 | `registry-docs` | scenario registry ↔ README/PAPER-row consistency |
 //!
-//! D-rules accept per-site suppressions: `// xcc-lint: allow(<rule>,
+//! The hash-collection, wall-clock, entropy and panic bans are not here:
+//! clippy enforces them with type resolution (the workspace `clippy.toml`'s
+//! `disallowed-types`, and `#![deny(clippy::unwrap_used,
+//! clippy::expect_used, clippy::panic)]` in every `crates/*` library root
+//! and in this crate's binary).
+//!
+//! Rules accept per-site suppressions: `// xcc-lint: allow(<rule>,
 //! reason = "...")` on the offending line or the line above. The reason is
 //! mandatory, and suppressions that stop matching anything are themselves
 //! findings, so the escape hatch cannot rot.
 //!
-//! The token-level rules (D1–D3, D4, C2, V1, U1, P1) work straight off the scrubbed
+//! The token-level rules (D4, C2, V1, U1) work straight off the scrubbed
 //! lines; the structural rules (C1, K1) consume the
 //! [workspace item graph](crate::items) so they survive reformatting and
 //! follow items when they move.
@@ -29,7 +31,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::baseline;
 use crate::items::{self, FileItems, Flat};
 use crate::lexer::{word_occurrences, Scrubbed};
 use crate::report::Finding;
@@ -37,13 +38,7 @@ use crate::report::Finding;
 /// Identifier of one lint rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    /// D1: no `HashMap`/`HashSet` without a justified suppression.
-    HashCollections,
-    /// D2: no `SystemTime`/`Instant`.
-    WallClock,
-    /// D3: no ambient entropy sources.
-    AmbientEntropy,
-    /// D4: `f32`/`f64` in simulated code ratcheted by the float baseline.
+    /// D4: every `f32`/`f64` in simulated code carries a reasoned annotation.
     FloatDeterminism,
     /// C1: every RPC method cross-checked against `RequestKind` costing.
     UncostedRpc,
@@ -55,8 +50,6 @@ pub enum RuleId {
     UnsafeCode,
     /// K1: pub config knobs must be read and pub functions called somewhere.
     DeadKnob,
-    /// P1: panic sites in library code ratcheted by the baseline.
-    PanicInLibrary,
     /// R1: scenario registry ↔ scenario docs.
     RegistryDocs,
     /// Meta-rule: `xcc-lint: allow(...)` comments must be well-formed,
@@ -66,17 +59,13 @@ pub enum RuleId {
 
 impl RuleId {
     /// Every rule, in report order.
-    pub const ALL: [RuleId; 12] = [
-        RuleId::HashCollections,
-        RuleId::WallClock,
-        RuleId::AmbientEntropy,
+    pub const ALL: [RuleId; 8] = [
         RuleId::FloatDeterminism,
         RuleId::UncostedRpc,
         RuleId::LaneBypass,
         RuleId::ValueDetour,
         RuleId::UnsafeCode,
         RuleId::DeadKnob,
-        RuleId::PanicInLibrary,
         RuleId::RegistryDocs,
         RuleId::Suppression,
     ];
@@ -84,34 +73,26 @@ impl RuleId {
     /// The rule's kebab-case name (as used by `--rule` and suppressions).
     pub fn name(self) -> &'static str {
         match self {
-            RuleId::HashCollections => "hash-collections",
-            RuleId::WallClock => "wall-clock",
-            RuleId::AmbientEntropy => "ambient-entropy",
             RuleId::FloatDeterminism => "float-determinism",
             RuleId::UncostedRpc => "uncosted-rpc",
             RuleId::LaneBypass => "lane-bypass",
             RuleId::ValueDetour => "value-detour",
             RuleId::UnsafeCode => "unsafe-code",
             RuleId::DeadKnob => "dead-knob",
-            RuleId::PanicInLibrary => "panic-in-library",
             RuleId::RegistryDocs => "registry-docs",
             RuleId::Suppression => "suppression",
         }
     }
 
-    /// The rule's short catalogue code (`D1`…`R1`).
+    /// The rule's short catalogue code (`D4`…`R1`, `S0`).
     pub fn code(self) -> &'static str {
         match self {
-            RuleId::HashCollections => "D1",
-            RuleId::WallClock => "D2",
-            RuleId::AmbientEntropy => "D3",
             RuleId::FloatDeterminism => "D4",
             RuleId::UncostedRpc => "C1",
             RuleId::LaneBypass => "C2",
             RuleId::ValueDetour => "V1",
             RuleId::UnsafeCode => "U1",
             RuleId::DeadKnob => "K1",
-            RuleId::PanicInLibrary => "P1",
             RuleId::RegistryDocs => "R1",
             RuleId::Suppression => "S0",
         }
@@ -169,40 +150,8 @@ pub fn run(config: &Config) -> io::Result<Outcome> {
     let files = scan_workspace(&config.root)?;
     let mut findings = Vec::new();
 
-    if config.enabled(RuleId::HashCollections) {
-        word_ban(
-            &files,
-            RuleId::HashCollections,
-            &["HashMap", "HashSet"],
-            "unordered hash collection; iterating one breaks schedule equivalence — use \
-             BTreeMap/BTreeSet/Vec, or suppress with a reason if provably never iterated",
-            &[],
-            &mut findings,
-        );
-    }
-    if config.enabled(RuleId::WallClock) {
-        word_ban(
-            &files,
-            RuleId::WallClock,
-            &["SystemTime", "Instant"],
-            "wall-clock time source; simulated code must use xcc_sim::SimTime only",
-            WALL_CLOCK_EXEMPT,
-            &mut findings,
-        );
-    }
-    if config.enabled(RuleId::AmbientEntropy) {
-        word_ban(
-            &files,
-            RuleId::AmbientEntropy,
-            &["thread_rng", "OsRng", "from_entropy", "getrandom"],
-            "ambient entropy source; a random stream must be seeded from the ExperimentSpec \
-             seed",
-            &[],
-            &mut findings,
-        );
-    }
     if config.enabled(RuleId::FloatDeterminism) {
-        float_determinism(&config.root, &files, &mut findings);
+        float_determinism(&files, &mut findings);
     }
     if config.enabled(RuleId::UncostedRpc) {
         uncosted_rpc(&files, &mut findings);
@@ -219,9 +168,6 @@ pub fn run(config: &Config) -> io::Result<Outcome> {
     if config.enabled(RuleId::DeadKnob) {
         dead_knob(&config.root, &files, &mut findings)?;
     }
-    if config.enabled(RuleId::PanicInLibrary) {
-        panic_in_library(&config.root, &files, &mut findings);
-    }
     if config.enabled(RuleId::RegistryDocs) {
         registry_docs(&config.root, &files, &mut findings);
     }
@@ -236,28 +182,6 @@ pub fn run(config: &Config) -> io::Result<Outcome> {
         findings,
         files_scanned: files.len(),
     })
-}
-
-/// Recomputes the P1 per-file counts for `--baseline` regeneration.
-pub fn current_panic_counts(root: &Path) -> io::Result<BTreeMap<String, usize>> {
-    let files = scan_workspace(root)?;
-    Ok(files
-        .iter()
-        .filter(|f| in_panic_scope(&f.rel))
-        .map(|f| (f.rel.clone(), panic_sites(&f.scrub).len()))
-        .filter(|(_, count)| *count > 0)
-        .collect())
-}
-
-/// Recomputes the D4 per-file counts for `--baseline` regeneration.
-pub fn current_float_counts(root: &Path) -> io::Result<BTreeMap<String, usize>> {
-    let files = scan_workspace(root)?;
-    Ok(files
-        .iter()
-        .filter(|f| in_float_scope(&f.rel))
-        .map(|f| (f.rel.clone(), float_sites(&f.scrub).len()))
-        .filter(|(_, count)| *count > 0)
-        .collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -314,47 +238,6 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 }
 
 // ---------------------------------------------------------------------------
-// D1 / D2 / D3: banned-word rules
-// ---------------------------------------------------------------------------
-
-/// D2's scoped exemption: the bench harness's timing shim is the single file
-/// where `Instant` is legal. Wall-clock there measures the *host* replaying
-/// fixtures for the human-facing `BENCH_golden.json` numbers and never feeds
-/// simulated state; every other wall-clock site — including elsewhere in the
-/// bench crate — still needs a per-line suppression or, better, removal.
-const WALL_CLOCK_EXEMPT: &[&str] = &["crates/bench/src/timing.rs"];
-
-fn word_ban(
-    files: &[SourceFile],
-    rule: RuleId,
-    words: &[&str],
-    why: &str,
-    exempt_files: &[&str],
-    findings: &mut Vec<Finding>,
-) {
-    for file in files {
-        if exempt_files.contains(&file.rel.as_str()) {
-            continue;
-        }
-        for word in words {
-            for (line, col) in word_occurrences(&file.scrub.code, word) {
-                if let Some(supp) = file.scrub.suppression_for(rule.name(), line) {
-                    supp.used.set(true);
-                    continue;
-                }
-                findings.push(Finding {
-                    rule: rule.name(),
-                    path: file.rel.clone(),
-                    line,
-                    col: col + 1,
-                    message: format!("`{word}`: {why}"),
-                });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // D4: float-determinism
 // ---------------------------------------------------------------------------
 
@@ -370,91 +253,32 @@ fn in_float_scope(rel: &str) -> bool {
     .any(|prefix| rel.starts_with(prefix))
 }
 
-/// Unsuppressed, non-test `f32`/`f64` token lines.
-fn float_sites(scrub: &Scrubbed) -> Vec<usize> {
-    let mut lines = Vec::new();
-    for word in ["f32", "f64"] {
-        for (line, _col) in word_occurrences(&scrub.code, word) {
-            if scrub.is_test_line(line) {
-                continue;
-            }
-            if let Some(supp) = scrub.suppression_for(RuleId::FloatDeterminism.name(), line) {
+fn float_determinism(files: &[SourceFile], findings: &mut Vec<Finding>) {
+    let d4 = RuleId::FloatDeterminism.name();
+    for file in files.iter().filter(|f| in_float_scope(&f.rel)) {
+        let mut sites: Vec<(usize, usize)> = ["f32", "f64"]
+            .into_iter()
+            .flat_map(|word| word_occurrences(&file.scrub.code, word))
+            .filter(|(line, _)| !file.scrub.is_test_line(*line))
+            .collect();
+        sites.sort_unstable();
+        // One finding per line, and one annotation absorbs the whole line.
+        sites.dedup_by_key(|(line, _)| *line);
+        for (line, col) in sites {
+            if let Some(supp) = file.scrub.suppression_for(d4, line) {
                 supp.used.set(true);
                 continue;
             }
-            lines.push(line);
-        }
-    }
-    lines.sort_unstable();
-    lines.dedup();
-    lines
-}
-
-fn float_determinism(root: &Path, files: &[SourceFile], findings: &mut Vec<Finding>) {
-    let d4 = RuleId::FloatDeterminism.name();
-    let baseline_path = root.join(baseline::FLOAT_BASELINE_REL);
-    let allowed = match fs::read_to_string(&baseline_path) {
-        Ok(text) => match baseline::parse(&text) {
-            Ok(map) => map,
-            Err(err) => {
-                findings.push(Finding {
-                    rule: d4,
-                    path: baseline::FLOAT_BASELINE_REL.into(),
-                    line: 0,
-                    col: 0,
-                    message: format!("unreadable baseline: {err}"),
-                });
-                return;
-            }
-        },
-        // No baseline checked in: everything counts as new.
-        Err(_) => BTreeMap::new(),
-    };
-
-    let mut seen: BTreeSet<&str> = BTreeSet::new();
-    for file in files.iter().filter(|f| in_float_scope(&f.rel)) {
-        seen.insert(&file.rel);
-        let sites = float_sites(&file.scrub);
-        let budget = allowed.get(&file.rel).copied().unwrap_or(0);
-        if sites.len() > budget {
             findings.push(Finding {
                 rule: d4,
                 path: file.rel.clone(),
-                line: sites.last().copied().unwrap_or(0),
-                col: 0,
-                message: format!(
-                    "{} f32/f64 site(s) but the float baseline allows {budget}: float \
-                     arithmetic feeding simulated state is a cross-platform determinism \
-                     hazard — use integer micro-units, annotate the site with `// xcc-lint: \
-                     allow(float-determinism, reason = \"...\")`, or regenerate with --baseline",
-                    sites.len()
-                ),
-            });
-        } else if sites.len() < budget {
-            findings.push(Finding {
-                rule: d4,
-                path: file.rel.clone(),
-                line: 0,
-                col: 0,
-                message: format!(
-                    "stale float baseline: allows {budget} f32/f64 site(s) but only {} remain — \
-                     regenerate with --baseline so the ratchet tightens",
-                    sites.len()
-                ),
-            });
-        }
-    }
-    for (path, budget) in &allowed {
-        if !seen.contains(path.as_str()) {
-            findings.push(Finding {
-                rule: d4,
-                path: baseline::FLOAT_BASELINE_REL.into(),
-                line: 0,
-                col: 0,
-                message: format!(
-                    "stale float baseline: lists {path} ({budget} site(s)) but the file no \
-                     longer exists — regenerate with --baseline"
-                ),
+                line,
+                col: col + 1,
+                message: "unannotated f32/f64: float arithmetic feeding simulated state is a \
+                          cross-platform determinism hazard — use integer micro-units, or \
+                          annotate the site with `// xcc-lint: allow(float-determinism, \
+                          reason = \"...\")`"
+                    .into(),
             });
         }
     }
@@ -937,107 +761,6 @@ fn dead_knob(root: &Path, files: &[SourceFile], findings: &mut Vec<Finding>) -> 
         }
     }
     Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// P1: panic-in-library
-// ---------------------------------------------------------------------------
-
-/// P1 covers non-test library code: crate sources outside `src/bin/` (bench
-/// drivers, the umbrella tests/ and examples/ trees are exempt).
-fn in_panic_scope(rel: &str) -> bool {
-    rel.starts_with("crates/") && rel.contains("/src/") && !rel.contains("/src/bin/")
-}
-
-/// Unsuppressed, non-test `unwrap()` / `expect()` / `panic!` lines.
-fn panic_sites(scrub: &Scrubbed) -> Vec<usize> {
-    let mut lines = Vec::new();
-    for (word, tail) in [("unwrap", "("), ("expect", "("), ("panic", "!")] {
-        for (line, col) in word_occurrences(&scrub.code, word) {
-            let code_line = &scrub.code[line - 1];
-            if !code_line[col + word.len()..].starts_with(tail) {
-                continue;
-            }
-            if scrub.is_test_line(line) {
-                continue;
-            }
-            if let Some(supp) = scrub.suppression_for(RuleId::PanicInLibrary.name(), line) {
-                supp.used.set(true);
-                continue;
-            }
-            lines.push(line);
-        }
-    }
-    lines.sort_unstable();
-    lines
-}
-
-fn panic_in_library(root: &Path, files: &[SourceFile], findings: &mut Vec<Finding>) {
-    let baseline_path = root.join(baseline::BASELINE_REL);
-    let allowed = match fs::read_to_string(&baseline_path) {
-        Ok(text) => match baseline::parse(&text) {
-            Ok(map) => map,
-            Err(err) => {
-                findings.push(Finding {
-                    rule: RuleId::PanicInLibrary.name(),
-                    path: baseline::BASELINE_REL.into(),
-                    line: 0,
-                    col: 0,
-                    message: format!("unreadable baseline: {err}"),
-                });
-                return;
-            }
-        },
-        // No baseline checked in: everything counts as new.
-        Err(_) => BTreeMap::new(),
-    };
-
-    let mut seen: BTreeSet<&str> = BTreeSet::new();
-    for file in files.iter().filter(|f| in_panic_scope(&f.rel)) {
-        seen.insert(&file.rel);
-        let sites = panic_sites(&file.scrub);
-        let budget = allowed.get(&file.rel).copied().unwrap_or(0);
-        if sites.len() > budget {
-            findings.push(Finding {
-                rule: RuleId::PanicInLibrary.name(),
-                path: file.rel.clone(),
-                line: sites.last().copied().unwrap_or(0),
-                col: 0,
-                message: format!(
-                    "{} panic site(s) (unwrap/expect/panic!) but the baseline allows {budget}: \
-                     return an error, annotate the new site with `// xcc-lint: \
-                     allow(panic-in-library, reason = \"...\")`, or regenerate with --baseline",
-                    sites.len()
-                ),
-            });
-        } else if sites.len() < budget {
-            findings.push(Finding {
-                rule: RuleId::PanicInLibrary.name(),
-                path: file.rel.clone(),
-                line: 0,
-                col: 0,
-                message: format!(
-                    "stale baseline: allows {budget} panic site(s) but only {} remain — \
-                     regenerate with --baseline so the ratchet tightens",
-                    sites.len()
-                ),
-            });
-        }
-    }
-    for (path, budget) in &allowed {
-        if !seen.contains(path.as_str()) {
-            findings.push(Finding {
-                rule: RuleId::PanicInLibrary.name(),
-                path: baseline::BASELINE_REL.into(),
-                line: 0,
-                col: 0,
-                message: format!(
-                    "stale baseline: lists {path} ({budget} site(s)) but the file no longer \
-                     exists — regenerate with --baseline"
-                ),
-            });
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

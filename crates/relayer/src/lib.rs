@@ -39,6 +39,7 @@
 //! experiment driver that feeds block events to relayer instances.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod config;

@@ -303,9 +303,8 @@ pub struct Relayer {
     packets: BTreeMap<(usize, u64), Tracked>,
     /// The arrival stamp last given to a held packet.
     stamp: u64,
-    /// Block-commit notifications not yet processed: the runner (or the
-    /// synchronous `on_*_block` wrappers) drains this in FIFO order at the
-    /// next [`wake`](Relayer::wake).
+    /// Block-commit notifications not yet processed, drained in FIFO order
+    /// at the next [`wake`](Relayer::wake).
     inbox: VecDeque<BlockNotice>,
     /// Whether the process is currently crashed: notifications are absorbed
     /// into the O(1) missed-height slots instead of the inbox, and wakes are

@@ -55,6 +55,7 @@
 // under a local `allow` (the call into its `#[target_feature]` kernel after
 // CPUID detection); lint rule U1 keeps it the only one.
 #![deny(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub mod abci;

@@ -6,7 +6,10 @@
 //! of the failure modes behind the submission drop-off at very high input
 //! rates in Table I of the paper.
 
-// xcc-lint: allow(hash-collections, reason = "HashSet used for membership checks only; never iterated")
+#[expect(
+    clippy::disallowed_types,
+    reason = "HashSet used for membership checks only; never iterated"
+)]
 use std::collections::{HashSet, VecDeque};
 
 use crate::block::RawTx;
@@ -96,7 +99,10 @@ impl std::error::Error for MempoolError {}
 #[derive(Debug, Clone)]
 pub struct Mempool<D> {
     queue: VecDeque<PendingTx<D>>,
-    // xcc-lint: allow(hash-collections, reason = "O(1) duplicate-hash membership; iteration never observes it")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "O(1) duplicate-hash membership; iteration never observes it"
+    )]
     hashes: HashSet<Hash>,
     total_bytes: usize,
     rejected_full: u64,
@@ -113,7 +119,10 @@ impl<D> Mempool<D> {
     pub fn new() -> Self {
         Mempool {
             queue: VecDeque::new(),
-            // xcc-lint: allow(hash-collections, reason = "membership-only set, see field declaration")
+            #[expect(
+                clippy::disallowed_types,
+                reason = "membership-only set, see field declaration"
+            )]
             hashes: HashSet::new(),
             total_bytes: 0,
             rejected_full: 0,

@@ -7,7 +7,10 @@
 //! and the node reports how long consensus and block processing took so the
 //! driver can schedule the next block.
 
-// xcc-lint: allow(hash-collections, reason = "tx_index is a point-lookup index; iteration never observes it")
+#[expect(
+    clippy::disallowed_types,
+    reason = "tx_index is a point-lookup index; iteration never observes it"
+)]
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -102,7 +105,10 @@ pub struct Node<A: Application> {
     app: A,
     mempool: Mempool<A::Decoded>,
     blocks: Vec<Rc<CommittedBlock>>,
-    // xcc-lint: allow(hash-collections, reason = "hash -> (height, index) point lookups only; never iterated")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "hash -> (height, index) point lookups only; never iterated"
+    )]
     tx_index: HashMap<Hash, (u64, usize)>,
     last_app_hash: Hash,
     last_results_hash: Hash,
@@ -126,7 +132,10 @@ impl<A: Application> Node<A> {
             app,
             mempool: Mempool::new(),
             blocks: Vec::new(),
-            // xcc-lint: allow(hash-collections, reason = "point-lookup index, see field declaration")
+            #[expect(
+                clippy::disallowed_types,
+                reason = "point-lookup index, see field declaration"
+            )]
             tx_index: HashMap::new(),
             last_app_hash: Hash::ZERO,
             last_results_hash: Hash::ZERO,
