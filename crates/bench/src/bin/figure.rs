@@ -8,6 +8,8 @@
 //! Unknown names exit non-zero with the registry listing and, when the name
 //! looks like a typo, a "did you mean" hint.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 fn main() -> std::io::Result<()> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {

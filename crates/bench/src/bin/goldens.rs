@@ -30,6 +30,10 @@
 //! non-zero on any drift — CI runs this so the fixtures can never silently
 //! diverge from the code that produces them.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+use std::io::Write;
+
 use serde::{Deserialize, Serialize};
 use xcc_bench::timing::Stopwatch;
 use xcc_framework::registry;
@@ -210,6 +214,10 @@ pub fn strategy_arms_golden_specs() -> Vec<ExperimentSpec> {
 /// registry keeps the fixture in lockstep with the scenario definition —
 /// editing the scenario's grid is a reviewed fixture regeneration, never a
 /// silent drift.
+#[expect(
+    clippy::expect_used,
+    reason = "the names are literals of fixture_sets, each a registered scenario; a lost one fails every mode at once"
+)]
 fn registry_scenario_specs(scenario: &str) -> Vec<ExperimentSpec> {
     let entry = registry::get(scenario).expect("scenario is registered");
     entry
@@ -392,11 +400,22 @@ fn run_bench() -> BenchReport {
 
 /// `--bench` mode: times the release-mode replay of every golden fixture set
 /// and writes `BENCH_golden.json` at the workspace root, so the replay cost
-/// trajectory stays visible across PRs.
-fn bench_fixtures() -> std::io::Result<()> {
+/// trajectory stays visible across PRs. The file is opened before the
+/// replay, so a path that cannot be written fails at once, not after it.
+fn bench_fixtures() -> Result<(), String> {
+    let unwritable = |err: std::io::Error| format!("cannot write BENCH_golden.json: {err}");
+    let mut file = std::fs::OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open("BENCH_golden.json")
+        .map_err(unwritable)?;
     let report = run_bench();
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write("BENCH_golden.json", format!("{json}\n"))?;
+    let json = serde_json::to_string_pretty(&report)
+        .map_err(|err| format!("cannot serialize the bench report: {err}"))?;
+    file.set_len(0)
+        .and_then(|()| file.write_all(format!("{json}\n").as_bytes()))
+        .map_err(unwritable)?;
     println!("{json}");
     eprintln!("bench: wrote BENCH_golden.json");
     Ok(())
@@ -513,6 +532,14 @@ fn round1(x: f64) -> f64 {
     (x * 10.0).round() / 10.0
 }
 
+/// Exits 1 with `error` when a mode could not finish.
+fn exit_on_error(result: Result<(), String>) {
+    if let Err(error) = result {
+        eprintln!("goldens: {error}");
+        std::process::exit(1);
+    }
+}
+
 /// Exits 2 with `message` when `drifted` is non-zero.
 fn exit_on_drift(drifted: usize, message: &str) {
     if drifted > 0 {
@@ -527,7 +554,7 @@ fn main() {
     // The whole argument list must match one mode exactly: a misspelt flag
     // is a usage error, never a silent fall-through to another mode.
     match args.as_slice() {
-        ["--bench"] => bench_fixtures().expect("bench report written"),
+        ["--bench"] => exit_on_error(bench_fixtures()),
         ["--bench", "--compare"] => {
             exit_on_drift(compare_bench(), "bench row(s) drifted");
             println!("bench counters match BENCH_golden.json");
@@ -551,9 +578,10 @@ fn main() {
                 std::process::exit(2);
             };
             let outcomes = regenerate(specs);
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&outcomes).expect("outcomes serialize")
+            exit_on_error(
+                serde_json::to_string_pretty(&outcomes)
+                    .map(|json| println!("{json}"))
+                    .map_err(|err| format!("cannot serialize the outcomes: {err}")),
             );
         }
     }

@@ -266,7 +266,7 @@ pub fn redundant_packet_errors(run: &RunOutput) -> u64 {
 /// single restarted relayer.
 pub fn double_submitted_packets(run: &RunOutput) -> u64 {
     // Scan every distinct packet-destination chain (only chain B in the
-    // legacy pair topology).
+    // default pair topology).
     let mut dsts: Vec<usize> = Vec::new();
     for &(_, dst) in &run.path_ends {
         if !dsts.contains(&dst) {

@@ -17,10 +17,6 @@ use crate::workload::TRANSFERS_PER_TX;
 /// Parameters of the deployed testnet (the Setup module's input).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeploymentConfig {
-    /// Identifier of the source chain.
-    pub source_chain_id: String,
-    /// Identifier of the destination chain.
-    pub destination_chain_id: String,
     /// Emulated round-trip network latency in milliseconds (0 or 200 in the
     /// paper).
     pub network_rtt_ms: u64,
@@ -28,8 +24,8 @@ pub struct DeploymentConfig {
     pub min_block_interval: SimDuration,
     /// Number of relayer instances serving the cross-chain channels.
     pub relayer_count: usize,
-    /// Number of concurrent transfer channels opened between the two chains
-    /// (the paper's testbed uses exactly 1). Every relayer serves every
+    /// Number of concurrent transfer channels opened on every edge of the
+    /// topology (the paper's testbed uses exactly 1). Every relayer serves every
     /// channel unless the strategy's channel policy dedicates instances.
     pub channel_count: usize,
     /// The pipeline strategy every relayer instance runs; the default is the
@@ -44,18 +40,14 @@ pub struct DeploymentConfig {
     /// crash/restart, chain halt, block stretch, light-client expiry). The
     /// default is the empty plan, which schedules nothing.
     pub fault_plan: FaultPlan,
-    /// The chain graph the testnet deploys. The default (empty) topology is
-    /// the pair sentinel: it resolves to
-    /// `source_chain_id → destination_chain_id` with `channel_count`
-    /// channels.
+    /// The chain graph the testnet deploys; the default is the paper's pair
+    /// `ibc-0 → ibc-1`.
     pub topology: Topology,
 }
 
 impl Default for DeploymentConfig {
     fn default() -> Self {
         DeploymentConfig {
-            source_chain_id: "ibc-0".to_string(),
-            destination_chain_id: "ibc-1".to_string(),
             network_rtt_ms: 200,
             min_block_interval: SimDuration::from_secs(5),
             relayer_count: 1,

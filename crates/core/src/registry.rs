@@ -538,7 +538,7 @@ fn topology_base() -> ExperimentSpec {
 /// first leg at the hub onto a hub→spoke channel, so each transfer is two
 /// chained IBC legs. The pair arm keeps the same spec: its weight list
 /// truncates to channel 0 and its hop routes reference channels it does not
-/// have, so they deactivate — the legacy deployment, untouched. The batch
+/// have, so they deactivate — the paper's deployment, untouched. The batch
 /// saturates the pair arm's single relayer process (~90 TFPS), which the hub
 /// arm splits over three spoke relayers.
 fn hub_spoke_grid() -> SweepGrid {
@@ -547,7 +547,7 @@ fn hub_spoke_grid() -> SweepGrid {
             .channel_weights([1, 1, 1, 0, 0, 0])
             .hop_plan(Topology::hub_and_spoke_routes(3)),
     )
-    .topologies([Topology::pair(), Topology::hub_and_spoke(3)])
+    .topologies([Topology::default(), Topology::hub_and_spoke(3)])
 }
 
 /// A 3-chain full mesh (six directed channels, each with its own relayer
@@ -555,7 +555,7 @@ fn hub_spoke_grid() -> SweepGrid {
 /// over every channel. No hop plan: the mesh arm measures pure per-edge
 /// contention, not multi-hop routing.
 fn mesh_contention_grid() -> SweepGrid {
-    SweepGrid::new(topology_base()).topologies([Topology::pair(), Topology::full_mesh(3)])
+    SweepGrid::new(topology_base()).topologies([Topology::default(), Topology::full_mesh(3)])
 }
 
 /// One cheap, representative end-to-end run (~seconds): CI's smoke check.
@@ -1136,7 +1136,7 @@ fn hub_spoke_render(report: &mut ExecutionReport, outcomes: &[ScenarioOutcome]) 
     // The forwarding metrics are the hub arm's alone, so unkeyed.
     let (mut tfps_pair, mut tfps_hub) = (0.0, 0.0);
     for outcome in outcomes {
-        if outcome.spec.deployment.topology.is_legacy_pair() {
+        if outcome.spec.deployment.topology == Topology::default() {
             tfps_pair = outcome.throughput_tfps();
             continue;
         }
@@ -1497,7 +1497,7 @@ mod tests {
                 .hop_plan(Topology::hub_and_spoke_routes(2))
                 .seed(42),
         )
-        .topologies([Topology::pair(), Topology::hub_and_spoke(2)]);
+        .topologies([Topology::default(), Topology::hub_and_spoke(2)]);
         let outcomes = run_parallel(&grid.points(), 2);
         assert_eq!(outcomes.len(), 2);
         let report = entry.render(&outcomes);
@@ -1528,7 +1528,7 @@ mod tests {
                 .relayers(1)
                 .seed(42),
         )
-        .topologies([Topology::pair(), Topology::full_mesh(3)]);
+        .topologies([Topology::default(), Topology::full_mesh(3)]);
         let outcomes = run_parallel(&grid.points(), 2);
         assert_eq!(outcomes.len(), 2);
         let report = entry.render(&outcomes);

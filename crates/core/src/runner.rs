@@ -12,8 +12,8 @@
 //!   `RelayerWake(id)` per notified process at the current instant; it never
 //!   runs pipeline code itself. Chain 0 is the primary chain: its commits
 //!   anchor the measurement window, drive workload submission and decide when
-//!   the run stops. In the legacy two-chain topology `Block(0)` / `Block(1)`
-//!   are exactly the old `BlockA` / `BlockB` events.
+//!   the run stops. In the default two-chain topology `Block(0)` / `Block(1)`
+//!   are the source and destination chains' blocks.
 //! * `RelayerWake(id)` — process `id` drains its inbox via
 //!   [`Relayer::wake`](xcc_relayer::relayer::Relayer::wake), performing its
 //!   pipeline work on its own virtual-time lane (its per-chain RPC
@@ -346,7 +346,7 @@ pub fn run_experiment(
         sched.schedule_at(at, Ev::Fault(event));
     }
     // Per-chain fault state, indexed by the chain's topology index (0 = the
-    // legacy source chain A, 1 = destination B): when a halt ends, and the
+    // pair's source chain A, 1 = destination B): when a halt ends, and the
     // (factor, until) window of a block-interval stretch.
     let mut halt_until = vec![SimTime::ZERO; chain_count];
     let mut stretch = vec![(1u64, SimTime::ZERO); chain_count];

@@ -353,8 +353,8 @@ impl ExperimentSpec {
         self
     }
 
-    /// Sets the deployment's chain topology (the default sentinel is the
-    /// paper's two-chain pair).
+    /// Sets the deployment's chain topology (the default is the paper's
+    /// two-chain pair).
     ///
     /// ```rust
     /// use xcc_framework::spec::ExperimentSpec;

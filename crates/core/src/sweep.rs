@@ -253,7 +253,8 @@ impl SweepGrid {
     }
 
     /// Sets the topology axis. Each graph runs as its own point; include
-    /// [`Topology::pair`] to keep the two-chain baseline arm in the grid.
+    /// `Topology::default()` (the pair) to keep the two-chain baseline arm in
+    /// the grid.
     pub fn topologies(self, topologies: impl IntoIterator<Item = Topology>) -> Self {
         self.axis(Axis::Topology, topologies, AxisValue::Topology)
     }
@@ -369,7 +370,7 @@ mod tests {
             .topologies([Topology::line(3)])
             .rtts_ms([0, 200])
             .input_rates([20, 40])
-            .topologies([Topology::pair(), Topology::hub_and_spoke(3)]);
+            .topologies([Topology::default(), Topology::hub_and_spoke(3)]);
         assert_eq!(grid.len(), 8);
         let points = grid.points();
         assert_eq!(points.len(), 8);
@@ -496,13 +497,13 @@ mod tests {
                 .input_rate(20)
                 .measurement_blocks(3),
         )
-        .topologies([Topology::pair(), Topology::hub_and_spoke(3)])
+        .topologies([Topology::default(), Topology::hub_and_spoke(3)])
         .rtts_ms([0, 200]);
         assert_eq!(grid.len(), 4);
         let points = grid.points();
         assert_eq!(points[0].name, "relayer_throughput/rtt=0/topo=pair");
         assert_eq!(points[3].name, "relayer_throughput/rtt=200/topo=hub-3");
-        assert!(points[0].deployment.topology.is_legacy_pair());
+        assert_eq!(points[0].deployment.topology, Topology::default());
         assert_eq!(points[3].deployment.topology, Topology::hub_and_spoke(3));
         assert_eq!(points[3].deployment.network_rtt_ms, 200);
     }

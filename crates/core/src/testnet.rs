@@ -6,11 +6,11 @@
 //!
 //! The deployment's [`Topology`](crate::topology::Topology) names the chains
 //! (nodes) and relay edges; every edge gets its own light-client pair, one
-//! connection, and `channels` transfer channels, opened in edge-major order
-//! so the global channel index space is stable. The default (sentinel)
-//! topology deploys exactly the legacy `source → destination` pair, and the
-//! whole construction is routed through [`Testnet::try_build`] /
-//! [`SetupError`] — nothing on the production path panics.
+//! connection, and `channel_count` transfer channels, opened in edge-major
+//! order so the global channel index space is stable. The default topology
+//! deploys the paper's `ibc-0 → ibc-1` pair, and the whole construction is
+//! routed through [`Testnet::try_build`] / [`SetupError`] — nothing on the
+//! production path panics.
 
 use std::str::FromStr;
 
@@ -40,9 +40,9 @@ pub const ACCOUNT_BALANCE: u128 = 1_000_000_000_000;
 pub struct Testnet {
     /// The primary chain (`chains[0]`): it anchors the measurement window,
     /// drives the workload submission clock, and is the source chain of the
-    /// legacy pair.
+    /// default pair.
     pub chain_a: SharedChain,
-    /// The second chain (`chains[1]`) — the destination of the legacy pair.
+    /// The second chain (`chains[1]`) — the destination of the default pair.
     pub chain_b: SharedChain,
     /// Every deployed chain, in topology order.
     pub chains: Vec<SharedChain>,
@@ -127,10 +127,10 @@ pub fn fleet_plan_for(
 ) -> Vec<FleetSlot> {
     let replicas = deployment.relayer_count;
     let dedicated = deployment.relayer_strategy.channel_policy == ChannelPolicy::Dedicated;
+    let channels = topology.channels;
     let mut slots = Vec::new();
     let mut process = 0;
-    for (edge, resolved) in topology.edges.iter().enumerate() {
-        let channels = resolved.channels.max(1);
+    for edge in 0..topology.edges.len() {
         if dedicated {
             for p in 0..channels * replicas {
                 slots.push(FleetSlot {
@@ -162,10 +162,10 @@ impl Testnet {
     /// Deploys the testnet described by `deployment`.
     ///
     /// Infallible front end of [`Testnet::try_build`] for the common case of
-    /// a valid (sentinel or preset) topology.
+    /// a valid (preset) topology.
     #[expect(
         clippy::expect_used,
-        reason = "convenience front end: sentinel and preset topologies resolve by construction; the fallible API is try_build"
+        reason = "convenience front end: preset topologies resolve by construction; the fallible API is try_build"
     )]
     pub fn build(deployment: &DeploymentConfig) -> Self {
         Self::try_build(deployment).expect("deployment topology is valid")
@@ -185,11 +185,7 @@ impl Testnet {
     pub fn try_build(deployment: &DeploymentConfig) -> Result<Self, SetupError> {
         let resolved = deployment
             .topology
-            .resolve(
-                &deployment.source_chain_id,
-                &deployment.destination_chain_id,
-                deployment.channel_count,
-            )
+            .resolve(deployment.channel_count)
             .map_err(|source| SetupError::Topology { source })?;
         let fleet = fleet_plan_for(&resolved, deployment);
 
@@ -220,7 +216,7 @@ impl Testnet {
                 src: chains[edge.src].clone(),
                 dst: chains[edge.dst].clone(),
             };
-            for path in try_open_edge_channels(&endpoints, edge.channels)? {
+            for path in try_open_edge_channels(&endpoints, resolved.channels)? {
                 paths.push(path);
                 path_ends.push((edge.src, edge.dst));
             }
@@ -234,7 +230,7 @@ impl Testnet {
             let r = slot.process;
             let edge = resolved.edges[slot.edge];
             let offset = resolved.channel_offset(slot.edge);
-            let edge_paths: Vec<RelayPath> = paths[offset..offset + edge.channels].to_vec();
+            let edge_paths: Vec<RelayPath> = paths[offset..offset + resolved.channels].to_vec();
             let config = RelayerConfig {
                 account: format!("relayer-{r}").into(),
                 strategy: deployment.relayer_strategy,
@@ -427,13 +423,7 @@ mod tests {
     use crate::topology::Topology;
 
     fn fleet_plan(deployment: &DeploymentConfig) -> Vec<FleetSlot> {
-        let (src, dst) = (
-            &deployment.source_chain_id,
-            &deployment.destination_chain_id,
-        );
-        let resolved = deployment
-            .topology
-            .resolve(src, dst, deployment.channel_count);
+        let resolved = deployment.topology.resolve(deployment.channel_count);
         fleet_plan_for(&resolved.unwrap(), deployment)
     }
 
@@ -473,7 +463,7 @@ mod tests {
         assert_eq!(testnet.relayers.len(), 2);
         assert_eq!(testnet.paths.len(), 1);
         assert_eq!(testnet.paths[0], testnet.path);
-        // The legacy pair is chains 0 and 1 of the topology, and the path
+        // The default pair is chains 0 and 1 of the topology, and the path
         // carries their identifiers.
         assert_eq!(testnet.chains.len(), 2);
         assert_eq!(testnet.path_ends, vec![(0, 1)]);
@@ -629,8 +619,8 @@ mod tests {
             assert_eq!(slot.coordination_id, i % 2);
         }
 
-        // Dedicated fleets compose with topology: per-edge channel counts
-        // expand independently.
+        // Dedicated fleets compose with topology: every edge expands to its
+        // own `channel_count` processes.
         let dedicated = DeploymentConfig {
             relayer_count: 1,
             channel_count: 2,
@@ -641,7 +631,7 @@ mod tests {
             ..DeploymentConfig::default()
         };
         let plan = fleet_plan(&dedicated);
-        assert_eq!(plan.len(), 4, "2 edges × 2 inherited channels × 1 replica");
+        assert_eq!(plan.len(), 4, "2 edges × 2 channels × 1 replica");
         assert_eq!(plan[0].edge, 0);
         assert_eq!(plan[0].channel, Some(0));
         assert_eq!(plan[1].channel, Some(1));

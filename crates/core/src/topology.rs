@@ -2,14 +2,13 @@
 //!
 //! The paper's testbed is a hard-wired chain pair; production IBC is a mesh
 //! (a hub chain forwarding packets between dozens of zones). A [`Topology`]
-//! on [`DeploymentConfig`](crate::config::DeploymentConfig) describes the
-//! graph declaratively: named chains plus directed [`TopologyEdge`]s, each of
-//! which the testnet opens as a full client/connection/channel stack and the
-//! fleet planner staffs with relayer processes.
+//! on [`DeploymentConfig`](crate::config::DeploymentConfig) is the one
+//! description of a deployment's chain graph: named chains plus directed
+//! [`TopologyEdge`]s, each of which the testnet opens as a full
+//! client/connection/channel stack with the deployment's `channel_count`
+//! channels and the fleet planner staffs with relayer processes.
 //!
-//! The **default** topology is the empty sentinel: no chains, no edges. It
-//! resolves to the legacy two-chain line derived from the deployment's
-//! `source_chain_id`/`destination_chain_id`/`channel_count` knobs.
+//! The **default** topology is the paper's pair, `line(2)`: `ibc-0 → ibc-1`.
 //!
 //! Multi-hop routing is described separately by [`HopRoute`]s on
 //! [`WorkloadConfig`](crate::config::WorkloadConfig): a route names a first-
@@ -22,8 +21,7 @@ use std::str::FromStr;
 use xcc_ibc::ids::ChainId;
 
 /// One directed relay edge of the topology: packets flow `src → dst` over
-/// `channels` parallel channels (0 = inherit the deployment's
-/// `channel_count`).
+/// the deployment's `channel_count` parallel channels.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TopologyEdge {
     /// Name of the chain transfers originate from (must appear in
@@ -31,26 +29,20 @@ pub struct TopologyEdge {
     pub src: String,
     /// Name of the chain transfers are delivered to.
     pub dst: String,
-    /// Parallel channels opened on this edge; `0` inherits the deployment's
-    /// `channel_count` knob.
-    pub channels: usize,
 }
 
 impl TopologyEdge {
-    /// An edge between two named chains inheriting the deployment channel
-    /// count.
+    /// An edge between two named chains.
     pub fn new(src: impl Into<String>, dst: impl Into<String>) -> Self {
         TopologyEdge {
             src: src.into(),
             dst: dst.into(),
-            channels: 0,
         }
     }
 }
 
-/// The deployment's chain graph. The default (empty) topology is a sentinel
-/// for the legacy two-chain line; see the module docs.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// The deployment's chain graph; the default is the pair `line(2)`.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Topology {
     /// Chain names in index order (index 0 is the primary chain: it anchors
     /// measurement windows and drives the workload submission clock).
@@ -60,15 +52,16 @@ pub struct Topology {
     pub edges: Vec<TopologyEdge>,
 }
 
-impl Topology {
-    /// The legacy-pair sentinel (same as `Topology::default()`).
-    pub fn pair() -> Self {
-        Topology::default()
+impl Default for Topology {
+    /// The paper's chain pair, `ibc-0 → ibc-1`.
+    fn default() -> Self {
+        Topology::line(2)
     }
+}
 
+impl Topology {
     /// A line of `n` chains `ibc-0 → ibc-1 → … → ibc-{n-1}` with one edge
-    /// between each consecutive pair. `line(2)` is the explicit spelling of
-    /// the default pair.
+    /// between each consecutive pair. `line(2)` is the default pair.
     pub fn line(n: usize) -> Self {
         let chains: Vec<String> = (0..n).map(|i| format!("ibc-{i}")).collect();
         let edges = (0..n.saturating_sub(1))
@@ -120,17 +113,12 @@ impl Topology {
         Topology { chains, edges }
     }
 
-    /// Whether this is the legacy-pair sentinel.
-    pub fn is_legacy_pair(&self) -> bool {
-        self.chains.is_empty()
-    }
-
     /// Compact label used in sweep point names and fixture names: `pair`
-    /// for the sentinel, `line-n`/`hub-n`/`mesh-n` for the presets, and
+    /// for the default, `line-n`/`hub-n`/`mesh-n` for the other presets, and
     /// `custom-{chains}x{edges}` otherwise.
     pub fn label(&self) -> String {
         let n = self.chains.len();
-        if self.is_legacy_pair() {
+        if *self == Topology::default() {
             return "pair".to_string();
         }
         if *self == Topology::line(n) {
@@ -145,29 +133,11 @@ impl Topology {
         format!("custom-{n}x{}", self.edges.len())
     }
 
-    /// Resolves chain names to indices and fills in inherited channel
-    /// counts. The sentinel resolves to `default_src → default_dst` with
-    /// `default_channels` channels; explicit topologies are validated
-    /// (ICS-24 chain ids, unique names, known endpoints, no self-loops,
-    /// at least one edge).
-    pub fn resolve(
-        &self,
-        default_src: &str,
-        default_dst: &str,
-        default_channels: usize,
-    ) -> Result<ResolvedTopology, TopologyError> {
-        let channels = default_channels.max(1);
-        if self.is_legacy_pair() {
-            return ResolvedTopology::from_names(
-                &[default_src.to_string(), default_dst.to_string()],
-                &[TopologyEdge {
-                    src: default_src.to_string(),
-                    dst: default_dst.to_string(),
-                    channels,
-                }],
-                channels,
-            );
-        }
+    /// Resolves chain names to indices, with `channels` (at least 1)
+    /// channels on every edge. The graph is validated: ICS-24 chain ids,
+    /// unique names, known endpoints, no self-loops, at least two chains
+    /// and one edge.
+    pub fn resolve(&self, channels: usize) -> Result<ResolvedTopology, TopologyError> {
         if self.chains.len() < 2 {
             return Err(TopologyError::TooFewChains {
                 count: self.chains.len(),
@@ -176,7 +146,38 @@ impl Topology {
         if self.edges.is_empty() {
             return Err(TopologyError::NoEdges);
         }
-        ResolvedTopology::from_names(&self.chains, &self.edges, channels)
+        let mut chains = Vec::with_capacity(self.chains.len());
+        for name in &self.chains {
+            let id = ChainId::from_str(name)
+                .map_err(|_| TopologyError::InvalidChainId { name: name.clone() })?;
+            if chains.contains(&id) {
+                return Err(TopologyError::DuplicateChain { name: name.clone() });
+            }
+            chains.push(id);
+        }
+        let index_of = |edge: usize, name: &str| {
+            self.chains
+                .iter()
+                .position(|c| c == name)
+                .ok_or_else(|| TopologyError::UnknownChain {
+                    edge,
+                    name: name.to_string(),
+                })
+        };
+        let mut edges = Vec::with_capacity(self.edges.len());
+        for (i, edge) in self.edges.iter().enumerate() {
+            let src = index_of(i, &edge.src)?;
+            let dst = index_of(i, &edge.dst)?;
+            if src == dst {
+                return Err(TopologyError::SelfLoop { edge: i });
+            }
+            edges.push(ResolvedEdge { src, dst });
+        }
+        Ok(ResolvedTopology {
+            chains,
+            edges,
+            channels: channels.max(1),
+        })
     }
 }
 
@@ -199,70 +200,26 @@ pub struct HopRoute {
 pub struct ResolvedTopology {
     /// Chain identifiers in index order.
     pub chains: Vec<ChainId>,
-    /// Directed edges as chain-index pairs with concrete channel counts.
+    /// Directed edges as chain-index pairs.
     pub edges: Vec<ResolvedEdge>,
+    /// Parallel channels opened on every edge (≥ 1).
+    pub channels: usize,
 }
 
-/// One resolved edge: chain indices plus the concrete channel count.
+/// One resolved edge: the indices of its two chains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResolvedEdge {
     /// Index of the source chain in [`ResolvedTopology::chains`].
     pub src: usize,
     /// Index of the destination chain.
     pub dst: usize,
-    /// Number of parallel channels opened on this edge (≥ 1).
-    pub channels: usize,
 }
 
 impl ResolvedTopology {
-    fn from_names(
-        chains: &[String],
-        edges: &[TopologyEdge],
-        default_channels: usize,
-    ) -> Result<Self, TopologyError> {
-        let mut ids = Vec::with_capacity(chains.len());
-        for name in chains {
-            let id = ChainId::from_str(name)
-                .map_err(|_| TopologyError::InvalidChainId { name: name.clone() })?;
-            if ids.contains(&id) {
-                return Err(TopologyError::DuplicateChain { name: name.clone() });
-            }
-            ids.push(id);
-        }
-        let index_of = |name: &str| chains.iter().position(|c| c == name);
-        let mut resolved = Vec::with_capacity(edges.len());
-        for (i, edge) in edges.iter().enumerate() {
-            let src = index_of(&edge.src).ok_or_else(|| TopologyError::UnknownChain {
-                edge: i,
-                name: edge.src.clone(),
-            })?;
-            let dst = index_of(&edge.dst).ok_or_else(|| TopologyError::UnknownChain {
-                edge: i,
-                name: edge.dst.clone(),
-            })?;
-            if src == dst {
-                return Err(TopologyError::SelfLoop { edge: i });
-            }
-            resolved.push(ResolvedEdge {
-                src,
-                dst,
-                channels: if edge.channels == 0 {
-                    default_channels
-                } else {
-                    edge.channels
-                },
-            });
-        }
-        Ok(ResolvedTopology {
-            chains: ids,
-            edges: resolved,
-        })
-    }
-
     /// The global channel index of the first channel of edge `edge`
     /// (edge-major numbering).
     pub fn channel_offset(&self, edge: usize) -> usize {
-        self.edges[..edge].iter().map(|e| e.channels).sum()
+        edge * self.channels
     }
 }
 
@@ -279,12 +236,12 @@ pub enum TopologyError {
         /// The duplicated name.
         name: String,
     },
-    /// An explicit topology names fewer than two chains.
+    /// The topology names fewer than two chains.
     TooFewChains {
         /// How many chains it names.
         count: usize,
     },
-    /// An explicit topology has no edges to relay over.
+    /// The topology has no edges to relay over.
     NoEdges,
     /// An edge references a chain that is not in the node list.
     UnknownChain {
@@ -330,30 +287,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn the_default_is_the_legacy_pair_sentinel() {
+    fn the_default_is_the_pair_line() {
         let topo = Topology::default();
-        assert!(topo.is_legacy_pair());
+        assert_eq!(topo, Topology::line(2));
         assert_eq!(topo.label(), "pair");
-        let resolved = topo.resolve("ibc-0", "ibc-1", 3).unwrap();
+        let resolved = topo.resolve(3).unwrap();
         assert_eq!(resolved.chains.len(), 2);
         assert_eq!(resolved.chains[0].as_str(), "ibc-0");
         assert_eq!(resolved.chains[1].as_str(), "ibc-1");
-        assert_eq!(
-            resolved.edges,
-            vec![ResolvedEdge {
-                src: 0,
-                dst: 1,
-                channels: 3
-            }]
-        );
-    }
-
-    #[test]
-    fn line_two_resolves_like_the_default_pair() {
-        let explicit = Topology::line(2).resolve("ibc-0", "ibc-1", 1).unwrap();
-        let sentinel = Topology::default().resolve("ibc-0", "ibc-1", 1).unwrap();
-        assert_eq!(explicit, sentinel);
-        assert_eq!(Topology::line(2).label(), "line-2");
+        assert_eq!(resolved.edges, vec![ResolvedEdge { src: 0, dst: 1 }]);
+        assert_eq!(resolved.channels, 3);
     }
 
     #[test]
@@ -361,7 +304,7 @@ mod tests {
         let topo = Topology::hub_and_spoke(3);
         assert_eq!(topo.label(), "hub-3");
         assert_eq!(topo.chains[0], "ibc-hub");
-        let resolved = topo.resolve("ibc-0", "ibc-1", 1).unwrap();
+        let resolved = topo.resolve(1).unwrap();
         assert_eq!(resolved.chains.len(), 4);
         assert_eq!(resolved.edges.len(), 6);
         // Inbound spoke→hub edges first…
@@ -373,6 +316,7 @@ mod tests {
             assert_eq!((edge.src, edge.dst), (0, i + 1));
         }
         assert_eq!(resolved.channel_offset(3), 3);
+        assert_eq!(topo.resolve(2).unwrap().channel_offset(3), 6);
         // The matching hop plan pairs each inbound channel with the next
         // spoke's outbound channel.
         let routes = Topology::hub_and_spoke_routes(3);
@@ -399,7 +343,7 @@ mod tests {
     fn full_mesh_has_an_edge_per_ordered_pair() {
         let topo = Topology::full_mesh(3);
         assert_eq!(topo.label(), "mesh-3");
-        let resolved = topo.resolve("ibc-0", "ibc-1", 2).unwrap();
+        let resolved = topo.resolve(2).unwrap();
         assert_eq!(resolved.edges.len(), 6);
         assert_eq!((resolved.edges[0].src, resolved.edges[0].dst), (0, 1));
         assert_eq!((resolved.edges[5].src, resolved.edges[5].dst), (2, 1));
@@ -407,12 +351,20 @@ mod tests {
 
     #[test]
     fn resolution_rejects_malformed_topologies() {
+        let empty = Topology {
+            chains: vec![],
+            edges: vec![],
+        };
+        assert_eq!(
+            empty.resolve(1),
+            Err(TopologyError::TooFewChains { count: 0 })
+        );
         let unknown = Topology {
             chains: vec!["ibc-0".into(), "ibc-1".into()],
             edges: vec![TopologyEdge::new("ibc-0", "ibc-9")],
         };
         assert!(matches!(
-            unknown.resolve("ibc-0", "ibc-1", 1),
+            unknown.resolve(1),
             Err(TopologyError::UnknownChain { edge: 0, .. })
         ));
         let dup = Topology {
@@ -420,7 +372,7 @@ mod tests {
             edges: vec![TopologyEdge::new("ibc-0", "ibc-0")],
         };
         assert!(matches!(
-            dup.resolve("ibc-0", "ibc-1", 1),
+            dup.resolve(1),
             Err(TopologyError::DuplicateChain { .. })
         ));
         let invalid = Topology {
@@ -428,7 +380,7 @@ mod tests {
             edges: vec![TopologyEdge::new("BAD", "ibc-1")],
         };
         assert!(matches!(
-            invalid.resolve("ibc-0", "ibc-1", 1),
+            invalid.resolve(1),
             Err(TopologyError::InvalidChainId { .. })
         ));
         let lonely = Topology {
@@ -436,23 +388,20 @@ mod tests {
             edges: vec![],
         };
         assert!(matches!(
-            lonely.resolve("ibc-0", "ibc-1", 1),
+            lonely.resolve(1),
             Err(TopologyError::TooFewChains { count: 1 })
         ));
         let edgeless = Topology {
             chains: vec!["ibc-0".into(), "ibc-1".into()],
             edges: vec![],
         };
-        assert!(matches!(
-            edgeless.resolve("ibc-0", "ibc-1", 1),
-            Err(TopologyError::NoEdges)
-        ));
+        assert!(matches!(edgeless.resolve(1), Err(TopologyError::NoEdges)));
         let loopy = Topology {
             chains: vec!["ibc-0".into(), "ibc-1".into()],
             edges: vec![TopologyEdge::new("ibc-1", "ibc-1")],
         };
         assert!(matches!(
-            loopy.resolve("ibc-0", "ibc-1", 1),
+            loopy.resolve(1),
             Err(TopologyError::SelfLoop { edge: 0 })
         ));
     }

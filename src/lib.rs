@@ -13,6 +13,7 @@
 //! * [`framework`] — the paper's cross-chain benchmarking framework.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 pub use xcc_chain as chain;

@@ -70,8 +70,8 @@ fn sample_store() -> CommitmentStore {
 }
 
 serde_round_trip! {
-    topology_edge: TopologyEdge = TopologyEdge::new("ibc-0", "ibc-1") => r#"{"src":"ibc-0","dst":"ibc-1","channels":0}"#;
-    topology: Topology = Topology::line(3) => r#"{"chains":["ibc-0","ibc-1","ibc-2"],"edges":[{"src":"ibc-0","dst":"ibc-1","channels":0},{"src":"ibc-1","dst":"ibc-2","channels":0}]}"#;
+    topology_edge: TopologyEdge = TopologyEdge::new("ibc-0", "ibc-1") => r#"{"src":"ibc-0","dst":"ibc-1"}"#;
+    topology: Topology = Topology::line(3) => r#"{"chains":["ibc-0","ibc-1","ibc-2"],"edges":[{"src":"ibc-0","dst":"ibc-1"},{"src":"ibc-1","dst":"ibc-2"}]}"#;
     hop_route: HopRoute = HopRoute { first_leg: 0, second_leg: 3 } => r#"{"first_leg":0,"second_leg":3}"#;
     fault_chain: FaultChain = FaultChain::Destination => r#""destination""#;
     fault_event: FaultEvent = FaultEvent::BlockStretch {
@@ -97,12 +97,12 @@ serde_round_trip! {
         hop_plan: Topology::hub_and_spoke_routes(1),
         ..WorkloadConfig::default()
     } => r#"{"total_transfers":5000,"submission_blocks":1,"measurement_blocks":50,"timeout_blocks":0,"run_to_completion":true,"completion_grace_blocks":400,"channel_weights":[2,1],"hop_plan":[{"first_leg":0,"second_leg":1}]}"#;
-    deployment_config: DeploymentConfig = DeploymentConfig::default() => r#"{"source_chain_id":"ibc-0","destination_chain_id":"ibc-1","network_rtt_ms":200,"min_block_interval":5000000000,"relayer_count":1,"channel_count":1,"relayer_strategy":{"fetcher":"Sequential","submission":"Eager","coordination":"None","channel_policy":"FairShare","ws_frame_limit_bytes":0,"packet_clear_interval":0,"sequence_tracking":"Resync"},"user_accounts":64,"seed":42,"fault_plan":{"events":[]},"topology":{"chains":[],"edges":[]}}"#;
+    deployment_config: DeploymentConfig = DeploymentConfig::default() => r#"{"network_rtt_ms":200,"min_block_interval":5000000000,"relayer_count":1,"channel_count":1,"relayer_strategy":{"fetcher":"Sequential","submission":"Eager","coordination":"None","channel_policy":"FairShare","ws_frame_limit_bytes":0,"packet_clear_interval":0,"sequence_tracking":"Resync"},"user_accounts":64,"seed":42,"fault_plan":{"events":[]},"topology":{"chains":["ibc-0","ibc-1"],"edges":[{"src":"ibc-0","dst":"ibc-1"}]}}"#;
     deployment_config_customised: DeploymentConfig = DeploymentConfig {
         channel_count: 2,
-        topology: Topology::line(2),
+        topology: Topology::line(3),
         ..DeploymentConfig::default()
-    } => r#"{"source_chain_id":"ibc-0","destination_chain_id":"ibc-1","network_rtt_ms":200,"min_block_interval":5000000000,"relayer_count":1,"channel_count":2,"relayer_strategy":{"fetcher":"Sequential","submission":"Eager","coordination":"None","channel_policy":"FairShare","ws_frame_limit_bytes":0,"packet_clear_interval":0,"sequence_tracking":"Resync"},"user_accounts":64,"seed":42,"fault_plan":{"events":[]},"topology":{"chains":["ibc-0","ibc-1"],"edges":[{"src":"ibc-0","dst":"ibc-1","channels":0}]}}"#;
+    } => r#"{"network_rtt_ms":200,"min_block_interval":5000000000,"relayer_count":1,"channel_count":2,"relayer_strategy":{"fetcher":"Sequential","submission":"Eager","coordination":"None","channel_policy":"FairShare","ws_frame_limit_bytes":0,"packet_clear_interval":0,"sequence_tracking":"Resync"},"user_accounts":64,"seed":42,"fault_plan":{"events":[]},"topology":{"chains":["ibc-0","ibc-1","ibc-2"],"edges":[{"src":"ibc-0","dst":"ibc-1"},{"src":"ibc-1","dst":"ibc-2"}]}}"#;
     // The identifier newtypes and `AccountId` are bare strings on the wire,
     // whatever holds their text in memory.
     port_id: PortId = PortId::transfer() => r#""transfer""#;

@@ -1,13 +1,9 @@
-//! Topology-graph tests: the two-chain degeneracy of the N-chain testnet and
-//! the conservation laws of multi-hop forwarding.
+//! Topology-graph tests: the topology fixtures, the sweep axis's pair arm
+//! and the conservation laws of multi-hop forwarding.
 //!
-//! Two pillars, matching the guarantees the topology refactor makes:
-//!
-//! * **Two-chain degeneracy**: an explicit `Topology::line(2)` — two chains,
-//!   one edge — is the legacy chain pair spelled as a graph. Every outcome
-//!   metric must be bit-identical to the legacy pair path (the sentinel
-//!   topology), whatever the seed: the graph generalisation costs nothing
-//!   when the graph is the old shape.
+//! * **The pair arm**: a `topologies` axis point carrying `line(2)` — the
+//!   default topology — runs exactly the base spec, and a spec whose
+//!   topology names no chain fails setup instead of running a pair.
 //! * **Multi-hop conservation**: on a hub-and-spoke run driven to
 //!   completion, every first-leg acknowledgement triggers exactly one
 //!   second-leg transfer, no second leg is broadcast before the
@@ -16,8 +12,11 @@
 
 use proptest::prelude::*;
 
+use ibc_perf_repro::framework::outcome::keys;
 use ibc_perf_repro::framework::scenarios;
 use ibc_perf_repro::framework::spec::ExperimentSpec;
+use ibc_perf_repro::framework::testnet::SetupError;
+use ibc_perf_repro::framework::topology::TopologyError;
 use ibc_perf_repro::framework::{HopRoute, ScenarioOutcome, Topology};
 use ibc_perf_repro::relayer::telemetry::TransferStep;
 
@@ -61,40 +60,8 @@ fn rate_spec(seed: u64) -> ExperimentSpec {
         .seed(seed)
 }
 
-/// A small fixed-batch spec of the fig12 family, driven to full completion.
-fn batch_spec(seed: u64) -> ExperimentSpec {
-    ExperimentSpec::latency()
-        .named("topology/degeneracy/batch")
-        .transfers(200)
-        .submission_blocks(2)
-        .rtt_ms(0)
-        .seed(seed)
-}
-
-/// `Topology::line(2)` names the same chains (`ibc-0`, `ibc-1`) and the same
-/// single edge as the legacy-pair sentinel, so resolving it must produce the
-/// identical deployment — and the identical run, metric for metric, across
-/// seeds and both workload families.
-#[test]
-fn line2_topology_is_bit_identical_to_the_legacy_pair() {
-    for seed in [1, 7, 42] {
-        for spec in [rate_spec(seed), batch_spec(seed)] {
-            assert!(spec.deployment.topology.is_legacy_pair());
-            let legacy = scenarios::run(&spec);
-            let explicit = scenarios::run(&spec.clone().topology(Topology::line(2)));
-            // The specs differ (one carries the explicit graph), so compare
-            // the full metric maps rather than the whole outcome.
-            assert_eq!(
-                legacy.metrics, explicit.metrics,
-                "line(2) diverged from the legacy pair at seed {seed} ({})",
-                legacy.spec.name
-            );
-        }
-    }
-}
-
-/// The same degeneracy through the sweep layer: a `topologies` axis point
-/// carrying `line(2)` matches the bare base spec.
+/// A `topologies` axis point carrying `line(2)`, the default pair, matches
+/// the bare base spec.
 #[test]
 fn sweep_topology_axis_preserves_the_degeneracy() {
     let base = rate_spec(42);
@@ -106,6 +73,28 @@ fn sweep_topology_axis_preserves_the_degeneracy() {
         scenarios::run(&base).metrics,
         scenarios::run(&points[0]).metrics
     );
+}
+
+/// The pair arm of a topology fixture, its topology spelt as the empty graph
+/// that fixtures written before the pair was `line(2)` carry: it names no
+/// chain, so setup fails and `run` reports `setup_failed`.
+#[test]
+fn an_empty_topology_fails_setup() {
+    let pair_arm = &parse(HUB_SPOKE_GOLDENS)[0].spec;
+    assert_eq!(pair_arm.deployment.topology, Topology::default());
+    let json = serde_json::to_string(pair_arm).unwrap();
+    let pair = serde_json::to_string(&Topology::default()).unwrap();
+    let empty = json.replace(&pair, r#"{"chains":[],"edges":[]}"#);
+    assert_ne!(empty, json);
+    let spec: ExperimentSpec = serde_json::from_str(&empty).unwrap();
+    assert_eq!(
+        scenarios::try_run(&spec).err(),
+        Some(SetupError::Topology {
+            source: TopologyError::TooFewChains { count: 0 }
+        })
+    );
+    let outcome = scenarios::run(&spec);
+    assert_eq!(outcome.metric(keys::SETUP_FAILED), Some(1.0));
 }
 
 /// A hub with two spokes, the workload on the spoke→hub channels and the hop
