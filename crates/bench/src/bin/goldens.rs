@@ -30,6 +30,7 @@
 //! non-zero on any drift — CI runs this so the fixtures can never silently
 //! diverge from the code that produces them.
 
+#![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::io::Write;

@@ -256,7 +256,7 @@ mod tests {
             serde_json::from_str(&serde_json::to_string(&meshed).unwrap()).unwrap();
         assert_eq!(back, meshed);
         let hopped = WorkloadConfig {
-            hop_plan: Topology::hub_and_spoke_routes(3),
+            hop_plan: Topology::hub_and_spoke_routes(3, 1),
             ..WorkloadConfig::default()
         };
         let back: WorkloadConfig =

@@ -545,7 +545,7 @@ fn hub_spoke_grid() -> SweepGrid {
     SweepGrid::new(
         topology_base()
             .channel_weights([1, 1, 1, 0, 0, 0])
-            .hop_plan(Topology::hub_and_spoke_routes(3)),
+            .hop_plan(Topology::hub_and_spoke_routes(3, 1)),
     )
     .topologies([Topology::default(), Topology::hub_and_spoke(3)])
 }
@@ -1494,7 +1494,7 @@ mod tests {
                 .rtt_ms(0)
                 .relayers(1)
                 .channel_weights([1, 1, 0, 0])
-                .hop_plan(Topology::hub_and_spoke_routes(2))
+                .hop_plan(Topology::hub_and_spoke_routes(2, 1))
                 .seed(42),
         )
         .topologies([Topology::default(), Topology::hub_and_spoke(2)]);

@@ -264,8 +264,9 @@ pub(crate) fn outstanding_packets(
 /// chain of the topology, feeds events to the relayers, submits the workload
 /// (and forwards hop-plan second legs) and returns the collected raw data.
 ///
-/// Fails with [`SetupError`] when the deployment's topology does not resolve
-/// or the IBC handshakes cannot complete.
+/// Fails with [`SetupError`] when the deployment's topology does not resolve,
+/// the IBC handshakes cannot complete, or an in-range hop route does not
+/// chain.
 pub fn run_experiment(
     deployment: &DeploymentConfig,
     workload_config: &WorkloadConfig,
@@ -303,17 +304,21 @@ pub fn run_experiment(
     );
 
     // The hop forwarder only exists for in-range routes; hop-free runs get
-    // an inert forwarder with zero endpoints and zero per-block work.
+    // an inert forwarder with zero endpoints and zero per-block work. An
+    // in-range route must chain: its second leg leaves the chain its first
+    // leg delivers to.
     let active_routes: Vec<HopRoute> = workload_config
         .hop_plan
         .iter()
         .copied()
-        .filter(|r| {
-            r.first_leg < testnet.paths.len()
-                && r.second_leg < testnet.paths.len()
-                && r.first_leg != r.second_leg
-        })
+        .filter(|r| r.first_leg < testnet.paths.len() && r.second_leg < testnet.paths.len())
         .collect();
+    let ends = &testnet.path_ends;
+    if let Some(&route) =
+        (active_routes.iter()).find(|r| ends[r.first_leg].1 != ends[r.second_leg].0)
+    {
+        return Err(SetupError::DisconnectedHop { route });
+    }
     let mut forwarder_rpcs: BTreeMap<usize, RpcEndpoint> = BTreeMap::new();
     for route in &active_routes {
         let src = path_src[route.second_leg];
@@ -698,7 +703,7 @@ mod tests {
             // Direct traffic only enters the spoke→hub legs; the forwarder
             // owns the hub→spoke legs.
             channel_weights: vec![1, 1, 0, 0],
-            hop_plan: Topology::hub_and_spoke_routes(spokes),
+            hop_plan: Topology::hub_and_spoke_routes(spokes, 1),
             ..WorkloadConfig::default()
         };
         let run = run_experiment(&deployment, &workload).expect("hub deployment builds");

@@ -272,7 +272,7 @@ mod tests {
             .rtt_ms(0)
             .channel_weights([1, 1, 0, 0])
             .topology(Topology::hub_and_spoke(2))
-            .hop_plan(Topology::hub_and_spoke_routes(2))
+            .hop_plan(Topology::hub_and_spoke_routes(2, 1))
             .seed(42));
         for outcome in [&pair, &hub] {
             for key in [

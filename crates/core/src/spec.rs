@@ -371,7 +371,8 @@ impl ExperimentSpec {
     /// Sets the workload's multi-hop plan: each route chains a second
     /// transfer leg onto completed first legs (src → hub → dst). Routes
     /// whose channel indices are out of the deployment's range are ignored
-    /// at run time, so one plan can be swept across topologies.
+    /// at run time, so one plan can be swept across topologies; an in-range
+    /// route that does not chain fails setup.
     ///
     /// ```rust
     /// use xcc_framework::spec::ExperimentSpec;
@@ -379,7 +380,7 @@ impl ExperimentSpec {
     ///
     /// let spec = ExperimentSpec::relayer_throughput()
     ///     .topology(Topology::hub_and_spoke(3))
-    ///     .hop_plan(Topology::hub_and_spoke_routes(3));
+    ///     .hop_plan(Topology::hub_and_spoke_routes(3, 1));
     /// assert_eq!(spec.workload.hop_plan.len(), 3);
     /// ```
     pub fn hop_plan(mut self, routes: impl IntoIterator<Item = HopRoute>) -> Self {

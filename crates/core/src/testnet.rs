@@ -25,7 +25,7 @@ use xcc_rpc::endpoint::RpcEndpoint;
 use xcc_sim::{DetRng, SimDuration, SimTime};
 
 use crate::config::DeploymentConfig;
-use crate::topology::{ResolvedTopology, TopologyError};
+use crate::topology::{HopRoute, ResolvedTopology, TopologyError};
 
 /// Validators per chain: the paper's testnet runs 5.
 pub const VALIDATORS_PER_CHAIN: usize = 5;
@@ -284,6 +284,12 @@ pub enum SetupError {
         /// The rejection reported by the IBC module.
         source: IbcError,
     },
+    /// A hop route whose channels are in range, but whose second leg does
+    /// not leave the chain its first leg delivers to.
+    DisconnectedHop {
+        /// The offending route.
+        route: HopRoute,
+    },
 }
 
 impl std::fmt::Display for SetupError {
@@ -299,6 +305,12 @@ impl std::fmt::Display for SetupError {
             SetupError::Handshake { step, source } => {
                 write!(f, "IBC handshake step {step} failed: {source}")
             }
+            SetupError::DisconnectedHop { route } => write!(
+                f,
+                "hop route {} → {}: the second leg does not leave the chain the first leg \
+                 delivers to",
+                route.first_leg, route.second_leg
+            ),
         }
     }
 }
@@ -307,7 +319,7 @@ impl std::error::Error for SetupError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SetupError::Topology { source } => Some(source),
-            SetupError::MissingGenesisBlock { .. } => None,
+            SetupError::MissingGenesisBlock { .. } | SetupError::DisconnectedHop { .. } => None,
             SetupError::Handshake { source, .. } => Some(source),
         }
     }

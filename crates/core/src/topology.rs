@@ -72,8 +72,8 @@ impl Topology {
 
     /// A hub with `spokes` leaf chains. Chain 0 is `ibc-hub` (the primary /
     /// measurement chain); spokes are `ibc-1 … ibc-{spokes}`. Edges are
-    /// edge-major: first every inbound `spoke → hub` edge (channels
-    /// `0..spokes`), then every outbound `hub → spoke` edge (channels
+    /// edge-major: first every inbound `spoke → hub` edge (edges
+    /// `0..spokes`), then every outbound `hub → spoke` edge (edges
     /// `spokes..2*spokes`), so [`Topology::hub_and_spoke_routes`] can name
     /// the channel pairs of a spoke→hub→spoke hop plan.
     pub fn hub_and_spoke(spokes: usize) -> Self {
@@ -86,14 +86,16 @@ impl Topology {
         Topology { chains, edges }
     }
 
-    /// The hop plan matching [`Topology::hub_and_spoke`]: each spoke sends
-    /// into the hub on its inbound channel and the hub forwards to the next
-    /// spoke (round-robin) on that spoke's outbound channel.
-    pub fn hub_and_spoke_routes(spokes: usize) -> Vec<HopRoute> {
+    /// The hop plan matching [`Topology::hub_and_spoke`] with `channels`
+    /// channels per edge: each spoke sends into the hub on its inbound
+    /// edge's first channel and the hub forwards to the next spoke
+    /// (round-robin) on that spoke's outbound edge's first channel.
+    pub fn hub_and_spoke_routes(spokes: usize, channels: usize) -> Vec<HopRoute> {
+        let first_channel = |edge: usize| edge * channels.max(1);
         (0..spokes)
             .map(|i| HopRoute {
-                first_leg: i,
-                second_leg: spokes + ((i + 1) % spokes.max(1)),
+                first_leg: first_channel(i),
+                second_leg: first_channel(spokes + (i + 1) % spokes.max(1)),
             })
             .collect()
     }
@@ -186,7 +188,9 @@ impl Topology {
 /// acknowledgement lands on the first leg's source chain. Channel indices
 /// are global (edge-major). Routes whose channels are out of range for the
 /// resolved topology are ignored, so a hop plan survives being swept against
-/// a pair baseline the same way an out-of-range fault does.
+/// a pair baseline the same way an out-of-range fault does. An in-range
+/// route must chain, its second leg leaving the chain its first leg lands
+/// on; otherwise setup fails with `SetupError::DisconnectedHop`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HopRoute {
     /// Global channel index of the first leg (src → hub).
@@ -319,7 +323,7 @@ mod tests {
         assert_eq!(topo.resolve(2).unwrap().channel_offset(3), 6);
         // The matching hop plan pairs each inbound channel with the next
         // spoke's outbound channel.
-        let routes = Topology::hub_and_spoke_routes(3);
+        let routes = Topology::hub_and_spoke_routes(3, 1);
         assert_eq!(
             routes,
             vec![
@@ -337,6 +341,18 @@ mod tests {
                 },
             ]
         );
+        // At two channels per edge each leg is its edge's first channel, so
+        // every first leg lands on the hub and every second leg leaves it.
+        let routes = Topology::hub_and_spoke_routes(3, 2);
+        let legs: Vec<(usize, usize)> =
+            routes.iter().map(|r| (r.first_leg, r.second_leg)).collect();
+        assert_eq!(legs, [(0, 8), (2, 10), (4, 6)]);
+        let resolved = topo.resolve(2).unwrap();
+        for route in routes {
+            let first = resolved.edges[route.first_leg / 2];
+            let second = resolved.edges[route.second_leg / 2];
+            assert_eq!((first.dst, second.src), (0, 0));
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ pub fn annotated_ratio(busy: f64, horizon: f64) -> f64 {
     busy / horizon
 }
 
-// xcc-lint: allow(lane-bypass, reason = "wrong rule: does not absorb the float below")
+// xcc-lint: allow(value-detour, reason = "wrong rule: does not absorb the float below")
 pub fn mislabeled(x: f32) -> f32 {
     x
 }

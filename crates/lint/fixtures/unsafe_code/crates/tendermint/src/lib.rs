@@ -1,6 +1,4 @@
-//! U1 fixture: the one crate root that says `deny`, so that its dispatch
-//! file's single `allow` compiles.
+//! U1 fixture: the one crate root that says `deny`, so that its kernel
+//! dispatch can `expect` the lint on its one `unsafe` block.
 
 #![deny(unsafe_code)]
-
-mod sha_ni;

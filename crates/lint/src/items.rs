@@ -4,11 +4,10 @@
 //!
 //! Where the lexer answers "is this word real code?", the item graph answers
 //! "what item does this word belong to?": structs with their named fields,
-//! enums with their variants, `impl` blocks with their method signatures and
-//! bodies, and the match arms inside a body. The cross-crate rules (K1
-//! dead-knob, C1 uncosted-rpc) are written against this graph instead of
-//! raw token positions, so they survive reformatting and follow items when
-//! they move between files.
+//! and free functions and `impl` blocks with their methods. The cross-crate
+//! rule K1 (dead-knob) is written against this graph instead of raw token
+//! positions, so it survives reformatting and follows items when they move
+//! between files.
 //!
 //! The parser is deliberately shallow: it tracks brace/bracket/paren depth
 //! and word boundaries, not the full grammar. That is enough to recover
@@ -20,16 +19,16 @@ use crate::lexer::Scrubbed;
 
 /// Scrubbed code joined into one string with line-start offsets, so byte
 /// positions map back to 1-based lines.
-pub struct Flat {
+struct Flat {
     /// The flattened scrubbed code, newline-separated.
-    pub text: String,
+    text: String,
     /// Byte offset of the start of each line.
-    pub starts: Vec<usize>,
+    starts: Vec<usize>,
 }
 
 impl Flat {
     /// Flattens per-line scrubbed code.
-    pub fn new(code: &[String]) -> Flat {
+    fn new(code: &[String]) -> Flat {
         let mut text = String::new();
         let mut starts = Vec::with_capacity(code.len());
         for line in code {
@@ -41,7 +40,7 @@ impl Flat {
     }
 
     /// The 1-based line containing byte position `pos`.
-    pub fn line_of(&self, pos: usize) -> usize {
+    fn line_of(&self, pos: usize) -> usize {
         match self.starts.binary_search(&pos) {
             Ok(idx) => idx + 1,
             Err(idx) => idx,
@@ -54,7 +53,7 @@ fn is_word_byte(b: u8) -> bool {
 }
 
 /// Whole-word occurrences of `word` in `text` (byte positions).
-pub fn word_positions(text: &str, word: &str) -> Vec<usize> {
+fn word_positions(text: &str, word: &str) -> Vec<usize> {
     let bytes = text.as_bytes();
     let mut out = Vec::new();
     let mut from = 0usize;
@@ -72,7 +71,7 @@ pub fn word_positions(text: &str, word: &str) -> Vec<usize> {
 }
 
 /// The next identifier at or after `from`, with its start position.
-pub fn next_word(text: &str, from: usize) -> Option<(String, usize)> {
+fn next_word(text: &str, from: usize) -> Option<(String, usize)> {
     let bytes = text.as_bytes();
     let mut i = from;
     while i < bytes.len() && !is_word_byte(bytes[i]) {
@@ -86,7 +85,7 @@ pub fn next_word(text: &str, from: usize) -> Option<(String, usize)> {
 }
 
 /// The previous identifier strictly before `pos`.
-pub fn prev_word(text: &str, pos: usize) -> Option<String> {
+fn prev_word(text: &str, pos: usize) -> Option<String> {
     let bytes = text.as_bytes();
     let mut end = pos;
     while end > 0 && !is_word_byte(bytes[end - 1]) {
@@ -100,7 +99,7 @@ pub fn prev_word(text: &str, pos: usize) -> Option<String> {
 }
 
 /// Byte position just past the matching `}` for the `{` at `open`.
-pub fn matching_brace(text: &str, open: usize) -> Option<usize> {
+fn matching_brace(text: &str, open: usize) -> Option<usize> {
     let bytes = text.as_bytes();
     let mut depth = 0usize;
     for (off, &b) in bytes[open..].iter().enumerate() {
@@ -141,26 +140,6 @@ pub struct StructItem {
     pub fields: Vec<Field>,
 }
 
-/// One variant of an enum (payloads are not recorded).
-#[derive(Debug, Clone)]
-pub struct Variant {
-    /// The variant name.
-    pub name: String,
-    /// 1-based line of the variant.
-    pub line: usize,
-}
-
-/// An enum with its variants.
-#[derive(Debug, Clone)]
-pub struct EnumItem {
-    /// The enum name.
-    pub name: String,
-    /// 1-based line of the `enum` keyword.
-    pub line: usize,
-    /// The variants, in declaration order.
-    pub variants: Vec<Variant>,
-}
-
 /// One function or method with a braced body.
 #[derive(Debug, Clone)]
 pub struct FnItem {
@@ -170,20 +149,6 @@ pub struct FnItem {
     pub line: usize,
     /// Whether the function is `pub` (incl. `pub(crate)`).
     pub is_pub: bool,
-    /// The signature text from the name to the opening brace.
-    pub signature: String,
-    /// The body text including the outer braces.
-    pub body: String,
-}
-
-impl FnItem {
-    /// The 1-based file line of byte `offset` within [`FnItem::body`].
-    /// Exact whenever the name sits on the same line as the `fn` keyword
-    /// (always true for rustfmt output).
-    pub fn body_line(&self, offset: usize) -> usize {
-        let newlines = |s: &str| s.bytes().filter(|&b| b == b'\n').count();
-        self.line + newlines(&self.signature) + newlines(&self.body[..offset.min(self.body.len())])
-    }
 }
 
 /// An `impl` block: inherent (`impl Type`) or trait (`impl Trait for Type`).
@@ -201,27 +166,15 @@ pub struct ImplItem {
     pub methods: Vec<FnItem>,
 }
 
-/// One `pattern => ...` arm of a `match` expression.
-#[derive(Debug, Clone)]
-pub struct MatchArm {
-    /// The pattern text, whitespace-trimmed.
-    pub pattern: String,
-    /// Byte offset of the pattern within the searched text.
-    pub offset: usize,
-}
-
 /// Everything the item parser recovered from one file.
 #[derive(Debug, Default)]
 pub struct FileItems {
     /// The crate the file belongs to (`crates/<name>/…` → `<name>`;
-    /// the umbrella `src`/`tests`/`examples` trees map to `workspace`).
+    /// the umbrella `src`/`tests`/`examples` trees map to
+    /// `workspace-<tree>`).
     pub crate_name: String,
-    /// The module path within the crate (`src/a/b.rs` → `a::b`).
-    pub module_path: String,
     /// Structs with named fields.
     pub structs: Vec<StructItem>,
-    /// Enums.
-    pub enums: Vec<EnumItem>,
     /// Impl blocks with their methods.
     pub impls: Vec<ImplItem>,
     /// Free functions (not inside any impl block).
@@ -230,37 +183,16 @@ pub struct FileItems {
 
 impl FileItems {
     /// Parses the items of one scrubbed file. `rel` is the
-    /// workspace-relative path used to derive crate and module names.
+    /// workspace-relative path used to derive the crate name.
     pub fn parse(rel: &str, scrub: &Scrubbed) -> FileItems {
         let flat = Flat::new(&scrub.code);
-        let (crate_name, module_path) = crate_and_module(rel);
         let impls = parse_impls(&flat);
         FileItems {
-            crate_name,
-            module_path,
+            crate_name: crate_of(rel),
             structs: parse_structs(&flat),
-            enums: parse_enums(&flat),
             free_fns: parse_fns(&flat, &impls),
             impls,
         }
-    }
-
-    /// The struct named `name`, if the file declares one with named fields.
-    pub fn struct_named(&self, name: &str) -> Option<&StructItem> {
-        self.structs.iter().find(|s| s.name == name)
-    }
-
-    /// The enum named `name`, if the file declares one.
-    pub fn enum_named(&self, name: &str) -> Option<&EnumItem> {
-        self.enums.iter().find(|e| e.name == name)
-    }
-
-    /// All impl blocks for `type_name` (inherent and trait impls).
-    pub fn impls_of<'a>(&'a self, type_name: &str) -> Vec<&'a ImplItem> {
-        self.impls
-            .iter()
-            .filter(|i| i.type_name == type_name)
-            .collect()
     }
 
     /// Every function in the file: free functions and impl methods.
@@ -271,21 +203,14 @@ impl FileItems {
     }
 }
 
-/// Derives `(crate, module)` from a workspace-relative path.
-fn crate_and_module(rel: &str) -> (String, String) {
+/// Derives the crate name from a workspace-relative path.
+fn crate_of(rel: &str) -> String {
     let parts: Vec<&str> = rel.split('/').collect();
-    let (crate_name, module_parts): (String, &[&str]) = match parts.as_slice() {
-        ["crates", krate, "src", rest @ ..] => ((*krate).to_string(), rest),
-        [tree @ ("src" | "tests" | "examples"), rest @ ..] => (format!("workspace-{tree}"), rest),
-        _ => ("workspace".to_string(), &[]),
-    };
-    let module = module_parts
-        .join("::")
-        .trim_end_matches(".rs")
-        .trim_end_matches("::mod")
-        .trim_end_matches("::lib")
-        .to_string();
-    (crate_name, module)
+    match parts.as_slice() {
+        ["crates", krate, "src", ..] => (*krate).to_string(),
+        [tree @ ("src" | "tests" | "examples"), ..] => format!("workspace-{tree}"),
+        _ => "workspace".to_string(),
+    }
 }
 
 /// Whether the identifier ending right before `pos` (skipping whitespace, the
@@ -414,79 +339,6 @@ fn parse_fields(body: &str, body_start: usize, flat: &Flat) -> Vec<Field> {
     fields
 }
 
-/// Parses `enum Name { Variant, ... }` declarations. Identifiers nested in
-/// variant payloads or attribute arguments are ignored.
-fn parse_enums(flat: &Flat) -> Vec<EnumItem> {
-    let text = &flat.text;
-    let mut out = Vec::new();
-    for pos in word_positions(text, "enum") {
-        let Some((name, name_pos)) = next_word(text, pos + "enum".len()) else {
-            continue;
-        };
-        let Some(open) = text[name_pos..].find('{').map(|n| name_pos + n) else {
-            continue;
-        };
-        let Some(end) = matching_brace(text, open) else {
-            continue;
-        };
-        let body = &text[open + 1..end - 1];
-        let bytes = body.as_bytes();
-        let mut variants = Vec::new();
-        let mut depth = 0usize;
-        let mut i = 0usize;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'(' | b'[' | b'{' => {
-                    depth += 1;
-                    i += 1;
-                }
-                b')' | b']' | b'}' => {
-                    depth = depth.saturating_sub(1);
-                    i += 1;
-                }
-                b'#' if depth == 0 => {
-                    // Attribute on a variant: skip to the matching `]`.
-                    let mut d = 0usize;
-                    while i < bytes.len() {
-                        match bytes[i] {
-                            b'[' => d += 1,
-                            b']' => {
-                                d -= 1;
-                                if d == 0 {
-                                    i += 1;
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        i += 1;
-                        if d == 0 && i < bytes.len() && bytes[i] != b'[' {
-                            break;
-                        }
-                    }
-                }
-                b if depth == 0 && is_word_byte(b) => {
-                    let start = i;
-                    while i < bytes.len() && is_word_byte(bytes[i]) {
-                        i += 1;
-                    }
-                    variants.push(Variant {
-                        name: body[start..i].to_string(),
-                        line: flat.line_of(open + 1 + start),
-                    });
-                }
-                _ => i += 1,
-            }
-        }
-        out.push(EnumItem {
-            name,
-            line: flat.line_of(pos),
-            variants,
-        });
-    }
-    out
-}
-
 /// Parses every `impl` block: `impl Type { ... }` and
 /// `impl Trait for Type { ... }`, with the methods inside.
 fn parse_impls(flat: &Flat) -> Vec<ImplItem> {
@@ -584,17 +436,13 @@ fn fns_in(text: &str, from: usize, to: usize, flat: &Flat) -> Vec<FnItem> {
         let Some(sig_end) = text[name_pos..].find(['{', ';']).map(|n| name_pos + n) else {
             continue;
         };
-        if !text[sig_end..].starts_with('{') || sig_end > to {
+        let has_body = text[sig_end..].starts_with('{') && sig_end <= to;
+        if !has_body || matching_brace(text, sig_end).is_none() {
             continue;
         }
-        let Some(body_end) = matching_brace(text, sig_end) else {
-            continue;
-        };
         out.push(FnItem {
             is_pub: preceded_by_pub(text, pos),
             line: flat.line_of(pos),
-            signature: text[name_pos..sig_end].to_string(),
-            body: text[sig_end..body_end].to_string(),
             name,
         });
     }
@@ -613,73 +461,6 @@ fn parse_fns(flat: &Flat, impls: &[ImplItem]) -> Vec<FnItem> {
         .collect()
 }
 
-/// The `pattern => ...` arms of every `match` expression in `text`
-/// (byte offsets relative to `text`). Nested matches are included; `=>`
-/// inside closures resembles nothing (closures use `|args|`), and match
-/// guards stay part of the pattern text.
-pub fn match_arms(text: &str) -> Vec<MatchArm> {
-    let mut out = Vec::new();
-    for pos in word_positions(text, "match") {
-        // The match body is the next `{` at the same paren depth.
-        let Some(open) = text[pos..].find('{').map(|n| pos + n) else {
-            continue;
-        };
-        let Some(end) = matching_brace(text, open) else {
-            continue;
-        };
-        // Arms: split the body at depth-0 `=>` boundaries; the pattern is
-        // the text from the previous arm's end (body start, the previous
-        // depth-0 `,`, or a brace body's close) to the `=>`. A `{` at
-        // depth 0 only opens an arm *body* after a `=>` — before one it is
-        // part of a struct pattern (`Kind::Pull { n }`).
-        let body = &text[open + 1..end - 1];
-        let base = open + 1;
-        let mut depth = 0isize;
-        let mut arm_start = 0usize;
-        let mut in_body = false;
-        let mut i = 0usize;
-        let bb = body.as_bytes();
-        while i < bb.len() {
-            match bb[i] {
-                b'{' if depth == 0 && in_body => {
-                    // Brace-bodied arm: skip it; the next arm starts after
-                    // the close (trailing comma optional).
-                    let Some(close) = matching_brace(body, i) else {
-                        break;
-                    };
-                    i = close;
-                    arm_start = i;
-                    in_body = false;
-                    continue;
-                }
-                b'(' | b'[' | b'{' => depth += 1,
-                b')' | b']' | b'}' => depth -= 1,
-                b',' if depth == 0 => {
-                    arm_start = i + 1;
-                    in_body = false;
-                }
-                b'=' if depth == 0 && !in_body && i + 1 < bb.len() && bb[i + 1] == b'>' => {
-                    let pattern = body[arm_start..i].trim();
-                    if !pattern.is_empty() {
-                        let pat_off = arm_start
-                            + (body[arm_start..i].len() - body[arm_start..i].trim_start().len());
-                        out.push(MatchArm {
-                            pattern: pattern.to_string(),
-                            offset: base + pat_off,
-                        });
-                    }
-                    in_body = true;
-                    i += 2;
-                    continue;
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -690,16 +471,10 @@ mod tests {
     }
 
     #[test]
-    fn crate_and_module_paths() {
-        let (k, m) = crate_and_module("crates/relayer/src/strategy.rs");
-        assert_eq!((k.as_str(), m.as_str()), ("relayer", "strategy"));
-        let (k, m) = crate_and_module("tests/multi_channel.rs");
-        assert_eq!(
-            (k.as_str(), m.as_str()),
-            ("workspace-tests", "multi_channel")
-        );
-        let (k, _) = crate_and_module("src/lib.rs");
-        assert_eq!(k, "workspace-src");
+    fn crate_names() {
+        assert_eq!(crate_of("crates/relayer/src/strategy.rs"), "relayer");
+        assert_eq!(crate_of("tests/multi_channel.rs"), "workspace-tests");
+        assert_eq!(crate_of("src/lib.rs"), "workspace-src");
     }
 
     #[test]
@@ -770,17 +545,6 @@ mod tests {
     }
 
     #[test]
-    fn enums_with_variants() {
-        let f = items(
-            "pub enum Kind {\n    #[default]\n    Alpha,\n    Beta(usize),\n    Gamma { x: u8 },\n}\n",
-        );
-        let e = f.enum_named("Kind").expect("enum parsed");
-        let names: Vec<&str> = e.variants.iter().map(|v| v.name.as_str()).collect();
-        assert_eq!(names, ["Alpha", "Beta", "Gamma"]);
-        assert_eq!(e.variants[0].line, 3);
-    }
-
-    #[test]
     fn impls_inherent_and_trait() {
         let f = items(
             "impl Config {\n    pub fn get(&self) -> u64 { self.x }\n    fn helper() {}\n}\n\
@@ -828,36 +592,5 @@ mod tests {
             ("method", true),
         ];
         assert_eq!(all, expected);
-    }
-
-    #[test]
-    fn match_arms_patterns() {
-        let arms = match_arms(
-            "{ match kind { RequestKind::Status => 1, RequestKind::Pull { n } => n, _ => 0, } }",
-        );
-        let pats: Vec<&str> = arms.iter().map(|a| a.pattern.as_str()).collect();
-        assert_eq!(
-            pats,
-            ["RequestKind::Status", "RequestKind::Pull { n }", "_"]
-        );
-    }
-
-    #[test]
-    fn match_arms_with_block_bodies() {
-        let arms = match_arms("{ match x { A => { f(); g(); } B(y) => y, } }");
-        let pats: Vec<&str> = arms.iter().map(|a| a.pattern.as_str()).collect();
-        assert_eq!(pats, ["A", "B(y)"]);
-    }
-
-    #[test]
-    fn fn_signature_and_body_are_captured() {
-        let f = items(
-            "impl E {\n    pub fn status(&mut self) -> RpcResponse<u64> {\n        \
-             self.respond(RequestKind::Status)\n    }\n}\n",
-        );
-        let m = &f.impls[0].methods[0];
-        assert_eq!(m.name, "status");
-        assert!(m.signature.contains("RpcResponse"));
-        assert!(m.body.contains("RequestKind"));
     }
 }

@@ -49,8 +49,6 @@ pub struct Scrubbed {
     /// blanked to spaces (quote characters are kept, so literals remain
     /// visible as `""`).
     pub code: Vec<String>,
-    /// Every comment, with the 1-based line it starts on.
-    pub comments: Vec<(usize, String)>,
     /// Every string literal (normal and raw), in source order.
     pub strings: Vec<StringLit>,
     /// Parsed `xcc-lint:` suppression comments.
@@ -235,7 +233,6 @@ impl Scrubbed {
         let test_lines = mark_test_lines(&code_lines);
         Scrubbed {
             code: code_lines,
-            comments,
             strings,
             suppressions,
             test_lines,
@@ -521,7 +518,6 @@ mod tests {
         assert!(word_occurrences(&s.code, "HashMap").is_empty());
         assert!(word_occurrences(&s.code, "SystemTime").is_empty());
         assert_eq!(word_occurrences(&s.code, "Instant"), vec![(3, 0)]);
-        assert_eq!(s.comments.len(), 2);
     }
 
     #[test]
@@ -543,7 +539,7 @@ mod tests {
         assert!(!supp.malformed);
         assert!(s.suppression_for("float-determinism", 2).is_some());
         assert!(s.suppression_for("float-determinism", 3).is_none());
-        assert!(s.suppression_for("lane-bypass", 2).is_none());
+        assert!(s.suppression_for("value-detour", 2).is_none());
     }
 
     #[test]
@@ -560,9 +556,9 @@ mod tests {
 
     #[test]
     fn suppression_without_reason_and_malformed() {
-        let s = Scrubbed::scan("// xcc-lint: allow(lane-bypass)\n// xcc-lint: deny(everything)\n");
+        let s = Scrubbed::scan("// xcc-lint: allow(value-detour)\n// xcc-lint: deny(everything)\n");
         assert_eq!(s.suppressions.len(), 2);
-        assert_eq!(s.suppressions[0].rule, "lane-bypass");
+        assert_eq!(s.suppressions[0].rule, "value-detour");
         assert!(s.suppressions[0].reason.is_none());
         assert!(!s.suppressions[0].malformed);
         assert!(s.suppressions[1].malformed);

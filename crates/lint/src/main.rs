@@ -1,4 +1,4 @@
-//! Command-line driver for the workspace determinism & costing auditor.
+//! Command-line front end for the workspace determinism auditor.
 //!
 //! Exit codes: `0` clean (or non-`--check` report run), `1` usage or I/O
 //! error, `2` findings under `--check`.
@@ -13,7 +13,7 @@ use std::process::ExitCode;
 use xcc_lint::{rules, to_json, Config, RuleId};
 
 const USAGE: &str = "\
-xcc-lint: determinism & costing auditor for the workspace
+xcc-lint: determinism auditor for the workspace
 
 USAGE:
     xcc-lint [OPTIONS]

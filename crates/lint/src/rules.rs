@@ -3,35 +3,36 @@
 //! | Id | Rule | Contract it guards |
 //! |----|------|--------------------|
 //! | D4 | `float-determinism` | every `f32`/`f64` in sim/chain/tendermint/relayer code is annotated |
-//! | C1 | `uncosted-rpc` | every `RpcEndpoint` RPC method names a `RequestKind`, and every kind has an explicit costing arm |
-//! | C2 | `lane-bypass` | outside `crates/rpc`, no direct `RpcResponse` construction or cost-table access |
 //! | V1 | `value-detour` | simulation code never builds a `serde::Value` tree: no `to_value`/`from_value`, no `Value`-tree binary or JSON-length calls |
-//! | U1 | `unsafe-code` | the `unsafe` keyword appears once, under a `// SAFETY:` comment, in the SHA-256 kernel's dispatch file; every other crate root forbids it |
+//! | U1 | `unsafe-code` | every crate root, binaries included, forbids `unsafe_code`; tendermint's, whose SHA-256 kernel dispatch holds the one `unsafe` block, denies it |
 //! | K1 | `dead-knob` | every pub config field is read outside its defining file, and every non-test `pub fn` of the seven simulation crates has a caller that is not a test |
 //! | R1 | `registry-docs` | scenario registry ↔ README/PAPER-row consistency |
 //!
-//! The hash-collection, wall-clock, entropy and panic bans are not here:
-//! clippy enforces them with type resolution (the workspace `clippy.toml`'s
-//! `disallowed-types`, and `#![deny(clippy::unwrap_used,
-//! clippy::expect_used, clippy::panic)]` in every `crates/*` library root
-//! and in this crate's binary).
+//! The hash-collection, wall-clock, entropy and panic bans, the RPC lane and
+//! the `unsafe` block itself are not here: rustc and clippy enforce them with
+//! type resolution (the workspace `clippy.toml`'s `disallowed-types` and
+//! `disallowed-methods`, `#![deny(clippy::unwrap_used, clippy::expect_used,
+//! clippy::panic)]` in every `crates/*` library root and in this crate's
+//! binary, `RpcResponse`'s private field, the wildcard-arm denies on
+//! `service_time`, and tendermint's `deny(unsafe_code)` beside
+//! `deny(clippy::undocumented_unsafe_blocks)`). U1 keeps only what no
+//! compiler lint states: that each root carries its `unsafe_code` level.
 //!
 //! Rules accept per-site suppressions: `// xcc-lint: allow(<rule>,
 //! reason = "...")` on the offending line or the line above. The reason is
 //! mandatory, and suppressions that stop matching anything are themselves
 //! findings, so the escape hatch cannot rot.
 //!
-//! The token-level rules (D4, C2, V1, U1) work straight off the scrubbed
-//! lines; the structural rules (C1, K1) consume the
-//! [workspace item graph](crate::items) so they survive reformatting and
-//! follow items when they move.
+//! The token-level rules (D4, V1) work straight off the scrubbed lines; K1
+//! consumes the [workspace item graph](crate::items) so it survives
+//! reformatting and follows items when they move.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::items::{self, FileItems, Flat};
+use crate::items::FileItems;
 use crate::lexer::{word_occurrences, Scrubbed};
 use crate::report::Finding;
 
@@ -40,13 +41,9 @@ use crate::report::Finding;
 pub enum RuleId {
     /// D4: every `f32`/`f64` in simulated code carries a reasoned annotation.
     FloatDeterminism,
-    /// C1: every RPC method cross-checked against `RequestKind` costing.
-    UncostedRpc,
-    /// C2: no `RpcResponse` construction or cost-table access outside `crates/rpc`.
-    LaneBypass,
     /// V1: no `serde::Value` trees on the simulation path.
     ValueDetour,
-    /// U1: one `unsafe` block, in the SHA-256 kernel's dispatch file.
+    /// U1: every crate root carries its `unsafe_code` lint level.
     UnsafeCode,
     /// K1: pub config knobs must be read and pub functions called somewhere.
     DeadKnob,
@@ -59,10 +56,8 @@ pub enum RuleId {
 
 impl RuleId {
     /// Every rule, in report order.
-    pub const ALL: [RuleId; 8] = [
+    pub const ALL: [RuleId; 6] = [
         RuleId::FloatDeterminism,
-        RuleId::UncostedRpc,
-        RuleId::LaneBypass,
         RuleId::ValueDetour,
         RuleId::UnsafeCode,
         RuleId::DeadKnob,
@@ -74,8 +69,6 @@ impl RuleId {
     pub fn name(self) -> &'static str {
         match self {
             RuleId::FloatDeterminism => "float-determinism",
-            RuleId::UncostedRpc => "uncosted-rpc",
-            RuleId::LaneBypass => "lane-bypass",
             RuleId::ValueDetour => "value-detour",
             RuleId::UnsafeCode => "unsafe-code",
             RuleId::DeadKnob => "dead-knob",
@@ -88,8 +81,6 @@ impl RuleId {
     pub fn code(self) -> &'static str {
         match self {
             RuleId::FloatDeterminism => "D4",
-            RuleId::UncostedRpc => "C1",
-            RuleId::LaneBypass => "C2",
             RuleId::ValueDetour => "V1",
             RuleId::UnsafeCode => "U1",
             RuleId::DeadKnob => "K1",
@@ -152,12 +143,6 @@ pub fn run(config: &Config) -> io::Result<Outcome> {
 
     if config.enabled(RuleId::FloatDeterminism) {
         float_determinism(&files, &mut findings);
-    }
-    if config.enabled(RuleId::UncostedRpc) {
-        uncosted_rpc(&files, &mut findings);
-    }
-    if config.enabled(RuleId::LaneBypass) {
-        lane_bypass(&files, &mut findings);
     }
     if config.enabled(RuleId::ValueDetour) {
         value_detour(&files, &mut findings);
@@ -285,200 +270,6 @@ fn float_determinism(files: &[SourceFile], findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
-// C1: uncosted-rpc
-// ---------------------------------------------------------------------------
-
-const COST_RS: &str = "crates/rpc/src/cost.rs";
-const ENDPOINT_RS: &str = "crates/rpc/src/endpoint.rs";
-
-fn uncosted_rpc(files: &[SourceFile], findings: &mut Vec<Finding>) {
-    let cost = files.iter().find(|f| f.rel == COST_RS);
-    let endpoint = files.iter().find(|f| f.rel == ENDPOINT_RS);
-    let (Some(cost), Some(endpoint)) = (cost, endpoint) else {
-        // Not an rpc-bearing tree (e.g. a fixture workspace for another
-        // rule); flag a half-present pair, otherwise stay silent.
-        if let Some(present) = cost.or(endpoint) {
-            findings.push(Finding {
-                rule: RuleId::UncostedRpc.name(),
-                path: present.rel.clone(),
-                line: 0,
-                col: 0,
-                message: format!(
-                    "found {} without its counterpart ({COST_RS} + {ENDPOINT_RS} must move \
-                     together for the costing cross-check)",
-                    present.rel
-                ),
-            });
-        }
-        return;
-    };
-
-    // 1. The RequestKind variants declared in cost.rs.
-    let Some(kinds) = cost.items.enum_named("RequestKind") else {
-        findings.push(Finding {
-            rule: RuleId::UncostedRpc.name(),
-            path: cost.rel.clone(),
-            line: 0,
-            col: 0,
-            message: "could not find `enum RequestKind` (did the costing enum move?)".into(),
-        });
-        return;
-    };
-
-    // 2. The variants service_time prices explicitly, and whether a
-    //    wildcard arm hides unpriced ones.
-    let Some(cost_fn) = cost.items.all_fns().find(|f| f.name == "service_time") else {
-        findings.push(Finding {
-            rule: RuleId::UncostedRpc.name(),
-            path: cost.rel.clone(),
-            line: 0,
-            col: 0,
-            message: "could not find `fn service_time` in the cost model".into(),
-        });
-        return;
-    };
-    let priced: BTreeSet<String> = path_refs(&cost_fn.body, "RequestKind")
-        .into_iter()
-        .map(|(_, name)| name)
-        .collect();
-    for arm in items::match_arms(&cost_fn.body) {
-        if arm.pattern == "_" || arm.pattern.starts_with("_ if") {
-            findings.push(Finding {
-                rule: RuleId::UncostedRpc.name(),
-                path: cost.rel.clone(),
-                line: cost_fn.body_line(arm.offset),
-                col: 0,
-                message: "wildcard `_ =>` arm in service_time defeats the costing cross-check; \
-                          price every RequestKind variant explicitly"
-                    .into(),
-            });
-        }
-    }
-    for variant in &kinds.variants {
-        if !priced.contains(&variant.name) {
-            findings.push(Finding {
-                rule: RuleId::UncostedRpc.name(),
-                path: cost.rel.clone(),
-                line: variant.line,
-                col: 0,
-                message: format!(
-                    "RequestKind::{} has no explicit costing arm in \
-                     cost::service_time — a request of this kind would ship free",
-                    variant.name
-                ),
-            });
-        }
-    }
-
-    // 3. Every variant must be exercised by some endpoint method…
-    let endpoint_flat = Flat::new(&endpoint.scrub.code);
-    let used: BTreeSet<String> = path_refs(&endpoint_flat.text, "RequestKind")
-        .into_iter()
-        .map(|(_, name)| name)
-        .collect();
-    for variant in &kinds.variants {
-        if !used.contains(&variant.name) {
-            findings.push(Finding {
-                rule: RuleId::UncostedRpc.name(),
-                path: cost.rel.clone(),
-                line: variant.line,
-                col: 0,
-                message: format!(
-                    "RequestKind::{} is priced but never issued by any RpcEndpoint \
-                     method — dead costing arm",
-                    variant.name
-                ),
-            });
-        }
-    }
-
-    // 4. …and every public RPC method must name the kind it is billed as.
-    for method in endpoint.items.all_fns() {
-        if !method.is_pub || endpoint.scrub.is_test_line(method.line) {
-            continue;
-        }
-        if !method.signature.contains("RpcResponse") {
-            continue;
-        }
-        if !method.body.contains("RequestKind") {
-            findings.push(Finding {
-                rule: RuleId::UncostedRpc.name(),
-                path: endpoint.rel.clone(),
-                line: method.line,
-                col: 0,
-                message: format!(
-                    "pub fn {} returns an RpcResponse but names no RequestKind — every RPC \
-                     call must pass a RequestProfile so it pays a costing arm",
-                    method.name
-                ),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// C2: lane-bypass
-// ---------------------------------------------------------------------------
-
-/// C2 covers library code outside the rpc crate itself.
-fn in_lane_scope(rel: &str) -> bool {
-    rel.starts_with("crates/") && rel.contains("/src/") && !rel.starts_with("crates/rpc/")
-}
-
-fn lane_bypass(files: &[SourceFile], findings: &mut Vec<Finding>) {
-    let c2 = RuleId::LaneBypass.name();
-    for file in files.iter().filter(|f| in_lane_scope(&f.rel)) {
-        // Direct response construction: `RpcResponse {` (a struct literal).
-        // Type positions (`-> RpcResponse<u64>`) have `<` or `)` after the
-        // word and stay silent.
-        for (line, col) in word_occurrences(&file.scrub.code, "RpcResponse") {
-            let rest = file.scrub.code[line - 1][col + "RpcResponse".len()..].trim_start();
-            if !rest.starts_with('{') {
-                continue;
-            }
-            if file.scrub.is_test_line(line) {
-                continue;
-            }
-            if let Some(supp) = file.scrub.suppression_for(c2, line) {
-                supp.used.set(true);
-                continue;
-            }
-            findings.push(Finding {
-                rule: c2,
-                path: file.rel.clone(),
-                line,
-                col: col + 1,
-                message: "direct `RpcResponse { .. }` construction outside crates/rpc — a \
-                          hand-built response bypasses lane costing; issue the request through \
-                          an RpcEndpoint lane method"
-                    .into(),
-            });
-        }
-        // Direct cost-table access: calling service_time outside the lane
-        // scheduler re-prices a request without occupying a lane slot.
-        for (line, col) in word_occurrences(&file.scrub.code, "service_time") {
-            if file.scrub.is_test_line(line) {
-                continue;
-            }
-            if let Some(supp) = file.scrub.suppression_for(c2, line) {
-                supp.used.set(true);
-                continue;
-            }
-            findings.push(Finding {
-                rule: c2,
-                path: file.rel.clone(),
-                line,
-                col: col + 1,
-                message: "direct cost-table access (`service_time`) outside crates/rpc — \
-                          request pricing belongs to the lane scheduler; issue the request \
-                          through an RpcEndpoint lane method"
-                    .into(),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // V1: value-detour
 // ---------------------------------------------------------------------------
 
@@ -542,105 +333,38 @@ fn value_detour(files: &[SourceFile], findings: &mut Vec<Finding>) {
 // U1: unsafe-code
 // ---------------------------------------------------------------------------
 
-/// The one file that may say `unsafe`: the SHA-256 kernel module, whose
-/// dispatcher calls a `#[target_feature]` function after CPUID detection.
-const UNSAFE_DISPATCH_RS: &str = "crates/tendermint/src/sha_ni.rs";
-
-/// The crate whose root says `deny` instead of `forbid`, so that the dispatch
-/// file's one `#[allow(unsafe_code)]` compiles.
+/// The crate whose root says `deny` instead of `forbid`, so that its SHA-256
+/// kernel dispatch can `expect` the lint on the workspace's one `unsafe`
+/// block.
 const UNSAFE_DENY_ROOT: &str = "crates/tendermint/src/lib.rs";
 
-/// U1 covers the code that ships: `crates/*/src` and the umbrella `src/`.
-fn in_unsafe_scope(rel: &str) -> bool {
-    rel.starts_with("src/") || (rel.starts_with("crates/") && rel.contains("/src/"))
-}
-
+/// The library, `main.rs` and `src/bin/*.rs` binary roots of the workspace
+/// crates, and the umbrella `src/lib.rs`.
 fn is_crate_root(rel: &str) -> bool {
     let parts: Vec<&str> = rel.split('/').collect();
     matches!(
         parts.as_slice(),
-        ["src", "lib.rs" | "main.rs"] | ["crates", _, "src", "lib.rs" | "main.rs"]
+        ["src", "lib.rs" | "main.rs"]
+            | ["crates", _, "src", "lib.rs" | "main.rs"]
+            | ["crates", _, "src", "bin", _]
     )
 }
 
-/// Whether the comment block directly above 1-based `line` — past any
-/// attribute lines — has a line opening with `// SAFETY:`.
-fn has_safety_comment(scrub: &Scrubbed, line: usize) -> bool {
-    let code = |l: usize| scrub.code[l - 1].trim();
-    let mut above = line - 1;
-    while above >= 1 && code(above).starts_with("#[") {
-        above -= 1;
-    }
-    // A comment-only line scrubs to blank code.
-    while above >= 1 && code(above).is_empty() {
-        match scrub.comments.iter().find(|(at, _)| *at == above) {
-            Some((_, text)) if text.starts_with("// SAFETY:") => return true,
-            Some(_) => above -= 1,
-            None => return false,
-        }
-    }
-    false
-}
-
 fn unsafe_code(files: &[SourceFile], findings: &mut Vec<Finding>) {
-    let u1 = RuleId::UnsafeCode.name();
-    let mut finding = |file: &SourceFile, line: usize, col: usize, message: String| {
-        findings.push(Finding {
-            rule: u1,
-            path: file.rel.clone(),
-            line,
-            col,
-            message,
-        });
-    };
-    for file in files.iter().filter(|f| in_unsafe_scope(&f.rel)) {
-        let sites: Vec<(usize, usize)> = word_occurrences(&file.scrub.code, "unsafe")
-            .into_iter()
-            .filter(|(line, _)| !file.scrub.is_test_line(*line))
-            .collect();
-        for (nth, &(line, col)) in sites.iter().enumerate() {
-            if file.rel != UNSAFE_DISPATCH_RS {
-                finding(
-                    file,
-                    line,
-                    col + 1,
-                    format!(
-                        "`unsafe` outside {UNSAFE_DISPATCH_RS}: the workspace's one unsafe block \
-                         is the SHA-256 kernel dispatch; write this in safe Rust"
-                    ),
-                );
-                continue;
-            }
-            if nth > 0 {
-                finding(
-                    file,
-                    line,
-                    col + 1,
-                    "a second `unsafe` in the kernel dispatch file: the call into the \
-                     `#[target_feature]` kernel is the only one allowed"
-                        .into(),
-                );
-            }
-            if !has_safety_comment(&file.scrub, line) {
-                finding(
-                    file,
-                    line,
-                    col + 1,
-                    "`unsafe` without a `// SAFETY:` comment on the line above naming the \
-                     detected CPU features"
-                        .into(),
-                );
-            }
-        }
-        if is_crate_root(&file.rel) {
-            let wanted = if file.rel == UNSAFE_DENY_ROOT {
-                "#![deny(unsafe_code)]"
-            } else {
-                "#![forbid(unsafe_code)]"
-            };
-            if !file.scrub.code.iter().any(|code| code.trim() == wanted) {
-                finding(file, 0, 0, format!("crate root does not carry `{wanted}`"));
-            }
+    for file in files.iter().filter(|f| is_crate_root(&f.rel)) {
+        let wanted = if file.rel == UNSAFE_DENY_ROOT {
+            "#![deny(unsafe_code)]"
+        } else {
+            "#![forbid(unsafe_code)]"
+        };
+        if !file.scrub.code.iter().any(|code| code.trim() == wanted) {
+            findings.push(Finding {
+                rule: RuleId::UnsafeCode.name(),
+                path: file.rel.clone(),
+                line: 0,
+                col: 0,
+                message: format!("crate root does not carry `{wanted}`"),
+            });
         }
     }
 }
@@ -920,40 +644,9 @@ fn suppression_hygiene(config: &Config, files: &[SourceFile], findings: &mut Vec
     }
 }
 
-// ---------------------------------------------------------------------------
-// Rule-local text helpers
-// ---------------------------------------------------------------------------
-
-/// `Prefix::Ident` references in `text`, as (position, ident).
-fn path_refs(text: &str, prefix: &str) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    for pos in items::word_positions(text, prefix) {
-        let after = &text[pos + prefix.len()..];
-        let trimmed = after.trim_start();
-        if let Some(path_rest) = trimmed.strip_prefix("::") {
-            if let Some((ident, _)) = items::next_word(path_rest, 0) {
-                out.push((pos, ident));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn path_refs_extract_variant_names() {
-        let refs: Vec<String> = path_refs(
-            "match k { RequestKind::Alpha => 1, RequestKind :: Beta => 2, Other::X => 3 }",
-            "RequestKind",
-        )
-        .into_iter()
-        .map(|(_, n)| n)
-        .collect();
-        assert_eq!(refs, ["Alpha", "Beta"]);
-    }
 
     #[test]
     fn doc_rows_are_backticked_first_columns() {

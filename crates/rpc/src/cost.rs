@@ -152,6 +152,15 @@ impl RequestProfile {
 }
 
 /// The server-side service time of a request.
+///
+/// Only the RPC lane calls this (the workspace `clippy.toml` lists it under
+/// `disallowed-methods`): a request priced anywhere else would take no lane
+/// slot. Every `RequestKind` is priced by name; the two wildcard lints keep a
+/// `_` arm from pricing a new kind by accident.
+#[deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 pub fn service_time(profile: &RequestProfile) -> SimDuration {
     let size_cost = PER_RESPONSE_KILOBYTE * (profile.response_bytes as u64 / 1024);
     let data_pull_per_msg = if profile.recv_heavy {
@@ -174,9 +183,7 @@ pub fn service_time(profile: &RequestProfile) -> SimDuration {
             UNCONFIRMED_QUERY_PER_PENDING_TX * profile.items as u64
         }
         // Metadata lookups answered from indexed state: no per-message work
-        // beyond the base fee and response-size cost. Each variant is priced
-        // explicitly so the `uncosted-rpc` lint can prove no RequestKind
-        // ships without a costing decision.
+        // beyond the base fee and response-size cost.
         RequestKind::AccountQuery
         | RequestKind::ProofQuery
         | RequestKind::ClientUpdateData

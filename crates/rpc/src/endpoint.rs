@@ -16,25 +16,14 @@ use xcc_ibc::client::ClientUpdate;
 use xcc_ibc::commitment::{CommitmentProof, NonMembershipProof};
 use xcc_ibc::ids::{ChannelId, PortId, Sequence};
 use xcc_ibc::packet::Acknowledgement;
-use xcc_sim::prof;
 use xcc_sim::{SimDuration, SimTime};
 use xcc_tendermint::abci::Event;
 use xcc_tendermint::hash::Hash;
 use xcc_tendermint::node::CommittedBlock;
 
-use crate::cost::{service_time, RequestKind, RequestProfile};
+use crate::cost::{RequestKind, RequestProfile};
 
-/// A response from the RPC endpoint: the value plus when it arrives at the
-/// caller.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RpcResponse<T> {
-    /// The response payload.
-    pub value: T,
-    /// Simulated time at which the caller has the response in hand.
-    pub ready_at: SimTime,
-    /// Estimated size of the response in bytes.
-    pub response_bytes: usize,
-}
+pub use lane::RpcResponse;
 
 /// Errors returned by `broadcast_tx_sync`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -165,25 +154,6 @@ impl RpcEndpoint {
     /// cumulative wait, worst backlog).
     pub fn lane_stats(&self) -> LaneStats {
         self.lane.clone()
-    }
-
-    fn respond<T>(&mut self, now: SimTime, profile: RequestProfile, value: T) -> RpcResponse<T> {
-        prof::bump_rpc_call(profile.kind.index());
-        let service = service_time(&profile);
-        let arrives = now + self.one_way;
-        let start = self.busy_until.max(arrives);
-        self.busy_until = start + service;
-        let lane = &mut self.lane;
-        lane.queries_served += 1;
-        lane.busy_time += service;
-        lane.total_wait += start - arrives;
-        lane.max_backlog = lane.max_backlog.max(self.busy_until - arrives);
-        let ready_at = self.busy_until + self.one_way;
-        RpcResponse {
-            value,
-            ready_at,
-            response_bytes: profile.response_bytes,
-        }
     }
 
     /// Account sequence query, used by clients to sign their next
@@ -517,14 +487,84 @@ impl RpcEndpoint {
     }
 }
 
+/// The lane: the response type and its one constructor. `RpcResponse`'s
+/// private field keeps every other module, this file's included, from
+/// building a response that no lane priced.
+mod lane {
+    use xcc_sim::prof;
+    use xcc_sim::SimTime;
+
+    use super::RpcEndpoint;
+    use crate::cost::{service_time, RequestProfile};
+
+    /// A response from the RPC endpoint: the value plus when it arrives at
+    /// the caller.
+    ///
+    /// Only [`RpcEndpoint`]'s lane builds one, after pricing its
+    /// [`RequestProfile`], so a response cannot skip the queue:
+    ///
+    /// ```compile_fail
+    /// use xcc_rpc::endpoint::RpcResponse;
+    /// use xcc_sim::SimTime;
+    ///
+    /// let free = RpcResponse { value: 7u64, ready_at: SimTime::ZERO, response_bytes: 0 };
+    /// ```
+    #[derive(Debug, Clone, PartialEq)]
+    #[expect(
+        clippy::manual_non_exhaustive,
+        reason = "`#[non_exhaustive]` binds other crates only; the private field binds the rest \
+                  of this one too"
+    )]
+    pub struct RpcResponse<T> {
+        /// The response payload.
+        pub value: T,
+        /// Simulated time at which the caller has the response in hand.
+        pub ready_at: SimTime,
+        /// Estimated size of the response in bytes.
+        pub response_bytes: usize,
+        priced: (),
+    }
+
+    impl RpcEndpoint {
+        /// Serves one request on the lane's single FIFO server: prices
+        /// `profile`, queues it behind the lane's backlog and answers `value`
+        /// when the server is done plus the trip back.
+        pub(super) fn respond<T>(
+            &mut self,
+            now: SimTime,
+            profile: RequestProfile,
+            value: T,
+        ) -> RpcResponse<T> {
+            prof::bump_rpc_call(profile.kind.index());
+            let service = service_time(&profile);
+            let arrives = now + self.one_way;
+            let start = self.busy_until.max(arrives);
+            self.busy_until = start + service;
+            let lane = &mut self.lane;
+            lane.queries_served += 1;
+            lane.busy_time += service;
+            lane.total_wait += start - arrives;
+            lane.max_backlog = lane.max_backlog.max(self.busy_until - arrives);
+            RpcResponse {
+                value,
+                ready_at: self.busy_until + self.one_way,
+                response_bytes: profile.response_bytes,
+                priced: (),
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::service_time;
     use xcc_chain::chain::Chain;
     use xcc_chain::coin::Coin;
     use xcc_chain::genesis::GenesisConfig;
     use xcc_chain::msg::Msg;
     use xcc_ibc::packet::Packet;
+    use xcc_sim::prof;
 
     fn endpoint(rtt_ms: u64) -> RpcEndpoint {
         let chain =
@@ -905,6 +945,36 @@ mod tests {
         assert_eq!((plain.response_bytes, batched.response_bytes), (1897, 1897));
         assert_eq!(plain.ready_at, SimTime::from_nanos(10_214_953_000));
         assert_eq!(batched.ready_at, SimTime::from_nanos(10_215_433_000));
+    }
+
+    /// Every `pub` RPC method, called once, issues every `RequestKind`: a
+    /// kind that is priced but that no method issues fails here.
+    #[test]
+    fn every_request_kind_is_issued_by_a_method() {
+        let (a, b) = relayed_pair();
+        let (port, channel) = (PortId::transfer(), ChannelId::with_index(0));
+        let seqs: Vec<Sequence> = (1..=3).map(Sequence::from).collect();
+        let (now, user) = (SimTime::from_secs(10), "user-0".into());
+        let (mut a, mut b) = (lane(&a), lane(&b));
+        prof::reset();
+        a.account_sequence(now, &user);
+        a.account_sequence_unconfirmed(now, &user);
+        a.broadcast_tx_sync(now, &bank_tx(1));
+        a.pull_packet_data(now, 2, &port, &channel, &seqs);
+        a.pull_packet_data_batched(now, 2, &port, &channel, &seqs);
+        b.pull_ack_data(now, 2, &port, &channel, &seqs);
+        b.pull_ack_data_batched(now, 2, &port, &channel, &seqs);
+        a.client_update_data(now);
+        b.unreceived_packets(now, &port, &channel, &seqs);
+        a.unacknowledged_packets(now, &port, &channel, &seqs);
+        b.non_receipt_proof(now, &port, &channel, Sequence::from(4));
+        let calls = prof::snapshot().rpc_calls;
+        for kind in RequestKind::ALL {
+            assert!(
+                calls[kind.index()] > 0,
+                "no RpcEndpoint method issues {kind:?}"
+            );
+        }
     }
 
     #[test]

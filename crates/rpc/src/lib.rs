@@ -34,6 +34,10 @@
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the lane prices each request with `cost::service_time`, and the unit tests pin it"
+)]
 
 pub mod cost;
 pub mod endpoint;

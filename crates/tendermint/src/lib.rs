@@ -52,9 +52,11 @@
 //! ```
 
 // `deny`, not `forbid`: `sha_ni` carries the workspace's one `unsafe` block
-// under a local `allow` (the call into its `#[target_feature]` kernel after
-// CPUID detection); lint rule U1 keeps it the only one.
+// under a local `expect` (the call into its `#[target_feature]` kernel after
+// CPUID detection). Any other `unsafe` fails this `deny`, and every block
+// needs a `// SAFETY:` comment.
 #![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 

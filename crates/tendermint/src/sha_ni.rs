@@ -34,9 +34,12 @@ pub(crate) fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) -> bool
     if !detected() {
         return false;
     }
+    #[expect(
+        unsafe_code,
+        reason = "the workspace's one unsafe block: a call into a `#[target_feature]` function"
+    )]
     // SAFETY: `detected()` has just reported `sha`, `sse2`, `ssse3` and
     // `sse4.1`, which is every feature `kernel` enables.
-    #[allow(unsafe_code)]
     unsafe {
         kernel(state, blocks)
     };

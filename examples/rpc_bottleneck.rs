@@ -6,6 +6,10 @@
 use xcc_rpc::cost::{service_time, RequestKind, RequestProfile};
 
 fn main() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the example prints the cost table itself, outside any lane"
+    )]
     let priced = |profile| service_time(&profile);
     println!("service time of one packet-data pull vs. IBC messages in the queried block:");
     for msgs in [100usize, 500, 1_000, 2_000, 5_000] {

@@ -173,7 +173,7 @@ fn a_different_seed_changes_no_outcome() {
             .transfers(60)
             .measurement_blocks(4)
             .channel_weights([1, 1, 0, 0])
-            .hop_plan(Topology::hub_and_spoke_routes(2))
+            .hop_plan(Topology::hub_and_spoke_routes(2, 1))
             .topology(Topology::hub_and_spoke(2)),
     ];
     for spec in specs {

@@ -228,6 +228,10 @@ proptest! {
                     amount: Coin::new("uatom", 1),
                 })
                 .collect();
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the oracle: each answer is held to the cost table's service time"
+            )]
             let service = service_time(&RequestProfile {
                 kind: RequestKind::BroadcastTxSync,
                 response_bytes: 256,

@@ -94,7 +94,7 @@ serde_round_trip! {
         .packet_clearing(4) => r#"{"fetcher":"Sequential","submission":"Eager","coordination":"None","channel_policy":"Dedicated","ws_frame_limit_bytes":262144,"packet_clear_interval":4,"sequence_tracking":"Resync"}"#;
     workload_config: WorkloadConfig = WorkloadConfig {
         channel_weights: vec![2, 1],
-        hop_plan: Topology::hub_and_spoke_routes(1),
+        hop_plan: Topology::hub_and_spoke_routes(1, 1),
         ..WorkloadConfig::default()
     } => r#"{"total_transfers":5000,"submission_blocks":1,"measurement_blocks":50,"timeout_blocks":0,"run_to_completion":true,"completion_grace_blocks":400,"channel_weights":[2,1],"hop_plan":[{"first_leg":0,"second_leg":1}]}"#;
     deployment_config: DeploymentConfig = DeploymentConfig::default() => r#"{"network_rtt_ms":200,"min_block_interval":5000000000,"relayer_count":1,"channel_count":1,"relayer_strategy":{"fetcher":"Sequential","submission":"Eager","coordination":"None","channel_policy":"FairShare","ws_frame_limit_bytes":0,"packet_clear_interval":0,"sequence_tracking":"Resync"},"user_accounts":64,"seed":42,"fault_plan":{"events":[]},"topology":{"chains":["ibc-0","ibc-1"],"edges":[{"src":"ibc-0","dst":"ibc-1"}]}}"#;

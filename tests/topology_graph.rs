@@ -9,6 +9,9 @@
 //!   second-leg transfer, no second leg is broadcast before the
 //!   acknowledgement that justifies it commits, and no route completes
 //!   transfers on one leg that the other leg never carried.
+//! * **Routes that chain**: at several channels per edge the hub-and-spoke
+//!   routes still forward from the hub, and an in-range route whose second
+//!   leg does not leave the chain its first leg lands on fails setup.
 
 use proptest::prelude::*;
 
@@ -97,6 +100,59 @@ fn an_empty_topology_fails_setup() {
     assert_eq!(outcome.metric(keys::SETUP_FAILED), Some(1.0));
 }
 
+/// A hub with two spokes at two channels per edge (edges `spoke-1→hub`,
+/// `spoke-2→hub`, `hub→spoke-1`, `hub→spoke-2`; channels `2e` and `2e + 1`
+/// on edge `e`), the workload on the first edge's two channels.
+fn two_channel_hub_spec(routes: Vec<HopRoute>) -> ExperimentSpec {
+    ExperimentSpec::latency()
+        .named("topology/hops/two-channels")
+        .transfers(60)
+        .measurement_blocks(4)
+        .channels(2)
+        .channel_weights([1, 1, 0, 0])
+        .hop_plan(routes)
+        .topology(Topology::hub_and_spoke(2))
+}
+
+/// At two channels per edge the hop plan names each edge's first channel:
+/// every second leg leaves the hub on a hub→spoke channel, none is
+/// rejected, and the run drains.
+#[test]
+fn two_channel_hop_routes_forward_from_the_hub_and_drain() {
+    let spec = two_channel_hub_spec(Topology::hub_and_spoke_routes(2, 2));
+    let run = scenarios::run_raw(&spec);
+    let legs: Vec<(usize, usize)> = (run.hop_routes.iter())
+        .map(|r| (r.first_leg, r.second_leg))
+        .collect();
+    assert_eq!(legs, [(0, 6), (2, 4)]);
+    assert!(run.forward_stats.submitted > 0);
+    assert_eq!(run.forward_stats.rejected, 0);
+    for record in &run.forwards {
+        let (src, dst) = run.path_ends[record.submission.channel];
+        assert_eq!((src, dst), (0, 2), "forwarded on {record:?}");
+    }
+    let outcome = scenarios::outcome_from(&spec, &run);
+    assert_eq!(outcome.metric(keys::STRANDED_PACKETS), Some(0.0));
+}
+
+/// The routes `hub_and_spoke_routes(2)` gave before it took the channel
+/// count, run at two channels per edge: route `0 → 3` lands on the hub but
+/// leaves from spoke 2, so setup fails and `run` reports `setup_failed`.
+#[test]
+fn a_hop_route_that_does_not_chain_fails_setup() {
+    let route = |first_leg, second_leg| HopRoute {
+        first_leg,
+        second_leg,
+    };
+    let spec = two_channel_hub_spec(vec![route(0, 3), route(1, 2)]);
+    assert_eq!(
+        scenarios::try_run(&spec).err(),
+        Some(SetupError::DisconnectedHop { route: route(0, 3) })
+    );
+    let outcome = scenarios::run(&spec);
+    assert_eq!(outcome.metric(keys::SETUP_FAILED), Some(1.0));
+}
+
 /// A hub with two spokes, the workload on the spoke→hub channels and the hop
 /// plan chaining each first leg onto a hub→spoke channel.
 fn hub_spec(seed: u64, transfers: u64) -> ExperimentSpec {
@@ -108,7 +164,7 @@ fn hub_spec(seed: u64, transfers: u64) -> ExperimentSpec {
         .rtt_ms(0)
         .relayers(1)
         .channel_weights([1, 1, 0, 0])
-        .hop_plan(Topology::hub_and_spoke_routes(2))
+        .hop_plan(Topology::hub_and_spoke_routes(2, 1))
         .topology(Topology::hub_and_spoke(2))
         .seed(seed)
 }
