@@ -12,6 +12,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
+pub mod goldens;
 pub mod timing;
 
 use std::io::{self, Write};

@@ -16,7 +16,8 @@ use serde::{Deserialize, Serialize};
 /// let mut report = ExecutionReport::new("fig8-one-relayer");
 /// report.set_metric("throughput_tfps", 80.0);
 /// report.add_note("input rate 140 rps, 200 ms RTT");
-/// assert!(report.to_json().contains("throughput_tfps"));
+/// let json = serde_json::to_string_pretty(&report).unwrap();
+/// assert!(json.contains("throughput_tfps"));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionReport {
@@ -60,20 +61,6 @@ impl ExecutionReport {
     pub fn add_row(&mut self, row: impl Into<String>) {
         self.rows.push(row.into());
     }
-
-    /// Serialises the report to pretty JSON.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if serialisation fails, which would indicate a bug in the
-    /// report structure itself.
-    #[expect(
-        clippy::expect_used,
-        reason = "serialisation fails only on a bug in the report structure itself"
-    )]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serialisation cannot fail")
-    }
 }
 
 impl fmt::Display for ExecutionReport {
@@ -102,7 +89,8 @@ mod tests {
         report.set_metric("x", 1.5);
         report.add_note("note");
         report.add_row("a | b | c");
-        let parsed: ExecutionReport = serde_json::from_str(&report.to_json()).unwrap();
+        let parsed: ExecutionReport =
+            serde_json::from_str(&serde_json::to_string_pretty(&report).unwrap()).unwrap();
         assert_eq!(parsed, report);
         assert_eq!(parsed.metric("x"), Some(1.5));
         assert_eq!(parsed.metric("missing"), None);

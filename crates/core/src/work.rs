@@ -5,9 +5,10 @@
 //! surface: the runner snapshots the raw [`WorkCounters`] at the end of every
 //! run and converts them into a [`WorkProfile`], labelling each RPC slot with
 //! its [`RequestKind`] name. The profile is what `goldens --bench` writes
-//! into `BENCH_golden.json` and what the bench compare mode exact-matches in
-//! CI — counters are pure functions of the event sequence, so any drift is a
-//! behaviour change, not noise (see docs/PERFORMANCE.md).
+//! into `BENCH_golden.json` and what `goldens --check` exact-matches in CI
+//! and under `cargo test` — counters are pure functions of the event
+//! sequence, so any drift is a behaviour change, not noise (see
+//! docs/PERFORMANCE.md).
 
 use std::collections::BTreeMap;
 
@@ -25,7 +26,7 @@ pub use xcc_tendermint::hash::backend as sha256_backend;
 
 /// RPC-call counts that landed in overflow slots beyond the kinds named by
 /// [`RequestKind::ALL`] are reported under this key. A non-zero value means a
-/// new request kind exists that [`RequestKind::index`] does not map yet.
+/// call was counted in a slot no [`RequestKind::index`] names.
 pub const RPC_OTHER_KEY: &str = "other";
 
 /// The deterministic work profile of one experiment run.

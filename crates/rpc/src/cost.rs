@@ -13,77 +13,65 @@ use serde::{Deserialize, Serialize};
 
 use xcc_sim::SimDuration;
 
-/// The kind of RPC request being served, which determines its cost profile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RequestKind {
+/// Declares [`RequestKind`] from one list of `Variant => "name"` pairs, so
+/// the enum, [`RequestKind::ALL`], [`RequestKind::index`] and
+/// [`RequestKind::name`] cannot disagree: a variant outside `ALL` cannot be
+/// written.
+macro_rules! request_kinds {
+    ($($(#[$doc:meta])* $variant:ident => $name:literal,)*) => {
+        /// The kind of RPC request being served, which determines its cost profile.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+        pub enum RequestKind {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl RequestKind {
+            /// Every request kind, in declaration order. The position of a
+            /// kind in this table is its xcc-prof counter slot within a run
+            /// (see [`RequestKind::index`]); outputs key counts by
+            /// [`name`](RequestKind::name), so the slots may be renumbered.
+            pub const ALL: [RequestKind; [$(stringify!($variant)),*].len()] =
+                [$(RequestKind::$variant),*];
+
+            /// The kind's position in [`RequestKind::ALL`], used as its
+            /// work-counter slot in `xcc_sim::prof`.
+            pub fn index(self) -> usize {
+                self as usize
+            }
+
+            /// The kind's wire-style snake_case name, used as its key in
+            /// profiled bench output (`BENCH_golden.json`).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(RequestKind::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
+
+request_kinds! {
     /// `broadcast_tx_sync`: submit a transaction and run `CheckTx`.
-    BroadcastTxSync,
+    BroadcastTxSync => "broadcast_tx_sync",
     /// `abci_query` for an account (sequence / balance lookups).
-    AccountQuery,
+    AccountQuery => "account_query",
     /// Mempool-aware account-sequence query: the committed sequence plus the
     /// account's unconfirmed mempool window (Tendermint's `unconfirmed_txs`
     /// filtered by sender). Costs a mempool scan on top of the account read.
-    UnconfirmedAccountQuery,
+    UnconfirmedAccountQuery => "unconfirmed_account_query",
     /// Packet-data pull: the `tx_search`-style query the relayer issues per
     /// source transaction to rebuild packets, including proofs.
-    PacketDataPull,
+    PacketDataPull => "packet_data_pull",
     /// A batched packet-data pull covering many transactions in one query:
     /// the block scan is paid once and a per-item pagination surcharge is
     /// added instead (the "what if pulls were batched?" counterfactual).
-    BatchedDataPull,
+    BatchedDataPull => "batched_data_pull",
     /// Proof query for a single packet commitment or acknowledgement.
-    ProofQuery,
+    ProofQuery => "proof_query",
     /// Header/commit/validator-set query used to build client updates.
-    ClientUpdateData,
+    ClientUpdateData => "client_update_data",
     /// Unreceived-packet / unreceived-ack filter queries.
-    UnreceivedQuery,
-}
-
-impl RequestKind {
-    /// Every request kind, in declaration order. The position of a kind in
-    /// this table is its xcc-prof counter slot within a run (see
-    /// [`RequestKind::index`]); outputs key counts by
-    /// [`name`](RequestKind::name), so the slots may be renumbered.
-    pub const ALL: [RequestKind; 8] = [
-        RequestKind::BroadcastTxSync,
-        RequestKind::AccountQuery,
-        RequestKind::UnconfirmedAccountQuery,
-        RequestKind::PacketDataPull,
-        RequestKind::BatchedDataPull,
-        RequestKind::ProofQuery,
-        RequestKind::ClientUpdateData,
-        RequestKind::UnreceivedQuery,
-    ];
-
-    /// The kind's position in [`RequestKind::ALL`], used as its work-counter
-    /// slot in `xcc_sim::prof`.
-    pub fn index(self) -> usize {
-        match self {
-            RequestKind::BroadcastTxSync => 0,
-            RequestKind::AccountQuery => 1,
-            RequestKind::UnconfirmedAccountQuery => 2,
-            RequestKind::PacketDataPull => 3,
-            RequestKind::BatchedDataPull => 4,
-            RequestKind::ProofQuery => 5,
-            RequestKind::ClientUpdateData => 6,
-            RequestKind::UnreceivedQuery => 7,
-        }
-    }
-
-    /// The kind's wire-style snake_case name, used as its key in profiled
-    /// bench output (`BENCH_golden.json`).
-    pub fn name(self) -> &'static str {
-        match self {
-            RequestKind::BroadcastTxSync => "broadcast_tx_sync",
-            RequestKind::AccountQuery => "account_query",
-            RequestKind::UnconfirmedAccountQuery => "unconfirmed_account_query",
-            RequestKind::PacketDataPull => "packet_data_pull",
-            RequestKind::BatchedDataPull => "batched_data_pull",
-            RequestKind::ProofQuery => "proof_query",
-            RequestKind::ClientUpdateData => "client_update_data",
-            RequestKind::UnreceivedQuery => "unreceived_query",
-        }
-    }
+    UnreceivedQuery => "unreceived_query",
 }
 
 // The cost table (docs/ARCHITECTURE.md, "The model's constants", names what

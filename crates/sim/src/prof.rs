@@ -8,7 +8,7 @@
 //! clear-scan visits and Merkle inner nodes hashed. Because every run of the simulator is single-threaded
 //! and fully deterministic (PRs 5–9), these counters are bit-stable across
 //! machines: the same spec and seed always produce the same counter vector,
-//! so `goldens --bench --compare` can enforce them with exact equality while
+//! so `goldens --check` can enforce them with exact equality while
 //! wall-clock stays a human-facing, informational number.
 //!
 //! # Design

@@ -274,20 +274,6 @@ impl Block {
             .unwrap_or(0);
         HEADER_OVERHEAD + commit_size + self.data.byte_size()
     }
-
-    /// Basic structural validation: the data hash in the header must match
-    /// the block contents.
-    pub fn validate_basic(&self) -> Result<(), BlockValidationError> {
-        if self.header.data_hash != self.data.hash() {
-            return Err(BlockValidationError::DataHashMismatch {
-                height: self.header.height,
-            });
-        }
-        if self.header.height == 0 {
-            return Err(BlockValidationError::ZeroHeight);
-        }
-        Ok(())
-    }
 }
 
 /// A header's `EvidenceHash`: the Merkle root of an empty evidence list, since
@@ -296,35 +282,50 @@ pub fn evidence_hash() -> Hash {
     simple_root(std::iter::empty())
 }
 
-/// Errors detected by [`Block::validate_basic`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BlockValidationError {
-    /// The header's `DataHash` does not match the transactions.
-    DataHashMismatch {
-        /// Height of the offending block.
-        height: u64,
-    },
-    /// Blocks start at height 1; height 0 is invalid.
-    ZeroHeight,
-}
-
-impl std::fmt::Display for BlockValidationError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BlockValidationError::DataHashMismatch { height } => {
-                write!(f, "data hash mismatch in block at height {height}")
-            }
-            BlockValidationError::ZeroHeight => write!(f, "block height must be positive"),
-        }
-    }
-}
-
-impl std::error::Error for BlockValidationError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::validator::ValidatorAddress;
+
+    impl Block {
+        /// Basic structural validation: the data hash in the header must match
+        /// the block contents. `Node::produce_block` builds the header's
+        /// `data_hash` from the same data, so only these tests ask.
+        fn validate_basic(&self) -> Result<(), BlockValidationError> {
+            if self.header.data_hash != self.data.hash() {
+                return Err(BlockValidationError::DataHashMismatch {
+                    height: self.header.height,
+                });
+            }
+            if self.header.height == 0 {
+                return Err(BlockValidationError::ZeroHeight);
+            }
+            Ok(())
+        }
+    }
+
+    /// Errors detected by `Block::validate_basic`.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum BlockValidationError {
+        /// The header's `DataHash` does not match the transactions.
+        DataHashMismatch {
+            /// Height of the offending block.
+            height: u64,
+        },
+        /// Blocks start at height 1; height 0 is invalid.
+        ZeroHeight,
+    }
+
+    impl std::fmt::Display for BlockValidationError {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            match self {
+                BlockValidationError::DataHashMismatch { height } => {
+                    write!(f, "data hash mismatch in block at height {height}")
+                }
+                BlockValidationError::ZeroHeight => write!(f, "block height must be positive"),
+            }
+        }
+    }
 
     fn sample_header(height: u64, data: &Data) -> Header {
         Header {

@@ -296,7 +296,6 @@ impl<A: Application> Node<A> {
             data,
             last_commit: self.last_commit.clone(),
         };
-        debug_assert!(block.validate_basic().is_ok());
         let block_id = block.block_id();
         let block_bytes = block.byte_size();
 

@@ -23,8 +23,8 @@ const DEDICATED_SCALING_GOLDENS: &str = include_str!("fixtures/dedicated_scaling
 
 /// The acceptance bar of the fleet refactor: at 4 channels and one
 /// `relayer_count` of capacity, the dedicated per-channel fleet must deliver
-/// at least twice the shared process's throughput — and both arms must
-/// replay their pinned outcomes bit for bit.
+/// at least twice the shared process's throughput (`tests/goldens.rs`
+/// checks that both arms replay their pinned outcomes bit for bit).
 #[test]
 fn dedicated_scaling_fixture_replays_and_breaks_the_shared_cap() {
     let goldens: Vec<ScenarioOutcome> =
@@ -36,12 +36,6 @@ fn dedicated_scaling_fixture_replays_and_breaks_the_shared_cap() {
     for golden in goldens {
         assert_eq!(golden.spec.deployment.channel_count, 4);
         assert_eq!(golden.spec.deployment.relayer_count, 1);
-        let rerun = scenarios::run(&golden.spec);
-        assert_eq!(
-            rerun.metrics, golden.metrics,
-            "{} diverged from its golden outcome",
-            golden.spec.name
-        );
         match golden.spec.deployment.relayer_strategy.channel_policy {
             ChannelPolicy::Dedicated => dedicated_tfps = Some(golden.throughput_tfps()),
             _ => shared_tfps = Some(golden.throughput_tfps()),

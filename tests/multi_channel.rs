@@ -1,8 +1,5 @@
 //! Acceptance tests for the multi-channel relaying subsystem.
 //!
-//! * **Determinism**: small two-channel runs with the default strategy are
-//!   pinned by a golden fixture (regenerate with
-//!   `cargo run --release -p xcc-bench --bin goldens -- --set multi_channel`).
 //! * **Per-channel accounting**: the per-channel completion breakdowns sum
 //!   to the aggregate, channel by channel and category by category.
 //! * **Channel policies**: dedicated relayers eliminate the redundant work
@@ -22,27 +19,22 @@ use ibc_perf_repro::relayer::telemetry::TransferStep;
 
 const MULTI_CHANNEL_GOLDENS: &str = include_str!("fixtures/multi_channel_goldens.json");
 
+/// The two-channel fixture pins small default-strategy runs with
+/// per-channel metrics; `tests/goldens.rs` replays it (regenerate with
+/// `goldens --set multi_channel`).
 #[test]
 fn two_channel_default_strategy_replays_the_golden_fixture() {
-    let goldens: Vec<ScenarioOutcome> =
-        serde_json::from_str(MULTI_CHANNEL_GOLDENS).expect("golden fixture parses");
+    let goldens: Vec<ScenarioOutcome> = serde_json::from_str(MULTI_CHANNEL_GOLDENS).unwrap();
     assert_eq!(goldens.len(), 2, "one uniform + one weighted golden");
     for golden in goldens {
         assert_eq!(golden.spec.deployment.channel_count, 2);
         assert_eq!(
             golden.spec.deployment.relayer_strategy,
-            RelayerStrategy::default(),
-            "goldens pin the default strategy"
+            RelayerStrategy::default()
         );
         // Multi-channel outcomes carry per-channel metrics.
         assert!(golden.metric_on(keys::COMPLETED, 0).is_some());
         assert!(golden.metric_on(keys::COMPLETED, 1).is_some());
-        let rerun = scenarios::run(&golden.spec);
-        assert_eq!(
-            rerun.metrics, golden.metrics,
-            "{} diverged from its golden outcome",
-            golden.spec.name
-        );
     }
 }
 
