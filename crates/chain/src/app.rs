@@ -18,7 +18,7 @@ use xcc_tendermint::abci::{
     encoded_attr_size, Application, AttrValue, CheckTxResult, DeliverTxResult, Event,
     EventAttribute, EventRecord,
 };
-use xcc_tendermint::block::{Header, RawTx};
+use xcc_tendermint::block::Header;
 use xcc_tendermint::hash::{hash_fields, Hash};
 
 /// The account that collects transaction fees.
@@ -26,8 +26,6 @@ pub const FEE_COLLECTOR: &str = "fee-collector";
 
 /// ABCI error code for a message that failed during execution.
 pub const CODE_MSG_FAILED: u32 = 111;
-/// ABCI error code for an undecodable transaction.
-pub const CODE_DECODE_FAILED: u32 = 2;
 
 /// The one attribute of a `message` event: the executed message's type URL,
 /// as `action`. The app keeps one record per type URL and every `message`
@@ -300,37 +298,22 @@ impl GaiaApp {
 }
 
 impl Application for GaiaApp {
-    /// `CheckTx` parses every submission; the parsed transaction rides on
-    /// the mempool entry so `DeliverTx` does not parse the bytes again.
+    /// Every submission hands the node the `Tx` its client built, so
+    /// `CheckTx` and `DeliverTx` run on it and nothing parses bytes.
     type Decoded = Tx;
 
-    fn check_tx(&mut self, tx: &RawTx) -> (CheckTxResult, Option<Tx>) {
-        let decoded = match Tx::decode(tx) {
-            Ok(tx) => tx,
-            Err(e) => {
-                let undecodable = CheckTxResult {
-                    code: CODE_DECODE_FAILED,
-                    log: e.to_string(),
-                    gas_wanted: 0,
-                    sender: String::new(),
-                    sequence: 0,
-                };
-                return (undecodable, None);
-            }
-        };
-        let (code, log) = match ante::ante_handle(&mut self.check_accounts, &decoded) {
+    fn check_tx(&mut self, tx: &Tx) -> CheckTxResult {
+        let (code, log) = match ante::ante_handle(&mut self.check_accounts, tx) {
             Ok(()) => (0, String::new()),
             Err(err) => (err.code(), err.to_string()),
         };
-        let result = CheckTxResult {
+        CheckTxResult {
             code,
             log,
-            gas_wanted: decoded.gas_limit,
-            sender: decoded.signer.to_string(),
-            sequence: decoded.sequence,
-        };
-        let admitted = result.is_ok().then_some(decoded);
-        (result, admitted)
+            gas_wanted: tx.gas_limit,
+            sender: tx.signer.to_string(),
+            sequence: tx.sequence,
+        }
     }
 
     fn begin_block(&mut self, header: &Header) {
@@ -355,31 +338,15 @@ impl Application for GaiaApp {
     ///   occupies block space, consumes gas, keeps its fee (relayers pay for
     ///   redundant deliveries, §IV-A) and uses up the account sequence so it
     ///   cannot be replayed.
-    ///
-    /// `decoded` is `CheckTx`'s parse of `tx`, handed over by the node;
-    /// without it (a transaction that reached a block some other way) the
-    /// bytes are decoded here.
-    fn deliver_tx(&mut self, tx: &RawTx, decoded: Option<Tx>) -> DeliverTxResult {
-        let decoded = match decoded.map_or_else(|| Tx::decode(tx), Ok) {
-            Ok(tx) => tx,
-            Err(e) => {
-                return DeliverTxResult {
-                    code: CODE_DECODE_FAILED,
-                    log: e.to_string(),
-                    gas_used: 0,
-                    gas_wanted: 0,
-                    events: vec![],
-                }
-            }
-        };
-        let gas_wanted = decoded.gas_limit;
+    fn deliver_tx(&mut self, tx: Tx) -> DeliverTxResult {
+        let gas_wanted = tx.gas_limit;
 
         self.begin_tx();
-        if let Err(err) = ante::ante_handle(&mut self.accounts, &decoded) {
+        if let Err(err) = ante::ante_handle(&mut self.accounts, &tx) {
             self.commit_tx();
             return Self::ante_failure(&err, gas_wanted);
         }
-        if let Err(log) = self.pay_fee(&decoded) {
+        if let Err(log) = self.pay_fee(&tx) {
             self.rollback_tx();
             return DeliverTxResult {
                 code: ante::CODE_INSUFFICIENT_FUNDS,
@@ -392,7 +359,7 @@ impl Application for GaiaApp {
 
         let mut events = Vec::new();
         let mut gas_used = gas::TX_BASE_GAS;
-        for msg in &decoded.msgs {
+        for msg in &tx.msgs {
             gas_used += msg.gas_cost();
             match self.execute_msg(msg) {
                 Ok(mut msg_events) => {
@@ -401,8 +368,8 @@ impl Application for GaiaApp {
                 }
                 Err(log) => {
                     self.rollback_tx();
-                    let _ = ante::ante_handle(&mut self.accounts, &decoded);
-                    let _ = self.pay_fee(&decoded);
+                    let _ = ante::ante_handle(&mut self.accounts, &tx);
+                    let _ = self.pay_fee(&tx);
                     return DeliverTxResult {
                         code: CODE_MSG_FAILED,
                         log,
@@ -457,7 +424,7 @@ mod tests {
     use xcc_ibc::ids::{ChannelId, PortId};
     use xcc_ibc::module::TransferParams;
 
-    fn bank_send_tx(app: &GaiaApp, from: &str, to: &str, amount: u128, seq: u64) -> RawTx {
+    fn bank_send_tx(app: &GaiaApp, from: &str, to: &str, amount: u128, seq: u64) -> Tx {
         let _ = app;
         Tx::new(
             from.into(),
@@ -469,7 +436,6 @@ mod tests {
             }],
             "uatom",
         )
-        .encode()
     }
 
     fn header_at(app: &GaiaApp, height: u64, secs: u64) -> Header {
@@ -508,12 +474,12 @@ mod tests {
         let mut app = funded_app("chain-a", 1, 1_000_000);
         let tx0 = bank_send_tx(&app, "user-0", "relayer", 1, 0);
         let tx1 = bank_send_tx(&app, "user-0", "relayer", 1, 1);
-        assert!(app.check_tx(&tx0).0.is_ok());
+        assert!(app.check_tx(&tx0).is_ok());
         // The check state advanced, so sequence 1 is now admissible even
         // though nothing has been committed yet.
-        assert!(app.check_tx(&tx1).0.is_ok());
+        assert!(app.check_tx(&tx1).is_ok());
         // But replaying sequence 0 is the "account sequence mismatch" error.
-        let res = app.check_tx(&tx0).0;
+        let res = app.check_tx(&tx0);
         assert_eq!(res.code, ante::CODE_SEQUENCE_MISMATCH);
         assert!(res.log.contains("account sequence mismatch"));
     }
@@ -522,7 +488,7 @@ mod tests {
     fn deliver_tx_moves_funds_charges_fees_and_bumps_sequence() {
         let mut app = funded_app("chain-a", 1, 1_000_000);
         app.begin_block(&header_at(&app, 1, 5));
-        let res = app.deliver_tx(&bank_send_tx(&app, "user-0", "relayer", 500, 0), None);
+        let res = app.deliver_tx(bank_send_tx(&app, "user-0", "relayer", 500, 0));
         assert!(res.is_ok(), "log: {}", res.log);
         assert!(res.gas_used > 0 && res.gas_used <= res.gas_wanted);
         assert!(!res.events.is_empty());
@@ -571,7 +537,7 @@ mod tests {
         assert_eq!(app.message_actions.len(), urls.len());
 
         app.begin_block(&header_at(&app, 1, 5));
-        let res = app.deliver_tx(&bank_send_tx(&app, "user-0", "relayer", 500, 0), None);
+        let res = app.deliver_tx(bank_send_tx(&app, "user-0", "relayer", 500, 0));
         let sent = &res.events[0];
         assert_eq!(sent.attr("action"), Some(AttrValue::Static(urls[0])));
         let kept = app.message_event(urls[0]);
@@ -584,9 +550,9 @@ mod tests {
         let mut app = funded_app("chain-a", 1, 1_000_000);
         app.begin_block(&header_at(&app, 1, 5));
         assert!(app
-            .deliver_tx(&bank_send_tx(&app, "user-0", "relayer", 1, 0), None)
+            .deliver_tx(bank_send_tx(&app, "user-0", "relayer", 1, 0))
             .is_ok());
-        let res = app.deliver_tx(&bank_send_tx(&app, "user-0", "relayer", 1, 0), None);
+        let res = app.deliver_tx(bank_send_tx(&app, "user-0", "relayer", 1, 0));
         assert_eq!(res.code, ante::CODE_SEQUENCE_MISMATCH);
     }
 
@@ -609,9 +575,8 @@ mod tests {
                 timeout_timestamp: SimTime::ZERO,
             })],
             "uatom",
-        )
-        .encode();
-        let res = app.deliver_tx(&bad, None);
+        );
+        let res = app.deliver_tx(bad);
         assert_eq!(res.code, CODE_MSG_FAILED);
         assert!(res.gas_used > 0);
         // Transfer effects reverted, but the fee is kept and the sequence is
@@ -624,16 +589,11 @@ mod tests {
         assert_eq!(app.account_sequence(&"user-0".into()), 1);
     }
 
+    /// `CheckTx` and `DeliverTx` run on the transaction they are handed:
+    /// neither encodes nor decodes anything, and a refused transaction is
+    /// only a verdict.
     #[test]
-    fn undecodable_txs_are_rejected_in_check_and_deliver() {
-        let mut app = funded_app("chain-a", 1, 1_000);
-        let garbage = RawTx::new(b"junk".to_vec());
-        assert_eq!(app.check_tx(&garbage).0.code, CODE_DECODE_FAILED);
-        assert_eq!(app.deliver_tx(&garbage, None).code, CODE_DECODE_FAILED);
-    }
-
-    #[test]
-    fn deliver_tx_takes_check_txs_parse_and_decodes_only_without_one() {
+    fn check_and_deliver_run_on_the_handed_tx_and_parse_nothing() {
         use xcc_sim::prof;
         let mut app = funded_app("chain-a", 1, 1_000_000);
         let tx0 = bank_send_tx(&app, "user-0", "relayer", 1, 0);
@@ -641,37 +601,32 @@ mod tests {
         app.begin_block(&header_at(&app, 1, 5));
 
         prof::reset();
-        let (check, parsed) = app.check_tx(&tx0);
-        assert!(check.is_ok() && parsed.is_some());
-        assert_eq!(prof::snapshot().txs_decoded, 1);
-        assert!(app.deliver_tx(&tx0, parsed).is_ok());
-        assert_eq!(prof::snapshot().txs_decoded, 1, "the hand-off is free");
-
-        // A transaction that arrives without a parsed form is decoded here.
-        assert!(app.deliver_tx(&tx1, None).is_ok());
-        assert_eq!(prof::snapshot().txs_decoded, 2);
-
-        // A rejected transaction hands nothing over.
-        let (check, parsed) = app.check_tx(&tx0);
-        assert_eq!(check.code, ante::CODE_SEQUENCE_MISMATCH);
-        assert!(parsed.is_none());
+        assert!(app.check_tx(&tx0).is_ok());
+        assert!(app.check_tx(&tx1).is_ok());
+        let stale = app.check_tx(&tx0);
+        assert_eq!(stale.code, ante::CODE_SEQUENCE_MISMATCH);
+        assert!(app.deliver_tx(tx0).is_ok());
+        assert!(app.deliver_tx(tx1).is_ok());
+        let work = prof::snapshot();
+        assert_eq!((work.txs_decoded, work.txs_encoded), (0, 0));
+        assert_eq!(app.account_sequence(&"user-0".into()), 2);
     }
 
     #[test]
     fn commit_resets_check_state_and_changes_app_hash() {
         let mut app = funded_app("chain-a", 1, 1_000_000);
         let tx0 = bank_send_tx(&app, "user-0", "relayer", 1, 0);
-        assert!(app.check_tx(&tx0).0.is_ok());
+        assert!(app.check_tx(&tx0).is_ok());
         // Check state is ahead of committed state now; commit resets it.
         app.begin_block(&header_at(&app, 1, 5));
         let h1 = app.commit();
         assert!(
-            app.check_tx(&tx0).0.is_ok(),
+            app.check_tx(&tx0).is_ok(),
             "after reset, sequence 0 is valid again in check state"
         );
 
         app.begin_block(&header_at(&app, 2, 10));
-        app.deliver_tx(&tx0, None);
+        app.deliver_tx(tx0);
         let h2 = app.commit();
         assert_ne!(h1, h2);
     }
@@ -748,7 +703,7 @@ mod rollback_tests {
         let mut oracle = app.clone();
         // Build the tree memo first, so the rollback has a memo to invalidate.
         journaled.ibc.commitment_root();
-        let result = journaled.deliver_tx(&tx.encode(), None);
+        let result = journaled.deliver_tx(tx.clone());
         let code = deliver_with_snapshot(&mut oracle, tx);
         assert_eq!(result.code, code, "log: {}", result.log);
         assert_eq!(journaled.accounts, oracle.accounts);
@@ -859,7 +814,7 @@ mod rollback_tests {
                     vec![transfer(&chan_a, &sender, 100 + user as u128)],
                     "uatom",
                 );
-                a.submit_tx(&tx, SimTime::from_secs(6)).unwrap();
+                a.submit_tx(tx, SimTime::from_secs(6)).unwrap();
             }
             a.produce_block(SimTime::from_secs(10));
             let packets: Vec<Packet> = (1..=USERS as u64)
@@ -879,7 +834,7 @@ mod rollback_tests {
             // Block 2 on B: the first two packets arrive.
             let arrivals = vec![update_client(&pair.a), pair.recv(0), pair.recv(1)];
             let tx = relayer_tx(&pair.b, arrivals);
-            pair.b.submit_tx(&tx, SimTime::from_secs(11)).unwrap();
+            pair.b.submit_tx(tx, SimTime::from_secs(11)).unwrap();
             pair.b.produce_block(SimTime::from_secs(15));
             assert!(pair
                 .b

@@ -9,9 +9,8 @@ use crate::app::GaiaApp;
 use crate::genesis::GenesisConfig;
 use crate::tx::Tx;
 use xcc_sim::SimTime;
-use xcc_tendermint::block::RawTx;
 use xcc_tendermint::hash::Hash;
-use xcc_tendermint::node::{BlockOutcome, CommittedBlock, Node, SubmitError};
+use xcc_tendermint::node::{BlockOutcome, CommittedBlock, Node, Refused};
 use xcc_tendermint::validator::ValidatorSet;
 use xcc_tendermint::vote::Commit;
 
@@ -99,22 +98,18 @@ impl Chain {
         self.node.last_block_time()
     }
 
-    /// Submits an encoded transaction to the mempool.
+    /// Submits a transaction: its one encoding is moved out
+    /// ([`Tx::take_encoded`]) and goes to the node beside the transaction,
+    /// which `CheckTx` and `DeliverTx` run on. Returns the transaction's
+    /// hash.
     ///
     /// # Errors
     ///
-    /// Fails when `CheckTx` rejects the transaction or the mempool is full.
-    pub fn submit_raw_tx(&mut self, raw: RawTx, now: SimTime) -> Result<Hash, SubmitError> {
-        self.node.submit_tx(raw, now)
-    }
-
-    /// Encodes and submits a transaction.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `CheckTx` rejects the transaction or the mempool is full.
-    pub fn submit_tx(&mut self, tx: &Tx, now: SimTime) -> Result<Hash, SubmitError> {
-        self.submit_raw_tx(tx.encode(), now)
+    /// Fails when `CheckTx` rejects the transaction or the mempool refuses
+    /// it; the error gives the transaction back.
+    pub fn submit_tx(&mut self, mut tx: Tx, now: SimTime) -> Result<Hash, Refused<Tx>> {
+        let raw = tx.take_encoded();
+        self.node.submit_tx(raw, tx, now)
     }
 
     /// Produces and commits the next block, reaping the mempool at
@@ -180,7 +175,7 @@ mod tests {
     fn blocks_include_submitted_txs_and_update_state() {
         let mut chain = funded_chain();
         let hash = chain
-            .submit_tx(&send_tx("user-0", 0), SimTime::ZERO)
+            .submit_tx(send_tx("user-0", 0), SimTime::ZERO)
             .unwrap();
         assert!(chain.find_tx(&hash).is_none());
         assert_eq!(chain.mempool_size(), 1);
@@ -200,16 +195,17 @@ mod tests {
         // A client that always signs with the committed sequence (like the
         // paper's CLI users) can only get one transaction per block in.
         chain
-            .submit_tx(&send_tx("user-0", 0), SimTime::ZERO)
+            .submit_tx(send_tx("user-0", 0), SimTime::ZERO)
             .unwrap();
         let err = chain
-            .submit_tx(&send_tx("user-0", 0), SimTime::ZERO)
+            .submit_tx(send_tx("user-0", 0), SimTime::ZERO)
             .unwrap_err();
         assert!(err.to_string().contains("account sequence mismatch"));
+        assert_eq!(*err.tx, send_tx("user-0", 0), "the refused tx comes back");
         chain.produce_block(SimTime::from_secs(5));
         // After the block commits, the next committed sequence works.
         chain
-            .submit_tx(&send_tx("user-0", 1), SimTime::from_secs(5))
+            .submit_tx(send_tx("user-0", 1), SimTime::from_secs(5))
             .unwrap();
     }
 
@@ -218,7 +214,7 @@ mod tests {
         let mut chain = funded_chain();
         for i in 0..5 {
             chain
-                .submit_tx(&send_tx(&format!("user-{i}"), 0), SimTime::ZERO)
+                .submit_tx(send_tx(&format!("user-{i}"), 0), SimTime::ZERO)
                 .unwrap();
         }
         let outcome = chain.produce_block(SimTime::from_secs(5));

@@ -30,7 +30,7 @@
 //!     vec![Msg::BankSend { from: "user-0".into(), to: "user-0".into(), amount: Coin::new("uatom", 1) }],
 //!     "uatom",
 //! );
-//! chain.submit_tx(&tx, SimTime::ZERO).unwrap();
+//! chain.submit_tx(tx, SimTime::ZERO).unwrap();
 //! let outcome = chain.produce_block(SimTime::from_secs(5));
 //! assert_eq!(outcome.tx_count, 1);
 //! ```

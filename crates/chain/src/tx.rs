@@ -34,6 +34,11 @@ use xcc_tendermint::hash::{FieldHasher, Hash};
 /// bytes: the block's data hash is a Merkle root over these ids, not over
 /// the payloads.
 ///
+/// A submission does not clone the encoding: [`Tx::take_encoded`] moves it
+/// out, memo and all, and the chain stores that one payload in its block.
+/// The payload is fitted to its length when it is made, so a block holds no
+/// room the encoder grew into.
+///
 /// The cache is deliberately conservative around the all-`pub` fields:
 /// cloning a `Tx` drops the cache, so the `clone → tamper → re-verify`
 /// pattern used in tests can never observe a stale encoding. Mutating a `Tx`
@@ -44,10 +49,11 @@ use xcc_tendermint::hash::{FieldHasher, Hash};
 /// # Decoding
 ///
 /// [`Tx::decode`] is the inverse of [`Tx::encode`] and is counted by the
-/// work profile every time it runs. The chain runs it once per submission —
-/// `CheckTx` parses the transaction and hands the result to `DeliverTx`
-/// through the mempool entry (see `GaiaApp`) — and any other caller pays for,
-/// and is counted for, its own decode.
+/// work profile every time it runs. The chain never runs it: every
+/// submission hands the node the `Tx` its client built beside the encoding
+/// (see `Chain::submit_tx`), and `CheckTx` and `DeliverTx` both run on that
+/// `Tx`. Tests, and the benchmark's codec drive over committed blocks, decode
+/// payloads to read them back.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct Tx {
     /// The messages to execute, in order.
@@ -166,13 +172,13 @@ impl Tx {
     /// Serialises the transaction into opaque bytes for inclusion in a block.
     ///
     /// The payload is the vendored serde shim's compact binary format —
-    /// transactions are encoded and decoded millions of times per experiment,
-    /// and JSON text on this path used to dominate experiment runtime. The
-    /// returned [`RawTx`] still *declares* the exact byte length of the
-    /// compact JSON rendering as its wire size, so every simulated quantity
-    /// derived from transaction size (mempool and block byte limits, block
-    /// processing time, WebSocket frame payloads) is unchanged: JSON remains
-    /// the modelled wire format and survives at the reporting boundary only.
+    /// every broadcast encodes a transaction, and JSON text on this path
+    /// used to dominate experiment runtime. The returned [`RawTx`] still
+    /// *declares* the exact byte length of the compact JSON rendering as
+    /// its wire size, so every simulated quantity derived from transaction
+    /// size (mempool and block byte limits, block processing time, WebSocket
+    /// frame payloads) is unchanged: JSON remains the modelled wire format
+    /// and survives at the reporting boundary only.
     ///
     /// Both come out of one walk over the transaction: its derived
     /// `serialize` feeds a [`serde::binary::Writer`], which appends the
@@ -183,27 +189,42 @@ impl Tx {
         self.cached().clone()
     }
 
-    /// The memoized encoding, computed on first use. Only this cache-miss
-    /// path counts as encoding work in the xcc-prof counters: a cache hit
-    /// performs none.
+    /// Moves the memoized encoding out of the transaction, encoding it first
+    /// if nothing has asked yet: what a submission hands the chain beside
+    /// the transaction, so the payload is never copied. It carries its hash
+    /// memo. The transaction keeps its contents, and a later
+    /// [`Tx::encode`]/[`Tx::hash`] on it encodes afresh.
+    pub fn take_encoded(&mut self) -> RawTx {
+        self.encoded.take().unwrap_or_else(|| self.fresh_encoding())
+    }
+
+    /// The memoized encoding, computed on first use.
     fn cached(&self) -> &RawTx {
-        self.encoded.get_or_init(|| {
-            // One traversal feeds both consumers: the payload bytes and the
-            // length of the JSON text they stand for.
-            let mut sink = (
-                serde::binary::Writer::default(),
-                serde::json::Len::default(),
-            );
-            self.serialize(&mut sink);
-            let (payload, serde::json::Len(wire_len)) = sink;
-            let raw = RawTx::with_wire_len(payload.into_bytes(), wire_len);
-            prof::bump_tx_encoded(raw.len() as u64, raw.as_bytes().len() as u64);
-            // Every encoded transaction is identified by hash at least once
-            // (submission); filling the memo here means each clone handed out
-            // by `encode` carries it, whichever of the two is asked first.
-            raw.hash();
-            raw
-        })
+        self.encoded.get_or_init(|| self.fresh_encoding())
+    }
+
+    /// Encodes the transaction. This is the only path that counts as
+    /// encoding work in the xcc-prof counters: a cache hit performs none.
+    fn fresh_encoding(&self) -> RawTx {
+        // One traversal feeds both consumers: the payload bytes and the
+        // length of the JSON text they stand for.
+        let mut sink = (
+            serde::binary::Writer::default(),
+            serde::json::Len::default(),
+        );
+        self.serialize(&mut sink);
+        let (payload, serde::json::Len(wire_len)) = sink;
+        // The writer grew by doubling; a committed block keeps this payload
+        // to the end of the run, so it keeps exactly its bytes.
+        let mut payload = payload.into_bytes();
+        payload.shrink_to_fit();
+        let raw = RawTx::with_wire_len(payload, wire_len);
+        prof::bump_tx_encoded(raw.len() as u64, raw.as_bytes().len() as u64);
+        // Every encoded transaction is identified by hash at least once
+        // (submission); filling the memo here means each clone handed out by
+        // `encode`, and the encoding `take_encoded` moves out, carries it.
+        raw.hash();
+        raw
     }
 
     /// Decodes a transaction previously produced by [`Tx::encode`].
@@ -485,6 +506,33 @@ mod tests {
         // The original still reads its own memo.
         assert_eq!(tx.hash(), h1);
         assert_eq!(prof::snapshot().txs_encoded, 2);
+    }
+
+    /// A submission moves the one encoding out: the same bytes with their
+    /// hash memo and no second encoding. Taken, the cache is empty, so the
+    /// transaction encodes afresh if asked again.
+    #[test]
+    fn take_encoded_moves_the_one_encoding_out() {
+        let mut tx = Tx::new("alice".into(), 3, vec![transfer(10), transfer(20)], "uatom");
+
+        prof::reset();
+        let hash = tx.hash();
+        let raw = tx.take_encoded();
+        assert_eq!(raw.hash_if_computed(), Some(hash));
+        assert_eq!(
+            prof::snapshot().txs_encoded,
+            1,
+            "hash + take = one encoding"
+        );
+        assert_eq!(tx.encode(), raw);
+        assert_eq!(prof::snapshot().txs_encoded, 2);
+
+        // Taken before anything asked: encoded once, memo filled.
+        let mut fresh = tx.clone();
+        let taken = fresh.take_encoded();
+        assert_eq!(taken, raw);
+        assert_eq!(taken.hash_if_computed(), Some(hash));
+        assert_eq!(prof::snapshot().txs_encoded, 3);
     }
 
     #[test]

@@ -208,17 +208,18 @@ mod tests {
         assert!(outcome.avg_block_interval_secs() >= 5.0);
     }
 
-    /// `CheckTx` parses each submission and hands the result to `DeliverTx`
-    /// through the mempool entry, so a whole run decodes exactly one
-    /// transaction per `broadcast_tx_sync`, however many of them commit.
+    /// Every submission hands the chain the transaction its client built,
+    /// so a whole run encodes exactly one transaction per
+    /// `broadcast_tx_sync` and decodes none, however many of them commit.
     #[test]
-    fn the_smoke_run_decodes_each_submitted_transaction_once() {
+    fn the_smoke_run_encodes_each_submitted_transaction_once_and_decodes_none() {
         let entry = crate::registry::get("smoke").expect("registered");
         let spec = &entry.grid(crate::sweep::SweepMode::Quick).points()[0];
         let work = run_raw(spec).work;
         let broadcasts = work.rpc_calls["broadcast_tx_sync"];
         assert!(broadcasts > 0);
-        assert_eq!(work.txs_decoded, broadcasts);
+        assert_eq!(work.txs_encoded, broadcasts);
+        assert_eq!(work.txs_decoded, 0);
     }
 
     #[test]

@@ -48,7 +48,8 @@ pub struct WorkProfile {
     /// [`Tx::hash`](xcc_chain::tx::Tx::hash) served from the encode cache
     /// does not count).
     pub txs_encoded: u64,
-    /// Transactions decoded from their wire form.
+    /// Transactions decoded from their wire form: none in a run, since every
+    /// submission hands the chain the transaction its client built.
     pub txs_decoded: u64,
     /// Modelled wire bytes of the transactions encoded: the length of each
     /// one's compact JSON rendering ([`RawTx::len`](xcc_tendermint::block::RawTx::len)),

@@ -125,10 +125,13 @@ fn cli_transfer(
         })
         .collect();
     let tx = Tx::new(user.clone(), seq_resp.value, msgs, fee_denom);
-    let resp = rpc.broadcast_tx_sync(t, &tx);
-    let error = resp.value.err().map(|e| e.to_string());
+    // A submission is tracked by its hash whether or not the node accepts
+    // it, so the CLI takes the hash before the transaction moves to the node.
+    let tx_hash = tx.hash();
+    let resp = rpc.broadcast_tx_sync(t, tx);
+    let error = resp.value.err().map(|refused| refused.to_string());
     SubmissionRecord {
-        tx_hash: tx.hash(),
+        tx_hash,
         broadcast_at: resp.ready_at,
         transfers: batch,
         channel,

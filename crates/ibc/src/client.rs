@@ -183,7 +183,6 @@ pub(crate) mod tests {
     use super::*;
     use xcc_sim::SimDuration;
     use xcc_tendermint::abci::{Application, CheckTxResult, DeliverTxResult};
-    use xcc_tendermint::block::RawTx;
     use xcc_tendermint::hash::sha256;
     use xcc_tendermint::node::Node;
 
@@ -191,18 +190,17 @@ pub(crate) mod tests {
     pub(crate) struct NullApp;
     impl Application for NullApp {
         type Decoded = ();
-        fn check_tx(&mut self, _tx: &RawTx) -> (CheckTxResult, Option<()>) {
-            let accepted = CheckTxResult {
+        fn check_tx(&mut self, _tx: &()) -> CheckTxResult {
+            CheckTxResult {
                 code: 0,
                 log: String::new(),
                 gas_wanted: 1,
                 sender: "x".into(),
                 sequence: 0,
-            };
-            (accepted, None)
+            }
         }
         fn begin_block(&mut self, _header: &Header) {}
-        fn deliver_tx(&mut self, _tx: &RawTx, _decoded: Option<()>) -> DeliverTxResult {
+        fn deliver_tx(&mut self, _tx: ()) -> DeliverTxResult {
             DeliverTxResult {
                 code: 0,
                 log: String::new(),

@@ -40,8 +40,9 @@ pub struct HostContext {
 
 /// Parameters of an ICS-20 transfer request (the content of `MsgTransfer`).
 ///
-/// The three texts are shared: a decoded 100-message transaction holds one
-/// copy of each distinct denomination and address, not one per message.
+/// The three texts are shared: a 100-message transaction, as the CLI builds
+/// it and as it decodes, holds one copy of each distinct denomination and
+/// address, not one per message.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TransferParams {
     /// Port to send from (normally `transfer`).

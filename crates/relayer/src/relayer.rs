@@ -73,6 +73,7 @@ use xcc_rpc::websocket::WebSocketSubscription;
 use xcc_sim::{prof, SimDuration, SimTime};
 use xcc_tendermint::abci::Event;
 use xcc_tendermint::hash::Hash;
+use xcc_tendermint::node::Refused;
 
 use crate::config::{
     RelayerConfig, BUILD_COST_PER_MSG, EVENT_PROCESSING_OVERHEAD, MAX_MSGS_PER_TX,
@@ -1371,22 +1372,23 @@ impl Relayer {
             ..
         } = &mut self.ends[to as usize];
         // `msgs` moves into the transaction; the rare retry paths reclaim it
-        // from `tx.msgs` instead of paying an up-front clone on every
-        // broadcast.
+        // from the refused transaction's `msgs` instead of paying an
+        // up-front clone on every broadcast.
         let tx = Tx::new(account.clone(), tracker.next(), msgs, fee_denom);
-        let resp = rpc.broadcast_tx_sync(at, &tx);
+        let resp = rpc.broadcast_tx_sync(at, tx);
         let mut ready = resp.ready_at;
         let mut accepted = None;
         match resp.value {
-            Ok(_) => {
-                accepted = Some(tx.hash());
+            Ok(hash) => {
+                accepted = Some(hash);
                 tracker.advance();
             }
             // A stale sequence is known by the ante handler's code, which
             // rewording its message cannot change.
-            Err(BroadcastError::CheckTxFailed { code, log })
-                if code == ante::CODE_SEQUENCE_MISMATCH =>
-            {
+            Err(Refused {
+                error: BroadcastError::CheckTxFailed { code, log },
+                tx,
+            }) if code == ante::CODE_SEQUENCE_MISMATCH => {
                 self.stats.broadcast_failures += 1;
                 self.telemetry.record_error(ready, log);
                 match tracker.mode() {
@@ -1398,16 +1400,16 @@ impl Relayer {
                         ready = seq_resp.ready_at;
                         let new_seq = seq_resp.value;
                         let retry_tx = Tx::new(account.clone(), new_seq, tx.msgs, fee_denom);
-                        let retry = rpc.broadcast_tx_sync(ready, &retry_tx);
+                        let retry = rpc.broadcast_tx_sync(ready, retry_tx);
                         ready = retry.ready_at;
                         match retry.value {
-                            Ok(_) => {
-                                accepted = Some(retry_tx.hash());
+                            Ok(hash) => {
+                                accepted = Some(hash);
                                 tracker.resync(new_seq + 1);
                             }
-                            Err(err) => {
+                            Err(refused) => {
                                 self.stats.broadcast_failures += 1;
-                                self.telemetry.record_error(ready, err.to_string());
+                                self.telemetry.record_error(ready, refused.to_string());
                                 // The retry failed for a non-sequence reason
                                 // (its CheckTx passed or rejected the tx
                                 // without consuming a sequence), so the
@@ -1432,25 +1434,25 @@ impl Relayer {
                         if tracker.reconcile(&snap.value) {
                             let retry_tx =
                                 Tx::new(account.clone(), tracker.next(), tx.msgs, fee_denom);
-                            let retry = rpc.broadcast_tx_sync(ready, &retry_tx);
+                            let retry = rpc.broadcast_tx_sync(ready, retry_tx);
                             ready = retry.ready_at;
                             match retry.value {
-                                Ok(_) => {
-                                    accepted = Some(retry_tx.hash());
+                                Ok(hash) => {
+                                    accepted = Some(hash);
                                     tracker.advance();
                                 }
-                                Err(err) => {
+                                Err(refused) => {
                                     self.stats.broadcast_failures += 1;
-                                    self.telemetry.record_error(ready, err.to_string());
+                                    self.telemetry.record_error(ready, refused.to_string());
                                 }
                             }
                         }
                     }
                 }
             }
-            Err(err) => {
+            Err(refused) => {
                 self.stats.broadcast_failures += 1;
-                self.telemetry.record_error(ready, err.to_string());
+                self.telemetry.record_error(ready, refused.to_string());
             }
         }
         (ready, accepted)
@@ -1558,7 +1560,7 @@ mod tests {
             );
             chain
                 .borrow_mut()
-                .submit_tx(&tx, SimTime::ZERO)
+                .submit_tx(tx, SimTime::ZERO)
                 .expect("filler tx enters the mempool");
         }
         assert_eq!(chain.borrow().mempool_size(), MAX_TXS);
@@ -1608,7 +1610,7 @@ mod tests {
             .collect();
         let tx = xcc_chain::tx::Tx::new("user-0".into(), 0, sends, "uatom");
         src.borrow_mut()
-            .submit_tx(&tx, SimTime::from_secs(5))
+            .submit_tx(tx, SimTime::from_secs(5))
             .unwrap();
         src.borrow_mut().produce_block(SimTime::from_secs(10));
         (src, dst)
@@ -1650,7 +1652,7 @@ mod tests {
             });
         }
         let tx = xcc_chain::tx::Tx::new("user-0".into(), nonce, msgs, "uatom");
-        dst.borrow_mut().submit_tx(&tx, SimTime::ZERO).unwrap();
+        dst.borrow_mut().submit_tx(tx, SimTime::ZERO).unwrap();
         dst.borrow_mut().produce_block(at);
         let block = Rc::clone(dst.borrow().latest_block().unwrap());
         assert!(block.results.iter().all(|r| r.is_ok()), "delivered");
@@ -1742,9 +1744,7 @@ mod tests {
             // Desync: someone (a prior relayer run) commits a tx from the
             // relayer's account.
             let external = xcc_chain::tx::Tx::new("relayer".into(), 0, vec![bank_msg(7)], "uatom");
-            dst.borrow_mut()
-                .submit_tx(&external, SimTime::ZERO)
-                .unwrap();
+            dst.borrow_mut().submit_tx(external, SimTime::ZERO).unwrap();
             dst.borrow_mut().produce_block(SimTime::from_secs(5));
         }
         fill_mempool(&dst);
@@ -1771,9 +1771,7 @@ mod tests {
         let mut relayer = test_relayer(&dst);
         {
             let external = xcc_chain::tx::Tx::new("relayer".into(), 0, vec![bank_msg(7)], "uatom");
-            dst.borrow_mut()
-                .submit_tx(&external, SimTime::ZERO)
-                .unwrap();
+            dst.borrow_mut().submit_tx(external, SimTime::ZERO).unwrap();
             dst.borrow_mut().produce_block(SimTime::from_secs(5));
         }
         fill_mempool(&dst);
@@ -1934,9 +1932,7 @@ mod tests {
         let mut relayer = test_relayer(&dst);
         // The previous incarnation's tx commits while we are down.
         let external = xcc_chain::tx::Tx::new("relayer".into(), 0, vec![bank_msg(7)], "uatom");
-        dst.borrow_mut()
-            .submit_tx(&external, SimTime::ZERO)
-            .unwrap();
+        dst.borrow_mut().submit_tx(external, SimTime::ZERO).unwrap();
         relayer.crash(SimTime::from_secs(1));
         dst.borrow_mut().produce_block(SimTime::from_secs(5));
 

@@ -393,7 +393,7 @@ mod tests {
                     }],
                     "uatom",
                 );
-                c.submit_tx(&tx, SimTime::ZERO).unwrap();
+                c.submit_tx(tx, SimTime::ZERO).unwrap();
             }
             c.produce_block(SimTime::from_secs(5));
         }

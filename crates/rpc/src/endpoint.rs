@@ -19,7 +19,7 @@ use xcc_ibc::packet::Acknowledgement;
 use xcc_sim::{SimDuration, SimTime};
 use xcc_tendermint::abci::Event;
 use xcc_tendermint::hash::Hash;
-use xcc_tendermint::node::CommittedBlock;
+use xcc_tendermint::node::{CommittedBlock, Refused, SubmitError};
 
 use crate::cost::{RequestKind, RequestProfile};
 
@@ -199,28 +199,29 @@ impl RpcEndpoint {
         )
     }
 
-    /// `broadcast_tx_sync`: submit a transaction to the mempool.
+    /// `broadcast_tx_sync`: submit a transaction to the mempool. The
+    /// transaction moves to the chain (see `Chain::submit_tx`); a refusal
+    /// gives it back.
     pub fn broadcast_tx_sync(
         &mut self,
         now: SimTime,
-        tx: &Tx,
-    ) -> RpcResponse<Result<Hash, BroadcastError>> {
+        tx: Tx,
+    ) -> RpcResponse<Result<Hash, Refused<Tx, BroadcastError>>> {
         let msg_count = tx.msg_count();
-        let raw = tx.encode();
         // The transaction reaches the node one network hop after the caller
         // sends it; blocks proposed before that instant cannot include it.
         let arrival = now + self.one_way;
-        let result = {
-            let mut chain = self.chain.borrow_mut();
-            chain.submit_raw_tx(raw, arrival)
-        };
-        let value = result.map_err(|e| match e {
-            xcc_tendermint::node::SubmitError::CheckTxFailed { code, log } => {
-                BroadcastError::CheckTxFailed { code, log }
-            }
-            xcc_tendermint::node::SubmitError::Mempool(err) => BroadcastError::MempoolRejected {
-                reason: err.to_string(),
+        let result = self.chain.borrow_mut().submit_tx(tx, arrival);
+        let value = result.map_err(|Refused { error, tx }| Refused {
+            error: match error {
+                SubmitError::CheckTxFailed { code, log } => {
+                    BroadcastError::CheckTxFailed { code, log }
+                }
+                SubmitError::Mempool(err) => BroadcastError::MempoolRejected {
+                    reason: err.to_string(),
+                },
             },
+            tx,
         });
         self.respond(
             now,
@@ -589,21 +590,31 @@ mod tests {
     #[test]
     fn broadcast_enters_mempool_and_reports_errors() {
         let mut rpc = endpoint(0);
-        let ok = rpc.broadcast_tx_sync(SimTime::ZERO, &bank_tx(0));
-        assert!(ok.value.is_ok());
+        let sent = bank_tx(0);
+        let hash = sent.hash();
+        let ok = rpc.broadcast_tx_sync(SimTime::ZERO, sent);
+        assert_eq!(ok.value.unwrap(), hash);
         assert_eq!(rpc.chain().borrow().mempool_size(), 1);
 
-        // Stale sequence: the paper's "account sequence mismatch".
-        let err = rpc
-            .broadcast_tx_sync(SimTime::ZERO, &bank_tx(0))
+        // Stale sequence: the paper's "account sequence mismatch". The
+        // refusal hands the transaction back as it was sent.
+        let refused = rpc
+            .broadcast_tx_sync(SimTime::ZERO, bank_tx(0))
             .value
             .unwrap_err();
-        match err {
+        match &refused.error {
             BroadcastError::MempoolRejected { .. } => panic!("expected CheckTx failure"),
             BroadcastError::CheckTxFailed { log, .. } => {
                 assert!(log.contains("account sequence mismatch"))
             }
         }
+        let tx = &refused.tx;
+        assert_eq!(
+            (tx.signer.as_str(), tx.sequence, tx.msg_count()),
+            ("user-0", 0, 1)
+        );
+        assert_eq!(**tx, bank_tx(0));
+        assert_eq!(rpc.chain().borrow().mempool_size(), 1);
     }
 
     /// The service time of one account-sequence query.
@@ -699,7 +710,7 @@ mod tests {
             rpc.account_sequence(SimTime::ZERO, &"user-0".into()).value,
             0
         );
-        rpc.broadcast_tx_sync(SimTime::ZERO, &bank_tx(0))
+        rpc.broadcast_tx_sync(SimTime::ZERO, bank_tx(0))
             .value
             .unwrap();
         rpc.chain()
@@ -729,10 +740,10 @@ mod tests {
 
         // Two transactions enter the mempool: the check state runs ahead of
         // the committed state by exactly the unconfirmed window.
-        rpc.broadcast_tx_sync(SimTime::ZERO, &bank_tx(0))
+        rpc.broadcast_tx_sync(SimTime::ZERO, bank_tx(0))
             .value
             .unwrap();
-        rpc.broadcast_tx_sync(SimTime::ZERO, &bank_tx(1))
+        rpc.broadcast_tx_sync(SimTime::ZERO, bank_tx(1))
             .value
             .unwrap();
         let pending = rpc
@@ -757,7 +768,7 @@ mod tests {
         );
         rpc.chain()
             .borrow_mut()
-            .submit_tx(&straddled, SimTime::from_secs(10))
+            .submit_tx(straddled, SimTime::from_secs(10))
             .unwrap();
         rpc.chain()
             .borrow_mut()
@@ -780,7 +791,7 @@ mod tests {
     fn block_events_reflect_committed_txs() {
         let mut rpc = endpoint(0);
         let hash = rpc
-            .broadcast_tx_sync(SimTime::ZERO, &bank_tx(0))
+            .broadcast_tx_sync(SimTime::ZERO, bank_tx(0))
             .value
             .unwrap();
         rpc.chain()
@@ -855,7 +866,7 @@ mod tests {
             vec![transfer(1), transfer(20), transfer(300)],
             "uatom",
         );
-        a.borrow_mut().submit_tx(&sends, SimTime::ZERO).unwrap();
+        a.borrow_mut().submit_tx(sends, SimTime::ZERO).unwrap();
         a.borrow_mut().produce_block(SimTime::from_secs(10));
 
         // What a relayer does, without one: update the client, then deliver
@@ -883,7 +894,7 @@ mod tests {
         };
         for (seq, msgs) in [(0, vec![update]), (1, recvs)] {
             let tx = Tx::new("relayer".into(), seq, msgs, "uatom");
-            b.borrow_mut().submit_tx(&tx, SimTime::ZERO).unwrap();
+            b.borrow_mut().submit_tx(tx, SimTime::ZERO).unwrap();
         }
         b.borrow_mut().produce_block(SimTime::from_secs(10));
         let delivered = Rc::clone(b.borrow().block_at(2).unwrap());
@@ -959,7 +970,7 @@ mod tests {
         prof::reset();
         a.account_sequence(now, &user);
         a.account_sequence_unconfirmed(now, &user);
-        a.broadcast_tx_sync(now, &bank_tx(1));
+        a.broadcast_tx_sync(now, bank_tx(1));
         a.pull_packet_data(now, 2, &port, &channel, &seqs);
         a.pull_packet_data_batched(now, 2, &port, &channel, &seqs);
         b.pull_ack_data(now, 2, &port, &channel, &seqs);

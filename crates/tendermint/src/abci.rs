@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::block::{Header, RawTx};
+use crate::block::Header;
 use crate::hash::Hash;
 
 /// The value of an [`EventAttribute`]: the value itself, in one of the
@@ -311,32 +311,31 @@ impl DeliverTxResult {
 /// `end_block`, `commit`. `check_tx` runs against the mempool outside block
 /// execution.
 ///
-/// # The CheckTx → DeliverTx hand-off
+/// # Transactions arrive parsed
 ///
-/// Consensus sees transactions as opaque bytes, but the application has to
-/// parse them to check them, and would parse the same bytes again to execute
-/// them a block later. `check_tx` may therefore return its parsed form
-/// beside the verdict; the node keeps it on the mempool entry — and only
-/// there: a rejected transaction leaves nothing behind, a committed block
-/// stores the [`RawTx`] alone — and moves it into `deliver_tx`. An
-/// application with nothing worth keeping sets `Decoded = ()` and returns
-/// `None`.
+/// Consensus orders, sizes and stores transactions as opaque
+/// [`RawTx`](crate::block::RawTx) bytes, but the application only ever sees
+/// its own parsed form, [`Application::Decoded`]. A submission reaches the
+/// node as the transaction its client built together with that
+/// transaction's one encoding
+/// ([`Node::submit_tx`](crate::node::Node::submit_tx)), so nothing is parsed
+/// back from bytes: `check_tx` reads the parsed form, the mempool entry
+/// keeps it beside the bytes — and only there: a refused submission gets it
+/// back, a committed block stores the `RawTx` alone — and it moves into
+/// `deliver_tx` when its block executes.
 pub trait Application {
     /// The application's parsed form of a transaction.
     type Decoded;
 
-    /// Validates a transaction for mempool admission. The second value is
-    /// the parsed transaction to hand to [`Application::deliver_tx`]; it is
-    /// dropped unless the transaction is admitted.
-    fn check_tx(&mut self, tx: &RawTx) -> (CheckTxResult, Option<Self::Decoded>);
+    /// Validates a transaction for mempool admission.
+    fn check_tx(&mut self, tx: &Self::Decoded) -> CheckTxResult;
 
     /// Signals the start of a new block.
     fn begin_block(&mut self, header: &Header);
 
-    /// Executes one transaction against the application state. `decoded` is
-    /// what `check_tx` returned for this same `tx`, when the node still has
-    /// it; without it the application parses `tx` itself.
-    fn deliver_tx(&mut self, tx: &RawTx, decoded: Option<Self::Decoded>) -> DeliverTxResult;
+    /// Executes one transaction against the application state: the form
+    /// `check_tx` admitted, moved off its mempool entry.
+    fn deliver_tx(&mut self, tx: Self::Decoded) -> DeliverTxResult;
 
     /// Signals the end of the block, before the state is committed.
     fn end_block(&mut self, height: u64);

@@ -27,12 +27,11 @@
 //! struct NoopApp;
 //! impl Application for NoopApp {
 //!     type Decoded = ();
-//!     fn check_tx(&mut self, _tx: &RawTx) -> (CheckTxResult, Option<()>) {
-//!         let accepted = CheckTxResult { code: 0, log: String::new(), gas_wanted: 1, sender: "a".into(), sequence: 0 };
-//!         (accepted, None)
+//!     fn check_tx(&mut self, _tx: &()) -> CheckTxResult {
+//!         CheckTxResult { code: 0, log: String::new(), gas_wanted: 1, sender: "a".into(), sequence: 0 }
 //!     }
 //!     fn begin_block(&mut self, _header: &Header) {}
-//!     fn deliver_tx(&mut self, _tx: &RawTx, _decoded: Option<()>) -> DeliverTxResult {
+//!     fn deliver_tx(&mut self, _tx: ()) -> DeliverTxResult {
 //!         DeliverTxResult { code: 0, log: String::new(), gas_used: 1, gas_wanted: 1, events: vec![] }
 //!     }
 //!     fn end_block(&mut self, _height: u64) {}
@@ -45,7 +44,7 @@
 //!     SimDuration::from_secs(5),
 //!     NoopApp,
 //! );
-//! node.submit_tx(RawTx::new(b"hello".to_vec()), SimTime::ZERO).unwrap();
+//! node.submit_tx(RawTx::new(b"hello".to_vec()), (), SimTime::ZERO).unwrap();
 //! let outcome = node.produce_block(SimTime::from_secs(5));
 //! assert_eq!(outcome.height, 1);
 //! assert_eq!(outcome.tx_count, 1);

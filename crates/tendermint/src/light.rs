@@ -130,7 +130,6 @@ pub fn verify_commit(
 mod tests {
     use super::*;
     use crate::abci::{CheckTxResult, DeliverTxResult};
-    use crate::block::RawTx;
     use crate::hash::Hash;
     use crate::node::Node;
     use xcc_sim::{SimDuration, SimTime};
@@ -141,18 +140,17 @@ mod tests {
 
     impl crate::abci::Application for NullApp {
         type Decoded = ();
-        fn check_tx(&mut self, _tx: &RawTx) -> (CheckTxResult, Option<()>) {
-            let accepted = CheckTxResult {
+        fn check_tx(&mut self, _tx: &()) -> CheckTxResult {
+            CheckTxResult {
                 code: 0,
                 log: String::new(),
                 gas_wanted: 1,
                 sender: "x".into(),
                 sequence: 0,
-            };
-            (accepted, None)
+            }
         }
         fn begin_block(&mut self, _header: &Header) {}
-        fn deliver_tx(&mut self, _tx: &RawTx, _decoded: Option<()>) -> DeliverTxResult {
+        fn deliver_tx(&mut self, _tx: ()) -> DeliverTxResult {
             DeliverTxResult {
                 code: 0,
                 log: String::new(),

@@ -30,11 +30,11 @@ pub const MAX_TOTAL_BYTES: usize = 1024 * 1024 * 1024;
 pub struct PendingTx<D> {
     /// The raw transaction.
     pub tx: RawTx,
-    /// The application's parsed form of `tx`, as returned by `CheckTx`
+    /// The application's parsed form of `tx`, the one `CheckTx` admitted
     /// (see [`Application`](crate::abci::Application)). It lives exactly as
-    /// long as the entry: dropped with a refused admission, moved out to
+    /// long as the entry: handed back with a refused admission, moved out to
     /// `DeliverTx` when the entry is reaped.
-    pub decoded: Option<D>,
+    pub decoded: D,
     /// Gas requested by the transaction.
     pub gas_wanted: u64,
     /// The fee-paying account.
@@ -88,7 +88,7 @@ impl std::error::Error for MempoolError {}
 /// let mut pool = Mempool::new();
 /// pool.add(PendingTx {
 ///     tx: RawTx::new(b"tx".to_vec()),
-///     decoded: None::<()>,
+///     decoded: (),
 ///     gas_wanted: 100,
 ///     sender: "alice".into(),
 ///     sequence: 0,
@@ -154,20 +154,22 @@ impl<D> Mempool<D> {
     /// # Errors
     ///
     /// Returns an error when the pool is full, the byte limit would be
-    /// exceeded, or the transaction is already pending.
-    pub fn add(&mut self, tx: PendingTx<D>) -> Result<(), MempoolError> {
+    /// exceeded, or the transaction is already pending, and gives the
+    /// refused entry's parsed form back with it.
+    pub fn add(&mut self, tx: PendingTx<D>) -> Result<(), (MempoolError, D)> {
         if self.hashes.contains(&tx.tx.hash()) {
-            return Err(MempoolError::AlreadyPending);
+            return Err((MempoolError::AlreadyPending, tx.decoded));
         }
         if self.queue.len() >= MAX_TXS {
             self.rejected_full += 1;
-            return Err(MempoolError::Full { max_txs: MAX_TXS });
+            return Err((MempoolError::Full { max_txs: MAX_TXS }, tx.decoded));
         }
         if self.total_bytes + tx.tx.len() > MAX_TOTAL_BYTES {
             self.rejected_full += 1;
-            return Err(MempoolError::TooManyBytes {
+            let error = MempoolError::TooManyBytes {
                 max_total_bytes: MAX_TOTAL_BYTES,
-            });
+            };
+            return Err((error, tx.decoded));
         }
         self.total_bytes += tx.tx.len();
         self.hashes.insert(tx.tx.hash());
@@ -241,7 +243,7 @@ mod tests {
         bytes.resize(size.max(1), 0);
         PendingTx {
             tx: RawTx::new(bytes),
-            decoded: Some(id),
+            decoded: id,
             gas_wanted: gas,
             sender: sender.to_string(),
             sequence: 0,
@@ -270,8 +272,8 @@ mod tests {
         let ids: Vec<u8> = reaped.iter().map(|p| p.tx.as_bytes()[0]).collect();
         assert_eq!(ids, [0, 1, 2]);
         // The decoded form rides on the entry it was admitted with.
-        let decoded: Vec<Option<u8>> = reaped.iter().map(|p| p.decoded).collect();
-        assert_eq!(decoded, [Some(0), Some(1), Some(2)]);
+        let decoded: Vec<u8> = reaped.iter().map(|p| p.decoded).collect();
+        assert_eq!(decoded, [0, 1, 2]);
         // Reaped entries are gone from every piece of bookkeeping; the rest
         // keep their order.
         assert_eq!(pool.len(), 2);
@@ -312,7 +314,9 @@ mod tests {
         let mut pool = Mempool::new();
         let t = tx(1, 10, 1, "a");
         pool.add(t.clone()).unwrap();
-        assert_eq!(pool.add(t), Err(MempoolError::AlreadyPending));
+        let (error, refused) = pool.add(t).unwrap_err();
+        assert_eq!(error, MempoolError::AlreadyPending);
+        assert_eq!(refused, 1, "the parsed form comes back");
     }
 
     #[test]
@@ -327,7 +331,8 @@ mod tests {
         }
         assert_eq!(pool.len(), MAX_TXS);
         assert_eq!(
-            pool.add(entry(b"one too many".to_vec(), 10)),
+            pool.add(entry(b"one too many".to_vec(), 10))
+                .map_err(|(e, _)| e),
             Err(MempoolError::Full { max_txs: MAX_TXS })
         );
         assert_eq!(pool.rejected_full(), 1);
@@ -336,7 +341,8 @@ mod tests {
         let mut pool = Mempool::new();
         pool.add(entry(b"small".to_vec(), 10)).unwrap();
         assert_eq!(
-            pool.add(entry(b"huge".to_vec(), MAX_TOTAL_BYTES - 9)),
+            pool.add(entry(b"huge".to_vec(), MAX_TOTAL_BYTES - 9))
+                .map_err(|(e, _)| e),
             Err(MempoolError::TooManyBytes {
                 max_total_bytes: MAX_TOTAL_BYTES
             })

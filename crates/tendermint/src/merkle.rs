@@ -50,6 +50,22 @@ fn split_point(n: usize) -> usize {
     k
 }
 
+/// The number of siblings on the path from the leaf at `index` of a
+/// `leaves`-leaf tree to its root: the length of the leaf's proof.
+fn proof_depth(mut leaves: usize, mut index: usize) -> usize {
+    let mut depth = 0;
+    while leaves > 1 {
+        let k = split_point(leaves);
+        if index < k {
+            leaves = k;
+        } else {
+            (leaves, index) = (leaves - k, index - k);
+        }
+        depth += 1;
+    }
+    depth
+}
+
 /// Computes the Merkle root of a list of byte strings.
 ///
 /// The root of an empty list is the hash of the empty string, matching
@@ -351,11 +367,15 @@ impl MerkleTree {
 
     /// An inclusion proof for the leaf at `index`, equal to the proof
     /// [`prove`] builds. Returns `None` if `index` is out of range.
+    ///
+    /// The siblings are collected into a `Vec` of exactly the proof's depth:
+    /// a proof rides in a relayer transaction to the end of its block, and
+    /// one grown by pushes would carry up to twice its hashes' room.
     pub fn prove(&self, index: usize) -> Option<MerkleProof> {
         if index >= self.len {
             return None;
         }
-        let mut siblings = Vec::new();
+        let mut siblings = Vec::with_capacity(proof_depth(self.len, index));
         self.collect_siblings(0, self.len, index, &mut siblings);
         Some(MerkleProof {
             index,
@@ -563,6 +583,8 @@ mod tests {
                 let (root, reference) = prove(refs.iter().copied(), i).expect("valid index");
                 let cached = tree.prove(i).expect("valid index");
                 assert_eq!(cached, reference, "proof mismatch for n={n}, i={i}");
+                // Built to size: no room past its last sibling.
+                assert_eq!(cached.siblings.capacity(), cached.siblings.len());
                 assert!(verifies(&cached, &root, leaf));
             }
             assert!(tree.prove(n).is_none());

@@ -58,6 +58,24 @@ impl From<MempoolError> for SubmitError {
     }
 }
 
+/// A submission that was refused: why, and the transaction it handed over,
+/// given back so the caller can reuse what it built. The node refuses with a
+/// [`SubmitError`]; the RPC layer restates the reason for its callers.
+#[derive(Debug)]
+pub struct Refused<T, E = SubmitError> {
+    /// Why the transaction was refused.
+    pub error: E,
+    /// The transaction the submission handed over, boxed so that a `Result`
+    /// carrying it stays the size of its success value.
+    pub tx: Box<T>,
+}
+
+impl<T, E: std::fmt::Display> std::fmt::Display for Refused<T, E> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.error.fmt(f)
+    }
+}
+
 /// The stored outcome of executing one block. The block store holds each one
 /// behind an [`Rc`], and every reader of what the block did — the WebSocket
 /// feed, the hop forwarder, the analysis pass — shares that one allocation.
@@ -209,30 +227,45 @@ impl<A: Application> Node<A> {
         block.results.get(index).map(|r| (height, index, r))
     }
 
-    /// Submits a transaction: runs `CheckTx` and, on success, adds it to the
-    /// mempool together with the application's decoded form of it, which
-    /// `produce_block` hands back to `DeliverTx`. A refused transaction
-    /// leaves nothing behind.
+    /// Submits a transaction: `raw` is the encoding of `tx`, the
+    /// application's parsed form, both as the client built them. Runs
+    /// `CheckTx` on `tx` and, on success, adds the pair to the mempool;
+    /// `produce_block` moves `raw` into the block and `tx` into `DeliverTx`.
+    /// Nothing is parsed.
     ///
     /// # Errors
     ///
-    /// Fails when `CheckTx` rejects the transaction or the mempool is full.
-    pub fn submit_tx(&mut self, tx: RawTx, now: SimTime) -> Result<Hash, SubmitError> {
-        let (check, decoded) = self.app.check_tx(&tx);
+    /// Fails when `CheckTx` rejects the transaction or the mempool refuses
+    /// it (full, over its byte limit, or a duplicate). The refusal gives
+    /// `tx` back and leaves the mempool as it was.
+    pub fn submit_tx(
+        &mut self,
+        raw: RawTx,
+        tx: A::Decoded,
+        now: SimTime,
+    ) -> Result<Hash, Refused<A::Decoded>> {
+        let check = self.app.check_tx(&tx);
         if !check.is_ok() {
-            return Err(SubmitError::CheckTxFailed {
-                code: check.code,
-                log: check.log,
+            return Err(Refused {
+                error: SubmitError::CheckTxFailed {
+                    code: check.code,
+                    log: check.log,
+                },
+                tx: Box::new(tx),
             });
         }
-        let hash = tx.hash();
-        self.mempool.add(PendingTx {
-            tx,
-            decoded,
+        let hash = raw.hash();
+        let pending = PendingTx {
+            tx: raw,
+            decoded: tx,
             gas_wanted: check.gas_wanted,
             sender: check.sender,
             sequence: check.sequence,
             received_at: now,
+        };
+        self.mempool.add(pending).map_err(|(error, tx)| Refused {
+            error: error.into(),
+            tx: Box::new(tx),
         })?;
         Ok(hash)
     }
@@ -248,8 +281,8 @@ impl<A: Application> Node<A> {
             .mempool
             .reap_before(MAX_BLOCK_GAS, MAX_BLOCK_BYTES, propose_time);
         // The reaped entries are owned: the payloads move into the block and
-        // each decoded form moves into its `DeliverTx`, nothing is copied.
-        let (txs, decoded): (Vec<RawTx>, Vec<Option<A::Decoded>>) =
+        // each parsed form moves into its `DeliverTx`, nothing is copied.
+        let (txs, decoded): (Vec<RawTx>, Vec<A::Decoded>) =
             reaped.into_iter().map(|p| (p.tx, p.decoded)).unzip();
         let data = Data { txs };
         let proposer = self.validators.proposer(height, 0).address;
@@ -283,8 +316,8 @@ impl<A: Application> Node<A> {
         self.app.begin_block(&header);
         let mut results = Vec::with_capacity(data.txs.len());
         let mut included_messages = 0u64;
-        for (tx, decoded) in data.txs.iter().zip(decoded) {
-            let result = self.app.deliver_tx(tx, decoded);
+        for tx in decoded {
+            let result = self.app.deliver_tx(tx);
             included_messages += result.events.len() as u64;
             results.push(result);
         }
@@ -393,49 +426,35 @@ mod tests {
     use crate::hash::{hash_fields, sha256};
     use std::rc::{Rc, Weak};
 
-    /// A minimal counter application for node tests: every transaction is
-    /// accepted and emits one event.
+    /// A minimal counter application for node tests: every transaction but
+    /// `0xff` is accepted and emits one event.
     #[derive(Debug, Default)]
     struct CounterApp {
         delivered: u64,
         committed: u64,
-        /// `(first byte, decoded form received)` per delivered transaction.
-        handed_over: Vec<(u8, Option<u8>)>,
-        /// Every decoded form `check_tx` ever returned; one that is still
-        /// alive is held by the node.
-        issued: Vec<Weak<u8>>,
+        /// The parsed form of each delivered transaction, in order.
+        handed_over: Vec<u8>,
         /// When set, every transaction wants two fifths of a block's gas
         /// (otherwise 1,000).
         heavy_txs: bool,
     }
 
-    impl CounterApp {
-        fn decoded_forms_held_by_the_node(&self) -> usize {
-            self.issued.iter().filter(|d| d.strong_count() > 0).count()
-        }
-    }
-
     impl Application for CounterApp {
-        /// The transaction's first byte, returned for every transaction
-        /// except accepted odd ones, so both hand-off arms run.
+        /// The transaction's first byte, behind an `Rc` so that a test can
+        /// tell who still holds it.
         type Decoded = Rc<u8>;
 
-        fn check_tx(&mut self, tx: &RawTx) -> (CheckTxResult, Option<Rc<u8>>) {
-            let first = tx.as_bytes().first().copied().unwrap_or(0);
-            let decoded = Rc::new(first);
-            self.issued.push(Rc::downgrade(&decoded));
-            if first == 0xff {
-                let rejected = CheckTxResult {
+        fn check_tx(&mut self, tx: &Rc<u8>) -> CheckTxResult {
+            if **tx == 0xff {
+                return CheckTxResult {
                     code: 1,
                     log: "rejected by app".into(),
                     gas_wanted: 0,
                     sender: String::new(),
                     sequence: 0,
                 };
-                // A decoded form returned with a rejection must be dropped.
-                return (rejected, Some(decoded));
             }
-            let accepted = CheckTxResult {
+            CheckTxResult {
                 code: 0,
                 log: String::new(),
                 gas_wanted: if self.heavy_txs {
@@ -443,18 +462,16 @@ mod tests {
                 } else {
                     1_000
                 },
-                sender: format!("sender-{first}"),
+                sender: format!("sender-{tx}"),
                 sequence: 0,
-            };
-            (accepted, (first % 2 == 0).then_some(decoded))
+            }
         }
 
         fn begin_block(&mut self, _header: &Header) {}
 
-        fn deliver_tx(&mut self, tx: &RawTx, decoded: Option<Rc<u8>>) -> DeliverTxResult {
+        fn deliver_tx(&mut self, tx: Rc<u8>) -> DeliverTxResult {
             self.delivered += 1;
-            self.handed_over
-                .push((tx.as_bytes()[0], decoded.map(|d| *d)));
+            self.handed_over.push(*tx);
             DeliverTxResult {
                 code: 0,
                 log: String::new(),
@@ -481,6 +498,26 @@ mod tests {
         )
     }
 
+    /// Submits the one-byte transaction `[first]` with its parsed form.
+    fn submit(node: &mut Node<CounterApp>, first: u8) -> Result<Hash, Refused<Rc<u8>>> {
+        node.submit_tx(RawTx::new(vec![first]), Rc::new(first), SimTime::ZERO)
+    }
+
+    /// Submits `raw` with the parsed form `parsed` and expects it refused
+    /// for `error`, handing back that same form and leaving the mempool's
+    /// size as it was.
+    fn expect_refused(node: &mut Node<CounterApp>, raw: RawTx, parsed: u8, error: SubmitError) {
+        let before = node.mempool_size();
+        let handed = Rc::new(parsed);
+        let refused = node
+            .submit_tx(raw, Rc::clone(&handed), SimTime::ZERO)
+            .unwrap_err();
+        assert_eq!(refused.error, error);
+        assert!(Rc::ptr_eq(&refused.tx, &handed), "the same form comes back");
+        assert_eq!(Rc::strong_count(&handed), 2, "the node keeps no copy");
+        assert_eq!(node.mempool_size(), before);
+    }
+
     #[test]
     fn empty_blocks_advance_height_and_chain_linkage() {
         let mut node = test_node();
@@ -502,8 +539,8 @@ mod tests {
     #[test]
     fn submitted_txs_are_included_and_indexed() {
         let mut node = test_node();
-        let tx = RawTx::new(vec![1, 2, 3]);
-        let hash = node.submit_tx(tx, SimTime::ZERO).unwrap();
+        let hash = submit(&mut node, 1).unwrap();
+        assert_eq!(hash, RawTx::new(vec![1]).hash());
         assert!(node.find_tx(&hash).is_none());
         assert_eq!(node.mempool_size(), 1);
         let outcome = node.produce_block(SimTime::from_secs(5));
@@ -515,51 +552,77 @@ mod tests {
     }
 
     #[test]
-    fn decoded_forms_reach_deliver_tx_and_raw_submissions_still_deliver() {
+    fn decoded_forms_move_into_deliver_tx() {
         let mut node = test_node();
-        // 2 and 4 carry a decoded form; 3 is admitted without one.
-        for first in [2u8, 3, 4] {
-            node.submit_tx(RawTx::new(vec![first]), SimTime::ZERO)
-                .unwrap();
-        }
-        assert_eq!(node.app().decoded_forms_held_by_the_node(), 2);
+        let forms: Vec<Weak<u8>> = [2u8, 3, 4]
+            .into_iter()
+            .map(|first| {
+                let form = Rc::new(first);
+                let weak = Rc::downgrade(&form);
+                node.submit_tx(RawTx::new(vec![first]), form, SimTime::ZERO)
+                    .unwrap();
+                weak
+            })
+            .collect();
+        // The mempool entries are the only holders.
+        assert!(forms.iter().all(|form| form.strong_count() == 1));
         let outcome = node.produce_block(SimTime::from_secs(5));
         assert_eq!(outcome.tx_count, 3);
-        assert_eq!(
-            node.app().handed_over,
-            [(2, Some(2)), (3, None), (4, Some(4))]
-        );
+        assert_eq!(node.app().handed_over, [2, 3, 4]);
         assert_eq!(node.mempool_size(), 0);
         // Moved into `deliver_tx`, not copied: the committed block keeps the
         // raw transactions only.
-        assert_eq!(node.app().decoded_forms_held_by_the_node(), 0);
-        assert_eq!(node.block_at(1).unwrap().block.data.txs.len(), 3);
+        assert!(forms.iter().all(|form| form.strong_count() == 0));
+        let txs = &node.block_at(1).unwrap().block.data.txs;
+        let firsts: Vec<u8> = txs.iter().map(|tx| tx.as_bytes()[0]).collect();
+        assert_eq!(firsts, [2, 3, 4]);
     }
 
     #[test]
     fn check_tx_rejection_propagates() {
         let mut node = test_node();
-        let err = node
-            .submit_tx(RawTx::new(vec![0xff]), SimTime::ZERO)
-            .unwrap_err();
-        assert!(matches!(err, SubmitError::CheckTxFailed { code: 1, .. }));
+        let rejected = SubmitError::CheckTxFailed {
+            code: 1,
+            log: "rejected by app".into(),
+        };
+        expect_refused(&mut node, RawTx::new(vec![0xff]), 0xff, rejected);
         assert_eq!(node.mempool_size(), 0);
-        assert_eq!(node.app().decoded_forms_held_by_the_node(), 0);
+        assert_eq!(node.produce_block(SimTime::from_secs(5)).tx_count, 0);
     }
 
     #[test]
     fn duplicate_submission_is_rejected_by_mempool() {
         let mut node = test_node();
-        let tx = RawTx::new(vec![8]);
-        node.submit_tx(tx.clone(), SimTime::ZERO).unwrap();
-        let err = node.submit_tx(tx, SimTime::ZERO).unwrap_err();
-        assert!(matches!(
-            err,
-            SubmitError::Mempool(MempoolError::AlreadyPending)
-        ));
-        // The refused copy left nothing behind: one entry, one decoded form.
+        submit(&mut node, 8).unwrap();
+        let duplicate = SubmitError::Mempool(MempoolError::AlreadyPending);
+        expect_refused(&mut node, RawTx::new(vec![8]), 8, duplicate);
+        // The refused copy left nothing behind: one entry, delivered once.
+        node.produce_block(SimTime::from_secs(5));
+        assert_eq!(node.app().handed_over, [8]);
+    }
+
+    /// A full mempool and one over its byte limit each refuse the next
+    /// submission and give its parsed form back.
+    #[test]
+    fn mempool_limits_give_the_parsed_form_back() {
+        use crate::mempool::{MAX_TOTAL_BYTES, MAX_TXS};
+        let mut node = test_node();
+        for i in 0..MAX_TXS as u32 {
+            let raw = RawTx::new(i.to_be_bytes().to_vec());
+            node.submit_tx(raw, Rc::new(0), SimTime::ZERO).unwrap();
+        }
+        let full = SubmitError::Mempool(MempoolError::Full { max_txs: MAX_TXS });
+        expect_refused(&mut node, RawTx::new(b"one too many".to_vec()), 7, full);
+        assert_eq!(node.mempool_size(), MAX_TXS);
+
+        let mut node = test_node();
+        let filling = RawTx::with_wire_len(b"fills it".to_vec(), MAX_TOTAL_BYTES);
+        node.submit_tx(filling, Rc::new(1), SimTime::ZERO).unwrap();
+        let over = SubmitError::Mempool(MempoolError::TooManyBytes {
+            max_total_bytes: MAX_TOTAL_BYTES,
+        });
+        expect_refused(&mut node, RawTx::new(vec![2]), 2, over);
         assert_eq!(node.mempool_size(), 1);
-        assert_eq!(node.app().decoded_forms_held_by_the_node(), 1);
     }
 
     #[test]
@@ -592,7 +655,7 @@ mod tests {
         let mut node = test_node();
         node.app_mut().heavy_txs = true;
         for i in 0..5u8 {
-            node.submit_tx(RawTx::new(vec![i]), SimTime::ZERO).unwrap();
+            submit(&mut node, i).unwrap();
         }
         let b1 = node.produce_block(SimTime::from_secs(5));
         assert_eq!(b1.tx_count, 2);

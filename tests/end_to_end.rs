@@ -227,10 +227,17 @@ fn tendermint_throughput_saturates_with_input_rate() {
 /// the typed codec is a bijection on what a real run produces, and every
 /// payload reads back as the transaction's record tree (each struct the
 /// array of its fields), whose JSON length is the modelled one.
+///
+/// The chain executes the transaction its client built and stores the
+/// encoding moved out of it, hash memo included, so this is also the check
+/// that the two agree: the carried hash is the digest of the stored bytes,
+/// the transaction index finds the block slot by it, and the slot's
+/// `DeliverTx` result asked for the gas the decoded transaction carries.
 #[test]
 fn every_committed_tx_of_the_smoke_run_re_encodes_identically() {
     use ibc_perf_repro::chain::tx::Tx;
     use ibc_perf_repro::framework::{registry, sweep::SweepMode};
+    use ibc_perf_repro::tendermint::hash::sha256;
     use serde::Serialize;
 
     let entry = registry::get("smoke").expect("registered");
@@ -242,12 +249,17 @@ fn every_committed_tx_of_the_smoke_run_re_encodes_identically() {
             let Some(block) = chain.block_at(height) else {
                 continue;
             };
-            for raw in &block.block.data.txs {
+            for (index, raw) in block.block.data.txs.iter().enumerate() {
+                assert_eq!(raw.hash(), sha256(raw.as_bytes()));
                 let tx = Tx::decode(raw).expect("a committed tx decodes");
                 let again = tx.encode();
                 assert_eq!(again.as_bytes(), raw.as_bytes());
                 assert_eq!(again.len(), raw.len());
                 assert_eq!(again.hash(), raw.hash());
+                let (found_height, found_index, result) =
+                    chain.find_tx(&raw.hash()).expect("indexed by its hash");
+                assert_eq!((found_height, found_index), (height, index));
+                assert_eq!(result.gas_wanted, tx.gas_limit);
                 let records = record_tree::record_tree(&tx);
                 assert_eq!(serde::binary::from_bytes(raw.as_bytes()).unwrap(), records);
                 assert_eq!(raw.len(), serde::json::encoded_len(&tx.to_value()));

@@ -240,7 +240,7 @@ proptest! {
                 items: 0,
             });
             let tx = Tx::new("user-0".into(), 0, msgs, "uatom");
-            let completion = rpc.broadcast_tx_sync(sent, &tx).ready_at;
+            let completion = rpc.broadcast_tx_sync(sent, tx).ready_at;
             prop_assert!(completion >= sent + one_way + service + one_way);
             prop_assert!(completion >= previous_completion);
             previous_completion = completion;
