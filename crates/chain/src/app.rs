@@ -840,7 +840,8 @@ mod rollback_tests {
                 .b
                 .app()
                 .ibc()
-                .has_receipt(&port, &pair.chan_b, Sequence(2)));
+                .end(&port, &pair.chan_b)
+                .is_some_and(|end| end.has_receipt(Sequence(2))));
             // Block 3 on A, so that B's client has a newer header to move to.
             pair.a.produce_block(SimTime::from_secs(15));
             pair
@@ -862,7 +863,8 @@ mod rollback_tests {
             Msg::IbcRecvPacket {
                 packet: self.packets[index].clone(),
                 proof_commitment: ibc
-                    .prove_packet_commitment(&PortId::transfer(), &self.chan_a, sequence)
+                    .end(&PortId::transfer(), &self.chan_a)
+                    .and_then(|end| end.prove_commitment(sequence))
                     .expect("commitment exists"),
                 proof_height: Self::proof_height(&self.a),
                 signer: "relayer".into(),
@@ -873,12 +875,15 @@ mod rollback_tests {
         fn ack(&self, index: usize) -> Msg {
             let ibc = self.b.app().ibc();
             let (port, sequence) = (PortId::transfer(), self.packets[index].sequence);
-            let written = ibc.packet_acknowledgement(&port, &self.chan_b, sequence);
+            let written = ibc
+                .end(&port, &self.chan_b)
+                .and_then(|end| end.acknowledgement(sequence));
             Msg::IbcAcknowledgement {
                 packet: self.packets[index].clone(),
                 acknowledgement: written.expect("received on B").clone(),
                 proof_acked: ibc
-                    .prove_packet_acknowledgement(&port, &self.chan_b, sequence)
+                    .end(&port, &self.chan_b)
+                    .and_then(|end| end.prove_acknowledgement(sequence))
                     .expect("acknowledgement exists"),
                 proof_height: Self::proof_height(&self.b),
                 signer: "relayer".into(),
@@ -903,7 +908,8 @@ mod rollback_tests {
         fn proven_on_a(&self) -> impl Fn(&GaiaApp) -> CommitmentProof + '_ {
             |app| {
                 app.ibc
-                    .prove_packet_commitment(&PortId::transfer(), &self.chan_a, Sequence(4))
+                    .end(&PortId::transfer(), &self.chan_a)
+                    .and_then(|end| end.prove_commitment(Sequence(4)))
                     .expect("packet 4 is never acknowledged")
             }
         }
@@ -912,7 +918,8 @@ mod rollback_tests {
         fn proven_on_b(&self) -> impl Fn(&GaiaApp) -> CommitmentProof + '_ {
             |app| {
                 app.ibc
-                    .prove_packet_acknowledgement(&PortId::transfer(), &self.chan_b, Sequence(1))
+                    .end(&PortId::transfer(), &self.chan_b)
+                    .and_then(|end| end.prove_acknowledgement(Sequence(1)))
                     .expect("packet 1 was received in block 2")
             }
         }

@@ -241,9 +241,10 @@ fn attach_broadcast(
 }
 
 /// Packets committed on their path's source chain whose commitment is still
-/// there: neither acknowledged nor timed out. The runner's per-block drain
-/// check and [`analysis::stranded_packets`](crate::analysis::stranded_packets)
-/// are this one count.
+/// there: neither acknowledged nor timed out.
+/// [`analysis::stranded_packets`](crate::analysis::stranded_packets) is this
+/// count; the runner's per-block drain check asks only whether it is
+/// non-zero ([`any_outstanding`]).
 pub(crate) fn outstanding_packets(
     paths: &[RelayPath],
     path_ends: &[(usize, usize)],
@@ -258,6 +259,19 @@ pub(crate) fn outstanding_packets(
             ibc.outstanding_commitment_count(&path.port, &path.src_channel) as u64
         })
         .sum()
+}
+
+/// Whether [`outstanding_packets`] is non-zero, asked without counting: one
+/// store lookup per path.
+fn any_outstanding(
+    paths: &[RelayPath],
+    path_ends: &[(usize, usize)],
+    chains: &[SharedChain],
+) -> bool {
+    paths.iter().zip(path_ends).any(|(path, &(src, _))| {
+        let chain = chains[src].borrow();
+        (chain.app().ibc()).has_outstanding_commitments(&path.port, &path.src_channel)
+    })
 }
 
 /// Runs one experiment: deploys the testnet, drives block production on every
@@ -481,20 +495,16 @@ pub fn run_experiment(
                     } else if !workload_config.run_to_completion {
                         true
                     } else {
-                        let outstanding = outstanding_packets(
-                            &testnet.paths,
-                            &testnet.path_ends,
-                            &testnet.chains,
-                        );
+                        let outstanding =
+                            any_outstanding(&testnet.paths, &testnet.path_ends, &testnet.chains);
                         // Forwarded second legs still sitting in a mid
                         // chain's mempool are not yet `sent`, so the
-                        // outstanding count alone would miss them.
+                        // outstanding check alone would miss them.
                         let hops_pending = forwarder.routes().iter().any(|route| {
                             let src = testnet.path_ends[route.second_leg].0;
                             testnet.chains[src].borrow().mempool_size() > 0
                         });
-                        let done =
-                            workload.finished_submitting() && outstanding == 0 && !hops_pending;
+                        let done = workload.finished_submitting() && !outstanding && !hops_pending;
                         done || measured >= target_blocks + grace_blocks
                     };
                     if !stop {

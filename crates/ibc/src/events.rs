@@ -298,7 +298,8 @@ mod tests {
 
         sync_root(&mut b, &a, 3);
         let proof = a
-            .prove_packet_commitment(&PortId::transfer(), &chan_a, held.sequence)
+            .end(&PortId::transfer(), &chan_a)
+            .and_then(|end| end.prove_commitment(held.sequence))
             .unwrap();
         let (_, received) = b
             .recv_packet(

@@ -162,6 +162,50 @@ impl PartialEq for IbcModule {
     }
 }
 
+/// One channel end of an [`IbcModule`], resolved once by
+/// [`IbcModule::end`], answering per-sequence questions about its packets.
+#[derive(Debug, Clone, Copy)]
+pub struct EndView<'a> {
+    record: &'a ChannelRecord,
+    store: &'a CommitmentStore,
+}
+
+impl<'a> EndView<'a> {
+    /// The send log's handle of the packet sent with `seq`, if this end
+    /// sent it: the allocation its `send_packet` event holds too.
+    pub fn sent_packet(&self, seq: Sequence) -> Option<&'a Rc<Packet>> {
+        let index = usize::try_from(seq.value().checked_sub(1)?).ok()?;
+        self.record.sent.get(index)
+    }
+
+    /// The stored commitment of the packet sent with `seq`, while it is
+    /// neither acknowledged nor timed out.
+    pub fn commitment(&self, seq: Sequence) -> Option<Hash> {
+        self.store.get(&self.record.paths.commitment(seq)).copied()
+    }
+
+    /// A membership proof of the commitment of the packet sent with `seq`.
+    pub fn prove_commitment(&self, seq: Sequence) -> Option<CommitmentProof> {
+        (self.store).prove_membership(&self.record.paths.commitment(seq))
+    }
+
+    /// Whether this end received the packet with `seq`.
+    pub fn has_receipt(&self, seq: Sequence) -> bool {
+        self.store.contains(&self.record.paths.receipt(seq))
+    }
+
+    /// The acknowledgement this end wrote for the packet it received with
+    /// `seq`, if any.
+    pub fn acknowledgement(&self, seq: Sequence) -> Option<&'a Acknowledgement> {
+        self.record.acks.get(&seq)
+    }
+
+    /// A membership proof of the acknowledgement commitment for `seq`.
+    pub fn prove_acknowledgement(&self, seq: Sequence) -> Option<CommitmentProof> {
+        (self.store).prove_membership(&self.record.paths.ack(seq))
+    }
+}
+
 /// How to revert one write.
 #[derive(Debug, Clone, PartialEq)]
 enum IbcUndo {
@@ -950,47 +994,15 @@ impl IbcModule {
     // Queries used by the RPC layer and the relayer
     // ------------------------------------------------------------------
 
-    /// The stored commitment for a sent packet, if still present.
-    pub fn packet_commitment(
-        &self,
-        port: &PortId,
-        channel: &ChannelId,
-        seq: Sequence,
-    ) -> Option<Hash> {
-        let path = self.record(port, channel)?.paths.commitment(seq);
-        self.store.get(&path).copied()
-    }
-
-    /// A membership proof of a packet commitment.
-    pub fn prove_packet_commitment(
-        &self,
-        port: &PortId,
-        channel: &ChannelId,
-        seq: Sequence,
-    ) -> Option<CommitmentProof> {
-        let path = self.record(port, channel)?.paths.commitment(seq);
-        self.store.prove_membership(&path)
-    }
-
-    /// The acknowledgement written for a received packet, if any.
-    pub fn packet_acknowledgement(
-        &self,
-        port: &PortId,
-        channel: &ChannelId,
-        seq: Sequence,
-    ) -> Option<&Acknowledgement> {
-        self.record(port, channel)?.acks.get(&seq)
-    }
-
-    /// A membership proof of an acknowledgement commitment.
-    pub fn prove_packet_acknowledgement(
-        &self,
-        port: &PortId,
-        channel: &ChannelId,
-        seq: Sequence,
-    ) -> Option<CommitmentProof> {
-        let path = self.record(port, channel)?.paths.ack(seq);
-        self.store.prove_membership(&path)
+    /// A view of channel end `(port, channel)` for per-sequence questions,
+    /// or `None` when this chain has no such end. The end is found once;
+    /// each answer is then an index into its send log or one store lookup,
+    /// so a batch query resolves its end once, not once per sequence.
+    pub fn end(&self, port: &PortId, channel: &ChannelId) -> Option<EndView<'_>> {
+        Some(EndView {
+            record: self.record(port, channel)?,
+            store: &self.store,
+        })
     }
 
     /// A non-membership proof that a packet has not been received.
@@ -1004,24 +1016,18 @@ impl IbcModule {
             .prove_non_membership(&host::packet_receipt_path(port, channel, seq))
     }
 
-    /// Whether a receipt exists for the given packet (i.e. it was received).
-    pub fn has_receipt(&self, port: &PortId, channel: &ChannelId, seq: Sequence) -> bool {
-        (self.record(port, channel))
-            .is_some_and(|record| self.store.contains(&record.paths.receipt(seq)))
-    }
-
     /// Filters `sequences` down to those not yet received on this chain
-    /// (the destination side), mirroring the `unreceived_packets` query.
+    /// (the destination side), mirroring the `unreceived_packets` query. An
+    /// end this chain does not have received nothing.
     pub fn unreceived_packets(
         &self,
         port: &PortId,
         channel: &ChannelId,
         sequences: &[Sequence],
     ) -> Vec<Sequence> {
-        sequences
-            .iter()
-            .copied()
-            .filter(|seq| !self.has_receipt(port, channel, *seq))
+        let end = self.end(port, channel);
+        (sequences.iter().copied())
+            .filter(|seq| end.is_none_or(|end| !end.has_receipt(*seq)))
             .collect()
     }
 
@@ -1033,10 +1039,11 @@ impl IbcModule {
         channel: &ChannelId,
         sequences: &[Sequence],
     ) -> Vec<Sequence> {
-        sequences
-            .iter()
-            .copied()
-            .filter(|seq| self.packet_commitment(port, channel, *seq).is_some())
+        let Some(end) = self.end(port, channel) else {
+            return Vec::new();
+        };
+        (sequences.iter().copied())
+            .filter(|seq| end.commitment(*seq).is_some())
             .collect()
     }
 
@@ -1049,8 +1056,7 @@ impl IbcModule {
         channel: &ChannelId,
         seq: Sequence,
     ) -> Option<&Rc<Packet>> {
-        let index = usize::try_from(seq.value().checked_sub(1)?).ok()?;
-        self.record(port, channel)?.sent.get(index)
+        self.end(port, channel)?.sent_packet(seq)
     }
 
     /// All sequences ever sent on a channel end.
@@ -1081,6 +1087,16 @@ impl IbcModule {
     pub fn outstanding_commitment_count(&self, port: &PortId, channel: &ChannelId) -> usize {
         self.record(port, channel).map_or(0, |record| {
             (self.store.sequences_in(record.paths.commitments())).count()
+        })
+    }
+
+    /// Whether [`outstanding_commitments`](Self::outstanding_commitments)
+    /// is non-empty: the first step of the section walk, O(log n).
+    pub fn has_outstanding_commitments(&self, port: &PortId, channel: &ChannelId) -> bool {
+        self.record(port, channel).is_some_and(|record| {
+            (self.store.sequences_in(record.paths.commitments()))
+                .next()
+                .is_some()
         })
     }
 
@@ -1431,13 +1447,15 @@ pub(crate) mod tests {
         );
         assert_eq!(packet.destination_channel, chan_b);
         assert!(a
-            .packet_commitment(&port, &chan_a, packet.sequence)
+            .end(&port, &chan_a)
+            .and_then(|end| end.commitment(packet.sequence))
             .is_some());
 
         // 2. Relayer: update B's client with A's new root, then MsgRecvPacket.
         sync_root(&mut b, &a, 3);
         let proof = a
-            .prove_packet_commitment(&port, &chan_a, packet.sequence)
+            .end(&port, &chan_a)
+            .and_then(|end| end.prove_commitment(packet.sequence))
             .unwrap();
         let (ack, recv_events) = b
             .recv_packet(&ctx(3), &mut bank_b, &packet, &proof, Height::at(3))
@@ -1446,12 +1464,15 @@ pub(crate) mod tests {
         assert_eq!(recv_events.len(), 2);
         let voucher = format!("transfer/{chan_b}/uatom");
         assert_eq!(bank_b.get("bob", &voucher), 250);
-        assert!(b.has_receipt(&port, &chan_b, packet.sequence));
+        assert!(b
+            .end(&port, &chan_b)
+            .is_some_and(|end| end.has_receipt(packet.sequence)));
 
         // 3. Relayer: update A's client with B's new root, then MsgAcknowledgement.
         sync_root(&mut a, &b, 4);
         let ack_proof = b
-            .prove_packet_acknowledgement(&port, &chan_b, packet.sequence)
+            .end(&port, &chan_b)
+            .and_then(|end| end.prove_acknowledgement(packet.sequence))
             .unwrap();
         let ack_events = a
             .acknowledge_packet(
@@ -1466,7 +1487,8 @@ pub(crate) mod tests {
         assert_eq!(ack_events[0].kind, events::ACK_PACKET);
         // Commitment deleted after acknowledgement.
         assert!(a
-            .packet_commitment(&port, &chan_a, packet.sequence)
+            .end(&port, &chan_a)
+            .and_then(|end| end.commitment(packet.sequence))
             .is_none());
         // Funds: escrowed on A, minted on B.
         assert_eq!(bank_a.get("alice", "uatom"), 750);
@@ -1483,7 +1505,8 @@ pub(crate) mod tests {
         let packet = send(&mut a, &mut bank_a, &transfer_params(&chan_a, 10, 1_000));
         sync_root(&mut b, &a, 3);
         let proof = a
-            .prove_packet_commitment(&port, &chan_a, packet.sequence)
+            .end(&port, &chan_a)
+            .and_then(|end| end.prove_commitment(packet.sequence))
             .unwrap();
         b.recv_packet(&ctx(3), &mut bank_b, &packet, &proof, Height::at(3))
             .unwrap();
@@ -1507,14 +1530,16 @@ pub(crate) mod tests {
         let packet = send(&mut a, &mut bank_a, &transfer_params(&chan_a, 10, 1_000));
         sync_root(&mut b, &a, 3);
         let proof = a
-            .prove_packet_commitment(&port, &chan_a, packet.sequence)
+            .end(&port, &chan_a)
+            .and_then(|end| end.prove_commitment(packet.sequence))
             .unwrap();
         let (ack, _) = b
             .recv_packet(&ctx(3), &mut bank_b, &packet, &proof, Height::at(3))
             .unwrap();
         sync_root(&mut a, &b, 4);
         let ack_proof = b
-            .prove_packet_acknowledgement(&port, &chan_b, packet.sequence)
+            .end(&port, &chan_b)
+            .and_then(|end| end.prove_acknowledgement(packet.sequence))
             .unwrap();
         a.acknowledge_packet(
             &ctx(4),
@@ -1550,7 +1575,8 @@ pub(crate) mod tests {
         let packet = send(&mut a, &mut bank_a, &transfer_params(&chan_a, 10, 3));
         sync_root(&mut b, &a, 3);
         let proof = a
-            .prove_packet_commitment(&port, &chan_a, packet.sequence)
+            .end(&port, &chan_a)
+            .and_then(|end| end.prove_commitment(packet.sequence))
             .unwrap();
         let err = b
             .recv_packet(&ctx(5), &mut bank_b, &packet, &proof, Height::at(3))
@@ -1589,7 +1615,8 @@ pub(crate) mod tests {
         assert_eq!(events[0].kind, events::TIMEOUT_PACKET);
         assert_eq!(bank_a.get("alice", "uatom"), 100);
         assert!(a
-            .packet_commitment(&port, &chan_a, packet.sequence)
+            .end(&port, &chan_a)
+            .and_then(|end| end.commitment(packet.sequence))
             .is_none());
     }
 
@@ -1606,7 +1633,8 @@ pub(crate) mod tests {
         let packet2 = send(&mut a, &mut bank_a, &transfer_params(&chan_a, 10, 1_000));
         sync_root(&mut b, &a, 3);
         let wrong_proof = a
-            .prove_packet_commitment(&port, &chan_a, packet2.sequence)
+            .end(&port, &chan_a)
+            .and_then(|end| end.prove_commitment(packet2.sequence))
             .unwrap();
         let err = b
             .recv_packet(&ctx(3), &mut bank_b, &packet, &wrong_proof, Height::at(3))
@@ -1656,6 +1684,126 @@ pub(crate) mod tests {
         assert_eq!(a.outstanding_commitment_count(&port, &chan_a), 3);
     }
 
+    /// Receives `packet` on `b` and acknowledges it on `a`, returning the
+    /// acknowledgement `b` wrote.
+    fn relay(
+        (a, bank_a): (&mut IbcModule, &mut TestBank),
+        (b, bank_b): (&mut IbcModule, &mut TestBank),
+        packet: &Packet,
+        height: u64,
+    ) -> Acknowledgement {
+        let port = PortId::transfer();
+        let (chan_a, chan_b) = (&packet.source_channel, &packet.destination_channel);
+        let seq = packet.sequence;
+        sync_root(b, a, height);
+        let proof = (a.end(&port, chan_a))
+            .and_then(|end| end.prove_commitment(seq))
+            .unwrap();
+        let at = Height::at(height);
+        let (ack, _) = b
+            .recv_packet(&ctx(height), bank_b, packet, &proof, at)
+            .unwrap();
+        sync_root(a, b, height + 1);
+        let ack_proof = (b.end(&port, chan_b))
+            .and_then(|end| end.prove_acknowledgement(seq))
+            .unwrap();
+        let at = Height::at(height + 1);
+        (a.acknowledge_packet(&ctx(height + 1), bank_a, packet, &ack, &ack_proof, at)).unwrap();
+        ack
+    }
+
+    /// The drain check's question agrees with the count it replaced: on an
+    /// end that sent nothing, one with a packet out, one whose packets all
+    /// came back, and one with text written under its commitment section.
+    #[test]
+    fn has_outstanding_commitments_agrees_with_the_count() {
+        let (mut a, mut b, chan_a, _) = connected_pair();
+        let port = PortId::transfer();
+        let (mut bank_a, mut bank_b) = (TestBank::default(), TestBank::default());
+        bank_a.set("alice", "uatom", 100);
+        let check = |m: &IbcModule, chan: &ChannelId, expected: bool| {
+            let count = m.outstanding_commitment_count(&port, chan);
+            assert_eq!(m.has_outstanding_commitments(&port, chan), count > 0);
+            assert_eq!(count > 0, expected);
+        };
+        check(&a, &chan_a, false);
+        check(&a, &ChannelId::with_index(7), false);
+
+        let packet = send(&mut a, &mut bank_a, &transfer_params(&chan_a, 10, 1_000));
+        check(&a, &chan_a, true);
+        relay((&mut a, &mut bank_a), (&mut b, &mut bank_b), &packet, 3);
+        check(&a, &chan_a, false);
+
+        let under = format!("commitments/ports/{port}/channels/{chan_a}/sequences/");
+        for text in ["007", "+5", "05", "0", "", "2/x"] {
+            (a.store).set(format!("{under}{text}"), hash_fields(&[b"forged"]));
+        }
+        check(&a, &chan_a, false);
+        send(&mut a, &mut bank_a, &transfer_params(&chan_a, 10, 1_000));
+        check(&a, &chan_a, true);
+    }
+
+    /// A batch query on an end this chain does not have: nothing was
+    /// received there, and nothing is outstanding.
+    #[test]
+    fn batch_queries_answer_an_unknown_end() {
+        let (a, _b, _, _) = connected_pair();
+        let port = PortId::transfer();
+        let unknown = ChannelId::with_index(7);
+        let seqs = [0, 1, 2, u64::MAX].map(Sequence);
+        assert!(a.end(&port, &unknown).is_none());
+        assert_eq!(a.unreceived_packets(&port, &unknown, &seqs), seqs);
+        assert!(a.unacknowledged_packets(&port, &unknown, &seqs).is_empty());
+    }
+
+    /// The view answers from the entries the per-sequence queries it
+    /// replaced read, here spelt as text paths, on the sending and on the
+    /// receiving end: for sequence 0, 1, the last sent and `u64::MAX`.
+    #[test]
+    fn the_end_view_reads_what_the_store_and_logs_hold() {
+        let (mut a, mut b, chan_a, chan_b) = connected_pair();
+        let port = PortId::transfer();
+        let (mut bank_a, mut bank_b) = (TestBank::default(), TestBank::default());
+        bank_a.set("alice", "uatom", 100);
+        let sent: Vec<_> = (0..3)
+            .map(|_| send(&mut a, &mut bank_a, &transfer_params(&chan_a, 10, 1_000)))
+            .collect();
+        // Packet 1 completes; packets 2 and 3 stay outstanding.
+        let ack = relay((&mut a, &mut bank_a), (&mut b, &mut bank_b), &sent[0], 3);
+        let (end_a, end_b) = (
+            a.end(&port, &chan_a).unwrap(),
+            b.end(&port, &chan_b).unwrap(),
+        );
+        let acks = &b.channels[&(port.clone(), chan_b.clone())].acks;
+        for seq in [0, 1, 3, u64::MAX].map(Sequence) {
+            let commitment = host::packet_commitment_path(&port, &chan_a, seq);
+            assert_eq!(end_a.commitment(seq), a.store.get(&commitment).copied());
+            assert_eq!(
+                end_a.prove_commitment(seq),
+                a.store.prove_membership(&commitment)
+            );
+            let logged = (1..=3)
+                .contains(&seq.value())
+                .then(|| &sent[seq.value() as usize - 1]);
+            assert_eq!(end_a.sent_packet(seq), logged);
+            let receipt = host::packet_receipt_path(&port, &chan_b, seq);
+            assert_eq!(end_b.has_receipt(seq), b.store.contains(&receipt));
+            assert_eq!(end_b.acknowledgement(seq), acks.get(&seq));
+            let ack_path = format!("acks/ports/{port}/channels/{chan_b}/sequences/{seq}");
+            assert_eq!(
+                end_b.prove_acknowledgement(seq),
+                b.store.prove_membership(&ack_path)
+            );
+        }
+        // Not vacuous: each answer is there for some sequence.
+        assert_eq!(end_a.commitment(Sequence(1)), None, "acknowledged");
+        assert!(end_a.prove_commitment(Sequence(3)).is_some());
+        assert!(end_b.has_receipt(Sequence(1)) && !end_b.has_receipt(Sequence(3)));
+        assert_eq!(end_b.acknowledgement(Sequence(1)), Some(&ack));
+        assert!(end_b.prove_acknowledgement(Sequence(1)).is_some());
+        assert!(end_a.prove_acknowledgement(Sequence(1)).is_none());
+    }
+
     #[test]
     fn sent_packet_is_none_outside_the_log() {
         let (mut a, _b, chan_a, _) = connected_pair();
@@ -1670,7 +1818,11 @@ pub(crate) mod tests {
         let unknown = ChannelId::with_index(7);
         assert_eq!(a.sent_packet(&port, &unknown, Sequence(1)), None);
         assert!(a.sent_sequences(&port, &unknown).is_empty());
-        assert_eq!(a.packet_acknowledgement(&port, &unknown, Sequence(1)), None);
+        assert_eq!(
+            a.end(&port, &unknown)
+                .and_then(|end| end.acknowledgement(Sequence(1))),
+            None
+        );
     }
 
     /// Inside a transaction the channel-end leaf keeps its value from before
@@ -1735,7 +1887,8 @@ pub(crate) mod tests {
         );
         sync_root(&mut b, &a, 3);
         let proof = a
-            .prove_packet_commitment(&port, &chan_a, packet.sequence)
+            .end(&port, &chan_a)
+            .and_then(|end| end.prove_commitment(packet.sequence))
             .unwrap();
         b.recv_packet(&ctx(3), &mut bank_b, &packet, &proof, Height::at(3))
             .unwrap();
@@ -1759,13 +1912,16 @@ pub(crate) mod tests {
         // Trust period lapses on B's client tracking A.
         b.expire_client(&ClientId::with_index(0)).unwrap();
         let proof = a
-            .prove_packet_commitment(&port, &chan_a, packet.sequence)
+            .end(&port, &chan_a)
+            .and_then(|end| end.prove_commitment(packet.sequence))
             .unwrap();
         let err = b
             .recv_packet(&ctx(3), &mut bank_b, &packet, &proof, Height::at(3))
             .unwrap_err();
         assert!(matches!(err, IbcError::ClientExpired { .. }));
-        assert!(!b.has_receipt(&port, &chan_b, packet.sequence));
+        assert!(!b
+            .end(&port, &chan_b)
+            .is_some_and(|end| end.has_receipt(packet.sequence)));
 
         // The sender-side timeout path reads pre-expiry consensus states
         // directly and still refunds once the packet expires.

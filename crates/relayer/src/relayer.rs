@@ -284,6 +284,71 @@ impl Tracked {
     fn release(&mut self, to: ChainRole) {
         self.stage[to as usize].take_if(|stage| matches!(stage, Stage::InFlight));
     }
+
+    /// Whether the packet has left this process's hands: no watch and no
+    /// stage. Such a record reads as absent.
+    fn is_empty(&self) -> bool {
+        self.watch.is_none() && matches!(self.stage, [None, None])
+    }
+}
+
+/// One channel's packet records, indexed by `sequence - base`.
+///
+/// A channel's sequences are consecutive counters handed out by its source
+/// end, so a record is found by an index, not a search, as in the
+/// telemetry log's per-channel columns and the chain's send log. An empty
+/// record reads as absent. The empty records at the front are dropped when
+/// the row next grows, so a row spans the packets in this process's hands,
+/// not every packet the channel ever sent.
+#[derive(Default)]
+struct PacketRow {
+    /// Sequence value addressed by index 0 of `records`.
+    base: u64,
+    records: VecDeque<Tracked>,
+}
+
+impl PacketRow {
+    /// The record of `seq`, created empty when the row has none.
+    fn entry(&mut self, seq: u64) -> &mut Tracked {
+        while self.records.front().is_some_and(Tracked::is_empty) {
+            self.records.pop_front();
+            self.base += 1;
+        }
+        if self.records.is_empty() {
+            self.base = seq;
+        }
+        if seq < self.base {
+            for _ in seq..self.base {
+                self.records.push_front(Tracked::default());
+            }
+            self.base = seq;
+        }
+        let index = (seq - self.base) as usize;
+        if index >= self.records.len() {
+            self.records.resize_with(index + 1, Tracked::default);
+        }
+        &mut self.records[index]
+    }
+
+    /// The record of `seq`, if the row spans it (it may be empty).
+    fn get_mut(&mut self, seq: u64) -> Option<&mut Tracked> {
+        let index = usize::try_from(seq.checked_sub(self.base)?).ok()?;
+        self.records.get_mut(index)
+    }
+
+    /// The record of `seq`, if it is not empty.
+    fn get(&self, seq: u64) -> Option<&Tracked> {
+        let index = usize::try_from(seq.checked_sub(self.base)?).ok()?;
+        (self.records.get(index)).filter(|record| !record.is_empty())
+    }
+
+    /// Every record that is not empty, with its sequence, in ascending
+    /// sequence order.
+    fn iter(&self) -> impl Iterator<Item = (u64, &Tracked)> {
+        (self.base..)
+            .zip(&self.records)
+            .filter(|(_, record)| !record.is_empty())
+    }
 }
 
 /// A Hermes-like relayer serving one or more channels between two chains.
@@ -298,10 +363,10 @@ pub struct Relayer {
     blocks_held: u64,
     telemetry: TelemetryLog,
     stats: RelayerStats,
-    /// One record per packet in this process's hands, keyed by `(channel
-    /// index, sequence)`: its timeout watch and its stage towards each
-    /// chain. Records left empty are pruned once per wake.
-    packets: BTreeMap<(usize, u64), Tracked>,
+    /// One row per served channel, indexed like `paths`, of one record per
+    /// packet in this process's hands, indexed by sequence: its timeout
+    /// watch and its stage towards each chain.
+    packets: Vec<PacketRow>,
     /// The arrival stamp last given to a held packet.
     stamp: u64,
     /// Block-commit notifications not yet processed, drained in FIFO order
@@ -330,6 +395,7 @@ impl Relayer {
         dst_rpc: RpcEndpoint,
     ) -> Self {
         assert!(!paths.is_empty(), "a relayer serves at least one channel");
+        let packets = paths.iter().map(|_| PacketRow::default()).collect();
         let ends = [
             ChainEnd::new(&config, src_rpc),
             ChainEnd::new(&config, dst_rpc),
@@ -342,7 +408,7 @@ impl Relayer {
             blocks_held: 0,
             telemetry: TelemetryLog::new(),
             stats: RelayerStats::default(),
-            packets: BTreeMap::new(),
+            packets,
             stamp: 0,
             inbox: VecDeque::new(),
             crashed: false,
@@ -382,6 +448,11 @@ impl Relayer {
     /// to one (see `RelayerConfig::channel_assignment`).
     pub fn channel_assignment(&self) -> Option<usize> {
         self.config.channel_assignment
+    }
+
+    /// How many packets are in this process's hands, over every channel.
+    fn packets_tracked(&self) -> usize {
+        self.packets.iter().map(|row| row.iter().count()).sum()
     }
 
     /// The relayer-side share of the event delivery delay: fixed processing
@@ -505,9 +576,6 @@ impl Relayer {
                 Destination => self.handle_dest_block(height, committed_at),
             }
         }
-        // Prune the records of packets that left this process's hands.
-        self.packets
-            .retain(|_, r| r.watch.is_some() || !matches!(r.stage, [None, None]));
         None
     }
 
@@ -523,7 +591,7 @@ impl Relayer {
     /// no-ops.
     pub fn crash(&mut self, now: SimTime) {
         self.crashed = true;
-        self.packets.clear();
+        self.packets.fill_with(PacketRow::default);
         self.blocks_held = 0;
         self.inbox.clear();
         for end in &mut self.ends {
@@ -655,9 +723,8 @@ impl Relayer {
                             if self.assigned(packet.sequence) {
                                 // The send log's allocation: timeout watch +
                                 // held receive.
-                                let key = (channel, packet.sequence.value());
-                                self.packets.entry(key).or_default().watch =
-                                    Some(Rc::clone(&packet));
+                                let record = self.packets[channel].entry(packet.sequence.value());
+                                record.watch = Some(Rc::clone(&packet));
                                 self.hold(Destination, channel, [(height, packet)]);
                             } else {
                                 self.stats.packets_left_to_peers += 1;
@@ -696,8 +763,10 @@ impl Relayer {
             }
         }
 
-        let held = (self.packets.values())
-            .filter(|record| matches!(record.stage[Destination as usize], Some(Stage::Held { .. })))
+        let held = (self.packets.iter().flat_map(PacketRow::iter))
+            .filter(|(_, record)| {
+                matches!(record.stage[Destination as usize], Some(Stage::Held { .. }))
+            })
             .count();
         if held == 0
             || !self.config.strategy.submission.should_flush(
@@ -731,8 +800,8 @@ impl Relayer {
         for (height, packet) in batch {
             self.stamp += 1;
             let stamp = self.stamp;
-            let record = self.packets.entry((channel, packet.sequence.value()));
-            record.or_default().stage[to as usize] = Some(Stage::Held {
+            let record = self.packets[channel].entry(packet.sequence.value());
+            record.stage[to as usize] = Some(Stage::Held {
                 stamp,
                 height,
                 packet,
@@ -743,8 +812,8 @@ impl Relayer {
     /// Moves `channel`'s packets held towards `to` out of the table, in
     /// arrival order, each with the height that committed it.
     fn take_held(&mut self, to: ChainRole, channel: usize) -> Vec<(u64, Rc<Packet>)> {
-        let mut held: Vec<_> = (self.packets.range_mut((channel, 0)..=(channel, u64::MAX)))
-            .filter_map(|(_, record)| {
+        let mut held: Vec<_> = (self.packets[channel].records.iter_mut())
+            .filter_map(|record| {
                 match record.stage[to as usize].take_if(|s| matches!(s, Stage::Held { .. })) {
                     Some(Stage::Held {
                         stamp,
@@ -764,7 +833,7 @@ impl Relayer {
     /// Ends the packet's timeout watch and releases its in-flight
     /// transactions towards `on`; held stages stay.
     fn retire(&mut self, channel: usize, sequence: Sequence, on: &[ChainRole]) {
-        if let Some(record) = self.packets.get_mut(&(channel, sequence.value())) {
+        if let Some(record) = self.packets[channel].get_mut(sequence.value()) {
             record.watch = None;
             for &to in on {
                 record.release(to);
@@ -790,8 +859,8 @@ impl Relayer {
         if code == 0 {
             return;
         }
-        for marker in &markers {
-            if let Some(record) = self.packets.get_mut(marker) {
+        for &(channel, seq) in &markers {
+            if let Some(record) = self.packets[channel].get_mut(seq) {
                 record.release(on);
             }
         }
@@ -1133,9 +1202,8 @@ impl Relayer {
                 // In flight: the clear scan must not re-relay these until
                 // the transaction's commit result is known. A rejected
                 // chunk stays eligible for a future clear.
-                for marker in &markers {
-                    self.packets.entry(*marker).or_default().stage[to as usize] =
-                        Some(Stage::InFlight);
+                for &(channel, seq) in &markers {
+                    self.packets[channel].entry(seq).stage[to as usize] = Some(Stage::InFlight);
                 }
                 accepted += markers.len() as u64;
                 self.ends[to as usize].inflight_txs.push((hash, markers));
@@ -1159,7 +1227,7 @@ impl Relayer {
         event_time: SimTime,
     ) {
         let path = self.paths[channel].clone();
-        let expired: Vec<Rc<Packet>> = (self.packets.range((channel, 0)..=(channel, u64::MAX)))
+        let expired: Vec<Rc<Packet>> = (self.packets[channel].iter())
             .filter_map(|(_, record)| record.watch.as_ref())
             .filter(|p| p.has_timed_out(Height::at(dest_height), dest_time))
             .map(Rc::clone)
@@ -1249,7 +1317,7 @@ impl Relayer {
             // packets whose broadcast was rejected — the genuinely stranded
             // ones — survive this filter.
             .filter(|seq| {
-                let record = self.packets.get(&(channel, seq.value()));
+                let record = self.packets[channel].get(seq.value());
                 record.is_none_or(|record| record.stage[to as usize].is_none())
             })
             .collect();
@@ -1270,14 +1338,14 @@ impl Relayer {
             let mut unreceived = resp.value.into_iter().peekable();
             let batch: Vec<(u64, Rc<Packet>)> = {
                 let chain = self.ends[Source as usize].rpc.chain().borrow();
-                let ibc = chain.app().ibc();
+                let sent = chain.app().ibc().end(&path.port, &path.src_channel);
+                let row = &self.packets[channel];
                 (candidates.into_iter())
                     .filter(|seq| unreceived.next_if_eq(seq).is_some() == (to == Destination))
                     .filter_map(|seq| {
-                        let record = self.packets.get(&(channel, seq.value()));
-                        (record.and_then(|record| record.watch.clone())).or_else(|| {
-                            ibc.sent_packet(&path.port, &path.src_channel, seq).cloned()
-                        })
+                        let record = row.get(seq.value());
+                        (record.and_then(|record| record.watch.clone()))
+                            .or_else(|| sent?.sent_packet(seq).cloned())
                     })
                     .map(|packet| (height, packet))
                     .collect()
@@ -1295,9 +1363,9 @@ impl Relayer {
             // Count only what actually entered `to`'s mempool.
             self.stats.packets_cleared += match to {
                 Destination => {
+                    let row = &mut self.packets[channel];
                     for (_, packet) in &batch {
-                        let record = self.packets.entry((channel, packet.sequence.value()));
-                        record.or_default().watch = Some(Rc::clone(packet));
+                        row.entry(packet.sequence.value()).watch = Some(Rc::clone(packet));
                     }
                     self.deliver_recv_batch(channel, t, batch)
                 }
@@ -1465,7 +1533,7 @@ impl std::fmt::Debug for Relayer {
             .field("id", &self.id)
             .field("channels", &self.paths.len())
             .field("strategy", &self.config.strategy)
-            .field("packets_tracked", &self.packets.len())
+            .field("packets_tracked", &self.packets_tracked())
             .field("stats", &self.stats)
             .finish()
     }
@@ -1516,6 +1584,14 @@ mod tests {
         // The broadcast path never touches channel state, so a nominal path
         // is enough to construct the driver.
         relayer_on(&chain("src-chain"), dst, RelayerConfig::default())
+    }
+
+    /// A relayer serving `channel-0`, `channel-1` and `channel-2` into
+    /// `dst` from a nominal source.
+    fn three_channel_relayer(dst: &SharedChain) -> Relayer {
+        let (src_rpc, dst_rpc) = (rpc_for(&chain("src-chain")), rpc_for(dst));
+        let (config, paths) = (RelayerConfig::default(), vec![path(0), path(1), path(2)]);
+        Relayer::with_paths(0, config, paths, src_rpc, dst_rpc)
     }
 
     /// A relayer serving `channel-0` from `src` to `dst`.
@@ -1643,7 +1719,8 @@ mod tests {
             let proof = chain
                 .app()
                 .ibc()
-                .prove_packet_commitment(&port, &channel, seq.into());
+                .end(&port, &channel)
+                .and_then(|end| end.prove_commitment(seq.into()));
             msgs.push(Msg::IbcRecvPacket {
                 packet: Packet::clone(&sent(src, seq)),
                 proof_commitment: proof.unwrap(),
@@ -1863,10 +1940,10 @@ mod tests {
         let dst = chain("dst-chain");
         let mut relayer = test_relayer(&dst);
         let packet = Rc::new(packet(1));
-        relayer.packets.entry((0, 1)).or_default().watch = Some(Rc::clone(&packet));
+        relayer.packets[0].entry(1).watch = Some(Rc::clone(&packet));
         relayer.hold(Destination, 0, [(1, Rc::clone(&packet))]);
         relayer.hold(Source, 0, [(1, packet)]);
-        relayer.packets.entry((0, 2)).or_default().stage = [Some(Stage::InFlight), None];
+        relayer.packets[0].entry(2).stage = [Some(Stage::InFlight), None];
         relayer.ends[SRC]
             .inflight_txs
             .push((Hash([1; 32]), vec![(0, 2)]));
@@ -1875,7 +1952,7 @@ mod tests {
         relayer.notify_source_block(1, SimTime::from_secs(5));
 
         relayer.crash(SimTime::from_secs(6));
-        assert!(relayer.packets.is_empty(), "one table holds every packet");
+        assert_eq!(relayer.packets_tracked(), 0, "one table holds every packet");
         assert_eq!(
             relayer.blocks_held, 0,
             "the held window dies with its queue"
@@ -1890,6 +1967,75 @@ mod tests {
         assert_eq!(relayer.lane_stats(), lanes_before);
     }
 
+    /// A row answers in sequence order whatever order its records arrived
+    /// in: a sequence below the base lowers it, and a gap reads as absent.
+    #[test]
+    fn a_row_iterates_in_sequence_order_and_lowers_its_base() {
+        let mut row = PacketRow::default();
+        for seq in [5, 3, 7, 4] {
+            row.entry(seq).watch = Some(Rc::new(packet(seq)));
+        }
+        assert_eq!(row.base, 3, "3 arrived below 5");
+        let order: Vec<u64> = row.iter().map(|(seq, _)| seq).collect();
+        assert_eq!(order, [3, 4, 5, 7]);
+        for (seq, record) in row.iter() {
+            let watched = record.watch.as_ref().map(|p| p.sequence.value());
+            assert_eq!(watched, Some(seq), "record {seq} is its own");
+        }
+        assert!(row.get(6).is_none(), "the gap");
+        assert!([2, 8, u64::MAX].iter().all(|seq| row.get(*seq).is_none()));
+        assert!(row.get_mut(0).is_none() && row.get_mut(u64::MAX).is_none());
+
+        row.entry(1).stage[DST] = Some(Stage::InFlight);
+        assert_eq!(row.base, 1);
+        assert_eq!(
+            row.iter().map(|(seq, _)| seq).collect::<Vec<_>>(),
+            [1, 3, 4, 5, 7]
+        );
+    }
+
+    /// A record left with no watch and no stage is gone from every read,
+    /// and the row sheds the empty records at its front when it next grows.
+    #[test]
+    fn an_emptied_record_is_absent_from_lookups_iteration_and_the_count() {
+        let dst = chain("dst-chain");
+        let mut relayer = test_relayer(&dst);
+        for seq in 1..=3 {
+            relayer.packets[0].entry(seq).watch = Some(Rc::new(packet(seq)));
+        }
+        relayer.packets[0].entry(2).stage[DST] = Some(Stage::InFlight);
+        assert_eq!(relayer.packets_tracked(), 3);
+
+        relayer.retire(0, Sequence::from(1), &[Source, Destination]);
+        relayer.retire(0, Sequence::from(2), &[Destination]);
+        assert!(relayer.packets[0].get(1).is_none(), "retired");
+        assert!(relayer.packets[0].get(2).is_none(), "retired and released");
+        let left: Vec<u64> = relayer.packets[0].iter().map(|(seq, _)| seq).collect();
+        assert_eq!(left, [3]);
+        assert_eq!(relayer.packets_tracked(), 1);
+        assert!(format!("{relayer:?}").contains("packets_tracked: 1,"));
+
+        relayer.packets[0].entry(4).watch = Some(Rc::new(packet(4)));
+        assert_eq!(relayer.packets[0].base, 3, "1 and 2 were shed");
+        assert_eq!(relayer.packets[0].records.len(), 2);
+    }
+
+    /// A crash empties the row of every channel, not only the first.
+    #[test]
+    fn a_crash_empties_every_row() {
+        let dst = chain("dst-chain");
+        let mut relayer = three_channel_relayer(&dst);
+        for channel in 0..3 {
+            let packet = Rc::new(packet(channel as u64 + 1));
+            relayer.hold(Destination, channel, [(1, packet)]);
+        }
+        assert_eq!(relayer.packets_tracked(), 3);
+        relayer.crash(SimTime::from_secs(1));
+        assert_eq!(relayer.packets_tracked(), 0);
+        assert!((relayer.packets.iter()).all(|row| row.records.is_empty()));
+        assert!((0..3).all(|channel| relayer.take_held(Destination, channel).is_empty()));
+    }
+
     /// A flush takes one channel's packets held towards one chain: in
     /// arrival order, each with the height that committed it and as the
     /// handle that went in (nothing is copied), leaving other channels and
@@ -1899,7 +2045,7 @@ mod tests {
     #[test]
     fn taking_a_channels_held_packets_moves_the_handles_in_arrival_order() {
         let dst = chain("dst-chain");
-        let mut relayer = test_relayer(&dst);
+        let mut relayer = three_channel_relayer(&dst);
         let [p1, p2, p3, p4, p5] = [1, 2, 3, 4, 5].map(|seq| Rc::new(packet(seq)));
         let handle = |h: u64, p: &Rc<Packet>| [(h, Rc::clone(p))];
         relayer.hold(Destination, 1, handle(7, &p3));
@@ -1959,14 +2105,14 @@ mod tests {
         let hash_ok = Hash([1; 32]);
         let hash_bad = Hash([2; 32]);
         let in_flight = |relayer: &Relayer, to: ChainRole, seq: u64| {
-            let record = relayer.packets.get(&(0, seq));
+            let record = relayer.packets[0].get(seq);
             matches!(
                 record.map(|r| &r.stage[to as usize]),
                 Some(Some(Stage::InFlight))
             )
         };
         for seq in 1..=3 {
-            relayer.packets.entry((0, seq)).or_default().stage[DST] = Some(Stage::InFlight);
+            relayer.packets[0].entry(seq).stage[DST] = Some(Stage::InFlight);
         }
         relayer.ends[DST].inflight_txs.push((hash_ok, vec![(0, 1)]));
         relayer.ends[DST]
@@ -1993,7 +2139,7 @@ mod tests {
 
         // The acknowledgement path mirrors the receive path, and releases
         // only its own side.
-        relayer.packets.entry((0, 1)).or_default().stage[SRC] = Some(Stage::InFlight);
+        relayer.packets[0].entry(1).stage[SRC] = Some(Stage::InFlight);
         relayer.ends[SRC]
             .inflight_txs
             .push((hash_bad, vec![(0, 1)]));
@@ -2021,7 +2167,7 @@ mod tests {
         relayer.notify_source_block(2, SimTime::from_secs(10));
         relayer.wake(SimTime::from_secs(10));
         for seq in 1..=2 {
-            let record = &relayer.packets[&(0, seq)];
+            let record = relayer.packets[0].get(seq).unwrap();
             let Some(Stage::Held { packet, .. }) = &record.stage[DST] else {
                 panic!("packet {seq} is held for a later flush");
             };
@@ -2035,7 +2181,7 @@ mod tests {
         rescuer.clear_unrelayed(Destination, 2, SimTime::from_secs(10));
         assert_eq!(rescuer.stats().packets_cleared, 2);
         for seq in 1..=2 {
-            let watch = rescuer.packets[&(0, seq)].watch.as_ref().unwrap();
+            let watch = rescuer.packets[0].get(seq).unwrap().watch.as_ref().unwrap();
             assert!(Rc::ptr_eq(watch, &sent(&src, seq)), "rescued {seq}");
         }
     }
@@ -2048,7 +2194,7 @@ mod tests {
         let (src, dst) = linked_chains(&[2]);
         let mut relayer = relayer_on(&src, &dst, RelayerConfig::default());
         // Watched as its send event would have left it.
-        relayer.packets.entry((0, 1)).or_default().watch = Some(sent(&src, 1));
+        relayer.packets[0].entry(1).watch = Some(sent(&src, 1));
 
         // Destination block 2 expires the packet while the source mempool
         // is full: the client update and the timeout are both rejected.
@@ -2059,7 +2205,10 @@ mod tests {
         assert_eq!(relayer.stats().timeout_txs_submitted, 1);
         let failures = relayer.stats().broadcast_failures;
         assert!(failures >= 2, "{failures} failed attempts");
-        assert!(relayer.packets[&(0, 1)].watch.is_some(), "still watched");
+        assert!(
+            relayer.packets[0].get(1).unwrap().watch.is_some(),
+            "still watched"
+        );
 
         // With room in the mempool, destination block 3 retries, and the
         // timeout commits.
@@ -2071,7 +2220,7 @@ mod tests {
         assert_eq!(relayer.stats().timeout_txs_submitted, 2);
         assert_eq!(relayer.stats().broadcast_failures, failures);
         assert!(
-            !relayer.packets.contains_key(&(0, 1)),
+            relayer.packets[0].get(1).is_none(),
             "an accepted timeout unwatches"
         );
         let committed = commit_all(&src, SimTime::from_secs(100));
@@ -2124,7 +2273,7 @@ mod tests {
             lanes,
             "nothing asked, nothing broadcast"
         );
-        let stage = &relayer.packets[&(0, 3)].stage;
+        let stage = &relayer.packets[0].get(3).unwrap().stage;
         assert!(matches!(stage, [Some(Stage::Held { .. }), None]));
 
         // Packet 3 is outstanding on the source and received on the
@@ -2156,7 +2305,7 @@ mod tests {
     fn debug_counts_the_live_packet_table_not_the_telemetry_log() {
         let dst = chain("dst-chain");
         let mut relayer = test_relayer(&dst);
-        relayer.packets.entry((0, 1)).or_default().watch = Some(Rc::new(packet(1)));
+        relayer.packets[0].entry(1).watch = Some(Rc::new(packet(1)));
         // Two retired packets the log still remembers.
         for seq in 2..=3 {
             relayer.telemetry.record(

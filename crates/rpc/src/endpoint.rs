@@ -290,12 +290,12 @@ impl RpcEndpoint {
         let mut out = Vec::with_capacity(sequences.len());
         let mut bytes = 1024usize;
         let chain = self.chain.borrow();
-        let ibc = chain.app().ibc();
+        let Some(end) = chain.app().ibc().end(port, channel) else {
+            return (out, bytes);
+        };
         for seq in sequences {
-            if let (Some(packet), Some(proof)) = (
-                ibc.sent_packet(port, channel, *seq),
-                ibc.prove_packet_commitment(port, channel, *seq),
-            ) {
+            if let (Some(packet), Some(proof)) = (end.sent_packet(*seq), end.prove_commitment(*seq))
+            {
                 bytes += packet.encoded_size() + proof.encoded_size();
                 out.push((*seq, proof));
             }
@@ -360,12 +360,13 @@ impl RpcEndpoint {
         let mut out = Vec::with_capacity(sequences.len());
         let mut bytes = 1024usize;
         let chain = self.chain.borrow();
-        let ibc = chain.app().ibc();
+        let Some(end) = chain.app().ibc().end(port, channel) else {
+            return (out, bytes);
+        };
         for seq in sequences {
-            if let (Some(ack), Some(proof)) = (
-                ibc.packet_acknowledgement(port, channel, *seq),
-                ibc.prove_packet_acknowledgement(port, channel, *seq),
-            ) {
+            if let (Some(ack), Some(proof)) =
+                (end.acknowledgement(*seq), end.prove_acknowledgement(*seq))
+            {
                 bytes += ack.encoded_size() + proof.encoded_size();
                 out.push((*seq, ack.clone(), proof));
             }
@@ -880,7 +881,8 @@ mod tests {
                 .map(|seq| Msg::IbcRecvPacket {
                     packet: Packet::clone(ibc.sent_packet(&port, &channel, seq.into()).unwrap()),
                     proof_commitment: ibc
-                        .prove_packet_commitment(&port, &channel, seq.into())
+                        .end(&port, &channel)
+                        .and_then(|end| end.prove_commitment(seq.into()))
                         .unwrap(),
                     proof_height,
                     signer: "relayer".into(),
@@ -927,7 +929,9 @@ mod tests {
             let expected: Vec<_> = seqs[..3]
                 .iter()
                 .map(|seq| {
-                    let proof = ibc.prove_packet_commitment(&port, &channel, *seq);
+                    let proof = ibc
+                        .end(&port, &channel)
+                        .and_then(|end| end.prove_commitment(*seq));
                     (*seq, proof.unwrap())
                 })
                 .collect();
@@ -946,8 +950,12 @@ mod tests {
             let expected: Vec<_> = seqs[..3]
                 .iter()
                 .map(|seq| {
-                    let ack = ibc.packet_acknowledgement(&port, &channel, *seq);
-                    let proof = ibc.prove_packet_acknowledgement(&port, &channel, *seq);
+                    let ack = ibc
+                        .end(&port, &channel)
+                        .and_then(|end| end.acknowledgement(*seq));
+                    let proof = ibc
+                        .end(&port, &channel)
+                        .and_then(|end| end.prove_acknowledgement(*seq));
                     (*seq, ack.unwrap().clone(), proof.unwrap())
                 })
                 .collect();

@@ -1309,7 +1309,11 @@ mod outstanding {
         fn recv(&mut self, channel: &ChannelId, seq: Sequence) {
             let port = PortId::transfer();
             let packet = self.a.sent_packet(&port, channel, seq).unwrap().clone();
-            let proof = self.a.prove_packet_commitment(&port, channel, seq).unwrap();
+            let proof = self
+                .a
+                .end(&port, channel)
+                .and_then(|end| end.prove_commitment(seq))
+                .unwrap();
             let _ = (self.b).recv_packet(&ctx(), &mut self.bank_b, &packet, &proof, Height::at(1));
         }
 
@@ -1317,10 +1321,17 @@ mod outstanding {
             self.recv(channel, seq);
             let port = PortId::transfer();
             let packet = self.a.sent_packet(&port, channel, seq).unwrap().clone();
-            let ack = (self.b.packet_acknowledgement(&port, channel, seq))
-                .unwrap()
-                .clone();
-            let proof = (self.b.prove_packet_acknowledgement(&port, channel, seq)).unwrap();
+            let ack = (self
+                .b
+                .end(&port, channel)
+                .and_then(|end| end.acknowledgement(seq)))
+            .unwrap()
+            .clone();
+            let proof = (self
+                .b
+                .end(&port, channel)
+                .and_then(|end| end.prove_acknowledgement(seq)))
+            .unwrap();
             (self.a)
                 .acknowledge_packet(
                     &ctx(),
@@ -1345,8 +1356,8 @@ mod outstanding {
                 .unwrap();
         }
 
-        /// The new query and its count agree with the scan over everything
-        /// ever sent, on both channels.
+        /// The new query, its count and the drain check's "any left?"
+        /// agree with the scan over everything ever sent, on both channels.
         fn assert_agrees_with_the_scan(&self) {
             let port = PortId::transfer();
             for index in CHANNELS {
@@ -1357,6 +1368,8 @@ mod outstanding {
                 prop_assert_eq!(&walked, &scanned);
                 let count = self.a.outstanding_commitment_count(&port, &channel);
                 prop_assert_eq!(count, scanned.len());
+                let any = self.a.has_outstanding_commitments(&port, &channel);
+                prop_assert_eq!(any, !scanned.is_empty());
             }
         }
     }
@@ -1398,7 +1411,7 @@ mod outstanding {
                     (1, Some(seq)) => pair.recv(&channel, seq),
                     (2, Some(seq)) => pair.acknowledge(&channel, seq),
                     (3, Some(seq)) => {
-                        if pair.b.has_receipt(&port, &channel, seq) {
+                        if pair.b.end(&port, &channel).is_some_and(|end| end.has_receipt(seq)) {
                             pair.acknowledge(&channel, seq);
                         } else {
                             pair.timeout(&channel, seq);
