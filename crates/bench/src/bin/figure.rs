@@ -8,7 +8,6 @@
 //! Unknown names exit non-zero with the registry listing and, when the name
 //! looks like a typo, a "did you mean" hint.
 
-#![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 fn main() -> std::io::Result<()> {

@@ -8,7 +8,6 @@
 //! * `XCC_SWEEP_THREADS` — worker-pool size (default: all cores);
 //! * `XCC_OUTPUT` — `text` (default), `json` or `csv`.
 
-#![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 

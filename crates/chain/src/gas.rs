@@ -29,13 +29,19 @@ pub const MSG_UPDATE_CLIENT_GAS: u64 = 110_000;
 pub const MSG_BANK_SEND_GAS: u64 = 25_000;
 
 /// The gas price the paper configures in Hermes: 0.01 tokens per unit of gas.
-// xcc-lint: allow(float-determinism, reason = "paper-fixed constant; every fee passes through fee_for_gas, which ceils to an integer")
+#[expect(
+    clippy::disallowed_types,
+    reason = "paper-fixed constant; every fee passes through fee_for_gas, which ceils to an integer"
+)]
 pub const GAS_PRICE: f64 = 0.01;
 
 /// The fee (in the fee denomination) for a transaction consuming `gas` units
 /// at the paper's configured gas price.
+#[expect(
+    clippy::disallowed_types,
+    reason = "gas fits in 53 bits and 0.01 * gas ceiled to an integer is exact on any IEEE-754 double"
+)]
 pub fn fee_for_gas(gas: u64) -> u128 {
-    // xcc-lint: allow(float-determinism, reason = "gas fits in 53 bits and 0.01 * gas ceiled to an integer is exact on any IEEE-754 double")
     (gas as f64 * GAS_PRICE).ceil() as u128
 }
 
@@ -44,6 +50,10 @@ mod tests {
     use super::*;
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a relative error against the paper's printed gas, in the test only"
+    )]
     fn hundred_message_batches_match_paper_gas_within_one_percent() {
         let transfer_tx = TX_BASE_GAS + 100 * MSG_TRANSFER_GAS;
         let recv_tx = TX_BASE_GAS + 100 * MSG_RECV_PACKET_GAS;

@@ -35,7 +35,6 @@
 //! assert_eq!(outcome.tx_count, 1);
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 

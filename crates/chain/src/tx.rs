@@ -355,6 +355,11 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "builds a serde::Value map to append a key no field of Tx reads, which the streaming encoder cannot write"
+    )]
     fn decode_rejects_garbage() {
         let err = Tx::decode(&RawTx::new(b"not json".to_vec())).unwrap_err();
         assert!(err.to_string().contains("failed to decode"));
@@ -442,6 +447,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a relative error against the paper's printed gas, in the test only"
+    )]
     fn gas_limit_matches_paper_for_hundred_transfers() {
         let msgs: Vec<Msg> = (0..100).map(|i| transfer(i as u128 + 1)).collect();
         let tx = Tx::new("alice".into(), 0, msgs, "uatom");

@@ -114,8 +114,6 @@ fn edit_distance(a: &str, b: &str) -> usize {
     previous[b.len()]
 }
 
-// Each entry is a struct literal with a `name: "<lit>"` field: xcc-lint's
-// `registry-docs` rule scrapes exactly that shape.
 static ENTRIES: &[ScenarioEntry] = &[
     ScenarioEntry {
         name: "fig6",

@@ -22,7 +22,6 @@
 //! assert!(module.client(&ClientId::with_index(0)).is_none());
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 

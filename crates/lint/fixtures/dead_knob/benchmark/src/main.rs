@@ -1,4 +1,4 @@
-//! K1 fixture: the benchmark package is not linted, but a name it uses
+//! Dead-surface fixture: the benchmark package is not parsed, but a name it uses
 //! stays alive.
 
 fn main() {

@@ -1,3 +1,3 @@
-//! K1 fixture: crates outside the seven simulation crates are out of scope.
+//! Dead-surface fixture: crates outside the seven simulation crates are out of scope.
 
 pub fn unscoped_fn() {}

@@ -1,4 +1,4 @@
-//! K1 fixture: knob types whose pub fields must be read somewhere else in
+//! Dead-surface fixture: knob types whose pub fields must be read somewhere else in
 //! the workspace, plus a sweep grid with a dead axis.
 
 /// The deployment knobs.
@@ -7,8 +7,6 @@ pub struct DeploymentConfig {
     pub used_knob: u64,
     /// Read by nothing outside this file: a dead knob.
     pub orphan_knob: u64,
-    // xcc-lint: allow(dead-knob, reason = "reserved for the fig14 sweep; wired up in the next PR")
-    pub parked_knob: u64,
     /// Private fields are not knobs.
     internal_counter: u64,
 }

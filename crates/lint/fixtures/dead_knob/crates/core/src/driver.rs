@@ -1,4 +1,4 @@
-//! The reader side of the K1 fixture: exercises exactly one knob and one
+//! The reader side of the dead-surface fixture: exercises exactly one knob and one
 //! axis, leaving their orphan twins dead.
 
 pub fn drive(cfg: DeploymentConfig, grid: SweepGrid) -> u64 {

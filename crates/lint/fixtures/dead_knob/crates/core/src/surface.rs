@@ -1,4 +1,4 @@
-//! K1 fixture, function half: every non-test `pub fn` of a simulation crate
+//! Dead-surface fixture, function half: every non-test `pub fn` of a simulation crate
 //! needs a caller that is not one of this file's own unit tests.
 
 /// Called by the unit test below and by nothing else: dead surface.
@@ -34,9 +34,6 @@ pub fn doc_example_fn() -> u64 {
 pub const fn prose_only_fn() -> &'static str {
     "prose_only_fn"
 }
-
-// xcc-lint: allow(dead-knob, reason = "parked for the next sweep; see the roadmap")
-pub fn parked_fn() {}
 
 pub struct Probe;
 

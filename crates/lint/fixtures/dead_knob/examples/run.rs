@@ -1,4 +1,4 @@
-//! K1 fixture: an example is a caller.
+//! Dead-surface fixture: an example is a caller.
 
 fn main() {
     drive(config(), grid());

@@ -1,4 +1,4 @@
-//! K1 fixture: an integration test is not a caller.
+//! Dead-surface fixture: an integration test is not a caller.
 
 #[test]
 fn drives() {

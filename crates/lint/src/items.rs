@@ -4,16 +4,16 @@
 //!
 //! Where the lexer answers "is this word real code?", the item graph answers
 //! "what item does this word belong to?": structs with their named fields,
-//! and free functions and `impl` blocks with their methods. The cross-crate
-//! rule K1 (dead-knob) is written against this graph instead of raw token
-//! positions, so it survives reformatting and follows items when they move
-//! between files.
+//! and free functions and `impl` blocks with their methods. The
+//! dead-surface check ([`crate::dead_surface`]) is written against this graph
+//! instead of raw token positions, so it survives reformatting and follows
+//! items when they move between files.
 //!
 //! The parser is deliberately shallow: it tracks brace/bracket/paren depth
 //! and word boundaries, not the full grammar. That is enough to recover
 //! item extents and names exactly for the workspace's (rustfmt-formatted)
 //! style, and degrades to *missing items* — never wrong ones — on exotic
-//! code, which the rules treat as "nothing to check".
+//! code, which the check treats as "nothing to check".
 
 use crate::lexer::Scrubbed;
 
@@ -129,13 +129,11 @@ pub struct Field {
 }
 
 /// A struct with named fields. Tuple and unit structs are not recorded —
-/// no rule needs them, and their "fields" have no names to check.
+/// the check needs none of them, and their "fields" have no names.
 #[derive(Debug, Clone)]
 pub struct StructItem {
     /// The struct name.
     pub name: String,
-    /// 1-based line of the `struct` keyword.
-    pub line: usize,
     /// The named fields, in declaration order.
     pub fields: Vec<Field>,
 }
@@ -154,8 +152,6 @@ pub struct FnItem {
 /// An `impl` block: inherent (`impl Type`) or trait (`impl Trait for Type`).
 #[derive(Debug, Clone)]
 pub struct ImplItem {
-    /// The trait being implemented, if any (last path segment only).
-    pub trait_name: Option<String>,
     /// The implementing type (last path segment, generics stripped).
     pub type_name: String,
     /// 1-based line of the `impl` keyword.
@@ -195,11 +191,13 @@ impl FileItems {
         }
     }
 
-    /// Every function in the file: free functions and impl methods.
-    pub fn all_fns(&self) -> impl Iterator<Item = &FnItem> {
-        self.free_fns
-            .iter()
-            .chain(self.impls.iter().flat_map(|i| i.methods.iter()))
+    /// Every function in the file with the type whose impl block holds it:
+    /// free functions (`None`), then impl methods.
+    pub fn all_fns(&self) -> impl Iterator<Item = (Option<&str>, &FnItem)> {
+        let free = self.free_fns.iter().map(|f| (None, f));
+        let methods = (self.impls.iter())
+            .flat_map(|i| i.methods.iter().map(|m| (Some(i.type_name.as_str()), m)));
+        free.chain(methods)
     }
 }
 
@@ -259,7 +257,6 @@ fn parse_structs(flat: &Flat) -> Vec<StructItem> {
         let body = &text[body_start..end - 1];
         out.push(StructItem {
             name,
-            line: flat.line_of(pos),
             fields: parse_fields(body, body_start, flat),
         });
     }
@@ -375,18 +372,13 @@ fn parse_impls(flat: &Flat) -> Vec<ImplItem> {
         let Some(end) = matching_brace(text, open) else {
             continue;
         };
-        // Split the header on ` for `: `Trait for Type` vs `Type`.
-        let (trait_part, type_part) = match split_on_for(header) {
-            Some((t, ty)) => (Some(t), ty),
-            None => (None, header.to_string()),
-        };
-        let trait_name = trait_part.as_deref().map(last_path_segment);
-        let type_name = last_path_segment(&type_part);
+        // The implementing type follows ` for ` in `Trait for Type`.
+        let type_part = split_on_for(header).unwrap_or(header);
+        let type_name = last_path_segment(type_part);
         if type_name.is_empty() {
             continue;
         }
         out.push(ImplItem {
-            trait_name,
             type_name,
             line: flat.line_of(pos),
             end_line: flat.line_of(end.saturating_sub(1)),
@@ -396,14 +388,9 @@ fn parse_impls(flat: &Flat) -> Vec<ImplItem> {
     out
 }
 
-/// Splits an impl header at the ` for ` keyword (whole word, depth 0).
-fn split_on_for(header: &str) -> Option<(String, String)> {
-    word_positions(header, "for").first().map(|&pos| {
-        (
-            header[..pos].trim().to_string(),
-            header[pos + 3..].trim().to_string(),
-        )
-    })
+/// The part of an impl header after the ` for ` keyword (whole word), if any.
+fn split_on_for(header: &str) -> Option<&str> {
+    (word_positions(header, "for").first()).map(|&pos| header[pos + 3..].trim())
 }
 
 /// The last `::`-separated path segment, with generics and leading
@@ -506,7 +493,7 @@ mod tests {
 
     #[test]
     fn serde_attributes_hide_no_field() {
-        // K1 walks the knob structs through this parser: attribute
+        // The check walks the knob structs through this parser: attribute
         // arguments (commas, `=`, path strings with `::`) must neither
         // split a field nor swallow the one that follows.
         let f = items(
@@ -554,12 +541,10 @@ mod tests {
         assert_eq!(f.impls.len(), 2);
         let inherent = &f.impls[0];
         assert_eq!(inherent.type_name, "Config");
-        assert!(inherent.trait_name.is_none());
         assert_eq!(inherent.methods.len(), 2);
         assert!(inherent.methods[0].is_pub);
         assert!(!inherent.methods[1].is_pub);
         let trait_impl = &f.impls[1];
-        assert_eq!(trait_impl.trait_name.as_deref(), Some("Serialize"));
         assert_eq!(trait_impl.type_name, "Config");
         assert_eq!(trait_impl.methods[0].name, "to_value");
         assert!(trait_impl.line < trait_impl.end_line);
@@ -572,7 +557,6 @@ mod tests {
              impl serde::Deserialize for config::Deep {\n    fn from_value() {}\n}\n",
         );
         assert_eq!(f.impls[0].type_name, "Wrapper");
-        assert_eq!(f.impls[1].trait_name.as_deref(), Some("Deserialize"));
         assert_eq!(f.impls[1].type_name, "Deep");
     }
 
@@ -584,12 +568,14 @@ mod tests {
         );
         let free: Vec<&str> = f.free_fns.iter().map(|x| x.name.as_str()).collect();
         assert_eq!(free, ["free", "fixed", "hidden"]);
-        let all: Vec<(&str, bool)> = f.all_fns().map(|x| (x.name.as_str(), x.is_pub)).collect();
+        let all: Vec<(Option<&str>, &str, bool)> = (f.all_fns())
+            .map(|(owner, x)| (owner, x.name.as_str(), x.is_pub))
+            .collect();
         let expected = [
-            ("free", true),
-            ("fixed", true),
-            ("hidden", false),
-            ("method", true),
+            (None, "free", true),
+            (None, "fixed", true),
+            (None, "hidden", false),
+            (Some("X"), "method", true),
         ];
         assert_eq!(all, expected);
     }

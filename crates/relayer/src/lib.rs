@@ -38,7 +38,6 @@
 //! `tests/` directory and in the `xcc-framework` crate, which owns the
 //! experiment driver that feeds block events to relayer instances.
 
-#![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 

@@ -437,6 +437,10 @@ mod tests {
     }
 
     /// A strategy arm as a hand-written config file spells it.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "reads a strategy arm from JSON text the way a config file spells it; configuration, not the transaction path"
+    )]
     fn parsed<T: serde::Deserialize>(json: &str) -> T {
         T::from_value(&serde::json::parse(json).expect("valid JSON")).expect("a strategy arm")
     }

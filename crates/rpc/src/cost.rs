@@ -185,6 +185,10 @@ mod tests {
     use super::*;
 
     /// A request's service time in seconds.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "seconds as a float, so the tests can state service times in the paper's units"
+    )]
     fn priced(kind: RequestKind, response_bytes: usize, messages: usize, recv_heavy: bool) -> f64 {
         let profile = RequestProfile {
             kind,

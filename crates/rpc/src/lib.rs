@@ -31,7 +31,6 @@
 //! assert!(sequence.ready_at > SimTime::ZERO, "queries take service time");
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 #![expect(

@@ -34,7 +34,6 @@
 //! assert!(sched.pop().is_none());
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 

@@ -64,9 +64,11 @@ impl SimTime {
     }
 
     /// Seconds since simulation start, as a floating point value.
-    // xcc-lint: allow(float-determinism, reason = "reporting view of the clock; the scheduler orders events by the u64 nanosecond count, never by this float")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "reporting view of the clock: one rounding of the u64 nanosecond count the scheduler orders by, never converted back into simulated time"
+    )]
     pub fn as_secs_f64(self) -> f64 {
-        // xcc-lint: allow(float-determinism, reason = "one rounding of an integer count; nothing converts the result back into simulated time")
         self.0 as f64 / 1e9
     }
 
@@ -132,9 +134,11 @@ impl SimDuration {
     }
 
     /// Seconds as a floating point value.
-    // xcc-lint: allow(float-determinism, reason = "reporting view of the clock; the scheduler orders events by the u64 nanosecond count, never by this float")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "reporting view of the clock: one rounding of the u64 nanosecond count the scheduler orders by, never converted back into simulated time"
+    )]
     pub fn as_secs_f64(self) -> f64 {
-        // xcc-lint: allow(float-determinism, reason = "one rounding of an integer count; nothing converts the result back into simulated time")
         self.0 as f64 / 1e9
     }
 
@@ -265,9 +269,11 @@ impl fmt::Display for SimDuration {
     }
 }
 
-// xcc-lint: allow(float-determinism, reason = "the reporting conversion as_secs_f64, spelt as a From impl")
+#[expect(
+    clippy::disallowed_types,
+    reason = "the reporting conversion as_secs_f64, spelt as a From impl"
+)]
 impl From<SimDuration> for f64 {
-    // xcc-lint: allow(float-determinism, reason = "see the impl line: a reporting conversion")
     fn from(d: SimDuration) -> f64 {
         d.as_secs_f64()
     }

@@ -50,11 +50,10 @@
 //! assert_eq!(outcome.tx_count, 1);
 //! ```
 
-// `deny`, not `forbid`: `sha_ni` carries the workspace's one `unsafe` block
-// under a local `expect` (the call into its `#[target_feature]` kernel after
-// CPUID detection). Any other `unsafe` fails this `deny`, and every block
-// needs a `// SAFETY:` comment.
-#![deny(unsafe_code)]
+// `Cargo.toml` denies `unsafe_code` here rather than forbidding it: `sha_ni`
+// carries the crate's one `unsafe` block under a local `expect` (the call into
+// its `#[target_feature]` kernel after CPUID detection). Any other `unsafe`
+// fails that `deny`, and every block needs a `// SAFETY:` comment.
 #![deny(clippy::undocumented_unsafe_blocks)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]

@@ -2,8 +2,10 @@
 //! check that selects it.
 //!
 //! This file is the only place in the workspace that names `std::arch`, and it
-//! holds the workspace's only `unsafe`: the call from [`compress_blocks`],
-//! after detection, into the `#[target_feature]` function below. The kernel
+//! holds the library crates' only `unsafe` (the other site is the counting
+//! allocator of the root package's `tests/alloc_budget.rs`): the call from
+//! [`compress_blocks`], after detection, into the `#[target_feature]`
+//! function below. The kernel
 //! body itself is safe code — every intrinsic it uses takes and returns
 //! values, and blocks are read through `from_le_bytes`, not through pointers.
 //! `hash.rs` keeps the portable loop; its differential test holds this kernel

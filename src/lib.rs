@@ -12,7 +12,6 @@
 //! * [`relayer`] — the Hermes-like relayer;
 //! * [`framework`] — the paper's cross-chain benchmarking framework.
 
-#![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 

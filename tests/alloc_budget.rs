@@ -26,14 +26,19 @@
 //!
 //! It is an integration-test binary of its own because a global allocator
 //! is per binary, and it holds the workspace's only other `unsafe` — the
-//! allocator impl below. Lint rule U1 (one `unsafe` block, the SHA kernel)
-//! scans `crates/*/src` and `src/`; `tests/` is outside its scope, and this
-//! file is the one place allowed to use that.
+//! allocator impl below. The root package's `Cargo.toml` denies
+//! `unsafe_code` for every integration test and example, and this file
+//! expects the lint, so an `unsafe` anywhere else in them fails to compile.
 //!
 //! The counters are thread-locals, so each test counts its own thread only
 //! and the harness's other threads cannot leak in. The last test holds the
 //! binary reader to refusing a hostile byte-run length before it allocates
 //! for it.
+
+#![expect(
+    unsafe_code,
+    reason = "a counting #[global_allocator] must implement the unsafe GlobalAlloc trait; every method forwards to System"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -8,6 +8,9 @@
 //! Each run writes the regenerated text of every registered scenario to the
 //! test's scratch directory; a failing assertion names the file to copy (or
 //! take the new scenario's block from) once the difference is intended.
+//!
+//! The last test holds README.md's and PAPER.md's scenario tables to the
+//! registry, both ways.
 
 use std::fs;
 use std::path::Path;
@@ -152,4 +155,44 @@ fn table_rows_align_with_their_headers() {
     });
     let misaligned: Vec<&str> = misaligned.map(|entry| entry.name).collect();
     assert_eq!(misaligned, Vec::<&str>::new());
+}
+
+/// The first cell of every Markdown table row that is one backticked
+/// `[a-z0-9_]+` name: the rows of the scenario tables.
+fn doc_row_names(text: &str) -> impl Iterator<Item = &str> {
+    text.lines().filter_map(|line| {
+        let cell = line.trim_start().strip_prefix('|')?.split('|').next()?;
+        let name = cell.trim().strip_prefix('`')?.strip_suffix('`')?;
+        let scenario_like =
+            (name.bytes()).all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_');
+        (scenario_like && !name.is_empty()).then_some(name)
+    })
+}
+
+#[test]
+fn the_scenario_docs_and_the_registry_name_the_same_scenarios() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let docs = ["README.md", "PAPER.md"].map(|doc| fs::read_to_string(root.join(doc)).unwrap());
+    let docs = docs.join("\n");
+    let registered: Vec<&str> = registry::entries().iter().map(|e| e.name).collect();
+    let unknown: Vec<&str> = doc_row_names(&docs)
+        .filter(|name| !registered.contains(name))
+        .collect();
+    assert_eq!(
+        unknown,
+        Vec::<&str>::new(),
+        "table rows naming no registered scenario"
+    );
+    let undocumented: Vec<&str> = (registered.into_iter())
+        .filter(|name| !docs.contains(&format!("`{name}`")))
+        .collect();
+    assert_eq!(
+        undocumented,
+        Vec::<&str>::new(),
+        "scenarios README.md and PAPER.md never name"
+    );
+    assert_eq!(
+        doc_row_names("| `fig6` | x |\n| plain | y |\n| `crates/sim` | z |").collect::<Vec<_>>(),
+        ["fig6"]
+    );
 }
