@@ -57,7 +57,6 @@ impl EventRecord for MessageAction {
 /// [`GaiaApp::deliver_tx`](Application::deliver_tx).
 #[derive(Debug, Clone)]
 pub struct GaiaApp {
-    chain_id: String,
     fee_denom: String,
     accounts: AccountKeeper,
     check_accounts: AccountKeeper,
@@ -82,7 +81,6 @@ impl GaiaApp {
             }
         }
         GaiaApp {
-            chain_id: genesis.chain_id.clone(),
             fee_denom: genesis.fee_denom.clone(),
             check_accounts: accounts.clone(),
             accounts,
@@ -94,24 +92,9 @@ impl GaiaApp {
         }
     }
 
-    /// The chain identifier.
-    pub fn chain_id(&self) -> &str {
-        &self.chain_id
-    }
-
     /// The native fee denomination.
     pub fn fee_denom(&self) -> &str {
         &self.fee_denom
-    }
-
-    /// Current block height as seen by the application.
-    pub fn height(&self) -> u64 {
-        self.height
-    }
-
-    /// Current block time as seen by the application.
-    pub fn block_time(&self) -> SimTime {
-        self.block_time
     }
 
     /// The host context handed to IBC handlers.
@@ -120,11 +103,6 @@ impl GaiaApp {
             height: Height::at(self.height),
             time: self.block_time,
         }
-    }
-
-    /// Read access to the committed account state.
-    pub fn accounts(&self) -> &AccountKeeper {
-        &self.accounts
     }
 
     /// Read access to the bank module.
@@ -438,13 +416,13 @@ mod tests {
         )
     }
 
-    fn header_at(app: &GaiaApp, height: u64, secs: u64) -> Header {
+    fn header_at(height: u64, secs: u64) -> Header {
         use xcc_tendermint::block::{BlockId, Data, Version};
         use xcc_tendermint::validator::{ValidatorAddress, ValidatorSet};
         let vals = ValidatorSet::with_equal_power(5, 10);
         Header {
             version: Version::default(),
-            chain_id: app.chain_id().to_string(),
+            chain_id: "chain-a".to_string(),
             height,
             time: SimTime::from_secs(secs),
             last_block_id: BlockId { hash: Hash::ZERO },
@@ -465,7 +443,7 @@ mod tests {
         let app = funded_app("chain-a", 3, 1_000);
         assert_eq!(app.bank().balance(&"user-0".into(), "uatom"), 1_000);
         assert_eq!(app.bank().balance(&"relayer".into(), "uatom"), 1_000);
-        assert!(app.accounts().get(&AccountId::new(FEE_COLLECTOR)).is_some());
+        assert!(app.accounts.get(&AccountId::new(FEE_COLLECTOR)).is_some());
         assert_eq!(app.account_sequence(&"user-0".into()), 0);
     }
 
@@ -487,7 +465,7 @@ mod tests {
     #[test]
     fn deliver_tx_moves_funds_charges_fees_and_bumps_sequence() {
         let mut app = funded_app("chain-a", 1, 1_000_000);
-        app.begin_block(&header_at(&app, 1, 5));
+        app.begin_block(&header_at(1, 5));
         let res = app.deliver_tx(bank_send_tx(&app, "user-0", "relayer", 500, 0));
         assert!(res.is_ok(), "log: {}", res.log);
         assert!(res.gas_used > 0 && res.gas_used <= res.gas_wanted);
@@ -536,7 +514,7 @@ mod tests {
         }
         assert_eq!(app.message_actions.len(), urls.len());
 
-        app.begin_block(&header_at(&app, 1, 5));
+        app.begin_block(&header_at(1, 5));
         let res = app.deliver_tx(bank_send_tx(&app, "user-0", "relayer", 500, 0));
         let sent = &res.events[0];
         assert_eq!(sent.attr("action"), Some(AttrValue::Static(urls[0])));
@@ -548,7 +526,7 @@ mod tests {
     #[test]
     fn deliver_tx_with_stale_sequence_fails_with_code_32() {
         let mut app = funded_app("chain-a", 1, 1_000_000);
-        app.begin_block(&header_at(&app, 1, 5));
+        app.begin_block(&header_at(1, 5));
         assert!(app
             .deliver_tx(bank_send_tx(&app, "user-0", "relayer", 1, 0))
             .is_ok());
@@ -559,7 +537,7 @@ mod tests {
     #[test]
     fn failing_message_reverts_state_but_consumes_sequence_and_gas() {
         let mut app = funded_app("chain-a", 1, 1_000_000);
-        app.begin_block(&header_at(&app, 1, 5));
+        app.begin_block(&header_at(1, 5));
         // Transfer over a non-existent channel fails at the IBC layer.
         let bad = Tx::new(
             "user-0".into(),
@@ -598,7 +576,7 @@ mod tests {
         let mut app = funded_app("chain-a", 1, 1_000_000);
         let tx0 = bank_send_tx(&app, "user-0", "relayer", 1, 0);
         let tx1 = bank_send_tx(&app, "user-0", "relayer", 1, 1);
-        app.begin_block(&header_at(&app, 1, 5));
+        app.begin_block(&header_at(1, 5));
 
         prof::reset();
         assert!(app.check_tx(&tx0).is_ok());
@@ -618,14 +596,14 @@ mod tests {
         let tx0 = bank_send_tx(&app, "user-0", "relayer", 1, 0);
         assert!(app.check_tx(&tx0).is_ok());
         // Check state is ahead of committed state now; commit resets it.
-        app.begin_block(&header_at(&app, 1, 5));
+        app.begin_block(&header_at(1, 5));
         let h1 = app.commit();
         assert!(
             app.check_tx(&tx0).is_ok(),
             "after reset, sequence 0 is valid again in check state"
         );
 
-        app.begin_block(&header_at(&app, 2, 10));
+        app.begin_block(&header_at(2, 10));
         app.deliver_tx(tx0);
         let h2 = app.commit();
         assert_ne!(h1, h2);
@@ -634,10 +612,9 @@ mod tests {
     #[test]
     fn begin_block_updates_host_context() {
         let mut app = funded_app("chain-a", 1, 1_000);
-        app.begin_block(&header_at(&app, 7, 35));
-        assert_eq!(app.height(), 7);
-        assert_eq!(app.block_time(), SimTime::from_secs(35));
+        app.begin_block(&header_at(7, 35));
         assert_eq!(app.host_context().height, Height::at(7));
+        assert_eq!(app.host_context().time, SimTime::from_secs(35));
     }
 }
 
@@ -744,6 +721,11 @@ mod rollback_tests {
             .with_funded_accounts("user", USERS, 10_000_000)
     }
 
+    fn submit(chain: &mut Chain, mut tx: Tx, now: SimTime) {
+        let raw = tx.take_encoded();
+        chain.submit_tx(raw, tx, now).unwrap();
+    }
+
     fn relayer_tx(chain: &Chain, msgs: Vec<Msg>) -> Tx {
         let sequence = chain.app().account_sequence(&"relayer".into());
         Tx::new("relayer".into(), sequence, msgs, "uatom")
@@ -780,8 +762,8 @@ mod rollback_tests {
 
     impl Pair {
         fn new() -> Self {
-            let mut a = Chain::new(genesis("chain-a"));
-            let mut b = Chain::new(genesis("chain-b"));
+            let mut a = genesis("chain-a").into_chain();
+            let mut b = genesis("chain-b").into_chain();
             a.produce_block(SimTime::from_secs(5));
             b.produce_block(SimTime::from_secs(5));
 
@@ -814,12 +796,16 @@ mod rollback_tests {
                     vec![transfer(&chan_a, &sender, 100 + user as u128)],
                     "uatom",
                 );
-                a.submit_tx(tx, SimTime::from_secs(6)).unwrap();
+                submit(&mut a, tx, SimTime::from_secs(6));
             }
             a.produce_block(SimTime::from_secs(10));
             let packets: Vec<Packet> = (1..=USERS as u64)
                 .map(|seq| {
-                    let sent = a.app().ibc().sent_packet(&port, &chan_a, Sequence(seq));
+                    let sent = a
+                        .app()
+                        .ibc()
+                        .end(&port, &chan_a)
+                        .and_then(|end| end.sent_packet(Sequence(seq)));
                     Packet::clone(sent.expect("sent in block 2"))
                 })
                 .collect();
@@ -834,7 +820,7 @@ mod rollback_tests {
             // Block 2 on B: the first two packets arrive.
             let arrivals = vec![update_client(&pair.a), pair.recv(0), pair.recv(1)];
             let tx = relayer_tx(&pair.b, arrivals);
-            pair.b.submit_tx(tx, SimTime::from_secs(11)).unwrap();
+            submit(&mut pair.b, tx, SimTime::from_secs(11));
             pair.b.produce_block(SimTime::from_secs(15));
             assert!(pair
                 .b
@@ -1008,7 +994,8 @@ mod rollback_tests {
             .next_sequence_send;
         let packets = (0..=next.value() + 1)
             .map(|seq| {
-                ibc.sent_packet(&port, channel, Sequence(seq))
+                ibc.end(&port, channel)
+                    .and_then(|end| end.sent_packet(Sequence(seq)))
                     .map(Rc::as_ref)
                     .cloned()
             })

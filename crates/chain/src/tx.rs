@@ -51,7 +51,7 @@ use xcc_tendermint::hash::{FieldHasher, Hash};
 /// [`Tx::decode`] is the inverse of [`Tx::encode`] and is counted by the
 /// work profile every time it runs. The chain never runs it: every
 /// submission hands the node the `Tx` its client built beside the encoding
-/// (see `Chain::submit_tx`), and `CheckTx` and `DeliverTx` both run on that
+/// (see `RpcEndpoint::broadcast_tx_sync`), and `CheckTx` and `DeliverTx` both run on that
 /// `Tx`. Tests, and the benchmark's codec drive over committed blocks, decode
 /// payloads to read them back.
 #[derive(Debug, Serialize, Deserialize)]

@@ -12,12 +12,13 @@
 //! routed through [`Testnet::try_build`] / [`SetupError`] — nothing on the
 //! production path panics.
 
-use std::str::FromStr;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use xcc_chain::chain::{Chain, SharedChain};
+use xcc_chain::chain::SharedChain;
 use xcc_chain::genesis::GenesisConfig;
 use xcc_ibc::error::IbcError;
-use xcc_ibc::ids::{ChainId, PortId};
+use xcc_ibc::ids::PortId;
 use xcc_relayer::config::RelayerConfig;
 use xcc_relayer::relayer::{RelayPath, Relayer};
 use xcc_relayer::strategy::ChannelPolicy;
@@ -51,9 +52,9 @@ pub struct Testnet {
     /// Per relayer process, the `(src, dst)` chain indices of the edge it
     /// serves (indices into [`Testnet::chains`]).
     pub relayer_chains: Vec<(usize, usize)>,
-    /// Per relayer process, the global index of its edge's first channel —
-    /// the offset that maps the process's edge-local channel numbering into
-    /// the global (edge-major) channel index space.
+    /// Per relayer process, the global index of the process's first channel
+    /// — the offset that maps the process's own channel numbering into the
+    /// global (edge-major) channel index space.
     pub relayer_channel_offset: Vec<usize>,
     /// The primary relay path (global channel 0) — the only one in the
     /// paper's single-channel deployments.
@@ -202,7 +203,7 @@ impl Testnet {
             for r in 0..fleet.len().max(1) {
                 genesis = genesis.with_account(format!("relayer-{r}"), ACCOUNT_BALANCE);
             }
-            let chain = Chain::new(genesis).into_shared();
+            let chain: SharedChain = Rc::new(RefCell::new(genesis.into_chain()));
             // Each chain commits its genesis block so that light clients can
             // be bootstrapped from a real header.
             chain.borrow_mut().produce_block(SimTime::ZERO);
@@ -229,18 +230,22 @@ impl Testnet {
         for slot in &fleet {
             let r = slot.process;
             let edge = resolved.edges[slot.edge];
-            let offset = resolved.channel_offset(slot.edge);
-            let edge_paths: Vec<RelayPath> = paths[offset..offset + resolved.channels].to_vec();
+            // A dedicated process gets its own channel's path and nothing
+            // else; any other process gets every channel of its edge.
+            let (offset, count) = match slot.channel {
+                Some(ch) => (resolved.channel_offset(slot.edge) + ch, 1),
+                None => (resolved.channel_offset(slot.edge), resolved.channels),
+            };
+            let own_paths: Vec<RelayPath> = paths[offset..offset + count].to_vec();
             let config = RelayerConfig {
                 account: format!("relayer-{r}").into(),
                 strategy: deployment.relayer_strategy,
                 instances: slot.group_size.max(1),
-                channel_assignment: slot.channel,
                 coordination_id: slot.coordination_id,
             };
             let src_rpc = rpc_endpoint(&chains[edge.src], deployment);
             let dst_rpc = rpc_endpoint(&chains[edge.dst], deployment);
-            relayers.push(Relayer::with_paths(r, config, edge_paths, src_rpc, dst_rpc));
+            relayers.push(Relayer::with_paths(r, config, own_paths, src_rpc, dst_rpc));
             relayer_chains.push((edge.src, edge.dst));
             relayer_channel_offset.push(offset);
         }
@@ -353,18 +358,9 @@ pub fn try_open_edge_channels(
     count: usize,
 ) -> Result<Vec<RelayPath>, SetupError> {
     let missing = |chain: &SharedChain| SetupError::MissingGenesisBlock {
-        chain: chain.borrow().id().to_string(),
+        chain: chain.borrow().chain_id().to_string(),
     };
     let step = |step: &'static str| move |source: IbcError| SetupError::Handshake { step, source };
-    let chain_id = |chain: &SharedChain| {
-        let id = chain.borrow().id().to_string();
-        ChainId::from_str(&id).map_err(|_| SetupError::Topology {
-            source: TopologyError::InvalidChainId { name: id },
-        })
-    };
-
-    let src_chain = chain_id(&edge.src)?;
-    let dst_chain = chain_id(&edge.dst)?;
     let header_a = match edge.src.borrow().block_at(1) {
         Some(committed) => committed.block.header.clone(),
         None => return Err(missing(&edge.src)),
@@ -417,8 +413,6 @@ pub fn try_open_edge_channels(
             .chan_open_confirm(&port, &chan_b)
             .map_err(step("chan_open_confirm"))?;
         paths.push(RelayPath {
-            src_chain: src_chain.clone(),
-            dst_chain: dst_chain.clone(),
             port: port.clone(),
             src_channel: chan_a,
             dst_channel: chan_b,
@@ -475,12 +469,11 @@ mod tests {
         assert_eq!(testnet.relayers.len(), 2);
         assert_eq!(testnet.paths.len(), 1);
         assert_eq!(testnet.paths[0], testnet.path);
-        // The default pair is chains 0 and 1 of the topology, and the path
-        // carries their identifiers.
+        // The default pair is chains 0 and 1 of the topology.
         assert_eq!(testnet.chains.len(), 2);
         assert_eq!(testnet.path_ends, vec![(0, 1)]);
-        assert_eq!(testnet.path.src_chain.as_str(), "ibc-0");
-        assert_eq!(testnet.path.dst_chain.as_str(), "ibc-1");
+        assert_eq!(testnet.chain_a.borrow().chain_id(), "ibc-0");
+        assert_eq!(testnet.chain_b.borrow().chain_id(), "ibc-1");
         assert_eq!(testnet.relayer_chains, vec![(0, 1), (0, 1)]);
         assert_eq!(testnet.relayer_channel_offset, vec![0, 0]);
         // Relayer accounts are funded on both chains.
@@ -524,7 +517,11 @@ mod tests {
 
     #[test]
     fn setup_without_genesis_block_reports_which_chain() {
-        let fresh = |id: &str| Chain::new(GenesisConfig::new(id).with_validators(1)).into_shared();
+        let fresh = |id: &str| -> SharedChain {
+            Rc::new(RefCell::new(
+                GenesisConfig::new(id).with_validators(1).into_chain(),
+            ))
+        };
         let a = fresh("chain-a");
         let b = fresh("chain-b");
         // Neither chain has produced a block: the source chain is reported.
@@ -543,13 +540,17 @@ mod tests {
                 chain: "chain-b".into()
             }
         );
-        // Both bootstrapped: the handshake succeeds end to end, and the
-        // paths carry the edge's chain identifiers.
+        // Both bootstrapped: the handshake succeeds end to end.
         b.borrow_mut().produce_block(SimTime::ZERO);
         let paths = try_open_channels(&a, &b, 2).unwrap();
         assert_eq!(paths.len(), 2);
-        assert_eq!(paths[0].src_chain.as_str(), "chain-a");
-        assert_eq!(paths[0].dst_chain.as_str(), "chain-b");
+        assert!(a
+            .borrow()
+            .app()
+            .ibc()
+            .channel(&paths[1].port, &paths[1].src_channel)
+            .unwrap()
+            .is_open());
     }
 
     #[test]
@@ -654,7 +655,7 @@ mod tests {
     #[test]
     fn build_deploys_the_dedicated_fleet_with_funded_accounts() {
         let deployment = DeploymentConfig {
-            relayer_count: 1,
+            relayer_count: 2,
             channel_count: 3,
             user_accounts: 2,
             relayer_strategy: xcc_relayer::strategy::RelayerStrategy::with_channel_policy(
@@ -663,18 +664,18 @@ mod tests {
             ..DeploymentConfig::default()
         };
         let testnet = Testnet::build(&deployment);
-        assert_eq!(testnet.relayers.len(), 3, "one process per channel");
-        for (channel, relayer) in testnet.relayers.iter().enumerate() {
-            assert_eq!(relayer.id(), channel);
-            assert_eq!(relayer.channel_assignment(), Some(channel));
-            // Every process still maps the full path list of its edge, so
-            // telemetry and clear scans key channels by deployment index.
-            assert_eq!(relayer.paths().len(), 3);
+        assert_eq!(testnet.relayers.len(), 6, "two processes per channel");
+        for (p, relayer) in testnet.relayers.iter().enumerate() {
+            assert_eq!(relayer.id(), p);
+            // Process `p` holds exactly its channel's path; the offset maps
+            // its channel 0 to that channel's global index.
+            assert_eq!(relayer.paths(), &testnet.paths[p % 3..p % 3 + 1]);
+            assert_eq!(testnet.relayer_channel_offset[p], p % 3);
         }
         // Every process's account is funded on both chains.
         let a = testnet.chain_a.borrow();
         let b = testnet.chain_b.borrow();
-        for r in 0..3 {
+        for r in 0..6 {
             assert!(
                 a.app()
                     .bank()
@@ -704,9 +705,8 @@ mod tests {
         assert_eq!(testnet.relayers.len(), 4, "one process per edge");
         // Edge-major global channel order: inbound spoke→hub, then outbound.
         assert_eq!(testnet.path_ends, vec![(1, 0), (2, 0), (0, 1), (0, 2)]);
-        assert_eq!(testnet.paths[0].src_chain.as_str(), "ibc-1");
-        assert_eq!(testnet.paths[0].dst_chain.as_str(), "ibc-hub");
-        assert_eq!(testnet.paths[2].src_chain.as_str(), "ibc-hub");
+        assert_eq!(testnet.chains[0].borrow().chain_id(), "ibc-hub");
+        assert_eq!(testnet.chains[1].borrow().chain_id(), "ibc-1");
         // Every edge opened its own stack: channels are open on both ends.
         for (path, &(src, dst)) in testnet.paths.iter().zip(&testnet.path_ends) {
             assert!(testnet.chains[src]

@@ -291,7 +291,9 @@ mod tests {
         let params = transfer_params(&chan_a, 250, 1_000);
         let sent = a.send_transfer(&ctx(2), &mut bank_a, &params).unwrap();
         let held = packet_of(&sent[0]).unwrap();
-        let logged = a.sent_packet(&PortId::transfer(), &chan_a, held.sequence);
+        let logged = a
+            .end(&PortId::transfer(), &chan_a)
+            .and_then(|end| end.sent_packet(held.sequence));
         assert!(std::ptr::eq(&**logged.unwrap(), held));
         let extracted = packet_from_event(&sent[0]).unwrap();
         assert!(Rc::ptr_eq(&extracted, logged.unwrap()));

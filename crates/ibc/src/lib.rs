@@ -18,7 +18,6 @@
 //! use xcc_ibc::module::IbcModule;
 //!
 //! let module = IbcModule::new("chain-a");
-//! assert_eq!(module.chain_id(), "chain-a");
 //! assert!(module.client(&ClientId::with_index(0)).is_none());
 //! ```
 

@@ -298,11 +298,6 @@ impl IbcModule {
         }
     }
 
-    /// The host chain's identifier.
-    pub fn chain_id(&self) -> &str {
-        &self.chain_id
-    }
-
     /// The current IBC commitment root (folded into the host's app hash).
     pub fn commitment_root(&self) -> CommitmentRoot {
         self.store.root()
@@ -1047,18 +1042,6 @@ impl IbcModule {
             .collect()
     }
 
-    /// The send log's handle of the packet originally sent with the given
-    /// sequence, if this chain sent it: the allocation its `send_packet`
-    /// event holds too.
-    pub fn sent_packet(
-        &self,
-        port: &PortId,
-        channel: &ChannelId,
-        seq: Sequence,
-    ) -> Option<&Rc<Packet>> {
-        self.end(port, channel)?.sent_packet(seq)
-    }
-
     /// All sequences ever sent on a channel end.
     pub fn sent_sequences(&self, port: &PortId, channel: &ChannelId) -> Vec<Sequence> {
         let Some(record) = self.record(port, channel) else {
@@ -1442,7 +1425,8 @@ pub(crate) mod tests {
         assert_eq!(events[0].kind, events::SEND_PACKET);
         let packet = events::packet_from_event(&events[0]).unwrap();
         assert_eq!(
-            a.sent_packet(&port, &chan_a, packet.sequence),
+            a.end(&port, &chan_a)
+                .and_then(|end| end.sent_packet(packet.sequence)),
             Some(&packet)
         );
         assert_eq!(packet.destination_channel, chan_b);
@@ -1811,12 +1795,12 @@ pub(crate) mod tests {
         let mut bank_a = TestBank::default();
         bank_a.set("alice", "uatom", 100);
         let packet = send(&mut a, &mut bank_a, &transfer_params(&chan_a, 10, 1_000));
-        assert_eq!(a.sent_packet(&port, &chan_a, Sequence(1)), Some(&packet));
-        assert_eq!(a.sent_packet(&port, &chan_a, Sequence(0)), None);
-        assert_eq!(a.sent_packet(&port, &chan_a, Sequence(2)), None);
-        assert_eq!(a.sent_packet(&port, &chan_a, Sequence(u64::MAX)), None);
+        let end = a.end(&port, &chan_a).unwrap();
+        assert_eq!(end.sent_packet(Sequence(1)), Some(&packet));
+        assert_eq!(end.sent_packet(Sequence(0)), None);
+        assert_eq!(end.sent_packet(Sequence(2)), None);
+        assert_eq!(end.sent_packet(Sequence(u64::MAX)), None);
         let unknown = ChannelId::with_index(7);
-        assert_eq!(a.sent_packet(&port, &unknown, Sequence(1)), None);
         assert!(a.sent_sequences(&port, &unknown).is_empty());
         assert_eq!(
             a.end(&port, &unknown)

@@ -45,6 +45,37 @@ impl Probe {
     fn private_helper(&self) {}
 }
 
+/// A method is not kept alive by a field of its name.
+pub struct Counter {
+    hits: u64,
+    misses: u64,
+}
+
+impl Counter {
+    fn fresh() -> Counter {
+        Counter { hits: 0, misses: 0 }
+    }
+
+    fn bump(&mut self) {
+        self.hits += self.misses;
+    }
+
+    /// Only the field `hits` is read in this file's code: dead.
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Called below as a method: alive.
+    pub fn misses(&self) -> u64 {
+        self.misses
+    }
+}
+
+/// Private, but it calls `Counter::misses`.
+fn report(counter: &Counter) -> u64 {
+    counter.misses()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,5 +89,6 @@ mod tests {
     fn a_unit_test_is_not_a_caller() {
         assert_eq!(test_fixture(), 1);
         Probe.orphan_method();
+        assert_eq!(Counter::fresh().hits(), 0);
     }
 }

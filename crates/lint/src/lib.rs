@@ -75,8 +75,10 @@ struct SourceFile {
 ///   named, as a whole word, nowhere but its own declaration and tests.
 ///   A caller is another scanned file's non-test lines, the defining file's
 ///   non-test lines, or `benchmark/src/*.rs` (read as text). The umbrella
-///   `tests/`, `#[cfg(test)]` code and rustdoc examples never count.
-///   Trait-impl methods carry no `pub` and are out of scope.
+///   `tests/`, `#[cfg(test)]` code and rustdoc examples never count, and
+///   in the defining file neither does a field of the same name: a
+///   `.name` not followed by `(`, or a `name:` declaring or initialising
+///   it. Trait-impl methods carry no `pub` and are out of scope.
 ///
 /// The scan walks `crates/*/src`, `src/`, `tests/` and `examples/`;
 /// `vendor/` and `target/` are never read.
@@ -123,11 +125,14 @@ pub fn dead_surface(root: &Path) -> io::Result<Vec<DeadItem>> {
                 continue;
             }
             // In its own file a use is a non-test line that names the
-            // function other than to declare it.
+            // function other than to declare it or a field of its name.
             let used_here =
                 (word_occurrences(&file.scrub.code, &func.name).iter()).any(|&(line, col)| {
+                    let code = &file.scrub.code[line - 1];
+                    let (before, after) = (code[..col].trim_end(), &code[col + func.name.len()..]);
                     !file.scrub.is_test_line(line)
-                        && !file.scrub.code[line - 1][..col].trim_end().ends_with("fn")
+                        && !before.ends_with("fn")
+                        && !names_a_field(before, after.trim_start())
                 });
             if used_here || read_outside(fi, &func.name) || unlinted.contains(&func.name) {
                 continue;
@@ -140,6 +145,14 @@ pub fn dead_surface(root: &Path) -> io::Result<Vec<DeadItem>> {
         }
     }
     Ok(dead)
+}
+
+/// Whether a name between `before` and `after` is a field: an access
+/// (`.name` not followed by `(`) or a declaration or initialiser (`name:`,
+/// not the path separator `name::`).
+fn names_a_field(before: &str, after: &str) -> bool {
+    let access = before.ends_with('.') && !after.starts_with('(');
+    access || (after.starts_with(':') && !after.starts_with("::"))
 }
 
 fn words(text: &str) -> impl Iterator<Item = &str> {

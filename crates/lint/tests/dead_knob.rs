@@ -10,10 +10,11 @@ fn dead_knob_fixture_reports_exactly_its_dead_surface() {
     let names: Vec<&str> = dead.iter().map(|d| d.name.as_str()).collect();
     // A function called by nothing, by tests only (its own file's unit tests,
     // an integration test or a rustdoc example), or named only in prose and
-    // strings is dead surface. Alive, non-pub and non-knob-type names stay
-    // silent; so do functions called from the file's own code, an example or
-    // the benchmark, test-only helpers, and crates outside the simulation
-    // seven.
+    // strings is dead surface, and so is a method whose own file only
+    // declares, initialises or reads a field of its name. Alive, non-pub and
+    // non-knob-type names stay silent; so do functions called from the
+    // file's own code, an example or the benchmark, test-only helpers, and
+    // crates outside the simulation seven.
     assert_eq!(
         names,
         [
@@ -24,6 +25,7 @@ fn dead_knob_fixture_reports_exactly_its_dead_surface() {
             "doc_example_fn",
             "prose_only_fn",
             "Probe::orphan_method",
+            "Counter::hits",
         ]
     );
     assert_eq!(

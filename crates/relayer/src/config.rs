@@ -1,4 +1,4 @@
-//! Relayer configuration: the five values a deployment sets per process, and
+//! Relayer configuration: the four values a deployment sets per process, and
 //! the four pipeline constants no deployment varies (one becomes a field when
 //! two scenarios need different values of it). The testnet builder makes a
 //! [`RelayerConfig`]; it is not a serde type, because an `ExperimentSpec`
@@ -44,12 +44,6 @@ pub struct RelayerConfig {
     /// this is the number of redundant replicas *per channel*, not the fleet
     /// size.
     pub instances: usize,
-    /// Pins this process to a single channel index: the process serves that
-    /// channel and ignores every other. Set by the testnet builder when
-    /// [`ChannelPolicy::Dedicated`](crate::strategy::ChannelPolicy::Dedicated)
-    /// expands the deployment into one relayer process per channel; `None`
-    /// (the default) serves every channel of the process's paths.
-    pub channel_assignment: Option<usize>,
     /// The identity this process presents to the coordination policy: its
     /// replica index within its coordination group. A shared fleet numbers
     /// replicas like processes; a dedicated fleet numbers its processes
@@ -65,7 +59,6 @@ impl Default for RelayerConfig {
             account: AccountId::new("relayer"),
             strategy: RelayerStrategy::default(),
             instances: 1,
-            channel_assignment: None,
             coordination_id: 0,
         }
     }

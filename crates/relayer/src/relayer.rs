@@ -66,14 +66,14 @@ use xcc_chain::msg::Msg;
 use xcc_chain::tx::Tx;
 use xcc_ibc::events as ibc_events;
 use xcc_ibc::height::Height;
-use xcc_ibc::ids::{ChainId, ChannelId, ClientId, PortId, Sequence};
+use xcc_ibc::ids::{ChannelId, ClientId, PortId, Sequence};
 use xcc_ibc::packet::Packet;
-use xcc_rpc::endpoint::{BlockEventBatch, BroadcastError, LaneStats, RpcEndpoint};
-use xcc_rpc::websocket::WebSocketSubscription;
+use xcc_rpc::endpoint::{BroadcastError, LaneStats, RpcEndpoint};
+use xcc_rpc::websocket::{WebSocketSubscription, DELIVERY_OVERHEAD};
 use xcc_sim::{prof, SimDuration, SimTime};
 use xcc_tendermint::abci::Event;
 use xcc_tendermint::hash::Hash;
-use xcc_tendermint::node::Refused;
+use xcc_tendermint::node::{CommittedBlock, Refused};
 
 use crate::config::{
     RelayerConfig, BUILD_COST_PER_MSG, EVENT_PROCESSING_OVERHEAD, MAX_MSGS_PER_TX,
@@ -113,17 +113,11 @@ impl ChainRole {
     }
 }
 
-/// The identifiers of one channel the relayer serves.
-///
-/// A path is keyed by its `(src_chain, dst_chain)` endpoints rather than an
-/// implicit A/B orientation, so the same relayer type serves any edge of an
-/// N-chain topology graph.
+/// The identifiers of one channel the relayer serves, between the chains of
+/// its two RPC endpoints (source and destination), so the same relayer type
+/// serves any edge of an N-chain topology graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelayPath {
-    /// The chain transfers originate from on this path.
-    pub src_chain: ChainId,
-    /// The chain transfers are delivered to on this path.
-    pub dst_chain: ChainId,
     /// The port on both ends (`transfer` for ICS-20).
     pub port: PortId,
     /// Channel end on the source chain.
@@ -160,7 +154,8 @@ pub struct RelayerStats {
     /// (observed redundancy avoided before broadcast).
     pub packets_skipped_already_relayed: u64,
     /// Packets this instance observed but left to another instance under the
-    /// configured coordination policy or channel scheduler.
+    /// configured coordination policy (a dedicated process never sees the
+    /// other channels' packets at all).
     pub packets_left_to_peers: u64,
     /// Broadcast *attempts* that failed (sequence mismatches, full
     /// mempools…).
@@ -444,12 +439,6 @@ impl Relayer {
         (src.rpc.lane_stats(), dst.rpc.lane_stats())
     }
 
-    /// The channel this process is pinned to, if the deployment dedicated it
-    /// to one (see `RelayerConfig::channel_assignment`).
-    pub fn channel_assignment(&self) -> Option<usize> {
-        self.config.channel_assignment
-    }
-
     /// How many packets are in this process's hands, over every channel.
     fn packets_tracked(&self) -> usize {
         self.packets.iter().map(|row| row.iter().count()).sum()
@@ -479,25 +468,13 @@ impl Relayer {
         )
     }
 
-    /// Whether this instance serves the channel at `channel` at all: every
-    /// channel of its paths, unless the deployment pinned it to one
-    /// (dedicated fleets).
-    fn serves_channel(&self, channel: usize) -> bool {
-        self.config
-            .channel_assignment
-            .is_none_or(|assigned| assigned == channel)
-    }
-
     /// The channels this instance flushes for the block at `height`, in
-    /// channel-policy order, unserved channels filtered out.
+    /// channel-policy order.
     fn served_flush_order(&self, height: u64) -> Vec<usize> {
         self.config
             .strategy
             .channel_policy
             .flush_order(height, self.paths.len())
-            .into_iter()
-            .filter(|ch| self.serves_channel(*ch))
-            .collect()
     }
 
     /// The index of the served channel whose **source** end `event` belongs
@@ -642,7 +619,7 @@ impl Relayer {
     /// `height` on the chain playing `on`, then collects the block's events
     /// over the WebSocket subscription, which is free of RPC-queue cost.
     /// Returns the instant the events reach the packet worker (the push's
-    /// transport delay plus [`Relayer::relayer_delay`]) and the batch —
+    /// transport delay plus [`Relayer::relayer_delay`]) and the block —
     /// `None` when collection failed (Hermes' "Failed to collect events" on
     /// an oversized frame), which is counted and logged here.
     fn collect_block(
@@ -650,7 +627,7 @@ impl Relayer {
         on: ChainRole,
         height: u64,
         commit_time: SimTime,
-    ) -> (SimTime, Option<BlockEventBatch>) {
+    ) -> (SimTime, Option<Rc<CommittedBlock>>) {
         let delay = self.relayer_delay();
         let end = &mut self.ends[on as usize];
         end.last_processed = end.last_processed.max(height);
@@ -658,9 +635,9 @@ impl Relayer {
         // in-flight window; a mempool-aware tracker reconciles before the
         // next broadcast towards that chain.
         end.seq.note_commit();
-        let event_time = commit_time + end.events.delivery_overhead() + delay;
+        let event_time = commit_time + DELIVERY_OVERHEAD + delay;
         match end.events.collect_block_events(&end.rpc, height) {
-            Ok(batch) => (event_time, Some(batch)),
+            Ok(block) => (event_time, Some(block)),
             Err(err) => {
                 self.stats.event_collection_failures += 1;
                 self.telemetry.record_error(event_time, err.to_string());
@@ -676,9 +653,9 @@ impl Relayer {
     /// interval is due — scans chain state for packets whose events were
     /// never delivered.
     fn handle_source_block(&mut self, height: u64, commit_time: SimTime) {
-        let (event_time, batch) = self.collect_block(Source, height, commit_time);
-        if let Some(batch) = batch {
-            self.process_source_events(height, commit_time, event_time, &batch);
+        let (event_time, block) = self.collect_block(Source, height, commit_time);
+        if let Some(block) = block {
+            self.process_source_events(height, commit_time, event_time, &block);
         }
         if self.clear_due(height) {
             self.clear_unrelayed(Destination, height, event_time);
@@ -690,9 +667,9 @@ impl Relayer {
         height: u64,
         commit_time: SimTime,
         event_time: SimTime,
-        batch: &BlockEventBatch,
+        block: &CommittedBlock,
     ) {
-        for (hash, code, events) in batch.txs() {
+        for (hash, code, events) in block.txs() {
             self.note_committed_tx(Source, &hash, code, event_time);
             if code != 0 {
                 continue;
@@ -704,10 +681,6 @@ impl Relayer {
                 match event.kind {
                     ibc_events::SEND_PACKET => {
                         if let Some(packet) = ibc_events::packet_from_event(event) {
-                            if !self.serves_channel(channel) {
-                                self.stats.packets_left_to_peers += 1;
-                                continue;
-                            }
                             self.telemetry.record_on(
                                 channel as u64,
                                 packet.sequence,
@@ -733,9 +706,6 @@ impl Relayer {
                     }
                     ibc_events::ACK_PACKET => {
                         if let Some(sequence) = ibc_events::packet_sequence(event) {
-                            if !self.serves_channel(channel) {
-                                continue;
-                            }
                             self.telemetry.record_on(
                                 channel as u64,
                                 sequence,
@@ -884,7 +854,7 @@ impl Relayer {
     /// timeouts for expired undelivered packets.
     fn handle_dest_block(&mut self, height: u64, commit_time: SimTime) {
         let (event_time, delivered) = self.collect_block(Destination, height, commit_time);
-        for (hash, code, events) in delivered.iter().flat_map(BlockEventBatch::txs) {
+        for (hash, code, events) in delivered.iter().flat_map(|block| block.txs()) {
             self.note_committed_tx(Destination, &hash, code, event_time);
             if code != 0 {
                 continue;
@@ -893,7 +863,7 @@ impl Relayer {
                 let Some(channel) = self.dst_channel_of(event) else {
                     continue;
                 };
-                if event.kind != ibc_events::WRITE_ACK || !self.serves_channel(channel) {
+                if event.kind != ibc_events::WRITE_ACK {
                     continue;
                 }
                 if let Some(packet) = ibc_events::packet_from_event(event) {
@@ -1542,7 +1512,9 @@ impl std::fmt::Debug for Relayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xcc_chain::chain::{Chain, SharedChain};
+    use std::cell::RefCell;
+
+    use xcc_chain::chain::SharedChain;
     use xcc_chain::coin::Coin;
     use xcc_chain::genesis::GenesisConfig;
     use xcc_ibc::ids::{ChannelId, ClientId};
@@ -1555,13 +1527,17 @@ mod tests {
     const SRC: usize = ChainRole::Source as usize;
     const DST: usize = ChainRole::Destination as usize;
 
-    fn chain(id: &str) -> xcc_chain::chain::SharedChain {
-        Chain::new(
-            GenesisConfig::new(id)
-                .with_account("relayer", 1_000_000_000)
-                .with_funded_accounts("user", 2, 1_000_000_000),
-        )
-        .into_shared()
+    fn chain(id: &str) -> SharedChain {
+        let genesis = GenesisConfig::new(id)
+            .with_account("relayer", 1_000_000_000)
+            .with_funded_accounts("user", 2, 1_000_000_000);
+        Rc::new(RefCell::new(genesis.into_chain()))
+    }
+
+    /// Hands `tx` to the node directly, past any lane.
+    fn submit(chain: &SharedChain, mut tx: Tx, at: SimTime) -> Result<Hash, Refused<Tx>> {
+        let raw = tx.take_encoded();
+        chain.borrow_mut().submit_tx(raw, tx, at)
     }
 
     fn rpc_for(chain: &xcc_chain::chain::SharedChain) -> RpcEndpoint {
@@ -1570,8 +1546,6 @@ mod tests {
 
     fn path(channel: u64) -> RelayPath {
         RelayPath {
-            src_chain: ChainId::new("src-chain"),
-            dst_chain: ChainId::new("dst-chain"),
             port: xcc_ibc::ids::PortId::transfer(),
             src_channel: ChannelId::with_index(channel),
             dst_channel: ChannelId::with_index(channel),
@@ -1634,10 +1608,7 @@ mod tests {
                 }],
                 "uatom",
             );
-            chain
-                .borrow_mut()
-                .submit_tx(tx, SimTime::ZERO)
-                .expect("filler tx enters the mempool");
+            submit(chain, tx, SimTime::ZERO).expect("filler tx enters the mempool");
         }
         assert_eq!(chain.borrow().mempool_size(), MAX_TXS);
     }
@@ -1685,9 +1656,7 @@ mod tests {
             })
             .collect();
         let tx = xcc_chain::tx::Tx::new("user-0".into(), 0, sends, "uatom");
-        src.borrow_mut()
-            .submit_tx(tx, SimTime::from_secs(5))
-            .unwrap();
+        submit(&src, tx, SimTime::from_secs(5)).unwrap();
         src.borrow_mut().produce_block(SimTime::from_secs(10));
         (src, dst)
     }
@@ -1697,7 +1666,9 @@ mod tests {
     fn sent(src: &SharedChain, seq: u64) -> Rc<Packet> {
         let chain = src.borrow();
         let ibc = chain.app().ibc();
-        let sent = ibc.sent_packet(&PortId::transfer(), &ChannelId::with_index(0), seq.into());
+        let sent = ibc
+            .end(&PortId::transfer(), &ChannelId::with_index(0))
+            .and_then(|end| end.sent_packet(seq.into()));
         Rc::clone(sent.unwrap())
     }
 
@@ -1729,7 +1700,7 @@ mod tests {
             });
         }
         let tx = xcc_chain::tx::Tx::new("user-0".into(), nonce, msgs, "uatom");
-        dst.borrow_mut().submit_tx(tx, SimTime::ZERO).unwrap();
+        submit(dst, tx, SimTime::ZERO).unwrap();
         dst.borrow_mut().produce_block(at);
         let block = Rc::clone(dst.borrow().latest_block().unwrap());
         assert!(block.results.iter().all(|r| r.is_ok()), "delivered");
@@ -1773,33 +1744,21 @@ mod tests {
         assert!(relayer.inbox.is_empty(), "wake drained the inbox");
     }
 
-    /// A pinned channel assignment routes every channel decision, and the
-    /// coordination id (replica index within the channel's group) replaces
-    /// the global process id for work division.
+    /// The coordination id (replica index within the channel's group)
+    /// replaces the global process id for work division.
     #[test]
-    fn channel_assignment_and_coordination_id_route_the_fleet() {
+    fn the_coordination_id_routes_the_fleet() {
         let dst = chain("dst-chain");
         let src = chain("src-chain");
-        // Process 3 of a dedicated fleet: pinned to channel 1, replica 1 of
-        // a 2-replica group coordinated by sequence partitioning.
+        // Process 3 of a dedicated fleet: channel 1's path only, replica 1
+        // of a 2-replica group coordinated by sequence partitioning.
         let config = RelayerConfig {
             strategy: crate::strategy::RelayerStrategy::coordinated(),
             instances: 2,
-            channel_assignment: Some(1),
             coordination_id: 1,
             ..RelayerConfig::default()
         };
-        let relayer = Relayer::with_paths(
-            3,
-            config,
-            vec![path(0), path(1), path(2)],
-            rpc_for(&src),
-            rpc_for(&dst),
-        );
-        assert_eq!(relayer.channel_assignment(), Some(1));
-        assert!(!relayer.serves_channel(0));
-        assert!(relayer.serves_channel(1));
-        assert!(!relayer.serves_channel(2));
+        let relayer = Relayer::with_paths(3, config, vec![path(1)], rpc_for(&src), rpc_for(&dst));
         // Sequence partitioning over 2 replicas under coordination id 1:
         // odd sequences belong to this process, even ones to replica 0.
         assert!(relayer.assigned(Sequence::from(7)));
@@ -1821,7 +1780,7 @@ mod tests {
             // Desync: someone (a prior relayer run) commits a tx from the
             // relayer's account.
             let external = xcc_chain::tx::Tx::new("relayer".into(), 0, vec![bank_msg(7)], "uatom");
-            dst.borrow_mut().submit_tx(external, SimTime::ZERO).unwrap();
+            submit(&dst, external, SimTime::ZERO).unwrap();
             dst.borrow_mut().produce_block(SimTime::from_secs(5));
         }
         fill_mempool(&dst);
@@ -1848,7 +1807,7 @@ mod tests {
         let mut relayer = test_relayer(&dst);
         {
             let external = xcc_chain::tx::Tx::new("relayer".into(), 0, vec![bank_msg(7)], "uatom");
-            dst.borrow_mut().submit_tx(external, SimTime::ZERO).unwrap();
+            submit(&dst, external, SimTime::ZERO).unwrap();
             dst.borrow_mut().produce_block(SimTime::from_secs(5));
         }
         fill_mempool(&dst);
@@ -2078,7 +2037,7 @@ mod tests {
         let mut relayer = test_relayer(&dst);
         // The previous incarnation's tx commits while we are down.
         let external = xcc_chain::tx::Tx::new("relayer".into(), 0, vec![bank_msg(7)], "uatom");
-        dst.borrow_mut().submit_tx(external, SimTime::ZERO).unwrap();
+        submit(&dst, external, SimTime::ZERO).unwrap();
         relayer.crash(SimTime::from_secs(1));
         dst.borrow_mut().produce_block(SimTime::from_secs(5));
 

@@ -54,19 +54,21 @@ impl RelayerStrategy {
     /// frame.
     ///
     /// ```rust
-    /// use xcc_chain::chain::Chain;
+    /// use std::cell::RefCell;
+    /// use std::rc::Rc;
+    ///
     /// use xcc_chain::genesis::GenesisConfig;
     /// use xcc_relayer::strategy::RelayerStrategy;
     /// use xcc_rpc::endpoint::RpcEndpoint;
     /// use xcc_sim::{SimDuration, SimTime};
     ///
-    /// let chain = Chain::new(GenesisConfig::new("chain-a")).into_shared();
+    /// let chain = Rc::new(RefCell::new(GenesisConfig::new("chain-a").into_chain()));
     /// chain.borrow_mut().produce_block(SimTime::from_secs(5));
     /// let rpc = RpcEndpoint::new(chain, SimDuration::ZERO);
     ///
-    /// let mut subscription = RelayerStrategy::default().subscription();
-    /// let batch = subscription.collect_block_events(&rpc, 1).unwrap();
-    /// assert_eq!(batch.committed.block.header.height, 1);
+    /// let subscription = RelayerStrategy::default().subscription();
+    /// let block = subscription.collect_block_events(&rpc, 1).unwrap();
+    /// assert_eq!(block.block.header.height, 1);
     /// ```
     pub fn subscription(&self) -> WebSocketSubscription {
         match self.ws_frame_limit_bytes {
@@ -103,7 +105,9 @@ pub struct Fetched<T> {
 /// [`RelayerStrategy::batched_pulls`] and [`RelayerStrategy::parallel_fetch`].
 ///
 /// ```rust
-/// use xcc_chain::chain::Chain;
+/// use std::cell::RefCell;
+/// use std::rc::Rc;
+///
 /// use xcc_chain::genesis::GenesisConfig;
 /// use xcc_ibc::ids::{ChannelId, PortId, Sequence};
 /// use xcc_relayer::strategy::FetchStrategy;
@@ -112,7 +116,7 @@ pub struct Fetched<T> {
 ///
 /// // 200 ms round trip: 100 ms each way.
 /// let make_rpc = || {
-///     let chain = Chain::new(GenesisConfig::new("chain-a")).into_shared();
+///     let chain = Rc::new(RefCell::new(GenesisConfig::new("chain-a").into_chain()));
 ///     chain.borrow_mut().produce_block(SimTime::from_secs(5));
 ///     RpcEndpoint::new(chain, SimDuration::from_millis(100))
 /// };
@@ -315,8 +319,8 @@ impl CoordinationMode {
 /// multi-channel deployment: in which order their pending batches are
 /// flushed on the shared packet worker. Which channels an instance serves at
 /// all is the deployment's decision, not the policy's: the testnet builder
-/// expands [`ChannelPolicy::Dedicated`] into one process pinned to each
-/// channel (`RelayerConfig::channel_assignment`).
+/// expands [`ChannelPolicy::Dedicated`] into one process per channel, built
+/// with that channel's path alone.
 ///
 /// The `multi_channel_scaling` and `channel_contention` registry scenarios
 /// exercise the non-default policies (see
@@ -331,9 +335,8 @@ impl CoordinationMode {
 /// assert_eq!(ChannelPolicy::Priority.flush_order(10, 3), vec![0, 1, 2]);
 /// ```
 impl ChannelPolicy {
-    /// The order in which this instance flushes the deployment's
-    /// `channel_count` channels for the block at `height` (channels the
-    /// process is not pinned to are filtered by the caller).
+    /// The order in which this instance flushes its `channel_count`
+    /// channels for the block at `height`.
     pub fn flush_order(self, height: u64, channel_count: usize) -> Vec<usize> {
         let n = channel_count.max(1);
         let start = match self {
@@ -371,19 +374,19 @@ mod tests {
     /// An endpoint on a chain whose block 1 holds one bank send that
     /// succeeds and one that passes `CheckTx` but overdraws at `DeliverTx`.
     fn rpc_with_a_mixed_block() -> RpcEndpoint {
-        use xcc_chain::chain::Chain;
+        use std::cell::RefCell;
+        use std::rc::Rc;
         use xcc_chain::coin::Coin;
         use xcc_chain::genesis::GenesisConfig;
         use xcc_chain::msg::Msg;
         use xcc_chain::tx::Tx;
         use xcc_sim::SimDuration;
-        let chain =
-            Chain::new(GenesisConfig::new("chain-a").with_funded_accounts("user", 2, 100_000_000))
-                .into_shared();
+        let genesis = GenesisConfig::new("chain-a").with_funded_accounts("user", 2, 100_000_000);
+        let chain = Rc::new(RefCell::new(genesis.into_chain()));
         {
             let mut c = chain.borrow_mut();
             for (user, amount) in [("user-0", 1), ("user-1", 1_000_000_000)] {
-                let tx = Tx::new(
+                let mut tx = Tx::new(
                     user.into(),
                     0,
                     vec![Msg::BankSend {
@@ -393,32 +396,12 @@ mod tests {
                     }],
                     "uatom",
                 );
-                c.submit_tx(tx, SimTime::ZERO).unwrap();
+                let raw = tx.take_encoded();
+                c.submit_tx(raw, tx, SimTime::ZERO).unwrap();
             }
             c.produce_block(SimTime::from_secs(5));
         }
         RpcEndpoint::new(chain, SimDuration::ZERO)
-    }
-
-    #[test]
-    fn the_subscription_delivers_the_stored_block_itself() {
-        let rpc = rpc_with_a_mixed_block();
-        let mut subscription = RelayerStrategy::default().subscription();
-        let pushed = subscription.collect_block_events(&rpc, 1).unwrap();
-        let chain = rpc.chain().borrow();
-        let stored = chain.block_at(1).unwrap();
-        assert!(std::rc::Rc::ptr_eq(&pushed.committed, stored));
-
-        let txs: Vec<_> = pushed.txs().collect();
-        let hashes: Vec<_> = stored.block.data.txs.iter().map(|tx| tx.hash()).collect();
-        assert_eq!(hashes, [txs[0].0, txs[1].0]);
-        assert_eq!((txs[0].1, txs[0].2.len()), (0, 2));
-        assert_eq!((txs[1].1, txs[1].2.len()), (111, 0), "insufficient funds");
-
-        // Pinned from the commit before the block store was shared: the §V
-        // frame size of this block.
-        assert_eq!(stored.events_payload_bytes, 1111);
-        assert_eq!(pushed.payload_bytes, 1111);
     }
 
     #[test]

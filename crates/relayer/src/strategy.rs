@@ -137,10 +137,10 @@ pub enum ChannelPolicy {
     Priority,
     /// A dedicated relayer process per channel: the deployment expands into
     /// one relayer process for every channel (times `relayer_count`
-    /// redundant replicas per channel), each pinned to its channel with its
-    /// own RPC lanes — real fleet topology, not a rotation order. A relayer
-    /// built without a channel assignment serves every channel in fixed
-    /// order, like `Priority`.
+    /// redundant replicas per channel), each built with only its channel's
+    /// path and its own RPC lanes — real fleet topology, not a rotation
+    /// order. A relayer handed several paths serves them in fixed order,
+    /// like `Priority`.
     Dedicated,
 }
 

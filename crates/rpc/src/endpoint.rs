@@ -7,8 +7,6 @@
 //! [`RpcResponse`] carrying both the result and the simulated time at which
 //! the caller receives it (queueing + service + network round trip).
 
-use std::rc::Rc;
-
 use xcc_chain::account::AccountId;
 use xcc_chain::chain::SharedChain;
 use xcc_chain::tx::Tx;
@@ -17,9 +15,8 @@ use xcc_ibc::commitment::{CommitmentProof, NonMembershipProof};
 use xcc_ibc::ids::{ChannelId, PortId, Sequence};
 use xcc_ibc::packet::Acknowledgement;
 use xcc_sim::{SimDuration, SimTime};
-use xcc_tendermint::abci::Event;
 use xcc_tendermint::hash::Hash;
-use xcc_tendermint::node::{CommittedBlock, Refused, SubmitError};
+use xcc_tendermint::node::{Refused, SubmitError};
 
 use crate::cost::{RequestKind, RequestProfile};
 
@@ -94,28 +91,6 @@ pub struct LaneStats {
     pub max_backlog: SimDuration,
 }
 
-/// What one committed block did, as pushed to a relayer over the WebSocket
-/// subscription ([`RpcEndpoint::block_events`]): a handle on the block
-/// store's own allocation; nothing is copied.
-#[derive(Debug, Clone)]
-pub struct BlockEventBatch {
-    /// The committed block, shared with the node's block store and with
-    /// every other subscriber.
-    pub committed: Rc<CommittedBlock>,
-    /// Encoded size of the WebSocket frame that carried it.
-    pub payload_bytes: usize,
-}
-
-impl BlockEventBatch {
-    /// Per-transaction `(tx hash, result code, events)` in block order.
-    pub fn txs(&self) -> impl Iterator<Item = (Hash, u32, &[Event])> {
-        let txs = &self.committed.block.data.txs;
-        txs.iter()
-            .zip(&self.committed.results)
-            .map(|(tx, result)| (tx.hash(), result.code, result.events.as_slice()))
-    }
-}
-
 /// A Tendermint RPC endpoint bound to one chain's full node.
 #[derive(Debug)]
 pub struct RpcEndpoint {
@@ -130,7 +105,7 @@ impl RpcEndpoint {
     /// Creates an endpoint for `chain`, `one_way` of network delay away from
     /// its callers in each direction.
     pub fn new(chain: SharedChain, one_way: SimDuration) -> Self {
-        let name = format!("rpc-{}", chain.borrow().id());
+        let name = format!("rpc-{}", chain.borrow().chain_id());
         RpcEndpoint {
             chain,
             lane: LaneStats {
@@ -200,18 +175,20 @@ impl RpcEndpoint {
     }
 
     /// `broadcast_tx_sync`: submit a transaction to the mempool. The
-    /// transaction moves to the chain (see `Chain::submit_tx`); a refusal
-    /// gives it back.
+    /// transaction's one encoding is moved out ([`Tx::take_encoded`]) and
+    /// goes to the node beside the transaction, which `CheckTx` and
+    /// `DeliverTx` run on; a refusal gives the transaction back.
     pub fn broadcast_tx_sync(
         &mut self,
         now: SimTime,
-        tx: Tx,
+        mut tx: Tx,
     ) -> RpcResponse<Result<Hash, Refused<Tx, BroadcastError>>> {
         let msg_count = tx.msg_count();
         // The transaction reaches the node one network hop after the caller
         // sends it; blocks proposed before that instant cannot include it.
         let arrival = now + self.one_way;
-        let result = self.chain.borrow_mut().submit_tx(tx, arrival);
+        let raw = tx.take_encoded();
+        let result = self.chain.borrow_mut().submit_tx(raw, tx, arrival);
         let value = result.map_err(|Refused { error, tx }| Refused {
             error: match error {
                 SubmitError::CheckTxFailed { code, log } => {
@@ -474,19 +451,6 @@ impl RpcEndpoint {
             .prove_packet_non_receipt(port, channel, sequence);
         self.respond(now, RequestProfile::small(RequestKind::ProofQuery), proof)
     }
-
-    /// The block at `height` as the WebSocket subscription pushes it when
-    /// the block commits, sized at its commit-time frame size (`None` for a
-    /// height the chain has not reached). The frame-size limit is enforced
-    /// by [`crate::websocket::WebSocketSubscription`].
-    pub fn block_events(&self, height: u64) -> Option<BlockEventBatch> {
-        let chain = self.chain.borrow();
-        let block = chain.block_at(height)?;
-        Some(BlockEventBatch {
-            committed: Rc::clone(block),
-            payload_bytes: block.events_payload_bytes,
-        })
-    }
 }
 
 /// The lane: the response type and its one constructor. `RpcResponse`'s
@@ -559,19 +523,30 @@ mod lane {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use super::*;
     use crate::cost::service_time;
-    use xcc_chain::chain::Chain;
     use xcc_chain::coin::Coin;
     use xcc_chain::genesis::GenesisConfig;
     use xcc_chain::msg::Msg;
     use xcc_ibc::packet::Packet;
     use xcc_sim::prof;
 
+    fn shared(genesis: GenesisConfig) -> SharedChain {
+        Rc::new(RefCell::new(genesis.into_chain()))
+    }
+
+    /// Hands `tx` to the node directly, past any lane.
+    fn submit(chain: &SharedChain, mut tx: Tx, at: SimTime) {
+        let raw = tx.take_encoded();
+        chain.borrow_mut().submit_tx(raw, tx, at).unwrap();
+    }
+
     fn endpoint(rtt_ms: u64) -> RpcEndpoint {
         let chain =
-            Chain::new(GenesisConfig::new("chain-a").with_funded_accounts("user", 3, 100_000_000))
-                .into_shared();
+            shared(GenesisConfig::new("chain-a").with_funded_accounts("user", 3, 100_000_000));
         RpcEndpoint::new(chain, SimDuration::from_millis(rtt_ms / 2))
     }
 
@@ -673,8 +648,7 @@ mod tests {
         // independent RPC connections: the same two queries issued at the
         // same instant each get an idle server.
         let chain =
-            Chain::new(GenesisConfig::new("chain-a").with_funded_accounts("user", 3, 100_000_000))
-                .into_shared();
+            shared(GenesisConfig::new("chain-a").with_funded_accounts("user", 3, 100_000_000));
         let lane_of = || RpcEndpoint::new(chain.clone(), SimDuration::ZERO);
         let mut a = lane_of();
         let mut b = lane_of();
@@ -767,10 +741,7 @@ mod tests {
             }],
             "uatom",
         );
-        rpc.chain()
-            .borrow_mut()
-            .submit_tx(straddled, SimTime::from_secs(10))
-            .unwrap();
+        submit(rpc.chain(), straddled, SimTime::from_secs(10));
         rpc.chain()
             .borrow_mut()
             .produce_block(SimTime::from_secs(5));
@@ -788,30 +759,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn block_events_reflect_committed_txs() {
-        let mut rpc = endpoint(0);
-        let hash = rpc
-            .broadcast_tx_sync(SimTime::ZERO, bank_tx(0))
-            .value
-            .unwrap();
-        rpc.chain()
-            .borrow_mut()
-            .produce_block(SimTime::from_secs(5));
-        let pushed = rpc.block_events(1).unwrap();
-        let txs: Vec<_> = pushed.txs().collect();
-        assert_eq!(txs.len(), 1);
-        assert_eq!((txs[0].0, txs[0].1), (hash, 0));
-        assert!(!txs[0].2.is_empty());
-        // The pushed frame is the block store's own allocation.
-        assert!(Rc::ptr_eq(
-            &pushed.committed,
-            rpc.chain().borrow().block_at(1).unwrap()
-        ));
-        // Unknown heights answer with no block rather than failing.
-        assert!(rpc.block_events(99).is_none());
-    }
-
     /// Two chains joined by one transfer channel: `user-0` sent three
     /// packets from `chain-a` (block 2) and `chain-b` received them (block
     /// 2), so both directions have something to pull.
@@ -823,7 +770,7 @@ mod tests {
             let genesis = GenesisConfig::new(id)
                 .with_account("relayer", 100_000_000)
                 .with_funded_accounts("user", 1, 100_000_000);
-            let chain = Chain::new(genesis).into_shared();
+            let chain = shared(genesis);
             chain.borrow_mut().produce_block(SimTime::from_secs(5));
             chain
         };
@@ -867,7 +814,7 @@ mod tests {
             vec![transfer(1), transfer(20), transfer(300)],
             "uatom",
         );
-        a.borrow_mut().submit_tx(sends, SimTime::ZERO).unwrap();
+        submit(&a, sends, SimTime::ZERO);
         a.borrow_mut().produce_block(SimTime::from_secs(10));
 
         // What a relayer does, without one: update the client, then deliver
@@ -879,7 +826,11 @@ mod tests {
             let ibc = chain.app().ibc();
             (1..=3)
                 .map(|seq| Msg::IbcRecvPacket {
-                    packet: Packet::clone(ibc.sent_packet(&port, &channel, seq.into()).unwrap()),
+                    packet: Packet::clone(
+                        ibc.end(&port, &channel)
+                            .and_then(|end| end.sent_packet(seq.into()))
+                            .unwrap(),
+                    ),
                     proof_commitment: ibc
                         .end(&port, &channel)
                         .and_then(|end| end.prove_commitment(seq.into()))
@@ -896,7 +847,7 @@ mod tests {
         };
         for (seq, msgs) in [(0, vec![update]), (1, recvs)] {
             let tx = Tx::new("relayer".into(), seq, msgs, "uatom");
-            b.borrow_mut().submit_tx(tx, SimTime::ZERO).unwrap();
+            submit(&b, tx, SimTime::ZERO);
         }
         b.borrow_mut().produce_block(SimTime::from_secs(10));
         let delivered = Rc::clone(b.borrow().block_at(2).unwrap());

@@ -13,18 +13,21 @@
 //!   issue (`broadcast_tx_sync`, account sequences, packet/ack pulls with
 //!   proofs, client update data, unreceived filters);
 //! * [`websocket::WebSocketSubscription`] — the per-relayer event
-//!   subscription with Tendermint's 16 MiB frame limit and its
-//!   "Failed to collect events" failure mode.
+//!   subscription, which hands out the node's stored block under
+//!   Tendermint's 16 MiB frame limit and fails with "Failed to collect
+//!   events" over it.
 //!
 //! # Example
 //!
 //! ```rust
-//! use xcc_chain::chain::Chain;
+//! use std::cell::RefCell;
+//! use std::rc::Rc;
+//!
 //! use xcc_chain::genesis::GenesisConfig;
 //! use xcc_rpc::endpoint::RpcEndpoint;
 //! use xcc_sim::{SimDuration, SimTime};
 //!
-//! let chain = Chain::new(GenesisConfig::new("chain-a")).into_shared();
+//! let chain = Rc::new(RefCell::new(GenesisConfig::new("chain-a").into_chain()));
 //! let mut rpc = RpcEndpoint::new(chain, SimDuration::ZERO);
 //! let sequence = rpc.account_sequence(SimTime::ZERO, &"user-0".into());
 //! assert_eq!(sequence.value, 0);

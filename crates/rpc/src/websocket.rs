@@ -6,12 +6,18 @@
 //! "Failed to collect events" and — as §V of the paper documents — the
 //! affected packets are neither relayed nor timed out.
 
-use xcc_sim::SimDuration;
+use std::rc::Rc;
 
-use crate::endpoint::{BlockEventBatch, RpcEndpoint};
+use xcc_sim::SimDuration;
+use xcc_tendermint::node::CommittedBlock;
+
+use crate::endpoint::RpcEndpoint;
 
 /// Tendermint's default maximum WebSocket message size (16 MiB).
 pub const DEFAULT_MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
+
+/// Fixed processing overhead the subscription adds to each delivered block.
+pub const DELIVERY_OVERHEAD: SimDuration = SimDuration::from_millis(2);
 
 /// Errors raised while collecting a block's events over the subscription.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,9 +56,6 @@ impl std::error::Error for WsError {}
 #[derive(Debug, Clone)]
 pub struct WebSocketSubscription {
     max_frame_bytes: usize,
-    delivery_overhead: SimDuration,
-    delivered_blocks: u64,
-    failed_blocks: u64,
 }
 
 impl Default for WebSocketSubscription {
@@ -64,120 +67,138 @@ impl Default for WebSocketSubscription {
 impl WebSocketSubscription {
     /// Creates a subscription with an explicit frame-size limit.
     pub fn new(max_frame_bytes: usize) -> Self {
-        WebSocketSubscription {
-            max_frame_bytes,
-            delivery_overhead: SimDuration::from_millis(2),
-            delivered_blocks: 0,
-            failed_blocks: 0,
-        }
+        WebSocketSubscription { max_frame_bytes }
     }
 
-    /// The configured frame-size limit.
-    pub fn max_frame_bytes(&self) -> usize {
-        self.max_frame_bytes
-    }
-
-    /// Fixed processing overhead added to each delivered batch.
-    pub fn delivery_overhead(&self) -> SimDuration {
-        self.delivery_overhead
-    }
-
-    /// Number of block event batches successfully delivered.
-    pub fn delivered_blocks(&self) -> u64 {
-        self.delivered_blocks
-    }
-
-    /// Number of blocks whose events could not be collected.
-    pub fn failed_blocks(&self) -> u64 {
-        self.failed_blocks
-    }
-
-    /// Collects the events of the block at `height` from `rpc`, enforcing
-    /// the frame-size limit.
+    /// Collects the block at `height` from the node behind `rpc`, as the
+    /// push sent when it committed: the block store's own handle, nothing
+    /// copied. The frame it travels in is the block's
+    /// `events_payload_bytes`.
     ///
     /// # Errors
     ///
-    /// Fails with [`WsError::FrameTooLarge`] when the block's event payload
-    /// exceeds the limit, and [`WsError::UnknownBlock`] when the block does
-    /// not exist.
+    /// Fails with [`WsError::FrameTooLarge`] when that frame exceeds the
+    /// limit, and [`WsError::UnknownBlock`] when the block does not exist.
     pub fn collect_block_events(
-        &mut self,
+        &self,
         rpc: &RpcEndpoint,
         height: u64,
-    ) -> Result<BlockEventBatch, WsError> {
-        let batch = rpc
-            .block_events(height)
+    ) -> Result<Rc<CommittedBlock>, WsError> {
+        let chain = rpc.chain().borrow();
+        let block = chain
+            .block_at(height)
             .ok_or(WsError::UnknownBlock { height })?;
-        if batch.payload_bytes > self.max_frame_bytes {
-            self.failed_blocks += 1;
+        if block.events_payload_bytes > self.max_frame_bytes {
             return Err(WsError::FrameTooLarge {
-                payload_bytes: batch.payload_bytes,
+                payload_bytes: block.events_payload_bytes,
                 max_bytes: self.max_frame_bytes,
             });
         }
-        self.delivered_blocks += 1;
-        Ok(batch)
+        Ok(Rc::clone(block))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+
     use super::*;
-    use xcc_chain::chain::Chain;
     use xcc_chain::coin::Coin;
     use xcc_chain::genesis::GenesisConfig;
     use xcc_chain::msg::Msg;
     use xcc_chain::tx::Tx;
-    use xcc_sim::{SimDuration, SimTime};
+    use xcc_sim::SimTime;
+    use xcc_tendermint::hash::Hash;
 
-    fn rpc_with_block(txs: usize) -> RpcEndpoint {
-        let chain = Chain::new(GenesisConfig::new("chain-a").with_funded_accounts(
+    /// An endpoint on a chain whose block 1 holds one bank send per entry
+    /// of `amounts`, `user-<i>` paying `amounts[i]` to `user-0` out of a
+    /// 100,000,000 balance, and the hash each broadcast returned.
+    fn rpc_with_sends(amounts: &[u128]) -> (RpcEndpoint, Vec<Hash>) {
+        let genesis = GenesisConfig::new("chain-a").with_funded_accounts(
             "user",
-            txs.max(1),
+            amounts.len().max(1),
             100_000_000,
-        ))
-        .into_shared();
-        let rpc = RpcEndpoint::new(chain.clone(), SimDuration::ZERO);
-        {
-            let mut c = chain.borrow_mut();
-            for i in 0..txs {
-                let tx = Tx::new(
-                    format!("user-{i}").into(),
-                    0,
-                    vec![Msg::BankSend {
-                        from: format!("user-{i}").into(),
-                        to: "user-0".into(),
-                        amount: Coin::new("uatom", 1),
-                    }],
-                    "uatom",
-                );
-                c.submit_tx(tx, SimTime::ZERO).unwrap();
-            }
-            c.produce_block(SimTime::from_secs(5));
-        }
-        rpc
+        );
+        let chain = Rc::new(RefCell::new(genesis.into_chain()));
+        let mut rpc = RpcEndpoint::new(chain, SimDuration::ZERO);
+        let hashes = (amounts.iter().enumerate())
+            .map(|(i, &amount)| {
+                let user = format!("user-{i}");
+                let send = Msg::BankSend {
+                    from: user.as_str().into(),
+                    to: "user-0".into(),
+                    amount: Coin::new("uatom", amount),
+                };
+                let tx = Tx::new(user.into(), 0, vec![send], "uatom");
+                rpc.broadcast_tx_sync(SimTime::ZERO, tx).value.unwrap()
+            })
+            .collect();
+        rpc.chain()
+            .borrow_mut()
+            .produce_block(SimTime::from_secs(5));
+        (rpc, hashes)
     }
 
     #[test]
-    fn events_are_delivered_within_the_limit() {
-        let rpc = rpc_with_block(3);
-        let mut ws = WebSocketSubscription::default();
-        let batch = ws.collect_block_events(&rpc, 1).unwrap();
-        assert_eq!(batch.committed.block.header.height, 1);
-        assert_eq!(batch.txs().count(), 3);
-        assert!(batch
-            .txs()
-            .all(|(_, code, events)| code == 0 && !events.is_empty()));
-        assert_eq!(ws.delivered_blocks(), 1);
-        assert_eq!(ws.failed_blocks(), 0);
+    fn the_subscription_hands_out_the_block_stores_own_block() {
+        let (rpc, hashes) = rpc_with_sends(&[1, 1, 1]);
+        let pushed = WebSocketSubscription::default()
+            .collect_block_events(&rpc, 1)
+            .unwrap();
+        assert!(Rc::ptr_eq(
+            &pushed,
+            rpc.chain().borrow().block_at(1).unwrap()
+        ));
+        let txs: Vec<_> = pushed.txs().collect();
+        let seen: Vec<_> = txs.iter().map(|(hash, code, _)| (*hash, *code)).collect();
+        assert_eq!(seen, hashes.into_iter().map(|h| (h, 0)).collect::<Vec<_>>());
+        assert!(txs.iter().all(|(_, _, events)| !events.is_empty()));
+    }
+
+    /// One send that succeeds and one that passes `CheckTx` but overdraws
+    /// at `DeliverTx`: the failed one is pushed with its code and no events.
+    #[test]
+    fn a_failed_tx_rides_in_the_frame_with_its_code() {
+        let (rpc, _) = rpc_with_sends(&[1, 1_000_000_000]);
+        let pushed = WebSocketSubscription::default()
+            .collect_block_events(&rpc, 1)
+            .unwrap();
+        let txs: Vec<_> = pushed.txs().collect();
+        let hashes: Vec<_> = pushed.block.data.txs.iter().map(|tx| tx.hash()).collect();
+        assert_eq!(hashes, [txs[0].0, txs[1].0]);
+        assert_eq!((txs[0].1, txs[0].2.len()), (0, 2));
+        assert_eq!((txs[1].1, txs[1].2.len()), (111, 0), "insufficient funds");
+        // Pinned from the commit before the block store was shared: the §V
+        // frame size of this block.
+        assert_eq!(pushed.events_payload_bytes, 1111);
+    }
+
+    #[test]
+    fn the_limit_admits_a_frame_of_its_size_and_refuses_one_byte_more() {
+        let (rpc, _) = rpc_with_sends(&[1, 1]);
+        let frame = rpc
+            .chain()
+            .borrow()
+            .block_at(1)
+            .unwrap()
+            .events_payload_bytes;
+        assert!(WebSocketSubscription::new(frame)
+            .collect_block_events(&rpc, 1)
+            .is_ok());
+        let err = WebSocketSubscription::new(frame - 1)
+            .collect_block_events(&rpc, 1)
+            .unwrap_err();
+        assert!(
+            matches!(err, WsError::FrameTooLarge { payload_bytes, .. } if payload_bytes == frame)
+        );
     }
 
     #[test]
     fn oversized_payload_fails_to_collect_events() {
-        let rpc = rpc_with_block(5);
+        let (rpc, _) = rpc_with_sends(&[1; 5]);
         // Artificially tiny limit triggers the same code path as the paper's
         // 1,000 × 100-transfer block.
-        let mut ws = WebSocketSubscription::new(64);
+        let ws = WebSocketSubscription::new(64);
         let err = ws.collect_block_events(&rpc, 1).unwrap_err();
         match err {
             WsError::FrameTooLarge {
@@ -189,13 +210,12 @@ mod tests {
             other => panic!("unexpected error {other:?}"),
         }
         assert!(err.to_string().contains("Failed to collect events"));
-        assert_eq!(ws.failed_blocks(), 1);
     }
 
     #[test]
     fn unknown_blocks_are_reported() {
-        let rpc = rpc_with_block(1);
-        let mut ws = WebSocketSubscription::default();
+        let (rpc, _) = rpc_with_sends(&[1]);
+        let ws = WebSocketSubscription::default();
         assert_eq!(
             ws.collect_block_events(&rpc, 7).unwrap_err(),
             WsError::UnknownBlock { height: 7 }
@@ -210,7 +230,7 @@ mod tests {
     fn default_limit_is_sixteen_mebibytes() {
         assert_eq!(DEFAULT_MAX_FRAME_BYTES, 16_777_216);
         let ws = WebSocketSubscription::default();
-        assert_eq!(ws.max_frame_bytes(), DEFAULT_MAX_FRAME_BYTES);
-        assert!(ws.delivery_overhead() > SimDuration::ZERO);
+        assert_eq!(ws.max_frame_bytes, DEFAULT_MAX_FRAME_BYTES);
+        assert!(DELIVERY_OVERHEAD > SimDuration::ZERO);
     }
 }

@@ -105,7 +105,6 @@ pub struct Mempool<D> {
     )]
     hashes: HashSet<Hash>,
     total_bytes: usize,
-    rejected_full: u64,
 }
 
 impl<D> Default for Mempool<D> {
@@ -125,7 +124,6 @@ impl<D> Mempool<D> {
             )]
             hashes: HashSet::new(),
             total_bytes: 0,
-            rejected_full: 0,
         }
     }
 
@@ -137,16 +135,6 @@ impl<D> Mempool<D> {
     /// `true` when no transactions are pending.
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
-    }
-
-    /// Total bytes of pending transactions.
-    pub fn total_bytes(&self) -> usize {
-        self.total_bytes
-    }
-
-    /// How many submissions were rejected because the pool was full.
-    pub fn rejected_full(&self) -> u64 {
-        self.rejected_full
     }
 
     /// Adds a checked transaction to the pool.
@@ -161,11 +149,9 @@ impl<D> Mempool<D> {
             return Err((MempoolError::AlreadyPending, tx.decoded));
         }
         if self.queue.len() >= MAX_TXS {
-            self.rejected_full += 1;
             return Err((MempoolError::Full { max_txs: MAX_TXS }, tx.decoded));
         }
         if self.total_bytes + tx.tx.len() > MAX_TOTAL_BYTES {
-            self.rejected_full += 1;
             let error = MempoolError::TooManyBytes {
                 max_total_bytes: MAX_TOTAL_BYTES,
             };
@@ -267,7 +253,7 @@ mod tests {
     #[test]
     fn reap_takes_entries_out_in_fifo_order_with_their_decoded_forms() {
         let mut pool = filled(5, 10, 100);
-        let bytes_before = pool.total_bytes();
+        let bytes_before = pool.total_bytes;
         let reaped = reap(&mut pool, 350, 1_000);
         let ids: Vec<u8> = reaped.iter().map(|p| p.tx.as_bytes()[0]).collect();
         assert_eq!(ids, [0, 1, 2]);
@@ -277,7 +263,7 @@ mod tests {
         // Reaped entries are gone from every piece of bookkeeping; the rest
         // keep their order.
         assert_eq!(pool.len(), 2);
-        assert_eq!(pool.total_bytes(), bytes_before - 30);
+        assert_eq!(pool.total_bytes, bytes_before - 30);
         assert!(reaped.iter().all(|p| !pool.hashes.contains(&p.tx.hash())));
         let left: Vec<u8> = pool.iter().map(|p| p.tx.as_bytes()[0]).collect();
         assert_eq!(left, [3, 4]);
@@ -335,7 +321,6 @@ mod tests {
                 .map_err(|(e, _)| e),
             Err(MempoolError::Full { max_txs: MAX_TXS })
         );
-        assert_eq!(pool.rejected_full(), 1);
 
         // One entry whose modelled wire size crosses the byte limit.
         let mut pool = Mempool::new();
@@ -349,7 +334,7 @@ mod tests {
         );
         pool.add(entry(b"fits".to_vec(), MAX_TOTAL_BYTES - 10))
             .unwrap();
-        assert_eq!(pool.total_bytes(), MAX_TOTAL_BYTES);
+        assert_eq!(pool.total_bytes, MAX_TOTAL_BYTES);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! ABCI application.
 //!
 //! The node is a pure state machine — it never blocks or sleeps. The caller
-//! (the chain driver in `xcc-chain`, itself driven by the experiment
-//! scheduler) asks it to produce blocks at the appropriate simulated times,
-//! and the node reports how long consensus and block processing took so the
-//! driver can schedule the next block.
+//! (the experiment scheduler; `xcc-chain`'s `Chain` is this node running the
+//! Gaia application) asks it to produce blocks at the appropriate simulated
+//! times, and the node reports how long consensus and block processing took
+//! so the caller can schedule the next block.
 
 #[expect(
     clippy::disallowed_types,
@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use crate::abci::{Application, DeliverTxResult};
+use crate::abci::{Application, DeliverTxResult, Event};
 use crate::block::{evidence_hash, Block, BlockId, Data, Header, RawTx, Version};
 use crate::hash::{FieldHasher, Hash};
 use crate::mempool::{Mempool, MempoolError, PendingTx};
@@ -91,6 +91,15 @@ pub struct CommittedBlock {
     /// Encoded size of the event payload plus raw transactions, as carried
     /// by a WebSocket frame (the §V frame-size accounting).
     pub events_payload_bytes: usize,
+}
+
+impl CommittedBlock {
+    /// Per-transaction `(tx hash, result code, events)` in block order.
+    pub fn txs(&self) -> impl Iterator<Item = (Hash, u32, &[Event])> {
+        (self.block.data.txs.iter())
+            .zip(&self.results)
+            .map(|(tx, result)| (tx.hash(), result.code, result.events.as_slice()))
+    }
 }
 
 /// Summary of a freshly produced block, returned to the driver.
@@ -182,8 +191,8 @@ impl<A: Application> Node<A> {
         &self.app
     }
 
-    /// Mutable access to the application (used by test fixtures and by the
-    /// chain driver for state queries).
+    /// Mutable access to the application (used by the setup phase for IBC
+    /// handshakes and by tests).
     pub fn app_mut(&mut self) -> &mut A {
         &mut self.app
     }

@@ -1,12 +1,13 @@
 //! Property-based tests on core data structures and protocol invariants.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use proptest::prelude::*;
 
 use ibc_perf_repro::chain::account::AccountKeeper;
 use ibc_perf_repro::chain::bank::BankModule;
-use ibc_perf_repro::chain::chain::Chain;
 use ibc_perf_repro::chain::coin::Coin;
 use ibc_perf_repro::chain::genesis::GenesisConfig;
 use ibc_perf_repro::chain::msg::Msg;
@@ -210,8 +211,8 @@ proptest! {
     /// broadcast is served like an accepted one.
     #[test]
     fn fifo_server_is_causal_and_work_conserving(jobs in prop::collection::vec((0u64..10_000, 1usize..20), 1..30)) {
-        let chain = Chain::new(GenesisConfig::new("chain-a").with_funded_accounts("user", 2, 1_000_000))
-            .into_shared();
+        let genesis = GenesisConfig::new("chain-a").with_funded_accounts("user", 2, 1_000_000);
+        let chain = Rc::new(RefCell::new(genesis.into_chain()));
         let one_way = SimDuration::from_millis(50);
         let mut rpc = RpcEndpoint::new(chain, one_way);
         let mut arrivals: Vec<(u64, usize)> = jobs;
@@ -1221,7 +1222,6 @@ mod codec {
 
 mod outstanding {
     use ibc_perf_repro::chain::bank::BankModule;
-    use ibc_perf_repro::chain::chain::Chain;
     use ibc_perf_repro::chain::coin::Coin;
     use ibc_perf_repro::chain::genesis::GenesisConfig;
     use ibc_perf_repro::ibc::commitment::{CommitmentRoot, NonMembershipProof};
@@ -1257,7 +1257,7 @@ mod outstanding {
     impl Pair {
         fn new() -> Self {
             let header = |chain_id: &str| {
-                let mut chain = Chain::new(GenesisConfig::new(chain_id));
+                let mut chain = GenesisConfig::new(chain_id).into_chain();
                 chain.produce_block(SimTime::from_secs(5));
                 chain.block_at(1).unwrap().block.header.clone()
             };
@@ -1308,7 +1308,12 @@ mod outstanding {
         /// nothing.
         fn recv(&mut self, channel: &ChannelId, seq: Sequence) {
             let port = PortId::transfer();
-            let packet = self.a.sent_packet(&port, channel, seq).unwrap().clone();
+            let packet = self
+                .a
+                .end(&port, channel)
+                .and_then(|end| end.sent_packet(seq))
+                .unwrap()
+                .clone();
             let proof = self
                 .a
                 .end(&port, channel)
@@ -1320,7 +1325,12 @@ mod outstanding {
         fn acknowledge(&mut self, channel: &ChannelId, seq: Sequence) {
             self.recv(channel, seq);
             let port = PortId::transfer();
-            let packet = self.a.sent_packet(&port, channel, seq).unwrap().clone();
+            let packet = self
+                .a
+                .end(&port, channel)
+                .and_then(|end| end.sent_packet(seq))
+                .unwrap()
+                .clone();
             let ack = (self
                 .b
                 .end(&port, channel)
@@ -1346,7 +1356,12 @@ mod outstanding {
 
         fn timeout(&mut self, channel: &ChannelId, seq: Sequence) {
             let port = PortId::transfer();
-            let packet = self.a.sent_packet(&port, channel, seq).unwrap().clone();
+            let packet = self
+                .a
+                .end(&port, channel)
+                .and_then(|end| end.sent_packet(seq))
+                .unwrap()
+                .clone();
             let proof = NonMembershipProof {
                 path: host::packet_receipt_path(&port, channel, seq),
                 root: self.root_b_on_a,
