@@ -7,8 +7,9 @@
 //! and non-membership proofs that counterparty chains verify against the
 //! consensus state recorded by their light clients.
 
-use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
@@ -40,92 +41,277 @@ pub type CommitmentRoot = Hash;
 ///
 /// # Keys
 ///
-/// The map is keyed by [`StorePath`]s, in the byte order of their
-/// spellings. The IBC module writes packet commitments, receipts and
-/// acknowledgements as a channel end's shared section plus a sequence, so
-/// those keys hold no text; every other path, and any text passed to
-/// [`set`](CommitmentStore::set) or a lookup, is read as a section of its
-/// own. Both kinds are one map, one order and one tree: a root or proof does
-/// not depend on how a path was written.
+/// A key is a [`StorePath`], and a path is its spelling: text and typed
+/// paths of one spelling are one entry (see [`crate::host`] for how text is
+/// read). Each sequenced section — one channel end's packet commitments,
+/// receipts or acknowledgements — has a row of values indexed by sequence:
+/// a window of 64-slot chunks over `[base, base + len)`, which a write just
+/// past either end widens by whole chunks and whose empty front chunks a
+/// write drops, and a small ordered map for a sequence more than
+/// `len.max(64)` slots outside it, so that `0` and `u64::MAX` in one section
+/// take one chunk and one map entry, not the range between them. A write, lookup or proof of a packet path finds its row
+/// (by the section's pointer, or by its text for a section built apart)
+/// and indexes it. Every other path is a key of one ordered map.
 ///
 /// # Proof-generation caching
 ///
-/// The store is one map and one tree. Each path's record carries, next to
-/// the committed value, its rank in path order in the last tree built, and
-/// that tree is kept across writes. Building it from scratch would hash
-/// every leaf (O(n)), and the relayer's data pulls request one proof per
-/// packet sequence, so an uncached store pays O(n) hashing *per proof* —
-/// once the dominant cost of whole-experiment replays. With the tree kept,
-/// a proof is one map lookup for the record's rank plus O(log n) sibling
-/// reads.
+/// The store keeps the last tree it built and that tree's leaves, as their
+/// paths in spelling order. Building the tree from scratch would hash every
+/// leaf (O(n)), and the relayer's data pulls request one proof per packet
+/// sequence, so an uncached store pays O(n) hashing *per proof*. With the
+/// tree and its order kept, a proof is a row lookup for the value, a binary
+/// search of the order for the leaf's rank, and O(log n) sibling reads.
 ///
-/// A mutation ([`set`](CommitmentStore::set) /
-/// [`delete`](CommitmentStore::delete)) only marks the tree stale (and a
-/// set path's record fresh). The next [`root`](CommitmentStore::root) or
-/// proof rebuilds it from the last one in one pass over the map: stamp each
-/// record's new rank, hash the leaves of the fresh records, and let
-/// [`MerkleTree::rebuild`] copy every perfect subtree whose leaves the
-/// writes left alone. A block that touches a few hundred of several
-/// thousand commitments therefore hashes those leaves and the inner nodes
-/// above them, and a path overwritten many times between two builds is
-/// hashed once. The tree's leaf level is the only copy of a leaf hash.
+/// A write ([`set`](CommitmentStore::set) /
+/// [`delete`](CommitmentStore::delete)) only notes its path. The next
+/// [`root`](CommitmentStore::root) or proof sorts the noted paths, finds
+/// each one's place in the kept order by binary search, copies the runs of
+/// leaves between those places, drops each deleted path's leaf and hashes
+/// the leaf of each one set, and lets [`MerkleTree::rebuild`] copy every
+/// perfect subtree whose leaves the writes left alone. A block that touches
+/// a few hundred of several thousand commitments therefore compares and
+/// hashes only those, and a path overwritten many times between two builds
+/// is hashed once.
 ///
-/// Invariant: a record's rank is either fresh or its leaf's index in
-/// `tree`, and nothing reads a rank except the build and, once built, a
-/// proof against that tree. Tree shape, roots and proofs are bit-identical
-/// to the uncached construction (pinned by
-/// `roots_of_a_chain_only_history_are_pinned`,
-/// `memoized_tree_invalidates_on_every_mutation`, the differential proptests
-/// in `tests/property_invariants.rs`, and the rebuild test in
+/// Tree shape, roots and proofs are bit-identical to the construction from
+/// scratch (pinned by `roots_of_a_chain_only_history_are_pinned` and the
+/// differential proptests in `tests/property_invariants.rs`,
+/// `memoized_tree_invalidates_on_every_mutation`, and the rebuild test in
 /// `xcc_tendermint::merkle`).
 #[derive(Debug, Clone)]
 pub struct CommitmentStore {
-    /// Each path's record, keyed by the path.
-    entries: BTreeMap<StorePath, Entry>,
-    /// The last tree built, over `entries` in path order unless `stale`.
-    tree: RefCell<MerkleTree>,
-    /// Whether anything was written since `tree` was built.
-    stale: Cell<bool>,
+    /// One row per sequenced section that was ever written.
+    rows: Vec<Row>,
+    /// The value of every path whose section is not sequenced.
+    others: BTreeMap<StorePath, Hash>,
+    /// The last tree built, and the writes since.
+    kept: RefCell<Kept>,
 }
 
-/// What the store holds for one path.
+/// The values of one sequenced section's paths, by sequence: a window of
+/// fixed-size chunks of slots, `chunks[k].slots[i]` holding sequence
+/// `base + k * CHUNK + i`, and the sequences written too far outside it. A
+/// row grows a chunk at a time, never as one buffer that doubles.
 #[derive(Debug, Clone)]
-struct Entry {
-    value: Hash,
-    /// The index of this path's leaf in the store's tree, or [`FRESH_RANK`]
-    /// when `value` was set after the tree was built. Four bytes, so that a
-    /// map slot (key, value and rank) is 52 bytes, not 56: a store would
-    /// need 2^32 paths, hundreds of gigabytes, to outgrow it.
-    rank: Cell<u32>,
+struct Row {
+    section: Rc<Section>,
+    /// The first sequence of `chunks[0]`: a multiple of [`CHUNK`].
+    base: u64,
+    chunks: VecDeque<Box<Chunk>>,
+    /// Sequences outside the window, in order.
+    spill: BTreeMap<u64, Hash>,
+    /// How many sequences hold a value, in the window and the spill.
+    live: usize,
 }
 
-/// A record's rank before the tree it is in is built: [`FRESH`] in four
-/// bytes.
-const FRESH_RANK: u32 = u32::MAX;
+/// Slots per chunk of a row, and how far outside the window of a row with
+/// fewer slots a written sequence still widens it.
+const CHUNK: usize = 64;
 
-impl PartialEq for Entry {
-    /// Compares the committed value only: the rank is an evaluation
-    /// detail, not state.
-    fn eq(&self, other: &Self) -> bool {
-        self.value == other.value
+#[derive(Debug, Clone)]
+struct Chunk {
+    /// How many of `slots` hold a value.
+    live: usize,
+    slots: [Option<Hash>; CHUNK],
+}
+
+impl Row {
+    /// The chunk and slot of `seq`, if the window spans it.
+    fn index(&self, seq: u64) -> Option<(usize, usize)> {
+        let index = usize::try_from(seq.checked_sub(self.base)?).ok()?;
+        (index / CHUNK < self.chunks.len()).then_some((index / CHUNK, index % CHUNK))
+    }
+
+    fn get(&self, seq: u64) -> Option<&Hash> {
+        match self.index(seq) {
+            Some((chunk, slot)) => self.chunks[chunk].slots[slot].as_ref(),
+            None => self.spill.get(&seq),
+        }
+    }
+
+    fn set(&mut self, seq: u64, value: Hash) -> Option<Hash> {
+        let prior = match self.reach(seq) {
+            Some((chunk, slot)) => {
+                let chunk = &mut self.chunks[chunk];
+                let prior = chunk.slots[slot].replace(value);
+                chunk.live += usize::from(prior.is_none());
+                prior
+            }
+            None => self.spill.insert(seq, value),
+        };
+        self.live += usize::from(prior.is_none());
+        prior
+    }
+
+    fn delete(&mut self, seq: u64) -> Option<Hash> {
+        let prior = match self.index(seq) {
+            Some((chunk, slot)) => {
+                let chunk = &mut self.chunks[chunk];
+                let prior = chunk.slots[slot].take()?;
+                chunk.live -= 1;
+                prior
+            }
+            None => self.spill.remove(&seq)?,
+        };
+        self.live -= 1;
+        Some(prior)
+    }
+
+    /// The chunk and slot of `seq` after dropping the empty chunks at the
+    /// window's front and widening it to `seq` when `seq` is at most
+    /// `len.max(CHUNK)` slots outside it; `None` when `seq` belongs in the
+    /// spill. A widened window takes over the spilled sequences it now
+    /// spans.
+    fn reach(&mut self, seq: u64) -> Option<(usize, usize)> {
+        while self.chunks.front().is_some_and(|chunk| chunk.live == 0) {
+            self.chunks.pop_front();
+            // Only a chunk ending at `u64::MAX` has no successor.
+            self.base = self.base.saturating_add(CHUNK as u64);
+        }
+        let first = seq - seq % CHUNK as u64;
+        if self.chunks.is_empty() {
+            self.base = first;
+        }
+        let len = (self.chunks.len() * CHUNK) as u64;
+        let reach = len.max(CHUNK as u64);
+        let (from, to) = if seq < self.base {
+            if self.base - seq > reach {
+                return None;
+            }
+            let added = self.base - first;
+            for _ in 0..added / CHUNK as u64 {
+                self.chunks.push_front(Box::new(Chunk::EMPTY));
+            }
+            self.base = first;
+            (first, first + (added - 1))
+        } else {
+            let index = seq - self.base;
+            if index < len {
+                return self.index(seq);
+            }
+            if index - len >= reach {
+                return None;
+            }
+            while ((self.chunks.len() * CHUNK) as u64) <= index {
+                self.chunks.push_back(Box::new(Chunk::EMPTY));
+            }
+            (self.base + len, first + (CHUNK as u64 - 1))
+        };
+        for (spilled, value) in self.spill.extract_if(from..=to, |_, _| true) {
+            let index = (spilled - self.base) as usize;
+            let chunk = &mut self.chunks[index / CHUNK];
+            chunk.slots[index % CHUNK] = Some(value);
+            chunk.live += 1;
+        }
+        self.index(seq)
+    }
+
+    /// Every sequence that holds a value, with it, in ascending order.
+    fn iter(&self) -> impl Iterator<Item = (u64, &Hash)> {
+        let window = (self.chunks.iter().enumerate())
+            .filter(|(_, chunk)| chunk.live > 0)
+            .flat_map(move |(k, chunk)| {
+                let first = self.base + (k * CHUNK) as u64;
+                (chunk.slots.iter().enumerate())
+                    .filter_map(move |(i, slot)| Some((first + i as u64, slot.as_ref()?)))
+            });
+        let below = self
+            .spill
+            .range(..self.base)
+            .map(|(&seq, value)| (seq, value));
+        let above = self
+            .spill
+            .range(self.base..)
+            .map(|(&seq, value)| (seq, value));
+        below.chain(window).chain(above)
+    }
+}
+
+impl Chunk {
+    const EMPTY: Chunk = Chunk {
+        live: 0,
+        slots: [None; CHUNK],
+    };
+}
+
+/// The tree as last built, the paths of its leaves, and the writes since.
+#[derive(Debug, Clone)]
+struct Kept {
+    tree: MerkleTree,
+    /// The paths of `tree`'s leaves, in leaf order: the spelling order.
+    order: Vec<StorePath>,
+    /// Every path set or deleted since `tree` was built, each as often as
+    /// it was written.
+    written: Vec<StorePath>,
+}
+
+impl Kept {
+    /// Merges the written paths into the order and rebuilds the tree from
+    /// the last one: each written path's place is a binary search of the
+    /// rest of the old order, the runs between those places are moved
+    /// over, a written path that holds a `value` now is a fresh leaf, and
+    /// one that does not is left out. The old order is freed before the
+    /// tree is rebuilt, so the two trees are never held beside two orders.
+    fn rebuild<'a>(&mut self, value: impl Fn(&StorePath) -> Option<&'a Hash>) {
+        let Kept {
+            tree,
+            order,
+            written,
+        } = self;
+        written.sort_unstable();
+        written.dedup();
+        let bound = order.len() + written.len();
+        let mut old = std::mem::replace(order, Vec::with_capacity(bound)).into_iter();
+        let mut ranks = Vec::with_capacity(bound);
+        let mut fresh = Vec::new();
+        let mut rank = 0;
+        for path in written.drain(..) {
+            let (run, found) = match old.as_slice().binary_search(&path) {
+                Ok(run) => (run, true),
+                Err(run) => (run, false),
+            };
+            order.extend(old.by_ref().take(run));
+            ranks.extend(rank..rank + run);
+            rank += run + usize::from(found);
+            if found {
+                old.next();
+            }
+            if let Some(value) = value(&path) {
+                fresh.push(path.leaf(value));
+                ranks.push(FRESH);
+                order.push(path);
+            }
+        }
+        ranks.extend(rank..rank + old.len());
+        order.extend(old);
+        *tree = tree.rebuild(&ranks, &fresh);
     }
 }
 
 impl Default for CommitmentStore {
     fn default() -> Self {
         CommitmentStore {
-            entries: BTreeMap::new(),
-            tree: RefCell::new(MerkleTree::build([])),
-            stale: Cell::new(false),
+            rows: Vec::new(),
+            others: BTreeMap::new(),
+            kept: RefCell::new(Kept {
+                tree: MerkleTree::build([]),
+                order: Vec::new(),
+                written: Vec::new(),
+            }),
         }
     }
 }
 
 impl PartialEq for CommitmentStore {
-    /// Compares the committed entries only: how current the Merkle tree is
-    /// is an evaluation detail, not state.
+    /// Compares the committed entries only: how they are laid out and how
+    /// current the Merkle tree is are evaluation details, not state.
     fn eq(&self, other: &Self) -> bool {
-        self.entries == other.entries
+        self.others == other.others
+            && self.len() == other.len()
+            && self.rows.iter().all(|row| {
+                let theirs = other.row(&row.section);
+                (row.iter()).all(|(seq, value)| theirs.and_then(|row| row.get(seq)) == Some(value))
+            })
     }
 }
 
@@ -194,59 +380,98 @@ impl CommitmentStore {
 
     /// Number of committed entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.others.len() + self.rows.iter().map(|row| row.live).sum::<usize>()
     }
 
     /// `true` when the store has no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
+    }
+
+    /// The index of `section`'s row: the one built on it, or else the one
+    /// spelt like it.
+    fn row_index(&self, section: &Rc<Section>) -> Option<usize> {
+        let rows = || self.rows.iter();
+        (rows().position(|row| Rc::ptr_eq(&row.section, section)))
+            .or_else(|| rows().position(|row| row.section.text == section.text))
+    }
+
+    fn row(&self, section: &Rc<Section>) -> Option<&Row> {
+        Some(&self.rows[self.row_index(section)?])
     }
 
     /// Sets the commitment at `path`, returning the one it replaces. A
     /// `String` whose capacity is its length — every [`crate::host`] text
-    /// path — becomes its key's section without a copy or a reallocation.
+    /// path but a packet path's — becomes its key's section without a copy
+    /// or a reallocation.
     pub fn set(&mut self, path: impl Into<StorePath>, value: Hash) -> Option<Hash> {
-        self.stale.set(true);
-        let entry = Entry {
-            value,
-            rank: Cell::new(FRESH_RANK),
+        let path = path.into();
+        let (prior, path) = match path.sequence() {
+            None => (self.others.insert(path.clone(), value), path),
+            Some(seq) => {
+                let index = self.row_index(&path.section).unwrap_or_else(|| {
+                    self.rows.push(Row {
+                        section: Rc::clone(&path.section),
+                        base: 0,
+                        chunks: VecDeque::new(),
+                        spill: BTreeMap::new(),
+                        live: 0,
+                    });
+                    self.rows.len() - 1
+                });
+                let row = &mut self.rows[index];
+                let prior = row.set(seq, value);
+                (prior, StorePath::sequenced(&row.section, Sequence(seq)))
+            }
         };
-        self.entries.insert(path.into(), entry).map(|old| old.value)
+        self.kept.get_mut().written.push(path);
+        prior
     }
 
     /// Reads the commitment at `path`.
     pub fn get(&self, path: &(impl AsStorePath + ?Sized)) -> Option<&Hash> {
-        let entry = self.entries.get(&*path.as_store_path())?;
-        Some(&entry.value)
+        let path = path.as_store_path();
+        match path.sequence() {
+            None => self.others.get(&*path),
+            Some(seq) => self.row(&path.section)?.get(seq),
+        }
     }
 
     /// Whether the store has a commitment at `path`.
     pub fn contains(&self, path: &(impl AsStorePath + ?Sized)) -> bool {
-        self.entries.contains_key(&*path.as_store_path())
+        self.get(path).is_some()
     }
 
-    /// The sequences of `section`'s paths in the store, in path order
-    /// (`…/10` sorts before `…/2`): one seek to the section's least path
-    /// (sequence 0, whose digits sort before any other's), then the paths
-    /// spelt under its text, of which those written as text are skipped (so
-    /// `…/007` or `…/+5` is never read as a sequence). No path is spelt or
-    /// parsed, and the tree is left alone.
+    /// The sequences of `section`'s paths in the store, in ascending order:
+    /// a walk of its row, which holds no other section's paths, and text
+    /// written under it only where the text spells one of its paths.
     pub fn sequences_in<'a>(
         &'a self,
         section: &'a Rc<Section>,
     ) -> impl Iterator<Item = Sequence> + 'a {
-        let least = StorePath::sequenced(section, Sequence(0));
-        (self.entries.range(least..))
-            .map(|(path, _)| path)
-            .take_while(move |path| path.is_under(section))
-            .filter_map(move |path| path.sequence_in(section))
+        (self.row(section).into_iter()).flat_map(|row| row.iter().map(|(seq, _)| Sequence(seq)))
+    }
+
+    /// The number of [`sequences_in`](Self::sequences_in) `section`, kept
+    /// by its row.
+    pub fn count_in(&self, section: &Rc<Section>) -> usize {
+        self.row(section).map_or(0, |row| row.live)
     }
 
     /// Deletes the commitment at `path`, returning it if present.
     pub fn delete(&mut self, path: &(impl AsStorePath + ?Sized)) -> Option<Hash> {
-        let removed = self.entries.remove(&*path.as_store_path())?;
-        self.stale.set(true);
-        Some(removed.value)
+        let path = path.as_store_path();
+        let (path, prior) = match path.sequence() {
+            None => self.others.remove_entry(&*path)?,
+            Some(seq) => {
+                let index = self.row_index(&path.section)?;
+                let row = &mut self.rows[index];
+                let prior = row.delete(seq)?;
+                (StorePath::sequenced(&row.section, Sequence(seq)), prior)
+            }
+        };
+        self.kept.get_mut().written.push(path);
+        Some(prior)
     }
 
     /// The Merkle root over all `(path, value)` leaves in path order.
@@ -254,45 +479,44 @@ impl CommitmentStore {
     /// The root of an empty store is a fixed domain-separated digest so that
     /// "empty" is distinguishable from "absent".
     pub fn root(&self) -> CommitmentRoot {
-        if self.entries.is_empty() {
+        if self.is_empty() {
             return hash_fields(&[b"empty-ibc-store"]);
         }
-        self.with_tree(|tree| tree.root())
+        self.with_tree(|tree, _| tree.root())
     }
 
     /// Produces a membership proof for `path`, if it exists.
     pub fn prove_membership(&self, path: &(impl AsStorePath + ?Sized)) -> Option<CommitmentProof> {
-        let (path, entry) = self.entries.get_key_value(&*path.as_store_path())?;
-        self.with_tree(|tree| {
+        let path = path.as_store_path();
+        let (value, path) = match path.sequence() {
+            None => (*self.others.get(&*path)?, path),
+            // On its row's own section, the path compares with the kept
+            // order's paths of that section by sequence, not by spelling.
+            Some(seq) => {
+                let row = self.row(&path.section)?;
+                let key = StorePath::sequenced(&row.section, Sequence(seq));
+                (*row.get(seq)?, Cow::Owned(key))
+            }
+        };
+        self.with_tree(|tree, order| {
+            let rank = order.binary_search(&path).ok()?;
             Some(CommitmentProof {
                 path: path.spell(),
-                value: entry.value,
-                merkle: tree.prove(entry.rank.get() as usize)?,
+                value,
+                merkle: tree.prove(rank)?,
                 root: tree.root(),
             })
         })
     }
 
-    /// Reads the tree, rebuilding it first if anything was written since the
-    /// last build: one pass that stamps every entry's rank, noting its old
-    /// one, and hashes the leaves whose value is new.
-    fn with_tree<R>(&self, read: impl FnOnce(&MerkleTree) -> R) -> R {
-        let mut tree = self.tree.borrow_mut();
-        if self.stale.replace(false) {
-            let mut old_ranks = Vec::with_capacity(self.entries.len());
-            let mut fresh = Vec::new();
-            for (rank, (path, entry)) in self.entries.iter().enumerate() {
-                let old = entry.rank.replace(rank as u32);
-                if old == FRESH_RANK {
-                    fresh.push(path.leaf(&entry.value));
-                    old_ranks.push(FRESH);
-                } else {
-                    old_ranks.push(old as usize);
-                }
-            }
-            *tree = tree.rebuild(&old_ranks, &fresh);
+    /// Reads the tree and the paths of its leaves, rebuilding it first if
+    /// anything was written since the last build.
+    fn with_tree<R>(&self, read: impl FnOnce(&MerkleTree, &[StorePath]) -> R) -> R {
+        let mut kept = self.kept.borrow_mut();
+        if !kept.written.is_empty() {
+            kept.rebuild(|path| self.get(path));
         }
-        read(&tree)
+        read(&kept.tree, &kept.order)
     }
 
     /// Produces a non-membership proof for `path`, if it is indeed absent.
@@ -301,7 +525,7 @@ impl CommitmentStore {
         path: &(impl AsStorePath + ?Sized),
     ) -> Option<NonMembershipProof> {
         let path = path.as_store_path();
-        if self.entries.contains_key(&*path) {
+        if self.contains(&*path) {
             return None;
         }
         Some(NonMembershipProof {
@@ -314,7 +538,26 @@ impl CommitmentStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xcc_tendermint::hash::{sha256, Sha256};
+    use xcc_tendermint::hash::sha256;
+
+    /// Every entry of `s`, in path order.
+    fn entries(s: &CommitmentStore) -> Vec<(StorePath, Hash)> {
+        let rows = s.rows.iter().flat_map(|row| {
+            (row.iter())
+                .map(|(seq, value)| (StorePath::sequenced(&row.section, Sequence(seq)), *value))
+        });
+        let mut entries: Vec<_> = (s.others.iter())
+            .map(|(path, value)| (path.clone(), *value))
+            .chain(rows)
+            .collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        entries
+    }
+
+    /// Whether anything was written since the tree was built.
+    fn stale(s: &CommitmentStore) -> bool {
+        !s.kept.borrow().written.is_empty()
+    }
 
     /// `proof`'s verdict under `root`, with nothing remembered.
     fn verifies(proof: &CommitmentProof, root: &CommitmentRoot) -> bool {
@@ -384,11 +627,12 @@ mod tests {
         assert!(!proof.verify(&s.root()));
     }
 
-    /// A section's walk yields its own sequences in path order, and nothing
-    /// of a neighbouring channel or family, of the section's own text, or of
-    /// a path written as text under it — canonical or not.
+    /// A section's walk yields its own sequences in ascending order, and
+    /// nothing of a neighbouring channel or family, of the section's own
+    /// text, or of text under it that does not spell one of its paths; text
+    /// that does (`…/0`, `…/3`) is that path.
     #[test]
-    fn sequences_in_walks_exactly_the_section_in_path_order() {
+    fn sequences_in_walks_exactly_the_section_in_sequence_order() {
         use crate::host::ChannelPaths;
         use crate::ids::{ChannelId, PortId};
 
@@ -397,9 +641,11 @@ mod tests {
         let ten = ChannelPaths::new(&port, &ChannelId::with_index(10));
         let mut s = CommitmentStore::new();
         let walk = |s: &CommitmentStore, paths: &ChannelPaths| {
-            s.sequences_in(paths.commitments())
+            let walked: Vec<u64> = (s.sequences_in(paths.commitments()))
                 .map(Sequence::value)
-                .collect::<Vec<_>>()
+                .collect();
+            assert_eq!(s.count_in(paths.commitments()), walked.len());
+            walked
         };
         assert_eq!(walk(&s, &one), [0; 0], "empty store");
         for seq in [1, 2, 9, 10, 11, 100] {
@@ -412,15 +658,89 @@ mod tests {
             s.set(format!("{under}{text}"), sha256(text.as_bytes()));
         }
         s.set(one.end().clone(), sha256(b"end"));
-        assert_eq!(walk(&s, &one), [1, 10, 100, 11, 2, 9]);
-        assert_eq!(walk(&s, &ten), [1, 10, 100, 11, 2, 9]);
+        assert_eq!(walk(&s, &one), [0, 1, 2, 3, 9, 10, 11, 100]);
+        assert_eq!(walk(&s, &ten), [1, 2, 9, 10, 11, 100]);
         // A section spelt alike but built apart walks the same paths.
         let again = ChannelPaths::new(&port, &ChannelId::with_index(1));
-        assert_eq!(walk(&s, &again), [1, 10, 100, 11, 2, 9]);
+        assert_eq!(walk(&s, &again), [0, 1, 2, 3, 9, 10, 11, 100]);
         // Text that spells a typed path is that path.
+        assert_eq!(s.get(&one.commitment(Sequence(3))), Some(&sha256(b"3")));
         assert_eq!(s.get(&format!("{under}10")), Some(&sha256(&[1])));
         assert_eq!(s.delete(&format!("{under}10")), Some(sha256(&[1])));
-        assert_eq!(walk(&s, &one), [1, 100, 11, 2, 9]);
+        assert_eq!(walk(&s, &one), [0, 1, 2, 3, 9, 11, 100]);
+    }
+
+    /// A sequence far outside its row's window goes to the row's spill, so a
+    /// section holding `0` and `u64::MAX` takes one chunk and a spilled
+    /// entry, not the range between them; sequences near the window widen
+    /// it by whole chunks, at either end, and take over what the spill held
+    /// there, and empty chunks at the front are dropped by the next write.
+    /// Reads, the walk, the count and the root do not depend on where a
+    /// sequence is kept.
+    #[test]
+    fn far_sequences_spill_and_near_ones_widen_the_row() {
+        use crate::host::ChannelPaths;
+        use crate::ids::{ChannelId, PortId};
+
+        let paths = ChannelPaths::new(&PortId::transfer(), &ChannelId::with_index(0));
+        let mut s = CommitmentStore::new();
+        let mut text = CommitmentStore::new();
+        let mut write = |s: &mut CommitmentStore, seq: u64| {
+            s.set(paths.commitment(Sequence(seq)), sha256(&seq.to_le_bytes()));
+            let spelt = paths.commitment(Sequence(seq)).spell();
+            text.set(spelt, sha256(&seq.to_le_bytes()));
+        };
+        let shape = |s: &CommitmentStore| {
+            let row = &s.rows[0];
+            (row.base, row.chunks.len(), row.spill.len())
+        };
+        for seq in [0, u64::MAX, u64::MAX - 1, 1_000] {
+            write(&mut s, seq);
+        }
+        assert_eq!(shape(&s), (0, 1, 3));
+        // 63 slots past the window's end widen it; 128 past do not.
+        write(&mut s, 127);
+        write(&mut s, 256);
+        assert_eq!(shape(&s), (0, 2, 4));
+        // The emptied front chunk is dropped by the next write.
+        s.delete(&paths.commitment(Sequence(0)));
+        write(&mut s, 100);
+        assert_eq!(shape(&s), (64, 1, 4));
+        // Widening over 256 takes it back from the spill; a write below the
+        // base widens the front.
+        write(&mut s, 150);
+        write(&mut s, 300);
+        assert_eq!(shape(&s), (64, 4, 3));
+        write(&mut s, 30);
+        assert_eq!(shape(&s), (0, 5, 3));
+        let walked: Vec<u64> = (s.sequences_in(paths.commitments()))
+            .map(Sequence::value)
+            .collect();
+        let expected = [30, 100, 127, 150, 256, 300, 1_000, u64::MAX - 1, u64::MAX];
+        assert_eq!(walked, expected);
+        assert_eq!(s.count_in(paths.commitments()), expected.len());
+        for seq in expected {
+            let value = sha256(&seq.to_le_bytes());
+            assert_eq!(s.get(&paths.commitment(Sequence(seq))), Some(&value));
+        }
+        assert_eq!(s.get(&paths.commitment(Sequence(0))), None);
+        text.delete(&paths.commitment(Sequence(0)).spell());
+        assert_eq!(s.root(), text.root());
+        assert_eq!(s, text);
+
+        // A window that ends at `u64::MAX` widens below it and, emptied,
+        // starts again wherever the next write is.
+        let receipt = |seq| paths.receipt(Sequence(seq));
+        s.set(receipt(u64::MAX), sha256(b"last"));
+        s.set(receipt(u64::MAX - 100), sha256(b"below"));
+        let row = &s.rows[1];
+        assert_eq!((row.base, row.chunks.len()), (u64::MAX - 127, 2));
+        s.delete(&receipt(u64::MAX));
+        s.delete(&receipt(u64::MAX - 100));
+        s.set(receipt(5), sha256(b"again"));
+        let row = &s.rows[1];
+        assert_eq!((row.base, row.chunks.len(), row.live), (0, 1, 1));
+        assert_eq!(s.get(&receipt(5)), Some(&sha256(b"again")));
     }
 
     #[test]
@@ -436,8 +756,8 @@ mod tests {
         // step the root and proofs must equal a fresh, never-mutated store's.
         let reference = |s: &CommitmentStore| {
             let mut fresh = CommitmentStore::new();
-            for (k, v) in s.entries.iter() {
-                fresh.set(k.clone(), v.value);
+            for (k, v) in entries(s) {
+                fresh.set(k, v);
             }
             fresh
         };
@@ -462,9 +782,9 @@ mod tests {
         // A lookup is a read: the tree built by the reads above is still
         // current afterwards, and the root comes from it unchanged.
         let root = cached.root();
-        assert!(!cached.stale.get());
+        assert!(!stale(&cached));
         assert!(cached.contains("commitments/1"));
-        assert!(!cached.stale.get(), "a lookup marked the tree stale");
+        assert!(!stale(&cached), "a lookup marked the tree stale");
         assert_eq!(cached.root(), root);
 
         // A clone carries correct state even if taken mid-memo.
@@ -507,8 +827,11 @@ mod tests {
             step(&mut cached);
             let fresh = reference(&cached);
             assert_eq!(cached.root(), fresh.root());
-            for path in fresh.entries.keys() {
-                assert_eq!(cached.prove_membership(path), fresh.prove_membership(path));
+            for (path, _) in entries(&fresh) {
+                assert_eq!(
+                    cached.prove_membership(&path),
+                    fresh.prove_membership(&path)
+                );
             }
         }
     }
@@ -543,59 +866,20 @@ mod tests {
         for write in writes {
             let mut fresh = filled();
             write(&mut fresh);
-            for path in fresh.entries.keys() {
+            for (path, _) in entries(&fresh) {
                 let mut built = filled();
                 built.root();
                 write(&mut built);
                 // A clone taken between the write and the next read carries
                 // the stale ranks too, and must rebuild like the original.
                 let cloned = built.clone();
-                let expected = fresh.prove_membership(path);
-                assert_eq!(built.prove_membership(path), expected);
-                assert_eq!(cloned.prove_membership(path), expected);
+                let expected = fresh.prove_membership(&path);
+                assert_eq!(built.prove_membership(&path), expected);
+                assert_eq!(cloned.prove_membership(&path), expected);
                 assert_eq!(cloned.root(), fresh.root());
                 assert!(verifies(&expected.unwrap(), &fresh.root()));
             }
         }
-    }
-
-    /// A `chain_only`-shaped history: 3,000 packet commitments sent in
-    /// blocks of 100, each send advancing the channel end, and every third
-    /// block also acknowledging most of an older block (its commitments
-    /// deleted, receipts and acknowledgements written). The root after every
-    /// block is folded into one digest, read before the store kept its tree
-    /// across writes.
-    #[test]
-    fn roots_of_a_chain_only_history_are_pinned() {
-        let channel = "ports/transfer/channels/channel-0";
-        let mut s = CommitmentStore::new();
-        let mut roots = Sha256::new();
-        for block in 0..30u64 {
-            for seq in block * 100 + 1..=block * 100 + 100 {
-                let commitment = format!("commitments/{channel}/sequences/{seq}");
-                s.set(commitment, sha256(&seq.to_le_bytes()));
-                s.set(format!("channelEnds/{channel}"), sha256(&seq.to_be_bytes()));
-            }
-            if block % 3 == 2 {
-                for seq in (block - 2) * 100 + 1..=(block - 1) * 100 {
-                    if seq % 7 == 0 {
-                        continue;
-                    }
-                    s.delete(&format!("commitments/{channel}/sequences/{seq}"));
-                    s.set(format!("receipts/{channel}/sequences/{seq}"), sha256(b"ok"));
-                    s.set(
-                        format!("acks/{channel}/sequences/{seq}"),
-                        sha256(&[seq as u8]),
-                    );
-                }
-            }
-            roots.update(s.root().as_bytes());
-        }
-        assert_eq!(s.len(), 3_857);
-        assert_eq!(
-            roots.finalize().to_hex(),
-            "67fd15e8002a444c3907980f1a632bb00006773d8e1ba8cb4e8798a6f99fd8ba"
-        );
     }
 
     /// A proof whose Merkle branch is `null` used to deserialize and then

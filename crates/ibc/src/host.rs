@@ -11,11 +11,19 @@
 //! [`ChannelPaths`] created once
 //! (`commitments/ports/{port}/channels/{channel}/sequences/` and likewise
 //! `receipts/…` and `acks/…`), so such a key holds no text of its own. Any
-//! other path — a channel or connection end, a client or consensus state, or
-//! text handed to the store — is a section of its own. A path orders and
-//! compares as its spelling does, and is spelt only where bytes are needed:
-//! its leaf hash, a proof's `path`, and the checks of a counterparty's
-//! proof path ([`is_sequence_path`]), none of which builds the text.
+//! other path — a channel or connection end, a client or consensus state —
+//! is a section of its own. A path orders and compares as its spelling does,
+//! and is spelt only where bytes are needed: its leaf hash, a proof's
+//! `path`, and the checks of a counterparty's proof path
+//! ([`is_sequence_path`]), none of which builds the text.
+//!
+//! A key is its spelling, so text handed to the store is read by one rule:
+//! text that ends in `/sequences/` and a `u64` in canonical decimal (no sign,
+//! no leading zero) is that sequence of the section spelt up to and
+//! including `/sequences/`, and any other text is a section of its own. Only
+//! packet paths end that way, and text and typed paths of one spelling meet
+//! in one store entry; `…/sequences/007`, `…/sequences/+5`, `…/sequences/5/x`
+//! and a bare `…/sequences/` are sections of their own.
 //!
 //! The text builders write each path into a `String` of exactly the path's
 //! length: `format!` would reserve an estimate (twice the literal text)
@@ -116,7 +124,7 @@ fn cmp_decimal(a: u64, b: u64) -> Ordering {
 /// The text a [`StorePath`] starts with, shared by every path built on it.
 #[derive(Debug, PartialEq)]
 pub struct Section {
-    text: Box<str>,
+    pub(crate) text: Box<str>,
     /// Whether the paths of this section continue with a sequence in
     /// decimal; otherwise the text is the whole path.
     sequenced: bool,
@@ -132,7 +140,7 @@ pub struct Section {
 /// sequences as decimal text, without spelling them.
 #[derive(Debug, Clone)]
 pub struct StorePath {
-    section: Rc<Section>,
+    pub(crate) section: Rc<Section>,
     /// Unread (and 0) unless the section is sequenced.
     sequence: u64,
 }
@@ -144,6 +152,23 @@ impl StorePath {
             section: Rc::clone(section),
             sequence: sequence.value(),
         }
+    }
+
+    /// The path spelt `section` and then `sequence`, if any, on a section of
+    /// its own.
+    fn of_text(section: Box<str>, sequence: Option<u64>) -> StorePath {
+        StorePath {
+            section: Rc::new(Section {
+                text: section,
+                sequenced: sequence.is_some(),
+            }),
+            sequence: sequence.unwrap_or(0),
+        }
+    }
+
+    /// The sequence after the section's text, if the section is sequenced.
+    pub(crate) fn sequence(&self) -> Option<u64> {
+        self.section.sequenced.then_some(self.sequence)
     }
 
     /// The digits after the section's text.
@@ -176,43 +201,39 @@ impl StorePath {
             value.as_bytes(),
         ])
     }
+}
 
-    /// Whether this path's spelling starts with `section`'s text.
-    pub(crate) fn is_under(&self, section: &Rc<Section>) -> bool {
-        let (text, prefix) = (&*self.section.text, &*section.text);
-        Rc::ptr_eq(&self.section, section)
-            || text.starts_with(prefix)
-            || prefix
-                .strip_prefix(text)
-                .is_some_and(|rest| self.digits().as_bytes().starts_with(rest.as_bytes()))
+/// Where the section of text `path` ends and the sequence that follows it,
+/// when `path` ends in `/sequences/` and a `u64` in canonical decimal.
+fn split_sequence(path: &str) -> Option<(usize, u64)> {
+    let digits = path.bytes().rev().take_while(u8::is_ascii_digit).count();
+    let (section, digits) = path.split_at(path.len() - digits);
+    let canonical = digits == "0" || !digits.starts_with('0');
+    if !section.ends_with("/sequences/") || digits.is_empty() || !canonical {
+        return None;
     }
-
-    /// This path's sequence, when its section is spelt like `section`, which
-    /// is sequenced. A path given as text is a section of its own, whose text
-    /// is the whole path: spelt like `section` only if it is `section`'s bare
-    /// text, which sorts before all of `section`'s sequences.
-    pub(crate) fn sequence_in(&self, section: &Rc<Section>) -> Option<Sequence> {
-        let same = Rc::ptr_eq(&self.section, section) || self.section.text == section.text;
-        same.then_some(Sequence(self.sequence))
-    }
+    Some((section.len(), digits.parse().ok()?))
 }
 
 impl From<String> for StorePath {
-    /// The path spelt `path`, as a section of its own.
-    fn from(path: String) -> StorePath {
-        StorePath {
-            section: Rc::new(Section {
-                text: path.into_boxed_str(),
-                sequenced: false,
-            }),
-            sequence: 0,
+    /// The path spelt `path`, read by the text rule (see the module doc). A
+    /// `String` whose capacity is its length that is not a packet path —
+    /// every [`crate::host`] text path the store is written at — becomes its
+    /// key's section without a copy or a reallocation.
+    fn from(mut path: String) -> StorePath {
+        let split = split_sequence(&path);
+        if let Some((section, _)) = split {
+            path.truncate(section);
         }
+        StorePath::of_text(path.into_boxed_str(), split.map(|(_, sequence)| sequence))
     }
 }
 
 impl From<&str> for StorePath {
     fn from(path: &str) -> StorePath {
-        StorePath::from(path.to_owned())
+        let split = split_sequence(path);
+        let section = split.map_or(path, |(section, _)| &path[..section]);
+        StorePath::of_text(section.into(), split.map(|(_, sequence)| sequence))
     }
 }
 
@@ -253,7 +274,7 @@ impl PartialEq for StorePath {
 impl Eq for StorePath {}
 
 /// What the commitment store can be asked about: a [`StorePath`], or text,
-/// which is read as a path of its own section.
+/// read by the text rule (see the module doc).
 pub trait AsStorePath {
     /// The path, borrowed when it already is one.
     fn as_store_path(&self) -> Cow<'_, StorePath>;

@@ -1051,36 +1051,26 @@ impl IbcModule {
     }
 
     /// The sequences sent on a channel end whose commitment is still in the
-    /// store — neither acknowledged nor timed out — in ascending order. A
-    /// walk of the store's range of the end's commitment section, so it
-    /// costs what is outstanding, not what was ever sent.
+    /// store — neither acknowledged nor timed out — in ascending order: a
+    /// walk of the end's commitments row, so it costs what is outstanding,
+    /// not what was ever sent.
     pub fn outstanding_commitments(&self, port: &PortId, channel: &ChannelId) -> Vec<Sequence> {
-        let Some(record) = self.record(port, channel) else {
-            return Vec::new();
-        };
-        let mut sequences: Vec<Sequence> =
-            (self.store.sequences_in(record.paths.commitments())).collect();
-        // Store order is that of the spelling: `…/10` comes before `…/2`.
-        sequences.sort_unstable();
-        sequences
+        self.record(port, channel).map_or_else(Vec::new, |record| {
+            (self.store.sequences_in(record.paths.commitments())).collect()
+        })
     }
 
     /// The length of [`outstanding_commitments`](Self::outstanding_commitments)
-    /// without building it.
+    /// without building it: the row's count.
     pub fn outstanding_commitment_count(&self, port: &PortId, channel: &ChannelId) -> usize {
-        self.record(port, channel).map_or(0, |record| {
-            (self.store.sequences_in(record.paths.commitments())).count()
-        })
+        self.record(port, channel)
+            .map_or(0, |record| self.store.count_in(record.paths.commitments()))
     }
 
     /// Whether [`outstanding_commitments`](Self::outstanding_commitments)
-    /// is non-empty: the first step of the section walk, O(log n).
+    /// is non-empty.
     pub fn has_outstanding_commitments(&self, port: &PortId, channel: &ChannelId) -> bool {
-        self.record(port, channel).is_some_and(|record| {
-            (self.store.sequences_in(record.paths.commitments()))
-                .next()
-                .is_some()
-        })
+        self.outstanding_commitment_count(port, channel) > 0
     }
 
     // ------------------------------------------------------------------
@@ -1646,9 +1636,10 @@ pub(crate) mod tests {
     }
 
     /// Text written under a channel end's commitment section is not one of
-    /// its commitments, however it reads: a sequence with a sign or leading
-    /// zeros, the section's own text, or more path after a sequence. A parse
-    /// of the suffix reported `007` as 7 and `+5` as 5.
+    /// its commitments unless it spells one: a sequence with a sign or
+    /// leading zeros, the section's own text, or more path after a sequence
+    /// is not (a parse of the suffix once reported `007` as 7 and `+5` as 5),
+    /// and `…/0` is the path of sequence 0, since a key is its spelling.
     #[test]
     fn text_under_a_commitment_section_is_not_outstanding() {
         let (mut a, _b, chan_a, _) = connected_pair();
@@ -1659,13 +1650,17 @@ pub(crate) mod tests {
             send(&mut a, &mut bank_a, &transfer_params(&chan_a, 10, 1_000));
         }
         let under = format!("commitments/ports/{port}/channels/{chan_a}/sequences/");
-        for text in ["007", "+5", "05", "0", "", "2/x"] {
+        for text in ["007", "+5", "05", "", "2/x"] {
             a.store
                 .set(format!("{under}{text}"), hash_fields(&[b"forged"]));
         }
         let sent = [1, 2, 3].map(Sequence);
         assert_eq!(a.outstanding_commitments(&port, &chan_a), sent);
         assert_eq!(a.outstanding_commitment_count(&port, &chan_a), 3);
+        a.store.set(format!("{under}0"), hash_fields(&[b"forged"]));
+        let spelt = [0, 1, 2, 3].map(Sequence);
+        assert_eq!(a.outstanding_commitments(&port, &chan_a), spelt);
+        assert_eq!(a.outstanding_commitment_count(&port, &chan_a), 4);
     }
 
     /// Receives `packet` on `b` and acknowledges it on `a`, returning the
@@ -1719,7 +1714,7 @@ pub(crate) mod tests {
         check(&a, &chan_a, false);
 
         let under = format!("commitments/ports/{port}/channels/{chan_a}/sequences/");
-        for text in ["007", "+5", "05", "0", "", "2/x"] {
+        for text in ["007", "+5", "05", "", "2/x"] {
             (a.store).set(format!("{under}{text}"), hash_fields(&[b"forged"]));
         }
         check(&a, &chan_a, false);

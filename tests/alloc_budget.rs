@@ -186,9 +186,11 @@ fn drained() -> ExperimentSpec {
 /// `message` event's one attribute was its own exact allocation, 7.4 with
 /// telemetry columns, 6.4 once the `message` event held the app's one
 /// record of its action and a store key was written once at its exact
-/// length, and 4.4 now that a commitment's key is its channel end's shared
+/// length, 4.4 once a commitment's key was its channel end's shared
 /// section plus a sequence, with no text of its own for the store or the
-/// journal. The ceiling fails on each of the earlier ones.
+/// journal, and 4.3 now that a packet path's value is a slot of its
+/// section's row, not a B-tree entry. The ceiling fails on each of the
+/// earlier ones.
 const CHAIN_ONLY_CEILING: f64 = 5.0;
 /// Per submitted transfer on `relayed()`: 220.8 before shared names, 96.1
 /// with a relayed packet copied eight times, 86.8 with one owner, 62.1 once
@@ -201,19 +203,22 @@ const CHAIN_ONLY_CEILING: f64 = 5.0;
 /// that commitments, receipts and acknowledgements are keyed by section and
 /// sequence, not by formatted paths, and 16.4 now that `CheckTx` runs on the
 /// relayer's own transaction instead of a decoded copy and a Merkle proof
-/// is built at its depth instead of grown by pushes. The ceiling keeps 12%
-/// above the last and fails on each of the earlier ten.
-const RELAYED_CEILING: f64 = 18.5;
+/// is built at its depth instead of grown by pushes, 16.2 with the
+/// relayer's packet table in rows, and 16.0 with the store's packet paths
+/// in rows too. The ceiling keeps 12% above the last and fails on each of
+/// the earlier ones but the last two.
+const RELAYED_CEILING: f64 = 18.0;
 /// Per submitted transfer on `drained()`: 197.3 while the drain check and the
 /// two clear scans formatted and looked up the path of every packet ever
 /// sent, 122.1 once they walked the store's commitment prefix, 90.0 with
 /// packet events as values, 73.1 with shared names in decoded batches, 62.0
 /// with one record per channel end, 60.0 with packet events sharing their
 /// packet, 55.0 with the relayer sharing it too, 36.5 with store keys that
-/// are a section and a sequence, and 25.2 with no transaction decoded and
-/// proofs built to size. Same margin; the ceiling fails on each of the
-/// earlier eight.
-const DRAINED_CEILING: f64 = 28.5;
+/// are a section and a sequence, 25.2 with no transaction decoded and
+/// proofs built to size, 25.1 with the relayer's packet table in rows, and
+/// 24.7 with the store's packet paths in rows. Same margin; the ceiling
+/// fails on each of the earlier ones but the last two.
+const DRAINED_CEILING: f64 = 28.0;
 
 /// Runs `spec` once to warm up, then twice counted; the two counts must be
 /// equal. Returns allocations per `transfers(outcome)`.
@@ -264,23 +269,26 @@ fn a_transfer_stays_within_its_allocation_budget() {
 /// one step), 802 once a `message` event held a handle to its action, not
 /// a 48-byte attribute of its own, and a store key was a `Box<str>`, 737
 /// once a commitment's key was its channel end's shared section plus a
-/// sequence and a store record's rank four bytes, and 631 now that a raw
-/// transaction writes each struct as its field values with no field names.
-/// The ceiling keeps 12% above the last and fails on the first four.
-const CHAIN_ONLY_HELD_CEILING: f64 = 705.0;
+/// sequence and a store record's rank four bytes, 631 once a raw
+/// transaction wrote each struct as its field values with no field names,
+/// and 597 now that the store holds a packet path's value in a slot of its
+/// section's row and its tree's leaf order as one `Vec`, not a B-tree entry
+/// per path. The ceiling keeps 12% above the last and fails on the first
+/// five.
+const CHAIN_ONLY_HELD_CEILING: f64 = 670.0;
 /// Per submitted transfer on `relayed()`: 4,512 before packet events shared
 /// their packet, 3,311 after, 3,054 with telemetry columns, 2,943 with
 /// shared `message` records and `Box<str>` store keys, 2,838 with section
-/// and sequence store keys, 2,371 with struct payloads that name no field.
-/// Same margin; the telemetry test below is the one the row-per-packet log
-/// fails.
-const RELAYED_HELD_CEILING: f64 = 2_655.0;
+/// and sequence store keys, 2,371 with struct payloads that name no field,
+/// 2,342 with the store's packet paths in rows. Same margin; the telemetry
+/// test below is the one the row-per-packet log fails.
+const RELAYED_HELD_CEILING: f64 = 2_625.0;
 /// Per submitted transfer on `drained()`: 5,839 before packet events shared
 /// their packet, 4,024 after, 3,880 with telemetry columns, 3,708 with
 /// shared `message` records and `Box<str>` store keys, 3,585 with section
-/// and sequence store keys, 2,997 with struct payloads that name no field.
-/// Same margin.
-const DRAINED_HELD_CEILING: f64 = 3_355.0;
+/// and sequence store keys, 2,997 with struct payloads that name no field,
+/// 2,972 with the store's packet paths in rows. Same margin.
+const DRAINED_HELD_CEILING: f64 = 3_330.0;
 
 /// Runs `spec` once to warm up, then twice through `measure` (`held` or
 /// `peak`); the two must read equal byte counts. Returns the bytes per
@@ -328,20 +336,23 @@ fn a_finished_run_holds_within_its_byte_budget() {
 /// Heap bytes per committed transfer at the highest point of
 /// `chain_only()`: 915 while each `message` event held its own attribute
 /// and store keys were `String`s, 853 while they were `Box<str>`s, 789 once
-/// they were a section and a sequence, 683 now that a raw transaction names
-/// no struct field. The ceiling keeps 12% above the last.
-const CHAIN_ONLY_PEAK_CEILING: f64 = 765.0;
+/// they were a section and a sequence, 683 once a raw transaction named no
+/// struct field, 649 now that the store's packet paths are rows. The
+/// ceiling keeps 12% above the last.
+const CHAIN_ONLY_PEAK_CEILING: f64 = 730.0;
 /// Per submitted transfer on `relayed()`: 3,483 while the relayer copied
 /// each packet out of its event or the send log and each `message` event
 /// held its own attribute, 3,278 with `Box<str>` store keys, 3,174 with
-/// section and sequence keys, 2,683 with struct payloads that name no field.
-/// Same margin.
-const RELAYED_PEAK_CEILING: f64 = 3_005.0;
+/// section and sequence keys, 2,683 with struct payloads that name no field,
+/// 2,560 with the relayer's packet table in rows, 2,533 with the store's
+/// packet paths in rows. Same margin.
+const RELAYED_PEAK_CEILING: f64 = 2_840.0;
 /// Per submitted transfer on `drained()`: 5,051 before the relayer shared
 /// the chain's packets, 4,730 with `Box<str>` store keys, 4,542 with
-/// section and sequence keys, 3,954 with struct payloads that name no field.
-/// Same margin.
-const DRAINED_PEAK_CEILING: f64 = 4_430.0;
+/// section and sequence keys, 3,954 with struct payloads that name no field,
+/// 3,834 with the relayer's packet table in rows, 3,736 with the store's
+/// packet paths in rows. Same margin.
+const DRAINED_PEAK_CEILING: f64 = 4_185.0;
 
 /// Heap bytes per transfer at the highest point of a run, above what was
 /// held when it started: what `peak_rss_mb` reads, and what the held-bytes

@@ -295,7 +295,7 @@ mod commitment_history {
     use std::collections::BTreeMap;
 
     use ibc_perf_repro::ibc::commitment::CommitmentStore;
-    use ibc_perf_repro::tendermint::hash::{sha256, Hash};
+    use ibc_perf_repro::tendermint::hash::{sha256, Hash, Sha256};
     use proptest::prelude::*;
 
     /// Packet commitment `seq` on `channel-0`. Decimal sequences scatter in
@@ -400,6 +400,45 @@ mod commitment_history {
                 }
             }
         }
+    }
+
+    /// A `chain_only`-shaped history: 3,000 packet commitments sent in
+    /// blocks of 100, each send advancing the channel end, and every third
+    /// block also acknowledging most of an older block (its commitments
+    /// deleted, receipts and acknowledgements written). The root after every
+    /// block is folded into one digest, read before the store kept its tree
+    /// across writes.
+    #[test]
+    fn roots_of_a_chain_only_history_are_pinned() {
+        let channel = "ports/transfer/channels/channel-0";
+        let mut s = CommitmentStore::new();
+        let mut roots = Sha256::new();
+        for block in 0..30u64 {
+            for seq in block * 100 + 1..=block * 100 + 100 {
+                let commitment = format!("commitments/{channel}/sequences/{seq}");
+                s.set(commitment, sha256(&seq.to_le_bytes()));
+                s.set(format!("channelEnds/{channel}"), sha256(&seq.to_be_bytes()));
+            }
+            if block % 3 == 2 {
+                for seq in (block - 2) * 100 + 1..=(block - 1) * 100 {
+                    if seq % 7 == 0 {
+                        continue;
+                    }
+                    s.delete(&format!("commitments/{channel}/sequences/{seq}"));
+                    s.set(format!("receipts/{channel}/sequences/{seq}"), sha256(b"ok"));
+                    s.set(
+                        format!("acks/{channel}/sequences/{seq}"),
+                        sha256(&[seq as u8]),
+                    );
+                }
+            }
+            roots.update(s.root().as_bytes());
+        }
+        assert_eq!(s.len(), 3_857);
+        assert_eq!(
+            roots.finalize().to_hex(),
+            "67fd15e8002a444c3907980f1a632bb00006773d8e1ba8cb4e8798a6f99fd8ba"
+        );
     }
 }
 
@@ -654,6 +693,180 @@ mod store_paths {
             }
             prop_assert_eq!(typed.len(), texts.len());
             prop_assert_eq!(typed.root(), texts.root());
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The store against an oracle that does not use it
+// ---------------------------------------------------------------------------
+
+mod store_oracle {
+    use std::collections::BTreeMap;
+
+    use ibc_perf_repro::ibc::commitment::CommitmentStore;
+    use ibc_perf_repro::ibc::host::{ChannelPaths, StorePath};
+    use ibc_perf_repro::ibc::ids::{ChannelId, PortId, Sequence};
+    use ibc_perf_repro::tendermint::hash::{sha256, Hash};
+    use ibc_perf_repro::tendermint::merkle::{simple_root, VerifiedPath};
+    use proptest::prelude::*;
+
+    /// Sequences at every digit boundary from 0 to `u64::MAX`, and a few
+    /// small ones that fill one window.
+    const NUMBERS: [u64; 16] = [
+        0,
+        1,
+        2,
+        9,
+        10,
+        11,
+        63,
+        64,
+        99,
+        100,
+        130,
+        999_999,
+        1_000_000,
+        u64::MAX / 10,
+        u64::MAX - 1,
+        u64::MAX,
+    ];
+
+    /// Text under channel-1's commitment section that spells none of its
+    /// paths, and text that only looks nested.
+    const TEXTS: [&str; 8] = [
+        "commitments/ports/transfer/channels/channel-1/sequences/007",
+        "commitments/ports/transfer/channels/channel-1/sequences/+5",
+        "commitments/ports/transfer/channels/channel-1/sequences/",
+        "commitments/ports/transfer/channels/channel-1/sequences/5/x",
+        "x/sequences/1",
+        "x/sequences/1/sequences/5",
+        "x/sequences/10",
+        "x/sequences/",
+    ];
+
+    /// A key as the store is handed it: a typed path, or text.
+    #[derive(Debug, Clone)]
+    enum Key {
+        Typed(StorePath),
+        Text(String),
+    }
+
+    impl Key {
+        fn set(&self, store: &mut CommitmentStore, value: Hash) -> Option<Hash> {
+            match self {
+                Key::Typed(path) => store.set(path.clone(), value),
+                Key::Text(text) => store.set(text.as_str(), value),
+            }
+        }
+
+        fn delete(&self, store: &mut CommitmentStore) -> Option<Hash> {
+            match self {
+                Key::Typed(path) => store.delete(path),
+                Key::Text(text) => store.delete(text.as_str()),
+            }
+        }
+
+        fn get(&self, store: &CommitmentStore) -> Option<Hash> {
+            match self {
+                Key::Typed(path) => store.get(path).copied(),
+                Key::Text(text) => store.get(text.as_str()).copied(),
+            }
+        }
+    }
+
+    /// The key `kind` and `number` pick, and its spelling, written here with
+    /// `format!`: a typed commitment of channel-1 or channel-10, the same
+    /// spelling as text, or one of `TEXTS`.
+    fn draw(kind: u8, number: usize, ends: &[ChannelPaths; 2]) -> (Key, String) {
+        let seq = NUMBERS[number % NUMBERS.len()];
+        let channel = usize::from(kind % 2);
+        let spelt = format!(
+            "commitments/ports/transfer/channels/channel-{}/sequences/{seq}",
+            [1, 10][channel]
+        );
+        match kind % 6 {
+            0..=3 => (Key::Typed(ends[channel].commitment(Sequence(seq))), spelt),
+            4 => (Key::Text(spelt.clone()), spelt),
+            _ => {
+                let text = TEXTS[number % TEXTS.len()].to_owned();
+                (Key::Text(text.clone()), text)
+            }
+        }
+    }
+
+    /// The root of `model` computed without the store: the Merkle root of
+    /// `spelling ‖ 0x00 ‖ value`, sorted by the spelling's bytes.
+    fn oracle_root(model: &BTreeMap<String, Hash>) -> Hash {
+        let leaves: Vec<Vec<u8>> = (model.iter())
+            .map(|(path, value)| [path.as_bytes(), &[0], value.as_bytes()].concat())
+            .collect();
+        simple_root(leaves.iter().map(Vec::as_slice))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Writes of typed keys (two sections, sequences from 0 to
+        /// `u64::MAX`), the same spellings as text, text under a section
+        /// that spells none of its paths, and text that only looks nested:
+        /// set, delete, overwrite, delete then reinsert, insert then delete,
+        /// and clones taken between a write and a read. At every read the
+        /// root is the oracle's and a sample of proofs, asked by text and by
+        /// the drawn key, verifies against the oracle's root.
+        #[test]
+        fn the_store_answers_like_an_oracle_that_does_not_use_it(
+            steps in prop::collection::vec((0u8..8, any::<u8>(), any::<usize>(), any::<u8>()), 1..80),
+        ) {
+            let port = PortId::transfer();
+            let ends = [1, 10].map(|index| ChannelPaths::new(&port, &ChannelId::with_index(index)));
+            let mut store = CommitmentStore::new();
+            let mut model: BTreeMap<String, Hash> = BTreeMap::new();
+            for (op, kind, number, byte) in steps {
+                let (key, spelt) = draw(kind, number, &ends);
+                let value = sha256(&[byte, kind]);
+                match op {
+                    0 | 1 => prop_assert_eq!(key.set(&mut store, value), model.insert(spelt.clone(), value)),
+                    2 => prop_assert_eq!(key.delete(&mut store), model.remove(&spelt)),
+                    3 => {
+                        key.delete(&mut store);
+                        prop_assert_eq!(key.set(&mut store, value), None);
+                        model.insert(spelt.clone(), value);
+                    }
+                    4 => {
+                        key.set(&mut store, value);
+                        prop_assert_eq!(key.delete(&mut store), Some(value));
+                        model.remove(&spelt);
+                    }
+                    5 => store = store.clone(),
+                    _ => {
+                        prop_assert_eq!(store.len(), model.len());
+                        let root = store.root();
+                        if model.is_empty() {
+                            prop_assert_eq!(root, CommitmentStore::new().root());
+                            continue;
+                        }
+                        prop_assert_eq!(root, oracle_root(&model));
+                        let stride = (model.len() / 6).max(1);
+                        for (path, value) in model.iter().skip(usize::from(byte) % stride).step_by(stride) {
+                            let proof = store.prove_membership(path.as_str()).expect("present");
+                            prop_assert_eq!((&proof.path, &proof.value), (path, value));
+                            prop_assert!(proof.verify(&root, &mut VerifiedPath::default()));
+                        }
+                        if let Some(value) = model.get(&spelt) {
+                            let proof = match &key {
+                                Key::Typed(path) => store.prove_membership(path),
+                                Key::Text(text) => store.prove_membership(text.as_str()),
+                            };
+                            let proof = proof.expect("present");
+                            prop_assert_eq!((&proof.path, &proof.value), (&spelt, value));
+                            prop_assert!(proof.verify(&root, &mut VerifiedPath::default()));
+                        }
+                    }
+                }
+                prop_assert_eq!(key.get(&store), model.get(&spelt).copied());
+            }
+            prop_assert_eq!(store.root(), if model.is_empty() { CommitmentStore::new().root() } else { oracle_root(&model) });
         }
     }
 }
