@@ -17,7 +17,7 @@
 //! * `RelayerWake(id)` — process `id` drains its inbox via
 //!   [`Relayer::wake`](xcc_relayer::relayer::Relayer::wake), performing its
 //!   pipeline work on its own virtual-time lane (its per-chain RPC
-//!   endpoints and worker watermarks). Every wake follows a block
+//!   endpoints and packet workers). Every wake follows a block
 //!   notification; a process never asks for one of its own.
 //! * `Fault(event)` — one event of the deployment's compiled
 //!   [`FaultPlan`](crate::fault::FaultPlan) fires: a relayer process

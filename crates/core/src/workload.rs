@@ -19,7 +19,7 @@ use xcc_chain::tx::Tx;
 use xcc_ibc::height::Height;
 use xcc_ibc::module::TransferParams;
 use xcc_rpc::endpoint::RpcEndpoint;
-use xcc_sim::{SimDuration, SimTime};
+use xcc_sim::{server::Server, SimDuration, SimTime};
 use xcc_tendermint::hash::Hash;
 
 use crate::config::WorkloadConfig;
@@ -163,9 +163,8 @@ pub struct WorkloadConnector {
     next_user: usize,
     /// The fee denom of each endpoint's chain, parallel to `rpcs`.
     fee_denoms: Vec<String>,
-    /// The CLI is a single sequential process; this is when it next becomes
-    /// free.
-    cli_free: SimTime,
+    /// The CLI, a single sequential process: one job per window.
+    cli: Server,
     remaining: u64,
     windows_submitted: u64,
     records: Vec<SubmissionRecord>,
@@ -235,7 +234,7 @@ impl WorkloadConnector {
                 .collect(),
             next_user: 0,
             fee_denoms,
-            cli_free: SimTime::ZERO,
+            cli: Server::default(),
             windows_submitted: 0,
             records: Vec::new(),
         }
@@ -271,7 +270,7 @@ impl WorkloadConnector {
             Height::at(dest_height + self.config.timeout_blocks)
         };
 
-        let mut t = self.cli_free.max(window_start);
+        let mut t = self.cli.start(window_start);
         while to_submit > 0 {
             let batch = (TRANSFERS_PER_TX as u64).min(to_submit) as usize;
             to_submit -= batch as u64;
@@ -295,7 +294,7 @@ impl WorkloadConnector {
             t = record.broadcast_at;
             self.records.push(record);
         }
-        self.cli_free = t;
+        self.cli.occupy(window_start, t);
     }
 }
 
@@ -323,8 +322,8 @@ pub struct ForwardRecord {
 /// of its own liquidity, which keeps the two legs independent IBC transfers
 /// and makes per-hop latency separable in analysis.
 ///
-/// Like the workload CLI it is one sequential process with its own
-/// virtual-time lane (`cli_free`); it shares the `user-<i>` accounts, which
+/// Like the workload CLI it is one sequential process, a [`Server`] with one
+/// job per block it forwards from; it shares the `user-<i>` accounts, which
 /// is safe because its transactions target chains the workload's direct
 /// traffic does not originate on in hop-plan scenarios.
 pub struct HopForwarder {
@@ -338,7 +337,7 @@ pub struct HopForwarder {
     fee_denoms: BTreeMap<usize, String>,
     users: Vec<AccountId>,
     next_user: usize,
-    cli_free: SimTime,
+    cli: Server,
     records: Vec<ForwardRecord>,
 }
 
@@ -371,7 +370,7 @@ impl HopForwarder {
                 .map(|i| AccountId::new(format!("user-{i}")))
                 .collect(),
             next_user: 0,
-            cli_free: SimTime::ZERO,
+            cli: Server::default(),
             records: Vec::new(),
         }
     }
@@ -428,8 +427,8 @@ impl HopForwarder {
             }
         }
 
-        let mut t = self.cli_free.max(committed_at);
-        let mut submitted_any = false;
+        let mut t = self.cli.start(committed_at);
+        let forwarded = self.records.len();
         for (ri, &route_acks) in acked.iter().enumerate() {
             let mut remaining = route_acks;
             if remaining == 0 {
@@ -444,7 +443,6 @@ impl HopForwarder {
             while remaining > 0 {
                 let batch = (TRANSFERS_PER_TX as u64).min(remaining) as usize;
                 remaining -= batch as u64;
-                submitted_any = true;
 
                 let user = &self.users[self.next_user % self.users.len()];
                 self.next_user += 1;
@@ -466,8 +464,8 @@ impl HopForwarder {
                 });
             }
         }
-        if submitted_any {
-            self.cli_free = t;
+        if self.records.len() > forwarded {
+            self.cli.occupy(committed_at, t);
         }
     }
 }

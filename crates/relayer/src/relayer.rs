@@ -70,7 +70,7 @@ use xcc_ibc::ids::{ChannelId, ClientId, PortId, Sequence};
 use xcc_ibc::packet::Packet;
 use xcc_rpc::endpoint::{BroadcastError, LaneStats, RpcEndpoint};
 use xcc_rpc::websocket::{WebSocketSubscription, DELIVERY_OVERHEAD};
-use xcc_sim::{prof, SimDuration, SimTime};
+use xcc_sim::{prof, server::Server, SimDuration, SimTime};
 use xcc_tendermint::abci::Event;
 use xcc_tendermint::hash::Hash;
 use xcc_tendermint::node::{CommittedBlock, Refused};
@@ -198,8 +198,8 @@ struct ChainEnd {
     fee_denom: String,
     /// The `NewBlock` event subscription to the chain.
     events: WebSocketSubscription,
-    /// When the packet worker submitting to this chain is next free.
-    worker_free: SimTime,
+    /// The packet worker submitting to this chain.
+    worker: Server,
     /// Transactions accepted into the chain's mempool but not yet observed
     /// committed, by transaction hash, with the `(channel, sequence)` keys
     /// of the packets each carries. A transaction that commits **failed**
@@ -233,7 +233,7 @@ impl ChainEnd {
             account: account.clone(),
             fee_denom,
             events: config.strategy.subscription(),
-            worker_free: SimTime::ZERO,
+            worker: Server::default(),
             inflight_txs: Vec::new(),
             missed: None,
             last_processed: 0,
@@ -531,8 +531,8 @@ impl Relayer {
 
     /// Runs this relayer process: drains the inbox in FIFO order, performing
     /// the pipeline work each block notification implies on this process's
-    /// own virtual-time lane (its per-chain RPC endpoints and worker
-    /// watermarks — nothing here touches another process's state).
+    /// own virtual-time lane (its per-chain RPC endpoints and packet
+    /// workers — nothing here touches another process's state).
     ///
     /// Returns `None` on every path: every obligation is tied to a future
     /// block commit (held receives and acknowledgements can only make
@@ -558,14 +558,14 @@ impl Relayer {
 
     /// Crashes the process at `now`: every piece of in-memory pipeline state
     /// — the packet table, the submission window count, the in-flight
-    /// transactions, the inbox and both [`SequenceTracker`] caches — is
-    /// lost, exactly as for a killed OS process. What survives is
-    /// what lives *outside* the process: chain state, and the experiment's
-    /// measurement tape (the telemetry log and stats aggregate the process's
-    /// lifetime across incarnations, the way a scrape target's history
-    /// outlives one process). Until [`restart`](Relayer::restart),
-    /// notifications collapse into the missed-height slots and wakes are
-    /// no-ops.
+    /// transactions, the inbox, both packet workers (idle again) and both
+    /// [`SequenceTracker`] caches — is lost, exactly as for a killed OS
+    /// process. What survives is what lives *outside* the process: chain
+    /// state, and the experiment's measurement tape (the telemetry log and
+    /// stats aggregate the process's lifetime across incarnations, the way a
+    /// scrape target's history outlives one process). Until
+    /// [`restart`](Relayer::restart), notifications collapse into the
+    /// missed-height slots and wakes are no-ops.
     pub fn crash(&mut self, now: SimTime) {
         self.crashed = true;
         self.packets.fill_with(PacketRow::default);
@@ -574,6 +574,7 @@ impl Relayer {
         for end in &mut self.ends {
             end.inflight_txs.clear();
             end.missed = None;
+            end.worker = Server::default();
         }
         self.telemetry
             .record_error(now, format!("relayer process {} crashed", self.id));
@@ -582,12 +583,11 @@ impl Relayer {
     /// Restarts the crashed process cold at `now`: both account-sequence
     /// trackers are re-seeded from the chains' committed state over this
     /// process's own RPC lanes (the cold-cache resync a real relayer does at
-    /// boot), the worker watermarks move to `now`, and the most recent
-    /// [`RESTART_REPLAY_WINDOW`] block heights missed on each chain are
-    /// replayed into the inbox so the process catches up through its normal
-    /// wake path. Gaps older than the window are left to the packet-clear
-    /// scan, which reads chain state rather than events. A no-op on a
-    /// process that is not crashed.
+    /// boot), and the most recent [`RESTART_REPLAY_WINDOW`] block heights
+    /// missed on each chain are replayed into the inbox so the process
+    /// catches up through its normal wake path. Gaps older than the window
+    /// are left to the packet-clear scan, which reads chain state rather
+    /// than events. A no-op on a process that is not crashed.
     pub fn restart(&mut self, now: SimTime) {
         if !self.crashed {
             return;
@@ -597,7 +597,6 @@ impl Relayer {
         for end in &mut self.ends {
             let committed = end.rpc.account_sequence(now, &end.account).value;
             end.seq = SequenceTracker::new(tracking, committed);
-            end.worker_free = now;
         }
         self.telemetry
             .record_error(now, format!("relayer process {} restarted", self.id));
@@ -752,10 +751,12 @@ impl Relayer {
             if batch.is_empty() {
                 continue;
             }
-            let start = event_time.max(self.ends[Destination as usize].worker_free);
-            if let Some(t) = self.drop_relayed(Destination, channel, start, &mut batch) {
-                self.deliver_recv_batch(channel, t, batch);
+            let start = self.ends[Destination as usize].worker.start(event_time);
+            let mut t = self.drop_relayed(Destination, channel, start, &mut batch);
+            if !batch.is_empty() {
+                (t, _) = self.deliver_recv_batch(channel, t, batch);
             }
+            self.ends[Destination as usize].worker.occupy(event_time, t);
         }
     }
 
@@ -903,9 +904,14 @@ impl Relayer {
             for channel in self.served_flush_order(height) {
                 let batch = self.take_held(Source, channel);
                 if !batch.is_empty() {
-                    self.relay_ack_batch(channel, height, event_time, batch);
+                    let start = self.ends[Source as usize].worker.start(event_time);
+                    let (done, _) = self.relay_ack_batch(channel, height, start, batch);
+                    self.ends[Source as usize].worker.occupy(event_time, done);
                 }
-                self.relay_timeouts(channel, height, commit_time, event_time);
+                let start = self.ends[Source as usize].worker.start(event_time);
+                if let Some(done) = self.relay_timeouts(channel, height, commit_time, start) {
+                    self.ends[Source as usize].worker.occupy(event_time, done);
+                }
             }
         }
         if self.clear_due(height) {
@@ -915,15 +921,14 @@ impl Relayer {
 
     /// Drops from `batch` the packets another relayer already relayed
     /// towards `to` — received on the destination, or acknowledged on the
-    /// source — asking `to`'s node at `at`. Returns when the answer arrived,
-    /// or `None`, with `to`'s worker free from then, when nothing is left.
+    /// source — asking `to`'s node at `at`. Returns when the answer arrived.
     fn drop_relayed(
         &mut self,
         to: ChainRole,
         channel: usize,
         at: SimTime,
         batch: &mut Vec<(u64, Rc<Packet>)>,
-    ) -> Option<SimTime> {
+    ) -> SimTime {
         let path = &self.paths[channel];
         let sequences: Vec<Sequence> = batch.iter().map(|(_, p)| p.sequence).collect();
         let rpc = &mut self.ends[to as usize].rpc;
@@ -950,24 +955,20 @@ impl Relayer {
                 format!("skipping {skipped} {what}: packet messages are redundant"),
             );
         }
-        if batch.is_empty() {
-            self.ends[to as usize].worker_free = t;
-            return None;
-        }
-        Some(t)
+        t
     }
 
     /// The shared delivery tail of the receive path: pulls packet data and
     /// proofs, updates the destination-side client and broadcasts the
     /// `MsgRecvPacket` chunks. `packets` must already be filtered to those
-    /// the destination has not received. Returns the number of packets whose
-    /// receive transaction was accepted into the destination mempool.
+    /// the destination has not received. Returns when it is done and how
+    /// many packets the destination mempool accepted.
     fn deliver_recv_batch(
         &mut self,
         channel: usize,
         start: SimTime,
         packets: Vec<(u64, Rc<Packet>)>,
-    ) -> u64 {
+    ) -> (SimTime, u64) {
         // Mempool-aware sequence tracking: when the destination's check
         // state straddled a commit under our in-flight window, hold the
         // batch — it is held again and flushes after the window drains,
@@ -975,8 +976,7 @@ impl Relayer {
         let (t_ready, ready) = self.ensure_sequence_ready(Destination, start);
         if !ready {
             self.hold(Destination, channel, packets);
-            self.ends[Destination as usize].worker_free = t_ready;
-            return 0;
+            return (t_ready, 0);
         }
         let path = self.paths[channel].clone();
         let mut t = t_ready;
@@ -1022,27 +1022,26 @@ impl Relayer {
     }
 
     /// Pulls acknowledgement data, builds and broadcasts `MsgAcknowledgement`
-    /// batches back to the source chain for one channel. Returns the number
-    /// of acknowledgements accepted into the source mempool.
+    /// batches back to the source chain for one channel. Returns when it is
+    /// done and how many acknowledgements the source mempool accepted.
     fn relay_ack_batch(
         &mut self,
         channel: usize,
         dst_height: u64,
-        event_time: SimTime,
+        start: SimTime,
         mut acked: Vec<(u64, Rc<Packet>)>,
-    ) -> u64 {
+    ) -> (SimTime, u64) {
         // Mempool-aware sequence tracking: a straddled source commit holds
         // the acknowledgements for the next destination block's batch.
-        let start = event_time.max(self.ends[Source as usize].worker_free);
         let (t_ready, ready) = self.ensure_sequence_ready(Source, start);
         if !ready {
             self.hold(Source, channel, acked);
-            self.ends[Source as usize].worker_free = t_ready;
-            return 0;
+            return (t_ready, 0);
         }
-        let Some(t) = self.drop_relayed(Source, channel, t_ready, &mut acked) else {
-            return 0;
-        };
+        let t = self.drop_relayed(Source, channel, t_ready, &mut acked);
+        if acked.is_empty() {
+            return (t, 0);
+        }
         let path = self.paths[channel].clone();
 
         // Acknowledgement data pull (the dominant cost in Fig. 12), through
@@ -1114,8 +1113,7 @@ impl Relayer {
     /// and marking every accepted chunk in flight. `make_msg` moves one
     /// packet into its message, given `(packet, proof height, signer)`, or
     /// answers `None` for a packet whose data pull found nothing. Returns
-    /// the number of packets whose transaction was accepted into `to`'s
-    /// mempool.
+    /// when it is done and how many packets `to`'s mempool accepted.
     fn submit_batch(
         &mut self,
         to: ChainRole,
@@ -1123,15 +1121,14 @@ impl Relayer {
         start: SimTime,
         packets: Vec<(u64, Rc<Packet>)>,
         mut make_msg: impl FnMut(Packet, Height, &AccountId) -> Option<Msg>,
-    ) -> u64 {
+    ) -> (SimTime, u64) {
         let (build_step, broadcast_step) = match to {
             Destination => (TransferStep::RecvBuild, TransferStep::RecvBroadcast),
             Source => (TransferStep::AckBuild, TransferStep::AckBroadcast),
         };
         let (mut t, proof_height) = self.update_client(to, channel, start);
         let Some(proof_height) = proof_height else {
-            self.ends[to as usize].worker_free = t;
-            return 0;
+            return (t, 0);
         };
 
         let mut txs = 0u64;
@@ -1183,19 +1180,18 @@ impl Relayer {
             Destination => self.stats.recv_txs_submitted += txs,
             Source => self.stats.ack_txs_submitted += txs,
         }
-        self.ends[to as usize].worker_free = t;
-        accepted
+        (t, accepted)
     }
 
-    /// Detects packets of one channel that expired before delivery and
-    /// submits `MsgTimeout` for them on the source chain.
+    /// Submits `MsgTimeout` on the source chain for one channel's packets that
+    /// expired undelivered; returns when done, or `None` when none expired.
     fn relay_timeouts(
         &mut self,
         channel: usize,
         dest_height: u64,
         dest_time: SimTime,
-        event_time: SimTime,
-    ) {
+        start: SimTime,
+    ) -> Option<SimTime> {
         let path = self.paths[channel].clone();
         let expired: Vec<Rc<Packet>> = (self.packets[channel].iter())
             .filter_map(|(_, record)| record.watch.as_ref())
@@ -1203,18 +1199,15 @@ impl Relayer {
             .map(Rc::clone)
             .collect();
         if expired.is_empty() {
-            return;
+            return None;
         }
         // Mempool-aware sequence tracking: expired packets stay watched and
         // are re-examined next block, so a straddled source commit simply
         // delays the timeout submission.
-        let start = event_time.max(self.ends[Source as usize].worker_free);
-        let (t_ready, ready) = self.ensure_sequence_ready(Source, start);
+        let (mut t, ready) = self.ensure_sequence_ready(Source, start);
         if !ready {
-            self.ends[Source as usize].worker_free = t_ready;
-            return;
+            return Some(t);
         }
-        let mut t = t_ready;
         let mut msgs = Vec::new();
         let mut seqs = Vec::new();
         for packet in expired.iter().take(MAX_MSGS_PER_TX) {
@@ -1239,8 +1232,7 @@ impl Relayer {
             seqs.push(packet.sequence);
         }
         if msgs.is_empty() {
-            self.ends[Source as usize].worker_free = t;
-            return;
+            return Some(t);
         }
         // The source-side client needs to know about the destination height
         // proving non-receipt.
@@ -1255,7 +1247,7 @@ impl Relayer {
                 self.retire(channel, seq, &[]);
             }
         }
-        self.ends[Source as usize].worker_free = t;
+        Some(t)
     }
 
     /// Hermes' packet-clear scan towards `to`, run with the block at
@@ -1296,9 +1288,9 @@ impl Relayer {
             }
             // Received-status lives on the destination node, so both
             // directions pay for the cross-node query.
-            let t = start.max(self.ends[to as usize].worker_free);
+            let job = self.ends[to as usize].worker.start(start);
             let resp = self.ends[Destination as usize].rpc.unreceived_packets(
-                t,
+                job,
                 &path.port,
                 &path.dst_channel,
                 &candidates,
@@ -1320,27 +1312,29 @@ impl Relayer {
                     .map(|packet| (height, packet))
                     .collect()
             };
-            if batch.is_empty() {
-                self.ends[to as usize].worker_free = t;
-                continue;
-            }
-            let (what, end) = match to {
-                Destination => ("packets", &path.src_channel),
-                Source => ("acknowledgements", &path.dst_channel),
-            };
-            let message = format!("clearing {} pending {what} on {end}", batch.len());
-            self.telemetry.record_error(t, message);
-            // Count only what actually entered `to`'s mempool.
-            self.stats.packets_cleared += match to {
-                Destination => {
-                    let row = &mut self.packets[channel];
-                    for (_, packet) in &batch {
-                        row.entry(packet.sequence.value()).watch = Some(Rc::clone(packet));
+            let (done, accepted) = if batch.is_empty() {
+                (t, 0)
+            } else {
+                let (what, end) = match to {
+                    Destination => ("packets", &path.src_channel),
+                    Source => ("acknowledgements", &path.dst_channel),
+                };
+                let message = format!("clearing {} pending {what} on {end}", batch.len());
+                self.telemetry.record_error(t, message);
+                match to {
+                    Destination => {
+                        let row = &mut self.packets[channel];
+                        for (_, packet) in &batch {
+                            row.entry(packet.sequence.value()).watch = Some(Rc::clone(packet));
+                        }
+                        self.deliver_recv_batch(channel, t, batch)
                     }
-                    self.deliver_recv_batch(channel, t, batch)
+                    Source => self.relay_ack_batch(channel, height, t, batch),
                 }
-                Source => self.relay_ack_batch(channel, height, t, batch),
             };
+            // Count only what actually entered `to`'s mempool.
+            self.stats.packets_cleared += accepted;
+            self.ends[to as usize].worker.occupy(start, done);
         }
     }
 
@@ -1926,6 +1920,29 @@ mod tests {
         assert_eq!(relayer.lane_stats(), lanes_before);
     }
 
+    /// A crash idles both packet workers: a job the dead process was busy
+    /// with until after the restart holds up nothing the new one replays.
+    #[test]
+    fn a_replayed_job_starts_at_its_arrival_after_a_crash() {
+        let (src, dst) = linked_chains(&[1_000]);
+        let mut relayer = relayer_on(&src, &dst, RelayerConfig::default());
+        relayer.ends[DST]
+            .worker
+            .occupy(SimTime::from_secs(5), SimTime::from_secs(100));
+        relayer.crash(SimTime::from_secs(6));
+        // Source block 2, with the send, commits while the process is down.
+        relayer.notify_source_block(2, SimTime::from_secs(10));
+        relayer.restart(SimTime::from_secs(20));
+        relayer.wake(SimTime::from_secs(20));
+        let worker = relayer.ends[DST].worker.stats();
+        assert_eq!(worker.served, 1, "the replayed block's receive flush");
+        assert_eq!(
+            worker.total_wait,
+            SimDuration::ZERO,
+            "the flush started at its arrival, not at 100 s"
+        );
+    }
+
     /// A row answers in sequence order whatever order its records arrived
     /// in: a sequence below the base lowers it, and a gap reads as absent.
     #[test]
@@ -2224,7 +2241,9 @@ mod tests {
         let lanes = relayer.lane_stats();
         let batch = vec![(2, sent(&src, 3))];
         assert_eq!(
-            relayer.relay_ack_batch(0, 2, SimTime::from_secs(11), batch),
+            relayer
+                .relay_ack_batch(0, 2, SimTime::from_secs(11), batch)
+                .1,
             0
         );
         assert_eq!(

@@ -1,8 +1,8 @@
 //! The simulated Tendermint RPC endpoint served by a full node.
 //!
-//! The endpoint serves its queries one at a time, first come first served: a
-//! query arriving at `t` with service time `s` is answered at
-//! `max(t, busy_until) + s`. That single server is the root cause of the
+//! The endpoint serves its queries one at a time, first come first served,
+//! on one [`Server`]: a query arriving at `t` with service time `s` is done
+//! at `server.start(t) + s`. That single server is the root cause of the
 //! data-pull bottleneck the paper measures. Every method returns an
 //! [`RpcResponse`] carrying both the result and the simulated time at which
 //! the caller receives it (queueing + service + network round trip).
@@ -14,7 +14,7 @@ use xcc_ibc::client::ClientUpdate;
 use xcc_ibc::commitment::{CommitmentProof, NonMembershipProof};
 use xcc_ibc::ids::{ChannelId, PortId, Sequence};
 use xcc_ibc::packet::Acknowledgement;
-use xcc_sim::{SimDuration, SimTime};
+use xcc_sim::{server::Server, SimDuration, SimTime};
 use xcc_tendermint::hash::Hash;
 use xcc_tendermint::node::{Refused, SubmitError};
 
@@ -72,32 +72,17 @@ pub struct UnconfirmedSequence {
     pub pending: u64,
 }
 
-/// A snapshot of one RPC lane's accounting: every relayer process owns one
-/// endpoint (lane) per chain, each with its own single-server FIFO queue, so
-/// serialization is per-process — a second process's queries never queue
-/// behind the first's. The experiment runner collects one snapshot per lane
-/// at the end of a run ([`lane_stats`](RpcEndpoint::lane_stats)).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LaneStats {
-    /// The lane's diagnostic name (`rpc-<chain-id>`).
-    pub name: String,
-    /// Total queries this lane served.
-    pub queries_served: u64,
-    /// Cumulative time the lane's server spent busy.
-    pub busy_time: SimDuration,
-    /// Cumulative queueing delay over all the lane's queries.
-    pub total_wait: SimDuration,
-    /// Largest observed sojourn time (wait plus service) of any query.
-    pub max_backlog: SimDuration,
-}
+/// One RPC lane's accounting: every process owns one lane per chain, its own
+/// FIFO server, so no process queues behind another's queries. A snapshot
+/// ([`lane_stats`](RpcEndpoint::lane_stats)) is named by its position.
+pub use xcc_sim::server::ServerStats as LaneStats;
 
 /// A Tendermint RPC endpoint bound to one chain's full node.
 #[derive(Debug)]
 pub struct RpcEndpoint {
     chain: SharedChain,
-    lane: LaneStats,
-    /// When the server finishes the last query it has accepted.
-    busy_until: SimTime,
+    /// The lane: the node's single server for this connection's queries.
+    server: Server,
     one_way: SimDuration,
 }
 
@@ -105,17 +90,9 @@ impl RpcEndpoint {
     /// Creates an endpoint for `chain`, `one_way` of network delay away from
     /// its callers in each direction.
     pub fn new(chain: SharedChain, one_way: SimDuration) -> Self {
-        let name = format!("rpc-{}", chain.borrow().chain_id());
         RpcEndpoint {
             chain,
-            lane: LaneStats {
-                name,
-                queries_served: 0,
-                busy_time: SimDuration::ZERO,
-                total_wait: SimDuration::ZERO,
-                max_backlog: SimDuration::ZERO,
-            },
-            busy_until: SimTime::ZERO,
+            server: Server::default(),
             one_way,
         }
     }
@@ -125,10 +102,9 @@ impl RpcEndpoint {
         &self.chain
     }
 
-    /// A snapshot of this lane's accounting (queries served, busy time,
-    /// cumulative wait, worst backlog).
+    /// A snapshot of this lane's accounting.
     pub fn lane_stats(&self) -> LaneStats {
-        self.lane.clone()
+        self.server.stats()
     }
 
     /// Account sequence query, used by clients to sign their next
@@ -161,17 +137,11 @@ impl RpcEndpoint {
                 chain.mempool_size(),
             )
         };
-        self.respond(
-            now,
-            RequestProfile {
-                kind: RequestKind::UnconfirmedAccountQuery,
-                response_bytes: 512,
-                messages: 0,
-                recv_heavy: false,
-                items: mempool_size,
-            },
-            snapshot,
-        )
+        let profile = RequestProfile {
+            items: mempool_size,
+            ..RequestProfile::small(RequestKind::UnconfirmedAccountQuery)
+        };
+        self.respond(now, profile, snapshot)
     }
 
     /// `broadcast_tx_sync`: submit a transaction to the mempool. The
@@ -200,17 +170,12 @@ impl RpcEndpoint {
             },
             tx,
         });
-        self.respond(
-            now,
-            RequestProfile {
-                kind: RequestKind::BroadcastTxSync,
-                response_bytes: 256,
-                messages: msg_count,
-                recv_heavy: false,
-                items: 0,
-            },
-            value,
-        )
+        let profile = RequestProfile {
+            response_bytes: 256,
+            messages: msg_count,
+            ..RequestProfile::small(RequestKind::BroadcastTxSync)
+        };
+        self.respond(now, profile, value)
     }
 
     /// The one body of the four data pulls below: a `kind` query for `items`
@@ -366,17 +331,11 @@ impl RpcEndpoint {
                 })
             })
         };
-        self.respond(
-            now,
-            RequestProfile {
-                kind: RequestKind::ClientUpdateData,
-                response_bytes: 2_048,
-                messages: 0,
-                recv_heavy: false,
-                items: 0,
-            },
-            update,
-        )
+        let profile = RequestProfile {
+            response_bytes: 2_048,
+            ..RequestProfile::small(RequestKind::ClientUpdateData)
+        };
+        self.respond(now, profile, update)
     }
 
     /// Filters `sequences` down to packets not yet received on this chain.
@@ -393,17 +352,11 @@ impl RpcEndpoint {
             .app()
             .ibc()
             .unreceived_packets(port, channel, sequences);
-        self.respond(
-            now,
-            RequestProfile {
-                kind: RequestKind::UnreceivedQuery,
-                response_bytes: 128 + sequences.len() * 8,
-                messages: 0,
-                recv_heavy: false,
-                items: 0,
-            },
-            unreceived,
-        )
+        let profile = RequestProfile {
+            response_bytes: 128 + sequences.len() * 8,
+            ..RequestProfile::small(RequestKind::UnreceivedQuery)
+        };
+        self.respond(now, profile, unreceived)
     }
 
     /// Filters `sequences` down to packets whose commitments still exist on
@@ -421,17 +374,11 @@ impl RpcEndpoint {
             .app()
             .ibc()
             .unacknowledged_packets(port, channel, sequences);
-        self.respond(
-            now,
-            RequestProfile {
-                kind: RequestKind::UnreceivedQuery,
-                response_bytes: 128 + sequences.len() * 8,
-                messages: 0,
-                recv_heavy: false,
-                items: 0,
-            },
-            unacked,
-        )
+        let profile = RequestProfile {
+            response_bytes: 128 + sequences.len() * 8,
+            ..RequestProfile::small(RequestKind::UnreceivedQuery)
+        };
+        self.respond(now, profile, unacked)
     }
 
     /// A proof that this chain never received the given packet, used to build
@@ -457,8 +404,7 @@ impl RpcEndpoint {
 /// private field keeps every other module, this file's included, from
 /// building a response that no lane priced.
 mod lane {
-    use xcc_sim::prof;
-    use xcc_sim::SimTime;
+    use xcc_sim::{prof, SimTime};
 
     use super::RpcEndpoint;
     use crate::cost::{service_time, RequestProfile};
@@ -492,9 +438,8 @@ mod lane {
     }
 
     impl RpcEndpoint {
-        /// Serves one request on the lane's single FIFO server: prices
-        /// `profile`, queues it behind the lane's backlog and answers `value`
-        /// when the server is done plus the trip back.
+        /// Serves one request on the lane's server: prices `profile`, queues
+        /// it and answers `value` when the server is done plus the trip back.
         pub(super) fn respond<T>(
             &mut self,
             now: SimTime,
@@ -503,17 +448,10 @@ mod lane {
         ) -> RpcResponse<T> {
             prof::bump_rpc_call(profile.kind.index());
             let service = service_time(&profile);
-            let arrives = now + self.one_way;
-            let start = self.busy_until.max(arrives);
-            self.busy_until = start + service;
-            let lane = &mut self.lane;
-            lane.queries_served += 1;
-            lane.busy_time += service;
-            lane.total_wait += start - arrives;
-            lane.max_backlog = lane.max_backlog.max(self.busy_until - arrives);
+            let done = self.server.serve(now + self.one_way, service);
             RpcResponse {
                 value,
-                ready_at: self.busy_until + self.one_way,
+                ready_at: done + self.one_way,
                 response_bytes: profile.response_bytes,
                 priced: (),
             }
@@ -628,8 +566,7 @@ mod tests {
             ]
         );
         let lane = rpc.lane_stats();
-        assert_eq!(lane.name, "rpc-chain-a");
-        assert_eq!(lane.queries_served, 3);
+        assert_eq!(lane.served, 3);
         assert_eq!(lane.busy_time, s * 3);
         assert_eq!(lane.total_wait, s * 3, "0 + s + 2s");
         assert_eq!(lane.max_backlog, s * 3, "the largest sojourn");

@@ -9,6 +9,7 @@
 //!   [`SimDuration`]),
 //! * a deterministic event scheduler generic over the event payload
 //!   ([`Scheduler`]),
+//! * [`server::Server`], the single FIFO server of every sequential resource,
 //! * [`DetRng`], the zero-sized name of a random stream no model draws from,
 //! * deterministic work counters — the xcc-prof profiling layer whose
 //!   totals are exact-match regression signals, unlike wall-clock
@@ -40,6 +41,7 @@
 pub mod prof;
 mod rng;
 mod scheduler;
+pub mod server;
 mod time;
 
 pub use rng::DetRng;

@@ -128,11 +128,11 @@ fn dedicated_fleet_builds_one_process_per_channel_with_own_lanes() {
     assert_eq!(run.rpc_lanes.len(), 3, "one lane pair per process");
     for (process, (src_lane, dst_lane)) in run.rpc_lanes.iter().enumerate() {
         assert!(
-            src_lane.queries_served > 0,
+            src_lane.served > 0,
             "process {process} never used its source lane"
         );
         assert!(
-            dst_lane.queries_served > 0,
+            dst_lane.served > 0,
             "process {process} never used its destination lane"
         );
     }

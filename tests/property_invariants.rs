@@ -21,6 +21,7 @@ use ibc_perf_repro::ibc::transfer::{
 };
 use ibc_perf_repro::rpc::cost::{service_time, RequestKind, RequestProfile};
 use ibc_perf_repro::rpc::endpoint::RpcEndpoint;
+use ibc_perf_repro::sim::server::{Server, ServerStats};
 use ibc_perf_repro::sim::{Scheduler, SimDuration, SimTime};
 use ibc_perf_repro::tendermint::hash::{sha256, Hash, Sha256};
 use ibc_perf_repro::tendermint::merkle::{leaf_hash, prove, simple_root, VerifiedPath};
@@ -53,6 +54,28 @@ fn drive_scheduler(steps: &[(u64, u8, bool)]) -> Vec<(SimTime, u32)> {
     }
     out.extend(std::iter::from_fn(|| sched.pop()));
     out
+}
+
+/// What a FIFO server must answer for `jobs` (arrival, service), taken in
+/// order, recomputed without a server: each job's start, and the statistics.
+/// Job `i` starts at the latest of `a_j + s_j + … + s_(i-1)` over `j ≤ i`
+/// (Lindley's recursion unrolled), so no running watermark is kept.
+fn naive_fifo(jobs: &[(SimTime, SimDuration)]) -> (Vec<SimTime>, ServerStats) {
+    let starts: Vec<SimTime> = (0..jobs.len())
+        .map(|i| {
+            (0..=i)
+                .map(|j| jobs[j..i].iter().fold(jobs[j].0, |t, (_, s)| t + *s))
+                .fold(SimTime::ZERO, SimTime::max)
+        })
+        .collect();
+    let mut stats = ServerStats::default();
+    for (&(arrives, service), &start) in jobs.iter().zip(&starts) {
+        stats.served += 1;
+        stats.busy_time += service;
+        stats.total_wait += start - arrives;
+        stats.max_backlog = stats.max_backlog.max(start + service - arrives);
+    }
+    (starts, stats)
 }
 
 proptest! {
@@ -204,25 +227,51 @@ proptest! {
         prop_assert_eq!(bank_a2.balance(&"alice".into(), "uatom"), amount);
     }
 
-    /// An RPC lane — the endpoint's single FIFO server — never answers a
-    /// query before it arrived plus its service time, never before a query
-    /// sent ahead of it, and its busy time equals the sum of service times.
-    /// Broadcasts of `n` bank sends vary the service time; a rejected
-    /// broadcast is served like an accepted one.
+    /// A FIFO server starts no job before it arrived or before the job
+    /// ahead of it is done, and its statistics equal a recomputation over
+    /// the jobs that keeps no watermark. `jobs` mixes `serve` calls with
+    /// `start`/`occupy` pairs, at arrivals in any order. `sends` is one RPC
+    /// lane's input: broadcasts of `n` bank sends at sorted instants, priced
+    /// by the cost table and a one-way delay each way; a rejected broadcast
+    /// is served like an accepted one.
     #[test]
-    fn fifo_server_is_causal_and_work_conserving(jobs in prop::collection::vec((0u64..10_000, 1usize..20), 1..30)) {
+    fn fifo_server_is_causal_and_work_conserving(
+        jobs in prop::collection::vec((0u64..10_000, 1u64..2_000, any::<bool>()), 1..30),
+        sends in prop::collection::vec((0u64..10_000, 1usize..20), 1..30),
+    ) {
+        let ms = SimDuration::from_millis;
+        let drawn: Vec<(SimTime, SimDuration)> =
+            jobs.iter().map(|&(at, len, _)| (SimTime::ZERO + ms(at), ms(len))).collect();
+        let (starts, expected) = naive_fifo(&drawn);
+        let mut server = Server::default();
+        let mut previous_done = SimTime::ZERO;
+        for ((&(arrives, service), &(.., one_call)), &naive_start) in
+            drawn.iter().zip(&jobs).zip(&starts)
+        {
+            let start = if one_call {
+                server.serve(arrives, service) - service
+            } else {
+                let start = server.start(arrives);
+                server.occupy(arrives, start + service);
+                start
+            };
+            prop_assert!(start >= arrives && start >= previous_done);
+            prop_assert_eq!(start, naive_start);
+            previous_done = start + service;
+        }
+        prop_assert_eq!(server.stats(), expected);
+
         let genesis = GenesisConfig::new("chain-a").with_funded_accounts("user", 2, 1_000_000);
         let chain = Rc::new(RefCell::new(genesis.into_chain()));
-        let one_way = SimDuration::from_millis(50);
+        let one_way = ms(50);
         let mut rpc = RpcEndpoint::new(chain, one_way);
-        let mut arrivals: Vec<(u64, usize)> = jobs;
-        arrivals.sort_by_key(|(at, _)| *at);
-        let mut previous_completion = SimTime::ZERO;
-        let mut total_service = SimDuration::ZERO;
-        let mut largest_service = SimDuration::ZERO;
-        for (at, sends) in &arrivals {
-            let sent = SimTime::from_nanos(at * 1_000_000);
-            let msgs = (0..*sends)
+        let mut sends = sends;
+        sends.sort_by_key(|(at, _)| *at);
+        let mut lane_jobs = Vec::new();
+        let mut completions = Vec::new();
+        for &(at, n) in &sends {
+            let sent = SimTime::ZERO + ms(at);
+            let msgs = (0..n)
                 .map(|_| Msg::BankSend {
                     from: "user-0".into(),
                     to: "user-1".into(),
@@ -236,22 +285,22 @@ proptest! {
             let service = service_time(&RequestProfile {
                 kind: RequestKind::BroadcastTxSync,
                 response_bytes: 256,
-                messages: *sends,
+                messages: n,
                 recv_heavy: false,
                 items: 0,
             });
             let tx = Tx::new("user-0".into(), 0, msgs, "uatom");
-            let completion = rpc.broadcast_tx_sync(sent, tx).ready_at;
-            prop_assert!(completion >= sent + one_way + service + one_way);
-            prop_assert!(completion >= previous_completion);
-            previous_completion = completion;
-            total_service += service;
-            largest_service = largest_service.max(service);
+            completions.push(rpc.broadcast_tx_sync(sent, tx).ready_at);
+            lane_jobs.push((sent + one_way, service));
         }
-        let lane = rpc.lane_stats();
-        prop_assert_eq!(lane.queries_served, arrivals.len() as u64);
-        prop_assert_eq!(lane.busy_time, total_service);
-        prop_assert!(lane.max_backlog >= largest_service);
+        let (starts, expected) = naive_fifo(&lane_jobs);
+        for ((&(arrives, service), &start), &completion) in
+            lane_jobs.iter().zip(&starts).zip(&completions)
+        {
+            prop_assert!(start >= arrives);
+            prop_assert_eq!(completion, start + service + one_way);
+        }
+        prop_assert_eq!(rpc.lane_stats(), expected);
     }
 
     /// Same-instant bursts: every event lands on one of a handful of
