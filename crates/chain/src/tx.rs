@@ -39,12 +39,24 @@ use xcc_tendermint::hash::{FieldHasher, Hash};
 /// The payload is fitted to its length when it is made, so a block holds no
 /// room the encoder grew into.
 ///
-/// The cache is deliberately conservative around the all-`pub` fields:
-/// cloning a `Tx` drops the cache, so the `clone → tamper → re-verify`
-/// pattern used in tests can never observe a stale encoding. Mutating a `Tx`
-/// *after* calling [`Tx::encode`]/[`Tx::hash`] on that same instance is the
-/// one pattern the cache does not support; no simulator code does this
-/// (transactions are built, signed and then treated as immutable).
+/// The body digest the signature covers is memoized the same way: the one
+/// [`Tx::new`] signed is kept, and [`Tx::verify_signature`] reads it. The
+/// ante handler runs at CheckTx and again at DeliverTx, and both still
+/// check the signature against the signer and sequence, as the SDK's does,
+/// but the 100 messages of a relayer or CLI transaction are hashed once,
+/// not three times. A transaction read back by [`Tx::decode`] has no memo
+/// and fills it on its first verification.
+///
+/// Both caches are deliberately conservative around the all-`pub` fields:
+/// cloning a `Tx` drops them, so the `clone → tamper → re-verify` pattern
+/// used in tests can never observe a stale encoding or digest. Mutating a
+/// `Tx` *after* construction is the one pattern they do not support: an
+/// in-place change to `signer`, `sequence` or `signature` still fails
+/// verification, since the signature covers the first two beside the
+/// digest, but one to `msgs` or `fee` is hidden by the kept digest, and any
+/// change made after [`Tx::encode`]/[`Tx::hash`] is hidden from the
+/// encoding. No simulator code does this (transactions are built, signed
+/// and then treated as immutable).
 ///
 /// # Decoding
 ///
@@ -74,12 +86,16 @@ pub struct Tx {
     /// comparison, cloning and the wire format.
     #[serde(skip)]
     encoded: OnceCell<RawTx>,
+    /// Memoized body digest, the one the signature was made over; excluded
+    /// like the encoding.
+    #[serde(skip)]
+    digest: OnceCell<Hash>,
 }
 
 impl Clone for Tx {
-    /// Clones the transaction *without* its encode cache: the clone may be
-    /// tampered with (tests forge signers this way), so it must re-encode
-    /// lazily from its own contents.
+    /// Clones the transaction *without* its encode and digest caches: the
+    /// clone may be tampered with (tests forge signers this way), so it must
+    /// re-encode and re-digest lazily from its own contents.
     fn clone(&self) -> Self {
         Tx {
             msgs: self.msgs.clone(),
@@ -90,6 +106,7 @@ impl Clone for Tx {
             memo: self.memo.clone(),
             signature: self.signature,
             encoded: OnceCell::new(),
+            digest: OnceCell::new(),
         }
     }
 }
@@ -140,15 +157,15 @@ impl Tx {
             memo: String::new(),
             signature,
             encoded: OnceCell::new(),
+            digest: OnceCell::from(body_digest),
         }
     }
 
     /// The digest a signature covers: `hash_fields` over the signer, the
     /// sequence, the fee as `Coin` displays it (amount, then denom) and, per
-    /// message, its type URL followed by its encoded size. Computed three
-    /// times per transaction (signing, then the ante check at CheckTx and at
-    /// DeliverTx), so each field streams into a [`FieldHasher`] instead of
-    /// being assembled on the heap first.
+    /// message, its type URL followed by its encoded size. Computed once per
+    /// transaction and kept (see "Encode/hash caching"); each field streams
+    /// into a [`FieldHasher`] instead of being assembled on the heap first.
     fn body_digest(signer: &AccountId, sequence: u64, msgs: &[Msg], fee: &Coin) -> Hash {
         let mut hasher = FieldHasher::new();
         hasher.field(signer.as_str().as_bytes());
@@ -163,10 +180,13 @@ impl Tx {
     }
 
     /// Whether the transaction's signature matches its contents and claimed
-    /// signer.
+    /// signer. The body digest is the memoized one, computed here only for
+    /// a transaction that was not built by [`Tx::new`].
     pub fn verify_signature(&self) -> bool {
-        let digest = Self::body_digest(&self.signer, self.sequence, &self.msgs, &self.fee);
-        self.signature == sign(&self.signer, self.sequence, &digest)
+        let digest = self
+            .digest
+            .get_or_init(|| Self::body_digest(&self.signer, self.sequence, &self.msgs, &self.fee));
+        self.signature == sign(&self.signer, self.sequence, digest)
     }
 
     /// Serialises the transaction into opaque bytes for inclusion in a block.
@@ -473,9 +493,50 @@ mod tests {
         forged.signer = "mallory".into();
         assert!(!forged.verify_signature());
 
-        let mut replayed = tx;
+        // A clone re-digests its own messages.
+        let mut edited = tx.clone();
+        edited.msgs.push(transfer(6));
+        assert!(!edited.verify_signature());
+
+        // In place, on the instance that keeps the signed digest.
+        let mut resigned = tx;
+        let signature = resigned.signature;
+        resigned.signature = sign(&"alice".into(), 1, &Hash::ZERO);
+        assert!(!resigned.verify_signature());
+        resigned.signature = signature;
+        assert!(resigned.verify_signature());
+
+        let mut replayed = resigned;
         replayed.sequence = 2;
         assert!(!replayed.verify_signature());
+    }
+
+    /// The digest `Tx::new` signed is the one both ante checks verify
+    /// against: building a transaction and verifying it twice, as CheckTx
+    /// and DeliverTx do, hashes its body once. A decoded transaction
+    /// digests on its first verification only.
+    #[test]
+    fn two_verifications_cost_one_body_digest() {
+        fn blocks<R>(f: impl FnOnce() -> R) -> (R, u64) {
+            prof::reset();
+            let out = f();
+            (out, prof::snapshot().sha256_blocks)
+        }
+        let msgs: Vec<Msg> = (0..100).map(|i| transfer(i as u128 + 1)).collect();
+        let (_, signing) = blocks(|| sign(&"alice".into(), 7, &Hash::ZERO));
+        let (tx, building) = blocks(|| Tx::new("alice".into(), 7, msgs, "uatom"));
+        let (_, digest) = blocks(|| Tx::body_digest(&tx.signer, tx.sequence, &tx.msgs, &tx.fee));
+        assert!(digest > 20, "100 messages span many blocks: {digest}");
+        assert_eq!(building, digest + signing);
+        let (valid, verifying) = blocks(|| tx.verify_signature() && tx.verify_signature());
+        assert!(valid);
+        assert_eq!(verifying, 2 * signing, "two checks, no second digest");
+
+        let (decoded, _) = blocks(|| Tx::decode(&tx.encode()).unwrap());
+        let (valid, verifying) =
+            blocks(|| decoded.verify_signature() && decoded.verify_signature());
+        assert!(valid);
+        assert_eq!(verifying, digest + 2 * signing);
     }
 
     /// `Tx::hash` used to re-encode the whole transaction on every call, and

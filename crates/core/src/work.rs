@@ -64,6 +64,9 @@ pub struct WorkProfile {
     pub relayer_wakes: u64,
     /// Packet-clear scan visits (per packet considered by a clear pass).
     pub clear_scan_visits: u64,
+    /// SHA-256 blocks compressed, padding included: every digest of the
+    /// run, whichever backend compressed it.
+    pub sha256_blocks: u64,
     /// Merkle inner nodes hashed: commitment-store tree builds, block data
     /// roots, proofs and proof checks.
     pub merkle_inner_hashes: u64,
@@ -96,6 +99,7 @@ impl WorkProfile {
             telemetry_records: counters.telemetry_records,
             relayer_wakes: counters.relayer_wakes,
             clear_scan_visits: counters.clear_scan_visits,
+            sha256_blocks: counters.sha256_blocks,
             merkle_inner_hashes: counters.merkle_inner_hashes,
         }
     }
@@ -123,6 +127,7 @@ impl WorkProfile {
             telemetry_records: self.telemetry_records + other.telemetry_records,
             relayer_wakes: self.relayer_wakes + other.relayer_wakes,
             clear_scan_visits: self.clear_scan_visits + other.clear_scan_visits,
+            sha256_blocks: self.sha256_blocks + other.sha256_blocks,
             merkle_inner_hashes: self.merkle_inner_hashes + other.merkle_inner_hashes,
         }
     }
@@ -156,12 +161,14 @@ mod tests {
         a.rpc_calls.insert("account_query".to_string(), 4);
         let mut b = WorkProfile {
             events_scheduled: 5,
+            sha256_blocks: 7,
             ..WorkProfile::default()
         };
         b.rpc_calls.insert("account_query".to_string(), 1);
         b.rpc_calls.insert("proof_query".to_string(), 9);
         let m = a.merged(&b);
         assert_eq!(m.events_scheduled, 15);
+        assert_eq!(m.sha256_blocks, 7);
         assert_eq!(m.rpc_calls.get("account_query"), Some(&5));
         assert_eq!(m.rpc_calls.get("proof_query"), Some(&9));
     }

@@ -8,7 +8,7 @@
 //! consensus state recorded by their light clients.
 
 use std::borrow::Cow;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
@@ -59,8 +59,11 @@ pub type CommitmentRoot = Hash;
 /// paths in spelling order. Building the tree from scratch would hash every
 /// leaf (O(n)), and the relayer's data pulls request one proof per packet
 /// sequence, so an uncached store pays O(n) hashing *per proof*. With the
-/// tree and its order kept, a proof is a row lookup for the value, a binary
-/// search of the order for the leaf's rank, and O(log n) sibling reads.
+/// tree and its order kept, a proof is a row lookup for the value, the
+/// leaf's rank in the order, and O(log n) sibling reads. The rank is found
+/// by binary search unless it is the one after the last proof's: clear
+/// scans and batch pulls prove a section's sequences in ascending order, so
+/// that one slot is checked first.
 ///
 /// A write ([`set`](CommitmentStore::set) /
 /// [`delete`](CommitmentStore::delete)) only notes its path. The next
@@ -243,6 +246,9 @@ struct Kept {
     /// Every path set or deleted since `tree` was built, each as often as
     /// it was written.
     written: Vec<StorePath>,
+    /// The rank after the last one proven, checked against `order` before
+    /// it is searched; a hint left stale by a rebuild only misses.
+    next: Cell<usize>,
 }
 
 impl Kept {
@@ -257,6 +263,7 @@ impl Kept {
             tree,
             order,
             written,
+            ..
         } = self;
         written.sort_unstable();
         written.dedup();
@@ -286,6 +293,18 @@ impl Kept {
         order.extend(old);
         *tree = tree.rebuild(&ranks, &fresh);
     }
+
+    /// The leaf rank of `path`, if it has a leaf: the hinted slot when it
+    /// holds `path`, else a binary search of the order.
+    fn rank(&self, path: &StorePath) -> Option<usize> {
+        let hint = self.next.get();
+        let rank = match self.order.get(hint) {
+            Some(at) if at == path => hint,
+            _ => self.order.binary_search(path).ok()?,
+        };
+        self.next.set(rank + 1);
+        Some(rank)
+    }
 }
 
 impl Default for CommitmentStore {
@@ -297,6 +316,7 @@ impl Default for CommitmentStore {
                 tree: MerkleTree::build([]),
                 order: Vec::new(),
                 written: Vec::new(),
+                next: Cell::new(0),
             }),
         }
     }
@@ -482,7 +502,7 @@ impl CommitmentStore {
         if self.is_empty() {
             return hash_fields(&[b"empty-ibc-store"]);
         }
-        self.with_tree(|tree, _| tree.root())
+        self.with_tree(|kept| kept.tree.root())
     }
 
     /// Produces a membership proof for `path`, if it exists.
@@ -498,25 +518,25 @@ impl CommitmentStore {
                 (*row.get(seq)?, Cow::Owned(key))
             }
         };
-        self.with_tree(|tree, order| {
-            let rank = order.binary_search(&path).ok()?;
+        self.with_tree(|kept| {
+            let rank = kept.rank(&path)?;
             Some(CommitmentProof {
                 path: path.spell(),
                 value,
-                merkle: tree.prove(rank)?,
-                root: tree.root(),
+                merkle: kept.tree.prove(rank)?,
+                root: kept.tree.root(),
             })
         })
     }
 
     /// Reads the tree and the paths of its leaves, rebuilding it first if
     /// anything was written since the last build.
-    fn with_tree<R>(&self, read: impl FnOnce(&MerkleTree, &[StorePath]) -> R) -> R {
+    fn with_tree<R>(&self, read: impl FnOnce(&Kept) -> R) -> R {
         let mut kept = self.kept.borrow_mut();
         if !kept.written.is_empty() {
             kept.rebuild(|path| self.get(path));
         }
-        read(&kept.tree, &kept.order)
+        read(&kept)
     }
 
     /// Produces a non-membership proof for `path`, if it is indeed absent.

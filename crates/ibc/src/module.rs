@@ -824,7 +824,7 @@ impl IbcModule {
 
         // Record receipt and acknowledgement.
         let ack_path = record.paths.ack(packet.sequence);
-        self.store_set(receipt_path, hash_fields(&[b"receipt"]));
+        self.store_set(receipt_path, RECEIPT);
         self.store_set(ack_path, ack.commitment());
         let record = self
             .channels
@@ -1220,6 +1220,14 @@ impl IbcModule {
     }
 }
 
+/// The value every packet receipt holds, `hash_fields(&[b"receipt"])`,
+/// written out so that a receive does not hash it again (pinned by
+/// `receipt_value_is_hash_fields_of_receipt`).
+const RECEIPT: Hash = Hash([
+    0xeb, 0x9d, 0x74, 0x39, 0xfa, 0x4b, 0xb8, 0x40, 0x04, 0x19, 0x41, 0x51, 0x66, 0xc1, 0x26, 0x82,
+    0x9c, 0x36, 0xad, 0x65, 0x7d, 0xc4, 0xa5, 0xdf, 0xee, 0x7b, 0x4e, 0x43, 0xe0, 0x2c, 0xa9, 0xf8,
+]);
+
 /// A channel end's store leaf: its identifiers, state and next send
 /// sequence.
 fn end_leaf(port_id: &PortId, channel_id: &ChannelId, end: &ChannelEnd) -> Hash {
@@ -1244,6 +1252,11 @@ fn channel_not_found(port_id: &PortId, channel_id: &ChannelId) -> IbcError {
 pub(crate) mod tests {
     use super::*;
     use std::collections::BTreeMap;
+
+    #[test]
+    fn receipt_value_is_hash_fields_of_receipt() {
+        assert_eq!(RECEIPT, hash_fields(&[b"receipt"]));
+    }
 
     #[derive(Debug, Default)]
     pub(crate) struct TestBank {

@@ -5,7 +5,7 @@
 //! in this module measure *work performed* instead — events scheduled and
 //! popped, RPC calls served per request kind, transactions encoded and
 //! decoded, modelled and host bytes serialized, telemetry records written, relayer wakes,
-//! clear-scan visits and Merkle inner nodes hashed. Because every run of the simulator is single-threaded
+//! clear-scan visits, SHA-256 blocks compressed and Merkle inner nodes hashed. Because every run of the simulator is single-threaded
 //! and fully deterministic (PRs 5–9), these counters are bit-stable across
 //! machines: the same spec and seed always produce the same counter vector,
 //! so `goldens --check` can enforce them with exact equality while
@@ -64,6 +64,8 @@ pub struct WorkCounters {
     pub relayer_wakes: u64,
     /// Packets visited by the periodic clear scan.
     pub clear_scan_visits: u64,
+    /// SHA-256 blocks compressed, padding included, by either backend.
+    pub sha256_blocks: u64,
     /// Merkle inner nodes hashed (tree builds, proofs and their checks).
     pub merkle_inner_hashes: u64,
 }
@@ -86,6 +88,7 @@ const ZERO: WorkCounters = WorkCounters {
     telemetry_records: 0,
     relayer_wakes: 0,
     clear_scan_visits: 0,
+    sha256_blocks: 0,
     merkle_inner_hashes: 0,
 };
 
@@ -168,6 +171,12 @@ pub fn bump_clear_scan_visit() {
     bump(|c| c.clear_scan_visits += 1);
 }
 
+/// Counts the `blocks` one SHA-256 digest compressed.
+#[inline]
+pub fn bump_sha256_blocks(blocks: u64) {
+    bump(|c| c.sha256_blocks += blocks);
+}
+
 /// Counts one Merkle inner node hashed.
 #[inline]
 pub fn bump_merkle_inner_hash() {
@@ -192,6 +201,7 @@ mod tests {
         bump_telemetry_record();
         bump_relayer_wake();
         bump_clear_scan_visit();
+        bump_sha256_blocks(3);
         bump_merkle_inner_hash();
 
         let snap = snapshot();
@@ -207,6 +217,7 @@ mod tests {
         assert_eq!(snap.telemetry_records, 1);
         assert_eq!(snap.relayer_wakes, 1);
         assert_eq!(snap.clear_scan_visits, 1);
+        assert_eq!(snap.sha256_blocks, 3);
         assert_eq!(snap.merkle_inner_hashes, 1);
 
         reset();

@@ -18,6 +18,7 @@
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
+use xcc_sim::prof;
 
 /// A 256-bit digest.
 ///
@@ -192,10 +193,15 @@ impl Sha256 {
     }
 
     /// Consumes the hasher and returns the digest.
+    ///
+    /// Counts the digest's blocks in the work profile once, here, rather
+    /// than per kernel call: the padded length over 64, which is every block
+    /// either backend compressed for it.
     pub fn finalize(mut self) -> Hash {
         // Padding: 0x80, zeros up to 56 mod 64, then the bit length. When
         // fewer than 8 bytes remain after the 0x80 the length spills into one
         // extra all-padding block.
+        prof::bump_sha256_blocks((self.length_bits / 8 + 1 + 8).div_ceil(64));
         self.block[self.filled] = 0x80;
         self.block[self.filled + 1..].fill(0);
         if self.filled + 1 > 56 {
@@ -514,6 +520,24 @@ mod tests {
             let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
             // Byte-at-a-time exercises every fill level of the block buffer.
             assert_digest(&data, 1, digest);
+        }
+    }
+
+    /// One digest counts its padded length over 64 in the work profile,
+    /// however the input was fed.
+    #[test]
+    fn a_digest_counts_its_padded_blocks() {
+        for (len, blocks) in [(0, 1), (55, 1), (56, 2), (64, 2), (119, 2), (120, 3)] {
+            let data = vec![7u8; len];
+            prof::reset();
+            sha256(&data);
+            assert_eq!(prof::snapshot().sha256_blocks, blocks, "{len} bytes");
+            let mut streamed = Sha256::new();
+            for piece in data.chunks(5) {
+                streamed.update(piece);
+            }
+            streamed.finalize();
+            assert_eq!(prof::snapshot().sha256_blocks, 2 * blocks, "{len} bytes");
         }
     }
 

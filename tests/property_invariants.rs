@@ -917,6 +917,62 @@ mod store_oracle {
             }
             prop_assert_eq!(store.root(), if model.is_empty() { CommitmentStore::new().root() } else { oracle_root(&model) });
         }
+
+        /// A proof checks the slot after the last proven rank before it
+        /// searches. Proofs asked in ascending, descending, repeated and
+        /// cross-section order, with a write between two orders that leaves
+        /// the hint stale, are each the proof a store with no hint gives:
+        /// a copy of one built from the model that was never asked for a
+        /// proof, so it finds the rank by search.
+        #[test]
+        fn proofs_in_any_order_are_the_searched_ones(
+            keys in prop::collection::vec((any::<u8>(), any::<usize>()), 1..40),
+            rewrite in (any::<u8>(), any::<usize>()),
+        ) {
+            let port = PortId::transfer();
+            let ends = [1, 10].map(|index| ChannelPaths::new(&port, &ChannelId::with_index(index)));
+            let mut store = CommitmentStore::new();
+            let mut model: BTreeMap<String, Hash> = BTreeMap::new();
+            for (i, &(kind, number)) in keys.iter().enumerate() {
+                let (key, spelt) = draw(kind, number, &ends);
+                let value = sha256(&i.to_le_bytes());
+                key.set(&mut store, value);
+                model.insert(spelt, value);
+            }
+            for pass in 0..2 {
+                if pass == 1 {
+                    let (key, spelt) = draw(rewrite.0, rewrite.1, &ends);
+                    key.set(&mut store, Hash::ZERO);
+                    model.insert(spelt, Hash::ZERO);
+                }
+                let root = store.root();
+                prop_assert_eq!(root, oracle_root(&model));
+                let mut searched = CommitmentStore::new();
+                for (path, value) in &model {
+                    searched.set(path.as_str(), *value);
+                }
+                prop_assert_eq!(searched.root(), root);
+                let ascending: Vec<&String> = model.keys().collect();
+                let descending: Vec<&String> = ascending.iter().rev().copied().collect();
+                let repeated: Vec<&String> = ascending.iter().flat_map(|p| [*p, *p]).collect();
+                let (first, other): (Vec<&String>, Vec<&String>) =
+                    ascending.iter().partition(|p| p.contains("/channel-1/"));
+                let crossed: Vec<&String> = (0..first.len().max(other.len()))
+                    .flat_map(|i| [first.get(i), other.get(i)])
+                    .flatten()
+                    .copied()
+                    .collect();
+                for order in [ascending, descending, repeated, crossed] {
+                    for path in order {
+                        let proof = store.prove_membership(path.as_str()).expect("present");
+                        let reference = searched.clone().prove_membership(path.as_str());
+                        prop_assert_eq!(Some(&proof), reference.as_ref());
+                        prop_assert_eq!((&proof.path, &proof.value), (path, &model[path]));
+                        prop_assert!(proof.verify(&root, &mut VerifiedPath::default()));
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -364,3 +364,65 @@ fn record_wire_bytes_are_pinned() {
     expected.extend(b"\x06\x05alice\x06\x03bob\x07\x02\x06\x05uatom\x04\x07");
     assert_eq!(serde::binary::write(&send), expected);
 }
+
+/// `json::Len` counts a byte run sixteen bytes at a time: runs of every
+/// length up to five chunks, with a one-, two- and three-digit boundary
+/// value (9, 10, 99, 100, 255) at each position over a background of every
+/// width, and runs long enough to fill the lanes' 127-chunk groups, each
+/// against the length of the JSON text of the same array.
+#[test]
+fn len_counts_byte_runs_like_the_rendering() {
+    use serde::{json, Sink, Value};
+    let rendered = |run: &[u8]| {
+        let items = run.iter().map(|&b| Value::U128(u128::from(b))).collect();
+        json::to_json(&Value::Seq(items), false).len()
+    };
+    let counted = |run: &[u8]| {
+        let mut len = json::Len::default();
+        len.bytes(run);
+        len.0
+    };
+    for len in 0..=80usize {
+        let background: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+        assert_eq!(counted(&background), rendered(&background), "{len} bytes");
+        for at in 0..len {
+            for value in [9, 10, 99, 100, 255] {
+                let mut run = background.clone();
+                run[at] = value;
+                assert_eq!(counted(&run), rendered(&run), "{value} at {at} of {len}");
+            }
+        }
+    }
+    for len in [16 * 127, 16 * 127 + 1, 2 * 16 * 127 + 15, 10_000] {
+        for fill in [0, 9, 10, 100, 255] {
+            let run = vec![fill; len];
+            assert_eq!(counted(&run), rendered(&run), "{len} × {fill}");
+        }
+    }
+}
+
+/// `json::Len` checks a string eight bytes at a time for a byte that needs
+/// escaping: each control byte, the quote, the backslash, their
+/// neighbours and non-ASCII characters at offsets 0–24 of strings that
+/// end up to nine bytes after them, against the length of the JSON text.
+#[test]
+fn len_counts_strings_like_the_rendering() {
+    use serde::{json, Sink, Value};
+    let mut specials: Vec<char> = (0u8..0x20).map(char::from).collect();
+    specials.extend(['"', '\\', ' ', '!', '#', '[', ']', '\u{7f}', 'é', '€', '𝄞']);
+    for special in specials {
+        for offset in 0..=24 {
+            for after in 0..=9 {
+                let text: String = std::iter::repeat_n('a', offset)
+                    .chain([special])
+                    .chain(std::iter::repeat_n('z', after))
+                    .collect();
+                let rendered = json::to_json(&Value::Str(text.clone()), false).len();
+                let (mut value, mut key) = (json::Len::default(), json::Len::default());
+                value.str(&text);
+                key.key(&text);
+                assert_eq!((value.0, key.0), (rendered, rendered), "{text:?}");
+            }
+        }
+    }
+}
