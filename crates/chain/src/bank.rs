@@ -1,6 +1,7 @@
 //! The bank module: balances, transfers, minting and burning.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -69,7 +70,10 @@ impl std::error::Error for BankError {}
 /// Account and denomination names are shared strings, and balances are kept
 /// per account so that one is found by the borrowed `(&str, &str)` the IBC
 /// module supplies: reading builds no key, and a write to an existing entry
-/// journals clones of the keys the maps already hold.
+/// journals clones of the keys the maps already hold. A debit or credit of
+/// an existing balance searches each map once, for the key and the amount
+/// together; only a balance it creates, or a debit it refuses, searches
+/// again.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BankModule {
     /// Never holds an empty inner map, so equal balances are equal maps.
@@ -149,6 +153,41 @@ impl BankModule {
         self.supply.insert(key, update(prior.unwrap_or(0)));
     }
 
+    /// Writes `update(balance)` over an existing balance of `(address,
+    /// denom)`, recording what was there, and reports whether it did: not
+    /// when there is no such balance or `update` refuses it (`None`). Each
+    /// map is searched once, by the borrowed key, for its own key and the
+    /// amount together.
+    fn update_existing(
+        &mut self,
+        address: &str,
+        denom: &str,
+        update: impl FnOnce(u128) -> Option<u128>,
+    ) -> bool {
+        let only = |key| (Bound::Included(key), Bound::Included(key));
+        let Some((address, account)) = self.balances.range_mut::<str, _>(only(address)).next()
+        else {
+            return false;
+        };
+        let Some((denom, amount)) = account.range_mut::<str, _>(only(denom)).next() else {
+            return false;
+        };
+        let Some(updated) = update(*amount) else {
+            return false;
+        };
+        let prior = std::mem::replace(amount, updated);
+        self.journal
+            .record(|| BankUndo::Balance(address.clone(), denom.clone(), Some(prior)));
+        true
+    }
+
+    /// Adds `amount` of `denom` to `to`'s balance, creating it if absent.
+    fn credit(&mut self, to: &str, denom: &str, amount: u128) {
+        if !self.update_existing(to, denom, |held| Some(held + amount)) {
+            self.update_balance(to, denom, |held| held + amount);
+        }
+    }
+
     fn held(&self, address: &str, denom: &str) -> u128 {
         let amount = self
             .balances
@@ -159,6 +198,9 @@ impl BankModule {
 
     /// Takes `amount` of `denom` out of `from`'s balance.
     fn debit(&mut self, from: &str, denom: &str, amount: u128) -> Result<(), BankError> {
+        if self.update_existing(from, denom, |held| held.checked_sub(amount)) {
+            return Ok(());
+        }
         let held = self.held(from, denom);
         if held < amount {
             return Err(BankError::InsufficientFunds {
@@ -199,7 +241,7 @@ impl BankModule {
         coin: &Coin,
     ) -> Result<(), BankError> {
         self.debit(from.as_str(), &coin.denom, coin.amount)?;
-        self.update_balance(to.as_str(), &coin.denom, |held| held + coin.amount);
+        self.credit(to.as_str(), &coin.denom, coin.amount);
         Ok(())
     }
 
@@ -223,12 +265,12 @@ impl BankModule {
 impl BankKeeper for BankModule {
     fn send(&mut self, from: &str, to: &str, denom: &str, amount: u128) -> Result<(), String> {
         self.debit(from, denom, amount).map_err(|e| e.to_string())?;
-        self.update_balance(to, denom, |held| held + amount);
+        self.credit(to, denom, amount);
         Ok(())
     }
 
     fn mint(&mut self, to: &str, denom: &str, amount: u128) {
-        self.update_balance(to, denom, |held| held + amount);
+        self.credit(to, denom, amount);
         self.update_supply(denom, |supply| supply + amount);
     }
 

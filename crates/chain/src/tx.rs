@@ -8,6 +8,7 @@ use crate::account::{sign, AccountId};
 use crate::coin::Coin;
 use crate::gas;
 use crate::msg::Msg;
+use xcc_ibc::transfer::decimal;
 use xcc_sim::prof;
 use xcc_tendermint::block::RawTx;
 use xcc_tendermint::hash::{FieldHasher, Hash};
@@ -282,20 +283,6 @@ impl Tx {
     /// Number of messages in the transaction.
     pub fn msg_count(&self) -> usize {
         self.msgs.len()
-    }
-}
-
-/// The decimal digits of `n`, written into the tail of `buf` (a `u128` has at
-/// most 39).
-fn decimal(mut n: u128, buf: &mut [u8; 39]) -> &[u8] {
-    let mut at = buf.len();
-    loop {
-        at -= 1;
-        buf[at] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            return &buf[at..];
-        }
     }
 }
 

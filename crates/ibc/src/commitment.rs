@@ -9,6 +9,7 @@
 
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
@@ -68,13 +69,20 @@ pub type CommitmentRoot = Hash;
 /// A write ([`set`](CommitmentStore::set) /
 /// [`delete`](CommitmentStore::delete)) only notes its path. The next
 /// [`root`](CommitmentStore::root) or proof sorts the noted paths, finds
-/// each one's place in the kept order by binary search, copies the runs of
-/// leaves between those places, drops each deleted path's leaf and hashes
-/// the leaf of each one set, and lets [`MerkleTree::rebuild`] copy every
-/// perfect subtree whose leaves the writes left alone. A block that touches
-/// a few hundred of several thousand commitments therefore compares and
-/// hashes only those, and a path overwritten many times between two builds
-/// is hashed once.
+/// each one's place in the kept order, copies the runs of leaves between
+/// those places, drops each deleted path's leaf and hashes the leaf of each
+/// one set, and lets [`MerkleTree::rebuild`] copy every perfect subtree
+/// whose leaves the writes left alone. A block that touches a few hundred of
+/// several thousand commitments therefore compares and hashes only those,
+/// and a path overwritten many times between two builds is hashed once.
+///
+/// A block's writes are dense: a run of new sequences in one section, and
+/// the channel end beside them. So a written path's place is looked for
+/// among the next [`NEAR`] kept paths first, and the rest of the order is
+/// binary-searched only when it is not there; the sort is the stable one,
+/// which finds the ascending runs the writes arrive in. A scan without the
+/// bound costs more than the search on a store of 20,000 entries that a
+/// block rewrites 4 paths of.
 ///
 /// Tree shape, roots and proofs are bit-identical to the construction from
 /// scratch (pinned by `roots_of_a_chain_only_history_are_pinned` and the
@@ -251,13 +259,36 @@ struct Kept {
     next: Cell<usize>,
 }
 
+/// How many kept paths after the last written one a written path's place
+/// is looked for among before the rest of the order is binary-searched.
+const NEAR: usize = 32;
+
+/// The place of `path` in `order`, sorted and without repeats, as
+/// `binary_search` gives it: among the first [`NEAR`] paths by comparing
+/// each, else by binary search of the rest.
+fn place(order: &[StorePath], path: &StorePath) -> Result<usize, usize> {
+    let near = order.len().min(NEAR);
+    for (at, kept) in order[..near].iter().enumerate() {
+        match kept.cmp(path) {
+            Ordering::Less => {}
+            Ordering::Equal => return Ok(at),
+            Ordering::Greater => return Err(at),
+        }
+    }
+    match order[near..].binary_search(path) {
+        Ok(at) => Ok(near + at),
+        Err(at) => Err(near + at),
+    }
+}
+
 impl Kept {
     /// Merges the written paths into the order and rebuilds the tree from
-    /// the last one: each written path's place is a binary search of the
-    /// rest of the old order, the runs between those places are moved
-    /// over, a written path that holds a `value` now is a fresh leaf, and
-    /// one that does not is left out. The old order is freed before the
-    /// tree is rebuilt, so the two trees are never held beside two orders.
+    /// the last one: each written path's place in the rest of the old order
+    /// is looked for near its start, then searched (see [`place`]), the
+    /// runs between those places are moved over, a written path that holds
+    /// a `value` now is a fresh leaf, and one that does not is left out.
+    /// The old order is freed before the tree is rebuilt, so the two trees
+    /// are never held beside two orders.
     fn rebuild<'a>(&mut self, value: impl Fn(&StorePath) -> Option<&'a Hash>) {
         let Kept {
             tree,
@@ -265,7 +296,7 @@ impl Kept {
             written,
             ..
         } = self;
-        written.sort_unstable();
+        written.sort();
         written.dedup();
         let bound = order.len() + written.len();
         let mut old = std::mem::replace(order, Vec::with_capacity(bound)).into_iter();
@@ -273,7 +304,7 @@ impl Kept {
         let mut fresh = Vec::new();
         let mut rank = 0;
         for path in written.drain(..) {
-            let (run, found) = match old.as_slice().binary_search(&path) {
+            let (run, found) = match place(old.as_slice(), &path) {
                 Ok(run) => (run, true),
                 Err(run) => (run, false),
             };

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use xcc_sim::prof;
 
-use crate::hash::{sha256, Hash, Sha256};
+use crate::hash::{sha256, sha256_parts, Hash};
 
 const LEAF_PREFIX: u8 = 0x00;
 const INNER_PREFIX: u8 = 0x01;
@@ -20,34 +20,23 @@ pub fn leaf_hash(data: &[u8]) -> Hash {
     leaf_hash_parts(&[data])
 }
 
-/// [`leaf_hash`] of the concatenation of `parts`, streamed into the hasher
-/// without building it.
+/// [`leaf_hash`] of the concatenation of `parts`, without building it: a
+/// leaf of at most 118 bytes (a store leaf) is one kernel call.
 pub fn leaf_hash_parts(parts: &[&[u8]]) -> Hash {
-    let mut h = Sha256::new();
-    h.update(&[LEAF_PREFIX]);
-    for part in parts {
-        h.update(part);
-    }
-    h.finalize()
+    sha256_parts(&[LEAF_PREFIX], parts)
 }
 
+/// `SHA-256(0x01 ‖ left ‖ right)`: 65 bytes, one kernel call.
 fn inner_hash(left: &Hash, right: &Hash) -> Hash {
     prof::bump_merkle_inner_hash();
-    let mut h = Sha256::new();
-    h.update(&[INNER_PREFIX]);
-    h.update(left.as_bytes());
-    h.update(right.as_bytes());
-    h.finalize()
+    sha256_parts(&[INNER_PREFIX], &[left.as_bytes(), right.as_bytes()])
 }
 
-/// The largest power of two strictly less than `n` (for `n >= 2`).
+/// The largest power of two strictly less than `n` (for `n >= 2`): the
+/// highest bit of `n - 1`.
 fn split_point(n: usize) -> usize {
     debug_assert!(n >= 2);
-    let mut k = 1usize;
-    while k * 2 < n {
-        k *= 2;
-    }
-    k
+    1 << (n - 1).ilog2()
 }
 
 /// The number of siblings on the path from the leaf at `index` of a
@@ -504,6 +493,24 @@ mod tests {
     /// `proof`'s verdict on `data` under `root`, with nothing remembered.
     fn verifies(proof: &MerkleProof, root: &Hash, data: &[u8]) -> bool {
         proof.verify(root, leaf_hash(data), &mut VerifiedPath::default())
+    }
+
+    /// The doubling loop `split_point` replaced.
+    fn split_point_by_doubling(n: usize) -> usize {
+        let mut k = 1usize;
+        while k * 2 < n {
+            k *= 2;
+        }
+        k
+    }
+
+    #[test]
+    fn split_point_is_the_doubling_loop() {
+        let powers = (2..usize::BITS.min(41)).map(|k| 1usize << k);
+        let edges = powers.flat_map(|p| [p - 1, p, p + 1]);
+        for n in (2..=4_097).chain(edges) {
+            assert_eq!(split_point(n), split_point_by_doubling(n), "n = {n}");
+        }
     }
 
     #[test]
