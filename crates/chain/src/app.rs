@@ -5,11 +5,12 @@ use std::rc::Rc;
 
 use crate::account::{AccountId, AccountKeeper};
 use crate::ante::{self, AnteError};
-use crate::bank::BankModule;
+use crate::bank::{BankError, BankModule};
 use crate::gas;
 use crate::genesis::GenesisConfig;
 use crate::msg::Msg;
 use crate::tx::Tx;
+use xcc_ibc::error::IbcError;
 use xcc_ibc::height::Height;
 use xcc_ibc::module::{HostContext, IbcModule};
 use xcc_ibc::transfer::BankKeeper;
@@ -24,8 +25,34 @@ use xcc_tendermint::hash::{hash_fields, Hash};
 /// The account that collects transaction fees.
 pub const FEE_COLLECTOR: &str = "fee-collector";
 
-/// ABCI error code for a message that failed during execution.
+/// ABCI error code for a bank message that failed during execution.
+///
+/// The codes a `DeliverTx` result carries:
+///
+/// | code | cause |
+/// |---|---|
+/// | 0 | success |
+/// | 2, 4, 9, 32 | the ante handler ([`AnteError::code`]: empty, bad signature, unknown signer, stale sequence) |
+/// | 5 | the signer cannot pay the fee ([`ante::CODE_INSUFFICIENT_FUNDS`]) |
+/// | 111 | a failed bank message (this code) |
+/// | 2xx–5xx | a failed IBC message ([`IbcError::code`]; 410 a redundant packet message) |
 pub const CODE_MSG_FAILED: u32 = 111;
+
+/// Why a message failed in `DeliverTx`.
+enum MsgError {
+    Bank(BankError),
+    Ibc(IbcError),
+}
+
+impl MsgError {
+    /// The code and log of the failed transaction's result.
+    fn code_and_log(self) -> (u32, String) {
+        match self {
+            MsgError::Bank(err) => (CODE_MSG_FAILED, err.to_string()),
+            MsgError::Ibc(err) => (err.code(), err.to_string()),
+        }
+    }
+}
 
 /// The one attribute of a `message` event: the executed message's type URL,
 /// as `action`. The app keeps one record per type URL and every `message`
@@ -153,83 +180,69 @@ impl GaiaApp {
     }
 
     /// Executes one message against the application state.
-    fn execute_msg(&mut self, msg: &Msg) -> Result<Vec<Event>, String> {
+    fn execute_msg(&mut self, msg: &Msg) -> Result<Vec<Event>, MsgError> {
         let ctx = self.host_context();
-        match msg {
+        let ibc = match msg {
             Msg::BankSend { from, to, amount } => {
                 self.bank
                     .transfer(from, to, amount)
-                    .map_err(|e| e.to_string())?;
-                Ok(vec![Event::new(
+                    .map_err(MsgError::Bank)?;
+                return Ok(vec![Event::new(
                     "transfer",
                     [
                         ("sender", from.to_string().into()),
                         ("recipient", to.to_string().into()),
                         ("amount", amount.to_string().into()),
                     ],
-                )])
+                )]);
             }
-            Msg::IbcTransfer(params) => self
-                .ibc
-                .send_transfer(&ctx, &mut self.bank, params)
-                .map_err(|e| e.to_string()),
+            Msg::IbcTransfer(params) => self.ibc.send_transfer(&ctx, &mut self.bank, params),
             Msg::IbcRecvPacket {
                 packet,
                 proof_commitment,
                 proof_height,
                 ..
-            } => {
-                let (_ack, events) = self
-                    .ibc
-                    .recv_packet(
-                        &ctx,
-                        &mut self.bank,
-                        packet,
-                        proof_commitment,
-                        *proof_height,
-                    )
-                    .map_err(|e| e.to_string())?;
-                Ok(events)
-            }
+            } => self
+                .ibc
+                .recv_packet(
+                    &ctx,
+                    &mut self.bank,
+                    packet,
+                    proof_commitment,
+                    *proof_height,
+                )
+                .map(|(_ack, events)| events),
             Msg::IbcAcknowledgement {
                 packet,
                 acknowledgement,
                 proof_acked,
                 proof_height,
                 ..
-            } => self
-                .ibc
-                .acknowledge_packet(
-                    &ctx,
-                    &mut self.bank,
-                    packet,
-                    acknowledgement,
-                    proof_acked,
-                    *proof_height,
-                )
-                .map_err(|e| e.to_string()),
+            } => self.ibc.acknowledge_packet(
+                &ctx,
+                &mut self.bank,
+                packet,
+                acknowledgement,
+                proof_acked,
+                *proof_height,
+            ),
             Msg::IbcTimeout {
                 packet,
                 proof_unreceived,
                 proof_height,
                 ..
-            } => self
-                .ibc
-                .timeout_packet(
-                    &ctx,
-                    &mut self.bank,
-                    packet,
-                    proof_unreceived,
-                    *proof_height,
-                )
-                .map_err(|e| e.to_string()),
+            } => self.ibc.timeout_packet(
+                &ctx,
+                &mut self.bank,
+                packet,
+                proof_unreceived,
+                *proof_height,
+            ),
             Msg::IbcUpdateClient {
                 client_id, update, ..
-            } => self
-                .ibc
-                .update_client(client_id, update)
-                .map_err(|e| e.to_string()),
-        }
+            } => self.ibc.update_client(client_id, update),
+        };
+        ibc.map_err(MsgError::Ibc)
     }
 
     /// Opens a transaction on every keeper `DeliverTx` writes.
@@ -344,12 +357,13 @@ impl Application for GaiaApp {
                     events.push(self.message_event(msg.type_url()));
                     events.append(&mut msg_events);
                 }
-                Err(log) => {
+                Err(err) => {
                     self.rollback_tx();
                     let _ = ante::ante_handle(&mut self.accounts, &tx);
                     let _ = self.pay_fee(&tx);
+                    let (code, log) = err.code_and_log();
                     return DeliverTxResult {
-                        code: CODE_MSG_FAILED,
+                        code,
                         log,
                         gas_used,
                         gas_wanted,
@@ -459,7 +473,11 @@ mod tests {
         // But replaying sequence 0 is the "account sequence mismatch" error.
         let res = app.check_tx(&tx0);
         assert_eq!(res.code, ante::CODE_SEQUENCE_MISMATCH);
-        assert!(res.log.contains("account sequence mismatch"));
+        let stale = AnteError::SequenceMismatch {
+            expected: 2,
+            got: 0,
+        };
+        assert_eq!(res.log, stale.to_string());
     }
 
     #[test]
@@ -555,7 +573,11 @@ mod tests {
             "uatom",
         );
         let res = app.deliver_tx(bad);
-        assert_eq!(res.code, CODE_MSG_FAILED);
+        let missing = IbcError::ChannelNotFound {
+            port_id: PortId::transfer(),
+            channel_id: ChannelId::with_index(0),
+        };
+        assert_eq!((res.code, &res.log), (missing.code(), &missing.to_string()));
         assert!(res.gas_used > 0);
         // Transfer effects reverted, but the fee is kept and the sequence is
         // consumed.
@@ -631,6 +653,7 @@ mod rollback_tests {
     use crate::coin::Coin;
     use xcc_ibc::client::ClientUpdate;
     use xcc_ibc::commitment::CommitmentProof;
+    use xcc_ibc::error::CODE_REDUNDANT_PACKET;
     use xcc_ibc::ids::{ChannelId, ClientId, ConnectionId, PortId, Sequence};
     use xcc_ibc::module::TransferParams;
     use xcc_ibc::packet::Packet;
@@ -647,11 +670,11 @@ mod rollback_tests {
             return ante::CODE_INSUFFICIENT_FUNDS;
         }
         for msg in &tx.msgs {
-            if app.execute_msg(msg).is_err() {
+            if let Err(err) = app.execute_msg(msg) {
                 (app.accounts, app.bank, app.ibc) = snapshot;
                 let _ = ante::ante_handle(&mut app.accounts, tx);
                 let _ = app.pay_fee(tx);
-                return CODE_MSG_FAILED;
+                return err.code_and_log().0;
             }
         }
         0
@@ -951,9 +974,13 @@ mod rollback_tests {
         // Within one transaction, too: the receipt the first copy wrote is what
         // fails the second.
         let twice = vec![update_client(&pair.a), pair.recv(2), pair.recv(2)];
-        for msgs in [redundant_recv, bad_proof, twice] {
+        for (msgs, expected) in [
+            (redundant_recv, CODE_REDUNDANT_PACKET),
+            (bad_proof, 403),
+            (twice, CODE_REDUNDANT_PACKET),
+        ] {
             let code = deliver_both_ways(b, &relayer_tx(&pair.b, msgs), &pair.proven_on_b());
-            assert_eq!(code, CODE_MSG_FAILED);
+            assert_eq!(code, expected);
         }
 
         // On A: a client update and an acknowledgement (commitment deleted),
@@ -965,9 +992,12 @@ mod rollback_tests {
             pair.ack(1),
             pair.premature_timeout(2),
         ];
-        for msgs in [redundant_ack, unexpired_timeout] {
+        for (msgs, expected) in [
+            (redundant_ack, CODE_REDUNDANT_PACKET),
+            (unexpired_timeout, 407),
+        ] {
             let code = deliver_both_ways(a, &relayer_tx(&pair.a, msgs), &pair.proven_on_a());
-            assert_eq!(code, CODE_MSG_FAILED);
+            assert_eq!(code, expected);
         }
 
         // The same batches without their last message succeed — the failures
@@ -1095,7 +1125,9 @@ mod rollback_tests {
                 });
             }
             let code = deliver_both_ways(pair.b.app(), &relayer_tx(&pair.b, msgs), &pair.proven_on_b());
-            prop_assert_eq!(code, if injected { CODE_MSG_FAILED } else { 0 });
+            // Redundant receive, bad proof, unknown channel, overdrawn send.
+            let failed = [CODE_REDUNDANT_PACKET, 403, 401, CODE_MSG_FAILED];
+            prop_assert_eq!(code, if injected { failed[failure] } else { 0 });
         }
     }
 }

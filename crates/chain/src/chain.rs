@@ -52,7 +52,7 @@ mod tests {
     use crate::tx::Tx;
     use xcc_sim::SimTime;
     use xcc_tendermint::hash::Hash;
-    use xcc_tendermint::node::Refused;
+    use xcc_tendermint::node::{Refused, SubmitError};
 
     fn funded_chain() -> Chain {
         GenesisConfig::new("chain-a")
@@ -103,7 +103,13 @@ mod tests {
         // paper's CLI users) can only get one transaction per block in.
         submit(&mut chain, send_tx("user-0", 0), SimTime::ZERO).unwrap();
         let err = submit(&mut chain, send_tx("user-0", 0), SimTime::ZERO).unwrap_err();
-        assert!(err.to_string().contains("account sequence mismatch"));
+        assert!(matches!(
+            err.error,
+            SubmitError::CheckTxFailed {
+                code: crate::ante::CODE_SEQUENCE_MISMATCH,
+                ..
+            }
+        ));
         assert_eq!(*err.tx, send_tx("user-0", 0), "the refused tx comes back");
         chain.produce_block(SimTime::from_secs(5));
         // After the block commits, the next committed sequence works.

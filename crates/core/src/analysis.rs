@@ -4,6 +4,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use xcc_ibc::error::CODE_REDUNDANT_PACKET;
 use xcc_relayer::telemetry::TransferStep;
 use xcc_sim::SimTime;
 
@@ -256,7 +257,8 @@ pub fn redundant_packet_errors(run: &RunOutput) -> u64 {
 }
 
 /// Number of receive transactions the destination chain *committed and
-/// failed* as redundant — a packet physically submitted twice.
+/// failed* as redundant ([`CODE_REDUNDANT_PACKET`]) — a packet physically
+/// submitted twice.
 ///
 /// This deliberately excludes relayer-side skips (a skip is the dedup
 /// machinery working): after a crash-and-restart, a relayer that lost its
@@ -281,7 +283,7 @@ pub fn double_submitted_packets(run: &RunOutput) -> u64 {
                 count += block
                     .results
                     .iter()
-                    .filter(|r| !r.is_ok() && r.log.contains("redundant"))
+                    .filter(|r| r.code == CODE_REDUNDANT_PACKET)
                     .count() as u64;
             }
         }

@@ -393,30 +393,13 @@ pub fn run_experiment(
     let target_blocks = workload_config.measurement_blocks;
     let grace_blocks = workload_config.completion_grace_blocks;
     let mut source_running = true;
-    // Relayer wakes outstanding at the current instant. Block events yield
-    // to these (see the module docs): because time advances monotonically,
-    // any outstanding wake scheduled at or before `now` is at exactly `now`,
-    // so a single counter per instant suffices.
-    let mut wakes_due: Vec<(SimTime, usize)> = Vec::new();
-    // The single home of the invariant "wakes_due counts exactly the
-    // `RelayerWake` events in the scheduler": every schedule site records
-    // here, the `RelayerWake` arm decrements.
-    fn note_wakes(wakes_due: &mut Vec<(SimTime, usize)>, at: SimTime, count: usize) {
-        if count == 0 {
-            return;
-        }
-        match wakes_due.iter_mut().find(|(t, _)| *t == at) {
-            Some((_, pending)) => *pending += count,
-            None => wakes_due.push((at, count)),
-        }
-    }
+    // The `RelayerWake` events in the scheduler, all due now: each is
+    // scheduled at the instant being handled. Block events yield to them.
+    let mut wakes_due = 0usize;
 
     while let Some((t, ev)) = sched.pop() {
-        let wakes_pending_now = wakes_due
-            .iter()
-            .any(|(at, pending)| *at == t && *pending > 0);
         match ev {
-            Ev::Block(_) if wakes_pending_now => {
+            Ev::Block(_) if wakes_due > 0 => {
                 // Relayer wakes are already queued at this instant: yield so
                 // the processes run first (FIFO puts the re-scheduled block
                 // behind them), preserving the synchronous runner's
@@ -446,7 +429,6 @@ pub fn run_experiment(
                 // events scheduled below, in ascending process-id order (for
                 // the two-chain topology every relayer touches every chain,
                 // which is exactly the legacy notify-all behaviour).
-                let mut woken = 0;
                 for id in 0..testnet.relayers.len() {
                     let (src, dst) = testnet.relayer_chains[id];
                     if src != c && dst != c {
@@ -461,9 +443,8 @@ pub fn run_experiment(
                             .notify_dest_block(outcome.height, outcome.committed_at);
                     }
                     sched.schedule_at(t, Ev::RelayerWake(id));
-                    woken += 1;
+                    wakes_due += 1;
                 }
-                note_wakes(&mut wakes_due, t, woken);
 
                 // Hop-plan second legs chain off this block's first-leg
                 // acknowledgements; without routes this is a no-op.
@@ -528,10 +509,7 @@ pub fn run_experiment(
             }
             Ev::RelayerWake(id) => {
                 prof::bump_relayer_wake();
-                if let Some((_, pending)) = wakes_due.iter_mut().find(|(at, _)| *at == t) {
-                    *pending = pending.saturating_sub(1);
-                }
-                wakes_due.retain(|(at, pending)| *at > t || *pending > 0);
+                wakes_due -= 1;
                 testnet.relayers[id].wake(t);
             }
             // Out-of-range relayer / path indices are tolerated so a sweep
@@ -548,7 +526,7 @@ pub fn run_experiment(
                     // Rejoin through the ordinary wake protocol so the
                     // replayed inbox drains on the process's own lane.
                     sched.schedule_at(t, Ev::RelayerWake(relayer));
-                    note_wakes(&mut wakes_due, t, 1);
+                    wakes_due += 1;
                 }
             }
             Ev::Fault(FaultEvent::ChainHalt {

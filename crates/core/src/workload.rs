@@ -21,6 +21,7 @@ use xcc_ibc::module::TransferParams;
 use xcc_rpc::endpoint::RpcEndpoint;
 use xcc_sim::{server::Server, SimDuration, SimTime};
 use xcc_tendermint::hash::Hash;
+use xcc_tendermint::node::SubmitError;
 
 use crate::config::WorkloadConfig;
 use crate::topology::HopRoute;
@@ -48,8 +49,8 @@ pub struct SubmissionRecord {
     pub channel: usize,
     /// Whether `broadcast_tx_sync` accepted it into the mempool.
     pub accepted: bool,
-    /// The error message when the broadcast was rejected.
-    pub error: Option<String>,
+    /// Why the node refused the broadcast, when it did.
+    pub error: Option<SubmitError>,
 }
 
 /// Aggregate submission statistics (the "Requests made / Submitted" columns
@@ -129,7 +130,7 @@ fn cli_transfer(
     // it, so the CLI takes the hash before the transaction moves to the node.
     let tx_hash = tx.hash();
     let resp = rpc.broadcast_tx_sync(t, tx);
-    let error = resp.value.err().map(|refused| refused.to_string());
+    let error = resp.value.err().map(|refused| refused.error);
     SubmissionRecord {
         tx_hash,
         broadcast_at: resp.ready_at,
@@ -528,7 +529,16 @@ mod tests {
         assert_eq!(stats.submitted, 100);
         assert_eq!(stats.rejected, 100);
         let error = workload.records()[1].error.as_ref().unwrap();
-        assert!(error.contains("account sequence mismatch"), "{error}");
+        assert!(
+            matches!(
+                error,
+                SubmitError::CheckTxFailed {
+                    code: xcc_chain::ante::CODE_SEQUENCE_MISMATCH,
+                    ..
+                }
+            ),
+            "{error}"
+        );
         drop(testnet);
     }
 

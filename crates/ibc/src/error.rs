@@ -155,6 +155,35 @@ impl std::fmt::Display for IbcError {
 
 impl std::error::Error for IbcError {}
 
+/// The ABCI code of a receive or acknowledgement some relayer already
+/// delivered: ibc-go's "packet messages are redundant" (§IV-A).
+pub const CODE_REDUNDANT_PACKET: u32 = 410;
+
+impl IbcError {
+    /// The `DeliverTx` code of a message that failed with this error: 2xx
+    /// clients, 3xx connections, 4xx channels and packets, 5xx ICS-20.
+    pub fn code(&self) -> u32 {
+        match self {
+            IbcError::ClientNotFound { .. } => 201,
+            IbcError::ClientUpdateFailed { .. } => 202,
+            IbcError::ClientExpired { .. } => 203,
+            IbcError::ConsensusStateNotFound { .. } => 204,
+            IbcError::ConnectionNotFound { .. } => 301,
+            IbcError::ChannelNotFound { .. } => 401,
+            IbcError::InvalidState { .. } => 402,
+            IbcError::InvalidProof { .. } => 403,
+            IbcError::PacketCommitmentNotFound { .. } => 404,
+            IbcError::PacketCommitmentMismatch { .. } => 405,
+            IbcError::PacketTimedOut { .. } => 406,
+            IbcError::TimeoutNotReached { .. } => 407,
+            IbcError::PacketAlreadyReceived { .. } | IbcError::PacketAlreadyAcknowledged { .. } => {
+                CODE_REDUNDANT_PACKET
+            }
+            IbcError::Transfer { .. } => 501,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

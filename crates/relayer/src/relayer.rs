@@ -68,12 +68,12 @@ use xcc_ibc::events as ibc_events;
 use xcc_ibc::height::Height;
 use xcc_ibc::ids::{ChannelId, ClientId, PortId, Sequence};
 use xcc_ibc::packet::Packet;
-use xcc_rpc::endpoint::{BroadcastError, LaneStats, RpcEndpoint};
+use xcc_rpc::endpoint::{LaneStats, RpcEndpoint};
 use xcc_rpc::websocket::{WebSocketSubscription, DELIVERY_OVERHEAD};
 use xcc_sim::{prof, server::Server, SimDuration, SimTime};
 use xcc_tendermint::abci::Event;
 use xcc_tendermint::hash::Hash;
-use xcc_tendermint::node::{CommittedBlock, Refused};
+use xcc_tendermint::node::{CommittedBlock, Refused, SubmitError};
 
 use crate::config::{
     RelayerConfig, BUILD_COST_PER_MSG, EVENT_PROCESSING_OVERHEAD, MAX_MSGS_PER_TX,
@@ -81,7 +81,7 @@ use crate::config::{
 };
 use crate::sequence::SequenceTracker;
 use crate::strategy::SequenceTracking;
-use crate::telemetry::{TelemetryLog, TransferStep};
+use crate::telemetry::{RelayerErrorKind, TelemetryLog, TransferStep};
 use ChainRole::{Destination, Source};
 
 /// One block-commit notification waiting in a relayer process's inbox.
@@ -95,7 +95,7 @@ type BlockNotice = (ChainRole, u64, SimTime);
 /// Which side of the relay path a chain plays for this relayer — and the
 /// index of that chain's [`ChainEnd`] in the relayer's per-chain state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ChainRole {
+pub enum ChainRole {
     /// The chain transfers originate from.
     Source,
     /// The chain transfers are delivered to.
@@ -577,7 +577,7 @@ impl Relayer {
             end.worker = Server::default();
         }
         self.telemetry
-            .record_error(now, format!("relayer process {} crashed", self.id));
+            .record_error(now, RelayerErrorKind::Crashed(self.id));
     }
 
     /// Restarts the crashed process cold at `now`: both account-sequence
@@ -599,7 +599,7 @@ impl Relayer {
             end.seq = SequenceTracker::new(tracking, committed);
         }
         self.telemetry
-            .record_error(now, format!("relayer process {} restarted", self.id));
+            .record_error(now, RelayerErrorKind::Restarted(self.id));
         // Bounded replay: the missed slots carry only the newest height per
         // chain, so the backlog is the window, never the outage length.
         for on in [Source, Destination] {
@@ -639,7 +639,8 @@ impl Relayer {
             Ok(block) => (event_time, Some(block)),
             Err(err) => {
                 self.stats.event_collection_failures += 1;
-                self.telemetry.record_error(event_time, err.to_string());
+                self.telemetry
+                    .record_error(event_time, RelayerErrorKind::EventCollection(err));
                 (event_time, None)
             }
         }
@@ -835,18 +836,9 @@ impl Relayer {
                 record.release(on);
             }
         }
-        let kind = match on {
-            Source => "acknowledgement",
-            Destination => "receive",
-        };
-        self.telemetry.record_error(
-            at,
-            format!(
-                "{kind} tx committed with code {code}: released {} in-flight packet \
-                 markers to the clear scan",
-                markers.len()
-            ),
-        );
+        let released = markers.len();
+        self.telemetry
+            .record_error(at, RelayerErrorKind::FailedCommit { on, code, released });
     }
 
     /// Handles a newly committed block on the **destination** chain: records
@@ -932,15 +924,9 @@ impl Relayer {
         let path = &self.paths[channel];
         let sequences: Vec<Sequence> = batch.iter().map(|(_, p)| p.sequence).collect();
         let rpc = &mut self.ends[to as usize].rpc;
-        let (resp, what) = match to {
-            Destination => (
-                rpc.unreceived_packets(at, &path.port, &path.dst_channel, &sequences),
-                "packets",
-            ),
-            Source => (
-                rpc.unacknowledged_packets(at, &path.port, &path.src_channel, &sequences),
-                "acknowledgements",
-            ),
+        let resp = match to {
+            Destination => rpc.unreceived_packets(at, &path.port, &path.dst_channel, &sequences),
+            Source => rpc.unacknowledged_packets(at, &path.port, &path.src_channel, &sequences),
         };
         let t = resp.ready_at;
         // Both queries answer an order-preserving filter of `sequences`.
@@ -950,10 +936,8 @@ impl Relayer {
         let skipped = queued - batch.len();
         if skipped > 0 {
             self.stats.packets_skipped_already_relayed += skipped as u64;
-            self.telemetry.record_error(
-                t,
-                format!("skipping {skipped} {what}: packet messages are redundant"),
-            );
+            self.telemetry
+                .record_error(t, RelayerErrorKind::Redundant { to, skipped });
         }
         t
     }
@@ -1315,12 +1299,12 @@ impl Relayer {
             let (done, accepted) = if batch.is_empty() {
                 (t, 0)
             } else {
-                let (what, end) = match to {
-                    Destination => ("packets", &path.src_channel),
-                    Source => ("acknowledgements", &path.dst_channel),
+                let kind = RelayerErrorKind::Clearing {
+                    to,
+                    pending: batch.len(),
+                    channel: path.src_channel.clone(),
                 };
-                let message = format!("clearing {} pending {what} on {end}", batch.len());
-                self.telemetry.record_error(t, message);
+                self.telemetry.record_error(t, kind);
                 match to {
                     Destination => {
                         let row = &mut self.packets[channel];
@@ -1371,14 +1355,8 @@ impl Relayer {
         let resp = rpc.account_sequence_unconfirmed(at, account);
         let ready = tracker.reconcile(&resp.value);
         if !ready {
-            self.telemetry.record_error(
-                resp.ready_at,
-                format!(
-                    "holding batch: account sequence straddles a commit \
-                     (committed {}, check state {}, {} txs unconfirmed)",
-                    resp.value.committed, resp.value.expected, resp.value.pending
-                ),
-            );
+            let kind = RelayerErrorKind::HoldingBatch(resp.value);
+            self.telemetry.record_error(resp.ready_at, kind);
         }
         (resp.ready_at, ready)
     }
@@ -1410,6 +1388,13 @@ impl Relayer {
         let resp = rpc.broadcast_tx_sync(at, tx);
         let mut ready = resp.ready_at;
         let mut accepted = None;
+        // Every refusal, a retry's too, is a broadcast failure, logged as the
+        // node's own error.
+        let mut refused = |at, error| {
+            self.stats.broadcast_failures += 1;
+            self.telemetry
+                .record_error(at, RelayerErrorKind::Broadcast(error));
+        };
         match resp.value {
             Ok(hash) => {
                 accepted = Some(hash);
@@ -1418,11 +1403,14 @@ impl Relayer {
             // A stale sequence is known by the ante handler's code, which
             // rewording its message cannot change.
             Err(Refused {
-                error: BroadcastError::CheckTxFailed { code, log },
+                error:
+                    error @ SubmitError::CheckTxFailed {
+                        code: ante::CODE_SEQUENCE_MISMATCH,
+                        ..
+                    },
                 tx,
-            }) if code == ante::CODE_SEQUENCE_MISMATCH => {
-                self.stats.broadcast_failures += 1;
-                self.telemetry.record_error(ready, log);
+            }) => {
+                refused(ready, error);
                 match tracker.mode() {
                     SequenceTracking::Resync => {
                         // Re-sync the sequence from the chain's *committed*
@@ -1439,9 +1427,8 @@ impl Relayer {
                                 accepted = Some(hash);
                                 tracker.resync(new_seq + 1);
                             }
-                            Err(refused) => {
-                                self.stats.broadcast_failures += 1;
-                                self.telemetry.record_error(ready, refused.to_string());
+                            Err(retry) => {
+                                refused(ready, retry.error);
                                 // The retry failed for a non-sequence reason
                                 // (its CheckTx passed or rejected the tx
                                 // without consuming a sequence), so the
@@ -1473,19 +1460,13 @@ impl Relayer {
                                     accepted = Some(hash);
                                     tracker.advance();
                                 }
-                                Err(refused) => {
-                                    self.stats.broadcast_failures += 1;
-                                    self.telemetry.record_error(ready, refused.to_string());
-                                }
+                                Err(retry) => refused(ready, retry.error),
                             }
                         }
                     }
                 }
             }
-            Err(refused) => {
-                self.stats.broadcast_failures += 1;
-                self.telemetry.record_error(ready, refused.to_string());
-            }
+            Err(other) => refused(ready, other.error),
         }
         (ready, accepted)
     }
@@ -2259,7 +2240,9 @@ mod tests {
         relayer.clear_unrelayed(Source, 2, SimTime::from_secs(11));
         assert_eq!(relayer.stats().packets_cleared, 0);
         let errors = relayer.telemetry().errors();
-        assert!(errors.iter().all(|e| !e.message.contains("clearing")));
+        assert!(errors
+            .iter()
+            .all(|e| !matches!(e.kind, RelayerErrorKind::Clearing { .. })));
 
         // The straddling transaction leaves the mempool and the next source
         // commit clears the verdict; destination block 3 receives 1 and 2.

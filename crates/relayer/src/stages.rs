@@ -350,6 +350,7 @@ impl ChannelPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xcc_rpc::websocket::WsError;
 
     #[test]
     fn schedulers_rotate_prioritize_and_dedicate() {
@@ -407,15 +408,14 @@ mod tests {
     #[test]
     fn frame_limit_knob_configures_the_subscription() {
         let rpc = rpc_with_a_mixed_block();
-        let collect = |strategy: RelayerStrategy| {
-            strategy
-                .subscription()
-                .collect_block_events(&rpc, 1)
-                .map_err(|e| e.to_string())
-        };
+        let collect =
+            |strategy: RelayerStrategy| strategy.subscription().collect_block_events(&rpc, 1);
         // A one-byte limit must fail collection where the default succeeds.
         let tiny = collect(RelayerStrategy::default().frame_limit(1));
-        assert!(tiny.unwrap_err().contains("Failed to collect events"));
+        assert!(matches!(
+            tiny,
+            Err(WsError::FrameTooLarge { max_bytes: 1, .. })
+        ));
         assert!(collect(RelayerStrategy::default()).is_ok());
     }
 

@@ -10,8 +10,13 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use xcc_ibc::ids::Sequence;
+use xcc_ibc::ids::{ChannelId, Sequence};
+use xcc_rpc::endpoint::UnconfirmedSequence;
+use xcc_rpc::websocket::WsError;
 use xcc_sim::{prof, SimTime};
+use xcc_tendermint::node::SubmitError;
+
+use crate::relayer::ChainRole;
 
 /// The 13 steps of a complete cross-chain transfer (Fig. 12 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -107,13 +112,59 @@ impl TransferStep {
 }
 
 /// A logged relayer error (redundant packets, failed event collection,
-/// sequence mismatches…), mirroring Hermes' log lines.
+/// sequence mismatches…), one kind per cause Hermes logs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelayerError {
     /// When the error occurred.
     pub at: SimTime,
-    /// The error message.
-    pub message: String,
+    /// What went wrong.
+    pub kind: RelayerErrorKind,
+}
+
+/// The cause of a [`RelayerError`]. `to` names the chain the relayer was
+/// relaying towards: the destination for packets, the source for
+/// acknowledgements.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RelayerErrorKind {
+    /// The relayer process with this id crashed.
+    Crashed(usize),
+    /// The relayer process with this id restarted cold.
+    Restarted(usize),
+    /// A block's events could not be collected ("Failed to collect events").
+    EventCollection(WsError),
+    /// One of the relayer's transactions committed on `on` with a non-zero
+    /// `code`, releasing `released` in-flight packets to the clear scan.
+    FailedCommit {
+        /// The chain that committed the transaction.
+        on: ChainRole,
+        /// Its `DeliverTx` code.
+        code: u32,
+        /// In-flight packet markers it released.
+        released: usize,
+    },
+    /// `skipped` packets another relayer already relayed were dropped
+    /// before broadcast ("packet messages are redundant", §IV-A).
+    Redundant {
+        /// The chain they were relayed towards.
+        to: ChainRole,
+        /// How many were dropped.
+        skipped: usize,
+    },
+    /// The clear scan found `pending` unrelayed packets (or
+    /// acknowledgements) on the path whose source end is `channel`.
+    Clearing {
+        /// The chain they are relayed towards.
+        to: ChainRole,
+        /// How many the scan found.
+        pending: usize,
+        /// The path's channel on the source chain.
+        channel: ChannelId,
+    },
+    /// A batch was held because the account's sequence straddles a commit.
+    HoldingBatch(UnconfirmedSequence),
+    /// The node refused a broadcast (§V's account-sequence mismatch is
+    /// `CheckTxFailed` with `ante::CODE_SEQUENCE_MISMATCH`).
+    Broadcast(SubmitError),
 }
 
 /// Number of step columns per channel, one per [`TransferStep`].
@@ -278,12 +329,9 @@ impl TelemetryLog {
             .record(sequence, step.slot(), time);
     }
 
-    /// Records an error line.
-    pub fn record_error(&mut self, at: SimTime, message: impl Into<String>) {
-        self.errors.push(RelayerError {
-            at,
-            message: message.into(),
-        });
+    /// Records an error.
+    pub fn record_error(&mut self, at: SimTime, kind: RelayerErrorKind) {
+        self.errors.push(RelayerError { at, kind });
     }
 
     /// The recorded errors, in insertion order.
@@ -422,16 +470,17 @@ mod tests {
     }
 
     #[test]
-    fn errors_are_logged_and_searchable() {
+    fn errors_are_logged_by_kind() {
         let mut log = TelemetryLog::new();
-        log.record_error(SimTime::from_secs(1), "packet messages are redundant");
-        log.record_error(SimTime::from_secs(2), "account sequence mismatch");
-        log.record_error(SimTime::from_secs(3), "packet messages are redundant");
+        let redundant = RelayerErrorKind::Redundant {
+            to: ChainRole::Destination,
+            skipped: 4,
+        };
+        log.record_error(SimTime::from_secs(1), redundant.clone());
+        log.record_error(SimTime::from_secs(2), RelayerErrorKind::Crashed(0));
+        log.record_error(SimTime::from_secs(3), redundant.clone());
         assert_eq!(log.errors().len(), 3);
-        let redundant = log
-            .errors()
-            .iter()
-            .filter(|e| e.message.contains("redundant"));
+        let redundant = log.errors().iter().filter(|e| e.kind == redundant);
         assert_eq!(redundant.count(), 2);
     }
 
@@ -454,7 +503,7 @@ mod tests {
             TransferStep::RecvBroadcast,
             SimTime::from_secs(7),
         );
-        b.record_error(SimTime::from_secs(1), "x");
+        b.record_error(SimTime::from_secs(1), RelayerErrorKind::Crashed(1));
         a.merge_offset(&b, 0);
         assert_eq!(
             a.step_time_on(0, Sequence::from(1), TransferStep::RecvBroadcast),

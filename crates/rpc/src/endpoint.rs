@@ -16,43 +16,11 @@ use xcc_ibc::ids::{ChannelId, PortId, Sequence};
 use xcc_ibc::packet::Acknowledgement;
 use xcc_sim::{server::Server, SimDuration, SimTime};
 use xcc_tendermint::hash::Hash;
-use xcc_tendermint::node::{Refused, SubmitError};
+use xcc_tendermint::node::Refused;
 
 use crate::cost::{RequestKind, RequestProfile};
 
 pub use lane::RpcResponse;
-
-/// Errors returned by `broadcast_tx_sync`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BroadcastError {
-    /// `CheckTx` rejected the transaction (code and log are included).
-    CheckTxFailed {
-        /// ABCI error code.
-        code: u32,
-        /// Error log, e.g. "account sequence mismatch…".
-        log: String,
-    },
-    /// The mempool refused the transaction (full or duplicate).
-    MempoolRejected {
-        /// Description of the rejection.
-        reason: String,
-    },
-}
-
-impl std::fmt::Display for BroadcastError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BroadcastError::CheckTxFailed { code, log } => {
-                write!(f, "broadcast failed (code {code}): {log}")
-            }
-            BroadcastError::MempoolRejected { reason } => {
-                write!(f, "mempool rejected tx: {reason}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for BroadcastError {}
 
 /// The answer to a mempool-aware account-sequence query
 /// ([`RpcEndpoint::account_sequence_unconfirmed`]): everything a client needs
@@ -147,29 +115,19 @@ impl RpcEndpoint {
     /// `broadcast_tx_sync`: submit a transaction to the mempool. The
     /// transaction's one encoding is moved out ([`Tx::take_encoded`]) and
     /// goes to the node beside the transaction, which `CheckTx` and
-    /// `DeliverTx` run on; a refusal gives the transaction back.
+    /// `DeliverTx` run on; a refusal is the node's own [`Refused`], which
+    /// gives the transaction back.
     pub fn broadcast_tx_sync(
         &mut self,
         now: SimTime,
         mut tx: Tx,
-    ) -> RpcResponse<Result<Hash, Refused<Tx, BroadcastError>>> {
+    ) -> RpcResponse<Result<Hash, Refused<Tx>>> {
         let msg_count = tx.msg_count();
         // The transaction reaches the node one network hop after the caller
         // sends it; blocks proposed before that instant cannot include it.
         let arrival = now + self.one_way;
         let raw = tx.take_encoded();
-        let result = self.chain.borrow_mut().submit_tx(raw, tx, arrival);
-        let value = result.map_err(|Refused { error, tx }| Refused {
-            error: match error {
-                SubmitError::CheckTxFailed { code, log } => {
-                    BroadcastError::CheckTxFailed { code, log }
-                }
-                SubmitError::Mempool(err) => BroadcastError::MempoolRejected {
-                    reason: err.to_string(),
-                },
-            },
-            tx,
-        });
+        let value = self.chain.borrow_mut().submit_tx(raw, tx, arrival);
         let profile = RequestProfile {
             response_bytes: 256,
             messages: msg_count,
@@ -466,11 +424,13 @@ mod tests {
 
     use super::*;
     use crate::cost::service_time;
+    use xcc_chain::ante;
     use xcc_chain::coin::Coin;
     use xcc_chain::genesis::GenesisConfig;
     use xcc_chain::msg::Msg;
     use xcc_ibc::packet::Packet;
     use xcc_sim::prof;
+    use xcc_tendermint::node::SubmitError;
 
     fn shared(genesis: GenesisConfig) -> SharedChain {
         Rc::new(RefCell::new(genesis.into_chain()))
@@ -516,12 +476,13 @@ mod tests {
             .broadcast_tx_sync(SimTime::ZERO, bank_tx(0))
             .value
             .unwrap_err();
-        match &refused.error {
-            BroadcastError::MempoolRejected { .. } => panic!("expected CheckTx failure"),
-            BroadcastError::CheckTxFailed { log, .. } => {
-                assert!(log.contains("account sequence mismatch"))
+        assert!(matches!(
+            refused.error,
+            SubmitError::CheckTxFailed {
+                code: ante::CODE_SEQUENCE_MISMATCH,
+                ..
             }
-        }
+        ));
         let tx = &refused.tx;
         assert_eq!(
             (tx.signer.as_str(), tx.sequence, tx.msg_count()),

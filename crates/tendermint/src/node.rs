@@ -52,28 +52,16 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-impl From<MempoolError> for SubmitError {
-    fn from(e: MempoolError) -> Self {
-        SubmitError::Mempool(e)
-    }
-}
-
 /// A submission that was refused: why, and the transaction it handed over,
-/// given back so the caller can reuse what it built. The node refuses with a
-/// [`SubmitError`]; the RPC layer restates the reason for its callers.
+/// given back so the caller can reuse what it built. The RPC layer hands it
+/// to its callers as it is.
 #[derive(Debug)]
-pub struct Refused<T, E = SubmitError> {
+pub struct Refused<T> {
     /// Why the transaction was refused.
-    pub error: E,
+    pub error: SubmitError,
     /// The transaction the submission handed over, boxed so that a `Result`
     /// carrying it stays the size of its success value.
     pub tx: Box<T>,
-}
-
-impl<T, E: std::fmt::Display> std::fmt::Display for Refused<T, E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.error.fmt(f)
-    }
 }
 
 /// The stored outcome of executing one block. The block store holds each one
@@ -273,7 +261,7 @@ impl<A: Application> Node<A> {
             received_at: now,
         };
         self.mempool.add(pending).map_err(|(error, tx)| Refused {
-            error: error.into(),
+            error: SubmitError::Mempool(error),
             tx: Box::new(tx),
         })?;
         Ok(hash)

@@ -41,7 +41,7 @@ fn main() {
         println!("relayer {i}: {stats:?}");
     }
     for err in run.telemetry.errors().iter().take(10) {
-        println!("relayer error @{}: {}", err.at, err.message);
+        println!("relayer error @{}: {:?}", err.at, err.kind);
     }
     if std::env::var("XCC_DEBUG_BLOCKS").is_ok() {
         let chain = run.chain_a.borrow();

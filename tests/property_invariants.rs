@@ -1874,7 +1874,10 @@ mod telemetry {
     use std::collections::BTreeMap;
 
     use ibc_perf_repro::ibc::ids::Sequence;
-    use ibc_perf_repro::relayer::telemetry::{RelayerError, TelemetryLog, TransferStep};
+    use ibc_perf_repro::relayer::relayer::ChainRole;
+    use ibc_perf_repro::relayer::telemetry::{
+        RelayerError, RelayerErrorKind, TelemetryLog, TransferStep,
+    };
     use ibc_perf_repro::sim::SimTime;
     use proptest::prelude::*;
 
@@ -1915,9 +1918,12 @@ mod telemetry {
             let sequence = sequence(code);
             let time = SimTime::from_nanos(time);
             let Some(&transfer_step) = TransferStep::ALL.get(step) else {
-                let message = format!("error {channel}/{sequence}");
-                log.record_error(time, message.clone());
-                errors.push(RelayerError { at: time, message });
+                let kind = RelayerErrorKind::Redundant {
+                    to: ChainRole::Destination,
+                    skipped: (channel * 100 + sequence) as usize,
+                };
+                log.record_error(time, kind.clone());
+                errors.push(RelayerError { at: time, kind });
                 continue;
             };
             log.record_on(channel, Sequence::from(sequence), transfer_step, time);

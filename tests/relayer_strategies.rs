@@ -10,13 +10,16 @@
 
 use std::collections::BTreeSet;
 
+use ibc_perf_repro::chain::ante;
 use ibc_perf_repro::chain::msg::Msg;
 use ibc_perf_repro::chain::tx::Tx;
 use ibc_perf_repro::framework::scenarios;
 use ibc_perf_repro::framework::spec::ExperimentSpec;
 use ibc_perf_repro::framework::ScenarioOutcome;
+use ibc_perf_repro::ibc::error::CODE_REDUNDANT_PACKET;
 use ibc_perf_repro::relayer::strategy::{RelayerStrategy, SequenceTracking};
-use ibc_perf_repro::relayer::telemetry::TransferStep;
+use ibc_perf_repro::relayer::telemetry::{RelayerError, RelayerErrorKind, TransferStep};
+use ibc_perf_repro::tendermint::node::SubmitError;
 
 const GOLDENS: &str = include_str!("fixtures/default_strategy_goldens.json");
 const SEQUENCE_RACE_GOLDENS: &str = include_str!("fixtures/sequence_race_goldens.json");
@@ -75,7 +78,7 @@ fn redundant_message_accounting_sums_to_the_packet_totals() {
                 }
                 if result.is_ok() {
                     successful_recv_msgs += recv_msgs;
-                } else if result.log.contains("redundant") {
+                } else if result.code == CODE_REDUNDANT_PACKET {
                     redundant_failed_msgs += recv_msgs;
                     redundant_failed_txs += 1;
                 } else {
@@ -124,13 +127,9 @@ fn redundant_message_accounting_sums_to_the_packet_totals() {
         .telemetry
         .errors()
         .iter()
-        .filter(|e| e.message.contains("redundant"))
-        .map(|e| {
-            e.message
-                .split_whitespace()
-                .nth(1)
-                .and_then(|n| n.parse::<u64>().ok())
-                .expect("skip messages carry a count")
+        .map(|e| match e.kind {
+            RelayerErrorKind::Redundant { skipped, .. } => skipped as u64,
+            _ => 0,
         })
         .sum();
     assert_eq!(skipped, skip_errors, "stats and telemetry must agree");
@@ -210,12 +209,24 @@ fn burned_windows(run: &ibc_perf_repro::framework::runner::RunOutput) -> u64 {
     for height in 1..=chain.height() {
         let block = chain.block_at(height).unwrap();
         for result in &block.results {
-            if !result.is_ok() && !result.log.contains("redundant") {
+            if !result.is_ok() && result.code != CODE_REDUNDANT_PACKET {
                 burned += 1;
             }
         }
     }
     burned
+}
+
+/// Whether `error` is a broadcast `CheckTx` refused for its stale account
+/// sequence (§V).
+fn sequence_mismatch(error: &RelayerError) -> bool {
+    matches!(
+        error.kind,
+        RelayerErrorKind::Broadcast(SubmitError::CheckTxFailed {
+            code: ante::CODE_SEQUENCE_MISMATCH,
+            ..
+        })
+    )
 }
 
 /// The §V straddled-commit race, pinned as a counterfactual pair: the
@@ -243,11 +254,7 @@ fn straddled_commits_lose_windows_under_resync_and_none_under_mempool_aware() {
         burned_windows(&resync) > 0,
         "a straddled commit burns committed transactions under Resync"
     );
-    assert!(resync
-        .telemetry
-        .errors()
-        .iter()
-        .any(|e| e.message.contains("account sequence mismatch")));
+    assert!(resync.telemetry.errors().iter().any(sequence_mismatch));
 
     // Under MempoolAware, the same workload shows neither.
     let mempool = scenarios::run_raw(
@@ -269,11 +276,7 @@ fn straddled_commits_lose_windows_under_resync_and_none_under_mempool_aware() {
         0,
         "no committed transaction fails once straddles hold the batch"
     );
-    assert!(mempool
-        .telemetry
-        .errors()
-        .iter()
-        .all(|e| !e.message.contains("account sequence mismatch")));
+    assert!(!mempool.telemetry.errors().iter().any(sequence_mismatch));
 
     // Holding a straddled batch delays it one block; it must never cost
     // completed transfers.
@@ -329,7 +332,7 @@ fn held_acknowledgements_are_not_duplicated_by_the_clear_scan() {
     assert!(
         errors
             .iter()
-            .any(|e| e.message.starts_with("holding batch")),
+            .any(|e| matches!(e.kind, RelayerErrorKind::HoldingBatch(_))),
         "the spec must straddle commits, or nothing is held"
     );
     let failures: u64 = run.relayer_stats.iter().map(|s| s.broadcast_failures).sum();
